@@ -53,6 +53,9 @@ class Queue:
             raise IndexError("front of empty queue")
         return self._items[0]
 
+    def clear(self):
+        self._items.clear()
+
     def __len__(self):
         return len(self._items)
 
@@ -103,6 +106,15 @@ class ChildReqRespQueueAdapter:
     def push_resp(self, msg):
         self.resp_q.enq(msg)
 
+    def reset(self):
+        """Forget every queued message and take back the response
+        offer ``xtick`` just made; call from the owner's reset branch,
+        after ``xtick``.  Without it a message queued before reset is
+        delivered after it."""
+        self.req_q.clear()
+        self.resp_q.clear()
+        self.bundle.resp_val.next = 0
+
 
 class ParentReqRespQueueAdapter:
     """Queue-based adapter for a parent requester's interface (the
@@ -135,6 +147,16 @@ class ParentReqRespQueueAdapter:
 
     def get_resp(self):
         return self.resp_q.deq()
+
+    def reset(self):
+        """Forget every queued message and take back the request
+        offer ``xtick`` just made; call from the owner's reset branch,
+        after ``xtick``.  Without it a request queued before reset
+        goes out after it and its response comes back to an owner that
+        no longer expects one."""
+        self.req_q.clear()
+        self.resp_q.clear()
+        self.bundle.req_val.next = 0
 
 
 # -- blocking (coroutine-style) adapters ------------------------------------------

@@ -3,16 +3,31 @@
 SimJIT's backend (paper Section IV-A): lowers :class:`BlockIR`
 statements and expressions into C.  The generated translation unit
 models every signal net as an ``unsigned __int128`` slot (wide enough
-for the 65-bit memory messages) in a ``cur``/``nxt`` double-buffered
-state array:
+for the 65-bit memory messages) of the instance struct ``inst_t``:
 
-- combinational blocks read and write ``cur`` with change detection
-  (the ``comb_changed`` flag drives the fixpoint loop);
-- tick blocks read ``cur`` and write ``nxt``; the clock edge copies
-  ``nxt`` into ``cur``;
+- ``cur[]`` holds the settled value of every net.  Combinational
+  blocks read and write it; the specializer orders them with
+  :func:`repro.core.scheduling.build_schedule` and emits ``settle()``
+  as one straight pass over that order;
+- ``nxt[]`` is meaningful only for the *flop nets* — the nets some
+  tick block writes via ``.next`` (``flop_slot[]``).  ``clock_edge()``
+  seeds those slots from ``cur``, runs the tick blocks (which read
+  ``cur`` and write ``nxt``), and copies the same slots back; no other
+  net is touched at the edge;
+- ``prev[]`` exists only in the *fixpoint* kernel shape, emitted when
+  the block graph has a cyclic or self-reading residue (or scheduling
+  was switched off): ``settle()`` then repeats the pass until a
+  whole-state snapshot stops changing;
 - local variables are ``int64_t`` (signed, so idioms like
   ``sa = a - 0x100000000`` compare correctly);
-- plain CL state becomes static ``int64_t`` variables/arrays.
+- plain CL state becomes ``int64_t`` members of ``inst_t``.
+
+The Python boundary is bulk and change-detected: ``push_inputs``
+stores every input port from one array, ``pull_changed`` returns
+``(port index, lo, hi)`` only for output ports that differ from what
+the last pull returned (``in_slot[]``/``out_slot[]`` are static
+tables; the output shadow lives beside ``inst_t``, outside the
+checkpoint blob).
 
 Dynamic signal-list indexing (``s.rf[rd]``) is compiled to a static
 slot lookup table per reference.
@@ -74,16 +89,40 @@ static inline int64_t py_floordiv(int64_t a, int64_t b) {
 }
 """
 
-# The instance struct is emitted by the specializer (it knows the CL
-# state variables); every generated function takes an `inst_t *I`, so
-# multiple instances of the same compiled model never share state.
+# The instance struct, the port/flop slot tables, ``settle()`` and the
+# block runners are emitted by the specializer (it knows the CL state
+# variables and the kernel shape); every generated function takes an
+# `inst_t *I`, so multiple instances of the same compiled model never
+# share state.
 C_API = r"""
+/* ---- clock edge ---- */
+
+/* Only flop nets have a meaningful nxt: seed them from cur (a tick
+   that skips its .next write holds the value), run the ticks, copy
+   them back. */
+static inline void clock_edge(inst_t *I) {
+    for (int i = 0; i < NFLOP; i++)
+        I->nxt[flop_slot[i]] = I->cur[flop_slot[i]];
+    run_tick_blocks(I);
+    for (int i = 0; i < NFLOP; i++)
+        I->cur[flop_slot[i]] = I->nxt[flop_slot[i]];
+}
+
 /* ---- external API (cffi) ---- */
 
+/* The output shadow sits behind inst_t so that every entry point can
+   cast the handle to inst_t* and the checkpoint blob stays the bare
+   inst_t. */
+typedef struct {
+    inst_t inst;
+    u128 out_last[NOUT + 1];
+    int out_synced;
+} box_t;
+
 void *new_instance(void) {
-    inst_t *I = (inst_t *)calloc(1, sizeof(inst_t));
-    init_instance(I);
-    return I;
+    box_t *B = (box_t *)calloc(1, sizeof(box_t));
+    init_instance(&B->inst);
+    return B;
 }
 
 void free_instance(void *p) {
@@ -101,30 +140,52 @@ void get_net(void *p, int idx, uint64_t *out) {
     out[1] = (uint64_t)(I->cur[idx] >> 64);
 }
 
-int eval_comb(void *p) {
-    /* Fixpoint over whole-state snapshots: a block may legitimately
-       write a net twice per pass (clear-then-set), so per-write change
-       flags would never settle.  Blocks are statically scheduled in
-       dependency order, so this usually converges in two passes. */
+/* Store every input port; hi may be NULL when no port is wider than
+   64 bits. */
+void push_inputs(void *p, const uint64_t *lo, const uint64_t *hi) {
     inst_t *I = (inst_t *)p;
-    int iters = 0;
-    do {
-        memcpy(I->prev, I->cur, sizeof(I->cur));
-        run_comb_blocks(I);
-        iters++;
-        if (iters > 64) return -1;   /* combinational loop */
-    } while (memcmp(I->prev, I->cur, sizeof(I->cur)) != 0);
-    return iters;
+    for (int i = 0; i < NIN; i++) {
+        int s = in_slot[i];
+        u128 v = hi ? ((u128)hi[i] << 64) | lo[i] : (u128)lo[i];
+        I->cur[s] = v & mask_of(net_width[s]);
+    }
+}
+
+/* (port index, lo, hi) of every output port whose value differs from
+   what the last pull returned; returns the number of triples. */
+int pull_changed(void *p, uint64_t *out) {
+    box_t *B = (box_t *)p;
+    int n = 0;
+    for (int i = 0; i < NOUT; i++) {
+        u128 v = B->inst.cur[out_slot[i]];
+        if (B->out_synced && v == B->out_last[i]) continue;
+        B->out_last[i] = v;
+        out[3 * n] = (uint64_t)i;
+        out[3 * n + 1] = (uint64_t)v;
+        out[3 * n + 2] = (uint64_t)(v >> 64);
+        n++;
+    }
+    B->out_synced = 1;
+    return n;
+}
+
+/* The next pull returns every output port. */
+void resync_outputs(void *p) {
+    ((box_t *)p)->out_synced = 0;
+}
+
+int eval_comb(void *p) {
+    return settle((inst_t *)p);
 }
 
 int cycle(void *p, int n) {
     inst_t *I = (inst_t *)p;
+    /* Each edge leaves the state settled, so only the first cycle of
+       a batch needs its own pre-edge settle. */
+    if (settle(I) < 0) return -1;
     for (int i = 0; i < n; i++) {
-        if (eval_comb(p) < 0) return -1;
-        memcpy(I->nxt, I->cur, sizeof(I->cur));
-        run_tick_blocks(I);
-        memcpy(I->cur, I->nxt, sizeof(I->cur));
-        if (eval_comb(p) < 0) return -1;
+        clock_edge(I);
+        if (settle(I) < 0) return -1;
     }
     return 0;
 }
@@ -135,15 +196,6 @@ int64_t get_state(void *p, int idx) {
 
 int64_t get_state_at(void *p, int idx, int elem) {
     return state_probe_at((inst_t *)p, idx, elem);
-}
-
-void get_nets(void *p, const int *idxs, int n, uint64_t *out) {
-    inst_t *I = (inst_t *)p;
-    for (int i = 0; i < n; i++) {
-        u128 v = I->cur[idxs[i]];
-        out[2 * i] = (uint64_t)v;
-        out[2 * i + 1] = (uint64_t)(v >> 64);
-    }
 }
 
 void set_state_at(void *p, int idx, int elem, int64_t value) {
@@ -163,6 +215,32 @@ void save_inst(void *p, char *buf) {
 
 void load_inst(void *p, const char *buf) {
     memcpy(p, buf, sizeof(inst_t));
+}
+"""
+
+# ``settle()`` in its two kernel shapes; the specializer picks one.
+C_SETTLE_SINGLE_PASS = r"""
+/* The comb blocks are in dependency order (none reads a net that a
+   later one writes): one pass settles them. */
+static inline int settle(inst_t *I) {
+    run_comb_blocks(I);
+    return 1;
+}
+"""
+
+C_SETTLE_FIXPOINT = r"""
+/* Fixpoint over whole-state snapshots: a block may legitimately
+   write a net twice per pass (clear-then-set), so per-write change
+   flags would never settle. */
+static inline int settle(inst_t *I) {
+    int iters = 0;
+    do {
+        memcpy(I->prev, I->cur, sizeof(I->cur));
+        run_comb_blocks(I);
+        iters++;
+        if (iters > 64) return -1;   /* combinational loop */
+    } while (memcmp(I->prev, I->cur, sizeof(I->cur)) != 0);
+    return iters;
 }
 """
 
@@ -396,7 +474,8 @@ long long obs_run(void *op, long long n) {
             if (O->hist_slot[h] >= 0
                     && O->hist_used[h] > OBS_HIST_CAP - 64)
                 return k;
-        if (eval_comb(I) < 0) return -1;
+        /* Later cycles start from the previous post-edge settle. */
+        if (k == 0 && settle(I) < 0) return -1;
         /* pre-edge sampling point (cycle-hook semantics) */
         for (int t = 0; t < O->ntx; t++) {
             unsigned char vr;
@@ -419,10 +498,8 @@ long long obs_run(void *op, long long n) {
                 O->tx_lmsg[t] = msg;
             }
         }
-        memcpy(I->nxt, I->cur, sizeof(I->cur));
-        run_tick_blocks(I);
-        memcpy(I->cur, I->nxt, sizeof(I->cur));
-        if (eval_comb(I) < 0) return -1;
+        clock_edge(I);
+        if (settle(I) < 0) return -1;
         O->cycle++;
         /* post-edge sampling point (observer semantics) */
         for (int t = 0; t < O->nrec; t++) {
@@ -568,11 +645,13 @@ void *new_instance(void);
 void free_instance(void *p);
 void set_net(void *p, int idx, uint64_t lo, uint64_t hi);
 void get_net(void *p, int idx, uint64_t *out);
+void push_inputs(void *p, const uint64_t *lo, const uint64_t *hi);
+int pull_changed(void *p, uint64_t *out);
+void resync_outputs(void *p);
 int eval_comb(void *p);
 int cycle(void *p, int n);
 int64_t get_state(void *p, int idx);
 int64_t get_state_at(void *p, int idx, int elem);
-void get_nets(void *p, const int *idxs, int n, uint64_t *out);
 void set_state_at(void *p, int idx, int elem, int64_t value);
 size_t inst_size(void);
 void save_inst(void *p, char *buf);

@@ -2,8 +2,9 @@
 
 ``SimJITRTL`` and ``SimJITCL`` take an elaborated PyMTL-style model,
 lower every behavioral block to IR, emit a single C translation unit
-(one net-state array, one function per block, a statically scheduled
-combinational fixpoint), compile it with gcc, load it through cffi, and
+(one net-state array, one function per block, the combinational blocks
+in the order :func:`~repro.core.scheduling.build_schedule` gives them),
+compile it with gcc, load it through cffi, and
 hand back a drop-in :class:`JITModel` exposing the original port
 interface — exactly the flow of paper Figure 12, with our own RTL→C
 compiler standing in for Verilator (see DESIGN.md).
@@ -26,7 +27,9 @@ from ..ast_ir import BlockIR, TranslationError, translate_block
 from ..elaboration import elaborate
 from ..model import Model
 from ..portbundle import PortBundle
+from ..scheduling import build_schedule
 from ..signals import InPort, OutPort, Signal, _SignalSlice
+from ..simulation import _nets_of
 from .cgen import C_HEADER_DECLS, C_OBS_DECLS, CBackend
 
 _CACHE_ENV = "SIMJIT_CACHE_DIR"
@@ -111,82 +114,88 @@ class _Timer:
 
 class SimJITEngine:
     """Runtime half of a specialized model: owns the compiled library
-    and the Python<->C port synchronization."""
+    and the Python<->C port synchronization.
 
-    def __init__(self, model, lib, slot_of, overheads):
+    The boundary costs what changed.  A push reads every bound input
+    net in one list comprehension and returns at once when the list
+    equals the last one pushed; otherwise one C call stores them all.
+    A pull is one C call that compares every output port with the
+    value the previous pull returned and hands back only the ports
+    that differ, which are then written straight to their nets.
+    """
+
+    def __init__(self, model, lib, slot_of, overheads, kernel_info):
         self.model = model
         self.lib = lib
         self.slot_of = slot_of
         self.inst = lib.new_instance()
         self.overheads = overheads
+        #: which kernel shape was generated and why (``sched_info()``)
+        self.kernel_info = kernel_info
         import cffi
-        self._ffi = cffi.FFI()
-        self._buf = self._ffi.new("uint64_t[2]")
+        self._ffi = ffi = cffi.FFI()
+        self._buf = ffi.new("uint64_t[2]")
         # CL-state addressing metadata: attached by the specializer
         # (``engine.state_index``/``engine.model_index``) so external
         # tools (fault injection, checkpointing) can reach compiled
         # state by (model, attr) instead of C variable names.
         self.state_index = {}
         self.model_index = {}
-        # (signal, slot) maps; nets resolved lazily (the parent design
-        # may re-merge nets after specialization).
-        self._in_ports = [
-            (sig, slot_of(sig)) for sig in _flat_ports(model, InPort)
-        ]
-        self._out_ports = [
-            (sig, slot_of(sig)) for sig in _flat_ports(model, OutPort)
-        ]
+        # Port order is the order of the C in_slot[]/out_slot[] tables.
+        self._in_ports = _flat_ports(model, InPort)
+        self._out_ports = _flat_ports(model, OutPort)
+        n_in = len(self._in_ports)
+        self._in_lo = ffi.new("uint64_t[]", max(1, n_in))
+        # A high-word array only where some input port needs one.
+        self._in_hi = (ffi.new("uint64_t[]", n_in)
+                       if any(sig.nbits > 64 for sig in self._in_ports)
+                       else ffi.NULL)
+        self._out_buf = ffi.new(
+            "uint64_t[]", 3 * max(1, len(self._out_ports)))
+        # Nets are resolved at the first push (the parent design may
+        # re-merge nets after specialization).
         self._in_nets = None
-        self._shadow = {}
+        self._pushed = None
 
     def _bind(self):
-        import cffi
-        ffi = cffi.FFI()
-        self._in_nets = [
-            (sig._net.find(), slot) for sig, slot in self._in_ports
-        ]
-        n_out = len(self._out_ports)
-        self._out_slots = ffi.new(
-            "int[]", [slot for _, slot in self._out_ports])
-        self._out_buf = ffi.new("uint64_t[]", 2 * max(1, n_out))
-        self._out_shadow = [None] * n_out
+        self._in_nets = [sig._net.find() for sig in self._in_ports]
+        out_nets = [sig._net.find() for sig in self._out_ports]
+        self._out_write = [net.write for net in out_nets]
+        self._out_write_next = [net.write_next for net in out_nets]
 
     def _push_inputs(self):
         if self._in_nets is None:
             self._bind()
-        shadow = self._shadow
-        set_net = self.lib.set_net
-        inst = self.inst
-        for net, slot in self._in_nets:
-            value = net.read()
-            if shadow.get(slot) != value:
-                shadow[slot] = value
-                set_net(inst, slot, value & 0xFFFFFFFFFFFFFFFF,
-                        value >> 64)
+        values = [net._value for net in self._in_nets]
+        if values == self._pushed:
+            return
+        self._pushed = values
+        n = len(values)
+        lo, hi = self._in_lo, self._in_hi
+        if hi == self._ffi.NULL:
+            lo[0:n] = values
+        else:
+            lo[0:n] = [v & 0xFFFFFFFFFFFFFFFF for v in values]
+            hi[0:n] = [v >> 64 for v in values]
+        self.lib.push_inputs(self.inst, lo, hi)
 
     def _read_slot(self, slot):
         self.lib.get_net(self.inst, slot, self._buf)
         return self._buf[0] | (self._buf[1] << 64)
 
     def _pull_outputs(self, as_next):
-        """Batch-read all output nets from C; write back only values
-        that changed since the last pull (hot-path optimization — this
-        Python<->C boundary is exactly the overhead the paper attacks
-        with PyPy)."""
-        out_ports = self._out_ports
-        n = len(out_ports)
-        buf = self._out_buf
-        self.lib.get_nets(self.inst, self._out_slots, n, buf)
-        shadow = self._out_shadow
-        for i in range(n):
-            value = buf[2 * i] | (buf[2 * i + 1] << 64)
-            if shadow[i] != value:
-                shadow[i] = value
-                sig = out_ports[i][0]
-                if as_next:
-                    sig.next = value
-                else:
-                    sig.value = value
+        """Write back the output ports that changed since the last
+        pull: to ``.next`` for an embedded engine's tick (the parent
+        simulator flops them), to ``.value`` otherwise."""
+        if self._in_nets is None:
+            self._bind()
+        n = self.lib.pull_changed(self.inst, self._out_buf)
+        if not n:
+            return
+        write = self._out_write_next if as_next else self._out_write
+        words = iter(self._ffi.unpack(self._out_buf, 3 * n))
+        for port, lo, hi in zip(words, words, words):
+            write[port](lo | (hi << 64))
 
     def eval_comb(self):
         self._push_inputs()
@@ -208,10 +217,9 @@ class SimJITEngine:
     def raw_set(self, slot, value):
         self.lib.set_net(self.inst, slot,
                          value & 0xFFFFFFFFFFFFFFFF, value >> 64)
-        # The forced value must survive the next input push even when
-        # the Python-side net did not change: drop the push cache entry
-        # so the slot re-syncs only when Python actually drives it.
-        self._shadow.pop(slot, None)
+        # The next push must store the Python-side value again even
+        # when no input net changed since the last one.
+        self._pushed = None
 
     def raw_get(self, slot):
         return self._read_slot(slot)
@@ -270,9 +278,8 @@ class SimJITEngine:
         """Drop the Python<->C change-detection caches after any
         out-of-band state mutation, so the next push/pull re-syncs
         every port."""
-        self._shadow = {}
-        if self._in_nets is not None:
-            self._out_shadow = [None] * len(self._out_ports)
+        self._pushed = None
+        self.lib.resync_outputs(self.inst)
 
 
 class JITModel(Model):
@@ -383,11 +390,11 @@ class _Specializer:
             self._build_slots(model)
 
         with _Timer(self.overheads, "veri"):
-            block_irs, tick_irs = self._lower_blocks(model)
-            comb_order = self._schedule(block_irs)
+            comb_irs, tick_irs = self._lower_blocks(model)
+            comb_order, residue = self._order_comb(comb_irs)
 
         with _Timer(self.overheads, "cgen"):
-            c_source = self._emit(model, comb_order, tick_irs)
+            c_source = self._emit(model, comb_order, residue, tick_irs)
 
         with _Timer(self.overheads, "comp"):
             lib_path, cache_hit = self._compile(c_source)
@@ -396,7 +403,7 @@ class _Specializer:
         with _Timer(self.overheads, "wrap"):
             lib = self._load(lib_path)
             engine = SimJITEngine(model, lib, self._slot_of,
-                                  self.overheads)
+                                  self.overheads, self.kernel_info)
             engine.state_index = dict(self._state_index)
             engine.model_index = dict(self._model_index)
 
@@ -487,54 +494,40 @@ class _Specializer:
             comb_irs.append(ir)
         return comb_irs, tick_irs
 
-    def _schedule(self, comb_irs):
-        """Topologically order comb blocks by write->read dependencies;
-        cycles (if any) are left to the runtime fixpoint loop."""
+    def _order_comb(self, comb_irs):
+        """Order the comb blocks with the simulator's static scheduler.
+
+        Returns ``(order, residue)``: ``residue`` counts the blocks one
+        pass in that order cannot settle — those ``build_schedule``
+        demotes (in a combinational cycle, or reading through one
+        signal a net they write through another), or every block when
+        scheduling is switched off.  Any residue makes ``settle()`` a
+        fixpoint over the whole order."""
         if not self.schedule:
             # Ablation mode: declaration order, rely on the fixpoint
             # loop alone (more passes per eval).
-            return list(comb_irs)
-        def slots_of(refs):
-            out = set()
-            for ref in refs:
-                for sig in ref.signals:
-                    out.add(self._slot_of(sig))
-            return out
+            return list(comb_irs), len(comb_irs)
 
-        reads = [slots_of(ir.sig_reads) for ir in comb_irs]
-        writes = [slots_of(ir.sig_writes) for ir in comb_irs]
-        n = len(comb_irs)
-        writers_of = {}
-        for i, wset in enumerate(writes):
-            for slot in wset:
-                writers_of.setdefault(slot, []).append(i)
-        deps = [set() for _ in range(n)]       # deps[i] = must run before i
-        for i, rset in enumerate(reads):
-            for slot in rset:
-                for j in writers_of.get(slot, ()):
-                    if j != i:
-                        deps[i].add(j)
-        order = []
-        placed = [False] * n
-        remaining = set(range(n))
-        while remaining:
-            ready = [i for i in sorted(remaining)
-                     if all(placed[j] for j in deps[i])]
-            if not ready:
-                # Dependency cycle: emit the rest in index order; the
-                # runtime fixpoint loop still guarantees convergence.
-                order.extend(comb_irs[i] for i in sorted(remaining))
-                break
-            for i in ready:
-                placed[i] = True
-                remaining.discard(i)
-                order.append(comb_irs[i])
-        return order
+        infos = []
+        for i, ir in enumerate(comb_irs):
+            written = {id(sig): sig for ref in ir.sig_writes
+                       for sig in ref.signals}
+            # As in the elaborator's read sets: a block that reads back
+            # a signal it writes sees its own value (sequential code,
+            # not feedback), so that read is no dependency.
+            read = {id(sig): sig for ref in ir.sig_reads
+                    for sig in ref.signals if id(sig) not in written}
+            infos.append((i, _nets_of(read.values()),
+                          _nets_of(written.values()), True))
+        sched = build_schedule(infos)
+        order = [comb_irs[i] for i in sched.order + sched.event_funcs]
+        return order, len(sched.event_funcs)
 
     # -- emission ---------------------------------------------------------------------
 
-    def _emit(self, model, comb_order, tick_irs):
-        from .cgen import C_API, C_OBS, C_PRELUDE
+    def _emit(self, model, comb_order, residue, tick_irs):
+        from .cgen import (C_API, C_OBS, C_PRELUDE, C_SETTLE_FIXPOINT,
+                           C_SETTLE_SINGLE_PASS)
 
         # Namespace CL state per model instance.
         model_index = {id(m): i for i, m in enumerate(model._all_models)}
@@ -584,8 +577,9 @@ class _Specializer:
         state_list = sorted(state_vars.items())
         struct_lines = ["typedef struct {",
                         "  u128 cur[NNETS];",
-                        "  u128 nxt[NNETS];",
-                        "  u128 prev[NNETS];"]
+                        "  u128 nxt[NNETS];"]
+        if residue:
+            struct_lines.append("  u128 prev[NNETS];")
         for cname, (_, _, size) in state_list:
             if size == 0:
                 struct_lines.append(f"  int64_t {cname};")
@@ -593,6 +587,30 @@ class _Specializer:
                 struct_lines.append(f"  int64_t {cname}[{size}];")
         struct_lines.append("} inst_t;")
         parts.append("\n".join(struct_lines))
+
+        # Static slot tables: the ports the Python boundary moves and
+        # the nets the clock edge flops.
+        flop_slots = sorted({
+            self._slot_of(sig) for ir in tick_irs
+            for ref in ir.sig_writes for sig in ref.signals})
+        in_slots = [self._slot_of(sig)
+                    for sig in _flat_ports(model, InPort)]
+        out_slots = [self._slot_of(sig)
+                     for sig in _flat_ports(model, OutPort)]
+        for macro, table, slots in (("NIN", "in_slot", in_slots),
+                                    ("NOUT", "out_slot", out_slots),
+                                    ("NFLOP", "flop_slot", flop_slots)):
+            body = ", ".join(str(slot) for slot in slots) or "0"
+            parts.append(
+                f"#define {macro} {len(slots)}\n"
+                f"static const int {table}[] = {{{body}}};")
+        self.kernel_info = {
+            "comb": "fixpoint" if residue else "single-pass",
+            "residue_blocks": residue,
+            "flop_nets": len(flop_slots),
+            "in_ports": len(in_slots),
+            "out_ports": len(out_slots),
+        }
 
         parts.append(backend.emit_tables())
         parts.extend(functions)
@@ -607,6 +625,8 @@ class _Specializer:
             "static void run_tick_blocks(inst_t *I) {\n"
             f"  (void)I;\n{run_tick}\n}}"
         )
+        parts.append(
+            C_SETTLE_FIXPOINT if residue else C_SETTLE_SINGLE_PASS)
 
         # State probe for observability from Python.  Element-indexed
         # so state-backed counters over int-list entries stay readable
@@ -695,9 +715,9 @@ class _Specializer:
         rest take cache hits.  Opt out per engine with ``cache=False``
         or globally with ``REPRO_SIMJIT_CACHE=0``.
         """
-        digest = hashlib.sha256(
-            (c_source + self.opt).encode()
-        ).hexdigest()[:24]
+        digest = hashlib.sha256(c_source.encode())
+        digest.update(self.opt.encode())
+        digest = digest.hexdigest()[:24]
         cache_dir = _default_cache_dir()
         os.makedirs(cache_dir, exist_ok=True)
         lib_path = os.path.join(cache_dir, f"simjit_{digest}.so")

@@ -520,12 +520,17 @@ class SimulationTool:
         hit = False
         kernel = self._kernel
         hooks = self._cycle_hooks
-        if instr is not None and instr.active:
-            # Compiled instrumentation armed: the whole cycle —
-            # including recorder/tx/watchpoint sampling — runs inside
-            # the C obs_run loop.  Watchpoint actions fire below, after
+        if self._jit_eligible():
+            # Single-engine SimJIT top: the one SimJIT step (push, C
+            # cycle, pull), the same one run() batches.  With compiled
+            # instrumentation armed the sampling runs inside the C
+            # obs_run loop too; watchpoint actions fire below, after
             # VCD/tracing, at the hook path's observer point.
-            hit = instr.step()
+            self._drop_queued_comb()
+            if instr is not None and instr.active:
+                hit = instr.step()
+            else:
+                self._jit_cycles(1)
         elif kernel is not None:
             # Cycle hooks are compiled into the kernel (add_cycle_hook
             # regenerates it), so the kernel path stays valid with
@@ -650,11 +655,13 @@ class SimulationTool:
             # instrumentation armed the obs_run loop samples in-kernel
             # and stops exactly on watchpoint hits; without it, one
             # raw_cycle(n) call is the honest uninstrumented rate.
+            self._drop_queued_comb()
             instr = self._jit_instr
             if instr is not None and instr.active:
                 self._run_batched(instr, ncycles)
             else:
-                self._run_raw(ncycles)
+                self._jit_cycles(ncycles)
+                self.ncycles += ncycles
             return
         kernel = self._kernel
         if (kernel is not None and self._vcd is None
@@ -716,12 +723,22 @@ class SimulationTool:
                 self, self.model.jit_engine)
         return self._jit_instr
 
-    def _run_raw(self, ncycles):
-        """Uninstrumented SimJIT batch: one C call for the whole run."""
+    def _drop_queued_comb(self):
+        """Forget the wrapper's queued ``jit_comb``: a test-bench port
+        write enqueued it, and the push of the step about to run
+        carries the same port values across."""
+        queue = self._queue
+        for func in queue:
+            func._in_queue = False
+        queue.clear()
+
+    def _jit_cycles(self, ncycles):
+        """The uninstrumented SimJIT step: push the ports, one C call
+        for ``ncycles`` cycles, pull what changed.  The caller counts
+        the cycles."""
         eng = self.model.jit_engine
         eng._push_inputs()
         eng.raw_cycle(ncycles)
-        self.ncycles += ncycles
         eng._pull_outputs(as_next=False)
 
     def _run_batched(self, instr, ncycles):
@@ -933,7 +950,12 @@ class SimulationTool:
     def sched_info(self):
         """Scheduling provenance: requested vs chosen mode, the
         static/event partition, tick gating, and whether (and why not)
-        the mega-cycle kernel was compiled."""
+        the mega-cycle kernel was compiled.  A SimJIT top adds a
+        ``simjit`` entry: ``comb`` is ``"single-pass"`` or
+        ``"fixpoint"`` (``residue_blocks`` > 0 says why: that many
+        blocks sit in a combinational cycle or were left unscheduled),
+        ``flop_nets`` the nets the clock edge copies, and
+        ``in_ports``/``out_ports`` the port boundary."""
         info = {
             "requested": self._sched_requested,
             "mode": self.sched_mode,
@@ -952,6 +974,11 @@ class SimulationTool:
                 "demoted_cyclic": 0,
                 "levels": 0,
             })
+        engine = getattr(self.model, "jit_engine", None)
+        if engine is not None:
+            # SimJIT top: the shape of the generated kernel and of the
+            # port boundary (the wrapper itself is one event block).
+            info["simjit"] = dict(engine.kernel_info)
         return info
 
     def close(self):

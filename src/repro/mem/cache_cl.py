@@ -78,8 +78,15 @@ class CacheCL(Model):
             s.cpu.xtick()
             s.mem.xtick()
             if s.reset:
+                # As CacheRTL: every line invalid, counts zero, and
+                # nothing queued before reset is served after it.
+                s.cpu.reset()
+                s.mem.reset()
+                for ways in s.sets:
+                    ways.clear()
                 s.state = "idle"
                 s.cur_req = None
+                s.num_accesses = s.num_misses = 0
                 return
             if s.state == "idle":
                 s._idle_tick()

@@ -36,6 +36,9 @@ class CacheFL(Model):
             s.cpu.xtick()
             s.mem.xtick()
             if s.reset:
+                # Nothing queued before reset is served after it.
+                s.cpu.reset()
+                s.mem.reset()
                 return
             if not s.cpu.req_q.empty() and not s.mem.req_q.full():
                 s.ctr_accesses.incr()

@@ -96,58 +96,70 @@ class NetworkTrafficHarness:
         # loop is one honest "sim.run" span instead.
         tracer = tracing.active()
         t0 = perf_counter_ns() if tracer is not None else 0
-        stats = TrafficStats(nterminals=self.nterminals)
-        pending = [None] * self.nterminals    # staged packet per input
+        nterm = self.nterminals
+        stats = TrafficStats(nterminals=nterm)
+        latencies = stats.latencies
+        pending = [None] * nterm              # staged packet per input
 
         for port in net.out:
             port.rdy.value = 1
 
-        pay_shift, pay_mask = self._payload_shift, self._payload_mask
+        # Resolve every terminal's nets once per call: the loops below
+        # run per terminal per cycle.  ``sim.cycle`` is looked up here,
+        # not at construction, so a wrapper installed on the simulator
+        # before this call is the one that runs.
+        def net_of(sig):
+            return sig._net.find()
 
-        def service_outputs():
-            for i in range(self.nterminals):
-                port = net.out[i]
-                if port.val.uint():
-                    ts = (port.msg.uint() >> pay_shift) & pay_mask
-                    stats.ejected += 1
-                    if ts != 0:
-                        stats.latencies.append(sim.ncycles - ts)
+        set_val = [net_of(port.val).write for port in net.in_]
+        set_msg = [net_of(port.msg).write for port in net.in_]
+        get_rdy = [net_of(port.rdy).read for port in net.in_]
+        msg_mask = (1 << self.msg_type.nbits) - 1
+        outputs = [(net_of(port.val).read, net_of(port.msg).read)
+                   for port in net.out]
+        terminals = range(nterm)
+        random, randrange, mk_msg = rng.random, rng.randrange, self._mk_msg
+        cycle = sim.cycle
+        pay_shift, pay_mask = self._payload_shift, self._payload_mask
 
         def step():
             # The handshake fires at the coming edge with the rdy value
             # visible *now* — snapshot acceptance before cycling.
-            accepted = [
-                pending[i] is not None and int(net.in_[i].rdy)
-                for i in range(self.nterminals)
-            ]
-            sim.cycle()
-            for i in range(self.nterminals):
-                if accepted[i]:
-                    pending[i] = None
-            service_outputs()
+            accepted = [i for i in terminals
+                        if pending[i] is not None and get_rdy[i]()]
+            cycle()
+            for i in accepted:
+                pending[i] = None
+            now = sim.ncycles
+            for get_val, get_msg in outputs:
+                if get_val():
+                    ts = (get_msg() >> pay_shift) & pay_mask
+                    stats.ejected += 1
+                    if ts != 0:
+                        latencies.append(now - ts)
 
-        for cycle in range(ncycles):
-            measured = cycle >= warmup
-            for i in range(self.nterminals):
-                port = net.in_[i]
-                if pending[i] is None and rng.random() < injection_rate:
-                    dest = rng.randrange(self.nterminals)
+        for n in range(ncycles):
+            measured = n >= warmup
+            for i in terminals:
+                msg = pending[i]
+                if msg is None and random() < injection_rate:
+                    dest = randrange(nterm)
                     ts = sim.ncycles if measured else 0
-                    pending[i] = self._mk_msg(i, dest, ts)
+                    msg = pending[i] = mk_msg(i, dest, ts)
                     stats.injected += 1
-                if pending[i] is not None:
-                    port.val.value = 1
-                    port.msg.value = pending[i]
+                if msg is not None:
+                    set_val[i](1)
+                    set_msg[i](msg & msg_mask)
                 else:
-                    port.val.value = 0
+                    set_val[i](0)
             step()
 
         # Drain phase: finish offering staged packets, inject nothing new.
         for _ in range(drain):
             if stats.ejected >= stats.injected:
                 break
-            for i in range(self.nterminals):
-                net.in_[i].val.value = 1 if pending[i] is not None else 0
+            for i in terminals:
+                set_val[i](1 if pending[i] is not None else 0)
             step()
 
         stats.ncycles = ncycles

@@ -75,10 +75,21 @@ class ProcCL(Model):
             s.dmem.xtick()
             s.xcel.xtick()
             if s.reset:
+                # Back to the power-on state.  Fetches, loads and
+                # coprocessor requests issued before reset are
+                # forgotten together with their adapters' queues: a
+                # response that came back later would be taken for the
+                # answer to a fetch made after reset.
+                s.imem.reset()
+                s.dmem.reset()
+                s.xcel.reset()
+                s.inflight.clear()
                 s.state = "run"
                 s.halted = False
-                s.inflight.clear()
-                s.pred_pc = s.pc
+                s.pc = s.pred_pc = 0
+                s.regs[:] = [0] * 32
+                s.btb.clear()
+                s.num_instrs = s.num_squashes = 0
                 s.done.next = 0
                 return
             if s.halted:

@@ -184,11 +184,15 @@ class Telemetry:
         profile = None
         if sim.profiler is not None:
             profile = sim.profiler.report(sim)
+        sched = sim.sched_info()
+        # The v1 report carries the scheduling partition only: the
+        # SimJIT kernel shape stays out of its bytes.
+        sched.pop("simjit", None)
         return TelemetryReport(
             design=type(sim.model).__name__,
             ncycles=sim.ncycles,
             num_events=sim.num_events,
-            sched=sim.sched_info(),
+            sched=sched,
             counters=counters,
             subtrees=self.subtree_totals(counters),
             leaf_totals=self.leaf_totals(counters),

@@ -155,6 +155,9 @@ class _DutState:
         self.drain0 = DRAIN_CYCLES
         self.drain_left = DRAIN_CYCLES
         self.finished = False
+        # reset() does not zero sim.ncycles, and a harness may be run
+        # again on the same simulators: this run's cycles are a delta.
+        self.start_cycle = adapter.sim.ncycles
         for ch in adapter.channels:
             if ch.role == "drive":
                 payloads = list(stimulus.get(ch.name, ()))
@@ -177,7 +180,7 @@ class CoSimResult:
 
     def __init__(self):
         self.transfers = {}     # dut name -> {channel: [(cycle, msg)]}
-        self.ncycles = {}       # dut name -> cycles simulated
+        self.ncycles = {}       # dut name -> cycles this run simulated
         self.final_states = {}  # dut name -> final_state() value
         self.coverage = Coverage()
 
@@ -303,7 +306,8 @@ class CoSimHarness:
                 result.transfers[st.adapter.name] = {
                     name: list(mon.transfers)
                     for name, mon in st.monitors.items()}
-                result.ncycles[st.adapter.name] = st.sim.ncycles
+                result.ncycles[st.adapter.name] = (
+                    st.sim.ncycles - st.start_cycle)
                 result.final_states[st.adapter.name] = \
                     st.adapter.final_state()
         return result

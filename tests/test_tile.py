@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+from repro import SimulationTool
 from repro.accel import (
     Tile,
     mvmult_data,
@@ -125,3 +126,33 @@ def test_caches_help_at_cl_level():
     assert tile.icache.num_accesses > 0
     assert tile.icache.miss_rate() < 0.2    # tight loop: mostly hits
     assert tile.dcache.num_accesses > 0
+
+
+CL_PROC_CONFIGS = [c for c in ALL_CONFIGS if c[0] == "cl"]
+
+
+@pytest.mark.parametrize("levels", CL_PROC_CONFIGS,
+                         ids=["-".join(c) for c in CL_PROC_CONFIGS])
+def test_cl_proc_tile_runs_again_after_reset(levels):
+    """reset() returns a CL-processor tile to its power-on state.  The
+    processor halts with speculative fetches still in flight; their
+    responses used to come back after the reset and were taken for the
+    answers to the new run's fetches (or popped an empty FIFO)."""
+    data, expected = mvmult_data(ROWS, COLS)
+    tile = Tile(levels).elaborate()
+    tile.mem.load(0, assemble(mvmult_xcel(ROWS, COLS)))
+    for addr, value in data.items():
+        tile.mem.write_word(addr, value)
+    sim = SimulationTool(tile)
+    runs = []
+    for _ in range(3):
+        for i in range(ROWS):
+            tile.mem.write_word(Y_BASE + 4 * i, 0)
+        start = sim.ncycles
+        sim.reset()
+        while not int(tile.proc.done):
+            sim.cycle()
+            assert sim.ncycles - start < 10_000
+        _check_result(tile, expected)
+        runs.append(sim.ncycles - start)
+    assert runs[1:] == runs[:1] * 2

@@ -382,6 +382,22 @@ def test_cosim_clean_run_reports_transfers_and_cycles():
     assert res.coverage.count("handshake", "drive_xfer") >= 3
 
 
+def test_cosim_reused_harness_reports_cycles_per_run():
+    # sim.reset() does not zero sim.ncycles, so a second run() on the
+    # same harness starts from the first run's count; the result must
+    # hold what this run simulated.
+    harness = CoSimHarness(
+        [_pipe_dut("event", sched="event"),
+         _pipe_dut("static", sched="static")],
+        compare="cycle_exact")
+    first = harness.run({"enq": [7, 8, 9]}, max_cycles=200)
+    second = harness.run({"enq": [7, 8, 9]}, max_cycles=200)
+    assert second.ncycles == first.ncycles
+    assert second.transfers == first.transfers
+    for dut in harness.duts:
+        assert dut.sim.ncycles == 2 * first.ncycles[dut.name]
+
+
 class _ValDropper(Model):
     """Broken producer: offers a new message every other cycle and
     revokes it if the sink stalls — the classic val-drop bug."""
