@@ -99,13 +99,7 @@ def _kernel_pair():
     sim = SimulationTool(_build(False), sched="static")
     assert sim._kernel is not None
     sim.reset()
-    kernel = sim._kernel
-
-    def baseline(n):
-        for _ in range(n):
-            kernel()
-
-    return baseline, sim.run
+    return sim._kernel, sim.run
 
 
 def _jit_runner(enabled, instrument=None):

@@ -199,10 +199,11 @@ def _partition_cyclic(nodes, succ):
 
 
 def generate_kernel(sim):
-    """``exec``-generate the flat per-cycle kernel for a fully-static
-    simulator (no event-driven blocks, no stats collection).
+    """``exec``-generate the kernel ``step(n)`` for a fully-static
+    simulator (no event-driven blocks, no stats collection): ``n``
+    whole cycles in one flat function, returning ``n``.
 
-    The generated function inlines, with all lookups bound to local
+    The generated loop body inlines, with all lookups bound to local
     variables of the enclosing factory:
 
     - the pre-tick settle sweep (one ``if flag: clear; call`` pair per
@@ -213,9 +214,9 @@ def generate_kernel(sim):
     - every tick-block call, flag-guarded for gateable ticks;
     - the clock-edge flop loop, marking static and tick readers
       directly;
-    - the post-edge settle sweep.
+    - the post-edge settle sweep, then ``sim.ncycles`` advances.
 
-    Cycle counting, VCD sampling, and line tracing stay in
+    VCD sampling, line tracing and observers stay in
     ``SimulationTool.cycle`` so they keep working unchanged.
     """
     order = sim._static_order
@@ -234,7 +235,9 @@ def generate_kernel(sim):
         "    pending = sim._pending_flops",
         "    find = sflags.find",
         "    tfind = tflags.find",
-        "    def _mega_cycle():",
+        "    def _step_kernel(n):",
+        # Half indent: the cycle body below keeps its column.
+        "      for _ in range(n):",
         "        fired = 0",
     ]
 
@@ -306,7 +309,9 @@ def generate_kernel(sim):
 
     lines += [
         "        sim.num_events += fired",
-        "    return _mega_cycle",
+        "        sim.ncycles += 1",
+        "      return n",
+        "    return _step_kernel",
     ]
 
     source = "\n".join(lines)

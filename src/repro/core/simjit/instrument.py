@@ -36,8 +36,10 @@ them back to the interpreted path, preserving accumulated state.
 from __future__ import annotations
 
 from ...resilience.warnings import warn_resilience
+from ..simulation import SimulationError
 from .cgen import (OBS_MAX_HIST, OBS_MAX_NODES, OBS_MAX_REC, OBS_MAX_TX,
                    OBS_MAX_WP)
+from .specializer import SpecializationError
 
 __all__ = ["KernelInstrumentation", "Unlowerable"]
 
@@ -294,21 +296,17 @@ class KernelInstrumentation:
             self._watchpoints.remove(wp)
         self._live -= 1
 
-    def fire_hits(self):
-        """Fire the Python actions of the watchpoints that hit on the
-        cycle the last batch stopped at (arming order; a halting
-        watchpoint raises, like the hook observer loop)."""
-        cyc = int(self.lib.obs_hit_cycle(self.obs))
-        if cyc < 0:
+    def fire_hits(self, cycle):
+        """Post-edge sampler: fire the Python actions of the
+        watchpoints that hit on ``cycle``, where the last step stopped
+        (arming order; a halting watchpoint raises, like the Python
+        observers after it)."""
+        if int(self.lib.obs_hit_cycle(self.obs)) != cycle:
             return
         mask = int(self.lib.obs_hit_mask(self.obs))
         for wp in list(self._watchpoints):
             if wp._cwp is not None and (mask >> wp._cwp) & 1:
-                wp._fire(cyc)
-
-    @property
-    def has_hit(self):
-        return int(self.lib.obs_hit_cycle(self.obs)) >= 0
+                wp._fire(cycle)
 
     # -- signal-backed histograms -----------------------------------------
 
@@ -365,35 +363,39 @@ class KernelInstrumentation:
 
     # -- running ----------------------------------------------------------
 
-    def run_batch(self, n):
-        """Push inputs and run up to ``n`` compiled cycles; returns the
-        number of cycles actually run.  Stops early on a buffer-full
-        condition (caller drains and retries) or a watchpoint hit
-        (``has_hit``)."""
-        from .specializer import SpecializationError
-        eng = self.engine
-        eng._push_inputs()
-        self.lib.obs_set_cycle(self.obs, self.sim.ncycles)
-        ran = int(self.lib.obs_run(self.obs, n))
-        if ran < 0:
-            raise SpecializationError("combinational loop in C model")
-        return ran
-
-    def step(self):
-        """One compiled cycle with full sampling; returns True when a
-        watchpoint hit this cycle.  Used by ``cycle()`` so per-cycle
-        driving (cosim, interactive test benches) shares the compiled
-        sampling path."""
-        ran = self.run_batch(1)
-        if ran == 0:
-            self.drain()
-            ran = self.run_batch(1)
-            if ran == 0:
-                raise RuntimeError(
-                    "compiled instrumentation made no progress after a "
-                    "drain (buffer accounting bug)")
+    def run(self, n):
+        """The instrumented SimJIT step: push the ports, run ``n``
+        compiled cycles with in-kernel sampling, pull what changed;
+        returns how many ran.  The C loop stops early before a buffer
+        could overflow (drain, resume — losslessly) and on a watchpoint
+        hit (drain so recorder windows include the hit cycle, return
+        short so the driver fires the actions at exactly that cycle);
+        a batch ends drained too, a single cycle stays lazy (every read
+        accessor drains).  The sim's clock advances chunk by chunk
+        because drains stamp events with it."""
+        sim, lib, obs = self.sim, self.lib, self.obs
+        self.engine._push_inputs()
+        left = n
+        stalled = False
+        while left > 0:
+            lib.obs_set_cycle(obs, sim.ncycles)
+            ran = int(lib.obs_run(obs, left))
+            if ran < 0:
+                raise SpecializationError("combinational loop in C model")
+            sim.ncycles += ran
+            left -= ran
+            hit = lib.obs_hit_cycle(obs) >= 0
+            if hit or left or n > 1:
+                self.drain()
+            if hit:
+                break
+            if not ran and stalled:
+                raise SimulationError(
+                    "compiled instrumentation made no progress after "
+                    "a drain (buffer accounting bug)")
+            stalled = not ran
         self.engine._pull_outputs(as_next=False)
-        return self.has_hit
+        return n - left
 
     # -- draining ---------------------------------------------------------
 

@@ -209,6 +209,13 @@ class SimJITEngine:
             raise SpecializationError("combinational loop in C model")
         self._pull_outputs(as_next=True)
 
+    def step(self, n):
+        """The raw SimJIT step of a top-level engine: push the ports,
+        ``n`` cycles in one C call, pull what changed."""
+        self._push_inputs()
+        self.raw_cycle(n)
+        self._pull_outputs(as_next=False)
+
     # Direct-drive API for standalone benchmarking (no Python nets).
     def raw_cycle(self, n=1):
         if self.lib.cycle(self.inst, n) < 0:

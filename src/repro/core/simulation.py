@@ -11,15 +11,30 @@ lists to nets, and exposes a cycle-based API:
     sim.cycle()
     assert model.out == expected
 
-Cycle semantics:
+The step contract.  Every substrate advances time through one
+function, ``step(n) -> ran``: run ``n`` whole cycles and return how
+many ran.  One cycle is
 
-1. combinational logic settles so tick blocks see inputs the test
-   bench just drove;
-2. all ``@s.tick_*`` blocks execute once, reading ``.value`` (pre-edge
+1. settle — combinational logic reaches its fixpoint, so tick blocks
+   see the inputs the test bench just drove;
+2. pre-edge cycle hooks, called with the cycle number about to end;
+3. every ``@s.tick_*`` block once, reading ``.value`` (pre-edge
    state) and writing ``.next``;
-3. the clock edge flops every pending ``.next`` into ``.value``;
-4. combinational logic settles again so the test bench reads
-   post-edge outputs.
+4. the clock edge flops every pending ``.next`` into ``.value``;
+5. settle again, so the test bench reads post-edge outputs;
+6. ``ncycles`` advances.
+
+There are exactly three implementations, chosen once by
+``_select_step()``: *interpreted* (``_step_interpreted``, event or
+hybrid-static settle), *kernel* (the flat function
+:func:`.scheduling.generate_kernel` compiles) and *simjit*
+(``_step_simjit``: push the ports, ``n`` cycles in C, pull what
+changed).  ``cycle()`` is the one driver — ``run(n)`` enters it with
+``n`` — and after each step it walks the ordered post-edge samplers
+(VCD, ``trace_log``, line trace, compiled-watchpoint actions, then
+histogram samplers, recorders and watchpoints).  A step covers the
+whole remaining run unless a sampler has to see every cycle from
+Python.
 
 Scheduling modes (``sched=`` constructor argument):
 
@@ -64,7 +79,11 @@ _EVENT_BUDGET_PER_BLOCK = 1000
 
 
 class SimulationTool:
-    """Generates and drives a simulator for an elaborated model."""
+    """Generates and drives a simulator for an elaborated model.
+
+    ``cycle()``/``run(n)`` drive one ``step(n)`` function —
+    interpreted, mega-cycle kernel or SimJIT, see the module docstring
+    and ``repr(sim)`` — and the post-edge samplers after it."""
 
     def __init__(self, model, line_trace=False, vcd=None,
                  collect_stats=False, sched="auto", trace_depth=0,
@@ -91,14 +110,11 @@ class SimulationTool:
         # keep the compiled mega-cycle kernel running.
         self._recorders = []
         self._watchpoints = []
-        self._observers = ()
         # Signal-backed histogram samplers (post-edge observers) and
         # the compiled-instrumentation manager for single-engine SimJIT
         # tops (created lazily; see _jit_instrumentation).
         self._hist_observers = []
         self._jit_instr = None
-        self._jit_checked = False
-        self._jit_ok = False
         # Optional line-trace sink: a callable taking the formatted
         # trace line, or a file path.  Setting a sink turns tracing on.
         self._trace_sink_file = None
@@ -198,8 +214,6 @@ class SimulationTool:
         self._kernel = None
         self._tick_plan = [(-1, func) for func in self._ticks]
         self._tflags = bytearray()
-        self._gated_ticks = ()
-        self._all_ticks_gated = False
 
         sched_fault = None
         if sched != "event":
@@ -249,9 +263,9 @@ class SimulationTool:
                 self._enqueue(func)
         self.eval_combinational()
 
-        # Fully static design + no instrumentation hooks: compile the
-        # flat mega-cycle kernel (VCD/line-trace stay in cycle()).
-        # Declared counters do NOT refuse the kernel: python-kind
+        # What keeps this design off the mega-cycle kernel, if anything
+        # (_select_step compiles it when nothing does).  Declared
+        # counters do NOT refuse the kernel: python-kind
         # increments keep their tick un-gated and signal-backed
         # increments are ordinary register updates, so counter state
         # advances identically inside the compiled kernel.
@@ -277,26 +291,7 @@ class SimulationTool:
             refused.append(
                 "profiler hooks: profile=True times every block call")
         self._kernel_refused = tuple(refused)
-        if not refused:
-            try:
-                with tracing.span("sim.compile",
-                                  design=self._design_name):
-                    self._kernel = generate_kernel(self)
-            except Exception as exc:  # degrade, don't abort the run
-                self._kernel = None
-                self._kernel_refused = (
-                    f"mega-cycle kernel generation failed "
-                    f"({type(exc).__name__}: {exc})",)
-                warnings.warn(
-                    ResilienceWarning(
-                        "mega-cycle kernel generation failed; cycles run "
-                        "on the interpreted static schedule instead "
-                        f"({type(exc).__name__}: {exc})",
-                        kind="kernel-fallback",
-                        component=type(self.model).__name__,
-                        fallback="interpreted",
-                        detail=str(exc)),
-                    stacklevel=2)
+        self._select_step()
 
         # Static schedule construction blew up: the run continues on
         # the event-driven fixpoint, which computes identical values.
@@ -315,7 +310,7 @@ class SimulationTool:
         # design with nothing to schedule is silently running the event
         # fixpoint; say so once.
         elif (sched == "static" and self.schedule is not None
-                and not self.schedule.order and not self._gated_ticks):
+                and not self.schedule.order and not self._tflags):
             warnings.warn(
                 ResilienceWarning(
                     "sched='static' had no effect: no combinational block "
@@ -331,6 +326,7 @@ class SimulationTool:
         # the SimJIT kernel where possible, post-edge observers
         # elsewhere); arm them now that the simulator is fully built.
         self._init_signal_histograms()
+        self._refresh_observers()
 
     def _build_tick_plan(self):
         """Partition tick blocks into gated and always-run entries.
@@ -369,12 +365,6 @@ class SimulationTool:
                 net.treaders = net.treaders + (slot,)
         self._tick_plan = plan
         self._tflags = bytearray(b"\x01" * nslots)
-        gticks = [None] * nslots
-        for slot, func in plan:
-            if slot >= 0:
-                gticks[slot] = func
-        self._gated_ticks = tuple(gticks)
-        self._all_ticks_gated = bool(plan) and nslots == len(plan)
 
     def _wire_sensitivity(self, want):
         """Wire the legacy sensitivity lists of selected blocks (and
@@ -502,137 +492,30 @@ class SimulationTool:
         self._sdirty = False
         return fired
 
-    def cycle(self):
-        """Advance simulated time by one clock cycle."""
+    def cycle(self, _n=1):
+        """Advance simulated time by one clock cycle.
+
+        This is the one driver (``run(n)`` enters it with ``_n = n``):
+        step, then the post-edge samplers, until ``_n`` cycles ran.  A
+        step covers everything left unless a sampler must see every
+        cycle; only a compiled watchpoint hit makes one stop short.
+        """
         try:
-            self._cycle_body()
+            while _n > 0:
+                _n -= self._step(1 if self._per_cycle else _n)
+                ncycles = self.ncycles
+                for sample in self._post_edge:
+                    sample(ncycles)
         except Exception as exc:
             # Post-mortem forensics: export the armed flight-recorder
             # windows (if any opted into autodump) before the error
-            # propagates.  crash_bundle never raises and marks the
-            # exception so nested run() frames don't dump twice.
+            # propagates.  crash_bundle never raises.
             from ..observe.forensics import crash_bundle
             crash_bundle(self, exc, context="cycle")
             raise
 
-    def _cycle_body(self):
-        instr = self._jit_instr
-        hit = False
-        kernel = self._kernel
-        hooks = self._cycle_hooks
-        if self._jit_eligible():
-            # Single-engine SimJIT top: the one SimJIT step (push, C
-            # cycle, pull), the same one run() batches.  With compiled
-            # instrumentation armed the sampling runs inside the C
-            # obs_run loop too; watchpoint actions fire below, after
-            # VCD/tracing, at the hook path's observer point.
-            self._drop_queued_comb()
-            if instr is not None and instr.active:
-                hit = instr.step()
-            else:
-                self._jit_cycles(1)
-        elif kernel is not None:
-            # Cycle hooks are compiled into the kernel (add_cycle_hook
-            # regenerates it), so the kernel path stays valid with
-            # hooks registered.
-            kernel()
-        elif self.profiler is not None:
-            self._cycle_profiled(hooks)
-        else:
-            self.eval_combinational()
-            if hooks:
-                ncycles = self.ncycles
-                for hook in hooks:
-                    hook(ncycles)
-            if self._all_ticks_gated:
-                # Declaration order is preserved: slots are assigned in
-                # plan order, so a forward flag scan runs the marked
-                # ticks in the same order the plan loop would.
-                tflags = self._tflags
-                gticks = self._gated_ticks
-                j = tflags.find(1)
-                while j >= 0:
-                    tflags[j] = 0
-                    gticks[j]()
-                    j = tflags.find(1, j + 1)
-            elif self._tflags:
-                tflags = self._tflags
-                for slot, tick in self._tick_plan:
-                    if slot < 0:
-                        tick()
-                    elif tflags[slot]:
-                        tflags[slot] = 0
-                        tick()
-            else:
-                for tick in self._ticks:
-                    tick()
-            self._flop()
-            self.eval_combinational()
-        self.ncycles += 1
-        if self._vcd is not None:
-            self._vcd.sample(self.ncycles)
-        if self.trace_log is not None:
-            # Specialized (JIT) submodels may not support line_trace;
-            # diagnostics must never kill the run being diagnosed.
-            try:
-                trace = self.model.line_trace()
-            except Exception as exc:
-                trace = f"<line_trace unavailable: {exc}>"
-            self.trace_log.append((self.ncycles, trace))
-        if self._line_trace_on:
-            self.print_line_trace()
-        if hit:
-            # A compiled watchpoint hit this cycle: drain so recorder
-            # windows include it, then fire actions (halt raises from
-            # here, after the cycle fully completed — hook semantics).
-            instr.drain()
-            instr.fire_hits()
-        observers = self._observers
-        if observers:
-            # Post-edge sampling point shared by recorders and
-            # watchpoints on every substrate; a halting watchpoint
-            # raises from here, after this cycle fully completed.
-            ncycles = self.ncycles
-            for observer in observers:
-                observer(ncycles)
-
-    def _cycle_profiled(self, hooks):
-        """Interpreted cycle with per-phase host-time attribution.
-
-        Same semantics as the plain path (the tick plan loop handles
-        gated and always-run ticks alike); only timer calls are added,
-        so the profiled run remains representative.
-        """
-        prof = self.profiler
-        t0 = perf_counter()
-        self.eval_combinational()
-        t1 = perf_counter()
-        ncycles = self.ncycles
-        for hook in hooks:
-            hook(ncycles)
-        t2 = perf_counter()
-        tflags = self._tflags
-        for slot, tick in self._tick_plan:
-            if slot >= 0:
-                if not tflags[slot]:
-                    continue
-                tflags[slot] = 0
-            tb = perf_counter()
-            tick()
-            prof.add_block(tick, perf_counter() - tb)
-        t3 = perf_counter()
-        self._flop()
-        t4 = perf_counter()
-        self.eval_combinational()
-        t5 = perf_counter()
-        prof.add_span("settle_pre", t1 - t0, cycles=1)
-        prof.add_span("hooks", t2 - t1)
-        prof.add_span("tick", t3 - t2)
-        prof.add_span("flop", t4 - t3)
-        prof.add_span("settle_post", t5 - t4)
-
     def run(self, ncycles):
-        """Run ``ncycles`` cycles.
+        """Run ``ncycles`` cycles (none when ``ncycles <= 0``).
 
         With host-span tracing armed (:mod:`repro.telemetry.tracing`),
         each ``run`` call becomes one ``sim.run`` span — batch
@@ -641,136 +524,127 @@ class SimulationTool:
         """
         tracer = tracing.active()
         if tracer is None:
-            return self._run_impl(ncycles)
+            return self.cycle(ncycles)
         with tracer.span("sim.run", design=self._design_name,
                          ncycles=ncycles, start_cycle=self.ncycles):
-            return self._run_impl(ncycles)
+            return self.cycle(ncycles)
 
-    def _run_impl(self, ncycles):
-        if (self._jit_eligible() and self._vcd is None
-                and not self._line_trace_on and self.trace_log is None
-                and not self._observers):
-            # Single-engine SimJIT top with no per-cycle Python work:
-            # run the whole batch inside C.  With compiled
-            # instrumentation armed the obs_run loop samples in-kernel
-            # and stops exactly on watchpoint hits; without it, one
-            # raw_cycle(n) call is the honest uninstrumented rate.
-            self._drop_queued_comb()
-            instr = self._jit_instr
-            if instr is not None and instr.active:
-                self._run_batched(instr, ncycles)
-            else:
-                self._jit_cycles(ncycles)
-                self.ncycles += ncycles
-            return
-        kernel = self._kernel
-        if (kernel is not None and self._vcd is None
-                and not self._line_trace_on and self.trace_log is None):
-            observers = self._observers
-            if not observers:
-                for _ in range(ncycles):
-                    kernel()
-                self.ncycles += ncycles
-                return
-            # Armed-observer kernel loop: same per-cycle semantics as
-            # cycle() (kernel, then post-edge sampling), minus its
-            # dispatch overhead — recorders are meant to stay armed on
-            # long runs, so the sampling loop is a hot path.
-            cycle = self.ncycles
-            try:
-                for _ in range(ncycles):
-                    kernel()
-                    cycle += 1
-                    self.ncycles = cycle
-                    for observer in observers:
-                        observer(cycle)
-                    observers = self._observers
-            except Exception as exc:
-                from ..observe.forensics import crash_bundle
-                crash_bundle(self, exc, context="cycle")
-                raise
-            return
-        for _ in range(ncycles):
-            self.cycle()
+    # -- step(n): selection, and the two implementations that live here ---
+    # (the contract is in the module docstring; the third implementation
+    # is the kernel scheduling.generate_kernel compiles)
 
-    # -- SimJIT batch execution -------------------------------------------
-
-    def _jit_eligible(self):
-        """True when this sim's top is a single-engine SimJIT model
-        whose whole cycle (and compiled instrumentation) can run in C:
-        no profiler, no stats, no Python cycle hooks, and an engine
-        built with the obs runtime."""
-        if self._jit_checked:
-            return self._jit_ok
-        self._jit_checked = True
+    def _select_step(self):
+        """Choose ``self._step`` (at the end of construction, and again
+        when a cycle hook is registered): *simjit* for a single-engine
+        SimJIT top that needs no Python inside the cycle, else the
+        *kernel* unless ``_kernel_refused`` names a reason (hooks are
+        compiled into it), else *interpreted*."""
         model = self.model
-        eng = getattr(model, "jit_engine", None)
-        self._jit_ok = (
-            eng is not None and len(model._all_models) == 1
-            and self.profiler is None and not self.collect_stats
-            and not self._cycle_hooks
-            and hasattr(eng.lib, "obs_new"))
-        return self._jit_ok
+        engine = getattr(model, "jit_engine", None)
+        self._kernel = None
+        if (engine is not None and len(model._all_models) == 1
+                and self.profiler is None and not self.collect_stats
+                and not self._cycle_hooks
+                and hasattr(engine.lib, "obs_new")):
+            self._step = self._step_simjit
+            return
+        self._step = self._step_interpreted
+        if self._kernel_refused:
+            return
+        try:
+            with tracing.span("sim.compile", design=self._design_name,
+                              hooks=len(self._cycle_hooks)):
+                self._step = self._kernel = generate_kernel(self)
+        except Exception as exc:      # degrade, don't abort the run
+            self._kernel_refused = (
+                f"mega-cycle kernel generation failed "
+                f"({type(exc).__name__}: {exc})",)
+            warnings.warn(
+                ResilienceWarning(
+                    "mega-cycle kernel generation failed; cycles run "
+                    "on the interpreted static schedule instead "
+                    f"({type(exc).__name__}: {exc})",
+                    kind="kernel-fallback",
+                    component=type(self.model).__name__,
+                    fallback="interpreted",
+                    detail=str(exc)),
+                stacklevel=3)
+
+    def _step_interpreted(self, n):
+        """Event or hybrid-static settle around one tick-plan loop
+        (always-run ticks have slot -1).  With ``profile=True`` the
+        same loop stamps its five phases and times every tick."""
+        settle = self.eval_combinational
+        hooks = self._cycle_hooks
+        plan = self._tick_plan
+        tflags = self._tflags
+        prof = self.profiler
+        timed = prof is not None
+        for _ in range(n):
+            if timed:
+                t0 = perf_counter()
+            settle()
+            if timed:
+                t1 = perf_counter()
+            stamp = self.ncycles
+            for hook in hooks:
+                hook(stamp)
+            if timed:
+                t2 = perf_counter()
+            for slot, tick in plan:
+                if slot >= 0:
+                    if not tflags[slot]:
+                        continue
+                    tflags[slot] = 0
+                if timed:
+                    tb = perf_counter()
+                    tick()
+                    prof.add_block(tick, perf_counter() - tb)
+                else:
+                    tick()
+            if timed:
+                t3 = perf_counter()
+            self._flop()
+            if timed:
+                t4 = perf_counter()
+            settle()
+            if timed:
+                t5 = perf_counter()
+                prof.add_span("settle_pre", t1 - t0, cycles=1)
+                prof.add_span("hooks", t2 - t1)
+                prof.add_span("tick", t3 - t2)
+                prof.add_span("flop", t4 - t3)
+                prof.add_span("settle_post", t5 - t4)
+            self.ncycles = stamp + 1
+        return n
+
+    def _step_simjit(self, n):
+        """Push the ports, ``n`` cycles in C, pull what changed.  With
+        compiled instrumentation armed the C loop samples in-kernel
+        and stops exactly on a watchpoint hit."""
+        # A test-bench port write queued the wrapper's jit_comb; the
+        # push carries the same port values across.
+        queue = self._queue
+        for func in queue:
+            func._in_queue = False
+        queue.clear()
+        instr = self._jit_instr
+        if instr is not None and instr.active:
+            return instr.run(n)
+        self.model.jit_engine.step(n)
+        self.ncycles += n
+        return n
 
     def _jit_instrumentation(self):
         """The compiled-instrumentation manager, created on first use
-        (None when this sim cannot host one)."""
-        if not self._jit_eligible():
+        (None when this sim does not run on the SimJIT step)."""
+        if self._step != self._step_simjit:
             return None
         if self._jit_instr is None:
             from .simjit.instrument import KernelInstrumentation
             self._jit_instr = KernelInstrumentation(
                 self, self.model.jit_engine)
         return self._jit_instr
-
-    def _drop_queued_comb(self):
-        """Forget the wrapper's queued ``jit_comb``: a test-bench port
-        write enqueued it, and the push of the step about to run
-        carries the same port values across."""
-        queue = self._queue
-        for func in queue:
-            func._in_queue = False
-        queue.clear()
-
-    def _jit_cycles(self, ncycles):
-        """The uninstrumented SimJIT step: push the ports, one C call
-        for ``ncycles`` cycles, pull what changed.  The caller counts
-        the cycles."""
-        eng = self.model.jit_engine
-        eng._push_inputs()
-        eng.raw_cycle(ncycles)
-        eng._pull_outputs(as_next=False)
-
-    def _run_batched(self, instr, ncycles):
-        """Instrumented SimJIT batch: obs_run chunks with lazy drains.
-
-        The C loop returns early to let Python drain a near-full event
-        buffer, and on watchpoint hits so actions fire at the exact
-        cycle; either way the batch resumes losslessly."""
-        left = ncycles
-        stalls = 0
-        try:
-            while left > 0:
-                ran = instr.run_batch(left)
-                self.ncycles += ran
-                left -= ran
-                instr.drain()
-                if instr.has_hit:
-                    self.model.jit_engine._pull_outputs(as_next=False)
-                    instr.fire_hits()
-                if ran == 0:
-                    stalls += 1
-                    if stalls > 1:
-                        raise SimulationError(
-                            "compiled instrumentation made no progress "
-                            "after a drain (buffer accounting bug)")
-                else:
-                    stalls = 0
-        except Exception as exc:
-            from ..observe.forensics import crash_bundle
-            crash_bundle(self, exc, context="cycle")
-            raise
-        self.model.jit_engine._pull_outputs(as_next=False)
 
     def reset(self):
         """Assert reset for two cycles, then deassert (PyMTL idiom).
@@ -844,15 +718,11 @@ class SimulationTool:
         """Register ``hook(cycle)`` to run once per cycle after the
         pre-edge settle (transaction taps sample here).
 
-        The mega-cycle kernel is regenerated with the hook calls
-        compiled in, so kernel-mode sims keep their fast path.  SimJIT
-        sims leave the batched C loop: a Python hook needs the
-        interpreted per-cycle path, so any compiled instrumentation is
-        converted ("dearmed") back to hook-path sampling first."""
-        # Hooks forfeit SimJIT batching from now on, including for
-        # attachments armed later.
-        self._jit_checked = True
-        self._jit_ok = False
+        The step is selected again: the mega-cycle kernel is
+        regenerated with the hook calls compiled in, and a SimJIT top
+        moves to the interpreted step for good, after converting
+        ("dearming") any compiled instrumentation back to Python
+        sampling."""
         if self._jit_instr is not None:
             name = getattr(hook, "__qualname__", None) or repr(hook)
             self._jit_instr.dearm(f"cycle hook {name} registered")
@@ -860,17 +730,7 @@ class SimulationTool:
             self._cycle_hooks.insert(0, hook)
         else:
             self._cycle_hooks.append(hook)
-        if self._kernel is not None:
-            try:
-                with tracing.span("sim.compile",
-                                  design=self._design_name,
-                                  reason="cycle-hook regeneration"):
-                    self._kernel = generate_kernel(self)
-            except Exception as exc:  # degrade, don't abort the run
-                self._kernel = None
-                self._kernel_refused = self._kernel_refused + (
-                    f"kernel regeneration with cycle hooks failed "
-                    f"({type(exc).__name__}: {exc})",)
+        self._select_step()
         return hook
 
     def flight_recorder(self, signals=None, depth=256, autodump=None):
@@ -901,17 +761,33 @@ class SimulationTool:
                           halt=halt, dump=dump, once=once).attach(self)
 
     def _refresh_observers(self):
-        """Rebuild the flat per-cycle sampling tuple (histogram
-        samplers, then recorders, then watchpoints, in attach order).
-        Attachments compiled into the SimJIT kernel stay registered —
-        for export and forensics — but are excluded from Python
-        sampling."""
+        """Rebuild the post-edge samplers, the one ordered tuple the
+        driver walks after each step: VCD, ``trace_log``, line trace;
+        the actions of compiled watchpoints (their conditions evaluate
+        inside the SimJIT step, which stops on the hit cycle); then the
+        Python observers — histogram samplers, recorders, watchpoints,
+        in attach order.  Attachments compiled into the SimJIT kernel
+        stay registered, for export and forensics, but are not sampled
+        from Python.  Tracing and Python observers must see every
+        cycle, so they make the driver step one cycle at a time."""
+        tracers = []
+        if self._vcd is not None:
+            tracers.append(self._vcd.sample)
+        if self.trace_log is not None:
+            tracers.append(self._log_trace)
+        if self._line_trace_on:
+            tracers.append(self.print_line_trace)
         self._observers = tuple(
             list(self._hist_observers)
             + [rec.sample for rec in self._recorders
                if getattr(rec, "_cidx", None) is None]
             + [wp.sample for wp in self._watchpoints
                if getattr(wp, "_cwp", None) is None])
+        hits = ([self._jit_instr.fire_hits]
+                if any(getattr(wp, "_cwp", None) is not None
+                       for wp in self._watchpoints) else [])
+        self._post_edge = (*tracers, *hits, *self._observers)
+        self._per_cycle = bool(tracers or self._observers)
 
     def _add_hist_sampler(self, hist):
         """Arm a Python post-edge sampler for one signal-backed
@@ -944,8 +820,6 @@ class SimulationTool:
             if instr is not None and instr.try_add_histogram(hist):
                 continue
             self._add_hist_sampler(hist)
-        if self._hist_observers:
-            self._refresh_observers()
 
     def sched_info(self):
         """Scheduling provenance: requested vs chosen mode, the
@@ -963,7 +837,7 @@ class SimulationTool:
             "kernel_refused": list(self._kernel_refused),
             "total_comb_blocks": len(self._all_comb_funcs),
             "total_tick_blocks": len(self._ticks),
-            "gated_ticks": len(self._gated_ticks),
+            "gated_ticks": len(self._tflags),
         }
         if self.schedule is not None:
             info.update(self.schedule.describe())
@@ -1001,23 +875,22 @@ class SimulationTool:
         return False
 
     def __repr__(self):
-        kern = "kernel" if self._kernel is not None else "interpreted"
-        ngated = len(self._gated_ticks)
+        step = self._step.__name__.removeprefix("_step_")
         return (
             f"<SimulationTool {type(self.model).__name__} "
-            f"sched={self.sched_mode}/{kern} "
+            f"sched={self.sched_mode}/{step} "
             f"comb={len(self._all_comb_funcs)} "
-            f"ticks={len(self._ticks)}({ngated} gated) "
+            f"ticks={len(self._ticks)}({len(self._tflags)} gated) "
             f"cycles={self.ncycles}>"
         )
 
     # -- debugging ----------------------------------------------------------------
 
-    def print_line_trace(self):
+    def print_line_trace(self, cycle=None):
         trace = self.model.line_trace()
         if not trace:
             return
-        line = f"{self.ncycles:4}: {trace}"
+        line = f"{self.ncycles if cycle is None else cycle:4}: {trace}"
         if self._trace_sink is not None:
             self._trace_sink(line)
         else:
@@ -1025,6 +898,15 @@ class SimulationTool:
 
     def _write_trace_line(self, line):
         self._trace_sink_file.write(line + "\n")
+
+    def _log_trace(self, cycle):
+        # Specialized (JIT) submodels may not support line_trace;
+        # diagnostics must never kill the run being diagnosed.
+        try:
+            trace = self.model.line_trace()
+        except Exception as exc:
+            trace = f"<line_trace unavailable: {exc}>"
+        self.trace_log.append((cycle, trace))
 
 
 def _nets_of(ends):

@@ -715,9 +715,9 @@ class _Supervisor:
 # -- entry points -------------------------------------------------------------
 
 
-def run_campaign(campaign, nworkers=None, chunksize=None,
-                 artifact_dir=None, start_method=None,
-                 simjit_cache_dir=None, trace=False, progress=None,
+def run_campaign(campaign, nworkers=None, artifact_dir=None,
+                 start_method=None, simjit_cache_dir=None,
+                 trace=False, progress=None,
                  trace_capacity=65536, retry=None, task_deadline=None,
                  journal=None, resume=None, metrics_port=None,
                  metrics_host="127.0.0.1"):
@@ -730,9 +730,7 @@ def run_campaign(campaign, nworkers=None, chunksize=None,
     ``artifact_dir`` receives failure artifacts (shrunk repros, observe
     bundles, quarantine logs).  ``simjit_cache_dir`` overrides the
     shared ``.so`` cache location for workers (defaults to the
-    inherited environment).  ``chunksize`` is accepted for backwards
-    compatibility and ignored — the supervisor assigns one task at a
-    time so it always knows exactly what is in flight where.
+    inherited environment).
 
     Fault tolerance: ``retry`` (a :class:`RetryPolicy`, default
     ``RetryPolicy()``) bounds per-task attempts after worker crashes,

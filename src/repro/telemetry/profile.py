@@ -15,7 +15,6 @@ Two views of a run:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 
@@ -52,18 +51,16 @@ class SimProfiler:
 
     Two feeding paths:
 
-    - the interpreted profiled cycle loop calls :meth:`add_block`
-      after every timed block call and :meth:`add_span` once per
-      phase per cycle (plain dict/float math so the profiled run
-      stays representative);
+    - the interpreted step (``SimulationTool._step_interpreted``,
+      under ``profile=True``) calls :meth:`add_block` after every
+      timed block call and :meth:`add_span` once per phase per cycle
+      (plain dict/float math so the profiled run stays
+      representative);
     - :meth:`ingest_spans` / :meth:`from_tracer` fold records from
       :mod:`repro.telemetry.tracing` into the same phase table —
       self-time per span name, cycle counts from ``sim.run`` span
       attributes — so phase attribution works identically for SimJIT
-      runs, where the interpreted per-cycle path never executes.
-
-    :meth:`add_phases` (one kwargs call per cycle) is the legacy
-    ad-hoc timing entry point, kept as a deprecated shim.
+      runs, where the interpreted step never executes.
     """
 
     def __init__(self):
@@ -87,17 +84,6 @@ class SimProfiler:
         self.phase_time[name] = self.phase_time.get(name, 0.0) + seconds
         self.total_time += seconds
         self.cycles += cycles
-
-    def add_phases(self, **phases):
-        """Deprecated: use :meth:`add_span` per phase (the simulator's
-        profiled cycle loop does) or :meth:`ingest_spans`.  One call
-        still counts one cycle."""
-        warnings.warn(
-            "SimProfiler.add_phases is deprecated; use add_span / "
-            "ingest_spans (span-fed phase attribution)",
-            DeprecationWarning, stacklevel=2)
-        for i, (name, dt) in enumerate(phases.items()):
-            self.add_span(name, dt, cycles=1 if i == 0 else 0)
 
     def ingest_spans(self, records, cycles_from=("sim.run",)):
         """Fold tracing records into the phase table.

@@ -2,7 +2,6 @@
 dumping, linting, and design visualization (paper Section III-B)."""
 
 from .linter import LintWarning, lint
-from .stats import ActivityReport, activity_report
 from .vcd import VCDWriter
 from .verilog_lint import VerilogLintError, lint_verilog
 from .visualize import connectivity_report, design_stats, hierarchy_tree
@@ -12,5 +11,4 @@ __all__ = [
     "lint", "LintWarning",
     "lint_verilog", "VerilogLintError",
     "hierarchy_tree", "design_stats", "connectivity_report",
-    "activity_report", "ActivityReport",
 ]

@@ -7,7 +7,6 @@ from repro.mem import MemReqMsg
 from repro.net import RemoteMemSystem, RouterCL, RouterRTL
 from repro.net.mem_over_net import MEM_PAYLOAD_NBITS
 from repro.proc import ProcFL, assemble
-from repro.tools import activity_report
 
 
 class _MemDriver:
@@ -150,7 +149,7 @@ def test_activity_report_on_network_system():
     sim.reset()
     driver = _MemDriver(sim, sim.model.mem_ifcs[0])
     driver.write(0x10, 1)
-    report = activity_report(sim)
+    report = sim.telemetry.activity()
     assert report.ncycles > 0
     assert report.num_events > 0
     assert report.events_per_cycle > 0

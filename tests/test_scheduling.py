@@ -25,7 +25,6 @@ from repro.accel.tile import Tile, run_tile
 from repro.mem import BankedCacheRTL, MemReqMsg
 from repro.net import MeshNetworkStructural, RouterRTL
 from repro.proc import assemble
-from repro.tools import activity_report
 
 MODES = ("auto", "static", "event")
 
@@ -344,7 +343,7 @@ def test_collect_stats_disables_kernel_but_counts_everything():
     assert sim._kernel is None
     sim.reset()
     sim.run(5)
-    report = activity_report(sim)
+    report = sim.telemetry.activity()
     # Preseeded zero entries: every comb block appears in the report,
     # fired or not.
     nblocks = sum(
@@ -376,7 +375,7 @@ def test_connector_names_in_activity_report():
     model.in_.value = 0xA5
     sim.eval_combinational()
     assert model.lo == 0x5 and model.hi == 0xA
-    report = activity_report(sim)
+    report = sim.telemetry.activity()
     names = [name for name, _count in report.hot_blocks]
     # Connector copies get stable diagnostic names in the report.
     assert any(name.startswith("connect(") for name in names), names

@@ -33,7 +33,7 @@ from repro.telemetry import (
     TelemetryReport,
     TxTracer,
 )
-from repro.tools import VCDWriter, activity_report
+from repro.tools import VCDWriter
 
 
 # -- helpers ------------------------------------------------------------------------
@@ -441,18 +441,6 @@ def test_report_derives_cpi():
     retired = report.counters["top.insts_retired"]
     assert retired > 0
     assert report.derived["top.cpi"] == sim.ncycles / retired
-
-
-def test_activity_report_shim_deprecated():
-    net, sim = _mesh_sim("static", collect_stats=True)
-    sim.reset()
-    sim.run(5)
-    with pytest.warns(DeprecationWarning, match="telemetry"):
-        legacy = activity_report(sim)
-    direct = sim.telemetry.activity()
-    assert legacy.ncycles == direct.ncycles
-    assert legacy.hot_blocks == direct.hot_blocks
-    assert "events/cycle" in direct.summary()
 
 
 def test_activity_requires_collect_stats():

@@ -364,15 +364,6 @@ def test_profiler_from_tracer_roundtrip():
     assert "sim.run" in prof.summary()
 
 
-def test_add_phases_is_deprecated():
-    prof = SimProfiler()
-    with pytest.warns(DeprecationWarning, match="add_phases"):
-        prof.add_phases(settle_pre=0.25, tick=0.75)
-    assert prof.cycles == 1
-    assert prof.total_time == pytest.approx(1.0)
-    assert prof.phase_time["tick"] == pytest.approx(0.75)
-
-
 # -- 4. fleet observability plane ---------------------------------------------
 
 
