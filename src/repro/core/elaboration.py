@@ -415,12 +415,6 @@ def _analyze_block(blk):
     blk.writes_known = writes_known
 
 
-def _infer_sensitivity(blk):
-    """Legacy entry point: return the sensitivity list only."""
-    _analyze_block(blk)
-    return blk.signals
-
-
 _CONST_TYPES = (int, float, bool, str, bytes, type(None), type)
 
 

@@ -190,10 +190,6 @@ int cycle(void *p, int n) {
     return 0;
 }
 
-int64_t get_state(void *p, int idx) {
-    return state_probe_at((inst_t *)p, idx, 0);
-}
-
 int64_t get_state_at(void *p, int idx, int elem) {
     return state_probe_at((inst_t *)p, idx, elem);
 }
@@ -588,25 +584,6 @@ long long obs_run(void *op, long long n) {
     }
     return n;
 }
-
-/* Bulk counter readback: one call reads any mix of net slots and CL
-   state probes (req holds (kind, idx, elem) triples; kind 0 = net,
-   kind 1 = state).  Each answer is two uint64 words (lo, hi). */
-void read_probes(void *p, const int64_t *req, int n, uint64_t *out) {
-    inst_t *I = (inst_t *)p;
-    for (int i = 0; i < n; i++) {
-        const int64_t *r = req + 3 * i;
-        if (r[0] == 0) {
-            u128 v = I->cur[(int)r[1]];
-            out[2 * i] = (uint64_t)v;
-            out[2 * i + 1] = (uint64_t)(v >> 64);
-        } else {
-            out[2 * i] = (uint64_t)state_probe_at(
-                I, (int)r[1], (int)r[2]);
-            out[2 * i + 1] = 0;
-        }
-    }
-}
 """
 
 C_OBS_DECLS = """
@@ -629,7 +606,6 @@ uint64_t obs_hit_mask(void *op);
 long long obs_rec_drain(void *op, uint64_t *out);
 long long obs_tx_drain(void *op, uint64_t *out);
 long long obs_run(void *op, long long n);
-void read_probes(void *p, const int64_t *req, int n, uint64_t *out);
 """
 
 # Python-side mirrors of the C capacity limits (arming code checks
@@ -650,7 +626,6 @@ int pull_changed(void *p, uint64_t *out);
 void resync_outputs(void *p);
 int eval_comb(void *p);
 int cycle(void *p, int n);
-int64_t get_state(void *p, int idx);
 int64_t get_state_at(void *p, int idx, int elem);
 void set_state_at(void *p, int idx, int elem, int64_t value);
 size_t inst_size(void);

@@ -1,11 +1,13 @@
 """Compiled-instrumentation manager for SimJIT simulations.
 
 :class:`KernelInstrumentation` is the Python half of the ``obs_t``
-runtime in :mod:`.cgen`: it lowers observability attachments — flight
-recorder taps, val/rdy transaction taps, watchpoint condition trees,
-and signal-backed histograms — to net slots of one compiled engine,
-registers them with the C side, and drains the C event buffers back
-into the exact Python data structures the hook path would have filled.
+runtime in :mod:`.cgen`: it takes observability attachments — flight
+recorder taps, val/rdy transaction taps, lowered watchpoint condition
+nodes, and signal-backed histograms — asks each tap's
+:class:`~repro.core.probe.Probe` for its net slot in the one compiled
+engine, registers them with the C side, and drains the C event buffers
+back into the exact Python data structures the hook path would have
+filled.
 
 The contract is bit-identity with the interpreted hook path:
 
@@ -25,8 +27,9 @@ The contract is bit-identity with the interpreted hook path:
   ``_jit_sync``.
 
 Anything the lowering cannot express (``when``/``stable_for``/
-``implies_within`` predicates, counter or compiled-state taps, signals
-outside this engine) degrades per-attachment to the hook path with an
+``implies_within`` predicates, slices, counter or compiled-state taps,
+signals outside this engine — :class:`~repro.core.probe.Unlowerable`)
+degrades per-attachment to the hook path with an
 ``instrument-fallback`` :class:`~repro.resilience.warnings
 .ResilienceWarning` naming the reason.  Registering a Python cycle
 hook while compiled attachments are armed converts ("dearms") all of
@@ -36,19 +39,16 @@ them back to the interpreted path, preserving accumulated state.
 from __future__ import annotations
 
 from ...resilience.warnings import warn_resilience
+from ..probe import NET, Probe, Unlowerable
 from ..simulation import SimulationError
 from .cgen import (OBS_MAX_HIST, OBS_MAX_NODES, OBS_MAX_REC, OBS_MAX_TX,
                    OBS_MAX_WP)
 from .specializer import SpecializationError
 
-__all__ = ["KernelInstrumentation", "Unlowerable"]
+__all__ = ["KernelInstrumentation"]
 
 #: Entries per per-histogram C hash table (mirrors OBS_HIST_CAP in C).
 OBS_HIST_CAP = 1024
-
-
-class Unlowerable(Exception):
-    """A probe construct the C lowering cannot express."""
 
 
 class _TxState:
@@ -100,7 +100,7 @@ class KernelInstrumentation:
     def active(self):
         return self._live > 0 and not self.disabled
 
-    def _warn(self, what, reason, fallback="hooks"):
+    def warn_fallback(self, what, reason, fallback="hooks"):
         warn_resilience(
             f"{what} could not be compiled into the SimJIT kernel and "
             f"samples from Python instead ({reason})",
@@ -108,65 +108,35 @@ class KernelInstrumentation:
             component=type(self.sim.model).__name__,
             fallback=fallback, detail=str(reason), stacklevel=4)
 
-    # -- slot lowering ----------------------------------------------------
-
-    def slot_of_signal(self, sig):
-        try:
-            return self.engine.slot_of(sig)
-        except Exception as exc:
+    def net_slot(self, spec):
+        """Net slot of a tap spec in this engine; slices, counters,
+        compiled CL state and signals outside the engine raise
+        :class:`~repro.core.probe.Unlowerable`."""
+        probe = Probe.resolve(self.sim, spec)
+        kind, slot, _ = probe.address(self.engine)
+        if kind != NET:
             raise Unlowerable(
-                f"signal has no net slot in this engine: {exc}") from exc
-
-    def slot_of_spec(self, spec):
-        """Net slot for a tap spec (dotted path or Signal).
-
-        Counter taps, compiled-state probes, signal slices, and
-        signals outside this engine raise :class:`Unlowerable`."""
-        from ...core.signals import Signal, _SignalSlice
-        if isinstance(spec, str):
-            from ...resilience.inject import _SignalTarget
-            try:
-                target = _SignalTarget(self.sim, spec)
-            except Exception as exc:
-                raise Unlowerable(
-                    f"path {spec!r} does not resolve to a lowerable "
-                    f"signal ({exc})") from exc
-            if target.state_idx is not None:
-                raise Unlowerable(
-                    f"path {spec!r} resolves to compiled CL state, "
-                    f"not a net slot")
-            if target.engine is self.engine:
-                return target.slot
-            if target.sig is not None:
-                return self.slot_of_signal(target.sig)
-            raise Unlowerable(
-                f"path {spec!r} does not name a signal of this engine")
-        if isinstance(spec, _SignalSlice):
-            raise Unlowerable("signal slices are sampled from Python")
-        if isinstance(spec, Signal):
-            return self.slot_of_signal(spec)
-        raise Unlowerable(
-            f"{type(spec).__name__} taps are sampled from Python")
+                f"path {probe.name!r} resolves to compiled CL state, "
+                f"not a net slot")
+        return slot
 
     # -- flight recorders -------------------------------------------------
 
-    def try_add_recorder(self, rec, specs):
+    def try_add_recorder(self, rec):
         """Compile every tap of ``rec`` or none (all-or-nothing, so one
         recorder's window never mixes sampling paths)."""
         if self.disabled:
             return False
         try:
-            slots = [self.slot_of_spec(spec) for spec in specs]
+            slots = [self.net_slot(tap) for tap in rec._taps]
         except Unlowerable as exc:
-            self._warn(f"flight recorder tap", exc)
+            self.warn_fallback("flight recorder tap", exc)
             return False
         lib, obs = self.lib, self.obs
-        with_room = True  # C side also checks; mirror for the warning
         if len(self._rec_owner) + len(slots) > OBS_MAX_REC:
-            with_room = False
-        if not with_room:
-            self._warn("flight recorder",
-                       f"recorder tap capacity ({OBS_MAX_REC}) exceeded")
+            self.warn_fallback(
+                "flight recorder",
+                f"recorder tap capacity ({OBS_MAX_REC}) exceeded")
             return False
         # Sync the C instance with the Python-driven ports so the C
         # change detector starts from the same base values attach()
@@ -180,7 +150,7 @@ class KernelInstrumentation:
                     lib.obs_del_rec_tap(obs, i)
                     self._rec_owner.pop(i, None)
                     self._live -= 1
-                self._warn("flight recorder", "C tap table full")
+                self.warn_fallback("flight recorder", "C tap table full")
                 return False
             self._rec_owner[idx] = (rec, len(cidx))
             cidx.append(idx)
@@ -218,16 +188,16 @@ class KernelInstrumentation:
         """Compile one val/rdy tap; returns False on Unlowerable (the
         tracer then converts itself to the hook path)."""
         try:
-            val = self.slot_of_spec(tap.val)
-            rdy = self.slot_of_spec(tap.rdy)
-            msg = self.slot_of_spec(tap.msg)
+            val = self.net_slot(tap.val)
+            rdy = self.net_slot(tap.rdy)
+            msg = self.net_slot(tap.msg)
         except Unlowerable as exc:
-            self._warn(f"val/rdy tap {tap.name!r}", exc)
+            self.warn_fallback(f"val/rdy tap {tap.name!r}", exc)
             return False
         self.engine._push_inputs()
         idx = self.lib.obs_add_tx_tap(self.obs, val, rdy, msg)
         if idx < 0:
-            self._warn(f"val/rdy tap {tap.name!r}",
+            self.warn_fallback(f"val/rdy tap {tap.name!r}",
                        f"tap capacity ({OBS_MAX_TX}) exceeded")
             return False
         tap._cidx = idx
@@ -257,18 +227,14 @@ class KernelInstrumentation:
 
     # -- watchpoints ------------------------------------------------------
 
-    def try_add_watchpoint(self, wp):
+    def try_add_watchpoint(self, wp, nodes):
+        """Register ``wp``'s condition, already lowered to ``nodes``
+        (``[(kind, slot, a, b, aux)]``, root last)."""
         if self.disabled:
-            return False
-        from ...observe.watchpoints import lower_condition
-        try:
-            nodes = lower_condition(wp.condition, self.slot_of_spec)
-        except Unlowerable as exc:
-            self._warn(f"watchpoint {wp.name!r}", exc)
             return False
         if (len(self._watchpoints) >= OBS_MAX_WP
                 or len(nodes) > OBS_MAX_NODES):
-            self._warn(f"watchpoint {wp.name!r}",
+            self.warn_fallback(f"watchpoint {wp.name!r}",
                        "watchpoint capacity exceeded")
             return False
         self.engine._push_inputs()
@@ -279,7 +245,7 @@ class KernelInstrumentation:
         arr = self.ffi.new("int64_t[]", packed)
         idx = self.lib.obs_add_watch(self.obs, len(nodes), arr)
         if idx < 0:
-            self._warn(f"watchpoint {wp.name!r}",
+            self.warn_fallback(f"watchpoint {wp.name!r}",
                        "C watchpoint node table full")
             return False
         wp._cwp = idx
@@ -318,15 +284,15 @@ class KernelInstrumentation:
                 raise Unlowerable(
                     f"{hist._sig.nbits}-bit signal exceeds the 63-bit "
                     f"compiled binning range")
-            slot = self.slot_of_spec(hist._sig)
-            when = (self.slot_of_spec(hist._when)
+            slot = self.net_slot(hist._sig)
+            when = (self.net_slot(hist._when)
                     if hist._when is not None else -1)
         except Unlowerable as exc:
-            self._warn(f"histogram {hist.name!r}", exc)
+            self.warn_fallback(f"histogram {hist.name!r}", exc)
             return False
         idx = self.lib.obs_add_hist(self.obs, slot, when)
         if idx < 0:
-            self._warn(f"histogram {hist.name!r}",
+            self.warn_fallback(f"histogram {hist.name!r}",
                        f"histogram capacity ({OBS_MAX_HIST}) exceeded")
             return False
         hist._jit_sync = lambda: self._sync_hist(idx, hist)
@@ -350,16 +316,6 @@ class KernelInstrumentation:
         for idx, _hist in self._hists:
             self.lib.obs_hist_drain(self.obs, idx, self._hist_vals,
                                     self._hist_cnts)
-
-    def remove_histogram(self, hist):
-        for entry in self._hists:
-            if entry[1] is hist:
-                self._sync_hist(entry[0], hist)
-                self.lib.obs_del_hist(self.obs, entry[0])
-                self._hists.remove(entry)
-                hist._jit_sync = None
-                self._live -= 1
-                return
 
     # -- running ----------------------------------------------------------
 
@@ -506,6 +462,6 @@ class KernelInstrumentation:
         self._hists = []
         sim._refresh_observers()
         if converted:
-            self._warn(
+            self.warn_fallback(
                 f"compiled instrumentation ({', '.join(converted)})",
                 reason)

@@ -27,6 +27,7 @@ from ..ast_ir import BlockIR, TranslationError, translate_block
 from ..elaboration import elaborate
 from ..model import Model
 from ..portbundle import PortBundle
+from ..probe import Probe
 from ..scheduling import build_schedule
 from ..signals import InPort, OutPort, Signal, _SignalSlice
 from ..simulation import _nets_of
@@ -179,10 +180,6 @@ class SimJITEngine:
             hi[0:n] = [v >> 64 for v in values]
         self.lib.push_inputs(self.inst, lo, hi)
 
-    def _read_slot(self, slot):
-        self.lib.get_net(self.inst, slot, self._buf)
-        return self._buf[0] | (self._buf[1] << 64)
-
     def _pull_outputs(self, as_next):
         """Write back the output ports that changed since the last
         pull: to ``.next`` for an embedded engine's tick (the parent
@@ -229,7 +226,8 @@ class SimJITEngine:
         self._pushed = None
 
     def raw_get(self, slot):
-        return self._read_slot(slot)
+        self.lib.get_net(self.inst, slot, self._buf)
+        return self._buf[0] | (self._buf[1] << 64)
 
     def raw_set_state(self, idx, elem, value):
         """Write one CL state variable (``state_index`` addressing)."""
@@ -240,32 +238,6 @@ class SimJITEngine:
         attribute was not lowered to compiled state."""
         key = f"st_m{self.model_index[id(model)]}_{attr}"
         return self.state_index.get(key)
-
-    def read_probes(self, probes):
-        """Bulk counter readback: one C call for any mix of probes.
-
-        ``probes`` is a list of ``(kind, idx, elem)`` triples — kind 0
-        reads net slot ``idx`` (unsigned, up to 128 bits), kind 1 reads
-        CL state ``state_index`` entry ``idx`` element ``elem`` (signed
-        int64).  Returns the values in order.  This extends the
-        per-counter ``raw_get``/``get_state_at`` readback path to one
-        FFI round trip per engine.
-        """
-        n = len(probes)
-        if not n:
-            return []
-        ffi = self._ffi
-        req = ffi.new("int64_t[]", [int(x) for p in probes for x in p])
-        out = ffi.new("uint64_t[]", 2 * n)
-        self.lib.read_probes(self.inst, req, n, out)
-        values = []
-        for i, (kind, _, _) in enumerate(probes):
-            lo, hi = out[2 * i], out[2 * i + 1]
-            if kind == 0:
-                values.append(lo | (hi << 64))
-            else:
-                values.append(lo - (1 << 64) if lo >= (1 << 63) else lo)
-        return values
 
     # -- checkpoint/restore (resilience.snapshot) -------------------------
 
@@ -370,12 +342,11 @@ class _Specializer:
     allowed_ticks = ()
     name = "simjit"
 
-    def __init__(self, model, opt="-O2", cache=True, verbose=False,
-                 extra_c="", extra_cdef="", schedule=True):
+    def __init__(self, model, opt="-O2", cache=True, extra_c="",
+                 extra_cdef="", schedule=True):
         self.orig = model
         self.opt = opt
         self.cache = cache
-        self.verbose = verbose
         self.extra_c = extra_c          # e.g. an all-C bench driver
         self.extra_cdef = extra_cdef
         self.schedule = schedule        # static comb scheduling on/off
@@ -426,13 +397,12 @@ class _Specializer:
         onto the wrapper, so telemetry survives specialization (the
         Python tick code that used to advance them no longer runs).
 
-        Signal-backed counters read their net slot; state-backed ones
-        read the namespaced CL state variable.  Python-kind counters
-        (and histograms) are carried over as-is — their values freeze
-        at specialization time, which the docs call out as a SimJIT
-        limitation.
+        Signal-backed counters get a probe on their net slot,
+        state-backed ones on the namespaced CL state variable.
+        Python-kind counters (and histograms) are carried over as-is —
+        their values freeze at specialization time, which the docs
+        call out as a SimJIT limitation.
         """
-        lib, inst = engine.lib, engine.inst
         top_prefix = model.full_name() + "."
         for sub in model._all_models:
             if sub is model:
@@ -441,19 +411,15 @@ class _Specializer:
                 rel = sub.full_name()[len(top_prefix):]
             for cname, ctr in sub._telemetry_counters.items():
                 if ctr._sig is not None:
-                    slot = self._slot_of(ctr._sig)
-                    ctr._jit_read = (
-                        lambda s=slot: engine.raw_get(s))
-                    ctr._jit_probe = (engine, 0, slot, 0)
+                    ctr._probe = Probe(
+                        cname, ctr._sig.nbits, "slot",
+                        (engine, self._slot_of(ctr._sig)))
                 elif ctr._state is not None:
                     attr, elem = ctr._state
-                    st = f"st_m{self._model_index[id(sub)]}_{attr}"
-                    idx = self._state_index.get(st)
+                    idx = engine.state_slot(sub, attr)
                     if idx is not None:
-                        ctr._jit_read = (
-                            lambda i=idx, e=(elem or 0):
-                                lib.get_state_at(inst, i, e))
-                        ctr._jit_probe = (engine, 1, idx, elem or 0)
+                        ctr._probe = Probe(
+                            cname, 64, "state", (engine, idx, elem or 0))
                 key = f"{rel}.{cname}" if rel else cname
                 wrapper._telemetry_counters[key] = ctr
             for hname, hist in sub._telemetry_histograms.items():

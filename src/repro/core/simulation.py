@@ -65,6 +65,7 @@ import warnings
 from collections import deque
 from time import perf_counter
 
+from .probe import Probe
 from .scheduling import build_schedule, generate_kernel
 from ..resilience.warnings import ResilienceWarning
 from ..telemetry import tracing
@@ -544,8 +545,7 @@ class SimulationTool:
         self._kernel = None
         if (engine is not None and len(model._all_models) == 1
                 and self.profiler is None and not self.collect_stats
-                and not self._cycle_hooks
-                and hasattr(engine.lib, "obs_new")):
+                and not self._cycle_hooks):
             self._step = self._step_simjit
             return
         self._step = self._step_interpreted
@@ -667,8 +667,7 @@ class SimulationTool:
         # otherwise keep pre-reset totals, making reset() disagree
         # with a fresh simulator or a restored checkpoint.
         for ctr in getattr(self.model, "_all_counters", {}).values():
-            if (ctr._sig is None and ctr._state is None
-                    and ctr._jit_read is None):
+            if ctr.kind == "python":
                 ctr._value = 0
         if self._jit_instr is not None:
             self._jit_instr.reset_histograms()
@@ -792,14 +791,13 @@ class SimulationTool:
     def _add_hist_sampler(self, hist):
         """Arm a Python post-edge sampler for one signal-backed
         histogram (the non-compiled path)."""
-        from ..observe.recorder import resolve_reader
-        sig_read = resolve_reader(self, hist._sig).read
+        sig_read = Probe.resolve(self, hist._sig).read
         observe = hist.observe
         if hist._when is None:
             def sampler(cycle, _r=sig_read, _o=observe):
                 _o(_r())
         else:
-            when_read = resolve_reader(self, hist._when).read
+            when_read = Probe.resolve(self, hist._when).read
             def sampler(cycle, _r=sig_read, _w=when_read, _o=observe):
                 if _w():
                     _o(_r())

@@ -16,12 +16,6 @@ schema                 producer
 ``repro-bench-v1``     :func:`benchmarks/common.write_json_result`
 ``repro-insight-v1``   :func:`repro.insight.diff.diff_reports`
 =====================  ===================================================
-
-Benchmark files written before the ``repro-bench-v1`` envelope exist
-in the wild (no ``schema`` key, but ``bench`` + ``results``);
-:func:`load_bench` upgrades them in memory and marks the result with
-``"legacy": True`` so consumers can degrade gracefully (legacy files
-carry no host fingerprint or paired-timing spread).
 """
 
 from __future__ import annotations
@@ -116,27 +110,8 @@ def load_report(path, expect=None):
 
 
 def load_bench(path):
-    """Load a benchmark envelope, accepting the legacy pre-envelope
-    shape (``bench`` + ``results``, no ``schema``/``host``).
-
-    Always returns a dict in ``repro-bench-v1`` shape; legacy inputs
-    get ``"legacy": True`` and an empty host fingerprint.
-    """
+    """Load and validate one ``repro-bench-v1`` benchmark envelope."""
     data = load_json(path)
-    if not isinstance(data, dict):
-        raise InsightError(
-            f"{path}: expected a JSON object, got "
-            f"{type(data).__name__}")
-    if "schema" not in data:
-        if "bench" in data and "results" in data:
-            data = dict(data)
-            data["schema"] = "repro-bench-v1"
-            data.setdefault("host", {})
-            data["legacy"] = True
-        else:
-            raise InsightError(
-                f"{path}: neither a repro-bench-v1 envelope nor a "
-                f"legacy BENCH_*.json (need 'bench' + 'results')")
     validate_report(data, path=path, expect="repro-bench-v1")
     if not isinstance(data["results"], list):
         raise InsightError(f"{path}: 'results' must be a list")

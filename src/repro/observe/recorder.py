@@ -14,20 +14,19 @@ Arming is one call on a running simulator::
     sim.run(100_000)
     rec.window().to_vcd("tail.vcd")
 
-Signals are named by dotted path from the top model (the
-:func:`repro.resilience.inject.resolve_path` grammar, so the same
-string works before and after SimJIT specialization) or passed as
-``Signal``/slice objects.  Models can also pre-register interesting
-signals in their constructors with ``s.observe(...)``; a recorder armed
-with ``signals=None`` picks those up hierarchically.
+Signals are :class:`~repro.core.probe.Probe` specs: a dotted path from
+the top model (the same string works before and after SimJIT
+specialization), a ``Signal`` or a slice of one.  Models can also
+pre-register interesting signals in their constructors with
+``s.observe(...)``; a recorder armed with ``signals=None`` picks those
+up hierarchically.
 
 Substrate portability: sampling happens at one architectural point —
 after the clock edge and the post-edge settle, once per ``cycle()`` —
-on every substrate (event, static, mega-cycle kernel, SimJIT).  Python
-nets are read directly; signals that live only inside a compiled
-SimJIT instance are read through the engine's ``raw_get``/
-``get_state_at`` probes, so the recorded window is bit-identical across
-all four execution modes.  Unlike cycle hooks, recorders do *not*
+on every substrate (event, static, mega-cycle kernel, SimJIT), and
+each probe reads wherever its value lives (Python net or compiled
+instance), so the recorded window is bit-identical across all four
+execution modes.  Unlike cycle hooks, recorders do *not*
 force the interpreted path: the compiled mega-cycle kernel keeps
 running, and only the post-cycle sample is added.
 
@@ -41,98 +40,10 @@ from __future__ import annotations
 
 from collections import deque
 
+from ..core.probe import Probe
 from ..core.signals import Signal, _SignalSlice
 
-__all__ = ["FlightRecorder", "RecorderWindow", "resolve_reader"]
-
-
-class _Tap:
-    """One recorded signal: a stable name, a width, and a bound
-    zero-argument read function returning the current int value."""
-
-    __slots__ = ("name", "nbits", "read")
-
-    def __init__(self, name, nbits, read):
-        self.name = name
-        self.nbits = nbits
-        self.read = read
-
-
-def _engines_of(model):
-    """Every SimJIT engine reachable in a (possibly specialized)
-    hierarchy, outermost first."""
-    engines = []
-    eng = getattr(model, "jit_engine", None)
-    if eng is not None:
-        engines.append(eng)
-    for sub in getattr(model, "_all_models", ()):
-        eng = getattr(sub, "jit_engine", None)
-        if eng is not None and eng not in engines:
-            engines.append(eng)
-    return engines
-
-
-def resolve_reader(sim, spec):
-    """Resolve a signal spec to a :class:`_Tap` bound to ``sim``.
-
-    ``spec`` is a dotted-path string, a ``Signal``, or a signal slice.
-    Paths resolve through JITModel wrappers (the injector grammar) and
-    may also name a telemetry :class:`~repro.telemetry.counters.Counter`
-    (any backing kind); signal objects whose net is not owned by
-    ``sim`` — internal state of a specialized model — are read through
-    the owning engine's ``raw_get`` probe instead of the (stale)
-    Python net.
-    """
-    if isinstance(spec, str):
-        from ..resilience.inject import _SignalTarget, resolve_path
-        from ..telemetry.counters import Counter
-        try:
-            _, _, resolved, _, _ = resolve_path(sim.model, spec)
-        except Exception:
-            resolved = None
-        if isinstance(resolved, Counter):
-            # Telemetry counters are first-class observables: the
-            # Counter.value property already bridges python-, signal-,
-            # and compiled-state-backed kinds.
-            return _Tap(spec, 32, lambda c=resolved: int(c.value))
-        target = _SignalTarget(sim, spec)
-        # Specialize the per-cycle read: _SignalTarget.read() re-checks
-        # its domain branches and builds a Bits value on every call,
-        # which is most of the sampling cost at recorder rates.
-        if target.engine is not None and target.state_idx is None:
-            read = (lambda e=target.engine, s=target.slot:
-                    e.raw_get(s))
-        elif target.engine is None and target.sig is not None:
-            net = target.sig._net.find()
-            read = lambda n=net: n._value
-        else:
-            read = target.read
-        return _Tap(spec, target.nbits, read)
-    if isinstance(spec, _SignalSlice):
-        name = f"{spec.signal.name or '?'}[{spec.lo}:{spec.hi}]"
-        return _Tap(name, spec.nbits,
-                    lambda sl=spec: int(sl.value))
-    if isinstance(spec, Signal):
-        net = spec._net.find()
-        name = spec.name or repr(spec)
-        if net.sim is sim:
-            return _Tap(name, spec.nbits, lambda n=net: n._value)
-        # Net not driven by this simulator: the signal lives inside a
-        # compiled SimJIT instance — find the engine that lowered it.
-        for engine in _engines_of(sim.model):
-            try:
-                slot = engine.slot_of(spec)
-            except KeyError:
-                continue
-            return _Tap(name, spec.nbits,
-                        lambda e=engine, s=slot: e.raw_get(s))
-        raise ValueError(
-            f"signal {name!r} is not simulated by this SimulationTool "
-            f"(and no SimJIT engine lowered it); pass a dotted path or "
-            f"a signal of the simulated model")
-    raise TypeError(
-        f"cannot observe {type(spec).__name__}; pass a dotted path "
-        f"string, a Signal, or a signal slice")
+__all__ = ["FlightRecorder", "RecorderWindow"]
 
 
 def _observed_specs(model):
@@ -146,7 +57,7 @@ def _observed_specs(model):
 class FlightRecorder:
     """Bounded ring buffer of change-compressed signal values.
 
-    ``signals`` is a list of specs (see :func:`resolve_reader`); with
+    ``signals`` is a list of specs (see :mod:`repro.core.probe`); with
     ``None``, the signals registered via ``Model.observe`` across the
     hierarchy are recorded.  ``depth`` bounds the window in cycles.
     ``autodump`` names a directory for automatic post-mortem bundles
@@ -193,7 +104,7 @@ class FlightRecorder:
                 "nothing to record: pass signals= or register signals "
                 "with Model.observe(...) in the design")
         self.sim = sim
-        self._taps = [resolve_reader(sim, spec) for spec in specs]
+        self._taps = [Probe.resolve(sim, spec) for spec in specs]
         self._reads = [tap.read for tap in self._taps]
         # Base snapshot: the state as of the current cycle count, the
         # cycle *before* the first recorded entry.
@@ -202,10 +113,9 @@ class FlightRecorder:
         self._last = list(self._base_values)
         self._entries.clear()
         sim._recorders.append(self)
-        instr = (sim._jit_instrumentation()
-                 if hasattr(sim, "_jit_instrumentation") else None)
+        instr = sim._jit_instrumentation()
         if instr is not None:
-            instr.try_add_recorder(self, specs)
+            instr.try_add_recorder(self)
         sim._refresh_observers()
         return self
 

@@ -7,9 +7,9 @@ log, invoke a callback, dump the recorder window, or halt the
 simulation with a structured diagnostic — which makes the same
 machinery serve as lightweight online protocol assertions.
 
-Conditions are built *unbound* from signal specs (dotted paths or
-``Signal`` objects, the :func:`~repro.observe.recorder.resolve_reader`
-grammar) and bound to a simulator when the watchpoint is armed::
+Conditions are built *unbound* from signal specs (dotted paths,
+``Signal`` objects or slices — :class:`~repro.core.probe.Probe` specs)
+and bound to a simulator when the watchpoint is armed::
 
     from repro.observe import rose, fell, stable_for, implies_within
 
@@ -39,7 +39,7 @@ SimJIT execution.
 
 from __future__ import annotations
 
-from .recorder import resolve_reader
+from ..core.probe import Probe, Unlowerable
 
 __all__ = [
     "Condition",
@@ -154,8 +154,7 @@ class _SignalCondition(Condition):
         self.spec = spec
 
     def bind(self, sim):
-        tap = resolve_reader(sim, self.spec)
-        return self._bound(tap)
+        return self._bound(Probe.resolve(sim, self.spec))
 
     def _bound(self, tap):
         raise NotImplementedError
@@ -209,7 +208,7 @@ class _When(Condition):
         self.specs = specs
 
     def bind(self, sim):
-        reads = [resolve_reader(sim, spec).read for spec in self.specs]
+        reads = [Probe.resolve(sim, spec).read for spec in self.specs]
         fn = self.fn
         return _Bound(
             lambda cycle: bool(fn(*[read() for read in reads])))
@@ -299,12 +298,11 @@ def lower_condition(condition, slot_of):
     root last.  Node kinds mirror the C evaluator: 0 rose, 1 fell,
     2 changed, 3 value_is, 4 and, 5 or, 6 not.
 
-    Raises :class:`~repro.core.simjit.instrument.Unlowerable` for
+    Raises :class:`~repro.core.probe.Unlowerable` for
     predicates the C side cannot express (``when``, ``stable_for``,
     ``implies_within``, comparison values outside the 128-bit net
     range, and any spec that does not lower to a net slot).
     """
-    from ..core.simjit.instrument import Unlowerable
     nodes = []
 
     def emit(kind, slot=-1, a=-1, b=-1, aux=0):
@@ -430,13 +428,18 @@ class Watchpoint:
     def attach(self, sim):
         self.sim = sim
         self._taps = _condition_taps(sim, self.condition)
-        instr = (sim._jit_instrumentation()
-                 if hasattr(sim, "_jit_instrumentation") else None)
-        if instr is not None and instr.try_add_watchpoint(self):
-            # Condition evaluates in C; _fire is called on hit cycles.
-            self._bound = None
-        else:
-            self._bound = self.condition.bind(sim)
+        instr = sim._jit_instrumentation()
+        compiled = False
+        if instr is not None:
+            try:
+                nodes = lower_condition(self.condition, instr.net_slot)
+            except Unlowerable as exc:
+                instr.warn_fallback(f"watchpoint {self.name!r}", exc)
+            else:
+                compiled = instr.try_add_watchpoint(self, nodes)
+        # Compiled: the condition evaluates in C and _fire is called
+        # on hit cycles.
+        self._bound = None if compiled else self.condition.bind(sim)
         sim._watchpoints.append(self)
         sim._refresh_observers()
         return self
@@ -533,7 +536,7 @@ def _condition_taps(sim, condition):
         else:
             specs = ()
         for spec in specs:
-            tap = resolve_reader(sim, spec)
+            tap = Probe.resolve(sim, spec)
             if tap.name not in seen:
                 seen.add(tap.name)
                 taps.append(tap)

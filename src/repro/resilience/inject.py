@@ -23,11 +23,11 @@ SimJIT):
   once, and the registered simulator falls back from the compiled
   kernel to the interpreted cycle path automatically (hooks force
   that), keeping semantics identical.
-- Under SimJIT the dotted path is resolved *through* the
-  :class:`JITModel` wrapper into the original model, and reads/writes
-  go through the engine's ``raw_get``/``raw_set`` (nets) and
-  ``state_probe``/``raw_set_state`` (CL state) APIs instead of Python
-  nets.
+- Targets are :class:`~repro.core.probe.Probe` specs: the dotted path
+  is resolved *through* any :class:`JITModel` wrapper into the original
+  model, and the probe reads and writes wherever the value lives — a
+  Python net, a compiled net, compiled CL state or a plain attribute
+  (DESIGN.md §4, "Addressing").
 - Faults are substrate-portable only on **sequential** state
   (registers written via ``.next``, CL state attributes).  A flip on a
   combinationally-driven wire is re-derived from its inputs at the
@@ -39,9 +39,9 @@ SimJIT):
 
 from __future__ import annotations
 
-import re
 import zlib
 
+from ..core.probe import Probe, resolve_path
 from ..core.signals import Signal
 
 __all__ = [
@@ -90,57 +90,6 @@ def _cycle_mix(seed, cycle, salt):
     return zlib.crc32(f"{seed}:{salt}:{cycle}".encode()) & 0xFFFFFFFF
 
 
-_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)((?:\[\d+\])*)$")
-
-
-def resolve_path(model, path):
-    """Resolve a dotted path from ``model`` to an injection target.
-
-    Returns ``(owner, attr, target, engine, indices)``:
-
-    - ``owner`` — the model instance holding the final attribute;
-    - ``attr`` — the final attribute name (state faults need it);
-    - ``target`` — the resolved object (a Signal, an int, or a list);
-    - ``engine`` — the innermost ``SimJITEngine`` crossed on the way
-      (None on the interpreted path);
-    - ``indices`` — the subscripts applied to the *final* token
-      (``"priority[1]"`` -> ``(1,)``), so list-element state can be
-      written back in place.
-
-    Whenever an object along the path is a specialized ``JITModel``
-    the walk drops through ``jit_engine.model`` into the original
-    design, so the same path string works before and after
-    specialization.
-    """
-    obj = model
-    engine = getattr(obj, "jit_engine", None)
-    if engine is not None:
-        obj = engine.model
-    owner, attr = obj, None
-    indices = ()
-    for token in path.split("."):
-        m = _TOKEN.match(token.strip())
-        if m is None:
-            raise ValueError(f"bad path token {token!r} in {path!r}")
-        name, subs = m.group(1), m.group(2)
-        owner, attr = obj, name
-        try:
-            obj = getattr(obj, name)
-        except AttributeError:
-            raise AttributeError(
-                f"cannot resolve {path!r}: "
-                f"{type(owner).__name__} has no attribute {name!r}")
-        indices = tuple(
-            int(idx) for idx in re.findall(r"\[(\d+)\]", subs))
-        for idx in indices:
-            obj = obj[idx]
-        sub_engine = getattr(obj, "jit_engine", None)
-        if sub_engine is not None:
-            engine = sub_engine
-            obj = sub_engine.model
-    return owner, attr, obj, engine, indices
-
-
 class _Injector:
     """Shared install/bookkeeping for all injectors."""
 
@@ -168,101 +117,6 @@ class _Injector:
 
     def _on_cycle(self, cycle):
         raise NotImplementedError
-
-
-class _SignalTarget:
-    """Read/write access to one resolved target, uniform across the
-    interpreted and SimJIT domains."""
-
-    def __init__(self, sim, path, nbits_hint=None):
-        owner, attr, target, engine, indices = resolve_path(
-            sim.model, path)
-        self.path = path
-        self.owner = owner
-        self.attr = attr
-        self.indices = indices
-        self.engine = None
-        self.state_idx = None
-        self.sig = None
-        if isinstance(target, Signal):
-            self.sig = target
-            self.nbits = target.nbits
-            net = target._net.find()
-            if engine is not None and net.sim is not sim:
-                # Internal net of a specialized model: Python-side
-                # writes would never reach the compiled instance.
-                self.engine = engine
-                self.slot = engine.slot_of(target)
-        elif isinstance(target, int) and engine is None:
-            self.nbits = nbits_hint or 64
-        elif isinstance(target, int):
-            if len(indices) > 1:
-                raise ValueError(
-                    f"{path!r}: compiled state supports at most one "
-                    f"trailing index")
-            self.engine = engine
-            self.state_idx = engine.state_slot(owner, attr)
-            if self.state_idx is None:
-                raise ValueError(
-                    f"{path!r}: state attribute {attr!r} was not "
-                    f"lowered to compiled state")
-            self.elem = indices[0] if indices else 0
-            self.nbits = nbits_hint or 64
-        else:
-            raise TypeError(
-                f"{path!r} resolved to {type(target).__name__}; "
-                f"injectable targets are signals and int state "
-                f"attributes (index into lists in the path: 'mem[3]')")
-
-    def _container(self):
-        """Walk to the object whose element/attribute holds the value."""
-        obj = getattr(self.owner, self.attr)
-        for idx in self.indices[:-1]:
-            obj = obj[idx]
-        return obj
-
-    def read(self):
-        if self.engine is not None:
-            if self.state_idx is not None:
-                return int(self.engine.lib.get_state_at(
-                    self.engine.inst, self.state_idx, self.elem))
-            return self.engine.raw_get(self.slot)
-        if self.sig is not None:
-            return int(self.sig.value)
-        if self.indices:
-            return int(self._container()[self.indices[-1]])
-        return int(getattr(self.owner, self.attr))
-
-    def write(self, sim, value):
-        if self.engine is not None:
-            if self.state_idx is not None:
-                self.engine.raw_set_state(
-                    self.state_idx, self.elem, value)
-            else:
-                self.engine.raw_set(self.slot, value)
-            # The compiled cycle() re-evaluates comb logic before the
-            # tick functions run, so the fault propagates in C.
-            return
-        if self.sig is not None:
-            self.sig.value = value
-            # Tick gating skips a sequential block when none of its
-            # *read* nets changed, assuming the register then holds
-            # what that block last wrote — an external fault write
-            # breaks that assumption (the forced value would survive
-            # the flop only on substrates that gate).  Force every
-            # tick to run this cycle, which is exactly the ungated
-            # event-mode semantics.
-            if sim._tflags:
-                sim._tflags[:] = b"\x01" * len(sim._tflags)
-            # Settle so downstream combinational logic sees the fault
-            # before this cycle's tick blocks read it — matching the
-            # compiled path, whose cycle() starts with eval_comb.
-            sim.eval_combinational()
-            return
-        if self.indices:
-            self._container()[self.indices[-1]] = value
-        else:
-            setattr(self.owner, self.attr, value)
 
 
 class SEUInjector(_Injector):
@@ -293,7 +147,7 @@ class SEUInjector(_Injector):
         self._target = None
 
     def _bind(self, sim):
-        self._target = _SignalTarget(sim, self.path, self.nbits_hint)
+        self._target = Probe.resolve(sim, self.path, self.nbits_hint)
 
     def _on_cycle(self, cycle):
         if not self._fire(cycle):
@@ -328,7 +182,7 @@ class StuckAtFault(_Injector):
         self._target = None
 
     def _bind(self, sim):
-        self._target = _SignalTarget(sim, self.path, self.nbits_hint)
+        self._target = Probe.resolve(sim, self.path, self.nbits_hint)
 
     def _on_cycle(self, cycle):
         if cycle < self.from_cycle:

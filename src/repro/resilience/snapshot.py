@@ -104,11 +104,6 @@ def _canon(value):
     return value
 
 
-def _is_python_counter(ctr):
-    return (ctr._sig is None and ctr._state is None
-            and ctr._jit_read is None)
-
-
 class Checkpoint:
     """Opaque snapshot of one :class:`SimulationTool`'s state."""
 
@@ -253,7 +248,7 @@ def save_checkpoint(sim):
     counters = {
         key: ctr._value
         for key, ctr in getattr(model, "_all_counters", {}).items()
-        if _is_python_counter(ctr)
+        if ctr.kind == "python"
     }
     histograms = {
         key: dict(hist.bins)

@@ -33,8 +33,11 @@ modeling substrates:
     Backed by a plain int (or an element of a flat int list) on the
     model — the SimJIT-CL translatable subset.  ``state=("attr",)``
     reads ``model.attr``; ``state=("attr", i)`` reads
-    ``model.attr[i]``.  After SimJIT specialization the read is
-    redirected into the compiled instance struct.
+    ``model.attr[i]``.
+
+After SimJIT specialization a signal- or state-backed counter reads
+through the :class:`~repro.core.probe.Probe` the specializer binds to
+its compiled storage; python-kind counters are never rebound.
 
 Counters are incremented from **tick blocks only**: combinational
 blocks may legitimately re-run several times per settle in event mode,
@@ -99,7 +102,7 @@ class Counter:
     """
 
     __slots__ = ("name", "desc", "owner", "_value", "_sig", "_state",
-                 "_jit_read", "_jit_probe")
+                 "_probe")
 
     def __init__(self, name, desc="", owner=None, sig=None, state=None):
         if sig is not None and state is not None:
@@ -114,12 +117,7 @@ class Counter:
         if state is not None and len(state) == 1:
             state = (state[0], None)
         self._state = state
-        self._jit_read = None       # set when the owner was SimJIT'ed
-        # Bulk-readback address, set alongside _jit_read by the
-        # specializer: (engine, kind, idx, elem) consumed by
-        # SimJITEngine.read_probes so sim.telemetry.counters() reads
-        # every compiled counter in one FFI call per engine.
-        self._jit_probe = None
+        self._probe = None          # set when the owner was SimJIT'ed
 
     @property
     def kind(self):
@@ -139,9 +137,9 @@ class Counter:
 
     @property
     def value(self):
-        jit = self._jit_read
-        if jit is not None:
-            return jit()
+        probe = self._probe
+        if probe is not None:
+            return probe.read()
         if self._sig is not None:
             return int(self._sig)
         if self._state is not None:

@@ -69,28 +69,9 @@ class Telemetry:
 
     def counters(self):
         """``{hierarchical_name: int_value}`` for every declared
-        counter (empty when telemetry was disabled at construction).
-
-        Counters lowered into a SimJIT instance are read back in bulk
-        — one ``read_probes`` FFI round trip per engine instead of one
-        ``raw_get``/``get_state_at`` call per counter."""
+        counter (empty when telemetry was disabled at construction)."""
         registry = getattr(self.sim.model, "_all_counters", {})
-        by_engine = {}      # id(engine) -> (engine, [name], [probe])
-        for name, ctr in registry.items():
-            probe = getattr(ctr, "_jit_probe", None)
-            if probe is not None:
-                entry = by_engine.setdefault(
-                    id(probe[0]), (probe[0], [], []))
-                entry[1].append(name)
-                entry[2].append(probe[1:])
-        bulk = {}
-        for engine, names, probes in by_engine.values():
-            for name, value in zip(names, engine.read_probes(probes)):
-                bulk[name] = int(value)
-        return {
-            name: bulk[name] if name in bulk else ctr.value
-            for name, ctr in registry.items()
-        }
+        return {name: ctr.value for name, ctr in registry.items()}
 
     def histograms(self):
         """``{hierarchical_name: Histogram}``."""

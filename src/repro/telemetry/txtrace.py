@@ -156,8 +156,7 @@ class TxTracer:
         otherwise — or when any tap is unlowerable — a Python cycle
         hook samples every cycle."""
         self.sim = sim
-        instr = (sim._jit_instrumentation()
-                 if hasattr(sim, "_jit_instrumentation") else None)
+        instr = sim._jit_instrumentation()
         if instr is not None and instr.register_tracer(self):
             self._instr = instr
             for tap in list(self.taps):

@@ -145,19 +145,10 @@ def test_load_missing_required_keys(tmp_path):
         load_report(path)
 
 
-def test_load_bench_legacy_upgrade(tmp_path):
-    path = _write(tmp_path, "BENCH_old.json",
-                  {"bench": "old", "git_sha": "x",
-                   "results": [{"config": "a", "cycles_per_sec": 1.0}]})
-    env = load_bench(path)
-    assert env["schema"] == "repro-bench-v1"
-    assert env["legacy"] is True
-    assert env["host"] == {}
-
-
 def test_load_bench_rejects_non_bench(tmp_path):
-    path = _write(tmp_path, "r.json", {"something": 1})
-    with pytest.raises(InsightError, match="neither"):
+    # A pre-envelope BENCH_*.json (no "schema" key) is refused too.
+    path = _write(tmp_path, "r.json", {"bench": "old", "results": []})
+    with pytest.raises(InsightError, match="unknown schema None"):
         load_bench(path)
 
 

@@ -38,7 +38,6 @@ from repro.resilience import (
     KINDS,
     LinkFaultInjector,
     fault_schedule,
-    resolve_path,
     warn_resilience,
 )
 from repro.verif import RNG, CoSimHarness, DutAdapter, backpressure_pattern
@@ -67,7 +66,7 @@ def test_resilience_warning_rejects_unknown_kind():
         "simjit-fallback", "instrument-fallback"}
 
 
-# -- fault schedules and path resolution ---------------------------------------------
+# -- fault schedules ------------------------------------------------------------------
 
 
 def test_fault_schedule_deterministic_and_bursty():
@@ -84,25 +83,6 @@ def test_fault_schedule_deterministic_and_bursty():
     w = fault_schedule(0.3, seed=3, burst=4)
     for base in range(0, 400, 4):
         assert len({w(base + i) for i in range(4)}) == 1
-
-
-def test_resolve_path_walks_lists_and_submodels():
-    net = RouterRTL(0, 4, 64, 16, 2).elaborate()
-    owner, attr, target, engine, indices = resolve_path(net, "priority[1]")
-    assert owner is net and attr == "priority" and indices == (1,)
-    assert target is net.priority[1] and engine is None
-    with pytest.raises(AttributeError, match="no attribute"):
-        resolve_path(net, "nonexistent.thing")
-    with pytest.raises(ValueError, match="bad path token"):
-        resolve_path(net, "pri ority")
-
-
-def test_resolve_path_drops_through_jit_wrapper():
-    jit = SimJITRTL(RouterRTL(0, 4, 64, 16, 2).elaborate()).specialize()
-    jit.elaborate()
-    owner, attr, target, engine, _ = resolve_path(jit, "priority[2]")
-    assert engine is jit.jit_engine
-    assert target is engine.model.priority[2]
 
 
 # -- injector units ------------------------------------------------------------------
