@@ -32,11 +32,10 @@ mutable state.
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from dataclasses import dataclass, field
 
 from .bitstruct import BitStruct
+from .elaboration import block_shape
 from .model import Model
 from .portbundle import PortBundle
 from .signals import Signal, _SignalSlice
@@ -217,6 +216,17 @@ class BlockIR:
     state_names: list = field(default_factory=list)
 
 
+def walk_stmts(stmts):
+    """Every statement under ``stmts``, nested bodies included."""
+    for stmt in stmts:
+        yield stmt
+        if isinstance(stmt, If):
+            yield from walk_stmts(stmt.body)
+            yield from walk_stmts(stmt.orelse)
+        elif isinstance(stmt, For):
+            yield from walk_stmts(stmt.body)
+
+
 _BINOPS = {
     ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
     ast.Mod: "%", ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^",
@@ -229,23 +239,6 @@ _CMPOPS = {
 _ACCESSOR_METHODS = {"uint", "int"}
 
 
-def get_func_ast(func):
-    """Parse a block function's source into its FunctionDef node."""
-    try:
-        src = textwrap.dedent(inspect.getsource(func))
-    except (OSError, TypeError) as exc:
-        raise TranslationError(
-            f"cannot retrieve source for {func.__qualname__}"
-        ) from exc
-    tree = ast.parse(src)
-    func_def = tree.body[0]
-    if not isinstance(func_def, ast.FunctionDef):
-        raise TranslationError(
-            f"{func.__qualname__}: expected a function definition"
-        )
-    return func_def
-
-
 class BlockTranslator:
     """Lowers one behavioral block into :class:`BlockIR`."""
 
@@ -254,23 +247,18 @@ class BlockTranslator:
         self.func = func
         self.kind = kind           # 'comb' | 'tick_rtl' | 'tick_cl'
         self.ir = BlockIR(name=func.__name__, kind=kind, model=model)
-        self.root_names = self._model_ref_names()
+        # The parse and the names that denote the model are the
+        # elaborator's: both layers read one FunctionDef (never mutated).
+        shape = block_shape(func, model)
+        if shape is None:
+            raise TranslationError(
+                f"cannot retrieve source for {func.__qualname__}")
+        self.func_def = shape.func_def
+        self.root_names = shape.root_names
         self._env = self._build_env()
         self._loop_vars = {}       # currently-unrolled loop bindings (none)
 
     # -- environment ---------------------------------------------------------
-
-    def _model_ref_names(self):
-        names = set()
-        code = self.func.__code__
-        if self.func.__closure__:
-            for var, cell in zip(code.co_freevars, self.func.__closure__):
-                try:
-                    if cell.cell_contents is self.model:
-                        names.add(var)
-                except ValueError:
-                    pass
-        return names
 
     def _build_env(self):
         """Names visible to the block: closure vars and globals that
@@ -296,8 +284,7 @@ class BlockTranslator:
     # -- entry point --------------------------------------------------------------
 
     def translate(self):
-        func_def = get_func_ast(self.func)
-        self.ir.body = self.stmt_list(func_def.body)
+        self.ir.body = self.stmt_list(self.func_def.body)
         return self.ir
 
     # -- statements ------------------------------------------------------------------

@@ -12,15 +12,35 @@ tools (simulator, translator, SimJIT) consume:
    specs (the driver inferred from port kinds and hierarchy);
 5. each ``@combinational`` block gets a sensitivity list inferred by
    static AST analysis of the signals it reads, plus precise
-   read/write sets used by the simulator's static scheduling pass.
+   read/write sets used by the simulator's static scheduling pass;
+   each tick block learns whether it is gateable.
 
 The result is stored on the top model: ``_all_models``, ``_all_signals``,
 ``_all_nets``, ``_connectors``, ``_const_ties``.
 
+Block analysis: shape vs. binding
+---------------------------------
+
+A behavioural block is analysed in two layers:
+
+- its *shape* (:func:`block_shape`) is what the source says — write
+  targets, load chains, call sites, aliasing locals, the constructs a
+  gateable tick may not contain — as access paths rooted at the names
+  that denote the model.  It is a pure function of the function's AST
+  and of those names, so it is parsed and walked once per code object
+  however many instances run it; this is the only place block source
+  is read, and the ``FunctionDef`` it holds is the one the IR
+  translator (``ast_ir``) lowers.
+- the *binding* (``_analyze_block`` / ``_analyze_tick``) resolves
+  those paths against one live instance and applies the policy of the
+  block's kind.  Dynamic indices widen to every element of the indexed
+  list, so two instances with different port counts share a shape and
+  differ only here.
+
 Sensitivity vs. read/write analysis
 -----------------------------------
 
-Two related analyses run over each combinational block's AST:
+A combinational block's binding yields two related results:
 
 - the *sensitivity list* (``blk.signals``) drives the event-driven
   simulator: the block re-executes when any listed signal's net
@@ -38,6 +58,9 @@ Two related analyses run over each combinational block's AST:
   local aliases, calls into non-signal model attributes, unavailable
   source), ``blk.writes_known`` is False and the simulator schedules
   the block event-driven.
+
+A tick block's binding decides ``blk.gateable``: only ``.next``
+writes, and every load resolving to signals or immutable constants.
 """
 
 from __future__ import annotations
@@ -45,6 +68,7 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
+import weakref
 
 from .model import Model, _CombBlock
 from .portbundle import PortBundle
@@ -265,7 +289,12 @@ def _infer_driver(model, left, right):
     return left, right
 
 
-# -- sensitivity + read/write inference ---------------------------------------
+# -- block analysis: binding (per instance) ------------------------------------
+#
+# What a block's source says is its *shape* (next section), computed
+# once per function.  The two analysers here are the *binding*: they
+# resolve the shape's paths against the live instance and apply the
+# policy that differs between combinational and tick blocks.
 
 
 def _analyze_block(blk):
@@ -273,146 +302,47 @@ def _analyze_block(blk):
     sets (``blk.reads``/``blk.writes``/``blk.writes_known``) of a
     combinational block.
 
-    Parses the block's source and collects every attribute/subscript
-    chain rooted at the model reference.  Dynamic indices widen to
-    every element of the indexed list (a sound superset for both reads
-    and writes).  Falls back to all input ports and wires — with the
-    read/write sets marked unknown — when source is not available.
+    Every attribute/subscript chain rooted at the model reference
+    counts; dynamic indices widen to every element of the indexed list
+    (a sound superset for both reads and writes).  Falls back to all
+    input ports and wires — with the read/write sets marked unknown —
+    when the block has no usable source or nothing statically
+    readable, which keeps it out of the static schedule.
     """
     model = blk.model
     blk.reads = []
     blk.writes = []
     blk.writes_known = False
-    try:
-        src = textwrap.dedent(inspect.getsource(blk.func))
-        tree = ast.parse(src)
-    except (OSError, TypeError, SyntaxError):
+    shape = block_shape(blk.func, model)
+    if shape is None or not shape.root_names:
         blk.signals = _fallback_sensitivity(model)
         return
 
-    func_def = tree.body[0]
-    if not isinstance(func_def, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        blk.signals = _fallback_sensitivity(model)
-        return
-
-    root_names = _model_ref_names(blk.func, model)
-    if not root_names:
-        blk.signals = _fallback_sensitivity(model)
-        return
-
-    # -- assignment targets: write paths + target spines ------------------
-    #
-    # The "spine" of a target like ``s.enq.rdy.value`` is the chain of
-    # attribute/subscript nodes down to the root name.  Its inner nodes
-    # carry Load context, so the plain read walk would count ``s.enq``
-    # as a read of the whole bundle — a phantom read that must not
-    # reach the precise read set.  Subscript *index* expressions are
-    # not part of the spine; they are genuine reads.
-    tainted = _tainted_locals(func_def, root_names)
-    write_paths = set()
-    writes_known = True
-    spine_ids = set()
-    for node in ast.walk(func_def):
-        if isinstance(node, ast.Assign):
-            targets, plain = node.targets, True
-        elif isinstance(node, ast.AnnAssign):
-            targets, plain = [node.target], True
-        elif isinstance(node, ast.AugAssign):
-            # Augmented assignment reads its target: keep the spine
-            # visible to the read walk.
-            targets, plain = [node.target], False
-        else:
-            continue
-        for target in _flatten_targets(targets):
-            if isinstance(target, ast.Name):
-                continue            # local variable: no signal write
-            path = _extract_path(target, root_names, any_ctx=True)
-            if path is None:
-                root = _root_name(target)
-                if root is not None and root not in tainted:
-                    # Subscript/attribute write into a pure local
-                    # container (``routes[i] = ...``): no signal write.
-                    continue
-                # Write through a possible alias of a model object; the
-                # written signal (if any) is not statically visible.
-                writes_known = False
-                continue
-            write_paths.add(path)
-            if plain:
-                _mark_spine(target, spine_ids)
-
-    # -- calls: method calls on non-signal model attributes may write -----
-    #
-    # Calls through bare names (``int``, ``len``, ``concat``, module
-    # helpers) are assumed pure, as are value-accessor calls that
-    # resolve to a signal (``s.count.uint()``).  A call on a
-    # model-rooted path that does *not* resolve to signals (``s.helper()``,
-    # ``s.buf.popleft()``) may write anything — as may a non-accessor
-    # method call on a local that aliases a model object: writes
-    # become unknown.
-    for node in ast.walk(func_def):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)):
-            continue
-        path = _extract_path(node.func, root_names, any_ctx=True)
-        if path is None:
-            root = _root_name(node.func)
-            if (root is not None and root in tainted
-                    and node.func.attr not in _VALUE_ATTRS):
-                writes_known = False
-            continue
-        resolved = _resolve_path(model, path)
-        if not resolved:
-            writes_known = False
-
-    written = set()
-    writes = []
-    for path in write_paths:
+    writes = _unique(sig for path, _ in shape.writes
+                     for sig in _resolve_path(model, path))
+    # Sensitivity and reads exclude self-written signals, mirroring the
+    # event simulator's semantics: a block that writes a signal and
+    # reads it back sees its own just-written value (write-before-read),
+    # which is sequential Python, not combinational feedback.
+    written = {id(sig) for sig in writes}
+    signals, reads = {}, {}
+    for path, spine, _ in shape.loads:
         for sig in _resolve_path(model, path):
             if id(sig) not in written:
-                written.add(id(sig))
-                writes.append(sig)
-
-    # -- read walk ---------------------------------------------------------
-    paths = set()           # every load path (legacy sensitivity)
-    precise_paths = set()   # loads that are not assignment-target spines
-    for node in ast.walk(func_def):
-        path = _extract_path(node, root_names)
-        if path is not None:
-            paths.add(path)
-            if id(node) not in spine_ids:
-                precise_paths.add(path)
-
-    signals = []
-    seen = set()
-    for path in paths:
-        for sig in _resolve_path(model, path):
-            if id(sig) not in seen and id(sig) not in written:
-                seen.add(id(sig))
-                signals.append(sig)
-
-    # Reads exclude self-written signals, mirroring the event
-    # simulator's semantics: a block that writes a signal and reads it
-    # back sees its own just-written value (write-before-read), which
-    # is sequential Python, not combinational feedback.
-    reads = []
-    seen_reads = set()
-    for path in precise_paths:
-        for sig in _resolve_path(model, path):
-            if id(sig) not in seen_reads and id(sig) not in written:
-                seen_reads.add(id(sig))
-                reads.append(sig)
-
+                signals[id(sig)] = sig
+                if not spine:
+                    reads[id(sig)] = sig
     if not signals:
-        # Nothing statically readable: mirror the event simulator's
-        # conservative fallback and keep the block out of the static
-        # schedule.
         blk.signals = _fallback_sensitivity(model)
         return
-    blk.signals = signals
-    blk.reads = reads
+    blk.signals = list(signals.values())
+    blk.reads = list(reads.values())
     blk.writes = writes
-    blk.writes_known = writes_known
+    # A method call on a model-rooted path that does not resolve to
+    # signals may write anything.
+    blk.writes_known = (
+        not shape.alias_write and not shape.alias_call
+        and all(_resolve_path(model, path) for path in shape.calls))
 
 
 _CONST_TYPES = (int, float, bool, str, bytes, type(None), type)
@@ -436,146 +366,233 @@ def _analyze_tick(blk):
     blk.writes = []
     blk.gateable = False
     model = blk.model
-    try:
-        src = textwrap.dedent(inspect.getsource(blk.func))
-        tree = ast.parse(src)
-    except (OSError, TypeError, SyntaxError):
+    shape = block_shape(blk.func, model)
+    if (shape is None or not shape.root_names or shape.opaque
+            or shape.alias_write or shape.alias_call):
         return
-    func_def = tree.body[0]
-    if not isinstance(func_def, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    # Only registered updates are gateable: a ``.value`` write (or a
+    # rebind of a model container slot) takes effect immediately and
+    # may interleave with other writers.
+    if not all(is_next for _, is_next in shape.writes):
         return
-    # The ``@s.tick_*`` decorator would read as a bound-method access
-    # on the model: not part of the block's body.
-    func_def.decorator_list = []
-    root_names = _model_ref_names(blk.func, model)
-    if not root_names:
-        return
-
-    # Chain-base nodes: the ``.value`` child of every attribute /
-    # subscript node.  A path is classified only at its maximal node;
-    # inner prefixes (bundles, submodels) are covered by the outer
-    # chain.  A root name used *outside* any chain passes the whole
-    # model somewhere we cannot see: reject.
-    chain_bases = set()
-    for node in ast.walk(func_def):
-        if isinstance(node, (ast.Attribute, ast.Subscript)):
-            chain_bases.add(id(node.value))
-    for node in ast.walk(func_def):
-        if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await,
-                             ast.Global, ast.Nonlocal, ast.Lambda,
-                             ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node is not func_def:
-                return
-        if (isinstance(node, ast.Name) and node.id in root_names
-                and id(node) not in chain_bases):
-            return
-
-    tainted = _tainted_locals(func_def, root_names)
-
-    # Any dereference of a local that may alias a model object makes
-    # the read set unreliable: reject outright.
-    for node in ast.walk(func_def):
-        if isinstance(node, (ast.Attribute, ast.Subscript)):
-            root = _root_name(node)
-            if root is not None and root in tainted:
-                return
-
-    # -- writes ------------------------------------------------------------
-    write_paths = set()
-    spine_ids = set()
-    for node in ast.walk(func_def):
-        if isinstance(node, ast.Assign):
-            targets, plain = node.targets, True
-        elif isinstance(node, ast.AnnAssign):
-            targets, plain = [node.target], True
-        elif isinstance(node, ast.AugAssign):
-            targets, plain = [node.target], False
-        else:
-            continue
-        for target in _flatten_targets(targets):
-            if isinstance(target, ast.Name):
-                continue
-            path = _extract_path(target, root_names, any_ctx=True)
-            if path is None:
-                root = _root_name(target)
-                if root is not None and root not in tainted:
-                    continue        # pure local container write
-                return              # write through a possible alias
-            # Only registered updates are gateable: a ``.value`` write
-            # (or a rebind of a model container slot) takes effect
-            # immediately and may interleave with other writers.
-            if not (isinstance(target, ast.Attribute)
-                    and target.attr == "next"):
-                return
-            write_paths.add(path)
-            if plain:
-                _mark_spine(target, spine_ids)
-
-    # -- calls must be pure ------------------------------------------------
-    for node in ast.walk(func_def):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name):
-            continue                # bare-name call: assumed pure
-        if not isinstance(func, ast.Attribute):
-            return
-        path = _extract_path(func, root_names, any_ctx=True)
-        if path is not None:
-            if not _resolve_path(model, path):
-                return              # method on non-signal model state
-            continue
-        root = _root_name(func)
-        if (root is not None and root in tainted
-                and func.attr not in _VALUE_ATTRS):
-            return
+    if not all(_resolve_path(model, path) for path in shape.calls):
+        return                      # method on non-signal model state
 
     writes = []
-    written = set()
-    for path in write_paths:
+    for path, _ in shape.writes:
         sigs = _resolve_path(model, path)
         if not sigs:
             return                  # writes plain model state
-        for sig in sigs:
-            if id(sig) not in written:
-                written.add(id(sig))
-                writes.append(sig)
+        writes.extend(sigs)
 
-    # -- reads: every maximal model-rooted path must resolve to signals
-    #    or immutable constants -------------------------------------------
+    # Every maximal model-rooted load must resolve to signals or
+    # immutable constants; inner prefixes (bundles, submodels) are
+    # covered by the outer chain.
     reads = []
-    seen = set()
-    for node in ast.walk(func_def):
-        if id(node) in chain_bases or id(node) in spine_ids:
-            continue
-        path = _extract_path(node, root_names)
-        if path is None:
+    for path, spine, maximal in shape.loads:
+        if spine or not maximal:
             continue
         objs = _walk_path(model, path)
         if not objs:
             return                  # unresolvable (dynamic attribute)
-        sigs = []
         for obj in objs:
             if isinstance(obj, _SignalSlice):
-                sigs.append(obj.signal)
+                reads.append(obj.signal)
             elif isinstance(obj, Signal):
-                sigs.append(obj)
+                reads.append(obj)
             elif isinstance(obj, PortBundle):
-                sigs.extend(obj.get_signals())
+                reads.extend(obj.get_signals())
             elif isinstance(obj, list):
                 if not all(isinstance(s, Signal) for s in obj):
                     return
-                sigs.extend(obj)
+                reads.extend(obj)
             elif not isinstance(obj, _CONST_TYPES):
                 return              # mutable non-signal state
-        for sig in sigs:
-            if id(sig) not in seen:
-                seen.add(id(sig))
-                reads.append(sig)
 
-    blk.reads = reads
-    blk.writes = writes
+    blk.reads = _unique(reads)
+    blk.writes = _unique(writes)
     blk.gateable = True
+
+
+def _unique(signals):
+    """``signals`` without repeats, first occurrence first."""
+    return list({id(sig): sig for sig in signals}.values())
+
+
+# -- block analysis: shape (per function) --------------------------------------
+
+
+_OPAQUE_NODES = (ast.Yield, ast.YieldFrom, ast.Await, ast.Global,
+                ast.Nonlocal, ast.Lambda, ast.FunctionDef,
+                ast.AsyncFunctionDef)
+
+
+class _BlockShape:
+    """Everything block analysis learns from a block's source alone:
+    a pure function of the function's AST and of which names in it
+    denote the model, shared by every instance that runs that code.
+
+    ``writes``   model-rooted assignment targets, ``(path, is_next)``
+    ``loads``    model-rooted Load chains, ``(path, spine, maximal)``:
+                 ``spine`` marks the prefix of a plain assignment
+                 target, ``maximal`` a chain that is no prefix of a
+                 longer one
+    ``calls``    model-rooted paths whose attribute is called
+    ``alias_write`` / ``alias_call``
+                 a write through / a non-accessor method call on a
+                 local that may alias a model object
+    ``opaque``   constructs that can carry state past the read set: a
+                 nested scope, ``yield``/``await``, the bare model
+                 name, a dereference of a possibly-aliasing local, a
+                 callee that is neither a name nor an attribute
+
+    ``func_def`` (decorators stripped: ``@s.tick_rtl`` would read as
+    a bound-method access on the model) is also what
+    :class:`~.ast_ir.BlockTranslator` lowers.  Nothing here may be
+    mutated after construction.
+    """
+
+    def __init__(self, func_def, root_names):
+        self.func_def = func_def
+        self.root_names = root_names
+
+        chains, names, calls, assigns, bindings = [], [], [], [], []
+        opaque = False
+        for node in ast.walk(func_def):
+            if isinstance(node, (ast.Attribute, ast.Subscript)):
+                chains.append(node)
+            elif isinstance(node, ast.Name):
+                names.append(node)
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+            elif isinstance(node, ast.Assign):
+                assigns.append((node.targets, True))
+                bindings.append((node.value, node.targets))
+            elif isinstance(node, ast.AnnAssign):
+                assigns.append(([node.target], True))
+                bindings.append((node.value, [node.target]))
+            elif isinstance(node, ast.AugAssign):
+                # Augmented assignment reads its target: its spine
+                # stays visible as a load.
+                assigns.append(([node.target], False))
+            elif isinstance(node, ast.NamedExpr):
+                bindings.append((node.value, [node.target]))
+            elif isinstance(node, (ast.For, ast.AsyncFor,
+                                   ast.comprehension)):
+                bindings.append((node.iter, [node.target]))
+            elif isinstance(node, ast.withitem):
+                if node.optional_vars is not None:
+                    bindings.append(
+                        (node.context_expr, [node.optional_vars]))
+            elif isinstance(node, _OPAQUE_NODES) and node is not func_def:
+                opaque = True
+
+        tainted = _tainted_locals(bindings, root_names)
+        chain_bases = {id(node.value) for node in chains}
+
+        # The "spine" of a target like ``s.enq.rdy.value`` is the chain
+        # of attribute/subscript nodes down to the root name.  Its
+        # inner nodes carry Load context, so they would otherwise count
+        # ``s.enq`` as a read of the whole bundle — a phantom read that
+        # must not reach the precise read set.  Subscript *index*
+        # expressions are not part of the spine; they are genuine reads.
+        spine_ids = set()
+        writes = {}
+        self.alias_write = False
+        for targets, plain in assigns:
+            for target in _flatten_targets(targets):
+                if isinstance(target, ast.Name):
+                    continue            # local variable: no signal write
+                path = _extract_path(target, root_names, any_ctx=True)
+                if path is None:
+                    # A write into a pure local container
+                    # (``routes[i] = ...``) is no signal write; one
+                    # through a possible alias of a model object may
+                    # reach a signal that is not statically visible.
+                    root = _root_name(target)
+                    if root is None or root in tainted:
+                        self.alias_write = True
+                    continue
+                is_next = (isinstance(target, ast.Attribute)
+                           and target.attr == "next")
+                writes[path, is_next] = None
+                if plain:
+                    _mark_spine(target, spine_ids)
+        self.writes = tuple(writes)
+
+        # Calls through bare names (``int``, ``len``, ``concat``, module
+        # helpers) are assumed pure.  Whether a method call on a
+        # model-rooted path is a value accessor on a signal
+        # (``s.count.uint()``) or may write anything (``s.helper()``,
+        # ``s.buf.popleft()``) depends on the instance: ``calls``.
+        call_paths = {}
+        self.alias_call = False
+        for node in calls:
+            func = node.func
+            if isinstance(func, ast.Name):
+                continue
+            if not isinstance(func, ast.Attribute):
+                opaque = True
+                continue
+            path = _extract_path(func, root_names, any_ctx=True)
+            if path is not None:
+                call_paths[path] = None
+            elif (_root_name(func) in tainted
+                    and func.attr not in _VALUE_ATTRS):
+                self.alias_call = True
+        self.calls = tuple(call_paths)
+
+        loads = {}
+        for node in chains:
+            path = _extract_path(node, root_names)
+            if path is not None:
+                loads[path, id(node) in spine_ids,
+                      id(node) not in chain_bases] = None
+        self.loads = tuple(loads)
+
+        self.opaque = (
+            opaque
+            or any(_root_name(node) in tainted for node in chains)
+            or any(node.id in root_names and id(node) not in chain_bases
+                   for node in names))
+
+
+# id(code object) -> (FunctionDef or None, {root names: _BlockShape}).
+# Keyed by identity — equal code objects need not come from equal
+# source — and dropped with the code object, so one-shot generated
+# blocks leave nothing behind.
+_block_sources = {}
+
+
+def block_shape(func, model):
+    """The :class:`_BlockShape` of ``func`` run as a block of
+    ``model``, or None when the block has no usable source (none
+    retrievable, or not a plain ``def``).  The only place block source
+    is read and parsed: once per code object."""
+    code = getattr(func, "__code__", None)
+    if code is None:
+        return None
+    entry = _block_sources.get(id(code))
+    if entry is None:
+        func_def = None
+        try:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        except (OSError, TypeError, SyntaxError):
+            pass
+        else:
+            if isinstance(tree.body[0], ast.FunctionDef):
+                func_def = tree.body[0]
+                func_def.decorator_list = []
+        entry = _block_sources[id(code)] = (func_def, {})
+        weakref.finalize(code, _block_sources.pop, id(code), None)
+    func_def, shapes = entry
+    if func_def is None:
+        return None
+    root_names = _model_ref_names(func, model)
+    shape = shapes.get(root_names)
+    if shape is None:
+        shape = shapes[root_names] = _BlockShape(func_def, root_names)
+    return shape
 
 
 def _flatten_targets(targets):
@@ -595,7 +612,7 @@ def _flatten_targets(targets):
 
 def _mark_spine(target, spine_ids):
     """Record the attribute/subscript chain of an assignment target so
-    the read walk can skip it (indices stay readable)."""
+    it is not taken for a read (indices stay readable)."""
     cur = target
     while isinstance(cur, (ast.Attribute, ast.Subscript)):
         spine_ids.add(id(cur))
@@ -611,16 +628,17 @@ def _root_name(node):
     return cur.id if isinstance(cur, ast.Name) else None
 
 
-def _tainted_locals(func_def, root_names):
+def _tainted_locals(bindings, root_names):
     """Local names that may alias model-owned objects (signals,
-    bundles, submodels).
+    bundles, submodels), given every ``(value, targets)`` binding in
+    the block.
 
     A write through an untainted local (``routes[i] = ...``) is a pure
     Python container update; a write through a tainted one may reach a
-    signal, so the caller must treat the block's write set as unknown.
-    Taint flows from model-rooted paths, call results (conservative),
-    other tainted names, and ``for`` targets whose iterable is not a
-    plain ``range``/``enumerate``/``zip`` over untainted values.
+    signal, so the block's write set is unknown.  Taint flows from
+    model-rooted paths, call results (conservative), other tainted
+    names, and ``for`` targets whose iterable is not a plain
+    ``range``/``enumerate``/``zip`` over untainted values.
     """
     def expr_taints(node, tainted):
         if isinstance(node, (ast.Attribute, ast.Subscript)):
@@ -649,23 +667,7 @@ def _tainted_locals(func_def, root_names):
     # local assignments regardless of statement order.
     while True:
         before = len(tainted)
-        for node in ast.walk(func_def):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                value = node.value
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-            elif isinstance(node, ast.NamedExpr):
-                value, targets = node.value, [node.target]
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                value, targets = node.iter, [node.target]
-            elif isinstance(node, ast.comprehension):
-                value, targets = node.iter, [node.target]
-            elif isinstance(node, (ast.withitem,)):
-                if node.optional_vars is None:
-                    continue
-                value, targets = node.context_expr, [node.optional_vars]
-            else:
-                continue
+        for value, targets in bindings:
             if value is None or not expr_taints(value, tainted):
                 continue
             for target in _flatten_targets(targets):
@@ -689,7 +691,7 @@ def _model_ref_names(func, model):
     for var, val in func.__globals__.items():
         if val is model:
             names.add(var)
-    return names
+    return frozenset(names)
 
 
 _VALUE_ATTRS = {"value", "next", "uint", "int"}

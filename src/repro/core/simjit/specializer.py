@@ -23,13 +23,22 @@ import tempfile
 import time
 
 from ...telemetry import tracing
-from ..ast_ir import BlockIR, TranslationError, translate_block
+from ..ast_ir import (
+    AssignSig,
+    BlockIR,
+    SigRead,
+    StateRef,
+    TranslationError,
+    _sigref_from,
+    translate_block,
+    walk_stmts,
+)
 from ..elaboration import elaborate
 from ..model import Model
 from ..portbundle import PortBundle
 from ..probe import Probe
 from ..scheduling import build_schedule
-from ..signals import InPort, OutPort, Signal, _SignalSlice
+from ..signals import InPort, OutPort, Signal
 from ..simulation import _nets_of
 from .cgen import C_HEADER_DECLS, C_OBS_DECLS, CBackend
 
@@ -456,11 +465,10 @@ class _Specializer:
                 tick_irs.append(translate_block(sub, blk, kind))
 
         # Slice connectors become synthetic comb copies.
-        from ..ast_ir import AssignSig, SigRead
         for idx, (src, dst) in enumerate(model._connectors):
             ir = BlockIR(name=f"connector{idx}", kind="comb", model=model)
-            src_ref = _ref_of(src)
-            dst_ref = _ref_of(dst)
+            src_ref = _sigref_from(src)
+            dst_ref = _sigref_from(dst)
             ir.body = [AssignSig(dst_ref, SigRead(src_ref), False)]
             ir.sig_reads = [src_ref]
             ir.sig_writes = [dst_ref]
@@ -516,8 +524,7 @@ class _Specializer:
         state_vars = {}            # cname -> (model, attr_name, size)
 
         def collect(ir):
-            for stmt in _walk_stmts(ir.body):
-                from ..ast_ir import StateRef
+            for stmt in walk_stmts(ir.body):
                 ref = getattr(stmt, "ref", None)
                 if isinstance(ref, StateRef):
                     state_vars[state_cname(ref)] = (
@@ -643,7 +650,7 @@ class _Specializer:
                     f"  I->cur[{i}] = (((u128){hi}ULL) << 64) | {lo}ULL;"
                 )
         for end, const in model._const_ties:
-            ref = _ref_of(end)
+            ref = _sigref_from(end)
             slot = self._slot_of(ref.signals[0])
             width = ref.width
             init_lines.append(
@@ -754,21 +761,3 @@ class SimJITCL(_Specializer):
 
     allowed_ticks = ("cl", "rtl")
     name = "SimJIT-CL"
-
-
-def _ref_of(end):
-    from ..ast_ir import SigRef
-    if isinstance(end, _SignalSlice):
-        return SigRef([end.signal], lo=end.lo, hi=end.hi)
-    return SigRef([end])
-
-
-def _walk_stmts(stmts):
-    from ..ast_ir import For, If
-    for stmt in stmts:
-        yield stmt
-        if isinstance(stmt, If):
-            yield from _walk_stmts(stmt.body)
-            yield from _walk_stmts(stmt.orelse)
-        elif isinstance(stmt, For):
-            yield from _walk_stmts(stmt.body)

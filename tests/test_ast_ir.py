@@ -47,6 +47,32 @@ def test_simple_assign_lowered():
     assert stmt.expr.op == "+"
 
 
+class _Incr(Model):
+    def __init__(s):
+        s.a = InPort(8)
+        s.b = OutPort(8)
+
+
+_incr = _Incr()
+
+
+@_incr.combinational
+def _incr_logic():
+    _incr.b.value = _incr.a.value + 1
+
+
+def test_block_naming_model_through_global_lowered():
+    # The elaborator and the translator agree on which names denote
+    # the model: a module global counts as much as a closure cell.
+    ir = _lower(_incr)
+    blk, = _incr.get_comb_blocks()
+    assert [sig.name for sig in blk.reads] == ["a"]
+    assert [sig.name for sig in blk.writes] == ["b"] and blk.writes_known
+    stmt, = ir.body
+    assert isinstance(stmt, AssignSig) and stmt.ref.signal is _incr.b
+    assert [ref.signal for ref in ir.sig_reads] == [_incr.a]
+
+
 def test_constants_fold_in_rtl_blocks():
     class M(Model):
         def __init__(s):

@@ -5,10 +5,12 @@ import pytest
 from repro import (
     ElaborationError,
     InPort,
+    InValRdyBundle,
     Model,
     OutPort,
     SimulationTool,
     Wire,
+    bw,
 )
 
 
@@ -237,3 +239,256 @@ def test_connect_auto_pairs_by_name():
     model = Top().elaborate()
     assert model.dpath.status._net is model.ctrl.status._net
     assert model.dpath.control._net is model.ctrl.control._net
+
+
+# -- block analysis: one shape per function, one binding per instance --------
+#
+# Every block below closes over ``s`` and is registered on two instances
+# of ``_Bench`` (2 and 4 ports), so the two share one code object — one
+# shape — and must differ only in what the paths bind to.
+
+
+class _Bench(Model):
+    def __init__(s, build, nports):
+        s.in_ = InPort[nports](8)
+        s.out = OutPort[nports](8)
+        s.sel = InPort(bw(nports))
+        s.enq = InValRdyBundle(8)
+        s.reg = Wire(8)
+        s.nports = nports           # immutable constant
+        s.buf = [0]                 # mutable non-signal state
+        build(s)
+
+
+def _ports(name, nports):
+    return [f"{name}[{i}]" for i in range(nports)]
+
+
+def _comb_spine_prefix(s):
+    @s.combinational
+    def blk():
+        s.enq.rdy.value = s.sel.value
+
+
+def _comb_augmented(s):
+    @s.combinational
+    def blk():
+        s.enq.rdy.value |= s.sel.value
+
+
+def _comb_dynamic_index(s):
+    @s.combinational
+    def blk():
+        s.out[s.sel.uint()].value = s.in_[s.sel.uint()].value
+
+
+def _comb_tainted_alias(s):
+    @s.combinational
+    def blk():
+        port = s.out[0]
+        port.value = s.sel.value
+
+
+def _comb_local_container(s):
+    @s.combinational
+    def blk():
+        xs = [0] * 2
+        xs[0] = s.sel.value
+        s.out[0].value = xs[0]
+
+
+def _comb_method_call(s):
+    @s.combinational
+    def blk():
+        s.buf.append(s.sel.value)
+        s.out[0].value = s.sel.uint()
+
+
+def _comb_no_source(s):
+    env = {"s": s}
+    exec("def blk():\n    s.out[0].value = s.in_[0].value\n", env)
+    s.combinational(env["blk"])
+
+
+def _tick_registered(s):
+    @s.tick_rtl
+    def blk():
+        if s.nports > 1:
+            s.reg.next = s.in_[s.sel.uint()].value
+
+
+def _tick_value_write(s):
+    @s.tick_rtl
+    def blk():
+        s.reg.value = s.sel.value
+
+
+def _tick_method_call(s):
+    @s.tick_rtl
+    def blk():
+        s.buf.append(s.sel.value)
+
+
+def _tick_mutable_read(s):
+    @s.tick_rtl
+    def blk():
+        s.reg.next = len(s.buf)
+
+
+def _tick_lambda(s):
+    @s.tick_rtl
+    def blk():
+        pick = lambda: s.sel.value  # noqa: E731
+        s.reg.next = pick()
+
+
+def _tick_nested_def(s):
+    @s.tick_rtl
+    def blk():
+        def pick():
+            return s.sel.value
+        s.reg.next = pick()
+
+
+def _tick_bare_model(s):
+    @s.tick_rtl
+    def blk():
+        s.reg.next = id(s)
+
+
+def _tick_tainted_deref(s):
+    @s.tick_rtl
+    def blk():
+        port = s.in_[0]
+        s.reg.next = port.value
+
+
+def _tick_no_source(s):
+    env = {"s": s}
+    exec("def blk():\n    s.reg.next = s.sel.value\n", env)
+    s.tick_rtl(env["blk"])
+
+
+_ENQ_IN = ["enq.msg", "enq.val"]
+
+
+def _fallback(n):
+    """Every input port and wire of a ``_Bench``."""
+    return ["clk", "reset", "sel", "reg"] + _ENQ_IN + _ports("in_", n)
+
+
+# build, per-nports expectation of (reads, writes, writes_known |
+# gateable[, signals]); ``signals`` defaults to ``reads``.
+_ANALYSIS_CASES = [
+    # The target spine ``s.enq`` is no read of the bundle, though the
+    # sensitivity list keeps it.
+    (_comb_spine_prefix,
+     lambda n: (["sel"], ["enq.rdy"], True, ["sel"] + _ENQ_IN)),
+    # An augmented target is read: its ``s.enq`` prefix now counts.
+    (_comb_augmented,
+     lambda n: (["sel"] + _ENQ_IN, ["enq.rdy"], True)),
+    # A dynamic index widens to every element of this instance's list.
+    (_comb_dynamic_index,
+     lambda n: (["sel"] + _ports("in_", n), _ports("out", n), True)),
+    (_comb_tainted_alias,
+     lambda n: (["sel"] + _ports("out", n), [], False)),
+    (_comb_local_container,
+     lambda n: (["sel"], ["out[0]"], True, ["sel"] + _ports("out", n)[1:])),
+    (_comb_method_call,
+     lambda n: (["sel"], ["out[0]"], False, ["sel"] + _ports("out", n)[1:])),
+    (_comb_no_source, lambda n: ([], [], False, _fallback(n))),
+    (_tick_registered,
+     lambda n: (["sel"] + _ports("in_", n), ["reg"], True)),
+    (_tick_value_write, lambda n: ([], [], False)),
+    (_tick_method_call, lambda n: ([], [], False)),
+    (_tick_mutable_read, lambda n: ([], [], False)),
+    (_tick_lambda, lambda n: ([], [], False)),
+    (_tick_nested_def, lambda n: ([], [], False)),
+    (_tick_bare_model, lambda n: ([], [], False)),
+    (_tick_tainted_deref, lambda n: ([], [], False)),
+    (_tick_no_source, lambda n: ([], [], False)),
+]
+
+
+def _names(signals):
+    return sorted(sig.name for sig in signals)
+
+
+@pytest.mark.parametrize(
+    "build, expect", _ANALYSIS_CASES,
+    ids=[build.__name__.lstrip("_") for build, _ in _ANALYSIS_CASES])
+def test_block_analysis(build, expect):
+    # Both instances exist before either is analysed, and the larger
+    # one is analysed last and checked first.
+    models = [_Bench(build, nports) for nports in (2, 4)]
+    for model in models:
+        model.elaborate()
+    for model in reversed(models):
+        reads, writes, flag, *signals = expect(model.nports)
+        if build.__name__.startswith("_comb"):
+            blk, = model.get_comb_blocks()
+            assert blk.writes_known is flag
+            assert _names(blk.signals) == sorted(
+                signals[0] if signals else reads)
+        else:
+            blk, = model.get_tick_blocks()
+            assert blk.gateable is flag
+        assert _names(blk.reads) == sorted(reads)
+        assert _names(blk.writes) == sorted(writes)
+
+
+@pytest.mark.parametrize("build, kind", [(_comb_no_source, "comb"),
+                                         (_tick_no_source, "tick_rtl")])
+def test_block_without_source_does_not_lower(build, kind):
+    from repro.core.ast_ir import TranslationError, translate_block
+
+    model = _Bench(build, 2).elaborate()
+    blk, = model.get_comb_blocks() or model.get_tick_blocks()
+    with pytest.raises(TranslationError, match="cannot retrieve source"):
+        translate_block(model, blk, kind)
+
+
+def test_block_source_parsed_once_per_function(monkeypatch):
+    import ast
+
+    from repro import SimJITRTL
+    from repro.core import elaboration
+    from repro.net import MeshNetworkStructural, RouterRTL
+
+    parses = []
+    real_parse = ast.parse
+    monkeypatch.setattr(
+        ast, "parse", lambda *a, **kw: parses.append(1) or real_parse(*a, **kw))
+    monkeypatch.setattr(elaboration, "_block_sources", {})
+
+    net = MeshNetworkStructural(RouterRTL, 16, 256, 32, 2).elaborate()
+    codes = {blk.func.__code__
+             for model in net._all_models
+             for blk in model._comb_blocks + model._tick_blocks}
+    nblocks = sum(len(model._comb_blocks) + len(model._tick_blocks)
+                  for model in net._all_models)
+    assert len(parses) == len(codes) < nblocks
+    SimJITRTL(net).specialize()
+    assert len(parses) == len(codes)
+
+
+def test_block_shapes_die_with_their_functions():
+    import gc
+
+    from repro.core.elaboration import _block_sources
+
+    def one_shot(i):
+        env = {}
+        exec(f"def build(s):\n"
+             f"    @s.combinational\n"
+             f"    def blk():\n"
+             f"        s.out[0].value = s.in_[0].value + {i}\n", env)
+        return _Bench(env["build"], 2).elaborate()
+
+    one_shot(0)
+    gc.collect()
+    before = len(_block_sources)
+    for i in range(50):
+        one_shot(i)
+    gc.collect()
+    assert len(_block_sources) == before
