@@ -70,7 +70,7 @@ import inspect
 import textwrap
 import weakref
 
-from .model import Model, _CombBlock
+from .model import MAX_LIST_DEPTH, Model
 from .portbundle import PortBundle
 from .signals import InPort, OutPort, Signal, Wire, _SignalSlice
 
@@ -111,7 +111,7 @@ def _elaborate(top):
 
     all_signals = []
     for model in all_models:
-        all_signals.extend(_model_signals(model))
+        all_signals.extend(model.get_signals())
 
     # Collapse union-find chains: each signal points directly at its root
     # net so simulation-time reads skip the find().
@@ -167,6 +167,8 @@ def _name_model(model):
 
 
 def _name_attr(model, name, attr, depth=0):
+    # Not ``Model.get_signals``: naming needs the attribute name and
+    # list index of every signal, bundle and submodel on the way down.
     if isinstance(attr, Signal):
         attr.name = name
         attr.parent = model
@@ -181,7 +183,7 @@ def _name_attr(model, name, attr, depth=0):
             attr.name = name
             attr.parent = model
             model._submodels.append(attr)
-    elif isinstance(attr, list) and depth < 4:
+    elif isinstance(attr, list) and depth < MAX_LIST_DEPTH:
         for i, item in enumerate(attr):
             _name_attr(model, f"{name}[{i}]", item, depth + 1)
 
@@ -190,26 +192,6 @@ def _collect_models(model, out):
     out.append(model)
     for child in model._submodels:
         _collect_models(child, out)
-
-
-def _model_signals(model):
-    signals = []
-    for attr in model.__dict__.values():
-        signals.extend(_attr_signals(attr))
-    return signals
-
-
-def _attr_signals(attr, depth=0):
-    if isinstance(attr, Signal):
-        return [attr]
-    if isinstance(attr, PortBundle):
-        return attr.get_signals()
-    if isinstance(attr, list) and depth < 4:
-        found = []
-        for item in attr:
-            found.extend(_attr_signals(item, depth + 1))
-        return found
-    return []
 
 
 # -- connections ---------------------------------------------------------------

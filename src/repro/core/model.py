@@ -35,6 +35,7 @@ two submodels (paper Figure 9).
 
 from __future__ import annotations
 
+from .portbundle import PortBundle
 from .signals import InPort, OutPort, Signal, Wire, _SignalSlice
 
 
@@ -203,7 +204,6 @@ class Model:
         storage).  Slice connections and constants become directional
         connector logic, with the driver inferred from port kinds.
         """
-        from .portbundle import PortBundle
         if isinstance(left, PortBundle) and isinstance(right, PortBundle):
             for sig_a, sig_b in left.connectable(right):
                 self._connections.append((sig_a, sig_b))
@@ -266,24 +266,37 @@ class Model:
             return self.name or type(self).__name__.lower()
         return f"{self.parent.full_name()}.{self.name}"
 
+    def get_signals(self, kinds=Signal):
+        """The signals of the given kind(s) this model itself declares,
+        in declaration order — the model/tool API's one answer to "what
+        does this model own", the same before and after elaboration.
+
+        Public attributes only (``_``-prefixed ones are bookkeeping:
+        ``_observed_signals`` and the top's ``_all_signals`` list
+        signals a second time); lists are followed
+        :data:`MAX_LIST_DEPTH` levels deep and port bundles are
+        expanded into their signals, unless ``kinds`` names a bundle
+        class, which selects the bundles themselves.  Submodels'
+        signals are theirs: walk ``get_submodels()``.
+        """
+        found = []
+        for name, attr in self.__dict__.items():
+            if not name.startswith("_"):
+                _collect(attr, kinds, found, 0)
+        return found
+
     def get_ports(self):
         """All InPort/OutPort signals declared on this model."""
-        ports = []
-        for attr in self.__dict__.values():
-            ports.extend(_collect(attr, (InPort, OutPort)))
-        return ports
+        return self.get_signals((InPort, OutPort))
 
     def get_inports(self):
-        return [p for p in self.get_ports() if isinstance(p, InPort)]
+        return self.get_signals(InPort)
 
     def get_outports(self):
-        return [p for p in self.get_ports() if isinstance(p, OutPort)]
+        return self.get_signals(OutPort)
 
     def get_wires(self):
-        wires = []
-        for attr in self.__dict__.values():
-            wires.extend(_collect(attr, (Wire,)))
-        return wires
+        return self.get_signals(Wire)
 
     def get_submodels(self):
         return list(self._submodels)
@@ -313,20 +326,24 @@ class Model:
         return f"<{type(self).__name__} {self.full_name()}>"
 
 
-def _collect(attr, kinds, _depth=0):
-    """Collect signals of the given kinds from an attribute value,
-    descending into (possibly nested) lists."""
+#: How many list levels deep a model attribute may nest signals,
+#: bundles or submodels (``s.in_[i][j][k][l]``): the one bound the
+#: collector below, the elaborator's naming walk and SimJIT's port
+#: adoption share.
+MAX_LIST_DEPTH = 4
+
+
+def _collect(attr, kinds, found, depth):
+    """Append to ``found`` what one attribute value holds of ``kinds``
+    — the only recursive signal collector (see
+    :meth:`Model.get_signals`)."""
     if isinstance(attr, kinds):
-        return [attr]
-    if isinstance(attr, list) and _depth < 4:
-        found = []
+        found.append(attr)
+    elif isinstance(attr, PortBundle):
+        found.extend(s for s in attr.get_signals() if isinstance(s, kinds))
+    elif isinstance(attr, list) and depth < MAX_LIST_DEPTH:
         for item in attr:
-            found.extend(_collect(item, kinds, _depth + 1))
-        return found
-    from .portbundle import PortBundle
-    if isinstance(attr, PortBundle):
-        return [s for s in attr.get_signals() if isinstance(s, kinds)]
-    return []
+            _collect(item, kinds, found, depth + 1)
 
 
 def _port_dict(model):

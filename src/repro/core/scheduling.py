@@ -56,6 +56,21 @@ class StaticSchedule:
         }
 
 
+def nets_of(ends):
+    """Deduplicated net roots of a list of signals/slices: how both
+    callers of :func:`build_schedule` (the simulator and the SimJIT
+    specializer) turn a block's read/write signals into its input."""
+    nets = []
+    seen = set()
+    for end in ends:
+        sig = end.signal if hasattr(end, "signal") else end
+        net = sig._net.find()
+        if id(net) not in seen:
+            seen.add(id(net))
+            nets.append(net)
+    return nets
+
+
 def build_schedule(infos):
     """Build a :class:`StaticSchedule` from block descriptions.
 

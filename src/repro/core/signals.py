@@ -109,7 +109,95 @@ class _ArrayableMeta(type):
         return make
 
 
-class Signal(metaclass=_ArrayableMeta):
+class _ValueOps:
+    """Operator forwarding shared by a signal and a slice of one: each
+    operator applies to the operand's current ``.value`` (a ``Bits``),
+    so ``s.count + 1`` reads like ``s.count.value + 1`` and a slice
+    supports exactly the operators its signal does.  Methods are
+    defined directly over ``.value`` — no ``super()``, no wrapper
+    frame — because behavioural blocks call them at cycle rate."""
+
+    __slots__ = ()
+
+    def __int__(self):
+        return int(self.value)
+
+    def __index__(self):
+        return int(self.value)
+
+    def __bool__(self):
+        return int(self.value) != 0
+
+    def __add__(self, other):
+        return self.value + other
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.value - other
+
+    def __rsub__(self, other):
+        return other - self.value
+
+    def __mul__(self, other):
+        return self.value * other
+
+    __rmul__ = __mul__
+
+    def __and__(self, other):
+        return self.value & other
+
+    __rand__ = __and__
+
+    def __or__(self, other):
+        return self.value | other
+
+    __ror__ = __or__
+
+    def __xor__(self, other):
+        return self.value ^ other
+
+    __rxor__ = __xor__
+
+    def __invert__(self):
+        return ~self.value
+
+    def __lshift__(self, other):
+        return self.value << other
+
+    def __rshift__(self, other):
+        return self.value >> other
+
+    def __eq__(self, other):
+        if isinstance(other, _ValueOps):
+            other = other.value
+        return self.value == other
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    def __lt__(self, other):
+        if isinstance(other, _ValueOps):
+            other = other.value
+        return self.value < other
+
+    def __le__(self, other):
+        if isinstance(other, _ValueOps):
+            other = other.value
+        return self.value <= other
+
+    def __gt__(self, other):
+        if isinstance(other, _ValueOps):
+            other = other.value
+        return self.value > other
+
+    def __ge__(self, other):
+        if isinstance(other, _ValueOps):
+            other = other.value
+        return self.value >= other
+
+
+class Signal(_ValueOps, metaclass=_ArrayableMeta):
     """Base class for ports and wires."""
 
     def __init__(self, msg_type):
@@ -198,7 +286,7 @@ class Signal(metaclass=_ArrayableMeta):
     def __len__(self):
         return self.nbits
 
-    # -- operator forwarding --------------------------------------------------
+    # -- direct-net shortcuts of the _ValueOps conversions ---------------------
 
     def __int__(self):
         net = self._net
@@ -211,75 +299,6 @@ class Signal(metaclass=_ArrayableMeta):
     def __bool__(self):
         net = self._net
         return (net if net.parent is net else net.find())._value != 0
-
-    def __add__(self, other):
-        return self.value + other
-
-    def __radd__(self, other):
-        return self.value + other
-
-    def __sub__(self, other):
-        return self.value - other
-
-    def __rsub__(self, other):
-        return other - int(self) if isinstance(other, int) else other - self.value
-
-    def __mul__(self, other):
-        return self.value * other
-
-    __rmul__ = __mul__
-
-    def __and__(self, other):
-        return self.value & other
-
-    __rand__ = __and__
-
-    def __or__(self, other):
-        return self.value | other
-
-    __ror__ = __or__
-
-    def __xor__(self, other):
-        return self.value ^ other
-
-    __rxor__ = __xor__
-
-    def __invert__(self):
-        return ~self.value
-
-    def __lshift__(self, other):
-        return self.value << other
-
-    def __rshift__(self, other):
-        return self.value >> other
-
-    def __eq__(self, other):
-        if isinstance(other, (Signal, _SignalSlice)):
-            other = other.value
-        return self.value == other
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __lt__(self, other):
-        if isinstance(other, (Signal, _SignalSlice)):
-            other = other.value
-        return self.value < other
-
-    def __le__(self, other):
-        if isinstance(other, (Signal, _SignalSlice)):
-            other = other.value
-        return self.value <= other
-
-    def __gt__(self, other):
-        if isinstance(other, (Signal, _SignalSlice)):
-            other = other.value
-        return self.value > other
-
-    def __ge__(self, other):
-        if isinstance(other, (Signal, _SignalSlice)):
-            other = other.value
-        return self.value >= other
 
     def __hash__(self):
         return id(self)
@@ -301,7 +320,7 @@ class Wire(Signal):
     """An internal wire (or register, when written via ``.next``)."""
 
 
-class _SignalSlice:
+class _SignalSlice(_ValueOps):
     """Read/write view of a bit range of a signal.
 
     Returned by ``sig[lo:hi]``, ``sig[i]``, and BitStruct field access
@@ -370,70 +389,6 @@ class _SignalSlice:
 
     def __len__(self):
         return self.nbits
-
-    def __int__(self):
-        return int(self.value)
-
-    def __index__(self):
-        return int(self.value)
-
-    def __bool__(self):
-        return int(self.value) != 0
-
-    def __add__(self, other):
-        return self.value + other
-
-    def __radd__(self, other):
-        return self.value + other
-
-    def __sub__(self, other):
-        return self.value - other
-
-    def __and__(self, other):
-        return self.value & other
-
-    def __or__(self, other):
-        return self.value | other
-
-    def __xor__(self, other):
-        return self.value ^ other
-
-    def __invert__(self):
-        return ~self.value
-
-    def __lshift__(self, other):
-        return self.value << other
-
-    def __rshift__(self, other):
-        return self.value >> other
-
-    def __eq__(self, other):
-        if isinstance(other, (Signal, _SignalSlice)):
-            other = other.value
-        return self.value == other
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __lt__(self, other):
-        if isinstance(other, (Signal, _SignalSlice)):
-            other = other.value
-        return self.value < other
-
-    def __le__(self, other):
-        if isinstance(other, (Signal, _SignalSlice)):
-            other = other.value
-        return self.value <= other
-
-    def __gt__(self, other):
-        if isinstance(other, (Signal, _SignalSlice)):
-            other = other.value
-        return self.value > other
-
-    def __ge__(self, other):
-        if isinstance(other, (Signal, _SignalSlice)):
-            other = other.value
-        return self.value >= other
 
     def __hash__(self):
         return hash((id(self.signal), self.lo, self.hi))

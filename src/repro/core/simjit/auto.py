@@ -14,7 +14,7 @@ models (and anything outside the subset) stay interpreted.
 
 from __future__ import annotations
 
-from ..ast_ir import TranslationError, translate_block
+from ..ast_ir import TranslationError, lower
 from ..model import Model
 from .specializer import SimJITCL, SimJITRTL, SpecializationError
 
@@ -25,26 +25,25 @@ _LEVEL_SPECIALIZERS = {
 
 
 def _blocks_translatable(model, allowed_levels):
-    """Can this model's own blocks be lowered by a specializer?"""
-    for blk in model.get_tick_blocks():
-        if blk.level not in allowed_levels:
-            return False
-        kind = "tick_cl" if blk.level == "cl" else "tick_rtl"
-        try:
-            translate_block(model, blk, kind)
-        except TranslationError:
-            return False
-    for blk in model.get_comb_blocks():
-        try:
-            translate_block(model, blk, "comb")
-        except TranslationError:
-            return False
+    """Can this model's own blocks be lowered by a specializer?  The
+    IR is dropped: the specializer lowers the chosen subtrees again
+    (see :func:`~repro.core.ast_ir.lower` on why nothing is cached)."""
+    if any(blk.level not in allowed_levels
+           for blk in model.get_tick_blocks()):
+        return False
+    try:
+        for blk in model.get_tick_blocks() + model.get_comb_blocks():
+            lower(blk)
+    except TranslationError:
+        return False
     return True
 
 
 def _submodel_attrs(model):
     """Yield (container, key, child) for every Model-valued attribute,
-    descending into lists."""
+    descending into lists.  Not ``get_submodels()``: this runs before
+    elaboration has filled it, and splicing a wrapper in needs the
+    container that holds the child."""
     for name, attr in list(model.__dict__.items()):
         if name.startswith("_"):
             continue
@@ -65,8 +64,7 @@ def _subtree_specializable(model, allowed_levels):
     )
 
 
-def auto_specialize(model, allowed_levels=("rtl", "cl"), _top=True,
-                    stats=None):
+def auto_specialize(model, allowed_levels=("rtl", "cl"), stats=None):
     """Specialize every maximal SimJIT-compatible subtree of ``model``.
 
     ``model`` must not be elaborated yet.  Returns ``model`` (children
@@ -82,17 +80,16 @@ def auto_specialize(model, allowed_levels=("rtl", "cl"), _top=True,
 
     for container, key, child in _submodel_attrs(model):
         if _subtree_specializable(child, allowed_levels):
-            container[key] = _specialize_one(child, allowed_levels)
+            container[key] = _specialize_one(child)
             stats["specialized"].append(type(child).__name__)
         else:
             # Descend: maybe grandchildren are specializable.
-            auto_specialize(child, allowed_levels, _top=False,
-                            stats=stats)
+            auto_specialize(child, allowed_levels, stats=stats)
             stats["interpreted"].append(type(child).__name__)
     return model
 
 
-def _specialize_one(child, allowed_levels):
+def _specialize_one(child):
     has_cl = any(
         blk.level == "cl"
         for sub in _all_models(child) for blk in sub.get_tick_blocks()

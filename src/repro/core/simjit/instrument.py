@@ -125,8 +125,6 @@ class KernelInstrumentation:
     def try_add_recorder(self, rec):
         """Compile every tap of ``rec`` or none (all-or-nothing, so one
         recorder's window never mixes sampling paths)."""
-        if self.disabled:
-            return False
         try:
             slots = [self.net_slot(tap) for tap in rec._taps]
         except Unlowerable as exc:
@@ -179,10 +177,7 @@ class KernelInstrumentation:
     # -- transaction tracers ----------------------------------------------
 
     def register_tracer(self, tracer):
-        if self.disabled:
-            return False
         self._tracers.append(tracer)
-        return True
 
     def try_add_tx_tap(self, tap):
         """Compile one val/rdy tap; returns False on Unlowerable (the
@@ -230,8 +225,6 @@ class KernelInstrumentation:
     def try_add_watchpoint(self, wp, nodes):
         """Register ``wp``'s condition, already lowered to ``nodes``
         (``[(kind, slot, a, b, aux)]``, root last)."""
-        if self.disabled:
-            return False
         if (len(self._watchpoints) >= OBS_MAX_WP
                 or len(nodes) > OBS_MAX_NODES):
             self.warn_fallback(f"watchpoint {wp.name!r}",
@@ -277,8 +270,6 @@ class KernelInstrumentation:
     # -- signal-backed histograms -----------------------------------------
 
     def try_add_histogram(self, hist):
-        if self.disabled:
-            return False
         try:
             if hist._sig.nbits > 63:
                 raise Unlowerable(
@@ -451,7 +442,7 @@ class KernelInstrumentation:
             # The C edge trackers left prev == current value, exactly
             # what a fresh bind reads, so rebinding preserves edge
             # semantics across the conversion.
-            wp._bound = wp.condition.bind(sim)
+            wp._bound = wp.condition.bind(wp._probe_of)
             converted.append(f"watchpoint {wp.name!r}")
         for idx, hist in list(self._hists):
             self._sync_hist(idx, hist)

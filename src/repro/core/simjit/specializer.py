@@ -30,16 +30,15 @@ from ..ast_ir import (
     StateRef,
     TranslationError,
     _sigref_from,
-    translate_block,
+    lower,
     walk_stmts,
 )
 from ..elaboration import elaborate
-from ..model import Model
+from ..model import MAX_LIST_DEPTH, Model
 from ..portbundle import PortBundle
 from ..probe import Probe
-from ..scheduling import build_schedule
+from ..scheduling import build_schedule, nets_of
 from ..signals import InPort, OutPort, Signal
-from ..simulation import _nets_of
 from .cgen import C_HEADER_DECLS, C_OBS_DECLS, CBackend
 
 _CACHE_ENV = "SIMJIT_CACHE_DIR"
@@ -152,8 +151,8 @@ class SimJITEngine:
         self.state_index = {}
         self.model_index = {}
         # Port order is the order of the C in_slot[]/out_slot[] tables.
-        self._in_ports = _flat_ports(model, InPort)
-        self._out_ports = _flat_ports(model, OutPort)
+        self._in_ports = model.get_inports()
+        self._out_ports = model.get_outports()
         n_in = len(self._in_ports)
         self._in_lo = ffi.new("uint64_t[]", max(1, n_in))
         # A high-word array only where some input port needs one.
@@ -274,7 +273,9 @@ class JITModel(Model):
     """Drop-in replacement model wrapping a SimJIT engine.
 
     Adopts the original model's port objects so every attribute path a
-    test bench uses (``m.in_[3].val`` …) keeps working unchanged.
+    test bench uses (``m.in_[3].val`` …) keeps working unchanged — a
+    copy of attributes with their containers, which is why it is not
+    ``orig.get_ports()``.
     """
 
     def __init__(s, orig, engine):
@@ -309,7 +310,7 @@ class JITModel(Model):
 def _is_portlike(attr, depth=0):
     if isinstance(attr, (InPort, OutPort, PortBundle)):
         return True
-    if isinstance(attr, list) and depth < 3 and attr:
+    if isinstance(attr, list) and depth < MAX_LIST_DEPTH and attr:
         return all(_is_portlike(a, depth + 1) for a in attr)
     return False
 
@@ -320,28 +321,6 @@ def _clear_parent(attr):
     elif isinstance(attr, list):
         for item in attr:
             _clear_parent(item)
-
-
-def _flat_ports(model, kind):
-    ports = []
-    for name, attr in model.__dict__.items():
-        if name.startswith("_"):
-            continue
-        ports.extend(_collect_ports(attr, kind))
-    return ports
-
-
-def _collect_ports(attr, kind, depth=0):
-    if isinstance(attr, kind):
-        return [attr]
-    if isinstance(attr, PortBundle):
-        return [s for s in attr.get_signals() if isinstance(s, kind)]
-    if isinstance(attr, list) and depth < 3:
-        found = []
-        for item in attr:
-            found.extend(_collect_ports(item, kind, depth + 1))
-        return found
-    return []
 
 
 class _Specializer:
@@ -452,17 +431,15 @@ class _Specializer:
         tick_irs = []
         for sub in model._all_models:
             for blk in sub.get_comb_blocks():
-                comb_irs.append(translate_block(sub, blk, "comb"))
+                comb_irs.append(lower(blk))
             for blk in sub.get_tick_blocks():
                 if blk.level not in self.allowed_ticks:
                     raise SpecializationError(
-                        f"{self.name} cannot specialize "
-                        f"{sub.full_name()}.{blk.func.__name__} "
+                        f"{self.name} cannot specialize {blk.name} "
                         f"(level '{blk.level}'; supported: "
                         f"{sorted(self.allowed_ticks)})"
                     )
-                kind = "tick_cl" if blk.level == "cl" else "tick_rtl"
-                tick_irs.append(translate_block(sub, blk, kind))
+                tick_irs.append(lower(blk))
 
         # Slice connectors become synthetic comb copies.
         for idx, (src, dst) in enumerate(model._connectors):
@@ -498,8 +475,8 @@ class _Specializer:
             # not feedback), so that read is no dependency.
             read = {id(sig): sig for ref in ir.sig_reads
                     for sig in ref.signals if id(sig) not in written}
-            infos.append((i, _nets_of(read.values()),
-                          _nets_of(written.values()), True))
+            infos.append((i, nets_of(read.values()),
+                          nets_of(written.values()), True))
         sched = build_schedule(infos)
         order = [comb_irs[i] for i in sched.order + sched.event_funcs]
         return order, len(sched.event_funcs)
@@ -573,10 +550,8 @@ class _Specializer:
         flop_slots = sorted({
             self._slot_of(sig) for ir in tick_irs
             for ref in ir.sig_writes for sig in ref.signals})
-        in_slots = [self._slot_of(sig)
-                    for sig in _flat_ports(model, InPort)]
-        out_slots = [self._slot_of(sig)
-                     for sig in _flat_ports(model, OutPort)]
+        in_slots = [self._slot_of(sig) for sig in model.get_inports()]
+        out_slots = [self._slot_of(sig) for sig in model.get_outports()]
         for macro, table, slots in (("NIN", "in_slot", in_slots),
                                     ("NOUT", "out_slot", out_slots),
                                     ("NFLOP", "flop_slot", flop_slots)):

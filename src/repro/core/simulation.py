@@ -66,7 +66,7 @@ from collections import deque
 from time import perf_counter
 
 from .probe import Probe
-from .scheduling import build_schedule, generate_kernel
+from .scheduling import build_schedule, generate_kernel, nets_of
 from ..resilience.warnings import ResilienceWarning
 from ..telemetry import tracing
 
@@ -176,8 +176,8 @@ class SimulationTool:
             comb_funcs.append(blk.func)
             infos.append((
                 blk.func,
-                _nets_of(blk.reads),
-                _nets_of(blk.writes),
+                nets_of(blk.reads),
+                nets_of(blk.writes),
                 blk.writes_known,
             ))
         for src, dst in model._connectors:
@@ -185,8 +185,8 @@ class SimulationTool:
             comb_funcs.append(func)
             infos.append((
                 func,
-                _nets_of([src]),
-                _nets_of([dst]),
+                nets_of([src]),
+                nets_of([dst]),
                 True,
             ))
 
@@ -346,7 +346,7 @@ class SimulationTool:
             gate = blk.gateable and func is blk.func
             cand.append(gate)
             if gate:
-                for net in _nets_of(blk.writes):
+                for net in nets_of(blk.writes):
                     writer_counts[id(net)] = writer_counts.get(
                         id(net), 0) + 1
         plan = []
@@ -354,7 +354,7 @@ class SimulationTool:
         for (blk, func), gate in zip(
                 zip(self._tick_blocks, self._ticks), cand):
             if gate and any(writer_counts[id(net)] > 1
-                            for net in _nets_of(blk.writes)):
+                            for net in nets_of(blk.writes)):
                 gate = False
             if not gate:
                 plan.append((-1, func))
@@ -362,7 +362,7 @@ class SimulationTool:
             slot = nslots
             nslots += 1
             plan.append((slot, func))
-            for net in _nets_of(blk.reads):
+            for net in nets_of(blk.reads):
                 net.treaders = net.treaders + (slot,)
         self._tick_plan = plan
         self._tflags = bytearray(b"\x01" * nslots)
@@ -905,19 +905,6 @@ class SimulationTool:
         except Exception as exc:
             trace = f"<line_trace unavailable: {exc}>"
         self.trace_log.append((cycle, trace))
-
-
-def _nets_of(ends):
-    """Deduplicated net roots of a list of signals/slices."""
-    nets = []
-    seen = set()
-    for end in ends:
-        sig = end.signal if hasattr(end, "signal") else end
-        net = sig._net.find()
-        if id(net) not in seen:
-            seen.add(id(net))
-            nets.append(net)
-    return nets
 
 
 def _endpoint_name(end):

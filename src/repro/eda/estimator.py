@@ -42,7 +42,7 @@ from ..core.ast_ir import (
     StateRead,
     TranslationError,
     UnOp,
-    translate_block,
+    lower,
 )
 from ..core.elaboration import elaborate
 
@@ -149,10 +149,9 @@ def _estimate_module(model):
     flopped = {}
     irs = []
     for blk in model.get_comb_blocks():
-        irs.append(("comb", _lower(model, blk, "comb")))
+        irs.append(("comb", _lower(blk)))
     for blk in model.get_tick_blocks():
-        kind = "tick_cl" if blk.level in ("cl", "fl") else "tick_rtl"
-        irs.append(("tick", _lower(model, blk, kind)))
+        irs.append(("tick", _lower(blk)))
 
     for kind, ir in irs:
         if ir is None:
@@ -178,9 +177,9 @@ def _estimate_module(model):
     return est
 
 
-def _lower(model, blk, kind):
+def _lower(blk):
     try:
-        return translate_block(model, blk, kind)
+        return lower(blk)
     except TranslationError:
         # FL-style blocks have no hardware estimate.
         return None

@@ -208,13 +208,23 @@ class FlightRecorder:
 
     # -- window extraction ------------------------------------------------
 
-    def window(self):
-        """Immutable :class:`RecorderWindow` of the current contents."""
+    def _held(self):
+        """The per-cycle change lists currently held, on either
+        sampling path (a compiled recorder is drained first, which
+        also brings ``nsamples`` up to date)."""
         if self._instr is not None:
             self._instr.drain()
-            changes = [(c, list(ch)) for c, ch in self._c_entries()]
-        else:
-            changes = [(c, list(ch)) for c, ch in self._entries]
+            return self._c_entries()
+        return self._entries
+
+    @property
+    def window_cycles(self):
+        """Cycles currently held (at most ``depth``)."""
+        return len(self._held())
+
+    def window(self):
+        """Immutable :class:`RecorderWindow` of the current contents."""
+        changes = [(c, list(ch)) for c, ch in self._held()]
         return RecorderWindow(
             names=list(self.signal_names),
             widths=[tap.nbits for tap in self._taps],
@@ -225,7 +235,7 @@ class FlightRecorder:
 
     def __repr__(self):
         return (f"<FlightRecorder {len(self._taps)} signals "
-                f"depth={self.depth} recorded={len(self._entries)}>")
+                f"depth={self.depth} recorded={self.window_cycles}>")
 
 
 class RecorderWindow:

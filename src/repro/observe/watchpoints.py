@@ -75,8 +75,11 @@ class Condition:
     """An unbound temporal condition; build with the combinators below
     and compose with ``&``, ``|``, ``~``."""
 
-    def bind(self, sim):
-        """Return a bound evaluator with ``update(cycle) -> bool``."""
+    def bind(self, probe_of):
+        """Return a bound evaluator with ``update(cycle) -> bool``;
+        ``probe_of(spec)`` is the resolved
+        :class:`~repro.core.probe.Probe` of a signal spec in the tree
+        (see :func:`_condition_taps`)."""
         raise NotImplementedError
 
     def describe(self):
@@ -104,8 +107,8 @@ class _BoolOp(Condition):
         self.left = left
         self.right = right
 
-    def bind(self, sim):
-        lhs, rhs = self.left.bind(sim), self.right.bind(sim)
+    def bind(self, probe_of):
+        lhs, rhs = self.left.bind(probe_of), self.right.bind(probe_of)
         if self.op == "and":
             # Evaluate both unconditionally: stateful conditions (edge
             # trackers, stability counters) must see every cycle.
@@ -125,8 +128,8 @@ class _Not(Condition):
             raise TypeError("~ applies only to conditions")
         self.inner = inner
 
-    def bind(self, sim):
-        bound = self.inner.bind(sim)
+    def bind(self, probe_of):
+        bound = self.inner.bind(probe_of)
         return _Bound(lambda cycle: not bound.update(cycle))
 
     def describe(self):
@@ -153,8 +156,8 @@ class _SignalCondition(Condition):
     def __init__(self, spec):
         self.spec = spec
 
-    def bind(self, sim):
-        return self._bound(Probe.resolve(sim, self.spec))
+    def bind(self, probe_of):
+        return self._bound(probe_of(self.spec))
 
     def _bound(self, tap):
         raise NotImplementedError
@@ -207,8 +210,8 @@ class _When(Condition):
         self.fn = fn
         self.specs = specs
 
-    def bind(self, sim):
-        reads = [Probe.resolve(sim, spec).read for spec in self.specs]
+    def bind(self, probe_of):
+        reads = [probe_of(spec).read for spec in self.specs]
         fn = self.fn
         return _Bound(
             lambda cycle: bool(fn(*[read() for read in reads])))
@@ -262,9 +265,9 @@ class _ImpliesWithin(Condition):
         self.consequent = consequent
         self.n = n
 
-    def bind(self, sim):
-        ant = self.antecedent.bind(sim)
-        con = self.consequent.bind(sim)
+    def bind(self, probe_of):
+        ant = self.antecedent.bind(probe_of)
+        con = self.consequent.bind(probe_of)
         n = self.n
         pending = []                 # deadline cycles, oldest first
 
@@ -422,24 +425,28 @@ class Watchpoint:
         self.sim = None
         self._bound = None
         self._taps = []
+        self._probe_of = None        # spec -> Probe, set by attach
         self._cwp = None             # compiled watch index (SimJIT)
         self._instr = None
 
     def attach(self, sim):
         self.sim = sim
-        self._taps = _condition_taps(sim, self.condition)
+        self._taps, probe_of = _condition_taps(sim, self.condition)
+        self._probe_of = probe_of    # kept for a later dearm's rebind
         instr = sim._jit_instrumentation()
         compiled = False
         if instr is not None:
             try:
-                nodes = lower_condition(self.condition, instr.net_slot)
+                nodes = lower_condition(
+                    self.condition,
+                    lambda spec: instr.net_slot(probe_of(spec)))
             except Unlowerable as exc:
                 instr.warn_fallback(f"watchpoint {self.name!r}", exc)
             else:
                 compiled = instr.try_add_watchpoint(self, nodes)
         # Compiled: the condition evaluates in C and _fire is called
         # on hit cycles.
-        self._bound = None if compiled else self.condition.bind(sim)
+        self._bound = None if compiled else self.condition.bind(probe_of)
         sim._watchpoints.append(self)
         sim._refresh_observers()
         return self
@@ -523,10 +530,15 @@ class Watchpoint:
 
 
 def _condition_taps(sim, condition):
-    """Resolve every signal spec inside a condition tree, for firing
-    snapshots (de-duplicated by name, declaration order)."""
+    """Resolve every signal spec inside a condition tree, once:
+    returns ``(taps, probe_of)`` — the probes a firing snapshots
+    (de-duplicated by name, declaration order), and the spec -> Probe
+    lookup that C lowering and ``Condition.bind`` use."""
     taps = []
     seen = set()
+    # By identity: the tree keeps its specs alive, and a Signal's
+    # ``==`` compares values.
+    probes = {}
 
     def visit(cond):
         if isinstance(cond, _When):
@@ -536,7 +548,9 @@ def _condition_taps(sim, condition):
         else:
             specs = ()
         for spec in specs:
-            tap = Probe.resolve(sim, spec)
+            if id(spec) in probes:
+                continue
+            tap = probes[id(spec)] = Probe.resolve(sim, spec)
             if tap.name not in seen:
                 seen.add(tap.name)
                 taps.append(tap)
@@ -547,4 +561,4 @@ def _condition_taps(sim, condition):
                 visit(sub)
 
     visit(condition)
-    return taps
+    return taps, lambda spec: probes[id(spec)]

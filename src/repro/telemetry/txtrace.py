@@ -111,25 +111,13 @@ class TxTracer:
         return tap
 
     def tap_model(self, model, prefix=""):
-        """Tap every ``InValRdyBundle``/``OutValRdyBundle`` found
-        directly on ``model`` (including inside lists); returns the
-        new taps."""
+        """Tap every ``InValRdyBundle``/``OutValRdyBundle`` declared on
+        the elaborated ``model`` (including inside lists), each under
+        its elaborated name; returns the new taps."""
         from ..core.portbundle import InValRdyBundle, OutValRdyBundle
-        kinds = (InValRdyBundle, OutValRdyBundle)
-        new = []
-        for attr_name, attr in model.__dict__.items():
-            if attr_name.startswith("_"):
-                continue
-            bundles = []
-            if isinstance(attr, kinds):
-                bundles.append((attr_name, attr))
-            elif isinstance(attr, list):
-                for i, item in enumerate(attr):
-                    if isinstance(item, kinds):
-                        bundles.append((f"{attr_name}[{i}]", item))
-            for local, bundle in bundles:
-                new.append(self.tap(bundle, f"{prefix}{local}"))
-        return new
+        return [self.tap(bundle, f"{prefix}{bundle.name}")
+                for bundle in model.get_signals(
+                    (InValRdyBundle, OutValRdyBundle))]
 
     def pair(self, src, dst, name=None, key=None):
         """Declare a latency pair between two tap names.
@@ -157,7 +145,8 @@ class TxTracer:
         hook samples every cycle."""
         self.sim = sim
         instr = sim._jit_instrumentation()
-        if instr is not None and instr.register_tracer(self):
+        if instr is not None:
+            instr.register_tracer(self)
             self._instr = instr
             for tap in list(self.taps):
                 if not instr.try_add_tx_tap(tap):

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.ast_ir import TranslationError, lower
 from ..core.elaboration import elaborate
-from ..core.signals import InPort, OutPort, Wire
 
 
 @dataclass
@@ -35,49 +35,47 @@ def lint(model):
     """Run all lint checks; returns a list of :class:`LintWarning`."""
     if not model.is_elaborated():
         elaborate(model)
+    written, read = _block_nets(model)
     warnings = []
-    warnings.extend(_check_undriven_outputs(model))
-    warnings.extend(_check_multiple_drivers(model))
+    warnings.extend(_check_undriven_outputs(model, written))
+    warnings.extend(_check_multiple_drivers(written))
     warnings.extend(_check_empty_sensitivity(model))
-    warnings.extend(_check_never_observed_sinks(model))
+    warnings.extend(_check_never_observed_sinks(model, read))
     return warnings
 
 
-def _written_nets(model):
-    """Nets written by behavioral blocks, mapped to writing block."""
-    from ..core.ast_ir import TranslationError, translate_block
+def _net_id(end):
+    """Net identity of a signal or a slice of one."""
+    return id((end.signal if hasattr(end, "signal") else end)._net.find())
+
+
+def _block_nets(model):
+    """What the behavioral blocks touch, from one lowering of each:
+    ``(written, read)`` — net id -> ``[(block, signal)]`` writers, and
+    the ids of the nets some block reads.  A block outside the
+    translatable subset (FL/CL) contributes no writers and is treated
+    conservatively as reading every signal of its own model."""
     written = {}
+    read = set()
     for sub in model._all_models:
-        blocks = [("comb", blk) for blk in sub.get_comb_blocks()]
-        blocks += [("tick", blk) for blk in sub.get_tick_blocks()]
-        for kind, blk in blocks:
-            level = getattr(blk, "level", None)
-            ir_kind = "comb" if kind == "comb" else (
-                "tick_cl" if level in ("cl", "fl") else "tick_rtl")
+        for blk in sub.get_comb_blocks() + sub.get_tick_blocks():
             try:
-                ir = translate_block(sub, blk, ir_kind)
+                ir = lower(blk)
             except TranslationError:
-                # FL/CL blocks outside the subset: assume they may
-                # write anything on their own model; skip analysis.
+                read.update(_net_id(sig) for sig in sub.get_signals())
                 continue
             for ref in ir.sig_writes:
                 for sig in ref.signals:
-                    net = sig._net.find()
-                    written.setdefault(id(net), []).append(
-                        (blk, kind, sig))
-    return written
+                    written.setdefault(_net_id(sig), []).append((blk, sig))
+            for ref in ir.sig_reads:
+                read.update(_net_id(sig) for sig in ref.signals)
+    return written, read
 
 
-def _check_undriven_outputs(model):
+def _check_undriven_outputs(model, written):
     warnings = []
-    written = _written_nets(model)
-    const_nets = {id(e.signal._net.find()
-                     if hasattr(e, "signal") else e._net.find())
-                  for e, _ in model._const_ties}
-    connector_targets = {
-        id((d.signal if hasattr(d, "signal") else d)._net.find())
-        for _, d in model._connectors
-    }
+    const_nets = {_net_id(end) for end, _ in model._const_ties}
+    connector_targets = {_net_id(dst) for _, dst in model._connectors}
     has_fl = any(
         blk.level in ("fl", "cl")
         for sub in model._all_models for blk in sub.get_tick_blocks()
@@ -86,7 +84,7 @@ def _check_undriven_outputs(model):
         # FL/CL blocks may drive ports invisibly; skip this check.
         return warnings
     for port in model.get_outports():
-        net = id(port._net.find())
+        net = _net_id(port)
         if net not in written and net not in const_nets \
                 and net not in connector_targets:
             warnings.append(LintWarning(
@@ -96,15 +94,12 @@ def _check_undriven_outputs(model):
     return warnings
 
 
-def _check_multiple_drivers(model):
+def _check_multiple_drivers(written):
     warnings = []
-    written = _written_nets(model)
-    for net_id, writers in written.items():
-        distinct = {id(blk) for blk, _, _ in writers}
-        if len(distinct) > 1:
-            names = sorted({f"{blk.model.full_name()}.{blk.func.__name__}"
-                            for blk, _, _ in writers})
-            sig = writers[0][2]
+    for writers in written.values():
+        if len({id(blk) for blk, _ in writers}) > 1:
+            names = sorted({blk.name for blk, _ in writers})
+            sig = writers[0][1]
             warnings.append(LintWarning(
                 "multiple-drivers", sig.name or "?",
                 f"net driven by multiple blocks: {names}",
@@ -118,53 +113,13 @@ def _check_empty_sensitivity(model):
         for blk in sub.get_comb_blocks():
             if not blk.signals:
                 warnings.append(LintWarning(
-                    "empty-sensitivity",
-                    f"{sub.full_name()}.{blk.func.__name__}",
+                    "empty-sensitivity", blk.name,
                     "combinational block reads no signals",
                 ))
     return warnings
 
 
-def _read_nets(model):
-    """Net ids some consumer reads: behavioral blocks (precise read
-    sets where translatable), connector sources, and observatory
-    registrations.  Models containing untranslatable FL/CL blocks are
-    treated conservatively — every net they touch counts as read."""
-    from ..core.ast_ir import TranslationError, translate_block
-    from ..core.elaboration import _model_signals
-    read = set()
-    for sub in model._all_models:
-        blocks = [("comb", blk) for blk in sub.get_comb_blocks()]
-        blocks += [("tick", blk) for blk in sub.get_tick_blocks()]
-        opaque = False
-        for kind, blk in blocks:
-            level = getattr(blk, "level", None)
-            ir_kind = "comb" if kind == "comb" else (
-                "tick_cl" if level in ("cl", "fl") else "tick_rtl")
-            try:
-                ir = translate_block(sub, blk, ir_kind)
-            except TranslationError:
-                # Reads we cannot enumerate: assume the block may read
-                # any signal of its own model.
-                opaque = True
-                continue
-            for ref in ir.sig_reads:
-                for sig in ref.signals:
-                    read.add(id(sig._net.find()))
-        if opaque:
-            for sig in _model_signals(sub):
-                read.add(id(sig._net.find()))
-        for spec in getattr(sub, "_observed_signals", ()):
-            sig = spec.signal if hasattr(spec, "signal") else spec
-            if hasattr(sig, "_net"):
-                read.add(id(sig._net.find()))
-    for src, _ in model._connectors:
-        sig = src.signal if hasattr(src, "signal") else src
-        read.add(id(sig._net.find()))
-    return read
-
-
-def _check_never_observed_sinks(model):
+def _check_never_observed_sinks(model, read):
     """Flag declared Wires nothing reads.
 
     A Wire whose net is never read by a comb/tick block, never the
@@ -174,31 +129,21 @@ def _check_never_observed_sinks(model):
     an unread OutPort is the *environment's* business — and so is any
     Wire sharing a net with one."""
     warnings = []
-    read = _read_nets(model)
-    port_nets = set()
+    seen = set(read)
+    seen.update(_net_id(src) for src, _ in model._connectors)
     for sub in model._all_models:
-        for sig in vars(sub).values():
-            if isinstance(sig, (InPort, OutPort)):
-                port_nets.add(id(sig._net.find()))
-            elif isinstance(sig, list):
-                for item in sig:
-                    if isinstance(item, (InPort, OutPort)):
-                        port_nets.add(id(item._net.find()))
-    seen = set()
+        seen.update(_net_id(port) for port in sub.get_ports())
+        seen.update(_net_id(spec) for spec in sub._observed_signals)
     for sub in model._all_models:
-        for name, sig in list(vars(sub).items()):
-            items = sig if isinstance(sig, list) else [sig]
-            for item in items:
-                if not isinstance(item, Wire):
-                    continue
-                net = id(item._net.find())
-                if net in read or net in port_nets or net in seen:
-                    continue
-                seen.add(net)
-                warnings.append(LintWarning(
-                    "never-observed-sink",
-                    sub.full_name(),
-                    f"wire {item.name or name!r} is written but never "
-                    f"read by any block, connection, or observer",
-                ))
+        for wire in sub.get_wires():
+            net = _net_id(wire)
+            if net in seen:
+                continue
+            seen.add(net)
+            warnings.append(LintWarning(
+                "never-observed-sink",
+                sub.full_name(),
+                f"wire {wire.name!r} is written but never "
+                f"read by any block, connection, or observer",
+            ))
     return warnings

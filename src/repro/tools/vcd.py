@@ -75,8 +75,7 @@ class VCDWriter:
         out = self._file
         scope = model.name or type(model).__name__.lower()
         out.write(f"$scope module {scope} $end\n")
-        from ..core.elaboration import _model_signals
-        for sig in _model_signals(model):
+        for sig in model.get_signals():
             code = next(codes)
             name = (sig.name or "sig").replace(".", "__") \
                 .replace("[", "_").replace("]", "")

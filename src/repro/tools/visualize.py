@@ -7,11 +7,11 @@ instance and render it for humans.
 
 from __future__ import annotations
 
-from ..core.elaboration import _model_signals, elaborate
+from ..core.elaboration import elaborate
 from ..core.signals import InPort, OutPort, Wire
 
 
-def hierarchy_tree(model, _prefix="", _is_last=True):
+def hierarchy_tree(model):
     """ASCII tree of the module hierarchy with per-model stats.
 
     >>> print(hierarchy_tree(elaborated_mesh))    # doctest: +SKIP

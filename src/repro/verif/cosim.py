@@ -291,7 +291,7 @@ class CoSimHarness:
                                     ncycles=st.sim.ncycles)
 
         with tracing.span("cosim.diff"):
-            self._compare_final(states, result)
+            self._compare_final(states)
             if self.check_protocol:
                 violations = [
                     v for st in states for mon in st.monitors.values()
@@ -423,7 +423,7 @@ class CoSimHarness:
             ref=ref.adapter.name, dut=st.adapter.name, channel=channel,
             index=index, expected=want, actual=got, traces=traces)
 
-    def _compare_final(self, states, result):
+    def _compare_final(self, states):
         """Stream lengths, grouped substreams, and final states."""
         ref = states[0]
         for st in states[1:]:

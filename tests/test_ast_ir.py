@@ -11,7 +11,7 @@ from repro.core.ast_ir import (
     If,
     SigRead,
     TranslationError,
-    translate_block,
+    lower,
 )
 
 
@@ -19,10 +19,7 @@ def _lower(model, kind="comb", index=0):
     model.elaborate()
     blocks = model.get_comb_blocks() if kind == "comb" \
         else model.get_tick_blocks()
-    blk = blocks[index]
-    ir_kind = kind if kind == "comb" else (
-        "tick_cl" if blk.level == "cl" else "tick_rtl")
-    return translate_block(model, blk, ir_kind)
+    return lower(blocks[index])
 
 
 # -- basic lowering ------------------------------------------------------------
@@ -302,3 +299,59 @@ def test_local_array_init_and_store():
 
     ir = _lower(M())
     assert ir.locals["xs"] == ("array", 4)
+
+
+# -- lower(blk): the one entry point, kind taken from the block -------------------
+
+
+class _EveryLevel(Model):
+    def __init__(s):
+        s.a = InPort(8)
+        s.out = OutPort(8)
+        s.r = Wire(8)
+        s.count = 0
+
+        @s.combinational
+        def comb():
+            s.out.value = s.r + 1
+
+        @s.tick_rtl
+        def rtl():
+            s.r.next = s.a.value
+
+        @s.tick_cl
+        def cl():
+            s.count = s.count + 1
+
+        @s.tick_fl
+        def fl():
+            s.count = s.count + 2
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("comb", "comb"), ("rtl", "tick_rtl"), ("cl", "tick_cl"),
+    ("fl", "tick_cl")])
+def test_lower_takes_the_ir_kind_from_the_block(name, kind):
+    from repro.core.ast_ir import BlockTranslator
+
+    model = _EveryLevel().elaborate()
+    blk, = [b for b in model.get_comb_blocks() + model.get_tick_blocks()
+            if b.func.__name__ == name]
+    ir = lower(blk)
+    assert ir.kind == kind and ir.body
+    assert ir == BlockTranslator(model, blk.func, kind).translate()
+
+
+def test_lint_lowers_each_block_once(monkeypatch):
+    from repro.core.ast_ir import BlockTranslator
+    from repro.tools import lint
+
+    lowered = []
+    translate = BlockTranslator.translate
+    monkeypatch.setattr(
+        BlockTranslator, "translate",
+        lambda self: lowered.append(self.func) or translate(self))
+    model = _EveryLevel().elaborate()
+    lint(model)
+    assert sorted(f.__name__ for f in lowered) == [
+        "cl", "comb", "fl", "rtl"]

@@ -8,6 +8,7 @@ from repro import (
     InValRdyBundle,
     Model,
     OutPort,
+    OutValRdyBundle,
     SimulationTool,
     Wire,
     bw,
@@ -437,15 +438,16 @@ def test_block_analysis(build, expect):
         assert _names(blk.writes) == sorted(writes)
 
 
-@pytest.mark.parametrize("build, kind", [(_comb_no_source, "comb"),
-                                         (_tick_no_source, "tick_rtl")])
-def test_block_without_source_does_not_lower(build, kind):
-    from repro.core.ast_ir import TranslationError, translate_block
+@pytest.mark.parametrize("build", [
+    pytest.param(_comb_no_source, id="_comb_no_source-comb"),
+    pytest.param(_tick_no_source, id="_tick_no_source-tick_rtl")])
+def test_block_without_source_does_not_lower(build):
+    from repro.core.ast_ir import TranslationError, lower
 
     model = _Bench(build, 2).elaborate()
     blk, = model.get_comb_blocks() or model.get_tick_blocks()
     with pytest.raises(TranslationError, match="cannot retrieve source"):
-        translate_block(model, blk, kind)
+        lower(blk)
 
 
 def test_block_source_parsed_once_per_function(monkeypatch):
@@ -492,3 +494,108 @@ def test_block_shapes_die_with_their_functions():
         one_shot(i)
     gc.collect()
     assert len(_block_sources) == before
+
+
+# -- the model/tool API: what a model owns, asked one way -----------------------
+
+
+class _ApiChild(Model):
+    def __init__(s):
+        s.in_ = InPort(4)
+        s.out = OutPort(4)
+        s.w = Wire(4)
+        s.observe(s.w)
+
+        @s.combinational
+        def logic():
+            s.w.value = s.in_.value
+            s.out.value = s.w.value
+
+
+class _ApiTop(Model):
+    """One of everything a collector has to get right: scalar ports, a
+    val/rdy bundle, a list of bundles, a four-deep port list,
+    ``s.observe(...)`` registrations (private bookkeeping that lists
+    signals a second time) and a child."""
+
+    def __init__(s):
+        s.a = InPort(8)
+        s.o = OutPort(8)
+        s.enq = InValRdyBundle(8)
+        s.deqs = [OutValRdyBundle(8) for _ in range(2)]
+        s.deep = [[[[InPort(2) for _ in range(2)]]]]
+        s.w = Wire(8)
+        s.observe(s.w, s.a)
+        s.child = _ApiChild()
+        s.connect(s.a[0:4], s.child.in_)
+
+        @s.combinational
+        def logic():
+            s.w.value = s.a.value
+            s.o.value = s.w.value
+
+
+_API_PORTS = [
+    "clk", "reset", "a", "o", "enq.msg", "enq.val", "enq.rdy",
+    "deqs[0].msg", "deqs[0].val", "deqs[0].rdy",
+    "deqs[1].msg", "deqs[1].val", "deqs[1].rdy",
+    "deep[0][0][0][0]", "deep[0][0][0][1]",
+]
+
+
+_API_OUTPORTS = ["o", "enq.rdy", "deqs[0].msg", "deqs[0].val",
+                 "deqs[1].msg", "deqs[1].val"]
+_API_ACCESSORS = {
+    "get_signals": _API_PORTS + ["w"],
+    "get_ports": _API_PORTS,
+    "get_inports": [n for n in _API_PORTS if n not in _API_OUTPORTS],
+    "get_outports": _API_OUTPORTS,
+    "get_wires": ["w"],
+}
+
+
+@pytest.mark.parametrize("accessor", _API_ACCESSORS)
+def test_model_accessors_are_stable_across_elaboration(accessor):
+    top = _ApiTop()
+    before = getattr(top, accessor)()
+    top.elaborate()
+    after = getattr(top, accessor)()
+    assert [id(sig) for sig in before] == [id(sig) for sig in after]
+    assert [sig.name for sig in after] == _API_ACCESSORS[accessor]
+
+
+def test_all_signals_is_every_models_get_signals_once():
+    top = _ApiTop().elaborate()
+    owned = [sig for model in top._all_models
+             for sig in model.get_signals()]
+    assert [id(sig) for sig in top._all_signals] == [id(s) for s in owned]
+    assert len({id(sig) for sig in owned}) == len(owned)
+    assert [m.full_name() for m in top._all_models] == ["top", "top.child"]
+    assert [b.name for b in top.get_signals(InValRdyBundle)] == ["enq"]
+
+
+def test_simjit_and_translator_list_the_same_ports():
+    import re
+
+    from repro import SimJITRTL, TranslationTool
+
+    def mangle(sig):
+        return (sig.name.replace(".", "__").replace("[", "_")
+                .replace("]", ""))
+
+    top = _ApiTop().elaborate()
+    engine = SimJITRTL(top).specialize().jit_engine
+    assert [sig.name for sig in engine._in_ports] == [
+        sig.name for sig in top.get_inports()]
+    assert [sig.name for sig in engine._out_ports] == [
+        sig.name for sig in top.get_outports()]
+
+    tool = TranslationTool(_ApiTop().elaborate())
+    module = tool.verilog[tool.verilog.index(f"module {tool.top_module}"):]
+    header = module[:module.index(");")]
+    decls = re.findall(r"^  (input|output)\s+(?:wire|reg)\s+"
+                       r"(?:\[\d+:0\] )?(\w+)", header, re.M)
+    assert [n for d, n in decls if d == "input"] == [
+        mangle(sig) for sig in engine._in_ports]
+    assert [n for d, n in decls if d == "output"] == [
+        mangle(sig) for sig in engine._out_ports]

@@ -378,6 +378,28 @@ def test_watchpoint_on_internal_slice_matches_interpreter():
         assert fires[substrate] == fires["event"], substrate
 
 
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_watchpoint_resolves_each_spec_once(substrate, monkeypatch):
+    """Snapshots, C lowering, the Python evaluator and a later dearm
+    all use the probes one pass over the condition built."""
+    sim, top, inner, prefix = _build(substrate)
+    resolved = []
+    resolve = Probe.resolve.__func__
+    monkeypatch.setattr(
+        Probe, "resolve", classmethod(
+            lambda cls, sim, spec, nbits=None:
+                resolved.append(spec) or resolve(cls, sim, spec, nbits)))
+    cond = rose(prefix + "c") & ~value_is(inner.lanes[0], 0)
+    wp = sim.watch(cond, name="once")
+    with (pytest.warns(ResilienceWarning, match="cycle hook")
+          if substrate == "jit-top" else contextlib.nullcontext()):
+        sim.add_cycle_hook(lambda cycle: None)      # dearms: rebinds
+    assert [spec for spec in resolved if not isinstance(spec, Probe)] \
+        == [prefix + "c", inner.lanes[0]]
+    _drive(sim, top)
+    assert wp.fired
+
+
 def test_histogram_on_internal_slice_matches_interpreter():
     bins = {}
     for substrate in SUBSTRATES:

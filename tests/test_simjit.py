@@ -22,11 +22,6 @@ from repro.mem import CacheRTL, MemMsg
 from repro.net import MeshNetworkStructural, NetworkTrafficHarness, RouterRTL
 
 
-def _flat_ports(model, kind):
-    from repro.core.simjit.specializer import _flat_ports as flat
-    return flat(model, kind)
-
-
 def assert_cycle_exact(factory, ncycles=200, seed=0, specializer=SimJITRTL):
     """Drive both the interpreted and specialized model with identical
     random inputs; compare every output port every cycle."""
@@ -38,12 +33,12 @@ def assert_cycle_exact(factory, ncycles=200, seed=0, specializer=SimJITRTL):
     sim_i.reset()
     sim_j.reset()
 
-    in_i = [p for p in _flat_ports(interp, InPort)
+    in_i = [p for p in interp.get_inports()
             if p.name not in ("clk", "reset")]
-    in_j = [p for p in _flat_ports(jit, InPort)
+    in_j = [p for p in jit.get_inports()
             if p.name not in ("clk", "reset")]
-    out_i = _flat_ports(interp, OutPort)
-    out_j = _flat_ports(jit, OutPort)
+    out_i = interp.get_outports()
+    out_j = jit.get_outports()
     assert len(in_i) == len(in_j)
     assert len(out_i) == len(out_j)
 

@@ -18,7 +18,6 @@ from repro.components import Register
 from repro.core import Model, SimulationTool
 from repro.core.signals import InPort, OutPort, Wire
 from repro.core.simjit import SimJITRTL
-from repro.core.simjit.specializer import _flat_ports
 from repro.net import MeshNetworkStructural, RouterRTL
 from repro.proc import assemble
 
@@ -33,7 +32,7 @@ def _jit_top(model, **kwargs):
 
 
 def _outputs(model):
-    return [int(port) for port in _flat_ports(model, OutPort)]
+    return [int(port) for port in model.get_outports()]
 
 
 def _drive_terminals(models, rnd):
@@ -94,8 +93,8 @@ def test_sched_info_names_the_kernel_shape():
     info = SimulationTool(top).sched_info()["simjit"]
     assert info["comb"] == "single-pass"
     assert info["residue_blocks"] == 0
-    assert info["in_ports"] == len(_flat_ports(top, InPort))
-    assert info["out_ports"] == len(_flat_ports(top, OutPort))
+    assert info["in_ports"] == len(top.get_inports())
+    assert info["out_ports"] == len(top.get_outports())
     # Per router: 5 x (priority, hold_val, hold_grant) + five queues.
     assert info["flop_nets"] > 0
     # Interpreted tops have no such entry.

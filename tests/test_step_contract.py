@@ -100,6 +100,7 @@ def _observe(substrate, attachment, chunks, tmp_path):
         seen["trace_log"] = list(sim.trace_log)
     elif attachment == "recorder":
         seen["window"] = rec.window().to_dict()
+        seen["observe"] = sim.telemetry.report().observe
     elif attachment == "halt":
         seen["fires"] = wp.fire_cycles()
     elif attachment == "hook":
@@ -131,6 +132,24 @@ def test_chunking_is_unobservable(substrate, attachment, tmp_path):
         assert seen["ncycles"] == 2 + N and seen["out"] == N
     if attachment == "vcd":
         assert seen["vcd"].count(b"\n#") >= N
+
+
+def test_recorder_report_agrees_across_substrates():
+    """A recorder compiled into the SimJIT kernel reports what a
+    Python-sampled one does: same window, summary and repr."""
+    seen = {}
+    for substrate in SUBSTRATES:
+        model, sim = _build(substrate)
+        if substrate != "simjit-recorder":      # which armed this one
+            sim.flight_recorder(signals=["count"], depth=4)
+        rec, = sim._recorders
+        sim.reset()
+        model.en.value = 1
+        sim.run(N)
+        seen[substrate] = (sim.telemetry.report().observe, repr(rec),
+                           rec.window().to_dict())
+    assert all(row == seen["event"] for row in seen.values())
+    assert seen["event"][0]["recorders"][0]["window_cycles"] == 4
 
 
 @pytest.mark.parametrize("substrate", SUBSTRATES)

@@ -60,6 +60,17 @@ def test_vcd_hierarchical_scopes(tmp_path):
     assert text.count("$upscope") == 3
 
 
+def test_vcd_declares_each_signal_once(tmp_path):
+    path = tmp_path / "trace.vcd"
+    model = MeshNetworkStructural(RouterRTL, 4, 64, 16, 2).elaborate()
+    with VCDWriter(str(path)) as vcd:
+        SimulationTool(model, vcd=vcd).cycle()
+    nvars = sum(line.startswith("$var") for line in path.read_text()
+                .splitlines())
+    assert nvars == len(model._all_signals) == len(
+        {id(sig) for sig in model._all_signals})
+
+
 # -- linter -------------------------------------------------------------------------
 
 
@@ -95,6 +106,33 @@ def test_lint_multiple_drivers():
     assert any(w.check == "multiple-drivers" for w in warnings)
 
 
+def test_lint_reports_each_port_once_against_its_owner():
+    class Child(Model):
+        def __init__(s):
+            s.in_ = InPort(4)
+            s.out = OutPort(4)
+            s.spare = OutPort(4)
+
+            @s.combinational
+            def logic():
+                s.out.value = s.in_.value
+
+    class Top(Model):
+        def __init__(s):
+            s.in_ = InPort(4)
+            s.out = OutPort(4)
+            s.dangling = OutPort(4)
+            s.m = Child()
+            s.connect(s.in_, s.m.in_)
+            s.connect(s.out, s.m.out)
+
+    undriven = [str(w) for w in lint(Top().elaborate())
+                if w.check == "undriven-output"]
+    # Once, and a child's unconnected port is not the top's.
+    assert undriven == [
+        "[undriven-output] top: output port 'dangling' has no driver"]
+
+
 def test_lint_warning_str():
     class Bad(Model):
         def __init__(s):
@@ -122,6 +160,21 @@ def test_design_stats():
     assert stats["tick_blocks_rtl"] > 0
     assert stats["nets"] > 0
     assert stats["state_bits"] > 0
+
+
+def test_design_stats_counts_observed_signals_once():
+    class Observing(Model):
+        def __init__(s):
+            s.a = InPort(8)
+            s.o = OutPort(8)
+            s.w = Wire(8)
+            s.observe(s.w, s.a)
+            s.connect(s.a, s.w)
+            s.connect(s.w, s.o)
+
+    stats = design_stats(Observing().elaborate())
+    assert stats["signals"] == 5            # clk, reset, a, o, w
+    assert stats["nets"] == 3 and stats["state_bits"] == 1 + 1 + 8
 
 
 def test_connectivity_report():
