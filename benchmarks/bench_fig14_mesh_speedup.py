@@ -29,6 +29,7 @@ from common import (
     build_jit_network,
     build_network,
     format_table,
+    write_json_result,
     write_result,
 )
 from repro.net import NetworkTrafficHarness
@@ -45,6 +46,17 @@ JIT_CYCLES = 10_000
 CREF_CYCLES = 200_000
 
 
+# One ``BENCH_fig14.json`` for the three levels: each parametrized test
+# adds its rows and rewrites the file.
+_ENTRIES = []
+
+
+def _record(level, mode, rate, **extra):
+    _ENTRIES.append({"config": f"mesh{NROUTERS}-{level}/{mode}",
+                     "cycles_per_sec": round(rate, 1), **extra})
+    write_json_result("fig14", _ENTRIES, nrouters=NROUTERS, rate=RATE)
+
+
 def _interp_rate(level):
     net = build_network(level, NROUTERS)
     harness = NetworkTrafficHarness(net, seed=1)
@@ -55,7 +67,9 @@ def _interp_rate(level):
 
 
 def _jit_rate(level):
-    wrapper, spec = build_jit_network(level, NROUTERS)
+    # Always a cold compile, so that the "+overheads" series does not
+    # depend on what an earlier run left in the cache.
+    wrapper, spec = build_jit_network(level, NROUTERS, cache=False)
     harness = NetworkTrafficHarness(wrapper, seed=1)
     start = time.perf_counter()
     harness.run_uniform_random(RATE, JIT_CYCLES, drain=0)
@@ -81,6 +95,7 @@ def _cref_rate(level):
 @pytest.mark.parametrize("level", ["fl", "cl", "rtl"])
 def test_fig14_mesh_speedup(benchmark, level):
     interp = _interp_rate(level)
+    _record(level, "interp", interp)
 
     if level == "fl":
         # No specializer exists for FL models (paper: PyPy-only row).
@@ -102,6 +117,8 @@ def test_fig14_mesh_speedup(benchmark, level):
 
     jit, jit_overhead = _jit_rate(level)
     cref, cref_overhead = _cref_rate(level)
+    _record(level, "simjit", jit, overhead_s=round(jit_overhead, 3))
+    _record(level, "c-ref", cref)
 
     rows = [[
         level,

@@ -20,7 +20,9 @@ for the 65-bit memory messages) of the instance struct ``inst_t``:
   whole-state snapshot stops changing;
 - local variables are ``int64_t`` (signed, so idioms like
   ``sa = a - 0x100000000`` compare correctly);
-- plain CL state becomes ``int64_t`` members of ``inst_t``.
+- plain CL state is one ``int64_t st[]`` member of ``inst_t`` (absent
+  when the design has none); a variable is the elements from its
+  ``state_off[]`` entry on.
 
 The Python boundary is bulk and change-detected: ``push_inputs``
 stores every input port from one array, ``pull_changed`` returns
@@ -31,6 +33,35 @@ checkpoint blob).
 
 Dynamic signal-list indexing (``s.rf[rd]``) is compiled to a static
 slot lookup table per reference.
+
+**Template, group, tables.**  Each distinct block body is compiled
+once.  :meth:`CBackend.add_block` prints a block as a *template*: its
+C text with a *hole* wherever the text would name something only this
+instance has — a net slot, a CL state offset, the slot table behind a
+dynamic index, an integer ``Const`` (elaboration-time constants such
+as a router's ``my_x`` fold to one).  Everything else is text: widths
+and masks, slice bounds, loop bounds, local names and array sizes,
+operators.  Blocks whose template text is equal form a group, and text
+equality is the whole proof that they run the same code — a design
+parameter that changes a width or a loop bound changes the text and so
+the group.  :meth:`CBackend.emit_blocks` prints each group once:
+
+- a hole with one value across the group is the literal it would be in
+  a function of its own (the shared ``reset`` slot, ``% 5``);
+- a hole that varies reads the member's tables — ``S[i]`` for a slot or
+  state offset, ``(S + off)[idx]`` for a dynamic table, ``K[j]`` for a
+  constant — and holes whose values agree in every member share an
+  entry.  The function is ``f(inst_t *I, const int *S, const int64_t
+  *K)`` and the block runners call it once per member, with that
+  member's ``static const`` tables, in schedule order;
+- a group of one, or one with a varying constant outside ``int64_t``,
+  prints every hole as its literal in ``f(inst_t *I)``, one function
+  per member — the same code path with nothing to look up, so a design
+  with no repeated body is the text (and the ``.so`` cache key) it
+  would be without sharing.
+
+Groups, tables and entries appear in first-use order; nothing in the
+text depends on hashing or object identity.
 """
 
 from __future__ import annotations
@@ -239,6 +270,36 @@ static inline int settle(inst_t *I) {
     return iters;
 }
 """
+
+# CL state access by ``(state_index entry, element)``: one lookup in
+# the specializer's ``state_off[]`` (out of range reads 0 and writes
+# nothing), or two stubs when the design has no CL state (spelled to
+# the byte: they are part of every RTL design's ``.so`` cache key).
+C_STATE_TABLE = r"""
+static inline int64_t *state_at(inst_t *I, int idx, int elem) {
+    if (idx < 0 || idx >= NSTATEVAR || elem < 0
+            || elem >= state_off[idx + 1] - state_off[idx])
+        return 0;
+    return &I->st[state_off[idx] + elem];
+}
+
+static int64_t state_probe_at(inst_t *I, int idx, int elem) {
+    int64_t *at = state_at(I, idx, elem);
+    return at ? *at : 0;
+}
+
+static void state_poke_at(inst_t *I, int idx, int elem, int64_t value) {
+    int64_t *at = state_at(I, idx, elem);
+    if (at) *at = value;
+}
+"""
+
+C_STATE_NONE = (
+    "static int64_t state_probe_at(inst_t *I, int idx, int elem) {\n"
+    "  (void)I; (void)elem;\n\n  return 0;\n}\n\n"
+    "static void state_poke_at(inst_t *I, int idx, int elem, "
+    "int64_t value) {\n"
+    "  (void)I; (void)elem; (void)value;\n\n}")
 
 # Compiled-instrumentation runtime, appended to every translation unit.
 #
@@ -634,44 +695,66 @@ void load_inst(void *p, const char *buf);
 """
 
 
+#: Hole kinds.  A SLOT is an index printed bare (a net slot, or a CL
+#: state variable's offset in ``st[]``), a TABLE the slots behind one
+#: dynamic signal-list index, a CONST an integer constant.
+SLOT, TABLE, CONST = "slot", "table", "const"
+
+_MARK = "\x00"
+_INT64_MAX = (1 << 63) - 1
+
+
+class _Group:
+    """The blocks that lowered to one template.  ``text`` is the body
+    with a ``\\0<h>\\0`` marker wherever hole ``h`` is used and
+    ``kinds[h]`` that hole's kind; block ``m`` of the group is
+    ``names[m]`` with hole values ``values[m]``, called by
+    ``calls[m]`` once the group is printed."""
+
+    __slots__ = ("text", "kinds", "names", "values", "calls")
+
+    def __init__(self, text, kinds):
+        self.text = text
+        self.kinds = kinds
+        self.names = []
+        self.values = []
+        self.calls = []
+
+
 class CBackend:
-    """Generates one C function per behavioral block."""
+    """Generates one C function per distinct block body.
 
-    def __init__(self, slot_of, state_cname=None):
+    :meth:`add_block` prints a block as a *template* (module
+    docstring) and files it with the blocks whose template is equal;
+    :meth:`emit_blocks` then prints every group once."""
+
+    def __init__(self, slot_of, state_off=None):
         """``slot_of(signal) -> int`` maps a signal to its net slot;
-        ``state_cname(ref) -> str`` names a CL state variable in C
-        (must be unique per (model, attribute))."""
+        ``state_off(ref) -> int`` a CL state variable to its offset in
+        ``inst_t.st[]``."""
         self.slot_of = slot_of
-        self.state_cname = state_cname or (lambda ref: _sname(ref.name))
-        self._tables = []          # (name, [slots]) lookup tables
-        self._table_cache = {}
+        self.state_off = state_off
+        self._kinds = self._values = None   # holes of the block in hand
+        self._groups = {}          # template -> _Group, first seen first
+        self._blocks = []          # (group, member) per add_block
+        self._tables = {}          # slots -> name of a literal table
+        #: function bodies :meth:`emit_blocks` printed
+        self.nfunctions = 0
 
-    # -- tables for dynamic indexing -----------------------------------------
-
-    def table_for(self, ref):
-        slots = tuple(self.slot_of(sig) for sig in ref.signals)
-        if slots not in self._table_cache:
-            name = f"tbl{len(self._tables)}"
-            self._tables.append((name, slots))
-            self._table_cache[slots] = name
-        return self._table_cache[slots]
-
-    def emit_tables(self):
-        lines = []
-        for name, slots in self._tables:
-            body = ", ".join(str(s) for s in slots)
-            lines.append(
-                f"static const int {name}[{len(slots)}] = {{{body}}};"
-            )
-        return "\n".join(lines)
+    def _hole(self, kind, value):
+        """Record a hole of the block in hand; returns its marker."""
+        self._kinds.append(kind)
+        self._values.append(value)
+        return f"{_MARK}{len(self._values) - 1}{_MARK}"
 
     # -- references ---------------------------------------------------------------
 
     def slot_expr(self, ref):
         if ref.is_dynamic():
-            table = self.table_for(ref)
+            table = self._hole(
+                TABLE, tuple(self.slot_of(sig) for sig in ref.signals))
             return f"{table}[(int)({self.expr(ref.index)})]"
-        return str(self.slot_of(ref.signal))
+        return self._hole(SLOT, self.slot_of(ref.signal))
 
     def sig_read(self, ref, array="cur"):
         slot = self.slot_expr(ref)
@@ -706,17 +789,11 @@ class CBackend:
 
     def expr(self, node):
         if isinstance(node, Const):
-            value = node.value
-            if value < 0:
-                return f"((int64_t)({value}LL))"
-            if value > 0x7FFFFFFFFFFFFFFF:
-                hi, lo = value >> 64, value & ((1 << 64) - 1)
-                return f"((((u128){hi}ULL) << 64) | {lo}ULL)"
-            return f"({value}LL)"
+            return self._hole(CONST, node.value)
         if isinstance(node, SigRead):
             return self.sig_read(node.ref)
         if isinstance(node, StateRead):
-            return self.state_read(node.ref)
+            return self.state_lvalue(node.ref)
         if isinstance(node, LocalRead):
             if node.index is not None:
                 return f"{_lname(node.name)}[(int)({self.expr(node.index)})]"
@@ -752,21 +829,12 @@ class CBackend:
             return "(" + " | ".join(parts) + ")"
         raise TranslationError(f"cgen: unknown expr {type(node).__name__}")
 
-    # -- CL plain state ---------------------------------------------------------------
-
-    def state_read(self, ref):
-        name = f"I->{self.state_cname(ref)}"
+    def state_lvalue(self, ref):
+        """CL plain state: one element of ``inst_t.st[]``."""
+        off = self._hole(SLOT, self.state_off(ref))
         if ref.index is not None:
-            return f"{name}[(int)({self.expr(ref.index)})]"
-        return name
-
-    def state_write(self, ref, value_c, indent):
-        pad = " " * indent
-        name = f"I->{self.state_cname(ref)}"
-        if ref.index is not None:
-            return (f"{pad}{name}[(int)({self.expr(ref.index)})] = "
-                    f"(int64_t)({value_c});")
-        return f"{pad}{name} = (int64_t)({value_c});"
+            return f"I->st[{off} + (int)({self.expr(ref.index)})]"
+        return f"I->st[{off}]"
 
     # -- statements --------------------------------------------------------------------
 
@@ -776,7 +844,8 @@ class CBackend:
             return self.sig_write(node.ref, self.expr(node.expr),
                                   node.is_next, indent)
         if isinstance(node, AssignState):
-            return self.state_write(node.ref, self.expr(node.expr), indent)
+            return (f"{pad}{self.state_lvalue(node.ref)} = "
+                    f"(int64_t)({self.expr(node.expr)});")
         if isinstance(node, AssignLocal):
             name = _lname(node.name)
             if node.index is not None:
@@ -811,10 +880,12 @@ class CBackend:
             return f"{pad}continue;"
         raise TranslationError(f"cgen: unknown stmt {type(node).__name__}")
 
-    def block_function(self, ir, func_name):
-        """Emit the full C function for a lowered block."""
-        lines = [f"static void {func_name}(inst_t *I) {{"]
-        lines.append("  (void)I;")
+    # -- template -> group -> print ----------------------------------------------------
+
+    def add_block(self, ir, func_name):
+        """Template a lowered block and file it with its group."""
+        self._kinds, self._values = kinds, values = [], []
+        lines = ["  (void)I;"]
         for name, ltype in ir.locals.items():
             if ltype == "int":
                 lines.append(f"  int64_t {_lname(name)} = 0;")
@@ -823,12 +894,112 @@ class CBackend:
         for stmt in ir.body:
             lines.append(self.stmt(stmt, 2))
         lines.append("}")
-        return "\n".join(lines)
+        text = "\n".join(lines)
+        # The text does not say how long a dynamic table is, and a
+        # shared body reaches every member's tables at one offset.
+        key = (text, tuple(len(value) for kind, value in zip(kinds, values)
+                           if kind == TABLE))
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = _Group(text, kinds)
+        self._blocks.append((group, len(group.names)))
+        group.names.append(func_name)
+        group.values.append(values)
+
+    def emit_blocks(self):
+        """Print every group.  Returns ``(parts, calls)``: the C text
+        (literal lookup tables, then per group its members' tables and
+        its function) and one call statement per :meth:`add_block`, in
+        the order added."""
+        parts = []
+        for g, group in enumerate(self._groups.values()):
+            parts.extend(self._emit_group(g, group))
+        tables = "\n".join(
+            f"static const int {name}[{len(slots)}] = "
+            f"{{{', '.join(map(str, slots))}}};"
+            for slots, name in self._tables.items())
+        return ([tables] + parts,
+                [group.calls[m] for group, m in self._blocks])
+
+    def _emit_group(self, g, group):
+        """C text of group ``g``; fills ``group.calls``."""
+        pieces = group.text.split(_MARK)
+        holes = list(map(int, pieces[1::2]))
+
+        def function(signature, printed):
+            pieces[1::2] = map(printed.__getitem__, holes)
+            self.nfunctions += 1
+            return f"static void {signature} {{\n" + "".join(pieces)
+
+        kinds = group.kinds
+        shared = len(group.names) > 1
+        if shared:
+            columns = list(zip(*group.values))
+            varies = [len(set(col)) > 1 for col in columns]
+            shared = not any(
+                abs(value) > _INT64_MAX
+                for kind, col, v in zip(kinds, columns, varies)
+                if v and kind == CONST for value in col)
+        if not shared:
+            # Nothing to share, or a constant K cannot hold: every
+            # hole is the literal it always was.
+            group.calls = [f"{name}(I);" for name in group.names]
+            return [function(f"{name}(inst_t *I)",
+                             [self._literal(kind, value)
+                              for kind, value in zip(kinds, values)])
+                    for name, values in zip(group.names, group.values)]
+
+        # A hole that varies reads the member's tables: S holds slots
+        # and, from ``S + off``, the dynamic tables; K the constants.
+        # Equal columns share an entry.
+        s_at, s_cols, s_len, k_at = {}, [], 0, {}
+        printed = []
+        for kind, col, v in zip(kinds, columns, varies):
+            if not v:
+                printed.append(self._literal(kind, col[0]))
+            elif kind == CONST:
+                printed.append(f"K[{k_at.setdefault(col, len(k_at))}]")
+            else:
+                if col not in s_at:
+                    s_at[col] = s_len
+                    s_cols.append(col if kind == TABLE
+                                  else [(slot,) for slot in col])
+                    s_len += len(s_cols[-1][0])
+                printed.append(f"(S + {s_at[col]})" if kind == TABLE
+                               else f"S[{s_at[col]}]")
+        name = group.names[0]
+        tables = []
+        for m in range(len(group.names)):
+            args = []
+            for ctype, prefix, row in (
+                    ("int", "S",
+                     [str(slot) for col in s_cols for slot in col[m]]),
+                    ("int64_t", "K", [f"{col[m]}LL" for col in k_at])):
+                if row:
+                    args.append(f"{prefix}_{g}_{m}")
+                    tables.append(
+                        f"static const {ctype} {args[-1]}[{len(row)}] = "
+                        f"{{{', '.join(row)}}};")
+                else:
+                    args.append("0")
+            group.calls.append(f"{name}(I, {', '.join(args)});")
+        body = function(
+            f"{name}(inst_t *I, const int *S, const int64_t *K)", printed)
+        return ["\n".join(tables), body] if tables else [body]
+
+    def _literal(self, kind, value):
+        """A hole printed as the value itself."""
+        if kind == SLOT:
+            return str(value)
+        if kind == TABLE:
+            return self._tables.setdefault(value, f"tbl{len(self._tables)}")
+        if value < 0:
+            return f"((int64_t)({value}LL))"
+        if value > _INT64_MAX:
+            hi, lo = value >> 64, value & ((1 << 64) - 1)
+            return f"((((u128){hi}ULL) << 64) | {lo}ULL)"
+        return f"({value}LL)"
 
 
 def _lname(name):
     return f"l_{name}"
-
-
-def _sname(name):
-    return f"st_{name}"

@@ -76,13 +76,15 @@ class KernelInstrumentation:
     def __init__(self, sim, engine):
         self.sim = sim
         self.engine = engine
-        self.lib = engine.lib
+        self.lib = lib = engine.lib
         ffi = engine._ffi
         self.ffi = ffi
-        self.obs = self.lib.obs_new(engine.inst, self.REC_CAP,
-                                    self.TX_CAP)
-        if self.obs == ffi.NULL:
+        obs = lib.obs_new(engine.inst, self.REC_CAP, self.TX_CAP)
+        if obs == ffi.NULL:
             raise MemoryError("obs_new failed")
+        # Freed with this manager, which holds the engine whose
+        # ``inst_t *`` the ``obs_t`` stores.
+        self.obs = ffi.gc(obs, lambda obs: lib.obs_free(obs))
         self._rec_out = ffi.new("uint64_t[]", 4 * self.REC_CAP)
         self._tx_out = ffi.new("uint64_t[]", 5 * self.TX_CAP)
         self._hist_vals = ffi.new("int64_t[]", OBS_HIST_CAP)

@@ -2,8 +2,11 @@
 
 ``SimJITRTL`` and ``SimJITCL`` take an elaborated PyMTL-style model,
 lower every behavioral block to IR, emit a single C translation unit
-(one net-state array, one function per block, the combinational blocks
-in the order :func:`~repro.core.scheduling.build_schedule` gives them),
+(one net-state array, one function per *distinct* block body — see
+:mod:`.cgen`: the 832 blocks of a 64-router mesh are five functions,
+each called with one instance's slot/constant tables — the
+combinational blocks in the order
+:func:`~repro.core.scheduling.build_schedule` gives them),
 compile it with gcc, load it through cffi, and
 hand back a drop-in :class:`JITModel` exposing the original port
 interface — exactly the flow of paper Figure 12, with our own RTL→C
@@ -137,12 +140,15 @@ class SimJITEngine:
         self.model = model
         self.lib = lib
         self.slot_of = slot_of
-        self.inst = lib.new_instance()
+        import cffi
+        self._ffi = ffi = cffi.FFI()
+        # Freed with the engine; the destructor holds ``lib`` so the
+        # code it calls is still mapped whichever is dropped first.
+        self.inst = ffi.gc(lib.new_instance(),
+                           lambda inst: lib.free_instance(inst))
         self.overheads = overheads
         #: which kernel shape was generated and why (``sched_info()``)
         self.kernel_info = kernel_info
-        import cffi
-        self._ffi = ffi = cffi.FFI()
         self._buf = ffi.new("uint64_t[2]")
         # CL-state addressing metadata: attached by the specializer
         # (``engine.state_index``/``engine.model_index``) so external
@@ -257,7 +263,14 @@ class SimJITEngine:
         return bytes(self._ffi.buffer(buf, n))
 
     def restore_raw(self, blob):
-        """Overwrite the compiled instance state from a snapshot blob."""
+        """Overwrite the compiled instance state from a snapshot blob
+        (of this design: ``load_inst`` copies ``inst_size()`` bytes)."""
+        size = int(self.lib.inst_size())
+        if len(blob) != size:
+            raise ValueError(
+                f"snapshot blob is {len(blob)} bytes but this engine's "
+                f"instance state is {size}: it was taken from another "
+                f"design or layout")
         self.lib.load_inst(self.inst, blob)
         self.invalidate_shadows()
 
@@ -345,7 +358,9 @@ class _Specializer:
         with tracing.span("simjit.compile",
                           design=type(self.orig).__name__) as sp:
             wrapper = self._specialize()
-            sp.set(cache_hit=bool(self.overheads.get("cache_hit")))
+            sp.set(cache_hit=bool(self.overheads.get("cache_hit")),
+                   functions=self.kernel_info["functions"],
+                   c_source_bytes=len(self.c_source))
             return wrapper
 
     def _specialize(self):
@@ -485,41 +500,40 @@ class _Specializer:
 
     def _emit(self, model, comb_order, residue, tick_irs):
         from .cgen import (C_API, C_OBS, C_PRELUDE, C_SETTLE_FIXPOINT,
-                           C_SETTLE_SINGLE_PASS)
+                           C_SETTLE_SINGLE_PASS, C_STATE_NONE,
+                           C_STATE_TABLE)
 
-        # Namespace CL state per model instance.
+        # CL state is namespaced per model instance; ``state_index``
+        # (sorted by that name) is its (STATE, idx, elem) address and
+        # ``state_off`` where its elements start in ``inst_t.st[]``.
         model_index = {id(m): i for i, m in enumerate(model._all_models)}
-        self._state_models = {id(m): m for m in model._all_models}
 
-        def state_cname(ref):
+        def state_key(ref):
             return f"st_m{model_index[id(ref.model)]}_{ref.name}"
 
-        backend = CBackend(self._slot_of, state_cname)
-        functions = []
-        comb_names = []
-        tick_names = []
-        state_vars = {}            # cname -> (model, attr_name, size)
+        state_vars = {}            # key -> (model, attr_name, size)
+        for ir in comb_order + tick_irs:
+            refs = [stmt.ref for stmt in walk_stmts(ir.body)
+                    if isinstance(getattr(stmt, "ref", None), StateRef)]
+            for ref in refs + ir.state_names:
+                state_vars[state_key(ref)] = (ref.model, ref.name, ref.size)
+        state_list = sorted(state_vars.items())
+        state_off = [0]
+        for _, (_, _, size) in state_list:
+            state_off.append(state_off[-1] + max(1, size))
+        self._state_index = {key: i for i, (key, _) in enumerate(state_list)}
+        self._model_index = model_index
 
-        def collect(ir):
-            for stmt in walk_stmts(ir.body):
-                ref = getattr(stmt, "ref", None)
-                if isinstance(ref, StateRef):
-                    state_vars[state_cname(ref)] = (
-                        ref.model, ref.name, ref.size)
-            for ref in ir.state_names:
-                state_vars[state_cname(ref)] = (
-                    ref.model, ref.name, ref.size)
-
+        # One function per distinct block body, called once per block
+        # in schedule order.
+        offset_of = dict(zip(self._state_index, state_off))
+        backend = CBackend(self._slot_of,
+                           lambda ref: offset_of[state_key(ref)])
         for i, ir in enumerate(comb_order):
-            name = f"comb_{i}_{ir.name}"
-            functions.append(backend.block_function(ir, name))
-            comb_names.append(name)
-            collect(ir)
+            backend.add_block(ir, f"comb_{i}_{ir.name}")
         for i, ir in enumerate(tick_irs):
-            name = f"tick_{i}_{ir.name}"
-            functions.append(backend.block_function(ir, name))
-            tick_names.append(name)
-            collect(ir)
+            backend.add_block(ir, f"tick_{i}_{ir.name}")
+        block_c, calls = backend.emit_blocks()
 
         parts = [C_PRELUDE.replace(
             "@NNETS@", str(max(1, len(self._net_widths))))]
@@ -531,17 +545,13 @@ class _Specializer:
 
         # Instance struct: net state + CL plain state.  Every instance
         # of the compiled model gets its own heap-allocated copy.
-        state_list = sorted(state_vars.items())
         struct_lines = ["typedef struct {",
                         "  u128 cur[NNETS];",
                         "  u128 nxt[NNETS];"]
         if residue:
             struct_lines.append("  u128 prev[NNETS];")
-        for cname, (_, _, size) in state_list:
-            if size == 0:
-                struct_lines.append(f"  int64_t {cname};")
-            else:
-                struct_lines.append(f"  int64_t {cname}[{size}];")
+        if state_list:
+            struct_lines.append(f"  int64_t st[{state_off[-1]}];")
         struct_lines.append("} inst_t;")
         parts.append("\n".join(struct_lines))
 
@@ -565,54 +575,34 @@ class _Specializer:
             "flop_nets": len(flop_slots),
             "in_ports": len(in_slots),
             "out_ports": len(out_slots),
+            "blocks": len(calls),
+            "functions": backend.nfunctions,
         }
 
-        parts.append(backend.emit_tables())
-        parts.extend(functions)
+        parts.extend(block_c)
 
-        run_comb = "\n".join(f"  {n}(I);" for n in comb_names)
-        parts.append(
-            "static void run_comb_blocks(inst_t *I) {\n"
-            f"  (void)I;\n{run_comb}\n}}"
-        )
-        run_tick = "\n".join(f"  {n}(I);" for n in tick_names)
-        parts.append(
-            "static void run_tick_blocks(inst_t *I) {\n"
-            f"  (void)I;\n{run_tick}\n}}"
-        )
+        ncomb = len(comb_order)
+        for runner, stmts in (("run_comb_blocks", calls[:ncomb]),
+                              ("run_tick_blocks", calls[ncomb:])):
+            body = "\n".join(f"  {call}" for call in stmts)
+            parts.append(
+                f"static void {runner}(inst_t *I) {{\n"
+                f"  (void)I;\n{body}\n}}"
+            )
         parts.append(
             C_SETTLE_FIXPOINT if residue else C_SETTLE_SINGLE_PASS)
 
-        # State probe for observability from Python.  Element-indexed
-        # so state-backed counters over int-list entries stay readable
-        # after specialization.
-        probes = []
-        for i, (cname, (_, _, size)) in enumerate(state_list):
-            ref = f"I->{cname}" if size == 0 else f"I->{cname}[elem]"
-            probes.append(f"  if (idx == {i}) return {ref};")
-        parts.append(
-            "static int64_t state_probe_at(inst_t *I, int idx, "
-            "int elem) {\n"
-            "  (void)I; (void)elem;\n"
-            + "\n".join(probes) + "\n  return 0;\n}"
-        )
-        # Mirror poke for fault injection (resilience.inject): write a
-        # CL state variable in place, by the same (idx, elem) addressing
-        # as the probe.
-        pokes = []
-        for i, (cname, (_, _, size)) in enumerate(state_list):
-            ref = f"I->{cname}" if size == 0 else f"I->{cname}[elem]"
-            pokes.append(
-                f"  if (idx == {i}) {{ {ref} = value; return; }}")
-        parts.append(
-            "static void state_poke_at(inst_t *I, int idx, int elem, "
-            "int64_t value) {\n"
-            "  (void)I; (void)elem; (void)value;\n"
-            + "\n".join(pokes) + "\n}"
-        )
-        self._state_index = {cname: i
-                             for i, (cname, _) in enumerate(state_list)}
-        self._model_index = model_index
+        # State probe and poke for observability and fault injection
+        # from Python, by the (idx, elem) addressing of ``state_index``.
+        if state_list:
+            offsets = ", ".join(str(off) for off in state_off)
+            parts.append(
+                f"#define NSTATEVAR {len(state_list)}\n"
+                f"static const int state_off[NSTATEVAR + 1] = "
+                f"{{{offsets}}};")
+            parts.append(C_STATE_TABLE)
+        else:
+            parts.append(C_STATE_NONE)
 
         # init_instance(): seed net values, constant ties, CL state.
         init_lines = []
@@ -633,15 +623,11 @@ class _Specializer:
                 f"~(mask_of({width}) << {ref.lo})) | "
                 f"(((u128){const}ULL & mask_of({width})) << {ref.lo});"
             )
-        for cname, (owner, attr_name, size) in state_list:
+        for off, (_, (owner, attr_name, size)) in zip(state_off, state_list):
             value = getattr(owner, attr_name)
-            if size == 0:
-                init_lines.append(f"  I->{cname} = {int(value)}LL;")
-            else:
-                for j, v in enumerate(value):
-                    if int(v):
-                        init_lines.append(
-                            f"  I->{cname}[{j}] = {int(v)}LL;")
+            for j, v in enumerate(value if size else [value]):
+                if int(v):
+                    init_lines.append(f"  I->st[{off + j}] = {int(v)}LL;")
         parts.append(
             "static void init_instance(inst_t *I) {\n"
             "  (void)I;\n" + "\n".join(init_lines) + "\n}"

@@ -826,8 +826,10 @@ class SimulationTool:
         ``simjit`` entry: ``comb`` is ``"single-pass"`` or
         ``"fixpoint"`` (``residue_blocks`` > 0 says why: that many
         blocks sit in a combinational cycle or were left unscheduled),
-        ``flop_nets`` the nets the clock edge copies, and
-        ``in_ports``/``out_ports`` the port boundary."""
+        ``flop_nets`` the nets the clock edge copies,
+        ``in_ports``/``out_ports`` the port boundary, and ``blocks`` /
+        ``functions`` how many block instances run and how many C
+        function bodies they share."""
         info = {
             "requested": self._sched_requested,
             "mode": self.sched_mode,

@@ -230,3 +230,69 @@ def test_generated_source_is_c(tmp_path):
     assert "run_comb_blocks" in spec.c_source
     assert "run_tick_blocks" in spec.c_source
     assert spec.lib_path.endswith(".so")
+
+
+# -- engine lifetime and restore ----------------------------------------------
+
+
+class _CountingLib:
+    """A compiled library that counts the frees made through it."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.freed = []
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def free_instance(self, inst):
+        self.freed.append("inst")
+        self._lib.free_instance(inst)
+
+    def obs_free(self, obs):
+        self.freed.append("obs")
+        self._lib.obs_free(obs)
+
+
+def test_engine_and_recorder_memory_is_freed_with_its_owner(monkeypatch):
+    """``inst_t`` goes with its ``SimJITEngine`` and ``obs_t`` with the
+    ``KernelInstrumentation`` that armed it.  Nothing used to call
+    ``free_instance``/``obs_free``: a dropped mesh16 engine leaked
+    0.2 MiB, 1.95 MiB with a compiled flight recorder."""
+    import gc
+
+    from repro.components import Register
+    libs = []
+    load = SimJITRTL._load
+
+    def counting_load(self, lib_path):
+        libs.append(_CountingLib(load(self, lib_path)))
+        return libs[-1]
+
+    monkeypatch.setattr(SimJITRTL, "_load", counting_load)
+    top = SimJITRTL(Register(8).elaborate()).specialize().elaborate()
+    sim = SimulationTool(top)
+    sim.reset()
+    sim.flight_recorder(["out"], depth=4)
+    sim.run(3)
+    assert sim._jit_instr.active
+    lib, = libs
+    assert lib.freed == []
+    del sim, top
+    gc.collect()
+    assert sorted(lib.freed) == ["inst", "obs"]
+
+
+def test_restore_raw_refuses_another_designs_blob():
+    """``load_inst`` copies ``sizeof(inst_t)`` bytes from whatever it
+    is handed."""
+    from repro.components import Register
+    small = SimJITRTL(Register(8).elaborate()).specialize().jit_engine
+    mesh = SimJITRTL(MeshNetworkStructural(
+        RouterRTL, 4, 64, 16, 2).elaborate()).specialize().jit_engine
+    blob = small.snapshot_raw()
+    small.restore_raw(blob)
+    with pytest.raises(ValueError) as exc:
+        mesh.restore_raw(blob)
+    assert str(len(blob)) in str(exc.value)
+    assert str(len(mesh.snapshot_raw())) in str(exc.value)
