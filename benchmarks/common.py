@@ -179,9 +179,7 @@ def build_c_reference(level, nrouters, cache=True):
         net, extra_c=driver, extra_cdef=_DRIVER_CDEF, cache=cache)
     wrapper = spec.specialize()
     engine = wrapper.jit_engine
-    import cffi
-    ffi = cffi.FFI()
-    stats_buf = ffi.new("int64_t[4]")
+    stats_buf = engine._ffi.new("int64_t[4]")
 
     def run(ncycles, rate, seed=1):
         engine.lib.run_traffic(

@@ -20,6 +20,7 @@ val/rdy signals; they use adapters that hide the handshake protocol:
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import deque
 
 from .bits import Bits
@@ -162,6 +163,12 @@ class ParentReqRespQueueAdapter:
 # -- blocking (coroutine-style) adapters ------------------------------------------
 
 
+class _WorkerExit(BaseException):
+    """Raised at a worker's yield point to unwind it: its runner was
+    collected or its simulator closed.  Not an ``Exception``, so FL
+    code that catches those still lets go."""
+
+
 class _Handoff:
     """Strict lock-step handoff between the simulator thread and one
     worker thread: exactly one side runs at a time."""
@@ -169,6 +176,7 @@ class _Handoff:
     def __init__(self):
         self.to_worker = threading.Event()
         self.to_sim = threading.Event()
+        self.stopping = False
 
     def run_worker(self):
         """Called from the sim thread: let the worker run until it
@@ -181,7 +189,49 @@ class _Handoff:
         """Called from the worker thread: pause until resumed."""
         self.to_sim.set()
         self.to_worker.wait()
+        if self.stopping:
+            # ``to_worker`` stays set: a block that swallows the
+            # exception meets it again at its next yield.
+            raise _WorkerExit
         self.to_worker.clear()
+
+
+def _worker_loop(handoff, runner_ref):
+    """Body of a runner's worker thread.  Parked between invocations
+    it holds the handoff and a weak reference only; a frame that held
+    the runner would hold the FL block's closure, the model, every net
+    and the ``SimulationTool``, and no dropped simulator with a
+    blocking FL tick would ever be collected."""
+    try:
+        while True:
+            handoff.yield_to_sim()          # wait for first resume
+            _invoke(runner_ref())
+    except _WorkerExit:
+        pass
+
+
+def _stop_worker(handoff, thread):
+    """Wake the parked worker to exit, and wait until it has."""
+    handoff.stopping = True
+    handoff.to_worker.set()
+    # A collection that finalizes a runner can start on any thread.
+    if thread is not threading.current_thread():
+        thread.join()
+
+
+def _invoke(runner):
+    """One invocation of the FL block, in a frame of its own so that
+    the worker's strong reference to its runner ends with it."""
+    try:
+        runner.func()
+    except _WorkerExit:
+        raise
+    except BaseException as exc:            # noqa: BLE001
+        # Hand the exception to the sim thread; a silently
+        # dead worker would deadlock the next run_worker().
+        runner._worker_exc = exc
+    finally:
+        runner.state = "idle"
 
 
 class BlockingTickRunner:
@@ -192,6 +242,10 @@ class BlockingTickRunner:
     invocation whose data arrived, or starting a fresh invocation of
     the block.  The worker only ever runs while the sim thread waits,
     so execution stays deterministic.
+
+    The worker exits when the runner is collected (an idle worker does
+    not keep it alive) or, in whatever state, at :meth:`stop` — which
+    ``SimulationTool.close()`` calls.
     """
 
     def __init__(self, func, adapters):
@@ -200,24 +254,33 @@ class BlockingTickRunner:
         self.blocking = [
             a for a in self.adapters if isinstance(a, ListMemPortAdapter)
         ]
-        self.handoff = _Handoff()
+        self.handoff = None        # made with the worker
         self.state = "idle"        # idle | blocked | running
         self._thread = None
         self._worker_exc = None
         for adapter in self.blocking:
             adapter._runner = self
 
-    def _worker_loop(self):
-        while True:
-            self.handoff.yield_to_sim()     # wait for first resume
-            try:
-                self.func()
-            except BaseException as exc:    # noqa: BLE001
-                # Hand the exception to the sim thread; a silently
-                # dead worker would deadlock the next run_worker().
-                self._worker_exc = exc
-            finally:
-                self.state = "idle"
+    def _start_worker(self):
+        handoff = self.handoff = _Handoff()
+        self._thread = threading.Thread(
+            target=_worker_loop, args=(handoff, weakref.ref(self)),
+            daemon=True,
+        )
+        self._finalizer = weakref.finalize(
+            self, _stop_worker, handoff, self._thread)
+        self._thread.start()
+        # Let the worker reach its first yield point.
+        handoff.to_sim.wait()
+        handoff.to_sim.clear()
+
+    def stop(self):
+        """End the worker thread, abandoning an invocation blocked
+        mid-way (it unwinds through :class:`_WorkerExit`).  The next
+        call of the runner starts a fresh worker."""
+        if self._thread is not None:
+            self._finalizer()       # once; dead afterwards
+            self._thread = None
 
     def __call__(self):
         for adapter in self.adapters:
@@ -231,13 +294,7 @@ class BlockingTickRunner:
                 adapter.xtick()
                 adapter._skip = True
         if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._worker_loop, daemon=True
-            )
-            self._thread.start()
-            # Let the worker reach its first yield point.
-            self.handoff.to_sim.wait()
-            self.handoff.to_sim.clear()
+            self._start_worker()
         if self.state == "blocked":
             if all(a.ready() for a in self.blocking if a.is_waiting()):
                 self.state = "running"

@@ -844,9 +844,10 @@ def lower(blk):
 
     A pure function, deliberately uncached: keeping mesh64's 832
     ``BlockIR``s alive past specialization costs +12.8 % peak RSS to
-    save 0.03-0.2 s, so a caller that needs a block's IR twice
-    (``auto_specialize``: once to test translatability, once inside
-    the specializer) lowers it twice.
+    save 0.03-0.2 s.  A caller that needs a block's IR twice keeps it
+    for as long as it needs it (``auto_specialize`` hands what its
+    translatability walk lowered to the specializer of that subtree,
+    and drops it there).
     """
     kind = ("comb" if isinstance(blk, _CombBlock)
             else "tick_rtl" if blk.level == "rtl" else "tick_cl")

@@ -24,18 +24,24 @@ _LEVEL_SPECIALIZERS = {
 }
 
 
-def _blocks_translatable(model, allowed_levels):
-    """Can this model's own blocks be lowered by a specializer?  The
-    IR is dropped: the specializer lowers the chosen subtrees again
-    (see :func:`~repro.core.ast_ir.lower` on why nothing is cached)."""
+def _blocks_translatable(model, allowed_levels, irs):
+    """Can this model's own blocks be lowered by a specializer?
+
+    ``irs`` (``{block: BlockIR, or None outside the subset}``) is what
+    this call of :func:`auto_specialize` has lowered so far under one
+    child of its top: every block is lowered at most once, whether the
+    answer is then used to specialize the subtree or to descend."""
     if any(blk.level not in allowed_levels
            for blk in model.get_tick_blocks()):
         return False
-    try:
-        for blk in model.get_tick_blocks() + model.get_comb_blocks():
-            lower(blk)
-    except TranslationError:
-        return False
+    for blk in model.get_tick_blocks() + model.get_comb_blocks():
+        if blk not in irs:
+            try:
+                irs[blk] = lower(blk)
+            except TranslationError:
+                irs[blk] = None
+        if irs[blk] is None:
+            return False
     return True
 
 
@@ -55,11 +61,11 @@ def _submodel_attrs(model):
                     yield attr, i, item
 
 
-def _subtree_specializable(model, allowed_levels):
-    if not _blocks_translatable(model, allowed_levels):
+def _subtree_specializable(model, allowed_levels, irs):
+    if not _blocks_translatable(model, allowed_levels, irs):
         return False
     return all(
-        _subtree_specializable(child, allowed_levels)
+        _subtree_specializable(child, allowed_levels, irs)
         for _, _, child in _submodel_attrs(model)
     )
 
@@ -71,31 +77,41 @@ def auto_specialize(model, allowed_levels=("rtl", "cl"), stats=None):
     replaced in place by JIT wrappers).  ``stats`` (optional dict)
     collects the names of specialized and skipped submodels.
     """
-    if model.is_elaborated():
-        raise SpecializationError(
-            "auto_specialize must run before top-level elaboration")
     if stats is None:
         stats = {"specialized": [], "interpreted": []}
-    model._auto_specialize_stats = stats
-
-    for container, key, child in _submodel_attrs(model):
-        if _subtree_specializable(child, allowed_levels):
-            container[key] = _specialize_one(child)
-            stats["specialized"].append(type(child).__name__)
-        else:
-            # Descend: maybe grandchildren are specializable.
-            auto_specialize(child, allowed_levels, stats=stats)
-            stats["interpreted"].append(type(child).__name__)
+    _specialize_children(model, allowed_levels, stats)
     return model
 
 
-def _specialize_one(child):
+def _specialize_children(model, allowed_levels, stats, lowered=None):
+    """``lowered`` is the memo of the subtree being descended; at the
+    top every child starts one of its own, so the IRs of one child's
+    subtree go when that child is done."""
+    if model.is_elaborated():
+        raise SpecializationError(
+            "auto_specialize must run before top-level elaboration")
+    model._auto_specialize_stats = stats
+    for container, key, child in _submodel_attrs(model):
+        irs = {} if lowered is None else lowered
+        if _subtree_specializable(child, allowed_levels, irs):
+            container[key] = _specialize_one(child, irs)
+            stats["specialized"].append(type(child).__name__)
+        else:
+            # Descend: maybe grandchildren are specializable.  What
+            # the failed walk lowered is theirs to use.
+            _specialize_children(child, allowed_levels, stats, irs)
+            stats["interpreted"].append(type(child).__name__)
+
+
+def _specialize_one(child, irs):
     has_cl = any(
         blk.level == "cl"
         for sub in _all_models(child) for blk in sub.get_tick_blocks()
     )
     specializer_cls = SimJITCL if has_cl else SimJITRTL
-    return specializer_cls(child.elaborate()).specialize()
+    spec = specializer_cls(child.elaborate())
+    spec._lowered = irs
+    return spec.specialize()
 
 
 def _all_models(model):

@@ -7,7 +7,8 @@ lower every behavioral block to IR, emit a single C translation unit
 each called with one instance's slot/constant tables — the
 combinational blocks in the order
 :func:`~repro.core.scheduling.build_schedule` gives them),
-compile it with gcc, load it through cffi, and
+compile it with gcc, load it through cffi (whose parse of the
+interface declarations is paid once per process, :func:`_interface`), and
 hand back a drop-in :class:`JITModel` exposing the original port
 interface — exactly the flow of paper Figure 12, with our own RTL→C
 compiler standing in for Verilator (see DESIGN.md).
@@ -19,7 +20,9 @@ recorded on the returned engine for the Figure 16 experiment.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
+import io
 import os
 import subprocess
 import tempfile
@@ -98,6 +101,30 @@ def _build_lock(lock_path):
         handle.close()
 
 
+@functools.cache
+def _interface(extra_cdef):
+    """The ``ffi`` every engine whose library exports these declarations
+    loads through and allocates from: the text is parsed (pycparser,
+    ~35 ms) once per process and distinct ``extra_cdef``, every later
+    load is one ``dlopen``.
+
+    Built through cffi's out-of-line ABI mode — ``cdef`` once, have
+    the recompiler print the declarations as a Python module, ``exec``
+    it — because the ``_cffi_backend.FFI`` that yields gives each
+    ``dlopen`` its own library object, unloaded with its last
+    reference.  A shared in-line ``cffi.FFI`` would append every
+    library to ``FFI._libraries`` and never unload one."""
+    import cffi
+    from cffi import recompiler
+    parsed = cffi.FFI()
+    parsed.cdef(C_HEADER_DECLS + C_OBS_DECLS + extra_cdef)
+    module = io.StringIO()
+    recompiler.make_py_source(parsed, "_simjit_interface", module)
+    namespace = {}
+    exec(module.getvalue(), namespace)
+    return namespace["ffi"]
+
+
 class _Timer:
     """Accumulates wall time into ``record[key]``; with host-span
     tracing armed, each timed phase also lands as a ``simjit.<key>``
@@ -136,12 +163,15 @@ class SimJITEngine:
     that differ, which are then written straight to their nets.
     """
 
-    def __init__(self, model, lib, slot_of, overheads, kernel_info):
+    def __init__(self, model, lib, ffi, slots, overheads, kernel_info):
         self.model = model
         self.lib = lib
-        self.slot_of = slot_of
-        import cffi
-        self._ffi = ffi = cffi.FFI()
+        # The process-wide ``ffi`` that loaded ``lib`` (``_interface``).
+        self._ffi = ffi
+        # ``id(net) -> slot`` in ``cur[]``.  The table, not the
+        # specializer that built it: nothing the engine keeps may keep
+        # the ``_Specializer`` (and its ``c_source``) alive.
+        self._slots = slots
         # Freed with the engine; the destructor holds ``lib`` so the
         # code it calls is still mapped whichever is dropped first.
         self.inst = ffi.gc(lib.new_instance(),
@@ -171,6 +201,10 @@ class SimJITEngine:
         # re-merge nets after specialization).
         self._in_nets = None
         self._pushed = None
+
+    def slot_of(self, sig):
+        """Net slot of ``sig`` in the compiled ``cur[]``."""
+        return self._slots[id(sig._net.find())]
 
     def _bind(self):
         self._in_nets = [sig._net.find() for sig in self._in_ports]
@@ -352,6 +386,10 @@ class _Specializer:
         self.extra_cdef = extra_cdef
         self.schedule = schedule        # static comb scheduling on/off
         self.overheads = {}
+        # ``{block: BlockIR}`` a caller already lowered (the
+        # translatability walk of ``auto_specialize``).  Taken out as
+        # they are used, so no IR outlives this specialization.
+        self._lowered = {}
 
     def specialize(self):
         """Run the full pipeline; returns a :class:`JITModel`."""
@@ -383,8 +421,9 @@ class _Specializer:
 
         with _Timer(self.overheads, "wrap"):
             lib = self._load(lib_path)
-            engine = SimJITEngine(model, lib, self._slot_of,
-                                  self.overheads, self.kernel_info)
+            engine = SimJITEngine(model, lib, _interface(self.extra_cdef),
+                                  self._slots, self.overheads,
+                                  self.kernel_info)
             engine.state_index = dict(self._state_index)
             engine.model_index = dict(self._model_index)
 
@@ -441,12 +480,16 @@ class _Specializer:
     def _slot_of(self, sig):
         return self._slots[id(sig._net.find())]
 
+    def _lower(self, blk):
+        ir = self._lowered.pop(blk, None)
+        return lower(blk) if ir is None else ir
+
     def _lower_blocks(self, model):
         comb_irs = []
         tick_irs = []
         for sub in model._all_models:
             for blk in sub.get_comb_blocks():
-                comb_irs.append(lower(blk))
+                comb_irs.append(self._lower(blk))
             for blk in sub.get_tick_blocks():
                 if blk.level not in self.allowed_ticks:
                     raise SpecializationError(
@@ -454,7 +497,7 @@ class _Specializer:
                         f"(level '{blk.level}'; supported: "
                         f"{sorted(self.allowed_ticks)})"
                     )
-                tick_irs.append(lower(blk))
+                tick_irs.append(self._lower(blk))
 
         # Slice connectors become synthetic comb copies.
         for idx, (src, dst) in enumerate(model._connectors):
@@ -703,10 +746,7 @@ class _Specializer:
         return lib_path
 
     def _load(self, lib_path):
-        import cffi
-        ffi = cffi.FFI()
-        ffi.cdef(C_HEADER_DECLS + C_OBS_DECLS + self.extra_cdef)
-        return ffi.dlopen(lib_path)
+        return _interface(self.extra_cdef).dlopen(lib_path)
 
 
 class SimJITRTL(_Specializer):

@@ -65,6 +65,7 @@ import warnings
 from collections import deque
 from time import perf_counter
 
+from .adapters import BlockingTickRunner, wrap_fl_ticks
 from .probe import Probe
 from .scheduling import build_schedule, generate_kernel, nets_of
 from ..resilience.warnings import ResilienceWarning
@@ -155,7 +156,6 @@ class SimulationTool:
 
         # Tick blocks in hierarchical declaration order.  FL blocks
         # that use blocking adapters get wrapped in coroutine runners.
-        from .adapters import wrap_fl_ticks
         wrappers = wrap_fl_ticks(model)
         self._tick_blocks = [
             blk for m in model._all_models for blk in m.get_tick_blocks()
@@ -856,11 +856,15 @@ class SimulationTool:
         return info
 
     def close(self):
-        """Finalize attached sinks (VCD, telemetry, line-trace file).
-        Idempotent."""
+        """Finalize attached sinks (VCD, telemetry, line-trace file)
+        and end the worker threads of blocking FL ticks, whatever they
+        are in the middle of.  Idempotent."""
         if self._closed:
             return
         self._closed = True
+        for tick in self._ticks:
+            if isinstance(tick, BlockingTickRunner):
+                tick.stop()
         if self._vcd is not None:
             self._vcd.close()
         if self._trace_sink_file is not None:

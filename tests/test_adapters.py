@@ -223,3 +223,73 @@ def test_adapter_reuse_across_go_requests():
     _drive_xcel(sim, port, 1, 2, await_resp=False)
     _drive_xcel(sim, port, 2, 0x3000, await_resp=False)
     assert _drive_xcel(sim, port, 0, 0, await_resp=True) == 300
+
+
+# -- worker lifetime -----------------------------------------------------------
+
+
+def _mvmult_tile(jit):
+    from repro.accel import Tile, mvmult_data, mvmult_xcel
+    from repro.proc import assemble
+    tile = Tile(("rtl", "fl", "fl"), jit=jit).elaborate()
+    tile.mem.load(0, assemble(mvmult_xcel(2, 4)))
+    for addr, value in mvmult_data(2, 4, seed=1)[0].items():
+        tile.mem.write_word(addr, value)
+    sim = SimulationTool(tile)
+    sim.reset()
+    return tile, sim
+
+
+@pytest.mark.parametrize("jit", [False, True])
+def test_dropped_simulator_takes_its_worker_and_design_along(jit):
+    """An idle worker used to hold its runner, so the FL block's
+    closure, the model, every net and the ``SimulationTool``: each
+    dropped simulator with a blocking FL tick left one thread and the
+    whole design behind."""
+    import gc
+    import threading
+
+    gc.collect()
+    threads = threading.active_count()
+    objects = []
+    for _ in range(5):
+        tile, sim = _mvmult_tile(jit)
+        while not int(tile.proc.done):
+            sim.cycle()
+            assert sim.ncycles < 20000
+        assert threading.active_count() == threads + 1
+        del tile, sim
+        gc.collect()
+        assert threading.active_count() == threads
+        objects.append(len(gc.get_objects()))
+    # Not ``==``: the collector stops tracking tuples and dicts of
+    # atoms one nesting level per collection, so the count of what the
+    # first rounds cached settles downwards by a few dozen.  A round
+    # that leaks leaves its whole design, thousands of objects.
+    assert objects[4] <= objects[1]
+
+
+def test_close_ends_a_worker_blocked_mid_invocation():
+    """A worker blocked inside ``list(s.src0)`` holds its runner
+    strongly; ``close()`` unwinds it from its yield point."""
+    import gc
+    import threading
+    import weakref
+
+    from repro.core.adapters import BlockingTickRunner
+
+    gc.collect()
+    threads = threading.active_count()
+    tile, sim = _mvmult_tile(jit=False)
+    runner, = (t for t in sim._ticks if isinstance(t, BlockingTickRunner))
+    while runner.state != "blocked":
+        sim.cycle()
+        assert sim.ncycles < 20000
+    assert threading.active_count() == threads + 1
+    sim.close()
+    assert threading.active_count() == threads
+    assert runner.state == "idle"
+    gone = weakref.ref(tile)
+    del tile, sim, runner
+    gc.collect()
+    assert gone() is None

@@ -296,3 +296,126 @@ def test_restore_raw_refuses_another_designs_blob():
         mesh.restore_raw(blob)
     assert str(len(blob)) in str(exc.value)
     assert str(len(mesh.snapshot_raw())) in str(exc.value)
+
+
+# -- what a warm build pays for ---------------------------------------------------
+
+
+def test_second_build_in_a_process_parses_no_declarations(monkeypatch):
+    """The interface declarations go through pycparser once per
+    process; a later engine is one ``dlopen`` (it used to be a
+    ``cffi.FFI().cdef()`` of the same text per engine, 7-8 ms each,
+    and a second throw-away ``cffi.FFI()`` for the engine's buffers)."""
+    import cffi
+
+    from repro.verif import make_mesh_dut
+    make_mesh_dut("jit", "rtl", nrouters=4, jit=True)
+    made = []
+    init, cdef = cffi.FFI.__init__, cffi.FFI.cdef
+
+    def counting_init(self, *args, **kwargs):
+        made.append("FFI")
+        init(self, *args, **kwargs)
+
+    def counting_cdef(self, *args, **kwargs):
+        made.append("cdef")
+        return cdef(self, *args, **kwargs)
+
+    monkeypatch.setattr(cffi.FFI, "__init__", counting_init)
+    monkeypatch.setattr(cffi.FFI, "cdef", counting_cdef)
+    dut = make_mesh_dut("jit", "rtl", nrouters=4, jit=True)
+    assert made == []
+    assert len({id(r.jit_engine._ffi) for r in dut.model.routers}) == 1
+    assert len({r.jit_engine.lib for r in dut.model.routers}) == 4
+
+
+_TWO_DRIVERS = [
+    ("int64_t answer(void);", "int64_t answer(void) { return 42; }"),
+    ("int64_t width_of(void *p, int slot);",
+     "int64_t width_of(void *p, int slot)"
+     " { (void)p; return net_width[slot]; }"),
+]
+
+
+def test_each_extra_cdef_has_its_own_declarations():
+    """``extra_cdef`` (the all-C traffic driver of the Fig. 14 c-ref
+    series) is part of what the process-wide declarations are keyed
+    by."""
+    from repro.components import Register
+    libs = []
+    for cdef, source in _TWO_DRIVERS + [("", "")]:
+        spec = SimJITRTL(Register(8).elaborate(),
+                         extra_cdef=cdef, extra_c=source)
+        libs.append(spec.specialize().jit_engine)
+    answer, width, plain = libs
+    assert answer.lib.answer() == 42
+    assert width.lib.width_of(width.inst, width.slot_of(
+        width.model.out)) == 8
+    for engine, missing in ((answer, "width_of"), (width, "answer"),
+                            (plain, "answer"), (plain, "width_of")):
+        with pytest.raises(AttributeError):
+            getattr(engine.lib, missing)
+    assert len({id(e._ffi) for e in libs}) == 3
+
+
+def test_engine_does_not_keep_its_specializer():
+    """``engine.slot_of`` was the specializer's bound method, which
+    pinned the ``_Specializer`` and its whole ``c_source`` for the
+    engine's life."""
+    import weakref
+
+    from repro.components import Register
+    from repro.core.probe import NET, Probe
+    spec = SimJITRTL(Register(8).elaborate())
+    top = spec.specialize().elaborate()
+    gone = weakref.ref(spec)
+    del spec
+    assert gone() is None
+    engine = top.jit_engine
+    sim = SimulationTool(top)
+    slot = engine.slot_of(top.out)
+    assert Probe.resolve(sim, "out").address(engine) == (NET, slot, 0)
+    sim.reset()
+    top.in_.value = 0x5A
+    sim.cycle()
+    assert engine.raw_get(slot) == 0x5A
+
+
+_FIRST_LOAD = """
+from repro.components import Register
+from repro.core.simjit import SimJITRTL
+SimJITRTL(Register(8).elaborate()).specialize()
+"""
+
+
+def test_first_load_in_a_process_prints_nothing():
+    """cffi's ``emit_python_code`` announces the module it generates."""
+    import os
+    import subprocess
+    import sys
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _FIRST_LOAD], env=env, check=True,
+        capture_output=True, timeout=120)
+    assert (done.stdout, done.stderr) == (b"", b"")
+
+
+def test_library_is_unloaded_with_its_last_engine():
+    """One ``ffi`` for the process must not mean one ``dlopen`` list
+    for the process: a dropped design's ``.so`` leaves the address
+    space."""
+    import gc
+
+    from repro.components import Register
+
+    def mapped(path):
+        with open("/proc/self/maps") as maps:
+            return any(path in line for line in maps)
+
+    spec = SimJITRTL(Register(24).elaborate())
+    top = spec.specialize()
+    path = spec.lib_path
+    assert mapped(path)
+    del spec, top
+    gc.collect()
+    assert not mapped(path)
