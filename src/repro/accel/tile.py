@@ -10,6 +10,7 @@ the 27 ⟨P, C, A⟩ configurations of the paper's Figure 13 experiment.
 from __future__ import annotations
 
 from ..core import Model, SimulationTool
+from ..core.simjit import auto_specialize
 from ..mem.cache_cl import CacheCL
 from ..mem.cache_fl import CacheFL
 from ..mem.cache_rtl import CacheRTL
@@ -48,21 +49,13 @@ class Tile(Model):
         mem_msg = MemMsg()
         xcel_msg = XcelMsg()
 
-        s.proc = _maybe_jit(
-            PROC_IMPLS[proc_level](mem_msg, xcel_msg),
-            jit and proc_level == "rtl")
-        s.icache = _maybe_jit(
-            CACHE_IMPLS[cache_level](*_cache_args(
-                cache_level, mem_msg, cache_nlines, cache_assoc)),
-            jit and cache_level == "rtl")
-        s.dcache = _maybe_jit(
-            CACHE_IMPLS[cache_level](*_cache_args(
-                cache_level, mem_msg, cache_nlines, cache_assoc)),
-            jit and cache_level == "rtl")
-        s.accel = _maybe_jit(
-            accel_impls[accel_level](mem_msg, xcel_msg),
-            jit and accel_level == "rtl")
-        s.arbiter = _maybe_jit(MemArbiter(mem_msg), jit)
+        s.proc = PROC_IMPLS[proc_level](mem_msg, xcel_msg)
+        s.icache = CACHE_IMPLS[cache_level](*_cache_args(
+            cache_level, mem_msg, cache_nlines, cache_assoc))
+        s.dcache = CACHE_IMPLS[cache_level](*_cache_args(
+            cache_level, mem_msg, cache_nlines, cache_assoc))
+        s.accel = accel_impls[accel_level](mem_msg, xcel_msg)
+        s.arbiter = MemArbiter(mem_msg)
         s.mem = TestMemory(nports=2, latency=mem_latency, size=mem_size)
 
         # Processor <-> instruction cache.
@@ -84,6 +77,12 @@ class Tile(Model):
         s.connect(s.dcache.mem_ifc.req, s.mem.ports[1].req)
         s.connect(s.dcache.mem_ifc.resp, s.mem.ports[1].resp)
 
+        if jit:
+            # Paper Figure 13: "SimJIT-RTL specialization applied to
+            # all RTL components"; CL ones stay in Python.  The FL memory
+            # keeps the tile itself interpreted: nothing to rebind.
+            auto_specialize(s, ("rtl",))
+
     def lod(s):
         """Level-of-detail score: LOD = p + c + a (paper Figure 13)."""
         return sum(LOD_SCORE[level] for level in s.levels)
@@ -96,15 +95,6 @@ def _cache_args(level, mem_msg, nlines, assoc=1):
     if level == "fl":
         return (mem_msg, mem_msg)
     return (mem_msg, mem_msg, nlines, assoc)
-
-
-def _maybe_jit(component, enable):
-    """Specialize an RTL component with SimJIT-RTL (paper Figure 13:
-    'SimJIT-RTL specialization applied to all RTL components')."""
-    if not enable:
-        return component
-    from ..core.simjit import SimJITRTL
-    return SimJITRTL(component.elaborate()).specialize()
 
 
 def run_tile(levels, words, data=None, max_cycles=2_000_000,

@@ -5,116 +5,111 @@ invoke these specializers on their models, although future work could
 consider adding support to automatically traverse the model hierarchy
 to find and specialize appropriate CL and RTL models."*
 
-This module implements that extension: :func:`auto_specialize` walks an
-un-elaborated design, finds the maximal subtrees whose behavioral
-blocks are fully inside the SimJIT subset, compiles each, and splices
-the drop-in :class:`JITModel` wrappers back into the hierarchy.  FL
-models (and anything outside the subset) stay interpreted.
+This module implements that extension, and it is the one place that
+decides what a design compiles to (everything spelled ``jit=True`` ends
+here): :func:`auto_specialize` walks an un-elaborated design from the
+top, compiles each maximal subtree whose behavioral blocks are fully
+inside the SimJIT subset as one engine, and splices the drop-in
+:class:`JITModel` wrappers back into the hierarchy.  FL models (and
+anything outside the subset) stay interpreted and say why
+(``sim.sched_info()["simjit"]["interpreted"]``).
 """
 
 from __future__ import annotations
 
 from ..ast_ir import TranslationError, lower
-from ..model import Model
-from .specializer import SimJITCL, SimJITRTL, SpecializationError
-
-_LEVEL_SPECIALIZERS = {
-    "rtl": SimJITRTL,
-    "cl": SimJITCL,
-}
+from ..model import MAX_LIST_DEPTH, Model
+from .specializer import JITModel, SimJITCL, SimJITRTL, SpecializationError
 
 
-def _blocks_translatable(model, allowed_levels, irs):
-    """Can this model's own blocks be lowered by a specializer?
+def auto_specialize(model, allowed_levels=("rtl", "cl")):
+    """Specialize every maximal SimJIT-compatible subtree of ``model``.
 
-    ``irs`` (``{block: BlockIR, or None outside the subset}``) is what
-    this call of :func:`auto_specialize` has lowered so far under one
-    child of its top: every block is lowered at most once, whether the
-    answer is then used to specialize the subtree or to descend."""
-    if any(blk.level not in allowed_levels
-           for blk in model.get_tick_blocks()):
-        return False
-    for blk in model.get_tick_blocks() + model.get_comb_blocks():
+    ``model`` must not be elaborated yet.  The top is a subtree like
+    any other: a design that is translatable from the top down comes
+    back as its one :class:`JITModel` wrapper, anything else as
+    ``model`` itself with wrappers spliced in below — so always use the
+    return value::
+
+        net = MeshNetworkStructural(RouterRTL, 16, 256, 32, 2)
+        net = auto_specialize(net)              # not: auto_specialize(net)
+        sim = SimulationTool(net.elaborate())   # one engine
+    """
+    if model.is_elaborated():
+        raise SpecializationError(
+            "auto_specialize must run before top-level elaboration")
+    return _specialize(model, allowed_levels, {})
+
+
+def _specialize(node, allowed_levels, irs):
+    """``node``'s wrapper when its whole subtree is one engine, else
+    ``node`` with the same question answered for each child.
+
+    ``irs`` is what this call of :func:`auto_specialize` has lowered so
+    far (``{block: BlockIR, or the text of its TranslationError}``, the
+    text alone so that no traceback pins the walk's frames): a block is
+    lowered once, whether the walk that met it ends in a
+    specialization — whose specializer takes its IRs out of ``irs`` as
+    it uses them — or fails further on and is asked again one level
+    down."""
+    if isinstance(node, JITModel):      # specialized by hand already
+        return node
+    models = list(_subtree(node))
+    ticks = [blk for sub in models for blk in sub.get_tick_blocks()]
+    combs = [blk for sub in models for blk in sub.get_comb_blocks()]
+    refusal = _first_refusal(ticks, combs, allowed_levels, irs)
+    if refusal is None:
+        has_cl = any(blk.level == "cl" for blk in ticks)
+        spec = (SimJITCL if has_cl else SimJITRTL)(node.elaborate())
+        spec._lowered = irs
+        return spec.specialize()
+    # ``sched_info()`` reports it under the name elaboration gives.
+    node._simjit_refusal = refusal
+    for container, key, child in _submodel_attrs(node):
+        container[key] = _specialize(child, allowed_levels, irs)
+    return node
+
+
+def _first_refusal(ticks, combs, allowed_levels, irs):
+    """``(block, reason)`` for the first block that keeps a subtree out
+    of a specializer, or None.  Levels first: they cost no lowering, so
+    an FL model anywhere below a node is found before the node's other
+    descendants are lowered and held while their turn comes."""
+    for blk in ticks:
+        if blk.level not in allowed_levels:
+            return blk, (f"level '{blk.level}'; "
+                         f"allowed: {sorted(allowed_levels)}")
+    for blk in ticks + combs:
         if blk not in irs:
             try:
                 irs[blk] = lower(blk)
-            except TranslationError:
-                irs[blk] = None
-        if irs[blk] is None:
-            return False
-    return True
+            except TranslationError as exc:
+                irs[blk] = str(exc)
+        if isinstance(irs[blk], str):
+            return blk, irs[blk]
+    return None
+
+
+def _subtree(node):
+    yield node
+    for _, _, child in _submodel_attrs(node):
+        yield from _subtree(child)
 
 
 def _submodel_attrs(model):
     """Yield (container, key, child) for every Model-valued attribute,
-    descending into lists.  Not ``get_submodels()``: this runs before
-    elaboration has filled it, and splicing a wrapper in needs the
-    container that holds the child."""
+    descending into lists as deep as elaboration does.  Not
+    ``get_submodels()``: this runs before elaboration has filled it,
+    and splicing a wrapper in needs the container that holds the
+    child."""
     for name, attr in list(model.__dict__.items()):
-        if name.startswith("_"):
-            continue
-        if isinstance(attr, Model):
-            yield model.__dict__, name, attr
-        elif isinstance(attr, list):
-            for i, item in enumerate(attr):
-                if isinstance(item, Model):
-                    yield attr, i, item
+        if not name.startswith("_"):
+            yield from _models_in(model.__dict__, name, attr, 0)
 
 
-def _subtree_specializable(model, allowed_levels, irs):
-    if not _blocks_translatable(model, allowed_levels, irs):
-        return False
-    return all(
-        _subtree_specializable(child, allowed_levels, irs)
-        for _, _, child in _submodel_attrs(model)
-    )
-
-
-def auto_specialize(model, allowed_levels=("rtl", "cl"), stats=None):
-    """Specialize every maximal SimJIT-compatible subtree of ``model``.
-
-    ``model`` must not be elaborated yet.  Returns ``model`` (children
-    replaced in place by JIT wrappers).  ``stats`` (optional dict)
-    collects the names of specialized and skipped submodels.
-    """
-    if stats is None:
-        stats = {"specialized": [], "interpreted": []}
-    _specialize_children(model, allowed_levels, stats)
-    return model
-
-
-def _specialize_children(model, allowed_levels, stats, lowered=None):
-    """``lowered`` is the memo of the subtree being descended; at the
-    top every child starts one of its own, so the IRs of one child's
-    subtree go when that child is done."""
-    if model.is_elaborated():
-        raise SpecializationError(
-            "auto_specialize must run before top-level elaboration")
-    model._auto_specialize_stats = stats
-    for container, key, child in _submodel_attrs(model):
-        irs = {} if lowered is None else lowered
-        if _subtree_specializable(child, allowed_levels, irs):
-            container[key] = _specialize_one(child, irs)
-            stats["specialized"].append(type(child).__name__)
-        else:
-            # Descend: maybe grandchildren are specializable.  What
-            # the failed walk lowered is theirs to use.
-            _specialize_children(child, allowed_levels, stats, irs)
-            stats["interpreted"].append(type(child).__name__)
-
-
-def _specialize_one(child, irs):
-    has_cl = any(
-        blk.level == "cl"
-        for sub in _all_models(child) for blk in sub.get_tick_blocks()
-    )
-    specializer_cls = SimJITCL if has_cl else SimJITRTL
-    spec = specializer_cls(child.elaborate())
-    spec._lowered = irs
-    return spec.specialize()
-
-
-def _all_models(model):
-    yield model
-    for _, _, child in _submodel_attrs(model):
-        yield from _all_models(child)
+def _models_in(container, key, attr, depth):
+    if isinstance(attr, Model):
+        yield container, key, attr
+    elif isinstance(attr, list) and depth < MAX_LIST_DEPTH:
+        for i, item in enumerate(attr):
+            yield from _models_in(attr, i, item, depth + 1)

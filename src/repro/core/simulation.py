@@ -822,8 +822,14 @@ class SimulationTool:
     def sched_info(self):
         """Scheduling provenance: requested vs chosen mode, the
         static/event partition, tick gating, and whether (and why not)
-        the mega-cycle kernel was compiled.  A SimJIT top adds a
-        ``simjit`` entry: ``comb`` is ``"single-pass"`` or
+        the mega-cycle kernel was compiled.  A design holding SimJIT
+        engines adds a ``simjit`` entry saying what ran where:
+        ``engines`` lists every engine in hierarchy order (``model``,
+        the ``class`` it replaced, and its kernel's ``blocks``,
+        ``functions`` and ``comb``), ``interpreted`` maps every model
+        ``auto_specialize`` left in Python to the first block that
+        kept it there and why.  A SimJIT top also has its kernel's
+        shape as flat keys: ``comb`` is ``"single-pass"`` or
         ``"fixpoint"`` (``residue_blocks`` > 0 says why: that many
         blocks sit in a combinational cycle or were left unscheduled),
         ``flop_nets`` the nets the clock edge copies,
@@ -848,11 +854,23 @@ class SimulationTool:
                 "demoted_cyclic": 0,
                 "levels": 0,
             })
-        engine = getattr(self.model, "jit_engine", None)
-        if engine is not None:
-            # SimJIT top: the shape of the generated kernel and of the
-            # port boundary (the wrapper itself is one event block).
-            info["simjit"] = dict(engine.kernel_info)
+        models = self.model._all_models
+        engines = [m for m in models if hasattr(m, "jit_engine")]
+        if engines:
+            simjit = info["simjit"] = {}
+            if engines[0] is self.model:
+                # SimJIT top: its kernel's shape and port boundary
+                # (the wrapper itself is one event block).
+                simjit.update(self.model.jit_engine.kernel_info)
+            simjit["engines"] = [
+                {"model": m.full_name(), "class": m._orig_class,
+                 **{key: m.jit_engine.kernel_info[key]
+                    for key in ("blocks", "functions", "comb")}}
+                for m in engines]
+            simjit["interpreted"] = {
+                m.full_name(): f"{blk.name}: {reason}"
+                for m in models if hasattr(m, "_simjit_refusal")
+                for blk, reason in [m._simjit_refusal]}
         return info
 
     def close(self):

@@ -92,9 +92,17 @@ def random_minrisc_program(rng, length=30, scratch=PROC_STATE_BASE,
     return "\n".join(lines)
 
 
-def _jit_rtl(component):
-    from ..core.simjit import SimJITRTL
-    return SimJITRTL(component.elaborate()).specialize()
+def _elaborated(design, jit, level):
+    """Elaborate a finished composition; the SimJIT point of a sweep
+    (``jit``) first compiles everything RTL in it -- the whole design
+    as one engine when all of it is.  That point compares cycle-exact
+    against the same RTL interpreted, so no other level has one."""
+    if jit:
+        if level != "rtl":
+            raise ValueError("SimJIT cosim points require level='rtl'")
+        from ..core.simjit import auto_specialize
+        design = auto_specialize(design, ("rtl",))
+    return design.elaborate()
 
 
 def make_cache_dut(name, level="rtl", sched="auto", jit=False,
@@ -111,10 +119,6 @@ def make_cache_dut(name, level="rtl", sched="auto", jit=False,
     else:
         cls = {"cl": CacheCL, "rtl": CacheRTL}[level]
         cache = cls(mem_msg, mem_msg, nlines=nlines, assoc=assoc)
-    if jit:
-        if level != "rtl":
-            raise ValueError("SimJIT cosim points require level='rtl'")
-        cache = _jit_rtl(cache)
 
     class _CacheHarness(Model):
         def __init__(s):
@@ -128,7 +132,7 @@ def make_cache_dut(name, level="rtl", sched="auto", jit=False,
             return (f"{s.cache.cpu_ifc.req.to_str()}>"
                     f"{s.cache.cpu_ifc.resp.to_str()}")
 
-    harness = _CacheHarness().elaborate()
+    harness = _elaborated(_CacheHarness(), jit, level)
     return DutAdapter(
         name, harness,
         drives={"req": harness.cache.cpu_ifc.req},
@@ -158,12 +162,7 @@ def make_mesh_dut(name, router="rtl", nrouters=4, sched="auto",
         cls = {"cl": RouterCL, "rtl": RouterRTL}[router]
         net = MeshNetworkStructural(
             cls, nrouters, nmsgs, data_nbits, nentries)
-    if jit:
-        if router != "rtl":
-            raise ValueError("SimJIT cosim points require router='rtl'")
-        from ..core.simjit import auto_specialize
-        net = auto_specialize(net)
-    net.elaborate()
+    net = _elaborated(net, jit, router)
 
     msg_type = net.msg_type
     return DutAdapter(
@@ -200,12 +199,8 @@ def make_proc_dut(name, level, words, data=None, sched="auto", jit=False,
     from ..proc.harness import ProcHarness
 
     proc = {"fl": ProcFL, "cl": ProcCL, "rtl": ProcRTL}[level]()
-    if jit:
-        if level != "rtl":
-            raise ValueError("SimJIT cosim points require level='rtl'")
-        proc = _jit_rtl(proc)
-
-    harness = ProcHarness(proc, mem_latency=mem_latency).elaborate()
+    harness = _elaborated(
+        ProcHarness(proc, mem_latency=mem_latency), jit, level)
     _load_words(harness.mem, words, data)
 
     type_lo, _ = MemReqMsg.field_slice("type_")

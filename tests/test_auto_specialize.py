@@ -1,6 +1,9 @@
 """Tests for automatic hierarchy specialization (the paper's stated
 future-work feature, implemented as an extension)."""
 
+import itertools
+import os
+
 import pytest
 
 from repro.core import Model, SimulationTool
@@ -12,19 +15,37 @@ from repro.net.traffic import NetworkTrafficHarness
 from repro.proc import assemble
 
 
+def _engines(model):
+    """Names of the attributes of ``model`` that hold an engine."""
+    return [name for name, attr in vars(model).items()
+            if isinstance(attr, JITModel)]
+
+
 def test_auto_specializes_rtl_tile_components():
-    tile = Tile(("rtl", "rtl", "rtl"))
-    auto_specialize(tile)
-    stats = tile._auto_specialize_stats
+    tile = auto_specialize(Tile(("rtl", "rtl", "rtl")))
     # proc, two caches, accelerator, arbiter all compile; the FL magic
-    # memory stays interpreted.
-    assert sorted(stats["specialized"]) == sorted(
-        ["ProcRTL", "CacheRTL", "CacheRTL", "DotProductRTL",
-         "MemArbiter"])
-    assert "TestMemory" in stats["interpreted"]
-    assert isinstance(tile.proc, JITModel)
-    assert isinstance(tile.icache, JITModel)
-    assert not isinstance(tile.mem, JITModel)
+    # memory stays interpreted, and with it the tile that holds it.
+    assert _engines(tile) == ["proc", "icache", "dcache", "accel",
+                              "arbiter"]
+    sim = SimulationTool(tile.elaborate())
+    info = sim.sched_info()["simjit"]
+    assert [(e["model"], e["class"]) for e in info["engines"]] == [
+        ("top.proc", "ProcRTL"), ("top.icache", "CacheRTL"),
+        ("top.dcache", "CacheRTL"), ("top.accel", "DotProductRTL"),
+        ("top.arbiter", "MemArbiter")]
+    assert all(e["blocks"] >= e["functions"] >= 1 and e["comb"]
+               for e in info["engines"])
+    assert list(info["interpreted"]) == ["top", "top.mem"]
+    assert info["interpreted"]["top.mem"].startswith(
+        "top.mem.logic: level 'fl'")
+    # No top engine, so none of its flat kernel keys.
+    assert "functions" not in info
+    # ``repro-telemetry-v1`` carries the scheduling partition only, so
+    # its bytes do not know which models are engines.
+    report = sim.telemetry.report()
+    assert sorted(report.sched) == sorted(
+        k for k in sim.sched_info() if k != "simjit")
+    assert "simjit" not in report.to_json()
 
 
 def test_auto_specialized_tile_is_cycle_exact():
@@ -52,26 +73,121 @@ def test_auto_specialized_tile_is_cycle_exact():
     assert interp_cycles == jit_cycles
 
 
-def test_auto_specializes_whole_mesh_as_one_unit():
-    """A pure-RTL mesh is one maximal subtree: each router (with its
-    queues) specializes; alternatively the whole mesh could.  Here the
-    mesh is reached through list attributes, so routers specialize
-    individually — delivery must be unchanged."""
-    net = MeshNetworkStructural(RouterRTL, 4, 64, 16, 2)
-    auto_specialize(net)
-    assert all(isinstance(r, JITModel) for r in net.routers)
-    stats = NetworkTrafficHarness(net.elaborate(), seed=5) \
-        .run_uniform_random(0.2, 150)
-    reference = NetworkTrafficHarness(
-        MeshNetworkStructural(RouterRTL, 4, 64, 16, 2).elaborate(),
-        seed=5).run_uniform_random(0.2, 150)
-    assert stats.latencies == reference.latencies
+def _so_files(cache_dir):
+    return sorted(f for f in os.listdir(cache_dir) if f.endswith(".so"))
 
 
-def test_auto_specialize_handles_cl_models():
-    net = MeshNetworkStructural(RouterCL, 4, 64, 16, 2)
-    auto_specialize(net)
-    assert all(isinstance(r, JITModel) for r in net.routers)
+def _delivery(net, seed=5):
+    return NetworkTrafficHarness(net.elaborate(), seed=seed) \
+        .run_uniform_random(0.2, 150).latencies
+
+
+def _one_engine_mesh16(router, cache_dir):
+    """``auto_specialize`` of a 16-router mesh on an empty cache: one
+    engine, one ``.so``, delivery equal to the interpreted twin's.
+    Returns the top engine's ``sched_info()["simjit"]``."""
+    net = auto_specialize(MeshNetworkStructural(router, 16, 256, 16, 2))
+    assert isinstance(net, JITModel)
+    assert len(_so_files(cache_dir)) == 1
+    info = SimulationTool(net.elaborate()).sched_info()["simjit"]
+    assert [(e["model"], e["class"]) for e in info["engines"]] == [
+        ("top", "MeshNetworkStructural")]
+    assert info["interpreted"] == {}
+    assert _delivery(net) == _delivery(
+        MeshNetworkStructural(router, 16, 256, 16, 2))
+    return info
+
+
+def test_auto_specializes_whole_mesh_as_one_unit(monkeypatch, tmp_path):
+    """A mesh that is translatable from the top down is one maximal
+    subtree: the top is a node like any other, so the whole network
+    comes back as one engine -- RouterRTL's five shared functions, not
+    sixteen one-router engines -- and delivery is unchanged."""
+    monkeypatch.setenv("SIMJIT_CACHE_DIR", str(tmp_path))
+    assert _one_engine_mesh16(RouterRTL, tmp_path)["functions"] == 5
+
+
+def test_auto_specialize_handles_cl_models(monkeypatch, tmp_path):
+    """A subtree with CL blocks is SimJIT-CL's, an all-RTL one stays
+    SimJIT-RTL's: the class is chosen per subtree, not per call."""
+    from repro.core.simjit.specializer import _Specializer
+    monkeypatch.setenv("SIMJIT_CACHE_DIR", str(tmp_path))
+    built = []
+    specialize = _Specializer.specialize
+
+    def recording(self):
+        built.append((type(self.orig).__name__, type(self).__name__))
+        return specialize(self)
+
+    monkeypatch.setattr(_Specializer, "specialize", recording)
+    _one_engine_mesh16(RouterCL, tmp_path)
+
+    class Mixed(Model):
+        def __init__(s):
+            from repro.components import Register
+            from repro.mem import TestMemory
+            s.mem = TestMemory(nports=1)
+            s.cl = MeshNetworkStructural(RouterCL, 4, 64, 16, 2)
+            s.rtl = Register(8)
+
+    assert _engines(auto_specialize(Mixed())) == ["cl", "rtl"]
+    assert built == [
+        ("MeshNetworkStructural", "SimJITCL"),
+        ("MeshNetworkStructural", "SimJITCL"), ("Register", "SimJITRTL")]
+
+
+# The engines ``Tile(levels, jit=True)`` holds for each of the 19
+# configurations with an RTL component -- what the hand-written
+# per-component wrapping of PRs 2-20 compiled (55 engines).
+_P, _C, _A, _ARB = ["proc"], ["icache", "dcache"], ["accel"], ["arbiter"]
+_TILE_ENGINES = {
+    ("rtl", "rtl", "rtl"): _P + _C + _A + _ARB,
+    ("rtl", "rtl", "cl"): _P + _C + _ARB,
+    ("rtl", "rtl", "fl"): _P + _C + _ARB,
+    ("rtl", "cl", "rtl"): _P + _A + _ARB,
+    ("rtl", "cl", "cl"): _P + _ARB,
+    ("rtl", "cl", "fl"): _P + _ARB,
+    ("rtl", "fl", "rtl"): _P + _A + _ARB,
+    ("rtl", "fl", "cl"): _P + _ARB,
+    ("rtl", "fl", "fl"): _P + _ARB,
+    ("cl", "rtl", "rtl"): _C + _A + _ARB,
+    ("cl", "rtl", "cl"): _C + _ARB,
+    ("cl", "rtl", "fl"): _C + _ARB,
+    ("cl", "cl", "rtl"): _A + _ARB,
+    ("cl", "fl", "rtl"): _A + _ARB,
+    ("fl", "rtl", "rtl"): _C + _A + _ARB,
+    ("fl", "rtl", "cl"): _C + _ARB,
+    ("fl", "rtl", "fl"): _C + _ARB,
+    ("fl", "cl", "rtl"): _A + _ARB,
+    ("fl", "fl", "rtl"): _A + _ARB,
+}
+
+
+def test_tile_jit_compiles_the_rtl_components(monkeypatch, tmp_path):
+    """``jit=True`` is the traversal restricted to RTL: CL and FL
+    components stay in Python, and the 55 engines are four designs."""
+    monkeypatch.setenv("SIMJIT_CACHE_DIR", str(tmp_path))
+    assert sorted(_TILE_ENGINES) == sorted(
+        c for c in itertools.product(("fl", "cl", "rtl"), repeat=3)
+        if "rtl" in c)
+    for levels, engines in _TILE_ENGINES.items():
+        assert _engines(Tile(levels, jit=True)) == engines, levels
+    assert sum(map(len, _TILE_ENGINES.values())) == 55
+    assert len(_so_files(tmp_path)) == 4
+    # Nothing to compile is not an error.
+    assert _engines(Tile(("cl", "fl", "cl"), jit=True)) == ["arbiter"]
+
+
+def test_dut_builders_wrap_exactly_the_component():
+    from repro.verif import make_cache_dut, make_proc_dut
+    cache = make_cache_dut("j", "rtl", jit=True).model
+    proc = make_proc_dut("j", "rtl", assemble("halt"), jit=True).model
+    assert _engines(cache) == ["cache"] and _engines(proc) == ["proc"]
+    for level in ("cl", "fl"):
+        with pytest.raises(ValueError, match="require level='rtl'"):
+            make_cache_dut("j", level, jit=True)
+        with pytest.raises(ValueError, match="require level='rtl'"):
+            make_proc_dut("j", level, assemble("halt"), jit=True)
 
 
 def test_auto_specialize_rejects_elaborated_model():
@@ -90,6 +206,46 @@ def test_auto_specialize_leaves_fl_leaves_alone():
     top = Top()
     auto_specialize(top)
     assert not isinstance(top.mem, JITModel)
+
+
+def test_submodel_in_a_nested_list_stays_interpreted():
+    """Elaboration and the engine's port adoption follow lists
+    ``MAX_LIST_DEPTH`` deep; the traversal looked one level deep, took
+    the parent of ``[[TestMemory]]`` for translatable and died in the
+    specializer on the FL block it had not seen."""
+    from repro.components import Register
+    from repro.core.signals import InPort, OutPort
+    from repro.mem import TestMemory
+
+    class Top(Model):
+        def __init__(s):
+            s.in_ = InPort(8)
+            s.out = OutPort(8)
+            s.mems = [[TestMemory(nports=1)]]
+            s.regs = [[[Register(8)], [Register(8)]]]
+            s.connect(s.in_, s.regs[0][0][0].in_)
+            s.connect(s.regs[0][0][0].out, s.regs[0][1][0].in_)
+            s.connect(s.regs[0][1][0].out, s.out)
+
+    jit = auto_specialize(Top())
+    assert not isinstance(jit, JITModel)
+    assert not isinstance(jit.mems[0][0], JITModel)
+    assert isinstance(jit.regs[0][0][0], JITModel)
+    assert isinstance(jit.regs[0][1][0], JITModel)
+    tops = [Top().elaborate(), jit.elaborate()]
+    sims = [SimulationTool(top) for top in tops]
+    info = sims[1].sched_info()["simjit"]
+    assert [e["model"] for e in info["engines"]] == [
+        "top.regs[0][0][0]", "top.regs[0][1][0]"]
+    assert list(info["interpreted"]) == ["top", "top.mems[0][0]"]
+    for sim in sims:
+        sim.reset()
+    for cycle in range(20):
+        for top, sim in zip(tops, sims):
+            top.in_.value = (cycle * 37) & 0xFF
+            sim.cycle()
+        assert int(tops[0].out) == int(tops[1].out)
+    assert int(tops[1].out) == (18 * 37) & 0xFF
 
 
 # -- every block is lowered once -------------------------------------------------
@@ -116,8 +272,19 @@ def test_specializable_subtree_is_lowered_once(lowerings):
     """The walk that decides a subtree is specializable hands its IRs
     to the specializer (they used to be dropped and lowered again)."""
     net = auto_specialize(MeshNetworkStructural(RouterRTL, 4, 64, 16, 2))
-    assert all(isinstance(r, JITModel) for r in net.routers)
+    assert isinstance(net, JITModel)
     assert len(lowerings) == 52 and set(lowerings.values()) == {1}
+
+
+def test_walk_that_fails_from_the_top_is_lowered_once(lowerings):
+    """The FL accelerator and memory refuse the tile by level, before
+    the walk from the top lowers anything; the descent then lowers
+    each RTL component once, when its turn comes."""
+    tile = Tile(("rtl", "rtl", "fl"), jit=True)
+    assert _engines(tile) == ["proc", "icache", "dcache", "arbiter"]
+    info = SimulationTool(tile.elaborate()).sched_info()["simjit"]
+    assert len(lowerings) == sum(e["blocks"] for e in info["engines"])
+    assert set(lowerings.values()) == {1}
 
 
 def test_failed_subtree_hands_its_lowerings_to_the_descent(lowerings):
@@ -175,7 +342,8 @@ def test_failed_subtree_hands_its_lowerings_to_the_descent(lowerings):
 
 def test_ir_lowered_before_elaboration_emits_the_same_c(monkeypatch):
     """``auto_specialize`` lowers a subtree before the specializer
-    elaborates it; the ``.so`` cache key must not know."""
+    elaborates it; the ``.so`` cache key must not know: the mesh it
+    compiles is byte for byte the mesh compiled by hand."""
     from repro.core.simjit import SimJITRTL
     emitted = []
     compile_ = SimJITRTL._compile
@@ -185,10 +353,8 @@ def test_ir_lowered_before_elaboration_emits_the_same_c(monkeypatch):
         return compile_(self, c_source)
 
     monkeypatch.setattr(SimJITRTL, "_compile", recording_compile)
-    auto_specialize(MeshNetworkStructural(RouterRTL, 4, 64, 16, 2))
-    direct = []
-    for router in MeshNetworkStructural(RouterRTL, 4, 64, 16, 2).routers:
-        spec = SimJITRTL(router.elaborate())
-        spec.specialize()
-        direct.append(spec.c_source)
-    assert emitted[:4] == direct and len(set(direct)) == 4
+    auto_specialize(MeshNetworkStructural(RouterRTL, 16, 256, 16, 2))
+    spec = SimJITRTL(
+        MeshNetworkStructural(RouterRTL, 16, 256, 16, 2).elaborate())
+    spec.specialize()
+    assert emitted == [spec.c_source, spec.c_source]

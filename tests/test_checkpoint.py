@@ -42,7 +42,7 @@ class _CacheHarness(Model):
 def _build_cache(sched="auto", jit=False):
     h = _CacheHarness(CacheCL(MemMsg(), MemMsg(), nlines=4))
     if jit:
-        auto_specialize(h)
+        h = auto_specialize(h)
     h.elaborate()
     sim = SimulationTool(h, sched=sched)
     port = h.cache.cpu_ifc
@@ -70,7 +70,7 @@ def _build_cache(sched="auto", jit=False):
 def _build_mesh16(sched="auto", jit=False, nrouters=16):
     net = MeshNetworkStructural(RouterRTL, nrouters, 256, 32, 2)
     if jit:
-        auto_specialize(net)
+        net = auto_specialize(net)
     net.elaborate()
     sim = SimulationTool(net, sched=sched)
     dest_lo, _ = net.msg_type.field_slice("dest")
