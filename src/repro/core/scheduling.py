@@ -18,11 +18,12 @@ computed once, at simulator construction:
 
 At runtime, changed nets mark their static readers in a dense
 ``bytearray`` (C-speed, no queue churn), and the sweep runs exactly
-the marked blocks in dependency order.  When the whole design is
-static, :func:`generate_kernel` additionally ``exec``-compiles one
-flat "mega-cycle" function that inlines the sweep, the tick-block
-calls, and the flop loop into a single closure with every lookup bound
-to locals.
+the marked blocks in dependency order.
+
+This module only *constructs* schedules (the SimJIT specializer orders
+its lowered blocks with the same :func:`build_schedule`); running one —
+the flag sweep, and the mega-cycle kernel a fully static design steps
+on — is :mod:`.simulation`'s business.
 """
 
 from __future__ import annotations
@@ -208,137 +209,3 @@ def _partition_cyclic(nodes, succ):
         else:
             static_nodes.extend(comp)
     return static_nodes, demoted
-
-
-# -- mega-cycle kernel generation ---------------------------------------------
-
-
-def generate_kernel(sim):
-    """``exec``-generate the kernel ``step(n)`` for a fully-static
-    simulator (no event-driven blocks, no stats collection): ``n``
-    whole cycles in one flat function, returning ``n``.
-
-    The generated loop body inlines, with all lookups bound to local
-    variables of the enclosing factory:
-
-    - the pre-tick settle sweep (one ``if flag: clear; call`` pair per
-      scheduled block, in topological order);
-    - the registered cycle hooks, called at the pre-edge observation
-      point (the kernel is regenerated by ``add_cycle_hook`` so a
-      hook-free kernel pays nothing);
-    - every tick-block call, flag-guarded for gateable ticks;
-    - the clock-edge flop loop, marking static and tick readers
-      directly;
-    - the post-edge settle sweep, then ``sim.ncycles`` advances.
-
-    VCD sampling, line tracing and observers stay in
-    ``SimulationTool.cycle`` so they keep working unchanged.
-    """
-    order = sim._static_order
-    plan = sim._tick_plan
-    all_gated = all(slot >= 0 for slot, _func in plan)
-    hooks = tuple(sim._cycle_hooks)
-
-    lines = ["def _make(sim, funcs, ticks, gticks, hooks):"]
-    for j in range(len(plan)):
-        lines.append(f"    t{j} = ticks[{j}]")
-    for h in range(len(hooks)):
-        lines.append(f"    h{h} = hooks[{h}]")
-    lines += [
-        "    sflags = sim._sflags",
-        "    tflags = sim._tflags",
-        "    pending = sim._pending_flops",
-        "    find = sflags.find",
-        "    tfind = tflags.find",
-        "    def _step_kernel(n):",
-        # Half indent: the cycle body below keeps its column.
-        "      for _ in range(n):",
-        "        fired = 0",
-    ]
-
-    def sweep(indent):
-        # One forward scan over the flag array: ``find`` skips runs of
-        # unmarked slots at memchr speed, and a fired block can only
-        # mark slots after its own (the order is topological).
-        pad = " " * indent
-        lines.extend([
-            f"{pad}i = find(1)",
-            f"{pad}while i >= 0:",
-            f"{pad}    sflags[i] = 0",
-            f"{pad}    funcs[i]()",
-            f"{pad}    fired += 1",
-            f"{pad}    i = find(1, i + 1)",
-        ])
-
-    # Pre-tick settle: only when the test bench (or a previous cycle's
-    # tick) touched an input since the last sweep.
-    lines.append("        if sim._sdirty:")
-    sweep(12)
-    lines.append("            sim._sdirty = False")
-
-    # Cycle hooks observe the settled pre-edge state with the
-    # pre-increment cycle stamp — identical to the interpreted path.
-    if hooks:
-        lines.append("        c = sim.ncycles")
-        for h in range(len(hooks)):
-            lines.append(f"        h{h}(c)")
-
-    if all_gated and plan:
-        # Every tick is activity-gated: scan the tick flags the same
-        # way (relative tick order is preserved — slots are assigned
-        # in declaration order).
-        lines += [
-            "        j = tfind(1)",
-            "        while j >= 0:",
-            "            tflags[j] = 0",
-            "            gticks[j]()",
-            "            j = tfind(1, j + 1)",
-        ]
-    else:
-        for j, (slot, _func) in enumerate(plan):
-            if slot < 0:
-                lines.append(f"        t{j}()")
-            else:
-                lines.append(f"        if tflags[{slot}]:")
-                lines.append(f"            tflags[{slot}] = 0; t{j}()")
-
-    # Clock edge: flop every pending .next, marking static and gated-
-    # tick readers of each net that actually changed.
-    lines += [
-        "        if pending:",
-        "            for net in pending:",
-        "                if net._next != net._value:",
-        "                    net._value = net._next",
-        "                    for slot in net.sreaders:",
-        "                        sflags[slot] = 1",
-        "                    for slot in net.treaders:",
-        "                        tflags[slot] = 1",
-        "                    sim._sdirty = True",
-        "            pending.clear()",
-    ]
-
-    # Post-edge settle.
-    lines.append("        if sim._sdirty:")
-    sweep(12)
-    lines.append("            sim._sdirty = False")
-
-    lines += [
-        "        sim.num_events += fired",
-        "        sim.ncycles += 1",
-        "      return n",
-        "    return _step_kernel",
-    ]
-
-    source = "\n".join(lines)
-    namespace = {}
-    exec(compile(source, "<mega-cycle>", "exec"), namespace)
-    nslots = sum(1 for slot, _func in plan if slot >= 0)
-    gticks = [None] * nslots
-    for slot, func in plan:
-        if slot >= 0:
-            gticks[slot] = func
-    kernel = namespace["_make"](
-        sim, tuple(order), [func for _slot, func in plan], tuple(gticks),
-        hooks)
-    kernel._source = source
-    return kernel

@@ -29,7 +29,8 @@ def auto_specialize(model, allowed_levels=("rtl", "cl")):
     any other: a design that is translatable from the top down comes
     back as its one :class:`JITModel` wrapper, anything else as
     ``model`` itself with wrappers spliced in below — so always use the
-    return value::
+    return value (``SimulationTool`` refuses a model whose ports a
+    wrapper has adopted)::
 
         net = MeshNetworkStructural(RouterRTL, 16, 256, 32, 2)
         net = auto_specialize(net)              # not: auto_specialize(net)

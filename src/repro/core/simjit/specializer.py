@@ -328,6 +328,9 @@ class JITModel(Model):
     def __init__(s, orig, engine):
         s.jit_engine = engine
         s._orig_class = type(orig).__name__
+        # ``orig`` still elaborates and runs, in Python, on ports that
+        # are the wrapper's from here on: SimulationTool refuses it.
+        orig._simjit_consumed = True
         from ..bitstruct import BitStruct
         for name, attr in list(orig.__dict__.items()):
             if name.startswith("_"):

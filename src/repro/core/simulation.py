@@ -26,10 +26,10 @@ many ran.  One cycle is
 
 There are exactly three implementations, chosen once by
 ``_select_step()``: *interpreted* (``_step_interpreted``, event or
-hybrid-static settle), *kernel* (the flat function
-:func:`.scheduling.generate_kernel` compiles) and *simjit*
-(``_step_simjit``: push the ports, ``n`` cycles in C, pull what
-changed).  ``cycle()`` is the one driver — ``run(n)`` enters it with
+hybrid-static settle), *kernel* (``_step_kernel``, the closure
+``_make_kernel()`` returns: flag scans around direct block calls) and
+*simjit* (``_step_simjit``: push the ports, ``n`` cycles in C, pull
+what changed).  ``cycle()`` is the one driver — ``run(n)`` enters it with
 ``n`` — and after each step it walks the ordered post-edge samplers
 (VCD, ``trace_log``, line trace, compiled-watchpoint actions, then
 histogram samplers, recorders and watchpoints).  A step covers the
@@ -48,7 +48,7 @@ Scheduling modes (``sched=`` constructor argument):
   dynamic attribute writes), fall back per-SCC to the event fixpoint,
   so the settle loop is a hybrid.  When *every* block is static (and
   stats collection is off) the whole cycle — settle, ticks, clock
-  edge, settle — is ``exec``-compiled into one flat mega-cycle kernel.
+  edge, settle — runs in one flat loop, the mega-cycle kernel.
 - ``"auto"`` (default) — ``"static"`` when the scheduling pass finds
   at least one statically-schedulable block or one gateable tick
   block, else ``"event"``.
@@ -67,7 +67,7 @@ from time import perf_counter
 
 from .adapters import BlockingTickRunner, wrap_fl_ticks
 from .probe import Probe
-from .scheduling import build_schedule, generate_kernel, nets_of
+from .scheduling import build_schedule, nets_of
 from ..resilience.warnings import ResilienceWarning
 from ..telemetry import tracing
 
@@ -94,6 +94,12 @@ class SimulationTool:
             raise ValueError(
                 f"sched must be 'auto', 'static', or 'event'; got {sched!r}"
             )
+        if getattr(model, "_simjit_consumed", False):
+            raise SimulationError(
+                f"{type(model).__name__} was specialized by SimJIT and its "
+                f"ports belong to the JITModel that specialize() / "
+                f"auto_specialize() returned: simulate that wrapper "
+                f"(net = auto_specialize(net))")
         if not model.is_elaborated():
             model.elaborate()
         self.model = model
@@ -109,7 +115,7 @@ class SimulationTool:
         # Waveform-observatory attachments (repro.observe): flight
         # recorders and watchpoints sample *after* the post-edge
         # settle, like the VCD writer, so — unlike cycle hooks — they
-        # keep the compiled mega-cycle kernel running.
+        # keep the mega-cycle kernel running.
         self._recorders = []
         self._watchpoints = []
         # Signal-backed histogram samplers (post-edge observers) and
@@ -265,11 +271,11 @@ class SimulationTool:
         self.eval_combinational()
 
         # What keeps this design off the mega-cycle kernel, if anything
-        # (_select_step compiles it when nothing does).  Declared
+        # (_select_step builds it when nothing does).  Declared
         # counters do NOT refuse the kernel: python-kind
         # increments keep their tick un-gated and signal-backed
         # increments are ordinary register updates, so counter state
-        # advances identically inside the compiled kernel.
+        # advances identically inside the kernel.
         refused = []
         if sched == "event":
             refused.append("event mode requested (sched='event')")
@@ -530,45 +536,111 @@ class SimulationTool:
                          ncycles=ncycles, start_cycle=self.ncycles):
             return self.cycle(ncycles)
 
-    # -- step(n): selection, and the two implementations that live here ---
-    # (the contract is in the module docstring; the third implementation
-    # is the kernel scheduling.generate_kernel compiles)
+    # -- step(n): selection and the three implementations -------------------
+    # (the contract is in the module docstring)
 
     def _select_step(self):
         """Choose ``self._step`` (at the end of construction, and again
         when a cycle hook is registered): *simjit* for a single-engine
         SimJIT top that needs no Python inside the cycle, else the
-        *kernel* unless ``_kernel_refused`` names a reason (hooks are
-        compiled into it), else *interpreted*."""
+        *kernel* unless ``_kernel_refused`` names a reason, else
+        *interpreted*."""
         model = self.model
         engine = getattr(model, "jit_engine", None)
         self._kernel = None
-        if (engine is not None and len(model._all_models) == 1
-                and self.profiler is None and not self.collect_stats
-                and not self._cycle_hooks):
-            self._step = self._step_simjit
-            return
-        self._step = self._step_interpreted
-        if self._kernel_refused:
-            return
-        try:
-            with tracing.span("sim.compile", design=self._design_name,
-                              hooks=len(self._cycle_hooks)):
-                self._step = self._kernel = generate_kernel(self)
-        except Exception as exc:      # degrade, don't abort the run
-            self._kernel_refused = (
-                f"mega-cycle kernel generation failed "
-                f"({type(exc).__name__}: {exc})",)
-            warnings.warn(
-                ResilienceWarning(
-                    "mega-cycle kernel generation failed; cycles run "
-                    "on the interpreted static schedule instead "
-                    f"({type(exc).__name__}: {exc})",
-                    kind="kernel-fallback",
-                    component=type(self.model).__name__,
-                    fallback="interpreted",
-                    detail=str(exc)),
-                stacklevel=3)
+        with tracing.span("sim.compile", design=self._design_name,
+                          hooks=len(self._cycle_hooks)):
+            if (engine is not None and len(model._all_models) == 1
+                    and self.profiler is None and not self.collect_stats
+                    and not self._cycle_hooks):
+                self._step = self._step_simjit
+            elif self._kernel_refused:
+                self._step = self._step_interpreted
+            else:
+                self._step = self._kernel = self._make_kernel()
+
+    def _make_kernel(self):
+        """The mega-cycle kernel of a fully static design (no event
+        partition, no stats or profiler hooks): the cycle of
+        ``_step_interpreted`` with the settle sweep (see
+        ``_run_static_pass``), the tick gating and the flop inlined
+        around direct block calls, so an idle cycle is a few ``find``
+        scans and no call at all.
+
+        The flag arrays, the pending-flop dict and the cycle-hook list
+        are bound once and only ever mutated in place (``reset``,
+        checkpoint restore, ``add_cycle_hook``), so the closure never
+        goes stale."""
+        funcs = self._static_order
+        plan = self._tick_plan
+        # Gated slots are assigned in declaration order, so when every
+        # tick is gated the plan *is* the slot table and a flag scan
+        # preserves relative tick order.
+        all_gated = all(slot >= 0 for slot, _tick in plan)
+        gticks = tuple(tick for _slot, tick in plan)
+        hooks = self._cycle_hooks
+        sflags = self._sflags
+        tflags = self._tflags
+        pending = self._pending_flops
+        find = sflags.find
+        tfind = tflags.find
+
+        def _step_kernel(n):
+            for _ in range(n):
+                fired = 0
+                # Pre-tick settle: only when the test bench (or the
+                # previous cycle's edge) touched a net since the last
+                # sweep.
+                if self._sdirty:
+                    i = find(1)
+                    while i >= 0:
+                        sflags[i] = 0
+                        funcs[i]()
+                        fired += 1
+                        i = find(1, i + 1)
+                    self._sdirty = False
+                if hooks:
+                    stamp = self.ncycles
+                    for hook in hooks:
+                        hook(stamp)
+                if all_gated:
+                    j = tfind(1)
+                    while j >= 0:
+                        tflags[j] = 0
+                        gticks[j]()
+                        j = tfind(1, j + 1)
+                else:
+                    for slot, tick in plan:
+                        if slot >= 0:
+                            if not tflags[slot]:
+                                continue
+                            tflags[slot] = 0
+                        tick()
+                # Clock edge: flop every pending .next, marking the
+                # static and gated-tick readers of each net that
+                # actually changed.
+                if pending:
+                    for net in pending:
+                        if net._next != net._value:
+                            net._value = net._next
+                            for slot in net.sreaders:
+                                sflags[slot] = 1
+                            for slot in net.treaders:
+                                tflags[slot] = 1
+                            self._sdirty = True
+                    pending.clear()
+                if self._sdirty:
+                    i = find(1)
+                    while i >= 0:
+                        sflags[i] = 0
+                        funcs[i]()
+                        fired += 1
+                        i = find(1, i + 1)
+                    self._sdirty = False
+                self.num_events += fired
+                self.ncycles += 1
+            return n
+        return _step_kernel
 
     def _step_interpreted(self, n):
         """Event or hybrid-static settle around one tick-plan loop
@@ -673,9 +745,9 @@ class SimulationTool:
             self._jit_instr.reset_histograms()
         for hist in getattr(self.model, "_all_histograms", {}).values():
             hist.bins.clear()
-        # Re-arm the static/tick flag arrays in place (the compiled
-        # kernel closes over these exact bytearray objects) so every
-        # block re-evaluates from the post-reset state.
+        # Re-arm the static/tick flag arrays in place (the kernel
+        # closes over these exact bytearray objects) so every block
+        # re-evaluates from the post-reset state.
         if self._sflags:
             self._sflags[:] = b"\x01" * len(self._sflags)
             self._sdirty = True
@@ -717,9 +789,9 @@ class SimulationTool:
         """Register ``hook(cycle)`` to run once per cycle after the
         pre-edge settle (transaction taps sample here).
 
-        The step is selected again: the mega-cycle kernel is
-        regenerated with the hook calls compiled in, and a SimJIT top
-        moves to the interpreted step for good, after converting
+        The step is selected again: the mega-cycle kernel walks the
+        live hook list, so it stays the step, and a SimJIT top moves
+        to the interpreted step for good, after converting
         ("dearming") any compiled instrumentation back to Python
         sampling."""
         if self._jit_instr is not None:
@@ -741,7 +813,7 @@ class SimulationTool:
         registrations); ``depth`` bounds the window; ``autodump``
         names a directory for automatic crash bundles.  Unlike cycle
         hooks, recorders sample post-edge like the VCD writer, so the
-        compiled mega-cycle kernel keeps running."""
+        mega-cycle kernel keeps running."""
         from ..observe.recorder import FlightRecorder
         return FlightRecorder(signals, depth, autodump).attach(self)
 
@@ -822,7 +894,7 @@ class SimulationTool:
     def sched_info(self):
         """Scheduling provenance: requested vs chosen mode, the
         static/event partition, tick gating, and whether (and why not)
-        the mega-cycle kernel was compiled.  A design holding SimJIT
+        the mega-cycle kernel is the step.  A design holding SimJIT
         engines adds a ``simjit`` entry saying what ran where:
         ``engines`` lists every engine in hierarchy order (``model``,
         the ``class`` it replaced, and its kernel's ``blocks``,

@@ -277,7 +277,7 @@ class _ObsSink:
     guarded: observability must never take down a worker.
     """
 
-    def __init__(self, put, trace, capacity=65536):
+    def __init__(self, put, trace):
         self.put = put
         self.done = 0
         self.failed = 0
@@ -286,7 +286,7 @@ class _ObsSink:
         self.tracer = None
         if trace:
             from ..telemetry import tracing
-            self.tracer = tracing.arm(capacity=capacity)
+            self.tracer = tracing.arm()
 
     def after_task(self, res):
         from .live import worker_snapshot
@@ -318,7 +318,7 @@ class _ObsSink:
 
 
 def _worker_main(task_r, res_w, campaign_seed, artifact_dir, cache_dir,
-                 obs, trace, trace_capacity):
+                 obs, trace):
     """Worker process entry: recv ``(task, attempt)`` assignments from
     the supervisor, acknowledge each with a ``start`` heartbeat, run
     under the execute contract, ship the result.  SIGINT is ignored —
@@ -341,8 +341,7 @@ def _worker_main(task_r, res_w, campaign_seed, artifact_dir, cache_dir,
 
     sink = None
     if obs:
-        sink = _ObsSink(lambda m: _ship(("obs", m)), trace,
-                        capacity=trace_capacity)
+        sink = _ObsSink(lambda m: _ship(("obs", m)), trace)
     pid = os.getpid()
     while True:
         try:
@@ -363,9 +362,7 @@ def _worker_main(task_r, res_w, campaign_seed, artifact_dir, cache_dir,
             break
 
 
-def _start_method(requested):
-    if requested:
-        return requested
+def _start_method():
     return ("fork" if "fork" in multiprocessing.get_all_start_methods()
             else None)
 
@@ -404,7 +401,7 @@ class _Supervisor:
 
     def __init__(self, campaign, todo, nworkers, retry, task_deadline,
                  artifact_dir, cache_dir, mp_ctx, collector, trace,
-                 trace_capacity, journal):
+                 journal):
         self.campaign = campaign
         self.retry = retry
         self.task_deadline = task_deadline
@@ -413,7 +410,6 @@ class _Supervisor:
         self.mp = mp_ctx
         self.collector = collector
         self.trace = trace
-        self.trace_capacity = trace_capacity
         self.journal = journal
         self.nworkers = nworkers
         self.ntotal = len(todo)
@@ -450,7 +446,7 @@ class _Supervisor:
             target=_worker_main,
             args=(task_r, res_w, self.campaign.seed, self.artifact_dir,
                   self.cache_dir, self.collector is not None,
-                  self.trace, self.trace_capacity),
+                  self.trace),
             daemon=True)
         proc.start()
         # Close the child-end copies *immediately*: a later fork must
@@ -716,10 +712,9 @@ class _Supervisor:
 
 
 def run_campaign(campaign, nworkers=None, artifact_dir=None,
-                 start_method=None, simjit_cache_dir=None,
-                 trace=False, progress=None,
-                 trace_capacity=65536, retry=None, task_deadline=None,
-                 journal=None, resume=None, metrics_port=None,
+                 simjit_cache_dir=None, trace=False, progress=None,
+                 retry=None, task_deadline=None, journal=None,
+                 resume=None, metrics_port=None,
                  metrics_host="127.0.0.1"):
     """Run every task of ``campaign`` and aggregate the results.
 
@@ -799,12 +794,12 @@ def run_campaign(campaign, nworkers=None, artifact_dir=None,
         if nworkers <= 1 or not todo:
             fresh, attempts, sup_stats, interrupted = _run_inline(
                 campaign, todo, artifact_dir, simjit_cache_dir,
-                collector, trace, trace_capacity, retry, journal_obj)
+                collector, trace, retry, journal_obj)
         else:
             fresh, attempts, sup_stats, interrupted = _run_supervised(
                 campaign, todo, nworkers, retry, task_deadline,
-                artifact_dir, simjit_cache_dir, start_method,
-                collector, trace, trace_capacity, journal_obj)
+                artifact_dir, simjit_cache_dir, collector, trace,
+                journal_obj)
     except BaseException:
         if metrics_server is not None:
             metrics_server.stop()
@@ -841,12 +836,12 @@ def run_campaign(campaign, nworkers=None, artifact_dir=None,
 
 
 def _run_supervised(campaign, todo, nworkers, retry, task_deadline,
-                    artifact_dir, simjit_cache_dir, start_method,
-                    collector, trace, trace_capacity, journal_obj):
+                    artifact_dir, simjit_cache_dir, collector, trace,
+                    journal_obj):
     """The ``nworkers > 1`` path: supervised worker processes."""
     from ..telemetry import tracing
 
-    mp_ctx = multiprocessing.get_context(_start_method(start_method))
+    mp_ctx = multiprocessing.get_context(_start_method())
     cache_dir = simjit_cache_dir or os.environ.get("SIMJIT_CACHE_DIR")
     prev_tracer = tracing.active() if trace else None
     parent_tracer = None
@@ -854,12 +849,11 @@ def _run_supervised(campaign, todo, nworkers, retry, task_deadline,
         # The parent records supervisor instants (fleet.retry /
         # fleet.respawn / fleet.quarantine); workers arm their own
         # tracers post-fork.
-        parent_tracer = tracing.arm(capacity=trace_capacity)
+        parent_tracer = tracing.arm()
     try:
         sup = _Supervisor(campaign, todo, nworkers, retry,
                           task_deadline, artifact_dir, cache_dir,
-                          mp_ctx, collector, trace, trace_capacity,
-                          journal_obj).run()
+                          mp_ctx, collector, trace, journal_obj).run()
     finally:
         if trace:
             tracing.disarm()
@@ -875,7 +869,7 @@ def _run_supervised(campaign, todo, nworkers, retry, task_deadline,
 
 
 def _run_inline(campaign, todo, artifact_dir, simjit_cache_dir,
-                collector, trace, trace_capacity, retry, journal_obj):
+                collector, trace, retry, journal_obj):
     """The ``nworkers <= 1`` path: same execute/observe/retry/journal
     pipeline, no pool, messages fed straight into the collector."""
     from ..telemetry import tracing
@@ -890,8 +884,7 @@ def _run_inline(campaign, todo, artifact_dir, simjit_cache_dir,
     sink = None
     prev_tracer = tracing.active() if trace else None
     if collector is not None:
-        sink = _ObsSink(collector.on_message, trace,
-                        capacity=trace_capacity)
+        sink = _ObsSink(collector.on_message, trace)
     results = {}
     attempts = {}
     retries = 0

@@ -277,8 +277,8 @@ def restore_checkpoint(sim, cp):
 
     Every mutation happens *inside* the existing objects (net fields,
     flag bytearrays, counter cells, queue deques, compiled instance
-    memory) because the compiled mega-cycle kernel and the sensitivity
-    wiring close over those exact objects."""
+    memory) because the mega-cycle kernel and the sensitivity wiring
+    close over those exact objects."""
     model = sim.model
     all_nets = model._all_nets
     if len(cp.nets) != len(all_nets):
@@ -323,7 +323,7 @@ def restore_checkpoint(sim, cp):
     for rng, state in zip(sim._checkpoint_rngs, cp.rng_states):
         rng.setstate(state)
 
-    # Flag arrays in place — the compiled kernel closed over them.
+    # Flag arrays in place — the kernel closed over them.
     sim._sflags[:] = cp.sflags
     sim._tflags[:] = cp.tflags
     sim._sdirty = cp.sdirty
@@ -351,8 +351,8 @@ class CheckpointRing:
         sim.restore_checkpoint(cp)
         sim.run(failing_cycle - cp.ncycles)   # short replay
 
-    Note: registering any cycle hook moves the simulator off the
-    compiled mega-cycle fast path; that is the cost of observation.
+    Note: registering any cycle hook moves a SimJIT top to the
+    interpreted step; that is the cost of observation.
     """
 
     def __init__(self, sim, interval=1024, keep=8):
@@ -361,9 +361,9 @@ class CheckpointRing:
         self.sim = sim
         self.interval = int(interval)
         self.checkpoints = deque(maxlen=keep)
-        # Registered through the hook API (prepended) so the kernel is
-        # regenerated with the hook compiled in and any armed SimJIT
-        # instrumentation converts back to the hook path first.
+        # Registered through the hook API (prepended) so the step is
+        # selected again and any armed SimJIT instrumentation converts
+        # back to the hook path first.
         sim.add_cycle_hook(self._hook, prepend=True)
 
     def _hook(self, cycle):

@@ -1,10 +1,9 @@
 """Structured resilience warnings.
 
 Every graceful-degradation path in the framework (static-schedule
-construction failure, mega-cycle kernel generation failure, SimJIT
-compile/link failure, and the ``sched='static'`` no-effect downgrade)
-reports through one warning type so callers can filter, assert on, or
-escalate them uniformly::
+construction failure, SimJIT compile/link failure, and the
+``sched='static'`` no-effect downgrade) reports through one warning
+type so callers can filter, assert on, or escalate them uniformly::
 
     warnings.filterwarnings("error", category=ResilienceWarning)
 
@@ -12,7 +11,7 @@ The warning carries machine-readable fields next to the human message:
 
 ``kind``
     Taxonomy tag (see DESIGN.md section 1.8): ``"static-noop"``,
-    ``"sched-fallback"``, ``"kernel-fallback"``, ``"simjit-fallback"``,
+    ``"sched-fallback"``, ``"simjit-fallback"``,
     ``"instrument-fallback"`` (an observability probe could not be
     compiled into the SimJIT kernel and samples from Python instead).
 ``component``
@@ -36,8 +35,8 @@ import warnings as _warnings
 __all__ = ["ResilienceWarning", "warn_resilience"]
 
 #: The closed set of degradation kinds (documented in DESIGN.md 1.8).
-KINDS = ("static-noop", "sched-fallback", "kernel-fallback",
-         "simjit-fallback", "instrument-fallback")
+KINDS = ("static-noop", "sched-fallback", "simjit-fallback",
+         "instrument-fallback")
 
 
 class ResilienceWarning(RuntimeWarning):

@@ -196,6 +196,20 @@ def test_auto_specialize_rejects_elaborated_model():
         auto_specialize(net)
 
 
+def test_simulating_a_consumed_model_names_the_wrapper():
+    """The trap ``auto_specialize``'s docstring names: drop the return
+    value of a whole-tree specialization and the Python original still
+    elaborates and runs, on ports the wrapper has adopted."""
+    from repro.core import SimulationError
+
+    net = MeshNetworkStructural(RouterRTL, 4, 64, 16, 2)
+    wrapper = auto_specialize(net)
+    assert wrapper is not net
+    with pytest.raises(SimulationError, match="simulate that wrapper"):
+        SimulationTool(net)
+    assert "/simjit " in repr(SimulationTool(wrapper.elaborate()))
+
+
 def test_auto_specialize_leaves_fl_leaves_alone():
     from repro.mem import TestMemory
 

@@ -9,6 +9,8 @@ is asserted on the event-driven, static-scheduled, and SimJIT
 substrates.
 """
 
+import contextlib
+
 import pytest
 
 from repro import (
@@ -24,11 +26,18 @@ from repro.mem import CacheCL, MemMsg, MemReqMsg, TestMemory
 from repro.net import MeshNetworkStructural, RouterRTL
 from repro.proc import ProcCL, ProcRTL, assemble
 from repro.proc.harness import ProcHarness
-from repro.resilience import CheckpointError
+from repro.resilience import CheckpointError, ResilienceWarning
 from repro.verif import RNG
 
 
 # -- DUT builders: (model, sim, drive(cycle), observe()) ------------------------------
+
+
+def _simulate_cl(harness, sched):
+    """A CL design has nothing to schedule statically, and says so."""
+    with (pytest.warns(ResilienceWarning, match="had no effect")
+          if sched == "static" else contextlib.nullcontext()):
+        return SimulationTool(harness, sched=sched)
 
 
 class _CacheHarness(Model):
@@ -44,7 +53,7 @@ def _build_cache(sched="auto", jit=False):
     if jit:
         h = auto_specialize(h)
     h.elaborate()
-    sim = SimulationTool(h, sched=sched)
+    sim = _simulate_cl(h, sched)
     port = h.cache.cpu_ifc
 
     def drive(cycle):
@@ -118,7 +127,8 @@ def _build_proc(sched="auto", jit=False, level="cl"):
     h = ProcHarness(proc, mem_latency=1)
     h.elaborate()
     h.mem.load(0, _LOOP_PROGRAM)
-    sim = SimulationTool(h, sched=sched)
+    simulate = _simulate_cl if level == "cl" else SimulationTool
+    sim = simulate(h, sched=sched)
 
     def drive(cycle):
         pass                       # self-running

@@ -62,8 +62,8 @@ def test_resilience_warning_rejects_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         warn_resilience("x", kind="not-a-kind")
     assert set(KINDS) == {
-        "static-noop", "sched-fallback", "kernel-fallback",
-        "simjit-fallback", "instrument-fallback"}
+        "static-noop", "sched-fallback", "simjit-fallback",
+        "instrument-fallback"}
 
 
 # -- fault schedules ------------------------------------------------------------------
@@ -279,23 +279,6 @@ def test_static_schedule_failure_degrades_to_event(monkeypatch):
     assert any("synthetic scheduler defect" in r
                for r in sim.sched_info()["kernel_refused"])
     # The degraded simulator still computes the right answer.
-    assert _drive_counter(sim, m) == 20
-
-
-def test_kernel_failure_degrades_to_interpreted(monkeypatch):
-    from repro.core import simulation as simulation_mod
-
-    def boom(sim):
-        raise RuntimeError("synthetic codegen defect")
-
-    monkeypatch.setattr(simulation_mod, "generate_kernel", boom)
-    m = _Counter().elaborate()
-    with pytest.warns(ResilienceWarning) as rec:
-        sim = SimulationTool(m, sched="static")
-    kinds = [w.message.kind for w in rec]
-    assert kinds.count("kernel-fallback") == 1
-    assert sim._kernel is None
-    assert sim.sched_info()["mode"] == "static"
     assert _drive_counter(sim, m) == 20
 
 

@@ -7,6 +7,8 @@ The static scheduler is only allowed to change *speed*, never
 port values and line traces, cycle by cycle.
 """
 
+import hashlib
+import linecache
 import random
 
 import pytest
@@ -22,6 +24,8 @@ from repro import (
 from repro.accel import mvmult_data, mvmult_xcel
 from repro.accel.kernels import Y_BASE
 from repro.accel.tile import Tile, run_tile
+from repro.core.probe import Probe
+from repro.core.simjit import SimJITRTL
 from repro.mem import BankedCacheRTL, MemReqMsg
 from repro.net import MeshNetworkStructural, RouterRTL
 from repro.proc import assemble
@@ -400,16 +404,31 @@ def test_stats_match_between_modes():
 #
 # Generated-model property test: random DAGs of combinational blocks
 # (emitted in shuffled order, so the static scheduler must actually
-# topo-sort them) feeding random register updates.  Static and event
-# simulation of the same DAG must agree wire for wire, cycle for cycle.
+# topo-sort them) feeding random register updates.  Every substrate
+# must agree with the event fixpoint wire for wire, cycle for cycle.
 # This generalizes the hand-picked designs above the same way the
 # differential cosim sweeps (tests/test_diff_*.py) generalize the
 # directed subsystem tests.
 
 
-def _random_dag_source(seed, nwires=6, nregs=3):
-    """Python source for a random fully-analyzable Model subclass."""
+def load_generated(source):
+    """Run generated module ``source`` where ``inspect.getsource``
+    finds it (a ``linecache`` entry): block analysis and lowering read
+    block source, and a block without one is event-driven and
+    untranslatable.  Returns the module's namespace."""
+    name = f"<generated {hashlib.sha1(source.encode()).hexdigest()[:12]}>"
+    linecache.cache[name] = (
+        len(source), None, source.splitlines(keepends=True), name)
+    namespace = {}
+    exec(compile(source, name, "exec"), namespace)
+    return namespace
+
+
+def _random_dag_source(seed):
+    """Python source for a random fully-analyzable Model subclass;
+    returns it with the sizes drawn (2-10 wires, 1-5 registers)."""
     rng = random.Random(seed)
+    nwires, nregs = rng.randint(2, 10), rng.randint(1, 5)
 
     def expr(avail):
         op = rng.choice(["+", "^", "&", "|"])
@@ -417,6 +436,7 @@ def _random_dag_source(seed, nwires=6, nregs=3):
         return f"(({a}.uint() {op} {b}.uint()) & 0xFFFF)"
 
     lines = [
+        "from repro import InPort, Model, OutPort, Wire",
         "class _RandomDag(Model):",
         "    def __init__(s):",
         "        s.in_ = InPort(16)",
@@ -455,22 +475,48 @@ def _random_dag_source(seed, nwires=6, nregs=3):
     for block in blocks:
         lines += block
 
-    signals = ", ".join([f"s.w{i}" for i in range(nwires)]
-                        + [f"s.r{i}" for i in range(nregs)])
+    signals = ([f"w{i}" for i in range(nwires)]
+               + [f"r{i}" for i in range(nregs)])
     lines += [
+        f"    traced = {signals}",
         "    def line_trace(s):",
-        f"        return ' '.join(str(int(x)) for x in [{signals}])",
+        "        return ' '.join(str(int(getattr(s, x))) for x in s.traced)",
     ]
-    return "\n".join(lines)
+    return "\n".join(lines), nwires, nregs
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_dag_static_event_identical(seed):
-    namespace = {"Model": Model, "Wire": Wire,
-                 "InPort": InPort, "OutPort": OutPort}
-    exec(compile(_random_dag_source(seed), f"<dag{seed}>", "exec"),
-         namespace)
-    models, sims = _pair(namespace["_RandomDag"])
+    source, nwires, nregs = _random_dag_source(seed)
+    build = load_generated(source)["_RandomDag"]
+    # The event fixpoint is the reference; collect_stats=True keeps the
+    # static schedule off the kernel.
+    columns = [dict(sched="event"),
+               dict(sched="static", collect_stats=True),
+               dict(sched="static")]
+    models = [build().elaborate() for _ in columns]
+    sims = [SimulationTool(m, **kw) for m, kw in zip(models, columns)]
+    assert [repr(sim).split()[2] for sim in sims] == [
+        "sched=event/interpreted", "sched=static/interpreted",
+        "sched=static/kernel"]
+    # Every block really is on the static rung (none was for as long as
+    # the classes had no retrievable source).
+    for sim in sims[1:]:
+        info = sim.sched_info()
+        assert (info["static_blocks"], info["event_blocks"],
+                info["gated_ticks"]) == (nwires + 1, 0, nregs)
+    assert sims[2].sched_info()["kernel"]
+    if seed < 2:
+        # The compiled column: a wrapper has no wires to trace, so its
+        # trace reads the same signals out of the engine.
+        jit = SimJITRTL(build().elaborate()).specialize().elaborate()
+        sims.append(SimulationTool(jit))
+        assert "/simjit " in repr(sims[-1])
+        reads = [Probe.resolve(sims[-1], name).read for name in build.traced]
+        jit.line_trace = lambda: " ".join(str(int(read())) for read in reads)
+        models.append(jit)
+    for sim in sims:
+        sim.reset()
 
     def stimulus(model, cyc):
         model.in_.value = (cyc * 2654435761 + seed) & 0xFFFF

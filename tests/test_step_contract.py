@@ -185,26 +185,3 @@ def test_failing_step_mid_run_dumps_exactly_one_bundle(substrate,
         assert sim.ncycles == 8
         bundles = glob.glob(os.path.join(str(tmp_path), "*.json"))
         assert len(bundles) == (1 if armed else 0)
-
-
-def test_kernel_failure_in_add_cycle_hook_warns_and_degrades(monkeypatch):
-    from repro.core import simulation as simulation_mod
-
-    model = _Counter().elaborate()
-    sim = SimulationTool(model, sched="static")
-    assert sim._kernel is not None
-
-    def boom(sim):
-        raise RuntimeError("synthetic codegen defect")
-
-    monkeypatch.setattr(simulation_mod, "generate_kernel", boom)
-    stamps = []
-    with pytest.warns(ResilienceWarning) as rec:
-        sim.add_cycle_hook(stamps.append)
-    assert [w.message.kind for w in rec] == ["kernel-fallback"]
-    assert sim._kernel is None and not sim.sched_info()["kernel"]
-    assert "/interpreted " in repr(sim)
-    sim.reset()
-    model.en.value = 1
-    sim.run(4)
-    assert stamps == [0, 1, 2, 3, 4, 5] and int(model.out) == 4

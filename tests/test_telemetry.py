@@ -34,6 +34,7 @@ from repro.telemetry import (
     TxTracer,
 )
 from repro.tools import VCDWriter
+from tests.test_checkpoint import _simulate_cl
 
 
 # -- helpers ------------------------------------------------------------------------
@@ -97,7 +98,8 @@ _CACHE_REQS = (
 def _run_cache(cache_cls, sched, **kwargs):
     harness = _CacheHarness(
         cache_cls(MemMsg(), MemMsg(), **kwargs)).elaborate()
-    sim = SimulationTool(harness, sched=sched)
+    simulate = _simulate_cl if cache_cls is CacheCL else SimulationTool
+    sim = simulate(harness, sched=sched)
     sim.reset()
     _drive_cache(sim, harness.cache.cpu_ifc, _CACHE_REQS)
     return harness, sim
