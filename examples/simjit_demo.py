@@ -43,6 +43,10 @@ def main():
           f"avg latency {interp_stats.avg_latency:.3f}")
     print(f"  simjit: {jit_stats.ejected} packets, "
           f"avg latency {jit_stats.avg_latency:.3f}  (identical)")
+    # Which test bench drove each run, and why not the compiled one.
+    for name, stats in (("interp", interp_stats), ("simjit", jit_stats)):
+        print(f"  {name}: driver={stats.driver}"
+              + (f"  ({stats.refused})" if stats.refused else ""))
 
     # --- speedup -----------------------------------------------------------
     ncycles = 2000

@@ -669,6 +669,138 @@ long long obs_tx_drain(void *op, uint64_t *out);
 long long obs_run(void *op, long long n);
 """
 
+# Compiled test bench, appended to every translation unit beside the
+# instrumentation runtime and data-driven like it: net slots, message
+# layout, rate and run lengths arrive in a ``tb_t`` the harness fills
+# (:meth:`repro.net.traffic.NetworkTrafficHarness.run_uniform_random`),
+# so one ``.so`` serves every harness.
+#
+# ``tb_uniform`` is that method's cycle, statement for statement, with
+# Python's own random numbers: ``tape`` holds successive 32-bit outputs
+# of the harness's Mersenne Twister and the two draws are CPython's —
+# ``random()`` is ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53`` and
+# ``randrange(n)`` is ``w >> (32 - n.bit_length())``, redrawn while
+# ``>= n``.  It returns ``TB_WORDS`` at a draw the tape cannot serve
+# and ``TB_FULL`` at a latency the buffer cannot hold, consuming
+# nothing of either, and picks up at that draw or that output port
+# when called again (``stage``, ``i`` and a terminal's ``pending`` of
+# 2 are the resume point), so neither buffer grows with the run.
+C_TB_TYPE = """
+typedef struct {
+    /* the harness: terminals, their net slots, the message layout */
+    int nterm, nout, dest_bits;
+    const int *in_val, *in_msg, *in_rdy, *out_val, *out_msg;
+    int dest_shift, src_shift, seq_shift, pay_shift;
+    uint64_t seq_mask, pay_mask, msg_mask;
+    /* the run: inject for ncycles, stop at the latest after total */
+    double rate;
+    long long ncycles, warmup, total;
+    /* progress */
+    long long now;      /* mirrors sim.ncycles */
+    long long n;        /* cycles run */
+    int stage;          /* 0 offer and cycle, 1 eject scan */
+    int i;              /* terminal or output port to resume at */
+    uint64_t seq;
+    long long injected, ejected;
+    unsigned char *pending;     /* per terminal: 0 idle, 1 offering,
+                                   2 injecting, dest not yet drawn */
+    const uint32_t *tape;
+    long long ntape, used;
+    int64_t *lat;
+    long long lat_cap, nlat;
+} tb_t;
+"""
+
+C_TB = r"""
+/* ---- compiled test bench: uniform-random traffic ---- */
+""" + C_TB_TYPE + r"""
+enum { TB_DONE = 0, TB_WORDS = 1, TB_FULL = 2 };
+
+/* The time is in cycle(), not here: -O2 on this loop buys nothing
+   measurable and costs gcc twice as long (34 ms against 15 ms, in
+   every translation unit). */
+__attribute__((optimize("O1")))
+int tb_uniform(void *p, tb_t *T) {
+    inst_t *I = (inst_t *)p;
+    for (;;) {
+        if (T->stage == 0) {
+            if (T->n < T->ncycles) {
+                /* Only an idle terminal draws. */
+                for (; T->i < T->nterm; T->i++) {
+                    int i = T->i;
+                    if (T->pending[i] == 0) {
+                        uint32_t a, b;
+                        if (T->used + 2 > T->ntape) return TB_WORDS;
+                        a = T->tape[T->used] >> 5;
+                        b = T->tape[T->used + 1] >> 6;
+                        T->used += 2;
+                        if ((a * 67108864.0 + b)
+                                * (1.0 / 9007199254740992.0) < T->rate)
+                            T->pending[i] = 2;
+                    }
+                    if (T->pending[i] == 2) {
+                        uint32_t dest;
+                        uint64_t ts;
+                        do {
+                            if (T->used >= T->ntape) return TB_WORDS;
+                            dest = T->tape[T->used++]
+                                >> (32 - T->dest_bits);
+                        } while (dest >= (uint32_t)T->nterm);
+                        /* Warm-up packets carry no timestamp. */
+                        ts = T->n >= T->warmup
+                            ? (uint64_t)T->now & T->pay_mask : 0;
+                        I->cur[T->in_msg[i]] = T->msg_mask & (
+                            ((uint64_t)dest << T->dest_shift)
+                            | ((uint64_t)i << T->src_shift)
+                            | ((T->seq++ & T->seq_mask) << T->seq_shift)
+                            | (ts << T->pay_shift));
+                        T->injected++;
+                        T->pending[i] = 1;
+                    }
+                    I->cur[T->in_val[i]] = T->pending[i];
+                }
+            } else if (T->n < T->total && T->ejected < T->injected) {
+                /* Drain: keep offering what is staged. */
+                for (int i = 0; i < T->nterm; i++)
+                    I->cur[T->in_val[i]] = T->pending[i];
+            } else {
+                return TB_DONE;
+            }
+            /* The handshake fires at the coming edge with the rdy
+               visible now. */
+            for (int i = 0; i < T->nterm; i++)
+                if (T->pending[i] && I->cur[T->in_rdy[i]] != 0)
+                    T->pending[i] = 0;
+            if (cycle(p, 1) < 0) return -1;
+            T->now++;
+            T->i = 0;
+            T->stage = 1;
+        }
+        for (; T->i < T->nout; T->i++) {
+            uint64_t ts;
+            if (I->cur[T->out_val[T->i]] == 0) continue;
+            ts = (uint64_t)(I->cur[T->out_msg[T->i]] >> T->pay_shift)
+                & T->pay_mask;
+            if (ts != 0) {
+                if (T->nlat == T->lat_cap) return TB_FULL;
+                T->lat[T->nlat++] = T->now - (int64_t)ts;
+            }
+            T->ejected++;
+        }
+        T->n++;
+        T->i = 0;
+        T->stage = 0;
+    }
+}
+"""
+
+C_TB_DECLS = C_TB_TYPE + """
+int tb_uniform(void *p, tb_t *T);
+"""
+
+# What ``tb_uniform`` returns (the C enum above).
+TB_DONE, TB_WORDS, TB_FULL = 0, 1, 2
+
 # Python-side mirrors of the C capacity limits (arming code checks
 # these before registering so a full runtime degrades to hooks).
 OBS_MAX_REC = 128

@@ -45,7 +45,7 @@ from ..portbundle import PortBundle
 from ..probe import Probe
 from ..scheduling import build_schedule, nets_of
 from ..signals import InPort, OutPort, Signal
-from .cgen import C_HEADER_DECLS, C_OBS_DECLS, CBackend
+from .cgen import C_HEADER_DECLS, C_OBS_DECLS, C_TB_DECLS, CBackend
 
 _CACHE_ENV = "SIMJIT_CACHE_DIR"
 _CACHE_OPTOUT_ENV = "REPRO_SIMJIT_CACHE"
@@ -117,7 +117,7 @@ def _interface(extra_cdef):
     import cffi
     from cffi import recompiler
     parsed = cffi.FFI()
-    parsed.cdef(C_HEADER_DECLS + C_OBS_DECLS + extra_cdef)
+    parsed.cdef(C_HEADER_DECLS + C_OBS_DECLS + C_TB_DECLS + extra_cdef)
     module = io.StringIO()
     recompiler.make_py_source(parsed, "_simjit_interface", module)
     namespace = {}
@@ -161,6 +161,10 @@ class SimJITEngine:
     A pull is one C call that compares every output port with the
     value the previous pull returned and hands back only the ports
     that differ, which are then written straight to their nets.
+
+    A compiled test bench crosses it twice per *run* instead: between
+    the push and the write-back of :meth:`run_bench` the C side drives
+    the input slots and the clock itself (:meth:`tb_uniform`).
     """
 
     def __init__(self, model, lib, ffi, slots, overheads, kernel_info):
@@ -260,6 +264,33 @@ class SimJITEngine:
         self._push_inputs()
         self.raw_cycle(n)
         self._pull_outputs(as_next=False)
+
+    def run_bench(self, bench):
+        """Hand a top-level engine to a compiled test bench for a
+        whole run: push the ports, let ``bench(engine)`` drive the
+        input slots and the clock from C (:meth:`tb_uniform`) and say
+        how many cycles it ran, then make the Python nets read what a
+        Python bench that pushed the same values every cycle would
+        have left — the input ports as C last drove them, the outputs
+        pulled."""
+        self._push_inputs()
+        ran = bench(self)
+        values = [self.raw_get(self.slot_of(sig)) for sig in self._in_ports]
+        for net, value in zip(self._in_nets, values):
+            net._value = value
+        self._pushed = values
+        self._pull_outputs(as_next=False)
+        return ran
+
+    def tb_uniform(self, tb):
+        """One call of the compiled uniform-random test bench on the
+        ``tb_t`` its caller filled (``cgen.C_TB``); returns ``TB_DONE``,
+        ``TB_WORDS`` (refill the tape) or ``TB_FULL`` (empty the latency
+        buffer), the last two to be called again."""
+        status = self.lib.tb_uniform(self.inst, tb)
+        if status < 0:
+            raise SpecializationError("combinational loop in C model")
+        return status
 
     # Direct-drive API for standalone benchmarking (no Python nets).
     def raw_cycle(self, n=1):
@@ -547,7 +578,7 @@ class _Specializer:
     def _emit(self, model, comb_order, residue, tick_irs):
         from .cgen import (C_API, C_OBS, C_PRELUDE, C_SETTLE_FIXPOINT,
                            C_SETTLE_SINGLE_PASS, C_STATE_NONE,
-                           C_STATE_TABLE)
+                           C_STATE_TABLE, C_TB)
 
         # CL state is namespaced per model instance; ``state_index``
         # (sorted by that name) is its (STATE, idx, elem) address and
@@ -680,6 +711,7 @@ class _Specializer:
         )
         parts.append(C_API)
         parts.append(C_OBS)
+        parts.append(C_TB)
         if self.extra_c:
             parts.append(self.extra_c)
         return "\n\n".join(parts)

@@ -34,7 +34,10 @@ what changed).  ``cycle()`` is the one driver — ``run(n)`` enters it with
 (VCD, ``trace_log``, line trace, compiled-watchpoint actions, then
 histogram samplers, recorders and watchpoints).  A step covers the
 whole remaining run unless a sampler has to see every cycle from
-Python.
+Python.  When nothing has to (``bench_refusal()``), a *compiled test
+bench* may take a SimJIT top for a whole run through the same step
+(``run_bench``): it drives the ports and the clock from C and says how
+many cycles passed.
 
 Scheduling modes (``sched=`` constructor argument):
 
@@ -690,10 +693,11 @@ class SimulationTool:
             self.ncycles = stamp + 1
         return n
 
-    def _step_simjit(self, n):
+    def _step_simjit(self, n, bench=None):
         """Push the ports, ``n`` cycles in C, pull what changed.  With
         compiled instrumentation armed the C loop samples in-kernel
-        and stops exactly on a watchpoint hit."""
+        and stops exactly on a watchpoint hit; with a compiled test
+        bench (``run_bench``) the cycles are however many it drives."""
         # A test-bench port write queued the wrapper's jit_comb; the
         # push carries the same port values across.
         queue = self._queue
@@ -703,9 +707,39 @@ class SimulationTool:
         instr = self._jit_instr
         if instr is not None and instr.active:
             return instr.run(n)
-        self.model.jit_engine.step(n)
+        if bench is None:
+            self.model.jit_engine.step(n)
+        else:
+            n = self.model.jit_engine.run_bench(bench)
         self.ncycles += n
         return n
+
+    def bench_refusal(self):
+        """Why a compiled test bench may not drive this simulator, or
+        None when it may: something in Python has to see every cycle
+        unless the step is SimJIT's, ``cycle`` is the class's own
+        method (wrapping it on the instance is how a meter or a test
+        observes each cycle), no post-edge sampler is attached and no
+        compiled instrumentation is armed."""
+        if self._step != self._step_simjit:
+            step = self._step.__name__.removeprefix("_step_")
+            return (f"the simulator steps in Python "
+                    f"(sched={self.sched_mode}/{step})")
+        if "cycle" in vars(self):
+            return "sim.cycle is wrapped on this simulator"
+        if self._per_cycle:
+            return ("a per-cycle sampler is attached (VCD, line trace, "
+                    "trace log, recorder, watchpoint or histogram)")
+        if self._jit_instr is not None and self._jit_instr.active:
+            return "compiled instrumentation is armed"
+        return None
+
+    def run_bench(self, bench):
+        """Let ``bench`` — a compiled test bench, see
+        ``SimJITEngine.run_bench`` — drive the engine for a whole run;
+        returns the cycles it ran.  Only when ``bench_refusal()`` is
+        None."""
+        return self._step_simjit(0, bench)
 
     def _jit_instrumentation(self):
         """The compiled-instrumentation manager, created on first use

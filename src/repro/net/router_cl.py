@@ -76,6 +76,7 @@ class RouterCL(Model):
                     s.buf_head[i] = 0
                     s.buf_count[i] = 0
                     s.grants[i] = -1
+                    s.priority[i] = 0
                     s.ctr_flits[i] = 0
                     s.ctr_stalls[i] = 0
                     s.in_[i].rdy.next = 0

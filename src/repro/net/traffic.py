@@ -5,17 +5,35 @@ delivered-packet latency, throughput, and loss.  Used by the network
 tests, the Section III-D zero-load/saturation experiments, and the
 Figure 14/15 performance benchmarks.
 
-The harness pokes ports directly from Python (it is the test bench, not
-a model), embedding the injection timestamp in each packet's payload
-field so latency needs no side tables.
+The harness is the test bench, not a model: it pokes ports directly,
+embedding the injection timestamp in each packet's payload field so
+latency needs no side tables.  ``run_uniform_random`` is described
+once and runs on one of two drivers, named in ``TrafficStats.driver``:
+
+- ``"python"`` — the per-cycle loop of ``_drive_python``, on every
+  simulator;
+- ``"compiled"`` — the same cycle as one C loop inside the engine
+  (``tb_uniform``, :mod:`repro.core.simjit.cgen`) when the network is
+  a SimJIT top and nothing in Python has to see every cycle.  It
+  consumes the very Mersenne-Twister words ``harness.rng`` would have
+  produced, so the traffic, the statistics, ``rng``, ``seqnum``,
+  ``sim.ncycles`` and every port end bit-identical to the Python
+  loop's.  To watch each cycle of a run, wrap ``sim.cycle`` on the
+  simulator instance (``sim.cycle = spy``) or attach any per-cycle
+  sampler: either keeps the Python loop, and ``TrafficStats.refused``
+  says which.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+import sys
 from dataclasses import dataclass, field
 
 from ..core import SimulationTool
+from ..core.simjit.cgen import TB_DONE, TB_WORDS
+from ..resilience.warnings import warn_resilience
 
 
 @dataclass
@@ -27,6 +45,11 @@ class TrafficStats:
     injected: int = 0
     ejected: int = 0
     latencies: list = field(default_factory=list)
+    #: which driver ran: "compiled" (one C loop in the SimJIT engine)
+    #: or "python" (the per-cycle loop), and the first reason the
+    #: compiled one was not taken (None when it was)
+    driver: str = field(default="python", compare=False)
+    refused: str | None = field(default=None, compare=False)
 
     @property
     def avg_latency(self):
@@ -89,20 +112,40 @@ class NetworkTrafficHarness:
 
         from ..telemetry import tracing
 
-        net, sim, rng = self.net, self.sim, self.rng
+        net, sim = self.net, self.sim
         sim.reset()
         # The harness drives per-cycle, so the simulator's own batch
         # instrumentation never fires; the whole measurement+drain
         # loop is one honest "sim.run" span instead.
         tracer = tracing.active()
         t0 = perf_counter_ns() if tracer is not None else 0
-        nterm = self.nterminals
-        stats = TrafficStats(nterminals=nterm)
-        latencies = stats.latencies
-        pending = [None] * nterm              # staged packet per input
+        stats = TrafficStats(nterminals=self.nterminals)
 
         for port in net.out:
             port.rdy.value = 1
+
+        stats.refused = self._compiled_refusal()
+        if stats.refused is None:
+            stats.driver = "compiled"
+            self._drive_compiled(stats, injection_rate, ncycles, warmup,
+                                 drain)
+        else:
+            self._drive_python(stats, injection_rate, ncycles, warmup,
+                               drain)
+
+        stats.ncycles = ncycles
+        if tracer is not None:
+            tracer.add_span("sim.run", t0, perf_counter_ns(),
+                            design=type(net).__name__,
+                            ncycles=sim.ncycles)
+        return stats
+
+    def _drive_python(self, stats, injection_rate, ncycles, warmup, drain):
+        """The run, one ``sim.cycle()`` at a time."""
+        net, sim, rng = self.net, self.sim, self.rng
+        nterm = self.nterminals
+        latencies = stats.latencies
+        pending = [None] * nterm              # staged packet per input
 
         # Resolve every terminal's nets once per call: the loops below
         # run per terminal per cycle.  ``sim.cycle`` is looked up here,
@@ -162,12 +205,86 @@ class NetworkTrafficHarness:
                 set_val[i](1 if pending[i] is not None else 0)
             step()
 
-        stats.ncycles = ncycles
-        if tracer is not None:
-            tracer.add_span("sim.run", t0, perf_counter_ns(),
-                            design=type(net).__name__,
-                            ncycles=sim.ncycles)
-        return stats
+    #: Mersenne-Twister words handed to the compiled bench per refill,
+    #: and latencies it holds before Python takes them: fixed, so
+    #: memory does not grow with ``ncycles``.
+    TAPE_WORDS = 1 << 13
+    LATENCY_SLOTS = 1 << 12
+
+    def _compiled_refusal(self):
+        """The first reason this run has to be driven cycle by cycle
+        from Python, or None when ``tb_uniform`` can drive it."""
+        reason = self.sim.bench_refusal()
+        if reason is not None:
+            return reason
+        if type(self.rng) is not random.Random:
+            return (f"harness.rng is a {type(self.rng).__name__}, whose "
+                    f"draws only Python can make")
+        if self.msg_type.nbits > 64:
+            return (f"a {self.msg_type.nbits}-bit message does not fit "
+                    f"the bench's 64-bit word")
+        return _recipe_refusal()
+
+    def _drive_compiled(self, stats, injection_rate, ncycles, warmup, drain):
+        """The run as one C loop over the engine's own net array
+        (``tb_uniform``), drawing from a tape of the words ``self.rng``
+        produces next; everything Python-visible ends where
+        ``_drive_python`` leaves it."""
+        net, sim, rng = self.net, self.sim, self.rng
+        ffi = sim.model.jit_engine._ffi
+        slot_of = sim.model.jit_engine.slot_of
+        nwords, nlat = self.TAPE_WORDS, self.LATENCY_SLOTS
+        ncycles = max(0, ncycles)
+        # cffi keeps no reference to what a struct's pointers name.
+        arrays = {
+            f"{side}_{name}": ffi.new(
+                "int[]", [slot_of(getattr(port, name)) for port in ports])
+            for side, ports, names in (
+                ("in", net.in_, ("val", "msg", "rdy")),
+                ("out", net.out, ("val", "msg")))
+            for name in names}
+        arrays["pending"] = ffi.new("unsigned char[]", self.nterminals)
+        arrays["tape"] = ffi.new("uint32_t[]", nwords)
+        arrays["lat"] = ffi.new("int64_t[]", nlat)
+        tb = ffi.new("tb_t *", dict(
+            arrays, nterm=self.nterminals, nout=len(net.out),
+            dest_bits=self.nterminals.bit_length(),
+            dest_shift=self._dest_shift, src_shift=self._src_shift,
+            seq_shift=self._seq_shift, pay_shift=self._payload_shift,
+            seq_mask=self._seq_mask, pay_mask=self._payload_mask,
+            msg_mask=(1 << self.msg_type.nbits) - 1,
+            rate=injection_rate, ncycles=ncycles, warmup=warmup,
+            total=ncycles + max(0, drain), now=sim.ncycles,
+            seq=self.seqnum & self._seq_mask, lat_cap=nlat,
+            ntape=nwords, used=nwords))     # a tape with nothing left
+        tape = ffi.buffer(arrays["tape"])
+
+        def bench(engine):
+            status = TB_WORDS
+            while status != TB_DONE:
+                if status == TB_WORDS:
+                    # The draw that stalled wants the unread tail
+                    # first, then words the generator has yet to make.
+                    tail = tape[4 * tb.used:]
+                    carried = len(tail) // 4
+                    fresh = nwords - carried
+                    saved = rng.getstate()
+                    tape[:] = tail + rng.getrandbits(32 * fresh).to_bytes(
+                        4 * fresh, "little")
+                    tb.used = 0
+                status = engine.tb_uniform(tb)
+                stats.latencies.extend(ffi.unpack(arrays["lat"], tb.nlat))
+                tb.nlat = 0
+            # ``rng`` made the whole last tape; Python's loop would have
+            # drawn only the words read from it (a stalled draw reads
+            # past what it was carried, so the count is not negative).
+            rng.setstate(saved)
+            rng.getrandbits(32 * (tb.used - carried))
+            return tb.n
+
+        sim.run_bench(bench)
+        stats.injected, stats.ejected = tb.injected, tb.ejected
+        self.seqnum += tb.injected
 
     def send_single(self, src, dest, max_cycles=200):
         """Inject one packet and return its delivery latency."""
@@ -195,6 +312,48 @@ class NetworkTrafficHarness:
         raise AssertionError(
             f"packet {src}->{dest} not delivered in {max_cycles} cycles"
         )
+
+
+def _check_recipe():
+    """Whether this interpreter's ``random.Random`` turns Mersenne-
+    Twister words into ``random()`` and ``randrange(n)`` the way
+    ``tb_uniform`` does, and ``getrandbits`` lays them out the way the
+    tape expects: a few draws made both ways from one state."""
+    if sys.byteorder != "little":
+        return False
+    ours, theirs = random.Random(2014), random.Random(2014)
+    tape = ours.getrandbits(32 * 64).to_bytes(4 * 64, "little")
+    words = (int.from_bytes(tape[at:at + 4], "little")
+             for at in range(0, len(tape), 4))
+    for n in (1, 5, 64, 1000, (1 << 31) + 1):
+        a, b = next(words), next(words)
+        if theirs.random() != (((a >> 5) * 67108864.0 + (b >> 6))
+                               * (1.0 / 9007199254740992.0)):
+            return False
+        dest = n
+        while dest >= n:
+            dest = next(words) >> (32 - n.bit_length())
+        if theirs.randrange(n) != dest:
+            return False
+    # Both generators stand on the same word again.
+    return next(words) == theirs.getrandbits(32)
+
+
+@functools.cache
+def _recipe_refusal():
+    """``_compiled_refusal``'s last question, asked once per process;
+    a mismatch — another interpreter, a future CPython — is the one
+    refusal that is a degradation, so it warns."""
+    if _check_recipe():
+        return None
+    reason = ("random.Random on this interpreter does not draw the way "
+              "the compiled test bench does")
+    warn_resilience(
+        f"{reason}; traffic runs on the per-cycle Python loop, which "
+        f"produces the same statistics",
+        kind="simjit-fallback", component="NetworkTrafficHarness",
+        fallback="python", detail=sys.version, stacklevel=4)
+    return reason
 
 
 def measure_zero_load_latency(network, npairs=20, seed=0):

@@ -250,3 +250,31 @@ def test_router_holds_stalled_offer(router_cls):
         if len(delivered) == 2:
             break
     assert delivered == [pkt_a, pkt_b]
+
+
+# -- reset ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("router_cls, jit", [
+    (RouterCL, False), (RouterCL, True), (RouterRTL, False)],
+    ids=["cl", "cl-simjit", "rtl"])
+def test_traffic_from_reset_is_a_function_of_the_seed(router_cls, jit):
+    """Regression: ``RouterCL`` cleared its FIFOs and grants on reset
+    but kept its round-robin pointers, so under contention (rate 0.9)
+    a second run on one simulator arbitrated differently from the
+    first.  Interpreted and compiled agreed with each other, which is
+    why no substrate comparison saw it; ``RouterRTL`` is the control."""
+    from repro.core.simjit import SimJITCL
+
+    net = _mesh(router_cls, 16)
+    if jit:
+        net = SimJITCL(net).specialize().elaborate()
+    harness = NetworkTrafficHarness(net, seed=1)
+    runs = []
+    for _ in range(3):
+        harness.rng.seed(1)
+        harness.seqnum = 0
+        stats = harness.run_uniform_random(0.9, 300, drain=0)
+        runs.append((stats.injected, stats.ejected, sum(stats.latencies)))
+    assert runs[0][1] > 2000           # saturated: arbitration matters
+    assert runs[1] == runs[0] and runs[2] == runs[0], runs
