@@ -34,7 +34,10 @@ mutable state.
 from __future__ import annotations
 
 import ast
+import copy
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bitstruct import BitStruct
 from .elaboration import block_shape
@@ -95,6 +98,15 @@ class StateRef:
 @dataclass
 class SigRead:
     ref: SigRef
+    #: What the source read evaluates to in Python, which lowering to
+    #: an unsigned value otherwise throws away: ``"int"`` (``.uint()``,
+    #: ``int(...)``), ``"bits"`` (``.value``, so arithmetic wraps at the
+    #: operand's width), ``"sig"`` (the bare signal or slice: ``Bits``
+    #: arithmetic, but no ``//``, ``%`` or unary ``-``) or ``"struct"``
+    #: (a ``BitStruct`` instance: no arithmetic at all).  See
+    #: :func:`infer_types`; the C and Verilog printers compute wide and
+    #: ignore it.
+    vtype: str = "int"
 
 
 @dataclass
@@ -216,6 +228,12 @@ class BlockIR:
     sig_reads: list = field(default_factory=list)
     sig_writes: list = field(default_factory=list)
     state_names: list = field(default_factory=list)
+    #: ``id(expression node) -> None | N`` for a node the source passed
+    #: through ``int()`` / ``.uint()`` (a Python int from there on) or
+    #: ``zext`` / ``sext`` (``Bits(N)``) — the value is unchanged, so
+    #: only :func:`infer_types` reads it.  Reads record the same fact
+    #: in ``SigRead.vtype``.
+    casts: dict = field(default_factory=dict)
 
 
 def walk_stmts(stmts):
@@ -238,7 +256,12 @@ _CMPOPS = {
     ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
     ast.Gt: ">", ast.GtE: ">=",
 }
-_ACCESSOR_METHODS = {"uint", "int"}
+_FOLD = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "//": operator.floordiv, "%": operator.mod,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+    "<<": operator.lshift, ">>": operator.rshift,
+}
 
 
 class BlockTranslator:
@@ -248,7 +271,6 @@ class BlockTranslator:
         self.model = model
         self.func = func
         self.kind = kind           # 'comb' | 'tick_rtl' | 'tick_cl'
-        self.ir = BlockIR(name=func.__name__, kind=kind, model=model)
         # The parse and the names that denote the model are the
         # elaborator's: both layers read one FunctionDef (never mutated).
         shape = block_shape(func, model)
@@ -258,7 +280,29 @@ class BlockTranslator:
         self.func_def = shape.func_def
         self.root_names = shape.root_names
         self._env = self._build_env()
-        self._loop_vars = {}       # currently-unrolled loop bindings (none)
+        # Locals only ever assigned 0/1 values; None until an ``and`` /
+        # ``or`` used as a value makes translate() work them out.
+        self._bit_locals = None
+        self._reset()
+
+    def _reset(self):
+        self.ir = BlockIR(name=self.func.__name__, kind=self.kind,
+                          model=self.model)
+        self._value_boolops = []
+        # The read trace: everything this lowering took from the live
+        # model or the block's environment, as the AST expression it
+        # came through.  A *hole* reached the IR only as a leaf — a
+        # signal (its net), a dynamically indexed signal list (the
+        # candidates' nets; the third entry is the Subscript with the
+        # dynamic index) or an int ``Const`` — so a sibling instance
+        # can fill it with its own; a *guard* is an int a translator
+        # decision folded into the IR's shape (range and slice bounds,
+        # array sizes, static list indices, ``len()``), so a sibling
+        # must evaluate it equal.  A backend that keeps one lowering
+        # per block body (``pygen``) prints both as a ``bind``.
+        self.holes = []            # (Const | SigRef, AST node, Subscript)
+        self.guards = []           # AST nodes
+        self._struct_refs = set()  # id(SigRef) of BitStruct-typed ranges
 
     # -- environment ---------------------------------------------------------
 
@@ -287,7 +331,38 @@ class BlockTranslator:
 
     def translate(self):
         self.ir.body = self.stmt_list(self.func_def.body)
+        if self._value_boolops:
+            # ``a and b`` as a value is an operand, not a truth value.
+            # It was lowered as the 0/1 BoolOp; that holds when every
+            # operand is 0/1-valued — which, through locals, only the
+            # whole body can say.  Otherwise lower once more, printing
+            # the others as operand selects.
+            bits = self._zero_one_locals()
+            if not all(_is_bit(v, bits) for node in self._value_boolops
+                       for v in node.values):
+                self._bit_locals = bits
+                self._reset()
+                self.ir.body = self.stmt_list(self.func_def.body)
         return self.ir
+
+    def _zero_one_locals(self):
+        """Scalar locals only ever assigned 0/1-valued expressions
+        (greatest fixpoint: a local may be assigned from another)."""
+        assigned = {}
+        for stmt in walk_stmts(self.ir.body):
+            if isinstance(stmt, AssignLocal):
+                assigned.setdefault(stmt.name, []).append(
+                    stmt.expr if stmt.index is None else None)
+            elif isinstance(stmt, For):
+                assigned.setdefault(stmt.var, []).append(None)
+        bits = set(assigned)
+        while True:
+            keep = {name for name in bits
+                    if all(e is not None and _is_bit(e, bits)
+                           for e in assigned[name])}
+            if keep == bits:
+                return bits
+            bits = keep
 
     # -- statements ------------------------------------------------------------------
 
@@ -457,8 +532,7 @@ class BlockTranslator:
             return Cmp(op, self.expr(node.left),
                        self.expr(node.comparators[0]))
         if isinstance(node, ast.BoolOp):
-            op = "&&" if isinstance(node.op, ast.And) else "||"
-            return BoolOp(op, [self.cond(v) for v in node.values])
+            return self._bool_value(node)
         if isinstance(node, ast.IfExp):
             return IfExp(self.cond(node.test), self.expr(node.body),
                          self.expr(node.orelse))
@@ -467,8 +541,30 @@ class BlockTranslator:
         self.fail(node, f"expression {type(node).__name__} unsupported")
 
     def cond(self, node):
-        """An expression used as a condition (truthiness)."""
+        """An expression used as a condition: only its truth matters,
+        so ``and`` / ``or`` are the logical operators here."""
+        if isinstance(node, ast.BoolOp):
+            op = "&&" if isinstance(node.op, ast.And) else "||"
+            return BoolOp(op, [self.cond(v) for v in node.values])
         return self.expr(node)
+
+    def _bool_value(self, node):
+        """``a and b`` / ``a or b`` used as a value yields an operand.
+        That is the logical operator when every operand is 0/1-valued
+        (see translate()), else an operand select: ``b if a else a``
+        / ``a if a else b``."""
+        is_and = isinstance(node.op, ast.And)
+        values = [self.expr(v) for v in node.values]
+        if self._bit_locals is None or all(
+                _is_bit(v, self._bit_locals) for v in values):
+            ir = BoolOp("&&" if is_and else "||", values)
+            self._value_boolops.append(ir)
+            return ir
+        ir = values[-1]
+        for value in reversed(values[:-1]):
+            ir = IfExp(value, ir, value) if is_and \
+                else IfExp(value, value, ir)
+        return ir
 
     def name_expr(self, node):
         name = node.id
@@ -478,10 +574,8 @@ class BlockTranslator:
             self.fail(node, "bare model reference in expression")
         if name in self._env:
             value = self._env[name]
-            if isinstance(value, bool):
-                return Const(int(value))
             if isinstance(value, int):
-                return Const(value)
+                return self._const_hole(value, node)
             self.fail(node, f"name {name!r} is not an int constant")
         # Unknown name: assume local assigned later? That's a bug in
         # the block; fail loudly.
@@ -489,24 +583,28 @@ class BlockTranslator:
 
     def call_expr(self, node):
         # Accessor methods: x.uint(), x.int().
-        if isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _ACCESSOR_METHODS and not node.args:
-            return self.expr(node.func.value)
+        if isinstance(node.func, ast.Attribute) and not node.args:
+            if node.func.attr == "uint":
+                return self._cast(self.expr(node.func.value), None)
+            if node.func.attr == "int":
+                return self._signed_expr(node)
         if isinstance(node.func, ast.Name):
             fname = node.func.id
             if fname == "int" and len(node.args) == 1:
-                return self.expr(node.args[0])
+                return self._cast(self.expr(node.args[0]), None)
             if fname == "len" and len(node.args) == 1:
                 inner = node.args[0]
                 static = self.try_static(inner)
                 if isinstance(static, list):
+                    self.guards.append(node)
                     return Const(len(static))
                 self.fail(node, "len() only on static lists")
             if fname == "concat":
                 return self._concat_expr(node)
             if fname == "zext" and len(node.args) == 2:
                 # Values are stored masked; widening needs no gates.
-                return self.expr(node.args[0])
+                return self._cast(self.expr(node.args[0]),
+                                  self.static_int(node.args[1], node))
             if fname == "sext" and len(node.args) == 2:
                 return self._sext_expr(node)
         self.fail(node, "function/method calls are not translatable "
@@ -524,9 +622,19 @@ class BlockTranslator:
             parts.append((ir, ir.ref.width))
         return Concat(parts)
 
+    def _cast(self, ir, width):
+        """Record that the source turns ``ir`` into a Python int
+        (``width`` None) or a ``Bits(width)``; the value is as it was."""
+        if isinstance(ir, SigRead) and width is None:
+            ir.vtype = "int"
+            self.ir.casts.pop(id(ir), None)
+        else:
+            self.ir.casts[id(ir)] = width
+        return ir
+
     def _sext_expr(self, node):
-        """sext(x, N): desugared into a sign-test ternary so both
-        backends handle it with existing nodes."""
+        """sext(x, N): desugared into a sign-test ternary so every
+        backend handles it with existing nodes."""
         value = self.expr(node.args[0])
         if not isinstance(value, SigRead):
             self.fail(node, "sext argument must be a signal or slice")
@@ -535,9 +643,30 @@ class BlockTranslator:
         if to_width < from_width:
             self.fail(node, "sext target narrower than source")
         high_bits = ((1 << to_width) - 1) ^ ((1 << from_width) - 1)
+        self._cast(value, None)
         sign = BinOp("&", BinOp(">>", value, Const(from_width - 1)),
                      Const(1))
-        return IfExp(sign, BinOp("|", value, Const(high_bits)), value)
+        return self._cast(
+            IfExp(sign, BinOp("|", value, Const(high_bits)), value),
+            to_width)
+
+    def _signed_expr(self, node):
+        """x.int(): the two's-complement reading, as the same kind
+        of sign-test ternary — value - 2**width when the top bit is
+        set.  The ``// 1`` is the identity that takes the C backend
+        from its unsigned nets to ``int64_t`` (``py_floordiv``), so
+        that ``x.int() < 0`` compares signed there too."""
+        value = self.expr(node.func.value)
+        if not isinstance(value, SigRead):
+            self.fail(node, ".int() is only translatable on a signal "
+                            "or slice (static width)")
+        width = value.ref.width
+        if width > 64:
+            self.fail(node, ".int() of a value wider than 64 bits")
+        self._cast(value, None)
+        sign = BinOp("&", BinOp(">>", value, Const(width - 1)), Const(1))
+        return BinOp("//", IfExp(sign, BinOp("-", value, Const(1 << width)),
+                                 value), Const(1))
 
     # -- attribute-path resolution ------------------------------------------------------
 
@@ -548,7 +677,9 @@ class BlockTranslator:
             self.fail(node, f"accessor .{trailing} unsupported in reads")
         if isinstance(resolved, SigRef):
             self.ir.sig_reads.append(resolved)
-            return SigRead(resolved)
+            return SigRead(
+                resolved, "struct" if id(resolved) in self._struct_refs
+                else "sig" if trailing is None else "bits")
         if isinstance(resolved, StateRef):
             self.ir.state_names.append(resolved)
             return StateRead(resolved)
@@ -588,7 +719,13 @@ class BlockTranslator:
         value = self.try_static(node)
         if not isinstance(value, (int, bool)):
             self.fail(ctx, "expected an elaboration-time constant")
+        self.guards.append(node)
         return int(value)
+
+    def _const_hole(self, value, node):
+        const = Const(int(value))
+        self.holes.append((const, node, None))
+        return const
 
     def try_static(self, node):
         """Evaluate a subexpression at elaboration time if possible.
@@ -630,7 +767,7 @@ class BlockTranslator:
             if not isinstance(left, (int, bool)) \
                     or not isinstance(right, (int, bool)):
                 return NotImplemented
-            return _fold(op, left, right)
+            return _FOLD[op](int(left), int(right))
         if isinstance(node, ast.UnaryOp):
             value = self.try_static(node.operand)
             if value is NotImplemented or not isinstance(value, (int, bool)):
@@ -657,9 +794,10 @@ class BlockTranslator:
         # Fast path: fully static chain (elaboration-time constant).
         static = self.try_static(node)
         if isinstance(static, (int, bool)) and self.kind != "tick_cl":
-            return Const(int(static)), trailing
+            return self._const_hole(static, node), trailing
 
         steps = []
+        subscripts = {}            # id(index expression) -> Subscript
         cur = node
         while True:
             if isinstance(cur, ast.Attribute):
@@ -667,6 +805,7 @@ class BlockTranslator:
                 cur = cur.value
             elif isinstance(cur, ast.Subscript):
                 steps.append(("index", cur.slice))
+                subscripts[id(cur.slice)] = cur
                 cur = cur.value
             elif isinstance(cur, ast.Name):
                 steps.append(("name", cur.id))
@@ -686,11 +825,12 @@ class BlockTranslator:
         if root not in self.root_names:
             value = self._env.get(root, NotImplemented)
             if isinstance(value, (int, bool)):
-                return Const(int(value)), trailing
+                return self._const_hole(value, cur), trailing
             self.fail(node, f"path root {root!r} is not the model")
 
         obj = self.model
         dyn_index = None           # expr IR once a dynamic index is hit
+        dyn_at = None              # the Subscript it indexes
         objs = [obj]               # parallel worlds under dynamic index
 
         for kind, key in steps[1:]:
@@ -723,6 +863,7 @@ class BlockTranslator:
             else:
                 static_idx = self.try_static(key)
                 if isinstance(static_idx, int):
+                    self.guards.append(key)
                     objs = [self._index_obj(o, static_idx, node)
                             for o in objs]
                 else:
@@ -731,9 +872,15 @@ class BlockTranslator:
                     if len(objs) != 1 or not isinstance(objs[0], list):
                         self.fail(node, "dynamic index on non-list")
                     dyn_index = self.expr(key)
+                    dyn_at = subscripts[id(key)]
                     objs = list(objs[0])
 
-        return self._finish_chain(objs, dyn_index, steps, node), trailing
+        resolved = self._finish_chain(objs, dyn_index, steps, node)
+        if isinstance(resolved, SigRef):
+            self.holes.append((resolved, node, dyn_at))
+            if getattr(objs[0], "_struct", None) is not None:
+                self._struct_refs.add(id(resolved))
+        return resolved, trailing
 
     def _struct_field(self, sig, key, node):
         got = getattr(sig, key, None)
@@ -816,7 +963,6 @@ def _sigref_from(obj):
 
 def _copy_as_load(node):
     """Shallow-copy an assignment target as a Load-context expression."""
-    import copy
     new = copy.deepcopy(node)
     for sub in ast.walk(new):
         if hasattr(sub, "ctx"):
@@ -824,15 +970,235 @@ def _copy_as_load(node):
     return new
 
 
-def _fold(op, a, b):
-    import operator
-    table = {
-        "+": operator.add, "-": operator.sub, "*": operator.mul,
-        "//": operator.floordiv, "%": operator.mod,
-        "&": operator.and_, "|": operator.or_, "^": operator.xor,
-        "<<": operator.lshift, ">>": operator.rshift,
-    }
-    return table[op](int(a), int(b))
+def _is_bit(node, bit_locals):
+    """Whether ``node`` is statically 0/1-valued, given the locals
+    that are."""
+    if isinstance(node, Const):
+        return node.value in (0, 1)
+    if isinstance(node, Cmp):
+        return True
+    if isinstance(node, UnOp):
+        return node.op == "!"
+    if isinstance(node, BoolOp):
+        return all(_is_bit(v, bit_locals) for v in node.values)
+    if isinstance(node, SigRead):
+        return node.ref.width == 1
+    if isinstance(node, LocalRead):
+        return node.index is None and node.name in bit_locals
+    if isinstance(node, IfExp):
+        return (_is_bit(node.then, bit_locals)
+                and _is_bit(node.orelse, bit_locals))
+    return False
+
+
+# -- Python-level types ------------------------------------------------------------
+
+
+class TypeUndecided(Exception):
+    """Raised by :func:`infer_types` for a block whose Python-level
+    types cannot be decided statically, or whose closure would raise
+    ``TypeError``."""
+
+
+class Ty(NamedTuple):
+    """What an expression evaluates to in the block's Python source:
+    ``int`` (bools included), ``bits`` (a ``Bits`` of ``width``),
+    ``sig`` (a bare signal or slice of ``width``), ``struct`` (a
+    ``BitStruct`` instance) or ``ambig`` — ``Bits`` on one path and an
+    int (or another width) on another, which is as good as any type
+    wherever only the unsigned value is consumed."""
+
+    kind: str
+    width: int = 0
+
+
+INT = Ty("int")
+AMBIG = Ty("ambig")
+
+
+def _join(a, b):
+    if a == b:
+        return a
+    if "struct" in (a.kind, b.kind):
+        return Ty("struct")
+    return AMBIG
+
+
+def _join_envs(*envs):
+    out = {}
+    for env in envs:
+        for name, ty in env.items():
+            out[name] = _join(out[name], ty) if name in out else ty
+    return out
+
+
+def cast_type(casts, node, ty):
+    """The type a consumer of ``node`` sees, given the type ``ty`` it
+    computes at: ``BlockIR.casts`` on top of it."""
+    if id(node) not in casts:
+        return ty
+    width = casts[id(node)]
+    return INT if width is None else Ty("bits", width)
+
+
+def infer_types(ir):
+    """``{id(node): Ty}`` for every expression of ``ir``, by the rules
+    of ``Bits`` (``core/bits.py``): a binary operator's result is as
+    wide as its wider ``Bits`` operand, with an int operand masked to
+    the ``Bits`` operand's width first; ``<<`` and ``>>`` keep the left
+    width; ``~`` and unary ``-`` keep the operand's; comparisons,
+    ``not`` and ``and`` / ``or`` over ints are ints.  Locals are typed
+    flow-sensitively (joined at ``if`` merges and loop heads).  What
+    only consumes the unsigned value — a comparison, a truth test, an
+    index, a signal write, ``int()`` — accepts any type; arithmetic on
+    an ``ambig`` value, and what raises ``TypeError`` in Python
+    (``int // Bits``, ``int << Bits``, ``-signal``, ``signal % n``,
+    anything on a ``BitStruct``), raises :class:`TypeUndecided`.
+
+    Backend-neutral: a printer that wants ``Bits``-exact values masks
+    at ``types[id(node)].width`` wherever the kind is ``bits``.  That
+    is the type a node *computes at*; what consumes it sees
+    ``ir.casts`` on top (:func:`cast_type`)."""
+    typer = _Typer(ir)
+    typer.stmts(ir.body)
+    return typer.types
+
+
+class _Typer:
+    def __init__(self, ir):
+        self.casts = ir.casts
+        self.types = {}
+        self.env = {}              # scalar local -> Ty
+        self.exits = []            # per enclosing loop: envs at break/continue
+
+    def stmts(self, body):
+        for stmt in body:
+            self.stmt(stmt)
+
+    def stmt(self, node):
+        if isinstance(node, AssignSig):
+            self.expr(node.expr)
+            if node.ref.index is not None:
+                self.expr(node.ref.index)
+        elif isinstance(node, AssignLocal):
+            ty = self.expr(node.expr)
+            if node.index is None:
+                self.env[node.name] = ty
+            else:
+                self.expr(node.index)
+                if ty != INT:
+                    raise TypeUndecided(
+                        f"local array {node.name!r} is given a "
+                        f"{ty.kind} value (array elements are ints)")
+        elif isinstance(node, If):
+            self.cond(node.cond)
+            before = dict(self.env)
+            self.stmts(node.body)
+            then, self.env = self.env, before
+            self.stmts(node.orelse)
+            self.env = _join_envs(then, self.env)
+        elif isinstance(node, For):
+            # The head's types are a fixpoint over the back edge.
+            entry = self.env
+            while True:
+                self.env = {**entry, node.var: INT}
+                self.exits.append([])
+                self.stmts(node.body)
+                merged = _join_envs(entry, self.env, *self.exits.pop())
+                if merged == entry:
+                    break
+                entry = merged
+            self.env = entry
+        elif isinstance(node, (Break, Continue)):
+            self.exits[-1].append(dict(self.env))
+        elif isinstance(node, AssignState):
+            raise TypeUndecided("plain-attribute state (CL)")
+
+    def cond(self, node):
+        if self.expr(node).kind == "struct":
+            raise TypeUndecided("truth of a BitStruct value")
+
+    def expr(self, node):
+        ty = self.types[id(node)] = self._expr(node)
+        if id(node) in self.casts:
+            if 0 < (self.casts[id(node)] or 0) < ty.width:
+                raise TypeUndecided("zext target narrower than source")
+            ty = cast_type(self.casts, node, ty)
+        return ty
+
+    def _expr(self, node):
+        if isinstance(node, Const):
+            return INT
+        if isinstance(node, SigRead):
+            if node.ref.index is not None:
+                self.expr(node.ref.index)
+            return INT if node.vtype == "int" \
+                else Ty(node.vtype, node.ref.width)
+        if isinstance(node, LocalRead):
+            if node.index is not None:
+                self.expr(node.index)
+                return INT
+            # Unbound here: Python raises, whatever the type.
+            return self.env.get(node.name, AMBIG)
+        if isinstance(node, BinOp):
+            return _binop_type(node.op, self.expr(node.left),
+                               self.expr(node.right))
+        if isinstance(node, UnOp):
+            if node.op == "!":
+                self.cond(node.operand)
+                return INT
+            ty = self.expr(node.operand)
+            if ty.kind == "bits" or (ty.kind == "sig" and node.op == "~"):
+                return Ty("bits", ty.width)
+            if ty != INT:
+                raise TypeUndecided(f"unary {node.op} on a {ty.kind} value")
+            return INT
+        if isinstance(node, Cmp):
+            left, right = self.expr(node.left), self.expr(node.right)
+            if "struct" in (left.kind, right.kind) \
+                    and node.op not in ("==", "!="):
+                raise TypeUndecided(f"{node.op} on a BitStruct value")
+            return INT
+        if isinstance(node, BoolOp):
+            tys = [self.expr(v) for v in node.values]
+            if any(ty.kind == "struct" for ty in tys):
+                raise TypeUndecided("truth of a BitStruct value")
+            ty = tys[0]
+            for other in tys[1:]:
+                ty = _join(ty, other)
+            return ty
+        if isinstance(node, IfExp):
+            self.cond(node.cond)
+            return _join(self.expr(node.then), self.expr(node.orelse))
+        if isinstance(node, Concat):
+            for part, _ in node.parts:
+                self.expr(part)
+            return Ty("bits", sum(width for _, width in node.parts))
+        raise TypeUndecided(f"{type(node).__name__} has no Python type")
+
+
+def _binop_type(op, left, right):
+    kinds = (left.kind, right.kind)
+    if kinds == ("int", "int"):
+        return INT
+    for ty in (left, right):
+        if ty.kind in ("ambig", "struct"):
+            raise TypeUndecided(
+                f"operand of {op} is "
+                + ("a BitStruct" if ty.kind == "struct" else
+                   "Bits on one path and an int (or another width) "
+                   "on another"))
+    # At least one operand is Bits-valued.  _ValueOps (a bare signal)
+    # has no // and %, and nothing has their reflected forms or the
+    # reflected shifts.
+    if op in ("//", "%") and (left.kind != "bits" or right.kind == "sig"):
+        raise TypeUndecided(f"{left.kind} {op} {right.kind} raises "
+                            f"TypeError")
+    if op in ("<<", ">>"):
+        if left.kind == "int":
+            raise TypeUndecided(f"int {op} {right.kind} raises TypeError")
+        return Ty("bits", left.width)
+    return Ty("bits", max(left.width, right.width))
 
 
 def lower(blk):
@@ -847,8 +1213,17 @@ def lower(blk):
     save 0.03-0.2 s.  A caller that needs a block's IR twice keeps it
     for as long as it needs it (``auto_specialize`` hands what its
     translatability walk lowered to the specializer of that subtree,
-    and drops it there).
+    and drops it there).  The cache that does not keep instances alive
+    is a *body*: one lowering per block body, printed once and bound
+    per instance through the translator's read trace
+    (``BlockTranslator.holes`` / ``.guards``) — :mod:`.pygen` keeps
+    five for mesh64.
     """
-    kind = ("comb" if isinstance(blk, _CombBlock)
+    return BlockTranslator(blk.model, blk.func, block_kind(blk)).translate()
+
+
+def block_kind(blk):
+    """The IR kind of a block: ``comb``, ``tick_rtl`` for level
+    ``rtl``, ``tick_cl`` for every other tick."""
+    return ("comb" if isinstance(blk, _CombBlock)
             else "tick_rtl" if blk.level == "rtl" else "tick_cl")
-    return BlockTranslator(blk.model, blk.func, kind).translate()

@@ -56,6 +56,18 @@ Scheduling modes (``sched=`` constructor argument):
   at least one statically-schedulable block or one gateable tick
   block, else ``"event"``.
 
+What a static schedule runs.  ``_static_order`` and ``_tick_plan`` hold
+one callable per slot, and the interpreted and the kernel step call
+whatever is there.  Under ``sched="event"`` — the reference substrate —
+and with ``collect_stats`` or ``profile`` on, that is the user's block
+closures; otherwise each statically scheduled ``@combinational`` block
+and each ``@tick_rtl`` block is replaced at construction by its
+*lowered* function (:mod:`.pygen`: the block's IR printed over plain
+ints and ``_Net._value`` / ``_next``, one lowering per block body, bound
+per instance), which computes what the closure computes.  The event
+partition, connectors, FL/CL ticks and whatever the backend refuses
+keep the closure, per block; ``sched_info()["lowered"]`` says which.
+
 Both modes see identical values: the static order is a valid
 evaluation order of the same dataflow the event queue chases, and
 demoted blocks keep their event semantics.  A bounded event budget per
@@ -70,6 +82,7 @@ from time import perf_counter
 
 from .adapters import BlockingTickRunner, wrap_fl_ticks
 from .probe import Probe
+from .pygen import Refused, lower_block
 from .scheduling import build_schedule, nets_of
 from ..resilience.warnings import ResilienceWarning
 from ..telemetry import tracing
@@ -224,6 +237,7 @@ class SimulationTool:
         self._kernel = None
         self._tick_plan = [(-1, func) for func in self._ticks]
         self._tflags = bytearray()
+        self._lowered = {"blocks": 0, "bodies": 0, "kept": {}}
 
         sched_fault = None
         if sched != "event":
@@ -254,6 +268,8 @@ class SimulationTool:
             # Static partition: nets mark reader slots in the flag array.
             for net, slots in sch.reader_slots.values():
                 net.sreaders = slots
+            if not collect_stats and not profile:
+                self._lower_blocks()
         else:
             self._wire_sensitivity(lambda func: True)
 
@@ -375,6 +391,47 @@ class SimulationTool:
                 net.treaders = net.treaders + (slot,)
         self._tick_plan = plan
         self._tflags = bytearray(b"\x01" * nslots)
+
+    def _lower_blocks(self):
+        """Put lowered blocks (:mod:`.pygen`) where the user's closures
+        were in the static order and the tick plan.  Every block that
+        keeps its closure is named in ``sched_info()["lowered"]
+        ["kept"]`` with the reason: the event partition, a blocking FL
+        tick, and whatever the backend refuses.  (Connectors are not
+        blocks, and stay the copies they were.)"""
+        notify, pending = self._notify, self._pending_flops
+        bodies, kept = set(), {}
+        nblocks = 0
+
+        def lowered(blk, func):
+            nonlocal nblocks
+            if func is not blk.func:
+                kept[blk.name] = "blocking FL tick (runs on its own thread)"
+                return func
+            try:
+                func, body = lower_block(blk, notify, pending)
+            except Refused as exc:
+                kept[blk.name] = str(exc)
+                return blk.func
+            nblocks += 1
+            bodies.add(body)
+            return func
+
+        combs = {blk.func: blk for blk in self._comb_blocks}
+        self._static_order = [
+            lowered(combs[func], func) if func in combs else func
+            for func in self._static_order]
+        cyclic = set(self.schedule.demoted)
+        for func in self.schedule.event_funcs:
+            if func in combs:
+                kept[combs[func].name] = "event partition: " + (
+                    "in a combinational cycle" if func in cyclic
+                    else "write set not statically known")
+        self._tick_plan = [
+            (slot, lowered(blk, func))
+            for blk, (slot, func) in zip(self._tick_blocks, self._tick_plan)]
+        self._lowered = {"blocks": nblocks, "bodies": len(bodies),
+                         "kept": kept}
 
     def _wire_sensitivity(self, want):
         """Wire the legacy sensitivity lists of selected blocks (and
@@ -928,7 +985,12 @@ class SimulationTool:
     def sched_info(self):
         """Scheduling provenance: requested vs chosen mode, the
         static/event partition, tick gating, and whether (and why not)
-        the mega-cycle kernel is the step.  A design holding SimJIT
+        the mega-cycle kernel is the step.  ``lowered`` says what the
+        schedule holds: how many ``blocks`` run as lowered functions
+        (:mod:`.pygen`), from how many ``bodies``, and ``kept`` maps
+        every block that keeps its closure to the reason (all zero and
+        empty when nothing is lowered: ``sched="event"``, stats or
+        profiler hooks).  A design holding SimJIT
         engines adds a ``simjit`` entry saying what ran where:
         ``engines`` lists every engine in hierarchy order (``model``,
         the ``class`` it replaced, and its kernel's ``blocks``,
@@ -950,6 +1012,8 @@ class SimulationTool:
             "total_comb_blocks": len(self._all_comb_funcs),
             "total_tick_blocks": len(self._ticks),
             "gated_ticks": len(self._tflags),
+            "lowered": {**self._lowered,
+                        "kept": dict(self._lowered["kept"])},
         }
         if self.schedule is not None:
             info.update(self.schedule.describe())

@@ -170,8 +170,10 @@ class Telemetry:
             profile = sim.profiler.report(sim)
         sched = sim.sched_info()
         # The v1 report carries the scheduling partition only: the
-        # SimJIT kernel shape stays out of its bytes.
+        # SimJIT kernel shape and which blocks run lowered stay out of
+        # its bytes.
         sched.pop("simjit", None)
+        sched.pop("lowered", None)
         return TelemetryReport(
             design=type(sim.model).__name__,
             ncycles=sim.ncycles,

@@ -10,7 +10,11 @@ Two views of a run:
   and the schedule-mode provenance of the run, so a BENCH regression
   can be root-caused to the phase or block that slowed down (requires
   ``profile=True`` on the simulator; profiling refuses the mega-cycle
-  kernel because per-block timers need the interpreted path).
+  kernel because per-block timers need the interpreted path, and it
+  times the user's block *closures*, not the lowered functions of
+  :mod:`repro.core.pygen` the default run calls — about 4x slower per
+  block, so read the attribution as shares, not as the default's
+  absolute times).
 """
 
 from __future__ import annotations

@@ -41,10 +41,11 @@ def test_auto_specializes_rtl_tile_components():
     # No top engine, so none of its flat kernel keys.
     assert "functions" not in info
     # ``repro-telemetry-v1`` carries the scheduling partition only, so
-    # its bytes do not know which models are engines.
+    # its bytes do not know which models are engines (or which blocks
+    # run lowered).
     report = sim.telemetry.report()
     assert sorted(report.sched) == sorted(
-        k for k in sim.sched_info() if k != "simjit")
+        k for k in sim.sched_info() if k not in ("simjit", "lowered"))
     assert "simjit" not in report.to_json()
 
 
