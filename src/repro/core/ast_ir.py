@@ -298,8 +298,8 @@ class BlockTranslator:
         # can fill it with its own; a *guard* is an int a translator
         # decision folded into the IR's shape (range and slice bounds,
         # array sizes, static list indices, ``len()``), so a sibling
-        # must evaluate it equal.  A backend that keeps one lowering
-        # per block body (``pygen``) prints both as a ``bind``.
+        # must evaluate it equal.  A body (:mod:`.bodies`), one lowering
+        # per block body, prints both as a ``bind``.
         self.holes = []            # (Const | SigRef, AST node, Subscript)
         self.guards = []           # AST nodes
         self._struct_refs = set()  # id(SigRef) of BitStruct-typed ranges
@@ -338,12 +338,24 @@ class BlockTranslator:
             # whole body can say.  Otherwise lower once more, printing
             # the others as operand selects.
             bits = self._zero_one_locals()
-            if not all(_is_bit(v, bits) for node in self._value_boolops
+            if not all(self._is_bit(v, bits) for node in self._value_boolops
                        for v in node.values):
+                decided = self.guards       # what the choice read, too
                 self._bit_locals = bits
                 self._reset()
+                self.guards = decided
                 self.ir.body = self.stmt_list(self.func_def.body)
         return self.ir
+
+    def _is_bit(self, node, bit_locals):
+        """:func:`_is_bit`, guarding every constant hole it read: C
+        prints ``bit and s.k`` by ``s.k``'s value."""
+        consts = []
+        bit = _is_bit(node, bit_locals, consts)
+        for leaf, source, _ in self.holes:
+            if any(leaf is const for const in consts):
+                self.guards.append(source)
+        return bit
 
     def _zero_one_locals(self):
         """Scalar locals only ever assigned 0/1-valued expressions
@@ -358,7 +370,7 @@ class BlockTranslator:
         bits = set(assigned)
         while True:
             keep = {name for name in bits
-                    if all(e is not None and _is_bit(e, bits)
+                    if all(e is not None and self._is_bit(e, bits)
                            for e in assigned[name])}
             if keep == bits:
                 return bits
@@ -556,7 +568,7 @@ class BlockTranslator:
         is_and = isinstance(node.op, ast.And)
         values = [self.expr(v) for v in node.values]
         if self._bit_locals is None or all(
-                _is_bit(v, self._bit_locals) for v in values):
+                self._is_bit(v, self._bit_locals) for v in values):
             ir = BoolOp("&&" if is_and else "||", values)
             self._value_boolops.append(ir)
             return ir
@@ -970,24 +982,25 @@ def _copy_as_load(node):
     return new
 
 
-def _is_bit(node, bit_locals):
+def _is_bit(node, bit_locals, consts):
     """Whether ``node`` is statically 0/1-valued, given the locals
-    that are."""
+    that are; appends every ``Const`` it read to ``consts``."""
     if isinstance(node, Const):
+        consts.append(node)
         return node.value in (0, 1)
     if isinstance(node, Cmp):
         return True
     if isinstance(node, UnOp):
         return node.op == "!"
     if isinstance(node, BoolOp):
-        return all(_is_bit(v, bit_locals) for v in node.values)
+        return all(_is_bit(v, bit_locals, consts) for v in node.values)
     if isinstance(node, SigRead):
         return node.ref.width == 1
     if isinstance(node, LocalRead):
         return node.index is None and node.name in bit_locals
     if isinstance(node, IfExp):
-        return (_is_bit(node.then, bit_locals)
-                and _is_bit(node.orelse, bit_locals))
+        return (_is_bit(node.then, bit_locals, consts)
+                and _is_bit(node.orelse, bit_locals, consts))
     return False
 
 
@@ -1208,16 +1221,15 @@ def lower(blk):
     block itself; a caller that rejects a level does so before
     lowering.
 
-    A pure function, deliberately uncached: keeping mesh64's 832
-    ``BlockIR``s alive past specialization costs +12.8 % peak RSS to
-    save 0.03-0.2 s.  A caller that needs a block's IR twice keeps it
-    for as long as it needs it (``auto_specialize`` hands what its
-    translatability walk lowered to the specializer of that subtree,
-    and drops it there).  The cache that does not keep instances alive
-    is a *body*: one lowering per block body, printed once and bound
-    per instance through the translator's read trace
-    (``BlockTranslator.holes`` / ``.guards``) — :mod:`.pygen` keeps
-    five for mesh64.
+    A pure function, deliberately uncached, for the consumers that want
+    one instance's IR: ``TranslationTool``, ``tools/linter.py``,
+    ``eda/estimator.py`` and SimJIT's ``tick_cl`` blocks (keeping
+    mesh64's 832 ``BlockIR``s alive costs +12.8 % peak RSS).  The
+    simulator and SimJIT's ``@combinational`` / ``@tick_rtl`` blocks
+    go through the cache that keeps no instance alive instead: a
+    *body* (:mod:`.bodies`), one lowering per block body, printed once
+    per backend and bound per instance through the translator's read
+    trace (``BlockTranslator.holes`` / ``.guards``) — five for mesh64.
     """
     return BlockTranslator(blk.model, blk.func, block_kind(blk)).translate()
 

@@ -1,0 +1,290 @@
+"""Block bodies: one lowering per block body, bound per instance.
+
+The first instance of a ``@combinational`` / ``@tick_rtl`` block is
+lowered with :class:`~.ast_ir.BlockTranslator`, whose read trace says
+what it took from the live model: *holes* (signals, tuples of signals
+behind a dynamic index, int constants) and *guards* (the widths, bounds
+and folded ints the IR's shape depends on).  Both are printed once, as
+a ``_bind(model, func)`` returning ``(guards, holes)``; a sibling whose
+guards evaluate equal is an instance of the same body with its own
+holes, one whose guards differ is lowered afresh as a second body.
+
+A body is backend-neutral: printed from the one ``BlockIR`` when it is
+made, it carries ``python``, the function :mod:`.pygen` prints (or
+``refused``, why not: ``TypeUndecided`` or a reserved name, decided for
+every sibling the guards admit), and ``c``, the template
+:func:`~.simjit.cgen.c_template` prints with which hole fills each C
+hole and which holes the block reads and writes.  It keeps no instance
+and goes with the block's code object.  A ``TranslationError`` has no
+complete trace to guard it with and is not remembered.  This module
+holds the one ``compile`` / ``exec`` of the CPython rung.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import linecache
+import re
+import weakref
+from typing import NamedTuple
+
+from .ast_ir import (BlockTranslator, Const, TranslationError,
+                     TypeUndecided, block_kind)
+from .pygen import Refused, print_function
+from .simjit.cgen import c_template
+
+
+# -- printing a bind ----------------------------------------------------------
+
+
+def _chain_text(node, dyn_at):
+    """Source of an attribute/subscript chain with the dynamically
+    indexed element spelled ``_x``."""
+    if node is dyn_at:
+        return "_x"
+    if isinstance(node, ast.Attribute):
+        return f"{_chain_text(node.value, dyn_at)}.{node.attr}"
+    if isinstance(node, ast.Subscript):
+        return (f"{_chain_text(node.value, dyn_at)}"
+                f"[{ast.unparse(node.slice)}]")
+    return ast.unparse(node)
+
+
+def _names(node, skip):
+    """Names under ``node``, not descending into ``skip``."""
+    stack, names = [node], set()
+    while stack:
+        cur = stack.pop()
+        if cur is skip:
+            continue
+        if isinstance(cur, ast.Name):
+            names.add(cur.id)
+        stack.extend(ast.iter_child_nodes(cur))
+    return names
+
+
+def _print_bind(translator):
+    """``(source lines of bind, hole_of, expected)``: ``bind(_m, _f)``
+    walks model ``_m`` and block function ``_f`` exactly as the
+    translator's trace says the lowering did and returns ``(guards,
+    holes)``; ``hole_of`` maps ``id`` of each hole's IR leaf to its
+    index and ``expected[i]`` is what hole ``i`` must come out as for
+    the instance that was lowered."""
+    func = translator.func
+    freevars = func.__code__.co_freevars
+    names = set()
+    objs = {}                       # bind text -> _o<n>
+    prologue = []
+    guards, holes, expected = [], [], []
+    hole_of = {}
+    slots = {}                      # hole text -> index
+
+    def obj(text):
+        if text not in objs:
+            objs[text] = f"_o{len(objs)}"
+            prologue.append(f"    {objs[text]} = {text}")
+        return objs[text]
+
+    for leaf, node, dyn_at in translator.holes:
+        names |= _names(node, dyn_at.slice if dyn_at is not None else None)
+        if isinstance(leaf, Const):
+            hole = obj(ast.unparse(node))
+            guard = f"type({hole})"
+            want = leaf.value
+        else:
+            sliced = leaf.hi is not None
+            shape = ("type({0}), {0}.signal.nbits, {0}.lo, {0}.hi" if sliced
+                     else "type({0}), {0}.nbits")
+            if dyn_at is None:
+                var = obj(ast.unparse(node))
+                guard = shape.format(var)
+                hole = f"{var}.signal" if sliced else var
+                want = leaf.signals[0]
+            else:
+                var = obj(f"[{_chain_text(node, dyn_at)} for _x in "
+                          f"{_chain_text(dyn_at.value, None)}]")
+                guard = (f"len({var}), "
+                         f"[({shape.format('_x')}) for _x in {var}]")
+                hole = (f"tuple([_x.signal for _x in {var}])" if sliced
+                        else f"tuple({var})")
+                want = tuple(leaf.signals)
+        if hole not in slots:
+            slots[hole] = len(holes)
+            holes.append(hole)
+            guards.append(guard)
+            expected.append(want)
+        hole_of[id(leaf)] = slots[hole]
+    for node in translator.guards:
+        if not isinstance(node, ast.Constant):
+            names |= _names(node, None)
+            guards.append(ast.unparse(node))
+
+    head = ["def _bind(_m, _f):",
+            "    _c = _f.__closure__",
+            "    _g = _f.__globals__"]
+    roots = []
+    for name in sorted(names):
+        if re.match(r"_([mfcgx]|o\d+)$", name):
+            raise Refused(f"the block's name {name!r} is one bind uses")
+        if name in freevars:
+            source = f"_c[{freevars.index(name)}].cell_contents"
+        elif name in func.__globals__:
+            source = f"_g[{name!r}]"
+        else:
+            continue                # a builtin (len)
+        head.append(f"    {name} = {source}")
+        if name in translator.root_names:
+            roots.append(f"{name} is _m")
+    guards = list(dict.fromkeys(roots + guards))
+    lines = head + prologue + [
+        f"    return (({', '.join(guards)}{',' * bool(guards)}), "
+        f"({', '.join(holes)}{',' * bool(holes)}))"]
+    return lines, hole_of, expected
+
+
+def _same(got, want):
+    """Whether a bound hole is the one the translator read: the same
+    signal or signals (not equal values), an equal int."""
+    if isinstance(want, tuple):
+        return list(map(id, got)) == list(map(id, want))
+    if isinstance(want, int):
+        return isinstance(got, int) and got == want
+    return got is want
+
+
+# -- the C artifact -----------------------------------------------------------
+
+
+class CBody(NamedTuple):
+    """A body's C template (``text``, hole ``kinds``): C hole ``i`` is
+    row entry ``sources[i]`` of an instance's holes followed by
+    ``literals``; ``reads`` / ``writes`` are the holes of the IR's
+    ``sig_reads`` / ``sig_writes``."""
+
+    text: str
+    kinds: tuple
+    sources: tuple
+    literals: tuple
+    reads: tuple
+    writes: tuple
+
+
+def _c_body(ir, hole_of, nholes):
+    """The :class:`CBody` of a lowering, or None where SimJIT is to
+    print the block per instance (the printer refused it)."""
+    try:
+        text, holes = c_template(ir)
+    except TranslationError:
+        return None
+    literals, sources = [], []
+    for _, leaf in holes:
+        if id(leaf) in hole_of:
+            sources.append(hole_of[id(leaf)])
+        else:               # a Const the source and the guards fix
+            sources.append(nholes + len(literals))
+            literals.append(leaf.value)
+    return CBody(text, tuple(kind for kind, _ in holes), tuple(sources),
+                 tuple(literals),
+                 tuple(hole_of[id(ref)] for ref in ir.sig_reads),
+                 tuple(hole_of[id(ref)] for ref in ir.sig_writes))
+
+
+# -- bodies -------------------------------------------------------------------
+
+
+class Body:
+    """One lowering of a block body: its bind, the guard values a
+    sibling must reproduce, and the backends' artifacts (module
+    docstring)."""
+
+    __slots__ = ("bind", "guards", "gtypes", "filename", "python",
+                 "refused", "c")
+
+    def matches(self, guards):
+        return (guards == self.guards
+                and tuple(map(type, guards)) == self.gtypes)
+
+
+#: id(code object) -> its bodies, first lowered first.  Dropped with
+#: the code object, like ``elaboration._block_sources``.
+_bodies = {}
+
+
+def _drop(key):
+    for body in _bodies.pop(key, ()):
+        linecache.cache.pop(body.filename, None)
+
+
+def _new_body(blk, kind):
+    """Lower ``blk`` and print it; returns ``(body, holes)``.  Raises
+    :class:`Refused` where there is no finished read trace to keep a
+    body under (the bind cannot be printed or run): the next sibling
+    is tried on its own."""
+    func = blk.func
+    translator = BlockTranslator(blk.model, func, kind)
+    ir = translator.translate()
+    bind_lines, hole_of, expected = _print_bind(translator)
+    refused = None
+    try:
+        func_lines = print_function(ir, func, hole_of, len(expected))
+    except (TypeUndecided, Refused) as exc:
+        refused = str(exc)
+        func_lines = []
+    source = "\n".join([*bind_lines, *func_lines, ""])
+    digest = hashlib.sha256(source.encode()).hexdigest()[:12]
+    body = Body()
+    body.refused = refused
+    body.filename = f"<lowered {func.__qualname__} {digest}>"
+    namespace = {}
+    exec(compile(source, body.filename, "exec"), namespace)
+    body.python = namespace.get(func.__name__)
+    body.bind = namespace["_bind"]
+    body.c = _c_body(ir, hole_of, len(expected))
+    # The bind is Python's reading of the source, the lowering the
+    # translator's: they must name the same signals and constants.
+    try:
+        body.guards, holes = body.bind(blk.model, func)
+    except Exception as exc:
+        raise Refused("bind does not reproduce the lowering "
+                      f"({type(exc).__name__}: {exc})") from None
+    body.gtypes = tuple(map(type, body.guards))
+    if not all(map(_same, holes, expected)):
+        body.refused = "bind does not reproduce the lowering (a hole differs)"
+        body.python = body.c = None
+    if body.python is not None:
+        linecache.cache[body.filename] = (
+            len(source), None, source.splitlines(True), body.filename)
+    return body, holes
+
+
+def body_of(blk):
+    """``(body, holes)`` of ``blk`` — a ``Model.get_comb_blocks()`` /
+    ``get_tick_blocks()`` entry: the first cached body whose guards
+    ``blk`` reproduces, else a new one.  ``holes`` are ``blk``'s own:
+    a signal, a tuple of signals or an int per body hole.  Raises
+    :class:`~.ast_ir.TranslationError` where the translator refuses the
+    block, :class:`Refused` where it has no body (a ``tick_cl`` /
+    ``tick_fl`` block, not a plain function, a bind that cannot be
+    printed or run)."""
+    kind = block_kind(blk)
+    if kind == "tick_cl":
+        raise Refused(f"tick_{blk.level} block")
+    func = blk.func
+    code = getattr(func, "__code__", None)
+    if code is None:
+        raise Refused("not a plain function")
+    bodies = _bodies.get(id(code))
+    if bodies is None:
+        bodies = _bodies[id(code)] = []
+        weakref.finalize(code, _drop, id(code))
+    for body in bodies:
+        try:
+            guards, holes = body.bind(blk.model, func)
+        except Exception:
+            continue                # not the shape this body walks
+        if body.matches(guards):
+            return body, holes
+    body, holes = _new_body(blk, kind)
+    bodies.append(body)
+    return body, holes

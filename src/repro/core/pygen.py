@@ -19,43 +19,28 @@ order and tick plan in place of the closure.  Storage stays the
 ``_Net`` objects, so probes, VCD, checkpoints and the event partition
 see one store.
 
-One lowering serves every instance of a block body.  The first
-instance is lowered with :class:`~.ast_ir.BlockTranslator`, whose read
-trace says what it took from the live model: *holes* (nets, tuples of
-nets, int constants — the function's parameters) and *guards* (the
-widths, bounds and folded ints the lowering's shape depends on).  Both
-are printed once, beside the function, as a ``bind(model, func)`` of
-plain attribute walks; a sibling whose guards evaluate equal gets the
-same code object with its own holes as the parameter defaults, one
-whose guards differ is lowered afresh as a second body.  A body keeps
-source text, two code objects and the guard values — never an
-instance — and is dropped with the block's code object.
+One printing serves every instance of a block body
+(:mod:`.bodies`): :func:`print_function` prints a body's lowering once,
+with the holes of its read trace (nets, tuples of nets, int constants)
+as the function's parameters, and :func:`instantiate` gives each
+instance the same code object with its own holes as the parameter
+defaults.
 
-A block outside the subset (``TranslationError``), one whose Python
-types cannot be decided (``TypeUndecided``), a ``tick_cl`` /
-``tick_fl`` block: :class:`Refused`, and the simulator keeps the
-closure.  A refusal decided from a finished lowering (the types, a
-name, the printer) is a body like any other — siblings whose guards
-evaluate equal share it, one whose guards differ gets its own attempt;
-one the translator gave up on has no complete trace to guard it with
-and is not remembered.  This module holds the one ``compile`` /
-``exec`` of the CPython rung.
+A block whose Python types cannot be decided (``TypeUndecided``) or
+that uses a name the printed function does (:class:`Refused`) keeps its
+closure; so does one outside the subset (``TranslationError``) and a
+``tick_cl`` / ``tick_fl`` block, which have no body.
 """
 
 from __future__ import annotations
 
-import ast
-import hashlib
-import linecache
 import re
-import weakref
 from types import FunctionType
 
 from .ast_ir import (
     AssignLocal,
     AssignSig,
     BinOp,
-    BlockTranslator,
     BoolOp,
     Break,
     Cmp,
@@ -68,10 +53,7 @@ from .ast_ir import (
     IfExp,
     LocalRead,
     SigRead,
-    TranslationError,
-    TypeUndecided,
     UnOp,
-    block_kind,
     cast_type,
     infer_types,
 )
@@ -95,7 +77,7 @@ def _mask(width):
 
 #: Names a block or one of its locals may not have: the printed
 #: function's own, and the builtins it and its bind call.
-_RESERVED = re.compile(r"_(h\d+|s\d+|v|n|r|notify|pending|bind|root)$"
+_RESERVED = re.compile(r"_(h\d+|s\d+|v|n|r|notify|pending|bind)$"
                        r"|(len|type|tuple|range)$")
 _SIMPLE = re.compile(r"[\w.]+$")
 
@@ -330,234 +312,40 @@ def _widest(bounds):
     return None if None in bounds else max(bounds)
 
 
-# -- printing its bind ----------------------------------------------------------
+# -- the function, and one instance of it --------------------------------------
 
 
-def _chain_text(node, dyn_at):
-    """Source of an attribute/subscript chain with the dynamically
-    indexed element spelled ``_x``."""
-    if node is dyn_at:
-        return "_x"
-    if isinstance(node, ast.Attribute):
-        return f"{_chain_text(node.value, dyn_at)}.{node.attr}"
-    if isinstance(node, ast.Subscript):
-        return (f"{_chain_text(node.value, dyn_at)}"
-                f"[{ast.unparse(node.slice)}]")
-    return ast.unparse(node)
+def print_function(ir, func, hole_of, nholes):
+    """Source lines of ``ir`` (block ``func``'s lowering) as a function
+    of ``_h0`` .. (``hole_of``: ``id`` of an IR leaf -> its hole),
+    ``_notify`` and ``_pending``; raises :class:`Refused` or
+    ``TypeUndecided`` where the block keeps its closure."""
+    types = infer_types(ir)
+    for name in (func.__name__, *ir.locals):
+        if _RESERVED.match(name):
+            raise Refused(f"the block's name {name!r} is one the "
+                          f"lowered function uses")
+    printer = _Printer(ir, types, hole_of)
+    printer.block(ir.body, 4)
+    code = func.__code__
+    doc = (f"lowered from {code.co_filename}:{code.co_firstlineno} "
+           f"({func.__qualname__})")
+    params = [f"_h{i}=None" for i in range(nholes)]
+    params += ["_notify=None", "_pending=None"]
+    return ["", "",
+            f"def {func.__name__}({', '.join(params)}):",
+            f"    {doc!r}",
+            *printer.lines]
 
 
-def _names(node, skip):
-    """Names under ``node``, not descending into ``skip``."""
-    stack, names = [node], set()
-    while stack:
-        cur = stack.pop()
-        if cur is skip:
-            continue
-        if isinstance(cur, ast.Name):
-            names.add(cur.id)
-        stack.extend(ast.iter_child_nodes(cur))
-    return names
-
-
-def _print_bind(translator):
-    """``(source lines of bind, hole_of, expected)``: ``bind(_m, _f)``
-    walks model ``_m`` and block function ``_f`` exactly as the
-    translator's trace says the lowering did and returns ``(guards,
-    holes)``; ``expected[i]`` is what hole ``i`` must come out as for
-    the instance that was lowered."""
-    func = translator.func
-    freevars = func.__code__.co_freevars
-    names = set()
-    objs = {}                       # bind text -> _o<n>
-    prologue = []
-    guards, holes, expected = [], [], []
-    hole_of = {}
-    slots = {}                      # hole text -> index
-
-    def obj(text):
-        if text not in objs:
-            objs[text] = f"_o{len(objs)}"
-            prologue.append(f"    {objs[text]} = {text}")
-        return objs[text]
-
-    for leaf, node, dyn_at in translator.holes:
-        names |= _names(node, dyn_at.slice if dyn_at is not None else None)
-        if isinstance(leaf, Const):
-            hole = obj(ast.unparse(node))
-            guard = f"type({hole})"
-            want = leaf.value
-        else:
-            sliced = leaf.hi is not None
-            sig = "{0}.signal" if sliced else "{0}"
-            shape = ("type({0}), {0}.signal.nbits, {0}.lo, {0}.hi" if sliced
-                     else "type({0}), {0}.nbits")
-            if dyn_at is None:
-                var = obj(ast.unparse(node))
-                guard = shape.format(var)
-                hole = f"_root({sig.format(var)})"
-                want = _root(leaf.signals[0])
-            else:
-                var = obj(f"[{_chain_text(node, dyn_at)} for _x in "
-                          f"{_chain_text(dyn_at.value, None)}]")
-                guard = (f"len({var}), "
-                         f"[({shape.format('_x')}) for _x in {var}]")
-                hole = f"tuple([_root({sig.format('_x')}) for _x in {var}])"
-                want = tuple(_root(sig) for sig in leaf.signals)
-        if hole not in slots:
-            slots[hole] = len(holes)
-            holes.append(hole)
-            guards.append(guard)
-            expected.append(want)
-        hole_of[id(leaf)] = slots[hole]
-    for node in translator.guards:
-        if not isinstance(node, ast.Constant):
-            names |= _names(node, None)
-            guards.append(ast.unparse(node))
-
-    head = ["def _bind(_m, _f):",
-            "    _c = _f.__closure__",
-            "    _g = _f.__globals__"]
-    roots = []
-    for name in sorted(names):
-        if re.match(r"_([mfcgx]|o\d+|root)$", name):
-            raise Refused(f"the block's name {name!r} is one bind uses")
-        if name in freevars:
-            source = f"_c[{freevars.index(name)}].cell_contents"
-        elif name in func.__globals__:
-            source = f"_g[{name!r}]"
-        else:
-            continue                # a builtin (len)
-        head.append(f"    {name} = {source}")
-        if name in translator.root_names:
-            roots.append(f"{name} is _m")
-    guards = list(dict.fromkeys(roots + guards))
-    lines = head + prologue + [
-        f"    return (({', '.join(guards)}{',' * bool(guards)}), "
-        f"({', '.join(holes)}{',' * bool(holes)}))"]
-    return lines, hole_of, expected
-
-
-# -- bodies ---------------------------------------------------------------------
-
-
-class _Body:
-    """One lowering of a block body: the function's code, its bind and
-    the guard values a sibling must reproduce.  ``refused`` is the
-    reason the lowering keeps its closure — decided from a finished
-    lowering, so it holds for exactly the siblings the guards admit —
-    or None."""
-
-    __slots__ = ("template", "bind", "guards", "gtypes", "filename",
-                 "refused")
-
-    def instantiate(self, func, holes, notify, pending):
-        template = self.template
-        lowered = FunctionType(template.__code__, template.__globals__,
-                               func.__name__, (*holes, notify, pending))
-        lowered.__qualname__ = func.__qualname__
-        return lowered
-
-    def matches(self, guards):
-        return (guards == self.guards
-                and tuple(map(type, guards)) == self.gtypes)
-
-
-#: id(code object) -> its bodies, first lowered first.  Dropped with
-#: the code object, like ``elaboration._block_sources``.
-_bodies = {}
-
-
-def _drop(key):
-    for body in _bodies.pop(key, ()):
-        linecache.cache.pop(body.filename, None)
-
-
-def _new_body(blk, kind):
-    """Lower ``blk`` and print it; returns ``(body, holes)``.  Raises
-    :class:`Refused` where there is no finished read trace to keep the
-    refusal under (the translator gave up, or the bind cannot be
-    printed or run): the next sibling is tried on its own."""
-    func = blk.func
-    try:
-        translator = BlockTranslator(blk.model, func, kind)
-        ir = translator.translate()
-    except TranslationError as exc:
-        raise Refused(str(exc)) from None
-    bind_lines, hole_of, expected = _print_bind(translator)
-    refused = None
-    try:
-        types = infer_types(ir)
-        for name in (func.__name__, *ir.locals):
-            if _RESERVED.match(name):
-                raise Refused(f"the block's name {name!r} is one the "
-                              f"lowered function uses")
-        printer = _Printer(ir, types, hole_of)
-        printer.block(ir.body, 4)
-        code = func.__code__
-        doc = (f"lowered from {code.co_filename}:{code.co_firstlineno} "
-               f"({func.__qualname__})")
-        params = [f"_h{i}=None" for i in range(len(expected))]
-        params += ["_notify=None", "_pending=None"]
-        func_lines = ["", "",
-                      f"def {func.__name__}({', '.join(params)}):",
-                      f"    {doc!r}",
-                      *printer.lines]
-    except (TypeUndecided, Refused) as exc:
-        refused = str(exc)
-        func_lines = []
-    source = "\n".join([*bind_lines, *func_lines, ""])
-    digest = hashlib.sha256(source.encode()).hexdigest()[:12]
-    body = _Body()
-    body.refused = refused
-    body.filename = f"<lowered {func.__qualname__} {digest}>"
-    namespace = {"_root": _root}
-    exec(compile(source, body.filename, "exec"), namespace)
-    body.template = namespace.get(func.__name__)
-    body.bind = namespace["_bind"]
-    # The bind is Python's reading of the source, the lowering the
-    # translator's: they must name the same nets and constants.
-    try:
-        body.guards, holes = body.bind(blk.model, func)
-    except Exception as exc:
-        raise Refused("bind does not reproduce the lowering "
-                      f"({type(exc).__name__}: {exc})") from None
-    body.gtypes = tuple(map(type, body.guards))
-    if any(got is not want and got != want
-           for got, want in zip(holes, expected)):
-        body.refused = "bind does not reproduce the lowering (a hole differs)"
-    if body.refused is None:
-        linecache.cache[body.filename] = (
-            len(source), None, source.splitlines(True), body.filename)
-    return body, holes
-
-
-def lower_block(blk, notify, pending):
-    """The lowered function of ``blk`` — a ``Model.get_comb_blocks()``
-    / ``get_tick_blocks()`` entry — bound to its instance and to one
-    simulator's ``_notify`` and pending-flop dict, and the body it is
-    an instance of.  Raises :class:`Refused` with the reason the block
-    keeps its closure."""
-    kind = block_kind(blk)
-    if kind == "tick_cl":
-        raise Refused(f"tick_{blk.level} block")
-    func = blk.func
-    code = getattr(func, "__code__", None)
-    if code is None:
-        raise Refused("not a plain function")
-    bodies = _bodies.get(id(code))
-    if bodies is None:
-        bodies = _bodies[id(code)] = []
-        weakref.finalize(code, _drop, id(code))
-    for body in bodies:
-        try:
-            guards, holes = body.bind(blk.model, func)
-        except Exception:
-            continue                # not the shape this body walks
-        if body.matches(guards):
-            break
-    else:
-        body, holes = _new_body(blk, kind)
-        bodies.append(body)
-    if body.refused is not None:
-        raise Refused(body.refused)
-    return body.instantiate(func, holes, notify, pending), body
+def instantiate(template, func, holes, notify, pending):
+    """A body's printed ``template`` as block ``func``'s lowered
+    function, bound to its ``holes`` (a signal stands for its net) and
+    to one simulator's ``_notify`` and pending-flop dict."""
+    args = [tuple(map(_root, hole)) if type(hole) is tuple
+            else hole if isinstance(hole, int) else _root(hole)
+            for hole in holes]
+    lowered = FunctionType(template.__code__, template.__globals__,
+                           func.__name__, (*args, notify, pending))
+    lowered.__qualname__ = func.__qualname__
+    return lowered

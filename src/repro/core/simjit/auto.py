@@ -17,6 +17,7 @@ anything outside the subset) stay interpreted and say why
 
 from __future__ import annotations
 
+from .. import bodies
 from ..ast_ir import TranslationError, lower
 from ..model import MAX_LIST_DEPTH, Model
 from .specializer import JITModel, SimJITCL, SimJITRTL, SpecializationError
@@ -39,55 +40,48 @@ def auto_specialize(model, allowed_levels=("rtl", "cl")):
     if model.is_elaborated():
         raise SpecializationError(
             "auto_specialize must run before top-level elaboration")
-    return _specialize(model, allowed_levels, {})
+    return _specialize(model, allowed_levels)
 
 
-def _specialize(node, allowed_levels, irs):
+def _specialize(node, allowed_levels):
     """``node``'s wrapper when its whole subtree is one engine, else
-    ``node`` with the same question answered for each child.
-
-    ``irs`` is what this call of :func:`auto_specialize` has lowered so
-    far (``{block: BlockIR, or the text of its TranslationError}``, the
-    text alone so that no traceback pins the walk's frames): a block is
-    lowered once, whether the walk that met it ends in a
-    specialization — whose specializer takes its IRs out of ``irs`` as
-    it uses them — or fails further on and is asked again one level
-    down."""
+    ``node`` with the same question answered for each child."""
     if isinstance(node, JITModel):      # specialized by hand already
         return node
     models = list(_subtree(node))
     ticks = [blk for sub in models for blk in sub.get_tick_blocks()]
     combs = [blk for sub in models for blk in sub.get_comb_blocks()]
-    refusal = _first_refusal(ticks, combs, allowed_levels, irs)
+    refusal = _first_refusal(ticks, combs, allowed_levels)
     if refusal is None:
         has_cl = any(blk.level == "cl" for blk in ticks)
-        spec = (SimJITCL if has_cl else SimJITRTL)(node.elaborate())
-        spec._lowered = irs
-        return spec.specialize()
+        return (SimJITCL if has_cl else SimJITRTL)(
+            node.elaborate()).specialize()
     # ``sched_info()`` reports it under the name elaboration gives.
     node._simjit_refusal = refusal
     for container, key, child in _submodel_attrs(node):
-        container[key] = _specialize(child, allowed_levels, irs)
+        container[key] = _specialize(child, allowed_levels)
     return node
 
 
-def _first_refusal(ticks, combs, allowed_levels, irs):
+def _first_refusal(ticks, combs, allowed_levels):
     """``(block, reason)`` for the first block that keeps a subtree out
     of a specializer, or None.  Levels first: they cost no lowering, so
     an FL model anywhere below a node is found before the node's other
-    descendants are lowered and held while their turn comes."""
+    descendants are lowered.  A block's body (:mod:`repro.core.bodies`)
+    is lowered once, whoever asks again; a ``tick_cl`` block has none
+    and is lowered here and once more by its specializer."""
     for blk in ticks:
         if blk.level not in allowed_levels:
             return blk, (f"level '{blk.level}'; "
                          f"allowed: {sorted(allowed_levels)}")
     for blk in ticks + combs:
-        if blk not in irs:
+        try:
             try:
-                irs[blk] = lower(blk)
-            except TranslationError as exc:
-                irs[blk] = str(exc)
-        if isinstance(irs[blk], str):
-            return blk, irs[blk]
+                bodies.body_of(blk)
+            except bodies.Refused:
+                lower(blk)
+        except TranslationError as exc:
+            return blk, str(exc)
     return None
 
 

@@ -35,13 +35,17 @@ Dynamic signal-list indexing (``s.rf[rd]``) is compiled to a static
 slot lookup table per reference.
 
 **Template, group, tables.**  Each distinct block body is compiled
-once.  :meth:`CBackend.add_block` prints a block as a *template*: its
-C text with a *hole* wherever the text would name something only this
+once.  :func:`c_template` prints a block as a *template*: its C text
+with a *hole* wherever the text would name something only this
 instance has — a net slot, a CL state offset, the slot table behind a
 dynamic index, an integer ``Const`` (elaboration-time constants such
 as a router's ``my_x`` fold to one).  Everything else is text: widths
 and masks, slice bounds, loop bounds, local names and array sizes,
-operators.  Blocks whose template text is equal form a group, and text
+operators.  A block body (:mod:`repro.core.bodies`) prints its
+template once, when it is lowered, and every instance bound to it
+fills the holes; a ``tick_cl`` block or a connector is printed on its
+own.  :meth:`CBackend.add` files a template with one instance's hole
+values: blocks whose template text is equal form a group, and text
 equality is the whole proof that they run the same code — a design
 parameter that changes a width or a loop bound changes the text and so
 the group.  :meth:`CBackend.emit_blocks` prints each group once:
@@ -83,9 +87,7 @@ from ..ast_ir import (
     IfExp,
     LocalRead,
     SigRead,
-    SigRef,
     StateRead,
-    StateRef,
     TranslationError,
     UnOp,
 )
@@ -836,57 +838,23 @@ _MARK = "\x00"
 _INT64_MAX = (1 << 63) - 1
 
 
-class _Group:
-    """The blocks that lowered to one template.  ``text`` is the body
-    with a ``\\0<h>\\0`` marker wherever hole ``h`` is used and
-    ``kinds[h]`` that hole's kind; block ``m`` of the group is
-    ``names[m]`` with hole values ``values[m]``, called by
-    ``calls[m]`` once the group is printed."""
+class _Template:
+    """IR -> C text with holes (:func:`c_template`)."""
 
-    __slots__ = ("text", "kinds", "names", "values", "calls")
+    def __init__(self):
+        self.holes = []            # (kind, leaf) per hole
 
-    def __init__(self, text, kinds):
-        self.text = text
-        self.kinds = kinds
-        self.names = []
-        self.values = []
-        self.calls = []
-
-
-class CBackend:
-    """Generates one C function per distinct block body.
-
-    :meth:`add_block` prints a block as a *template* (module
-    docstring) and files it with the blocks whose template is equal;
-    :meth:`emit_blocks` then prints every group once."""
-
-    def __init__(self, slot_of, state_off=None):
-        """``slot_of(signal) -> int`` maps a signal to its net slot;
-        ``state_off(ref) -> int`` a CL state variable to its offset in
-        ``inst_t.st[]``."""
-        self.slot_of = slot_of
-        self.state_off = state_off
-        self._kinds = self._values = None   # holes of the block in hand
-        self._groups = {}          # template -> _Group, first seen first
-        self._blocks = []          # (group, member) per add_block
-        self._tables = {}          # slots -> name of a literal table
-        #: function bodies :meth:`emit_blocks` printed
-        self.nfunctions = 0
-
-    def _hole(self, kind, value):
-        """Record a hole of the block in hand; returns its marker."""
-        self._kinds.append(kind)
-        self._values.append(value)
-        return f"{_MARK}{len(self._values) - 1}{_MARK}"
+    def _hole(self, kind, leaf):
+        self.holes.append((kind, leaf))
+        return f"{_MARK}{len(self.holes) - 1}{_MARK}"
 
     # -- references ---------------------------------------------------------------
 
     def slot_expr(self, ref):
         if ref.is_dynamic():
-            table = self._hole(
-                TABLE, tuple(self.slot_of(sig) for sig in ref.signals))
+            table = self._hole(TABLE, ref)
             return f"{table}[(int)({self.expr(ref.index)})]"
-        return self._hole(SLOT, self.slot_of(ref.signal))
+        return self._hole(SLOT, ref)
 
     def sig_read(self, ref, array="cur"):
         slot = self.slot_expr(ref)
@@ -921,7 +889,7 @@ class CBackend:
 
     def expr(self, node):
         if isinstance(node, Const):
-            return self._hole(CONST, node.value)
+            return self._hole(CONST, node)
         if isinstance(node, SigRead):
             return self.sig_read(node.ref)
         if isinstance(node, StateRead):
@@ -963,7 +931,7 @@ class CBackend:
 
     def state_lvalue(self, ref):
         """CL plain state: one element of ``inst_t.st[]``."""
-        off = self._hole(SLOT, self.state_off(ref))
+        off = self._hole(SLOT, ref)
         if ref.index is not None:
             return f"I->st[{off} + (int)({self.expr(ref.index)})]"
         return f"I->st[{off}]"
@@ -1012,21 +980,59 @@ class CBackend:
             return f"{pad}continue;"
         raise TranslationError(f"cgen: unknown stmt {type(node).__name__}")
 
-    # -- template -> group -> print ----------------------------------------------------
 
-    def add_block(self, ir, func_name):
-        """Template a lowered block and file it with its group."""
-        self._kinds, self._values = kinds, values = [], []
-        lines = ["  (void)I;"]
-        for name, ltype in ir.locals.items():
-            if ltype == "int":
-                lines.append(f"  int64_t {_lname(name)} = 0;")
-            else:
-                lines.append(f"  int64_t {_lname(name)}[{ltype[1]}];")
-        for stmt in ir.body:
-            lines.append(self.stmt(stmt, 2))
-        lines.append("}")
-        text = "\n".join(lines)
+def c_template(ir):
+    """``(text, holes)``: ``ir``'s function body as a template, with a
+    ``\\0<h>\\0`` marker where hole ``h`` is used, and per hole
+    ``(kind, leaf)``: the ``SigRef``, ``StateRef`` or ``Const`` whose
+    value fills it."""
+    printer = _Template()
+    lines = ["  (void)I;"]
+    for name, ltype in ir.locals.items():
+        if ltype == "int":
+            lines.append(f"  int64_t {_lname(name)} = 0;")
+        else:
+            lines.append(f"  int64_t {_lname(name)}[{ltype[1]}];")
+    for stmt in ir.body:
+        lines.append(printer.stmt(stmt, 2))
+    lines.append("}")
+    return "\n".join(lines), printer.holes
+
+
+class _Group:
+    """The blocks that lowered to one template.  ``text`` is the body
+    with a ``\\0<h>\\0`` marker wherever hole ``h`` is used and
+    ``kinds[h]`` that hole's kind; block ``m`` of the group is
+    ``names[m]`` with hole values ``values[m]``, called by
+    ``calls[m]`` once the group is printed."""
+
+    __slots__ = ("text", "kinds", "names", "values", "calls")
+
+    def __init__(self, text, kinds):
+        self.text = text
+        self.kinds = kinds
+        self.names = []
+        self.values = []
+        self.calls = []
+
+
+class CBackend:
+    """Generates one C function per distinct block body.
+
+    :meth:`add` files a block's template (:func:`c_template`) with the
+    blocks whose template is equal; :meth:`emit_blocks` then prints
+    every group once."""
+
+    def __init__(self):
+        self._groups = {}          # template -> _Group, first seen first
+        self._blocks = []          # (group, member) per add
+        self._tables = {}          # slots -> name of a literal table
+        #: function bodies :meth:`emit_blocks` printed
+        self.nfunctions = 0
+
+    def add(self, text, kinds, values, func_name):
+        """File block ``func_name``: a template and this instance's hole
+        ``values`` (a slot or state offset, a tuple of slots, an int)."""
         # The text does not say how long a dynamic table is, and a
         # shared body reaches every member's tables at one offset.
         key = (text, tuple(len(value) for kind, value in zip(kinds, values)
@@ -1041,7 +1047,7 @@ class CBackend:
     def emit_blocks(self):
         """Print every group.  Returns ``(parts, calls)``: the C text
         (literal lookup tables, then per group its members' tables and
-        its function) and one call statement per :meth:`add_block`, in
+        its function) and one call statement per :meth:`add`, in
         the order added."""
         parts = []
         for g, group in enumerate(self._groups.values()):

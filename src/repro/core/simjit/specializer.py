@@ -27,17 +27,17 @@ import os
 import subprocess
 import tempfile
 import time
+from typing import NamedTuple
 
 from ...telemetry import tracing
+from .. import bodies
 from ..ast_ir import (
     AssignSig,
     BlockIR,
     SigRead,
     StateRef,
-    TranslationError,
     _sigref_from,
     lower,
-    walk_stmts,
 )
 from ..elaboration import elaborate
 from ..model import MAX_LIST_DEPTH, Model
@@ -45,7 +45,8 @@ from ..portbundle import PortBundle
 from ..probe import Probe
 from ..scheduling import build_schedule, nets_of
 from ..signals import InPort, OutPort, Signal
-from .cgen import C_HEADER_DECLS, C_OBS_DECLS, C_TB_DECLS, CBackend
+from .cgen import (C_HEADER_DECLS, C_OBS_DECLS, C_TB_DECLS, SLOT, TABLE,
+                   CBackend, c_template)
 
 _CACHE_ENV = "SIMJIT_CACHE_DIR"
 _CACHE_OPTOUT_ENV = "REPRO_SIMJIT_CACHE"
@@ -404,6 +405,20 @@ def _clear_parent(attr):
             _clear_parent(item)
 
 
+class _Block(NamedTuple):
+    """One block as the specializer files it with ``CBackend``: its C
+    template ``text`` and hole ``kinds``, this instance's hole
+    ``values`` (a CL state variable's ``StateRef`` until ``_emit``
+    knows its offset) and the signals it ``reads`` and ``writes``."""
+
+    name: str
+    text: str
+    kinds: tuple
+    values: list
+    reads: list
+    writes: list
+
+
 class _Specializer:
     """Shared flatten/lower/compile pipeline."""
 
@@ -420,18 +435,16 @@ class _Specializer:
         self.extra_cdef = extra_cdef
         self.schedule = schedule        # static comb scheduling on/off
         self.overheads = {}
-        # ``{block: BlockIR}`` a caller already lowered (the
-        # translatability walk of ``auto_specialize``).  Taken out as
-        # they are used, so no IR outlives this specialization.
-        self._lowered = {}
 
     def specialize(self):
         """Run the full pipeline; returns a :class:`JITModel`."""
         with tracing.span("simjit.compile",
                           design=type(self.orig).__name__) as sp:
             wrapper = self._specialize()
+            info = self.kernel_info
             sp.set(cache_hit=bool(self.overheads.get("cache_hit")),
-                   functions=self.kernel_info["functions"],
+                   functions=info["functions"], bodies=info["bodies"],
+                   per_instance=info["per_instance"],
                    c_source_bytes=len(self.c_source))
             return wrapper
 
@@ -443,11 +456,11 @@ class _Specializer:
             self._build_slots(model)
 
         with _Timer(self.overheads, "veri"):
-            comb_irs, tick_irs = self._lower_blocks(model)
-            comb_order, residue = self._order_comb(comb_irs)
+            combs, ticks = self._lower_blocks(model)
+            comb_order, residue = self._order_comb(combs)
 
         with _Timer(self.overheads, "cgen"):
-            c_source = self._emit(model, comb_order, residue, tick_irs)
+            c_source = self._emit(model, comb_order, residue, ticks)
 
         with _Timer(self.overheads, "comp"):
             lib_path, cache_hit = self._compile(c_source)
@@ -514,16 +527,14 @@ class _Specializer:
     def _slot_of(self, sig):
         return self._slots[id(sig._net.find())]
 
-    def _lower(self, blk):
-        ir = self._lowered.pop(blk, None)
-        return lower(blk) if ir is None else ir
-
     def _lower_blocks(self, model):
-        comb_irs = []
-        tick_irs = []
+        """Every block of ``model`` as a :class:`_Block`: ``(combs,
+        ticks)``, with the slice connectors as synthetic comb copies
+        after the comb blocks."""
+        self._bodies, self._per_instance, self._state_refs = set(), 0, []
+        combs, ticks = [], []
         for sub in model._all_models:
-            for blk in sub.get_comb_blocks():
-                comb_irs.append(self._lower(blk))
+            combs.extend(map(self._block, sub.get_comb_blocks()))
             for blk in sub.get_tick_blocks():
                 if blk.level not in self.allowed_ticks:
                     raise SpecializationError(
@@ -531,9 +542,7 @@ class _Specializer:
                         f"(level '{blk.level}'; supported: "
                         f"{sorted(self.allowed_ticks)})"
                     )
-                tick_irs.append(self._lower(blk))
-
-        # Slice connectors become synthetic comb copies.
+                ticks.append(self._block(blk))
         for idx, (src, dst) in enumerate(model._connectors):
             ir = BlockIR(name=f"connector{idx}", kind="comb", model=model)
             src_ref = _sigref_from(src)
@@ -541,10 +550,55 @@ class _Specializer:
             ir.body = [AssignSig(dst_ref, SigRead(src_ref), False)]
             ir.sig_reads = [src_ref]
             ir.sig_writes = [dst_ref]
-            comb_irs.append(ir)
-        return comb_irs, tick_irs
+            combs.append(self._printed(ir))
+        return combs, ticks
 
-    def _order_comb(self, comb_irs):
+    def _block(self, blk):
+        """A ``@combinational`` / ``@tick_rtl`` block is an instance of
+        its body (:mod:`repro.core.bodies`): one bind fills the body's
+        C template and names what the block reads and writes.  A
+        ``tick_cl`` block, or one with no body, is lowered on its own."""
+        try:
+            body, holes = bodies.body_of(blk)
+        except bodies.Refused:
+            body = None
+        if body is None or body.c is None:
+            self._per_instance += 1
+            return self._printed(lower(blk))
+        self._bodies.add(body)
+        c = body.c
+        slot = self._slot_of
+        row = [tuple(map(slot, hole)) if type(hole) is tuple
+               else int(hole) if isinstance(hole, int) else slot(hole)
+               for hole in holes]
+        row.extend(c.literals)
+
+        def signals(picks):
+            return [sig for h in picks for sig in (
+                holes[h] if type(holes[h]) is tuple else (holes[h],))]
+        return _Block(blk.func.__name__, c.text, c.kinds,
+                      [row[s] for s in c.sources],
+                      signals(c.reads), signals(c.writes))
+
+    def _printed(self, ir):
+        """A block printed from its own IR, its holes filled from the
+        IR's leaves."""
+        text, holes = c_template(ir)
+        values = []
+        for kind, leaf in holes:
+            if isinstance(leaf, StateRef):
+                self._state_refs.append(leaf)
+                values.append(leaf)
+            elif kind == TABLE:
+                values.append(tuple(map(self._slot_of, leaf.signals)))
+            else:
+                values.append(self._slot_of(leaf.signal) if kind == SLOT
+                              else leaf.value)
+        return _Block(ir.name, text, [kind for kind, _ in holes], values,
+                      [sig for ref in ir.sig_reads for sig in ref.signals],
+                      [sig for ref in ir.sig_writes for sig in ref.signals])
+
+    def _order_comb(self, combs):
         """Order the comb blocks with the simulator's static scheduler.
 
         Returns ``(order, residue)``: ``residue`` counts the blocks one
@@ -556,26 +610,25 @@ class _Specializer:
         if not self.schedule:
             # Ablation mode: declaration order, rely on the fixpoint
             # loop alone (more passes per eval).
-            return list(comb_irs), len(comb_irs)
+            return list(combs), len(combs)
 
         infos = []
-        for i, ir in enumerate(comb_irs):
-            written = {id(sig): sig for ref in ir.sig_writes
-                       for sig in ref.signals}
+        for i, blk in enumerate(combs):
+            written = {id(sig): sig for sig in blk.writes}
             # As in the elaborator's read sets: a block that reads back
             # a signal it writes sees its own value (sequential code,
             # not feedback), so that read is no dependency.
-            read = {id(sig): sig for ref in ir.sig_reads
-                    for sig in ref.signals if id(sig) not in written}
+            read = {id(sig): sig for sig in blk.reads
+                    if id(sig) not in written}
             infos.append((i, nets_of(read.values()),
                           nets_of(written.values()), True))
         sched = build_schedule(infos)
-        order = [comb_irs[i] for i in sched.order + sched.event_funcs]
+        order = [combs[i] for i in sched.order + sched.event_funcs]
         return order, len(sched.event_funcs)
 
     # -- emission ---------------------------------------------------------------------
 
-    def _emit(self, model, comb_order, residue, tick_irs):
+    def _emit(self, model, comb_order, residue, ticks):
         from .cgen import (C_API, C_OBS, C_PRELUDE, C_SETTLE_FIXPOINT,
                            C_SETTLE_SINGLE_PASS, C_STATE_NONE,
                            C_STATE_TABLE, C_TB)
@@ -588,12 +641,9 @@ class _Specializer:
         def state_key(ref):
             return f"st_m{model_index[id(ref.model)]}_{ref.name}"
 
-        state_vars = {}            # key -> (model, attr_name, size)
-        for ir in comb_order + tick_irs:
-            refs = [stmt.ref for stmt in walk_stmts(ir.body)
-                    if isinstance(getattr(stmt, "ref", None), StateRef)]
-            for ref in refs + ir.state_names:
-                state_vars[state_key(ref)] = (ref.model, ref.name, ref.size)
+        state_vars = {            # key -> (model, attr_name, size)
+            state_key(ref): (ref.model, ref.name, ref.size)
+            for ref in self._state_refs}
         state_list = sorted(state_vars.items())
         state_off = [0]
         for _, (_, _, size) in state_list:
@@ -604,12 +654,16 @@ class _Specializer:
         # One function per distinct block body, called once per block
         # in schedule order.
         offset_of = dict(zip(self._state_index, state_off))
-        backend = CBackend(self._slot_of,
-                           lambda ref: offset_of[state_key(ref)])
-        for i, ir in enumerate(comb_order):
-            backend.add_block(ir, f"comb_{i}_{ir.name}")
-        for i, ir in enumerate(tick_irs):
-            backend.add_block(ir, f"tick_{i}_{ir.name}")
+        backend = CBackend()
+        for prefix, blocks in (("comb", comb_order), ("tick", ticks)):
+            for i, blk in enumerate(blocks):
+                values = blk.values
+                if state_list:
+                    values = [offset_of[state_key(v)]
+                              if isinstance(v, StateRef) else v
+                              for v in values]
+                backend.add(blk.text, blk.kinds, values,
+                            f"{prefix}_{i}_{blk.name}")
         block_c, calls = backend.emit_blocks()
 
         parts = [C_PRELUDE.replace(
@@ -635,8 +689,7 @@ class _Specializer:
         # Static slot tables: the ports the Python boundary moves and
         # the nets the clock edge flops.
         flop_slots = sorted({
-            self._slot_of(sig) for ir in tick_irs
-            for ref in ir.sig_writes for sig in ref.signals})
+            self._slot_of(sig) for blk in ticks for sig in blk.writes})
         in_slots = [self._slot_of(sig) for sig in model.get_inports()]
         out_slots = [self._slot_of(sig) for sig in model.get_outports()]
         for macro, table, slots in (("NIN", "in_slot", in_slots),
@@ -654,6 +707,8 @@ class _Specializer:
             "out_ports": len(out_slots),
             "blocks": len(calls),
             "functions": backend.nfunctions,
+            "bodies": len(self._bodies),
+            "per_instance": self._per_instance,
         }
 
         parts.extend(block_c)

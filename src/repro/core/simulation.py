@@ -63,10 +63,11 @@ and with ``collect_stats`` or ``profile`` on, that is the user's block
 closures; otherwise each statically scheduled ``@combinational`` block
 and each ``@tick_rtl`` block is replaced at construction by its
 *lowered* function (:mod:`.pygen`: the block's IR printed over plain
-ints and ``_Net._value`` / ``_next``, one lowering per block body, bound
-per instance), which computes what the closure computes.  The event
-partition, connectors, FL/CL ticks and whatever the backend refuses
-keep the closure, per block; ``sched_info()["lowered"]`` says which.
+ints and ``_Net._value`` / ``_next``, one lowering per block body
+(:mod:`.bodies`), bound per instance), which computes what the closure
+computes.  The event partition, connectors, FL/CL ticks and whatever
+the backend refuses keep the closure, per block;
+``sched_info()["lowered"]`` says which.
 
 Both modes see identical values: the static order is a valid
 evaluation order of the same dataflow the event queue chases, and
@@ -81,8 +82,10 @@ from collections import deque
 from time import perf_counter
 
 from .adapters import BlockingTickRunner, wrap_fl_ticks
+from .ast_ir import TranslationError
+from .bodies import Refused, body_of
 from .probe import Probe
-from .pygen import Refused, lower_block
+from .pygen import instantiate
 from .scheduling import build_schedule, nets_of
 from ..resilience.warnings import ResilienceWarning
 from ..telemetry import tracing
@@ -409,13 +412,16 @@ class SimulationTool:
                 kept[blk.name] = "blocking FL tick (runs on its own thread)"
                 return func
             try:
-                func, body = lower_block(blk, notify, pending)
-            except Refused as exc:
+                body, holes = body_of(blk)
+            except (Refused, TranslationError) as exc:
                 kept[blk.name] = str(exc)
+                return blk.func
+            if body.refused is not None:
+                kept[blk.name] = body.refused
                 return blk.func
             nblocks += 1
             bodies.add(body)
-            return func
+            return instantiate(body.python, blk.func, holes, notify, pending)
 
         combs = {blk.func: blk for blk in self._comb_blocks}
         self._static_order = [
@@ -994,16 +1000,19 @@ class SimulationTool:
         engines adds a ``simjit`` entry saying what ran where:
         ``engines`` lists every engine in hierarchy order (``model``,
         the ``class`` it replaced, and its kernel's ``blocks``,
-        ``functions`` and ``comb``), ``interpreted`` maps every model
-        ``auto_specialize`` left in Python to the first block that
-        kept it there and why.  A SimJIT top also has its kernel's
-        shape as flat keys: ``comb`` is ``"single-pass"`` or
+        ``functions``, ``bodies``, ``per_instance`` and ``comb``),
+        ``interpreted`` maps every model ``auto_specialize`` left in
+        Python to the first block that kept it there and why.  A SimJIT
+        top also has its kernel's shape as flat keys: ``comb`` is
+        ``"single-pass"`` or
         ``"fixpoint"`` (``residue_blocks`` > 0 says why: that many
         blocks sit in a combinational cycle or were left unscheduled),
         ``flop_nets`` the nets the clock edge copies,
         ``in_ports``/``out_ports`` the port boundary, and ``blocks`` /
         ``functions`` how many block instances run and how many C
-        function bodies they share."""
+        function bodies they share; ``bodies`` is how many block bodies
+        (:mod:`.bodies`) the blocks were bound to and ``per_instance``
+        how many were lowered one by one (``tick_cl`` blocks)."""
         info = {
             "requested": self._sched_requested,
             "mode": self.sched_mode,
@@ -1035,7 +1044,8 @@ class SimulationTool:
             simjit["engines"] = [
                 {"model": m.full_name(), "class": m._orig_class,
                  **{key: m.jit_engine.kernel_info[key]
-                    for key in ("blocks", "functions", "comb")}}
+                    for key in ("blocks", "functions", "bodies",
+                                "per_instance", "comb")}}
                 for m in engines]
             simjit["interpreted"] = {
                 m.full_name(): f"{blk.name}: {reason}"

@@ -263,49 +263,63 @@ def test_submodel_in_a_nested_list_stays_interpreted():
     assert int(tops[1].out) == (18 * 37) & 0xFF
 
 
-# -- every block is lowered once -------------------------------------------------
+# -- every block body is lowered once ------------------------------------------
 
 
 @pytest.fixture
 def lowerings(monkeypatch):
-    """``{block function: times lowered}``, counted where every
-    ``ast_ir.lower`` call ends up, whichever module made it."""
-    from repro.core import ast_ir
+    """``{block function's qualified name: times lowered}``, counted
+    where every lowering ends up, whichever module made it, from an
+    empty body cache (bodies live as long as the blocks' code objects,
+    so an earlier test may have lowered these)."""
+    from repro.core import ast_ir, bodies
     counts = {}
     translate = ast_ir.BlockTranslator.translate
 
     def counting_translate(self):
-        counts[self.func] = counts.get(self.func, 0) + 1
+        name = self.func.__qualname__
+        counts[name] = counts.get(name, 0) + 1
         return translate(self)
 
+    monkeypatch.setattr(bodies, "_bodies", {})
     monkeypatch.setattr(ast_ir.BlockTranslator, "translate",
                         counting_translate)
     return counts
 
 
 def test_specializable_subtree_is_lowered_once(lowerings):
-    """The walk that decides a subtree is specializable hands its IRs
-    to the specializer (they used to be dropped and lowered again)."""
+    """The walk that decides a subtree is specializable and the
+    specializer both bind the blocks to their bodies: one lowering per
+    body, not per block."""
     net = auto_specialize(MeshNetworkStructural(RouterRTL, 4, 64, 16, 2))
     assert isinstance(net, JITModel)
-    assert len(lowerings) == 52 and set(lowerings.values()) == {1}
+    info = net.jit_engine.kernel_info
+    assert (info["blocks"], info["bodies"], info["per_instance"]) == (52, 5, 0)
+    assert len(lowerings) == 5 and set(lowerings.values()) == {1}
 
 
 def test_walk_that_fails_from_the_top_is_lowered_once(lowerings):
     """The FL accelerator and memory refuse the tile by level, before
     the walk from the top lowers anything; the descent then lowers
-    each RTL component once, when its turn comes."""
+    each RTL component's bodies once, when its turn comes — the two
+    caches' once between them."""
     tile = Tile(("rtl", "rtl", "fl"), jit=True)
     assert _engines(tile) == ["proc", "icache", "dcache", "arbiter"]
-    info = SimulationTool(tile.elaborate()).sched_info()["simjit"]
-    assert len(lowerings) == sum(e["blocks"] for e in info["engines"])
+    engines = SimulationTool(tile.elaborate()).sched_info()["simjit"][
+        "engines"]
+    bodies = {e["model"]: e["bodies"] for e in engines}
+    assert bodies["top.icache"] == bodies["top.dcache"]
+    assert len(lowerings) == sum(bodies.values()) - bodies["top.dcache"]
+    assert len(lowerings) < sum(e["blocks"] for e in engines)
     assert set(lowerings.values()) == {1}
+    assert all(e["per_instance"] == 0 for e in engines)
 
 
 def test_failed_subtree_hands_its_lowerings_to_the_descent(lowerings):
     """The first child fails translation in its second grandchild: the
-    descent reuses what the failed walk lowered, the block outside the
-    subset included, and lowers only what the walk never reached."""
+    descent binds the bodies the failed walk lowered, and only the
+    block outside the subset — which has no body to remember — is
+    translated again by each walk that reaches it."""
     from repro.components import Register
     from repro.core.signals import InPort, OutPort
 
@@ -345,8 +359,11 @@ def test_failed_subtree_hands_its_lowerings_to_the_descent(lowerings):
     assert [isinstance(m, JITModel)
             for m in (group, group.first, group.opaque, group.last,
                       top.tail)] == [False, True, False, True, True]
-    # drive, Opaque.logic and three Registers' blocks.
-    assert len(lowerings) == 5 and set(lowerings.values()) == {1}
+    # Three Registers are one body; the walks from top, group and
+    # group.opaque each reach Opaque.logic.
+    assert {name.split(".")[-1]: count
+            for name, count in lowerings.items()} == {
+        "seq_logic": 1, "drive": 1, "logic": 3}
 
     sim = SimulationTool(top.elaborate())
     sim.reset()

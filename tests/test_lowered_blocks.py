@@ -16,10 +16,10 @@ import pytest
 
 from repro import SimulationTool
 from repro.accel.tile import Tile
-from repro.core import ast_ir, pygen
+from repro.core import ast_ir, bodies
 from repro.core.adapters import BlockingTickRunner
 from repro.core.ast_ir import TranslationError
-from repro.core.simjit import SimJITRTL
+from repro.core.simjit import SimJITRTL, auto_specialize
 from repro.net import MeshNetworkStructural, RouterRTL
 from repro.net.traffic import NetworkTrafficHarness
 from tests.test_scheduling import load_generated
@@ -235,7 +235,7 @@ def test_mesh64_is_832_blocks_on_five_bodies(monkeypatch):
     # Bodies live as long as the block functions' code objects, which
     # RouterRTL's and NormalQueue's constructors hold: drop what an
     # earlier test lowered, to count from nothing.
-    pygen._bodies.clear()
+    bodies._bodies.clear()
     calls = _count_lowerings(monkeypatch)
     net = MeshNetworkStructural(RouterRTL, 64, 256, 32, 2).elaborate()
     sim = SimulationTool(net)
@@ -320,6 +320,101 @@ def test_siblings_share_a_body_unless_a_guard_differs(b, bodies):
             int(models[0].out_a), int(models[0].out_b)], cycle
 
 
+#: ``_SIBLINGS`` with ``.uint()`` where it adds ``Bits``, so that C,
+#: which computes wide, and Python define the same value.
+_UINT_SIBLINGS = _SIBLINGS.replace("s.in_ + i", "s.in_.uint() + i").replace(
+    "(s.in_ + s.k)", "(s.in_.uint() + s.k)")
+
+
+@pytest.mark.parametrize("how", ["SimJITRTL", "auto_specialize"])
+@pytest.mark.parametrize("b, functions, bodies", [
+    (dict(k=9), 2, 2),              # a constant: one function, a K table
+    # A width is a body; it is a function where the text masks at it
+    # (``fill``), not where it only reads whole nets (``comb``).
+    (dict(k=5, width=9), 3, 4),
+    (dict(k=5, depth=3), 4, 4),     # a dynamic table's length
+    (dict(k=5, trips=2), 3, 3),     # and a folded range bound
+    (dict(k=1 << 63), 3, 2),        # K is int64_t: one body, two functions
+])
+def test_siblings_share_a_c_function_unless_a_guard_differs(
+        how, b, functions, bodies):
+    """SimJIT's side of the test above: each body prints its C template
+    once, and equal templates share one function through per-instance
+    tables unless a varying constant does not fit ``K``."""
+    Pair = load_generated(_UINT_SIBLINGS)["Pair"]
+    sources = []
+    if how == "SimJITRTL":
+        spec = SimJITRTL(Pair(dict(k=5), b).elaborate())
+        jit = spec.specialize()
+        sources.append(spec.c_source)
+    else:
+        jit = auto_specialize(Pair(dict(k=5), b))
+    info = jit.jit_engine.kernel_info
+    assert (info["blocks"], info["functions"], info["bodies"],
+            info["per_instance"]) == (4, functions, bodies, 0)
+    for source in sources:
+        assert ("K[0]" in source) == (b == dict(k=9))
+        assert (f"{1 << 63}ULL" in source) == (b == dict(k=1 << 63))
+    models = [Pair(dict(k=5), b).elaborate(), jit.elaborate()]
+    sims = [SimulationTool(models[0], sched="event"),
+            SimulationTool(models[1])]
+    for sim in sims:
+        sim.reset()
+    for cycle in range(12):
+        for model in models:
+            model.in_a.value = (37 * cycle + 200) & 0xFF
+            model.in_b.value = (91 * cycle + 300) & 0xFF
+            model.sel.value = cycle & 3
+        for sim in sims:
+            sim.cycle()
+        assert [int(models[1].out_a), int(models[1].out_b)] == [
+            int(models[0].out_a), int(models[0].out_b)], cycle
+
+
+_AND_K = """
+from repro import *
+
+
+class Leaf(Model):
+    def __init__(s, k):
+        s.k = k
+        s.a = InPort(1)
+        s.out = OutPort(8)
+
+        @s.combinational
+        def comb():
+            s.out.value = s.a.uint() and s.k
+
+
+class Pair(Model):
+    def __init__(s, ka, kb):
+        s.a, s.b = Leaf(ka), Leaf(kb)
+        s.in_, s.out_a, s.out_b = InPort(1), OutPort(8), OutPort(8)
+        s.connect(s.in_, s.a.a)
+        s.connect(s.in_, s.b.a)
+        s.connect(s.a.out, s.out_a)
+        s.connect(s.b.out, s.out_b)
+"""
+
+
+def test_a_constant_that_decides_and_as_a_value_is_a_guard():
+    """``bit and s.k`` lowers to the 0/1 ``BoolOp`` when ``s.k`` is 0
+    or 1 and to an operand select otherwise, which C prints
+    differently: the sibling with ``k=5`` is a body of its own."""
+    Pair = load_generated(_AND_K)["Pair"]
+    jit = SimJITRTL(Pair(1, 5).elaborate()).specialize()
+    assert jit.jit_engine.kernel_info["bodies"] == 2
+    ref = Pair(1, 5).elaborate()
+    sims = [SimulationTool(ref, sched="event"),
+            SimulationTool(jit.elaborate())]
+    for model in (ref, jit):
+        model.in_.value = 1
+    for sim in sims:
+        sim.cycle()
+    assert [int(jit.out_a), int(jit.out_b)] == [
+        int(ref.out_a), int(ref.out_b)] == [1, 5]
+
+
 _REFUSALS = """
 from repro import *
 
@@ -392,17 +487,17 @@ def test_a_body_keeps_no_instance_and_goes_with_its_code_object():
     codes = [blk.func.__code__ for blk in
              model.get_comb_blocks() + model.get_tick_blocks()]
     files = [body.filename for code in codes
-             for body in pygen._bodies[id(code)]]
+             for body in bodies._bodies[id(code)]]
     assert all(name in linecache.cache for name in files)
     gone = weakref.ref(model)
     del model, sim
     gc.collect()
     assert gone() is None           # the bodies are still there
-    assert all(id(code) in pygen._bodies for code in codes)
+    assert all(id(code) in bodies._bodies for code in codes)
     keys = [id(code) for code in codes]
     del codes, namespace
     gc.collect()
-    assert not any(key in pygen._bodies for key in keys)
+    assert not any(key in bodies._bodies for key in keys)
     assert not any(name in linecache.cache for name in files)
 
 

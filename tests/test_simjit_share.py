@@ -330,6 +330,18 @@ def test_design_without_a_repeated_body_has_no_tables():
     pair.run(30, seed=4)
 
 
+def test_sched_info_says_which_path_each_block_took():
+    """An RTL block is bound to a block body (lowered and printed once);
+    a ``tick_cl`` block is lowered and printed on its own."""
+    pair = _Pair(lambda: _Bank([_CountCL(), _AddK(8, 1), _CountCL(),
+                                _AddK(8, 2)]), SimJITCL)
+    engine, = pair.info["engines"]
+    for info in (pair.info, engine):
+        assert (info["blocks"], info["functions"], info["bodies"],
+                info["per_instance"]) == (6, 3, 2, 2)
+    pair.run(30, seed=5)
+
+
 def test_compile_span_says_what_was_shared():
     from repro.telemetry import tracing
     spec = SimJITRTL(MeshNetworkStructural(
@@ -341,4 +353,5 @@ def test_compile_span_says_what_was_shared():
         tracing.disarm()
     span, = [e for e in tracer.events if e["name"] == "simjit.compile"]
     assert span["args"]["functions"] == 5
+    assert (span["args"]["bodies"], span["args"]["per_instance"]) == (5, 0)
     assert span["args"]["c_source_bytes"] == len(spec.c_source)
