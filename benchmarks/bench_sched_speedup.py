@@ -7,11 +7,11 @@ logic that actually toggles; and what it sweeps are *lowered* blocks
 (``core/pygen.py``: plain-int functions over the nets) instead of the
 user's closures.  This bench measures CPython cycles/sec in three
 modes — ``event`` (the user's closures on the event fixpoint: the
-paper's CPython substrate, the 1x), ``closures`` (the static schedule
-over the same closures: ``collect_stats=True``, which also keeps it off
-the mega-cycle kernel) and ``static`` (the default simulator: static
-schedule, lowered blocks, kernel) — on three designs with realistic
-activity profiles:
+paper's CPython substrate, the 1x), ``interpreted`` (the static
+schedule over the same lowered blocks, stepped by the interpreted loop
+because ``collect_stats=True`` keeps it off the mega-cycle kernel) and
+``static`` (the default simulator: static schedule, lowered blocks,
+kernel) — on three designs with realistic activity profiles:
 
 - ``mesh``    — 8x8 RTL mesh under uniform-random traffic in the
   zero-load regime (and one loaded point for contrast): most routers
@@ -77,7 +77,7 @@ def _mesh_workload(nterminals, rate, ncycles, seed=0):
 
 
 def _simulator(model, mode):
-    if mode == "closures":
+    if mode == "interpreted":
         return SimulationTool(model, sched="static", collect_stats=True)
     return SimulationTool(model, sched=mode)
 
@@ -211,14 +211,14 @@ def _make_accel_runner():
 # -- driver -------------------------------------------------------------------------
 
 
-MODES = ("static", "closures", "event")
+MODES = ("static", "interpreted", "event")
 
 
 def _compare(design, config, run):
     """Time the three modes, check architectural equivalence, return
     rows.
 
-    Reps are interleaved (static, closures, event, static, ...) and
+    Reps are interleaved (static, interpreted, event, static, ...) and
     the minimum per mode is kept, so slow drift on a shared machine
     hits every mode alike instead of biasing whichever ran last."""
     best, results = {}, {}
@@ -226,7 +226,7 @@ def _compare(design, config, run):
         for mode in MODES:
             results[mode], dt = run(mode)
             best[mode] = min(dt, best.get(mode, dt))
-    assert results["static"] == results["closures"] == results["event"], (
+    assert results["static"] == results["interpreted"] == results["event"], (
         f"{design}: the modes diverged: {results}")
     cycles = results["static"]["cycles"]
     entries = [{
@@ -271,20 +271,20 @@ def test_sched_speedup(benchmark):
         if mode != "static":
             continue
         event = by_key[(design, config, "event")]
-        closures = by_key[(design, config, "closures")]
+        interp = by_key[(design, config, "interpreted")]
         table_rows.append([
             design, config, entry["cycles"],
             f"{event['cycles_per_sec']:.0f}",
-            f"{closures['cycles_per_sec']:.0f}",
-            f"{closures['cycles_per_sec'] / event['cycles_per_sec']:.2f}x",
+            f"{interp['cycles_per_sec']:.0f}",
+            f"{interp['cycles_per_sec'] / event['cycles_per_sec']:.2f}x",
             f"{entry['cycles_per_sec']:.0f}",
             f"{entry['cycles_per_sec'] / event['cycles_per_sec']:.2f}x",
         ])
     text = format_table(
         "CPython simulation: event-driven closures (1x), the static "
-        "schedule over the same closures, and the default (static "
-        "schedule, lowered blocks, kernel)",
-        ["design", "config", "cycles", "event cyc/s", "closures cyc/s",
+        "schedule over lowered blocks on the interpreted step, and the "
+        "default (static schedule, lowered blocks, kernel)",
+        ["design", "config", "cycles", "event cyc/s", "interp cyc/s",
          "speedup", "static cyc/s", "speedup"],
         table_rows,
     )

@@ -8,11 +8,22 @@ two ``Bits`` allocations, every ``.value =`` a setter around
 
 - a signal read is ``net._value`` (a slice a shift and a folded mask, a
   dynamically indexed signal list a tuple of nets);
-- a combinational write is ``v = (...) & mask; if v != net._value:
-  net._value = v; notify(net)`` and a ``.next`` write ``net._next = v;
-  pending[net] = True`` — what ``_Net.write`` / ``write_next`` do;
+- a combinational write ``if _v != _n._value:`` stores ``_v`` and marks
+  the net's readers in the simulator's flag arrays in place (``for _j
+  in _n.sreaders: _sf[_j] = 1``, the same for ``treaders`` / ``_tf``),
+  calling ``_notify`` only ``if _n.blocks`` (an event-partition
+  reader); no ``_sdirty``, since it runs inside a static sweep, which
+  goes on to the later slots it marks;
+- a ``.next`` write always stores ``_n._next = _v`` but enters the
+  pending-flop dict only ``if _v != _n._value`` — last-writer-safe: a
+  net pending from an earlier write keeps its entry, and the clock edge
+  compares ``_next`` to ``_value`` anyway;
 - arithmetic is masked exactly where ``Bits`` would wrap it, by the
-  types :func:`~.ast_ir.infer_types` gives each expression —
+  types :func:`~.ast_ir.infer_types` gives each expression;
+- a ``for`` of at most ``_MAX_TRIPS`` trips whose body has no ``break``
+  / ``continue`` of its own and never assigns the variable prints
+  unrolled (a body per trip, the variable a literal, then ``var =
+  last``) while the function stays within ``_MAX_LINES`` lines —
 
 and :class:`~.simulation.SimulationTool` holds the result in its static
 order and tick plan in place of the closure.  Storage stays the
@@ -56,6 +67,7 @@ from .ast_ir import (
     UnOp,
     cast_type,
     infer_types,
+    walk_stmts,
 )
 
 
@@ -77,9 +89,33 @@ def _mask(width):
 
 #: Names a block or one of its locals may not have: the printed
 #: function's own, and the builtins it and its bind call.
-_RESERVED = re.compile(r"_(h\d+|s\d+|v|n|r|notify|pending|bind)$"
+_RESERVED = re.compile(r"_(h\d+|s\d+|v|n|r|j|sf|tf|notify|pending|bind)$"
                        r"|(len|type|tuple|range)$")
 _SIMPLE = re.compile(r"[\w.]+$")
+
+#: A ``for`` of at most this many trips prints unrolled ...
+_MAX_TRIPS = 8
+#: ... while the function body stays within this many lines (RouterRTL's
+#: ``switch_logic``, 5x5 arbitration nest and all, prints in 600).
+_MAX_LINES = 640
+
+
+class _OverBudget(Exception):
+    """Unrolling took the function past ``_MAX_LINES``."""
+
+
+def _unrollable(loop):
+    """Whether ``loop``'s body has no ``break`` / ``continue`` of its
+    own and never assigns the loop variable."""
+    def exits(stmts):
+        return any(isinstance(stmt, (Break, Continue))
+                   or isinstance(stmt, If)
+                   and (exits(stmt.body) or exits(stmt.orelse))
+                   for stmt in stmts)
+    return not exits(loop.body) and not any(
+        (stmt.var if isinstance(stmt, For) else stmt.name) == loop.var
+        for stmt in walk_stmts(loop.body)
+        if isinstance(stmt, (AssignLocal, DeclLocalArray, For)))
 
 
 class _Printer:
@@ -89,7 +125,8 @@ class _Printer:
     ``expr`` returns ``(text, bound)``: ``text`` evaluates to the
     unsigned value (the signed one for an int), and a ``bound`` that is
     not None says it is an ``int`` object in ``[0, 2**bound)`` — such a
-    value is stored without a mask."""
+    value is stored without a mask.  ``consts`` holds the variables of
+    the unrolled loops being printed, each at its value in this copy."""
 
     def __init__(self, ir, types, hole_of):
         self.ir = ir
@@ -97,6 +134,8 @@ class _Printer:
         self.hole_of = hole_of
         self.lines = []
         self.ntemps = 0
+        self.consts = {}
+        self.unrolling = False
 
     # -- references -----------------------------------------------------------
 
@@ -124,18 +163,22 @@ class _Printer:
         return cast_type(self.ir.casts, node, self.types[id(node)])
 
     def literal(self, node):
-        """The value of a ``Const`` printed as a literal, else None."""
+        """The value of a ``Const`` or unrolled loop variable printed as
+        a literal, else None."""
         if isinstance(node, Const) and id(node) not in self.hole_of:
             return node.value
+        if isinstance(node, LocalRead) and node.index is None:
+            return self.consts.get(node.name)
         return None
 
     def expr(self, node):
+        value = self.literal(node)
+        if value is not None:
+            if value < 0:
+                return f"({value})", None
+            return str(value), value.bit_length()
         if isinstance(node, Const):
-            if id(node) in self.hole_of:
-                return f"_h{self.hole_of[id(node)]}", None
-            if node.value < 0:
-                return f"({node.value})", None
-            return str(node.value), node.value.bit_length()
+            return f"_h{self.hole_of[id(node)]}", None
         if isinstance(node, SigRead):
             return self.read(node.ref), node.ref.width
         if isinstance(node, LocalRead):
@@ -236,12 +279,15 @@ class _Printer:
 
     def emit(self, pad, text):
         self.lines.append(" " * pad + text)
+        if self.unrolling and len(self.lines) > _MAX_LINES:
+            raise _OverBudget
 
     def block(self, stmts, pad):
-        if not stmts:
-            self.emit(pad, "pass")
+        mark = len(self.lines)
         for stmt in stmts:
             self.stmt(stmt, pad)
+        if len(self.lines) == mark:     # nothing, or only 0-trip loops
+            self.emit(pad, "pass")
 
     def stmt(self, node, pad):
         if isinstance(node, AssignSig):
@@ -259,9 +305,7 @@ class _Printer:
                 self.emit(pad, "else:")
                 self.block(node.orelse, pad + 4)
         elif isinstance(node, For):
-            self.emit(pad, f"for {node.var} in range({node.start}, "
-                           f"{node.stop}, {node.step}):")
-            self.block(node.body, pad + 4)
+            self.loop(node, pad)
         elif isinstance(node, Break):
             self.emit(pad, "break")
         elif isinstance(node, Continue):
@@ -269,10 +313,38 @@ class _Printer:
         else:
             raise Refused(f"no Python form for {type(node).__name__}")
 
+    def loop(self, node, pad):
+        """A ``For``, unrolled by the rule of the module docstring or
+        else as a ``range`` loop.  An unrolling that runs over the line
+        budget is undone by the outermost loop unrolling, which prints
+        rolled and lets its inner loops try on their own."""
+        trips = range(node.start, node.stop, node.step)
+        if len(trips) <= _MAX_TRIPS and _unrollable(node):
+            mark, outer = len(self.lines), self.unrolling
+            self.unrolling = True
+            try:
+                for value in trips:
+                    self.consts[node.var] = value
+                    for stmt in node.body:
+                        self.stmt(stmt, pad)
+                if trips:
+                    self.emit(pad, f"{node.var} = {trips[-1]}")
+                return
+            except _OverBudget:
+                del self.lines[mark:]
+                if outer:
+                    raise
+            finally:
+                self.consts.pop(node.var, None)
+                self.unrolling = outer
+        self.emit(pad, f"for {node.var} in range({node.start}, "
+                       f"{node.stop}, {node.step}):")
+        self.block(node.body, pad + 4)
+
     def assign_sig(self, node, pad):
         """``_Net.write`` / ``write_next`` (and the read-modify-write
-        of ``_SignalSlice``'s setters), inline.  The value is evaluated
-        before the target, as Python does."""
+        of ``_SignalSlice``'s setters), inline, in the module docstring's
+        shapes.  The value is evaluated before the target, as Python does."""
         ref = node.ref
         width = ref.width
         value, bound = self.expr(node.expr)
@@ -286,25 +358,22 @@ class _Printer:
         if not self._full(ref):
             keep = f"~{hex(((1 << width) - 1) << ref.lo)}"
             shifted = f"(({value}) << {ref.lo})" if ref.lo else f"({value})"
-            if node.is_next:
-                self.emit(pad, f"_r = {net}._next if {net} in _pending "
-                               f"else {net}._value")
-                self.emit(pad, f"{net}._next = (_r & {keep}) | {shifted}")
-                self.emit(pad, f"_pending[{net}] = True")
-                return
-            self.emit(pad, f"_r = {net}._value")
+            base = (f"{net}._next if {net} in _pending else {net}._value"
+                    if node.is_next else f"{net}._value")
+            self.emit(pad, f"_r = {base}")
             self.emit(pad, f"_v = (_r & {keep}) | {shifted}")
-            self.emit(pad, "if _v != _r:")
-        elif node.is_next:
-            self.emit(pad, f"{net}._next = {value}")
-            self.emit(pad, f"_pending[{net}] = True")
-            return
-        else:
-            if value != "_v":
-                self.emit(pad, f"_v = {value}")
+        elif value != "_v":
+            self.emit(pad, f"_v = {value}")
+        if node.is_next:
+            self.emit(pad, f"{net}._next = _v")
             self.emit(pad, f"if _v != {net}._value:")
+            self.emit(pad + 4, f"_pending[{net}] = True")
+            return
+        self.emit(pad, f"if _v != {net}._value:")
         self.emit(pad + 4, f"{net}._value = _v")
-        self.emit(pad + 4, f"_notify({net})")
+        self.emit(pad + 4, f"for _j in {net}.sreaders: _sf[_j] = 1")
+        self.emit(pad + 4, f"for _j in {net}.treaders: _tf[_j] = 1")
+        self.emit(pad + 4, f"if {net}.blocks: _notify({net})")
 
 
 def _widest(bounds):
@@ -318,8 +387,9 @@ def _widest(bounds):
 def print_function(ir, func, hole_of, nholes):
     """Source lines of ``ir`` (block ``func``'s lowering) as a function
     of ``_h0`` .. (``hole_of``: ``id`` of an IR leaf -> its hole),
-    ``_notify`` and ``_pending``; raises :class:`Refused` or
-    ``TypeUndecided`` where the block keeps its closure."""
+    ``_notify``, ``_pending``, ``_sf`` and ``_tf``; raises
+    :class:`Refused` or ``TypeUndecided`` where the block keeps its
+    closure."""
     types = infer_types(ir)
     for name in (func.__name__, *ir.locals):
         if _RESERVED.match(name):
@@ -331,21 +401,24 @@ def print_function(ir, func, hole_of, nholes):
     doc = (f"lowered from {code.co_filename}:{code.co_firstlineno} "
            f"({func.__qualname__})")
     params = [f"_h{i}=None" for i in range(nholes)]
-    params += ["_notify=None", "_pending=None"]
+    params += ["_notify=None", "_pending=None", "_sf=None", "_tf=None"]
     return ["", "",
             f"def {func.__name__}({', '.join(params)}):",
             f"    {doc!r}",
             *printer.lines]
 
 
-def instantiate(template, func, holes, notify, pending):
+def instantiate(template, func, holes, sim):
     """A body's printed ``template`` as block ``func``'s lowered
     function, bound to its ``holes`` (a signal stands for its net) and
-    to one simulator's ``_notify`` and pending-flop dict."""
+    to simulator ``sim``'s ``_notify``, pending-flop dict and flag
+    arrays (which it only ever mutates in place)."""
     args = [tuple(map(_root, hole)) if type(hole) is tuple
             else hole if isinstance(hole, int) else _root(hole)
             for hole in holes]
     lowered = FunctionType(template.__code__, template.__globals__,
-                           func.__name__, (*args, notify, pending))
+                           func.__name__,
+                           (*args, sim._notify, sim._pending_flops,
+                            sim._sflags, sim._tflags))
     lowered.__qualname__ = func.__qualname__
     return lowered

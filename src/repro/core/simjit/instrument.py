@@ -12,9 +12,9 @@ filled.
 The contract is bit-identity with the interpreted hook path:
 
 - recorder events are change-compressed ``(cycle, tap, value)``
-  samples taken after the post-edge settle, reassembled into the same
-  rolling-base window a :class:`~repro.observe.recorder.FlightRecorder`
-  builds per cycle;
+  samples taken after the post-edge settle, drained into the same
+  event list a :class:`~repro.observe.recorder.FlightRecorder` fills
+  when it samples from Python;
 - val/rdy taps emit run-boundary events sampled after the *pre*-edge
   settle (cycle-hook semantics); the replay feeds each boundary through
   the tap's :class:`~repro.verif.monitors.ValRdyMonitor` and
@@ -156,24 +156,19 @@ class KernelInstrumentation:
             cidx.append(idx)
             self._live += 1
         rec._cidx = cidx
-        rec._cevents = []
-        rec._csampled_to = rec._base_cycle
         rec._instr = self
         self._recorders.append(rec)
         return True
 
     def remove_recorder(self, rec):
-        """Drain, convert ``rec`` to interpreted window state, and
-        unregister its C taps (detach and dearm path)."""
+        """Drain ``rec``, unregister its C taps and hand its sampling
+        back to Python (detach and dearm path)."""
         self.drain()
-        rec._materialize_compiled()
         for idx in rec._cidx:
             self.lib.obs_del_rec_tap(self.obs, idx)
             self._rec_owner.pop(idx, None)
             self._live -= 1
-        rec._cidx = None
-        rec._cevents = None
-        rec._instr = None
+        rec._resume()
         self._recorders.remove(rec)
 
     # -- transaction tracers ----------------------------------------------
@@ -360,11 +355,11 @@ class KernelInstrumentation:
             for i in range(n):
                 base = 4 * i
                 rec, local = owner[out[base + 1]]
-                rec._cevents.append((
+                rec._events.append((
                     out[base], local,
                     int(out[base + 2]) | (int(out[base + 3]) << 64)))
         for rec in self._recorders:
-            rec._c_advance(now)
+            rec._advance(now)
         n = int(lib.obs_tx_drain(obs, self._tx_out))
         if n:
             out = self._tx_out

@@ -34,7 +34,9 @@ what changed).  ``cycle()`` is the one driver — ``run(n)`` enters it with
 (VCD, ``trace_log``, line trace, compiled-watchpoint actions, then
 histogram samplers, recorders and watchpoints).  A step covers the
 whole remaining run unless a sampler has to see every cycle from
-Python.  When nothing has to (``bench_refusal()``), a *compiled test
+Python; the kernel always covers it, walking the samplers itself after
+each of its cycles (as it walks the live cycle-hook list before each
+edge).  When nothing has to (``bench_refusal()``), a *compiled test
 bench* may take a SimJIT top for a whole run through the same step
 (``run_bench``): it drives the ports and the clock from C and says how
 many cycles passed.
@@ -59,15 +61,17 @@ Scheduling modes (``sched=`` constructor argument):
 What a static schedule runs.  ``_static_order`` and ``_tick_plan`` hold
 one callable per slot, and the interpreted and the kernel step call
 whatever is there.  Under ``sched="event"`` — the reference substrate —
-and with ``collect_stats`` or ``profile`` on, that is the user's block
-closures; otherwise each statically scheduled ``@combinational`` block
-and each ``@tick_rtl`` block is replaced at construction by its
-*lowered* function (:mod:`.pygen`: the block's IR printed over plain
-ints and ``_Net._value`` / ``_next``, one lowering per block body
+that is the user's block closures; under a static schedule each
+statically scheduled ``@combinational`` block and each ``@tick_rtl``
+block is replaced at construction by its *lowered* function
+(:mod:`.pygen`: the block's IR printed over plain ints and
+``_Net._value`` / ``_next``, one lowering per block body
 (:mod:`.bodies`), bound per instance), which computes what the closure
 computes.  The event partition, connectors, FL/CL ticks and whatever
 the backend refuses keep the closure, per block;
-``sched_info()["lowered"]`` says which.
+``sched_info()["lowered"]`` says which.  ``collect_stats`` and
+``profile`` count and time what runs, keyed by the block's closure
+(``_block_of``), so their reports name blocks as they always did.
 
 Both modes see identical values: the static order is a valid
 evaluation order of the same dataflow the event queue chases, and
@@ -169,7 +173,8 @@ class SimulationTool:
             vcd.attach(model)
         self.collect_stats = collect_stats
         self.num_events = 0
-        self.block_calls = {}       # func -> execution count
+        self.block_calls = {}       # block closure -> execution count
+        self._block_of = {}         # lowered function -> block closure
 
         # Attach nets to this simulator and assign dense ids.
         for i, net in enumerate(model._all_nets):
@@ -271,8 +276,7 @@ class SimulationTool:
             # Static partition: nets mark reader slots in the flag array.
             for net, slots in sch.reader_slots.values():
                 net.sreaders = slots
-            if not collect_stats and not profile:
-                self._lower_blocks()
+            self._lower_blocks()
         else:
             self._wire_sensitivity(lambda func: True)
 
@@ -402,12 +406,9 @@ class SimulationTool:
         ["kept"]`` with the reason: the event partition, a blocking FL
         tick, and whatever the backend refuses.  (Connectors are not
         blocks, and stay the copies they were.)"""
-        notify, pending = self._notify, self._pending_flops
         bodies, kept = set(), {}
-        nblocks = 0
 
         def lowered(blk, func):
-            nonlocal nblocks
             if func is not blk.func:
                 kept[blk.name] = "blocking FL tick (runs on its own thread)"
                 return func
@@ -419,9 +420,10 @@ class SimulationTool:
             if body.refused is not None:
                 kept[blk.name] = body.refused
                 return blk.func
-            nblocks += 1
             bodies.add(body)
-            return instantiate(body.python, blk.func, holes, notify, pending)
+            low = instantiate(body.python, blk.func, holes, self)
+            self._block_of[low] = blk.func
+            return low
 
         combs = {blk.func: blk for blk in self._comb_blocks}
         self._static_order = [
@@ -436,8 +438,8 @@ class SimulationTool:
         self._tick_plan = [
             (slot, lowered(blk, func))
             for blk, (slot, func) in zip(self._tick_blocks, self._tick_plan)]
-        self._lowered = {"blocks": nblocks, "bodies": len(bodies),
-                         "kept": kept}
+        self._lowered = {"blocks": len(self._block_of),
+                         "bodies": len(bodies), "kept": kept}
 
     def _wire_sensitivity(self, want):
         """Wire the legacy sensitivity lists of selected blocks (and
@@ -543,8 +545,10 @@ class SimulationTool:
         """One in-order sweep over the static schedule, running exactly
         the flagged blocks.  A block can flag only later slots (the
         order is topological), so one forward ``find`` scan — which
-        skips unmarked runs at memchr speed — clears every flag."""
+        skips unmarked runs at memchr speed — clears every flag, also
+        those a lowered block marks without setting ``_sdirty``."""
         order = self._static_order
+        block_of = self._block_of
         sflags = self._sflags
         find = sflags.find
         fired = 0
@@ -557,10 +561,11 @@ class SimulationTool:
             else:
                 t0 = perf_counter()
                 func()
-                prof.add_block(func, perf_counter() - t0)
+                prof.add_block(block_of.get(func, func), perf_counter() - t0)
             fired += 1
             if stats is not None:
-                stats[func] = stats.get(func, 0) + 1
+                block = block_of.get(func, func)
+                stats[block] = stats.get(block, 0) + 1
             i = find(1, i + 1)
         self._sdirty = False
         return fired
@@ -569,13 +574,18 @@ class SimulationTool:
         """Advance simulated time by one clock cycle.
 
         This is the one driver (``run(n)`` enters it with ``_n = n``):
-        step, then the post-edge samplers, until ``_n`` cycles ran.  A
-        step covers everything left unless a sampler must see every
-        cycle; only a compiled watchpoint hit makes one stop short.
+        step, then the post-edge samplers (the kernel walks them
+        itself), until ``_n`` cycles ran.  A step covers everything
+        left unless a sampler must see every cycle; only a compiled
+        watchpoint hit makes one stop short.
         """
         try:
             while _n > 0:
-                _n -= self._step(1 if self._per_cycle else _n)
+                step = self._step
+                if step is self._kernel:
+                    _n -= step(_n)
+                    continue
+                _n -= step(1 if self._per_cycle else _n)
                 ncycles = self.ncycles
                 for sample in self._post_edge:
                     sample(ncycles)
@@ -631,7 +641,8 @@ class SimulationTool:
         ``_step_interpreted`` with the settle sweep (see
         ``_run_static_pass``), the tick gating and the flop inlined
         around direct block calls, so an idle cycle is a few ``find``
-        scans and no call at all.
+        scans and no call at all.  With a per-cycle sampler attached it
+        walks ``_post_edge`` after each cycle, read live like the hooks.
 
         The flag arrays, the pending-flop dict and the cycle-hook list
         are bound once and only ever mutated in place (``reset``,
@@ -684,7 +695,8 @@ class SimulationTool:
                         tick()
                 # Clock edge: flop every pending .next, marking the
                 # static and gated-tick readers of each net that
-                # actually changed.
+                # actually changed (a lowered tick's write is pending
+                # only when it differs, so nearly all of them).
                 if pending:
                     for net in pending:
                         if net._next != net._value:
@@ -693,8 +705,8 @@ class SimulationTool:
                                 sflags[slot] = 1
                             for slot in net.treaders:
                                 tflags[slot] = 1
-                            self._sdirty = True
                     pending.clear()
+                    self._sdirty = True
                 if self._sdirty:
                     i = find(1)
                     while i >= 0:
@@ -705,6 +717,10 @@ class SimulationTool:
                     self._sdirty = False
                 self.num_events += fired
                 self.ncycles += 1
+                if self._per_cycle:
+                    stamp = self.ncycles
+                    for sample in self._post_edge:
+                        sample(stamp)
             return n
         return _step_kernel
 
@@ -737,7 +753,8 @@ class SimulationTool:
                 if timed:
                     tb = perf_counter()
                     tick()
-                    prof.add_block(tick, perf_counter() - tb)
+                    prof.add_block(self._block_of.get(tick, tick),
+                                   perf_counter() - tb)
                 else:
                     tick()
             if timed:

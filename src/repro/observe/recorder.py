@@ -30,15 +30,18 @@ execution modes.  Unlike cycle hooks, recorders do *not*
 force the interpreted path: the compiled mega-cycle kernel keeps
 running, and only the post-cycle sample is added.
 
-Storage is change-compressed: per cycle the recorder stores only the
-``(signal_index, new_value)`` pairs that differ from the previous
-sample, plus one rolling base snapshot that evicted entries are folded
-into — reconstruction of any in-window cycle is exact.
+Storage is change-compressed, in one representation for both sampling
+paths: a list of ``(cycle, signal_index, new_value)`` events, oldest
+first, plus one rolling base snapshot that events falling out of the
+window are folded into — reconstruction of any in-window cycle is
+exact.  The Python sampler reads every tap in one pass and returns
+when nothing changed; the compiled one (SimJIT, see
+:mod:`repro.core.simjit.instrument`) detects changes in C and drains
+them into the same list.  Which cycles the window holds and how many
+were sampled follow from cycle numbers alone.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from ..core.probe import Probe
 from ..core.signals import Signal, _SignalSlice
@@ -75,19 +78,19 @@ class FlightRecorder:
         self._specs = signals
         self.sim = None
         self._taps = []
+        self._nets = None            # every tap's net, if all are whole nets
         self._reads = []
-        self._last = []
-        self._entries = deque()
+        self._last = []              # the values last sampled (Python path)
+        self._events = []            # [(cycle, tap index, value)]
         self._base_cycle = 0
         self._base_values = []
-        self.nsamples = 0
+        self._sampled_to = 0         # last cycle accounted for
+        self._nsamples = 0
         # Compiled mode (SimJIT; see core.simjit.instrument): when the
         # taps lower to net slots of a single-engine compiled sim, the
-        # kernel writes change events into a C ring and the fields
-        # below replace the per-cycle _entries bookkeeping.
+        # kernel writes change events into a C ring that drains into
+        # _events.
         self._cidx = None            # C tap indices, or None (hook path)
-        self._cevents = None         # drained [(cycle, local, value)]
-        self._csampled_to = 0        # last cycle accounted for
         self._instr = None           # owning KernelInstrumentation
 
     def attach(self, sim):
@@ -106,12 +109,16 @@ class FlightRecorder:
         self.sim = sim
         self._taps = [Probe.resolve(sim, spec) for spec in specs]
         self._reads = [tap.read for tap in self._taps]
+        whole = all(tap.location == "net" and tap.lo is None
+                    for tap in self._taps)
+        self._nets = (tuple(tap._at[0]._net.find() for tap in self._taps)
+                      if whole else None)
         # Base snapshot: the state as of the current cycle count, the
         # cycle *before* the first recorded entry.
-        self._base_cycle = sim.ncycles
+        self._base_cycle = self._sampled_to = sim.ncycles
         self._base_values = [read() for read in self._reads]
         self._last = list(self._base_values)
-        self._entries.clear()
+        self._events = []
         sim._recorders.append(self)
         instr = sim._jit_instrumentation()
         if instr is not None:
@@ -126,6 +133,7 @@ class FlightRecorder:
             return
         if self._instr is not None:
             self._instr.remove_recorder(self)
+        self._sync()
         if self in sim._recorders:
             sim._recorders.remove(self)
             sim._refresh_observers()
@@ -138,42 +146,31 @@ class FlightRecorder:
     # -- hot path ---------------------------------------------------------
 
     def sample(self, cycle):
-        """Record the post-cycle values (called by the simulator)."""
+        """Record the post-cycle values (called by the simulator): one
+        pass over the taps, and nothing more unless one changed."""
+        nets = self._nets
+        values = ([net._value for net in nets] if nets is not None
+                  else [read() for read in self._reads])
         last = self._last
-        changes = ()
-        for i, read in enumerate(self._reads):
-            value = read()
-            if value != last[i]:
-                last[i] = value
-                if changes:
-                    changes.append((i, value))
-                else:
-                    changes = [(i, value)]
-        entries = self._entries
-        entries.append((cycle, changes))
-        self.nsamples += 1
-        if len(entries) > self.depth:
-            # Fold the evicted cycle into the rolling base snapshot so
-            # the oldest retained cycle stays exactly reconstructible.
-            old_cycle, old_changes = entries.popleft()
-            base = self._base_values
-            for i, value in old_changes:
-                base[i] = value
-            self._base_cycle = old_cycle
+        if values == last:
+            return
+        self._events += [(cycle, i, value)
+                         for i, value in enumerate(values)
+                         if value != last[i]]
+        self._last = values
+        self._advance(cycle)
 
-    # -- compiled mode (SimJIT) -------------------------------------------
-
-    def _c_advance(self, now):
+    def _advance(self, now):
         """Account cycles up to ``now`` and fold events that fell out
-        of the window into the rolling base — the batched equivalent of
-        the per-sample eviction in :meth:`sample`.  Called by the
-        instrumentation manager after each drain."""
-        self.nsamples += now - self._csampled_to
-        self._csampled_to = now
+        of the window into the rolling base, so the oldest retained
+        cycle stays exactly reconstructible.  Called on a change, on
+        every read of the window and, compiled, after each drain."""
+        self._nsamples += now - self._sampled_to
+        self._sampled_to = now
         cutoff = now - self.depth
         if cutoff <= self._base_cycle:
             return
-        events = self._cevents
+        events = self._events
         base = self._base_values
         k = 0
         for cycle, i, value in events:
@@ -185,46 +182,46 @@ class FlightRecorder:
             del events[:k]
         self._base_cycle = cutoff
 
-    def _c_entries(self):
-        """Per-cycle change list equivalent to the hook path's deque
-        (``()`` for in-window cycles with no changes)."""
-        by_cycle = {}
-        for cycle, i, value in self._cevents:
-            by_cycle.setdefault(cycle, []).append((i, value))
-        return [(c, by_cycle.get(c, ()))
-                for c in range(self._base_cycle + 1,
-                               self._csampled_to + 1)]
+    def _resume(self):
+        """Sample from Python again (the compiled taps were removed):
+        the last values are the base with every held event applied."""
+        last = list(self._base_values)
+        for _cycle, i, value in self._events:
+            last[i] = value
+        self._last = last
+        self._cidx = self._instr = None
 
-    def _materialize_compiled(self):
-        """Convert compiled state into the interpreted representation
-        (detach/dearm path) so the window stays readable and per-cycle
-        sampling can resume seamlessly."""
-        self._entries = deque(self._c_entries())
-        values = list(self._base_values)
-        for _cycle, changes in self._entries:
-            for i, value in changes:
-                values[i] = value
-        self._last = values
+    def _sync(self):
+        """Bring the window up to the simulator's cycle: drain a
+        compiled recorder; a Python one has sampled every cycle up to
+        ``sim.ncycles`` and recorded the ones that changed."""
+        if self._instr is not None:
+            self._instr.drain()
+        elif self.sim is not None:
+            self._advance(self.sim.ncycles)
 
     # -- window extraction ------------------------------------------------
 
-    def _held(self):
-        """The per-cycle change lists currently held, on either
-        sampling path (a compiled recorder is drained first, which
-        also brings ``nsamples`` up to date)."""
-        if self._instr is not None:
-            self._instr.drain()
-            return self._c_entries()
-        return self._entries
+    @property
+    def nsamples(self):
+        """Cycles sampled since attach."""
+        self._sync()
+        return self._nsamples
 
     @property
     def window_cycles(self):
         """Cycles currently held (at most ``depth``)."""
-        return len(self._held())
+        self._sync()
+        return self._sampled_to - self._base_cycle
 
     def window(self):
         """Immutable :class:`RecorderWindow` of the current contents."""
-        changes = [(c, list(ch)) for c, ch in self._held()]
+        self._sync()
+        by_cycle = {}
+        for cycle, i, value in self._events:
+            by_cycle.setdefault(cycle, []).append((i, value))
+        changes = [(c, by_cycle.get(c, []))
+                   for c in range(self._base_cycle + 1, self._sampled_to + 1)]
         return RecorderWindow(
             names=list(self.signal_names),
             widths=[tap.nbits for tap in self._taps],

@@ -138,18 +138,15 @@ class Telemetry:
         watchpoints = getattr(sim, "_watchpoints", ())
         if not recorders and not watchpoints:
             return None
-        # window_cycles first: reading it drains a compiled recorder,
-        # which is what brings nsamples up to date.
-        held = [rec.window_cycles for rec in recorders]
         return {
             "recorders": [
                 {
                     "signals": rec.signal_names,
                     "depth": rec.depth,
                     "samples": rec.nsamples,
-                    "window_cycles": window_cycles,
+                    "window_cycles": rec.window_cycles,
                 }
-                for rec, window_cycles in zip(recorders, held)
+                for rec in recorders
             ],
             "watchpoints": [wp.diagnostic() for wp in watchpoints],
         }

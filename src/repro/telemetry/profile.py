@@ -10,11 +10,10 @@ Two views of a run:
   and the schedule-mode provenance of the run, so a BENCH regression
   can be root-caused to the phase or block that slowed down (requires
   ``profile=True`` on the simulator; profiling refuses the mega-cycle
-  kernel because per-block timers need the interpreted path, and it
-  times the user's block *closures*, not the lowered functions of
-  :mod:`repro.core.pygen` the default run calls — about 4x slower per
-  block, so read the attribution as shares, not as the default's
-  absolute times).
+  kernel because per-block timers need the interpreted path, but it
+  times the blocks the default run calls — the lowered functions of
+  :mod:`repro.core.pygen` where there are some — with rows keyed by
+  the block's closure, so a row names the block whatever ran).
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class SimProfiler:
     """
 
     def __init__(self):
-        self.block_time = {}        # func -> [calls, seconds]
+        self.block_time = {}        # block closure -> [calls, seconds]
         self.phase_time = {name: 0.0 for name in PHASES}
         self.cycles = 0
         self.total_time = 0.0
