@@ -35,12 +35,11 @@ def main():
         print(f"  {phase:5} {spec.overheads.get(phase, 0.0):7.3f} s")
     print(f"  generated C: {len(spec.c_source.splitlines())} lines "
           f"-> {spec.lib_path}")
-    # Which path each block took: bound to one of a few block bodies
-    # (lowered and printed once each), or lowered one by one.
+    # Every block is bound to one of a few block bodies (lowered and
+    # printed once each).
     info = spec.kernel_info
     print(f"  {info['blocks']} blocks -> {info['functions']} C functions "
-          f"from {info['bodies']} block bodies; "
-          f"{info['per_instance']} lowered per instance")
+          f"from {info['bodies']} block bodies")
 
     # --- cycle-exactness -------------------------------------------------
     interp_stats = NetworkTrafficHarness(build(), seed=7) \

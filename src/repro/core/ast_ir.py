@@ -92,7 +92,6 @@ class StateRef:
     model: object
     name: str
     index: object = None           # expr IR for array state
-    size: int = 0                  # 0 = scalar
 
 
 @dataclass
@@ -294,7 +293,8 @@ class BlockTranslator:
         # came through.  A *hole* reached the IR only as a leaf — a
         # signal (its net), a dynamically indexed signal list (the
         # candidates' nets; the third entry is the Subscript with the
-        # dynamic index) or an int ``Const`` — so a sibling instance
+        # dynamic index), an int ``Const`` or a CL state attribute (a
+        # ``StateRef``, through ``s.<name>``) — so a sibling instance
         # can fill it with its own; a *guard* is an int a translator
         # decision folded into the IR's shape (range and slice bounds,
         # array sizes, static list indices, ``len()``), so a sibling
@@ -767,7 +767,8 @@ class BlockTranslator:
             idx = self.try_static(node.slice)
             if base is NotImplemented or idx is NotImplemented:
                 return NotImplemented
-            if isinstance(idx, (int, bool)) and isinstance(base, list):
+            if isinstance(idx, (int, bool)) and isinstance(base, list) \
+                    and idx < len(base):    # else _index_obj says why not
                 return base[idx]
             return NotImplemented
         if isinstance(node, ast.BinOp):
@@ -960,11 +961,15 @@ class BlockTranslator:
                     if idx_step else None
             if index_ir is None:
                 self.fail(node, f"state list {name!r} needs an index")
-            return StateRef(self.model, name, index=index_ir,
-                            size=len(attr))
-        if isinstance(attr, (int, bool)):
-            return StateRef(self.model, name)
-        self.fail(node, f"attribute {name!r} is not int state")
+            ref = StateRef(self.model, name, index=index_ir)
+        elif isinstance(attr, (int, bool)):
+            ref = StateRef(self.model, name)
+        else:
+            self.fail(node, f"attribute {name!r} is not int state")
+        while not isinstance(node.value, ast.Name):
+            node = node.value       # down to ``s.<name>``
+        self.holes.append((ref, node, None))
+        return ref
 
 
 def _sigref_from(obj):
@@ -1221,15 +1226,14 @@ def lower(blk):
     block itself; a caller that rejects a level does so before
     lowering.
 
-    A pure function, deliberately uncached, for the consumers that want
-    one instance's IR: ``TranslationTool``, ``tools/linter.py``,
-    ``eda/estimator.py`` and SimJIT's ``tick_cl`` blocks (keeping
-    mesh64's 832 ``BlockIR``s alive costs +12.8 % peak RSS).  The
-    simulator and SimJIT's ``@combinational`` / ``@tick_rtl`` blocks
-    go through the cache that keeps no instance alive instead: a
-    *body* (:mod:`.bodies`), one lowering per block body, printed once
-    per backend and bound per instance through the translator's read
-    trace (``BlockTranslator.holes`` / ``.guards``) — five for mesh64.
+    A pure function, deliberately uncached (keeping mesh64's 832
+    ``BlockIR``s alive costs +12.8 % peak RSS), for the two consumers
+    that need one instance's IR: ``TranslationTool`` (Verilog names)
+    and ``eda/estimator.py`` (constants' bit lengths).  Everyone else
+    goes through the cache that keeps no instance alive: a *body*
+    (:mod:`.bodies`), one lowering per block body, printed once per
+    backend and bound per instance through the translator's read trace
+    (``BlockTranslator.holes`` / ``.guards``) — five for mesh64.
     """
     return BlockTranslator(blk.model, blk.func, block_kind(blk)).translate()
 

@@ -1,23 +1,25 @@
 """Block bodies: one lowering per block body, bound per instance.
 
-The first instance of a ``@combinational`` / ``@tick_rtl`` block is
-lowered with :class:`~.ast_ir.BlockTranslator`, whose read trace says
-what it took from the live model: *holes* (signals, tuples of signals
-behind a dynamic index, int constants) and *guards* (the widths, bounds
-and folded ints the IR's shape depends on).  Both are printed once, as
-a ``_bind(model, func)`` returning ``(guards, holes)``; a sibling whose
-guards evaluate equal is an instance of the same body with its own
-holes, one whose guards differ is lowered afresh as a second body.
+The first instance of a block — ``@combinational``, ``@tick_rtl`` or
+``@tick_cl`` alike — is lowered with :class:`~.ast_ir.BlockTranslator`,
+whose read trace says what it took from the live model: *holes*
+(signals, tuples of signals behind a dynamic index, int constants, CL
+state attributes) and *guards* (the widths, bounds and folded ints the
+IR's shape depends on).  Both are printed once, as a ``_bind(model,
+func)`` returning ``(guards, holes)``; a sibling whose guards evaluate
+equal is an instance of the same body with its own holes, one whose
+guards differ is lowered afresh as a second body.  It asks no level.
 
 A body is backend-neutral: printed from the one ``BlockIR`` when it is
 made, it carries ``python``, the function :mod:`.pygen` prints (or
 ``refused``, why not: ``TypeUndecided`` or a reserved name, decided for
-every sibling the guards admit), and ``c``, the template
+every sibling the guards admit), ``c``, the template
 :func:`~.simjit.cgen.c_template` prints with which hole fills each C
-hole and which holes the block reads and writes.  It keeps no instance
-and goes with the block's code object.  A ``TranslationError`` has no
-complete trace to guard it with and is not remembered.  This module
-holds the one ``compile`` / ``exec`` of the CPython rung.
+hole, and ``reads`` / ``writes``, the holes the block reads and writes.
+It keeps no instance and goes with the block's code object.  A
+``TranslationError`` has no complete trace to guard it with and is not
+remembered.  This module holds the one ``compile`` / ``exec`` of the
+CPython rung.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import re
 import weakref
 from typing import NamedTuple
 
-from .ast_ir import (BlockTranslator, Const, TranslationError,
-                     TypeUndecided, block_kind)
+from .ast_ir import (BlockTranslator, Const, StateRef, TypeUndecided,
+                     block_kind)
 from .pygen import Refused, print_function
 from .simjit.cgen import c_template
 
@@ -38,15 +40,15 @@ from .simjit.cgen import c_template
 # -- printing a bind ----------------------------------------------------------
 
 
-def _chain_text(node, dyn_at):
+def _chain_text(node, dyn_at, x):
     """Source of an attribute/subscript chain with the dynamically
-    indexed element spelled ``_x``."""
+    indexed element spelled ``x``."""
     if node is dyn_at:
-        return "_x"
+        return x
     if isinstance(node, ast.Attribute):
-        return f"{_chain_text(node.value, dyn_at)}.{node.attr}"
+        return f"{_chain_text(node.value, dyn_at, x)}.{node.attr}"
     if isinstance(node, ast.Subscript):
-        return (f"{_chain_text(node.value, dyn_at)}"
+        return (f"{_chain_text(node.value, dyn_at, x)}"
                 f"[{ast.unparse(node.slice)}]")
     return ast.unparse(node)
 
@@ -65,16 +67,29 @@ def _names(node, skip):
 
 
 def _print_bind(translator):
-    """``(source lines of bind, hole_of, expected)``: ``bind(_m, _f)``
-    walks model ``_m`` and block function ``_f`` exactly as the
+    """``(source lines of bind, hole_of, expected)``: ``bind(m, f)``
+    walks model ``m`` and block function ``f`` exactly as the
     translator's trace says the lowering did and returns ``(guards,
     holes)``; ``hole_of`` maps ``id`` of each hole's IR leaf to its
     index and ``expected[i]`` is what hole ``i`` must come out as for
-    the instance that was lowered."""
+    the instance that was lowered.  A hole is a signal, a tuple of
+    signals, an int, or the name of a CL state attribute of ``m``
+    (guarded to be an int, or a list of that many ints).  The bind's
+    own names take a ``_`` tail until none is a name the block uses."""
     func = translator.func
     freevars = func.__code__.co_freevars
     names = set()
-    objs = {}                       # bind text -> _o<n>
+    for _, node, dyn_at in translator.holes:
+        names |= _names(node, dyn_at.slice if dyn_at is not None else None)
+    guard_nodes = [node for node in translator.guards
+                   if not isinstance(node, ast.Constant)]
+    for node in guard_nodes:
+        names |= _names(node, None)
+    tail = ""                       # the bind's own names, clear of them
+    while any(re.fullmatch(rf"_([mfcgx]|o\d+){tail}", n) for n in names):
+        tail += "_"
+    m, f, c, g, x = (f"_{v}{tail}" for v in "mfcgx")
+    objs = {}                       # bind text -> _o<n><tail>
     prologue = []
     guards, holes, expected = [], [], []
     hole_of = {}
@@ -82,16 +97,22 @@ def _print_bind(translator):
 
     def obj(text):
         if text not in objs:
-            objs[text] = f"_o{len(objs)}"
+            objs[text] = f"_o{len(objs)}{tail}"
             prologue.append(f"    {objs[text]} = {text}")
         return objs[text]
 
     for leaf, node, dyn_at in translator.holes:
-        names |= _names(node, dyn_at.slice if dyn_at is not None else None)
         if isinstance(leaf, Const):
             hole = obj(ast.unparse(node))
             guard = f"type({hole})"
             want = leaf.value
+        elif isinstance(leaf, StateRef):
+            var = obj(ast.unparse(node))
+            want = leaf.name
+            hole = repr(want)
+            guard = (f"isinstance({var}, int)" if leaf.index is None else
+                     f"isinstance({var}, list), len({var}), "
+                     f"all([isinstance({x}, int) for {x} in {var}])")
         else:
             sliced = leaf.hi is not None
             shape = ("type({0}), {0}.signal.nbits, {0}.lo, {0}.hi" if sliced
@@ -102,11 +123,11 @@ def _print_bind(translator):
                 hole = f"{var}.signal" if sliced else var
                 want = leaf.signals[0]
             else:
-                var = obj(f"[{_chain_text(node, dyn_at)} for _x in "
-                          f"{_chain_text(dyn_at.value, None)}]")
+                var = obj(f"[{_chain_text(node, dyn_at, x)} for {x} in "
+                          f"{_chain_text(dyn_at.value, None, x)}]")
                 guard = (f"len({var}), "
-                         f"[({shape.format('_x')}) for _x in {var}]")
-                hole = (f"tuple([_x.signal for _x in {var}])" if sliced
+                         f"[({shape.format(x)}) for {x} in {var}]")
+                hole = (f"tuple([{x}.signal for {x} in {var}])" if sliced
                         else f"tuple({var})")
                 want = tuple(leaf.signals)
         if hole not in slots:
@@ -115,27 +136,22 @@ def _print_bind(translator):
             guards.append(guard)
             expected.append(want)
         hole_of[id(leaf)] = slots[hole]
-    for node in translator.guards:
-        if not isinstance(node, ast.Constant):
-            names |= _names(node, None)
-            guards.append(ast.unparse(node))
+    guards.extend(map(ast.unparse, guard_nodes))
 
-    head = ["def _bind(_m, _f):",
-            "    _c = _f.__closure__",
-            "    _g = _f.__globals__"]
+    head = [f"def _bind({m}, {f}):",
+            f"    {c} = {f}.__closure__",
+            f"    {g} = {f}.__globals__"]
     roots = []
     for name in sorted(names):
-        if re.match(r"_([mfcgx]|o\d+)$", name):
-            raise Refused(f"the block's name {name!r} is one bind uses")
         if name in freevars:
-            source = f"_c[{freevars.index(name)}].cell_contents"
+            source = f"{c}[{freevars.index(name)}].cell_contents"
         elif name in func.__globals__:
-            source = f"_g[{name!r}]"
+            source = f"{g}[{name!r}]"
         else:
             continue                # a builtin (len)
         head.append(f"    {name} = {source}")
         if name in translator.root_names:
-            roots.append(f"{name} is _m")
+            roots.append(f"{name} is {m}")
     guards = list(dict.fromkeys(roots + guards))
     lines = head + prologue + [
         f"    return (({', '.join(guards)}{',' * bool(guards)}), "
@@ -145,12 +161,19 @@ def _print_bind(translator):
 
 def _same(got, want):
     """Whether a bound hole is the one the translator read: the same
-    signal or signals (not equal values), an equal int."""
+    signal or signals (not equal values), an equal int or name."""
     if isinstance(want, tuple):
         return list(map(id, got)) == list(map(id, want))
-    if isinstance(want, int):
-        return isinstance(got, int) and got == want
+    if isinstance(want, (int, str)):
+        return isinstance(got, type(want)) and got == want
     return got is want
+
+
+def signals(holes, picks):
+    """The signals of holes ``picks`` (a body's ``reads`` or
+    ``writes``) of one instance's ``holes``."""
+    return [sig for h in picks for sig in (
+        holes[h] if type(holes[h]) is tuple else (holes[h],))]
 
 
 # -- the C artifact -----------------------------------------------------------
@@ -159,24 +182,16 @@ def _same(got, want):
 class CBody(NamedTuple):
     """A body's C template (``text``, hole ``kinds``): C hole ``i`` is
     row entry ``sources[i]`` of an instance's holes followed by
-    ``literals``; ``reads`` / ``writes`` are the holes of the IR's
-    ``sig_reads`` / ``sig_writes``."""
+    ``literals``."""
 
     text: str
     kinds: tuple
     sources: tuple
     literals: tuple
-    reads: tuple
-    writes: tuple
 
 
 def _c_body(ir, hole_of, nholes):
-    """The :class:`CBody` of a lowering, or None where SimJIT is to
-    print the block per instance (the printer refused it)."""
-    try:
-        text, holes = c_template(ir)
-    except TranslationError:
-        return None
+    text, holes = c_template(ir)
     literals, sources = [], []
     for _, leaf in holes:
         if id(leaf) in hole_of:
@@ -185,9 +200,7 @@ def _c_body(ir, hole_of, nholes):
             sources.append(nholes + len(literals))
             literals.append(leaf.value)
     return CBody(text, tuple(kind for kind, _ in holes), tuple(sources),
-                 tuple(literals),
-                 tuple(hole_of[id(ref)] for ref in ir.sig_reads),
-                 tuple(hole_of[id(ref)] for ref in ir.sig_writes))
+                 tuple(literals))
 
 
 # -- bodies -------------------------------------------------------------------
@@ -195,11 +208,11 @@ def _c_body(ir, hole_of, nholes):
 
 class Body:
     """One lowering of a block body: its bind, the guard values a
-    sibling must reproduce, and the backends' artifacts (module
-    docstring)."""
+    sibling must reproduce, the holes of the IR's ``sig_reads`` /
+    ``sig_writes`` and the backends' artifacts (module docstring)."""
 
     __slots__ = ("bind", "guards", "gtypes", "filename", "python",
-                 "refused", "c")
+                 "refused", "c", "reads", "writes")
 
     def matches(self, guards):
         return (guards == self.guards
@@ -218,9 +231,8 @@ def _drop(key):
 
 def _new_body(blk, kind):
     """Lower ``blk`` and print it; returns ``(body, holes)``.  Raises
-    :class:`Refused` where there is no finished read trace to keep a
-    body under (the bind cannot be printed or run): the next sibling
-    is tried on its own."""
+    :class:`Refused` where there are no guards to keep a body under
+    (the bind raises): the next sibling is tried on its own."""
     func = blk.func
     translator = BlockTranslator(blk.model, func, kind)
     ir = translator.translate()
@@ -241,8 +253,10 @@ def _new_body(blk, kind):
     body.python = namespace.get(func.__name__)
     body.bind = namespace["_bind"]
     body.c = _c_body(ir, hole_of, len(expected))
+    body.reads = tuple(hole_of[id(ref)] for ref in ir.sig_reads)
+    body.writes = tuple(hole_of[id(ref)] for ref in ir.sig_writes)
     # The bind is Python's reading of the source, the lowering the
-    # translator's: they must name the same signals and constants.
+    # translator's: they must name the same signals, constants and state.
     try:
         body.guards, holes = body.bind(blk.model, func)
     except Exception as exc:
@@ -260,16 +274,13 @@ def _new_body(blk, kind):
 
 def body_of(blk):
     """``(body, holes)`` of ``blk`` — a ``Model.get_comb_blocks()`` /
-    ``get_tick_blocks()`` entry: the first cached body whose guards
-    ``blk`` reproduces, else a new one.  ``holes`` are ``blk``'s own:
-    a signal, a tuple of signals or an int per body hole.  Raises
+    ``get_tick_blocks()`` entry of any level: the first cached body
+    whose guards ``blk`` reproduces, else a new one.  ``holes`` are
+    ``blk``'s own (:func:`_print_bind`).  Raises
     :class:`~.ast_ir.TranslationError` where the translator refuses the
-    block, :class:`Refused` where it has no body (a ``tick_cl`` /
-    ``tick_fl`` block, not a plain function, a bind that cannot be
-    printed or run)."""
-    kind = block_kind(blk)
-    if kind == "tick_cl":
-        raise Refused(f"tick_{blk.level} block")
+    block, :class:`Refused` where it has no body: not a plain function,
+    or a bind that does not reproduce the lowering (a body kept for
+    its siblings, which it refuses without a second lowering)."""
     func = blk.func
     code = getattr(func, "__code__", None)
     if code is None:
@@ -284,7 +295,10 @@ def body_of(blk):
         except Exception:
             continue                # not the shape this body walks
         if body.matches(guards):
-            return body, holes
-    body, holes = _new_body(blk, kind)
-    bodies.append(body)
+            break
+    else:
+        body, holes = _new_body(blk, block_kind(blk))
+        bodies.append(body)
+    if body.c is None:
+        raise Refused(body.refused)
     return body, holes

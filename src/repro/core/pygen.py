@@ -39,8 +39,8 @@ defaults.
 
 A block whose Python types cannot be decided (``TypeUndecided``) or
 that uses a name the printed function does (:class:`Refused`) keeps its
-closure; so does one outside the subset (``TranslationError``) and a
-``tick_cl`` / ``tick_fl`` block, which have no body.
+closure; so does one outside the subset (``TranslationError``) and,
+by level, a ``tick_cl`` / ``tick_fl`` block: CL state has no form here.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ anything outside the subset) stay interpreted and say why
 from __future__ import annotations
 
 from .. import bodies
-from ..ast_ir import TranslationError, lower
+from ..ast_ir import TranslationError
 from ..model import MAX_LIST_DEPTH, Model
 from .specializer import JITModel, SimJITCL, SimJITRTL, SpecializationError
 
@@ -67,20 +67,18 @@ def _first_refusal(ticks, combs, allowed_levels):
     """``(block, reason)`` for the first block that keeps a subtree out
     of a specializer, or None.  Levels first: they cost no lowering, so
     an FL model anywhere below a node is found before the node's other
-    descendants are lowered.  A block's body (:mod:`repro.core.bodies`)
-    is lowered once, whoever asks again; a ``tick_cl`` block has none
-    and is lowered here and once more by its specializer."""
+    descendants are lowered.  Then every block is asked for its body
+    (:mod:`repro.core.bodies`) — the one its specializer binds to, so
+    a block body is lowered once, whoever asks again — and refuses the
+    subtree where it has none."""
     for blk in ticks:
         if blk.level not in allowed_levels:
             return blk, (f"level '{blk.level}'; "
                          f"allowed: {sorted(allowed_levels)}")
     for blk in ticks + combs:
         try:
-            try:
-                bodies.body_of(blk)
-            except bodies.Refused:
-                lower(blk)
-        except TranslationError as exc:
+            bodies.body_of(blk)
+        except (TranslationError, bodies.Refused) as exc:
             return blk, str(exc)
     return None
 

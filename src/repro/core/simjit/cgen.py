@@ -41,11 +41,12 @@ instance has — a net slot, a CL state offset, the slot table behind a
 dynamic index, an integer ``Const`` (elaboration-time constants such
 as a router's ``my_x`` fold to one).  Everything else is text: widths
 and masks, slice bounds, loop bounds, local names and array sizes,
-operators.  A block body (:mod:`repro.core.bodies`) prints its
-template once, when it is lowered, and every instance bound to it
-fills the holes; a ``tick_cl`` block or a connector is printed on its
-own.  :meth:`CBackend.add` files a template with one instance's hole
-values: blocks whose template text is equal form a group, and text
+operators.  A block body (:mod:`repro.core.bodies`) — RTL or CL —
+prints its template once, when it is lowered, and every instance bound
+to it fills the holes; only a connector, which is not a block, is
+printed from its own two-slot IR.  :meth:`CBackend.add` files a
+template with one instance's hole values: blocks whose template text
+is equal form a group, and text
 equality is the whole proof that they run the same code — a design
 parameter that changes a width or a loop bound changes the text and so
 the group.  :meth:`CBackend.emit_blocks` prints each group once:

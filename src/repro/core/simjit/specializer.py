@@ -1,7 +1,8 @@
 """SimJIT specializers: compile elaborated models to C (paper Section IV).
 
 ``SimJITRTL`` and ``SimJITCL`` take an elaborated PyMTL-style model,
-lower every behavioral block to IR, emit a single C translation unit
+bind every behavioral block, RTL or CL, to its body (one IR lowering
+per block body, :mod:`repro.core.bodies`), emit a single C translation unit
 (one net-state array, one function per *distinct* block body — see
 :mod:`.cgen`: the 832 blocks of a 64-router mesh are five functions,
 each called with one instance's slot/constant tables — the
@@ -31,22 +32,15 @@ from typing import NamedTuple
 
 from ...telemetry import tracing
 from .. import bodies
-from ..ast_ir import (
-    AssignSig,
-    BlockIR,
-    SigRead,
-    StateRef,
-    _sigref_from,
-    lower,
-)
+from ..ast_ir import AssignSig, BlockIR, SigRead, _sigref_from
 from ..elaboration import elaborate
 from ..model import MAX_LIST_DEPTH, Model
 from ..portbundle import PortBundle
 from ..probe import Probe
 from ..scheduling import build_schedule, nets_of
 from ..signals import InPort, OutPort, Signal
-from .cgen import (C_HEADER_DECLS, C_OBS_DECLS, C_TB_DECLS, SLOT, TABLE,
-                   CBackend, c_template)
+from .cgen import (C_HEADER_DECLS, C_OBS_DECLS, C_TB_DECLS, CBackend,
+                   c_template)
 
 _CACHE_ENV = "SIMJIT_CACHE_DIR"
 _CACHE_OPTOUT_ENV = "REPRO_SIMJIT_CACHE"
@@ -408,8 +402,9 @@ def _clear_parent(attr):
 class _Block(NamedTuple):
     """One block as the specializer files it with ``CBackend``: its C
     template ``text`` and hole ``kinds``, this instance's hole
-    ``values`` (a CL state variable's ``StateRef`` until ``_emit``
-    knows its offset) and the signals it ``reads`` and ``writes``."""
+    ``values`` (a CL state variable's ``st_m<model>_<attr>`` key until
+    ``_emit`` knows its offset) and the signals it ``reads`` and
+    ``writes``."""
 
     name: str
     text: str
@@ -444,7 +439,6 @@ class _Specializer:
             info = self.kernel_info
             sp.set(cache_hit=bool(self.overheads.get("cache_hit")),
                    functions=info["functions"], bodies=info["bodies"],
-                   per_instance=info["per_instance"],
                    c_source_bytes=len(self.c_source))
             return wrapper
 
@@ -531,7 +525,9 @@ class _Specializer:
         """Every block of ``model`` as a :class:`_Block`: ``(combs,
         ticks)``, with the slice connectors as synthetic comb copies
         after the comb blocks."""
-        self._bodies, self._per_instance, self._state_refs = set(), 0, []
+        self._bodies, self._state_vars = set(), {}
+        self._model_index = {
+            id(m): i for i, m in enumerate(model._all_models)}
         combs, ticks = [], []
         for sub in model._all_models:
             combs.extend(map(self._block, sub.get_comb_blocks()))
@@ -544,59 +540,47 @@ class _Specializer:
                     )
                 ticks.append(self._block(blk))
         for idx, (src, dst) in enumerate(model._connectors):
+            # Not a block: a template printed from the two-slot copy.
+            src_ref, dst_ref = _sigref_from(src), _sigref_from(dst)
             ir = BlockIR(name=f"connector{idx}", kind="comb", model=model)
-            src_ref = _sigref_from(src)
-            dst_ref = _sigref_from(dst)
             ir.body = [AssignSig(dst_ref, SigRead(src_ref), False)]
-            ir.sig_reads = [src_ref]
-            ir.sig_writes = [dst_ref]
-            combs.append(self._printed(ir))
+            text, holes = c_template(ir)
+            combs.append(_Block(
+                ir.name, text, [kind for kind, _ in holes],
+                [self._slot_of(ref.signal) for _, ref in holes],
+                [src_ref.signal], [dst_ref.signal]))
         return combs, ticks
 
     def _block(self, blk):
-        """A ``@combinational`` / ``@tick_rtl`` block is an instance of
-        its body (:mod:`repro.core.bodies`): one bind fills the body's
-        C template and names what the block reads and writes.  A
-        ``tick_cl`` block, or one with no body, is lowered on its own."""
+        """A block is an instance of its body
+        (:mod:`repro.core.bodies`): one bind fills the body's C template
+        and names what the block reads and writes."""
         try:
             body, holes = bodies.body_of(blk)
-        except bodies.Refused:
-            body = None
-        if body is None or body.c is None:
-            self._per_instance += 1
-            return self._printed(lower(blk))
+        except bodies.Refused as exc:
+            raise SpecializationError(
+                f"{self.name} cannot specialize {blk.name}: {exc}") from None
         self._bodies.add(body)
         c = body.c
         slot = self._slot_of
         row = [tuple(map(slot, hole)) if type(hole) is tuple
-               else int(hole) if isinstance(hole, int) else slot(hole)
+               else int(hole) if isinstance(hole, int)
+               else self._state_key(blk.model, hole) if type(hole) is str
+               else slot(hole)
                for hole in holes]
         row.extend(c.literals)
-
-        def signals(picks):
-            return [sig for h in picks for sig in (
-                holes[h] if type(holes[h]) is tuple else (holes[h],))]
         return _Block(blk.func.__name__, c.text, c.kinds,
                       [row[s] for s in c.sources],
-                      signals(c.reads), signals(c.writes))
+                      bodies.signals(holes, body.reads),
+                      bodies.signals(holes, body.writes))
 
-    def _printed(self, ir):
-        """A block printed from its own IR, its holes filled from the
-        IR's leaves."""
-        text, holes = c_template(ir)
-        values = []
-        for kind, leaf in holes:
-            if isinstance(leaf, StateRef):
-                self._state_refs.append(leaf)
-                values.append(leaf)
-            elif kind == TABLE:
-                values.append(tuple(map(self._slot_of, leaf.signals)))
-            else:
-                values.append(self._slot_of(leaf.signal) if kind == SLOT
-                              else leaf.value)
-        return _Block(ir.name, text, [kind for kind, _ in holes], values,
-                      [sig for ref in ir.sig_reads for sig in ref.signals],
-                      [sig for ref in ir.sig_writes for sig in ref.signals])
+    def _state_key(self, model, attr):
+        """CL state variable ``model.attr``'s key (``_emit`` offsets it)."""
+        key = f"st_m{self._model_index[id(model)]}_{attr}"
+        value = getattr(model, attr)
+        self._state_vars[key] = (
+            model, attr, len(value) if isinstance(value, list) else 0)
+        return key
 
     def _order_comb(self, combs):
         """Order the comb blocks with the simulator's static scheduler.
@@ -633,23 +617,15 @@ class _Specializer:
                            C_SETTLE_SINGLE_PASS, C_STATE_NONE,
                            C_STATE_TABLE, C_TB)
 
-        # CL state is namespaced per model instance; ``state_index``
-        # (sorted by that name) is its (STATE, idx, elem) address and
-        # ``state_off`` where its elements start in ``inst_t.st[]``.
-        model_index = {id(m): i for i, m in enumerate(model._all_models)}
-
-        def state_key(ref):
-            return f"st_m{model_index[id(ref.model)]}_{ref.name}"
-
-        state_vars = {            # key -> (model, attr_name, size)
-            state_key(ref): (ref.model, ref.name, ref.size)
-            for ref in self._state_refs}
-        state_list = sorted(state_vars.items())
+        # CL state is namespaced per model instance (``_state_key``);
+        # ``state_index`` (sorted by that name) is its (STATE, idx, elem)
+        # address and ``state_off`` where its elements start in
+        # ``inst_t.st[]``.
+        state_list = sorted(self._state_vars.items())
         state_off = [0]
         for _, (_, _, size) in state_list:
             state_off.append(state_off[-1] + max(1, size))
         self._state_index = {key: i for i, (key, _) in enumerate(state_list)}
-        self._model_index = model_index
 
         # One function per distinct block body, called once per block
         # in schedule order.
@@ -659,8 +635,7 @@ class _Specializer:
             for i, blk in enumerate(blocks):
                 values = blk.values
                 if state_list:
-                    values = [offset_of[state_key(v)]
-                              if isinstance(v, StateRef) else v
+                    values = [offset_of[v] if isinstance(v, str) else v
                               for v in values]
                 backend.add(blk.text, blk.kinds, values,
                             f"{prefix}_{i}_{blk.name}")
@@ -708,7 +683,6 @@ class _Specializer:
             "blocks": len(calls),
             "functions": backend.nfunctions,
             "bodies": len(self._bodies),
-            "per_instance": self._per_instance,
         }
 
         parts.extend(block_c)

@@ -404,13 +404,18 @@ class SimulationTool:
         were in the static order and the tick plan.  Every block that
         keeps its closure is named in ``sched_info()["lowered"]
         ["kept"]`` with the reason: the event partition, a blocking FL
-        tick, and whatever the backend refuses.  (Connectors are not
-        blocks, and stay the copies they were.)"""
+        tick, a CL or FL tick (by level, unlowered), and whatever the
+        backend refuses.  (Connectors are not blocks, and stay the
+        copies they were.)"""
         bodies, kept = set(), {}
 
         def lowered(blk, func):
             if func is not blk.func:
                 kept[blk.name] = "blocking FL tick (runs on its own thread)"
+                return func
+            # CL state has no Python form (a comb block has no level).
+            if getattr(blk, "level", "rtl") in ("cl", "fl"):
+                kept[blk.name] = f"tick_{blk.level} block"
                 return func
             try:
                 body, holes = body_of(blk)
@@ -1017,7 +1022,7 @@ class SimulationTool:
         engines adds a ``simjit`` entry saying what ran where:
         ``engines`` lists every engine in hierarchy order (``model``,
         the ``class`` it replaced, and its kernel's ``blocks``,
-        ``functions``, ``bodies``, ``per_instance`` and ``comb``),
+        ``functions``, ``bodies`` and ``comb``),
         ``interpreted`` maps every model ``auto_specialize`` left in
         Python to the first block that kept it there and why.  A SimJIT
         top also has its kernel's shape as flat keys: ``comb`` is
@@ -1028,8 +1033,8 @@ class SimulationTool:
         ``in_ports``/``out_ports`` the port boundary, and ``blocks`` /
         ``functions`` how many block instances run and how many C
         function bodies they share; ``bodies`` is how many block bodies
-        (:mod:`.bodies`) the blocks were bound to and ``per_instance``
-        how many were lowered one by one (``tick_cl`` blocks)."""
+        (:mod:`.bodies`) the blocks were bound to — every block an
+        engine compiles, ``tick_cl`` ones included, is bound to one."""
         info = {
             "requested": self._sched_requested,
             "mode": self.sched_mode,
@@ -1061,8 +1066,7 @@ class SimulationTool:
             simjit["engines"] = [
                 {"model": m.full_name(), "class": m._orig_class,
                  **{key: m.jit_engine.kernel_info[key]
-                    for key in ("blocks", "functions", "bodies",
-                                "per_instance", "comb")}}
+                    for key in ("blocks", "functions", "bodies", "comb")}}
                 for m in engines]
             simjit["interpreted"] = {
                 m.full_name(): f"{blk.name}: {reason}"

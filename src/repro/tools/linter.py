@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.ast_ir import TranslationError, lower
+from ..core.ast_ir import TranslationError
+from ..core.bodies import Refused, body_of, signals
 from ..core.elaboration import elaborate
 
 
@@ -50,25 +51,23 @@ def _net_id(end):
 
 
 def _block_nets(model):
-    """What the behavioral blocks touch, from one lowering of each:
+    """What the behavioral blocks touch, from their block bodies:
     ``(written, read)`` — net id -> ``[(block, signal)]`` writers, and
-    the ids of the nets some block reads.  A block outside the
-    translatable subset (FL/CL) contributes no writers and is treated
+    the ids of the nets some block reads.  A block without a body
+    (FL blocks, mostly) contributes no writers and is treated
     conservatively as reading every signal of its own model."""
     written = {}
     read = set()
     for sub in model._all_models:
         for blk in sub.get_comb_blocks() + sub.get_tick_blocks():
             try:
-                ir = lower(blk)
-            except TranslationError:
+                body, holes = body_of(blk)
+            except (TranslationError, Refused):
                 read.update(_net_id(sig) for sig in sub.get_signals())
                 continue
-            for ref in ir.sig_writes:
-                for sig in ref.signals:
-                    written.setdefault(_net_id(sig), []).append((blk, sig))
-            for ref in ir.sig_reads:
-                read.update(_net_id(sig) for sig in ref.signals)
+            for sig in signals(holes, body.writes):
+                written.setdefault(_net_id(sig), []).append((blk, sig))
+            read.update(map(_net_id, signals(holes, body.reads)))
     return written, read
 
 

@@ -266,27 +266,6 @@ def test_submodel_in_a_nested_list_stays_interpreted():
 # -- every block body is lowered once ------------------------------------------
 
 
-@pytest.fixture
-def lowerings(monkeypatch):
-    """``{block function's qualified name: times lowered}``, counted
-    where every lowering ends up, whichever module made it, from an
-    empty body cache (bodies live as long as the blocks' code objects,
-    so an earlier test may have lowered these)."""
-    from repro.core import ast_ir, bodies
-    counts = {}
-    translate = ast_ir.BlockTranslator.translate
-
-    def counting_translate(self):
-        name = self.func.__qualname__
-        counts[name] = counts.get(name, 0) + 1
-        return translate(self)
-
-    monkeypatch.setattr(bodies, "_bodies", {})
-    monkeypatch.setattr(ast_ir.BlockTranslator, "translate",
-                        counting_translate)
-    return counts
-
-
 def test_specializable_subtree_is_lowered_once(lowerings):
     """The walk that decides a subtree is specializable and the
     specializer both bind the blocks to their bodies: one lowering per
@@ -294,7 +273,7 @@ def test_specializable_subtree_is_lowered_once(lowerings):
     net = auto_specialize(MeshNetworkStructural(RouterRTL, 4, 64, 16, 2))
     assert isinstance(net, JITModel)
     info = net.jit_engine.kernel_info
-    assert (info["blocks"], info["bodies"], info["per_instance"]) == (52, 5, 0)
+    assert (info["blocks"], info["bodies"]) == (52, 5)
     assert len(lowerings) == 5 and set(lowerings.values()) == {1}
 
 
@@ -312,7 +291,6 @@ def test_walk_that_fails_from_the_top_is_lowered_once(lowerings):
     assert len(lowerings) == sum(bodies.values()) - bodies["top.dcache"]
     assert len(lowerings) < sum(e["blocks"] for e in engines)
     assert set(lowerings.values()) == {1}
-    assert all(e["per_instance"] == 0 for e in engines)
 
 
 def test_failed_subtree_hands_its_lowerings_to_the_descent(lowerings):
@@ -390,3 +368,72 @@ def test_ir_lowered_before_elaboration_emits_the_same_c(monkeypatch):
         MeshNetworkStructural(RouterRTL, 16, 256, 16, 2).elaborate())
     spec.specialize()
     assert emitted == [spec.c_source, spec.c_source]
+
+
+def test_cl_mesh_is_one_body_lowered_once(lowerings):
+    """A ``tick_cl`` block is a block body too: the walk that decides
+    and the specializer bind all sixteen routers to one lowering of
+    ``router_logic`` (it was two per router)."""
+    net = auto_specialize(MeshNetworkStructural(RouterCL, 16, 256, 32, 2))
+    info = net.jit_engine.kernel_info
+    assert (info["blocks"], info["functions"], info["bodies"]) == (16, 1, 1)
+    assert lowerings == {"RouterCL.__init__.<locals>.router_logic": 1}
+    ref = MeshNetworkStructural(RouterCL, 16, 256, 32, 2).elaborate()
+    runs = [NetworkTrafficHarness(net.elaborate(), seed=3)
+            .run_uniform_random(0.2, 100),
+            NetworkTrafficHarness(ref, sim=SimulationTool(ref, sched="event"),
+                                  seed=3).run_uniform_random(0.2, 100)]
+    assert runs[0].latencies == runs[1].latencies and runs[0].ejected > 0
+
+
+def test_a_block_whose_bind_does_not_reproduce_stays_interpreted(
+        monkeypatch, lowerings):
+    """The bind is checked against the lowering it was printed from; a
+    body that fails the check refuses its block by name, everywhere it
+    is asked for, and is lowered once all the same."""
+    from repro.components import Register
+    from repro.core import bodies
+    from repro.core.signals import InPort, OutPort
+
+    class Inc(Model):
+        def __init__(s):
+            s.in_ = InPort(8)
+            s.out = OutPort(8)
+
+            @s.combinational
+            def logic():
+                s.out.value = s.in_ + 1
+
+    class Top(Model):
+        def __init__(s):
+            s.in_ = InPort(8)
+            s.out = OutPort(8)
+            s.reg = Register(8)
+            s.inc = Inc()
+            s.connect(s.in_, s.reg.in_)
+            s.connect(s.reg.out, s.inc.in_)
+            s.connect(s.inc.out, s.out)
+
+    auto_specialize(Register(8))    # its body is made before the patch
+    monkeypatch.setattr(bodies, "_same", lambda got, want: False)
+    top = auto_specialize(Top())
+    assert isinstance(top.reg, JITModel)
+    assert not isinstance(top.inc, JITModel)
+    reason = "top.inc.logic: bind does not reproduce the lowering " \
+             "(a hole differs)"
+    tops = [Top().elaborate(), top.elaborate()]
+    sims = [SimulationTool(tops[0], sched="event"), SimulationTool(tops[1])]
+    assert sims[1].sched_info()["simjit"]["interpreted"] == {
+        "top": reason, "top.inc": reason}
+    assert sims[1].sched_info()["lowered"]["kept"]["top.inc.logic"] == \
+        reason.split(": ", 1)[1]
+    assert lowerings[Inc.__qualname__ + ".__init__.<locals>.logic"] == 1
+    for sim in sims:
+        sim.reset()
+    for cycle in range(10):
+        for t in tops:
+            t.in_.value = 30 * cycle
+        for sim in sims:
+            sim.cycle()
+        assert int(tops[1].out) == int(tops[0].out)
+    assert int(tops[1].out) == (30 * 9 + 1) & 0xFF

@@ -352,8 +352,8 @@ def test_siblings_share_a_c_function_unless_a_guard_differs(
     else:
         jit = auto_specialize(Pair(dict(k=5), b))
     info = jit.jit_engine.kernel_info
-    assert (info["blocks"], info["functions"], info["bodies"],
-            info["per_instance"]) == (4, functions, bodies, 0)
+    assert (info["blocks"], info["functions"], info["bodies"]) == (
+        4, functions, bodies)
     for source in sources:
         assert ("K[0]" in source) == (b == dict(k=9))
         assert (f"{1 << 63}ULL" in source) == (b == dict(k=1 << 63))

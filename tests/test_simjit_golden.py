@@ -3,11 +3,13 @@
 ``golden/simjit_c_sha256.json`` holds the sha256 of every ``c_source``
 the designs below compile, keyed ``"<design> <engine> <class>"``:
 three RTL meshes under ``SimJITRTL``, the mesh4 pair the hash-seed test
-builds under ``SimJITCL`` (``RouterCL`` is the per-instance ``tick_cl``
-path), every engine of the nineteen ``Tile(levels, jit=True)``
-configurations, the jit points of the three DUT builders and the six
-``test_simjit_share`` rows.  The C text is the ``.so`` cache key, so a
-refactor of how it is produced must leave every entry as it is.  A
+builds under ``SimJITCL`` and a ``RouterCL`` mesh16 (``tick_cl`` blocks
+bound to their bodies, CL state as holes), every engine of the nineteen
+``Tile(levels, jit=True)`` configurations, the jit points of the three
+DUT builders and the seven ``test_simjit_share`` rows.  The C text is
+the ``.so`` cache key, so a refactor of how it is produced must leave
+every entry as it is (new rows for a refactor are written by the code
+it replaces: run ``--write`` on the parent with these designs).  A
 change that alters the generated C on purpose regenerates the table and
 says so::
 
@@ -61,6 +63,8 @@ def _designs():
     for router in (RouterRTL, RouterCL):
         designs[f"mesh4-{router.__name__}-simjitcl"] = (
             lambda router=router: SimJITCL(_mesh(router, 4)).specialize())
+    designs["mesh16-RouterCL-simjitcl"] = (
+        lambda: SimJITCL(_mesh(RouterCL, 16)).specialize())
     for levels in TILE_LEVELS:
         designs["tile-" + "-".join(levels)] = (
             lambda levels=levels: Tile(levels, jit=True))

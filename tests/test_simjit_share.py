@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core import Model, SimulationTool
 from repro.core.probe import Probe
 from repro.core.signals import InPort, OutPort, Wire
-from repro.core.simjit import SimJITCL, SimJITRTL
+from repro.core.simjit import JITModel, SimJITCL, SimJITRTL, auto_specialize
 from repro.net import MeshNetworkStructural, RouterRTL
 
 
@@ -77,26 +77,27 @@ class _Pick(Model):
 
 
 class _CountCL(Model):
-    """CL int and int-list state."""
+    """CL int and int-list state, ``nhist`` ints long."""
 
     STATE = ("total", "hist[1]")
 
-    def __init__(s, nbits=8):
+    def __init__(s, nbits=8, nhist=4):
         s.in_ = InPort(nbits)
         s.out = OutPort(nbits)
         s.total = 0
-        s.hist = [0] * 4
+        s.hist = [0] * nhist
 
         @s.tick_cl
         def acc():
             if s.reset.uint():
                 s.total = 0
-                for i in range(4):
+                for i in range(nhist):
                     s.hist[i] = 0
             else:
                 s.total = (s.total + s.in_.uint()) % 251
-                s.hist[s.in_.uint() % 4] = s.hist[s.in_.uint() % 4] + 1
-            s.out.next = s.total + s.hist[s.in_.uint() % 4]
+                s.hist[s.in_.uint() % nhist] = \
+                    s.hist[s.in_.uint() % nhist] + 1
+            s.out.next = s.total + s.hist[s.in_.uint() % nhist]
 
 
 class _Mix(Model):
@@ -235,6 +236,10 @@ CASES = {
                 SimJITRTL, 2, ["(I, S_0_1, 0);"], ["K_", "K["]),
     "cl-state": (lambda: [_CountCL(), _CountCL(), _CountCL()],
                  SimJITCL, 1, ["I->st[S["], ["st_m"]),
+    # a list length is a body: the two of length 4 share, 6 is literal
+    "cl-state-lengths": (
+        lambda: [_CountCL(8, 4), _CountCL(8, 6), _CountCL(8, 4)],
+        SimJITCL, 2, ["I->st[S[", "(6LL)", "l_i < 6;"], ["st_m"]),
 }
 
 
@@ -331,14 +336,15 @@ def test_design_without_a_repeated_body_has_no_tables():
 
 
 def test_sched_info_says_which_path_each_block_took():
-    """An RTL block is bound to a block body (lowered and printed once);
-    a ``tick_cl`` block is lowered and printed on its own."""
+    """There is one path: every block, ``tick_cl`` ones included, is
+    bound to a block body (lowered and printed once)."""
     pair = _Pair(lambda: _Bank([_CountCL(), _AddK(8, 1), _CountCL(),
                                 _AddK(8, 2)]), SimJITCL)
     engine, = pair.info["engines"]
     for info in (pair.info, engine):
-        assert (info["blocks"], info["functions"], info["bodies"],
-                info["per_instance"]) == (6, 3, 2, 2)
+        assert (info["blocks"], info["functions"], info["bodies"]) == (
+            6, 3, 3)
+        assert "per_instance" not in info
     pair.run(30, seed=5)
 
 
@@ -353,5 +359,104 @@ def test_compile_span_says_what_was_shared():
         tracing.disarm()
     span, = [e for e in tracer.events if e["name"] == "simjit.compile"]
     assert span["args"]["functions"] == 5
-    assert (span["args"]["bodies"], span["args"]["per_instance"]) == (5, 0)
+    assert span["args"]["bodies"] == 5
     assert span["args"]["c_source_bytes"] == len(spec.c_source)
+
+
+# -- (f) one path: every block is a body ---------------------------------------
+
+
+def test_cl_blocks_are_bodies_lowered_once_with_state_of_their_own(
+        lowerings):
+    """A ``tick_cl`` block is bound to its body like an RTL one, its CL
+    state a hole: a list length is a guard, so three instances over two
+    lengths are two bodies, each translated once, and every instance
+    keeps state of its own."""
+    leaves, specializer, *_ = CASES["cl-state-lengths"]
+    pair = _Pair(lambda: _Bank(leaves()), specializer)
+    assert (pair.info["blocks"], pair.info["functions"],
+            pair.info["bodies"]) == (3, 2, 2)
+    assert lowerings["_CountCL.__init__.<locals>.acc"] == 2
+    pair.run(40, seed=6)
+    totals = []
+    for i, leaf in enumerate(pair.ref.leaves):
+        names = ["total"] + [f"hist[{j}]" for j in range(len(leaf.hist))]
+        for name in names:
+            ref, jit = pair.probes(f"leaves[{i}].{name}")
+            assert jit.location == "state"
+            assert jit.read() == ref.read(), (i, name)
+        totals.append(pair.probes(f"leaves[{i}].total")[1].read())
+    assert len(set(totals)) == 3, totals
+
+
+class _Scalar(Model):
+    """CL state ``s.x`` read as an int."""
+
+    def __init__(s, x):
+        s.in_ = InPort(8)
+        s.out = OutPort(8)
+        s.x = x
+
+        @s.tick_cl
+        def acc():
+            s.x = (s.x + s.in_.uint()) % 256
+            s.out.next = s.x
+
+
+class _Second(Model):
+    """CL state ``s.x`` read as a list, at a static index."""
+
+    def __init__(s, x):
+        s.in_ = InPort(8)
+        s.out = OutPort(8)
+        s.x = x
+
+        @s.tick_cl
+        def acc():
+            s.x[1] = (s.x[1] + s.in_.uint()) % 256
+            s.out.next = s.x[1]
+
+
+@pytest.mark.parametrize("leaf, good, bad, why", [
+    (_Scalar, 0, [0], "needs an index"),
+    (_Second, [0, 0], [0], "index 1 out of range"),
+    (_Second, [0, 0], [None, 0], "must hold ints"),
+])
+def test_a_sibling_that_fails_a_state_check_is_not_bound(leaf, good, bad, why):
+    """What the translator checked of a CL state attribute — an int or
+    a list, its length, ints only — guards the body: a sibling that
+    fails a check is lowered on its own, and refused."""
+    top = auto_specialize(_Bank([leaf(good), leaf(bad)]))
+    assert isinstance(top.leaves[0], JITModel)
+    assert not isinstance(top.leaves[1], JITModel)
+    info = SimulationTool(top.elaborate()).sched_info()["simjit"]
+    assert why in info["interpreted"]["top.leaves[1]"]
+
+
+class _Clash(Model):
+    """A comb block whose free variables have the names a bind takes
+    for its own when nothing clashes: ``_m`` and ``_c`` (constants),
+    ``_x`` and ``_o0`` (slice and range bounds)."""
+
+    def __init__(s, k, hi):
+        s.in_ = InPort(8)
+        s.out = OutPort(8)
+        _m, _c, _x, _o0 = k, 2, 1, hi
+
+        @s.combinational
+        def comb():
+            _f = s.in_[_x:_o0].value.uint() + _m
+            for _g in range(_o0):
+                _f = _f + _g * _c
+            s.out.value = _f
+
+
+def test_a_bind_picks_names_clear_of_the_blocks():
+    """The bind renames itself instead of refusing the block, and still
+    guards what the names hold: a slice bound is a second body, a
+    constant a K table."""
+    pair = _Pair(lambda: _Bank([_Clash(3, 5), _Clash(200, 5), _Clash(7, 6)]))
+    assert (pair.info["blocks"], pair.info["functions"],
+            pair.info["bodies"]) == (3, 2, 2)
+    assert "K[0]" in pair.spec.c_source
+    pair.run(30, seed=7)
