@@ -349,22 +349,24 @@ def best_of_paired(fn_a, fn_b, reps, min_rep_seconds, warmup_b=False):
 
 
 def write_result(name, text):
-    """Persist a result table under benchmarks/results/ and print it."""
+    """Persist a result table under benchmarks/results/, stamped with
+    the commit it ran on, and print it."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, name)
     with open(path, "w") as handle:
-        handle.write(text + "\n")
+        handle.write(f"{text}\n(commit {git_sha()})\n")
     print()
     print(text)
     return path
 
 
 def git_sha():
-    """Short commit sha of the working tree, or "unknown"."""
+    """Short commit sha of the working tree (``-dirty`` when it has
+    uncommitted changes), or "unknown"."""
     import subprocess
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty"],
             cwd=os.path.dirname(__file__), capture_output=True,
             text=True, timeout=10,
         )

@@ -31,7 +31,8 @@ import re
 from ..telemetry.counters import Counter
 from .signals import Signal, _SignalSlice
 
-__all__ = ["Probe", "Unlowerable", "resolve_path", "NET", "STATE"]
+__all__ = ["Probe", "Unlowerable", "resolve_path", "read_all", "NET",
+           "STATE"]
 
 #: :meth:`Probe.address` kinds: a net slot / a ``state_index`` entry.
 NET, STATE = 0, 1
@@ -291,3 +292,20 @@ class Probe:
         cut = "" if self.lo is None else f" lo={self.lo}"
         return (f"<Probe {self.name!r} {self.nbits}b "
                 f"{self.location}{cut}>")
+
+
+def read_all(probes):
+    """A zero-argument callable that reads ``probes`` in one pass and
+    returns their values as a list — what a sampler calls every cycle.
+    It is printed as one list display: a whole Python net is read
+    inline (``net._value``), any other probe through its ``read``, so
+    the pass costs one call, not one per probe or a comprehension."""
+    env, terms = {}, []
+    for i, probe in enumerate(probes):
+        if probe.location == "net" and probe.lo is None:
+            env[f"n{i}"] = probe._at[0]._net.find()
+            terms.append(f"n{i}._value")
+        else:
+            env[f"r{i}"] = probe.read
+            terms.append(f"r{i}()")
+    return eval(f"lambda: [{', '.join(terms)}]", env)

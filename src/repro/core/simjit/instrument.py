@@ -1,13 +1,16 @@
 """Compiled-instrumentation manager for SimJIT simulations.
 
 :class:`KernelInstrumentation` is the Python half of the ``obs_t``
-runtime in :mod:`.cgen`: it takes observability attachments — flight
+instrumentation in ``runtime.c``, the SimJIT runtime every design
+shares (:func:`.specializer._runtime`, loaded by the first manager a
+process creates): it takes observability attachments — flight
 recorder taps, val/rdy transaction taps, lowered watchpoint condition
 nodes, and signal-backed histograms — asks each tap's
 :class:`~repro.core.probe.Probe` for its net slot in the one compiled
 engine, registers them with the C side, and drains the C event buffers
 back into the exact Python data structures the hook path would have
-filled.
+filled.  The C side runs the design's cycles through the engine's
+``eval_comb`` and ``edge`` entry points.
 
 The contract is bit-identity with the interpreted hook path:
 
@@ -41,14 +44,9 @@ from __future__ import annotations
 from ...resilience.warnings import warn_resilience
 from ..probe import NET, Probe, Unlowerable
 from ..simulation import SimulationError
-from .cgen import (OBS_MAX_HIST, OBS_MAX_NODES, OBS_MAX_REC, OBS_MAX_TX,
-                   OBS_MAX_WP)
-from .specializer import SpecializationError
+from .specializer import SpecializationError, _runtime
 
 __all__ = ["KernelInstrumentation"]
-
-#: Entries per per-histogram C hash table (mirrors OBS_HIST_CAP in C).
-OBS_HIST_CAP = 1024
 
 
 class _TxState:
@@ -76,19 +74,22 @@ class KernelInstrumentation:
     def __init__(self, sim, engine):
         self.sim = sim
         self.engine = engine
-        self.lib = lib = engine.lib
+        # The runtime, which runs the design through the pointers to
+        # its entry points ``obs_new`` is handed.
+        self.lib = lib = _runtime()
         ffi = engine._ffi
         self.ffi = ffi
-        obs = lib.obs_new(engine.inst, self.REC_CAP, self.TX_CAP)
+        obs = lib.obs_new(engine.inst, engine.lib.eval_comb,
+                          engine.lib.edge, self.REC_CAP, self.TX_CAP)
         if obs == ffi.NULL:
             raise MemoryError("obs_new failed")
         # Freed with this manager, which holds the engine whose
-        # ``inst_t *`` the ``obs_t`` stores.
+        # instance the ``obs_t`` points at.
         self.obs = ffi.gc(obs, lambda obs: lib.obs_free(obs))
         self._rec_out = ffi.new("uint64_t[]", 4 * self.REC_CAP)
         self._tx_out = ffi.new("uint64_t[]", 5 * self.TX_CAP)
-        self._hist_vals = ffi.new("int64_t[]", OBS_HIST_CAP)
-        self._hist_cnts = ffi.new("long long[]", OBS_HIST_CAP)
+        self._hist_vals = ffi.new("int64_t[]", lib.OBS_HIST_CAP)
+        self._hist_cnts = ffi.new("long long[]", lib.OBS_HIST_CAP)
         self._rec_owner = {}     # C tap idx -> (recorder, local idx)
         self._tx_owner = {}      # C tap idx -> txtrace Tap
         self._recorders = []
@@ -133,10 +134,10 @@ class KernelInstrumentation:
             self.warn_fallback("flight recorder tap", exc)
             return False
         lib, obs = self.lib, self.obs
-        if len(self._rec_owner) + len(slots) > OBS_MAX_REC:
+        if len(self._rec_owner) + len(slots) > lib.OBS_MAX_REC:
             self.warn_fallback(
                 "flight recorder",
-                f"recorder tap capacity ({OBS_MAX_REC}) exceeded")
+                f"recorder tap capacity ({lib.OBS_MAX_REC}) exceeded")
             return False
         # Sync the C instance with the Python-driven ports so the C
         # change detector starts from the same base values attach()
@@ -189,8 +190,9 @@ class KernelInstrumentation:
         self.engine._push_inputs()
         idx = self.lib.obs_add_tx_tap(self.obs, val, rdy, msg)
         if idx < 0:
-            self.warn_fallback(f"val/rdy tap {tap.name!r}",
-                       f"tap capacity ({OBS_MAX_TX}) exceeded")
+            self.warn_fallback(
+                f"val/rdy tap {tap.name!r}",
+                f"tap capacity ({self.lib.OBS_MAX_TX}) exceeded")
             return False
         tap._cidx = idx
         tap._cstate = _TxState(self.sim.ncycles)
@@ -222,8 +224,8 @@ class KernelInstrumentation:
     def try_add_watchpoint(self, wp, nodes):
         """Register ``wp``'s condition, already lowered to ``nodes``
         (``[(kind, slot, a, b, aux)]``, root last)."""
-        if (len(self._watchpoints) >= OBS_MAX_WP
-                or len(nodes) > OBS_MAX_NODES):
+        if (len(self._watchpoints) >= self.lib.OBS_MAX_WP
+                or len(nodes) > self.lib.OBS_MAX_NODES):
             self.warn_fallback(f"watchpoint {wp.name!r}",
                        "watchpoint capacity exceeded")
             return False
@@ -280,8 +282,9 @@ class KernelInstrumentation:
             return False
         idx = self.lib.obs_add_hist(self.obs, slot, when)
         if idx < 0:
-            self.warn_fallback(f"histogram {hist.name!r}",
-                       f"histogram capacity ({OBS_MAX_HIST}) exceeded")
+            self.warn_fallback(
+                f"histogram {hist.name!r}",
+                f"histogram capacity ({self.lib.OBS_MAX_HIST}) exceeded")
             return False
         hist._jit_sync = lambda: self._sync_hist(idx, hist)
         self._hists.append((idx, hist))
@@ -439,7 +442,7 @@ class KernelInstrumentation:
             # The C edge trackers left prev == current value, exactly
             # what a fresh bind reads, so rebinding preserves edge
             # semantics across the conversion.
-            wp._bound = wp.condition.bind(wp._probe_of)
+            wp._bind()
             converted.append(f"watchpoint {wp.name!r}")
         for idx, hist in list(self._hists):
             self._sync_hist(idx, hist)

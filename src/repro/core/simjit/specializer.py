@@ -14,6 +14,12 @@ hand back a drop-in :class:`JITModel` exposing the original port
 interface — exactly the flow of paper Figure 12, with our own RTL→C
 compiler standing in for Verilator (see DESIGN.md).
 
+The translation unit holds only the design.  What every design shares
+— the compiled instrumentation and the compiled test bench — is
+``runtime.c``, built the same content-addressed way once per cache and
+loaded the first time an engine needs it (:func:`_runtime`); an engine
+that is only simulated never loads it.
+
 Per-phase overheads (elab / veri / cgen / comp / wrap / simc) are
 recorded on the returned engine for the Figure 16 experiment.
 """
@@ -39,11 +45,17 @@ from ..portbundle import PortBundle
 from ..probe import Probe
 from ..scheduling import build_schedule, nets_of
 from ..signals import InPort, OutPort, Signal
-from .cgen import (C_HEADER_DECLS, C_OBS_DECLS, C_TB_DECLS, CBackend,
-                   c_template)
+from .cgen import C_HEADER_DECLS, CBackend, c_template
 
 _CACHE_ENV = "SIMJIT_CACHE_DIR"
 _CACHE_OPTOUT_ENV = "REPRO_SIMJIT_CACHE"
+
+_RUNTIME_C = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "runtime.c")
+# The runtime is built one way whatever a design's ``opt``.
+_RUNTIME_OPT = "-O2"
+_INTERFACE_BEGIN = "/* ---- interface ---- */"
+_INTERFACE_END = "/* ---- end of interface ---- */"
 
 
 class SpecializationError(Exception):
@@ -96,12 +108,96 @@ def _build_lock(lock_path):
         handle.close()
 
 
+def _build(source, opt, cache=True):
+    """``(lib_path, cache_hit)``: the shared library gcc makes of the C
+    text ``source`` with ``opt``, compiled now or found in the cache.
+
+    The on-disk cache is content-addressed: artifacts are keyed by the
+    sha256 of the source plus the optimization flag, so any codegen
+    change produces a new key and repeated builds of the same text
+    reuse the compiled ``.so``.  Writes go through a per-process
+    temporary name followed by an atomic ``os.replace``, so concurrent
+    builders and cache eviction never expose a half-written artifact
+    (a reader that already opened the old inode keeps it alive).
+    Concurrent builders of the *same* digest additionally serialize on
+    a per-key ``flock`` (see :func:`_build_lock`): exactly one process
+    compiles, the rest take cache hits.  Opt out with ``cache=False``
+    or globally with ``REPRO_SIMJIT_CACHE=0``.
+    """
+    digest = hashlib.sha256(source.encode())
+    digest.update(opt.encode())
+    digest = digest.hexdigest()[:24]
+    cache_dir = _default_cache_dir()
+    os.makedirs(cache_dir, exist_ok=True)
+    lib_path = os.path.join(cache_dir, f"simjit_{digest}.so")
+    use_cache = cache and os.environ.get(_CACHE_OPTOUT_ENV, "1") != "0"
+    if use_cache and os.path.exists(lib_path):
+        return lib_path, True
+    if not use_cache:
+        return _gcc(source, opt, cache_dir, digest, lib_path), False
+    # Concurrent builders of the same digest (fleet workers on their
+    # first task) serialize on the key's lock: the winner compiles,
+    # everyone else re-checks under the lock and hits.
+    with _build_lock(lib_path + ".lock"):
+        if os.path.exists(lib_path):
+            return lib_path, True
+        return _gcc(source, opt, cache_dir, digest, lib_path), False
+
+
+def _gcc(source, opt, cache_dir, digest, lib_path):
+    # Per-process temporaries keep their real extensions (gcc
+    # dispatches on them) and land with atomic renames.
+    tag = f".tmp{os.getpid()}"
+    src_path = os.path.join(cache_dir, f"simjit_{digest}.c")
+    tmp_src = os.path.join(cache_dir, f"simjit_{digest}{tag}.c")
+    tmp_lib = os.path.join(cache_dir, f"simjit_{digest}{tag}.so")
+    with open(tmp_src, "w") as handle:
+        handle.write(source)
+    cmd = ["gcc", opt, "-shared", "-fPIC", "-o", tmp_lib, tmp_src]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    if result.returncode != 0:
+        try:
+            os.remove(tmp_src)
+        except OSError:
+            pass
+        raise SpecializationError(f"gcc failed:\n{result.stderr[:4000]}")
+    os.replace(tmp_src, src_path)
+    os.replace(tmp_lib, lib_path)
+    return lib_path
+
+
+@functools.cache
+def _runtime_c():
+    """``(source, declarations)``: runtime.c and its interface section,
+    which is the cffi declaration of everything it exports."""
+    with open(_RUNTIME_C) as handle:
+        source = handle.read()
+    start = source.index(_INTERFACE_BEGIN) + len(_INTERFACE_BEGIN)
+    return source, source[start:source.index(_INTERFACE_END)]
+
+
+@functools.cache
+def _runtime():
+    """The SimJIT runtime library (runtime.c: ``obs_*`` and
+    ``tb_uniform``), loaded through the process-wide ``ffi`` the first
+    time instrumentation or the compiled test bench needs it.  It is
+    compiled like a design's library, into the same cache under the
+    same key scheme, so one cache holds one copy; a process finds or
+    builds it once, inside one ``simjit.runtime`` span that says
+    whether the cache had it."""
+    with tracing.span("simjit.runtime") as span:
+        lib_path, cache_hit = _build(_runtime_c()[0], _RUNTIME_OPT)
+        span.set(cache_hit=cache_hit)
+        return _interface("").dlopen(lib_path)
+
+
 @functools.cache
 def _interface(extra_cdef):
     """The ``ffi`` every engine whose library exports these declarations
-    loads through and allocates from: the text is parsed (pycparser,
-    ~35 ms) once per process and distinct ``extra_cdef``, every later
-    load is one ``dlopen``.
+    — a design's, and with them the runtime's — loads through and
+    allocates from: the text is parsed (pycparser, ~35 ms) once per
+    process and distinct ``extra_cdef``, every later load is one
+    ``dlopen``.
 
     Built through cffi's out-of-line ABI mode — ``cdef`` once, have
     the recompiler print the declarations as a Python module, ``exec``
@@ -112,7 +208,7 @@ def _interface(extra_cdef):
     import cffi
     from cffi import recompiler
     parsed = cffi.FFI()
-    parsed.cdef(C_HEADER_DECLS + C_OBS_DECLS + C_TB_DECLS + extra_cdef)
+    parsed.cdef(C_HEADER_DECLS + _runtime_c()[1] + extra_cdef)
     module = io.StringIO()
     recompiler.make_py_source(parsed, "_simjit_interface", module)
     namespace = {}
@@ -277,12 +373,20 @@ class SimJITEngine:
         self._pull_outputs(as_next=False)
         return ran
 
+    def new_bench(self, **fields):
+        """A ``tb_t`` for :meth:`tb_uniform` with ``fields`` filled in,
+        that clocks this engine through its ``cycle``."""
+        return _interface("").new("tb_t *", dict(fields,
+                                                 cycle=self.lib.cycle))
+
     def tb_uniform(self, tb):
-        """One call of the compiled uniform-random test bench on the
-        ``tb_t`` its caller filled (``cgen.C_TB``); returns ``TB_DONE``,
-        ``TB_WORDS`` (refill the tape) or ``TB_FULL`` (empty the latency
-        buffer), the last two to be called again."""
-        status = self.lib.tb_uniform(self.inst, tb)
+        """One call of the compiled uniform-random test bench
+        (runtime.c) on the ``tb_t`` its caller filled
+        (:meth:`new_bench`); returns the runtime's ``TB_DONE``,
+        ``TB_WORDS`` (refill the tape) or ``TB_FULL`` (empty the
+        latency buffer), the last two to be called again — constants
+        of the :func:`_runtime` library, like its ``OBS_*`` limits."""
+        status = _runtime().tb_uniform(self.inst, tb)
         if status < 0:
             raise SpecializationError("combinational loop in C model")
         return status
@@ -613,9 +717,9 @@ class _Specializer:
     # -- emission ---------------------------------------------------------------------
 
     def _emit(self, model, comb_order, residue, ticks):
-        from .cgen import (C_API, C_OBS, C_PRELUDE, C_SETTLE_FIXPOINT,
+        from .cgen import (C_API, C_PRELUDE, C_SETTLE_FIXPOINT,
                            C_SETTLE_SINGLE_PASS, C_STATE_NONE,
-                           C_STATE_TABLE, C_TB)
+                           C_STATE_TABLE)
 
         # CL state is namespaced per model instance (``_state_key``);
         # ``state_index`` (sorted by that name) is its (STATE, idx, elem)
@@ -739,8 +843,6 @@ class _Specializer:
             "  (void)I;\n" + "\n".join(init_lines) + "\n}"
         )
         parts.append(C_API)
-        parts.append(C_OBS)
-        parts.append(C_TB)
         if self.extra_c:
             parts.append(self.extra_c)
         return "\n\n".join(parts)
@@ -748,66 +850,9 @@ class _Specializer:
     # -- compile / load -----------------------------------------------------------------
 
     def _compile(self, c_source):
-        """Compile (or reuse) the shared library for ``c_source``.
-
-        The on-disk cache is content-addressed: artifacts are keyed by
-        the sha256 of the generated source plus the optimization flag,
-        so any codegen change produces a new key and repeated builds of
-        the same design reuse the compiled ``.so``.  Writes go through
-        a per-process temporary name followed by an atomic
-        ``os.replace``, so concurrent builders and cache eviction never
-        expose a half-written artifact (a reader that already opened
-        the old inode keeps it alive).  Concurrent builders of the
-        *same* digest additionally serialize on a per-key ``flock``
-        (see :func:`_build_lock`): exactly one process compiles, the
-        rest take cache hits.  Opt out per engine with ``cache=False``
-        or globally with ``REPRO_SIMJIT_CACHE=0``.
-        """
-        digest = hashlib.sha256(c_source.encode())
-        digest.update(self.opt.encode())
-        digest = digest.hexdigest()[:24]
-        cache_dir = _default_cache_dir()
-        os.makedirs(cache_dir, exist_ok=True)
-        lib_path = os.path.join(cache_dir, f"simjit_{digest}.so")
-        use_cache = self.cache and os.environ.get(
-            _CACHE_OPTOUT_ENV, "1") != "0"
-        if use_cache and os.path.exists(lib_path):
-            return lib_path, True
-        if not use_cache:
-            return self._compile_locked(c_source, cache_dir, digest,
-                                        lib_path), False
-        # Concurrent builders of the same digest (fleet workers on
-        # their first task) serialize on the key's lock: the winner
-        # compiles, everyone else re-checks under the lock and hits.
-        with _build_lock(lib_path + ".lock"):
-            if os.path.exists(lib_path):
-                return lib_path, True
-            return self._compile_locked(c_source, cache_dir, digest,
-                                        lib_path), False
-
-    def _compile_locked(self, c_source, cache_dir, digest, lib_path):
-        # Per-process temporaries keep their real extensions (gcc
-        # dispatches on them) and land with atomic renames.
-        tag = f".tmp{os.getpid()}"
-        src_path = os.path.join(cache_dir, f"simjit_{digest}.c")
-        tmp_src = os.path.join(cache_dir, f"simjit_{digest}{tag}.c")
-        tmp_lib = os.path.join(cache_dir, f"simjit_{digest}{tag}.so")
-        with open(tmp_src, "w") as handle:
-            handle.write(c_source)
-        cmd = ["gcc", self.opt, "-shared", "-fPIC", "-o",
-               tmp_lib, tmp_src]
-        result = subprocess.run(cmd, capture_output=True, text=True)
-        if result.returncode != 0:
-            try:
-                os.remove(tmp_src)
-            except OSError:
-                pass
-            raise SpecializationError(
-                f"gcc failed:\n{result.stderr[:4000]}"
-            )
-        os.replace(tmp_src, src_path)
-        os.replace(tmp_lib, lib_path)
-        return lib_path
+        """``(lib_path, cache_hit)`` of the design's library
+        (:func:`_build`, with this specializer's ``opt`` and ``cache``)."""
+        return _build(c_source, self.opt, self.cache)
 
     def _load(self, lib_path):
         return _interface(self.extra_cdef).dlopen(lib_path)

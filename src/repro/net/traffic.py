@@ -12,9 +12,10 @@ once and runs on one of two drivers, named in ``TrafficStats.driver``:
 
 - ``"python"`` — the per-cycle loop of ``_drive_python``, on every
   simulator;
-- ``"compiled"`` — the same cycle as one C loop inside the engine
-  (``tb_uniform``, :mod:`repro.core.simjit.cgen`) when the network is
-  a SimJIT top and nothing in Python has to see every cycle.  It
+- ``"compiled"`` — the same cycle as one C loop over the engine's nets
+  (``tb_uniform`` in the SimJIT runtime, ``core/simjit/runtime.c``,
+  which clocks the design through its ``cycle``) when the network is a
+  SimJIT top and nothing in Python has to see every cycle.  It
   consumes the very Mersenne-Twister words ``harness.rng`` would have
   produced, so the traffic, the statistics, ``rng``, ``seqnum``,
   ``sim.ncycles`` and every port end bit-identical to the Python
@@ -32,7 +33,7 @@ import sys
 from dataclasses import dataclass, field
 
 from ..core import SimulationTool
-from ..core.simjit.cgen import TB_DONE, TB_WORDS
+from ..core.simjit.specializer import _runtime
 from ..resilience.warnings import warn_resilience
 
 
@@ -231,8 +232,8 @@ class NetworkTrafficHarness:
         produces next; everything Python-visible ends where
         ``_drive_python`` leaves it."""
         net, sim, rng = self.net, self.sim, self.rng
-        ffi = sim.model.jit_engine._ffi
-        slot_of = sim.model.jit_engine.slot_of
+        engine = sim.model.jit_engine
+        ffi, slot_of = engine._ffi, engine.slot_of
         nwords, nlat = self.TAPE_WORDS, self.LATENCY_SLOTS
         ncycles = max(0, ncycles)
         # cffi keeps no reference to what a struct's pointers name.
@@ -246,8 +247,8 @@ class NetworkTrafficHarness:
         arrays["pending"] = ffi.new("unsigned char[]", self.nterminals)
         arrays["tape"] = ffi.new("uint32_t[]", nwords)
         arrays["lat"] = ffi.new("int64_t[]", nlat)
-        tb = ffi.new("tb_t *", dict(
-            arrays, nterm=self.nterminals, nout=len(net.out),
+        tb = engine.new_bench(
+            **arrays, nterm=self.nterminals, nout=len(net.out),
             dest_bits=self.nterminals.bit_length(),
             dest_shift=self._dest_shift, src_shift=self._src_shift,
             seq_shift=self._seq_shift, pay_shift=self._payload_shift,
@@ -256,13 +257,15 @@ class NetworkTrafficHarness:
             rate=injection_rate, ncycles=ncycles, warmup=warmup,
             total=ncycles + max(0, drain), now=sim.ncycles,
             seq=self.seqnum & self._seq_mask, lat_cap=nlat,
-            ntape=nwords, used=nwords))     # a tape with nothing left
+            ntape=nwords, used=nwords)      # a tape with nothing left
         tape = ffi.buffer(arrays["tape"])
 
+        runtime = _runtime()        # whose constants tb_uniform returns
+
         def bench(engine):
-            status = TB_WORDS
-            while status != TB_DONE:
-                if status == TB_WORDS:
+            status = runtime.TB_WORDS
+            while status != runtime.TB_DONE:
+                if status == runtime.TB_WORDS:
                     # The draw that stalled wants the unread tail
                     # first, then words the generator has yet to make.
                     tail = tape[4 * tb.used:]

@@ -43,7 +43,7 @@ were sampled follow from cycle numbers alone.
 
 from __future__ import annotations
 
-from ..core.probe import Probe
+from ..core.probe import Probe, read_all
 from ..core.signals import Signal, _SignalSlice
 
 __all__ = ["FlightRecorder", "RecorderWindow"]
@@ -78,8 +78,7 @@ class FlightRecorder:
         self._specs = signals
         self.sim = None
         self._taps = []
-        self._nets = None            # every tap's net, if all are whole nets
-        self._reads = []
+        self._read = None            # every tap in one pass (read_all)
         self._last = []              # the values last sampled (Python path)
         self._events = []            # [(cycle, tap index, value)]
         self._base_cycle = 0
@@ -108,15 +107,11 @@ class FlightRecorder:
                 "with Model.observe(...) in the design")
         self.sim = sim
         self._taps = [Probe.resolve(sim, spec) for spec in specs]
-        self._reads = [tap.read for tap in self._taps]
-        whole = all(tap.location == "net" and tap.lo is None
-                    for tap in self._taps)
-        self._nets = (tuple(tap._at[0]._net.find() for tap in self._taps)
-                      if whole else None)
+        self._read = read_all(self._taps)
         # Base snapshot: the state as of the current cycle count, the
         # cycle *before* the first recorded entry.
         self._base_cycle = self._sampled_to = sim.ncycles
-        self._base_values = [read() for read in self._reads]
+        self._base_values = self._read()
         self._last = list(self._base_values)
         self._events = []
         sim._recorders.append(self)
@@ -148,9 +143,7 @@ class FlightRecorder:
     def sample(self, cycle):
         """Record the post-cycle values (called by the simulator): one
         pass over the taps, and nothing more unless one changed."""
-        nets = self._nets
-        values = ([net._value for net in nets] if nets is not None
-                  else [read() for read in self._reads])
+        values = self._read()
         last = self._last
         if values == last:
             return

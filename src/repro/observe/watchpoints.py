@@ -35,11 +35,20 @@ and the boolean algebra ``&``, ``|``, ``~`` over all of the above.
 Edge semantics compare against the value at the end of the previous
 cycle, so they are identical in event, static, mega-cycle-kernel, and
 SimJIT execution.
+
+Sampled from Python, a watchpoint reads its taps in one pass and
+evaluates its condition only on a cycle where one of them changed; on
+any other the verdict follows from the last one without reading
+anything again (see :meth:`Watchpoint.sample`).  So a :func:`when`
+predicate must be a pure function of the values of the signals it
+names.
 """
 
 from __future__ import annotations
 
-from ..core.probe import Probe, Unlowerable
+import operator
+
+from ..core.probe import Probe, Unlowerable, read_all
 
 __all__ = [
     "Condition",
@@ -75,11 +84,11 @@ class Condition:
     """An unbound temporal condition; build with the combinators below
     and compose with ``&``, ``|``, ``~``."""
 
-    def bind(self, probe_of):
-        """Return a bound evaluator with ``update(cycle) -> bool``;
-        ``probe_of(spec)`` is the resolved
-        :class:`~repro.core.probe.Probe` of a signal spec in the tree
-        (see :func:`_condition_taps`)."""
+    def bind(self, index_of, values):
+        """Return this condition's evaluator (see :class:`_Eval`) over
+        a watchpoint's one-pass read of its taps: ``index_of(spec)`` is
+        the position of a signal spec's value in that read (see
+        :func:`_condition_taps`), ``values`` the read as of now."""
         raise NotImplementedError
 
     def describe(self):
@@ -98,6 +107,20 @@ class Condition:
         return f"<Condition {self.describe()}>"
 
 
+class _Eval:
+    """A bound condition.  ``update(cycle, values)`` evaluates it on a
+    cycle where some tap of its watchpoint changed, ``hold(cycle)`` on
+    one where none did; both return the verdict."""
+
+    __slots__ = ()
+
+    def update(self, cycle, values):
+        raise NotImplementedError
+
+    def hold(self, cycle):
+        raise NotImplementedError
+
+
 class _BoolOp(Condition):
     def __init__(self, op, left, right):
         if not isinstance(left, Condition) or not isinstance(
@@ -107,19 +130,31 @@ class _BoolOp(Condition):
         self.left = left
         self.right = right
 
-    def bind(self, probe_of):
-        lhs, rhs = self.left.bind(probe_of), self.right.bind(probe_of)
-        if self.op == "and":
-            # Evaluate both unconditionally: stateful conditions (edge
-            # trackers, stability counters) must see every cycle.
-            return _Bound(lambda cycle: (lhs.update(cycle)
-                                         & rhs.update(cycle)))
-        return _Bound(lambda cycle: (lhs.update(cycle)
-                                     | rhs.update(cycle)))
+    def bind(self, index_of, values):
+        lhs = self.left.bind(index_of, values)
+        rhs = self.right.bind(index_of, values)
+        return _BoolEval(operator.and_ if self.op == "and" else operator.or_,
+                         lhs, rhs)
 
     def describe(self):
         sym = "&" if self.op == "and" else "|"
         return f"({self.left.describe()} {sym} {self.right.describe()})"
+
+
+class _BoolEval(_Eval):
+    # Both operands evaluate unconditionally: stateful conditions (edge
+    # trackers, stability counters) must see every cycle.
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op, lhs, rhs):
+        self.op, self.lhs, self.rhs = op, lhs, rhs
+
+    def update(self, cycle, values):
+        return self.op(self.lhs.update(cycle, values),
+                       self.rhs.update(cycle, values))
+
+    def hold(self, cycle):
+        return self.op(self.lhs.hold(cycle), self.rhs.hold(cycle))
 
 
 class _Not(Condition):
@@ -128,21 +163,24 @@ class _Not(Condition):
             raise TypeError("~ applies only to conditions")
         self.inner = inner
 
-    def bind(self, probe_of):
-        bound = self.inner.bind(probe_of)
-        return _Bound(lambda cycle: not bound.update(cycle))
+    def bind(self, index_of, values):
+        return _NotEval(self.inner.bind(index_of, values))
 
     def describe(self):
         return f"~{self.inner.describe()}"
 
 
-class _Bound:
-    """Adapter giving composed evaluators the bound interface."""
+class _NotEval(_Eval):
+    __slots__ = ("inner",)
 
-    __slots__ = ("update",)
+    def __init__(self, inner):
+        self.inner = inner
 
-    def __init__(self, update):
-        self.update = update
+    def update(self, cycle, values):
+        return not self.inner.update(cycle, values)
+
+    def hold(self, cycle):
+        return not self.inner.hold(cycle)
 
 
 def _spec_name(spec):
@@ -156,37 +194,40 @@ class _SignalCondition(Condition):
     def __init__(self, spec):
         self.spec = spec
 
-    def bind(self, probe_of):
-        return self._bound(probe_of(self.spec))
-
-    def _bound(self, tap):
-        raise NotImplementedError
-
 
 class _Edge(_SignalCondition):
     def __init__(self, spec, direction):
         super().__init__(spec)
         self.direction = direction      # "rose" | "fell" | "changed"
 
-    def _bound(self, tap):
-        read = tap.read
-        direction = self.direction
-        state = {"prev": read()}
-
-        def update(cycle):
-            prev = state["prev"]
-            value = read()
-            state["prev"] = value
-            if direction == "rose":
-                return prev == 0 and value != 0
-            if direction == "fell":
-                return prev != 0 and value == 0
-            return value != prev
-
-        return _Bound(update)
+    def bind(self, index_of, values):
+        i = index_of(self.spec)
+        return _EdgeEval(i, self.direction, values[i])
 
     def describe(self):
         return f"{self.direction}({_spec_name(self.spec)})"
+
+
+class _EdgeEval(_Eval):
+    """Against the value at the previous sample; with no tap changed
+    there is no edge."""
+
+    __slots__ = ("i", "direction", "prev")
+
+    def __init__(self, i, direction, prev):
+        self.i, self.direction, self.prev = i, direction, prev
+
+    def update(self, cycle, values):
+        prev = self.prev
+        value = self.prev = values[self.i]
+        if self.direction == "rose":
+            return prev == 0 and value != 0
+        if self.direction == "fell":
+            return prev != 0 and value == 0
+        return value != prev
+
+    def hold(self, cycle):
+        return False
 
 
 class _ValueIs(_SignalCondition):
@@ -194,10 +235,9 @@ class _ValueIs(_SignalCondition):
         super().__init__(spec)
         self.values = values
 
-    def _bound(self, tap):
-        read = tap.read
-        values = self.values
-        return _Bound(lambda cycle: read() in values)
+    def bind(self, index_of, values):
+        i = index_of(self.spec)
+        return _PredicateEval(lambda values: values[i] in self.values)
 
     def describe(self):
         vals = sorted(self.values)
@@ -205,16 +245,34 @@ class _ValueIs(_SignalCondition):
         return f"value_is({_spec_name(self.spec)}, {shown})"
 
 
+class _PredicateEval(_Eval):
+    """A function of this cycle's values: with no tap changed, its last
+    verdict."""
+
+    __slots__ = ("test", "verdict")
+
+    def __init__(self, test):
+        self.test = test
+        self.verdict = False        # the first sample always updates
+
+    def update(self, cycle, values):
+        self.verdict = verdict = self.test(values)
+        return verdict
+
+    def hold(self, cycle):
+        return self.verdict
+
+
 class _When(Condition):
     def __init__(self, fn, specs):
         self.fn = fn
         self.specs = specs
 
-    def bind(self, probe_of):
-        reads = [probe_of(spec).read for spec in self.specs]
+    def bind(self, index_of, values):
+        at = [index_of(spec) for spec in self.specs]
         fn = self.fn
-        return _Bound(
-            lambda cycle: bool(fn(*[read() for read in reads])))
+        return _PredicateEval(
+            lambda values: bool(fn(*[values[i] for i in at])))
 
     def describe(self):
         name = getattr(self.fn, "__name__", "<fn>")
@@ -230,25 +288,33 @@ class _StableFor(_SignalCondition):
             raise ValueError(f"stable_for needs n >= 1; got {n}")
         self.n = n
 
-    def _bound(self, tap):
-        read = tap.read
-        n = self.n
-        state = {"prev": read(), "streak": 0}
-
-        def update(cycle):
-            value = read()
-            if value == state["prev"]:
-                state["streak"] += 1
-            else:
-                state["prev"] = value
-                state["streak"] = 0
-            # Fire exactly once per stable stretch, when it reaches n.
-            return state["streak"] == n
-
-        return _Bound(update)
+    def bind(self, index_of, values):
+        i = index_of(self.spec)
+        return _StableEval(i, self.n, values[i])
 
     def describe(self):
         return f"stable_for({_spec_name(self.spec)}, {self.n})"
+
+
+class _StableEval(_Eval):
+    __slots__ = ("i", "n", "prev", "streak")
+
+    def __init__(self, i, n, prev):
+        self.i, self.n, self.prev, self.streak = i, n, prev, 0
+
+    def update(self, cycle, values):
+        value = values[self.i]
+        if value == self.prev:
+            self.streak += 1
+        else:
+            self.prev = value
+            self.streak = 0
+        # Fire exactly once per stable stretch, when it reaches n.
+        return self.streak == self.n
+
+    def hold(self, cycle):
+        self.streak += 1
+        return self.streak == self.n
 
 
 class _ImpliesWithin(Condition):
@@ -265,29 +331,42 @@ class _ImpliesWithin(Condition):
         self.consequent = consequent
         self.n = n
 
-    def bind(self, probe_of):
-        ant = self.antecedent.bind(probe_of)
-        con = self.consequent.bind(probe_of)
-        n = self.n
-        pending = []                 # deadline cycles, oldest first
-
-        def update(cycle):
-            # Order matters: a consequent on the deadline cycle itself
-            # still satisfies the obligation (##[0:n] semantics).
-            if con.update(cycle) and pending:
-                pending.pop(0)
-            if ant.update(cycle):
-                pending.append(cycle + n)
-            if pending and cycle >= pending[0]:
-                pending.pop(0)
-                return True          # violation: deadline passed
-            return False
-
-        return _Bound(update)
+    def bind(self, index_of, values):
+        return _ImpliesEval(self.antecedent.bind(index_of, values),
+                            self.consequent.bind(index_of, values), self.n)
 
     def describe(self):
         return (f"implies_within({self.antecedent.describe()}, "
                 f"{self.consequent.describe()}, {self.n})")
+
+
+class _ImpliesEval(_Eval):
+    __slots__ = ("ant", "con", "n", "pending")
+
+    def __init__(self, ant, con, n):
+        self.ant, self.con, self.n = ant, con, n
+        self.pending = []           # deadline cycles, oldest first
+
+    def _verdict(self, cycle, con, ant):
+        # Order matters: a consequent on the deadline cycle itself
+        # still satisfies the obligation (##[0:n] semantics).
+        pending = self.pending
+        if con and pending:
+            pending.pop(0)
+        if ant:
+            pending.append(cycle + self.n)
+        if pending and cycle >= pending[0]:
+            pending.pop(0)
+            return True              # violation: deadline passed
+        return False
+
+    def update(self, cycle, values):
+        con = self.con.update(cycle, values)
+        return self._verdict(cycle, con, self.ant.update(cycle, values))
+
+    def hold(self, cycle):
+        con = self.con.hold(cycle)
+        return self._verdict(cycle, con, self.ant.hold(cycle))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +447,16 @@ def value_is(spec, value, *more):
 
 
 def when(fn, *specs):
-    """Fires when ``fn(*values)`` is truthy over the named signals."""
+    """Fires when ``fn(*values)`` is truthy over the named signals.
+
+    ``fn`` must be a pure function of those values: it is called only
+    on a cycle where one of the watchpoint's signals changed, and every
+    other cycle repeats its last verdict.  Anything else it reads
+    (Python state, ``sim.ncycles``) is not watched."""
+    if not specs:
+        raise ValueError(
+            "when(fn, *specs) needs at least one signal spec: fn is "
+            "called only when one of them changes")
     return _When(fn, specs)
 
 
@@ -423,30 +511,33 @@ class Watchpoint:
         self.fires = []              # [(cycle, values_dict)]
         self.n_fires = 0
         self.sim = None
-        self._bound = None
+        self._bound = None           # the evaluator (Python sampling)
         self._taps = []
-        self._probe_of = None        # spec -> Probe, set by attach
+        self._probes = {}            # id(spec) -> Probe, set by attach
+        self._read = None            # every tap in one pass (read_all)
+        self._last = None            # what it read at the last sample
         self._cwp = None             # compiled watch index (SimJIT)
         self._instr = None
 
     def attach(self, sim):
         self.sim = sim
-        self._taps, probe_of = _condition_taps(sim, self.condition)
-        self._probe_of = probe_of    # kept for a later dearm's rebind
+        self._taps, probes = _condition_taps(sim, self.condition)
+        self._probes = probes        # kept for a later dearm's rebind
         instr = sim._jit_instrumentation()
         compiled = False
         if instr is not None:
             try:
                 nodes = lower_condition(
                     self.condition,
-                    lambda spec: instr.net_slot(probe_of(spec)))
+                    lambda spec: instr.net_slot(probes[id(spec)]))
             except Unlowerable as exc:
                 instr.warn_fallback(f"watchpoint {self.name!r}", exc)
             else:
                 compiled = instr.try_add_watchpoint(self, nodes)
         # Compiled: the condition evaluates in C and _fire is called
         # on hit cycles.
-        self._bound = None if compiled else self.condition.bind(probe_of)
+        if not compiled:
+            self._bind()
         sim._watchpoints.append(self)
         sim._refresh_observers()
         return self
@@ -472,11 +563,33 @@ class Watchpoint:
     def _snapshot(self):
         return {tap.name: tap.read() for tap in self._taps}
 
+    def _bind(self):
+        """Evaluate the condition from Python, against the values as of
+        now: edges compare with them, and the first sample evaluates
+        everything."""
+        probes = self._probes
+        taps = list({id(p): p for p in probes.values()}.values())
+        at = {id(p): i for i, p in enumerate(taps)}
+        self._read = read_all(taps)
+        self._bound = self.condition.bind(
+            lambda spec: at[id(probes[id(spec)])], self._read())
+        self._last = None
+
     # hot path — called once per cycle while armed
     def sample(self, cycle):
-        if not self._bound.update(cycle):
-            return
-        self._fire(cycle)
+        """Read every tap in one pass; only a cycle on which one of
+        them changed evaluates the condition.  On any other its edges
+        are false, ``value_is`` and ``when`` repeat their last verdict
+        and ``stable_for`` and ``implies_within`` count the cycle —
+        the verdicts of evaluating everything, for less."""
+        values = self._read()
+        if values != self._last:
+            self._last = values
+            hit = self._bound.update(cycle, values)
+        else:
+            hit = self._bound.hold(cycle)
+        if hit:
+            self._fire(cycle)
 
     def _fire(self, cycle):
         """Firing actions, shared between the hook path (via
@@ -531,9 +644,10 @@ class Watchpoint:
 
 def _condition_taps(sim, condition):
     """Resolve every signal spec inside a condition tree, once:
-    returns ``(taps, probe_of)`` — the probes a firing snapshots
-    (de-duplicated by name, declaration order), and the spec -> Probe
-    lookup that C lowering and ``Condition.bind`` use."""
+    returns ``(taps, probes)`` — the probes a firing snapshots
+    (de-duplicated by name, declaration order), and ``{id(spec):
+    Probe}``, the lookup that C lowering and :meth:`Watchpoint._bind`
+    use."""
     taps = []
     seen = set()
     # By identity: the tree keeps its specs alive, and a Signal's
@@ -561,4 +675,4 @@ def _condition_taps(sim, condition):
                 visit(sub)
 
     visit(condition)
-    return taps, lambda spec: probes[id(spec)]
+    return taps, probes

@@ -34,3 +34,25 @@ def lowerings(monkeypatch):
     monkeypatch.setattr(ast_ir.BlockTranslator, "translate",
                         counting_translate)
     return counts
+
+
+@pytest.fixture
+def gcc_runs(monkeypatch, tmp_path):
+    """``["design" | "runtime", ...]``: one entry per gcc run SimJIT
+    makes, from an empty ``.so`` cache and a process that has not loaded
+    the SimJIT runtime yet (a process loads it once, so an earlier test
+    may have)."""
+    from repro.core.simjit import specializer
+    runs = []
+    gcc = specializer._gcc
+
+    def counting_gcc(source, *args):
+        runs.append("runtime" if source == specializer._runtime_c()[0]
+                    else "design")
+        return gcc(source, *args)
+
+    monkeypatch.setenv("SIMJIT_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(specializer, "_gcc", counting_gcc)
+    specializer._runtime.cache_clear()
+    yield runs
+    specializer._runtime.cache_clear()

@@ -42,6 +42,7 @@ from repro.observe import (
     WatchpointHit,
     load_bundle,
 )
+from repro.core.probe import Probe
 from repro.observe.dump import main as dump_main, render
 from repro.resilience import Watchdog, WatchdogTimeout
 from repro.verif import CoSimHarness, CoSimMismatch, RNG
@@ -387,6 +388,182 @@ def test_watch_rejects_non_condition():
     sim = _counter_sim()
     with pytest.raises(TypeError, match="Condition"):
         sim.watch("count")
+
+
+def test_when_needs_a_signal_to_watch():
+    """``when`` calls its predicate only on a cycle where a signal it
+    names changed; with none named it would be called once and then
+    repeat that verdict forever, so it is refused."""
+    with pytest.raises(ValueError, match="at least one signal"):
+        when(lambda: True)
+
+
+# -- watchpoints evaluate only on a change ------------------------------------
+
+
+class _Taps(Model):
+    """Three inputs a watchpoint taps; the test bench drives them."""
+
+    def __init__(s):
+        s.a = InPort(2)
+        s.b = InPort(2)
+        s.c = InPort(1)
+        s.q = OutPort(2)
+
+        @s.tick_rtl
+        def tick():
+            s.q.next = s.a
+
+
+def _reference(cond, read):
+    """The evaluator watchpoints had before they skipped quiet cycles:
+    every node updated every cycle from fresh reads (``read(spec)``)."""
+    kind = type(cond).__name__
+    if kind == "_BoolOp":
+        lhs, rhs = _reference(cond.left, read), _reference(cond.right, read)
+        if cond.op == "and":
+            return lambda cycle: lhs(cycle) & rhs(cycle)
+        return lambda cycle: lhs(cycle) | rhs(cycle)
+    if kind == "_Not":
+        inner = _reference(cond.inner, read)
+        return lambda cycle: not inner(cycle)
+    if kind == "_Edge":
+        state = {"prev": read(cond.spec)}
+
+        def edge(cycle):
+            prev, value = state["prev"], read(cond.spec)
+            state["prev"] = value
+            if cond.direction == "rose":
+                return prev == 0 and value != 0
+            if cond.direction == "fell":
+                return prev != 0 and value == 0
+            return value != prev
+        return edge
+    if kind == "_ValueIs":
+        return lambda cycle: read(cond.spec) in cond.values
+    if kind == "_When":
+        return lambda cycle: bool(cond.fn(*map(read, cond.specs)))
+    if kind == "_StableFor":
+        state = {"prev": read(cond.spec), "streak": 0}
+
+        def stable(cycle):
+            value = read(cond.spec)
+            if value == state["prev"]:
+                state["streak"] += 1
+            else:
+                state["prev"], state["streak"] = value, 0
+            return state["streak"] == cond.n
+        return stable
+    ant = _reference(cond.antecedent, read)
+    con = _reference(cond.consequent, read)
+    pending = []
+
+    def implies(cycle):
+        if con(cycle) and pending:
+            pending.pop(0)
+        if ant(cycle):
+            pending.append(cycle + cond.n)
+        if pending and cycle >= pending[0]:
+            pending.pop(0)
+            return True
+        return False
+    return implies
+
+
+_SPECS = ("a", "b", "c", "a[1]")        # "a[1]": a slice, read by a probe
+
+
+def _condition(tree, model):
+    """The condition a drawn ``tree`` describes, over ``model``'s taps."""
+    def spec(name):
+        return model.a[1] if name == "a[1]" else name
+
+    kind, *args = tree
+    if kind in ("rose", "fell", "changed"):
+        return {"rose": rose, "fell": fell, "changed": changed}[kind](
+            spec(args[0]))
+    if kind == "value_is":
+        return value_is(spec(args[0]), *args[1])
+    if kind == "when":
+        return when(lambda *v: sum(v) % 3 == 0, *map(spec, args[0]))
+    if kind == "stable_for":
+        return stable_for(spec(args[0]), args[1])
+    if kind == "not":
+        return ~_condition(args[0], model)
+    if kind == "implies":
+        return implies_within(_condition(args[0], model),
+                              _condition(args[1], model), args[2])
+    lhs, rhs = _condition(args[0], model), _condition(args[1], model)
+    return lhs & rhs if kind == "and" else lhs | rhs
+
+
+def _condition_trees():
+    from hypothesis import strategies as st
+    name = st.sampled_from(_SPECS)
+    leaf = st.one_of(
+        st.tuples(st.sampled_from(["rose", "fell", "changed"]), name),
+        st.tuples(st.just("value_is"), name,
+                  st.lists(st.integers(0, 3), min_size=1, max_size=2)),
+        st.tuples(st.just("when"), st.lists(name, min_size=1, max_size=3)),
+        st.tuples(st.just("stable_for"), name, st.integers(1, 4)))
+    return st.recursive(leaf, lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["and", "or"]), kids, kids),
+        st.tuples(st.just("not"), kids),
+        st.tuples(st.just("implies"), kids, kids, st.integers(1, 4))),
+        max_leaves=6)
+
+
+def _value_traces():
+    """Rows of (a, b, c), each held for 1-5 cycles: most cycles change
+    no tap."""
+    from hypothesis import strategies as st
+    row = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1),
+                    st.integers(1, 5))
+    return st.lists(row, min_size=1, max_size=30)
+
+
+def _settings():
+    from hypothesis import settings
+    fuzz = settings.get_profile("fuzz")
+    return fuzz if settings.default is fuzz else settings(
+        derandomize=True, deadline=None, max_examples=60)
+
+
+def test_quiet_cycles_give_the_verdicts_of_evaluating_everything():
+    """A watchpoint evaluates its condition only on a cycle where one of
+    its taps changed.  On a condition tree and a value trace drawn at
+    random, it fires on exactly the cycles where evaluating every node
+    on every cycle fires — one, two and three taps, whole nets and a
+    slice."""
+    # The observe CI job installs no hypothesis; tier-1 runs this.
+    given = pytest.importorskip("hypothesis").given
+
+    @_settings()
+    @given(tree=_condition_trees(), trace=_value_traces())
+    def check(tree, trace):
+        model = _Taps().elaborate()
+        sim = SimulationTool(model)
+        sim.reset()
+        cond = _condition(tree, model)
+        wp = sim.watch(cond)
+        probes = {}
+
+        def read(spec):
+            if id(spec) not in probes:
+                probes[id(spec)] = Probe.resolve(sim, spec)
+            return probes[id(spec)].read()
+
+        reference, want = _reference(cond, read), []
+        for a, b, c, hold in trace:
+            model.a.value, model.b.value, model.c.value = a, b, c
+            for _ in range(hold):
+                sim.cycle()
+                if reference(sim.ncycles):
+                    want.append(sim.ncycles)
+        assert wp._bound is not None
+        assert wp.fire_cycles() == want, cond.describe()
+
+    check()
 
 
 # -- substrate equivalence ----------------------------------------------------

@@ -262,6 +262,7 @@ def test_engine_and_recorder_memory_is_freed_with_its_owner(monkeypatch):
     import gc
 
     from repro.components import Register
+    from repro.core.simjit import instrument
     libs = []
     load = SimJITRTL._load
 
@@ -269,7 +270,10 @@ def test_engine_and_recorder_memory_is_freed_with_its_owner(monkeypatch):
         libs.append(_CountingLib(load(self, lib_path)))
         return libs[-1]
 
+    # ``obs_t`` is the runtime's, which every design shares.
+    runtime = _CountingLib(instrument._runtime())
     monkeypatch.setattr(SimJITRTL, "_load", counting_load)
+    monkeypatch.setattr(instrument, "_runtime", lambda: runtime)
     top = SimJITRTL(Register(8).elaborate()).specialize().elaborate()
     sim = SimulationTool(top)
     sim.reset()
@@ -277,10 +281,10 @@ def test_engine_and_recorder_memory_is_freed_with_its_owner(monkeypatch):
     sim.run(3)
     assert sim._jit_instr.active
     lib, = libs
-    assert lib.freed == []
+    assert lib.freed == runtime.freed == []
     del sim, top
     gc.collect()
-    assert sorted(lib.freed) == ["inst", "obs"]
+    assert (lib.freed, runtime.freed) == (["inst"], ["obs"])
 
 
 def test_restore_raw_refuses_another_designs_blob():
@@ -422,3 +426,58 @@ def test_library_is_unloaded_with_its_last_engine():
     del spec, top
     gc.collect()
     assert not mapped(path)
+
+
+# -- the SimJIT runtime -------------------------------------------------------
+
+
+def test_simulating_tiles_never_loads_the_runtime(monkeypatch):
+    """Only compiled instrumentation and the compiled test bench need
+    the runtime: the nineteen ``Tile(levels, jit=True)`` built and run
+    to ``done`` load none, and a design's C defines neither."""
+    from repro.accel import Tile, mvmult_data, mvmult_xcel
+    from repro.accel.kernels import Y_BASE
+    from repro.core.simjit import instrument, specializer
+    from repro.proc import assemble
+    from tests.test_simjit_golden import TILE_LEVELS
+
+    loads = []
+
+    def no_runtime():
+        loads.append("runtime")
+        raise AssertionError("the SimJIT runtime was loaded")
+
+    for module in (specializer, instrument):
+        monkeypatch.setattr(module, "_runtime", no_runtime)
+    words = assemble(mvmult_xcel(2, 4))
+    data, expected = mvmult_data(2, 4, seed=1)
+    for levels in TILE_LEVELS:
+        tile = Tile(levels, jit=True).elaborate()
+        tile.mem.load(0, words)
+        for addr, value in data.items():
+            tile.mem.write_word(addr, value)
+        sim = SimulationTool(tile)
+        sim.reset()
+        while not int(tile.proc.done):
+            sim.cycle()
+            assert sim.ncycles < 100_000, levels
+        assert [tile.mem.read_word(Y_BASE + 4 * i)
+                for i in range(2)] == expected, levels
+    assert loads == []
+
+
+def test_runtime_compiles_once_per_process_without_a_cache(monkeypatch,
+                                                           gcc_runs):
+    """``REPRO_SIMJIT_CACHE=0`` compiles every build anew, and the
+    runtime once per process: two benches and two compiled recorders
+    are one runtime."""
+    monkeypatch.setenv("REPRO_SIMJIT_CACHE", "0")
+    for _ in range(2):
+        net = SimJITRTL(MeshNetworkStructural(
+            RouterRTL, 4, 256, 32, 2).elaborate()).specialize().elaborate()
+        harness = NetworkTrafficHarness(net, seed=1)
+        assert harness.run_uniform_random(0.3, 30).driver == "compiled"
+        recorder = harness.sim.flight_recorder(["in_[0].val"], depth=8)
+        assert recorder._cidx is not None
+        harness.sim.run(5)
+    assert gcc_runs == ["design", "runtime", "design"]

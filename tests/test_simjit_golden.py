@@ -6,8 +6,9 @@ three RTL meshes under ``SimJITRTL``, the mesh4 pair the hash-seed test
 builds under ``SimJITCL`` and a ``RouterCL`` mesh16 (``tick_cl`` blocks
 bound to their bodies, CL state as holes), every engine of the nineteen
 ``Tile(levels, jit=True)`` configurations, the jit points of the three
-DUT builders and the seven ``test_simjit_share`` rows.  The C text is
-the ``.so`` cache key, so a refactor of how it is produced must leave
+DUT builders and the seven ``test_simjit_share`` rows.  None of them
+holds the SimJIT runtime (``runtime.c``).  The C text is the ``.so``
+cache key, so a refactor of how it is produced must leave
 every entry as it is (new rows for a refactor are written by the code
 it replaces: run ``--write`` on the parent with these designs).  A
 change that alters the generated C on purpose regenerates the table and
@@ -79,9 +80,9 @@ def _designs():
     return designs
 
 
-def _shas(name, build):
-    """``{"<name> <engine> <class>": sha256}`` of every C source
-    ``build()`` compiles, in the order it compiles them."""
+def _sources(name, build):
+    """``{"<name> <engine> <class>": C source}`` of everything
+    ``build()`` compiles, in the order it compiles it."""
     sources = []
     compile_ = _Specializer._compile
 
@@ -94,8 +95,12 @@ def _shas(name, build):
         build()
     finally:
         _Specializer._compile = compile_
-    return {f"{name} {i} {cls}": hashlib.sha256(src.encode()).hexdigest()
-            for i, (cls, src) in enumerate(sources)}
+    return {f"{name} {i} {cls}": src for i, (cls, src) in enumerate(sources)}
+
+
+def _shas(name, build):
+    return {key: hashlib.sha256(src.encode()).hexdigest()
+            for key, src in _sources(name, build).items()}
 
 
 def _golden():
@@ -108,7 +113,12 @@ def test_generated_c_matches_the_golden_table(name):
     want = {key: sha for key, sha in _golden().items()
             if key.rsplit(" ", 2)[0] == name}
     assert want, f"{name} is not in {GOLDEN}"
-    assert _shas(name, _designs()[name]) == want
+    sources = _sources(name, _designs()[name])
+    assert {key: hashlib.sha256(src.encode()).hexdigest()
+            for key, src in sources.items()} == want
+    # The SimJIT runtime (runtime.c) is no design's.
+    for key, src in sources.items():
+        assert "obs_" not in src and "tb_uniform" not in src, key
 
 
 def test_the_table_covers_every_tile_engine():

@@ -314,6 +314,36 @@ def test_specializer_emits_compile_span_with_phases():
             assert lo <= rec["ts"] <= rec["ts"] + rec["dur"] <= hi
 
 
+def test_runtime_load_is_one_span_per_process(gcc_runs):
+    """A process finds or builds the SimJIT runtime once, inside one
+    ``simjit.runtime`` span: on an empty cache the first compiled
+    traffic run shows it with the gcc time inside (``cache_hit``
+    False), later runs show none, and a new process on the warm cache
+    shows it once more, a hit."""
+    from repro.core.simjit import auto_specialize, specializer
+    from repro.net import MeshNetworkStructural, NetworkTrafficHarness
+    from repro.net import RouterRTL
+
+    def runtime_spans(runs):
+        tracer = tracing.arm()
+        for seed in range(runs):
+            net = auto_specialize(
+                MeshNetworkStructural(RouterRTL, 4, 256, 32, 2))
+            stats = NetworkTrafficHarness(
+                net.elaborate(), seed=seed).run_uniform_random(0.3, 40)
+            assert stats.driver == "compiled"
+        tracing.disarm()
+        return [rec["args"] for rec in tracer.events
+                if rec["name"] == "simjit.runtime"]
+
+    assert runtime_spans(2) == [{"cache_hit": False}]
+    assert gcc_runs == ["design", "runtime"]
+    assert runtime_spans(1) == []
+    specializer._runtime.cache_clear()      # as a new process would
+    assert runtime_spans(1) == [{"cache_hit": True}]
+    assert gcc_runs == ["design", "runtime"]
+
+
 def test_watchdog_fire_emits_instant():
     tracer = tracing.arm()
     sim = SimulationTool(_TickModel().elaborate())

@@ -19,8 +19,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationTool
-from repro.core.simjit import SimJITCL, SimJITRTL
-from repro.core.simjit.cgen import TB_FULL, TB_WORDS
+from repro.core.simjit import SimJITCL, SimJITRTL, specializer
 from repro.net import MeshNetworkStructural, RouterCL, RouterRTL, traffic
 from repro.net.traffic import NetworkTrafficHarness
 from repro.resilience.warnings import ResilienceWarning
@@ -38,6 +37,11 @@ _SETTINGS = settings(
     phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 _SPECIALIZERS = {RouterRTL: SimJITRTL, RouterCL: SimJITCL}
+
+# ``tb_uniform``'s return codes, from the runtime's declarations (which
+# needs no runtime built).
+TB_WORDS, TB_FULL = map(specializer._interface("").integer_const,
+                        ("TB_WORDS", "TB_FULL"))
 
 
 def _harness(router=RouterRTL, nrouters=4, seed=1, data_nbits=32, **sim_args):
@@ -189,6 +193,22 @@ def test_rate_on_a_drawn_value():
         _assert_same(_visible(compiled, got), _visible(python, want), rate)
         injected.append(python.net.in_[0].val == 1)
     assert injected == [False, True]
+
+
+# -- one runtime for every design -----------------------------------------
+
+
+def test_two_designs_compile_one_runtime(gcc_runs):
+    """``tb_uniform`` is the SimJIT runtime's, not the design's: two
+    distinct meshes that both run it are three gcc runs on an empty
+    cache (each design, and the runtime once), and a new process on the
+    warm cache makes none."""
+    for _ in range(2):
+        for router in (RouterRTL, RouterCL):
+            stats = _harness(router).run_uniform_random(0.3, 30)
+            assert (stats.driver, stats.ejected > 0) == ("compiled", True)
+        assert sorted(gcc_runs) == ["design", "design", "runtime"]
+        specializer._runtime.cache_clear()      # as a new process would
 
 
 # -- refusals: the Python loop runs, and says why -------------------------
