@@ -24,16 +24,18 @@ is added.  This bench quantifies that on an RTL mesh:
   asserted budget is ``MAX_JIT_SLOWDOWN`` (2x full, 3x quick) — the
   pre-compiled hook path measured ~1000x here.
 
-``off`` vs ``recorder`` uses paired alternating reps (the honest way
-to resolve a 5% difference under host-frequency drift).
+``recorder`` and ``watchpoints`` are each paired with alternating
+reps against an ``off`` sim of their own (the honest way to resolve a
+5% difference under host-frequency drift), and each slowdown is that
+pair's ratio.
 ``BENCH_QUICK=1`` shrinks the mesh and rep lengths for CI smoke runs.
 Results land in ``benchmarks/results/BENCH_observe.json``.
 """
 
 import os
 
-from common import (best_of, best_of_paired, build_jit_network,
-                    format_table, write_json_result, write_result)
+from common import (best_of_paired, build_jit_network, format_table,
+                    write_json_result, write_result)
 from repro import SimulationTool, set_telemetry_enabled
 from repro.observe import implies_within, rose, stable_for
 
@@ -78,8 +80,11 @@ def _build_sim():
     sim = SimulationTool(net, sched="static")
     assert sim._kernel is not None
     sim.reset()
-    # Standing traffic so the recorded signals actually toggle — an
-    # idle mesh would make change compression trivially cheap.
+    # Standing traffic: terminal 0 offers a packet for the last router
+    # every cycle, so the mesh is never idle.  No tapped signal toggles
+    # on it (port 0's grant and hold stay 0 in the first six routers):
+    # the recorder and watchpoint rows measure the quiet path, one read
+    # of the taps per cycle with nothing to record or evaluate.
     dest_shift = net.msg_type.field_slice("dest")[0]
     for port in net.out:
         port.rdy.value = 1
@@ -117,6 +122,7 @@ def _paired(fn_a, fn_b):
 
 def test_observe_overhead(benchmark):
     entries = []
+    paired_off = {}     # config -> the off rate it was paired against
 
     def run_all():
         sim_off = _build_sim()
@@ -147,9 +153,12 @@ def test_observe_overhead(benchmark):
             implies_within(rose("routers[0].grant_val[0]"),
                            rose("routers[0].hold_val[0]"), 1 << 20),
             name="grant-held")
-        wp_cycles, wp_cps = best_of(sim_wp.run, REPS, MIN_REP_SECONDS)
-        entries.append({"config": "watchpoints", "cycles": wp_cycles,
-                        "cycles_per_sec": wp_cps, "n_watchpoints": 3})
+        # Paired like the recorder, against a fresh uninstrumented sim.
+        wpt = _paired(_build_sim().run, sim_wp.run)
+        paired_off["watchpoints"] = wpt.cps_a
+        entries.append({"config": "watchpoints", "cycles": wpt.ncycles,
+                        "cycles_per_sec": wpt.cps_b, "n_watchpoints": 3,
+                        "pair_spread": wpt.pair_spread})
 
         # Compiled substrate: the identical recorder lowered into the
         # SimJIT kernel, paired against the uninstrumented C rate.
@@ -182,7 +191,8 @@ def test_observe_overhead(benchmark):
             slowdown = jit_base / entry["cycles_per_sec"]
             entry["slowdown_vs_jit_off"] = slowdown
         else:
-            slowdown = base / entry["cycles_per_sec"]
+            slowdown = (paired_off.get(entry["config"], base)
+                        / entry["cycles_per_sec"])
             entry["slowdown_vs_off"] = slowdown
         rows.append([
             entry["config"], entry["cycles"],

@@ -24,6 +24,18 @@ for the 65-bit memory messages) of the instance struct ``inst_t``:
   when the design has none); a variable is the elements from its
   ``state_off[]`` entry on.
 
+Before an edge only input ports can have changed since the last
+settle, so that settle — ``cycle``'s first, and ``eval_comb`` — is
+``settle_inputs``: it compares each input slot with the value the last
+settle saw (``in_last``, kept beside ``inst_t``) and runs only the comb
+blocks the changed ports reach.  The specializer lists those per port
+(``in_cone[]`` from ``in_cone_off[]``) and prints ``run_input_blocks``,
+one ``if (run[k])`` guarded call per block some port reaches, in
+schedule order; ``run_comb_blocks`` stays the one unguarded pass, which
+the settle after an edge runs.  A write behind the settle's back
+(``set_net``, ``set_state_at``, ``load_inst``) clears ``settled``, and
+the next input settle runs every block.
+
 The Python boundary is bulk and change-detected: ``push_inputs``
 stores every input port from one array, ``pull_changed`` returns
 ``(port index, lo, hi)`` only for output ports that differ from what
@@ -131,11 +143,12 @@ static inline int64_t py_floordiv(int64_t a, int64_t b) {
 }
 """
 
-# The instance struct, the port/flop slot tables, ``settle()`` and the
-# block runners are emitted by the specializer (it knows the CL state
-# variables and the kernel shape); every generated function takes an
-# `inst_t *I`, so multiple instances of the same compiled model never
-# share state.
+# The instance struct, the port/flop slot tables, ``settle()``, the
+# block runners and the input cones (``in_cone_off[]``/``in_cone[]``,
+# ``run_input_blocks``) are emitted by the specializer (it knows the CL
+# state variables, the nets and the kernel shape); every generated
+# function takes an `inst_t *I`, so multiple instances of the same
+# compiled model never share state.
 C_API = r"""
 /* ---- clock edge ---- */
 
@@ -152,14 +165,50 @@ static inline void clock_edge(inst_t *I) {
 
 /* ---- external API (cffi) ---- */
 
-/* The output shadow sits behind inst_t so that every entry point can
-   cast the handle to inst_t* and the checkpoint blob stays the bare
-   inst_t. */
+/* The output shadow and the input settle's state sit behind inst_t so
+   that every entry point can cast the handle to inst_t* and the
+   checkpoint blob stays the bare inst_t. */
 typedef struct {
     inst_t inst;
     u128 out_last[NOUT + 1];
     int out_synced;
+    u128 in_last[NIN + 1];
+    int settled;
 } box_t;
+
+/* ---- the input settle ---- */
+
+/* The settle before an edge, and eval_comb's.  Only input slots can
+   have changed since the last settle, so while the state is settled
+   for the input values in_last, only the comb blocks that the changed
+   ports reach run: in_cone lists them per port, run_input_blocks runs
+   the marked ones in schedule order.  No port changed, no block runs.
+   Whatever writes the state behind the settle's back (set_net,
+   set_state_at, load_inst) clears settled, as a new instance starts,
+   and the next input settle is settle(). */
+static int settle_inputs(box_t *B) {
+    inst_t *I = &B->inst;
+    unsigned char run[NINBLK + 1];
+    int changed = 0, r = 1;
+    if (!B->settled) {
+        r = settle(I);
+        for (int i = 0; i < NIN; i++)
+            B->in_last[i] = I->cur[in_slot[i]];
+    } else {
+        memset(run, 0, sizeof(run));
+        for (int i = 0; i < NIN; i++) {
+            u128 v = I->cur[in_slot[i]];
+            if (v == B->in_last[i]) continue;
+            B->in_last[i] = v;
+            for (int k = in_cone_off[i]; k < in_cone_off[i + 1]; k++)
+                run[in_cone[k]] = 1;
+            changed = 1;
+        }
+        if (changed) r = run_input_blocks(I, run);
+    }
+    B->settled = r >= 0;
+    return r;
+}
 
 void *new_instance(void) {
     box_t *B = (box_t *)calloc(1, sizeof(box_t));
@@ -174,6 +223,7 @@ void free_instance(void *p) {
 void set_net(void *p, int idx, uint64_t lo, uint64_t hi) {
     inst_t *I = (inst_t *)p;
     I->cur[idx] = (((u128)hi << 64) | lo) & mask_of(net_width[idx]);
+    ((box_t *)p)->settled = 0;
 }
 
 void get_net(void *p, int idx, uint64_t *out) {
@@ -217,14 +267,15 @@ void resync_outputs(void *p) {
 }
 
 int eval_comb(void *p) {
-    return settle((inst_t *)p);
+    return settle_inputs((box_t *)p);
 }
 
 int cycle(void *p, int n) {
     inst_t *I = (inst_t *)p;
     /* Each edge leaves the state settled, so only the first cycle of
-       a batch needs its own pre-edge settle. */
-    if (settle(I) < 0) return -1;
+       a batch needs its own pre-edge settle, and only for the inputs
+       written since. */
+    if (settle_inputs((box_t *)p) < 0) return -1;
     for (int i = 0; i < n; i++) {
         clock_edge(I);
         if (settle(I) < 0) return -1;
@@ -238,6 +289,7 @@ int64_t get_state_at(void *p, int idx, int elem) {
 
 void set_state_at(void *p, int idx, int elem, int64_t value) {
     state_poke_at((inst_t *)p, idx, elem, value);
+    ((box_t *)p)->settled = 0;
 }
 
 /* Checkpoint/restore: inst_t is a flat POD struct (net arrays + plain
@@ -253,6 +305,7 @@ void save_inst(void *p, char *buf) {
 
 void load_inst(void *p, const char *buf) {
     memcpy(p, buf, sizeof(inst_t));
+    ((box_t *)p)->settled = 0;
 }
 
 /* ---- for the SimJIT runtime (runtime.c) ---- */
@@ -295,6 +348,17 @@ static inline int settle(inst_t *I) {
         if (iters > 64) return -1;   /* combinational loop */
     } while (memcmp(I->prev, I->cur, sizeof(I->cur)) != 0);
     return iters;
+}
+"""
+
+# ``run_input_blocks`` of the fixpoint shape (the single-pass one is
+# printed by the specializer, a guarded call per block).
+C_INPUT_FIXPOINT = r"""
+/* A fixpoint settles all or nothing: every input port's cone is the
+   one entry, settle(). */
+static int run_input_blocks(inst_t *I, const unsigned char *run) {
+    (void)run;
+    return settle(I);
 }
 """
 

@@ -7,7 +7,9 @@ per block body, :mod:`repro.core.bodies`), emit a single C translation unit
 :mod:`.cgen`: the 832 blocks of a 64-router mesh are five functions,
 each called with one instance's slot/constant tables — the
 combinational blocks in the order
-:func:`~repro.core.scheduling.build_schedule` gives them),
+:func:`~repro.core.scheduling.build_schedule` gives them, and, per
+input port, the comb blocks a change of it reaches over the same
+read/write nets, so the settle before an edge runs only those),
 compile it with gcc, load it through cffi (whose parse of the
 interface declarations is paid once per process, :func:`_interface`), and
 hand back a drop-in :class:`JITModel` exposing the original port
@@ -543,6 +545,8 @@ class _Specializer:
             info = self.kernel_info
             sp.set(cache_hit=bool(self.overheads.get("cache_hit")),
                    functions=info["functions"], bodies=info["bodies"],
+                   input_blocks=info["input_blocks"],
+                   input_cone_max=info["input_cone_max"],
                    c_source_bytes=len(self.c_source))
             return wrapper
 
@@ -555,10 +559,11 @@ class _Specializer:
 
         with _Timer(self.overheads, "veri"):
             combs, ticks = self._lower_blocks(model)
-            comb_order, residue = self._order_comb(combs)
+            comb_order, residue, comb_nets = self._order_comb(combs)
 
         with _Timer(self.overheads, "cgen"):
-            c_source = self._emit(model, comb_order, residue, ticks)
+            c_source = self._emit(model, comb_order, residue, ticks,
+                                  comb_nets)
 
         with _Timer(self.overheads, "comp"):
             lib_path, cache_hit = self._compile(c_source)
@@ -689,17 +694,14 @@ class _Specializer:
     def _order_comb(self, combs):
         """Order the comb blocks with the simulator's static scheduler.
 
-        Returns ``(order, residue)``: ``residue`` counts the blocks one
-        pass in that order cannot settle — those ``build_schedule``
+        Returns ``(order, residue, nets)``: ``residue`` counts the blocks
+        one pass in that order cannot settle — those ``build_schedule``
         demotes (in a combinational cycle, or reading through one
         signal a net they write through another), or every block when
         scheduling is switched off.  Any residue makes ``settle()`` a
-        fixpoint over the whole order."""
-        if not self.schedule:
-            # Ablation mode: declaration order, rely on the fixpoint
-            # loop alone (more passes per eval).
-            return list(combs), len(combs)
-
+        fixpoint over the whole order.  ``nets`` is, per block of
+        ``order``, the ``(reads, writes)`` nets it depends on and
+        drives."""
         infos = []
         for i, blk in enumerate(combs):
             written = {id(sig): sig for sig in blk.writes}
@@ -710,16 +712,42 @@ class _Specializer:
                     if id(sig) not in written}
             infos.append((i, nets_of(read.values()),
                           nets_of(written.values()), True))
+        if not self.schedule:
+            # Ablation mode: declaration order, rely on the fixpoint
+            # loop alone (more passes per eval).
+            return list(combs), len(combs), [info[1:3] for info in infos]
         sched = build_schedule(infos)
-        order = [combs[i] for i in sched.order + sched.event_funcs]
-        return order, len(sched.event_funcs)
+        order = sched.order + sched.event_funcs
+        return ([combs[i] for i in order], len(sched.event_funcs),
+                [infos[i][1:3] for i in order])
+
+    @staticmethod
+    def _input_cones(in_nets, comb_nets):
+        """Per input port net, the comb blocks (positions in schedule
+        order, ascending) a change of it reaches: the blocks that read
+        it, the blocks that read what those write, and so on — one walk
+        over a readers map per port."""
+        readers = {}
+        for j, (reads, _) in enumerate(comb_nets):
+            for net in reads:
+                readers.setdefault(id(net), []).append(j)
+        cones = []
+        for net in in_nets:
+            seen, stack = set(), [net]
+            while stack:
+                for j in readers.get(id(stack.pop()), ()):
+                    if j not in seen:
+                        seen.add(j)
+                        stack.extend(comb_nets[j][1])
+            cones.append(sorted(seen))
+        return cones
 
     # -- emission ---------------------------------------------------------------------
 
-    def _emit(self, model, comb_order, residue, ticks):
-        from .cgen import (C_API, C_PRELUDE, C_SETTLE_FIXPOINT,
-                           C_SETTLE_SINGLE_PASS, C_STATE_NONE,
-                           C_STATE_TABLE)
+    def _emit(self, model, comb_order, residue, ticks, comb_nets):
+        from .cgen import (C_API, C_INPUT_FIXPOINT, C_PRELUDE,
+                           C_SETTLE_FIXPOINT, C_SETTLE_SINGLE_PASS,
+                           C_STATE_NONE, C_STATE_TABLE)
 
         # CL state is namespaced per model instance (``_state_key``);
         # ``state_index`` (sorted by that name) is its (STATE, idx, elem)
@@ -769,7 +797,8 @@ class _Specializer:
         # the nets the clock edge flops.
         flop_slots = sorted({
             self._slot_of(sig) for blk in ticks for sig in blk.writes})
-        in_slots = [self._slot_of(sig) for sig in model.get_inports()]
+        in_ports = model.get_inports()
+        in_slots = [self._slot_of(sig) for sig in in_ports]
         out_slots = [self._slot_of(sig) for sig in model.get_outports()]
         for macro, table, slots in (("NIN", "in_slot", in_slots),
                                     ("NOUT", "out_slot", out_slots),
@@ -778,6 +807,23 @@ class _Specializer:
             parts.append(
                 f"#define {macro} {len(slots)}\n"
                 f"static const int {table}[] = {{{body}}};")
+
+        # The input settle (cgen's settle_inputs): the comb blocks each
+        # input port reaches, as positions in the list run_input_blocks
+        # guards.  A fixpoint settles all or nothing, so there every
+        # port reaches every block and the list is the one settle().
+        ncomb = len(comb_order)
+        if residue:
+            cones = [[0] for _ in in_slots]
+            reach = [ncomb] * len(in_slots)
+            union = range(ncomb) if in_slots else ()
+        else:
+            cones = self._input_cones(
+                [sig._net.find() for sig in in_ports], comb_nets)
+            reach = list(map(len, cones))
+            union = sorted(set().union(*cones))
+            at = {j: k for k, j in enumerate(union)}
+            cones = [[at[j] for j in cone] for cone in cones]
         self.kernel_info = {
             "comb": "fixpoint" if residue else "single-pass",
             "residue_blocks": residue,
@@ -787,11 +833,12 @@ class _Specializer:
             "blocks": len(calls),
             "functions": backend.nfunctions,
             "bodies": len(self._bodies),
+            "input_blocks": len(union),
+            "input_cone_max": max(reach, default=0),
         }
 
         parts.extend(block_c)
 
-        ncomb = len(comb_order)
         for runner, stmts in (("run_comb_blocks", calls[:ncomb]),
                               ("run_tick_blocks", calls[ncomb:])):
             body = "\n".join(f"  {call}" for call in stmts)
@@ -801,6 +848,30 @@ class _Specializer:
             )
         parts.append(
             C_SETTLE_FIXPOINT if residue else C_SETTLE_SINGLE_PASS)
+
+        offsets, flat = [0], []
+        for cone in cones:
+            flat.extend(cone)
+            offsets.append(len(flat))
+        parts.append(
+            "/* Input port i reaches the run_input_blocks entries listed "
+            "from\n   in_cone[in_cone_off[i]] up to in_cone_off[i + 1]. */\n"
+            f"#define NINBLK {1 if residue else len(union)}\n"
+            f"static const int in_cone_off[NIN + 1] = "
+            f"{{{', '.join(map(str, offsets))}}};\n"
+            f"static const int in_cone[] = "
+            f"{{{', '.join(map(str, flat)) or '0'}}};")
+        if residue:
+            parts.append(C_INPUT_FIXPOINT)
+        else:
+            guarded = "".join(f"  if (run[{k}]) {calls[j]}\n"
+                              for k, j in enumerate(union))
+            parts.append(
+                "/* Every comb block some input port reaches, in schedule "
+                "order, run when\n   settle_inputs marked it. */\n"
+                "static int run_input_blocks(inst_t *I, "
+                "const unsigned char *run) {\n"
+                f"  (void)I; (void)run;\n{guarded}  return 1;\n}}")
 
         # State probe and poke for observability and fault injection
         # from Python, by the (idx, elem) addressing of ``state_index``.

@@ -1022,7 +1022,8 @@ class SimulationTool:
         engines adds a ``simjit`` entry saying what ran where:
         ``engines`` lists every engine in hierarchy order (``model``,
         the ``class`` it replaced, and its kernel's ``blocks``,
-        ``functions``, ``bodies`` and ``comb``),
+        ``functions``, ``bodies``, ``comb``, ``input_blocks`` and
+        ``input_cone_max``),
         ``interpreted`` maps every model ``auto_specialize`` left in
         Python to the first block that kept it there and why.  A SimJIT
         top also has its kernel's shape as flat keys: ``comb`` is
@@ -1034,7 +1035,11 @@ class SimulationTool:
         ``functions`` how many block instances run and how many C
         function bodies they share; ``bodies`` is how many block bodies
         (:mod:`.bodies`) the blocks were bound to — every block an
-        engine compiles, ``tick_cl`` ones included, is bound to one."""
+        engine compiles, ``tick_cl`` ones included, is bound to one.
+        What the pre-edge settle costs: ``input_blocks`` comb blocks
+        some input port reaches (the most it runs), ``input_cone_max``
+        the most one port reaches (a fixpoint kernel settles all or
+        nothing: both are every block)."""
         info = {
             "requested": self._sched_requested,
             "mode": self.sched_mode,
@@ -1066,7 +1071,8 @@ class SimulationTool:
             simjit["engines"] = [
                 {"model": m.full_name(), "class": m._orig_class,
                  **{key: m.jit_engine.kernel_info[key]
-                    for key in ("blocks", "functions", "bodies", "comb")}}
+                    for key in ("blocks", "functions", "bodies", "comb",
+                                "input_blocks", "input_cone_max")}}
                 for m in engines]
             simjit["interpreted"] = {
                 m.full_name(): f"{blk.name}: {reason}"
