@@ -3,10 +3,11 @@
 Provides:
 
 - mesh builders at FL/CL/RTL detail (interpreted or SimJIT-compiled);
-- an all-in-C uniform-random traffic driver generated alongside the
-  SimJIT model — the "efficiency-level-language reference" role played
-  in the paper by hand-written C++ / verilated simulators (DESIGN.md
-  documents this substitution);
+- an all-in-C uniform-random traffic driver, a library of its own
+  that drives a SimJIT model through its instance handle — the
+  "efficiency-level-language reference" role played in the paper by
+  hand-written C++ / verilated simulators (DESIGN.md documents this
+  substitution);
 - result-table helpers that print the rows each figure reports and
   persist them under ``benchmarks/results/``.
 """
@@ -48,12 +49,10 @@ def specializer_for(level):
     return SimJITCL if level == "cl" else SimJITRTL
 
 
-def build_jit_network(level, nrouters, extra_c="", extra_cdef="",
-                      cache=True):
+def build_jit_network(level, nrouters, cache=True):
     """SimJIT-specialized mesh; returns (wrapper_model, specializer)."""
     net = build_network(level, nrouters)
-    spec = specializer_for(level)(
-        net, extra_c=extra_c, extra_cdef=extra_cdef, cache=cache)
+    spec = specializer_for(level)(net, cache=cache)
     wrapper = spec.specialize().elaborate()
     return wrapper, spec
 
@@ -61,12 +60,22 @@ def build_jit_network(level, nrouters, extra_c="", extra_cdef="",
 # -- all-C traffic driver ----------------------------------------------------------
 
 _DRIVER_CDEF = """
-void run_traffic(void *p, int ncycles, int rate_milli, unsigned seed,
-                 int64_t *stats);
+void run_traffic(void *p, int (*cycle)(void *, int), int ncycles,
+                 int rate_milli, unsigned seed, int64_t *stats);
 """
 
 _DRIVER_TEMPLATE = r"""
-/* ---- generated all-C uniform-random traffic driver ---- */
+/* ---- generated all-C uniform-random traffic driver ----
+ *
+ * A library of its own.  It reaches the design the way the SimJIT
+ * runtime does: nets are the u128 array at the start of the instance
+ * handle (every design pins offsetof(inst_t, cur) == 0), and the clock
+ * is the design's cycle, called through a pointer.
+ */
+
+#include <stdint.h>
+
+typedef unsigned __int128 u128;
 
 #define NTERM %(nterm)d
 
@@ -77,16 +86,16 @@ static const int drv_out_msg[NTERM] = {%(out_msg)s};
 static const int drv_out_val[NTERM] = {%(out_val)s};
 static const int drv_out_rdy[NTERM] = {%(out_rdy)s};
 
-void run_traffic(void *p, int ncycles, int rate_milli, unsigned seed,
-                 int64_t *stats) {
-    inst_t *I = (inst_t *)p;
+void run_traffic(void *p, int (*cycle)(void *, int), int ncycles,
+                 int rate_milli, unsigned seed, int64_t *stats) {
+    u128 *cur = (u128 *)p;
     unsigned lcg = seed * 2654435761u + 1u;
     int64_t injected = 0, ejected = 0, lat_sum = 0, lat_n = 0;
     long long pending[NTERM];
     int have[NTERM];
     for (int i = 0; i < NTERM; i++) { have[i] = 0; pending[i] = 0; }
     for (int i = 0; i < NTERM; i++)
-        I->cur[drv_out_rdy[i]] = 1;
+        cur[drv_out_rdy[i]] = 1;
 
     unsigned seq = 0;
     for (int cyc = 0; cyc < ncycles; cyc++) {
@@ -109,22 +118,22 @@ void run_traffic(void *p, int ncycles, int rate_milli, unsigned seed,
                 }
             }
             if (have[i]) {
-                I->cur[drv_in_msg[i]] = (u128)pending[i];
-                I->cur[drv_in_val[i]] = 1;
+                cur[drv_in_msg[i]] = (u128)pending[i];
+                cur[drv_in_val[i]] = 1;
             } else {
-                I->cur[drv_in_val[i]] = 0;
+                cur[drv_in_val[i]] = 0;
             }
         }
         int accepted[NTERM];
         for (int i = 0; i < NTERM; i++)
-            accepted[i] = have[i] && (int)I->cur[drv_in_rdy[i]];
+            accepted[i] = have[i] && (int)cur[drv_in_rdy[i]];
         cycle(p, 1);
         for (int i = 0; i < NTERM; i++)
             if (accepted[i]) have[i] = 0;
         for (int i = 0; i < NTERM; i++) {
-            if ((int)I->cur[drv_out_val[i]]) {
+            if ((int)cur[drv_out_val[i]]) {
                 long long ts =
-                    (long long)(I->cur[drv_out_msg[i]] & 0xFFFFFFFF);
+                    (long long)(cur[drv_out_msg[i]] & 0xFFFFFFFF);
                 ejected++;
                 if (ts) { lat_sum += (cyc + 1) - ts; lat_n++; }
             }
@@ -165,25 +174,26 @@ def make_traffic_driver_source(net, slot_of):
 
 
 def build_c_reference(level, nrouters, cache=True):
-    """Compile mesh + all-C driver; returns a callable
-    run(ncycles, rate, seed) -> dict of stats, plus the specializer."""
+    """Compile the mesh, and the all-C driver over its nets as a library
+    of its own; returns a callable run(ncycles, rate, seed) -> dict of
+    stats, plus the mesh's specializer."""
+    import cffi
+
+    from repro.core.simjit.specializer import _build
+
     net = build_network(level, nrouters)
-    # Slot mapping must match the specializer's (_all_nets order).
-    slot_index = {id(n): i for i, n in enumerate(net._all_nets)}
-
-    def slot_of(sig):
-        return slot_index[id(sig._net.find())]
-
-    driver = make_traffic_driver_source(net, slot_of)
-    spec = specializer_for(level)(
-        net, extra_c=driver, extra_cdef=_DRIVER_CDEF, cache=cache)
-    wrapper = spec.specialize()
-    engine = wrapper.jit_engine
-    stats_buf = engine._ffi.new("int64_t[4]")
+    spec = specializer_for(level)(net, cache=cache)
+    engine = spec.specialize().jit_engine
+    lib_path, _ = _build(make_traffic_driver_source(net, engine.slot_of),
+                         spec.opt, cache)
+    ffi = cffi.FFI()
+    ffi.cdef(_DRIVER_CDEF)
+    driver = ffi.dlopen(lib_path)
+    stats_buf = ffi.new("int64_t[4]")
 
     def run(ncycles, rate, seed=1):
-        engine.lib.run_traffic(
-            engine.inst, ncycles, int(rate * 1000), seed, stats_buf)
+        driver.run_traffic(engine.inst, engine.lib.cycle, ncycles,
+                           int(rate * 1000), seed, stats_buf)
         injected, ejected, lat_sum, lat_n = list(stats_buf)
         return {
             "injected": injected,

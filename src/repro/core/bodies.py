@@ -16,7 +16,11 @@ made, it carries ``python``, the function :mod:`.pygen` prints (or
 every sibling the guards admit), ``c``, the template
 :func:`~.simjit.cgen.c_template` prints with which hole fills each C
 hole, and ``reads`` / ``writes``, the holes the block reads and writes.
-It keeps no instance and goes with the block's code object.  A
+A constant the source and the guards fix is not a hole: it is printed
+as its literal, in both.  ``c`` is SimJIT's unit of code: the blocks
+bound to one body share a C function (unless a constant that varies
+between them does not fit ``int64_t``), and no others do.  A body
+keeps no instance and goes with the block's code object.  A
 ``TranslationError`` has no complete trace to guard it with and is not
 remembered.  This module holds the one ``compile`` / ``exec`` of the
 CPython rung.
@@ -29,7 +33,6 @@ import hashlib
 import linecache
 import re
 import weakref
-from typing import NamedTuple
 
 from .ast_ir import (BlockTranslator, Const, StateRef, TypeUndecided,
                      block_kind)
@@ -179,28 +182,16 @@ def signals(holes, picks):
 # -- the C artifact -----------------------------------------------------------
 
 
-class CBody(NamedTuple):
-    """A body's C template (``text``, hole ``kinds``): C hole ``i`` is
-    row entry ``sources[i]`` of an instance's holes followed by
-    ``literals``."""
+class CBody:
+    """A body's C template (:func:`~.simjit.cgen.c_template`): ``text``,
+    whose C hole ``i`` is of kind ``kinds[i]`` and filled by entry
+    ``sources[i]`` of an instance's holes.  SimJIT files blocks by this
+    object, not by its text."""
 
-    text: str
-    kinds: tuple
-    sources: tuple
-    literals: tuple
+    __slots__ = ("text", "kinds", "sources")
 
-
-def _c_body(ir, hole_of, nholes):
-    text, holes = c_template(ir)
-    literals, sources = [], []
-    for _, leaf in holes:
-        if id(leaf) in hole_of:
-            sources.append(hole_of[id(leaf)])
-        else:               # a Const the source and the guards fix
-            sources.append(nholes + len(literals))
-            literals.append(leaf.value)
-    return CBody(text, tuple(kind for kind, _ in holes), tuple(sources),
-                 tuple(literals))
+    def __init__(self, text, kinds, sources):
+        self.text, self.kinds, self.sources = text, kinds, sources
 
 
 # -- bodies -------------------------------------------------------------------
@@ -252,7 +243,7 @@ def _new_body(blk, kind):
     exec(compile(source, body.filename, "exec"), namespace)
     body.python = namespace.get(func.__name__)
     body.bind = namespace["_bind"]
-    body.c = _c_body(ir, hole_of, len(expected))
+    body.c = CBody(*c_template(ir, hole_of))
     body.reads = tuple(hole_of[id(ref)] for ref in ir.sig_reads)
     body.writes = tuple(hole_of[id(ref)] for ref in ir.sig_writes)
     # The bind is Python's reading of the source, the lowering the

@@ -54,38 +54,39 @@ points; ``edge`` (one clock edge, then ``settle``) exists for it.
 Dynamic signal-list indexing (``s.rf[rd]``) is compiled to a static
 slot lookup table per reference.
 
-**Template, group, tables.**  Each distinct block body is compiled
-once.  :func:`c_template` prints a block as a *template*: its C text
-with a *hole* wherever the text would name something only this
-instance has — a net slot, a CL state offset, the slot table behind a
-dynamic index, an integer ``Const`` (elaboration-time constants such
-as a router's ``my_x`` fold to one).  Everything else is text: widths
-and masks, slice bounds, loop bounds, local names and array sizes,
-operators.  A block body (:mod:`repro.core.bodies`) — RTL or CL —
-prints its template once, when it is lowered, and every instance bound
-to it fills the holes; only a connector, which is not a block, is
-printed from its own two-slot IR.  :meth:`CBackend.add` files a
-template with one instance's hole values: blocks whose template text
-is equal form a group, and text
-equality is the whole proof that they run the same code — a design
-parameter that changes a width or a loop bound changes the text and so
-the group.  :meth:`CBackend.emit_blocks` prints each group once:
+**Template, body, tables.**  Each block body is compiled once.
+:func:`c_template` prints a block as a *template*: its C text with a
+*hole* wherever the text would name something only this instance has —
+a net slot, a CL state offset, the slot table behind a dynamic index,
+an integer ``Const`` the bind reads (elaboration-time constants such as
+a router's ``my_x`` fold to one).  Everything else is text: widths and
+masks, slice and loop bounds, local names and array sizes, operators,
+and a constant the body fixes, printed as its literal.  A block body
+(:mod:`repro.core.bodies`) — RTL or CL — prints its template once, when
+it is lowered, into its C artifact (``CBody``), and every instance
+bound to it fills the holes; a connector, which is not a block and has
+no body, is printed from its own two-slot IR into a ``CBody`` of its
+own.  :meth:`CBackend.add` files a block under its ``CBody``: the
+blocks of one body share a function because they share a body, and the
+body is the one record of that — a design parameter that changes a
+width or a loop bound is a guard, so a second body and a second
+function.  :meth:`CBackend.emit_blocks` prints each body once:
 
-- a hole with one value across the group is the literal it would be in
-  a function of its own (the shared ``reset`` slot, ``% 5``);
+- a hole with one value across the body's blocks is the literal it
+  would be in a function of its own (the shared ``reset`` slot, ``% 5``);
 - a hole that varies reads the member's tables — ``S[i]`` for a slot or
   state offset, ``(S + off)[idx]`` for a dynamic table, ``K[j]`` for a
   constant — and holes whose values agree in every member share an
   entry.  The function is ``f(inst_t *I, const int *S, const int64_t
   *K)`` and the block runners call it once per member, with that
   member's ``static const`` tables, in schedule order;
-- a group of one, or one with a varying constant outside ``int64_t``,
-  prints every hole as its literal in ``f(inst_t *I)``, one function
-  per member — the same code path with nothing to look up, so a design
-  with no repeated body is the text (and the ``.so`` cache key) it
-  would be without sharing.
+- a body of one block, or one with a varying constant outside
+  ``int64_t``, prints every hole as its literal in ``f(inst_t *I)``, one
+  function per block — the same code path with nothing to look up, so
+  a design with no repeated body is the text (and the ``.so`` cache
+  key) it would be without sharing.
 
-Groups, tables and entries appear in first-use order; nothing in the
+Bodies, tables and entries appear in first-use order; nothing in the
 text depends on hashing or object identity.
 """
 
@@ -420,15 +421,27 @@ _MARK = "\x00"
 _INT64_MAX = (1 << 63) - 1
 
 
+def _c_int(value):
+    """An integer constant as C: ``int64_t``, or ``u128`` above it."""
+    if value < 0:
+        return f"((int64_t)({value}LL))"
+    if value > _INT64_MAX:
+        hi, lo = value >> 64, value & ((1 << 64) - 1)
+        return f"((((u128){hi}ULL) << 64) | {lo}ULL)"
+    return f"({value}LL)"
+
+
 class _Template:
     """IR -> C text with holes (:func:`c_template`)."""
 
-    def __init__(self):
-        self.holes = []            # (kind, leaf) per hole
+    def __init__(self, hole_of):
+        self.hole_of = hole_of
+        self.kinds, self.sources = [], []      # per hole
 
     def _hole(self, kind, leaf):
-        self.holes.append((kind, leaf))
-        return f"{_MARK}{len(self.holes) - 1}{_MARK}"
+        self.kinds.append(kind)
+        self.sources.append(self.hole_of[id(leaf)])
+        return f"{_MARK}{len(self.kinds) - 1}{_MARK}"
 
     # -- references ---------------------------------------------------------------
 
@@ -471,7 +484,9 @@ class _Template:
 
     def expr(self, node):
         if isinstance(node, Const):
-            return self._hole(CONST, node)
+            if id(node) in self.hole_of:
+                return self._hole(CONST, node)
+            return _c_int(node.value)      # the source fixes it
         if isinstance(node, SigRead):
             return self.sig_read(node.ref)
         if isinstance(node, StateRead):
@@ -563,12 +578,13 @@ class _Template:
         raise TranslationError(f"cgen: unknown stmt {type(node).__name__}")
 
 
-def c_template(ir):
-    """``(text, holes)``: ``ir``'s function body as a template, with a
-    ``\\0<h>\\0`` marker where hole ``h`` is used, and per hole
-    ``(kind, leaf)``: the ``SigRef``, ``StateRef`` or ``Const`` whose
-    value fills it."""
-    printer = _Template()
+def c_template(ir, hole_of):
+    """``(text, kinds, sources)``: ``ir``'s function body as a template,
+    with a ``\\0<h>\\0`` marker where hole ``h`` is used; hole ``h`` is
+    of kind ``kinds[h]`` and filled by ``sources[h]``, the value
+    ``hole_of`` gives its ``SigRef``, ``StateRef`` or ``Const`` (by
+    ``id``).  A ``Const`` ``hole_of`` does not name is the literal."""
+    printer = _Template(hole_of)
     lines = ["  (void)I;"]
     for name, ltype in ir.locals.items():
         if ltype == "int":
@@ -578,72 +594,51 @@ def c_template(ir):
     for stmt in ir.body:
         lines.append(printer.stmt(stmt, 2))
     lines.append("}")
-    return "\n".join(lines), printer.holes
-
-
-class _Group:
-    """The blocks that lowered to one template.  ``text`` is the body
-    with a ``\\0<h>\\0`` marker wherever hole ``h`` is used and
-    ``kinds[h]`` that hole's kind; block ``m`` of the group is
-    ``names[m]`` with hole values ``values[m]``, called by
-    ``calls[m]`` once the group is printed."""
-
-    __slots__ = ("text", "kinds", "names", "values", "calls")
-
-    def __init__(self, text, kinds):
-        self.text = text
-        self.kinds = kinds
-        self.names = []
-        self.values = []
-        self.calls = []
+    return "\n".join(lines), tuple(printer.kinds), tuple(printer.sources)
 
 
 class CBackend:
-    """Generates one C function per distinct block body.
+    """Generates one C function per block body.
 
-    :meth:`add` files a block's template (:func:`c_template`) with the
-    blocks whose template is equal; :meth:`emit_blocks` then prints
-    every group once."""
+    :meth:`add` files a block under its body's C artifact
+    (:class:`~repro.core.bodies.CBody`, by identity); :meth:`emit_blocks`
+    then prints every body once."""
 
     def __init__(self):
-        self._groups = {}          # template -> _Group, first seen first
-        self._blocks = []          # (group, member) per add
+        self._bodies = {}          # C body -> names, values; first seen first
+        self._blocks = []          # (C body, member) per add
         self._tables = {}          # slots -> name of a literal table
         #: function bodies :meth:`emit_blocks` printed
         self.nfunctions = 0
 
-    def add(self, text, kinds, values, func_name):
-        """File block ``func_name``: a template and this instance's hole
-        ``values`` (a slot or state offset, a tuple of slots, an int)."""
-        # The text does not say how long a dynamic table is, and a
-        # shared body reaches every member's tables at one offset.
-        key = (text, tuple(len(value) for kind, value in zip(kinds, values)
-                           if kind == TABLE))
-        group = self._groups.get(key)
-        if group is None:
-            group = self._groups[key] = _Group(text, kinds)
-        self._blocks.append((group, len(group.names)))
-        group.names.append(func_name)
-        group.values.append(values)
+    def add(self, c, values, func_name):
+        """File block ``func_name``: its C body ``c`` and this instance's
+        hole ``values`` (a slot or state offset, a tuple of slots, an
+        int)."""
+        names, rows = self._bodies.setdefault(c, ([], []))
+        self._blocks.append((c, len(names)))
+        names.append(func_name)
+        rows.append(values)
 
     def emit_blocks(self):
-        """Print every group.  Returns ``(parts, calls)``: the C text
-        (literal lookup tables, then per group its members' tables and
+        """Print every body.  Returns ``(parts, calls)``: the C text
+        (literal lookup tables, then per body its members' tables and
         its function) and one call statement per :meth:`add`, in
         the order added."""
-        parts = []
-        for g, group in enumerate(self._groups.values()):
-            parts.extend(self._emit_group(g, group))
+        parts, calls = [], {}
+        for g, (c, (names, rows)) in enumerate(self._bodies.items()):
+            calls[c] = self._emit_body(g, c, names, rows, parts)
         tables = "\n".join(
             f"static const int {name}[{len(slots)}] = "
             f"{{{', '.join(map(str, slots))}}};"
             for slots, name in self._tables.items())
-        return ([tables] + parts,
-                [group.calls[m] for group, m in self._blocks])
+        return [tables] + parts, [calls[c][m] for c, m in self._blocks]
 
-    def _emit_group(self, g, group):
-        """C text of group ``g``; fills ``group.calls``."""
-        pieces = group.text.split(_MARK)
+    def _emit_body(self, g, c, names, rows, parts):
+        """Append the C text of body ``g`` (``c``, its blocks ``names``
+        with hole values ``rows``) to ``parts``; returns one call
+        statement per block."""
+        pieces = c.text.split(_MARK)
         holes = list(map(int, pieces[1::2]))
 
         def function(signature, printed):
@@ -651,10 +646,10 @@ class CBackend:
             self.nfunctions += 1
             return f"static void {signature} {{\n" + "".join(pieces)
 
-        kinds = group.kinds
-        shared = len(group.names) > 1
+        kinds = c.kinds
+        shared = len(names) > 1
         if shared:
-            columns = list(zip(*group.values))
+            columns = list(zip(*rows))
             varies = [len(set(col)) > 1 for col in columns]
             shared = not any(
                 abs(value) > _INT64_MAX
@@ -663,11 +658,11 @@ class CBackend:
         if not shared:
             # Nothing to share, or a constant K cannot hold: every
             # hole is the literal it always was.
-            group.calls = [f"{name}(I);" for name in group.names]
-            return [function(f"{name}(inst_t *I)",
-                             [self._literal(kind, value)
-                              for kind, value in zip(kinds, values)])
-                    for name, values in zip(group.names, group.values)]
+            parts.extend(function(f"{name}(inst_t *I)",
+                                  [self._literal(kind, value)
+                                   for kind, value in zip(kinds, values)])
+                         for name, values in zip(names, rows))
+            return [f"{name}(I);" for name in names]
 
         # A hole that varies reads the member's tables: S holds slots
         # and, from ``S + off``, the dynamic tables; K the constants.
@@ -687,9 +682,9 @@ class CBackend:
                     s_len += len(s_cols[-1][0])
                 printed.append(f"(S + {s_at[col]})" if kind == TABLE
                                else f"S[{s_at[col]}]")
-        name = group.names[0]
-        tables = []
-        for m in range(len(group.names)):
+        name = names[0]
+        tables, calls = [], []
+        for m in range(len(names)):
             args = []
             for ctype, prefix, row in (
                     ("int", "S",
@@ -702,10 +697,12 @@ class CBackend:
                         f"{{{', '.join(row)}}};")
                 else:
                     args.append("0")
-            group.calls.append(f"{name}(I, {', '.join(args)});")
-        body = function(
-            f"{name}(inst_t *I, const int *S, const int64_t *K)", printed)
-        return ["\n".join(tables), body] if tables else [body]
+            calls.append(f"{name}(I, {', '.join(args)});")
+        if tables:
+            parts.append("\n".join(tables))
+        parts.append(function(
+            f"{name}(inst_t *I, const int *S, const int64_t *K)", printed))
+        return calls
 
     def _literal(self, kind, value):
         """A hole printed as the value itself."""
@@ -713,12 +710,7 @@ class CBackend:
             return str(value)
         if kind == TABLE:
             return self._tables.setdefault(value, f"tbl{len(self._tables)}")
-        if value < 0:
-            return f"((int64_t)({value}LL))"
-        if value > _INT64_MAX:
-            hi, lo = value >> 64, value & ((1 << 64) - 1)
-            return f"((((u128){hi}ULL) << 64) | {lo}ULL)"
-        return f"({value}LL)"
+        return _c_int(value)
 
 
 def _lname(name):

@@ -3,7 +3,7 @@
 ``SimJITRTL`` and ``SimJITCL`` take an elaborated PyMTL-style model,
 bind every behavioral block, RTL or CL, to its body (one IR lowering
 per block body, :mod:`repro.core.bodies`), emit a single C translation unit
-(one net-state array, one function per *distinct* block body — see
+(one net-state array, one function per block body — see
 :mod:`.cgen`: the 832 blocks of a 64-router mesh are five functions,
 each called with one instance's slot/constant tables — the
 combinational blocks in the order
@@ -190,16 +190,14 @@ def _runtime():
     with tracing.span("simjit.runtime") as span:
         lib_path, cache_hit = _build(_runtime_c()[0], _RUNTIME_OPT)
         span.set(cache_hit=cache_hit)
-        return _interface("").dlopen(lib_path)
+        return _interface().dlopen(lib_path)
 
 
 @functools.cache
-def _interface(extra_cdef):
-    """The ``ffi`` every engine whose library exports these declarations
-    — a design's, and with them the runtime's — loads through and
-    allocates from: the text is parsed (pycparser, ~35 ms) once per
-    process and distinct ``extra_cdef``, every later load is one
-    ``dlopen``.
+def _interface():
+    """The ``ffi`` every design's library and the runtime's load through
+    and allocate from: their declarations are parsed (pycparser, ~35 ms)
+    once per process, every later load is one ``dlopen``.
 
     Built through cffi's out-of-line ABI mode — ``cdef`` once, have
     the recompiler print the declarations as a Python module, ``exec``
@@ -210,7 +208,7 @@ def _interface(extra_cdef):
     import cffi
     from cffi import recompiler
     parsed = cffi.FFI()
-    parsed.cdef(C_HEADER_DECLS + _runtime_c()[1] + extra_cdef)
+    parsed.cdef(C_HEADER_DECLS + _runtime_c()[1])
     module = io.StringIO()
     recompiler.make_py_source(parsed, "_simjit_interface", module)
     namespace = {}
@@ -378,8 +376,7 @@ class SimJITEngine:
     def new_bench(self, **fields):
         """A ``tb_t`` for :meth:`tb_uniform` with ``fields`` filled in,
         that clocks this engine through its ``cycle``."""
-        return _interface("").new("tb_t *", dict(fields,
-                                                 cycle=self.lib.cycle))
+        return _interface().new("tb_t *", dict(fields, cycle=self.lib.cycle))
 
     def tb_uniform(self, tb):
         """One call of the compiled uniform-random test bench
@@ -507,14 +504,12 @@ def _clear_parent(attr):
 
 class _Block(NamedTuple):
     """One block as the specializer files it with ``CBackend``: its C
-    template ``text`` and hole ``kinds``, this instance's hole
-    ``values`` (a CL state variable's ``st_m<model>_<attr>`` key until
-    ``_emit`` knows its offset) and the signals it ``reads`` and
-    ``writes``."""
+    body ``c``, this instance's value of each C hole (a CL state
+    variable's ``st_m<model>_<attr>`` key until ``_emit`` knows its
+    offset) and the signals it ``reads`` and ``writes``."""
 
     name: str
-    text: str
-    kinds: tuple
+    c: bodies.CBody
     values: list
     reads: list
     writes: list
@@ -527,13 +522,10 @@ class _Specializer:
     allowed_ticks = ()
     name = "simjit"
 
-    def __init__(self, model, opt="-O2", cache=True, extra_c="",
-                 extra_cdef="", schedule=True):
+    def __init__(self, model, opt="-O2", cache=True, schedule=True):
         self.orig = model
         self.opt = opt
         self.cache = cache
-        self.extra_c = extra_c          # e.g. an all-C bench driver
-        self.extra_cdef = extra_cdef
         self.schedule = schedule        # static comb scheduling on/off
         self.overheads = {}
 
@@ -571,7 +563,7 @@ class _Specializer:
 
         with _Timer(self.overheads, "wrap"):
             lib = self._load(lib_path)
-            engine = SimJITEngine(model, lib, _interface(self.extra_cdef),
+            engine = SimJITEngine(model, lib, _interface(),
                                   self._slots, self.overheads,
                                   self.kernel_info)
             engine.state_index = dict(self._state_index)
@@ -649,15 +641,16 @@ class _Specializer:
                     )
                 ticks.append(self._block(blk))
         for idx, (src, dst) in enumerate(model._connectors):
-            # Not a block: a template printed from the two-slot copy.
-            src_ref, dst_ref = _sigref_from(src), _sigref_from(dst)
+            # Not a block, so no body: a C body of its own, printed
+            # from the two-slot copy.
+            refs = _sigref_from(src), _sigref_from(dst)
             ir = BlockIR(name=f"connector{idx}", kind="comb", model=model)
-            ir.body = [AssignSig(dst_ref, SigRead(src_ref), False)]
-            text, holes = c_template(ir)
+            ir.body = [AssignSig(refs[1], SigRead(refs[0]), False)]
+            c = bodies.CBody(*c_template(
+                ir, {id(ref): i for i, ref in enumerate(refs)}))
             combs.append(_Block(
-                ir.name, text, [kind for kind, _ in holes],
-                [self._slot_of(ref.signal) for _, ref in holes],
-                [src_ref.signal], [dst_ref.signal]))
+                ir.name, c, [self._slot_of(refs[i].signal) for i in c.sources],
+                [refs[0].signal], [refs[1].signal]))
         return combs, ticks
 
     def _block(self, blk):
@@ -670,16 +663,14 @@ class _Specializer:
             raise SpecializationError(
                 f"{self.name} cannot specialize {blk.name}: {exc}") from None
         self._bodies.add(body)
-        c = body.c
         slot = self._slot_of
         row = [tuple(map(slot, hole)) if type(hole) is tuple
                else int(hole) if isinstance(hole, int)
                else self._state_key(blk.model, hole) if type(hole) is str
                else slot(hole)
                for hole in holes]
-        row.extend(c.literals)
-        return _Block(blk.func.__name__, c.text, c.kinds,
-                      [row[s] for s in c.sources],
+        return _Block(blk.func.__name__, body.c,
+                      [row[s] for s in body.c.sources],
                       bodies.signals(holes, body.reads),
                       bodies.signals(holes, body.writes))
 
@@ -759,8 +750,8 @@ class _Specializer:
             state_off.append(state_off[-1] + max(1, size))
         self._state_index = {key: i for i, (key, _) in enumerate(state_list)}
 
-        # One function per distinct block body, called once per block
-        # in schedule order.
+        # One function per block body, called once per block in
+        # schedule order.
         offset_of = dict(zip(self._state_index, state_off))
         backend = CBackend()
         for prefix, blocks in (("comb", comb_order), ("tick", ticks)):
@@ -769,8 +760,7 @@ class _Specializer:
                 if state_list:
                     values = [offset_of[v] if isinstance(v, str) else v
                               for v in values]
-                backend.add(blk.text, blk.kinds, values,
-                            f"{prefix}_{i}_{blk.name}")
+                backend.add(blk.c, values, f"{prefix}_{i}_{blk.name}")
         block_c, calls = backend.emit_blocks()
 
         parts = [C_PRELUDE.replace(
@@ -914,8 +904,6 @@ class _Specializer:
             "  (void)I;\n" + "\n".join(init_lines) + "\n}"
         )
         parts.append(C_API)
-        if self.extra_c:
-            parts.append(self.extra_c)
         return "\n\n".join(parts)
 
     # -- compile / load -----------------------------------------------------------------
@@ -926,7 +914,7 @@ class _Specializer:
         return _build(c_source, self.opt, self.cache)
 
     def _load(self, lib_path):
-        return _interface(self.extra_cdef).dlopen(lib_path)
+        return _interface().dlopen(lib_path)
 
 
 class SimJITRTL(_Specializer):

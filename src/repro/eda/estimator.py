@@ -32,6 +32,7 @@ from ..core.ast_ir import (
     BinOp,
     BoolOp,
     Cmp,
+    Concat,
     Const,
     DeclLocalArray,
     For,
@@ -289,6 +290,11 @@ def _expr_cost(node):
         width = max(w_t, w_e)
         return (ge_c + ge_t + ge_e + 2.5 * width,
                 max(d_c, d_t, d_e) + 1, width)
+    if isinstance(node, Concat):
+        # Concatenation is wiring: its parts side by side.
+        parts = [_expr_cost(expr) for expr, _ in node.parts]
+        return (sum(p[0] for p in parts), max(p[1] for p in parts),
+                sum(width for _, width in node.parts))
     return 0.0, 0.0, 1
 
 

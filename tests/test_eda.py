@@ -32,6 +32,22 @@ def test_multiplier_depth_grows_with_width():
     assert wide.critical_path_levels > narrow.critical_path_levels
 
 
+def test_concat_costs_its_parts_side_by_side():
+    """``concat(a + b, c)`` is the adder's gates and depth, as wide as
+    its parts together: a concatenation adds wires, not gates."""
+    from repro.core.ast_ir import BinOp, Concat, SigRead, SigRef
+    from repro.core.signals import Wire
+    from repro.eda.estimator import _expr_cost
+
+    a, b, c = (SigRead(SigRef([Wire(8)])) for _ in range(3))
+    add_ge, add_depth, _ = _expr_cost(BinOp("+", a, b))
+    assert add_ge > 0 and add_depth > 0
+    cat = Concat([(BinOp("+", a, b), 8), (c, 4)])
+    assert _expr_cost(cat) == (add_ge, add_depth, 12)
+    # The width is what an operator on the concatenation is sized by.
+    assert _expr_cost(BinOp("^", cat, c))[0] == add_ge + 12
+
+
 def test_cache_data_array_uses_sram_model():
     report = estimate(CacheRTL(MemMsg(), MemMsg(), 64).elaborate())
     assert any(m.sram_bits > 0 for m in report.modules)

@@ -331,9 +331,9 @@ _UINT_SIBLINGS = _SIBLINGS.replace("s.in_ + i", "s.in_.uint() + i").replace(
 @pytest.mark.parametrize("how", ["SimJITRTL", "auto_specialize"])
 @pytest.mark.parametrize("b, functions, bodies", [
     (dict(k=9), 2, 2),              # a constant: one function, a K table
-    # A width is a body; it is a function where the text masks at it
-    # (``fill``), not where it only reads whole nets (``comb``).
-    (dict(k=5, width=9), 3, 4),
+    # A width is a body, so it gets its own function, even where the
+    # text never masks at it (``comb`` reads whole nets).
+    (dict(k=5, width=9), 4, 4),
     (dict(k=5, depth=3), 4, 4),     # a dynamic table's length
     (dict(k=5, trips=2), 3, 3),     # and a folded range bound
     (dict(k=1 << 63), 3, 2),        # K is int64_t: one body, two functions
@@ -341,8 +341,8 @@ _UINT_SIBLINGS = _SIBLINGS.replace("s.in_ + i", "s.in_.uint() + i").replace(
 def test_siblings_share_a_c_function_unless_a_guard_differs(
         how, b, functions, bodies):
     """SimJIT's side of the test above: each body prints its C template
-    once, and equal templates share one function through per-instance
-    tables unless a varying constant does not fit ``K``."""
+    once, and the blocks of one body share one function through
+    per-instance tables unless a varying constant does not fit ``K``."""
     Pair = load_generated(_UINT_SIBLINGS)["Pair"]
     sources = []
     if how == "SimJITRTL":

@@ -336,35 +336,6 @@ def test_second_build_in_a_process_parses_no_declarations(monkeypatch):
     assert engines[0].lib is not engines[1].lib
 
 
-_TWO_DRIVERS = [
-    ("int64_t answer(void);", "int64_t answer(void) { return 42; }"),
-    ("int64_t width_of(void *p, int slot);",
-     "int64_t width_of(void *p, int slot)"
-     " { (void)p; return net_width[slot]; }"),
-]
-
-
-def test_each_extra_cdef_has_its_own_declarations():
-    """``extra_cdef`` (the all-C traffic driver of the Fig. 14 c-ref
-    series) is part of what the process-wide declarations are keyed
-    by."""
-    from repro.components import Register
-    libs = []
-    for cdef, source in _TWO_DRIVERS + [("", "")]:
-        spec = SimJITRTL(Register(8).elaborate(),
-                         extra_cdef=cdef, extra_c=source)
-        libs.append(spec.specialize().jit_engine)
-    answer, width, plain = libs
-    assert answer.lib.answer() == 42
-    assert width.lib.width_of(width.inst, width.slot_of(
-        width.model.out)) == 8
-    for engine, missing in ((answer, "width_of"), (width, "answer"),
-                            (plain, "answer"), (plain, "width_of")):
-        with pytest.raises(AttributeError):
-            getattr(engine.lib, missing)
-    assert len({id(e._ffi) for e in libs}) == 3
-
-
 def test_engine_does_not_keep_its_specializer():
     """``engine.slot_of`` was the specializer's bound method, which
     pinned the ``_Specializer`` and its whole ``c_source`` for the

@@ -292,7 +292,8 @@ def test_functions_equal_distinct_shapes(leaves, seed):
     pair = _Pair(lambda: _Chain(
         [_Mix(rounds, width, k) for (rounds, width), k in leaves]))
     assert pair.info["blocks"] == len(leaves)
-    assert pair.info["functions"] == len({shape for shape, _ in leaves})
+    assert pair.info["functions"] == pair.info["bodies"] == len(
+        {shape for shape, _ in leaves})
     pair.run(50, seed)
 
 
@@ -333,6 +334,30 @@ def test_design_without_a_repeated_body_has_no_tables():
     assert len(re.findall(r"^  (?:comb|tick)_\w+\(I\);$", source,
                           re.M)) == 4
     pair.run(30, seed=4)
+
+
+class _Slices(Model):
+    """Two slice connectors of one shape: each output is the high
+    nibble of its input."""
+
+    def __init__(s):
+        s.in_ = [InPort(8) for _ in range(2)]
+        s.out = [OutPort(4) for _ in range(2)]
+        for i in range(2):
+            s.connect(s.in_[i][4:8], s.out[i])
+
+
+def test_a_connector_is_a_function_of_its_own():
+    """A connector is not a block and has no body, so equal text does
+    not make two of them one function."""
+    pair = _Pair(_Slices)
+    source = pair.spec.c_source
+    assert (pair.info["blocks"], pair.info["functions"],
+            pair.info["bodies"]) == (2, 2, 0)
+    functions = _bodies(source)
+    assert sorted(functions) == ["comb_0_connector0", "comb_1_connector1"]
+    assert "*S" not in source
+    pair.run(40, seed=8)
 
 
 def test_sched_info_says_which_path_each_block_took():

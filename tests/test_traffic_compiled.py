@@ -40,7 +40,7 @@ _SPECIALIZERS = {RouterRTL: SimJITRTL, RouterCL: SimJITCL}
 
 # ``tb_uniform``'s return codes, from the runtime's declarations (which
 # needs no runtime built).
-TB_WORDS, TB_FULL = map(specializer._interface("").integer_const,
+TB_WORDS, TB_FULL = map(specializer._interface().integer_const,
                         ("TB_WORDS", "TB_FULL"))
 
 
