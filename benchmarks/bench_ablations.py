@@ -8,8 +8,9 @@ reproduction made, so downstream users can see what each buys:
 2. **gcc optimization level**: compile-time vs simulation-speed
    tradeoff (-O0 / -O1 / -O2), the knob the paper discusses for
    Verilator (-O1 "relatively fast").
-3. **Sensitivity-list inference** (interpreter): AST-inferred lists vs
-   the conservative everything-triggers fallback.
+3. **Sensitivity from block bodies** (event-driven interpreter): each
+   comb block reacts to what its body reads vs. the conservative
+   sensitivity of a block without a body.
 """
 
 import time
@@ -78,18 +79,21 @@ def test_ablation_gcc_opt_level(benchmark):
 
 
 def test_ablation_sensitivity_inference(benchmark):
-    """Replace every comb block's inferred sensitivity list with the
-    conservative fallback (all inports + wires of its model) and
-    measure the interpreted simulator."""
-    from repro.core.elaboration import _fallback_sensitivity
+    """The event-driven interpreter with every comb block sensitive to
+    what its block body reads, vs. the conservative sensitivity of a
+    block without a body (every signal of its model and its children's
+    output ports) — patched in here by refusing every comb block its
+    body."""
+    from repro.core import SimulationTool, simulation
 
     def throughput(conservative):
         net = build_network("rtl", NROUTERS)
-        if conservative:
-            for sub in net._all_models:
-                for blk in sub.get_comb_blocks():
-                    blk.signals = _fallback_sensitivity(sub)
-        harness = NetworkTrafficHarness(net, seed=1)
+        with pytest.MonkeyPatch.context() as patch:
+            if conservative:
+                patch.setattr(simulation, "_body_of",
+                              lambda blk: "no body (ablation)")
+            sim = SimulationTool(net, sched="event")
+        harness = NetworkTrafficHarness(net, sim=sim, seed=1)
         ncycles = 400
         start = time.perf_counter()
         harness.run_uniform_random(0.25, ncycles, drain=0)
@@ -103,12 +107,12 @@ def test_ablation_sensitivity_inference(benchmark):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [
-        ["AST-inferred lists", f"{results['inferred']:.0f}"],
+        ["block bodies' reads", f"{results['inferred']:.0f}"],
         ["conservative fallback", f"{results['fallback']:.0f}"],
     ]
     text = format_table(
-        "Ablation: sensitivity-list inference (16-node RTL mesh, "
-        "interpreted)",
+        "Ablation: sensitivity from block bodies (16-node RTL mesh, "
+        "event-driven)",
         ["sensitivity", "cycles/s"], rows)
     write_result("ablation_sensitivity.txt", text)
     assert results["inferred"] > 0

@@ -18,7 +18,8 @@ Subset summary:
   bare signal truthiness, including bit slices, BitStruct fields, and
   (possibly dynamically) indexed lists of signals;
 - integer arithmetic/bitwise/comparison/boolean operators, ternary
-  expressions, ``int()`` coercions;
+  expressions, ``int()`` coercions, ``concat`` and ``zext`` / ``sext``
+  (as functions or as methods: ``x.zext(n)``);
 - ``if``/``elif``/``else``; ``for`` over ``range()`` with
   elaboration-time-constant bounds; ``break``/``continue``;
 - local integer variables and fixed-size local integer arrays
@@ -270,14 +271,18 @@ class BlockTranslator:
         self.model = model
         self.func = func
         self.kind = kind           # 'comb' | 'tick_rtl' | 'tick_cl'
-        # The parse and the names that denote the model are the
-        # elaborator's: both layers read one FunctionDef (never mutated).
+        # The parse (one FunctionDef per code object, never mutated)
+        # and the names that denote the model are the elaborator's.
         shape = block_shape(func, model)
         if shape is None:
             raise TranslationError(
                 f"cannot retrieve source for {func.__qualname__}")
-        self.func_def = shape.func_def
-        self.root_names = shape.root_names
+        self.func_def, self.root_names = shape
+        if not self.root_names:
+            # Every signal is reached through the model (a SimJIT
+            # wrapper's comb block calls into its engine instead).
+            raise TranslationError(
+                f"{func.__qualname__} does not name its model")
         self._env = self._build_env()
         # Locals only ever assigned 0/1 values; None until an ``and`` /
         # ``or`` used as a value makes translate() work them out.
@@ -594,18 +599,23 @@ class BlockTranslator:
         self.fail(node, f"unknown name {name!r}")
 
     def call_expr(self, node):
-        # Accessor methods: x.uint(), x.int().
-        if isinstance(node.func, ast.Attribute) and not node.args:
-            if node.func.attr == "uint":
-                return self._cast(self.expr(node.func.value), None)
-            if node.func.attr == "int":
+        func, args = node.func, node.args
+        if isinstance(func, ast.Attribute):
+            # Accessor methods x.uint(), x.int(); x.zext(n) / x.sext(n)
+            # are the zext(x, n) / sext(x, n) functions.
+            if func.attr == "uint" and not args:
+                return self._cast(self.expr(func.value), None)
+            if func.attr == "int" and not args:
                 return self._signed_expr(node)
-        if isinstance(node.func, ast.Name):
-            fname = node.func.id
-            if fname == "int" and len(node.args) == 1:
-                return self._cast(self.expr(node.args[0]), None)
-            if fname == "len" and len(node.args) == 1:
-                inner = node.args[0]
+            if func.attr in ("zext", "sext") and len(args) == 1:
+                return self._extend_expr(func.attr, func.value, args[0],
+                                         node)
+        if isinstance(func, ast.Name):
+            fname = func.id
+            if fname == "int" and len(args) == 1:
+                return self._cast(self.expr(args[0]), None)
+            if fname == "len" and len(args) == 1:
+                inner = args[0]
                 static = self.try_static(inner)
                 if isinstance(static, list):
                     self.guards.append(node)
@@ -613,14 +623,10 @@ class BlockTranslator:
                 self.fail(node, "len() only on static lists")
             if fname == "concat":
                 return self._concat_expr(node)
-            if fname == "zext" and len(node.args) == 2:
-                # Values are stored masked; widening needs no gates.
-                return self._cast(self.expr(node.args[0]),
-                                  self.static_int(node.args[1], node))
-            if fname == "sext" and len(node.args) == 2:
-                return self._sext_expr(node)
+            if fname in ("zext", "sext") and len(args) == 2:
+                return self._extend_expr(fname, *args, node)
         self.fail(node, "function/method calls are not translatable "
-                        f"({ast.dump(node.func)[:60]})")
+                        f"({ast.dump(func)[:60]})")
 
     def _concat_expr(self, node):
         """concat(a, b, ...) with signal/slice arguments (their widths
@@ -644,14 +650,18 @@ class BlockTranslator:
             self.ir.casts[id(ir)] = width
         return ir
 
-    def _sext_expr(self, node):
-        """sext(x, N): desugared into a sign-test ternary so every
-        backend handles it with existing nodes."""
-        value = self.expr(node.args[0])
+    def _extend_expr(self, how, value_node, width_node, node):
+        """zext/sext(x, N).  A zext is a cast: values are stored
+        masked, so widening needs no gates.  A sext is desugared into a
+        sign-test ternary so every backend handles it with existing
+        nodes."""
+        value = self.expr(value_node)
+        to_width = self.static_int(width_node, node)
+        if how == "zext":
+            return self._cast(value, to_width)
         if not isinstance(value, SigRead):
             self.fail(node, "sext argument must be a signal or slice")
         from_width = value.ref.width
-        to_width = self.static_int(node.args[1], node)
         if to_width < from_width:
             self.fail(node, "sext target narrower than source")
         high_bits = ((1 << to_width) - 1) ^ ((1 << from_width) - 1)

@@ -15,7 +15,10 @@ made, it carries ``python``, the function :mod:`.pygen` prints (or
 ``refused``, why not: ``TypeUndecided`` or a reserved name, decided for
 every sibling the guards admit), ``c``, the template
 :func:`~.simjit.cgen.c_template` prints with which hole fills each C
-hole, and ``reads`` / ``writes``, the holes the block reads and writes.
+hole, ``reads`` / ``writes``, the holes the block reads and writes, and
+``folded``, whether a read indexes a list by an expression the
+lowering folded to a constant (the block's closure evaluates it anew
+on every run).
 A constant the source and the guards fix is not a hole: it is printed
 as its literal, in both.  ``c`` is SimJIT's unit of code: the blocks
 bound to one body share a C function (unless a constant that varies
@@ -162,6 +165,18 @@ def _print_bind(translator):
     return lines, hole_of, expected
 
 
+def _folds_index(node, dyn_at):
+    """Whether the attribute/subscript chain ``node`` indexes a list by
+    an expression the lowering folded to a constant (a model int, say)
+    rather than by a literal or by its dynamic index ``dyn_at``."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        if (isinstance(node, ast.Subscript) and node is not dyn_at
+                and not isinstance(node.slice, (ast.Constant, ast.Slice))):
+            return True
+        node = node.value
+    return False
+
+
 def _same(got, want):
     """Whether a bound hole is the one the translator read: the same
     signal or signals (not equal values), an equal int or name."""
@@ -203,7 +218,7 @@ class Body:
     ``sig_writes`` and the backends' artifacts (module docstring)."""
 
     __slots__ = ("bind", "guards", "gtypes", "filename", "python",
-                 "refused", "c", "reads", "writes")
+                 "refused", "c", "reads", "writes", "folded")
 
     def matches(self, guards):
         return (guards == self.guards
@@ -246,6 +261,9 @@ def _new_body(blk, kind):
     body.c = CBody(*c_template(ir, hole_of))
     body.reads = tuple(hole_of[id(ref)] for ref in ir.sig_reads)
     body.writes = tuple(hole_of[id(ref)] for ref in ir.sig_writes)
+    folded = {hole_of[id(leaf)] for leaf, node, dyn_at in translator.holes
+              if _folds_index(node, dyn_at)}
+    body.folded = not folded.isdisjoint(body.reads)
     # The bind is Python's reading of the source, the lowering the
     # translator's: they must name the same signals, constants and state.
     try:

@@ -20,7 +20,7 @@ like the paper's examples.
 Concurrent logic is declared with decorators:
 
 - ``@s.combinational`` — combinational logic; re-executed whenever a
-  signal in its sensitivity list changes.
+  signal it reads changes.
 - ``@s.tick_rtl`` / ``@s.tick_cl`` / ``@s.tick_fl`` — sequential logic
   executed once per simulated cycle (RTL / cycle-level / functional
   level respectively; the level tag drives translatability checks and
@@ -42,17 +42,12 @@ from .signals import InPort, OutPort, Signal, Wire, _SignalSlice
 class _TickBlock:
     """A sequential logic block plus its abstraction-level tag."""
 
-    __slots__ = ("func", "level", "model", "reads", "writes", "gateable")
+    __slots__ = ("func", "level", "model")
 
     def __init__(self, func, level, model):
         self.func = func
         self.level = level        # 'fl' | 'cl' | 'rtl'
         self.model = model
-        self.reads = []           # signals read (when statically known)
-        self.writes = []          # signals written (when statically known)
-        self.gateable = False     # True when the block is a pure function
-                                  # of `reads` and may be skipped while
-                                  # they are unchanged
 
     @property
     def name(self):
@@ -60,19 +55,14 @@ class _TickBlock:
 
 
 class _CombBlock:
-    """A combinational logic block; sensitivity and read/write sets
-    resolved at elaboration."""
+    """A combinational logic block.  What it reads and writes is its
+    body's (:mod:`.bodies`), not a fact stored here."""
 
-    __slots__ = ("func", "model", "signals", "reads", "writes",
-                 "writes_known")
+    __slots__ = ("func", "model")
 
     def __init__(self, func, model):
         self.func = func
         self.model = model
-        self.signals = []         # sensitivity list, filled by elaborator
-        self.reads = []           # precise read set (static scheduling)
-        self.writes = []          # statically-visible written signals
-        self.writes_known = False  # True when `writes` bounds all writes
 
     @property
     def name(self):
@@ -244,9 +234,8 @@ class Model:
     def elaborate(self):
         """Elaborate this model as the top of a design hierarchy.
 
-        Names every signal and submodel, resolves connections into
-        nets, and infers combinational sensitivity lists.  Returns
-        ``self`` for chaining.
+        Names every signal and submodel and resolves connections into
+        nets.  Returns ``self`` for chaining.
         """
         from .elaboration import elaborate
         elaborate(self)

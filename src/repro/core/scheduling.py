@@ -7,10 +7,11 @@ For the (common) acyclic part of a design the evaluation order can be
 computed once, at simulator construction:
 
 1. build the block-level dataflow graph — block ``u`` precedes block
-   ``v`` when ``u`` writes a net ``v`` reads (write sets come from the
-   elaborator's AST analysis, see :mod:`.elaboration`);
+   ``v`` when ``u`` writes a net ``v`` reads (the read and write sets
+   are the block body's, :mod:`.bodies`, through
+   :func:`comb_block_nets`);
 2. find strongly connected components; blocks in cyclic SCCs, and
-   blocks whose write set is not statically bounded, fall back to the
+   blocks without a body (no bounded write set), fall back to the
    event-driven fixpoint;
 3. topologically levelize the rest into a *static schedule*: one
    in-order sweep settles them, each block executing at most once per
@@ -70,6 +71,31 @@ def nets_of(ends):
             seen.add(id(net))
             nets.append(net)
     return nets
+
+
+def comb_block_nets(reads, writes):
+    """``(read nets, write nets)`` of a combinational block that reads
+    signals ``reads`` and writes ``writes`` — a body's, bound to one
+    instance.  The one statement of the self-write rule: a block that
+    reads back a signal it writes sees its own just-written value
+    (sequential Python, not combinational feedback), so that read is
+    no dependency.  The rule is by signal: a block reading through one
+    signal a net it writes through another does depend on it."""
+    written = {id(sig) for sig in writes}
+    return (nets_of([sig for sig in reads if id(sig) not in written]),
+            nets_of(writes))
+
+
+def unbounded_reads(model):
+    """The signals a block of ``model`` may read when no body bounds
+    what it reads: every signal of the model itself (its ports and
+    wires) and the output ports of its direct submodels.  A SimJIT
+    wrapper's blocks read its input ports only: the engine computes its
+    outputs itself, and its comb block pushes nothing else."""
+    if hasattr(model, "jit_engine"):
+        return model.get_inports()
+    return model.get_signals() + [
+        port for sub in model.get_submodels() for port in sub.get_outports()]
 
 
 def build_schedule(infos):

@@ -45,7 +45,7 @@ from ..elaboration import elaborate
 from ..model import MAX_LIST_DEPTH, Model
 from ..portbundle import PortBundle
 from ..probe import Probe
-from ..scheduling import build_schedule, nets_of
+from ..scheduling import build_schedule, comb_block_nets
 from ..signals import InPort, OutPort, Signal
 from .cgen import C_HEADER_DECLS, CBackend, c_template
 
@@ -693,16 +693,8 @@ class _Specializer:
         fixpoint over the whole order.  ``nets`` is, per block of
         ``order``, the ``(reads, writes)`` nets it depends on and
         drives."""
-        infos = []
-        for i, blk in enumerate(combs):
-            written = {id(sig): sig for sig in blk.writes}
-            # As in the elaborator's read sets: a block that reads back
-            # a signal it writes sees its own value (sequential code,
-            # not feedback), so that read is no dependency.
-            read = {id(sig): sig for sig in blk.reads
-                    if id(sig) not in written}
-            infos.append((i, nets_of(read.values()),
-                          nets_of(written.values()), True))
+        infos = [(i, *comb_block_nets(blk.reads, blk.writes), True)
+                 for i, blk in enumerate(combs)]
         if not self.schedule:
             # Ablation mode: declaration order, rely on the fixpoint
             # loop alone (more passes per eval).

@@ -1,8 +1,8 @@
 """SimulationTool: simulator for elaborated models.
 
 The simulator (paper Section III-B) inspects an elaborated model
-instance, registers its concurrent logic blocks, wires sensitivity
-lists to nets, and exposes a cycle-based API:
+instance, registers its concurrent logic blocks, wires each block to
+the nets its body reads, and exposes a cycle-based API:
 
     model = MuxReg(8, 4).elaborate()
     sim = SimulationTool(model)
@@ -41,22 +41,38 @@ bench* may take a SimJIT top for a whole run through the same step
 (``run_bench``): it drives the ports and the clock from C and says how
 many cycles passed.
 
+One analysis per block.  What a block reads and writes is its *body*
+(:mod:`.bodies`: one lowering per block body, bound per instance),
+asked once when the simulator is constructed.  A ``@combinational``
+block with a body reads the body's reads minus its own writes
+(:func:`~.scheduling.comb_block_nets`) and writes the body's writes;
+one without a body (no retrievable source, or outside the translatable
+subset) has no bounded write set, and reacts to every net it could
+read (:func:`~.scheduling.unbounded_reads`: every signal of its model
+and its direct submodels' output ports) except through its own
+writes, which do not queue it again while it runs.  A body that reads
+nothing, or indexes a list by a folded model int (``s.in_[s.k]``), is
+scheduled on its reads — the lowered function holds the int — but its
+closure, which reads the int anew, reacts to that set too.  An
+``@tick_rtl`` block with a body is *gated* on the body's reads; CL and
+FL ticks never are.
+
 Scheduling modes (``sched=`` constructor argument):
 
 - ``"event"`` — the classic event-driven fixpoint: a net write that
-  changes the stored value enqueues every block in its sensitivity
-  list, and the queue drains until no block fires.
-- ``"static"`` — blocks whose read/write sets are statically known and
-  whose dataflow graph is acyclic run in a fixed topological order,
-  one pass per settle (see :mod:`.scheduling`).  Blocks in true
-  combinational cycles, or with unbounded write sets (FL adapters,
-  dynamic attribute writes), fall back per-SCC to the event fixpoint,
-  so the settle loop is a hybrid.  When *every* block is static (and
-  stats collection is off) the whole cycle — settle, ticks, clock
-  edge, settle — runs in one flat loop, the mega-cycle kernel.
+  changes the stored value enqueues every comb block that reads the
+  net, and the queue drains until no block fires.
+- ``"static"`` — comb blocks with a body whose dataflow graph is
+  acyclic run in a fixed topological order, one pass per settle (see
+  :mod:`.scheduling`).  Blocks in true combinational cycles, and
+  blocks without a body, fall back to the event fixpoint, so the
+  settle loop is a hybrid; a gated tick is skipped while none of its
+  read nets changed.  When *every* block is static (and stats
+  collection is off) the whole cycle — settle, ticks, clock edge,
+  settle — runs in one flat loop, the mega-cycle kernel.
 - ``"auto"`` (default) — ``"static"`` when the scheduling pass finds
-  at least one statically-schedulable block or one gateable tick
-  block, else ``"event"``.
+  at least one comb block with a body outside a cycle (or a
+  connector) or one tick to gate, else ``"event"``.
 
 What a static schedule runs.  ``_static_order`` and ``_tick_plan`` hold
 one callable per slot, and the interpreted and the kernel step call
@@ -87,10 +103,11 @@ from time import perf_counter
 
 from .adapters import BlockingTickRunner, wrap_fl_ticks
 from .ast_ir import TranslationError
-from .bodies import Refused, body_of
+from .bodies import Refused, body_of, signals
 from .probe import Probe
 from .pygen import instantiate
-from .scheduling import build_schedule, nets_of
+from .scheduling import (build_schedule, comb_block_nets, nets_of,
+                         unbounded_reads)
 from ..resilience.warnings import ResilienceWarning
 from ..telemetry import tracing
 
@@ -194,35 +211,40 @@ class SimulationTool:
             wrappers.get(blk.func, blk.func) for blk in self._tick_blocks
         ]
 
-        # Combinational work: user blocks plus slice/constant connector
-        # copies.  Each entry also carries the net-level read/write sets
-        # the static scheduler consumes.
+        # One analysis per block: its body (:mod:`.bodies`), asked
+        # once here.  A comb block's read/write nets — its place in the
+        # static schedule and its event sensitivity — and an RTL tick's
+        # gating are the body's; CL/FL ticks are never gated, so under
+        # sched="event" no tick is asked.
         self._comb_blocks = [
             blk for m in model._all_models for blk in m.get_comb_blocks()
         ]
+        bodies = {blk: _body_of(blk) for blk in self._comb_blocks}
+        if sched != "event":
+            bodies.update((blk, _body_of(blk)) for blk in self._tick_blocks
+                          if blk.level == "rtl")
+        # Combinational work: user blocks plus slice/constant connector
+        # copies, each with the net-level read/write sets the static
+        # scheduler consumes and the nets that queue it event-driven.
         comb_funcs = []
-        infos = []                  # (func, read_nets, write_nets, known)
+        # (func, read_nets, write_nets, known, sensitivity nets)
+        infos = []
         for blk in self._comb_blocks:
             comb_funcs.append(blk.func)
-            infos.append((
-                blk.func,
-                nets_of(blk.reads),
-                nets_of(blk.writes),
-                blk.writes_known,
-            ))
+            infos.append((blk.func, *_comb_nets(blk, bodies[blk])))
         for src, dst in model._connectors:
             func = _make_connector(src, dst)
             comb_funcs.append(func)
-            infos.append((
-                func,
-                nets_of([src]),
-                nets_of([dst]),
-                True,
-            ))
+            reads = nets_of([src])
+            infos.append((func, reads, nets_of([dst]), True, reads))
 
         self._all_comb_funcs = comb_funcs
-        for func in comb_funcs:
+        for func, _, _, known, _ in infos:
             func._in_queue = False
+            # A block without a body reads what it may write: it stays
+            # queued while it runs, so its own writes do not queue it
+            # again (eval_combinational).
+            func._quiet = not known
         self._event_budget = max(
             10000, _EVENT_BUDGET_PER_BLOCK * max(1, len(comb_funcs))
         )
@@ -257,28 +279,26 @@ class SimulationTool:
                 sched_fault = f"{type(exc).__name__}: {exc}"
                 schedule = None
             if schedule is not None:
-                gateable = any(
-                    blk.gateable and func is blk.func
-                    for blk, func in zip(self._tick_blocks, self._ticks))
-                if sched == "static" or schedule.order or gateable:
+                gated = any(isinstance(bodies.get(blk), tuple)
+                            for blk in self._tick_blocks)
+                if sched == "static" or schedule.order or gated:
                     self.schedule = schedule
         self.sched_mode = "static" if self.schedule is not None else "event"
 
         if self.schedule is not None:
-            self._build_tick_plan()
+            self._build_tick_plan(bodies)
             sch = self.schedule
             self._static_order = list(sch.order)
             self._sflags = bytearray(len(sch.order))
             event_funcs = set(sch.event_funcs)
-            # Event partition keeps the legacy sensitivity wiring.
-            self._wire_sensitivity(
-                lambda func: func in event_funcs)
+            # Event partition: nets enqueue the blocks that read them.
+            self._wire_sensitivity(infos, lambda func: func in event_funcs)
             # Static partition: nets mark reader slots in the flag array.
             for net, slots in sch.reader_slots.values():
                 net.sreaders = slots
-            self._lower_blocks()
+            self._lower_blocks(bodies)
         else:
-            self._wire_sensitivity(lambda func: True)
+            self._wire_sensitivity(infos, lambda func: True)
 
         # Constant ties: drive once; nothing else may write these nets.
         for end, const in model._const_ties:
@@ -311,7 +331,7 @@ class SimulationTool:
         elif self.schedule is None:
             refused.append(
                 "auto selected event mode (no statically schedulable "
-                "blocks or gateable ticks)")
+                "blocks or ticks to gate)")
         elif self.schedule.event_funcs:
             refused.append(
                 f"event partition: {len(self.schedule.event_funcs)} "
@@ -347,8 +367,8 @@ class SimulationTool:
             warnings.warn(
                 ResilienceWarning(
                     "sched='static' had no effect: no combinational block "
-                    "could be statically scheduled and no tick block is "
-                    "gateable, so the design runs on the event-driven "
+                    "could be statically scheduled and no tick block can "
+                    "be gated, so the design runs on the event-driven "
                     "fixpoint (see sim.sched_info() for the partition)",
                     kind="static-noop",
                     component=type(self.model).__name__,
@@ -361,53 +381,56 @@ class SimulationTool:
         self._init_signal_histograms()
         self._refresh_observers()
 
-    def _build_tick_plan(self):
+    def _build_tick_plan(self, bodies):
         """Partition tick blocks into gated and always-run entries.
 
-        A tick the elaborator proved to be a pure function of a known
-        signal read set (``blk.gateable``) is skipped while none of its
-        read nets changed since its last execution: with identical
-        reads it would recompute identical writes.  FL/CL blocks with
-        Python-side state, wrapped coroutine runners, and ticks whose
-        written nets have multiple known writers (skip order would
-        change last-writer-wins results) always run.
+        An RTL tick with a body is a pure function of the body's reads,
+        so it is skipped while none of its read nets changed since its
+        last execution: with identical reads it would recompute
+        identical writes.  CL/FL ticks (Python-side state, wrapped
+        coroutine runners), RTL ticks without a body, and ticks whose
+        written nets have several gated writers (skip order would
+        change last-writer-wins results) always run.  ``bodies`` maps a
+        block to ``body_of``'s answer (a refusal: its text).
         """
+        nets = {}                   # gated candidate -> (reads, writes)
         writer_counts = {}
-        cand = []
-        for blk, func in zip(self._tick_blocks, self._ticks):
-            gate = blk.gateable and func is blk.func
-            cand.append(gate)
-            if gate:
-                for net in nets_of(blk.writes):
-                    writer_counts[id(net)] = writer_counts.get(
-                        id(net), 0) + 1
+        for blk in self._tick_blocks:
+            answer = bodies.get(blk)
+            if not isinstance(answer, tuple):
+                continue
+            body, holes = answer
+            nets[blk] = (nets_of(signals(holes, body.reads)),
+                         nets_of(signals(holes, body.writes)))
+            for net in nets[blk][1]:
+                writer_counts[id(net)] = writer_counts.get(id(net), 0) + 1
         plan = []
         nslots = 0
-        for (blk, func), gate in zip(
-                zip(self._tick_blocks, self._ticks), cand):
-            if gate and any(writer_counts[id(net)] > 1
-                            for net in nets_of(blk.writes)):
-                gate = False
-            if not gate:
+        for blk, func in zip(self._tick_blocks, self._ticks):
+            reads, writes = nets.get(blk, (None, ()))
+            if reads is None or any(writer_counts[id(net)] > 1
+                                    for net in writes):
                 plan.append((-1, func))
                 continue
             slot = nslots
             nslots += 1
             plan.append((slot, func))
-            for net in nets_of(blk.reads):
+            for net in reads:
                 net.treaders = net.treaders + (slot,)
         self._tick_plan = plan
         self._tflags = bytearray(b"\x01" * nslots)
 
-    def _lower_blocks(self):
+    def _lower_blocks(self, bodies):
         """Put lowered blocks (:mod:`.pygen`) where the user's closures
         were in the static order and the tick plan.  Every block that
         keeps its closure is named in ``sched_info()["lowered"]
-        ["kept"]`` with the reason: the event partition, a blocking FL
-        tick, a CL or FL tick (by level, unlowered), and whatever the
-        backend refuses.  (Connectors are not blocks, and stay the
+        ["kept"]`` with the reason: the event partition (a comb block
+        in a combinational cycle, or without a body: why it has none),
+        a blocking FL tick, a CL or FL tick (by level, unlowered), and
+        whatever the backend refuses.  ``bodies`` holds the blocks'
+        ``body_of`` answers.  (Connectors are not blocks, and stay the
         copies they were.)"""
-        bodies, kept = set(), {}
+        lowered_bodies, kept = set(), {}
 
         def lowered(blk, func):
             if func is not blk.func:
@@ -417,53 +440,44 @@ class SimulationTool:
             if getattr(blk, "level", "rtl") in ("cl", "fl"):
                 kept[blk.name] = f"tick_{blk.level} block"
                 return func
-            try:
-                body, holes = body_of(blk)
-            except (Refused, TranslationError) as exc:
-                kept[blk.name] = str(exc)
-                return blk.func
+            answer = bodies[blk]
+            if isinstance(answer, str):
+                kept[blk.name] = answer
+                return func
+            body, holes = answer
             if body.refused is not None:
                 kept[blk.name] = body.refused
-                return blk.func
-            bodies.add(body)
-            low = instantiate(body.python, blk.func, holes, self)
-            self._block_of[low] = blk.func
+                return func
+            lowered_bodies.add(body)
+            low = instantiate(body.python, func, holes, self)
+            self._block_of[low] = func
             return low
 
         combs = {blk.func: blk for blk in self._comb_blocks}
         self._static_order = [
             lowered(combs[func], func) if func in combs else func
             for func in self._static_order]
-        cyclic = set(self.schedule.demoted)
         for func in self.schedule.event_funcs:
             if func in combs:
-                kept[combs[func].name] = "event partition: " + (
-                    "in a combinational cycle" if func in cyclic
-                    else "write set not statically known")
+                answer = bodies[combs[func]]
+                kept[combs[func].name] = (
+                    answer if isinstance(answer, str)
+                    else "event partition: in a combinational cycle")
         self._tick_plan = [
             (slot, lowered(blk, func))
             for blk, (slot, func) in zip(self._tick_blocks, self._tick_plan)]
         self._lowered = {"blocks": len(self._block_of),
-                         "bodies": len(bodies), "kept": kept}
+                         "bodies": len(lowered_bodies), "kept": kept}
 
-    def _wire_sensitivity(self, want):
-        """Wire the legacy sensitivity lists of selected blocks (and
-        the source nets of connectors) into ``net.blocks``."""
-        for blk in self._comb_blocks:
-            if not want(blk.func):
-                continue
-            for sig in blk.signals:
-                net = sig._net.find()
-                if blk.func not in net.blocks:
-                    net.blocks = net.blocks + (blk.func,)
-        nblocks = len(self._comb_blocks)
-        for (src, dst), func in zip(
-                self.model._connectors, self._all_comb_funcs[nblocks:]):
-            if not want(func):
-                continue
-            sig = src.signal if hasattr(src, "signal") else src
-            net = sig._net.find()
-            net.blocks = net.blocks + (func,)
+    @staticmethod
+    def _wire_sensitivity(infos, want):
+        """Make each selected comb block and connector of ``infos``
+        (``(func, ..., sensitivity nets)``) a reader of its sensitivity
+        nets in ``net.blocks``."""
+        for func, *_, sense in infos:
+            if want(func):
+                for net in sense:
+                    net.blocks = net.blocks + (func,)
 
     # -- net callbacks (called by _Net) ------------------------------------
 
@@ -514,13 +528,14 @@ class SimulationTool:
                     continue
                 break
             func = queue.popleft()
-            func._in_queue = False
+            func._in_queue = func._quiet
             if prof is None:
                 func()
             else:
                 t0 = perf_counter()
                 func()
                 prof.add_block(func, perf_counter() - t0)
+            func._in_queue = False
             events += 1
             if stats is not None:
                 stats[func] = stats.get(func, 0) + 1
@@ -1144,6 +1159,37 @@ def _endpoint_name(end):
         base = end.signal.name or "?"
         return f"{base}[{end.lo}:{end.hi}]"
     return getattr(end, "name", None) or "?"
+
+
+def _body_of(blk):
+    """``body_of(blk)``, or why ``blk`` has no body."""
+    try:
+        return body_of(blk)
+    except (Refused, TranslationError) as exc:
+        return str(exc)
+
+
+def _comb_nets(blk, answer):
+    """``(read nets, write nets, known, sensitivity nets)`` of comb
+    block ``blk`` from its ``body_of`` answer (a refusal: its text).
+    A block without a body may read every signal
+    :func:`~.scheduling.unbounded_reads` names and write anything.  The
+    body's reads place a block in the static schedule, whose lowered
+    function holds the plain ints the body folded; the closure that
+    runs event-driven evaluates them anew, so where the body reads
+    nothing (a block of plain ints) or indexes a list by a folded
+    constant (``s.in_[s.k]``) it is sensitive as a block without a
+    body, and to the body's reads."""
+    if isinstance(answer, str):
+        reads = nets_of(unbounded_reads(blk.model))
+        return reads, (), False, reads
+    body, holes = answer
+    reads, writes = signals(holes, body.reads), signals(holes, body.writes)
+    nets = comb_block_nets(reads, writes)
+    sense = nets[0]
+    if body.folded or not reads:
+        sense = comb_block_nets(unbounded_reads(blk.model) + reads, writes)[0]
+    return (*nets, True, sense)
 
 
 def _make_connector(src, dst):

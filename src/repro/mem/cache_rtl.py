@@ -84,7 +84,7 @@ class CacheRTL(Model):
 
         from ..telemetry.counters import enabled as _telemetry_enabled
         if _telemetry_enabled():
-            # Extra observation registers live in their own gateable
+            # Extra observation registers live in their own gated
             # tick; when telemetry is disabled nothing is declared, so
             # the disabled design is structurally unchanged.
             s.evict_count = Wire(32)

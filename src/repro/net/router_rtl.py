@@ -56,7 +56,7 @@ class RouterRTL(Model):
 
         from ..telemetry.counters import enabled as _telemetry_enabled
         if _telemetry_enabled():
-            # Telemetry registers in their own gateable tick; nothing
+            # Telemetry registers in their own gated tick; nothing
             # is declared when telemetry is disabled, keeping the
             # disabled design structurally unchanged.
             s.flit_count = [Wire(32) for _ in range(s.NPORTS)]

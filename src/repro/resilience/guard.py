@@ -78,8 +78,9 @@ def _diagnose_oscillation(sim, max_events):
         if not queue:
             break
         func = queue.popleft()
-        func._in_queue = False
+        func._in_queue = func._quiet
         func()
+        func._in_queue = False
         events += 1
         name = getattr(func, "__name__", repr(func))
         fires[name] = fires.get(name, 0) + 1

@@ -15,10 +15,10 @@ modeling substrates:
 
 ``python``
     A plain accumulator bumped with :meth:`Counter.incr` from FL/CL
-    tick code.  Increments are ordinary Python, so the elaborator's
-    tick analysis automatically keeps such blocks un-gated — the count
-    is exact in event mode, static mode, and inside the compiled
-    mega-cycle kernel.
+    tick code.  Increments are ordinary Python, and a tick that makes
+    one is never gated (FL/CL ticks never are; an RTL tick calling
+    ``incr`` has no block body) — the count is exact in event mode,
+    static mode, and inside the compiled mega-cycle kernel.
 
 ``signal``
     Backed by a ``Wire`` the model already increments in RTL tick

@@ -7,7 +7,7 @@ problems before simulation:
 - output ports that nothing drives;
 - input ports of submodels left unconnected;
 - nets with multiple behavioral drivers;
-- combinational blocks with an empty inferred sensitivity list;
+- combinational blocks whose body reads no signal;
 - name shadowing of the implicit clk/reset;
 - declared Wires that nothing observes (never read by a block, a
   connection, or an ``s.observe(...)`` registration — dead logic).
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from ..core.ast_ir import TranslationError
 from ..core.bodies import Refused, body_of, signals
 from ..core.elaboration import elaborate
+from ..core.scheduling import unbounded_reads
 
 
 @dataclass
@@ -36,11 +37,11 @@ def lint(model):
     """Run all lint checks; returns a list of :class:`LintWarning`."""
     if not model.is_elaborated():
         elaborate(model)
-    written, read = _block_nets(model)
+    written, read, deaf = _block_nets(model)
     warnings = []
     warnings.extend(_check_undriven_outputs(model, written))
     warnings.extend(_check_multiple_drivers(written))
-    warnings.extend(_check_empty_sensitivity(model))
+    warnings.extend(_check_empty_sensitivity(deaf))
     warnings.extend(_check_never_observed_sinks(model, read))
     return warnings
 
@@ -52,23 +53,28 @@ def _net_id(end):
 
 def _block_nets(model):
     """What the behavioral blocks touch, from their block bodies:
-    ``(written, read)`` — net id -> ``[(block, signal)]`` writers, and
-    the ids of the nets some block reads.  A block without a body
-    (FL blocks, mostly) contributes no writers and is treated
-    conservatively as reading every signal of its own model."""
+    ``(written, read, deaf)`` — net id -> ``[(block, signal)]`` writers,
+    the ids of the nets some block reads, and the comb blocks whose
+    body reads no signal.  A block without a body (FL blocks, mostly)
+    contributes no writers and reads what the simulator makes it
+    sensitive to (:func:`~repro.core.scheduling.unbounded_reads`)."""
     written = {}
     read = set()
+    deaf = []
     for sub in model._all_models:
-        for blk in sub.get_comb_blocks() + sub.get_tick_blocks():
+        combs = sub.get_comb_blocks()
+        for blk in combs + sub.get_tick_blocks():
             try:
                 body, holes = body_of(blk)
             except (TranslationError, Refused):
-                read.update(_net_id(sig) for sig in sub.get_signals())
+                read.update(map(_net_id, unbounded_reads(sub)))
                 continue
             for sig in signals(holes, body.writes):
                 written.setdefault(_net_id(sig), []).append((blk, sig))
             read.update(map(_net_id, signals(holes, body.reads)))
-    return written, read
+            if blk in combs and not body.reads:
+                deaf.append(blk)
+    return written, read, deaf
 
 
 def _check_undriven_outputs(model, written):
@@ -106,16 +112,10 @@ def _check_multiple_drivers(written):
     return warnings
 
 
-def _check_empty_sensitivity(model):
-    warnings = []
-    for sub in model._all_models:
-        for blk in sub.get_comb_blocks():
-            if not blk.signals:
-                warnings.append(LintWarning(
-                    "empty-sensitivity", blk.name,
-                    "combinational block reads no signals",
-                ))
-    return warnings
+def _check_empty_sensitivity(deaf):
+    return [LintWarning("empty-sensitivity", blk.name,
+                        "combinational block reads no signals")
+            for blk in deaf]
 
 
 def _check_never_observed_sinks(model, read):

@@ -59,12 +59,15 @@ def _incr_logic():
 
 
 def test_block_naming_model_through_global_lowered():
-    # The elaborator and the translator agree on which names denote
-    # the model: a module global counts as much as a closure cell.
+    # A module global denotes the model as much as a closure cell does,
+    # and the body the simulator schedules by reads through it.
+    from repro.core.bodies import body_of, signals
+
     ir = _lower(_incr)
     blk, = _incr.get_comb_blocks()
-    assert [sig.name for sig in blk.reads] == ["a"]
-    assert [sig.name for sig in blk.writes] == ["b"] and blk.writes_known
+    body, holes = body_of(blk)
+    assert [sig.name for sig in signals(holes, body.reads)] == ["a"]
+    assert [sig.name for sig in signals(holes, body.writes)] == ["b"]
     stmt, = ir.body
     assert isinstance(stmt, AssignSig) and stmt.ref.signal is _incr.b
     assert [ref.signal for ref in ir.sig_reads] == [_incr.a]

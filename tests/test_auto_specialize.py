@@ -13,6 +13,7 @@ from repro.accel.kernels import Y_BASE
 from repro.net import MeshNetworkStructural, RouterCL, RouterRTL
 from repro.net.traffic import NetworkTrafficHarness
 from repro.proc import assemble
+from repro.resilience import ResilienceWarning
 
 
 def _engines(model):
@@ -422,7 +423,11 @@ def test_a_block_whose_bind_does_not_reproduce_stays_interpreted(
     reason = "top.inc.logic: bind does not reproduce the lowering " \
              "(a hole differs)"
     tops = [Top().elaborate(), top.elaborate()]
-    sims = [SimulationTool(tops[0], sched="event"), SimulationTool(tops[1])]
+    # A comb block without a body is event-driven, and with it this
+    # design has nothing to schedule: sched="static" says so.
+    with pytest.warns(ResilienceWarning, match="had no effect"):
+        sims = [SimulationTool(tops[0], sched="event"),
+                SimulationTool(tops[1], sched="static")]
     assert sims[1].sched_info()["simjit"]["interpreted"] == {
         "top": reason, "top.inc": reason}
     assert sims[1].sched_info()["lowered"]["kept"]["top.inc.logic"] == \

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Model, SimulationTool
+from repro import InPort, Model, OutPort, SimulationTool
 from repro.components import (
     Adder,
     BypassQueue,
@@ -184,6 +184,42 @@ def test_zero_extender():
     m.in_.value = 0xF
     sim.eval_combinational()
     assert m.out == 0x00F
+
+
+class _SignExtender(Model):
+    def __init__(s, in_nbits, out_nbits):
+        s.in_ = InPort(in_nbits)
+        s.out = OutPort(out_nbits)
+
+        @s.combinational
+        def comb_logic():
+            s.out.value = s.in_.value.sext(s.out.nbits)
+
+
+@pytest.mark.parametrize("build, extend", [
+    (ZeroExtender, lambda v: v),
+    (_SignExtender, lambda v: v | 0xFF0 if v & 0x8 else v)])
+def test_extend_methods_lower_translate_and_specialize(build, extend):
+    """``x.zext(n)`` / ``x.sext(n)`` are the ``zext`` / ``sext``
+    functions: the block has a body, so the static schedule runs it
+    lowered, SimJIT compiles it and the Verilog translator emits it."""
+    from repro import SimJITRTL
+    from repro.core.translation import TranslationTool
+
+    assert "always @(*)" in TranslationTool(build(4, 12).elaborate()).verilog
+    models = [build(4, 12).elaborate() for _ in range(2)]
+    models.append(SimJITRTL(build(4, 12).elaborate()).specialize())
+    sims = [SimulationTool(models[0], sched="event"),
+            SimulationTool(models[1]),
+            SimulationTool(models[2].elaborate())]
+    info = sims[1].sched_info()
+    assert info["lowered"]["kept"] == {} and info["lowered"]["blocks"] == 1
+    assert "/simjit " in repr(sims[2])
+    for value in range(16):
+        for model, sim in zip(models, sims):
+            model.in_.value = value
+            sim.cycle()
+        assert [int(model.out) for model in models] == [extend(value)] * 3
 
 
 @pytest.mark.parametrize("nstages", [1, 2, 4])

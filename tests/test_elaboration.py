@@ -1,5 +1,7 @@
 """Unit tests for elaboration: naming, nets, connectors, sensitivity."""
 
+import warnings
+
 import pytest
 
 from repro import (
@@ -13,6 +15,7 @@ from repro import (
     Wire,
     bw,
 )
+from repro.resilience import ResilienceWarning
 
 
 class _Pass(Model):
@@ -184,11 +187,10 @@ def test_sensitivity_includes_dynamic_index():
                 s.out.value = s.in_[s.sel.uint()].value
 
     model = Mux().elaborate()
+    SimulationTool(model, sched="event")
     blk = model.get_comb_blocks()[0]
-    nets = {sig._net for sig in blk.signals}
-    assert model.sel._net in nets
-    for port in model.in_:
-        assert port._net in nets
+    assert _sensitive(model, blk) == sorted(
+        ["sel"] + [port.name for port in model.in_])
 
 
 def test_elaborate_idempotent():
@@ -242,11 +244,11 @@ def test_connect_auto_pairs_by_name():
     assert model.dpath.control._net is model.ctrl.control._net
 
 
-# -- block analysis: one shape per function, one binding per instance --------
+# -- block analysis: what the simulator does with a block, from its body ------
 #
 # Every block below closes over ``s`` and is registered on two instances
-# of ``_Bench`` (2 and 4 ports), so the two share one code object — one
-# shape — and must differ only in what the paths bind to.
+# of ``_Bench`` (2 and 4 ports), so the two share one code object and
+# must differ only in what the body binds to.
 
 
 class _Bench(Model):
@@ -370,44 +372,51 @@ def _tick_no_source(s):
     s.tick_rtl(env["blk"])
 
 
-_ENQ_IN = ["enq.msg", "enq.val"]
+def _unbounded(n):
+    """What a comb block of a ``_Bench`` without a body may read: every
+    signal of its model, output ports included (a ``_Bench`` has no
+    submodel)."""
+    return ["clk", "reset", "sel", "reg", "enq.msg", "enq.val",
+            "enq.rdy"] + _ports("in_", n) + _ports("out", n)
 
 
-def _fallback(n):
-    """Every input port and wire of a ``_Bench``."""
-    return ["clk", "reset", "sel", "reg"] + _ENQ_IN + _ports("in_", n)
+_UNTRANSLATABLE = "method calls are not translatable"
 
-
-# build, per-nports expectation of (reads, writes, writes_known |
-# gateable[, signals]); ``signals`` defaults to ``reads``.
+# build, per-nports expectation of (partition, why the block keeps its
+# closure or None, the nets it reacts to).  A comb block's partition is
+# "static" or "event", a tick's "gated" or "ungated".
 _ANALYSIS_CASES = [
-    # The target spine ``s.enq`` is no read of the bundle, though the
-    # sensitivity list keeps it.
-    (_comb_spine_prefix,
-     lambda n: (["sel"], ["enq.rdy"], True, ["sel"] + _ENQ_IN)),
-    # An augmented target is read: its ``s.enq`` prefix now counts.
-    (_comb_augmented,
-     lambda n: (["sel"] + _ENQ_IN, ["enq.rdy"], True)),
-    # A dynamic index widens to every element of this instance's list.
+    # The target spine ``s.enq`` is no read of the bundle.
+    (_comb_spine_prefix, lambda n: ("static", None, ["sel"])),
+    # An augmented target is read, but it is the block's own write.
+    (_comb_augmented, lambda n: ("static", None, ["sel"])),
+    # A dynamic index reads every element of this instance's list.
     (_comb_dynamic_index,
-     lambda n: (["sel"] + _ports("in_", n), _ports("out", n), True)),
+     lambda n: ("static", None, ["sel"] + _ports("in_", n))),
+    # Without a body: event-driven on every net the block may read.
     (_comb_tainted_alias,
-     lambda n: (["sel"] + _ports("out", n), [], False)),
+     lambda n: ("event", "unsupported write target", _unbounded(n))),
+    # A body with no Python form is scheduled; the closure runs.
     (_comb_local_container,
-     lambda n: (["sel"], ["out[0]"], True, ["sel"] + _ports("out", n)[1:])),
+     lambda n: ("static", "array elements are ints", ["sel"])),
     (_comb_method_call,
-     lambda n: (["sel"], ["out[0]"], False, ["sel"] + _ports("out", n)[1:])),
-    (_comb_no_source, lambda n: ([], [], False, _fallback(n))),
+     lambda n: ("event", _UNTRANSLATABLE, _unbounded(n))),
+    (_comb_no_source,
+     lambda n: ("event", "cannot retrieve source", _unbounded(n))),
     (_tick_registered,
-     lambda n: (["sel"] + _ports("in_", n), ["reg"], True)),
-    (_tick_value_write, lambda n: ([], [], False)),
-    (_tick_method_call, lambda n: ([], [], False)),
-    (_tick_mutable_read, lambda n: ([], [], False)),
-    (_tick_lambda, lambda n: ([], [], False)),
-    (_tick_nested_def, lambda n: ([], [], False)),
-    (_tick_bare_model, lambda n: ([], [], False)),
-    (_tick_tainted_deref, lambda n: ([], [], False)),
-    (_tick_no_source, lambda n: ([], [], False)),
+     lambda n: ("gated", None, ["sel"] + _ports("in_", n))),
+    (_tick_value_write,
+     lambda n: ("ungated", ".value write inside tick block", [])),
+    (_tick_method_call, lambda n: ("ungated", _UNTRANSLATABLE, [])),
+    # ``len`` of a model list is a constant of the body.
+    (_tick_mutable_read, lambda n: ("gated", None, [])),
+    (_tick_lambda, lambda n: ("ungated", "expression Lambda", [])),
+    (_tick_nested_def, lambda n: ("ungated", "statement FunctionDef", [])),
+    (_tick_bare_model, lambda n: ("ungated", "calls are not translatable",
+                                  [])),
+    # A local naming a signal reads that signal.
+    (_tick_tainted_deref, lambda n: ("gated", None, ["in_[0]"])),
+    (_tick_no_source, lambda n: ("ungated", "cannot retrieve source", [])),
 ]
 
 
@@ -415,27 +424,50 @@ def _names(signals):
     return sorted(sig.name for sig in signals)
 
 
+def _sensitive(model, blk):
+    """The signals whose change re-runs comb block ``blk`` in the
+    event-driven settle."""
+    return _names(sig for sig in model._all_signals
+                  if blk.func in sig._net.blocks)
+
+
 @pytest.mark.parametrize(
     "build, expect", _ANALYSIS_CASES,
     ids=[build.__name__.lstrip("_") for build, _ in _ANALYSIS_CASES])
 def test_block_analysis(build, expect):
-    # Both instances exist before either is analysed, and the larger
-    # one is analysed last and checked first.
-    models = [_Bench(build, nports) for nports in (2, 4)]
+    # Both instances exist before either is simulated, and the larger
+    # one is simulated last and checked first.
+    models = [_Bench(build, nports).elaborate() for nports in (2, 4)]
+    sims = []
     for model in models:
-        model.elaborate()
-    for model in reversed(models):
-        reads, writes, flag, *signals = expect(model.nports)
+        with warnings.catch_warnings():
+            # A design with nothing to schedule says so under "static".
+            warnings.simplefilter("ignore", ResilienceWarning)
+            sims.append(SimulationTool(model, sched="static"))
+    for model, sim in zip(reversed(models), reversed(sims)):
+        partition, why, nets = expect(model.nports)
+        kept = sim.sched_info()["lowered"]["kept"]
+        if why is None:
+            assert kept == {}
+        else:
+            assert list(kept) == ["top.blk"] and why in kept["top.blk"]
         if build.__name__.startswith("_comb"):
             blk, = model.get_comb_blocks()
-            assert blk.writes_known is flag
-            assert _names(blk.signals) == sorted(
-                signals[0] if signals else reads)
+            static = blk.func in sim.schedule.order
+            assert ("static" if static else "event") == partition
+            got = (_names(sig for sig in model._all_signals
+                          if sig._net.sreaders) if static
+                   else _sensitive(model, blk))
+            # The event-driven simulator reads the same nets.
+            twin = _Bench(build, model.nports).elaborate()
+            SimulationTool(twin, sched="event")
+            assert _sensitive(twin, twin.get_comb_blocks()[0]) == got
         else:
-            blk, = model.get_tick_blocks()
-            assert blk.gateable is flag
-        assert _names(blk.reads) == sorted(reads)
-        assert _names(blk.writes) == sorted(writes)
+            (slot, _), = sim._tick_plan
+            assert ("gated" if slot >= 0 else "ungated") == partition
+            got = _names(sig for sig in model._all_signals
+                         if sig._net.treaders)
+        assert got == sorted(nets)
 
 
 @pytest.mark.parametrize("build", [
@@ -454,7 +486,7 @@ def test_block_source_parsed_once_per_function(monkeypatch):
     import ast
 
     from repro import SimJITRTL
-    from repro.core import elaboration
+    from repro.core import bodies, elaboration
     from repro.net import MeshNetworkStructural, RouterRTL
 
     parses = []
@@ -462,13 +494,16 @@ def test_block_source_parsed_once_per_function(monkeypatch):
     monkeypatch.setattr(
         ast, "parse", lambda *a, **kw: parses.append(1) or real_parse(*a, **kw))
     monkeypatch.setattr(elaboration, "_block_sources", {})
+    monkeypatch.setattr(bodies, "_bodies", {})
 
     net = MeshNetworkStructural(RouterRTL, 16, 256, 32, 2).elaborate()
+    assert parses == []             # elaboration analyses no block
     codes = {blk.func.__code__
              for model in net._all_models
              for blk in model._comb_blocks + model._tick_blocks}
     nblocks = sum(len(model._comb_blocks) + len(model._tick_blocks)
                   for model in net._all_models)
+    SimulationTool(net)
     assert len(parses) == len(codes) < nblocks
     SimJITRTL(net).specialize()
     assert len(parses) == len(codes)

@@ -6,9 +6,13 @@ enumerates, and every substrate that executes a block — the event
 fixpoint (reference), the interpreted static schedule (the user's
 closures in schedule order), the mega-cycle kernel (lowered blocks,
 ``repro.core.pygen``) and SimJIT's generated C — must agree on every
-port and wire, cycle for cycle, under seeded stimulus.
+port and wire, cycle for cycle, under seeded stimulus.  So must an
+event fixpoint in which every block reacts to every net
+(``test_scheduling.all_sensitive``): the other CPython columns react
+to what the block bodies read, and this one to nothing an analysis
+decides.
 
-Two modes.  The *int* mode (``_Body``) has all four columns.  What one
+Two modes.  The *int* mode (``_Body``) has all five columns.  What one
 of its bodies may contain is chosen so that Python's unbounded ints and
 C's ``int64_t`` locals / ``unsigned __int128`` nets *define* the same
 value, which leaves every disagreement a bug:
@@ -35,8 +39,8 @@ value, which leaves every disagreement a bug:
 The *Bits* mode (``_BitsBody``) prints what that rule leaves out —
 ``Bits`` arithmetic on bare signals, ``.value`` reads and ``Bits``-typed
 locals, which wraps at the operand's width — over the three CPython
-columns: the closures define the value, the lowered kernel must
-reproduce it, and the C backend (which ignores ``SigRead.vtype`` and
+columns (and the all-sensitive one): the closures define the value,
+the lowered kernel must reproduce it, and the C backend (which ignores ``SigRead.vtype`` and
 computes wide) is not asked until it adopts the flag (ROADMAP item 4).
 
 Not here yet (ROADMAP item 1): CL state, signals wider than 64 bits,
@@ -54,7 +58,7 @@ from hypothesis import strategies as st
 from repro import SimulationTool
 from repro.core.probe import Probe
 from repro.core.simjit import JITModel, SimJITRTL, auto_specialize
-from tests.test_scheduling import load_generated
+from tests.test_scheduling import all_sensitive, load_generated
 
 # Tier-1 replays one pinned corpus; CI's verif-fuzz job selects the
 # "fuzz" profile (tests/conftest.py) for fresh draws and more of them.
@@ -606,15 +610,18 @@ def test_generated_design_agrees_on_every_substrate(design):
     models = [build(design.ka).elaborate() for _ in range(3)]
     models.append(
         SimJITRTL(build(design.ka).elaborate()).specialize().elaborate())
+    models.append(build(design.ka).elaborate())
     sims = [SimulationTool(models[0], sched="event"),
             # collect_stats=True keeps the schedule off the kernel.
             SimulationTool(models[1], sched="static", collect_stats=True),
             SimulationTool(models[2], sched="static"),
-            SimulationTool(models[3])]
+            SimulationTool(models[3]),
+            all_sensitive(SimulationTool(models[4], sched="event"))]
     # Non-vacuity: each column runs on the rung it is named after.
     assert [repr(sim).split()[2] for sim in sims] == [
         "sched=event/interpreted", "sched=static/interpreted",
-        "sched=static/kernel", "sched=event/simjit"]
+        "sched=static/kernel", "sched=event/simjit",
+        "sched=event/interpreted"]
     for sim in sims[1:3]:
         info = sim.sched_info()
         assert info["static_blocks"] > 0 and info["event_blocks"] == 0
@@ -632,25 +639,29 @@ def test_siblings_that_differ_in_a_constant_share_their_functions(design):
     twin = build(design.ka, design.kb).elaborate()
     jit = auto_specialize(build(design.ka, design.kb))
     assert isinstance(jit, JITModel)
-    sims = [SimulationTool(twin), SimulationTool(jit.elaborate())]
+    ref = build(design.ka, design.kb).elaborate()
+    sims = [SimulationTool(twin), SimulationTool(jit.elaborate()),
+            all_sensitive(SimulationTool(ref, sched="event"))]
     assert "/kernel " in repr(sims[0]) and "/simjit " in repr(sims[1])
     info = sims[1].sched_info()["simjit"]
     assert info["functions"] < info["blocks"], info
-    _agree(design, [twin, jit], sims,
+    _agree(design, [twin, jit, ref], sims,
            ["out_a", "out_b", *(f"{leaf}.{path}" for leaf in "ab"
                                 for path in design.probes)])
 
 
 def _cpython_columns(build):
     """event, interpreted-static (the user's closures in schedule
-    order), kernel (lowered blocks)."""
-    models = [build().elaborate() for _ in range(3)]
+    order), kernel (lowered blocks), and event with every block
+    sensitive to every net."""
+    models = [build().elaborate() for _ in range(4)]
     sims = [SimulationTool(models[0], sched="event"),
             SimulationTool(models[1], sched="static", collect_stats=True),
-            SimulationTool(models[2], sched="static")]
+            SimulationTool(models[2], sched="static"),
+            all_sensitive(SimulationTool(models[3], sched="event"))]
     assert [repr(sim).split()[2] for sim in sims] == [
         "sched=event/interpreted", "sched=static/interpreted",
-        "sched=static/kernel"]
+        "sched=static/kernel", "sched=event/interpreted"]
     return models, sims
 
 

@@ -413,8 +413,8 @@ def test_stats_match_between_modes():
 
 def load_generated(source):
     """Run generated module ``source`` where ``inspect.getsource``
-    finds it (a ``linecache`` entry): block analysis and lowering read
-    block source, and a block without one is event-driven and
+    finds it (a ``linecache`` entry): a block's body is lowered from
+    its source, and a block without one has no body — event-driven and
     untranslatable.  Returns the module's namespace."""
     name = f"<generated {hashlib.sha1(source.encode()).hexdigest()[:12]}>"
     linecache.cache[name] = (
@@ -422,6 +422,23 @@ def load_generated(source):
     namespace = {}
     exec(compile(source, name, "exec"), namespace)
     return namespace
+
+
+def all_sensitive(sim):
+    """Make the ``sched="event"`` simulator ``sim`` a reference whose
+    sensitivity no analysis decides: every comb closure (connectors
+    too) is a reader of every net.  The event and the static columns
+    both react to what block bodies read, so a read missing from a
+    body would fool them alike, but not this one.  Settles again and
+    returns ``sim``."""
+    assert sim.sched_mode == "event", sim
+    funcs = tuple(sim._all_comb_funcs)
+    for net in sim.model._all_nets:
+        net.blocks = funcs
+    for func in funcs:
+        sim._enqueue(func)
+    sim.eval_combinational()
+    return sim
 
 
 def _random_dag_source(seed):

@@ -143,6 +143,137 @@ def test_comb_loop_detected():
         sim.eval_combinational()
 
 
+class _OverChild(Model):
+    """A comb block without a body (no retrievable source) that reads
+    its child's output port."""
+
+    def __init__(s):
+        s.out = OutPort(8)
+        s.child = _Counter()
+        s.connect(s.child.en, 1)
+        env = {"s": s}
+        exec("def plus():\n"
+             "    s.out.value = s.child.count.value + 100\n", env)
+        s.combinational(env["plus"])
+
+
+@pytest.mark.parametrize("sched", ["event", "auto"])
+def test_block_without_body_sees_its_childs_outputs(sched):
+    model = _OverChild().elaborate()
+    sim = SimulationTool(model, sched=sched)
+    sim.reset()
+    seen = []
+    for _ in range(4):
+        sim.cycle()
+        seen.append(int(model.out))
+    assert seen == [101, 102, 103, 104]
+    if sched == "auto":             # the child's tick is gated
+        info = sim.sched_info()
+        assert (info["mode"], info["event_blocks"]) == ("static", 1)
+        assert info["lowered"]["kept"] == {
+            "top.plus": "cannot retrieve source for plus"}
+
+
+def _plus_one(x):
+    """A helper call: a block calling it has no body."""
+    return x + 1
+
+
+class _DefaultThenOverride(Model):
+    """A block without a body that writes a default to its own wire,
+    then overrides it: it reads what it writes."""
+
+    def __init__(s):
+        s.in_ = InPort(8)
+        s.out = OutPort(8)
+        s.w = Wire(8)
+
+        @s.combinational
+        def pick():
+            s.w.value = 0
+            if s.in_.value > 3:
+                s.w.value = _plus_one(s.in_.value)
+
+        @s.combinational
+        def drive():
+            s.out.value = s.w.value
+
+
+@pytest.mark.parametrize("sched", ["event", "auto"])
+def test_block_without_body_ignores_its_own_writes(sched):
+    model = _DefaultThenOverride().elaborate()
+    sim = SimulationTool(model, sched=sched)
+    assert "top.pick" in sim.sched_info()["lowered"]["kept"] or \
+        sched == "event"
+    seen = []
+    for value in (1, 5, 2, 9):
+        model.in_.value = value
+        sim.eval_combinational()
+        seen.append(int(model.out))
+    assert seen == [0, 6, 0, 10]
+
+
+class _ReadsBackOutput(Model):
+    """A block without a body that reads its own output port, driven
+    by its model's tick."""
+
+    def __init__(s):
+        s.count = OutPort(8)
+        s.next_count = OutPort(8)
+
+        @s.tick_rtl
+        def up():
+            s.count.next = s.count + 1
+
+        @s.combinational
+        def ahead():
+            s.next_count.value = _plus_one(s.count.value)
+
+
+@pytest.mark.parametrize("sched", ["event", "auto"])
+def test_block_without_body_sees_its_models_outputs(sched):
+    model = _ReadsBackOutput().elaborate()
+    sim = SimulationTool(model, sched=sched)
+    seen = []
+    for _ in range(4):
+        sim.cycle()
+        seen.append((int(model.count), int(model.next_count)))
+    assert seen == [(1, 2), (2, 3), (3, 4), (4, 5)]
+
+
+class _PickByAttribute(Model):
+    """Blocks whose bodies fold a model int: an index, and a value."""
+
+    def __init__(s):
+        s.in_ = [InPort(8) for _ in range(4)]
+        s.out = OutPort(8)
+        s.k_out = OutPort(8)
+        s.k = 1
+
+        @s.combinational
+        def pick():
+            s.out.value = s.in_[s.k].value
+
+        @s.combinational
+        def show():
+            s.k_out.value = s.k
+
+
+def test_event_closures_follow_a_model_int_changed_after_construction():
+    # The closures read ``s.k`` on every run; the event simulator's
+    # sensitivity must not be the one element the body folded.
+    model = _PickByAttribute().elaborate()
+    sim = SimulationTool(model, sched="event")
+    for i, port in enumerate(model.in_):
+        port.value = 10 + i
+    sim.eval_combinational()
+    assert (int(model.out), int(model.k_out)) == (11, 1)
+    model.k = 2
+    model.in_[2].value = 42
+    sim.eval_combinational()
+    assert (int(model.out), int(model.k_out)) == (42, 2)
+
+
 class _TwoStage(Model):
     """Two registers back to back: data takes two cycles."""
 

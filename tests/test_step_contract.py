@@ -20,6 +20,7 @@ from repro.observe import WatchpointHit
 from repro.resilience import ResilienceWarning
 from repro.tools import VCDWriter
 from tests.test_observe import _Counter
+from tests.test_scheduling import all_sensitive
 from tests.test_simjit_step import _jit_top
 
 N, SPLIT = 12, 5
@@ -28,6 +29,8 @@ SHAPES = {"run": [N], "cycles": [1] * N, "split": [SPLIT, N - SPLIT]}
 #: substrate -> (SimulationTool kwargs, SimJIT top?, step named by repr)
 SUBSTRATES = {
     "event": ({"sched": "event"}, False, "interpreted"),
+    # Every block a reader of every net (test_scheduling.all_sensitive).
+    "event-all-sensitive": ({"sched": "event"}, False, "interpreted"),
     "static-stats": ({"sched": "static", "collect_stats": True}, False,
                      "interpreted"),
     "static-profile": ({"sched": "static", "profile": True}, False,
@@ -57,6 +60,8 @@ def _build(substrate, factory=_Counter, **extra):
     if jit:
         model = _jit_top(model)
     sim = SimulationTool(model, **kwargs, **extra)
+    if substrate == "event-all-sensitive":
+        all_sensitive(sim)
     if substrate == "simjit-recorder":
         sim.flight_recorder(signals=["count"], depth=4)
         assert sim._jit_instr.active

@@ -106,6 +106,26 @@ def test_lint_multiple_drivers():
     assert any(w.check == "multiple-drivers" for w in warnings)
 
 
+def test_lint_empty_sensitivity_reads_the_body():
+    class Const(Model):
+        def __init__(s):
+            s.a = InPort(8)
+            s.out = OutPort(8)
+            s.echo = OutPort(8)
+
+            @s.combinational
+            def tie():
+                s.out.value = 5
+
+            @s.combinational
+            def copy():
+                s.echo.value = s.a.value
+
+    warnings = lint(Const().elaborate())
+    assert [(w.check, w.where) for w in warnings] == [
+        ("empty-sensitivity", "top.tie")]
+
+
 def test_lint_reports_each_port_once_against_its_owner():
     class Child(Model):
         def __init__(s):
