@@ -1,6 +1,6 @@
 //----------------------------------------------------------------------
 // Generated by repro.TranslationTool
-// Top module: MeshNetworkStructural_9ce80fe7
+// Top module: MeshNetworkStructural_6273de15
 //----------------------------------------------------------------------
 
 module NormalQueue_4d0c60cc
@@ -63,7 +63,7 @@ module NormalQueue_4d0c60cc
   end
 endmodule
 
-module RouterRTL_546ef748
+module RouterRTL_6d001137
 (
   input  wire clk,
   input  wire reset,
@@ -98,6 +98,8 @@ module RouterRTL_546ef748
   output reg  [47:0] out_4__msg,
   output reg  out_4__val
 );
+  parameter switch_logic_k5 = 0;
+  parameter switch_logic_k8 = 0;
   wire [47:0] queues_0__deq__msg;
   wire [47:0] queues_1__deq__msg;
   wire [47:0] queues_2__deq__msg;
@@ -261,16 +263,16 @@ module RouterRTL_546ef748
       dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
       dest_x = (dest % 4);
       dest_y = (dest / 4);
-      if ((dest_x > 0) != 0) begin
+      if ((dest_x > switch_logic_k5) != 0) begin
         routes[i] = 2;
       end else begin
-        if ((dest_x < 0) != 0) begin
+        if ((dest_x < switch_logic_k5) != 0) begin
           routes[i] = 4;
         end else begin
-          if ((dest_y > 0) != 0) begin
+          if ((dest_y > switch_logic_k8) != 0) begin
             routes[i] = 3;
           end else begin
-            if ((dest_y < 0) != 0) begin
+            if ((dest_y < switch_logic_k8) != 0) begin
               routes[i] = 1;
             end else begin
               routes[i] = 0;
@@ -395,4987 +397,7 @@ module RouterRTL_546ef748
   end
 endmodule
 
-module RouterRTL_57cab1de
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 1) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 1) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 0) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 0) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_b1566414
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 2) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 2) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 0) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 0) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_d05fd89e
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 3) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 3) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 0) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 0) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_155a88b2
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 0) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 0) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 1) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 1) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_d92436f8
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 1) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 1) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 1) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 1) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_7051f6b6
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 2) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 2) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 1) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 1) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_742775ef
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 3) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 3) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 1) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 1) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_f4b1f116
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 0) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 0) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 2) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 2) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_af0c093e
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 1) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 1) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 2) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 2) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_18a49a50
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 2) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 2) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 2) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 2) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_dcb04ecd
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 3) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 3) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 2) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 2) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_0be994b6
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 0) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 0) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 3) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 3) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_d3a484aa
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 1) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 1) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 3) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 3) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_c255df32
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 2) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 2) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 3) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 3) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module RouterRTL_95569d0e
-(
-  input  wire clk,
-  input  wire reset,
-  input  wire [47:0] in__0__msg,
-  input  wire in__0__val,
-  input  wire [47:0] in__1__msg,
-  input  wire in__1__val,
-  input  wire [47:0] in__2__msg,
-  input  wire in__2__val,
-  input  wire [47:0] in__3__msg,
-  input  wire in__3__val,
-  input  wire [47:0] in__4__msg,
-  input  wire in__4__val,
-  input  wire out_0__rdy,
-  input  wire out_1__rdy,
-  input  wire out_2__rdy,
-  input  wire out_3__rdy,
-  input  wire out_4__rdy,
-  output wire in__0__rdy,
-  output wire in__1__rdy,
-  output wire in__2__rdy,
-  output wire in__3__rdy,
-  output wire in__4__rdy,
-  output reg  [47:0] out_0__msg,
-  output reg  out_0__val,
-  output reg  [47:0] out_1__msg,
-  output reg  out_1__val,
-  output reg  [47:0] out_2__msg,
-  output reg  out_2__val,
-  output reg  [47:0] out_3__msg,
-  output reg  out_3__val,
-  output reg  [47:0] out_4__msg,
-  output reg  out_4__val
-);
-  wire [47:0] queues_0__deq__msg;
-  wire [47:0] queues_1__deq__msg;
-  wire [47:0] queues_2__deq__msg;
-  wire [47:0] queues_3__deq__msg;
-  wire [47:0] queues_4__deq__msg;
-  wire queues_0__deq__val;
-  wire queues_1__deq__val;
-  wire queues_2__deq__val;
-  wire queues_3__deq__val;
-  wire queues_4__deq__val;
-  wire queues_0__deq__rdy;
-  wire queues_1__deq__rdy;
-  wire queues_2__deq__rdy;
-  wire queues_3__deq__rdy;
-  wire queues_4__deq__rdy;
-  reg [2:0] grant_arr [0:4];
-  reg grant_val_arr [0:4];
-  reg [2:0] priority_arr [0:4];
-  reg hold_val_arr [0:4];
-  reg [2:0] hold_grant_arr [0:4];
-  reg [31:0] flit_count_arr [0:4];
-  reg [31:0] stall_count_arr [0:4];
-
-  NormalQueue_4d0c60cc queues_0
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__0__msg),
-    .enq__val(in__0__val),
-    .enq__rdy(in__0__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_1
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__1__msg),
-    .enq__val(in__1__val),
-    .enq__rdy(in__1__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_2
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__2__msg),
-    .enq__val(in__2__val),
-    .enq__rdy(in__2__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_3
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__3__msg),
-    .enq__val(in__3__val),
-    .enq__rdy(in__3__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  NormalQueue_4d0c60cc queues_4
-  (
-    .clk(clk),
-    .reset(reset),
-    .enq__msg(in__4__msg),
-    .enq__val(in__4__val),
-    .enq__rdy(in__4__rdy),
-    .deq__msg(),
-    .deq__val(),
-    .deq__rdy()
-  );
-
-  reg [47:0] shadow_0 [0:4];
-  always @(*) begin
-    shadow_0[0] = queues_0__deq__msg;
-    shadow_0[1] = queues_1__deq__msg;
-    shadow_0[2] = queues_2__deq__msg;
-    shadow_0[3] = queues_3__deq__msg;
-    shadow_0[4] = queues_4__deq__msg;
-  end
-  reg shadow_1 [0:4];
-  always @(*) begin
-    shadow_1[0] = queues_0__deq__val;
-    shadow_1[1] = queues_1__deq__val;
-    shadow_1[2] = queues_2__deq__val;
-    shadow_1[3] = queues_3__deq__val;
-    shadow_1[4] = queues_4__deq__val;
-  end
-  reg shadow_2 [0:4];
-  assign out_0__val = shadow_2[0];
-  assign out_1__val = shadow_2[1];
-  assign out_2__val = shadow_2[2];
-  assign out_3__val = shadow_2[3];
-  assign out_4__val = shadow_2[4];
-  reg [47:0] shadow_3 [0:4];
-  assign out_0__msg = shadow_3[0];
-  assign out_1__msg = shadow_3[1];
-  assign out_2__msg = shadow_3[2];
-  assign out_3__msg = shadow_3[3];
-  assign out_4__msg = shadow_3[4];
-  reg shadow_4 [0:4];
-  assign queues_0__deq__rdy = shadow_4[0];
-  assign queues_1__deq__rdy = shadow_4[1];
-  assign queues_2__deq__rdy = shadow_4[2];
-  assign queues_3__deq__rdy = shadow_4[3];
-  assign queues_4__deq__rdy = shadow_4[4];
-  reg shadow_5 [0:4];
-  always @(*) begin
-    shadow_5[0] = out_0__rdy;
-    shadow_5[1] = out_1__rdy;
-    shadow_5[2] = out_2__rdy;
-    shadow_5[3] = out_3__rdy;
-    shadow_5[4] = out_4__rdy;
-  end
-  integer msgs [0:4];
-  integer vals [0:4];
-  integer routes [0:4];
-  integer i;
-  integer msg;
-  integer dest;
-  integer dest_x;
-  integer dest_y;
-  integer claimed [0:4];
-  integer choices [0:4];
-  integer o;
-  integer choice;
-  integer base;
-  integer k;
-  // switch_logic
-  always @(*) begin
-    msgs[0] = 0;
-    msgs[1] = 0;
-    msgs[2] = 0;
-    msgs[3] = 0;
-    msgs[4] = 0;
-    vals[0] = 0;
-    vals[1] = 0;
-    vals[2] = 0;
-    vals[3] = 0;
-    vals[4] = 0;
-    routes[0] = 0;
-    routes[1] = 0;
-    routes[2] = 0;
-    routes[3] = 0;
-    routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
-      msg = shadow_0[i];
-      msgs[i] = msg;
-      vals[i] = shadow_1[i];
-      dest = ((msg >> 44) & ((1 << (48 - 44)) - 1));
-      dest_x = (dest % 4);
-      dest_y = (dest / 4);
-      if ((dest_x > 3) != 0) begin
-        routes[i] = 2;
-      end else begin
-        if ((dest_x < 3) != 0) begin
-          routes[i] = 4;
-        end else begin
-          if ((dest_y > 3) != 0) begin
-            routes[i] = 3;
-          end else begin
-            if ((dest_y < 3) != 0) begin
-              routes[i] = 1;
-            end else begin
-              routes[i] = 0;
-            end
-          end
-        end
-      end
-    end
-    claimed[0] = 0;
-    claimed[1] = 0;
-    claimed[2] = 0;
-    claimed[3] = 0;
-    claimed[4] = 0;
-    choices[0] = (-1);
-    choices[1] = (-1);
-    choices[2] = (-1);
-    choices[3] = (-1);
-    choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
-      if (hold_val_arr[o] != 0) begin
-        i = hold_grant_arr[o];
-        if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-          choices[o] = i;
-          claimed[i] = 1;
-        end
-      end
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      choice = choices[o];
-      if ((choice < 0) != 0) begin
-        base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
-          i = ((base + k) % 5);
-          if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
-            choice = i;
-          end
-        end
-        if ((choice >= 0) != 0) begin
-          claimed[choice] = 1;
-        end
-      end
-      if ((choice >= 0) != 0) begin
-        grant_arr[o] = choice;
-        grant_val_arr[o] = 1;
-        shadow_2[o] = 1;
-        shadow_3[o] = msgs[choice];
-      end else begin
-        grant_arr[o] = 0;
-        grant_val_arr[o] = 0;
-        shadow_2[o] = 0;
-        shadow_3[o] = 0;
-      end
-    end
-    for (i = 0; i < 5; i = i + 1) begin
-      shadow_4[i] = 0;
-    end
-    for (o = 0; o < 5; o = o + 1) begin
-      if (grant_val_arr[o] != 0) begin
-        shadow_4[grant_arr[o]] = shadow_5[o];
-      end
-    end
-  end
-
-  reg shadow_6 [0:4];
-  always @(*) begin
-    shadow_6[0] = out_0__rdy;
-    shadow_6[1] = out_1__rdy;
-    shadow_6[2] = out_2__rdy;
-    shadow_6[3] = out_3__rdy;
-    shadow_6[4] = out_4__rdy;
-  end
-  integer o;
-  // telemetry_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        flit_count_arr[o] <= 0;
-        stall_count_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
-          flit_count_arr[o] <= (flit_count_arr[o] + 1);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_6[o]) != 0)) != 0) begin
-          stall_count_arr[o] <= (stall_count_arr[o] + 1);
-        end
-      end
-    end
-  end
-
-  reg shadow_7 [0:4];
-  always @(*) begin
-    shadow_7[0] = out_0__rdy;
-    shadow_7[1] = out_1__rdy;
-    shadow_7[2] = out_2__rdy;
-    shadow_7[3] = out_3__rdy;
-    shadow_7[4] = out_4__rdy;
-  end
-  integer o;
-  // priority_logic
-  always @(posedge clk) begin
-    if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
-        priority_arr[o] <= 0;
-        hold_val_arr[o] <= 0;
-        hold_grant_arr[o] <= 0;
-      end
-    end else begin
-      for (o = 0; o < 5; o = o + 1) begin
-        if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
-          priority_arr[o] <= ((grant_arr[o] + 1) % 5);
-        end
-        if (((grant_val_arr[o] != 0) && ((!shadow_7[o]) != 0)) != 0) begin
-          hold_val_arr[o] <= 1;
-          hold_grant_arr[o] <= grant_arr[o];
-        end else begin
-          hold_val_arr[o] <= 0;
-        end
-      end
-    end
-  end
-endmodule
-
-module MeshNetworkStructural_9ce80fe7
+module MeshNetworkStructural_6273de15
 (
   input  wire clk,
   input  wire reset,
@@ -5621,7 +643,7 @@ module MeshNetworkStructural_9ce80fe7
   wire net_143;
   wire net_144;
 
-  RouterRTL_546ef748 routers_0
+  RouterRTL_6d001137 #(.switch_logic_k5(0), .switch_logic_k8(0)) routers_0
   (
     .clk(clk),
     .reset(reset),
@@ -5657,7 +679,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy()
   );
 
-  RouterRTL_57cab1de routers_1
+  RouterRTL_6d001137 #(.switch_logic_k5(1), .switch_logic_k8(0)) routers_1
   (
     .clk(clk),
     .reset(reset),
@@ -5693,7 +715,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy(net_6)
   );
 
-  RouterRTL_b1566414 routers_2
+  RouterRTL_6d001137 #(.switch_logic_k5(2), .switch_logic_k8(0)) routers_2
   (
     .clk(clk),
     .reset(reset),
@@ -5729,7 +751,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy(net_18)
   );
 
-  RouterRTL_d05fd89e routers_3
+  RouterRTL_6d001137 #(.switch_logic_k5(3), .switch_logic_k8(0)) routers_3
   (
     .clk(clk),
     .reset(reset),
@@ -5765,7 +787,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy(net_30)
   );
 
-  RouterRTL_155a88b2 routers_4
+  RouterRTL_6d001137 #(.switch_logic_k5(0), .switch_logic_k8(1)) routers_4
   (
     .clk(clk),
     .reset(reset),
@@ -5801,7 +823,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy()
   );
 
-  RouterRTL_d92436f8 routers_5
+  RouterRTL_6d001137 #(.switch_logic_k5(1), .switch_logic_k8(1)) routers_5
   (
     .clk(clk),
     .reset(reset),
@@ -5837,7 +859,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy(net_48)
   );
 
-  RouterRTL_7051f6b6 routers_6
+  RouterRTL_6d001137 #(.switch_logic_k5(2), .switch_logic_k8(1)) routers_6
   (
     .clk(clk),
     .reset(reset),
@@ -5873,7 +895,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy(net_60)
   );
 
-  RouterRTL_742775ef routers_7
+  RouterRTL_6d001137 #(.switch_logic_k5(3), .switch_logic_k8(1)) routers_7
   (
     .clk(clk),
     .reset(reset),
@@ -5909,7 +931,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy(net_72)
   );
 
-  RouterRTL_f4b1f116 routers_8
+  RouterRTL_6d001137 #(.switch_logic_k5(0), .switch_logic_k8(2)) routers_8
   (
     .clk(clk),
     .reset(reset),
@@ -5945,7 +967,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy()
   );
 
-  RouterRTL_af0c093e routers_9
+  RouterRTL_6d001137 #(.switch_logic_k5(1), .switch_logic_k8(2)) routers_9
   (
     .clk(clk),
     .reset(reset),
@@ -5981,7 +1003,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy(net_90)
   );
 
-  RouterRTL_18a49a50 routers_10
+  RouterRTL_6d001137 #(.switch_logic_k5(2), .switch_logic_k8(2)) routers_10
   (
     .clk(clk),
     .reset(reset),
@@ -6017,7 +1039,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy(net_102)
   );
 
-  RouterRTL_dcb04ecd routers_11
+  RouterRTL_6d001137 #(.switch_logic_k5(3), .switch_logic_k8(2)) routers_11
   (
     .clk(clk),
     .reset(reset),
@@ -6053,7 +1075,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy(net_114)
   );
 
-  RouterRTL_0be994b6 routers_12
+  RouterRTL_6d001137 #(.switch_logic_k5(0), .switch_logic_k8(3)) routers_12
   (
     .clk(clk),
     .reset(reset),
@@ -6089,7 +1111,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy()
   );
 
-  RouterRTL_d3a484aa routers_13
+  RouterRTL_6d001137 #(.switch_logic_k5(1), .switch_logic_k8(3)) routers_13
   (
     .clk(clk),
     .reset(reset),
@@ -6125,7 +1147,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy(net_132)
   );
 
-  RouterRTL_c255df32 routers_14
+  RouterRTL_6d001137 #(.switch_logic_k5(2), .switch_logic_k8(3)) routers_14
   (
     .clk(clk),
     .reset(reset),
@@ -6161,7 +1183,7 @@ module MeshNetworkStructural_9ce80fe7
     .out_4__rdy(net_138)
   );
 
-  RouterRTL_95569d0e routers_15
+  RouterRTL_6d001137 #(.switch_logic_k5(3), .switch_logic_k8(3)) routers_15
   (
     .clk(clk),
     .reset(reset),

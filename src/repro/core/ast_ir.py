@@ -9,8 +9,8 @@ into the IR by resolving names against the *live elaborated model* —
 Python attribute chains become signal references, elaboration-time
 constants fold away, and anything outside the subset raises
 :class:`TranslationError` naming the offending construct.
-:func:`lower` is the entry point: it takes a block as
-``Model.get_comb_blocks()`` / ``get_tick_blocks()`` hand it out.
+:mod:`.bodies` is the one module that runs it: one lowering per block
+body, whatever backend or tool asks.
 
 Subset summary:
 
@@ -40,10 +40,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .bitstruct import BitStruct
 from .elaboration import block_shape
 from .model import _CombBlock
-from .portbundle import PortBundle
 from .signals import Signal, _SignalSlice
 
 
@@ -441,6 +439,8 @@ class BlockTranslator:
             start, stop, step = args[0], args[1], 1
         else:
             start, stop, step = args
+        if step == 0:
+            self.fail(node, "range() step must not be zero")
         if not isinstance(node.target, ast.Name):
             self.fail(node, "for target must be a simple name")
         var = node.target.id
@@ -1227,25 +1227,6 @@ def _binop_type(op, left, right):
             raise TypeUndecided(f"int {op} {right.kind} raises TypeError")
         return Ty("bits", left.width)
     return Ty("bits", max(left.width, right.width))
-
-
-def lower(blk):
-    """Lower one behavioural block (a ``Model.get_comb_blocks()`` /
-    ``get_tick_blocks()`` entry) to :class:`BlockIR` — the one entry
-    point every backend and tool uses.  The IR kind comes from the
-    block itself; a caller that rejects a level does so before
-    lowering.
-
-    A pure function, deliberately uncached (keeping mesh64's 832
-    ``BlockIR``s alive costs +12.8 % peak RSS), for the two consumers
-    that need one instance's IR: ``TranslationTool`` (Verilog names)
-    and ``eda/estimator.py`` (constants' bit lengths).  Everyone else
-    goes through the cache that keeps no instance alive: a *body*
-    (:mod:`.bodies`), one lowering per block body, printed once per
-    backend and bound per instance through the translator's read trace
-    (``BlockTranslator.holes`` / ``.guards``) — five for mesh64.
-    """
-    return BlockTranslator(blk.model, blk.func, block_kind(blk)).translate()
 
 
 def block_kind(blk):

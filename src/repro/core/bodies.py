@@ -26,7 +26,8 @@ between them does not fit ``int64_t``), and no others do.  A body
 keeps no instance and goes with the block's code object.  A
 ``TranslationError`` has no complete trace to guard it with and is not
 remembered.  This module holds the one ``compile`` / ``exec`` of the
-CPython rung.
+CPython rung and the one ``BlockTranslator``: a tool that reads the IR
+itself asks :func:`lowered`, once per body it meets.
 """
 
 from __future__ import annotations
@@ -235,14 +236,12 @@ def _drop(key):
         linecache.cache.pop(body.filename, None)
 
 
-def _new_body(blk, kind):
-    """Lower ``blk`` and print it; returns ``(body, holes)``.  Raises
+def _new_body(blk, translator, ir, bind):
+    """Print ``blk``'s lowering; returns ``(body, holes)``.  Raises
     :class:`Refused` where there are no guards to keep a body under
     (the bind raises): the next sibling is tried on its own."""
     func = blk.func
-    translator = BlockTranslator(blk.model, func, kind)
-    ir = translator.translate()
-    bind_lines, hole_of, expected = _print_bind(translator)
+    bind_lines, hole_of, expected = bind
     refused = None
     try:
         func_lines = print_function(ir, func, hole_of, len(expected))
@@ -290,6 +289,21 @@ def body_of(blk):
     block, :class:`Refused` where it has no body: not a plain function,
     or a bind that does not reproduce the lowering (a body kept for
     its siblings, which it refuses without a second lowering)."""
+    return _body(blk, None)
+
+
+def lowered(blk, irs):
+    """``(body, holes, ir, hole_of)``: :func:`body_of` of ``blk`` and
+    its body's ``BlockIR``, whose leaves ``hole_of`` maps (by ``id``) to
+    holes.  ``irs`` is the caller's ``{body: (ir, hole_of)}``: a body
+    not in it is lowered from ``blk`` once (a new one from that same
+    lowering) and entered.  An IR holds its instance's signals, so this
+    module keeps none."""
+    body, holes = _body(blk, irs)
+    return (body, holes, *irs[body])
+
+
+def _body(blk, irs):
     func = blk.func
     code = getattr(func, "__code__", None)
     if code is None:
@@ -306,8 +320,16 @@ def body_of(blk):
         if body.matches(guards):
             break
     else:
-        body, holes = _new_body(blk, block_kind(blk))
-        bodies.append(body)
+        body = None
+    if body is None or irs is not None and body not in irs:
+        translator = BlockTranslator(blk.model, func, block_kind(blk))
+        ir = translator.translate()
+        bind = _print_bind(translator)
+        if body is None:
+            body, holes = _new_body(blk, translator, ir, bind)
+            bodies.append(body)
+        if irs is not None:
+            irs[body] = ir, bind[1]
     if body.c is None:
         raise Refused(body.refused)
     return body, holes

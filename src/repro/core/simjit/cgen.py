@@ -565,7 +565,8 @@ class _Template:
         if isinstance(node, For):
             var = _lname(node.var)
             lines = [
-                f"{pad}for ({var} = {node.start}; {var} < {node.stop}; "
+                f"{pad}for ({var} = {node.start}; "
+                f"{var} {'<' if node.step > 0 else '>'} {node.stop}; "
                 f"{var} += {node.step}) {{"
             ]
             lines.extend(self.stmt(s, indent + 2) for s in node.body)

@@ -3,18 +3,20 @@
 The HDL path of the framework (paper Sections III-B and the
 ``--test-verilog`` flow of Figure 4): an elaborated RTL model hierarchy
 is translated module-by-module into Verilog source that an EDA flow can
-consume.  Behavioral blocks are lowered through the shared IR
-(:mod:`repro.core.ast_ir`); structure (ports, wires, submodule
-instances, net connectivity, slice connections, constant ties) is
-emitted from the elaborated instance.
+consume.  Each block body's IR (:mod:`repro.core.bodies`) is printed
+once, as an always block whose holes every instance fills; structure
+(ports, wires, submodule instances, net connectivity, slice
+connections, constant ties) is emitted from the elaborated instance.
 
 Characteristics and limits (documented in DESIGN.md):
 
 - structural models are translatable whenever their leaf modules are;
 - lists of signals become Verilog arrays; dynamically-indexed lists of
   *child ports* become shadow arrays with explicit copies;
-- identical generated module bodies are deduplicated, so a 64-router
-  mesh emits one router module definition;
+- instances whose text is equal but for ints are one module: an int
+  the same in all of them is its literal, one that varies a
+  ``parameter`` each instance sets with ``#(...)``, so a 64-router mesh
+  emits one router module definition.  Equal texts are deduplicated;
 - ``break``/``continue`` and plain-attribute CL state are rejected
   (outside the synthesizable subset).
 
@@ -26,7 +28,9 @@ its own lint pass rather than by co-simulation.
 from __future__ import annotations
 
 import hashlib
+import re
 
+from . import bodies
 from .ast_ir import (
     AssignLocal,
     AssignSig,
@@ -44,16 +48,12 @@ from .ast_ir import (
     IfExp,
     LocalRead,
     SigRead,
-    SigRef,
     StateRead,
     TranslationError,
     UnOp,
-    lower,
-    walk_stmts,
 )
-from .elaboration import _drives, elaborate
-from .model import Model
-from .signals import InPort, OutPort, Signal, Wire, _SignalSlice
+from .elaboration import _infer_driver, elaborate
+from .signals import InPort, OutPort, Signal, _SignalSlice
 
 
 def translate(model):
@@ -68,19 +68,21 @@ class TranslationTool:
         if not model.is_elaborated():
             elaborate(model)
         self.model = model
-        self._modules = {}         # body hash -> (name, text)
-        self._order = []           # emission order (leaves first)
-        self._driven_cache = {}    # id(model) -> driven out-port names
-        self.top_module = self._translate_model(model)
+        self._irs = {}             # block body -> (ir, hole_of)
+        self._templates = {}       # block body -> its always block
+        self._groups = {}          # key -> [_ModuleEmitter], leaves first
+        top = self._translate_model(model)
+        modules = {}               # text digest -> module text
+        for members in self._groups.values():
+            _settle(members, modules)
+        self.top_module = top.header
         header = (
             "//" + "-" * 70 + "\n"
             f"// Generated by repro.TranslationTool\n"
             f"// Top module: {self.top_module}\n"
             "//" + "-" * 70 + "\n\n"
         )
-        self.verilog = header + "\n\n".join(
-            self._modules[key][1] for key in self._order
-        )
+        self.verilog = header + "\n\n".join(modules.values())
 
     def to_file(self, path):
         """Write the generated Verilog to ``path``."""
@@ -91,42 +93,76 @@ class TranslationTool:
     # -- per-model translation ----------------------------------------------
 
     def _translate_model(self, model):
-        child_driven = {}
-        child_modules = []
-        for child in model.get_submodels():
-            module_name, driven = self._translate_child(child)
-            child_modules.append(module_name)
-            child_driven[id(child)] = driven
-        emitter = _ModuleEmitter(model, child_modules, child_driven)
-        body = emitter.emit()
-        digest = hashlib.sha256(body.encode()).hexdigest()[:8]
-        name = f"{type(model).__name__}_{digest}"
-        key = digest
-        if key not in self._modules:
-            self._modules[key] = (name, body.replace("%MODNAME%", name))
-            self._order.append(key)
-        self._driven_cache[id(model)] = emitter.driven_outputs
-        return self._modules[key][0]
+        children = [self._translate_model(child)
+                    for child in model.get_submodels()]
+        inst = _ModuleEmitter(model, children, self)
+        inst.emit()
+        inst.key = hashlib.sha256(repr(
+            (inst.text, [(c.key, c.consts) for c in children])
+        ).encode()).digest()
+        self._groups.setdefault(inst.key, []).append(inst)
+        return inst
 
-    def _translate_child(self, child):
-        module_name = self._translate_model(child)
-        return module_name, self._driven_cache[id(child)]
+    def _block(self, blk, kind):
+        """``(name, body, holes, template)``: ``blk``'s function name,
+        body and holes, and the body's always block
+        (:class:`_VerilogBackend`), printed the first time the body is
+        met."""
+        try:
+            body, holes, ir, hole_of = bodies.lowered(blk, self._irs)
+        except bodies.Refused as exc:
+            raise TranslationError(f"{blk.name}: {exc}") from None
+        if body not in self._templates:
+            self._templates[body] = _VerilogBackend(hole_of).block(ir, kind)
+        return blk.func.__name__, body, holes, self._templates[body]
+
+
+def _settle(members, modules):
+    """Print the module the instances ``members`` share into
+    ``modules``: an int the same in each is its literal, one that varies
+    a ``parameter`` (one per distinct column of values) that each
+    member's ``header`` sets."""
+    first = members[0]
+    printed, params = {}, {}    # column of values -> parameter
+    for key in first.consts:
+        col = tuple(m.consts[key] for m in members)
+        printed[key] = (_vint(col[0]) if len(set(col)) == 1
+                        else params.setdefault(col, key))
+    text = re.sub(r"\x01(\w+)\x01|\x02(\d+)\x02", lambda m: printed[m[1]]
+                  if m[1] else first.children[int(m[2])].header, first.text)
+    if params:
+        ports, sep, rest = text.partition("\n);\n")
+        text = ports + sep + "".join(
+            f"  parameter {p} = {_vint(first.consts[p])};\n"
+            for p in params.values()) + rest
+    digest = hashlib.sha256(text.encode()).hexdigest()[:8]
+    name = f"{type(first.model).__name__}_{digest}"
+    modules.setdefault(digest, text.replace("%MODNAME%", name))
+    for m in members:
+        m.header = name + (" #(" + ", ".join(
+            f".{p}({_vint(m.consts[p])})" for p in params.values()) + ")"
+            if params else "")
 
 
 class _ModuleEmitter:
-    """Emits one Verilog module for one model instance."""
+    """Emits one model instance's module ``text`` before its ints are
+    settled: ``\\1<p>\\1`` marks the int ``consts[p]`` (``p`` names the
+    parameter it is if it varies between the instances of the module),
+    ``\\2<k>\\2`` the module of ``children[k]`` (their emitters).
+    :func:`_settle` sets the ``header`` a parent instantiates it with."""
 
-    def __init__(self, model, child_modules, child_driven=None):
+    def __init__(self, model, children, tool):
         self.model = model
-        self.child_modules = child_modules
-        self.child_driven = child_driven or {}
+        self.children = children
+        self.tool = tool
         self.driven_outputs = set()
-        self.lines = []
         self._vnames = {}          # id(signal) -> verilog name
-        self._declared = set()
-        self._arrays = {}          # tuple(signal ids) -> array info
         self._extra_wires = []
         self._uid = 0
+        self.array_slot = {}       # id(signal) -> (array name, index)
+        self._shadow_arrays = []
+        self._shadow_uid = 0
+        self.consts = {}           # parameter name -> int
 
     # -- naming helpers ----------------------------------------------------------
 
@@ -149,73 +185,55 @@ class _ModuleEmitter:
         self._vnames[key] = name
         return name
 
-    def _fresh(self, prefix):
-        self._uid += 1
-        return f"{prefix}_{self._uid}"
-
     # -- main emission ----------------------------------------------------------------
 
     def emit(self):
         model = self.model
-        in_ports = model.get_inports()
-        out_ports = model.get_outports()
-        wires = model.get_wires()
 
-        # Lower behavioral blocks first: they decide which signals are
+        # Bind behavioral blocks first: they decide which signals are
         # regs and which dynamic arrays are needed.
-        block_irs = []
-        for blk in model.get_comb_blocks():
-            block_irs.append(("comb", lower(blk)))
+        blocks = [self.tool._block(blk, "comb")
+                  for blk in model.get_comb_blocks()]
         for blk in model.get_tick_blocks():
             if blk.level != "rtl":
                 raise TranslationError(
                     f"{blk.name}: only RTL blocks are "
                     f"Verilog-translatable (got '{blk.level}')"
                 )
-            block_irs.append(("tick", lower(blk)))
-
-        written = set()
-        for _, ir in block_irs:
-            for ref in ir.sig_writes:
-                for sig in ref.signals:
-                    written.add(id(sig))
-            for stmt in walk_stmts(ir.body):
-                if isinstance(stmt, AssignState):
-                    raise TranslationError(
-                        f"{model.full_name()}: plain-attribute state is "
-                        "not synthesizable"
-                    )
+            blocks.append(self.tool._block(blk, "tick"))
+        written = {id(sig) for _, body, holes, _ in blocks
+                   for sig in bodies.signals(holes, body.writes)}
 
         # Identify signal-list attributes that become Verilog arrays —
         # only lists the behavioral blocks actually touch.
-        referenced = set()
-        for _, ir in block_irs:
-            for ref in ir.sig_reads + ir.sig_writes:
-                referenced.update(id(s) for s in ref.signals)
+        referenced = {id(sig) for _, body, holes, _ in blocks
+                      for sig in bodies.signals(
+                          holes, body.reads + body.writes)}
         array_lists = {
             name: sigs
             for name, sigs in self._find_signal_lists(model).items()
             if any(id(s) in referenced for s in sigs)
         }
+        in_arrays = {id(s) for sigs in array_lists.values() for s in sigs}
 
         # Port declarations.
         port_decls = ["  input  wire clk", "  input  wire reset"]
-        for port in in_ports:
+        for port in model.get_inports():
             if port.name in ("clk", "reset"):
                 continue
             port_decls.append(
                 f"  input  wire {_range(port.nbits)}{self._vname(port)}")
-        for port in out_ports:
+        for port in model.get_outports():
             kind = "reg " if id(port) in written \
-                and id(port) not in self._in_array(array_lists) else "wire"
+                and id(port) not in in_arrays else "wire"
             port_decls.append(
                 f"  output {kind} {_range(port.nbits)}{self._vname(port)}")
 
         body = []
 
         # Wire/reg declarations for plain wires.
-        for wire in wires:
-            if self._in_array_list(wire, array_lists):
+        for wire in model.get_wires():
+            if id(wire) in in_arrays:
                 continue
             kind = "reg " if id(wire) in written else "wire"
             body.append(f"  {kind} {_range(wire.nbits)}"
@@ -227,29 +245,72 @@ class _ModuleEmitter:
         # Structural connectivity.
         self._emit_structure(body, written)
 
-        # Behavioral blocks.
-        backend = _VerilogBackend(self, array_info)
-        for kind, ir in block_irs:
+        # Behavioral blocks; an int is named for its block, by position
+        # where one function makes two.
+        names = [name for name, *_ in blocks]
+        for b, (name, _, holes, template) in enumerate(blocks):
             body.append("")
-            body.append(backend.emit_block(ir, kind))
+            body.append(self._fill(
+                name if names.count(name) == 1 else f"{name}{b}",
+                template, holes))
 
         # Copies between flat ports and shadow arrays.
         self._emit_array_copies(array_info, body)
 
         # Extra wires for directly-referenced child ports.
-        decls = []
+        decls = {}
         for name, sig in self._extra_wires:
-            if name not in self._declared:
-                self._declared.add(name)
-                decls.append(f"  wire {_range(sig.nbits)}{name};")
+            decls.setdefault(name, f"  wire {_range(sig.nbits)}{name};")
+        self.text = "\n".join(["module %MODNAME%", "(", ",\n".join(port_decls),
+                               ");", *decls.values(), *body, "endmodule"])
 
-        text = ["module %MODNAME%", "("]
-        text.append(",\n".join(port_decls))
-        text.append(");")
-        text.extend(decls)
-        text.extend(body)
-        text.append("endmodule")
-        return "\n".join(text)
+    # -- behavioral blocks ---------------------------------------------------
+
+    def _fill(self, name, template, holes):
+        """Block ``name``'s always block: its body's ``template`` with
+        this instance's ``holes`` (:class:`_VerilogBackend`), after the
+        shadow arrays it needed."""
+        pieces = template.split("\0")
+        for i in range(1, len(pieces), 2):
+            code, h = pieces[i][0], int(pieces[i][1:])
+            if code == "k":
+                self.consts[f"{name}_k{h}"] = int(holes[h])
+                pieces[i] = f"\1{name}_k{h}\1"
+            elif code == "s":
+                slot = self.array_slot.get(id(holes[h]))
+                pieces[i] = (f"{slot[0]}[{slot[1]}]" if slot
+                             else self._vname(holes[h]))
+            else:
+                pieces[i] = self._dynamic_array(holes[h], code == "w")
+        lines = []
+        for arr, signals, writing in self._shadow_arrays:
+            lines.append(
+                f"  reg {_range(signals[0].nbits)}{arr} "
+                f"[0:{len(signals) - 1}];")
+            if writing:
+                lines.extend(f"  assign {self._vname(sig)} = {arr}[{i}];"
+                             for i, sig in enumerate(signals))
+            else:
+                lines.append("  always @(*) begin")
+                lines.extend(f"    {arr}[{i}] = {self._vname(sig)};"
+                             for i, sig in enumerate(signals))
+                lines.append("  end")
+        self._shadow_arrays = []
+        return "\n".join([*lines, "".join(pieces)])
+
+    def _dynamic_array(self, signals, writing):
+        """The array a dynamic index into ``signals`` selects from."""
+        slot = self.array_slot.get(id(signals[0]))
+        if slot is not None:
+            return slot[0]
+        # Dynamic reference to child ports: shadow array.
+        for arr, known, _ in self._shadow_arrays:
+            if list(map(id, known)) == list(map(id, signals)):
+                return arr
+        arr = f"shadow_{self._shadow_uid}"
+        self._shadow_uid += 1
+        self._shadow_arrays.append((arr, signals, writing))
+        return arr
 
     # -- arrays ----------------------------------------------------------------------
 
@@ -264,42 +325,28 @@ class _ModuleEmitter:
                 lists[name] = attr
         return lists
 
-    def _in_array(self, array_lists):
-        ids = set()
-        for sigs in array_lists.values():
-            ids.update(id(s) for s in sigs)
-        return ids
-
-    def _in_array_list(self, sig, array_lists):
-        return id(sig) in self._in_array(array_lists)
-
     def _declare_arrays(self, array_lists, body):
         """Declare one Verilog array per signal-list attribute; returns
-        mapping tuple(signal ids) -> (array_name, kind)."""
-        info = {}
+        ``[(array_name, signals)]``."""
+        info = []
         for name, sigs in array_lists.items():
             arr = self._mangle(name) + "_arr"
-            width = sigs[0].nbits
             body.append(
-                f"  reg {_range(width)}{arr} [0:{len(sigs) - 1}];")
-            if isinstance(sigs[0], Wire):
-                kind = "direct"
-            elif isinstance(sigs[0], InPort):
-                kind = "from_ports"
-            else:
-                kind = "to_ports"
-            info[tuple(id(s) for s in sigs)] = (arr, kind, sigs)
+                f"  reg {_range(sigs[0].nbits)}{arr} [0:{len(sigs) - 1}];")
+            for i, sig in enumerate(sigs):
+                self.array_slot[id(sig)] = (arr, i)
+            info.append((arr, sigs))
         return info
 
     def _emit_array_copies(self, array_info, body):
-        for key, (arr, kind, sigs) in array_info.items():
-            if kind == "from_ports":
+        for arr, sigs in array_info:
+            if isinstance(sigs[0], InPort):
                 body.append("")
                 body.append("  always @(*) begin")
                 for i, sig in enumerate(sigs):
                     body.append(f"    {arr}[{i}] = {self._vname(sig)};")
                 body.append("  end")
-            elif kind == "to_ports":
+            elif isinstance(sigs[0], OutPort):
                 body.append("")
                 for i, sig in enumerate(sigs):
                     body.append(
@@ -319,10 +366,11 @@ class _ModuleEmitter:
         # Canonical name per group + child instance port maps.
         net_name = {}
         child_ports = {id(c): {} for c in model.get_submodels()}
+        child_driven = {id(c.model): c.driven_outputs
+                        for c in self.children}
         for group in groups:
             parent_sigs = [s for s in group if s.parent is model]
-            driver = _group_driver(model, group, written,
-                                   self.child_driven)
+            driver = _group_driver(model, group, written, child_driven)
             if driver is not None:
                 for sig in group:
                     if isinstance(sig, OutPort) and sig.parent is model:
@@ -332,7 +380,8 @@ class _ModuleEmitter:
                     driver if driver is not None
                     and driver.parent is model else parent_sigs[0])
             else:
-                canon = self._fresh("net")
+                self._uid += 1
+                canon = f"net_{self._uid}"
                 body.append(
                     f"  wire {_range(group[0].nbits)}{canon};")
             for sig in group:
@@ -355,12 +404,12 @@ class _ModuleEmitter:
             if owner is not None and id(owner) in child_ports:
                 child_ports[id(owner)].setdefault(sig.name, name)
 
-        # Instances.
-        for child, module_name in zip(model.get_submodels(),
-                                      self.child_modules):
-            ports = child_ports[id(child)]
+        # Instances: their module names are settled with the design's
+        # other instances (:func:`_settle`).
+        for k, child in enumerate(self.children):
+            ports = child_ports[id(child.model)]
             mapping = [f".clk(clk)", f".reset(reset)"]
-            for port in child.get_ports():
+            for port in child.model.get_ports():
                 if port.name in ("clk", "reset"):
                     continue
                 target = ports.get(port.name, "")
@@ -368,7 +417,7 @@ class _ModuleEmitter:
                     f".{self._mangle(port.name)}({target})")
             joined = ",\n    ".join(mapping)
             body.append("")
-            body.append(f"  {module_name} {self._mangle(child.name)}\n"
+            body.append(f"  \2{k}\2 {self._mangle(child.model.name)}\n"
                         f"  (\n    {joined}\n  );")
 
         # Slice connections.
@@ -382,7 +431,7 @@ class _ModuleEmitter:
         for end, const in const_ties:
             body.append(
                 f"  assign {self._slice_lhs(end, net_name)} = "
-                f"{_vconst(const, _end_width(end))};")
+                f"{_vconst(const, end.nbits)};")
             self._mark_driven(end, model)
 
     def _mark_driven(self, end, model):
@@ -411,10 +460,6 @@ def _range(nbits):
 
 def _vconst(value, nbits):
     return f"{nbits}'d{value & ((1 << nbits) - 1)}"
-
-
-def _end_width(end):
-    return end.nbits
 
 
 def _local_nets(model):
@@ -452,7 +497,6 @@ def _local_nets(model):
             members[id(left)] = left
             members[id(right)] = right
         else:
-            from .elaboration import _infer_driver
             src, dst = _infer_driver(model, left, right)
             slice_conns.append((src, dst))
 
@@ -487,60 +531,44 @@ def _group_driver(model, group, written, child_driven):
     return drivers[0] if drivers else None
 
 
-class _VerilogBackend:
-    """IR -> Verilog always-block text."""
+def _vint(value):
+    return f"(-{abs(value)})" if value < 0 else str(value)
 
-    def __init__(self, emitter, array_info):
-        self.emitter = emitter
-        # signal-id -> (array_name, index_position)
-        self.array_slot = {}
-        for key, (arr, kind, sigs) in array_info.items():
-            for i, sig in enumerate(sigs):
-                self.array_slot[id(sig)] = (arr, i)
-        self._shadow_arrays = []
-        self._shadow_uid = 0
-        self._blk_uid = 0
+
+class _VerilogBackend:
+    """Block IR -> the text of its always block, printed once per block
+    body: ``\\0<c><h>\\0`` marks where the block uses hole ``h``, which
+    each instance fills (:meth:`_ModuleEmitter._fill`) — ``c`` is ``s``
+    for a signal, ``r`` / ``w`` for the array a dynamic index reads /
+    writes, ``k`` for an int.  An int the body fixes is its literal."""
+
+    def __init__(self, hole_of):
+        self.hole_of = hole_of
+
+    def _hole(self, code, leaf):
+        return f"\0{code}{self.hole_of[id(leaf)]}\0"
 
     # -- references ---------------------------------------------------------------
 
     def ref_text(self, ref, writing=False):
         if ref.is_dynamic():
-            arr = self._dynamic_array(ref, writing)
+            arr = self._hole("w" if writing else "r", ref)
             base = f"{arr}[{self.expr(ref.index)}]"
         else:
-            sig = ref.signal
-            if id(sig) in self.array_slot:
-                arr, idx = self.array_slot[id(sig)]
-                base = f"{arr}[{idx}]"
-            else:
-                base = self.emitter._vname(sig)
+            base = self._hole("s", ref)
         if ref.lo == 0 and ref.hi is None:
             return base
         if ref.width == 1:
             return f"{base}[{ref.lo}]"
         return f"{base}[{(ref.hi or ref.width) - 1}:{ref.lo}]"
 
-    def _dynamic_array(self, ref, writing):
-        first = id(ref.signals[0])
-        if first in self.array_slot:
-            return self.array_slot[first][0]
-        # Dynamic reference to child ports: shadow array.
-        key = tuple(id(s) for s in ref.signals)
-        for arr, skey, _ in self._shadow_arrays:
-            if skey == key:
-                return arr
-        arr = f"shadow_{self._shadow_uid}"
-        self._shadow_uid += 1
-        self._shadow_arrays.append((arr, key, (ref.signals, writing)))
-        return arr
-
     # -- expressions ---------------------------------------------------------------
 
     def expr(self, node):
         if isinstance(node, Const):
-            if node.value < 0:
-                return f"(-{abs(node.value)})"
-            return str(node.value)
+            if id(node) in self.hole_of:
+                return self._hole("k", node)
+            return _vint(node.value)
         if isinstance(node, SigRead):
             return self.ref_text(node.ref)
         if isinstance(node, LocalRead):
@@ -601,7 +629,8 @@ class _VerilogBackend:
         if isinstance(node, For):
             var = node.var
             lines = [
-                f"{pad}for ({var} = {node.start}; {var} < {node.stop}; "
+                f"{pad}for ({var} = {node.start}; "
+                f"{var} {'<' if node.step > 0 else '>'} {node.stop}; "
                 f"{var} = {var} + {node.step}) begin"
             ]
             lines.extend(self.stmt(s, assign_op, indent + 2)
@@ -617,8 +646,7 @@ class _VerilogBackend:
         raise TranslationError(
             f"verilog backend: unknown stmt {type(node).__name__}")
 
-    def emit_block(self, ir, kind):
-        self._blk_uid += 1
+    def block(self, ir, kind):
         sens = "posedge clk" if kind == "tick" else "*"
         assign_op = "<=" if kind == "tick" else "="
         lines = []
@@ -632,22 +660,4 @@ class _VerilogBackend:
         for stmt in ir.body:
             lines.append(self.stmt(stmt, assign_op, 4))
         lines.append("  end")
-        # Shadow arrays discovered while emitting this block.
-        shadow_lines = []
-        for arr, key, (signals, writing) in self._shadow_arrays:
-            width = signals[0].nbits
-            shadow_lines.append(
-                f"  reg {_range(width)}{arr} [0:{len(signals) - 1}];")
-            if writing:
-                for i, sig in enumerate(signals):
-                    shadow_lines.append(
-                        f"  assign {self.emitter._vname(sig)} = "
-                        f"{arr}[{i}];")
-            else:
-                shadow_lines.append("  always @(*) begin")
-                for i, sig in enumerate(signals):
-                    shadow_lines.append(
-                        f"    {arr}[{i}] = {self.emitter._vname(sig)};")
-                shadow_lines.append("  end")
-        self._shadow_arrays = []
-        return "\n".join(shadow_lines + lines)
+        return "\n".join(lines)

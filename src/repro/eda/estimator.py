@@ -43,8 +43,8 @@ from ..core.ast_ir import (
     StateRead,
     TranslationError,
     UnOp,
-    lower,
 )
+from ..core.bodies import Refused, lowered, signals
 from ..core.elaboration import elaborate
 
 # -- technology constants (NAND2-equivalent model) ---------------------------
@@ -137,53 +137,40 @@ def estimate(model):
     if not model.is_elaborated():
         elaborate(model)
     report = EdaReport()
+    irs = {}                        # block body -> (ir, hole_of)
     for sub in model._all_models:
-        report.modules.append(_estimate_module(sub))
+        report.modules.append(_estimate_module(sub, irs))
     return report
 
 
-def _estimate_module(model):
+def _estimate_module(model, irs):
     est = ModuleEstimate(name=model.full_name(),
                          kind=type(model).__name__)
 
-    # Register/array bits: signals written via .next.
+    # Each block is costed from its body's IR, with this instance's
+    # constants; register/array bits are the signals ticks write.
     flopped = {}
-    irs = []
-    for blk in model.get_comb_blocks():
-        irs.append(("comb", _lower(blk)))
-    for blk in model.get_tick_blocks():
-        irs.append(("tick", _lower(blk)))
-
-    for kind, ir in irs:
-        if ir is None:
+    for blk in model.get_comb_blocks() + model.get_tick_blocks():
+        try:
+            body, holes, ir, hole_of = lowered(blk, irs)
+        except (TranslationError, Refused):
+            # FL-style blocks have no hardware estimate.
             continue
-        if kind == "tick":
-            for ref in ir.sig_writes:
-                for sig in ref.signals:
-                    flopped[id(sig)] = sig.nbits
+        if ir.kind != "comb":
+            for sig in signals(holes, body.writes):
+                flopped[id(sig)] = sig.nbits
+        ge, depth = _block_cost(ir.body, {
+            leaf: holes[h] for leaf, h in hole_of.items()
+            if isinstance(holes[h], int)})
+        est.comb_ge += ge
+        est.delay_levels = max(est.delay_levels, depth)
 
     # Array-shaped storage gets the SRAM model when large.
     array_bits = _array_bits(model, flopped)
     plain_bits = sum(flopped.values()) - array_bits["flop_covered"]
     est.reg_bits = max(0, plain_bits) + array_bits["small"]
     est.sram_bits = array_bits["large"]
-
-    # Combinational cost + depth per block.
-    for kind, ir in irs:
-        if ir is None:
-            continue
-        ge, depth = _block_cost(ir.body)
-        est.comb_ge += ge
-        est.delay_levels = max(est.delay_levels, depth)
     return est
-
-
-def _lower(blk):
-    try:
-        return lower(blk)
-    except TranslationError:
-        # FL-style blocks have no hardware estimate.
-        return None
 
 
 def _array_bits(model, flopped):
@@ -239,15 +226,17 @@ def _op_levels(op, width):
     raise ValueError(op)
 
 
-def _expr_cost(node):
-    """Return (ge, depth_levels, width) of an expression."""
+def _expr_cost(node, consts):
+    """Return (ge, depth_levels, width) of an expression; ``consts``
+    maps ``id`` of a ``Const`` hole to this instance's value."""
     if isinstance(node, Const):
-        return 0.0, 0.0, max(1, node.value.bit_length())
+        value = consts.get(id(node), node.value)
+        return 0.0, 0.0, max(1, value.bit_length())
     if isinstance(node, SigRead):
         ref = node.ref
         width = ref.width
         if ref.is_dynamic():
-            ge_i, d_i, _ = _expr_cost(ref.index)
+            ge_i, d_i, _ = _expr_cost(ref.index, consts)
             n = len(ref.signals)
             return (ge_i + 2.5 * width * n,
                     d_i + math.log2(max(2, n)), width)
@@ -255,12 +244,12 @@ def _expr_cost(node):
     if isinstance(node, (LocalRead, StateRead)):
         extra = (0.0, 0.0)
         if getattr(node, "index", None) is not None:
-            ge_i, d_i, _ = _expr_cost(node.index)
+            ge_i, d_i, _ = _expr_cost(node.index, consts)
             extra = (ge_i + 32.0, d_i + 2)
         return extra[0], extra[1], 32
     if isinstance(node, BinOp):
-        ge_l, d_l, w_l = _expr_cost(node.left)
-        ge_r, d_r, w_r = _expr_cost(node.right)
+        ge_l, d_l, w_l = _expr_cost(node.left, consts)
+        ge_r, d_r, w_r = _expr_cost(node.right, consts)
         width = max(w_l, w_r)
         # Constant shifts are wiring.
         if node.op in ("<<", ">>") and isinstance(node.right, Const):
@@ -268,11 +257,11 @@ def _expr_cost(node):
         return (ge_l + ge_r + _op_ge(node.op, width),
                 max(d_l, d_r) + _op_levels(node.op, width), width)
     if isinstance(node, UnOp):
-        ge, depth, width = _expr_cost(node.operand)
+        ge, depth, width = _expr_cost(node.operand, consts)
         return ge + width * 0.5, depth + 1, width
     if isinstance(node, Cmp):
-        ge_l, d_l, w_l = _expr_cost(node.left)
-        ge_r, d_r, w_r = _expr_cost(node.right)
+        ge_l, d_l, w_l = _expr_cost(node.left, consts)
+        ge_r, d_r, w_r = _expr_cost(node.right, consts)
         width = max(w_l, w_r)
         if node.op in ("==", "!="):
             ge, lv = 1.5 * width, math.log2(max(2, width)) + 1
@@ -280,31 +269,31 @@ def _expr_cost(node):
             ge, lv = 7.0 * width, math.log2(max(2, width)) + 2
         return ge_l + ge_r + ge, max(d_l, d_r) + lv, 1
     if isinstance(node, BoolOp):
-        parts = [_expr_cost(v) for v in node.values]
+        parts = [_expr_cost(v, consts) for v in node.values]
         return (sum(p[0] for p in parts) + len(parts),
                 max(p[1] for p in parts) + 1, 1)
     if isinstance(node, IfExp):
-        ge_c, d_c, _ = _expr_cost(node.cond)
-        ge_t, d_t, w_t = _expr_cost(node.then)
-        ge_e, d_e, w_e = _expr_cost(node.orelse)
+        ge_c, d_c, _ = _expr_cost(node.cond, consts)
+        ge_t, d_t, w_t = _expr_cost(node.then, consts)
+        ge_e, d_e, w_e = _expr_cost(node.orelse, consts)
         width = max(w_t, w_e)
         return (ge_c + ge_t + ge_e + 2.5 * width,
                 max(d_c, d_t, d_e) + 1, width)
     if isinstance(node, Concat):
         # Concatenation is wiring: its parts side by side.
-        parts = [_expr_cost(expr) for expr, _ in node.parts]
+        parts = [_expr_cost(expr, consts) for expr, _ in node.parts]
         return (sum(p[0] for p in parts), max(p[1] for p in parts),
                 sum(width for _, width in node.parts))
     return 0.0, 0.0, 1
 
 
-def _block_cost(stmts, mux_depth=0):
+def _block_cost(stmts, consts, mux_depth=0):
     """Return (ge, max_depth) of a statement list."""
     total_ge = 0.0
     max_depth = 0.0
     for stmt in stmts:
         if isinstance(stmt, AssignSig):
-            ge, depth, _ = _expr_cost(stmt.expr)
+            ge, depth, _ = _expr_cost(stmt.expr, consts)
             width = stmt.ref.width
             # Writes under conditionals imply enable/select muxing.
             ge += 2.5 * width * max(1, mux_depth)
@@ -313,20 +302,19 @@ def _block_cost(stmts, mux_depth=0):
             total_ge += ge
             max_depth = max(max_depth, depth + mux_depth)
         elif isinstance(stmt, AssignLocal):
-            ge, depth, _ = _expr_cost(stmt.expr)
+            ge, depth, _ = _expr_cost(stmt.expr, consts)
             total_ge += ge
             max_depth = max(max_depth, depth + mux_depth)
         elif isinstance(stmt, If):
-            ge_c, d_c, _ = _expr_cost(stmt.cond)
+            ge_c, d_c, _ = _expr_cost(stmt.cond, consts)
             total_ge += ge_c + 1
-            ge_b, d_b = _block_cost(stmt.body, mux_depth + 1)
-            ge_e, d_e = _block_cost(stmt.orelse, mux_depth + 1)
+            ge_b, d_b = _block_cost(stmt.body, consts, mux_depth + 1)
+            ge_e, d_e = _block_cost(stmt.orelse, consts, mux_depth + 1)
             total_ge += ge_b + ge_e
             max_depth = max(max_depth, d_c + mux_depth, d_b, d_e)
         elif isinstance(stmt, For):
-            trips = max(
-                0, (stmt.stop - stmt.start + stmt.step - 1) // stmt.step)
-            ge_b, d_b = _block_cost(stmt.body, mux_depth)
+            trips = len(range(stmt.start, stmt.stop, stmt.step))
+            ge_b, d_b = _block_cost(stmt.body, consts, mux_depth)
             total_ge += ge_b * trips
             max_depth = max(max_depth, d_b)
         elif isinstance(stmt, DeclLocalArray):

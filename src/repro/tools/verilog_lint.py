@@ -6,7 +6,9 @@ parses module structure with a small tokenizer and verifies
 
 - every module instantiated is defined in the same source (or is a
   known primitive);
-- instance port names exist on the instantiated module;
+- instance port names exist on the instantiated module, and the
+  parameters an instance sets (``Mod #(.P(v)) inst (...)``) are
+  declared by it;
 - every identifier used inside a module body is declared (port, wire,
   reg, integer, genvar, parameter, or array);
 - begin/end, module/endmodule, case/endcase nest correctly;
@@ -31,7 +33,8 @@ _KEYWORDS = {
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 _DECL = re.compile(
-    r"^\s*(?:input|output|inout)?\s*(?:wire|reg|integer|genvar)\s*"
+    r"^\s*(?:input|output|inout)?\s*"
+    r"(?:wire|reg|integer|genvar|parameter|localparam)\s*"
     r"(?:\[[^\]]+\]\s*)?"
     r"([A-Za-z_][A-Za-z0-9_$]*)"
 )
@@ -73,30 +76,40 @@ def _declared_names(body):
         # "input  wire foo".
     # Multi-declaration safety: find all "(wire|reg|integer) [range]? name"
     for match in re.finditer(
-            r"\b(?:wire|reg|integer|genvar)\b\s*(?:\[[^\]]+\]\s*)?"
-            r"([A-Za-z_][A-Za-z0-9_$]*)", body):
+            r"\b(?:wire|reg|integer|genvar|parameter|localparam)\b\s*"
+            r"(?:\[[^\]]+\]\s*)?([A-Za-z_][A-Za-z0-9_$]*)", body):
         names.add(match.group(1))
     return names
 
 
+#: An expression with parentheses one level deep, as the translator
+#: prints a negative int: ``(-1)``.
+_EXPR = r"(?:[^()]|\([^()]*\))*"
+
+
+def _named(text):
+    """``{name: expr}`` of a ``.name(expr), ...`` list."""
+    return {match.group(1): match.group(2).strip() for match in re.finditer(
+        rf"\.([A-Za-z_][A-Za-z0-9_$]*)\s*\(({_EXPR})\)", text or "")}
+
+
 def _instance_refs(body):
-    """[(module_name, instance_name, {port: expr})] for each instance."""
+    """[(module_name, instance_name, {port: expr}, {parameter: expr})]
+    for each instance."""
     instances = []
     pattern = re.compile(
-        r"([A-Za-z_][A-Za-z0-9_$]*)\s+([A-Za-z_][A-Za-z0-9_$]*)\s*\n?\s*"
+        r"([A-Za-z_][A-Za-z0-9_$]*)\s+"
+        rf"(?:#\s*\(((?:[^()]|\({_EXPR}\))*)\)\s*)?"
+        r"([A-Za-z_][A-Za-z0-9_$]*)\s*\n?\s*"
         r"\(\s*(\.[^;]*?)\)\s*;",
         re.DOTALL,
     )
     for match in pattern.finditer(body):
-        mod, inst, ports_text = match.groups()
+        mod, params_text, inst, ports_text = match.groups()
         if mod in _KEYWORDS:
             continue
-        ports = {}
-        for pmatch in re.finditer(
-                r"\.([A-Za-z_][A-Za-z0-9_$]*)\s*\(([^()]*)\)",
-                ports_text):
-            ports[pmatch.group(1)] = pmatch.group(2).strip()
-        instances.append((mod, inst, ports))
+        instances.append((mod, inst, _named(ports_text),
+                          _named(params_text)))
     return instances
 
 
@@ -120,6 +133,10 @@ def lint_verilog(text):
     defined = {name: body for name, body in modules}
     module_ports = {name: _module_ports(body)
                     for name, body in modules}
+    module_params = {
+        name: set(re.findall(r"\bparameter\s+([A-Za-z_][A-Za-z0-9_$]*)",
+                             body))
+        for name, body in modules}
 
     for name, body in modules:
         # Balance checks.
@@ -138,7 +155,7 @@ def lint_verilog(text):
 
         instances = _instance_refs(body)
         instance_names = set()
-        for mod, inst, ports in instances:
+        for mod, inst, ports, params in instances:
             instance_names.add(inst)
             if mod not in defined:
                 errors.append(VerilogLintError(
@@ -150,6 +167,12 @@ def lint_verilog(text):
                         name,
                         f"instance {inst!r}: {mod!r} has no port "
                         f"{port!r}"))
+            for param in params:
+                if param not in module_params[mod]:
+                    errors.append(VerilogLintError(
+                        name,
+                        f"instance {inst!r}: {mod!r} has no parameter "
+                        f"{param!r}"))
 
         # Identifier usage check.  Instance port-map names (`.port(`)
         # belong to the instantiated module's namespace, not this one.

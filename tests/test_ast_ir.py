@@ -3,15 +3,17 @@
 import pytest
 
 from repro.core import InPort, Model, OutPort, Wire
+from repro.core import bodies
 from repro.core.ast_ir import (
     AssignSig,
     BinOp,
+    BlockTranslator,
     Const,
     For,
     If,
     SigRead,
     TranslationError,
-    lower,
+    block_kind,
 )
 
 
@@ -19,7 +21,8 @@ def _lower(model, kind="comb", index=0):
     model.elaborate()
     blocks = model.get_comb_blocks() if kind == "comb" \
         else model.get_tick_blocks()
-    return lower(blocks[index])
+    blk = blocks[index]
+    return BlockTranslator(blk.model, blk.func, block_kind(blk)).translate()
 
 
 # -- basic lowering ------------------------------------------------------------
@@ -304,7 +307,7 @@ def test_local_array_init_and_store():
     assert ir.locals["xs"] == ("array", 4)
 
 
-# -- lower(blk): the one entry point, kind taken from the block -------------------
+# -- bodies.lowered(blk): the one entry point, kind taken from the block ----------
 
 
 class _EveryLevel(Model):
@@ -335,22 +338,20 @@ class _EveryLevel(Model):
     ("comb", "comb"), ("rtl", "tick_rtl"), ("cl", "tick_cl"),
     ("fl", "tick_cl")])
 def test_lower_takes_the_ir_kind_from_the_block(name, kind):
-    from repro.core.ast_ir import BlockTranslator
-
     model = _EveryLevel().elaborate()
     blk, = [b for b in model.get_comb_blocks() + model.get_tick_blocks()
             if b.func.__name__ == name]
-    ir = lower(blk)
+    _, _, ir, _ = bodies.lowered(blk, {})
     assert ir.kind == kind and ir.body
     assert ir == BlockTranslator(model, blk.func, kind).translate()
 
 
 def test_lint_lowers_each_block_once(monkeypatch):
-    from repro.core.ast_ir import BlockTranslator
     from repro.tools import lint
 
     lowered = []
     translate = BlockTranslator.translate
+    monkeypatch.setattr(bodies, "_bodies", {})   # from an empty cache
     monkeypatch.setattr(
         BlockTranslator, "translate",
         lambda self: lowered.append(self.func) or translate(self))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.components import IntPipelinedMultiplier, Register
+from repro.core import InPort, Model, OutPort
 from repro.eda import estimate
 from repro.mem import CacheRTL, MemMsg
 from repro.accel import DotProductRTL, XcelMsg
@@ -40,12 +41,42 @@ def test_concat_costs_its_parts_side_by_side():
     from repro.eda.estimator import _expr_cost
 
     a, b, c = (SigRead(SigRef([Wire(8)])) for _ in range(3))
-    add_ge, add_depth, _ = _expr_cost(BinOp("+", a, b))
+    add_ge, add_depth, _ = _expr_cost(BinOp("+", a, b), {})
     assert add_ge > 0 and add_depth > 0
     cat = Concat([(BinOp("+", a, b), 8), (c, 4)])
-    assert _expr_cost(cat) == (add_ge, add_depth, 12)
+    assert _expr_cost(cat, {}) == (add_ge, add_depth, 12)
     # The width is what an operator on the concatenation is sized by.
-    assert _expr_cost(BinOp("^", cat, c))[0] == add_ge + 12
+    assert _expr_cost(BinOp("^", cat, c), {})[0] == add_ge + 12
+
+
+class _AddK(Model):
+    """``out = in_ + k``: the adder is as wide as ``k``."""
+
+    def __init__(s, k):
+        s.in_ = InPort(1)
+        s.out = OutPort(9)
+        s.k = k
+
+        @s.combinational
+        def add():
+            s.out.value = s.in_.uint() + s.k
+
+
+class _TwoAddK(Model):
+    def __init__(s):
+        s.lo, s.hi = _AddK(1), _AddK(255)
+
+
+def test_siblings_are_costed_with_their_own_constants():
+    """Both ``add`` blocks are one body; each instance's estimate reads
+    its own ``k`` (a 1-bit adder, an 8-bit one), as it does alone."""
+    report = estimate(_TwoAddK().elaborate())
+    lo, hi = (m for m in report.modules if m.kind == "_AddK")
+    assert lo.comb_ge < hi.comb_ge
+    for module, k in ((lo, 1), (hi, 255)):
+        alone, = estimate(_AddK(k).elaborate()).modules
+        assert (module.comb_ge, module.delay_levels) == (
+            alone.comb_ge, alone.delay_levels)
 
 
 def test_cache_data_array_uses_sram_model():

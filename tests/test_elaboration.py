@@ -474,12 +474,13 @@ def test_block_analysis(build, expect):
     pytest.param(_comb_no_source, id="_comb_no_source-comb"),
     pytest.param(_tick_no_source, id="_tick_no_source-tick_rtl")])
 def test_block_without_source_does_not_lower(build):
-    from repro.core.ast_ir import TranslationError, lower
+    from repro.core.ast_ir import TranslationError
+    from repro.core.bodies import lowered
 
     model = _Bench(build, 2).elaborate()
     blk, = model.get_comb_blocks() or model.get_tick_blocks()
     with pytest.raises(TranslationError, match="cannot retrieve source"):
-        lower(blk)
+        lowered(blk, {})
 
 
 def test_block_source_parsed_once_per_function(monkeypatch):

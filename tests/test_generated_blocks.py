@@ -243,8 +243,10 @@ class _Body:
             start, trips, step = (self.upto(0, 3), self.upto(0, 4),
                                   self.upto(1, 2))
             stop = start + trips * step
-            self.emit(pad, f"for {var} in range({start}, {stop}, {step}):")
             self.scope[var] = stop.bit_length()
+            if self.pick(False, True):      # the same values, counting down
+                start, stop, step = stop - step, start - step, -step
+            self.emit(pad, f"for {var} in range({start}, {stop}, {step}):")
             self.block(pad + 4, depth - 1, in_loop=True)
             del self.scope[var]     # not read after its loop
         else:

@@ -209,7 +209,7 @@ def test_and_or_over_zero_one_values_stay_the_logical_operators():
         "wide = s.b.uint()", "x = go or wide",
         "s.o.value = go and not s.c[1]", "s.p.value = x"])
     blk, = D().elaborate().get_comb_blocks()
-    ir = ast_ir.lower(blk)
+    _, _, ir, _ = bodies.lowered(blk, {})
     kinds = [type(stmt.expr).__name__ for stmt in ir.body]
     assert kinds == ["Cmp", "BoolOp", "SigRead", "IfExp", "BoolOp", "LocalRead"]
     models, sims = _columns(D, jit=True)
@@ -705,6 +705,42 @@ def test_a_zero_trip_loop_prints_nothing():
     for a, c in ((7, 0), (9, 1)):
         _drive(models, sims, a=a, c=c)
         assert [int(m.o) for m in models] == [a] * 3
+
+
+def _count_down(start, stop, step):
+    return _design(["acc = 0", f"for i in range({start}, {stop}, {step}):",
+                    "    acc = acc * 2 + s.q[i].uint()",
+                    "s.o.value = acc", "s.p.value = 0"],
+                   decls=["s.q = [InPort(1) for _ in range(4)]"])
+
+
+def test_a_loop_with_a_negative_step_counts_down_on_every_backend():
+    """``range(3, -1, -1)`` runs four times: in the lowered kernel, in
+    SimJIT's C (whose loop once tested ``i < -1`` and never ran), in the
+    Verilog loop and in the estimator's trip count."""
+    from repro.core.translation import translate
+    from repro.eda import estimate
+
+    D = _count_down(3, -1, -1)
+    models, sims = _columns(D, jit=True)
+    models.append(D().elaborate())
+    sims.append(SimulationTool(models[-1]))         # sched="auto"
+    for model in models:
+        model.q[0].value = model.q[1].value = 1
+    for sim in sims:
+        sim.cycle()
+    assert [int(m.o) for m in models] == [3] * 5
+    assert "for (i = 3; i > -1; i = i + -1) begin" in translate(
+        D().elaborate())
+    up, down = (estimate(_count_down(*r)().elaborate()).modules[0]
+                for r in ((0, 4, 1), (3, -1, -1)))
+    assert down.comb_ge == up.comb_ge > 0
+
+
+def test_a_zero_step_is_refused_as_python_refuses_it():
+    blk, = _count_down(0, 4, 0)().elaborate().get_comb_blocks()
+    with pytest.raises(TranslationError, match="step must not be zero"):
+        bodies.lowered(blk, {})
 
 
 _TWICE = """

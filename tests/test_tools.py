@@ -344,3 +344,34 @@ def test_lint_cache_rtl_has_no_sinks():
     warnings = lint(cache.elaborate())
     assert not [w for w in warnings
                 if w.check == "never-observed-sink"]
+
+
+# -- TUTORIAL "Writing your own tool" -----------------------------------------
+
+
+def test_tutorial_tool_snippet_runs():
+    """The tutorial's example tools, run as printed there."""
+    import pathlib
+    import re
+
+    text = (pathlib.Path(__file__).parents[1] / "TUTORIAL.md").read_text()
+    section = text.split("### Writing your own tool", 1)[1]
+    source, = re.findall(r"```python\n(.*?)```", section, re.S)[:1]
+    namespace = {}
+    exec(source, namespace)
+    register_bits = namespace["register_bits"]
+    assert register_bits(Register(8).elaborate()) == {"top": 8}
+    mesh = MeshNetworkStructural(RouterRTL, 4, 16, 8, 2).elaborate()
+    bits = register_bits(mesh)
+    router = mesh.routers[0]
+    queues = {bits[q.full_name()] for r in mesh.routers for q in r.queues}
+    assert len(queues) == 1 and queues.pop() > 0
+    hold = sum(w.nbits for w in router.hold_val + router.hold_grant
+               + router.priority)
+    assert bits[router.full_name()] >= hold > 0
+    assert bits[mesh.full_name()] == 0
+    # The mesh's edge routers leave their outward ports' rdy open.
+    unconnected = namespace["unconnected_inputs"](mesh)
+    assert "top.routers[0].out[1].rdy" in unconnected
+    assert all(p.endswith(".rdy") and ".out[0]" not in p
+               for p in unconnected)

@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from repro.core import InPort, Model, OutPort
 from repro.core.ast_ir import TranslationError
 from repro.core.translation import TranslationTool, translate
 from repro.components import (
@@ -119,13 +120,91 @@ endmodule
     assert "missing_wire" in messages
     assert "Undefined" in messages
 
+    # A parameter override must name a parameter the module declares
+    # (a negative value is printed in parentheses).
+    leaf = """
+module leaf
+(
+  input  wire clk,
+  input  wire reset,
+  output wire out
+);
+  parameter K = 3;
+  assign out = K;
+endmodule
+"""
+    top = """
+module top
+(
+  input  wire clk,
+  input  wire reset,
+  output wire out
+);
+  leaf #(.%s((-1))) u0
+  (
+    .clk(clk),
+    .reset(reset),
+    .out(out)
+  );
+endmodule
+"""
+    assert lint_verilog(leaf + top % "K") == []
+    messages = [str(e) for e in lint_verilog(leaf + top % "J")]
+    assert messages == ["[top] instance 'u0': 'leaf' has no parameter 'J'"]
+
 
 def test_mesh_translation_dedupes_queues():
     text = _translate(MeshNetworkStructural(RouterRTL, 16, 64, 16, 2))
-    # 16 routers have distinct coordinates (distinct constants), but
-    # all 80 queues share one definition.
+    # 16 routers have distinct coordinates (distinct constants): one
+    # router module sets them as parameters, and its five queues (80 in
+    # the design) share one definition.
     assert len(re.findall(r"module NormalQueue_\w+\n", text)) == 1
-    assert text.count("NormalQueue_") >= 16 * 5
+    assert len(re.findall(r"module RouterRTL_\w+\n", text)) == 1
+    assert len(re.findall(r"^  NormalQueue_\w+ queues_\d", text, re.M)) == 5
+    assert len(re.findall(r"^  RouterRTL_\w+ #\(", text, re.M)) == 16
+
+
+def _modules(text):
+    return dict(re.findall(r"^module (\w+)\n(.*?^endmodule)", text,
+                           re.M | re.S))
+
+
+def test_mesh_router_module_is_each_router_with_its_parameters():
+    """Router *i*'s ``#(...)`` values put into the shared module (its
+    ``parameter`` lines dropped) give the module ``RouterRTL(i, ...)``
+    translates to alone: the two coordinates are parameters, every
+    other constant is the literal it always was."""
+    mesh = translate(
+        MeshNetworkStructural(RouterRTL, 16, 256, 32, 2).elaborate())
+    (name, shared), = ((n, t) for n, t in _modules(mesh).items()
+                       if n.startswith("RouterRTL_"))
+    params = re.findall(r"^  parameter (\w+) = ", shared, re.M)
+    assert params == ["switch_logic_k5", "switch_logic_k8"]
+    unset = "".join(line for line in shared.splitlines(True)
+                    if not line.startswith("  parameter "))
+    headers = re.findall(rf"^  {name} #\((.*)\) routers_(\d+)$", mesh,
+                         re.M)
+    assert [int(i) for _, i in headers] == list(range(16))
+    for i, (override, _) in enumerate(headers):
+        text = unset
+        for param, value in re.findall(r"\.(\w+)\(([^()]*)\)", override):
+            text = re.sub(rf"\b{param}\b", value, text)
+        alone, = (t for n, t in _modules(translate(
+            RouterRTL(i, 16, 256, 32, 2).elaborate())).items()
+            if n.startswith("RouterRTL_"))
+        assert text == alone, i
+
+
+def test_tools_lower_each_block_body_once(lowerings):
+    """The translator and the estimator each read mesh16's 208 blocks
+    from its five bodies: a tool lowers a body once, for its IR, and
+    binds every other instance."""
+    from repro.eda import estimate
+
+    for tool in (TranslationTool, estimate):
+        lowerings.clear()
+        tool(MeshNetworkStructural(RouterRTL, 16, 256, 32, 2).elaborate())
+        assert sorted(lowerings.values()) == [1] * 5, lowerings
 
 
 def test_same_params_dedupe_to_one_module():
@@ -189,3 +268,37 @@ def test_slice_connection_translated():
 
     text = _translate(SliceConn())
     assert "assign hi = in_[7:4];" in text
+
+
+class _TwoOfOne(Model):
+    """Two blocks of one function, told apart by an index (a guard)
+    and each adding its own constant (a hole)."""
+
+    def __init__(s, a, b):
+        s.in_ = InPort(8)
+        s.outs = [OutPort(8), OutPort(8)]
+        s.add(0, a)
+        s.add(1, b)
+
+    def add(s, i, k):
+        @s.combinational
+        def logic():
+            s.outs[i].value = s.in_.uint() + k
+
+
+def test_blocks_of_one_function_keep_their_own_ints():
+    class Top(Model):
+        def __init__(s):
+            s.x, s.y = _TwoOfOne(3, 5), _TwoOfOne(3, 6)
+
+    alone = translate(_TwoOfOne(3, 5).elaborate())
+    assert "outs_arr[0] = (in_ + 3);" in alone
+    assert "outs_arr[1] = (in_ + 5);" in alone
+    text = translate(Top().elaborate())
+    assert len(re.findall(r"^module _TwoOfOne_", text, re.M)) == 1
+    assert "outs_arr[0] = (in_ + 3);" in text
+    assert "outs_arr[1] = (in_ + logic1_k1);" in text
+    assert re.findall(r"#\(\.logic1_k1\((\d)\)\) ([xy])$", text, re.M) == [
+        ("5", "x"), ("6", "y")]
+    from repro.tools import lint_verilog
+    assert lint_verilog(text) == []
