@@ -11,16 +11,18 @@ Our reproduction: the baseline is the bare :class:`IsaSim` under
 CPython (PyPy is unavailable offline).  The interpreted column runs
 every tile event-driven over the user's block closures
 (``sched="event"``), the paper's CPython substrate, as Figure 14's
-baseline does.  In the JIT runs SimJIT-RTL specialization is applied
-to every RTL component (FL/CL components stay interpreted, on the
-default schedule — the paper likewise specialized only a subset of CL
-components in this experiment).
+baseline does.  The JIT runs are ``Tile(levels, jit=True)`` on the
+default schedule: SimJIT-RTL compiles the RTL components the CPython
+rung would run as closures (the accelerator and the arbiter, whose comb
+blocks form the tile's one combinational cycle), and the other RTL
+components run lowered and statically scheduled.  The paper applied
+SimJIT-RTL to every RTL component, and likewise specialized only a
+subset of CL components in this experiment.
 
 Expected shape: performance trends *down* as LOD rises; a visible gap
 separates the bare ISA simulator from the port-based <FL,FL,FL> tile
 (the cost of modular modeling); specialization shifts detailed
-configurations up, with the all-RTL tile recovering dramatically
-because every component runs compiled.
+configurations up.
 """
 
 import itertools

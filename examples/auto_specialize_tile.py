@@ -3,10 +3,13 @@
 
 The paper leaves "automatically traverse the model hierarchy to find
 and specialize appropriate CL and RTL models" as future work; this
-example shows the implemented extension: one call compiles every
-SimJIT-compatible subtree of the RTL compute tile, leaves the FL magic
-memory interpreted, and the mixed compiled/interpreted design runs the
-accelerated matrix-vector kernel cycle-exactly.
+example shows the implemented extension: one call compiles the
+SimJIT-compatible subtrees of the RTL compute tile that the CPython
+rung would run as closures (the accelerator and the arbiter, the
+tile's one combinational cycle), leaves the lowered processor and
+caches and the FL magic memory interpreted, and the mixed
+compiled/interpreted design runs the accelerated matrix-vector kernel
+cycle-exactly.
 
 Run:  python examples/auto_specialize_tile.py
 """
@@ -46,7 +49,7 @@ def main():
 
     # Always the return value: a design that is translatable from the
     # top down comes back as its one wrapper (this one holds the FL
-    # memory, so it comes back as itself with five wrappers inside).
+    # memory, so it comes back as itself with two wrappers inside).
     tile = auto_specialize(Tile(("rtl", "rtl", "rtl")))
     jit_sim, jit_time, jit_result = run(tile, words, data)
 

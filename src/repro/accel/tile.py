@@ -78,9 +78,14 @@ class Tile(Model):
         s.connect(s.dcache.mem_ifc.resp, s.mem.ports[1].resp)
 
         if jit:
-            # Paper Figure 13: "SimJIT-RTL specialization applied to
-            # all RTL components"; CL ones stay in Python.  The FL memory
-            # keeps the tile itself interpreted: nothing to rebind.
+            # Paper Figure 13 applies SimJIT-RTL to all RTL components.
+            # Here an RTL component compiles only where the CPython rung
+            # would run one of its blocks as a closure: the accelerator
+            # and the arbiter, whose comb blocks are the tile's one
+            # combinational cycle; the RTL processor and caches run
+            # lowered and statically scheduled, CL and FL ones in
+            # Python.  The FL memory keeps the tile itself interpreted:
+            # nothing to rebind.
             auto_specialize(s, ("rtl",))
 
     def lod(s):

@@ -38,8 +38,8 @@ import linecache
 import re
 import weakref
 
-from .ast_ir import (BlockTranslator, Const, StateRef, TypeUndecided,
-                     block_kind)
+from .ast_ir import (BlockTranslator, Const, StateRef, TranslationError,
+                     TypeUndecided, block_kind)
 from .pygen import Refused, print_function
 from .simjit.cgen import c_template
 
@@ -290,6 +290,16 @@ def body_of(blk):
     or a bind that does not reproduce the lowering (a body kept for
     its siblings, which it refuses without a second lowering)."""
     return _body(blk, None)
+
+
+def body_or_why(blk):
+    """:func:`body_of` of ``blk``, or why it has none (the text of the
+    refusal): the one answer the simulator and ``auto_specialize`` read
+    a block's reads, writes and Python form from."""
+    try:
+        return body_of(blk)
+    except (TranslationError, Refused) as exc:
+        return str(exc)
 
 
 def lowered(blk, irs):

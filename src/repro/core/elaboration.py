@@ -30,6 +30,7 @@ import ast
 import inspect
 import textwrap
 import weakref
+from operator import attrgetter
 
 from .model import MAX_LIST_DEPTH, Model
 from .portbundle import PortBundle
@@ -178,7 +179,7 @@ def _process_connection(model, left, right, connectors, const_ties):
         return
 
     # Slice connection: directional connector, driver inferred.
-    src, dst = _infer_driver(model, left, right)
+    src, dst = infer_driver(model, left, right)
     connectors.append((src, dst))
 
 
@@ -192,7 +193,7 @@ def _describe(end):
     return f"{type(end).__name__} {end.name or '?'}"
 
 
-def _drives(model, end):
+def _drives(model, end, parent_of):
     """Does this endpoint act as a driver from ``model``'s perspective?
 
     Standard structural semantics: a child's OutPort and the enclosing
@@ -200,7 +201,7 @@ def _drives(model, end):
     OutPort are driven.  Wires are bidirectional (None = unknown).
     """
     sig = end.signal if isinstance(end, _SignalSlice) else end
-    inside = sig.parent is model
+    inside = parent_of(sig) is model
     if isinstance(sig, Wire):
         return None
     if isinstance(sig, OutPort):
@@ -210,9 +211,13 @@ def _drives(model, end):
     return None
 
 
-def _infer_driver(model, left, right):
-    l_drives = _drives(model, left)
-    r_drives = _drives(model, right)
+def infer_driver(model, left, right, parent_of=attrgetter("parent")):
+    """``(src, dst)`` of the slice connection ``model`` declares between
+    ``left`` and ``right``.  ``parent_of(sig)`` is the model declaring
+    a signal: its ``parent`` once the design is named, and what the
+    caller knows before that."""
+    l_drives = _drives(model, left, parent_of)
+    r_drives = _drives(model, right, parent_of)
     if l_drives and r_drives:
         raise ElaborationError(
             f"both ends drive: {_describe(left)} <-> {_describe(right)}"

@@ -22,12 +22,17 @@ At runtime, changed nets mark their static readers in a dense
 the marked blocks in dependency order.
 
 This module only *constructs* schedules (the SimJIT specializer orders
-its lowered blocks with the same :func:`build_schedule`); running one —
+its lowered blocks with the same :func:`build_schedule`, and
+:func:`unelaborated_schedule` builds a design's before it is
+elaborated, for ``auto_specialize``); running one —
 the flag sweep, and the mega-cycle kernel a fully static design steps
 on — is :mod:`.simulation`'s business.
 """
 
 from __future__ import annotations
+
+from .elaboration import infer_driver
+from .signals import Signal
 
 
 class StaticSchedule:
@@ -58,22 +63,24 @@ class StaticSchedule:
         }
 
 
-def nets_of(ends):
-    """Deduplicated net roots of a list of signals/slices: how both
-    callers of :func:`build_schedule` (the simulator and the SimJIT
-    specializer) turn a block's read/write signals into its input."""
+def nets_of(ends, net_of=None):
+    """Deduplicated net roots of a list of signals/slices: how every
+    caller of :func:`build_schedule` (the simulator, the SimJIT
+    specializer and :func:`unelaborated_schedule`) turns a block's
+    read/write signals into its input.  ``net_of`` maps a signal to its
+    net where elaboration has not merged them yet."""
     nets = []
     seen = set()
     for end in ends:
         sig = end.signal if hasattr(end, "signal") else end
-        net = sig._net.find()
+        net = sig._net.find() if net_of is None else net_of(sig)
         if id(net) not in seen:
             seen.add(id(net))
             nets.append(net)
     return nets
 
 
-def comb_block_nets(reads, writes):
+def comb_block_nets(reads, writes, net_of=None):
     """``(read nets, write nets)`` of a combinational block that reads
     signals ``reads`` and writes ``writes`` — a body's, bound to one
     instance.  The one statement of the self-write rule: a block that
@@ -82,8 +89,9 @@ def comb_block_nets(reads, writes):
     no dependency.  The rule is by signal: a block reading through one
     signal a net it writes through another does depend on it."""
     written = {id(sig) for sig in writes}
-    return (nets_of([sig for sig in reads if id(sig) not in written]),
-            nets_of(writes))
+    return (nets_of([sig for sig in reads if id(sig) not in written],
+                    net_of),
+            nets_of(writes, net_of))
 
 
 def unbounded_reads(model):
@@ -96,6 +104,48 @@ def unbounded_reads(model):
         return model.get_inports()
     return model.get_signals() + [
         port for sub in model.get_submodels() for port in sub.get_outports()]
+
+
+def unelaborated_schedule(models, blocks):
+    """The static schedule the simulator builds for a design, read off
+    the design before it is elaborated.  ``models`` are every model of
+    the design and ``blocks`` every comb block of theirs as ``(block,
+    reads, writes)``: the signals its body reads and writes, or
+    ``reads=None`` for a block without a body.  Nets are a union-find
+    over the models' full-signal ``_connections`` (elaboration merges
+    the same pairs, and adds clock and reset, which no comb block
+    writes); a slice connection is a directional copy, its driver
+    inferred as elaboration infers it; a constant tie is no block.
+    The schedule's ``order`` and ``event_funcs`` hold the blocks, and
+    a connector as ``("connector", i)``."""
+    owner = {id(sig): m for m in models for sig in m.get_signals()}
+    root = {}                       # id(signal) -> its net's signal
+
+    def net_of(sig):
+        top = root.get(id(sig), sig)
+        while top is not sig:
+            sig, top = top, root.get(id(top), top)
+        return top
+
+    copies = []
+    for model in models:
+        for left, right in model._connections:
+            if isinstance(left, int) or isinstance(right, int):
+                continue
+            if isinstance(left, Signal) and isinstance(right, Signal):
+                a, b = net_of(left), net_of(right)
+                if a is not b:
+                    root[id(b)] = a
+            else:
+                copies.append(infer_driver(
+                    model, left, right, lambda sig: owner.get(id(sig))))
+    infos = [(blk, (), (), False) if reads is None
+             else (blk, *comb_block_nets(reads, writes, net_of), True)
+             for blk, reads, writes in blocks]
+    infos += [(("connector", i), nets_of([src], net_of),
+               nets_of([dst], net_of), True)
+              for i, (src, dst) in enumerate(copies)]
+    return build_schedule(infos)
 
 
 def build_schedule(infos):

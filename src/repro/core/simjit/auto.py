@@ -7,31 +7,48 @@ to find and specialize appropriate CL and RTL models."*
 
 This module implements that extension, and it is the one place that
 decides what a design compiles to (everything spelled ``jit=True`` ends
-here): :func:`auto_specialize` walks an un-elaborated design from the
-top, compiles each maximal subtree whose behavioral blocks are fully
-inside the SimJIT subset as one engine, and splices the drop-in
-:class:`JITModel` wrappers back into the hierarchy.  FL models (and
-anything outside the subset) stay interpreted and say why
-(``sim.sched_info()["simjit"]["interpreted"]``).
+here).  :func:`auto_specialize` walks an un-elaborated design from the
+top.  A design whose behavioral blocks are all inside the SimJIT
+subset is one engine.  Under a parent that is not, *appropriate* means
+an engine that wins: a maximal translatable subtree compiles only
+where the CPython rung would leave a block of it running as the
+user's closure (:func:`kept_blocks`), and is spliced back into the
+hierarchy as a drop-in :class:`JITModel` wrapper.  Every other model
+stays interpreted and says why
+(``sim.sched_info()["simjit"]["interpreted"]``): FL models, anything
+outside the subset, and translatable subtrees whose every block the
+simulator lowers and schedules statically anyway.
 """
 
 from __future__ import annotations
 
 from .. import bodies
-from ..ast_ir import TranslationError
 from ..model import MAX_LIST_DEPTH, Model
+from ..scheduling import unelaborated_schedule
 from .specializer import JITModel, SimJITCL, SimJITRTL, SpecializationError
+
+#: Why a translatable subtree under an interpreted parent is not
+#: compiled: its engine would only replace lowered, statically
+#: scheduled blocks, and pay a C -> Python -> C crossing for it.
+LOWERED = "every block lowered and statically scheduled"
 
 
 def auto_specialize(model, allowed_levels=("rtl", "cl")):
-    """Specialize every maximal SimJIT-compatible subtree of ``model``.
+    """Specialize ``model``: one engine when the whole design is
+    translatable, else an engine for each maximal translatable subtree
+    the CPython rung would not run on its own lowered, statically
+    scheduled blocks.
 
-    ``model`` must not be elaborated yet.  The top is a subtree like
-    any other: a design that is translatable from the top down comes
-    back as its one :class:`JITModel` wrapper, anything else as
-    ``model`` itself with wrappers spliced in below — so always use the
-    return value (``SimulationTool`` refuses a model whose ports a
-    wrapper has adopted)::
+    ``model`` must not be elaborated yet.  A design that is
+    translatable from the top down comes back as its one
+    :class:`JITModel` wrapper.  Anything else comes back as ``model``
+    itself, with wrappers spliced in below where a subtree holds a
+    block :func:`kept_blocks` names (a comb block in a combinational
+    cycle, a block without a body or whose body has no Python form, a
+    CL tick); the other translatable subtrees stay interpreted, their
+    reason :data:`LOWERED`.  So always use the return value
+    (``SimulationTool`` refuses a model whose ports a wrapper has
+    adopted)::
 
         net = MeshNetworkStructural(RouterRTL, 16, 256, 32, 2)
         net = auto_specialize(net)              # not: auto_specialize(net)
@@ -40,27 +57,75 @@ def auto_specialize(model, allowed_levels=("rtl", "cl")):
     if model.is_elaborated():
         raise SpecializationError(
             "auto_specialize must run before top-level elaboration")
-    return _specialize(model, allowed_levels)
+    return _specialize(model, allowed_levels, None)
 
 
-def _specialize(node, allowed_levels):
-    """``node``'s wrapper when its whole subtree is one engine, else
-    ``node`` with the same question answered for each child."""
+def _specialize(node, allowed_levels, kept):
+    """``node``'s wrapper when its whole subtree is one engine worth
+    building, else ``node`` with the same question answered for each
+    child.  ``kept`` is the top's :func:`kept_blocks`, asked once the
+    top is refused (None until then)."""
     if isinstance(node, JITModel):      # specialized by hand already
         return node
     models = list(_subtree(node))
     ticks = [blk for sub in models for blk in sub.get_tick_blocks()]
     combs = [blk for sub in models for blk in sub.get_comb_blocks()]
     refusal = _first_refusal(ticks, combs, allowed_levels)
-    if refusal is None:
+    if refusal is None and (kept is None or any(
+            blk in kept for blk in ticks + combs)):
         has_cl = any(blk.level == "cl" for blk in ticks)
         return (SimJITCL if has_cl else SimJITRTL)(
             node.elaborate()).specialize()
     # ``sched_info()`` reports it under the name elaboration gives.
-    node._simjit_refusal = refusal
+    node._simjit_refusal = refusal or (None, LOWERED)
+    if refusal is None:
+        return node
+    if kept is None:
+        kept = kept_blocks(node)
     for container, key, child in _submodel_attrs(node):
-        container[key] = _specialize(child, allowed_levels)
+        container[key] = _specialize(child, allowed_levels, kept)
     return node
+
+
+def kept_blocks(top):
+    """``{block: reason}`` for every block of un-elaborated design
+    ``top`` that the CPython rung would run as the user's closure:
+    what ``SimulationTool(top.elaborate())`` names in
+    ``sched_info()["lowered"]["kept"]``, read before elaboration.  A
+    comb block is kept when it has no body, when its body has no
+    Python form, or when it sits in a combinational cycle of the one
+    static scheduler
+    (:func:`repro.core.scheduling.unelaborated_schedule`); an RTL tick
+    when it has no body or no Python form; a CL or FL tick always.  A
+    hand-made :class:`JITModel`'s blocks have no body."""
+    models = list(dict.fromkeys(_subtree(top)))
+    answers = {blk: ("a SimJIT engine" if isinstance(model, JITModel)
+                     else bodies.body_or_why(blk))
+               for model in models for blk in model.get_comb_blocks()}
+    cyclic = set(unelaborated_schedule(models, [
+        (blk, None, None) if isinstance(answer, str) else
+        (blk, bodies.signals(answer[1], answer[0].reads),
+         bodies.signals(answer[1], answer[0].writes))
+        for blk, answer in answers.items()]).demoted)
+    kept = {}
+    for blk, answer in answers.items():
+        if blk in cyclic:
+            kept[blk] = "event partition: in a combinational cycle"
+        elif why := _no_python(answer):
+            kept[blk] = why
+    for model in models:
+        for blk in model.get_tick_blocks():
+            if blk.level != "rtl":
+                kept[blk] = f"tick_{blk.level} block"
+            elif why := _no_python(bodies.body_or_why(blk)):
+                kept[blk] = why
+    return kept
+
+
+def _no_python(answer):
+    """Why a block whose ``body_or_why`` is ``answer`` has no lowered
+    Python function, or None."""
+    return answer if isinstance(answer, str) else answer[0].refused
 
 
 def _first_refusal(ticks, combs, allowed_levels):
@@ -76,10 +141,9 @@ def _first_refusal(ticks, combs, allowed_levels):
             return blk, (f"level '{blk.level}'; "
                          f"allowed: {sorted(allowed_levels)}")
     for blk in ticks + combs:
-        try:
-            bodies.body_of(blk)
-        except (TranslationError, bodies.Refused) as exc:
-            return blk, str(exc)
+        answer = bodies.body_or_why(blk)
+        if isinstance(answer, str):
+            return blk, answer
     return None
 
 

@@ -102,8 +102,7 @@ from collections import deque
 from time import perf_counter
 
 from .adapters import BlockingTickRunner, wrap_fl_ticks
-from .ast_ir import TranslationError
-from .bodies import Refused, body_of, signals
+from .bodies import body_or_why, signals
 from .probe import Probe
 from .pygen import instantiate
 from .scheduling import (build_schedule, comb_block_nets, nets_of,
@@ -219,9 +218,9 @@ class SimulationTool:
         self._comb_blocks = [
             blk for m in model._all_models for blk in m.get_comb_blocks()
         ]
-        bodies = {blk: _body_of(blk) for blk in self._comb_blocks}
+        bodies = {blk: body_or_why(blk) for blk in self._comb_blocks}
         if sched != "event":
-            bodies.update((blk, _body_of(blk)) for blk in self._tick_blocks
+            bodies.update((blk, body_or_why(blk)) for blk in self._tick_blocks
                           if blk.level == "rtl")
         # Combinational work: user blocks plus slice/constant connector
         # copies, each with the net-level read/write sets the static
@@ -391,7 +390,7 @@ class SimulationTool:
         coroutine runners), RTL ticks without a body, and ticks whose
         written nets have several gated writers (skip order would
         change last-writer-wins results) always run.  ``bodies`` maps a
-        block to ``body_of``'s answer (a refusal: its text).
+        block to ``body_or_why``'s answer.
         """
         nets = {}                   # gated candidate -> (reads, writes)
         writer_counts = {}
@@ -428,7 +427,7 @@ class SimulationTool:
         in a combinational cycle, or without a body: why it has none),
         a blocking FL tick, a CL or FL tick (by level, unlowered), and
         whatever the backend refuses.  ``bodies`` holds the blocks'
-        ``body_of`` answers.  (Connectors are not blocks, and stay the
+        ``body_or_why`` answers.  (Connectors are not blocks, and stay the
         copies they were.)"""
         lowered_bodies, kept = set(), {}
 
@@ -1040,7 +1039,10 @@ class SimulationTool:
         ``functions``, ``bodies``, ``comb``, ``input_blocks`` and
         ``input_cone_max``),
         ``interpreted`` maps every model ``auto_specialize`` left in
-        Python to the first block that kept it there and why.  A SimJIT
+        Python to the first block that kept it there and why, or, for
+        a translatable model it left in Python because the CPython rung
+        lowers and statically schedules all of it, to just that reason
+        (both present, ``engines`` empty, when it compiled nothing).  A SimJIT
         top also has its kernel's shape as flat keys: ``comb`` is
         ``"single-pass"`` or
         ``"fixpoint"`` (``residue_blocks`` > 0 says why: that many
@@ -1077,9 +1079,9 @@ class SimulationTool:
             })
         models = self.model._all_models
         engines = [m for m in models if hasattr(m, "jit_engine")]
-        if engines:
+        if engines or hasattr(self.model, "_simjit_refusal"):
             simjit = info["simjit"] = {}
-            if engines[0] is self.model:
+            if engines and engines[0] is self.model:
                 # SimJIT top: its kernel's shape and port boundary
                 # (the wrapper itself is one event block).
                 simjit.update(self.model.jit_engine.kernel_info)
@@ -1090,7 +1092,7 @@ class SimulationTool:
                                 "input_blocks", "input_cone_max")}}
                 for m in engines]
             simjit["interpreted"] = {
-                m.full_name(): f"{blk.name}: {reason}"
+                m.full_name(): f"{blk.name}: {reason}" if blk else reason
                 for m in models if hasattr(m, "_simjit_refusal")
                 for blk, reason in [m._simjit_refusal]}
         return info
@@ -1161,17 +1163,9 @@ def _endpoint_name(end):
     return getattr(end, "name", None) or "?"
 
 
-def _body_of(blk):
-    """``body_of(blk)``, or why ``blk`` has no body."""
-    try:
-        return body_of(blk)
-    except (Refused, TranslationError) as exc:
-        return str(exc)
-
-
 def _comb_nets(blk, answer):
     """``(read nets, write nets, known, sensitivity nets)`` of comb
-    block ``blk`` from its ``body_of`` answer (a refusal: its text).
+    block ``blk`` from its ``body_or_why`` answer.
     A block without a body may read every signal
     :func:`~.scheduling.unbounded_reads` names and write anything.  The
     body's reads place a block in the static schedule, whose lowered

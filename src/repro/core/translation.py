@@ -52,7 +52,7 @@ from .ast_ir import (
     TranslationError,
     UnOp,
 )
-from .elaboration import _infer_driver, elaborate
+from .elaboration import elaborate, infer_driver
 from .signals import InPort, OutPort, Signal, _SignalSlice
 
 
@@ -497,7 +497,7 @@ def _local_nets(model):
             members[id(left)] = left
             members[id(right)] = right
         else:
-            src, dst = _infer_driver(model, left, right)
+            src, dst = infer_driver(model, left, right)
             slice_conns.append((src, dst))
 
     groups = {}

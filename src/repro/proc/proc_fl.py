@@ -169,8 +169,18 @@ class ProcFL(Model):
             s.dmem.xtick()
             s.xcel.xtick()
             if s.reset:
+                # Back to the power-on state, with the adapters' queues
+                # (a response to a request made before reset must not
+                # answer one made after it), as ProcCL does.
+                s.imem.reset()
+                s.dmem.reset()
+                s.xcel.reset()
                 s.state = "fetch"
                 s.halted = False
+                s.pc = 0
+                s.regs[:] = [0] * 32
+                s.num_instrs = 0
+                s.instr = None
                 s.done.next = 0
                 return
             if s.halted:

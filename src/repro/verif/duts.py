@@ -92,17 +92,18 @@ def random_minrisc_program(rng, length=30, scratch=PROC_STATE_BASE,
     return "\n".join(lines)
 
 
-def _elaborated(design, jit, level):
-    """Elaborate a finished composition; the SimJIT point of a sweep
-    (``jit``) first compiles everything RTL in it -- the whole design
-    as one engine when all of it is.  That point compares cycle-exact
-    against the same RTL interpreted, so no other level has one."""
-    if jit:
-        if level != "rtl":
-            raise ValueError("SimJIT cosim points require level='rtl'")
-        from ..core.simjit import auto_specialize
-        design = auto_specialize(design, ("rtl",))
-    return design.elaborate()
+def _specialized(component, jit, level):
+    """``component`` as the SimJIT point of a sweep (``jit``) builds
+    it: compiled as its own top, so the harness built around it holds
+    exactly that one engine, whatever else the harness holds.  That
+    point compares cycle-exact against the same RTL interpreted, so no
+    other level has one."""
+    if not jit:
+        return component
+    if level != "rtl":
+        raise ValueError("SimJIT cosim points require level='rtl'")
+    from ..core.simjit import auto_specialize
+    return auto_specialize(component, ("rtl",))
 
 
 def make_cache_dut(name, level="rtl", sched="auto", jit=False,
@@ -119,6 +120,7 @@ def make_cache_dut(name, level="rtl", sched="auto", jit=False,
     else:
         cls = {"cl": CacheCL, "rtl": CacheRTL}[level]
         cache = cls(mem_msg, mem_msg, nlines=nlines, assoc=assoc)
+    cache = _specialized(cache, jit, level)
 
     class _CacheHarness(Model):
         def __init__(s):
@@ -132,7 +134,7 @@ def make_cache_dut(name, level="rtl", sched="auto", jit=False,
             return (f"{s.cache.cpu_ifc.req.to_str()}>"
                     f"{s.cache.cpu_ifc.resp.to_str()}")
 
-    harness = _elaborated(_CacheHarness(), jit, level)
+    harness = _CacheHarness().elaborate()
     return DutAdapter(
         name, harness,
         drives={"req": harness.cache.cpu_ifc.req},
@@ -162,7 +164,7 @@ def make_mesh_dut(name, router="rtl", nrouters=4, sched="auto",
         cls = {"cl": RouterCL, "rtl": RouterRTL}[router]
         net = MeshNetworkStructural(
             cls, nrouters, nmsgs, data_nbits, nentries)
-    net = _elaborated(net, jit, router)
+    net = _specialized(net, jit, router).elaborate()
 
     msg_type = net.msg_type
     return DutAdapter(
@@ -198,9 +200,9 @@ def make_proc_dut(name, level, words, data=None, sched="auto", jit=False,
     from ..proc import ProcCL, ProcFL, ProcRTL
     from ..proc.harness import ProcHarness
 
-    proc = {"fl": ProcFL, "cl": ProcCL, "rtl": ProcRTL}[level]()
-    harness = _elaborated(
-        ProcHarness(proc, mem_latency=mem_latency), jit, level)
+    proc = _specialized(
+        {"fl": ProcFL, "cl": ProcCL, "rtl": ProcRTL}[level](), jit, level)
+    harness = ProcHarness(proc, mem_latency=mem_latency).elaborate()
     _load_words(harness.mem, words, data)
 
     type_lo, _ = MemReqMsg.field_slice("type_")

@@ -6,8 +6,9 @@ import os
 
 import pytest
 
-from repro.core import Model, SimulationTool
+from repro.core import InPort, Model, OutPort, SimulationTool
 from repro.core.simjit import JITModel, SpecializationError, auto_specialize
+from repro.core.simjit.auto import LOWERED, kept_blocks
 from repro.accel import Tile, mvmult_data, mvmult_xcel
 from repro.accel.kernels import Y_BASE
 from repro.net import MeshNetworkStructural, RouterCL, RouterRTL
@@ -22,21 +23,38 @@ def _engines(model):
             if isinstance(attr, JITModel)]
 
 
+class Latch(Model):
+    """A register the CPython rung keeps as its closure: pygen refuses
+    the name of its local, so no parent leaves it interpreted."""
+
+    def __init__(s, nbits):
+        s.in_ = InPort(nbits)
+        s.out = OutPort(nbits)
+
+        @s.tick_rtl
+        def seq_logic():
+            _v = s.in_.value
+            s.out.next = _v
+
+
 def test_auto_specializes_rtl_tile_components():
     tile = auto_specialize(Tile(("rtl", "rtl", "rtl")))
-    # proc, two caches, accelerator, arbiter all compile; the FL magic
-    # memory stays interpreted, and with it the tile that holds it.
-    assert _engines(tile) == ["proc", "icache", "dcache", "accel",
-                              "arbiter"]
+    # The accelerator's control and the arbiter are the tile's one
+    # combinational cycle, so they compile; the processor and the
+    # caches are lowered and statically scheduled, and stay; the FL
+    # magic memory stays interpreted, and with it the tile that holds
+    # it.
+    assert _engines(tile) == ["accel", "arbiter"]
     sim = SimulationTool(tile.elaborate())
     info = sim.sched_info()["simjit"]
     assert [(e["model"], e["class"]) for e in info["engines"]] == [
-        ("top.proc", "ProcRTL"), ("top.icache", "CacheRTL"),
-        ("top.dcache", "CacheRTL"), ("top.accel", "DotProductRTL"),
-        ("top.arbiter", "MemArbiter")]
+        ("top.accel", "DotProductRTL"), ("top.arbiter", "MemArbiter")]
     assert all(e["blocks"] >= e["functions"] >= 1 and e["comb"]
                for e in info["engines"])
-    assert list(info["interpreted"]) == ["top", "top.mem"]
+    assert info["interpreted"] == {
+        "top": info["interpreted"]["top.mem"],
+        "top.proc": LOWERED, "top.icache": LOWERED, "top.dcache": LOWERED,
+        "top.mem": info["interpreted"]["top.mem"]}
     assert info["interpreted"]["top.mem"].startswith(
         "top.mem.logic: level 'fl'")
     # No top engine, so none of its flat kernel keys.
@@ -126,58 +144,45 @@ def test_auto_specialize_handles_cl_models(monkeypatch, tmp_path):
 
     class Mixed(Model):
         def __init__(s):
-            from repro.components import Register
             from repro.mem import TestMemory
             s.mem = TestMemory(nports=1)
             s.cl = MeshNetworkStructural(RouterCL, 4, 64, 16, 2)
-            s.rtl = Register(8)
+            s.rtl = Latch(8)
 
     assert _engines(auto_specialize(Mixed())) == ["cl", "rtl"]
     assert built == [
         ("MeshNetworkStructural", "SimJITCL"),
-        ("MeshNetworkStructural", "SimJITCL"), ("Register", "SimJITRTL")]
+        ("MeshNetworkStructural", "SimJITCL"), ("Latch", "SimJITRTL")]
 
 
-# The engines ``Tile(levels, jit=True)`` holds for each of the 19
-# configurations with an RTL component -- what the hand-written
-# per-component wrapping of PRs 2-20 compiled (55 engines).
-_P, _C, _A, _ARB = ["proc"], ["icache", "dcache"], ["accel"], ["arbiter"]
+# The engines ``Tile(levels, jit=True)`` holds: the accelerator's
+# control and the arbiter's comb blocks are each tile's one
+# combinational cycle, and only where the accelerator is RTL; every
+# other component is lowered and statically scheduled.
 _TILE_ENGINES = {
-    ("rtl", "rtl", "rtl"): _P + _C + _A + _ARB,
-    ("rtl", "rtl", "cl"): _P + _C + _ARB,
-    ("rtl", "rtl", "fl"): _P + _C + _ARB,
-    ("rtl", "cl", "rtl"): _P + _A + _ARB,
-    ("rtl", "cl", "cl"): _P + _ARB,
-    ("rtl", "cl", "fl"): _P + _ARB,
-    ("rtl", "fl", "rtl"): _P + _A + _ARB,
-    ("rtl", "fl", "cl"): _P + _ARB,
-    ("rtl", "fl", "fl"): _P + _ARB,
-    ("cl", "rtl", "rtl"): _C + _A + _ARB,
-    ("cl", "rtl", "cl"): _C + _ARB,
-    ("cl", "rtl", "fl"): _C + _ARB,
-    ("cl", "cl", "rtl"): _A + _ARB,
-    ("cl", "fl", "rtl"): _A + _ARB,
-    ("fl", "rtl", "rtl"): _C + _A + _ARB,
-    ("fl", "rtl", "cl"): _C + _ARB,
-    ("fl", "rtl", "fl"): _C + _ARB,
-    ("fl", "cl", "rtl"): _A + _ARB,
-    ("fl", "fl", "rtl"): _A + _ARB,
-}
+    levels: ["accel", "arbiter"] if levels[2] == "rtl" else []
+    for levels in itertools.product(("fl", "cl", "rtl"), repeat=3)}
 
 
 def test_tile_jit_compiles_the_rtl_components(monkeypatch, tmp_path):
-    """``jit=True`` is the traversal restricted to RTL: CL and FL
-    components stay in Python, and the 55 engines are four designs."""
+    """``jit=True`` is the traversal restricted to RTL, compiling only
+    the components the CPython rung would not run lowered and
+    statically scheduled: 18 engines over the 27 tiles, two designs,
+    and the others say why not."""
     monkeypatch.setenv("SIMJIT_CACHE_DIR", str(tmp_path))
-    assert sorted(_TILE_ENGINES) == sorted(
-        c for c in itertools.product(("fl", "cl", "rtl"), repeat=3)
-        if "rtl" in c)
     for levels, engines in _TILE_ENGINES.items():
-        assert _engines(Tile(levels, jit=True)) == engines, levels
-    assert sum(map(len, _TILE_ENGINES.values())) == 55
-    assert len(_so_files(tmp_path)) == 4
+        tile = Tile(levels, jit=True)
+        assert _engines(tile) == engines, levels
+        interpreted = SimulationTool(tile.elaborate()).sched_info()[
+            "simjit"]["interpreted"]
+        for name, level in zip(("proc", "icache", "dcache", "accel"),
+                               levels[:2] + levels[1:]):
+            if level == "rtl" and name not in engines:
+                assert interpreted[f"top.{name}"] == LOWERED, levels
+    assert sum(map(len, _TILE_ENGINES.values())) == 18
+    assert len(_so_files(tmp_path)) == 2
     # Nothing to compile is not an error.
-    assert _engines(Tile(("cl", "fl", "cl"), jit=True)) == ["arbiter"]
+    assert _engines(Tile(("cl", "fl", "cl"), jit=True)) == []
 
 
 def test_dut_builders_wrap_exactly_the_component():
@@ -229,8 +234,6 @@ def test_submodel_in_a_nested_list_stays_interpreted():
     ``MAX_LIST_DEPTH`` deep; the traversal looked one level deep, took
     the parent of ``[[TestMemory]]`` for translatable and died in the
     specializer on the FL block it had not seen."""
-    from repro.components import Register
-    from repro.core.signals import InPort, OutPort
     from repro.mem import TestMemory
 
     class Top(Model):
@@ -238,7 +241,7 @@ def test_submodel_in_a_nested_list_stays_interpreted():
             s.in_ = InPort(8)
             s.out = OutPort(8)
             s.mems = [[TestMemory(nports=1)]]
-            s.regs = [[[Register(8)], [Register(8)]]]
+            s.regs = [[[Latch(8)], [Latch(8)]]]
             s.connect(s.in_, s.regs[0][0][0].in_)
             s.connect(s.regs[0][0][0].out, s.regs[0][1][0].in_)
             s.connect(s.regs[0][1][0].out, s.out)
@@ -279,19 +282,18 @@ def test_specializable_subtree_is_lowered_once(lowerings):
 
 
 def test_walk_that_fails_from_the_top_is_lowered_once(lowerings):
-    """The FL accelerator and memory refuse the tile by level, before
-    the walk from the top lowers anything; the descent then lowers
-    each RTL component's bodies once, when its turn comes — the two
-    caches' once between them."""
-    tile = Tile(("rtl", "rtl", "fl"), jit=True)
-    assert _engines(tile) == ["proc", "icache", "dcache", "arbiter"]
+    """The FL memory refuses the tile by level, before the walk from
+    the top lowers anything; asking which blocks the CPython rung keeps
+    then lowers every RTL body of the tile once (the two caches' once
+    between them), and the engines of the accelerator and the arbiter
+    bind those bodies without lowering them again."""
+    tile = Tile(("rtl", "rtl", "rtl"), jit=True)
+    assert _engines(tile) == ["accel", "arbiter"]
     engines = SimulationTool(tile.elaborate()).sched_info()["simjit"][
         "engines"]
-    bodies = {e["model"]: e["bodies"] for e in engines}
-    assert bodies["top.icache"] == bodies["top.dcache"]
-    assert len(lowerings) == sum(bodies.values()) - bodies["top.dcache"]
-    assert len(lowerings) < sum(e["blocks"] for e in engines)
     assert set(lowerings.values()) == {1}
+    assert any(name.startswith("CacheRTL.") for name in lowerings)
+    assert len(lowerings) > sum(e["bodies"] for e in engines)
 
 
 def test_failed_subtree_hands_its_lowerings_to_the_descent(lowerings):
@@ -299,9 +301,6 @@ def test_failed_subtree_hands_its_lowerings_to_the_descent(lowerings):
     descent binds the bodies the failed walk lowered, and only the
     block outside the subset — which has no body to remember — is
     translated again by each walk that reaches it."""
-    from repro.components import Register
-    from repro.core.signals import InPort, OutPort
-
     class Opaque(Model):
         def __init__(s):
             s.in_ = InPort(8)
@@ -316,9 +315,9 @@ def test_failed_subtree_hands_its_lowerings_to_the_descent(lowerings):
         def __init__(s):
             s.in_ = InPort(8)
             s.out = OutPort(8)
-            s.first = Register(8)
+            s.first = Latch(8)
             s.opaque = Opaque()
-            s.last = Register(8)
+            s.last = Latch(8)
             s.connect(s.in_, s.first.in_)
             s.connect(s.first.out, s.opaque.in_)
             s.connect(s.opaque.out, s.last.in_)
@@ -330,7 +329,7 @@ def test_failed_subtree_hands_its_lowerings_to_the_descent(lowerings):
     class Top(Model):
         def __init__(s):
             s.group = Group()
-            s.tail = Register(8)
+            s.tail = Latch(8)
             s.connect(s.group.out, s.tail.in_)
 
     top = auto_specialize(Top())
@@ -338,11 +337,12 @@ def test_failed_subtree_hands_its_lowerings_to_the_descent(lowerings):
     assert [isinstance(m, JITModel)
             for m in (group, group.first, group.opaque, group.last,
                       top.tail)] == [False, True, False, True, True]
-    # Three Registers are one body; the walks from top, group and
-    # group.opaque each reach Opaque.logic.
+    # Three Latches are one body; the walks from top, group and
+    # group.opaque, and the question which blocks the CPython rung
+    # keeps, each reach Opaque.logic.
     assert {name.split(".")[-1]: count
             for name, count in lowerings.items()} == {
-        "seq_logic": 1, "drive": 1, "logic": 3}
+        "seq_logic": 1, "drive": 1, "logic": 4}
 
     sim = SimulationTool(top.elaborate())
     sim.reset()
@@ -392,9 +392,7 @@ def test_a_block_whose_bind_does_not_reproduce_stays_interpreted(
     """The bind is checked against the lowering it was printed from; a
     body that fails the check refuses its block by name, everywhere it
     is asked for, and is lowered once all the same."""
-    from repro.components import Register
     from repro.core import bodies
-    from repro.core.signals import InPort, OutPort
 
     class Inc(Model):
         def __init__(s):
@@ -409,13 +407,13 @@ def test_a_block_whose_bind_does_not_reproduce_stays_interpreted(
         def __init__(s):
             s.in_ = InPort(8)
             s.out = OutPort(8)
-            s.reg = Register(8)
+            s.reg = Latch(8)
             s.inc = Inc()
             s.connect(s.in_, s.reg.in_)
             s.connect(s.reg.out, s.inc.in_)
             s.connect(s.inc.out, s.out)
 
-    auto_specialize(Register(8))    # its body is made before the patch
+    auto_specialize(Latch(8))       # its body is made before the patch
     monkeypatch.setattr(bodies, "_same", lambda got, want: False)
     top = auto_specialize(Top())
     assert isinstance(top.reg, JITModel)
@@ -442,3 +440,132 @@ def test_a_block_whose_bind_does_not_reproduce_stays_interpreted(
             sim.cycle()
         assert int(tops[1].out) == int(tops[0].out)
     assert int(tops[1].out) == (30 * 9 + 1) & 0xFF
+
+
+# -- engines that win ---------------------------------------------------------
+
+
+class Ping(Model):
+    """Forwards ``in_ + 1`` to its peer and outputs what comes back:
+    one comb block, half of a cross-module combinational cycle."""
+
+    def __init__(s):
+        s.in_ = InPort(8)
+        s.back = InPort(8)
+        s.fwd = OutPort(8)
+        s.out = OutPort(8)
+
+        @s.combinational
+        def logic():
+            s.fwd.value = s.in_ + 1
+            s.out.value = s.back + 3
+
+
+class Pong(Model):
+    def __init__(s):
+        s.in_ = InPort(8)
+        s.out = OutPort(8)
+
+        @s.combinational
+        def logic():
+            s.out.value = s.in_ ^ 0x5A
+
+
+class Odd(Model):
+    """A comb block with a body whose Python form pygen refuses (the
+    name of its local)."""
+
+    def __init__(s):
+        s.in_ = InPort(8)
+        s.out = OutPort(8)
+
+        @s.combinational
+        def logic():
+            _n = s.in_ + 7
+            s.out.value = _n
+
+
+class FLParent(Model):
+    """An FL parent over ping <-> pong (a combinational cycle through
+    two siblings), a register (acyclic, lowered) and an ``Odd``."""
+
+    def __init__(s):
+        from repro.components import Register
+        s.in_ = InPort(8)
+        s.out = OutPort(8)
+        s.ping, s.pong, s.reg, s.odd = Ping(), Pong(), Register(8), Odd()
+        s.connect(s.in_, s.ping.in_)
+        s.connect(s.ping.fwd, s.pong.in_)
+        s.connect(s.pong.out, s.ping.back)
+        s.connect(s.ping.out, s.reg.in_)
+        s.connect(s.reg.out, s.odd.in_)
+        s.connect(s.odd.out, s.out)
+        s.seen = 0
+
+        @s.tick_fl
+        def count():
+            s.seen += int(s.out)
+
+
+def test_under_an_fl_parent_only_what_the_interpreter_keeps_compiles():
+    """The comb cycle's two siblings compile, and so does the block
+    pygen refuses; the register, which the CPython rung lowers and
+    schedules statically, stays interpreted and says so.  The design
+    computes what its interpreted twin computes."""
+    top = auto_specialize(FLParent())
+    assert _engines(top) == ["ping", "pong", "odd"]
+    tops = [FLParent().elaborate(), top.elaborate()]
+    sims = [SimulationTool(tops[0], sched="event"), SimulationTool(tops[1])]
+    info = sims[1].sched_info()["simjit"]
+    assert [e["model"] for e in info["engines"]] == [
+        "top.ping", "top.pong", "top.odd"]
+    assert info["interpreted"] == {
+        "top": "top.count: level 'fl'; allowed: ['cl', 'rtl']",
+        "top.reg": LOWERED}
+    for sim in sims:
+        sim.reset()
+    for cycle in range(20):
+        for t in tops:
+            t.in_.value = (cycle * 37) & 0xFF
+        for sim in sims:
+            sim.cycle()
+        assert int(tops[1].out) == int(tops[0].out)
+        assert tops[1].seen == tops[0].seen
+    assert int(tops[1].out) == (((19 * 37 + 1) & 0xFF ^ 0x5A) + 10) & 0xFF
+
+
+def _kept_names(top):
+    """``kept_blocks(top)`` by the names elaboration then gives."""
+    kept = kept_blocks(top)
+    top.elaborate()
+    return {blk.name: reason for blk, reason in kept.items()}
+
+
+def test_kept_blocks_are_the_interpreters_kept_blocks():
+    """``kept_blocks`` reads the simulator's answer off the design
+    before elaboration; on the synthetic parent and on every tile, its
+    blocks of the translatable components and their reasons are the
+    ones the interpreted twin keeps (an FL tick's reason differs: the
+    simulator knows which run on a thread)."""
+    top = FLParent()
+    kept = _kept_names(top)
+    assert kept == {"top.ping.logic": "event partition: in a "
+                    "combinational cycle",
+                    "top.pong.logic": "event partition: in a "
+                    "combinational cycle",
+                    "top.odd.logic": "the block's name '_n' is one the "
+                    "lowered function uses",
+                    "top.count": "tick_fl block"}
+    assert SimulationTool(top).sched_info()["lowered"]["kept"] == kept
+    for levels in itertools.product(("fl", "cl", "rtl"), repeat=3):
+        tile = Tile(levels)
+        kept = _kept_names(tile)
+        sim_kept = SimulationTool(tile).sched_info()["lowered"]["kept"]
+        rtl = tuple(f"top.{name}." for name, level in zip(
+            ("proc", "icache", "dcache", "accel"), levels[:2] + levels[1:])
+            if level == "rtl") + ("top.arbiter.",)
+        assert {k: v for k, v in kept.items() if k.startswith(rtl)} == {
+            k: v for k, v in sim_kept.items() if k.startswith(rtl)}, levels
+        if levels[2] == "rtl":
+            assert set(kept) >= {"top.accel.ctrl.ctrl_comb",
+                                 "top.arbiter.arb_comb"}

@@ -5,7 +5,8 @@ the designs below compile, keyed ``"<design> <engine> <class>"``:
 three RTL meshes under ``SimJITRTL``, the mesh4 pair the hash-seed test
 builds under ``SimJITCL`` and a ``RouterCL`` mesh16 (``tick_cl`` blocks
 bound to their bodies, CL state as holes), every engine of the nineteen
-``Tile(levels, jit=True)`` configurations, the jit points of the three
+``Tile(levels, jit=True)`` configurations (ten of which compile
+nothing, and have no entry), the jit points of the three
 DUT builders and the seven ``test_simjit_share`` rows.  None of them
 holds the SimJIT runtime (``runtime.c``).  The C text is the ``.so``
 cache key, so a refactor of how it is produced must leave
@@ -112,8 +113,9 @@ def _golden():
 def test_generated_c_matches_the_golden_table(name):
     want = {key: sha for key, sha in _golden().items()
             if key.rsplit(" ", 2)[0] == name}
-    assert want, f"{name} is not in {GOLDEN}"
     sources = _sources(name, _designs()[name])
+    # Ten tiles compile nothing (test_auto_specialize): no entry.
+    assert want or not sources, f"{name} is not in {GOLDEN}"
     assert {key: hashlib.sha256(src.encode()).hexdigest()
             for key, src in sources.items()} == want
     # The SimJIT runtime (runtime.c) is no design's.
@@ -122,8 +124,8 @@ def test_generated_c_matches_the_golden_table(name):
 
 
 def test_the_table_covers_every_tile_engine():
-    """The nineteen tiles hold 55 engines (test_auto_specialize)."""
-    assert sum(key.startswith("tile-") for key in _golden()) == 55
+    """The nineteen tiles hold 18 engines (test_auto_specialize)."""
+    assert sum(key.startswith("tile-") for key in _golden()) == 18
 
 
 if __name__ == "__main__":

@@ -315,13 +315,13 @@ def test_restore_checkpoint_resyncs_ports():
 # -- (e) an embedded engine in an event-driven parent ----------------------
 
 
-def test_rtl_proc_engine_inside_fl_tile_matches_interpreted_twin():
+def test_rtl_engines_inside_fl_tile_match_interpreted_twin():
     rows, cols = 2, 4
     words = assemble(mvmult_xcel(rows, cols))
     data, expected = mvmult_data(rows, cols)
     cycles = {}
     for jit in (False, True):
-        tile = Tile(("rtl", "fl", "fl"), jit=jit).elaborate()
+        tile = Tile(("rtl", "fl", "rtl"), jit=jit).elaborate()
         tile.mem.load(0, words)
         for addr, value in data.items():
             tile.mem.write_word(addr, value)
@@ -329,6 +329,8 @@ def test_rtl_proc_engine_inside_fl_tile_matches_interpreted_twin():
         if jit:
             # The engines' wrappers are event-driven blocks of the
             # parent: eval_comb per settle, tick with the as_next pull.
+            assert [e["model"] for e in sim.sched_info()["simjit"][
+                "engines"]] == ["top.accel", "top.arbiter"]
             assert sim.sched_info()["event_blocks"] >= 1
             assert not sim.sched_info()["kernel"]
         sim.reset()

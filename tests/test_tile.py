@@ -156,3 +156,43 @@ def test_cl_proc_tile_runs_again_after_reset(levels):
         _check_result(tile, expected)
         runs.append(sim.ncycles - start)
     assert runs[1:] == runs[:1] * 2
+
+
+def _run_after_resets(levels, jit, pre_cycles):
+    """``(cycles, Y)`` of a tile reset, run ``pre_cycles`` cycles and
+    reset again (once only when ``pre_cycles`` is 0), then run to
+    ``done``; cycles count from the last reset."""
+    data, _ = mvmult_data(ROWS, COLS)
+    tile = Tile(levels, jit=jit).elaborate()
+    tile.mem.load(0, assemble(mvmult_xcel(ROWS, COLS)))
+    for addr, value in data.items():
+        tile.mem.write_word(addr, value)
+    sim = SimulationTool(tile)
+    sim.reset()
+    if pre_cycles:
+        sim.run(pre_cycles)
+        sim.reset()
+    start = sim.ncycles
+    while not int(tile.proc.done):
+        sim.cycle()
+        assert sim.ncycles - start < 10_000
+    return (sim.ncycles - start,
+            [tile.mem.read_word(Y_BASE + 4 * i) for i in range(ROWS)])
+
+
+@pytest.mark.parametrize("levels", ALL_CONFIGS,
+                         ids=["-".join(c) for c in ALL_CONFIGS])
+def test_a_reset_after_the_first_cycles_is_a_power_on(levels):
+    """``reset(); cycle() ...; reset()`` runs as one ``reset()`` does,
+    interpreted and ``jit=True``.  ``ProcFL``'s reset branch kept its
+    adapters' queues, ``pc`` and registers: the fetch it issued in the
+    first cycle was answered after the second reset, and the
+    ``<FL,RTL,*>`` tiles halted after 143-205 cycles with a wrong
+    ``Y``."""
+    _, expected = mvmult_data(ROWS, COLS)
+    for jit in (False, True):
+        want = _run_after_resets(levels, jit, 0)
+        assert want[1] == expected, jit
+        for pre_cycles in (1, 2, 5):
+            assert _run_after_resets(levels, jit, pre_cycles) == want, (
+                jit, pre_cycles)
