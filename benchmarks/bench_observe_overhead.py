@@ -2,14 +2,11 @@
 
 The observatory's contract is that an armed flight recorder is cheap
 enough to leave on for long runs: recorders (and watchpoints) sample
-*after* the cycle, like the VCD writer, so — unlike cycle hooks — the
-compiled mega-cycle kernel keeps running and only the per-cycle sample
-is added.  This bench quantifies that on an RTL mesh:
+*after* the cycle, like the VCD writer, inside the same step: only
+the per-cycle sample is added.  This bench quantifies that on an RTL mesh:
 
-- ``off``        — ``sim.run()`` with nothing armed.  Structurally
-  identical to the PR-1/PR-4 kernel fast path: the observatory adds
-  one tuple-emptiness check to ``run()``'s fast-path predicate and
-  nothing to the per-cycle work.
+- ``off``        — ``sim.run()`` with nothing armed: the observatory
+  adds one flag check per cycle to the Python step and nothing else.
 - ``recorder``   — a :class:`~repro.observe.FlightRecorder` armed on
   a dozen router-internal signals at depth 512.  The **asserted**
   contract: within ``MAX_OVERHEAD`` (5% on the full 64-router mesh;
@@ -48,8 +45,8 @@ REPS = 3 if QUICK else 6
 # The contract is 5% on the full 64-router mesh.  Sampling cost is
 # fixed per signal per cycle, so on the 4x-smaller quick mesh the same
 # 12 taps are ~4x larger relatively; the quick budget is a scaled
-# smoke ceiling that still catches falling off the kernel fast path
-# (~10x), not a precision measurement.
+# smoke ceiling that still catches a sampler grown ~10x, not a
+# precision measurement.
 MAX_OVERHEAD = 0.25 if QUICK else 0.05
 # Compiled-substrate budget: instrumented SimJIT vs uninstrumented.
 MAX_JIT_SLOWDOWN = 3.0 if QUICK else 2.0
@@ -78,7 +75,7 @@ def _build_sim():
     finally:
         set_telemetry_enabled(prev)
     sim = SimulationTool(net, sched="static")
-    assert sim._kernel is not None
+    assert sim.sched_info()["kernel"]
     sim.reset()
     # Standing traffic: terminal 0 offers a packet for the last router
     # every cycle, so the mesh is never idle.  No tapped signal toggles
@@ -129,8 +126,8 @@ def test_observe_overhead(benchmark):
         sim_rec = _build_sim()
         recorder = sim_rec.flight_recorder(
             signals=_recorder_signals(), depth=DEPTH)
-        # Both sims still hold their compiled kernel; only the armed
-        # one leaves run()'s fast path to sample per cycle.
+        # Both sims keep a settle without the event fixpoint; only the
+        # armed one samples per cycle.
         assert sim_rec.sched_info()["kernel"] is True
 
         pt = _paired(sim_off.run, sim_rec.run)
@@ -212,7 +209,7 @@ def test_observe_overhead(benchmark):
         max_overhead=MAX_OVERHEAD, max_jit_slowdown=MAX_JIT_SLOWDOWN)
 
     # The asserted contract: an armed flight recorder costs under 5%
-    # of kernel-fast-path throughput.
+    # of the unarmed step's throughput.
     recorder = by_config["recorder"]["slowdown_vs_off"]
     assert recorder < 1.0 + MAX_OVERHEAD, (
         f"armed flight recorder costs {(recorder - 1) * 100:.1f}% "

@@ -5,13 +5,11 @@ replaces the event-driven settle loop with one levelized sweep and
 activity-gates pure RTL tick blocks, so a design pays only for the
 logic that actually toggles; and what it sweeps are *lowered* blocks
 (``core/pygen.py``: plain-int functions over the nets) instead of the
-user's closures.  This bench measures CPython cycles/sec in three
+user's closures.  This bench measures CPython cycles/sec in two
 modes — ``event`` (the user's closures on the event fixpoint: the
-paper's CPython substrate, the 1x), ``interpreted`` (the static
-schedule over the same lowered blocks, stepped by the interpreted loop
-because ``collect_stats=True`` keeps it off the mega-cycle kernel) and
-``static`` (the default simulator: static schedule, lowered blocks,
-kernel) — on three designs with realistic activity profiles:
+paper's CPython substrate, the 1x) and ``static`` (the default
+simulator: static schedule, lowered blocks) — on three designs with
+realistic activity profiles:
 
 - ``mesh``    — 8x8 RTL mesh under uniform-random traffic in the
   zero-load regime (and one loaded point for contrast): most routers
@@ -23,7 +21,7 @@ kernel) — on three designs with realistic activity profiles:
   (the processor's val/rdy handshake is a genuine comb SCC), so it
   bounds the speedup from below.
 
-Wall time uses ``time.process_time()`` (best of N) — the interpreted
+Wall time uses ``time.process_time()`` (best of N) — the event
 runs are seconds long and CPU-bound, so process time is the stable
 metric on shared machines.  Every mode pair is checked for identical
 architectural results before its timing is reported.
@@ -76,15 +74,9 @@ def _mesh_workload(nterminals, rate, ncycles, seed=0):
     ]
 
 
-def _simulator(model, mode):
-    if mode == "interpreted":
-        return SimulationTool(model, sched="static", collect_stats=True)
-    return SimulationTool(model, sched=mode)
-
-
 def _run_mesh(sched, nrouters, workload):
     net = MeshNetworkStructural(RouterRTL, nrouters, 256, 32, 2).elaborate()
-    sim = _simulator(net, sched)
+    sim = SimulationTool(net, sched=sched)
     sim.reset()
     mt = net.msg_type
     dest_shift = mt.field_slice("dest")[0]
@@ -148,7 +140,7 @@ def _cache_workload(ntrans, seed=0):
 
 def _run_cache(sched, workload):
     top = BankedCacheRTL(nbanks=CACHE_NBANKS).elaborate()
-    sim = _simulator(top, sched)
+    sim = SimulationTool(top, sched=sched)
     sim.reset()
     trace = []
     start = time.process_time()
@@ -190,7 +182,7 @@ def _run_accel(sched, words, data, expected):
     tile.mem.load(0, words)
     for addr, value in data.items():
         tile.mem.write_word(addr, value)
-    sim = _simulator(tile, sched)
+    sim = SimulationTool(tile, sched=sched)
     sim.reset()
     start = time.process_time()
     while not int(tile.proc.done):
@@ -211,14 +203,14 @@ def _make_accel_runner():
 # -- driver -------------------------------------------------------------------------
 
 
-MODES = ("static", "interpreted", "event")
+MODES = ("static", "event")
 
 
 def _compare(design, config, run):
-    """Time the three modes, check architectural equivalence, return
+    """Time the two modes, check architectural equivalence, return
     rows.
 
-    Reps are interleaved (static, interpreted, event, static, ...) and
+    Reps are interleaved (static, event, static, ...) and
     the minimum per mode is kept, so slow drift on a shared machine
     hits every mode alike instead of biasing whichever ran last."""
     best, results = {}, {}
@@ -226,7 +218,7 @@ def _compare(design, config, run):
         for mode in MODES:
             results[mode], dt = run(mode)
             best[mode] = min(dt, best.get(mode, dt))
-    assert results["static"] == results["interpreted"] == results["event"], (
+    assert results["static"] == results["event"], (
         f"{design}: the modes diverged: {results}")
     cycles = results["static"]["cycles"]
     entries = [{
@@ -271,21 +263,17 @@ def test_sched_speedup(benchmark):
         if mode != "static":
             continue
         event = by_key[(design, config, "event")]
-        interp = by_key[(design, config, "interpreted")]
         table_rows.append([
             design, config, entry["cycles"],
             f"{event['cycles_per_sec']:.0f}",
-            f"{interp['cycles_per_sec']:.0f}",
-            f"{interp['cycles_per_sec'] / event['cycles_per_sec']:.2f}x",
             f"{entry['cycles_per_sec']:.0f}",
             f"{entry['cycles_per_sec'] / event['cycles_per_sec']:.2f}x",
         ])
     text = format_table(
-        "CPython simulation: event-driven closures (1x), the static "
-        "schedule over lowered blocks on the interpreted step, and the "
-        "default (static schedule, lowered blocks, kernel)",
-        ["design", "config", "cycles", "event cyc/s", "interp cyc/s",
-         "speedup", "static cyc/s", "speedup"],
+        "CPython simulation: event-driven closures (1x) against the "
+        "default (static schedule, lowered blocks)",
+        ["design", "config", "cycles", "event cyc/s", "static cyc/s",
+         "speedup"],
         table_rows,
     )
     write_result("sched_speedup.txt", text)

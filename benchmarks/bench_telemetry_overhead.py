@@ -5,7 +5,7 @@ on*.  This bench quantifies that on an RTL mesh, including the
 compiled-instrumentation path (observability lowered into the SimJIT
 kernel) that removes the old 850x cliff:
 
-- ``baseline``  — raw mega-cycle kernel calls in a bare loop, on a
+- ``baseline``  — raw step calls (``sim._step``) in a bare loop, on a
   design constructed with telemetry disabled.  This is the PR-1
   fast path: no telemetry objects exist anywhere.
 - ``disabled``  — ``sim.run()`` on the same disabled-telemetry
@@ -24,8 +24,8 @@ kernel) that removes the old 850x cliff:
 - ``recorder12`` — a 12-signal flight recorder (depth 512) compiled
   into the kernel the same way.
 - ``profile``   — ``profile=True``: per-block and per-phase host-time
-  attribution.  Interpreted by design (it times Python blocks), so it
-  is reported, not asserted, and runs its own cycle count
+  attribution.  The same Python step with every block timed (it times
+  Python blocks, so it cannot be SimJIT's), reported, not asserted, and runs its own cycle count
   (``equal_cycles: false``).
 
 Every asserted comparison comes from *paired, order-alternating*
@@ -94,12 +94,12 @@ def _paired(fn_a, fn_b):
 
 def _kernel_pair():
     """(baseline_fn, disabled_fn) over the same disabled-telemetry
-    design: a bare kernel loop vs the full ``sim.run()`` entry point
-    with telemetry machinery constructed but off."""
+    design: the bare step vs the full ``sim.run()`` entry point with
+    telemetry machinery constructed but off."""
     sim = SimulationTool(_build(False), sched="static")
-    assert sim._kernel is not None
+    assert sim.sched_info()["kernel"]
     sim.reset()
-    return sim._kernel, sim.run
+    return sim._step, sim.run
 
 
 def _jit_runner(enabled, instrument=None):
@@ -192,10 +192,11 @@ def test_telemetry_overhead(benchmark):
                 "pair_spread": pt.pair_spread,
                 "equal_cycles": True})
 
-        # Profile is interpreted by design; its own cycle count.
+        # Profile runs the same step with every block timed; its own
+        # cycle count.
         net = _build(True)
         sim = SimulationTool(net, sched="static", profile=True)
-        assert sim._kernel is None
+        assert sim.sched_info()["kernel"]
         sim.reset()
         _inject(net)
         ncycles, cps = best_of(sim.run, REPS, MIN_REP_SECONDS)

@@ -11,7 +11,7 @@ The tracer's contract (:mod:`repro.telemetry.tracing`) is two-sided:
   baseline, so the budget also covers the batching loop itself.
 - **armed** — span recording happens at *batch* granularity (one
   ``sim.run`` span per call, never per cycle), so even with a tracer
-  armed the interpreted kernel keeps its rate.  Asserted:
+  armed the Python step keeps its rate.  Asserted:
   ≤ ``MAX_ARMED`` (5% full) vs the same baseline.
 
 Both comparisons use paired order-alternating reps (the idiom of
@@ -55,7 +55,7 @@ def _build_sim():
     finally:
         set_telemetry_enabled(prev)
     sim = SimulationTool(net, sched="static")
-    assert sim._kernel is not None
+    assert sim.sched_info()["kernel"]
     sim.reset()
     # Standing traffic so the mesh does representative per-cycle work.
     dest_shift = net.msg_type.field_slice("dest")[0]

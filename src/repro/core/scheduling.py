@@ -25,8 +25,8 @@ This module only *constructs* schedules (the SimJIT specializer orders
 its lowered blocks with the same :func:`build_schedule`, and
 :func:`unelaborated_schedule` builds a design's before it is
 elaborated, for ``auto_specialize``); running one —
-the flag sweep, and the mega-cycle kernel a fully static design steps
-on — is :mod:`.simulation`'s business.
+the flag sweep inside the simulator's Python step — is
+:mod:`.simulation`'s business.
 """
 
 from __future__ import annotations

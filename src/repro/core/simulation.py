@@ -24,22 +24,22 @@ many ran.  One cycle is
 5. settle again, so the test bench reads post-edge outputs;
 6. ``ncycles`` advances.
 
-There are exactly three implementations, chosen once by
-``_select_step()``: *interpreted* (``_step_interpreted``, event or
-hybrid-static settle), *kernel* (``_step_kernel``, the closure
-``_make_kernel()`` returns: flag scans around direct block calls) and
-*simjit* (``_step_simjit``: push the ports, ``n`` cycles in C, pull
-what changed).  ``cycle()`` is the one driver — ``run(n)`` enters it with
-``n`` — and after each step it walks the ordered post-edge samplers
-(VCD, ``trace_log``, line trace, compiled-watchpoint actions, then
-histogram samplers, recorders and watchpoints).  A step covers the
-whole remaining run unless a sampler has to see every cycle from
-Python; the kernel always covers it, walking the samplers itself after
-each of its cycles (as it walks the live cycle-hook list before each
-edge).  When nothing has to (``bench_refusal()``), a *compiled test
-bench* may take a SimJIT top for a whole run through the same step
-(``run_bench``): it drives the ports and the clock from C and says how
-many cycles passed.
+There are exactly two implementations, chosen once by
+``_select_step()``: *python* (``_step_python``: the cycle above as one
+loop, the settle running the static sweep and the event fixpoint,
+whichever the design has) and *simjit* (``_step_simjit``: push the
+ports, ``n`` cycles in C, pull what changed).  ``cycle()`` is the one
+driver — ``run(n)`` enters it with ``n`` — and each step walks the
+ordered post-edge samplers itself (VCD, ``trace_log``, line trace,
+compiled-watchpoint actions, then histogram samplers, recorders and
+watchpoints): the Python step after each of its cycles while one has
+to see every cycle, as it walks the live cycle-hook list before each
+edge; the SimJIT step after its batch, which is one cycle while a
+sampler has to see every cycle from Python and ends on a compiled
+watchpoint's hit.  When nothing has to (``bench_refusal()``), a
+*compiled test bench* may take a SimJIT top for a whole run through
+the same step (``run_bench``): it drives the ports and the clock from C
+and says how many cycles passed.
 
 One analysis per block.  What a block reads and writes is its *body*
 (:mod:`.bodies`: one lowering per block body, bound per instance),
@@ -67,17 +67,17 @@ Scheduling modes (``sched=`` constructor argument):
   :mod:`.scheduling`).  Blocks in true combinational cycles, and
   blocks without a body, fall back to the event fixpoint, so the
   settle loop is a hybrid; a gated tick is skipped while none of its
-  read nets changed.  When *every* block is static (and stats
-  collection is off) the whole cycle — settle, ticks, clock edge,
-  settle — runs in one flat loop, the mega-cycle kernel.
+  read nets changed.  When *every* block is static the settle never
+  runs the event fixpoint (``sched_info()["kernel"]``): an idle cycle
+  is a few flag scans and no block call at all.
 - ``"auto"`` (default) — ``"static"`` when the scheduling pass finds
   at least one comb block with a body outside a cycle (or a
   connector) or one tick to gate, else ``"event"``.
 
 What a static schedule runs.  ``_static_order`` and ``_tick_plan`` hold
-one callable per slot, and the interpreted and the kernel step call
-whatever is there.  Under ``sched="event"`` — the reference substrate —
-that is the user's block closures; under a static schedule each
+one callable per slot, and the Python step calls whatever is there.
+Under ``sched="event"`` — the reference substrate — that is the user's
+block closures; under a static schedule each
 statically scheduled ``@combinational`` block and each ``@tick_rtl``
 block is replaced at construction by its *lowered* function
 (:mod:`.pygen`: the block's IR printed over plain ints and
@@ -86,8 +86,10 @@ block is replaced at construction by its *lowered* function
 computes.  The event partition, connectors, FL/CL ticks and whatever
 the backend refuses keep the closure, per block;
 ``sched_info()["lowered"]`` says which.  ``collect_stats`` and
-``profile`` count and time what runs, keyed by the block's closure
-(``_block_of``), so their reports name blocks as they always did.
+``profile`` choose no step: at construction they wrap each block once,
+wherever it sits (static order, tick plan, event partition), counting
+or timing each call under the block's closure (``_block_of``), so their
+reports name blocks as they always did.
 
 Both modes see identical values: the static order is a valid
 evaluation order of the same dataflow the event queue chases, and
@@ -99,6 +101,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
+from functools import wraps
 from time import perf_counter
 
 from .adapters import BlockingTickRunner, wrap_fl_ticks
@@ -122,9 +125,8 @@ _EVENT_BUDGET_PER_BLOCK = 1000
 class SimulationTool:
     """Generates and drives a simulator for an elaborated model.
 
-    ``cycle()``/``run(n)`` drive one ``step(n)`` function —
-    interpreted, mega-cycle kernel or SimJIT, see the module docstring
-    and ``repr(sim)`` — and the post-edge samplers after it."""
+    ``cycle()``/``run(n)`` drive one ``step(n)`` function — Python
+    or SimJIT, see the module docstring and ``repr(sim)``."""
 
     def __init__(self, model, line_trace=False, vcd=None,
                  collect_stats=False, sched="auto", trace_depth=0,
@@ -154,7 +156,7 @@ class SimulationTool:
         # Waveform-observatory attachments (repro.observe): flight
         # recorders and watchpoints sample *after* the post-edge
         # settle, like the VCD writer, so — unlike cycle hooks — they
-        # keep the mega-cycle kernel running.
+        # never move a SimJIT top to the Python step.
         self._recorders = []
         self._watchpoints = []
         # Signal-backed histogram samplers (post-edge observers) and
@@ -162,17 +164,6 @@ class SimulationTool:
         # tops (created lazily; see _jit_instrumentation).
         self._hist_observers = []
         self._jit_instr = None
-        # Optional line-trace sink: a callable taking the formatted
-        # trace line, or a file path.  Setting a sink turns tracing on.
-        self._trace_sink_file = None
-        self._trace_sink = None
-        if line_trace_sink is not None:
-            self._line_trace_on = True
-            if callable(line_trace_sink):
-                self._trace_sink = line_trace_sink
-            else:
-                self._trace_sink_file = open(line_trace_sink, "w")
-                self._trace_sink = self._write_trace_line
         if profile:
             from ..telemetry.profile import SimProfiler
             self.profiler = SimProfiler()
@@ -237,13 +228,6 @@ class SimulationTool:
             reads = nets_of([src])
             infos.append((func, reads, nets_of([dst]), True, reads))
 
-        self._all_comb_funcs = comb_funcs
-        for func, _, _, known, _ in infos:
-            func._in_queue = False
-            # A block without a body reads what it may write: it stays
-            # queued while it runs, so its own writes do not queue it
-            # again (eval_combinational).
-            func._quiet = not known
         self._event_budget = max(
             10000, _EVENT_BUDGET_PER_BLOCK * max(1, len(comb_funcs))
         )
@@ -263,7 +247,6 @@ class SimulationTool:
         self._static_order = []
         self._sflags = bytearray()
         self._sdirty = False
-        self._kernel = None
         self._tick_plan = [(-1, func) for func in self._ticks]
         self._tflags = bytearray()
         self._lowered = {"blocks": 0, "bodies": 0, "kept": {}}
@@ -289,15 +272,34 @@ class SimulationTool:
             sch = self.schedule
             self._static_order = list(sch.order)
             self._sflags = bytearray(len(sch.order))
-            event_funcs = set(sch.event_funcs)
-            # Event partition: nets enqueue the blocks that read them.
-            self._wire_sensitivity(infos, lambda func: func in event_funcs)
             # Static partition: nets mark reader slots in the flag array.
             for net, slots in sch.reader_slots.values():
                 net.sreaders = slots
             self._lower_blocks(bodies)
+            event_funcs = sch.event_funcs
         else:
-            self._wire_sensitivity(infos, lambda func: True)
+            event_funcs = comb_funcs
+
+        # collect_stats / profile: each block is wrapped once, wherever
+        # it sits; the event queue holds the wrappers.
+        wrap = self._instrument
+        self._static_order = [wrap(func) for func in self._static_order]
+        self._tick_plan = [(slot, wrap(tick, comb=False))
+                           for slot, tick in self._tick_plan]
+        queued = {func: wrap(func) for func in event_funcs}
+        self._all_comb_funcs = [queued.get(func, func) for func in comb_funcs]
+        # Event partition: nets enqueue the blocks that read them.
+        for func, _, _, known, sense in infos:
+            run = queued.get(func)
+            if run is None:
+                continue
+            run._in_queue = False
+            # A block without a body reads what it may write: it stays
+            # queued while it runs, so its own writes do not queue it
+            # again (eval_combinational).
+            run._quiet = not known
+            for net in sense:
+                net.blocks = net.blocks + (run,)
 
         # Constant ties: drive once; nothing else may write these nets.
         for end, const in model._const_ties:
@@ -307,20 +309,15 @@ class SimulationTool:
         for i in range(len(self._static_order)):
             self._sflags[i] = 1
         self._sdirty = bool(self._static_order)
-        if self.schedule is not None:
-            for func in self.schedule.event_funcs:
-                self._enqueue(func)
-        else:
-            for func in comb_funcs:
-                self._enqueue(func)
+        for run in queued.values():
+            self._enqueue(run)
         self.eval_combinational()
 
-        # What keeps this design off the mega-cycle kernel, if anything
-        # (_select_step builds it when nothing does).  Declared
-        # counters do NOT refuse the kernel: python-kind
-        # increments keep their tick un-gated and signal-backed
-        # increments are ordinary register updates, so counter state
-        # advances identically inside the kernel.
+        # What puts the event fixpoint into the settle, if anything
+        # (sched_info()["kernel"] is true when nothing does).  Declared
+        # counters do not: python-kind increments keep their tick
+        # un-gated and signal-backed increments are ordinary register
+        # updates.
         refused = []
         if sched == "event":
             refused.append("event mode requested (sched='event')")
@@ -336,12 +333,6 @@ class SimulationTool:
                 f"event partition: {len(self.schedule.event_funcs)} "
                 f"block(s) kept event-driven "
                 f"({len(self.schedule.demoted)} in combinational cycles)")
-        if collect_stats:
-            refused.append(
-                "stats hooks: collect_stats=True counts every block call")
-        if profile:
-            refused.append(
-                "profiler hooks: profile=True times every block call")
         self._kernel_refused = tuple(refused)
         self._select_step()
 
@@ -378,6 +369,19 @@ class SimulationTool:
         # the SimJIT kernel where possible, post-edge observers
         # elsewhere); arm them now that the simulator is fully built.
         self._init_signal_histograms()
+        # Optional line-trace sink: a callable taking the formatted
+        # trace line, or a file path, opened last so that a constructor
+        # that raises leaves no file open.  Setting a sink turns
+        # tracing on.
+        self._trace_sink_file = None
+        self._trace_sink = None
+        if line_trace_sink is not None:
+            self._line_trace_on = True
+            if callable(line_trace_sink):
+                self._trace_sink = line_trace_sink
+            else:
+                self._trace_sink_file = open(line_trace_sink, "w")
+                self._trace_sink = self._write_trace_line
         self._refresh_observers()
 
     def _build_tick_plan(self, bodies):
@@ -468,15 +472,18 @@ class SimulationTool:
         self._lowered = {"blocks": len(self._block_of),
                          "bodies": len(lowered_bodies), "kept": kept}
 
-    @staticmethod
-    def _wire_sensitivity(infos, want):
-        """Make each selected comb block and connector of ``infos``
-        (``(func, ..., sensitivity nets)``) a reader of its sensitivity
-        nets in ``net.blocks``."""
-        for func, *_, sense in infos:
-            if want(func):
-                for net in sense:
-                    net.blocks = net.blocks + (func,)
+    def _instrument(self, func, comb=True):
+        """What runs in ``func``'s place: ``func`` timed into the
+        profiler (``profile=True``) and, for a comb block or connector,
+        counted into ``block_calls`` (``collect_stats=True``), both
+        under the block's closure (``_block_of``); ``func`` itself when
+        neither is on."""
+        block = self._block_of.get(func, func)
+        if self.profiler is not None:
+            func = _timed(func, block, self.profiler)
+        if comb and self.collect_stats:
+            func = _counted(func, block, self.block_calls)
+        return func
 
     # -- net callbacks (called by _Net) ------------------------------------
 
@@ -516,28 +523,19 @@ class SimulationTool:
         ping-pong as well as pure event loops."""
         queue = self._queue
         budget = self._event_budget
-        stats = self.block_calls if self.collect_stats else None
-        prof = self.profiler
         events = 0
         while True:
             if self._sdirty:
-                events += self._run_static_pass(stats, prof)
+                events += self._run_static_pass()
             if not queue:
                 if self._sdirty:
                     continue
                 break
             func = queue.popleft()
             func._in_queue = func._quiet
-            if prof is None:
-                func()
-            else:
-                t0 = perf_counter()
-                func()
-                prof.add_block(func, perf_counter() - t0)
+            func()
             func._in_queue = False
             events += 1
-            if stats is not None:
-                stats[func] = stats.get(func, 0) + 1
             if events > budget:
                 raise SimulationError(
                     "combinational logic failed to settle "
@@ -560,31 +558,21 @@ class SimulationTool:
             return ""
         return f"; {extra}" if extra else ""
 
-    def _run_static_pass(self, stats=None, prof=None):
+    def _run_static_pass(self):
         """One in-order sweep over the static schedule, running exactly
         the flagged blocks.  A block can flag only later slots (the
         order is topological), so one forward ``find`` scan — which
         skips unmarked runs at memchr speed — clears every flag, also
         those a lowered block marks without setting ``_sdirty``."""
         order = self._static_order
-        block_of = self._block_of
         sflags = self._sflags
         find = sflags.find
         fired = 0
         i = find(1)
         while i >= 0:
             sflags[i] = 0
-            func = order[i]
-            if prof is None:
-                func()
-            else:
-                t0 = perf_counter()
-                func()
-                prof.add_block(block_of.get(func, func), perf_counter() - t0)
+            order[i]()
             fired += 1
-            if stats is not None:
-                block = block_of.get(func, func)
-                stats[block] = stats.get(block, 0) + 1
             i = find(1, i + 1)
         self._sdirty = False
         return fired
@@ -593,21 +581,13 @@ class SimulationTool:
         """Advance simulated time by one clock cycle.
 
         This is the one driver (``run(n)`` enters it with ``_n = n``):
-        step, then the post-edge samplers (the kernel walks them
-        itself), until ``_n`` cycles ran.  A step covers everything
-        left unless a sampler must see every cycle; only a compiled
-        watchpoint hit makes one stop short.
+        steps, each walking the post-edge samplers, until ``_n`` cycles
+        ran.  A step covers everything left unless the SimJIT step has
+        a Python sampler to feed or stops on a compiled watchpoint hit.
         """
         try:
             while _n > 0:
-                step = self._step
-                if step is self._kernel:
-                    _n -= step(_n)
-                    continue
-                _n -= step(1 if self._per_cycle else _n)
-                ncycles = self.ncycles
-                for sample in self._post_edge:
-                    sample(ncycles)
+                _n -= self._step(_n)
         except Exception as exc:
             # Post-mortem forensics: export the armed flight-recorder
             # windows (if any opted into autodump) before the error
@@ -631,132 +611,56 @@ class SimulationTool:
                          ncycles=ncycles, start_cycle=self.ncycles):
             return self.cycle(ncycles)
 
-    # -- step(n): selection and the three implementations -------------------
+    # -- step(n): selection and the two implementations ----------------------
     # (the contract is in the module docstring)
 
     def _select_step(self):
         """Choose ``self._step`` (at the end of construction, and again
         when a cycle hook is registered): *simjit* for a single-engine
-        SimJIT top that needs no Python inside the cycle, else the
-        *kernel* unless ``_kernel_refused`` names a reason, else
-        *interpreted*."""
+        SimJIT top that needs no Python inside the cycle, else
+        *python*."""
         model = self.model
         engine = getattr(model, "jit_engine", None)
-        self._kernel = None
         with tracing.span("sim.compile", design=self._design_name,
                           hooks=len(self._cycle_hooks)):
             if (engine is not None and len(model._all_models) == 1
-                    and self.profiler is None and not self.collect_stats
                     and not self._cycle_hooks):
                 self._step = self._step_simjit
-            elif self._kernel_refused:
-                self._step = self._step_interpreted
             else:
-                self._step = self._kernel = self._make_kernel()
+                self._step = self._step_python
 
-    def _make_kernel(self):
-        """The mega-cycle kernel of a fully static design (no event
-        partition, no stats or profiler hooks): the cycle of
-        ``_step_interpreted`` with the settle sweep (see
-        ``_run_static_pass``), the tick gating and the flop inlined
-        around direct block calls, so an idle cycle is a few ``find``
-        scans and no call at all.  With a per-cycle sampler attached it
-        walks ``_post_edge`` after each cycle, read live like the hooks.
-
-        The flag arrays, the pending-flop dict and the cycle-hook list
-        are bound once and only ever mutated in place (``reset``,
-        checkpoint restore, ``add_cycle_hook``), so the closure never
-        goes stale."""
-        funcs = self._static_order
-        plan = self._tick_plan
-        # Gated slots are assigned in declaration order, so when every
-        # tick is gated the plan *is* the slot table and a flag scan
-        # preserves relative tick order.
-        all_gated = all(slot >= 0 for slot, _tick in plan)
-        gticks = tuple(tick for _slot, tick in plan)
-        hooks = self._cycle_hooks
-        sflags = self._sflags
-        tflags = self._tflags
-        pending = self._pending_flops
-        find = sflags.find
-        tfind = tflags.find
-
-        def _step_kernel(n):
-            for _ in range(n):
-                fired = 0
-                # Pre-tick settle: only when the test bench (or the
-                # previous cycle's edge) touched a net since the last
-                # sweep.
-                if self._sdirty:
-                    i = find(1)
-                    while i >= 0:
-                        sflags[i] = 0
-                        funcs[i]()
-                        fired += 1
-                        i = find(1, i + 1)
-                    self._sdirty = False
-                if hooks:
-                    stamp = self.ncycles
-                    for hook in hooks:
-                        hook(stamp)
-                if all_gated:
-                    j = tfind(1)
-                    while j >= 0:
-                        tflags[j] = 0
-                        gticks[j]()
-                        j = tfind(1, j + 1)
-                else:
-                    for slot, tick in plan:
-                        if slot >= 0:
-                            if not tflags[slot]:
-                                continue
-                            tflags[slot] = 0
-                        tick()
-                # Clock edge: flop every pending .next, marking the
-                # static and gated-tick readers of each net that
-                # actually changed (a lowered tick's write is pending
-                # only when it differs, so nearly all of them).
-                if pending:
-                    for net in pending:
-                        if net._next != net._value:
-                            net._value = net._next
-                            for slot in net.sreaders:
-                                sflags[slot] = 1
-                            for slot in net.treaders:
-                                tflags[slot] = 1
-                    pending.clear()
-                    self._sdirty = True
-                if self._sdirty:
-                    i = find(1)
-                    while i >= 0:
-                        sflags[i] = 0
-                        funcs[i]()
-                        fired += 1
-                        i = find(1, i + 1)
-                    self._sdirty = False
-                self.num_events += fired
-                self.ncycles += 1
-                if self._per_cycle:
-                    stamp = self.ncycles
-                    for sample in self._post_edge:
-                        sample(stamp)
-            return n
-        return _step_kernel
-
-    def _step_interpreted(self, n):
-        """Event or hybrid-static settle around one tick-plan loop
-        (always-run ticks have slot -1).  With ``profile=True`` the
-        same loop stamps its five phases and times every tick."""
+    def _step_python(self, n):
+        """The cycle, ``n`` times: settle, the live cycle-hook list, the
+        tick plan (always-run ticks have slot -1, a gated one runs only
+        when a net it reads changed), the clock edge, settle; then the
+        post-edge samplers while one must see every cycle.  A settle
+        runs only when a net changed or a block is queued, and when
+        every tick is gated the plan is walked by flag scans that skip
+        unmarked runs at memchr speed, so an idle cycle calls no block.  The edge flops every pending ``.next`` that changed
+        and marks its readers as a lowered write does (``_notify`` only
+        for an event-partition reader).  With ``profile=True`` the same
+        loop stamps its five phases."""
         settle = self.eval_combinational
         hooks = self._cycle_hooks
         plan = self._tick_plan
+        sflags = self._sflags
         tflags = self._tflags
+        tfind = tflags.find
+        # Gated slots are numbered in declaration order, so when every
+        # tick is gated the plan is the slot table.  Scanning pays a
+        # find per tick that runs and nothing per idle one; walking
+        # pays per tick, which is cheaper when most always run.
+        scan = len(tflags) == len(plan)
+        pending = self._pending_flops
+        notify = self._notify
+        queue = self._queue
         prof = self.profiler
         timed = prof is not None
         for _ in range(n):
             if timed:
                 t0 = perf_counter()
-            settle()
+            if self._sdirty or queue:
+                settle()
             if timed:
                 t1 = perf_counter()
             stamp = self.ncycles
@@ -764,24 +668,37 @@ class SimulationTool:
                 hook(stamp)
             if timed:
                 t2 = perf_counter()
-            for slot, tick in plan:
-                if slot >= 0:
-                    if not tflags[slot]:
-                        continue
-                    tflags[slot] = 0
-                if timed:
-                    tb = perf_counter()
-                    tick()
-                    prof.add_block(self._block_of.get(tick, tick),
-                                   perf_counter() - tb)
-                else:
+            if scan:
+                j = tfind(1)
+                while j >= 0:
+                    tflags[j] = 0
+                    plan[j][1]()
+                    j = tfind(1, j + 1)
+            else:
+                for slot, tick in plan:
+                    if slot >= 0:
+                        if not tflags[slot]:
+                            continue
+                        tflags[slot] = 0
                     tick()
             if timed:
                 t3 = perf_counter()
-            self._flop()
+            if pending:
+                for net in pending:
+                    if net._next != net._value:
+                        net._value = net._next
+                        for slot in net.sreaders:
+                            sflags[slot] = 1
+                        for slot in net.treaders:
+                            tflags[slot] = 1
+                        if net.blocks:
+                            notify(net)
+                pending.clear()
+                self._sdirty = True
             if timed:
                 t4 = perf_counter()
-            settle()
+            if self._sdirty or queue:
+                settle()
             if timed:
                 t5 = perf_counter()
                 prof.add_span("settle_pre", t1 - t0, cycles=1)
@@ -790,27 +707,37 @@ class SimulationTool:
                 prof.add_span("flop", t4 - t3)
                 prof.add_span("settle_post", t5 - t4)
             self.ncycles = stamp + 1
+            if self._per_cycle:
+                for sample in self._post_edge:
+                    sample(stamp + 1)
         return n
 
     def _step_simjit(self, n, bench=None):
-        """Push the ports, ``n`` cycles in C, pull what changed.  With
-        compiled instrumentation armed the C loop samples in-kernel
-        and stops exactly on a watchpoint hit; with a compiled test
-        bench (``run_bench``) the cycles are however many it drives."""
+        """Push the ports, ``n`` cycles in C (one while a Python sampler
+        must see every cycle), pull what changed, then the post-edge
+        samplers.  With compiled instrumentation armed the C loop
+        samples in-kernel and stops exactly on a watchpoint hit; with a
+        compiled test bench (``run_bench``) the cycles are however many
+        it drives."""
         # A test-bench port write queued the wrapper's jit_comb; the
         # push carries the same port values across.
         queue = self._queue
         for func in queue:
             func._in_queue = False
         queue.clear()
+        if self._per_cycle:
+            n = 1
         instr = self._jit_instr
         if instr is not None and instr.active:
-            return instr.run(n)
-        if bench is None:
-            self.model.jit_engine.step(n)
+            n = instr.run(n)
         else:
-            n = self.model.jit_engine.run_bench(bench)
-        self.ncycles += n
+            if bench is None:
+                self.model.jit_engine.step(n)
+            else:
+                n = self.model.jit_engine.run_bench(bench)
+            self.ncycles += n
+        for sample in self._post_edge:
+            sample(self.ncycles)
         return n
 
     def bench_refusal(self):
@@ -878,9 +805,9 @@ class SimulationTool:
             self._jit_instr.reset_histograms()
         for hist in getattr(self.model, "_all_histograms", {}).values():
             hist.bins.clear()
-        # Re-arm the static/tick flag arrays in place (the kernel
-        # closes over these exact bytearray objects) so every block
-        # re-evaluates from the post-reset state.
+        # Re-arm the static/tick flag arrays in place (the lowered
+        # blocks close over these exact bytearray objects) so every
+        # block re-evaluates from the post-reset state.
         if self._sflags:
             self._sflags[:] = b"\x01" * len(self._sflags)
             self._sdirty = True
@@ -906,27 +833,16 @@ class SimulationTool:
         from ..resilience.snapshot import restore_checkpoint
         restore_checkpoint(self, checkpoint)
 
-    def _flop(self):
-        pending = self._pending_flops
-        if not pending:
-            return
-        for net in pending:
-            if net._next != net._value:
-                net._value = net._next
-                self._notify(net)
-        pending.clear()
-
     # -- observability ------------------------------------------------------------
 
     def add_cycle_hook(self, hook, prepend=False):
         """Register ``hook(cycle)`` to run once per cycle after the
         pre-edge settle (transaction taps sample here).
 
-        The step is selected again: the mega-cycle kernel walks the
-        live hook list, so it stays the step, and a SimJIT top moves
-        to the interpreted step for good, after converting
-        ("dearming") any compiled instrumentation back to Python
-        sampling."""
+        The step is selected again: the Python step walks the live hook
+        list, so it stays the step, and a SimJIT top moves to the
+        Python step for good, after converting ("dearming") any
+        compiled instrumentation back to Python sampling."""
         if self._jit_instr is not None:
             name = getattr(hook, "__qualname__", None) or repr(hook)
             self._jit_instr.dearm(f"cycle hook {name} registered")
@@ -945,8 +861,8 @@ class SimulationTool:
         (``None`` records the design's ``s.observe(...)``
         registrations); ``depth`` bounds the window; ``autodump``
         names a directory for automatic crash bundles.  Unlike cycle
-        hooks, recorders sample post-edge like the VCD writer, so the
-        mega-cycle kernel keeps running."""
+        hooks, recorders sample post-edge like the VCD writer, so a
+        SimJIT top keeps its step."""
         from ..observe.recorder import FlightRecorder
         return FlightRecorder(signals, depth, autodump).attach(self)
 
@@ -1011,8 +927,7 @@ class SimulationTool:
     def _init_signal_histograms(self):
         """Arm every ``sig=``-backed histogram declared in the design:
         binning compiles into the SimJIT kernel when possible, and
-        samples post-edge from Python otherwise (kernel-compatible,
-        like recorders)."""
+        samples post-edge from Python otherwise, like recorders."""
         hists = [h for h in getattr(
                      self.model, "_all_histograms", {}).values()
                  if getattr(h, "_sig", None) is not None]
@@ -1026,13 +941,15 @@ class SimulationTool:
 
     def sched_info(self):
         """Scheduling provenance: requested vs chosen mode, the
-        static/event partition, tick gating, and whether (and why not)
-        the mega-cycle kernel is the step.  ``lowered`` says what the
+        static/event partition, tick gating, and whether the settle
+        never runs the event fixpoint (``kernel``) or why it does
+        (``kernel_refused``: event mode, a schedule fault, auto chose
+        event, an event partition).  ``lowered`` says what the
         schedule holds: how many ``blocks`` run as lowered functions
         (:mod:`.pygen`), from how many ``bodies``, and ``kept`` maps
         every block that keeps its closure to the reason (all zero and
-        empty when nothing is lowered: ``sched="event"``, stats or
-        profiler hooks).  A design holding SimJIT
+        empty when nothing is lowered: ``sched="event"``).  A design
+        holding SimJIT
         engines adds a ``simjit`` entry saying what ran where:
         ``engines`` lists every engine in hierarchy order (``model``,
         the ``class`` it replaced, and its kernel's ``blocks``,
@@ -1060,7 +977,7 @@ class SimulationTool:
         info = {
             "requested": self._sched_requested,
             "mode": self.sched_mode,
-            "kernel": self._kernel is not None,
+            "kernel": not self._kernel_refused,
             "kernel_refused": list(self._kernel_refused),
             "total_comb_blocks": len(self._all_comb_funcs),
             "total_tick_blocks": len(self._ticks),
@@ -1184,6 +1101,28 @@ def _comb_nets(blk, answer):
     if body.folded or not reads:
         sense = comb_block_nets(unbounded_reads(blk.model) + reads, writes)[0]
     return (*nets, True, sense)
+
+
+def _counted(func, block, calls):
+    """``func``, counting each call in ``calls[block]``."""
+    @wraps(func, updated=())
+    def counted():
+        calls[block] += 1
+        func()
+    return counted
+
+
+def _timed(func, block, prof):
+    """``func``, timing each call into profiler ``prof`` under
+    ``block``."""
+    add = prof.add_block
+
+    @wraps(func, updated=())
+    def timed():
+        t0 = perf_counter()
+        func()
+        add(block, perf_counter() - t0)
+    return timed
 
 
 def _make_connector(src, dst):

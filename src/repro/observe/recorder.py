@@ -26,9 +26,8 @@ after the clock edge and the post-edge settle, once per ``cycle()`` —
 on every substrate (event, static, mega-cycle kernel, SimJIT), and
 each probe reads wherever its value lives (Python net or compiled
 instance), so the recorded window is bit-identical across all four
-execution modes.  Unlike cycle hooks, recorders do *not*
-force the interpreted path: the compiled mega-cycle kernel keeps
-running, and only the post-cycle sample is added.
+execution modes.  Unlike cycle hooks, recorders never move a
+SimJIT top to the Python step: only the post-cycle sample is added.
 
 Storage is change-compressed, in one representation for both sampling
 paths: a list of ``(cycle, signal_index, new_value)`` events, oldest

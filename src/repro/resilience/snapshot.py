@@ -277,7 +277,7 @@ def restore_checkpoint(sim, cp):
 
     Every mutation happens *inside* the existing objects (net fields,
     flag bytearrays, counter cells, queue deques, compiled instance
-    memory) because the mega-cycle kernel and the sensitivity wiring
+    memory) because the lowered blocks and the sensitivity wiring
     close over those exact objects."""
     model = sim.model
     all_nets = model._all_nets
@@ -323,7 +323,7 @@ def restore_checkpoint(sim, cp):
     for rng, state in zip(sim._checkpoint_rngs, cp.rng_states):
         rng.setstate(state)
 
-    # Flag arrays in place — the kernel closed over them.
+    # Flag arrays in place — the lowered blocks closed over them.
     sim._sflags[:] = cp.sflags
     sim._tflags[:] = cp.tflags
     sim._sdirty = cp.sdirty
@@ -352,7 +352,7 @@ class CheckpointRing:
         sim.run(failing_cycle - cp.ncycles)   # short replay
 
     Note: registering any cycle hook moves a SimJIT top to the
-    interpreted step; that is the cost of observation.
+    Python step; that is the cost of observation.
     """
 
     def __init__(self, sim, interval=1024, keep=8):

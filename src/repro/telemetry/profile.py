@@ -9,11 +9,11 @@ Two views of a run:
   and per-block wall-clock attribution, simulated cycles per second,
   and the schedule-mode provenance of the run, so a BENCH regression
   can be root-caused to the phase or block that slowed down (requires
-  ``profile=True`` on the simulator; profiling refuses the mega-cycle
-  kernel because per-block timers need the interpreted path, but it
-  times the blocks the default run calls — the lowered functions of
-  :mod:`repro.core.pygen` where there are some — with rows keyed by
-  the block's closure, so a row names the block whatever ran).
+  ``profile=True`` on the simulator, which wraps each block in a timer
+  and runs the default step: it times the blocks the default run
+  calls — the lowered functions of :mod:`repro.core.pygen` where there
+  are some — with rows keyed by the block's closure, so a row names
+  the block whatever ran).
 """
 
 from __future__ import annotations
@@ -54,16 +54,16 @@ class SimProfiler:
 
     Two feeding paths:
 
-    - the interpreted step (``SimulationTool._step_interpreted``,
-      under ``profile=True``) calls :meth:`add_block` after every
-      timed block call and :meth:`add_span` once per phase per cycle
+    - the Python step (``SimulationTool._step_python``, under
+      ``profile=True``) calls :meth:`add_block` after every timed
+      block call and :meth:`add_span` once per phase per cycle
       (plain dict/float math so the profiled run stays
       representative);
     - :meth:`ingest_spans` / :meth:`from_tracer` fold records from
       :mod:`repro.telemetry.tracing` into the same phase table —
       self-time per span name, cycle counts from ``sim.run`` span
       attributes — so phase attribution works identically for SimJIT
-      runs, where the interpreted step never executes.
+      runs, where the Python step never executes.
     """
 
     def __init__(self):

@@ -3,9 +3,10 @@
 A hypothesis strategy prints ``@combinational`` / ``@tick_rtl`` bodies
 from the translatable subset ``repro.core.ast_ir``'s docstring
 enumerates, and every substrate that executes a block — the event
-fixpoint (reference), the interpreted static schedule (the user's
-closures in schedule order), the mega-cycle kernel (lowered blocks,
-``repro.core.pygen``) and SimJIT's generated C — must agree on every
+fixpoint (reference), the static schedule of lowered blocks
+(``repro.core.pygen``) with every block wrapped in its
+``collect_stats`` counter, the same schedule bare, and SimJIT's
+generated C — must agree on every
 port and wire, cycle for cycle, under seeded stimulus.  So must an
 event fixpoint in which every block reacts to every net
 (``test_scheduling.all_sensitive``): the other CPython columns react
@@ -614,16 +615,16 @@ def test_generated_design_agrees_on_every_substrate(design):
         SimJITRTL(build(design.ka).elaborate()).specialize().elaborate())
     models.append(build(design.ka).elaborate())
     sims = [SimulationTool(models[0], sched="event"),
-            # collect_stats=True keeps the schedule off the kernel.
+            # collect_stats=True wraps every block in its counter.
             SimulationTool(models[1], sched="static", collect_stats=True),
             SimulationTool(models[2], sched="static"),
             SimulationTool(models[3]),
             all_sensitive(SimulationTool(models[4], sched="event"))]
     # Non-vacuity: each column runs on the rung it is named after.
     assert [repr(sim).split()[2] for sim in sims] == [
-        "sched=event/interpreted", "sched=static/interpreted",
-        "sched=static/kernel", "sched=event/simjit",
-        "sched=event/interpreted"]
+        "sched=event/python", "sched=static/python",
+        "sched=static/python", "sched=event/simjit",
+        "sched=event/python"]
     for sim in sims[1:3]:
         info = sim.sched_info()
         assert info["static_blocks"] > 0 and info["event_blocks"] == 0
@@ -644,7 +645,7 @@ def test_siblings_that_differ_in_a_constant_share_their_functions(design):
     ref = build(design.ka, design.kb).elaborate()
     sims = [SimulationTool(twin), SimulationTool(jit.elaborate()),
             all_sensitive(SimulationTool(ref, sched="event"))]
-    assert "/kernel " in repr(sims[0]) and "/simjit " in repr(sims[1])
+    assert "/python " in repr(sims[0]) and "/simjit " in repr(sims[1])
     info = sims[1].sched_info()["simjit"]
     assert info["functions"] < info["blocks"], info
     _agree(design, [twin, jit, ref], sims,
@@ -653,17 +654,17 @@ def test_siblings_that_differ_in_a_constant_share_their_functions(design):
 
 
 def _cpython_columns(build):
-    """event, interpreted-static (the user's closures in schedule
-    order), kernel (lowered blocks), and event with every block
-    sensitive to every net."""
+    """event, static with ``collect_stats`` (lowered blocks, each
+    wrapped in its counter), static (lowered blocks), and event with
+    every block sensitive to every net."""
     models = [build().elaborate() for _ in range(4)]
     sims = [SimulationTool(models[0], sched="event"),
             SimulationTool(models[1], sched="static", collect_stats=True),
             SimulationTool(models[2], sched="static"),
             all_sensitive(SimulationTool(models[3], sched="event"))]
     assert [repr(sim).split()[2] for sim in sims] == [
-        "sched=event/interpreted", "sched=static/interpreted",
-        "sched=static/kernel", "sched=event/interpreted"]
+        "sched=event/python", "sched=static/python",
+        "sched=static/python", "sched=event/python"]
     return models, sims
 
 
@@ -677,8 +678,8 @@ _UNDECIDABLE = ("Bits on one path and an int", "array elements are ints")
 @_SETTINGS
 @given(designs(_BitsBody, BITS_WIDTHS))
 def test_bits_typed_design_agrees_on_every_cpython_substrate(design):
-    """The ``Bits`` gap as a property: event, the closures in schedule
-    order and the lowered kernel agree where arithmetic wraps at the
+    """The ``Bits`` gap as a property: event and the lowered blocks,
+    counted and bare, agree where arithmetic wraps at the
     operands' width.  There is no SimJIT column in this mode: the C
     backend ignores ``SigRead.vtype`` and computes wide (a 9-bit
     ``s.a + s.b`` over 8-bit signals reads 300 there, 44 here), which

@@ -49,9 +49,9 @@ class D(Model):
 
 
 def _columns(build, jit=False):
-    """event (the reference: the user's closures), interpreted-static
-    (lowered, stepped by ``_step_interpreted`` because ``collect_stats``
-    refuses the kernel), kernel (lowered) — and SimJIT on request."""
+    """event (the reference: the user's closures), static with
+    ``collect_stats`` (lowered, every block wrapped in its counter),
+    static (lowered) — and SimJIT on request."""
     models = [build().elaborate() for _ in range(3)]
     sims = [SimulationTool(models[0], sched="event"),
             SimulationTool(models[1], sched="static", collect_stats=True),
@@ -243,7 +243,7 @@ def test_mesh64_is_832_blocks_on_five_bodies(monkeypatch):
     sim = SimulationTool(net)
     assert _lowered(sim) == {"blocks": 832, "bodies": 5, "kept": {}}
     assert len(calls) == 5, calls
-    assert "/kernel " in repr(sim)
+    assert "/python " in repr(sim)
     # A second simulator binds; it lowers nothing.
     twin = MeshNetworkStructural(RouterRTL, 64, 256, 32, 2).elaborate()
     ref = SimulationTool(twin, sched="event")
@@ -582,7 +582,7 @@ def test_lowered_is_not_in_the_report_bytes_or_the_repr():
     assert _lowered(sim)["blocks"] == 52
     assert "lowered" not in sim.telemetry.report().to_json()
     assert repr(sim) == ("<SimulationTool MeshNetworkStructural "
-                         "sched=static/kernel comb=24 ticks=28(28 gated) "
+                         "sched=static/python comb=24 ticks=28(28 gated) "
                          "cycles=0>")
 
 

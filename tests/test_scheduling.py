@@ -207,8 +207,8 @@ def test_tile_rtl_partial_fallback():
     assert desc["demoted_cyclic"] >= 1
     assert desc["static_blocks"] >= 1
     assert sim.sched_mode == "static"
-    # Hybrid schedules cannot use the flat mega-cycle kernel.
-    assert sim._kernel is None
+    # A hybrid schedule's settle runs the event fixpoint.
+    assert not sim.sched_info()["kernel"]
     # And the hybrid still simulates correctly.
     sim.reset()
     for _ in range(50):
@@ -292,14 +292,17 @@ def test_sched_info_and_repr():
     assert info["event_blocks"] == 0
     assert info["static_blocks"] == info["total_comb_blocks"] > 0
     assert info["levels"] >= 1
-    assert "sched=static/kernel" in repr(sim)
+    assert "sched=static/python" in repr(sim)
     assert "MeshNetworkStructural" in repr(sim)
 
-    net2 = MeshNetworkStructural(RouterRTL, 4, 256, 32, 2).elaborate()
-    sim2 = SimulationTool(net2, sched="static", collect_stats=True)
-    info2 = sim2.sched_info()
-    assert info2["kernel"] is False
-    assert any("collect_stats" in r for r in info2["kernel_refused"])
+    # Stats and profile run the same step.
+    for option in ("collect_stats", "profile"):
+        net2 = MeshNetworkStructural(RouterRTL, 4, 256, 32, 2).elaborate()
+        sim2 = SimulationTool(net2, sched="static", **{option: True})
+        info2 = sim2.sched_info()
+        assert info2["kernel"] is True
+        assert info2["kernel_refused"] == []
+        assert "sched=static/python" in repr(sim2)
 
     sim3 = SimulationTool(_Opaque().elaborate(), sched="auto")
     info3 = sim3.sched_info()
@@ -312,7 +315,7 @@ def test_sched_info_and_repr():
 def test_cycle_hooks_fire_each_cycle_and_disable_kernel_fast_path():
     model = _Counter().elaborate()
     sim = SimulationTool(model, sched="static")
-    assert sim._kernel is not None
+    assert sim.sched_info()["kernel"]
     seen = []
     sim.add_cycle_hook(lambda cyc: seen.append(int(model.count)))
     sim.reset()
@@ -338,13 +341,13 @@ def test_fully_static_design_gets_kernel():
     sim = SimulationTool(net, sched="static")
     desc = sim.schedule.describe()
     assert desc["event_blocks"] == 0
-    assert sim._kernel is not None
+    assert sim.sched_info()["kernel"]
 
 
-def test_collect_stats_disables_kernel_but_counts_everything():
+def test_collect_stats_keeps_the_kernel_and_counts_everything():
     net = MeshNetworkStructural(RouterRTL, 4, 256, 32, 2).elaborate()
     sim = SimulationTool(net, sched="static", collect_stats=True)
-    assert sim._kernel is None
+    assert sim.sched_info()["kernel"]
     sim.reset()
     sim.run(5)
     report = sim.telemetry.activity()
@@ -506,16 +509,16 @@ def _random_dag_source(seed):
 def test_random_dag_static_event_identical(seed):
     source, nwires, nregs = _random_dag_source(seed)
     build = load_generated(source)["_RandomDag"]
-    # The event fixpoint is the reference; collect_stats=True keeps the
-    # static schedule off the kernel.
+    # The event fixpoint is the reference; collect_stats=True runs the
+    # static schedule with every block wrapped in its counter.
     columns = [dict(sched="event"),
                dict(sched="static", collect_stats=True),
                dict(sched="static")]
     models = [build().elaborate() for _ in columns]
     sims = [SimulationTool(m, **kw) for m, kw in zip(models, columns)]
     assert [repr(sim).split()[2] for sim in sims] == [
-        "sched=event/interpreted", "sched=static/interpreted",
-        "sched=static/kernel"]
+        "sched=event/python", "sched=static/python",
+        "sched=static/python"]
     # Every block really is on the static rung (none was for as long as
     # the classes had no retrievable source).
     for sim in sims[1:]:

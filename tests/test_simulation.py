@@ -1,5 +1,8 @@
 """Unit tests for the SimulationTool."""
 
+import gc
+import io
+
 import pytest
 
 from repro import (
@@ -141,6 +144,16 @@ def test_comb_loop_detected():
     with pytest.raises(SimulationError, match="loop"):
         sim = SimulationTool(model)
         sim.eval_combinational()
+
+
+def test_a_constructor_that_raises_leaves_no_line_trace_file_open(tmp_path):
+    path = str(tmp_path / "trace.txt")
+    with pytest.raises(SimulationError, match="loop") as failed:
+        SimulationTool(_CombLoop().elaborate(), line_trace_sink=path)
+    # The traceback still holds the half-built simulator.
+    assert failed.tb is not None
+    assert [f for f in gc.get_objects() if isinstance(f, io.IOBase)
+            and getattr(f, "name", None) == path and not f.closed] == []
 
 
 class _OverChild(Model):

@@ -11,11 +11,13 @@ SimJIT helpers are test_simjit_step's.
 
 import glob
 import os
+import random
 import warnings
 
 import pytest
 
 from repro import SimulationTool, value_is
+from repro.net import MeshNetworkStructural, RouterRTL
 from repro.observe import WatchpointHit
 from repro.resilience import ResilienceWarning
 from repro.tools import VCDWriter
@@ -28,14 +30,14 @@ SHAPES = {"run": [N], "cycles": [1] * N, "split": [SPLIT, N - SPLIT]}
 
 #: substrate -> (SimulationTool kwargs, SimJIT top?, step named by repr)
 SUBSTRATES = {
-    "event": ({"sched": "event"}, False, "interpreted"),
+    "event": ({"sched": "event"}, False, "python"),
     # Every block a reader of every net (test_scheduling.all_sensitive).
-    "event-all-sensitive": ({"sched": "event"}, False, "interpreted"),
+    "event-all-sensitive": ({"sched": "event"}, False, "python"),
     "static-stats": ({"sched": "static", "collect_stats": True}, False,
-                     "interpreted"),
+                     "python"),
     "static-profile": ({"sched": "static", "profile": True}, False,
-                       "interpreted"),
-    "kernel": ({"sched": "static"}, False, "kernel"),
+                       "python"),
+    "kernel": ({"sched": "static"}, False, "python"),
     "simjit": ({}, True, "simjit"),
     "simjit-recorder": ({}, True, "simjit"),
 }
@@ -126,7 +128,7 @@ def test_chunking_is_unobservable(substrate, attachment, tmp_path):
             substrate, attachment, chunks, tmp_path)
         step = SUBSTRATES[substrate][2]
         if attachment == "hook" and step == "simjit":
-            step = "interpreted"        # hooks need Python in the cycle
+            step = "python"             # hooks need Python in the cycle
         assert f"/{step} " in text, text
     assert results["cycles"] == results["run"] == results["split"]
     seen = results["run"]
@@ -190,3 +192,47 @@ def test_failing_step_mid_run_dumps_exactly_one_bundle(substrate,
         assert sim.ncycles == 8
         bundles = glob.glob(os.path.join(str(tmp_path), "*.json"))
         assert len(bundles) == (1 if armed else 0)
+
+
+def test_stats_and_profile_wrap_blocks_not_the_cycle(tmp_path):
+    """``collect_stats`` and ``profile`` run the plain simulator's step
+    on a static mesh4: for 50 driven cycles the three agree on every
+    port, the clock, the event count and the VCD bytes, and the counts
+    and the timed calls of each comb block are equal."""
+    seen, calls = {}, {}
+    for option in ("plain", "collect_stats", "profile"):
+        net = MeshNetworkStructural(RouterRTL, 4, 256, 32, 2).elaborate()
+        path = tmp_path / f"{option}.vcd"
+        sim = SimulationTool(net, sched="static", vcd=VCDWriter(str(path)),
+                             **({} if option == "plain" else {option: True}))
+        assert sim._step.__func__ is SimulationTool._step_python
+        assert sim.sched_info()["kernel"]
+        dest_shift = net.msg_type.field_slice("dest")[0]
+        for port in net.out:
+            port.rdy.value = 1
+        sim.reset()
+        rng = random.Random(3)
+        ports = []
+        for _ in range(50):
+            for i, port in enumerate(net.in_):
+                port.val.value = rng.random() < 0.4
+                port.msg.value = (rng.randrange(4) << dest_shift) | i
+            sim.cycle()
+            ports.append([(int(p.val), int(p.msg)) for p in net.out]
+                         + [int(p.rdy) for p in net.in_])
+        sim.close()
+        seen[option] = (ports, sim.ncycles, sim.num_events,
+                        path.read_bytes())
+        names = {blk.func: blk.name for m in net._all_models
+                 for blk in m.get_comb_blocks()}
+        if option == "collect_stats":
+            counts = sim.block_calls.items()
+        elif option == "profile":
+            counts = [(func, n) for func, (n, _) in
+                      sim.profiler.block_time.items() if func in names]
+        else:
+            continue
+        calls[option] = {names[func]: n for func, n in counts if n}
+    assert seen["plain"] == seen["collect_stats"] == seen["profile"]
+    assert sum(calls["collect_stats"].values()) == seen["plain"][2]
+    assert calls["collect_stats"] == calls["profile"]

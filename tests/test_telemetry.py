@@ -208,10 +208,10 @@ def test_mesh_counters_identical_event_static_kernel():
         "static": _run_mesh_traffic("static"),
         "stats": _run_mesh_traffic("static", collect_stats=True),
     }
-    # The static run must actually exercise the compiled kernel, and
-    # the stats run must exercise the interpreted path.
-    assert sims["static"]._kernel is not None
-    assert sims["stats"]._kernel is None
+    # Stats run the same step, every block wrapped in its counter.
+    assert sims["static"].sched_info()["kernel"]
+    assert sims["stats"].sched_info()["kernel"]
+    assert sims["stats"]._step.__func__ is sims["static"]._step.__func__
     counts = {k: sim.telemetry.counters() for k, sim in sims.items()}
     assert counts["event"] == counts["static"] == counts["stats"]
     assert sum(counts["event"].values()) > 0
@@ -236,8 +236,8 @@ def test_cache_counters_identical_event_static(cache_cls, kwargs):
 
 
 def test_counters_advance_inside_kernel_run():
-    """sim.run()'s fast path executes the compiled kernel; wire-backed
-    counter increments are compiled into it."""
+    """sim.run() on a fully static design: wire-backed counter
+    increments are ordinary register updates inside the step."""
 
     class _Ctr(Model):
         def __init__(s):
@@ -256,7 +256,7 @@ def test_counters_advance_inside_kernel_run():
 
     m = _Ctr().elaborate()
     sim = SimulationTool(m, sched="static")
-    assert sim._kernel is not None
+    assert sim.sched_info()["kernel"]
     sim.reset()
     m.en.value = 1
     sim.run(25)
@@ -374,9 +374,10 @@ def test_profiler_phases_and_blocks():
     assert sim.profiler is None
     net2 = MeshNetworkStructural(RouterRTL, 4, 256, 32, 2).elaborate()
     sim2 = SimulationTool(net2, sched="static", profile=True)
-    # Profiling forces the interpreted path and records why.
-    assert sim2._kernel is None
-    assert any("profile" in r for r in sim2._kernel_refused)
+    # Profiling runs the same step, every block wrapped in its timer.
+    assert sim2.sched_info()["kernel"]
+    assert sim2.sched_info()["kernel_refused"] == []
+    assert "/python " in repr(sim2)
     sim2.reset()
     sim2.run(10)
     prof = sim2.profiler

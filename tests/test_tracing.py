@@ -260,14 +260,14 @@ class _TickModel(Model):
 
 
 def test_simulation_emits_host_spans():
-    """One static-kernel sim run emits the core span vocabulary:
-    elaborate, schedule build, kernel compile, reset, run batch."""
+    """One static sim run emits the core span vocabulary: elaborate,
+    schedule build, step selection, reset, run batch."""
     from repro.net import MeshNetworkStructural, RouterRTL
 
     tracer = tracing.arm()
     net = MeshNetworkStructural(RouterRTL, 4, 256, 32, 2).elaborate()
     sim = SimulationTool(net, sched="static")
-    assert sim._kernel is not None
+    assert sim.sched_info()["kernel"]
     sim.reset()
     start = sim.ncycles
     sim.run(10)
