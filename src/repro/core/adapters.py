@@ -7,7 +7,9 @@ val/rdy signals; they use adapters that hide the handshake protocol:
   ``ChildReqRespBundle`` (requests pop out of ``req_q``, responses push
   into ``resp_q``); the model calls ``xtick()`` once per cycle.
 - ``ParentReqRespQueueAdapter`` — mirror image for a parent requester
-  (push into ``req_q``, responses pop out of ``resp_q``).
+  (push into ``req_q``, responses pop out of ``resp_q``).  Both bind
+  their bundle's nets at the first ``xtick`` and then drive them as a
+  lowered block does.
 - ``ListMemPortAdapter`` — a list-like proxy whose element accesses
   become memory read transactions over a ``ParentReqRespBundle``.  The
   paper implements this with greenlets; greenlets are unavailable here,
@@ -61,7 +63,77 @@ class Queue:
         return len(self._items)
 
 
-class ChildReqRespQueueAdapter:
+class _QueueAdapter:
+    """Port logic shared by the two queue adapters.  The bundle's
+    incoming channel (``_channels[0]``: ``req`` for a child, ``resp``
+    for a parent) fills its queue, the outgoing one drains the other.
+
+    The first ``xtick`` binds the bundle's six signals to their root
+    nets, as a SimJIT engine does at its first push; the simulator
+    calls it after elaboration has merged them.  From then on a cycle
+    reads the nets' ``_value`` and writes through ``_Net.write_next``,
+    the one ``.next`` rule, without a signal in between."""
+
+    _channels = ()
+
+    def __init__(self, bundle, req_qsize=2, resp_qsize=2):
+        self.bundle = bundle
+        self.req_q = Queue(req_qsize)
+        self.resp_q = Queue(resp_qsize)
+        self._skip = False
+        self._ports = None            # bound at the first xtick
+
+    def _bind(self):
+        """``(in_val, in_rdy, in_msg, in_q, out_val, out_rdy, out_msg,
+        out_q)``: root nets, except the incoming message, which stays a
+        signal so that it reads back as its message type."""
+        bundle = self.bundle
+        inc, out = self._channels
+
+        def net(name):
+            return getattr(bundle, name)._net.find()
+
+        self._ports = (
+            net(f"{inc}_val"), net(f"{inc}_rdy"), getattr(bundle, f"{inc}_msg"),
+            getattr(self, f"{inc}_q"),
+            net(f"{out}_val"), net(f"{out}_rdy"), net(f"{out}_msg"),
+            getattr(self, f"{out}_q"))
+        return self._ports
+
+    def xtick(self):
+        """Service the ports; call once at the top of the tick block."""
+        if self._skip:
+            # Already serviced by a BlockingTickRunner this cycle.
+            self._skip = False
+            return
+        in_val, in_rdy, in_msg, in_q, out_val, out_rdy, out_msg, out_q = (
+            self._ports or self._bind())
+        # Outgoing message accepted by the other side on the last edge?
+        if out_val._value and out_rdy._value:
+            out_q.deq()
+        # Incoming message latched on the last edge?
+        if in_val._value and in_rdy._value:
+            in_q.enq(in_msg.value)
+        # Drive next-cycle outputs.
+        in_rdy.write_next(1 if len(in_q._items) < in_q.maxsize else 0)
+        if out_q._items:
+            out_val.write_next(1)
+            out_msg.write_next(int(out_q._items[0]) & out_msg.mask)
+        else:
+            out_val.write_next(0)
+
+    def reset(self):
+        """Forget every queued message and take back the offer
+        ``xtick`` just made on the outgoing channel; call from the
+        owner's reset branch, after ``xtick``.  Without it a message
+        queued before reset goes out after it (and, for a parent, its
+        response comes back to an owner that no longer expects one)."""
+        self.req_q.clear()
+        self.resp_q.clear()
+        getattr(self.bundle, f"{self._channels[1]}_val").next = 0
+
+
+class ChildReqRespQueueAdapter(_QueueAdapter):
     """Queue-based adapter for a child device's request/response
     interface (paper Figures 7-8).
 
@@ -74,32 +146,7 @@ class ChildReqRespQueueAdapter:
             s.cpu.push_resp(result)
     """
 
-    def __init__(self, bundle, req_qsize=2, resp_qsize=2):
-        self.bundle = bundle
-        self.req_q = Queue(req_qsize)
-        self.resp_q = Queue(resp_qsize)
-        self._skip = False
-
-    def xtick(self):
-        """Service the ports; call once at the top of the tick block."""
-        if self._skip:
-            # Already serviced by a BlockingTickRunner this cycle.
-            self._skip = False
-            return
-        bundle = self.bundle
-        # Response accepted by the other side on the last edge?
-        if int(bundle.resp_val) and int(bundle.resp_rdy):
-            self.resp_q.deq()
-        # Incoming request latched on the last edge?
-        if int(bundle.req_val) and int(bundle.req_rdy):
-            self.req_q.enq(bundle.req_msg.value)
-        # Drive next-cycle outputs.
-        bundle.req_rdy.next = not self.req_q.full()
-        if not self.resp_q.empty():
-            bundle.resp_val.next = 1
-            bundle.resp_msg.next = self.resp_q.front()
-        else:
-            bundle.resp_val.next = 0
+    _channels = ("req", "resp")
 
     def get_req(self):
         return self.req_q.deq()
@@ -107,57 +154,18 @@ class ChildReqRespQueueAdapter:
     def push_resp(self, msg):
         self.resp_q.enq(msg)
 
-    def reset(self):
-        """Forget every queued message and take back the response
-        offer ``xtick`` just made; call from the owner's reset branch,
-        after ``xtick``.  Without it a message queued before reset is
-        delivered after it."""
-        self.req_q.clear()
-        self.resp_q.clear()
-        self.bundle.resp_val.next = 0
 
-
-class ParentReqRespQueueAdapter:
+class ParentReqRespQueueAdapter(_QueueAdapter):
     """Queue-based adapter for a parent requester's interface (the
     memory port in paper Figure 8)."""
 
-    def __init__(self, bundle, req_qsize=2, resp_qsize=2):
-        self.bundle = bundle
-        self.req_q = Queue(req_qsize)
-        self.resp_q = Queue(resp_qsize)
-        self._skip = False
-
-    def xtick(self):
-        if self._skip:
-            self._skip = False
-            return
-        bundle = self.bundle
-        if int(bundle.req_val) and int(bundle.req_rdy):
-            self.req_q.deq()
-        if int(bundle.resp_val) and int(bundle.resp_rdy):
-            self.resp_q.enq(bundle.resp_msg.value)
-        bundle.resp_rdy.next = not self.resp_q.full()
-        if not self.req_q.empty():
-            bundle.req_val.next = 1
-            bundle.req_msg.next = self.req_q.front()
-        else:
-            bundle.req_val.next = 0
+    _channels = ("resp", "req")
 
     def push_req(self, msg):
         self.req_q.enq(msg)
 
     def get_resp(self):
         return self.resp_q.deq()
-
-    def reset(self):
-        """Forget every queued message and take back the request
-        offer ``xtick`` just made; call from the owner's reset branch,
-        after ``xtick``.  Without it a request queued before reset
-        goes out after it and its response comes back to an owner that
-        no longer expects one."""
-        self.req_q.clear()
-        self.resp_q.clear()
-        self.bundle.req_val.next = 0
 
 
 # -- blocking (coroutine-style) adapters ------------------------------------------

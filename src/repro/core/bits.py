@@ -20,6 +20,8 @@ Width rules follow common HDL practice:
 
 from __future__ import annotations
 
+import operator
+
 
 class Bits:
     """An immutable fixed-width bit vector.
@@ -121,60 +123,61 @@ class Bits:
         if val is NotImplemented:
             return NotImplemented
         nbits = max(self.nbits, obits)
-        return Bits(nbits, op(self._uint, val), trunc=True)
+        return _make(nbits, op(self._uint, val) & ((1 << nbits) - 1))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, operator.sub)
 
     def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
+        return self._binop(other, _rsub)
 
     def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
+        return self._binop(other, operator.mul)
 
     __rmul__ = __mul__
 
     def __floordiv__(self, other):
-        return self._binop(other, lambda a, b: a // b)
+        return self._binop(other, operator.floordiv)
 
     def __mod__(self, other):
-        return self._binop(other, lambda a, b: a % b)
+        return self._binop(other, operator.mod)
 
     def __neg__(self):
-        return Bits(self.nbits, -self._uint, trunc=True)
+        return _make(self.nbits, -self._uint & ((1 << self.nbits) - 1))
 
     # -- bitwise -------------------------------------------------------------
 
     def __and__(self, other):
-        return self._binop(other, lambda a, b: a & b)
+        return self._binop(other, operator.and_)
 
     __rand__ = __and__
 
     def __or__(self, other):
-        return self._binop(other, lambda a, b: a | b)
+        return self._binop(other, operator.or_)
 
     __ror__ = __or__
 
     def __xor__(self, other):
-        return self._binop(other, lambda a, b: a ^ b)
+        return self._binop(other, operator.xor)
 
     __rxor__ = __xor__
 
     def __invert__(self):
-        return Bits(self.nbits, ~self._uint, trunc=True)
+        return _make(self.nbits, ~self._uint & ((1 << self.nbits) - 1))
 
     def __lshift__(self, other):
         shamt = int(other)
         if shamt >= self.nbits:
             return Bits(self.nbits, 0)
-        return Bits(self.nbits, self._uint << shamt, trunc=True)
+        return _make(self.nbits,
+                     (self._uint << shamt) & ((1 << self.nbits) - 1))
 
     def __rshift__(self, other):
         shamt = int(other)
@@ -233,11 +236,12 @@ class Bits:
     def __getitem__(self, idx):
         if isinstance(idx, slice):
             start, stop = _norm_slice(idx, self.nbits)
-            return Bits(stop - start, (self._uint >> start) & ((1 << (stop - start)) - 1))
+            nbits = stop - start
+            return _make(nbits, (self._uint >> start) & ((1 << nbits) - 1))
         i = int(idx)
         if not 0 <= i < self.nbits:
             raise IndexError(f"bit index {i} out of range for Bits{self.nbits}")
-        return Bits(1, (self._uint >> i) & 1)
+        return _make(1, (self._uint >> i) & 1)
 
     def __len__(self):
         return self.nbits
@@ -255,6 +259,28 @@ class Bits:
         if nbits < self.nbits:
             raise ValueError("sext target narrower than source")
         return Bits(nbits, self.int(), trunc=True)
+
+
+_new = object.__new__
+_set_nbits = Bits.nbits.__set__
+_set_uint = Bits._uint.__set__
+
+
+def _make(nbits, value):
+    """``Bits(nbits, value)`` without its checks, for the hot paths
+    that have just computed ``value`` themselves.  ``nbits`` must be
+    >= 1 and ``value`` an ``int`` already masked to ``nbits`` bits *in
+    the caller's own expression* (``x & ((1 << nbits) - 1)``, or a
+    slice of a masked value); anything else belongs to ``Bits(...)``,
+    which keeps every range check."""
+    bits = _new(Bits)
+    _set_nbits(bits, nbits)
+    _set_uint(bits, value)
+    return bits
+
+
+def _rsub(a, b):
+    return b - a
 
 
 def _norm_slice(idx, nbits):

@@ -21,7 +21,7 @@ the same field names as writable sub-signal slices (see ``signals.py``).
 
 from __future__ import annotations
 
-from .bits import Bits
+from .bits import _make
 
 
 class Field:
@@ -64,7 +64,7 @@ def _splice(bits, lo, hi, value):
     width = hi - lo
     val = int(value) & ((1 << width) - 1)
     mask = ((1 << width) - 1) << lo
-    return Bits(bits.nbits, (bits.uint() & ~mask) | (val << lo))
+    return _make(bits.nbits, (bits._uint & ~mask) | (val << lo))
 
 
 class _BitStructMeta(type):
@@ -96,10 +96,10 @@ class BitStruct(metaclass=_BitStructMeta):
     def __init__(self, value=0):
         if isinstance(value, BitStruct):
             value = value._bits
-        if isinstance(value, Bits):
-            self._bits = Bits(type(self).nbits, value.uint(), trunc=True)
-        else:
-            self._bits = Bits(type(self).nbits, int(value), trunc=True)
+        nbits = type(self).nbits
+        if not nbits:
+            raise ValueError(f"{type(self).__name__} declares no fields")
+        self._bits = _make(nbits, int(value) & ((1 << nbits) - 1))
 
     @classmethod
     def field_slice(cls, name):

@@ -15,9 +15,11 @@ two ``Bits`` allocations, every ``.value =`` a setter around
   reader); no ``_sdirty``, since it runs inside a static sweep, which
   goes on to the later slots it marks;
 - a ``.next`` write always stores ``_n._next = _v`` but enters the
-  pending-flop dict only ``if _v != _n._value`` — last-writer-safe: a
-  net pending from an earlier write keeps its entry, and the clock edge
-  compares ``_next`` to ``_value`` anyway;
+  pending-flop dict only ``if _v != _n._value`` — ``_Net.write_next``'s
+  rule, printed, so a lowered block and a closure, adapter or engine
+  writing the same net agree: last-writer-safe, a net pending from an
+  earlier write keeps its entry, and the clock edge compares ``_next``
+  to ``_value`` anyway;
 - arithmetic is masked exactly where ``Bits`` would wrap it, by the
   types :func:`~.ast_ir.infer_types` gives each expression;
 - a ``for`` of at most ``_MAX_TRIPS`` trips whose body has no ``break``

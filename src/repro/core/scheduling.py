@@ -32,7 +32,7 @@ the flag sweep inside the simulator's Python step — is
 from __future__ import annotations
 
 from .elaboration import infer_driver
-from .signals import Signal
+from .signals import Signal, _SignalSlice
 
 
 class StaticSchedule:
@@ -72,7 +72,7 @@ def nets_of(ends, net_of=None):
     nets = []
     seen = set()
     for end in ends:
-        sig = end.signal if hasattr(end, "signal") else end
+        sig = end.signal if isinstance(end, _SignalSlice) else end
         net = sig._net.find() if net_of is None else net_of(sig)
         if id(net) not in seen:
             seen.add(id(net))

@@ -17,6 +17,20 @@ all signals on a net share one storage slot.  Reading ``.value`` works
 before a simulator exists (it just reads the net), which keeps
 elaboration-time code and test benches simple.
 
+A net is written in exactly two ways, ``_Net.write`` and
+``_Net.write_next``; every Python writer (``.value`` / ``.next`` of a
+signal or a slice, the queue adapters, a SimJIT engine's pulled
+outputs) calls one of them, and ``pygen`` prints the same two rules
+inline for lowered blocks:
+
+- ``write`` stores a changed value at once and marks the net's readers
+  (``SimulationTool._notify``);
+- ``write_next`` stores ``_next`` and enters the net in the
+  simulator's pending-flop set only when it differs from ``_value``.
+  An entry made by an earlier write of the same cycle stays, and the
+  clock edge compares ``_next`` with ``_value`` anyway, so the last
+  writer wins whichever way it goes.
+
 Signals also forward arithmetic/comparison operators to their current
 value so RTL blocks can write ``s.count + 1`` instead of
 ``s.count.value + 1`` — matching the paper's examples.
@@ -24,7 +38,7 @@ value so RTL blocks can write ``s.count + 1`` instead of
 
 from __future__ import annotations
 
-from .bits import Bits, _norm_slice
+from .bits import Bits, _make, _norm_slice
 from .bitstruct import BitStruct
 
 
@@ -36,11 +50,12 @@ class _Net:
     a list of dependent combinational blocks at construction time.
     """
 
-    __slots__ = ("nbits", "_value", "_next", "parent", "sim", "blocks",
-                 "id", "sreaders", "treaders")
+    __slots__ = ("nbits", "mask", "_value", "_next", "parent", "sim",
+                 "blocks", "id", "sreaders", "treaders")
 
     def __init__(self, nbits):
         self.nbits = nbits
+        self.mask = (1 << nbits) - 1
         self._value = 0
         self._next = 0
         self.parent = self      # union-find parent
@@ -64,6 +79,8 @@ class _Net:
         return self._value
 
     def write(self, value):
+        """Store ``value`` (masked by the caller) now; a change marks
+        the readers."""
         if value != self._value:
             self._value = value
             sim = self.sim
@@ -71,10 +88,14 @@ class _Net:
                 sim._notify(self)
 
     def write_next(self, value):
+        """Store ``value`` (masked by the caller) for the clock edge; it
+        enters the pending-flop set only when it differs from
+        ``_value`` (the module docstring's rule)."""
         self._next = value
-        sim = self.sim
-        if sim is not None:
-            sim._register_flop(self)
+        if value != self._value:
+            sim = self.sim
+            if sim is not None:
+                sim._pending_flops[self] = True
 
 
 def _msg_nbits(msg_type):
@@ -221,7 +242,7 @@ class Signal(_ValueOps, metaclass=_ArrayableMeta):
             self._net = net
         if self._struct is not None:
             return self._struct(net._value)
-        return Bits(self.nbits, net._value)
+        return _make(net.nbits, net._value & net.mask)
 
     @value.setter
     def value(self, value):
@@ -229,7 +250,7 @@ class Signal(_ValueOps, metaclass=_ArrayableMeta):
         if net.parent is not net:
             net = net.find()
             self._net = net
-        net.write(int(value) & ((1 << self.nbits) - 1))
+        net.write(int(value) & net.mask)
 
     @property
     def next(self):
@@ -243,7 +264,7 @@ class Signal(_ValueOps, metaclass=_ArrayableMeta):
         if net.parent is not net:
             net = net.find()
             self._net = net
-        net.write_next(int(value) & ((1 << self.nbits) - 1))
+        net.write_next(int(value) & net.mask)
 
     def uint(self):
         net = self._net
@@ -340,19 +361,18 @@ class _SignalSlice(_ValueOps):
 
     @property
     def value(self):
-        raw = self.signal._net.find().read()
-        val = (raw >> self.lo) & ((1 << self.nbits) - 1)
+        mask = (1 << self.nbits) - 1
+        val = (self.signal._net.find()._value >> self.lo) & mask
         if self._struct is not None:
             return self._struct(val)
-        return Bits(self.nbits, val)
+        return _make(self.nbits, val)
 
     @value.setter
     def value(self, value):
         net = self.signal._net.find()
-        raw = net.read()
-        mask = ((1 << self.nbits) - 1) << self.lo
-        val = (int(value) & ((1 << self.nbits) - 1)) << self.lo
-        net.write((raw & ~mask) | val)
+        mask = (1 << self.nbits) - 1
+        val = (int(value) & mask) << self.lo
+        net.write((net._value & ~(mask << self.lo)) | val)
 
     @property
     def next(self):
@@ -362,12 +382,14 @@ class _SignalSlice(_ValueOps):
     def next(self, value):
         net = self.signal._net.find()
         # Merge into the pending next value so multiple slice writes to
-        # one register within a tick compose.
-        raw = net._next if net.sim is not None and net in getattr(
-            net.sim, "_pending_flops", ()) else net.read()
-        mask = ((1 << self.nbits) - 1) << self.lo
-        val = (int(value) & ((1 << self.nbits) - 1)) << self.lo
-        net.write_next((raw & ~mask) | val)
+        # one register within a tick compose.  A net outside the set
+        # has no write this cycle that differs from ``_value``.
+        sim = net.sim
+        raw = (net._next if sim is not None and net in sim._pending_flops
+               else net._value)
+        mask = (1 << self.nbits) - 1
+        val = (int(value) & mask) << self.lo
+        net.write_next((raw & ~(mask << self.lo)) | val)
 
     def __getattr__(self, name):
         struct = object.__getattribute__(self, "_struct")

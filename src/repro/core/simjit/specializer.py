@@ -326,7 +326,8 @@ class SimJITEngine:
     def _pull_outputs(self, as_next):
         """Write back the output ports that changed since the last
         pull: to ``.next`` for an embedded engine's tick (the parent
-        simulator flops them), to ``.value`` otherwise."""
+        simulator flops those that differ from the net), to ``.value``
+        otherwise."""
         if self._in_nets is None:
             self._bind()
         n = self.lib.pull_changed(self.inst, self._out_buf)

@@ -110,6 +110,7 @@ from .probe import Probe
 from .pygen import instantiate
 from .scheduling import (build_schedule, comb_block_nets, nets_of,
                          unbounded_reads)
+from .signals import _SignalSlice
 from ..resilience.warnings import ResilienceWarning
 from ..telemetry import tracing
 
@@ -503,9 +504,6 @@ class SimulationTool:
             tflags = self._tflags
             for slot in treaders:
                 tflags[slot] = 1
-
-    def _register_flop(self, net):
-        self._pending_flops[net] = True
 
     def _enqueue(self, func):
         if not func._in_queue:
@@ -1074,7 +1072,7 @@ class SimulationTool:
 
 def _endpoint_name(end):
     """Stable dotted name of a connector endpoint for diagnostics."""
-    if hasattr(end, "signal"):
+    if isinstance(end, _SignalSlice):
         base = end.signal.name or "?"
         return f"{base}[{end.lo}:{end.hi}]"
     return getattr(end, "name", None) or "?"

@@ -21,6 +21,7 @@ from ..core.ast_ir import TranslationError
 from ..core.bodies import Refused, body_of, signals
 from ..core.elaboration import elaborate
 from ..core.scheduling import unbounded_reads
+from ..core.signals import _SignalSlice
 
 
 @dataclass
@@ -48,7 +49,8 @@ def lint(model):
 
 def _net_id(end):
     """Net identity of a signal or a slice of one."""
-    return id((end.signal if hasattr(end, "signal") else end)._net.find())
+    sig = end.signal if isinstance(end, _SignalSlice) else end
+    return id(sig._net.find())
 
 
 def _block_nets(model):

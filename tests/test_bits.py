@@ -1,10 +1,13 @@
 """Unit and property tests for the Bits fixed-width value type."""
 
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import Bits, bw, clog2, concat, sext, zext
+from repro import Bits, bw, clog2, concat, mk_bitstruct, sext, zext
+from repro.core.bits import _make
 
 
 # -- construction -------------------------------------------------------------
@@ -310,3 +313,84 @@ def test_prop_sext_preserves_signed_value(nbits, a):
 def test_prop_zext_preserves_unsigned_value(nbits, a):
     b = Bits(nbits, a, trunc=True)
     assert zext(b, nbits + 16).uint() == b.uint()
+
+
+# -- the unchecked constructor: same values as Bits(...) ---------------------------
+
+wide = st.integers(min_value=1, max_value=130)
+BINOPS = [operator.add, operator.sub, operator.mul, operator.floordiv,
+          operator.mod, operator.and_, operator.or_, operator.xor,
+          operator.lshift]
+
+
+def _same_as_checked(result, nbits, value):
+    """``result`` (built by ``_make``) and ``Bits(nbits, value)`` are
+    indistinguishable."""
+    ref = Bits(nbits, value & ((1 << nbits) - 1))
+    assert type(result) is Bits
+    assert result.nbits == ref.nbits
+    assert result.uint() == ref.uint()
+    assert result == ref
+    assert hash(result) == hash(ref)
+    assert repr(result) == repr(ref)
+
+
+@given(wide, wide, st.integers(min_value=0), st.integers(min_value=0),
+       st.sampled_from(BINOPS))
+def test_prop_make_binops_match_checked_bits(wa, wb, a, b, op):
+    x = Bits(wa, a, trunc=True)
+    if op is operator.lshift:
+        sh = b % (wa + 2)
+        value = 0 if sh >= wa else x.uint() << sh
+        _same_as_checked(x << sh, wa, value)
+        return
+    y = Bits(wb, b, trunc=True)
+    if op in (operator.floordiv, operator.mod) and not y.uint():
+        with pytest.raises(ZeroDivisionError):
+            op(x, y)
+        return
+    nbits = max(wa, wb)
+    # Includes negative differences (x < y) and, with an int on the
+    # right, the int masked to the Bits operand's width.
+    _same_as_checked(op(x, y), nbits, op(x.uint(), y.uint()))
+    if op not in (operator.floordiv, operator.mod) or b & ((1 << wa) - 1):
+        _same_as_checked(op(x, b), wa, op(x.uint(), b & ((1 << wa) - 1)))
+
+
+@given(wide, st.integers())
+def test_prop_make_unary_and_slices_match_checked_bits(nbits, a):
+    x = Bits(nbits, a, trunc=True)
+    _same_as_checked(~x, nbits, ~x.uint())
+    _same_as_checked(-x, nbits, -x.uint())
+    _same_as_checked(x - (x.uint() + 1), nbits, -1)
+    for lo in range(0, nbits, max(1, nbits // 5)):
+        for hi in (lo + 1, nbits):
+            _same_as_checked(x[lo:hi], hi - lo, x.uint() >> lo)
+        _same_as_checked(x[lo], 1, x.uint() >> lo)
+
+
+@given(st.lists(wide, min_size=1, max_size=4), st.integers(), st.data())
+def test_prop_make_bitstruct_splices_match_checked_bits(widths, a, data):
+    Msg = mk_bitstruct("Msg", [(f"f{i}", w) for i, w in enumerate(widths)])
+    msg = Msg(a)
+    _same_as_checked(msg.to_bits(), Msg.nbits, a)
+    expect = msg.uint()
+    for field in Msg._fields:
+        value = data.draw(st.integers())
+        setattr(msg, field.name, value)
+        width = field.hi - field.lo
+        keep = expect & ~(((1 << width) - 1) << field.lo)
+        expect = keep | ((value & ((1 << width) - 1)) << field.lo)
+        _same_as_checked(msg.to_bits(), Msg.nbits, expect)
+        _same_as_checked(getattr(msg, field.name), width,
+                         expect >> field.lo)
+
+
+def test_make_is_bits_and_checked_constructor_still_raises():
+    assert _make(8, 0xAB) == Bits(8, 0xAB)
+    with pytest.raises(ValueError):
+        Bits(8, 256)
+    with pytest.raises(ValueError):
+        Bits(8, -129)
+    with pytest.raises(ValueError):
+        Bits(0, 0)

@@ -261,3 +261,118 @@ def test_struct_field_access_in_comb_block():
     sim.eval_combinational()
     assert model.out.value.hi == 0x22
     assert model.out.value.lo == 0x11
+
+
+# -- the one .next rule (_Net.write_next) -----------------------------------------
+
+
+class _Bare(Model):
+    """A register nothing drives: the test bench's .next writes are the
+    only ones."""
+
+    def __init__(s):
+        s.w = Wire(8)
+
+
+def _bare_sim():
+    model = _Bare().elaborate()
+    sim = SimulationTool(model)
+    sim.reset()
+    return model, sim, model.w._net.find()
+
+
+def test_next_equal_to_value_enters_no_flop():
+    model, sim, net = _bare_sim()
+    model.w.next = 0
+    model.w[0:4].next = 0
+    assert not sim._pending_flops
+    model.w.next = 5
+    assert list(sim._pending_flops) == [net]
+
+
+def test_next_written_back_keeps_its_entry_and_flops_no_change():
+    model, sim, net = _bare_sim()
+    model.w.next = 0x5A
+    sim.cycle()
+    assert model.w == 0x5A
+    model.w.next = 0x12
+    model.w.next = 0x5A             # last writer: back to the value
+    assert net in sim._pending_flops
+    sim.cycle()
+    assert model.w == 0x5A
+    assert not sim._pending_flops
+
+
+def test_slice_next_after_an_equal_full_write_composes():
+    model, sim, _ = _bare_sim()
+    model.w.next = 0x5A
+    sim.cycle()
+    model.w.next = 0x5A             # equal: no entry
+    model.w[0:4].next = 0x3
+    sim.cycle()
+    assert model.w == 0x53
+    model.w.next = 0x12             # an entry, then back to the value
+    model.w.next = 0x53
+    model.w[4:8].next = 0x0
+    sim.cycle()
+    assert model.w == 0x03
+
+
+def test_engine_output_pulled_as_next_still_flops():
+    from repro import SimJITRTL
+    from repro.components import Register
+
+    class Wrapper(Model):
+        def __init__(s):
+            s.in_ = InPort(8)
+            s.out = OutPort(8)
+            s.reg_ = SimJITRTL(Register(8).elaborate()).specialize()
+            s.connect(s.in_, s.reg_.in_)
+            s.connect(s.reg_.out, s.out)
+
+    model = Wrapper().elaborate()
+    sim = SimulationTool(model)
+    sim.reset()
+    seen = []
+    for value in (99, 99, 7, 0, 0, 255):
+        model.in_.value = value
+        sim.cycle()
+        seen.append(int(model.out))
+    assert seen == [99, 99, 7, 0, 0, 255]
+
+
+# -- a BitStruct field may be named like a slice attribute ------------------------
+
+
+class SignalMsg(BitStruct):
+    signal = Field(4)
+    data = Field(4)
+
+
+class _SignalField(Model):
+    def __init__(s):
+        s.in_ = InPort(SignalMsg)
+        s.out = OutPort(4)
+
+        @s.combinational
+        def add():
+            s.out.value = s.in_.signal + s.in_.data
+
+
+@pytest.mark.parametrize("sched", ["auto", "static", "event"])
+def test_struct_field_named_signal_simulates(sched):
+    model = _SignalField().elaborate()
+    sim = SimulationTool(model, sched=sched)
+    sim.reset()
+    msg = SignalMsg()
+    msg.signal = 3
+    msg.data = 4
+    model.in_.value = msg
+    sim.eval_combinational()
+    assert model.out == 7
+    assert model.in_.signal.value == 3
+
+
+def test_struct_field_named_signal_lints():
+    from repro.tools.linter import lint
+    assert lint(_SignalField().elaborate()) == []

@@ -10,6 +10,7 @@ import itertools
 import pytest
 
 from repro import SimulationTool
+from repro.resilience import CheckpointError
 from repro.accel import (
     Tile,
     mvmult_data,
@@ -196,3 +197,78 @@ def test_a_reset_after_the_first_cycles_is_a_power_on(levels):
         for pre_cycles in (1, 2, 5):
             assert _run_after_resets(levels, jit, pre_cycles) == want, (
                 jit, pre_cycles)
+
+
+# -- queue adapters: nets bound at the first xtick ---------------------------------
+
+
+def _loaded_tile(levels, jit=False):
+    data, _ = mvmult_data(ROWS, COLS)
+    tile = Tile(levels, jit=jit).elaborate()
+    tile.mem.load(0, assemble(mvmult_xcel(ROWS, COLS)))
+    for addr, value in data.items():
+        tile.mem.write_word(addr, value)
+    return tile
+
+
+def _finish(tile, sim, start):
+    """``(cycles, Y)`` of running ``sim`` from where it is to ``done``;
+    cycles count from cycle ``start``."""
+    while not int(tile.proc.done):
+        sim.cycle()
+        assert sim.ncycles - start < 10_000
+    return (sim.ncycles - start,
+            [tile.mem.read_word(Y_BASE + 4 * i) for i in range(ROWS)])
+
+
+def _rerun(tile, sim):
+    for i in range(ROWS):
+        tile.mem.write_word(Y_BASE + 4 * i, 0)
+    sim.reset()
+    return _finish(tile, sim, sim.ncycles)
+
+
+ADAPTER_CONFIGS = [("cl", "cl", "cl"), ("fl", "rtl", "fl")]
+
+
+@pytest.mark.parametrize("jit", (False, True), ids=("interp", "jit"))
+@pytest.mark.parametrize("levels", ADAPTER_CONFIGS,
+                         ids=["-".join(c) for c in ADAPTER_CONFIGS])
+def test_adapter_tiles_rerun_and_resimulate_alike(levels, jit):
+    """A queue adapter binds its bundle's nets at the first ``xtick``
+    and keeps them: run, ``reset()``, run again, and a second
+    ``SimulationTool`` on the same elaborated tile, give one ``Y``
+    and one cycle count."""
+    _, expected = mvmult_data(ROWS, COLS)
+    tile = _loaded_tile(levels, jit)
+    sim = SimulationTool(tile)
+    first = _rerun(tile, sim)
+    assert first[1] == expected
+    assert _rerun(tile, sim) == first
+    assert _rerun(tile, SimulationTool(tile)) == first
+
+
+def test_adapter_tile_restored_mid_run_finishes_alike():
+    """``<CL,CL,CL>`` restored from a checkpoint taken mid-run (queue
+    adapters holding messages) finishes as the uninterrupted run."""
+    tile = _loaded_tile(("cl", "cl", "cl"))
+    sim = SimulationTool(tile)
+    whole = _rerun(tile, sim)
+    sim.reset()
+    start = sim.ncycles
+    sim.run(whole[0] // 2)
+    cp = sim.save_checkpoint()
+    assert _finish(tile, sim, start) == whole
+    sim.restore_checkpoint(cp)
+    assert _finish(tile, sim, start) == whole
+
+
+def test_fl_accel_tile_refuses_a_checkpoint():
+    """``<FL,RTL,FL>`` cannot be restored mid-run: its FL accelerator
+    blocks in a ``ListMemPortAdapter``, and a checkpoint says so."""
+    tile = _loaded_tile(("fl", "rtl", "fl"))
+    sim = SimulationTool(tile)
+    sim.reset()
+    sim.run(100)
+    with pytest.raises(CheckpointError, match="blocking FL"):
+        sim.save_checkpoint()
