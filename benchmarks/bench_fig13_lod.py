@@ -23,21 +23,33 @@ Expected shape: performance trends *down* as LOD rises; a visible gap
 separates the bare ISA simulator from the port-based <FL,FL,FL> tile
 (the cost of modular modeling); specialization shifts detailed
 configurations up.
+
+Every tile with an RTL component times its ``jit=True`` run against
+its event-driven twin in one process (``common.best_of_paired``), and
+the envelope's entry for it carries that paired ratio
+(``slowdown_vs_interp``, lower is better) for the insight gate.  A
+tile without one has no SimJIT column (the paper's pure-CL tiles) and
+its event-driven time is informational.  ``BENCH_QUICK=1`` runs the
+eight corners of the LOD cube, <FL|RTL, FL|RTL, FL|RTL>, for CI.
 """
 
 import itertools
 import time
 
-import pytest
-
-from common import format_table, write_result
+from common import (QUICK, Pedantic, best_of, best_of_paired, format_table,
+                    paired_entry, write_json_result, write_result)
 from repro.accel import mvmult_data, mvmult_xcel, run_tile
 from repro.proc import IsaSim, assemble
 
 ROWS, COLS = 4, 8
 LEVELS = ("fl", "cl", "rtl")
-ALL_CONFIGS = list(itertools.product(LEVELS, repeat=3))
 LOD = {"fl": 1, "cl": 2, "rtl": 3}
+CONFIGS = list(itertools.product(("fl", "rtl") if QUICK else LEVELS,
+                                 repeat=3))
+# Many short alternating reps, as in Figure 14: a burst of host load
+# then hits both sides of a rep alike.
+REPS = 10
+MIN_REP_SECONDS = 0.05
 
 
 def _workload():
@@ -57,27 +69,63 @@ def _isa_baseline_time(words, data, repeats=50):
     return (time.perf_counter() - start) / repeats
 
 
-def _tile_time(levels, words, data, jit):
-    """Simulation-loop time only: construction/specialization happens
-    before the clock starts (the paper's Figure 13 likewise measures
-    simulation time, with SimJIT-RTL caching enabled).  Without
-    ``jit`` the tile runs event-driven."""
-    from repro.accel.tile import Tile
-    from repro.core import SimulationTool
+def _name(levels):
+    return "<" + ",".join(x.upper() for x in levels) + ">"
 
-    tile = Tile(levels, jit=jit).elaborate()
-    tile.mem.load(0, words)
-    for addr, value in data.items():
-        tile.mem.write_word(addr, value)
-    sim = SimulationTool(tile) if jit else SimulationTool(
-        tile, sched="event")
-    start = time.perf_counter()
-    sim.reset()
-    while not int(tile.proc.done):
-        sim.cycle()
-        if sim.ncycles > 2_000_000:
-            raise AssertionError(f"tile {levels} did not halt")
-    return time.perf_counter() - start, sim.ncycles
+
+class _TileRuns:
+    """One built tile, callable as a ``best_of_paired`` workload whose
+    unit is one run of the program from reset.  Only simulation is
+    timed: construction and specialization happen before (the paper's
+    Figure 13 likewise measures simulation time, with SimJIT-RTL
+    caching enabled).  Without ``jit`` the tile runs event-driven."""
+
+    def __init__(self, levels, words, data, jit):
+        from repro.accel.tile import Tile
+        from repro.core import SimulationTool
+
+        self.tile = Tile(levels, jit=jit).elaborate()
+        self.tile.mem.load(0, words)
+        for addr, value in data.items():
+            self.tile.mem.write_word(addr, value)
+        self.sim = SimulationTool(self.tile) if jit else SimulationTool(
+            self.tile, sched="event")
+        self.cycles = self._run()
+
+    def _run(self):
+        sim, start = self.sim, self.sim.ncycles
+        sim.reset()
+        while not int(self.tile.proc.done):
+            sim.cycle()
+            if sim.ncycles - start > 2_000_000:
+                raise AssertionError(
+                    f"tile {_name(self.tile.levels)} did not halt")
+        return sim.ncycles - start
+
+    def __call__(self, nruns):
+        for _ in range(nruns):
+            self._run()
+
+
+def _paired(runs_a, runs_b):
+    return best_of_paired(runs_a, runs_b, REPS, MIN_REP_SECONDS,
+                          warmup_b=True, start_cycles=1)
+
+
+def measure(levels, words, data):
+    """The tile's entry: the paired ratio of its ``jit=True`` run where
+    it has an RTL component, else its event-driven time alone."""
+    interp = _TileRuns(levels, words, data, jit=False)
+    shape = {"lod": sum(LOD[x] for x in levels), "cycles": interp.cycles}
+    if "rtl" not in levels:
+        _, rate = best_of(interp, REPS, MIN_REP_SECONDS, start_cycles=1)
+        return {"config": _name(levels), **shape,
+                "interp_s": round(1 / rate, 6)}
+    jit = _TileRuns(levels, words, data, jit=True)
+    assert jit.cycles == interp.cycles, (levels, jit.cycles, interp.cycles)
+    timing = _paired(interp, jit)
+    return paired_entry(_name(levels), "interp", timing, **shape,
+                        interp_s=round(timing.best_a / timing.ncycles, 6))
 
 
 def test_fig13_lod_sweep(benchmark):
@@ -86,63 +134,54 @@ def test_fig13_lod_sweep(benchmark):
 
     def sweep():
         results["isa"] = _isa_baseline_time(words, data)
-        for levels in ALL_CONFIGS:
-            results[(levels, False)] = _tile_time(levels, words, data,
-                                                  jit=False)
-        # Warm the SimJIT cache, then measure JIT runs.
-        for levels in ALL_CONFIGS:
-            if "rtl" in levels:
-                results[(levels, True)] = _tile_time(levels, words,
-                                                     data, jit=True)
+        for levels in CONFIGS:
+            results[levels] = measure(levels, words, data)
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     isa_time = results["isa"]
+    entries = [results[levels] for levels in CONFIGS]
+    write_json_result("fig13", entries, quick=QUICK,
+                      isa_run_s=round(isa_time, 6))
     rows = []
-    for levels in sorted(ALL_CONFIGS, key=lambda c: sum(LOD[x] for x in c)):
-        lod = sum(LOD[x] for x in levels)
-        interp_time, ncycles = results[(levels, False)]
-        interp_perf = isa_time / interp_time
-        if (levels, True) in results:
-            jit_time, jit_cycles = results[(levels, True)]
-            assert jit_cycles == ncycles, (levels, jit_cycles, ncycles)
-            jit_perf = isa_time / jit_time
-            jit_cell = f"{jit_perf:.4f}"
-        else:
-            jit_cell = "-"
-        rows.append([
-            "<" + ",".join(x.upper() for x in levels) + ">",
-            lod, ncycles,
-            f"{interp_time:.2f}s",
-            f"{interp_perf:.4f}",
-            jit_cell,
-        ])
+    for entry in sorted(entries, key=lambda e: e["lod"]):
+        interp_time = entry["interp_s"]
+        jit_cell = "-"
+        if "slowdown_vs_interp" in entry:
+            jit_time = interp_time * entry["slowdown_vs_interp"]
+            jit_cell = f"{isa_time / jit_time:.4f}"
+        rows.append([entry["config"], entry["lod"], entry["cycles"],
+                     f"{interp_time:.3f}s", f"{isa_time / interp_time:.4f}",
+                     jit_cell])
     text = format_table(
         "Figure 13: tile simulator performance vs level of detail "
         f"(mvmult {ROWS}x{COLS}; performance normalized to bare "
-        f"IsaSim = 1.0, baseline {results['isa'] * 1e3:.2f} ms; "
-        f"interp = sched=\"event\")",
+        f"IsaSim = 1.0, baseline {isa_time * 1e3:.2f} ms; "
+        f"interp = sched=\"event\"; simjit from the paired ratio)",
         ["config", "LOD", "cycles", "interp time", "interp perf",
          "simjit perf"],
         rows,
     )
     write_result("fig13_lod.txt", text)
 
+    fff, rrr = ("fl", "fl", "fl"), ("rtl", "rtl", "rtl")
+
     # Shape 1: the all-FL tile is far slower than the bare ISA sim
     # (the paper's "cost of modular modeling" gap).
-    fl_time, _ = results[(("fl", "fl", "fl"), False)]
-    assert fl_time > 3 * isa_time
+    assert results[fff]["interp_s"] > 3 * isa_time
 
     # Shape 2: the all-RTL tile is the slowest interpreted config
     # among the corner cases (event-driven: the lowered blocks of the
-    # default schedule make RTL nearly as cheap as FL).
-    rtl_time, _ = results[(("rtl", "rtl", "rtl"), False)]
-    assert rtl_time > fl_time
+    # default schedule make RTL nearly as cheap as FL).  Timed as a
+    # pair of its own, so that the host's speed drifting between the
+    # two tiles' entries cannot flip it.
+    corners = _paired(_TileRuns(fff, words, data, jit=False),
+                      _TileRuns(rrr, words, data, jit=False))
+    assert corners.slowdown > 1.0, corners.slowdown
 
     # Shape 3: specialization makes the all-RTL tile dramatically
     # faster than its interpreted self.
-    rtl_jit_time, _ = results[(("rtl", "rtl", "rtl"), True)]
-    assert rtl_jit_time < rtl_time
+    assert results[rrr]["slowdown_vs_interp"] < 1.0
 
 
 def test_fig13_all_configs_agree(benchmark):
@@ -163,3 +202,7 @@ def test_fig13_all_configs_agree(benchmark):
     benchmark.pedantic(run_corners, rounds=1, iterations=1)
     for levels, got in outputs.items():
         assert got == expected, levels
+
+
+if __name__ == "__main__":
+    test_fig13_lod_sweep(Pedantic())

@@ -29,15 +29,10 @@ pair's ratio.
 Results land in ``benchmarks/results/BENCH_observe.json``.
 """
 
-import os
-
-from common import (best_of_paired, build_jit_network, format_table,
-                    write_json_result, write_result)
+from common import (QUICK, Pedantic, best_of_paired, build_jit_network,
+                    format_table, write_json_result, write_result)
 from repro import SimulationTool, set_telemetry_enabled
 from repro.observe import implies_within, rose, stable_for
-
-QUICK = os.environ.get("BENCH_QUICK", "0").strip().lower() not in (
-    "", "0", "false", "no")
 
 NROUTERS = 16 if QUICK else 64
 MIN_REP_SECONDS = 0.1 if QUICK else 0.25
@@ -221,8 +216,4 @@ def test_observe_overhead(benchmark):
 
 
 if __name__ == "__main__":
-    class _Pedantic:
-        def pedantic(self, fn, rounds=1, iterations=1):
-            fn()
-
-    test_observe_overhead(_Pedantic())
+    test_observe_overhead(Pedantic())

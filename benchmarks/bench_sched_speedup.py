@@ -31,11 +31,11 @@ architectural results before its timing is reported.
 Results land in ``benchmarks/results/BENCH_sched.json``.
 """
 
-import os
 import random
 import time
 
-from common import format_table, write_json_result, write_result
+from common import (QUICK, Pedantic, format_table, write_json_result,
+                    write_result)
 from repro import SimulationTool
 from repro.accel import mvmult_data, mvmult_xcel
 from repro.accel.kernels import Y_BASE
@@ -44,8 +44,6 @@ from repro.mem import BankedCacheRTL, MemReqMsg
 from repro.net import MeshNetworkStructural, RouterRTL
 from repro.proc import assemble
 
-QUICK = os.environ.get("BENCH_QUICK", "0").strip().lower() not in (
-    "", "0", "false", "no")
 REPS = 2 if QUICK else 6
 
 MESH_NROUTERS = 16 if QUICK else 64
@@ -281,8 +279,4 @@ def test_sched_speedup(benchmark):
 
 
 if __name__ == "__main__":
-    class _Pedantic:
-        def pedantic(self, fn, rounds=1, iterations=1):
-            fn()
-
-    test_sched_speedup(_Pedantic())
+    test_sched_speedup(Pedantic())

@@ -23,15 +23,10 @@ batches).  ``BENCH_QUICK=1`` shrinks the mesh and budgets for CI
 smoke runs.  Results land in ``benchmarks/results/BENCH_trace.json``.
 """
 
-import os
-
-from common import (best_of_paired, format_table, write_json_result,
-                    write_result)
+from common import (QUICK, Pedantic, best_of_paired, format_table,
+                    write_json_result, write_result)
 from repro import SimulationTool, set_telemetry_enabled
 from repro.telemetry import tracing
-
-QUICK = os.environ.get("BENCH_QUICK", "0").strip().lower() not in (
-    "", "0", "false", "no")
 
 NROUTERS = 16 if QUICK else 64
 MIN_REP_SECONDS = 0.1 if QUICK else 0.25
@@ -152,8 +147,4 @@ def test_trace_overhead(benchmark):
 
 
 if __name__ == "__main__":
-    class _Pedantic:
-        def pedantic(self, fn, rounds=1, iterations=1):
-            fn()
-
-    test_trace_overhead(_Pedantic())
+    test_trace_overhead(Pedantic())

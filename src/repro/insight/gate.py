@@ -24,8 +24,13 @@ What gets compared, per result entry (keyed by ``config`` /
 - **byte-determinism keys** (``report_sha256``) — gate at exact
   equality, no tolerance: determinism is not a statistic.
 - **context keys** (``quick``, ``nrouters``, ``batch``, ...) — must
-  match or the envelopes describe different workloads and the gate
+  match, and a key one side records and the other omits does not
+  match: the envelopes describe different workloads and the gate
   refuses to pretend they are comparable.
+
+An entry whose baseline carries a ratio metric must carry it in the
+candidate too, or the check is ``missing``: a lost ratio is not
+demoted to the rate metric's informational verdict.
 
 Baselines live as committed ``repro-bench-v1`` files under
 ``benchmarks/results/baselines/`` (same filename as the candidate);
@@ -171,11 +176,12 @@ def gate_bench(baseline, candidate, rel_tolerance=0.10, spread_k=3.0,
     checks = []
 
     for key in CONTEXT_KEYS:
-        if key in baseline and key in candidate \
-                and baseline[key] != candidate[key]:
+        if (key in baseline) != (key in candidate) \
+                or baseline.get(key) != candidate.get(key):
             checks.append({
                 "key": "envelope", "metric": key,
-                "baseline": baseline[key], "candidate": candidate[key],
+                "baseline": baseline.get(key),
+                "candidate": candidate.get(key),
                 "verdict": "context-mismatch"})
     for key in EXACT_KEYS:
         if key in baseline or key in candidate:
@@ -209,13 +215,17 @@ def gate_bench(baseline, candidate, rel_tolerance=0.10, spread_k=3.0,
                     "verdict": "exact-ok" if same
                     else "exact-mismatch"})
         metric = _ratio_metric(base)
-        if metric is not None and isinstance(
-                cand.get(metric), (int, float)):
-            checks.append(_compare(key, metric, base[metric],
-                                   cand[metric], lower_is_better=True,
-                                   spread=_spread(base, cand),
-                                   rel_tolerance=rel_tolerance,
-                                   spread_k=spread_k))
+        if metric is not None:
+            if isinstance(cand.get(metric), (int, float)):
+                checks.append(_compare(
+                    key, metric, base[metric], cand[metric],
+                    lower_is_better=True, spread=_spread(base, cand),
+                    rel_tolerance=rel_tolerance, spread_k=spread_k))
+            else:
+                checks.append({"key": key, "metric": metric,
+                               "baseline": base[metric],
+                               "candidate": cand.get(metric),
+                               "verdict": "missing"})
             continue
         metric = _rate_metric(base)
         if metric is not None and isinstance(

@@ -299,6 +299,28 @@ def test_gate_context_mismatch_refuses_comparison():
     assert result.failures[0]["metric"] == "nrouters"
 
 
+def test_gate_context_key_on_one_side_refuses_comparison():
+    # A quick baseline against a candidate that does not say whether
+    # it was quick: not the same workload as far as the gate can tell.
+    cand = _bench_env()
+    del cand["quick"]
+    result = gate_bench(_bench_env(), cand)
+    assert [(c["metric"], c["verdict"]) for c in result.failures] == [
+        ("quick", "context-mismatch")]
+
+
+def test_gate_lost_ratio_metric_is_missing():
+    # The entry kept its (10x lower) rate but lost the paired ratio
+    # the baseline gated it on: not demoted to info-only.
+    cand = _bench_env()
+    del cand["results"][1]["slowdown_vs_baseline"]
+    cand["results"][1]["cycles_per_sec"] = 0.098e6
+    result = gate_bench(_bench_env(), cand)
+    assert [(c["key"], c["metric"], c["verdict"])
+            for c in result.failures] == [
+        ("disabled", "slowdown_vs_baseline", "missing")]
+
+
 def test_gate_rate_metrics_info_only_unless_absolute():
     base = _bench_env()
     cand = _bench_env()
