@@ -24,13 +24,14 @@ the per-cycle sample is added.  This bench quantifies that on an RTL mesh:
 ``recorder`` and ``watchpoints`` are each paired with alternating
 reps against an ``off`` sim of their own (the honest way to resolve a
 5% difference under host-frequency drift), and each slowdown is that
-pair's ratio.
+pair's median per-rep ratio (``common.paired_entry``).
 ``BENCH_QUICK=1`` shrinks the mesh and rep lengths for CI smoke runs.
 Results land in ``benchmarks/results/BENCH_observe.json``.
 """
 
 from common import (QUICK, Pedantic, best_of_paired, build_jit_network,
-                    format_table, write_json_result, write_result)
+                    format_table, paired_entry, write_json_result,
+                    write_result)
 from repro import SimulationTool, set_telemetry_enabled
 from repro.observe import implies_within, rose, stable_for
 
@@ -114,7 +115,6 @@ def _paired(fn_a, fn_b):
 
 def test_observe_overhead(benchmark):
     entries = []
-    paired_off = {}     # config -> the off rate it was paired against
 
     def run_all():
         sim_off = _build_sim()
@@ -126,15 +126,13 @@ def test_observe_overhead(benchmark):
         assert sim_rec.sched_info()["kernel"] is True
 
         pt = _paired(sim_off.run, sim_rec.run)
-        ncycles, off_cps, rec_cps = pt.ncycles, pt.cps_a, pt.cps_b
-        assert recorder.nsamples >= ncycles
-        entries.append({"config": "off", "cycles": ncycles,
-                        "cycles_per_sec": off_cps})
-        entries.append({"config": "recorder", "cycles": ncycles,
-                        "cycles_per_sec": rec_cps,
-                        "signals": len(recorder.signal_names),
-                        "pair_spread": pt.pair_spread,
-                        "depth": DEPTH})
+        assert recorder.nsamples >= pt.ncycles
+        entries.append({"config": "off", "cycles": pt.ncycles,
+                        "cycles_per_sec": pt.cps_a})
+        entries.append(paired_entry(
+            "recorder", "off", pt, cycles=pt.ncycles,
+            cycles_per_sec=pt.cps_b,
+            signals=len(recorder.signal_names), depth=DEPTH))
 
         sim_wp = _build_sim()
         sim_wp.flight_recorder(signals=_recorder_signals(), depth=DEPTH)
@@ -147,10 +145,9 @@ def test_observe_overhead(benchmark):
             name="grant-held")
         # Paired like the recorder, against a fresh uninstrumented sim.
         wpt = _paired(_build_sim().run, sim_wp.run)
-        paired_off["watchpoints"] = wpt.cps_a
-        entries.append({"config": "watchpoints", "cycles": wpt.ncycles,
-                        "cycles_per_sec": wpt.cps_b, "n_watchpoints": 3,
-                        "pair_spread": wpt.pair_spread})
+        entries.append(paired_entry(
+            "watchpoints", "off", wpt, cycles=wpt.ncycles,
+            cycles_per_sec=wpt.cps_b, n_watchpoints=3))
 
         # Compiled substrate: the identical recorder lowered into the
         # SimJIT kernel, paired against the uninstrumented C rate.
@@ -161,35 +158,21 @@ def test_observe_overhead(benchmark):
         assert jit_rec._cidx is not None, \
             "recorder did not compile into the SimJIT kernel"
         jpt = _paired(sim_joff.run, sim_jrec.run)
-        jcycles, joff_cps, jrec_cps = jpt.ncycles, jpt.cps_a, jpt.cps_b
-        assert jit_rec.nsamples >= jcycles
-        entries.append({"config": "jit_off", "cycles": jcycles,
-                        "cycles_per_sec": joff_cps})
-        entries.append({"config": "jit_recorder", "cycles": jcycles,
-                        "cycles_per_sec": jrec_cps,
-                        "signals": len(jit_rec.signal_names),
-                        "pair_spread": jpt.pair_spread,
-                        "depth": DEPTH})
+        assert jit_rec.nsamples >= jpt.ncycles
+        entries.append({"config": "jit_off", "cycles": jpt.ncycles,
+                        "cycles_per_sec": jpt.cps_a})
+        entries.append(paired_entry(
+            "jit_recorder", "jit_off", jpt, cycles=jpt.ncycles,
+            cycles_per_sec=jpt.cps_b,
+            signals=len(jit_rec.signal_names), depth=DEPTH))
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     by_config = {e["config"]: e for e in entries}
-    base = by_config["off"]["cycles_per_sec"]
-    jit_base = by_config["jit_off"]["cycles_per_sec"]
-    rows = []
-    for entry in entries:
-        # Each substrate compares against its own uninstrumented rate.
-        if entry["config"].startswith("jit_"):
-            slowdown = jit_base / entry["cycles_per_sec"]
-            entry["slowdown_vs_jit_off"] = slowdown
-        else:
-            slowdown = (paired_off.get(entry["config"], base)
-                        / entry["cycles_per_sec"])
-            entry["slowdown_vs_off"] = slowdown
-        rows.append([
-            entry["config"], entry["cycles"],
-            f"{entry['cycles_per_sec']:.0f}", f"{slowdown:.3f}x",
-        ])
+    # Each substrate compares against its own uninstrumented rate.
+    rows = [[e["config"], e["cycles"], f"{e['cycles_per_sec']:.0f}",
+             f"{e.get('slowdown_vs_' + e.get('base', ''), 1.0):.3f}x"]
+            for e in entries]
 
     text = format_table(
         f"Observe overhead ({NROUTERS}-router RTL mesh, "

@@ -30,16 +30,18 @@ kernel) that removes the old 850x cliff:
 
 Every asserted comparison comes from *paired, order-alternating*
 timings at *equal cycle counts* — the only honest way to resolve
-small ratios under host frequency drift.  The compiled configs are
-asserted to stay under ``MAX_SLOWDOWN`` (2x full, 3x quick) of the
-jit baseline; the old hook path measured 850-1350x.  ``BENCH_QUICK=1``
+small ratios under host frequency drift — and is the median of the
+per-rep ratios (``common.paired_entry``), not a ratio of best-of
+rates.  The compiled configs are asserted to stay under
+``MAX_SLOWDOWN`` (2x full, 3x quick) of the jit baseline; the old hook
+path measured 850-1350x.  ``BENCH_QUICK=1``
 shrinks the mesh and budgets for CI smoke runs.  Results land in
 ``benchmarks/results/BENCH_telemetry.json``.
 """
 
 from common import (QUICK, Pedantic, best_of, best_of_paired,
-                    build_jit_network, format_table, write_json_result,
-                    write_result)
+                    build_jit_network, format_table, paired_entry,
+                    write_json_result, write_result)
 from repro import SimulationTool, set_telemetry_enabled
 from repro.net import MeshNetworkStructural, RouterRTL
 
@@ -137,16 +139,11 @@ def test_telemetry_overhead(benchmark):
         # Interpreted pair: the disabled-telemetry contract.
         baseline_fn, disabled_fn = _kernel_pair()
         pt = _paired(baseline_fn, disabled_fn)
-        ncycles, base_cps, dis_cps = pt.ncycles, pt.cps_a, pt.cps_b
-        entries.append({"config": "baseline", "cycles": ncycles,
-                        "cycles_per_sec": base_cps,
-                        "slowdown_vs_baseline": 1.0,
-                        "equal_cycles": True})
-        entries.append({"config": "disabled", "cycles": ncycles,
-                        "cycles_per_sec": dis_cps,
-                        "slowdown_vs_baseline": base_cps / dis_cps,
-                        "pair_spread": pt.pair_spread,
-                        "equal_cycles": True})
+        entries.append({"config": "baseline", "cycles": pt.ncycles,
+                        "cycles_per_sec": pt.cps_a, "equal_cycles": True})
+        entries.append(paired_entry(
+            "disabled", "baseline", pt, cycles=pt.ncycles,
+            cycles_per_sec=pt.cps_b, equal_cycles=True))
 
         # Compiled pairs: each instrumented config against its own
         # freshly-timed uninstrumented SimJIT baseline, same cycles.
@@ -173,20 +170,14 @@ def test_telemetry_overhead(benchmark):
                              ("trace", trace_cfg),
                              ("recorder12", recorder_cfg)):
             pt = _paired(jit_fn, make())
-            ncycles, jit_cps, cfg_cps = pt.ncycles, pt.cps_a, pt.cps_b
             if first:
                 entries.append({
-                    "config": "jit_baseline", "cycles": ncycles,
-                    "cycles_per_sec": jit_cps,
-                    "slowdown_vs_jit_baseline": 1.0,
-                    "equal_cycles": True})
+                    "config": "jit_baseline", "cycles": pt.ncycles,
+                    "cycles_per_sec": pt.cps_a, "equal_cycles": True})
                 first = False
-            entries.append({
-                "config": config, "cycles": ncycles,
-                "cycles_per_sec": cfg_cps,
-                "slowdown_vs_jit_baseline": jit_cps / cfg_cps,
-                "pair_spread": pt.pair_spread,
-                "equal_cycles": True})
+            entries.append(paired_entry(
+                config, "jit_baseline", pt, cycles=pt.ncycles,
+                cycles_per_sec=pt.cps_b, equal_cycles=True))
 
         # Profile runs the same step with every block timed; its own
         # cycle count.
@@ -205,8 +196,8 @@ def test_telemetry_overhead(benchmark):
     by_config = {e["config"]: e for e in entries}
     rows = []
     for entry in entries:
-        slow = (entry.get("slowdown_vs_jit_baseline")
-                or entry.get("slowdown_vs_baseline"))
+        slow = entry.get(f"slowdown_vs_{entry.get('base')}",
+                         1.0 if entry["equal_cycles"] else None)
         rows.append([
             entry["config"], entry["cycles"],
             f"{entry['cycles_per_sec']:.0f}",

@@ -16,7 +16,8 @@ The tracer's contract (:mod:`repro.telemetry.tracing`) is two-sided:
 
 Both comparisons use paired order-alternating reps (the idiom of
 ``bench_observe_overhead``) against a plain one-``run()``-call
-baseline on the same mesh; the armed/disarmed workloads split the
+baseline on the same mesh, and read the median per-rep ratio
+(``common.paired_entry``); the armed/disarmed workloads split the
 run into ``BATCH``-cycle ``run()`` calls — the worst realistic case
 for per-call overhead (a fleet task calls ``run`` in far larger
 batches).  ``BENCH_QUICK=1`` shrinks the mesh and budgets for CI
@@ -24,7 +25,7 @@ smoke runs.  Results land in ``benchmarks/results/BENCH_trace.json``.
 """
 
 from common import (QUICK, Pedantic, best_of_paired, format_table,
-                    write_json_result, write_result)
+                    paired_entry, write_json_result, write_result)
 from repro import SimulationTool, set_telemetry_enabled
 from repro.telemetry import tracing
 
@@ -89,13 +90,11 @@ def test_trace_overhead(benchmark):
         sim_base = _build_sim()
         sim_dis = _build_sim()
         pt = _paired(sim_base.run, _batched(sim_dis))
-        ncycles, base_cps, dis_cps = pt.ncycles, pt.cps_a, pt.cps_b
-        entries.append({"config": "baseline", "cycles": ncycles,
-                        "cycles_per_sec": base_cps})
-        entries.append({"config": "disarmed", "cycles": ncycles,
-                        "cycles_per_sec": dis_cps, "batch": BATCH,
-                        "pair_spread": pt.pair_spread,
-                        "slowdown": base_cps / dis_cps})
+        entries.append({"config": "baseline", "cycles": pt.ncycles,
+                        "cycles_per_sec": pt.cps_a})
+        entries.append(paired_entry(
+            "disarmed", "baseline", pt, cycles=pt.ncycles,
+            cycles_per_sec=pt.cps_b, batch=BATCH))
 
         # Armed: same batched shape with a live tracer recording one
         # sim.run span per batch into the ring buffer.
@@ -106,25 +105,23 @@ def test_trace_overhead(benchmark):
             pt2 = _paired(sim_base2.run, _batched(sim_arm))
         finally:
             tracing.disarm()
-        ncycles2, base2_cps, arm_cps = pt2.ncycles, pt2.cps_a, pt2.cps_b
         # The armed run really recorded (ring may have evicted the
         # oldest, hence >= via dropped + retained).
         nspans = len(tracer) + tracer.dropped
-        assert nspans >= ncycles2 // BATCH, \
+        assert nspans >= pt2.ncycles // BATCH, \
             f"armed tracer recorded {nspans} spans"
-        entries.append({"config": "armed", "cycles": ncycles2,
-                        "cycles_per_sec": arm_cps, "batch": BATCH,
-                        "nspans": nspans,
-                        "pair_spread": pt2.pair_spread,
-                        "slowdown": base2_cps / arm_cps})
-        entries.append({"config": "baseline2", "cycles": ncycles2,
-                        "cycles_per_sec": base2_cps})
+        entries.append(paired_entry(
+            "armed", "baseline2", pt2, cycles=pt2.ncycles,
+            cycles_per_sec=pt2.cps_b, batch=BATCH, nspans=nspans))
+        entries.append({"config": "baseline2", "cycles": pt2.ncycles,
+                        "cycles_per_sec": pt2.cps_a})
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     by_config = {e["config"]: e for e in entries}
     rows = [[e["config"], e["cycles"], f"{e['cycles_per_sec']:.0f}",
-             f"{e.get('slowdown', 1.0):.4f}x"] for e in entries]
+             f"{e.get('slowdown_vs_' + e.get('base', ''), 1.0):.4f}x"]
+            for e in entries]
     text = format_table(
         f"Host-span tracing overhead ({NROUTERS}-router RTL mesh, "
         f"batch {BATCH})",
@@ -136,11 +133,11 @@ def test_trace_overhead(benchmark):
         "trace", entries, quick=QUICK, nrouters=NROUTERS, batch=BATCH,
         max_disarmed=MAX_DISARMED, max_armed=MAX_ARMED)
 
-    disarmed = by_config["disarmed"]["slowdown"]
+    disarmed = by_config["disarmed"]["slowdown_vs_baseline"]
     assert disarmed < 1.0 + MAX_DISARMED, (
         f"disarmed tracing costs {(disarmed - 1) * 100:.2f}% "
         f"(budget {MAX_DISARMED * 100:.0f}%)")
-    armed = by_config["armed"]["slowdown"]
+    armed = by_config["armed"]["slowdown_vs_baseline2"]
     assert armed < 1.0 + MAX_ARMED, (
         f"armed host-span tracing costs {(armed - 1) * 100:.2f}% "
         f"(budget {MAX_ARMED * 100:.0f}%)")

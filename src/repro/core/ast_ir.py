@@ -101,9 +101,9 @@ class SigRead:
     #: ``int(...)``), ``"bits"`` (``.value``, so arithmetic wraps at the
     #: operand's width), ``"sig"`` (the bare signal or slice: ``Bits``
     #: arithmetic, but no ``//``, ``%`` or unary ``-``) or ``"struct"``
-    #: (a ``BitStruct`` instance: no arithmetic at all).  See
-    #: :func:`infer_types`; the C and Verilog printers compute wide and
-    #: ignore it.
+    #: (a ``BitStruct`` instance: no arithmetic at all).
+    #: :func:`infer_types` uses it up: the printers read the ``Wrap``
+    #: nodes it leaves, never this.
     vtype: str = "int"
 
 
@@ -156,6 +156,15 @@ class Concat:
     """Verilog-style concatenation: parts MSB-first, each (expr, width)."""
 
     parts: list
+
+
+@dataclass
+class Wrap:
+    """``expr`` modulo ``2**width``: where ``Bits`` arithmetic wraps
+    (:func:`infer_types` puts it there).  Every printer prints a mask."""
+
+    expr: object
+    width: int
 
 
 # -- statement nodes --------------------------------------------------------------
@@ -229,8 +238,8 @@ class BlockIR:
     #: ``id(expression node) -> None | N`` for a node the source passed
     #: through ``int()`` / ``.uint()`` (a Python int from there on) or
     #: ``zext`` / ``sext`` (``Bits(N)``) — the value is unchanged, so
-    #: only :func:`infer_types` reads it.  Reads record the same fact
-    #: in ``SigRead.vtype``.
+    #: only :func:`infer_types` reads it, and uses it up.  Reads record
+    #: the same fact in ``SigRead.vtype``.
     casts: dict = field(default_factory=dict)
 
 
@@ -1060,64 +1069,56 @@ def _join_envs(*envs):
     return out
 
 
-def cast_type(casts, node, ty):
-    """The type a consumer of ``node`` sees, given the type ``ty`` it
-    computes at: ``BlockIR.casts`` on top of it."""
-    if id(node) not in casts:
-        return ty
-    width = casts[id(node)]
-    return INT if width is None else Ty("bits", width)
+def infer_types(ir, hole_of):
+    """Make ``ir`` ``Bits``-exact, in place, and return it.
 
-
-def infer_types(ir):
-    """``{id(node): Ty}`` for every expression of ``ir``, by the rules
-    of ``Bits`` (``core/bits.py``): a binary operator's result is as
-    wide as its wider ``Bits`` operand, with an int operand masked to
-    the ``Bits`` operand's width first; ``<<`` and ``>>`` keep the left
-    width; ``~`` and unary ``-`` keep the operand's; comparisons,
-    ``not`` and ``and`` / ``or`` over ints are ints.  Locals are typed
-    flow-sensitively (joined at ``if`` merges and loop heads).  What
-    only consumes the unsigned value — a comparison, a truth test, an
-    index, a signal write, ``int()`` — accepts any type; arithmetic on
-    an ``ambig`` value, and what raises ``TypeError`` in Python
-    (``int // Bits``, ``int << Bits``, ``-signal``, ``signal % n``,
-    anything on a ``BitStruct``), raises :class:`TypeUndecided`.
-
-    Backend-neutral: a printer that wants ``Bits``-exact values masks
-    at ``types[id(node)].width`` wherever the kind is ``bits``.  That
-    is the type a node *computes at*; what consumes it sees
-    ``ir.casts`` on top (:func:`cast_type`)."""
-    typer = _Typer(ir)
+    The types first, by the rules of ``Bits`` (``core/bits.py``): a
+    binary operator's result is as wide as its wider ``Bits`` operand,
+    with an int operand masked to the ``Bits`` operand's width first;
+    ``<<`` and ``>>`` keep the left width; ``~`` and unary ``-`` keep
+    the operand's; comparisons, ``not``, ``and`` / ``or`` over ints and
+    CL state are ints.  Locals are typed flow-sensitively (joined at
+    ``if`` merges and loop heads).  What only consumes the unsigned
+    value (a comparison, a truth test, an index, a signal write,
+    ``int()``) accepts any type; arithmetic on an ``ambig`` value, and
+    what raises ``TypeError`` in Python (``int // Bits``, ``-signal``,
+    anything on a ``BitStruct``...), raises :class:`TypeUndecided`.
+    Once they settle, a :class:`Wrap` goes wherever ``Bits`` wraps
+    (:meth:`_Typer.wrap`), except into a signal write no wider: no
+    printer decides a width.  ``hole_of`` names (by ``id``) the
+    ``Const`` leaves a sibling may fill with another value."""
+    typer = _Typer(ir, hole_of)
     typer.stmts(ir.body)
-    return typer.types
+    for node in walk_stmts(ir.body):
+        typer.exact(node)
+        if isinstance(node, AssignSig):
+            node.expr = _absorb(node.expr, node.ref.width)
+    return ir
 
 
 class _Typer:
-    def __init__(self, ir):
+    def __init__(self, ir, hole_of):
         self.casts = ir.casts
+        self.hole_of = hole_of
         self.types = {}
         self.env = {}              # scalar local -> Ty
         self.exits = []            # per enclosing loop: envs at break/continue
+        self.done = {}             # id(node) -> (node, its rewrite)
 
     def stmts(self, body):
         for stmt in body:
             self.stmt(stmt)
 
     def stmt(self, node):
-        if isinstance(node, AssignSig):
-            self.expr(node.expr)
-            if node.ref.index is not None:
-                self.expr(node.ref.index)
-        elif isinstance(node, AssignLocal):
-            ty = self.expr(node.expr)
-            if node.index is None:
-                self.env[node.name] = ty
-            else:
-                self.expr(node.index)
-                if ty != INT:
-                    raise TypeUndecided(
-                        f"local array {node.name!r} is given a "
-                        f"{ty.kind} value (array elements are ints)")
+        if isinstance(node, AssignLocal) and node.index is None:
+            self.env[node.name] = self.expr(node.expr)
+        elif isinstance(node, (AssignLocal, AssignSig, AssignState)):
+            ty = [self.expr(holder[key])
+                  for holder, key in _operands(node)][-1]
+            if isinstance(node, AssignLocal) and ty != INT:
+                raise TypeUndecided(
+                    f"local array {node.name!r} is given a "
+                    f"{ty.kind} value (array elements are ints)")
         elif isinstance(node, If):
             self.cond(node.cond)
             before = dict(self.env)
@@ -1139,8 +1140,6 @@ class _Typer:
             self.env = entry
         elif isinstance(node, (Break, Continue)):
             self.exits[-1].append(dict(self.env))
-        elif isinstance(node, AssignState):
-            raise TypeUndecided("plain-attribute state (CL)")
 
     def cond(self, node):
         if self.expr(node).kind == "struct":
@@ -1148,19 +1147,24 @@ class _Typer:
 
     def expr(self, node):
         ty = self.types[id(node)] = self._expr(node)
-        if id(node) in self.casts:
-            if 0 < (self.casts[id(node)] or 0) < ty.width:
-                raise TypeUndecided("zext target narrower than source")
-            ty = cast_type(self.casts, node, ty)
-        return ty
+        if 0 < (self.casts.get(id(node)) or 0) < ty.width:
+            raise TypeUndecided("zext target narrower than source")
+        return self.seen(node)
+
+    def seen(self, node):
+        """The type a consumer of ``node`` sees: ``casts`` on top."""
+        if id(node) not in self.casts:
+            return self.types[id(node)]
+        width = self.casts[id(node)]
+        return INT if width is None else Ty("bits", width)
 
     def _expr(self, node):
         if isinstance(node, Const):
             return INT
-        if isinstance(node, SigRead):
+        if isinstance(node, (SigRead, StateRead)):
             if node.ref.index is not None:
                 self.expr(node.ref.index)
-            return INT if node.vtype == "int" \
+            return INT if getattr(node, "vtype", "int") == "int" \
                 else Ty(node.vtype, node.ref.width)
         if isinstance(node, LocalRead):
             if node.index is not None:
@@ -1203,6 +1207,99 @@ class _Typer:
                 self.expr(part)
             return Ty("bits", sum(width for _, width in node.parts))
         raise TypeUndecided(f"{type(node).__name__} has no Python type")
+
+    # -- the rewrite, once the types settle -----------------------------------
+
+    def exact(self, node):
+        """``node`` made ``Bits``-exact: rewritten in place, or a new node
+        around it, once (an ``and`` / ``or`` value shares its operands)."""
+        if id(node) not in self.done:
+            sides = isinstance(node, BinOp) and [
+                (kid, self.seen(kid)) for kid in (node.left, node.right)]
+            for holder, key in _operands(node):
+                holder[key] = self.exact(holder[key])
+            self.done[id(node)] = node, (
+                self.wrap(node, sides)
+                if isinstance(node, (BinOp, UnOp)) else node)
+        return self.done[id(node)][1]
+
+    def literal(self, node, width=128):
+        """Whether ``node`` is a ``Const`` no sibling fills with another
+        value (not a hole) in ``[0, 2**width)``."""
+        return (isinstance(node, Const) and id(node) not in self.hole_of
+                and 0 <= node.value < 1 << width)
+
+    def wrap(self, node, sides):
+        """``+ - *``, ``~``, unary ``-``, ``<<`` (by a literal at or past
+        the width, ``0``; by any other amount, tested: C's ``<<`` past
+        its width is undefined) and ``| ^`` with an int operand other
+        than a literal in range wrap.  ``sides``: a ``BinOp``'s operands
+        as the source has them, each with the type its consumer sees."""
+        ty, op = self.types[id(node)], node.op
+        if op in ("//", "%"):
+            return self.divide(node, sides)
+        if ty.kind != "bits" or op in ("&", ">>") or op in ("|", "^") and all(
+                seen.kind != "int" or self.literal(kid, ty.width)
+                for kid, seen in sides):
+            return node
+        if op != "<<" or self.literal(node.right, ty.width):
+            return Wrap(node, ty.width)
+        if self.literal(node.right):
+            return Const(0)
+        return IfExp(Cmp("<", node.right, Const(ty.width)),
+                     Wrap(node, ty.width), Const(0))
+
+    def divide(self, node, sides):
+        """``//`` / ``%``: an int operand of a ``Bits`` one is masked to
+        its width.  With an operand 64 bits or wider (a read, or ``Bits``
+        seen at that width), both must be non-negative reads, wraps or
+        literals, which C divides as ``u128``."""
+        (_, lseen), (_, rseen) = sides
+        if lseen.kind == "bits" and rseen.kind == "int" \
+                and not self.literal(node.right, lseen.width):
+            node.right = Wrap(node.right, lseen.width)
+        widths = [kid.ref.width if isinstance(kid, SigRead) else seen.width
+                  for kid, seen in sides]
+        if max(widths) >= 64:
+            node.left, node.right = map(self.unsigned, (node.left, node.right),
+                                        sides, widths)
+        return node
+
+    def unsigned(self, node, side, width):
+        """Operand ``node`` of a wide ``//`` / ``%`` as a non-negative
+        read, wrap or literal."""
+        if isinstance(node, (SigRead, Wrap)) or self.literal(node):
+            return node
+        if side[1].kind == "int":
+            raise TypeUndecided("// or % of a value 64 bits or wider by an "
+                                "int that may be negative")
+        return Wrap(node, width)
+
+
+def _operands(node):
+    """Where ``node`` holds each expression it reads directly:
+    ``holder[key]``."""
+    ref = getattr(node, "ref", None)
+    slots = [(vars(ref), "index")] if getattr(ref, "index", None) else []
+    slots += [(vars(node), key) for key in ("index", "left", "right",
+                                            "operand", "cond", "then",
+                                            "orelse", "expr")
+              if type(getattr(node, key, None)) not in (list, type(None))]
+    slots += [(node.values, i) for i in range(len(getattr(node, "values",
+                                                          ())))]
+    return slots + [slot for part, _ in getattr(node, "parts", ())
+                    for slot in _operands(part)]
+
+
+def _absorb(node, width):
+    """``node`` as a signal write ``width`` bits wide stores it: a wrap
+    no narrower than the write is the write's own truncation."""
+    if isinstance(node, Wrap) and width <= node.width:
+        return node.expr
+    if isinstance(node, IfExp):
+        return IfExp(node.cond, *(_absorb(arm, width)
+                                  for arm in (node.then, node.orelse)))
+    return node
 
 
 def _binop_type(op, left, right):

@@ -10,13 +10,14 @@ func)`` returning ``(guards, holes)``; a sibling whose guards evaluate
 equal is an instance of the same body with its own holes, one whose
 guards differ is lowered afresh as a second body.  It asks no level.
 
-A body is backend-neutral: printed from the one ``BlockIR`` when it is
-made, it carries ``python``, the function :mod:`.pygen` prints (or
-``refused``, why not: ``TypeUndecided`` or a reserved name, decided for
-every sibling the guards admit), ``c``, the template
-:func:`~.simjit.cgen.c_template` prints with which hole fills each C
-hole, ``reads`` / ``writes``, the holes the block reads and writes, and
-``folded``, whether a read indexes a list by an expression the
+A body is backend-neutral: printed from the one ``BlockIR``, made
+``Bits``-exact by :func:`~.ast_ir.infer_types` when the body is made,
+it carries ``python``, the function :mod:`.pygen` prints (or
+``refused``, why not: a reserved name, or ``TypeUndecided``, which
+leaves no ``c`` either; decided for every sibling the guards admit),
+``c``, the template :func:`~.simjit.cgen.c_template` prints with which
+hole fills each C hole, ``reads`` / ``writes``, the holes the block
+reads and writes, and ``folded``, whether a read indexes a list by an expression the
 lowering folded to a constant (the block's closure evaluates it anew
 on every run).
 A constant the source and the guards fix is not a hole: it is printed
@@ -39,7 +40,7 @@ import re
 import weakref
 
 from .ast_ir import (BlockTranslator, Const, StateRef, TranslationError,
-                     TypeUndecided, block_kind)
+                     TypeUndecided, block_kind, infer_types)
 from .pygen import Refused, print_function
 from .simjit.cgen import c_template
 
@@ -242,8 +243,9 @@ def _new_body(blk, translator, ir, bind):
     (the bind raises): the next sibling is tried on its own."""
     func = blk.func
     bind_lines, hole_of, expected = bind
-    refused = None
+    refused = typed = None
     try:
+        typed = infer_types(ir, hole_of)
         func_lines = print_function(ir, func, hole_of, len(expected))
     except (TypeUndecided, Refused) as exc:
         refused = str(exc)
@@ -257,7 +259,7 @@ def _new_body(blk, translator, ir, bind):
     exec(compile(source, body.filename, "exec"), namespace)
     body.python = namespace.get(func.__name__)
     body.bind = namespace["_bind"]
-    body.c = CBody(*c_template(ir, hole_of))
+    body.c = typed and CBody(*c_template(ir, hole_of))
     body.reads = tuple(hole_of[id(ref)] for ref in ir.sig_reads)
     body.writes = tuple(hole_of[id(ref)] for ref in ir.sig_writes)
     folded = {hole_of[id(leaf)] for leaf, node, dyn_at in translator.holes
@@ -273,7 +275,7 @@ def _new_body(blk, translator, ir, bind):
     body.gtypes = tuple(map(type, body.guards))
     if not all(map(_same, holes, expected)):
         body.refused = "bind does not reproduce the lowering (a hole differs)"
-        body.python = body.c = None
+        body.python = body.c = body.reads = None
     if body.python is not None:
         linecache.cache[body.filename] = (
             len(source), None, source.splitlines(True), body.filename)
@@ -304,11 +306,12 @@ def body_or_why(blk):
 
 def lowered(blk, irs):
     """``(body, holes, ir, hole_of)``: :func:`body_of` of ``blk`` and
-    its body's ``BlockIR``, whose leaves ``hole_of`` maps (by ``id``) to
-    holes.  ``irs`` is the caller's ``{body: (ir, hole_of)}``: a body
-    not in it is lowered from ``blk`` once (a new one from that same
-    lowering) and entered.  An IR holds its instance's signals, so this
-    module keeps none."""
+    its body's ``Bits``-exact ``BlockIR`` (:class:`Refused` if its types
+    are undecided), whose leaves ``hole_of`` maps (by ``id``) to holes.
+    ``irs`` is the caller's ``{body: (ir, hole_of)}``: a body not in it
+    is lowered from ``blk`` once (a new one from that same lowering) and
+    entered.  An IR holds its instance's signals, so this module keeps
+    none."""
     body, holes = _body(blk, irs)
     return (body, holes, *irs[body])
 
@@ -331,15 +334,17 @@ def _body(blk, irs):
             break
     else:
         body = None
-    if body is None or irs is not None and body not in irs:
+    if body is None or irs is not None and body.c and body not in irs:
         translator = BlockTranslator(blk.model, func, block_kind(blk))
         ir = translator.translate()
         bind = _print_bind(translator)
         if body is None:
             body, holes = _new_body(blk, translator, ir, bind)
             bodies.append(body)
-        if irs is not None:
+        else:
+            infer_types(ir, bind[1])
+        if irs is not None and body.c:
             irs[body] = ir, bind[1]
-    if body.c is None:
+    if body.reads is None or irs is not None and not body.c:
         raise Refused(body.refused)
     return body, holes

@@ -20,8 +20,9 @@ two ``Bits`` allocations, every ``.value =`` a setter around
   writing the same net agree: last-writer-safe, a net pending from an
   earlier write keeps its entry, and the clock edge compares ``_next``
   to ``_value`` anyway;
-- arithmetic is masked exactly where ``Bits`` would wrap it, by the
-  types :func:`~.ast_ir.infer_types` gives each expression;
+- arithmetic is masked where the IR says ``Bits`` wraps it: a
+  ``Wrap`` node, put there once per body (:mod:`.bodies`), is ``(x &
+  mask)``;
 - a ``for`` of at most ``_MAX_TRIPS`` trips whose body has no ``break``
   / ``continue`` of its own and never assigns the variable prints
   unrolled (a body per trip, the variable a literal, then ``var =
@@ -39,10 +40,11 @@ as the function's parameters, and :func:`instantiate` gives each
 instance the same code object with its own holes as the parameter
 defaults.
 
-A block whose Python types cannot be decided (``TypeUndecided``) or
-that uses a name the printed function does (:class:`Refused`) keeps its
-closure; so does one outside the subset (``TranslationError``) and,
-by level, a ``tick_cl`` / ``tick_fl`` block: CL state has no form here.
+A block that uses a name the printed function does (:class:`Refused`)
+keeps its closure; so does one whose Python types cannot be decided
+(:mod:`.bodies` never prints it), one outside the subset
+(``TranslationError``) and, by level, a ``tick_cl`` / ``tick_fl``
+block: CL state has no form here.
 """
 
 from __future__ import annotations
@@ -67,8 +69,7 @@ from .ast_ir import (
     LocalRead,
     SigRead,
     UnOp,
-    cast_type,
-    infer_types,
+    Wrap,
     walk_stmts,
 )
 
@@ -91,9 +92,8 @@ def _mask(width):
 
 #: Names a block or one of its locals may not have: the printed
 #: function's own, and the builtins it and its bind call.
-_RESERVED = re.compile(r"_(h\d+|s\d+|v|n|r|j|sf|tf|notify|pending|bind)$"
+_RESERVED = re.compile(r"_(h\d+|v|n|r|j|sf|tf|notify|pending|bind)$"
                        r"|(len|type|tuple|range)$")
-_SIMPLE = re.compile(r"[\w.]+$")
 
 #: A ``for`` of at most this many trips prints unrolled ...
 _MAX_TRIPS = 8
@@ -130,12 +130,9 @@ class _Printer:
     value is stored without a mask.  ``consts`` holds the variables of
     the unrolled loops being printed, each at its value in this copy."""
 
-    def __init__(self, ir, types, hole_of):
-        self.ir = ir
-        self.types = types
+    def __init__(self, hole_of):
         self.hole_of = hole_of
         self.lines = []
-        self.ntemps = 0
         self.consts = {}
         self.unrolling = False
 
@@ -161,20 +158,12 @@ class _Printer:
 
     # -- expressions ----------------------------------------------------------
 
-    def seen(self, node):
-        return cast_type(self.ir.casts, node, self.types[id(node)])
-
-    def literal(self, node):
-        """The value of a ``Const`` or unrolled loop variable printed as
-        a literal, else None."""
-        if isinstance(node, Const) and id(node) not in self.hole_of:
-            return node.value
-        if isinstance(node, LocalRead) and node.index is None:
-            return self.consts.get(node.name)
-        return None
-
     def expr(self, node):
-        value = self.literal(node)
+        value = None            # a literal: a Const, or an unrolled loop's var
+        if isinstance(node, Const) and id(node) not in self.hole_of:
+            value = node.value
+        elif isinstance(node, LocalRead) and node.index is None:
+            value = self.consts.get(node.name)
         if value is not None:
             if value < 0:
                 return f"({value})", None
@@ -188,17 +177,18 @@ class _Printer:
                 return f"{node.name}[{self.expr(node.index)[0]}]", None
             return node.name, None
         if isinstance(node, BinOp):
-            return self.binop(node)
+            (left, lbound), (right, rbound) = map(self.expr,
+                                                  (node.left, node.right))
+            bounds = [b for b in (lbound, rbound) if b is not None]
+            return f"({left} {node.op} {right})", (
+                lbound if node.op == ">>" else
+                min(bounds, default=None) if node.op == "&" else None)
+        if isinstance(node, Wrap):
+            return (f"({self.expr(node.expr)[0]} & {_mask(node.width)})",
+                    node.width)
         if isinstance(node, UnOp):
-            text, _ = self.expr(node.operand)
-            if node.op == "!":
-                return f"(not {text})", None
-            ty = self.types[id(node)]
-            if ty.kind != "bits":
-                return f"({node.op}{text})", None
-            if node.op == "~":
-                return f"({text} ^ {_mask(ty.width)})", ty.width
-            return f"(-{text} & {_mask(ty.width)})", ty.width
+            text = self.expr(node.operand)[0]
+            return f"({'not ' if node.op == '!' else node.op}{text})", None
         if isinstance(node, Cmp):
             return (f"({self.expr(node.left)[0]} {node.op} "
                     f"{self.expr(node.right)[0]})"), None
@@ -220,62 +210,6 @@ class _Printer:
                 parts.append(f"({text} << {shift})" if shift else text)
             return f"({' | '.join(parts)})", total
         raise Refused(f"no Python form for {type(node).__name__}")
-
-    def binop(self, node):
-        op = node.op
-        (left, lbound), (right, rbound) = (self.expr(node.left),
-                                           self.expr(node.right))
-        ty = self.types[id(node)]
-        if ty.kind != "bits":
-            # Plain ints: Python's own arithmetic.
-            bound = None
-            if op == "&":
-                bound = min((b for b in (lbound, rbound) if b is not None),
-                            default=None)
-            elif op == ">>":
-                bound = lbound
-            return f"({left} {op} {right})", bound
-        lty, rty = self.seen(node.left), self.seen(node.right)
-        width = ty.width
-        if op in ("//", "%"):
-            if rty.kind == "int":
-                right = self.masked(node.right, right, lty.width)
-            return f"({left} {op} {right})", width
-        if op == ">>":
-            return f"({left} >> {right})", width
-        if op == "<<":
-            # Bits.__lshift__: 0 once the amount reaches the width.
-            by = self.literal(node.right)
-            if by is not None and by >= width:
-                return "0", 0
-            if by is not None and by >= 0:
-                return f"(({left} << {by}) & {_mask(width)})", width
-            test = right
-            if not _SIMPLE.match(right):
-                right = f"_s{self.ntemps}"
-                self.ntemps += 1
-                test = f"({right} := {test})"
-            return (f"((({left} << {right}) & {_mask(width)}) "
-                    f"if {test} < {width} else 0)"), width
-        # Ring operators.  An int operand is masked to the Bits
-        # operand's width first, which the mask of the result makes
-        # redundant; & cannot widen, | and ^ only by an int operand.
-        wrap = op in ("+", "-", "*")
-        if op in ("|", "^"):
-            for sub, sty in ((node.left, lty), (node.right, rty)):
-                value = self.literal(sub)
-                if sty.kind == "int" and not (
-                        value is not None and 0 <= value < 1 << width):
-                    wrap = True
-        if wrap:
-            return f"(({left} {op} {right}) & {_mask(width)})", width
-        return f"({left} {op} {right})", width
-
-    def masked(self, node, text, width):
-        value = self.literal(node)
-        if value is not None:
-            return str(value & ((1 << width) - 1))
-        return f"({text} & {_mask(width)})"
 
     # -- statements -----------------------------------------------------------
 
@@ -390,14 +324,13 @@ def print_function(ir, func, hole_of, nholes):
     """Source lines of ``ir`` (block ``func``'s lowering) as a function
     of ``_h0`` .. (``hole_of``: ``id`` of an IR leaf -> its hole),
     ``_notify``, ``_pending``, ``_sf`` and ``_tf``; raises
-    :class:`Refused` or ``TypeUndecided`` where the block keeps its
-    closure."""
-    types = infer_types(ir)
+    :class:`Refused` where the block keeps its closure.  ``ir`` is
+    ``Bits``-exact already: its ``Wrap`` nodes say where to mask."""
     for name in (func.__name__, *ir.locals):
         if _RESERVED.match(name):
             raise Refused(f"the block's name {name!r} is one the "
                           f"lowered function uses")
-    printer = _Printer(ir, types, hole_of)
+    printer = _Printer(hole_of)
     printer.block(ir.body, 4)
     code = func.__code__
     doc = (f"lowered from {code.co_filename}:{code.co_firstlineno} "

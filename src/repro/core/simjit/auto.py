@@ -135,15 +135,15 @@ def _first_refusal(ticks, combs, allowed_levels):
     descendants are lowered.  Then every block is asked for its body
     (:mod:`repro.core.bodies`) — the one its specializer binds to, so
     a block body is lowered once, whoever asks again — and refuses the
-    subtree where it has none."""
+    subtree where it has none, or one with no C (undecided types)."""
     for blk in ticks:
         if blk.level not in allowed_levels:
             return blk, (f"level '{blk.level}'; "
                          f"allowed: {sorted(allowed_levels)}")
     for blk in ticks + combs:
         answer = bodies.body_or_why(blk)
-        if isinstance(answer, str):
-            return blk, answer
+        if isinstance(answer, str) or answer[0].c is None:
+            return blk, _no_python(answer)
     return None
 
 

@@ -112,6 +112,7 @@ from ..ast_ir import (
     StateRead,
     TranslationError,
     UnOp,
+    Wrap,
 )
 
 C_PRELUDE = r"""
@@ -497,12 +498,16 @@ class _Template:
             return _lname(node.name)
         if isinstance(node, BinOp):
             left, right = self.expr(node.left), self.expr(node.right)
-            if node.op == "//":
-                return (f"py_floordiv((int64_t)({left}), "
-                        f"(int64_t)({right}))")
-            if node.op == "%":
-                return f"py_mod((int64_t)({left}), (int64_t)({right}))"
-            return f"({left} {node.op} {right})"
+            if node.op not in ("//", "%"):
+                return f"({left} {node.op} {right})"
+            if any(getattr(getattr(x, "ref", x), "width", 0) >= 64
+                   for x in (node.left, node.right)):
+                # Non-negative reads, wraps and literals (the IR's rule).
+                return f"((u128)({left}) {node.op[0]} (u128)({right}))"
+            return (f"{'py_floordiv' if node.op == '//' else 'py_mod'}"
+                    f"((int64_t)({left}), (int64_t)({right}))")
+        if isinstance(node, Wrap):
+            return f"(({self.expr(node.expr)}) & mask_of({node.width}))"
         if isinstance(node, UnOp):
             return f"({node.op}({self.expr(node.operand)}))"
         if isinstance(node, Cmp):

@@ -40,7 +40,8 @@ from typing import NamedTuple
 
 from ...telemetry import tracing
 from .. import bodies
-from ..ast_ir import AssignSig, BlockIR, SigRead, _sigref_from
+from ..ast_ir import (AssignSig, BlockIR, SigRead, TranslationError,
+                      _sigref_from)
 from ..elaboration import elaborate
 from ..model import MAX_LIST_DEPTH, Model
 from ..portbundle import PortBundle
@@ -657,12 +658,16 @@ class _Specializer:
     def _block(self, blk):
         """A block is an instance of its body
         (:mod:`repro.core.bodies`): one bind fills the body's C template
-        and names what the block reads and writes."""
+        and names what the block reads and writes.  A body whose types
+        are undecided has none: computed wide, it would differ."""
         try:
             body, holes = bodies.body_of(blk)
         except bodies.Refused as exc:
             raise SpecializationError(
                 f"{self.name} cannot specialize {blk.name}: {exc}") from None
+        if body.c is None:
+            raise TranslationError(f"{self.name} cannot specialize "
+                                   f"{blk.name}: {body.refused}")
         self._bodies.add(body)
         slot = self._slot_of
         row = [tuple(map(slot, hole)) if type(hole) is tuple

@@ -51,6 +51,7 @@ from .ast_ir import (
     StateRead,
     TranslationError,
     UnOp,
+    Wrap,
 )
 from .elaboration import elaborate, infer_driver
 from .signals import InPort, OutPort, Signal, _SignalSlice
@@ -581,6 +582,9 @@ class _VerilogBackend:
         if isinstance(node, BinOp):
             op = "/" if node.op == "//" else node.op
             return f"({self.expr(node.left)} {op} {self.expr(node.right)})"
+        if isinstance(node, Wrap):      # a sized mask: decimal is 32-bit
+            return (f"({self.expr(node.expr)} & "
+                    f"{node.width}'h{(1 << node.width) - 1:x})")
         if isinstance(node, UnOp):
             return f"({node.op}{self.expr(node.operand)})"
         if isinstance(node, Cmp):

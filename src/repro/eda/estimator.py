@@ -43,6 +43,7 @@ from ..core.ast_ir import (
     StateRead,
     TranslationError,
     UnOp,
+    Wrap,
 )
 from ..core.bodies import Refused, lowered, signals
 from ..core.elaboration import elaborate
@@ -256,6 +257,8 @@ def _expr_cost(node, consts):
             return ge_l + ge_r, max(d_l, d_r), width
         return (ge_l + ge_r + _op_ge(node.op, width),
                 max(d_l, d_r) + _op_levels(node.op, width), width)
+    if isinstance(node, Wrap):
+        return _expr_cost(node.expr, consts)      # truncation is wiring
     if isinstance(node, UnOp):
         ge, depth, width = _expr_cost(node.operand, consts)
         return ge + width * 0.5, depth + 1, width

@@ -30,7 +30,8 @@ value, which leaves every disagreement a bug:
   where C yields 0/1), a loop variable is not read after its loop
   (Python leaves the last value, C the bound), every local is
   initialised before the body, and reads go through ``.uint()``
-  (``Bits`` arithmetic wraps at the operand's width, C computes wide);
+  (``Bits`` arithmetic, which wraps at the operand's width, is the
+  *Bits* mode's);
 - the design is acyclic by construction, like
   ``test_scheduling._random_dag_source``: wire *i* reads the inputs,
   the registers and earlier wires; every combinational block writes its
@@ -39,24 +40,27 @@ value, which leaves every disagreement a bug:
 
 The *Bits* mode (``_BitsBody``) prints what that rule leaves out —
 ``Bits`` arithmetic on bare signals, ``.value`` reads and ``Bits``-typed
-locals, which wraps at the operand's width — over the three CPython
-columns (and the all-sensitive one): the closures define the value,
-the lowered kernel must reproduce it, and the C backend (which ignores ``SigRead.vtype`` and
-computes wide) is not asked until it adopts the flag (ROADMAP item 4).
+locals, which wraps at the operand's width, over signals up to 70 bits
+wide — over the three CPython columns, SimJIT and the all-sensitive
+one: the closures define the value, and the lowered kernel and the C
+must reproduce it from the one ``Bits``-exact IR.  C's locals are
+``int64_t``, so a value stored in a local is at most ``LOCAL_BITS``
+wide (masked there when it could be wider).
 
-Not here yet (ROADMAP item 1): CL state, signals wider than 64 bits,
-generated siblings that differ in a width (pinned cases are in
-``test_lowered_blocks.py``), ddmin over the statement list, and the
-Verilog column.
+Not here yet (ROADMAP item 12): CL state, generated siblings that
+differ in a width (pinned cases are in ``test_lowered_blocks.py``),
+ddmin over the statement list, and the Verilog column.
 """
 
 import random
 from dataclasses import dataclass
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationTool
+from repro.core.ast_ir import TranslationError
 from repro.core.probe import Probe
 from repro.core.simjit import JITModel, SimJITRTL, auto_specialize
 from tests.test_scheduling import all_sensitive, load_generated
@@ -68,7 +72,9 @@ _SETTINGS = _FUZZ if settings.default is _FUZZ else settings(
     derandomize=True, deadline=None, max_examples=12)
 
 WIDTHS = (1, 5, 13, 16, 33)
-BITS_WIDTHS = (1, 5, 8, 13, 33)
+BITS_WIDTHS = (1, 5, 8, 13, 33, 70)
+#: The widest value a ``Bits``-mode local holds (C's are ``int64_t``).
+LOCAL_BITS = 40
 NCYCLES = 30
 _CMPS = ("==", "!=", "<", "<=", ">", ">=")
 
@@ -259,12 +265,13 @@ class _Body:
 
 
 class _BitsBody(_Body):
-    """The ``Bits`` mode: what ``_Body`` leaves out because C computes
-    wide.  Operands are bare signals and slices, ``.value`` reads and
-    ``Bits``-typed locals, so ``+ - * << >> ~ -`` wrap at the operands'
-    width (1, 5, 8, 13 or 33 bits, and whatever a slice cuts out), and
-    the results go where their type matters: into wider targets,
-    comparisons, shift amounts, indices and further ``Bits``
+    """The ``Bits`` mode: what ``_Body`` leaves out, because there
+    Python's ints and C's must define the same value.  Operands are
+    bare signals and slices, ``.value`` reads and ``Bits``-typed
+    locals, so ``+ - * << >> ~ -`` wrap at the operands' width (1, 5,
+    8, 13, 33 or 70 bits, whatever a slice cuts out, up to 80 for a
+    ``zext``), and the results go where their type matters: into wider
+    targets, comparisons, shift amounts, indices and further ``Bits``
     arithmetic.
 
     Every expression is printed together with its Python type, because
@@ -327,10 +334,11 @@ class _BitsBody(_Body):
             pair = self.pick((left, text), (text, left))
             return f"({pair[0]} {self.pick(*'+-*&|^')} {pair[1]})"
         if kind == "int":           # ... or an int of any size and sign
+            signed = self.read(0, min(self.pick(*self.widths()), 64),
+                               ("bits",))[0]
             other = self.pick(
                 str(self.pick(1, 255, -1, -300, 1 << 33, self.upto(0, 999))),
-                self.intx(depth - 1)[0],
-                f"{self.read(0, None, ('bits',))[0]}.int()")
+                self.intx(depth - 1)[0], f"{signed}.int()")
             pair = self.pick((left, other), (other, left))
             return f"({pair[0]} {self.pick(*'+-*&|^')} {pair[1]})"
         if kind == "shift":
@@ -346,8 +354,9 @@ class _BitsBody(_Body):
         return f"({kind}{left})"
 
     def bitsy(self, depth, upto=None):
-        """Anything ``Bits``-valued at most ``upto`` bits wide."""
-        top = min(upto or 40, 40)
+        """Anything ``Bits``-valued at most ``upto`` (else 80) bits
+        wide."""
+        top = min(upto or 80, 80)
         kind = self.pick("sig", "bits", "concat") if depth else \
             self.pick("sig", "bits")
         if kind == "sig":
@@ -446,13 +455,24 @@ class _BitsBody(_Body):
 
     # -- statements ------------------------------------------------------------
 
+    def local_int(self, depth):
+        """An int a local may hold: C's locals are ``int64_t``, so one
+        wider than ``LOCAL_BITS`` is masked first."""
+        text, bits = self.intx(depth)
+        if bits <= LOCAL_BITS:
+            return text, bits
+        return f"({text} & {_mask(LOCAL_BITS)})", LOCAL_BITS
+
     def prologue(self, pad):
         self.emit(pad, "xs = [0] * 4")
-        self.emit(pad, f"x0 = {self.pick(*self.sigs)}.uint()")
+        sig = self.pick(*self.sigs)
+        self.emit(pad, f"x0 = {sig}.uint()" if self.sigs[sig] <= LOCAL_BITS
+                  else f"x0 = {sig}.uint() & {_mask(LOCAL_BITS)}")
         self.emit(pad, "m0 = x0")
-        self.scope["x0"] = 33
+        self.scope["x0"] = LOCAL_BITS
         for name in ("b0", "b1")[:self.upto(1, 2)]:
-            w = self.pick(*self.widths(), self.upto(1, 40))
+            w = self.pick(*(w for w in self.widths() if w <= LOCAL_BITS),
+                          self.upto(1, LOCAL_BITS))
             self.emit(pad, f"{name} = {self.bits_of(w, 1)}")
             self.blocals[name] = w
 
@@ -472,17 +492,16 @@ class _BitsBody(_Body):
                 self.intx(1)[0], self.bitsy(1, upto=w)[0])
             self.emit(pad, f"{name} {op} {by}")
         elif kind == "int":
-            text, bits = self.intx(2)
-            self.emit(pad, f"x0 = {text}")
-            self.scope["x0"] = max(self.scope["x0"], bits)
+            self.emit(pad, f"x0 = {self.local_int(2)[0]}")
         elif kind == "store":
-            self.emit(pad, f"xs[{self.index(1)}] = {self.intx(2)[0]}")
+            self.emit(pad, f"xs[{self.index(1)}] = {self.local_int(2)[0]}")
         elif kind == "mixed":
             # Bits on one path, an int on the other: fine wherever only
             # the value of m0 is used (intx, typed), and a block that
             # does arithmetic on it keeps its closure.
-            self.emit(pad, f"m0 = ({self.bitsy(1)[0]} if {self.cond(1)} "
-                           f"else {self.intx(1)[0]})")
+            self.emit(pad, f"m0 = ({self.bitsy(1, LOCAL_BITS)[0]} "
+                           f"if {self.cond(1)} "
+                           f"else {self.local_int(1)[0]})")
         else:
             self.stmt_control(pad, depth, in_loop, kind)
 
@@ -677,13 +696,12 @@ _UNDECIDABLE = ("Bits on one path and an int", "array elements are ints")
 
 @_SETTINGS
 @given(designs(_BitsBody, BITS_WIDTHS))
-def test_bits_typed_design_agrees_on_every_cpython_substrate(design):
-    """The ``Bits`` gap as a property: event and the lowered blocks,
-    counted and bare, agree where arithmetic wraps at the
-    operands' width.  There is no SimJIT column in this mode: the C
-    backend ignores ``SigRead.vtype`` and computes wide (a 9-bit
-    ``s.a + s.b`` over 8-bit signals reads 300 there, 44 here), which
-    is ROADMAP item 4's next step to close, not this property's."""
+def test_bits_typed_design_agrees_on_every_substrate(design):
+    """The ``Bits`` rule as a property: event, the lowered blocks,
+    counted and bare, and SimJIT agree where arithmetic wraps at the
+    operands' width — every printer reads the one ``Bits``-exact IR.
+    A design with a block whose types are undecided has no C: SimJIT
+    refuses it with the typer's reason."""
     build = load_generated(design.source)["Gen"]
     models, sims = _cpython_columns(lambda: build(design.ka))
     info = sims[2].sched_info()
@@ -695,6 +713,14 @@ def test_bits_typed_design_agrees_on_every_cpython_substrate(design):
     assert all(any(why in reason for why in _UNDECIDABLE)
                for reason in lowered["kept"].values()), lowered["kept"]
     assert lowered["blocks"] > 0
+    if lowered["kept"]:
+        with pytest.raises(TranslationError, match="|".join(_UNDECIDABLE)):
+            SimJITRTL(build(design.ka).elaborate()).specialize()
+    else:
+        models.append(
+            SimJITRTL(build(design.ka).elaborate()).specialize().elaborate())
+        sims.append(SimulationTool(models[-1]))
+        assert "/simjit " in repr(sims[-1])
     _agree(design, models, sims, design.probes)
 
 

@@ -322,12 +322,6 @@ def test_siblings_share_a_body_unless_a_guard_differs(b, bodies):
             int(models[0].out_a), int(models[0].out_b)], cycle
 
 
-#: ``_SIBLINGS`` with ``.uint()`` where it adds ``Bits``, so that C,
-#: which computes wide, and Python define the same value.
-_UINT_SIBLINGS = _SIBLINGS.replace("s.in_ + i", "s.in_.uint() + i").replace(
-    "(s.in_ + s.k)", "(s.in_.uint() + s.k)")
-
-
 @pytest.mark.parametrize("how", ["SimJITRTL", "auto_specialize"])
 @pytest.mark.parametrize("b, functions, bodies", [
     (dict(k=9), 2, 2),              # a constant: one function, a K table
@@ -343,7 +337,7 @@ def test_siblings_share_a_c_function_unless_a_guard_differs(
     """SimJIT's side of the test above: each body prints its C template
     once, and the blocks of one body share one function through
     per-instance tables unless a varying constant does not fit ``K``."""
-    Pair = load_generated(_UINT_SIBLINGS)["Pair"]
+    Pair = load_generated(_SIBLINGS)["Pair"]
     sources = []
     if how == "SimJITRTL":
         spec = SimJITRTL(Pair(dict(k=5), b).elaborate())

@@ -10,8 +10,11 @@ import random
 import pytest
 
 from repro.core import Model, SimulationTool
+from repro.core.ast_ir import TranslationError
 from repro.core.signals import InPort, OutPort
-from repro.core.simjit import SimJITCL, SimJITRTL, SpecializationError
+from repro.core.simjit import (SimJITCL, SimJITRTL, SpecializationError,
+                               auto_specialize)
+from repro.core.translation import translate
 from repro.components import (
     IntPipelinedMultiplier,
     NormalQueue,
@@ -185,6 +188,135 @@ def test_two_jit_instances_have_independent_state():
     sim.cycle()
     assert model.a_out == 11
     assert model.b_out == 22
+
+
+# -- Bits widths: one rule, every backend ----------------------------------
+
+
+class _WidthProbe(Model):
+    """Three expressions whose width each printer once decided for
+    itself: ``Bits`` arithmetic on the 5-bit ``a`` wraps at 5 bits
+    before it reaches the wider outputs."""
+
+    def __init__(s):
+        s.a, s.n = InPort(5), InPort(4)
+        s.o, s.p, s.q = OutPort(8), OutPort(8), OutPort(16)
+
+        @s.combinational
+        def comb():
+            s.o.value = s.a.value + 30
+            s.p.value = ~s.a.value
+            s.q.value = s.a.value << s.n
+
+
+def test_bits_wrap_reads_alike_on_every_backend():
+    columns = [{"sched": "event"},
+               {"sched": "static", "collect_stats": True},
+               {"sched": "static"}]
+    models = [_WidthProbe().elaborate() for _ in columns]
+    sims = [SimulationTool(m, **kw) for m, kw in zip(models, columns)]
+    assert sims[2].sched_info()["lowered"]["blocks"] == 1
+    models.append(SimJITRTL(_WidthProbe().elaborate()).specialize()
+                  .elaborate())
+    sims.append(SimulationTool(models[-1]))
+    assert "/simjit " in repr(sims[-1])
+    for model, sim in zip(models, sims):
+        model.a.value, model.n.value = 5, 6
+        sim.cycle()
+        assert (int(model.o), int(model.p), int(model.q)) == (3, 26, 0), sim
+    # Verilog sizes an expression by its context: the masks are sized.
+    verilog = translate(_WidthProbe().elaborate())
+    for line in ("o = ((a + 30) & 5'h1f);", "p = ((~a) & 5'h1f);",
+                 "q = (((n < 5)) ? ((a << n) & 5'h1f) : 0);"):
+        assert line in verilog
+
+
+class _WideDivide(Model):
+    def __init__(s):
+        s.a, s.b = InPort(64), InPort(70)
+        s.x, s.y, s.z = OutPort(64), OutPort(64), OutPort(70)
+
+        @s.combinational
+        def comb():
+            s.x.value = s.a.value // 2
+            s.y.value = s.a.uint() // 3
+            s.z.value = s.b.value % 1000
+
+
+class _HoleDivide(Model):
+    def __init__(s, k):
+        s.a, s.y = InPort(64), OutPort(64)
+        s.k = k
+
+        @s.combinational
+        def comb():
+            s.y.value = s.a.uint() // s.k
+
+
+def test_wide_floor_division_is_unsigned_in_c():
+    """``//`` and ``%`` of a value 64 bits or wider divide as ``u128``:
+    through ``int64_t``, a value at or above 2**63 went negative."""
+    interp = _WideDivide().elaborate()
+    jit = SimJITRTL(_WideDivide().elaborate()).specialize().elaborate()
+    for model in (interp, jit):
+        sim = SimulationTool(model)
+        model.a.value, model.b.value = 2**63 + 4, 2**69 + 7
+        sim.cycle()
+        assert (int(model.x), int(model.y), int(model.z)) == (
+            4611686018427387906, 3074457345618258604, 719), sim
+
+
+def test_wide_floor_division_by_an_int_hole_is_refused():
+    """A constant hole may be negative in a sibling: C refuses the
+    body, Python keeps the closure (and the division floors)."""
+    with pytest.raises(TranslationError, match="may be negative"):
+        SimJITRTL(_HoleDivide(3).elaborate()).specialize()
+    model = _HoleDivide(-3).elaborate()
+    sim = SimulationTool(model, sched="static")
+    assert "may be negative" in sim.sched_info()["lowered"]["kept"][
+        "top.comb"]
+    model.a.value = 7
+    sim.cycle()
+    assert int(model.y) == (7 // -3) & ((1 << 64) - 1)
+
+
+class _Undecided(Model):
+    """``m`` is ``Bits`` on one path and an int on the other: ``m + 1``
+    wraps on one path only, so no printer can decide its width."""
+
+    def __init__(s):
+        s.a, s.c, s.o = InPort(8), InPort(1), OutPort(8)
+
+        @s.combinational
+        def comb():
+            m = s.a.value if s.c else s.a.uint()
+            s.o.value = m + 1
+
+
+class _HoldsUndecided(Model):
+    def __init__(s):
+        s.x = _Undecided()
+        s.a, s.c, s.o = InPort(8), InPort(1), OutPort(8)
+        s.connect(s.a, s.x.a)
+        s.connect(s.c, s.x.c)
+        s.connect(s.x.o, s.o)
+
+
+def test_undecided_types_refuse_c_and_verilog_loudly():
+    """C and Verilog used to compute such a body wide; now they refuse
+    it, and ``auto_specialize`` keeps the subtree interpreted, saying
+    why."""
+    why = "Bits on one path and an int"
+    with pytest.raises(TranslationError, match=why):
+        SimJITRTL(_Undecided().elaborate()).specialize()
+    with pytest.raises(TranslationError, match=why):
+        translate(_Undecided().elaborate())
+    top = auto_specialize(_HoldsUndecided())
+    sim = SimulationTool(top.elaborate())
+    assert why in sim.sched_info()["simjit"]["interpreted"]["top.x"]
+    top.a.value, top.c.value = 255, 1
+    sim.cycle()
+    assert int(top.o) == 0        # Bits(8) 255 + 1, the closure's value
 
 
 # -- error handling and overheads ----------------------------------------------------
