@@ -123,6 +123,9 @@ class BinOp:
     op: str                        # + - * // % & | ^ << >>
     left: object
     right: object
+    #: ``//`` / ``%`` of non-negative operands, one 64 bits or wider,
+    #: which C divides as ``u128`` (:meth:`_Typer.divide` decides).
+    unsigned: bool = False
 
 
 @dataclass
@@ -1252,25 +1255,29 @@ class _Typer:
     def divide(self, node, sides):
         """``//`` / ``%``: an int operand of a ``Bits`` one is masked to
         its width.  With an operand 64 bits or wider (a read, or ``Bits``
-        seen at that width), both must be non-negative reads, wraps or
-        literals, which C divides as ``u128``."""
+        computed or seen at that width: ``int()`` keeps the value), both
+        must be non-negative reads, wraps or literals, and ``node`` is
+        marked ``unsigned``."""
         (_, lseen), (_, rseen) = sides
         if lseen.kind == "bits" and rseen.kind == "int" \
                 and not self.literal(node.right, lseen.width):
             node.right = Wrap(node.right, lseen.width)
-        widths = [kid.ref.width if isinstance(kid, SigRead) else seen.width
+        widths = [kid.ref.width if isinstance(kid, SigRead) else
+                  max(seen.width, self.types[id(kid)].width)
                   for kid, seen in sides]
         if max(widths) >= 64:
             node.left, node.right = map(self.unsigned, (node.left, node.right),
                                         sides, widths)
+            node.unsigned = True
         return node
 
     def unsigned(self, node, side, width):
         """Operand ``node`` of a wide ``//`` / ``%`` as a non-negative
-        read, wrap or literal."""
+        read, wrap or literal: an int computed and seen may be
+        negative."""
         if isinstance(node, (SigRead, Wrap)) or self.literal(node):
             return node
-        if side[1].kind == "int":
+        if side[1].kind == self.types[id(side[0])].kind == "int":
             raise TypeUndecided("// or % of a value 64 bits or wider by an "
                                 "int that may be negative")
         return Wrap(node, width)

@@ -306,14 +306,19 @@ def body_or_why(blk):
 
 def lowered(blk, irs):
     """``(body, holes, ir, hole_of)``: :func:`body_of` of ``blk`` and
-    its body's ``Bits``-exact ``BlockIR`` (:class:`Refused` if its types
-    are undecided), whose leaves ``hole_of`` maps (by ``id``) to holes.
-    ``irs`` is the caller's ``{body: (ir, hole_of)}``: a body not in it
-    is lowered from ``blk`` once (a new one from that same lowering) and
-    entered.  An IR holds its instance's signals, so this module keeps
-    none."""
+    its body's ``BlockIR`` — ``Bits``-exact where ``body.c`` says its
+    types are decided, else as lowered — whose leaves ``hole_of`` maps
+    (by ``id``) to holes.  ``irs`` is the caller's ``{body: (ir,
+    hole_of)}``: a body not in it is lowered from ``blk`` once (a new
+    one from that same lowering) and entered.  An IR holds its
+    instance's signals, so this module keeps none."""
     body, holes = _body(blk, irs)
     return (body, holes, *irs[body])
+
+
+def _lower(blk):
+    translator = BlockTranslator(blk.model, blk.func, block_kind(blk))
+    return translator, translator.translate(), _print_bind(translator)
 
 
 def _body(blk, irs):
@@ -333,18 +338,16 @@ def _body(blk, irs):
         if body.matches(guards):
             break
     else:
-        body = None
-    if body is None or irs is not None and body.c and body not in irs:
-        translator = BlockTranslator(blk.model, func, block_kind(blk))
-        ir = translator.translate()
-        bind = _print_bind(translator)
-        if body is None:
-            body, holes = _new_body(blk, translator, ir, bind)
-            bodies.append(body)
-        else:
-            infer_types(ir, bind[1])
+        translator, ir, bind = _lower(blk)
+        body, holes = _new_body(blk, translator, ir, bind)
+        bodies.append(body)
         if irs is not None and body.c:
             irs[body] = ir, bind[1]
-    if body.reads is None or irs is not None and not body.c:
+    if body.reads is None:
         raise Refused(body.refused)
+    if irs is not None and body not in irs:
+        # Afresh: the typer may have rewritten part of an undecided
+        # body's first lowering before it refused.
+        _, ir, bind = _lower(blk)
+        irs[body] = (infer_types(ir, bind[1]) if body.c else ir), bind[1]
     return body, holes

@@ -500,9 +500,7 @@ class _Template:
             left, right = self.expr(node.left), self.expr(node.right)
             if node.op not in ("//", "%"):
                 return f"({left} {node.op} {right})"
-            if any(getattr(getattr(x, "ref", x), "width", 0) >= 64
-                   for x in (node.left, node.right)):
-                # Non-negative reads, wraps and literals (the IR's rule).
+            if node.unsigned:
                 return f"((u128)({left}) {node.op[0]} (u128)({right}))"
             return (f"{'py_floordiv' if node.op == '//' else 'py_mod'}"
                     f"((int64_t)({left}), (int64_t)({right}))")

@@ -113,6 +113,8 @@ class TranslationTool:
             body, holes, ir, hole_of = bodies.lowered(blk, self._irs)
         except bodies.Refused as exc:
             raise TranslationError(f"{blk.name}: {exc}") from None
+        if body.c is None:              # computed wide, it would differ
+            raise TranslationError(f"{blk.name}: {body.refused}")
         if body not in self._templates:
             self._templates[body] = _VerilogBackend(hole_of).block(ir, kind)
         return blk.func.__name__, body, holes, self._templates[body]

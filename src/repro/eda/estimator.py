@@ -276,6 +276,12 @@ def _expr_cost(node, consts):
         return (sum(p[0] for p in parts) + len(parts),
                 max(p[1] for p in parts) + 1, 1)
     if isinstance(node, IfExp):
+        shift = node.then.expr if isinstance(node.then, Wrap) else node.then
+        if isinstance(shift, BinOp) \
+                and getattr(node.cond, "left", None) is shift.right:
+            # The rewrite's guard of a dynamic <<: a Verilog shift past
+            # the width is 0 already, so the guard is no hardware.
+            return _expr_cost(node.then, consts)
         ge_c, d_c, _ = _expr_cost(node.cond, consts)
         ge_t, d_t, w_t = _expr_cost(node.then, consts)
         ge_e, d_e, w_e = _expr_cost(node.orelse, consts)

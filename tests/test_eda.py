@@ -3,7 +3,9 @@
 import pytest
 
 from repro.components import IntPipelinedMultiplier, Register
-from repro.core import InPort, Model, OutPort
+from repro.core import InPort, Model, OutPort, SimulationTool, Wire
+from repro.core.ast_ir import TranslationError
+from repro.core.translation import translate
 from repro.eda import estimate
 from repro.mem import CacheRTL, MemMsg
 from repro.accel import DotProductRTL, XcelMsg
@@ -77,6 +79,84 @@ def test_siblings_are_costed_with_their_own_constants():
         alone, = estimate(_AddK(k).elaborate()).modules
         assert (module.comb_ge, module.delay_levels) == (
             alone.comb_ge, alone.delay_levels)
+
+
+class _LocalArray(Model):
+    """Reads stored in a local array: ``.value`` (``Bits``, whose type
+    the typer refuses there) or ``.uint()`` (an int)."""
+
+    def __init__(s, bits):
+        s.a, s.o = InPort(8), OutPort(8)
+        s.r = Wire(8)
+
+        if bits:
+            @s.combinational
+            def comb():
+                xs = [0] * 2
+                xs[0] = s.a.value
+                s.o.value = xs[0] + s.r.uint()
+
+            @s.tick_rtl
+            def tick():
+                xs = [0] * 2
+                xs[1] = s.a.value
+                s.r.next = xs[1] + 1
+        else:
+            @s.combinational
+            def comb():
+                xs = [0] * 2
+                xs[0] = s.a.uint()
+                s.o.value = xs[0] + s.r.uint()
+
+            @s.tick_rtl
+            def tick():
+                xs = [0] * 2
+                xs[1] = s.a.uint()
+                s.r.next = xs[1] + 1
+
+
+def test_undecided_types_are_costed_like_their_int_twin():
+    """A body the typer refuses (C and Verilog refuse it) is still
+    hardware: its gates and flops are costed as lowered, the same
+    whether a simulator lowered it first or not."""
+    def costs(model):
+        m, = estimate(model).modules
+        return m.comb_ge, m.delay_levels, m.reg_bits
+
+    twin = costs(_LocalArray(False).elaborate())
+    assert twin[0] > 0 and twin[2] == 8
+    with pytest.raises(TranslationError, match="local array"):
+        translate(_LocalArray(True).elaborate())
+    assert costs(_LocalArray(True).elaborate()) == twin
+    model = _LocalArray(True).elaborate()
+    SimulationTool(model, sched="static").cycle()
+    assert costs(model) == twin
+
+
+class _ShiftBy(Model):
+    """``q = a << n``: ``Bits`` (0 once ``n`` reaches the width, a test
+    the IR spells out) or int."""
+
+    def __init__(s, bits):
+        s.a, s.n, s.q = InPort(5), InPort(4), OutPort(16)
+
+        if bits:
+            @s.combinational
+            def comb():
+                s.q.value = s.a.value << s.n
+        else:
+            @s.combinational
+            def comb():
+                s.q.value = s.a.uint() << s.n
+
+
+def test_dynamic_shift_guard_is_no_hardware():
+    """A Verilog shift past the width is 0 already: the IR's guard of a
+    ``Bits`` dynamic shift costs no comparator and no mux."""
+    bits, plain = (estimate(_ShiftBy(b).elaborate()).modules[0]
+                   for b in (True, False))
+    assert (bits.comb_ge, bits.delay_levels) == (
+        plain.comb_ge, plain.delay_levels)
 
 
 def test_cache_data_array_uses_sram_model():

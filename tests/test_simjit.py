@@ -266,6 +266,49 @@ def test_wide_floor_division_is_unsigned_in_c():
             4611686018427387906, 3074457345618258604, 719), sim
 
 
+class _IntOfWide(Model):
+    """Ints made from 64-bit ``Bits`` values: ``int()`` / ``.uint()``
+    change the type, not the value, which may be 2**63 or more."""
+
+    def __init__(s):
+        s.a, s.b, s.x, s.y = InPort(64), InPort(64), OutPort(64), OutPort(64)
+
+        @s.combinational
+        def comb():
+            s.x.value = int(s.a.value + 1) // 3
+            s.y.value = (s.a.value ^ s.b.value).uint() % 1000
+
+
+class _IntOfWideByNegative(Model):
+    def __init__(s):
+        s.a, s.x = InPort(64), OutPort(64)
+
+        @s.combinational
+        def comb():
+            s.x.value = int(s.a.value + 1) // -2
+
+
+def test_int_of_wide_bits_divides_unsigned_or_refuses_in_c():
+    """The typer alone decides that C divides as ``u128``: an int made
+    from a 64-bit ``Bits`` value is that wide too, and a divisor that
+    may be negative is a refusal, not a ``u128`` of it."""
+    interp = _IntOfWide().elaborate()
+    jit = SimJITRTL(_IntOfWide().elaborate()).specialize().elaborate()
+    for model in (interp, jit):
+        sim = SimulationTool(model)
+        model.a.value, model.b.value = 2**63 + 4, 7
+        sim.cycle()
+        assert (int(model.x), int(model.y)) == (
+            (2**63 + 5) // 3, (2**63 + 3) % 1000), sim
+    with pytest.raises(TranslationError, match="may be negative"):
+        SimJITRTL(_IntOfWideByNegative().elaborate()).specialize()
+    model = _IntOfWideByNegative().elaborate()
+    sim = SimulationTool(model, sched="static")
+    model.a.value = 5
+    sim.cycle()
+    assert int(model.x) == (6 // -2) & ((1 << 64) - 1)
+
+
 def test_wide_floor_division_by_an_int_hole_is_refused():
     """A constant hole may be negative in a sibling: C refuses the
     body, Python keeps the closure (and the division floors)."""
