@@ -1,60 +1,52 @@
 """C code generation from behavioral-block IR.
 
 SimJIT's backend (paper Section IV-A): lowers :class:`BlockIR`
-statements and expressions into C.  The generated translation unit
-models every signal net as an ``unsigned __int128`` slot (wide enough
-for the 65-bit memory messages) of the instance struct ``inst_t``:
+statements and expressions into C.  A design's translation unit holds
+what depends on a block body and nothing else: the prelude, one
+function per distinct body, ``run_block`` (which of them a block runs)
+and one fixed kernel (:data:`C_KERNEL`), the same text for every
+design.  Everything that names an instance — how many nets there are
+and how wide, the port and flop slots, which block runs which function
+over which slots and constants in which order, the input cones, the CL
+state offsets, the initial values — is the design's *layout*
+(:class:`Layout`, the C ``layout_t``), which the engine builds in
+Python and hands to ``new_instance``.  A layout belongs to its
+instance, never to the library, so two designs whose bodies print the
+same text are one ``.so``.
 
-- ``cur[]`` holds the settled value of every net.  Combinational
-  blocks read and write it; the specializer orders them with
-  :func:`repro.core.scheduling.build_schedule` and emits ``settle()``
-  as one straight pass over that order;
-- ``nxt[]`` is meaningful only for the *flop nets* — the nets some
-  tick block writes via ``.next`` (``flop_slot[]``).  ``clock_edge()``
-  seeds those slots from ``cur``, runs the tick blocks (which read
-  ``cur`` and write ``nxt``), and copies the same slots back; no other
-  net is touched at the edge;
-- ``prev[]`` exists only in the *fixpoint* kernel shape, emitted when
-  the block graph has a cyclic or self-reading residue (or scheduling
-  was switched off): ``settle()`` then repeats the pass until a
-  whole-state snapshot stops changing;
-- local variables are ``int64_t`` (signed, so idioms like
-  ``sa = a - 0x100000000`` compare correctly);
-- plain CL state is one ``int64_t st[]`` member of ``inst_t`` (absent
-  when the design has none); a variable is the elements from its
-  ``state_off[]`` entry on.
+Every signal net is an ``unsigned __int128`` slot (wide enough for the
+65-bit memory messages).  The instance handle points at the checkpoint
+blob ``cur | nxt | [prev] | [st]``:
 
-Before an edge only input ports can have changed since the last
-settle, so that settle — ``cycle``'s first, and ``eval_comb`` — is
-``settle_inputs``: it compares each input slot with the value the last
-settle saw (``in_last``, kept beside ``inst_t``) and runs only the comb
-blocks the changed ports reach.  The specializer lists those per port
-(``in_cone[]`` from ``in_cone_off[]``) and prints ``run_input_blocks``,
-one ``if (run[k])`` guarded call per block some port reaches, in
-schedule order; ``run_comb_blocks`` stays the one unguarded pass, which
-the settle after an edge runs.  A write behind the settle's back
-(``set_net``, ``set_state_at``, ``load_inst``) clears ``settled``, and
-the next input settle runs every block.
+- ``cur`` holds the settled value of every net.  Combinational blocks
+  read and write it; ``settle()`` runs them once in the order
+  :func:`repro.core.scheduling.build_schedule` gave the specializer;
+- ``nxt`` is meaningful only for the *flop nets* — the nets some tick
+  block writes via ``.next`` (``flop_slot``).  ``edge`` seeds those
+  slots from ``cur``, runs the tick blocks (which read ``cur`` and
+  write ``nxt``), copies the same slots back and settles;
+- ``prev`` exists only in a *fixpoint* layout, made when the block
+  graph has a cyclic or self-reading residue (or scheduling was
+  switched off): ``settle()`` then repeats the pass until a whole-net
+  snapshot stops changing;
+- ``st`` is plain CL state, ``int64_t``; a variable is the elements
+  from its ``state_off`` entry on.
 
-The Python boundary is bulk and change-detected: ``push_inputs``
-stores every input port from one array, ``pull_changed`` returns
-``(port index, lo, hi)`` only for output ports that differ from what
-the last pull returned (``in_slot[]``/``out_slot[]`` are static
-tables; the output shadow lives beside ``inst_t``, outside the
-checkpoint blob).
+Local variables are ``int64_t`` (signed, so idioms like ``sa = a -
+0x100000000`` compare correctly).  The settle before an edge
+(``eval_comb``, and ``cycle``'s first) runs only the comb blocks the
+input ports changed since the last settle reach (``in_blk``,
+``in_cone``); the Python boundary moves every input port in one
+``push_inputs`` and only the changed output ports in one
+``pull_changed``.  The compiled instrumentation and the compiled test
+bench are ``runtime.c`` (:func:`.specializer._runtime`), which reaches
+a design through the handle, whose first bytes are ``cur``, and through
+pointers to the exported entry points.
 
-A translation unit holds only the design.  The compiled
-instrumentation and the compiled test bench do not depend on it: they
-are ``runtime.c``, compiled once per cache and loaded when first needed
-(:func:`.specializer._runtime`).  The runtime reaches a design through
-the instance handle, whose first member is ``cur`` (a
-``_Static_assert`` pins it), and through pointers to the exported entry
-points; ``edge`` (one clock edge, then ``settle``) exists for it.
+Dynamic signal-list indexing (``s.rf[rd]``) is compiled to a slot
+lookup table per reference.
 
-Dynamic signal-list indexing (``s.rf[rd]``) is compiled to a static
-slot lookup table per reference.
-
-**Template, body, tables.**  Each block body is compiled once.
+**Template, body, layout.**  Each block body is compiled once.
 :func:`c_template` prints a block as a *template*: its C text with a
 *hole* wherever the text would name something only this instance has —
 a net slot, a CL state offset, the slot table behind a dynamic index,
@@ -74,23 +66,25 @@ function.  :meth:`CBackend.emit_blocks` prints each body once:
 
 - a hole with one value across the body's blocks is the literal it
   would be in a function of its own (the shared ``reset`` slot, ``% 5``);
-- a hole that varies reads the member's tables — ``S[i]`` for a slot or
-  state offset, ``(S + off)[idx]`` for a dynamic table, ``K[j]`` for a
-  constant — and holes whose values agree in every member share an
-  entry.  The function is ``f(inst_t *I, const int *S, const int64_t
-  *K)`` and the block runners call it once per member, with that
-  member's ``static const`` tables, in schedule order;
+- a hole that varies reads the block's entries of the layout —
+  ``S[i]`` for a slot or state offset, ``(S + off)[idx]`` for a dynamic
+  table, ``K[j]`` for a constant — and holes whose values agree in
+  every member share an entry.  The function is ``f(inst_t *I, const
+  int *S, const int64_t *K)``;
 - a body of one block, or one with a varying constant outside
   ``int64_t``, prints every hole as its literal in ``f(inst_t *I)``, one
-  function per block — the same code path with nothing to look up, so
-  a design with no repeated body is the text (and the ``.so`` cache
-  key) it would be without sharing.
+  function per block, with no entries.
 
-Bodies, tables and entries appear in first-use order; nothing in the
-text depends on hashing or object identity.
+The kernel runs block ``b`` of the layout as ``run_block(I, f, S, K)``:
+``f`` is the case of its function in ``run_block``'s one ``switch``,
+``S`` and ``K`` point at its entries in the layout's pools.  Bodies,
+tables and entries appear in first-use order; nothing in the text
+depends on hashing or object identity.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from ..ast_ir import (
     AssignLocal,
@@ -115,14 +109,43 @@ from ..ast_ir import (
     Wrap,
 )
 
+# One instance's data for the kernel; :class:`Layout` builds it.  The
+# cffi declarations (``C_HEADER_DECLS``) and every translation unit
+# spell it alike.
+C_LAYOUT = r"""
+typedef struct {
+    int nnets, nin, nout, nflop, ncomb, ntick, ninblk, nstatevar, nst;
+    int fixpoint;
+    const unsigned short *net_width;
+    const int *in_slot, *out_slot, *flop_slot;
+    const int *block;               /* per block: function, S at, K at */
+    const int *s;                   /* the S pool */
+    const int64_t *k;               /* the K pool */
+    const int *in_blk, *in_cone_off, *in_cone;
+    const int *state_off;           /* nstatevar + 1 */
+    const uint64_t *init_cur;       /* lo, hi per net */
+    const int64_t *init_st;
+} layout_t;
+"""
+
+# No system header: parsing them was a tenth of gcc's time on a design.
 C_PRELUDE = r"""
-#include <stdint.h>
-#include <string.h>
-#include <stdlib.h>
-
+/* The compiler's own types and builtins. */
+typedef __INT64_TYPE__ int64_t;
+typedef __UINT64_TYPE__ uint64_t;
+typedef __SIZE_TYPE__ size_t;
 typedef unsigned __int128 u128;
-
-#define NNETS @NNETS@
+#define offsetof __builtin_offsetof
+#define memcpy __builtin_memcpy
+#define memcmp __builtin_memcmp
+#define calloc __builtin_calloc
+#define free __builtin_free
+""" + C_LAYOUT + r"""
+/* What a block body reaches of its instance. */
+typedef struct {
+    u128 *cur, *nxt;
+    int64_t *st;
+} inst_t;
 
 static inline u128 mask_of(int width) {
     if (width >= 128) return (u128)-1;
@@ -145,113 +168,127 @@ static inline int64_t py_floordiv(int64_t a, int64_t b) {
 }
 """
 
-# The instance struct, the port/flop slot tables, ``settle()``, the
-# block runners and the input cones (``in_cone_off[]``/``in_cone[]``,
-# ``run_input_blocks``) are emitted by the specializer (it knows the CL
-# state variables, the nets and the kernel shape); every generated
-# function takes an `inst_t *I`, so multiple instances of the same
-# compiled model never share state.
-C_API = r"""
-/* ---- clock edge ---- */
+# The kernel: the same text for every design, after the design's
+# ``run_block``.  Every entry point takes the handle ``new_instance``
+# returned, so instances never share state.  What needs no C — reading
+# a net, taking and restoring a checkpoint — the engine does on the
+# blob itself (:class:`.specializer.SimJITEngine`).
+C_KERNEL = r"""
+/* ---- the kernel ---- */
 
-/* Only flop nets have a meaningful nxt: seed them from cur (a tick
-   that skips its .next write holds the value), run the ticks, copy
-   them back. */
-static inline void clock_edge(inst_t *I) {
-    for (int i = 0; i < NFLOP; i++)
-        I->nxt[flop_slot[i]] = I->cur[flop_slot[i]];
-    run_tick_blocks(I);
-    for (int i = 0; i < NFLOP; i++)
-        I->cur[flop_slot[i]] = I->nxt[flop_slot[i]];
+/* Python reads the blob's nets as (lo, hi) words. */
+_Static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+               "a net is its low word, then its high word");
+
+/* An instance: its layout, the body view, the Python boundary's
+   shadows and the input settle's state, then the checkpoint blob
+   cur | nxt | [prev] | [st].  The handle points at the blob, so its
+   first bytes are cur, where runtime.c reads and writes nets. */
+typedef struct {
+    const layout_t *L;
+    inst_t I;
+    u128 *prev, *out_last, *in_last;
+    unsigned char *run;
+    int out_synced, settled;
+    u128 blob[];
+} box_t;
+
+#define BOX(p) ((box_t *)((char *)(p) - offsetof(box_t, blob)))
+
+static void run_blocks(box_t *B, int from, int to) {
+    const layout_t *L = B->L;
+    for (int b = from; b < to; b++) {
+        const int *at = L->block + 3 * b;
+        run_block(&B->I, at[0], L->s + at[1], L->k + at[2]);
+    }
+}
+
+#define run_comb_blocks(B) run_blocks(B, 0, (B)->L->ncomb)
+#define run_tick_blocks(B) \
+    run_blocks(B, (B)->L->ncomb, (B)->L->ncomb + (B)->L->ntick)
+
+/* Single pass: the comb blocks are in dependency order (none reads a
+   net that a later one writes).  Fixpoint: whole-net snapshots, since
+   a block may legitimately write a net twice per pass
+   (clear-then-set), so per-write change flags would never settle. */
+static int settle(box_t *B) {
+    size_t n = (size_t)B->L->nnets * sizeof(u128);
+    int iters = 0;
+    if (!B->L->fixpoint) {
+        run_comb_blocks(B);
+        return 1;
+    }
+    do {
+        memcpy(B->prev, B->I.cur, n);
+        run_comb_blocks(B);
+        iters++;
+        if (iters > 64) return -1;   /* combinational loop */
+    } while (memcmp(B->prev, B->I.cur, n) != 0);
+    return iters;
 }
 
 /* ---- external API (cffi) ---- */
 
-/* The output shadow and the input settle's state sit behind inst_t so
-   that every entry point can cast the handle to inst_t* and the
-   checkpoint blob stays the bare inst_t. */
-typedef struct {
-    inst_t inst;
-    u128 out_last[NOUT + 1];
-    int out_synced;
-    u128 in_last[NIN + 1];
-    int settled;
-} box_t;
-
-/* ---- the input settle ---- */
-
-/* The settle before an edge, and eval_comb's.  Only input slots can
-   have changed since the last settle, so while the state is settled
-   for the input values in_last, only the comb blocks that the changed
-   ports reach run: in_cone lists them per port, run_input_blocks runs
-   the marked ones in schedule order.  No port changed, no block runs.
-   Whatever writes the state behind the settle's back (set_net,
-   set_state_at, load_inst) clears settled, as a new instance starts,
-   and the next input settle is settle(). */
-static int settle_inputs(box_t *B) {
-    inst_t *I = &B->inst;
-    unsigned char run[NINBLK + 1];
-    int changed = 0, r = 1;
-    if (!B->settled) {
-        r = settle(I);
-        for (int i = 0; i < NIN; i++)
-            B->in_last[i] = I->cur[in_slot[i]];
-    } else {
-        memset(run, 0, sizeof(run));
-        for (int i = 0; i < NIN; i++) {
-            u128 v = I->cur[in_slot[i]];
-            if (v == B->in_last[i]) continue;
-            B->in_last[i] = v;
-            for (int k = in_cone_off[i]; k < in_cone_off[i + 1]; k++)
-                run[in_cone[k]] = 1;
-            changed = 1;
-        }
-        if (changed) r = run_input_blocks(I, run);
-    }
-    B->settled = r >= 0;
-    return r;
-}
-
-void *new_instance(void) {
-    box_t *B = (box_t *)calloc(1, sizeof(box_t));
-    init_instance(&B->inst);
-    return B;
+void *new_instance(const layout_t *L) {
+    int parts = L->fixpoint ? 3 : 2;
+    size_t nets = (size_t)L->nnets * sizeof(u128);
+    box_t *B = (box_t *)calloc(
+        1, sizeof(box_t) + parts * nets + (size_t)L->nst * sizeof(int64_t));
+    B->L = L;
+    B->I.cur = B->blob;
+    B->I.nxt = B->blob + L->nnets;
+    B->prev = B->blob + 2 * L->nnets;
+    B->I.st = (int64_t *)(B->blob + parts * L->nnets);
+    B->out_last = (u128 *)calloc(L->nout + L->nin + 2, sizeof(u128));
+    B->in_last = B->out_last + L->nout + 1;
+    B->run = (unsigned char *)calloc(L->ninblk + 1, 1);
+    memcpy(B->I.cur, L->init_cur, nets);
+    memcpy(B->I.st, L->init_st, (size_t)L->nst * sizeof(int64_t));
+    return B->blob;
 }
 
 void free_instance(void *p) {
-    free(p);
+    box_t *B = BOX(p);
+    free(B->out_last);
+    free(B->run);
+    free(B);
+}
+
+/* Something wrote the blob behind the kernel's back (set_net,
+   set_state_at, a restored checkpoint): the next input settle runs
+   every block, the next pull returns every output port. */
+void invalidate(void *p) {
+    BOX(p)->settled = 0;
+    BOX(p)->out_synced = 0;
 }
 
 void set_net(void *p, int idx, uint64_t lo, uint64_t hi) {
-    inst_t *I = (inst_t *)p;
-    I->cur[idx] = (((u128)hi << 64) | lo) & mask_of(net_width[idx]);
-    ((box_t *)p)->settled = 0;
-}
-
-void get_net(void *p, int idx, uint64_t *out) {
-    inst_t *I = (inst_t *)p;
-    out[0] = (uint64_t)I->cur[idx];
-    out[1] = (uint64_t)(I->cur[idx] >> 64);
+    box_t *B = BOX(p);
+    B->I.cur[idx] = (((u128)hi << 64) | lo)
+        & mask_of(B->L->net_width[idx]);
+    B->settled = 0;
 }
 
 /* Store every input port; hi may be NULL when no port is wider than
    64 bits. */
 void push_inputs(void *p, const uint64_t *lo, const uint64_t *hi) {
-    inst_t *I = (inst_t *)p;
-    for (int i = 0; i < NIN; i++) {
-        int s = in_slot[i];
+    box_t *B = BOX(p);
+    const layout_t *L = B->L;
+    for (int i = 0; i < L->nin; i++) {
+        int s = L->in_slot[i];
         u128 v = hi ? ((u128)hi[i] << 64) | lo[i] : (u128)lo[i];
-        I->cur[s] = v & mask_of(net_width[s]);
+        B->I.cur[s] = v & mask_of(L->net_width[s]);
     }
 }
 
 /* (port index, lo, hi) of every output port whose value differs from
    what the last pull returned; returns the number of triples. */
 int pull_changed(void *p, uint64_t *out) {
-    box_t *B = (box_t *)p;
+    box_t *B = BOX(p);
+    const layout_t *L = B->L;
     int n = 0;
-    for (int i = 0; i < NOUT; i++) {
-        u128 v = B->inst.cur[out_slot[i]];
+    for (int i = 0; i < L->nout; i++) {
+        u128 v = B->I.cur[L->out_slot[i]];
         if (B->out_synced && v == B->out_last[i]) continue;
         B->out_last[i] = v;
         out[3 * n] = (uint64_t)i;
@@ -263,154 +300,180 @@ int pull_changed(void *p, uint64_t *out) {
     return n;
 }
 
-/* The next pull returns every output port. */
-void resync_outputs(void *p) {
-    ((box_t *)p)->out_synced = 0;
-}
-
+/* The settle before an edge: eval_comb, and cycle's first.  Only
+   input slots can have changed since the last settle, so while the
+   state is settled for the input values in_last, only the comb blocks
+   that the changed ports reach run: in_cone lists them per port as
+   entries of in_blk, which holds them in schedule order.  No port
+   changed, no block runs; a fixpoint settles all or nothing.  A write
+   behind the settle's back clears settled, as a new instance starts,
+   and the next input settle is settle(). */
 int eval_comb(void *p) {
-    return settle_inputs((box_t *)p);
+    box_t *B = BOX(p);
+    const layout_t *L = B->L;
+    u128 *cur = B->I.cur;
+    int changed = 0, r = 1;
+    if (!B->settled) {
+        r = settle(B);
+        for (int i = 0; i < L->nin; i++)
+            B->in_last[i] = cur[L->in_slot[i]];
+    } else {
+        for (int i = 0; i < L->nin; i++) {
+            u128 v = cur[L->in_slot[i]];
+            if (v == B->in_last[i]) continue;
+            B->in_last[i] = v;
+            for (int k = L->in_cone_off[i]; k < L->in_cone_off[i + 1]; k++)
+                B->run[L->in_cone[k]] = 1;
+            changed = 1;
+        }
+        if (changed && L->fixpoint) {
+            r = settle(B);
+        } else if (changed) {
+            for (int j = 0; j < L->ninblk; j++) {
+                if (!B->run[j]) continue;
+                B->run[j] = 0;
+                run_blocks(B, L->in_blk[j], L->in_blk[j] + 1);
+            }
+        }
+    }
+    B->settled = r >= 0;
+    return r;
 }
 
+/* One clock edge and the settle after it.  Only flop nets have a
+   meaningful nxt: seed them from cur (a tick that skips its .next
+   write holds the value), run the ticks, copy them back. */
+int edge(void *p) {
+    box_t *B = BOX(p);
+    const layout_t *L = B->L;
+    u128 *cur = B->I.cur, *nxt = B->I.nxt;
+    for (int i = 0; i < L->nflop; i++)
+        nxt[L->flop_slot[i]] = cur[L->flop_slot[i]];
+    run_tick_blocks(B);
+    for (int i = 0; i < L->nflop; i++)
+        cur[L->flop_slot[i]] = nxt[L->flop_slot[i]];
+    return settle(B);
+}
+
+/* Each edge leaves the state settled, so only the first cycle of a
+   batch needs its own pre-edge settle, and only for the inputs written
+   since. */
 int cycle(void *p, int n) {
-    inst_t *I = (inst_t *)p;
-    /* Each edge leaves the state settled, so only the first cycle of
-       a batch needs its own pre-edge settle, and only for the inputs
-       written since. */
-    if (settle_inputs((box_t *)p) < 0) return -1;
-    for (int i = 0; i < n; i++) {
-        clock_edge(I);
-        if (settle(I) < 0) return -1;
-    }
+    if (eval_comb(p) < 0) return -1;
+    for (int i = 0; i < n; i++)
+        if (edge(p) < 0) return -1;
     return 0;
 }
 
-int64_t get_state_at(void *p, int idx, int elem) {
-    return state_probe_at((inst_t *)p, idx, elem);
-}
-
-void set_state_at(void *p, int idx, int elem, int64_t value) {
-    state_poke_at((inst_t *)p, idx, elem, value);
-    ((box_t *)p)->settled = 0;
-}
-
-/* Checkpoint/restore: inst_t is a flat POD struct (net arrays + plain
-   int64 state), so one memcpy captures and restores the entire
-   simulation state of an instance. */
-size_t inst_size(void) {
-    return sizeof(inst_t);
-}
-
-void save_inst(void *p, char *buf) {
-    memcpy(buf, p, sizeof(inst_t));
-}
-
-void load_inst(void *p, const char *buf) {
-    memcpy(p, buf, sizeof(inst_t));
-    ((box_t *)p)->settled = 0;
-}
-
-/* ---- for the SimJIT runtime (runtime.c) ---- */
-
-/* The runtime reads and writes nets as the u128 array the instance
-   handle points at. */
-#include <stddef.h>
-_Static_assert(offsetof(inst_t, cur) == 0,
-               "the SimJIT runtime addresses nets through cur at offset 0");
-
-/* One clock edge and the settle after it: the cycle of an instrumented
-   run, whose pre-edge state is already settled. */
-int edge(void *p) {
-    inst_t *I = (inst_t *)p;
-    clock_edge(I);
-    return settle(I);
-}
-"""
-
-# ``settle()`` in its two kernel shapes; the specializer picks one.
-C_SETTLE_SINGLE_PASS = r"""
-/* The comb blocks are in dependency order (none reads a net that a
-   later one writes): one pass settles them. */
-static inline int settle(inst_t *I) {
-    run_comb_blocks(I);
-    return 1;
-}
-"""
-
-C_SETTLE_FIXPOINT = r"""
-/* Fixpoint over whole-state snapshots: a block may legitimately
-   write a net twice per pass (clear-then-set), so per-write change
-   flags would never settle. */
-static inline int settle(inst_t *I) {
-    int iters = 0;
-    do {
-        memcpy(I->prev, I->cur, sizeof(I->cur));
-        run_comb_blocks(I);
-        iters++;
-        if (iters > 64) return -1;   /* combinational loop */
-    } while (memcmp(I->prev, I->cur, sizeof(I->cur)) != 0);
-    return iters;
-}
-"""
-
-# ``run_input_blocks`` of the fixpoint shape (the single-pass one is
-# printed by the specializer, a guarded call per block).
-C_INPUT_FIXPOINT = r"""
-/* A fixpoint settles all or nothing: every input port's cone is the
-   one entry, settle(). */
-static int run_input_blocks(inst_t *I, const unsigned char *run) {
-    (void)run;
-    return settle(I);
-}
-"""
-
-# CL state access by ``(state_index entry, element)``: one lookup in
-# the specializer's ``state_off[]`` (out of range reads 0 and writes
-# nothing), or two stubs when the design has no CL state (spelled to
-# the byte: they are part of every RTL design's ``.so`` cache key).
-C_STATE_TABLE = r"""
-static inline int64_t *state_at(inst_t *I, int idx, int elem) {
-    if (idx < 0 || idx >= NSTATEVAR || elem < 0
-            || elem >= state_off[idx + 1] - state_off[idx])
+/* CL state by (state_index entry, element): out of range reads 0 and
+   writes nothing. */
+static int64_t *state_at(box_t *B, int idx, int elem) {
+    const layout_t *L = B->L;
+    if (idx < 0 || idx >= L->nstatevar || elem < 0
+            || elem >= L->state_off[idx + 1] - L->state_off[idx])
         return 0;
-    return &I->st[state_off[idx] + elem];
+    return &B->I.st[L->state_off[idx] + elem];
 }
 
-static int64_t state_probe_at(inst_t *I, int idx, int elem) {
-    int64_t *at = state_at(I, idx, elem);
+int64_t get_state_at(void *p, int idx, int elem) {
+    int64_t *at = state_at(BOX(p), idx, elem);
     return at ? *at : 0;
 }
 
-static void state_poke_at(inst_t *I, int idx, int elem, int64_t value) {
-    int64_t *at = state_at(I, idx, elem);
+void set_state_at(void *p, int idx, int elem, int64_t value) {
+    int64_t *at = state_at(BOX(p), idx, elem);
     if (at) *at = value;
+    BOX(p)->settled = 0;
 }
 """
 
-C_STATE_NONE = (
-    "static int64_t state_probe_at(inst_t *I, int idx, int elem) {\n"
-    "  (void)I; (void)elem;\n\n  return 0;\n}\n\n"
-    "static void state_poke_at(inst_t *I, int idx, int elem, "
-    "int64_t value) {\n"
-    "  (void)I; (void)elem; (void)value;\n\n}")
-
-C_HEADER_DECLS = """
-void *new_instance(void);
+C_HEADER_DECLS = C_LAYOUT + """
+void *new_instance(const layout_t *L);
 void free_instance(void *p);
+void invalidate(void *p);
 void set_net(void *p, int idx, uint64_t lo, uint64_t hi);
-void get_net(void *p, int idx, uint64_t *out);
 void push_inputs(void *p, const uint64_t *lo, const uint64_t *hi);
 int pull_changed(void *p, uint64_t *out);
-void resync_outputs(void *p);
 int eval_comb(void *p);
-int cycle(void *p, int n);
 int edge(void *p);
+int cycle(void *p, int n);
 int64_t get_state_at(void *p, int idx, int elem);
 void set_state_at(void *p, int idx, int elem, int64_t value);
-size_t inst_size(void);
-void save_inst(void *p, char *buf);
-void load_inst(void *p, const char *buf);
 """
+
+_U64 = (1 << 64) - 1
+
+
+class Layout(NamedTuple):
+    """One instance's data for the kernel (``layout_t``): everything
+    that names an instance rather than a body.  ``blocks`` is one
+    ``(function, S entries, K entries)`` per block, the comb blocks in
+    schedule order, then the tick blocks; ``in_blk`` the comb positions
+    some input port reaches and ``in_cone`` per input port the
+    ``in_blk`` entries it reaches; ``init_cur`` / ``init_st`` the
+    values a new instance starts from."""
+
+    net_width: list
+    in_slot: list
+    out_slot: list
+    flop_slot: list
+    blocks: list
+    ncomb: int
+    in_blk: list
+    in_cone: list
+    state_off: list
+    init_cur: list
+    init_st: list
+    fixpoint: bool
+
+    @property
+    def nbytes(self):
+        """Bytes of the checkpoint blob ``cur | nxt | [prev] | [st]``."""
+        return (16 * len(self.net_width) * (3 if self.fixpoint else 2)
+                + 8 * len(self.init_st))
+
+    def to_c(self, ffi):
+        """``(layout_t *, arrays)``: the ``layout_t`` and the arrays it
+        points at, which must live as long as it does."""
+        arrays = []
+
+        def array(ctype, values):
+            arrays.append(ffi.new(f"{ctype}[]", values or [0]))
+            return arrays[-1]
+
+        block, s, k = [], [], []
+        for function, s_row, k_row in self.blocks:
+            block += (function, len(s), len(k))
+            s += s_row
+            k += k_row
+        cone_off = [0]
+        for cone in self.in_cone:
+            cone_off.append(cone_off[-1] + len(cone))
+        init_cur = []
+        for value in self.init_cur:
+            init_cur += (value & _U64, value >> 64)
+        layout = ffi.new("layout_t *", {
+            "nnets": len(self.net_width), "nin": len(self.in_slot),
+            "nout": len(self.out_slot), "nflop": len(self.flop_slot),
+            "ncomb": self.ncomb, "ntick": len(self.blocks) - self.ncomb,
+            "ninblk": len(self.in_blk),
+            "nstatevar": len(self.state_off) - 1,
+            "nst": len(self.init_st), "fixpoint": int(self.fixpoint),
+            "net_width": array("unsigned short", self.net_width),
+            "in_slot": array("int", self.in_slot),
+            "out_slot": array("int", self.out_slot),
+            "flop_slot": array("int", self.flop_slot),
+            "block": array("int", block), "s": array("int", s),
+            "k": array("int64_t", k),
+            "in_blk": array("int", self.in_blk),
+            "in_cone_off": array("int", cone_off),
+            "in_cone": array("int", [j for cone in self.in_cone
+                                     for j in cone]),
+            "state_off": array("int", self.state_off),
+            "init_cur": array("uint64_t", init_cur),
+            "init_st": array("int64_t", self.init_st),
+        })
+        return layout, arrays
 
 
 #: Hole kinds.  A SLOT is an index printed bare (a net slot, or a CL
@@ -606,14 +669,15 @@ class CBackend:
 
     :meth:`add` files a block under its body's C artifact
     (:class:`~repro.core.bodies.CBody`, by identity); :meth:`emit_blocks`
-    then prints every body once."""
+    then prints every body once and ``run_block``."""
 
     def __init__(self):
         self._bodies = {}          # C body -> names, values; first seen first
         self._blocks = []          # (C body, member) per add
         self._tables = {}          # slots -> name of a literal table
-        #: function bodies :meth:`emit_blocks` printed
-        self.nfunctions = 0
+        #: a call of each function :meth:`emit_blocks` printed, by
+        #: ``run_block`` case
+        self.calls = []
 
     def add(self, c, values, func_name):
         """File block ``func_name``: its C body ``c`` and this instance's
@@ -625,30 +689,43 @@ class CBackend:
         rows.append(values)
 
     def emit_blocks(self):
-        """Print every body.  Returns ``(parts, calls)``: the C text
-        (literal lookup tables, then per body its members' tables and
-        its function) and one call statement per :meth:`add`, in
-        the order added."""
-        parts, calls = [], {}
-        for g, (c, (names, rows)) in enumerate(self._bodies.items()):
-            calls[c] = self._emit_body(g, c, names, rows, parts)
+        """Print every body.  Returns ``(text, blocks)``: the C text
+        (literal lookup tables, one function per body, ``run_block``)
+        and, per :meth:`add` in the order added, the block's layout
+        entry ``(function, S entries, K entries)``."""
+        parts, entries = [], {}
+        for c, (names, rows) in self._bodies.items():
+            entries[c] = self._emit_body(c, names, rows, parts)
         tables = "\n".join(
             f"static const int {name}[{len(slots)}] = "
             f"{{{', '.join(map(str, slots))}}};"
             for slots, name in self._tables.items())
-        return [tables] + parts, [calls[c][m] for c, m in self._blocks]
+        cases = "".join(f"  case {f}: {call} break;\n"
+                        for f, call in enumerate(self.calls))
+        parts.append(
+            "/* Block body f of the layout, with the block's S and K "
+            "entries: one copy\n   of every body, whichever kernel loop "
+            "runs it. */\n"
+            "__attribute__((noinline))\n"
+            "static void run_block(inst_t *I, int f, const int *s, "
+            "const int64_t *k) {\n"
+            f"  (void)s; (void)k;\n  switch (f) {{\n{cases}  }}\n}}")
+        return ("\n\n".join(filter(None, [tables] + parts)),
+                [entries[c][m] for c, m in self._blocks])
 
-    def _emit_body(self, g, c, names, rows, parts):
-        """Append the C text of body ``g`` (``c``, its blocks ``names``
-        with hole values ``rows``) to ``parts``; returns one call
-        statement per block."""
+    def _emit_body(self, c, names, rows, parts):
+        """Append the C text of body ``c`` (its blocks ``names`` with
+        hole values ``rows``) to ``parts``; returns each block's layout
+        entry."""
         pieces = c.text.split(_MARK)
         holes = list(map(int, pieces[1::2]))
 
-        def function(signature, printed):
+        def function(name, params, call, printed):
             pieces[1::2] = map(printed.__getitem__, holes)
-            self.nfunctions += 1
-            return f"static void {signature} {{\n" + "".join(pieces)
+            self.calls.append(f"{name}({call});")
+            parts.append(f"static void {name}({params}) {{\n"
+                         + "".join(pieces))
+            return len(self.calls) - 1
 
         kinds = c.kinds
         shared = len(names) > 1
@@ -662,13 +739,13 @@ class CBackend:
         if not shared:
             # Nothing to share, or a constant K cannot hold: every
             # hole is the literal it always was.
-            parts.extend(function(f"{name}(inst_t *I)",
-                                  [self._literal(kind, value)
-                                   for kind, value in zip(kinds, values)])
-                         for name, values in zip(names, rows))
-            return [f"{name}(I);" for name in names]
+            return [(function(name, "inst_t *I", "I",
+                              [self._literal(kind, value)
+                               for kind, value in zip(kinds, values)]),
+                     (), ())
+                    for name, values in zip(names, rows)]
 
-        # A hole that varies reads the member's tables: S holds slots
+        # A hole that varies reads the block's entries: S holds slots
         # and, from ``S + off``, the dynamic tables; K the constants.
         # Equal columns share an entry.
         s_at, s_cols, s_len, k_at = {}, [], 0, {}
@@ -686,27 +763,11 @@ class CBackend:
                     s_len += len(s_cols[-1][0])
                 printed.append(f"(S + {s_at[col]})" if kind == TABLE
                                else f"S[{s_at[col]}]")
-        name = names[0]
-        tables, calls = [], []
-        for m in range(len(names)):
-            args = []
-            for ctype, prefix, row in (
-                    ("int", "S",
-                     [str(slot) for col in s_cols for slot in col[m]]),
-                    ("int64_t", "K", [f"{col[m]}LL" for col in k_at])):
-                if row:
-                    args.append(f"{prefix}_{g}_{m}")
-                    tables.append(
-                        f"static const {ctype} {args[-1]}[{len(row)}] = "
-                        f"{{{', '.join(row)}}};")
-                else:
-                    args.append("0")
-            calls.append(f"{name}(I, {', '.join(args)});")
-        if tables:
-            parts.append("\n".join(tables))
-        parts.append(function(
-            f"{name}(inst_t *I, const int *S, const int64_t *K)", printed))
-        return calls
+        f = function(names[0], "inst_t *I, const int *S, const int64_t *K",
+                     "I, s, k", printed)
+        return [(f, tuple(slot for col in s_cols for slot in col[m]),
+                 tuple(col[m] for col in k_at))
+                for m in range(len(names))]
 
     def _literal(self, kind, value):
         """A hole printed as the value itself."""

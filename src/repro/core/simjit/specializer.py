@@ -2,25 +2,28 @@
 
 ``SimJITRTL`` and ``SimJITCL`` take an elaborated PyMTL-style model,
 bind every behavioral block, RTL or CL, to its body (one IR lowering
-per block body, :mod:`repro.core.bodies`), emit a single C translation unit
-(one net-state array, one function per block body — see
-:mod:`.cgen`: the 832 blocks of a 64-router mesh are five functions,
-each called with one instance's slot/constant tables — the
-combinational blocks in the order
-:func:`~repro.core.scheduling.build_schedule` gives them, and, per
-input port, the comb blocks a change of it reaches over the same
-read/write nets, so the settle before an edge runs only those),
+per block body, :mod:`repro.core.bodies`), emit a C translation unit
+of one function per distinct block body and the fixed kernel (see
+:mod:`.cgen`: the 832 blocks of a 64-router mesh are five functions),
 compile it with gcc, load it through cffi (whose parse of the
-interface declarations is paid once per process, :func:`_interface`), and
-hand back a drop-in :class:`JITModel` exposing the original port
+interface declarations is paid once per process, :func:`_interface`),
+and hand back a drop-in :class:`JITModel` exposing the original port
 interface — exactly the flow of paper Figure 12, with our own RTL→C
 compiler standing in for Verilator (see DESIGN.md).
 
-The translation unit holds only the design.  What every design shares
-— the compiled instrumentation and the compiled test bench — is
-``runtime.c``, built the same content-addressed way once per cache and
-loaded the first time an engine needs it (:func:`_runtime`); an engine
-that is only simulated never loads it.
+The translation unit holds only the design's bodies.  What makes it
+this instance is the layout (:class:`.cgen.Layout`) the engine hands
+to ``new_instance``: the nets and their widths, each block's function
+and slot/constant entries with the combinational blocks in the order
+:func:`~repro.core.scheduling.build_schedule` gives them, per input
+port the comb blocks a change of it reaches over the same read/write
+nets (so the settle before an edge runs only those), and the initial
+values.  Designs whose bodies print the same text are one ``.so``.
+What every design shares — the compiled instrumentation and the
+compiled test bench — is ``runtime.c``, built the same
+content-addressed way once per cache and loaded the first time an
+engine needs it (:func:`_runtime`); an engine that is only simulated
+never loads it.
 
 Per-phase overheads (elab / veri / cgen / comp / wrap / simc) are
 recorded on the returned engine for the Figure 16 experiment.
@@ -48,7 +51,8 @@ from ..portbundle import PortBundle
 from ..probe import Probe
 from ..scheduling import build_schedule, comb_block_nets
 from ..signals import InPort, OutPort, Signal
-from .cgen import C_HEADER_DECLS, CBackend, c_template
+from .cgen import (C_HEADER_DECLS, C_KERNEL, C_PRELUDE, CBackend, Layout,
+                   c_template)
 
 _CACHE_ENV = "SIMJIT_CACHE_DIR"
 _CACHE_OPTOUT_ENV = "REPRO_SIMJIT_CACHE"
@@ -59,6 +63,8 @@ _RUNTIME_C = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 _RUNTIME_OPT = "-O2"
 _INTERFACE_BEGIN = "/* ---- interface ---- */"
 _INTERFACE_END = "/* ---- end of interface ---- */"
+_U64 = (1 << 64) - 1
+_U128 = (1 << 128) - 1
 
 
 class SpecializationError(Exception):
@@ -259,7 +265,8 @@ class SimJITEngine:
     the input slots and the clock itself (:meth:`tb_uniform`).
     """
 
-    def __init__(self, model, lib, ffi, slots, overheads, kernel_info):
+    def __init__(self, model, lib, ffi, slots, overheads, kernel_info,
+                 layout):
         self.model = model
         self.lib = lib
         # The process-wide ``ffi`` that loaded ``lib`` (``_interface``).
@@ -268,21 +275,27 @@ class SimJITEngine:
         # specializer that built it: nothing the engine keeps may keep
         # the ``_Specializer`` (and its ``c_source``) alive.
         self._slots = slots
-        # Freed with the engine; the destructor holds ``lib`` so the
-        # code it calls is still mapped whichever is dropped first.
-        self.inst = ffi.gc(lib.new_instance(),
-                           lambda inst: lib.free_instance(inst))
+        #: this instance's data for the kernel (:class:`.cgen.Layout`)
+        self.layout = layout
+        # Freed with the engine; the destructor holds ``lib`` and the
+        # C layout so the code it calls is still mapped, and the layout
+        # the instance reads still allocated, whichever is dropped first.
+        held = layout.to_c(ffi)
+        self.inst = ffi.gc(lib.new_instance(held[0]),
+                           lambda inst: (lib.free_instance(inst), held))
         self.overheads = overheads
         #: which kernel shape was generated and why (``sched_info()``)
         self.kernel_info = kernel_info
-        self._buf = ffi.new("uint64_t[2]")
+        # The checkpoint blob the handle points at, as the (lo, hi)
+        # words of its nets.
+        self._words = ffi.cast("uint64_t *", self.inst)
         # CL-state addressing metadata: attached by the specializer
         # (``engine.state_index``/``engine.model_index``) so external
         # tools (fault injection, checkpointing) can reach compiled
         # state by (model, attr) instead of C variable names.
         self.state_index = {}
         self.model_index = {}
-        # Port order is the order of the C in_slot[]/out_slot[] tables.
+        # Port order is the order of the layout's in_slot/out_slot.
         self._in_ports = model.get_inports()
         self._out_ports = model.get_outports()
         n_in = len(self._in_ports)
@@ -405,8 +418,7 @@ class SimJITEngine:
         self._pushed = None
 
     def raw_get(self, slot):
-        self.lib.get_net(self.inst, slot, self._buf)
-        return self._buf[0] | (self._buf[1] << 64)
+        return self._words[2 * slot] | (self._words[2 * slot + 1] << 64)
 
     def raw_set_state(self, idx, elem, value):
         """Write one CL state variable (``state_index`` addressing)."""
@@ -421,30 +433,28 @@ class SimJITEngine:
     # -- checkpoint/restore (resilience.snapshot) -------------------------
 
     def snapshot_raw(self):
-        """Entire compiled instance state (nets + CL state) as bytes."""
-        n = int(self.lib.inst_size())
-        buf = self._ffi.new("char[]", n)
-        self.lib.save_inst(self.inst, buf)
-        return bytes(self._ffi.buffer(buf, n))
+        """Entire compiled instance state (nets + CL state) as bytes:
+        the checkpoint blob, ``cur | nxt | [prev] | [st]``."""
+        return self._ffi.buffer(self.inst, self.layout.nbytes)[:]
 
     def restore_raw(self, blob):
         """Overwrite the compiled instance state from a snapshot blob
-        (of this design: ``load_inst`` copies ``inst_size()`` bytes)."""
-        size = int(self.lib.inst_size())
+        (of this layout: ``layout.nbytes`` bytes)."""
+        size = self.layout.nbytes
         if len(blob) != size:
             raise ValueError(
                 f"snapshot blob is {len(blob)} bytes but this engine's "
                 f"instance state is {size}: it was taken from another "
                 f"design or layout")
-        self.lib.load_inst(self.inst, blob)
+        self._ffi.memmove(self.inst, blob, size)
         self.invalidate_shadows()
 
     def invalidate_shadows(self):
         """Drop the Python<->C change-detection caches after any
         out-of-band state mutation, so the next push/pull re-syncs
-        every port."""
+        every port (and the next settle runs every block)."""
         self._pushed = None
-        self.lib.resync_outputs(self.inst)
+        self.lib.invalidate(self.inst)
 
 
 class JITModel(Model):
@@ -567,7 +577,7 @@ class _Specializer:
             lib = self._load(lib_path)
             engine = SimJITEngine(model, lib, _interface(),
                                   self._slots, self.overheads,
-                                  self.kernel_info)
+                                  self.kernel_info, self.layout)
             engine.state_index = dict(self._state_index)
             engine.model_index = dict(self._model_index)
 
@@ -734,22 +744,20 @@ class _Specializer:
     # -- emission ---------------------------------------------------------------------
 
     def _emit(self, model, comb_order, residue, ticks, comb_nets):
-        from .cgen import (C_API, C_INPUT_FIXPOINT, C_PRELUDE,
-                           C_SETTLE_FIXPOINT, C_SETTLE_SINGLE_PASS,
-                           C_STATE_NONE, C_STATE_TABLE)
-
+        """The translation unit: the prelude, one function per block
+        body and the kernel.  What names an instance goes into
+        ``self.layout`` (:class:`.cgen.Layout`)."""
         # CL state is namespaced per model instance (``_state_key``);
         # ``state_index`` (sorted by that name) is its (STATE, idx, elem)
-        # address and ``state_off`` where its elements start in
-        # ``inst_t.st[]``.
+        # address and ``state_off`` where its elements start in ``st[]``.
         state_list = sorted(self._state_vars.items())
         state_off = [0]
         for _, (_, _, size) in state_list:
             state_off.append(state_off[-1] + max(1, size))
         self._state_index = {key: i for i, (key, _) in enumerate(state_list)}
 
-        # One function per block body, called once per block in
-        # schedule order.
+        # One function per block body; each block is its function and
+        # its entries, in schedule order.
         offset_of = dict(zip(self._state_index, state_off))
         backend = CBackend()
         for prefix, blocks in (("comb", comb_order), ("tick", ticks)):
@@ -759,52 +767,23 @@ class _Specializer:
                     values = [offset_of[v] if isinstance(v, str) else v
                               for v in values]
                 backend.add(blk.c, values, f"{prefix}_{i}_{blk.name}")
-        block_c, calls = backend.emit_blocks()
+        block_c, entries = backend.emit_blocks()
 
-        parts = [C_PRELUDE.replace(
-            "@NNETS@", str(max(1, len(self._net_widths))))]
-
-        widths = ", ".join(str(w) for w in self._net_widths) or "0"
-        parts.append(
-            f"static const unsigned short net_width[] = {{{widths}}};"
-        )
-
-        # Instance struct: net state + CL plain state.  Every instance
-        # of the compiled model gets its own heap-allocated copy.
-        struct_lines = ["typedef struct {",
-                        "  u128 cur[NNETS];",
-                        "  u128 nxt[NNETS];"]
-        if residue:
-            struct_lines.append("  u128 prev[NNETS];")
-        if state_list:
-            struct_lines.append(f"  int64_t st[{state_off[-1]}];")
-        struct_lines.append("} inst_t;")
-        parts.append("\n".join(struct_lines))
-
-        # Static slot tables: the ports the Python boundary moves and
-        # the nets the clock edge flops.
+        # The nets the Python boundary moves and the clock edge flops.
         flop_slots = sorted({
             self._slot_of(sig) for blk in ticks for sig in blk.writes})
         in_ports = model.get_inports()
         in_slots = [self._slot_of(sig) for sig in in_ports]
         out_slots = [self._slot_of(sig) for sig in model.get_outports()]
-        for macro, table, slots in (("NIN", "in_slot", in_slots),
-                                    ("NOUT", "out_slot", out_slots),
-                                    ("NFLOP", "flop_slot", flop_slots)):
-            body = ", ".join(str(slot) for slot in slots) or "0"
-            parts.append(
-                f"#define {macro} {len(slots)}\n"
-                f"static const int {table}[] = {{{body}}};")
 
-        # The input settle (cgen's settle_inputs): the comb blocks each
-        # input port reaches, as positions in the list run_input_blocks
-        # guards.  A fixpoint settles all or nothing, so there every
-        # port reaches every block and the list is the one settle().
+        # The input settle: the comb blocks each input port reaches, as
+        # entries of ``in_blk``.  A fixpoint settles all or nothing, so
+        # there every port reaches every block and the kernel settles.
         ncomb = len(comb_order)
         if residue:
-            cones = [[0] for _ in in_slots]
+            cones, union = [[] for _ in in_slots], []
             reach = [ncomb] * len(in_slots)
-            union = range(ncomb) if in_slots else ()
+            nreach = ncomb if in_slots else 0
         else:
             cones = self._input_cones(
                 [sig._net.find() for sig in in_ports], comb_nets)
@@ -812,97 +791,45 @@ class _Specializer:
             union = sorted(set().union(*cones))
             at = {j: k for k, j in enumerate(union)}
             cones = [[at[j] for j in cone] for cone in cones]
+            nreach = len(union)
         self.kernel_info = {
             "comb": "fixpoint" if residue else "single-pass",
             "residue_blocks": residue,
             "flop_nets": len(flop_slots),
             "in_ports": len(in_slots),
             "out_ports": len(out_slots),
-            "blocks": len(calls),
-            "functions": backend.nfunctions,
+            "blocks": len(entries),
+            "functions": len(backend.calls),
             "bodies": len(self._bodies),
-            "input_blocks": len(union),
+            "input_blocks": nreach,
             "input_cone_max": max(reach, default=0),
         }
 
-        parts.extend(block_c)
-
-        for runner, stmts in (("run_comb_blocks", calls[:ncomb]),
-                              ("run_tick_blocks", calls[ncomb:])):
-            body = "\n".join(f"  {call}" for call in stmts)
-            parts.append(
-                f"static void {runner}(inst_t *I) {{\n"
-                f"  (void)I;\n{body}\n}}"
-            )
-        parts.append(
-            C_SETTLE_FIXPOINT if residue else C_SETTLE_SINGLE_PASS)
-
-        offsets, flat = [0], []
-        for cone in cones:
-            flat.extend(cone)
-            offsets.append(len(flat))
-        parts.append(
-            "/* Input port i reaches the run_input_blocks entries listed "
-            "from\n   in_cone[in_cone_off[i]] up to in_cone_off[i + 1]. */\n"
-            f"#define NINBLK {1 if residue else len(union)}\n"
-            f"static const int in_cone_off[NIN + 1] = "
-            f"{{{', '.join(map(str, offsets))}}};\n"
-            f"static const int in_cone[] = "
-            f"{{{', '.join(map(str, flat)) or '0'}}};")
-        if residue:
-            parts.append(C_INPUT_FIXPOINT)
-        else:
-            guarded = "".join(f"  if (run[{k}]) {calls[j]}\n"
-                              for k, j in enumerate(union))
-            parts.append(
-                "/* Every comb block some input port reaches, in schedule "
-                "order, run when\n   settle_inputs marked it. */\n"
-                "static int run_input_blocks(inst_t *I, "
-                "const unsigned char *run) {\n"
-                f"  (void)I; (void)run;\n{guarded}  return 1;\n}}")
-
-        # State probe and poke for observability and fault injection
-        # from Python, by the (idx, elem) addressing of ``state_index``.
-        if state_list:
-            offsets = ", ".join(str(off) for off in state_off)
-            parts.append(
-                f"#define NSTATEVAR {len(state_list)}\n"
-                f"static const int state_off[NSTATEVAR + 1] = "
-                f"{{{offsets}}};")
-            parts.append(C_STATE_TABLE)
-        else:
-            parts.append(C_STATE_NONE)
-
-        # init_instance(): seed net values, constant ties, CL state.
-        init_lines = []
-        for i, net in enumerate(model._all_nets):
-            value = net.read()
-            if value:
-                lo = value & 0xFFFFFFFFFFFFFFFF
-                hi = value >> 64
-                init_lines.append(
-                    f"  I->cur[{i}] = (((u128){hi}ULL) << 64) | {lo}ULL;"
-                )
-        for end, const in model._const_ties:
-            ref = _sigref_from(end)
-            slot = self._slot_of(ref.signals[0])
-            width = ref.width
-            init_lines.append(
-                f"  I->cur[{slot}] = (I->cur[{slot}] & "
-                f"~(mask_of({width}) << {ref.lo})) | "
-                f"(((u128){const}ULL & mask_of({width})) << {ref.lo});"
-            )
+        init_st = [0] * state_off[-1]
         for off, (_, (owner, attr_name, size)) in zip(state_off, state_list):
             value = getattr(owner, attr_name)
             for j, v in enumerate(value if size else [value]):
-                if int(v):
-                    init_lines.append(f"  I->st[{off + j}] = {int(v)}LL;")
-        parts.append(
-            "static void init_instance(inst_t *I) {\n"
-            "  (void)I;\n" + "\n".join(init_lines) + "\n}"
-        )
-        parts.append(C_API)
-        return "\n\n".join(parts)
+                init_st[off + j] = int(v)
+        self.layout = Layout(
+            net_width=self._net_widths, in_slot=in_slots,
+            out_slot=out_slots, flop_slot=flop_slots, blocks=entries,
+            ncomb=ncomb, in_blk=union, in_cone=cones, state_off=state_off,
+            init_cur=self._initial_nets(model), init_st=init_st,
+            fixpoint=bool(residue))
+        return "\n\n".join([C_PRELUDE, block_c, C_KERNEL])
+
+    def _initial_nets(self, model):
+        """Every net's value at construction, the constant ties
+        applied."""
+        values = [int(net.read()) for net in model._all_nets]
+        for end, const in model._const_ties:
+            ref = _sigref_from(end)
+            slot = self._slot_of(ref.signals[0])
+            mask = (1 << ref.width) - 1
+            kept = values[slot] & ~(mask << ref.lo)
+            values[slot] = (kept | (int(const) & _U64 & mask) << ref.lo) \
+                & _U128
+        return values
 
     # -- compile / load -----------------------------------------------------------------
 

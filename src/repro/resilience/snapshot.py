@@ -10,7 +10,7 @@ A checkpoint captures *everything* a cycle-accurate replay needs:
   backed counters ride along with the net/state capture);
 - RNG streams registered via ``sim.track_rng(rng)``;
 - the compiled instance blob of every SimJIT-specialized submodel
-  (one flat ``memcpy`` of the C ``inst_t``);
+  (one flat copy of its ``cur | nxt | [prev] | [st]``);
 - scheduler flag arrays and the cycle/event counters.
 
 The contract — asserted across substrates by ``tests/test_checkpoint``

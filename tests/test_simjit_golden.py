@@ -11,9 +11,12 @@ DUT builders and the seven ``test_simjit_share`` rows.  None of them
 holds the SimJIT runtime (``runtime.c``).  The C text is the ``.so``
 cache key, so a refactor of how it is produced must leave
 every entry as it is (new rows for a refactor are written by the code
-it replaces: run ``--write`` on the parent with these designs).  A
-change that alters the generated C on purpose regenerates the table and
-says so::
+it replaces: run ``--write`` on the parent with these designs).  The
+text is a design's block bodies and the fixed kernel; what names an
+instance is its layout, not text, so the three RTL meshes differ only
+in integer literals and two designs whose bodies print alike share a
+row's hash.  A change that alters the generated C on purpose
+regenerates the table and says so::
 
     PYTHONPATH=src python tests/test_simjit_golden.py --write
 """

@@ -2,7 +2,8 @@
 
 Blocks whose generated C differs only in which nets, CL state and
 integer constants it names share one function and read those through
-per-instance ``S``/``K`` tables (``core/simjit/cgen.py``).  These tests
+their ``S``/``K`` entries in the instance's layout
+(``core/simjit/cgen.py``).  These tests
 pin what must share and what must not, that a shared body still
 simulates every instance exactly as the event-driven interpreter does —
 through probes and a mid-run checkpoint too — and that the generated
@@ -193,6 +194,13 @@ def _bodies(c_source):
         c_source, re.M | re.S))
 
 
+def _entries(pair):
+    """Each block's ``(function, S entries, K entries)`` in the layout
+    of ``pair``'s engine."""
+    return [(f, len(s), len(k))
+            for f, s, k in pair.jit.jit_engine.layout.blocks]
+
+
 # -- (a) the mesh --------------------------------------------------------------
 
 
@@ -208,44 +216,54 @@ def test_mesh16_is_five_functions():
     bodies = _bodies(spec.c_source)
     assert len(bodies) == 5
     assert len(set(bodies.values())) == 5
-    calls = re.findall(r"^  ((?:comb|tick)_\w+)\(I, S_\d+_\d+, \w+\);$",
-                       spec.c_source, re.M)
-    assert len(calls) == 208 and set(calls) == set(bodies)
+    # Every block runs one of the five, each of which some block runs,
+    # with slot entries of its own.
+    blocks = top.jit_engine.layout.blocks
+    assert len(blocks) == 208
+    assert {f for f, _, _ in blocks} == set(range(5))
+    assert all(s for _, s, _ in blocks)
 
 
 # -- (b) what shares and what does not -----------------------------------------
 
 BIG = 1 << 63
 
-# id -> (leaves, specializer, functions, text the C must / must not hold)
+# id -> (leaves, specializer, functions, text the C must / must not hold,
+#        each block's (function, S entries, K entries) in the layout:
+#        the comb blocks, then the ticks)
 CASES = {
     # comb reads K; the tick is the same text with nothing constant
     "constant": (lambda: [_AddK(8, 1), _AddK(8, 2), _AddK(8, 200)],
-                 SimJITRTL, 2, ["K[0]", "const int64_t K_"], []),
+                 SimJITRTL, 2, ["K[0]"], [],
+                 [(0, 2, 1)] * 3 + [(1, 2, 0)] * 3),
     "width": (lambda: [_AddK(8), _AddK(12)],
-              SimJITRTL, 4, [], ["*S", "*K"]),
+              SimJITRTL, 4, [], ["*S", "*K"],
+              [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)]),
     "dynamic-index": (lambda: [_Pick(), _Pick()],
-                      SimJITRTL, 2, ["(S + "], ["tbl0", "K_"]),
+                      SimJITRTL, 2, ["(S + "], ["tbl0", "K["],
+                      [(0, 6, 0)] * 2 + [(1, 6, 0)] * 2),
     # K is int64_t: the two comb blocks stay literal, the ticks share
     "constant-over-int64": (
         lambda: [_AddK(64, BIG + 5), _AddK(64, 2 * BIG - 1)],
         SimJITRTL, 3, [f"((((u128)0ULL) << 64) | {BIG + 5}ULL)",
                        f"((((u128)0ULL) << 64) | {2 * BIG - 1}ULL)"],
-        ["K_"]),
+        ["K["], [(0, 0, 0), (1, 0, 0), (2, 2, 0), (2, 2, 0)]),
     "nothing": (lambda: [_AddK(8), _AddK(8)],
-                SimJITRTL, 2, ["(I, S_0_1, 0);"], ["K_", "K["]),
+                SimJITRTL, 2, ["S[1]"], ["K["],
+                [(0, 2, 0)] * 2 + [(1, 2, 0)] * 2),
     "cl-state": (lambda: [_CountCL(), _CountCL(), _CountCL()],
-                 SimJITCL, 1, ["I->st[S["], ["st_m"]),
+                 SimJITCL, 1, ["I->st[S["], ["st_m"], [(0, 4, 0)] * 3),
     # a list length is a body: the two of length 4 share, 6 is literal
     "cl-state-lengths": (
         lambda: [_CountCL(8, 4), _CountCL(8, 6), _CountCL(8, 4)],
-        SimJITCL, 2, ["I->st[S[", "(6LL)", "l_i < 6;"], ["st_m"]),
+        SimJITCL, 2, ["I->st[S[", "(6LL)", "l_i < 6;"], ["st_m"],
+        [(0, 4, 0), (1, 0, 0), (0, 4, 0)]),
 }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_sharing_table(case):
-    leaves, specializer, functions, present, absent = CASES[case]
+    leaves, specializer, functions, present, absent, entries = CASES[case]
     pair = _Pair(lambda: _Bank(leaves()), specializer)
     source = pair.spec.c_source
     assert pair.info["functions"] == functions == len(_bodies(source))
@@ -256,6 +274,7 @@ def test_sharing_table(case):
         assert text in source, text
     for text in absent:
         assert text not in source, text
+    assert _entries(pair) == entries
 
     pair.run(40, seed=1)
 
@@ -330,9 +349,8 @@ def test_design_without_a_repeated_body_has_no_tables():
     source = pair.spec.c_source
     assert pair.info["functions"] == pair.info["blocks"] == 4
     assert "*S" not in source and "*K" not in source
-    assert "static const int S_" not in source
-    assert len(re.findall(r"^  (?:comb|tick)_\w+\(I\);$", source,
-                          re.M)) == 4
+    # Each block its own function, with no entries.
+    assert _entries(pair) == [(f, 0, 0) for f in range(4)]
     pair.run(30, seed=4)
 
 
