@@ -7,8 +7,13 @@ compile time dominates and grows with design size.
 
 Our phases map as: elab = elaboration + net flattening; veri = IR
 lowering + static scheduling (the translation role Verilator plays in
-the paper's RTL flow); cgen = C emission; comp = gcc; wrap = dlopen +
-engine construction; simc = wrapper-model creation.
+the paper's RTL flow); cgen = C emission; comp = gcc on the design's
+block bodies; wrap = dlopen + engine construction; simc = wrapper-model
+creation.  The kernel every design runs on (settle, edge, cycle, the
+Python boundary) is the SimJIT runtime, compiled once per cache and
+loaded once per process, so no design's ``comp`` holds it: the
+``runtime`` line is one cold, uncached build and load of it, the cost
+the first engine of a process pays on an empty cache.
 
 For each level ``common.best_of_paired`` times a cold 64-node build
 (the network, then a cache-off specialization) against the 16-node one
@@ -20,6 +25,7 @@ table prints each side's fastest call; ``BENCH_QUICK=1`` runs fewer
 pairs.
 """
 
+import os
 import time
 
 from common import (QUICK, Pedantic, best_of_paired, build_network,
@@ -50,6 +56,27 @@ def _cold_specializations(level, nrouters, runs):
     return specialize
 
 
+def measure_runtime():
+    """The ``runtime`` line: one cold build and load of the SimJIT
+    runtime (``_runtime`` after a ``cache_clear``, cache off), its time
+    in ``comp``."""
+    from repro.core.simjit import specializer
+    saved = os.environ.get("REPRO_SIMJIT_CACHE")
+    os.environ["REPRO_SIMJIT_CACHE"] = "0"
+    specializer._runtime.cache_clear()
+    try:
+        start = time.perf_counter()
+        specializer._runtime()
+        seconds = time.perf_counter() - start
+    finally:
+        if saved is None:
+            del os.environ["REPRO_SIMJIT_CACHE"]
+        else:
+            os.environ["REPRO_SIMJIT_CACHE"] = saved
+    return {"config": "runtime", **{p: 0.0 for p in PHASES},
+            "comp": round(seconds, 4)}
+
+
 def measure(level):
     """The 16-node row (phases only) and the gated 64-node row."""
     small, big = [], []
@@ -76,6 +103,8 @@ def test_fig16_overheads_table(benchmark):
     entries = []
 
     def run_all():
+        # First, so that no mesh build below loads the runtime.
+        entries.append(measure_runtime())
         for level in LEVELS:
             entries.extend(measure(level))
 

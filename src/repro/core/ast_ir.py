@@ -244,6 +244,9 @@ class BlockIR:
     #: only :func:`infer_types` reads it, and uses it up.  Reads record
     #: the same fact in ``SigRead.vtype``.
     casts: dict = field(default_factory=dict)
+    #: the first local :func:`infer_types` saw given a value that may
+    #: need 64 bits or more (C's locals are ``int64_t``), or None
+    wide_local: str = None
 
 
 def walk_stmts(stmts):
@@ -1092,6 +1095,7 @@ def infer_types(ir, hole_of):
     ``Const`` leaves a sibling may fill with another value."""
     typer = _Typer(ir, hole_of)
     typer.stmts(ir.body)
+    ir.wide_local = typer.wide_local
     for node in walk_stmts(ir.body):
         typer.exact(node)
         if isinstance(node, AssignSig):
@@ -1107,6 +1111,7 @@ class _Typer:
         self.env = {}              # scalar local -> Ty
         self.exits = []            # per enclosing loop: envs at break/continue
         self.done = {}             # id(node) -> (node, its rewrite)
+        self.wide_local = None
 
     def stmts(self, body):
         for stmt in body:
@@ -1143,6 +1148,11 @@ class _Typer:
             self.env = entry
         elif isinstance(node, (Break, Continue)):
             self.exits[-1].append(dict(self.env))
+        if isinstance(node, (AssignLocal, DeclLocalArray)) \
+                and self.wide_local is None and self.wide(
+                    node.init if isinstance(node, DeclLocalArray)
+                    else node.expr):
+            self.wide_local = node.name
 
     def cond(self, node):
         if self.expr(node).kind == "struct":
@@ -1210,6 +1220,33 @@ class _Typer:
                 self.expr(part)
             return Ty("bits", sum(width for _, width in node.parts))
         raise TypeUndecided(f"{type(node).__name__} has no Python type")
+
+    def wide(self, node):
+        """Whether ``node``'s value may need 64 bits or more: ``Bits``
+        that wide, or an int made of a read or constant that wide that
+        no comparison, truth test, or ``&`` / ``%`` by a narrow
+        non-negative value bounds."""
+        if id(node) in self.types:
+            ty = self.types[id(node)]
+            if max(ty.width, self.seen(node).width) >= 64:
+                return True
+            if ty.kind in ("bits", "sig"):
+                return False
+        if isinstance(node, IfExp):
+            return self.wide(node.then) or self.wide(node.orelse)
+        if isinstance(node, BinOp) and node.op in ("&", "%") and any(
+                self.literal(kid, 63) or isinstance(kid, SigRead)
+                and kid.ref.width < 64
+                for kid in (node.right, node.left)[:1 + (node.op == "&")]):
+            return False
+        if isinstance(node, SigRead):
+            return node.ref.width >= 64
+        if isinstance(node, Const):
+            return not -1 << 63 <= node.value < 1 << 63
+        if isinstance(node, (Cmp, LocalRead, StateRead)) or (
+                isinstance(node, UnOp) and node.op == "!"):
+            return False
+        return any(self.wide(holder[key]) for holder, key in _operands(node))
 
     # -- the rewrite, once the types settle -----------------------------------
 

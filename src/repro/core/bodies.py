@@ -202,13 +202,14 @@ def signals(holes, picks):
 class CBody:
     """A body's C template (:func:`~.simjit.cgen.c_template`): ``text``,
     whose C hole ``i`` is of kind ``kinds[i]`` and filled by entry
-    ``sources[i]`` of an instance's holes.  SimJIT files blocks by this
-    object, not by its text."""
+    ``sources[i]`` of an instance's holes, or ``refused``, why C cannot
+    run it.  SimJIT files blocks by this object, not by its text."""
 
-    __slots__ = ("text", "kinds", "sources")
+    __slots__ = ("text", "kinds", "sources", "refused")
 
-    def __init__(self, text, kinds, sources):
+    def __init__(self, text, kinds, sources, refused):
         self.text, self.kinds, self.sources = text, kinds, sources
+        self.refused = refused
 
 
 # -- bodies -------------------------------------------------------------------

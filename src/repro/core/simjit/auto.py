@@ -135,7 +135,8 @@ def _first_refusal(ticks, combs, allowed_levels):
     descendants are lowered.  Then every block is asked for its body
     (:mod:`repro.core.bodies`) — the one its specializer binds to, so
     a block body is lowered once, whoever asks again — and refuses the
-    subtree where it has none, or one with no C (undecided types)."""
+    subtree where it has none, or one with no C (undecided types, or a
+    local C cannot hold)."""
     for blk in ticks:
         if blk.level not in allowed_levels:
             return blk, (f"level '{blk.level}'; "
@@ -144,6 +145,8 @@ def _first_refusal(ticks, combs, allowed_levels):
         answer = bodies.body_or_why(blk)
         if isinstance(answer, str) or answer[0].c is None:
             return blk, _no_python(answer)
+        if answer[0].c.refused:
+            return blk, answer[0].c.refused
     return None
 
 

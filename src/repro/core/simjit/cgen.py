@@ -2,16 +2,19 @@
 
 SimJIT's backend (paper Section IV-A): lowers :class:`BlockIR`
 statements and expressions into C.  A design's translation unit holds
-what depends on a block body and nothing else: the prelude, one
-function per distinct body, ``run_block`` (which of them a block runs)
-and one fixed kernel (:data:`C_KERNEL`), the same text for every
-design.  Everything that names an instance — how many nets there are
-and how wide, the port and flop slots, which block runs which function
-over which slots and constants in which order, the input cones, the CL
-state offsets, the initial values — is the design's *layout*
+what depends on a block body and nothing else: the prelude
+(``runtime.c``'s, up to ``inst_t``), one function per distinct body and
+``run_block``, its one export, which runs block body ``f``.  The kernel
+that drives it — settle, edge, cycle, ``new_instance``, the Python
+boundary — is ``runtime.c`` (:func:`.specializer._runtime`), compiled
+once per cache for every design.  Everything that names an instance —
+how many nets there are and how wide, the port and flop slots, which
+block runs which function over which slots and constants in which
+order, the input cones, the CL state offsets, the initial values, and
+the design library's ``run_block`` — is the design's *layout*
 (:class:`Layout`, the C ``layout_t``), which the engine builds in
 Python and hands to ``new_instance``.  A layout belongs to its
-instance, never to the library, so two designs whose bodies print the
+instance, never to a library, so two designs whose bodies print the
 same text are one ``.so``.
 
 Every signal net is an ``unsigned __int128`` slot (wide enough for the
@@ -33,15 +36,13 @@ blob ``cur | nxt | [prev] | [st]``:
   from its ``state_off`` entry on.
 
 Local variables are ``int64_t`` (signed, so idioms like ``sa = a -
-0x100000000`` compare correctly).  The settle before an edge
-(``eval_comb``, and ``cycle``'s first) runs only the comb blocks the
-input ports changed since the last settle reach (``in_blk``,
-``in_cone``); the Python boundary moves every input port in one
-``push_inputs`` and only the changed output ports in one
-``pull_changed``.  The compiled instrumentation and the compiled test
-bench are ``runtime.c`` (:func:`.specializer._runtime`), which reaches
-a design through the handle, whose first bytes are ``cur``, and through
-pointers to the exported entry points.
+0x100000000`` compare correctly); a body with a local that may hold 64
+bits or more has no C (the typer names it, ``BlockIR.wide_local``).  The
+settle before an edge (``eval_comb``, and ``cycle``'s first) runs only
+the comb blocks the input ports changed since the last settle reach
+(``in_blk``, ``in_cone``); the Python boundary moves every input port
+in one ``push_inputs`` and only the changed output ports in one
+``pull_changed``.
 
 Dynamic signal-list indexing (``s.rf[rd]``) is compiled to a slot
 lookup table per reference.
@@ -75,9 +76,10 @@ function.  :meth:`CBackend.emit_blocks` prints each body once:
   ``int64_t``, prints every hole as its literal in ``f(inst_t *I)``, one
   function per block, with no entries.
 
-The kernel runs block ``b`` of the layout as ``run_block(I, f, S, K)``:
-``f`` is the case of its function in ``run_block``'s one ``switch``,
-``S`` and ``K`` point at its entries in the layout's pools.  Bodies,
+The runtime's kernel runs block ``b`` of the layout as
+``L->run_block(I, f, S, K)``: ``f`` is the case of its function in
+``run_block``'s one ``switch``, ``S`` and ``K`` point at its entries in
+the layout's pools.  Bodies,
 tables and entries appear in first-use order; nothing in the text
 depends on hashing or object identity.
 """
@@ -108,298 +110,6 @@ from ..ast_ir import (
     UnOp,
     Wrap,
 )
-
-# One instance's data for the kernel; :class:`Layout` builds it.  The
-# cffi declarations (``C_HEADER_DECLS``) and every translation unit
-# spell it alike.
-C_LAYOUT = r"""
-typedef struct {
-    int nnets, nin, nout, nflop, ncomb, ntick, ninblk, nstatevar, nst;
-    int fixpoint;
-    const unsigned short *net_width;
-    const int *in_slot, *out_slot, *flop_slot;
-    const int *block;               /* per block: function, S at, K at */
-    const int *s;                   /* the S pool */
-    const int64_t *k;               /* the K pool */
-    const int *in_blk, *in_cone_off, *in_cone;
-    const int *state_off;           /* nstatevar + 1 */
-    const uint64_t *init_cur;       /* lo, hi per net */
-    const int64_t *init_st;
-} layout_t;
-"""
-
-# No system header: parsing them was a tenth of gcc's time on a design.
-C_PRELUDE = r"""
-/* The compiler's own types and builtins. */
-typedef __INT64_TYPE__ int64_t;
-typedef __UINT64_TYPE__ uint64_t;
-typedef __SIZE_TYPE__ size_t;
-typedef unsigned __int128 u128;
-#define offsetof __builtin_offsetof
-#define memcpy __builtin_memcpy
-#define memcmp __builtin_memcmp
-#define calloc __builtin_calloc
-#define free __builtin_free
-""" + C_LAYOUT + r"""
-/* What a block body reaches of its instance. */
-typedef struct {
-    u128 *cur, *nxt;
-    int64_t *st;
-} inst_t;
-
-static inline u128 mask_of(int width) {
-    if (width >= 128) return (u128)-1;
-    return (((u128)1) << width) - 1;
-}
-
-/* Python floor-division semantics for signed operands (C truncates
-   toward zero; Python floors).  Subset values passed through these are
-   bounded well below 2^63. */
-static inline int64_t py_mod(int64_t a, int64_t b) {
-    int64_t r = a % b;
-    if (r != 0 && ((r < 0) != (b < 0))) r += b;
-    return r;
-}
-
-static inline int64_t py_floordiv(int64_t a, int64_t b) {
-    int64_t q = a / b;
-    if ((a % b != 0) && ((a < 0) != (b < 0))) q -= 1;
-    return q;
-}
-"""
-
-# The kernel: the same text for every design, after the design's
-# ``run_block``.  Every entry point takes the handle ``new_instance``
-# returned, so instances never share state.  What needs no C — reading
-# a net, taking and restoring a checkpoint — the engine does on the
-# blob itself (:class:`.specializer.SimJITEngine`).
-C_KERNEL = r"""
-/* ---- the kernel ---- */
-
-/* Python reads the blob's nets as (lo, hi) words. */
-_Static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
-               "a net is its low word, then its high word");
-
-/* An instance: its layout, the body view, the Python boundary's
-   shadows and the input settle's state, then the checkpoint blob
-   cur | nxt | [prev] | [st].  The handle points at the blob, so its
-   first bytes are cur, where runtime.c reads and writes nets. */
-typedef struct {
-    const layout_t *L;
-    inst_t I;
-    u128 *prev, *out_last, *in_last;
-    unsigned char *run;
-    int out_synced, settled;
-    u128 blob[];
-} box_t;
-
-#define BOX(p) ((box_t *)((char *)(p) - offsetof(box_t, blob)))
-
-static void run_blocks(box_t *B, int from, int to) {
-    const layout_t *L = B->L;
-    for (int b = from; b < to; b++) {
-        const int *at = L->block + 3 * b;
-        run_block(&B->I, at[0], L->s + at[1], L->k + at[2]);
-    }
-}
-
-#define run_comb_blocks(B) run_blocks(B, 0, (B)->L->ncomb)
-#define run_tick_blocks(B) \
-    run_blocks(B, (B)->L->ncomb, (B)->L->ncomb + (B)->L->ntick)
-
-/* Single pass: the comb blocks are in dependency order (none reads a
-   net that a later one writes).  Fixpoint: whole-net snapshots, since
-   a block may legitimately write a net twice per pass
-   (clear-then-set), so per-write change flags would never settle. */
-static int settle(box_t *B) {
-    size_t n = (size_t)B->L->nnets * sizeof(u128);
-    int iters = 0;
-    if (!B->L->fixpoint) {
-        run_comb_blocks(B);
-        return 1;
-    }
-    do {
-        memcpy(B->prev, B->I.cur, n);
-        run_comb_blocks(B);
-        iters++;
-        if (iters > 64) return -1;   /* combinational loop */
-    } while (memcmp(B->prev, B->I.cur, n) != 0);
-    return iters;
-}
-
-/* ---- external API (cffi) ---- */
-
-void *new_instance(const layout_t *L) {
-    int parts = L->fixpoint ? 3 : 2;
-    size_t nets = (size_t)L->nnets * sizeof(u128);
-    box_t *B = (box_t *)calloc(
-        1, sizeof(box_t) + parts * nets + (size_t)L->nst * sizeof(int64_t));
-    B->L = L;
-    B->I.cur = B->blob;
-    B->I.nxt = B->blob + L->nnets;
-    B->prev = B->blob + 2 * L->nnets;
-    B->I.st = (int64_t *)(B->blob + parts * L->nnets);
-    B->out_last = (u128 *)calloc(L->nout + L->nin + 2, sizeof(u128));
-    B->in_last = B->out_last + L->nout + 1;
-    B->run = (unsigned char *)calloc(L->ninblk + 1, 1);
-    memcpy(B->I.cur, L->init_cur, nets);
-    memcpy(B->I.st, L->init_st, (size_t)L->nst * sizeof(int64_t));
-    return B->blob;
-}
-
-void free_instance(void *p) {
-    box_t *B = BOX(p);
-    free(B->out_last);
-    free(B->run);
-    free(B);
-}
-
-/* Something wrote the blob behind the kernel's back (set_net,
-   set_state_at, a restored checkpoint): the next input settle runs
-   every block, the next pull returns every output port. */
-void invalidate(void *p) {
-    BOX(p)->settled = 0;
-    BOX(p)->out_synced = 0;
-}
-
-void set_net(void *p, int idx, uint64_t lo, uint64_t hi) {
-    box_t *B = BOX(p);
-    B->I.cur[idx] = (((u128)hi << 64) | lo)
-        & mask_of(B->L->net_width[idx]);
-    B->settled = 0;
-}
-
-/* Store every input port; hi may be NULL when no port is wider than
-   64 bits. */
-void push_inputs(void *p, const uint64_t *lo, const uint64_t *hi) {
-    box_t *B = BOX(p);
-    const layout_t *L = B->L;
-    for (int i = 0; i < L->nin; i++) {
-        int s = L->in_slot[i];
-        u128 v = hi ? ((u128)hi[i] << 64) | lo[i] : (u128)lo[i];
-        B->I.cur[s] = v & mask_of(L->net_width[s]);
-    }
-}
-
-/* (port index, lo, hi) of every output port whose value differs from
-   what the last pull returned; returns the number of triples. */
-int pull_changed(void *p, uint64_t *out) {
-    box_t *B = BOX(p);
-    const layout_t *L = B->L;
-    int n = 0;
-    for (int i = 0; i < L->nout; i++) {
-        u128 v = B->I.cur[L->out_slot[i]];
-        if (B->out_synced && v == B->out_last[i]) continue;
-        B->out_last[i] = v;
-        out[3 * n] = (uint64_t)i;
-        out[3 * n + 1] = (uint64_t)v;
-        out[3 * n + 2] = (uint64_t)(v >> 64);
-        n++;
-    }
-    B->out_synced = 1;
-    return n;
-}
-
-/* The settle before an edge: eval_comb, and cycle's first.  Only
-   input slots can have changed since the last settle, so while the
-   state is settled for the input values in_last, only the comb blocks
-   that the changed ports reach run: in_cone lists them per port as
-   entries of in_blk, which holds them in schedule order.  No port
-   changed, no block runs; a fixpoint settles all or nothing.  A write
-   behind the settle's back clears settled, as a new instance starts,
-   and the next input settle is settle(). */
-int eval_comb(void *p) {
-    box_t *B = BOX(p);
-    const layout_t *L = B->L;
-    u128 *cur = B->I.cur;
-    int changed = 0, r = 1;
-    if (!B->settled) {
-        r = settle(B);
-        for (int i = 0; i < L->nin; i++)
-            B->in_last[i] = cur[L->in_slot[i]];
-    } else {
-        for (int i = 0; i < L->nin; i++) {
-            u128 v = cur[L->in_slot[i]];
-            if (v == B->in_last[i]) continue;
-            B->in_last[i] = v;
-            for (int k = L->in_cone_off[i]; k < L->in_cone_off[i + 1]; k++)
-                B->run[L->in_cone[k]] = 1;
-            changed = 1;
-        }
-        if (changed && L->fixpoint) {
-            r = settle(B);
-        } else if (changed) {
-            for (int j = 0; j < L->ninblk; j++) {
-                if (!B->run[j]) continue;
-                B->run[j] = 0;
-                run_blocks(B, L->in_blk[j], L->in_blk[j] + 1);
-            }
-        }
-    }
-    B->settled = r >= 0;
-    return r;
-}
-
-/* One clock edge and the settle after it.  Only flop nets have a
-   meaningful nxt: seed them from cur (a tick that skips its .next
-   write holds the value), run the ticks, copy them back. */
-int edge(void *p) {
-    box_t *B = BOX(p);
-    const layout_t *L = B->L;
-    u128 *cur = B->I.cur, *nxt = B->I.nxt;
-    for (int i = 0; i < L->nflop; i++)
-        nxt[L->flop_slot[i]] = cur[L->flop_slot[i]];
-    run_tick_blocks(B);
-    for (int i = 0; i < L->nflop; i++)
-        cur[L->flop_slot[i]] = nxt[L->flop_slot[i]];
-    return settle(B);
-}
-
-/* Each edge leaves the state settled, so only the first cycle of a
-   batch needs its own pre-edge settle, and only for the inputs written
-   since. */
-int cycle(void *p, int n) {
-    if (eval_comb(p) < 0) return -1;
-    for (int i = 0; i < n; i++)
-        if (edge(p) < 0) return -1;
-    return 0;
-}
-
-/* CL state by (state_index entry, element): out of range reads 0 and
-   writes nothing. */
-static int64_t *state_at(box_t *B, int idx, int elem) {
-    const layout_t *L = B->L;
-    if (idx < 0 || idx >= L->nstatevar || elem < 0
-            || elem >= L->state_off[idx + 1] - L->state_off[idx])
-        return 0;
-    return &B->I.st[L->state_off[idx] + elem];
-}
-
-int64_t get_state_at(void *p, int idx, int elem) {
-    int64_t *at = state_at(BOX(p), idx, elem);
-    return at ? *at : 0;
-}
-
-void set_state_at(void *p, int idx, int elem, int64_t value) {
-    int64_t *at = state_at(BOX(p), idx, elem);
-    if (at) *at = value;
-    BOX(p)->settled = 0;
-}
-"""
-
-C_HEADER_DECLS = C_LAYOUT + """
-void *new_instance(const layout_t *L);
-void free_instance(void *p);
-void invalidate(void *p);
-void set_net(void *p, int idx, uint64_t lo, uint64_t hi);
-void push_inputs(void *p, const uint64_t *lo, const uint64_t *hi);
-int pull_changed(void *p, uint64_t *out);
-int eval_comb(void *p);
-int edge(void *p);
-int cycle(void *p, int n);
-int64_t get_state_at(void *p, int idx, int elem);
-void set_state_at(void *p, int idx, int elem, int64_t value);
-"""
 
 _U64 = (1 << 64) - 1
 
@@ -432,9 +142,11 @@ class Layout(NamedTuple):
         return (16 * len(self.net_width) * (3 if self.fixpoint else 2)
                 + 8 * len(self.init_st))
 
-    def to_c(self, ffi):
-        """``(layout_t *, arrays)``: the ``layout_t`` and the arrays it
-        points at, which must live as long as it does."""
+    def to_c(self, ffi, lib):
+        """``(layout_t *, arrays)``: the ``layout_t`` that runs its
+        blocks through ``lib``'s ``run_block``, and the arrays it points
+        at, which must live as long as it does (and ``lib`` stay
+        loaded)."""
         arrays = []
 
         def array(ctype, values):
@@ -472,6 +184,7 @@ class Layout(NamedTuple):
             "state_off": array("int", self.state_off),
             "init_cur": array("uint64_t", init_cur),
             "init_st": array("int64_t", self.init_st),
+            "run_block": lib.run_block,
         })
         return layout, arrays
 
@@ -646,11 +359,12 @@ class _Template:
 
 
 def c_template(ir, hole_of):
-    """``(text, kinds, sources)``: ``ir``'s function body as a template,
-    with a ``\\0<h>\\0`` marker where hole ``h`` is used; hole ``h`` is
-    of kind ``kinds[h]`` and filled by ``sources[h]``, the value
+    """``(text, kinds, sources, refused)``: ``ir``'s function body as a
+    template, with a ``\\0<h>\\0`` marker where hole ``h`` is used; hole
+    ``h`` is of kind ``kinds[h]`` and filled by ``sources[h]``, the value
     ``hole_of`` gives its ``SigRef``, ``StateRef`` or ``Const`` (by
-    ``id``).  A ``Const`` ``hole_of`` does not name is the literal."""
+    ``id``).  A ``Const`` ``hole_of`` does not name is the literal.
+    ``refused`` says why C cannot run the body, or is None."""
     printer = _Template(hole_of)
     lines = ["  (void)I;"]
     for name, ltype in ir.locals.items():
@@ -661,7 +375,11 @@ def c_template(ir, hole_of):
     for stmt in ir.body:
         lines.append(printer.stmt(stmt, 2))
     lines.append("}")
-    return "\n".join(lines), tuple(printer.kinds), tuple(printer.sources)
+    refused = ir.wide_local and (
+        f"local {ir.wide_local!r} may hold 64 bits or more "
+        f"(C locals are int64_t)")
+    return ("\n".join(lines), tuple(printer.kinds), tuple(printer.sources),
+            refused)
 
 
 class CBackend:
@@ -704,10 +422,9 @@ class CBackend:
                         for f, call in enumerate(self.calls))
         parts.append(
             "/* Block body f of the layout, with the block's S and K "
-            "entries: one copy\n   of every body, whichever kernel loop "
-            "runs it. */\n"
-            "__attribute__((noinline))\n"
-            "static void run_block(inst_t *I, int f, const int *s, "
+            "entries: the library's\n   one export, which the runtime's "
+            "kernel calls for every block. */\n"
+            "void run_block(inst_t *I, int f, const int *s, "
             "const int64_t *k) {\n"
             f"  (void)s; (void)k;\n  switch (f) {{\n{cases}  }}\n}}")
         return ("\n\n".join(filter(None, [tables] + parts)),

@@ -2,15 +2,15 @@
 
 :class:`KernelInstrumentation` is the Python half of the ``obs_t``
 instrumentation in ``runtime.c``, the SimJIT runtime every design
-shares (:func:`.specializer._runtime`, loaded by the first manager a
-process creates): it takes observability attachments — flight
-recorder taps, val/rdy transaction taps, lowered watchpoint condition
-nodes, and signal-backed histograms — asks each tap's
+shares (``engine.lib``, :func:`.specializer._runtime`): it takes
+observability attachments — flight recorder taps, val/rdy transaction
+taps, lowered watchpoint condition nodes, and signal-backed
+histograms — asks each tap's
 :class:`~repro.core.probe.Probe` for its net slot in the one compiled
 engine, registers them with the C side, and drains the C event buffers
 back into the exact Python data structures the hook path would have
-filled.  The C side runs the design's cycles through the engine's
-``eval_comb`` and ``edge`` entry points.
+filled.  The C side runs the design's cycles through the runtime's own
+``eval_comb`` and ``edge``.
 
 The contract is bit-identity with the interpreted hook path:
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 from ...resilience.warnings import warn_resilience
 from ..probe import NET, Probe, Unlowerable
 from ..simulation import SimulationError
-from .specializer import SpecializationError, _runtime
+from .specializer import SpecializationError
 
 __all__ = ["KernelInstrumentation"]
 
@@ -74,13 +74,11 @@ class KernelInstrumentation:
     def __init__(self, sim, engine):
         self.sim = sim
         self.engine = engine
-        # The runtime, which runs the design through the pointers to
-        # its entry points ``obs_new`` is handed.
-        self.lib = lib = _runtime()
+        # The runtime, whose kernel runs the engine's instance.
+        self.lib = lib = engine.lib
         ffi = engine._ffi
         self.ffi = ffi
-        obs = lib.obs_new(engine.inst, engine.lib.eval_comb,
-                          engine.lib.edge, self.REC_CAP, self.TX_CAP)
+        obs = lib.obs_new(engine.inst, self.REC_CAP, self.TX_CAP)
         if obs == ffi.NULL:
             raise MemoryError("obs_new failed")
         # Freed with this manager, which holds the engine whose

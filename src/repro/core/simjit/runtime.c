@@ -1,8 +1,12 @@
 /* SimJIT runtime: the C that does not depend on the design.
  *
- * Two parts, both driven by tables their Python callers fill at run
+ * Three parts, each driven by data its Python caller hands in at run
  * time, so one compiled copy serves every design:
  *
+ * - the kernel (settle, edge, cycle, new_instance, the Python
+ *   boundary), which runs an instance from its layout_t
+ *   (repro.core.simjit.cgen.Layout) and reaches the design's code only
+ *   through layout_t.run_block, a design library's one export;
  * - the compiled instrumentation (obs_*): flight-recorder taps, val/rdy
  *   taps, signal-backed histograms and watchpoint condition trees,
  *   sampled inside the cycle loop (repro.core.simjit.instrument);
@@ -10,23 +14,82 @@
  *   harness of repro.net.traffic as one C loop.
  *
  * It is compiled once per SimJIT cache into a content-addressed .so and
- * loaded the first time either part is needed
- * (repro.core.simjit.specializer._runtime).  It reaches a design only
- * through the instance handle and function pointers:
- *
- * - nets are the u128 array at the start of the handle (every design
- *   pins offsetof(inst_t, cur) == 0);
- * - the design's code runs through pointers to its exported entry
- *   points: eval_comb and edge for obs_run, cycle for tb_uniform.
+ * loaded once per process (repro.core.simjit.specializer._runtime).  A
+ * design's C starts with this file's prelude, so both libraries spell
+ * inst_t alike.  The handle new_instance returns points at the
+ * checkpoint blob cur | nxt | [prev] | [st]: its first bytes are nets.
  */
 
-#include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
+/* ---- prelude ---- */
 
+/* No system header: the compiler's own types. */
+typedef __INT64_TYPE__ int64_t;
+typedef __UINT64_TYPE__ uint64_t;
+typedef __UINT32_TYPE__ uint32_t;
+typedef __SIZE_TYPE__ size_t;
 typedef unsigned __int128 u128;
 
+static inline u128 mask_of(int width) {
+    if (width >= 128) return (u128)-1;
+    return (((u128)1) << width) - 1;
+}
+
+/* Python floor-division semantics for signed operands (C truncates
+   toward zero; Python floors).  Subset values passed through these are
+   bounded well below 2^63. */
+static inline int64_t py_mod(int64_t a, int64_t b) {
+    int64_t r = a % b;
+    if (r != 0 && ((r < 0) != (b < 0))) r += b;
+    return r;
+}
+
+static inline int64_t py_floordiv(int64_t a, int64_t b) {
+    int64_t q = a / b;
+    if ((a % b != 0) && ((a < 0) != (b < 0))) q -= 1;
+    return q;
+}
+
 /* ---- interface ---- */
+
+/* What a block body reaches of its instance. */
+typedef struct {
+    u128 *cur, *nxt;
+    int64_t *st;
+} inst_t;
+
+/* ---- end of prelude ---- */
+
+/* One instance's data for the kernel; cgen.Layout builds it. */
+typedef struct {
+    int nnets, nin, nout, nflop, ncomb, ntick, ninblk, nstatevar, nst;
+    int fixpoint;
+    const unsigned short *net_width;
+    const int *in_slot, *out_slot, *flop_slot;
+    const int *block;               /* per block: function, S at, K at */
+    const int *s;                   /* the S pool */
+    const int64_t *k;               /* the K pool */
+    const int *in_blk, *in_cone_off, *in_cone;
+    const int *state_off;           /* nstatevar + 1 */
+    const uint64_t *init_cur;       /* lo, hi per net */
+    const int64_t *init_st;
+    /* the design library's run_block */
+    void (*run_block)(inst_t *I, int f, const int *s, const int64_t *k);
+} layout_t;
+
+/* A design library's one export: block body f with its S, K entries. */
+void run_block(inst_t *I, int f, const int *s, const int64_t *k);
+
+void *new_instance(const layout_t *L);
+void free_instance(void *p);
+void invalidate(void *p);
+void set_net(void *p, int idx, uint64_t lo, uint64_t hi);
+void push_inputs(void *p, const uint64_t *lo, const uint64_t *hi);
+int pull_changed(void *p, uint64_t *out);
+int eval_comb(void *p);
+int edge(void *p);
+int cycle(void *p, int n);
+int64_t get_state_at(void *p, int idx, int elem);
+void set_state_at(void *p, int idx, int elem, int64_t value);
 
 #define OBS_MAX_REC 128
 #define OBS_MAX_TX 256
@@ -35,8 +98,7 @@ typedef unsigned __int128 u128;
 #define OBS_MAX_HIST 64
 #define OBS_HIST_CAP 1024
 
-void *obs_new(void *inst, int (*eval_comb)(void *), int (*edge)(void *),
-              long long rec_cap, long long tx_cap);
+void *obs_new(void *inst, long long rec_cap, long long tx_cap);
 void obs_free(void *op);
 void obs_set_cycle(void *op, long long cycle);
 int obs_add_rec_tap(void *op, int slot);
@@ -59,8 +121,6 @@ long long obs_run(void *op, long long n);
 enum { TB_DONE = 0, TB_WORDS = 1, TB_FULL = 2 };
 
 typedef struct {
-    /* the design: its cycle(p, n) */
-    int (*cycle)(void *, int);
     /* the harness: terminals, their net slots, the message layout */
     int nterm, nout, dest_bits;
     const int *in_val, *in_msg, *in_rdy, *out_val, *out_msg;
@@ -88,11 +148,234 @@ int tb_uniform(void *p, tb_t *T);
 
 /* ---- end of interface ---- */
 
+/* The compiler's own builtins. */
+#define offsetof __builtin_offsetof
+#define memcpy __builtin_memcpy
+#define memcmp __builtin_memcmp
+#define malloc __builtin_malloc
+#define calloc __builtin_calloc
+#define free __builtin_free
+
+/* ---- the kernel ----
+ *
+ * Every entry point takes the handle new_instance returned, so
+ * instances never share state.  What needs no C -- reading a net,
+ * taking and restoring a checkpoint -- the engine does on the blob
+ * itself (repro.core.simjit.specializer.SimJITEngine).
+ */
+
+/* Python reads the blob's nets as (lo, hi) words. */
+_Static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+               "a net is its low word, then its high word");
+
+/* An instance: its layout, the body view, the Python boundary's
+   shadows and the input settle's state, then the checkpoint blob
+   cur | nxt | [prev] | [st].  The handle points at the blob. */
+typedef struct {
+    const layout_t *L;
+    inst_t I;
+    u128 *prev, *out_last, *in_last;
+    unsigned char *run;
+    int out_synced, settled;
+    u128 blob[];
+} box_t;
+
+#define BOX(p) ((box_t *)((char *)(p) - offsetof(box_t, blob)))
+
+static void run_blocks(box_t *B, int from, int to) {
+    const layout_t *L = B->L;
+    for (int b = from; b < to; b++) {
+        const int *at = L->block + 3 * b;
+        L->run_block(&B->I, at[0], L->s + at[1], L->k + at[2]);
+    }
+}
+
+#define run_comb_blocks(B) run_blocks(B, 0, (B)->L->ncomb)
+#define run_tick_blocks(B) \
+    run_blocks(B, (B)->L->ncomb, (B)->L->ncomb + (B)->L->ntick)
+
+/* Single pass: the comb blocks are in dependency order (none reads a
+   net that a later one writes).  Fixpoint: whole-net snapshots, since
+   a block may legitimately write a net twice per pass
+   (clear-then-set), so per-write change flags would never settle. */
+static int settle(box_t *B) {
+    size_t n = (size_t)B->L->nnets * sizeof(u128);
+    int iters = 0;
+    if (!B->L->fixpoint) {
+        run_comb_blocks(B);
+        return 1;
+    }
+    do {
+        memcpy(B->prev, B->I.cur, n);
+        run_comb_blocks(B);
+        iters++;
+        if (iters > 64) return -1;   /* combinational loop */
+    } while (memcmp(B->prev, B->I.cur, n) != 0);
+    return iters;
+}
+
+void *new_instance(const layout_t *L) {
+    int parts = L->fixpoint ? 3 : 2;
+    size_t nets = (size_t)L->nnets * sizeof(u128);
+    box_t *B = (box_t *)calloc(
+        1, sizeof(box_t) + parts * nets + (size_t)L->nst * sizeof(int64_t));
+    B->L = L;
+    B->I.cur = B->blob;
+    B->I.nxt = B->blob + L->nnets;
+    B->prev = B->blob + 2 * L->nnets;
+    B->I.st = (int64_t *)(B->blob + parts * L->nnets);
+    B->out_last = (u128 *)calloc(L->nout + L->nin + 2, sizeof(u128));
+    B->in_last = B->out_last + L->nout + 1;
+    B->run = (unsigned char *)calloc(L->ninblk + 1, 1);
+    memcpy(B->I.cur, L->init_cur, nets);
+    memcpy(B->I.st, L->init_st, (size_t)L->nst * sizeof(int64_t));
+    return B->blob;
+}
+
+void free_instance(void *p) {
+    box_t *B = BOX(p);
+    free(B->out_last);
+    free(B->run);
+    free(B);
+}
+
+/* Something wrote the blob behind the kernel's back (set_net,
+   set_state_at, a restored checkpoint): the next input settle runs
+   every block, the next pull returns every output port. */
+void invalidate(void *p) {
+    BOX(p)->settled = 0;
+    BOX(p)->out_synced = 0;
+}
+
+void set_net(void *p, int idx, uint64_t lo, uint64_t hi) {
+    box_t *B = BOX(p);
+    B->I.cur[idx] = (((u128)hi << 64) | lo)
+        & mask_of(B->L->net_width[idx]);
+    B->settled = 0;
+}
+
+/* Store every input port; hi may be NULL when no port is wider than
+   64 bits. */
+void push_inputs(void *p, const uint64_t *lo, const uint64_t *hi) {
+    box_t *B = BOX(p);
+    const layout_t *L = B->L;
+    for (int i = 0; i < L->nin; i++) {
+        int s = L->in_slot[i];
+        u128 v = hi ? ((u128)hi[i] << 64) | lo[i] : (u128)lo[i];
+        B->I.cur[s] = v & mask_of(L->net_width[s]);
+    }
+}
+
+/* (port index, lo, hi) of every output port whose value differs from
+   what the last pull returned; returns the number of triples. */
+int pull_changed(void *p, uint64_t *out) {
+    box_t *B = BOX(p);
+    const layout_t *L = B->L;
+    int n = 0;
+    for (int i = 0; i < L->nout; i++) {
+        u128 v = B->I.cur[L->out_slot[i]];
+        if (B->out_synced && v == B->out_last[i]) continue;
+        B->out_last[i] = v;
+        out[3 * n] = (uint64_t)i;
+        out[3 * n + 1] = (uint64_t)v;
+        out[3 * n + 2] = (uint64_t)(v >> 64);
+        n++;
+    }
+    B->out_synced = 1;
+    return n;
+}
+
+/* The settle before an edge: eval_comb, and cycle's first.  Only
+   input slots can have changed since the last settle, so while the
+   state is settled for the input values in_last, only the comb blocks
+   that the changed ports reach run: in_cone lists them per port as
+   entries of in_blk, which holds them in schedule order.  No port
+   changed, no block runs; a fixpoint settles all or nothing.  A write
+   behind the settle's back clears settled, as a new instance starts,
+   and the next input settle is settle(). */
+int eval_comb(void *p) {
+    box_t *B = BOX(p);
+    const layout_t *L = B->L;
+    u128 *cur = B->I.cur;
+    int changed = 0, r = 1;
+    if (!B->settled) {
+        r = settle(B);
+        for (int i = 0; i < L->nin; i++)
+            B->in_last[i] = cur[L->in_slot[i]];
+    } else {
+        for (int i = 0; i < L->nin; i++) {
+            u128 v = cur[L->in_slot[i]];
+            if (v == B->in_last[i]) continue;
+            B->in_last[i] = v;
+            for (int k = L->in_cone_off[i]; k < L->in_cone_off[i + 1]; k++)
+                B->run[L->in_cone[k]] = 1;
+            changed = 1;
+        }
+        if (changed && L->fixpoint) {
+            r = settle(B);
+        } else if (changed) {
+            for (int j = 0; j < L->ninblk; j++) {
+                if (!B->run[j]) continue;
+                B->run[j] = 0;
+                run_blocks(B, L->in_blk[j], L->in_blk[j] + 1);
+            }
+        }
+    }
+    B->settled = r >= 0;
+    return r;
+}
+
+/* One clock edge and the settle after it.  Only flop nets have a
+   meaningful nxt: seed them from cur (a tick that skips its .next
+   write holds the value), run the ticks, copy them back. */
+int edge(void *p) {
+    box_t *B = BOX(p);
+    const layout_t *L = B->L;
+    u128 *cur = B->I.cur, *nxt = B->I.nxt;
+    for (int i = 0; i < L->nflop; i++)
+        nxt[L->flop_slot[i]] = cur[L->flop_slot[i]];
+    run_tick_blocks(B);
+    for (int i = 0; i < L->nflop; i++)
+        cur[L->flop_slot[i]] = nxt[L->flop_slot[i]];
+    return settle(B);
+}
+
+/* Each edge leaves the state settled, so only the first cycle of a
+   batch needs its own pre-edge settle, and only for the inputs written
+   since. */
+int cycle(void *p, int n) {
+    if (eval_comb(p) < 0) return -1;
+    for (int i = 0; i < n; i++)
+        if (edge(p) < 0) return -1;
+    return 0;
+}
+
+/* CL state by (state_index entry, element): out of range reads 0 and
+   writes nothing. */
+static int64_t *state_at(box_t *B, int idx, int elem) {
+    const layout_t *L = B->L;
+    if (idx < 0 || idx >= L->nstatevar || elem < 0
+            || elem >= L->state_off[idx + 1] - L->state_off[idx])
+        return 0;
+    return &B->I.st[L->state_off[idx] + elem];
+}
+
+int64_t get_state_at(void *p, int idx, int elem) {
+    int64_t *at = state_at(BOX(p), idx, elem);
+    return at ? *at : 0;
+}
+
+void set_state_at(void *p, int idx, int elem, int64_t value) {
+    int64_t *at = state_at(BOX(p), idx, elem);
+    if (at) *at = value;
+    BOX(p)->settled = 0;
+}
+
 /* ---- compiled instrumentation ----
  *
  * All observability state lives in a heap side-struct (obs_t) apart
- * from the instance, so the checkpoint blob (save_inst/load_inst) is
- * unaffected by armed instrumentation.  obs_run replicates the
+ * from the instance, so the checkpoint blob is unaffected by armed
+ * instrumentation.  obs_run replicates the
  * per-cycle sampling contract of the interpreted simulator exactly:
  *
  * - val/rdy taps sample after the *pre-edge* settle with the
@@ -121,8 +404,6 @@ typedef struct {
 typedef struct {
     void *inst;
     u128 *cur;          /* the instance's nets */
-    int (*eval_comb)(void *);
-    int (*edge)(void *);
     long long cycle;    /* mirrors sim.ncycles */
     /* flight-recorder taps: change events (cycle, tap, lo, hi) */
     int nrec;
@@ -152,14 +433,11 @@ typedef struct {
     uint64_t hit_mask;
 } obs_t;
 
-void *obs_new(void *inst, int (*eval_comb)(void *), int (*edge)(void *),
-              long long rec_cap, long long tx_cap) {
+void *obs_new(void *inst, long long rec_cap, long long tx_cap) {
     obs_t *O = (obs_t *)calloc(1, sizeof(obs_t));
     if (!O) return 0;
     O->inst = inst;
     O->cur = (u128 *)inst;
-    O->eval_comb = eval_comb;
-    O->edge = edge;
     O->rec_cap = rec_cap;
     O->tx_cap = tx_cap;
     O->rec_buf = (uint64_t *)malloc((size_t)rec_cap * 4 * 8);
@@ -312,7 +590,7 @@ long long obs_run(void *op, long long n) {
                     && O->hist_used[h] > OBS_HIST_CAP - 64)
                 return k;
         /* Later cycles start from the previous post-edge settle. */
-        if (k == 0 && O->eval_comb(O->inst) < 0) return -1;
+        if (k == 0 && eval_comb(O->inst) < 0) return -1;
         /* pre-edge sampling point (cycle-hook semantics) */
         for (int t = 0; t < O->ntx; t++) {
             unsigned char vr;
@@ -335,7 +613,7 @@ long long obs_run(void *op, long long n) {
                 O->tx_lmsg[t] = msg;
             }
         }
-        if (O->edge(O->inst) < 0) return -1;
+        if (edge(O->inst) < 0) return -1;
         O->cycle++;
         /* post-edge sampling point (observer semantics) */
         for (int t = 0; t < O->nrec; t++) {
@@ -491,7 +769,7 @@ int tb_uniform(void *p, tb_t *T) {
             for (int i = 0; i < T->nterm; i++)
                 if (T->pending[i] && cur[T->in_rdy[i]] != 0)
                     T->pending[i] = 0;
-            if (T->cycle(p, 1) < 0) return -1;
+            if (cycle(p, 1) < 0) return -1;
             T->now++;
             T->i = 0;
             T->stage = 1;

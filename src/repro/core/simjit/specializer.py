@@ -3,27 +3,29 @@
 ``SimJITRTL`` and ``SimJITCL`` take an elaborated PyMTL-style model,
 bind every behavioral block, RTL or CL, to its body (one IR lowering
 per block body, :mod:`repro.core.bodies`), emit a C translation unit
-of one function per distinct block body and the fixed kernel (see
-:mod:`.cgen`: the 832 blocks of a 64-router mesh are five functions),
-compile it with gcc, load it through cffi (whose parse of the
-interface declarations is paid once per process, :func:`_interface`),
-and hand back a drop-in :class:`JITModel` exposing the original port
-interface — exactly the flow of paper Figure 12, with our own RTL→C
-compiler standing in for Verilator (see DESIGN.md).
+of one function per distinct block body (see :mod:`.cgen`: the 832
+blocks of a 64-router mesh are five functions), compile it with gcc,
+load it through cffi (whose parse of the interface declarations is
+paid once per process, :func:`_interface`), and hand back a drop-in
+:class:`JITModel` exposing the original port interface — exactly the
+flow of paper Figure 12, with our own RTL→C compiler standing in for
+Verilator (see DESIGN.md).
 
-The translation unit holds only the design's bodies.  What makes it
-this instance is the layout (:class:`.cgen.Layout`) the engine hands
-to ``new_instance``: the nets and their widths, each block's function
-and slot/constant entries with the combinational blocks in the order
+The translation unit holds only the design's bodies and ``run_block``.
+What every design shares — the kernel (settle, edge, cycle,
+``new_instance``, the Python boundary), the compiled instrumentation
+and the compiled test bench — is ``runtime.c``, built the same
+content-addressed way once per cache and loaded once per process, by
+the first engine (:func:`_runtime`), whose entry points every engine
+calls.  What makes a design's library this instance is the layout
+(:class:`.cgen.Layout`) the engine hands to ``new_instance``: the nets
+and their widths, each block's function and slot/constant entries with
+the combinational blocks in the order
 :func:`~repro.core.scheduling.build_schedule` gives them, per input
 port the comb blocks a change of it reaches over the same read/write
-nets (so the settle before an edge runs only those), and the initial
-values.  Designs whose bodies print the same text are one ``.so``.
-What every design shares — the compiled instrumentation and the
-compiled test bench — is ``runtime.c``, built the same
-content-addressed way once per cache and loaded the first time an
-engine needs it (:func:`_runtime`); an engine that is only simulated
-never loads it.
+nets (so the settle before an edge runs only those), the initial
+values and the library's ``run_block``.  Designs whose bodies print
+the same text are one ``.so``.
 
 Per-phase overheads (elab / veri / cgen / comp / wrap / simc) are
 recorded on the returned engine for the Figure 16 experiment.
@@ -51,8 +53,7 @@ from ..portbundle import PortBundle
 from ..probe import Probe
 from ..scheduling import build_schedule, comb_block_nets
 from ..signals import InPort, OutPort, Signal
-from .cgen import (C_HEADER_DECLS, C_KERNEL, C_PRELUDE, CBackend, Layout,
-                   c_template)
+from .cgen import CBackend, Layout, c_template
 
 _CACHE_ENV = "SIMJIT_CACHE_DIR"
 _CACHE_OPTOUT_ENV = "REPRO_SIMJIT_CACHE"
@@ -61,8 +62,8 @@ _RUNTIME_C = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "runtime.c")
 # The runtime is built one way whatever a design's ``opt``.
 _RUNTIME_OPT = "-O2"
-_INTERFACE_BEGIN = "/* ---- interface ---- */"
-_INTERFACE_END = "/* ---- end of interface ---- */"
+_PRELUDE = "/* ---- prelude ---- */", "/* ---- end of prelude ---- */"
+_INTERFACE = "/* ---- interface ---- */", "/* ---- end of interface ---- */"
 _U64 = (1 << 64) - 1
 _U128 = (1 << 128) - 1
 
@@ -117,9 +118,10 @@ def _build_lock(lock_path):
         handle.close()
 
 
-def _build(source, opt, cache=True):
+def _build(source, opt, cache=True, subdir=""):
     """``(lib_path, cache_hit)``: the shared library gcc makes of the C
-    text ``source`` with ``opt``, compiled now or found in the cache.
+    text ``source`` with ``opt``, compiled now or found in the cache
+    (in its ``subdir``).
 
     The on-disk cache is content-addressed: artifacts are keyed by the
     sha256 of the source plus the optimization flag, so any codegen
@@ -136,7 +138,7 @@ def _build(source, opt, cache=True):
     digest = hashlib.sha256(source.encode())
     digest.update(opt.encode())
     digest = digest.hexdigest()[:24]
-    cache_dir = _default_cache_dir()
+    cache_dir = os.path.join(_default_cache_dir(), subdir)
     os.makedirs(cache_dir, exist_ok=True)
     lib_path = os.path.join(cache_dir, f"simjit_{digest}.so")
     use_cache = cache and os.environ.get(_CACHE_OPTOUT_ENV, "1") != "0"
@@ -177,25 +179,28 @@ def _gcc(source, opt, cache_dir, digest, lib_path):
 
 @functools.cache
 def _runtime_c():
-    """``(source, declarations)``: runtime.c and its interface section,
-    which is the cffi declaration of everything it exports."""
+    """``(source, prelude, declarations)``: runtime.c, the prelude every
+    design's C starts with (the compiler's types, ``mask_of``, ``inst_t``)
+    and its interface section, the cffi declaration of everything the
+    runtime and a design's library export."""
     with open(_RUNTIME_C) as handle:
         source = handle.read()
-    start = source.index(_INTERFACE_BEGIN) + len(_INTERFACE_BEGIN)
-    return source, source[start:source.index(_INTERFACE_END)]
+    return source, *(source[source.index(begin):source.index(end)]
+                     for begin, end in (_PRELUDE, _INTERFACE))
 
 
 @functools.cache
 def _runtime():
-    """The SimJIT runtime library (runtime.c: ``obs_*`` and
-    ``tb_uniform``), loaded through the process-wide ``ffi`` the first
-    time instrumentation or the compiled test bench needs it.  It is
-    compiled like a design's library, into the same cache under the
-    same key scheme, so one cache holds one copy; a process finds or
-    builds it once, inside one ``simjit.runtime`` span that says
-    whether the cache had it."""
+    """The SimJIT runtime library (runtime.c: the kernel, ``obs_*`` and
+    ``tb_uniform``), loaded through the process-wide ``ffi`` by the
+    first engine of a process.  It is compiled like a design's library,
+    into the same cache under the same key scheme (in its ``runtime/``,
+    apart from the designs), so one cache holds one copy; a process
+    finds or builds it once, inside one ``simjit.runtime`` span that
+    says whether the cache had it."""
     with tracing.span("simjit.runtime") as span:
-        lib_path, cache_hit = _build(_runtime_c()[0], _RUNTIME_OPT)
+        lib_path, cache_hit = _build(_runtime_c()[0], _RUNTIME_OPT,
+                                     subdir="runtime")
         span.set(cache_hit=cache_hit)
         return _interface().dlopen(lib_path)
 
@@ -215,7 +220,9 @@ def _interface():
     import cffi
     from cffi import recompiler
     parsed = cffi.FFI()
-    parsed.cdef(C_HEADER_DECLS + _runtime_c()[1])
+    # cffi cannot spell ``unsigned __int128``; Python reads a net as its
+    # (lo, hi) words, never through the type.
+    parsed.cdef("typedef ... u128;" + _runtime_c()[2])
     module = io.StringIO()
     recompiler.make_py_source(parsed, "_simjit_interface", module)
     namespace = {}
@@ -263,13 +270,17 @@ class SimJITEngine:
     A compiled test bench crosses it twice per *run* instead: between
     the push and the write-back of :meth:`run_bench` the C side drives
     the input slots and the clock itself (:meth:`tb_uniform`).
+
+    ``lib`` is the runtime (:func:`_runtime`), whose kernel runs the
+    instance through ``design_lib``'s ``run_block``.
     """
 
-    def __init__(self, model, lib, ffi, slots, overheads, kernel_info,
-                 layout):
+    def __init__(self, model, runtime, design_lib, ffi, slots, overheads,
+                 kernel_info, layout):
         self.model = model
-        self.lib = lib
-        # The process-wide ``ffi`` that loaded ``lib`` (``_interface``).
+        self.lib = runtime
+        self.design_lib = design_lib
+        # The process-wide ``ffi`` that loaded both (``_interface``).
         self._ffi = ffi
         # ``id(net) -> slot`` in ``cur[]``.  The table, not the
         # specializer that built it: nothing the engine keeps may keep
@@ -277,12 +288,12 @@ class SimJITEngine:
         self._slots = slots
         #: this instance's data for the kernel (:class:`.cgen.Layout`)
         self.layout = layout
-        # Freed with the engine; the destructor holds ``lib`` and the
-        # C layout so the code it calls is still mapped, and the layout
-        # the instance reads still allocated, whichever is dropped first.
-        held = layout.to_c(ffi)
-        self.inst = ffi.gc(lib.new_instance(held[0]),
-                           lambda inst: (lib.free_instance(inst), held))
+        # Freed with the engine; the destructor holds both libraries
+        # and the C layout, so the code the instance runs stays mapped
+        # and the layout it reads allocated, whichever is dropped first.
+        held = layout.to_c(ffi, design_lib)
+        self.inst = ffi.gc(runtime.new_instance(held[0]), lambda inst: (
+            runtime.free_instance(inst), held, design_lib))
         self.overheads = overheads
         #: which kernel shape was generated and why (``sched_info()``)
         self.kernel_info = kernel_info
@@ -389,9 +400,8 @@ class SimJITEngine:
         return ran
 
     def new_bench(self, **fields):
-        """A ``tb_t`` for :meth:`tb_uniform` with ``fields`` filled in,
-        that clocks this engine through its ``cycle``."""
-        return _interface().new("tb_t *", dict(fields, cycle=self.lib.cycle))
+        """A ``tb_t`` for :meth:`tb_uniform` with ``fields`` filled in."""
+        return self._ffi.new("tb_t *", fields)
 
     def tb_uniform(self, tb):
         """One call of the compiled uniform-random test bench
@@ -399,8 +409,8 @@ class SimJITEngine:
         (:meth:`new_bench`); returns the runtime's ``TB_DONE``,
         ``TB_WORDS`` (refill the tape) or ``TB_FULL`` (empty the
         latency buffer), the last two to be called again — constants
-        of the :func:`_runtime` library, like its ``OBS_*`` limits."""
-        status = _runtime().tb_uniform(self.inst, tb)
+        of ``self.lib``, like its ``OBS_*`` limits."""
+        status = self.lib.tb_uniform(self.inst, tb)
         if status < 0:
             raise SpecializationError("combinational loop in C model")
         return status
@@ -569,13 +579,15 @@ class _Specializer:
             c_source = self._emit(model, comb_order, residue, ticks,
                                   comb_nets)
 
+        # The kernel, once per process: its own span, not ``comp``.
+        runtime = _runtime()
         with _Timer(self.overheads, "comp"):
             lib_path, cache_hit = self._compile(c_source)
         self.overheads["cache_hit"] = cache_hit
 
         with _Timer(self.overheads, "wrap"):
             lib = self._load(lib_path)
-            engine = SimJITEngine(model, lib, _interface(),
+            engine = SimJITEngine(model, runtime, lib, _interface(),
                                   self._slots, self.overheads,
                                   self.kernel_info, self.layout)
             engine.state_index = dict(self._state_index)
@@ -675,9 +687,10 @@ class _Specializer:
         except bodies.Refused as exc:
             raise SpecializationError(
                 f"{self.name} cannot specialize {blk.name}: {exc}") from None
-        if body.c is None:
+        why = body.refused if body.c is None else body.c.refused
+        if why:
             raise TranslationError(f"{self.name} cannot specialize "
-                                   f"{blk.name}: {body.refused}")
+                                   f"{blk.name}: {why}")
         self._bodies.add(body)
         slot = self._slot_of
         row = [tuple(map(slot, hole)) if type(hole) is tuple
@@ -745,7 +758,7 @@ class _Specializer:
 
     def _emit(self, model, comb_order, residue, ticks, comb_nets):
         """The translation unit: the prelude, one function per block
-        body and the kernel.  What names an instance goes into
+        body and ``run_block``.  What names an instance goes into
         ``self.layout`` (:class:`.cgen.Layout`)."""
         # CL state is namespaced per model instance (``_state_key``);
         # ``state_index`` (sorted by that name) is its (STATE, idx, elem)
@@ -816,7 +829,7 @@ class _Specializer:
             ncomb=ncomb, in_blk=union, in_cone=cones, state_off=state_off,
             init_cur=self._initial_nets(model), init_st=init_st,
             fixpoint=bool(residue))
-        return "\n\n".join([C_PRELUDE, block_c, C_KERNEL])
+        return "\n\n".join([_runtime_c()[1], block_c])
 
     def _initial_nets(self, model):
         """Every net's value at construction, the constant ties

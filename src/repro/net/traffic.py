@@ -14,10 +14,10 @@ once and runs on one of two drivers, named in ``TrafficStats.driver``:
   simulator;
 - ``"compiled"`` — the same cycle as one C loop over the engine's nets
   (``tb_uniform`` in the SimJIT runtime, ``core/simjit/runtime.c``,
-  which clocks the design through its ``cycle``) when the network is a
-  SimJIT top and nothing in Python has to see every cycle.  It
-  consumes the very Mersenne-Twister words ``harness.rng`` would have
-  produced, so the traffic, the statistics, ``rng``, ``seqnum``,
+  which clocks the design through the kernel's ``cycle``) when the
+  network is a SimJIT top and nothing in Python has to see every
+  cycle.  It consumes the very Mersenne-Twister words ``harness.rng``
+  would have produced, so the traffic, the statistics, ``rng``, ``seqnum``,
   ``sim.ncycles`` and every port end bit-identical to the Python
   loop's.  To watch each cycle of a run, wrap ``sim.cycle`` on the
   simulator instance (``sim.cycle = spy``) or attach any per-cycle
@@ -33,7 +33,6 @@ import sys
 from dataclasses import dataclass, field
 
 from ..core import SimulationTool
-from ..core.simjit.specializer import _runtime
 from ..resilience.warnings import warn_resilience
 
 
@@ -260,7 +259,7 @@ class NetworkTrafficHarness:
             ntape=nwords, used=nwords)      # a tape with nothing left
         tape = ffi.buffer(arrays["tape"])
 
-        runtime = _runtime()        # whose constants tb_uniform returns
+        runtime = engine.lib        # whose constants tb_uniform returns
 
         def bench(engine):
             status = runtime.TB_WORDS

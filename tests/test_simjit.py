@@ -362,6 +362,86 @@ def test_undecided_types_refuse_c_and_verilog_loudly():
     assert int(top.o) == 0        # Bits(8) 255 + 1, the closure's value
 
 
+class _WideLocal(Model):
+    """``x`` holds an 80-bit ``Bits``; C's locals are ``int64_t``."""
+
+    def __init__(s):
+        s.a, s.o = InPort(80), OutPort(80)
+
+        @s.combinational
+        def comb():
+            x = s.a.value
+            s.o.value = x
+
+
+class _WideIntLocal(Model):
+    """``x`` is an int made from an 80-bit read."""
+
+    def __init__(s):
+        s.a, s.o = InPort(80), OutPort(80)
+
+        @s.combinational
+        def comb():
+            x = s.a.uint() + 1
+            s.o.value = x
+
+
+class _NarrowLocals(Model):
+    """Locals that only compare or slice a wide read stay in C."""
+
+    def __init__(s):
+        s.a, s.o = InPort(80), OutPort(80)
+
+        @s.combinational
+        def comb():
+            hit = s.a.value == 5
+            low = s.a[0:8]
+            top = 1 if s.a.value else 0
+            s.o.value = low + hit + top
+
+
+class _HoldsWideLocal(Model):
+    def __init__(s):
+        s.x = _WideLocal()
+        s.a, s.o = InPort(80), OutPort(80)
+        s.connect(s.a, s.x.a)
+        s.connect(s.x.o, s.o)
+
+
+def test_wide_locals_are_refused_in_c():
+    """A local given a value that may need 64 bits or more: C truncated
+    it (``(1 << 70) | 5`` read ``0x5``).  C refuses the body loudly,
+    ``auto_specialize`` says why, and the CPython rung still lowers it;
+    locals that only compare or slice such a value still compile."""
+    why = "local 'x' may hold 64 bits or more"
+    value = (1 << 70) | 5
+    for probe, want in ((_WideLocal, value), (_WideIntLocal, value + 1)):
+        with pytest.raises(TranslationError, match=why):
+            SimJITRTL(probe().elaborate()).specialize()
+        for sched in ("event", "static"):
+            model = probe().elaborate()
+            sim = SimulationTool(model, sched=sched)
+            model.a.value = value
+            sim.cycle()
+            assert int(model.o) == want, sched
+        assert sim.sched_info()["lowered"]["kept"] == {}
+    top = auto_specialize(_HoldsWideLocal())
+    sim = SimulationTool(top.elaborate())
+    assert why in sim.sched_info()["simjit"]["interpreted"]["top.x"]
+    top.a.value = value
+    sim.cycle()
+    assert int(top.o) == value
+    for value, want in ((value, 5 + 0 + 1), (5, 5 + 1 + 1), (0, 0)):
+        models = [_NarrowLocals().elaborate(),
+                  SimJITRTL(_NarrowLocals().elaborate()).specialize()
+                  .elaborate()]
+        for model in models:
+            sim = SimulationTool(model)
+            model.a.value = value
+            sim.cycle()
+            assert int(model.o) == want, sim
+
+
 # -- error handling and overheads ----------------------------------------------------
 
 
@@ -399,11 +479,13 @@ def test_compile_cache_hit():
 
 
 def test_generated_source_is_c(tmp_path):
+    """A design's C is its bodies and ``run_block``, its one export;
+    the kernel that runs them is the SimJIT runtime's."""
     from repro.components import Register
     spec = SimJITRTL(Register(8).elaborate())
     spec.specialize()
-    assert "run_comb_blocks" in spec.c_source
-    assert "run_tick_blocks" in spec.c_source
+    assert "\nvoid run_block(inst_t *I, int f," in spec.c_source
+    assert "run_comb_blocks" not in spec.c_source
     assert spec.lib_path.endswith(".so")
 
 
@@ -430,36 +512,28 @@ class _CountingLib:
 
 
 def test_engine_and_recorder_memory_is_freed_with_its_owner(monkeypatch):
-    """``inst_t`` goes with its ``SimJITEngine`` and ``obs_t`` with the
-    ``KernelInstrumentation`` that armed it.  Nothing used to call
+    """The instance goes with its ``SimJITEngine`` and ``obs_t`` with
+    the ``KernelInstrumentation`` that armed it.  Nothing used to call
     ``free_instance``/``obs_free``: a dropped mesh16 engine leaked
     0.2 MiB, 1.95 MiB with a compiled flight recorder."""
     import gc
 
     from repro.components import Register
-    from repro.core.simjit import instrument
-    libs = []
-    load = SimJITRTL._load
+    from repro.core.simjit import specializer
 
-    def counting_load(self, lib_path):
-        libs.append(_CountingLib(load(self, lib_path)))
-        return libs[-1]
-
-    # ``obs_t`` is the runtime's, which every design shares.
-    runtime = _CountingLib(instrument._runtime())
-    monkeypatch.setattr(SimJITRTL, "_load", counting_load)
-    monkeypatch.setattr(instrument, "_runtime", lambda: runtime)
+    # Both are the runtime's, which every design shares.
+    runtime = _CountingLib(specializer._runtime())
+    monkeypatch.setattr(specializer, "_runtime", lambda: runtime)
     top = SimJITRTL(Register(8).elaborate()).specialize().elaborate()
     sim = SimulationTool(top)
     sim.reset()
     sim.flight_recorder(["out"], depth=4)
     sim.run(3)
     assert sim._jit_instr.active
-    lib, = libs
-    assert lib.freed == runtime.freed == []
+    assert runtime.freed == []
     del sim, top
     gc.collect()
-    assert (lib.freed, runtime.freed) == (["inst"], ["obs"])
+    assert sorted(runtime.freed) == ["inst", "obs"]
 
 
 def test_restore_raw_refuses_another_designs_blob():
@@ -505,10 +579,12 @@ def test_second_build_in_a_process_parses_no_declarations(monkeypatch):
     dut = make_mesh_dut("jit", "rtl", nrouters=4, jit=True)
     assert made == []
     # The mesh is one engine; the two builds share the process-wide
-    # declarations and each ``dlopen`` is a library object of its own.
+    # declarations and the runtime, and each design's ``dlopen`` is a
+    # library object of its own.
     engines = [first.model.jit_engine, dut.model.jit_engine]
     assert engines[0]._ffi is engines[1]._ffi
-    assert engines[0].lib is not engines[1].lib
+    assert engines[0].lib is engines[1].lib
+    assert engines[0].design_lib is not engines[1].design_lib
 
 
 def test_engine_does_not_keep_its_specializer():
@@ -577,24 +653,25 @@ def test_library_is_unloaded_with_its_last_engine():
 # -- the SimJIT runtime -------------------------------------------------------
 
 
-def test_simulating_tiles_never_loads_the_runtime(monkeypatch):
-    """Only compiled instrumentation and the compiled test bench need
-    the runtime: the nineteen ``Tile(levels, jit=True)`` built and run
-    to ``done`` load none, and a design's C defines neither."""
+def test_simulating_tiles_loads_the_runtime_once(monkeypatch, gcc_runs):
+    """The kernel is the runtime's: the nineteen ``Tile(levels,
+    jit=True)`` built and run to ``done`` load it once, compile it once
+    on an empty cache, and no design's C defines it."""
     from repro.accel import Tile, mvmult_data, mvmult_xcel
     from repro.accel.kernels import Y_BASE
-    from repro.core.simjit import instrument, specializer
+    from repro.core.simjit import specializer
     from repro.proc import assemble
     from tests.test_simjit_golden import TILE_LEVELS
 
-    loads = []
+    sources = []
+    compile_ = specializer._Specializer._compile
 
-    def no_runtime():
-        loads.append("runtime")
-        raise AssertionError("the SimJIT runtime was loaded")
+    def recording_compile(self, c_source):
+        sources.append(c_source)
+        return compile_(self, c_source)
 
-    for module in (specializer, instrument):
-        monkeypatch.setattr(module, "_runtime", no_runtime)
+    monkeypatch.setattr(specializer._Specializer, "_compile",
+                        recording_compile)
     words = assemble(mvmult_xcel(2, 4))
     data, expected = mvmult_data(2, 4, seed=1)
     for levels in TILE_LEVELS:
@@ -609,7 +686,13 @@ def test_simulating_tiles_never_loads_the_runtime(monkeypatch):
             assert sim.ncycles < 100_000, levels
         assert [tile.mem.read_word(Y_BASE + 4 * i)
                 for i in range(2)] == expected, levels
-    assert loads == []
+    assert len(sources) == 18
+    assert specializer._runtime.cache_info().misses == 1
+    assert gcc_runs == ["runtime", "design", "design"]
+    for source in sources:
+        for name in ("new_instance(", "int edge(", "int cycle(", "settle(",
+                     "obs_", "tb_uniform", "layout_t"):
+            assert name not in source, name
 
 
 def test_runtime_compiles_once_per_process_without_a_cache(monkeypatch,
@@ -626,4 +709,4 @@ def test_runtime_compiles_once_per_process_without_a_cache(monkeypatch,
         recorder = harness.sim.flight_recorder(["in_[0].val"], depth=8)
         assert recorder._cidx is not None
         harness.sim.run(5)
-    assert gcc_runs == ["design", "runtime", "design"]
+    assert gcc_runs == ["runtime", "design", "design"]

@@ -8,11 +8,12 @@ bound to their bodies, CL state as holes), every engine of the nineteen
 ``Tile(levels, jit=True)`` configurations (ten of which compile
 nothing, and have no entry), the jit points of the three
 DUT builders and the seven ``test_simjit_share`` rows.  None of them
-holds the SimJIT runtime (``runtime.c``).  The C text is the ``.so``
+holds the SimJIT runtime (``runtime.c``: the kernel, the
+instrumentation, the test bench).  The C text is the ``.so``
 cache key, so a refactor of how it is produced must leave
 every entry as it is (new rows for a refactor are written by the code
 it replaces: run ``--write`` on the parent with these designs).  The
-text is a design's block bodies and the fixed kernel; what names an
+text is a design's block bodies and ``run_block``; what names an
 instance is its layout, not text, so the three RTL meshes differ only
 in integer literals and two designs whose bodies print alike share a
 row's hash.  A change that alters the generated C on purpose

@@ -1,17 +1,24 @@
 """SimJIT's C is block bodies only; an instance is a layout.
 
 The translation unit of a design is its prelude, one function per
-distinct block body and one fixed kernel (``core/simjit/cgen.py``).
-Which nets there are, which block runs which function over which slots
-and the initial values are the engine's per-instance layout, handed to
-``new_instance``.  These tests pin that the text does not grow with
-the instance count, that two designs whose bodies print the same text
-are one ``.so`` with two layouts, and the checkpoint blob the layout
-describes: ``cur | nxt | [prev] | [st]``, ``cur`` at the handle.
+distinct block body and ``run_block`` (``core/simjit/cgen.py``).  The
+kernel that runs it is the SimJIT runtime's (``runtime.c``), compiled
+once per cache.  Which nets there are, which block runs which function
+over which slots, the initial values and the design library's
+``run_block`` are the engine's per-instance layout, handed to
+``new_instance``.  These tests pin that the text holds no kernel and
+does not grow with the instance count, that two designs whose bodies
+print the same text are one ``.so`` with two layouts, that a design
+compiled at another ``opt`` runs on the one kernel, and the checkpoint
+blob the layout describes: ``cur | nxt | [prev] | [st]``, ``cur`` at
+the handle.
 """
 
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +52,83 @@ def test_mesh_c_does_not_grow_with_the_instance_count():
     assert [spec.kernel_info["blocks"] for spec in specs] == [52, 208, 832]
 
 
+def test_design_c_holds_no_kernel():
+    """The kernel, the instrumentation and the test bench are the
+    runtime's: a design's C defines none of them, nor ``layout_t``."""
+    for n in (4, 64):
+        source = _mesh_c(n).c_source
+        assert re.findall(r"^(?!static )\w[\w ]*\b(\w+)\(", source, re.M) == [
+            "run_block"]
+        for name in ("new_instance", "settle", "edge", "cycle", "obs_",
+                     "tb_uniform", "layout_t"):
+            assert name not in source, name
+
+
+# Two meshes whose buffer depths make two texts, in a process that
+# counts its gcc runs.
+_TWO_DESIGNS = """
+import subprocess
+from repro.core.simjit import SimJITRTL
+from repro.net import MeshNetworkStructural, RouterRTL
+gcc, run = [], subprocess.run
+def counted(cmd, *args, **kwargs):
+    gcc.extend(cmd[:1])
+    return run(cmd, *args, **kwargs)
+subprocess.run = counted
+for nentries in (2, 4):
+    SimJITRTL(MeshNetworkStructural(
+        RouterRTL, 4, 256, 32, nentries).elaborate()).specialize()
+assert gcc == [], gcc
+"""
+
+
+def test_two_designs_compile_the_runtime_once(gcc_runs):
+    """Two designs on an empty cache are three gcc runs, the runtime
+    first; a new process on the warm cache makes none."""
+    paths = set()
+    for nentries in (2, 4):
+        spec = SimJITRTL(MeshNetworkStructural(
+            RouterRTL, 4, 256, 32, nentries).elaborate())
+        spec.specialize()
+        paths.add(spec.lib_path)
+    assert len(paths) == 2
+    assert gcc_runs == ["runtime", "design", "design"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", _TWO_DESIGNS], env=env,
+                   check=True, timeout=120)
+
+
+def _outputs(mesh):
+    return [(int(mesh.out[i].val), int(mesh.out[i].msg), int(mesh.in_[i].rdy))
+            for i in range(len(mesh.out))]
+
+
+def test_design_at_o0_runs_on_the_o2_kernel():
+    """A design's ``opt`` is its bodies': a mesh4 built at ``-O0``
+    runs on the one ``-O2`` kernel, bit-identical to its
+    ``sched="event"`` twin for 40 interleaved cycles."""
+    def mesh4():
+        return MeshNetworkStructural(RouterRTL, 4, 256, 32, 2).elaborate()
+
+    spec = SimJITRTL(mesh4(), opt="-O0")
+    jit, ref = spec.specialize().elaborate(), mesh4()
+    sims = [SimulationTool(jit), SimulationTool(ref, sched="event")]
+    assert "/simjit " in repr(sims[0])
+    for sim in sims:
+        sim.reset()
+    rnd = random.Random(4)
+    for _ in range(40):
+        stimulus = [(rnd.getrandbits(1), rnd.getrandbits(ref.in_[i].msg.nbits),
+                     int(rnd.random() < 0.7)) for i in range(4)]
+        for model, sim in zip((jit, ref), sims):
+            for i, (val, msg, rdy) in enumerate(stimulus):
+                model.in_[i].val.value = val
+                model.in_[i].msg.value = msg
+                model.out[i].rdy.value = rdy
+            sim.cycle()
+        assert _outputs(jit) == _outputs(ref)
+
+
 def test_two_layouts_share_one_library(gcc_runs):
     """Two banks of two and three ``_AddK`` leaves print the same
     bodies: one gcc run, the same ``.so``, each instance simulating its
@@ -55,7 +139,7 @@ def test_two_layouts_share_one_library(gcc_runs):
     assert first.c_source == second.c_source
     assert first.lib_path == second.lib_path
     assert second.overheads["cache_hit"]
-    assert gcc_runs == ["design"]
+    assert gcc_runs == ["runtime", "design"]
     assert [len(pair.jit.jit_engine.layout.blocks) for pair in pairs] == [
         4, 6]
     for c in range(40):

@@ -316,10 +316,10 @@ def test_specializer_emits_compile_span_with_phases():
 
 def test_runtime_load_is_one_span_per_process(gcc_runs):
     """A process finds or builds the SimJIT runtime once, inside one
-    ``simjit.runtime`` span: on an empty cache the first compiled
-    traffic run shows it with the gcc time inside (``cache_hit``
-    False), later runs show none, and a new process on the warm cache
-    shows it once more, a hit."""
+    ``simjit.runtime`` span: on an empty cache the first engine shows
+    it with the gcc time inside (``cache_hit`` False), before its
+    design's compile, later engines show none, and a new process on
+    the warm cache shows it once more, a hit."""
     from repro.core.simjit import auto_specialize, specializer
     from repro.net import MeshNetworkStructural, NetworkTrafficHarness
     from repro.net import RouterRTL
@@ -337,11 +337,11 @@ def test_runtime_load_is_one_span_per_process(gcc_runs):
                 if rec["name"] == "simjit.runtime"]
 
     assert runtime_spans(2) == [{"cache_hit": False}]
-    assert gcc_runs == ["design", "runtime"]
+    assert gcc_runs == ["runtime", "design"]
     assert runtime_spans(1) == []
     specializer._runtime.cache_clear()      # as a new process would
     assert runtime_spans(1) == [{"cache_hit": True}]
-    assert gcc_runs == ["design", "runtime"]
+    assert gcc_runs == ["runtime", "design"]
 
 
 def test_watchdog_fire_emits_instant():

@@ -19,6 +19,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationTool
+from repro.core.ast_ir import TranslationError
 from repro.core.simjit import SimJITCL, SimJITRTL, specializer
 from repro.net import MeshNetworkStructural, RouterCL, RouterRTL, traffic
 from repro.net.traffic import NetworkTrafficHarness
@@ -283,17 +284,26 @@ def test_refusal_random_subclass():
 
 
 def test_refusal_message_wider_than_a_word():
-    harness = _harness(data_nbits=58)
+    """A message wider than the bench's word keeps the Python loop, and
+    the widest that fits runs compiled.  ``RouterRTL`` holds a message
+    in a local, which C cannot at 64 bits or more: SimJIT refuses it
+    (and used to route a 70-bit mesh wrong), so ``RouterCL`` is the
+    design here."""
+    for data_nbits in (52, 58):
+        with pytest.raises(TranslationError,
+                           match="local 'msg' may hold 64 bits"):
+            _harness(data_nbits=data_nbits)
+    harness = _harness(RouterCL, data_nbits=58)
     assert harness.msg_type.nbits == 70
     stats = harness.run_uniform_random(0.4, 40, 5, 100)
     assert stats.driver == "python"
     assert "70-bit" in stats.refused
     # ... and the widest message that fits runs compiled.
-    widest = _harness(data_nbits=52)
+    widest = _harness(RouterCL, data_nbits=52)
     assert widest.msg_type.nbits == 64
     got = widest.run_uniform_random(0.4, 40, 5, 100)
     assert got.driver == "compiled"
-    python = _on_python_loop(_harness(data_nbits=52))
+    python = _on_python_loop(_harness(RouterCL, data_nbits=52))
     want = python.run_uniform_random(0.4, 40, 5, 100)
     _assert_same(_visible(widest, got), _visible(python, want), "64-bit")
 
