@@ -17,7 +17,11 @@ the first engine of a process pays on an empty cache.
 
 For each level ``common.best_of_paired`` times a cold 64-node build
 (the network, then a cache-off specialization) against the 16-node one
-on the wall clock, as gcc runs in a child process.  The 64-node entry
+in CPU seconds of this process and its finished children
+(``getrusage``), gcc and what it runs included: a CPU clock does not
+count the time other work on the host takes the CPU away, which on the
+wall clock spread the per-pair ratios so wide that the gate missed a
+2x.  The 64-node entry
 carries the ratio (``slowdown_vs_mesh16``, lower is better) for the
 insight gate: the paper's "overheads grow with design size", which
 would also rise if the routers stopped sharing one compiled body.  The
@@ -25,7 +29,9 @@ table prints each side's fastest call; ``BENCH_QUICK=1`` runs fewer
 pairs.
 """
 
+import gc
 import os
+import resource
 import time
 
 from common import (QUICK, Pedantic, best_of_paired, build_network,
@@ -34,7 +40,15 @@ from common import (QUICK, Pedantic, best_of_paired, build_network,
 
 LEVELS = ("cl", "rtl")
 PHASES = ["elab", "veri", "cgen", "comp", "wrap", "simc"]
-REPS = 3 if QUICK else 5
+REPS = 5 if QUICK else 7
+
+
+def _cpu_seconds():
+    """CPU seconds of this process and of its waited-for children
+    (gcc, and the compiler passes gcc waits for)."""
+    return sum(usage.ru_utime + usage.ru_stime for usage in (
+        resource.getrusage(resource.RUSAGE_SELF),
+        resource.getrusage(resource.RUSAGE_CHILDREN)))
 
 
 def _total(overheads):
@@ -81,11 +95,18 @@ def measure(level):
     """The 16-node row (phases only) and the gated 64-node row."""
     small, big = [], []
     # A zero rep floor: calibration takes its first call, one
-    # specialization per rep.
-    timing = best_of_paired(
-        _cold_specializations(level, 16, small),
-        _cold_specializations(level, 64, big), REPS, 0.0,
-        warmup_b=True, clock=time.perf_counter)
+    # specialization per rep.  The collector is off while timing: its
+    # pauses land in whichever build crosses a threshold, and spread
+    # the per-pair ratios more than everything else together.
+    gc.collect()
+    gc.disable()
+    try:
+        timing = best_of_paired(
+            _cold_specializations(level, 16, small),
+            _cold_specializations(level, 64, big), REPS, 0.0,
+            warmup_b=True, clock=_cpu_seconds)
+    finally:
+        gc.enable()
 
     def row(runs):
         best = min(runs, key=_total)
@@ -117,7 +138,7 @@ def test_fig16_overheads_table(benchmark):
             for e in entries]
     text = format_table(
         "Figure 16: SimJIT specialization overheads (seconds; "
-        "vs 16: paired wall-clock ratio of the cold builds)",
+        "vs 16: paired CPU-time ratio of the cold builds)",
         ["config"] + PHASES + ["total", "vs 16"],
         rows,
     )

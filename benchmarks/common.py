@@ -165,7 +165,8 @@ def best_of_paired(fn_a, fn_b, reps, min_rep_seconds, warmup_b=False,
     (``fn_a`` is warm from calibration) — for workloads with one-shot
     transients like buffer growth.  ``clock`` is this process's CPU
     time unless the workload's cost lies in a child process (gcc),
-    which only a wall clock sees.  ``start_cycles`` is the shortest
+    which a clock adding the children's CPU time (``getrusage``) or
+    the wall clock sees.  ``start_cycles`` is the shortest
     rep calibration tries, for workloads with a start-up transient.
     """
     ncycles, _ = calibrate(fn_a, min_rep_seconds, start_cycles, clock)

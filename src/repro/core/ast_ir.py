@@ -247,6 +247,9 @@ class BlockIR:
     #: the first local :func:`infer_types` saw given a value that may
     #: need 64 bits or more (C's locals are ``int64_t``), or None
     wide_local: str = None
+    #: the first CL state attribute it saw given such a value (C's CL
+    #: state is ``int64_t`` too), or None
+    wide_state: str = None
 
 
 def walk_stmts(stmts):
@@ -1095,7 +1098,7 @@ def infer_types(ir, hole_of):
     ``Const`` leaves a sibling may fill with another value."""
     typer = _Typer(ir, hole_of)
     typer.stmts(ir.body)
-    ir.wide_local = typer.wide_local
+    ir.wide_local, ir.wide_state = typer.wide_local, typer.wide_state
     for node in walk_stmts(ir.body):
         typer.exact(node)
         if isinstance(node, AssignSig):
@@ -1111,7 +1114,7 @@ class _Typer:
         self.env = {}              # scalar local -> Ty
         self.exits = []            # per enclosing loop: envs at break/continue
         self.done = {}             # id(node) -> (node, its rewrite)
-        self.wide_local = None
+        self.wide_local = self.wide_state = None
 
     def stmts(self, body):
         for stmt in body:
@@ -1153,6 +1156,9 @@ class _Typer:
                     node.init if isinstance(node, DeclLocalArray)
                     else node.expr):
             self.wide_local = node.name
+        elif isinstance(node, AssignState) and self.wide_state is None \
+                and self.wide(node.expr):
+            self.wide_state = node.ref.name
 
     def cond(self, node):
         if self.expr(node).kind == "struct":

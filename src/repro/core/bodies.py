@@ -227,6 +227,12 @@ class Body:
         return (guards == self.guards
                 and tuple(map(type, guards)) == self.gtypes)
 
+    @property
+    def c_refused(self):
+        """Why C cannot run this body, or None: it has no ``c``
+        (``refused`` says why) or its template refuses."""
+        return self.refused if self.c is None else self.c.refused
+
 
 #: id(code object) -> its bodies, first lowered first.  Dropped with
 #: the code object, like ``elaboration._block_sources``.
@@ -303,6 +309,23 @@ def body_or_why(blk):
         return body_of(blk)
     except (TranslationError, Refused) as exc:
         return str(exc)
+
+
+def kept_reason(blk, answer, cyclic):
+    """Why the CPython rung runs ``blk`` as the user's closure, or
+    None when it runs the body's lowered function.  ``answer`` is
+    ``blk``'s :func:`body_or_why` (not asked of a CL or FL tick) and
+    ``cyclic`` whether the static scheduler demotes it (a comb block
+    in a combinational cycle).  The one spelling of these reasons:
+    ``SimulationTool`` reports them in ``sched_info()["lowered"]
+    ["kept"]`` and ``auto.kept_blocks`` reads them before
+    elaboration."""
+    if cyclic:
+        return "event partition: in a combinational cycle"
+    level = getattr(blk, "level", "rtl")    # a comb block has none
+    if level != "rtl":
+        return f"tick_{level} block"
+    return answer if isinstance(answer, str) else answer[0].refused
 
 
 def lowered(blk, irs):

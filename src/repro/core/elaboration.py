@@ -11,6 +11,11 @@ tools (simulator, translator, SimJIT) consume:
 4. slice connections and constant ties become directional *connector*
    specs (the driver inferred from port kinds and hierarchy).
 
+Steps 3 and 4 read ``_connections`` through :func:`read_connections`,
+the one reader of a design's structure: the static scheduler of an
+un-elaborated design (:func:`~.scheduling.unelaborated_schedule`) and
+the Verilog translator read the same merges, copies and ties from it.
+
 The result is stored on the top model: ``_all_models``, ``_all_signals``,
 ``_all_nets``, ``_connectors``, ``_const_ties``.
 
@@ -65,11 +70,14 @@ def _elaborate(top):
             model._connections.append((model.clk, child.clk))
             model._connections.append((model.reset, child.reset))
 
-    connectors = []
-    const_ties = []
-    for model in all_models:
-        for left, right in model._connections:
-            _process_connection(model, left, right, connectors, const_ties)
+    structure = read_connections(all_models)
+    # Full connections share storage: merge the nets, the left end's
+    # root winning.
+    for left, right in structure.merges:
+        root_l = left._net.find()
+        root_r = right._net.find()
+        if root_l is not root_r:
+            root_r.parent = root_l
 
     all_signals = []
     for model in all_models:
@@ -98,8 +106,8 @@ def _elaborate(top):
     top._all_models = all_models
     top._all_signals = all_signals
     top._all_nets = all_nets
-    top._connectors = connectors
-    top._const_ties = const_ties
+    top._connectors = structure.copies
+    top._const_ties = structure.ties
     top._all_counters = all_counters
     top._all_histograms = all_histograms
     for model in all_models:
@@ -152,39 +160,76 @@ def _collect_models(model, out):
 # -- connections ---------------------------------------------------------------
 
 
-def _process_connection(model, left, right, connectors, const_ties):
-    # Constant tie: applied once at simulator init.
-    if isinstance(left, int) or isinstance(right, int):
-        sig, const = (right, left) if isinstance(left, int) else (left, right)
-        target = sig.signal if isinstance(sig, _SignalSlice) else sig
-        if const >> _width_of(sig):
-            raise ElaborationError(
-                f"constant {const} too wide for {_describe(sig)}"
-            )
-        const_ties.append((sig, const))
-        return
+class Structure:
+    """What a list of models' ``_connections`` say
+    (:func:`read_connections`): ``merges``, the full-signal pairs in
+    order; ``copies``, each slice connection as its ``(src, dst)``;
+    ``ties``, each constant as its ``(end, const)``."""
 
-    if _width_of(left) != _width_of(right):
-        raise ElaborationError(
-            f"connected widths differ: {_describe(left)} is "
-            f"{_width_of(left)}b but {_describe(right)} is {_width_of(right)}b"
-        )
+    __slots__ = ("merges", "copies", "ties", "_root")
 
-    if isinstance(left, Signal) and isinstance(right, Signal):
-        # Full connection: merge nets (bidirectional, shared storage).
-        root_l = left._net.find()
-        root_r = right._net.find()
-        if root_l is not root_r:
-            root_r.parent = root_l
-        return
+    def __init__(self):
+        self.merges, self.copies, self.ties = [], [], []
+        self._root = None           # id(signal) -> a signal of its net
 
-    # Slice connection: directional connector, driver inferred.
-    src, dst = infer_driver(model, left, right)
-    connectors.append((src, dst))
+    def net_of(self, sig):
+        """The signal standing for ``sig``'s net: the root the merges
+        elect, as ``_Net.find`` does when elaboration applies them (the
+        left end's root wins).  The union-find is built on first use:
+        elaboration, which merges ``_Net`` objects, never asks."""
+        if self._root is None:
+            self._root = {}
+            for left, right in self.merges:
+                a, b = self.net_of(left), self.net_of(right)
+                if a is not b:
+                    self._root[id(b)] = a
+        root = self._root
+        top = root.get(id(sig), sig)
+        while top is not sig:
+            sig, top = top, root.get(id(top), top)
+        return top
+
+    def groups(self):
+        """The merged signals by net: each net a list in first-seen
+        order, the nets in the order their first member is seen."""
+        groups = {}
+        for sig in {id(sig): sig for pair in self.merges
+                    for sig in pair}.values():
+            groups.setdefault(id(self.net_of(sig)), []).append(sig)
+        return list(groups.values())
 
 
-def _width_of(end):
-    return end.nbits
+def read_connections(models, parent_of=attrgetter("parent")):
+    """The one reading of ``models``' ``_connections``, as a
+    :class:`Structure`.  Widths must agree and a constant fit its end
+    (:class:`ElaborationError`); a slice connection's driver is
+    inferred (:func:`infer_driver`, whose ``parent_of`` this passes
+    on: the default once the design is named).  Elaboration applies
+    the merges to the signals' nets; the scheduler of an un-elaborated
+    design and the Verilog translator read the nets off the
+    :class:`Structure`."""
+    structure = Structure()
+    for model in models:
+        for pair in model._connections:
+            left, right = pair
+            if isinstance(left, int) or isinstance(right, int):
+                end, const = ((right, left) if isinstance(left, int)
+                              else (left, right))
+                if const >> end.nbits:
+                    raise ElaborationError(
+                        f"constant {const} too wide for {_describe(end)}")
+                structure.ties.append((end, const))
+            elif left.nbits != right.nbits:
+                raise ElaborationError(
+                    f"connected widths differ: {_describe(left)} is "
+                    f"{left.nbits}b but {_describe(right)} is "
+                    f"{right.nbits}b")
+            elif isinstance(left, Signal) and isinstance(right, Signal):
+                structure.merges.append(pair)
+            else:
+                structure.copies.append(
+                    infer_driver(model, left, right, parent_of))
+    return structure
 
 
 def _describe(end):

@@ -31,8 +31,8 @@ the flag sweep inside the simulator's Python step — is
 
 from __future__ import annotations
 
-from .elaboration import infer_driver
-from .signals import Signal, _SignalSlice
+from .elaboration import read_connections
+from .signals import _SignalSlice
 
 
 class StaticSchedule:
@@ -111,40 +111,22 @@ def unelaborated_schedule(models, blocks):
     the design before it is elaborated.  ``models`` are every model of
     the design and ``blocks`` every comb block of theirs as ``(block,
     reads, writes)``: the signals its body reads and writes, or
-    ``reads=None`` for a block without a body.  Nets are a union-find
-    over the models' full-signal ``_connections`` (elaboration merges
-    the same pairs, and adds clock and reset, which no comb block
-    writes); a slice connection is a directional copy, its driver
-    inferred as elaboration infers it; a constant tie is no block.
-    The schedule's ``order`` and ``event_funcs`` hold the blocks, and
-    a connector as ``("connector", i)``."""
+    ``reads=None`` for a block without a body.  Nets, slice copies and
+    ties are elaboration's own reading of the models' ``_connections``
+    (:func:`~.elaboration.read_connections`, each signal's model its
+    owner), less clock and reset, which elaboration adds and no comb
+    block writes; a constant tie is no block.  The schedule's
+    ``order`` and ``event_funcs`` hold the blocks, and a slice copy as
+    ``("connector", i)``."""
     owner = {id(sig): m for m in models for sig in m.get_signals()}
-    root = {}                       # id(signal) -> its net's signal
-
-    def net_of(sig):
-        top = root.get(id(sig), sig)
-        while top is not sig:
-            sig, top = top, root.get(id(top), top)
-        return top
-
-    copies = []
-    for model in models:
-        for left, right in model._connections:
-            if isinstance(left, int) or isinstance(right, int):
-                continue
-            if isinstance(left, Signal) and isinstance(right, Signal):
-                a, b = net_of(left), net_of(right)
-                if a is not b:
-                    root[id(b)] = a
-            else:
-                copies.append(infer_driver(
-                    model, left, right, lambda sig: owner.get(id(sig))))
+    structure = read_connections(models, lambda sig: owner.get(id(sig)))
+    net_of = structure.net_of
     infos = [(blk, (), (), False) if reads is None
              else (blk, *comb_block_nets(reads, writes, net_of), True)
              for blk, reads, writes in blocks]
     infos += [(("connector", i), nets_of([src], net_of),
                nets_of([dst], net_of), True)
-              for i, (src, dst) in enumerate(copies)]
+              for i, (src, dst) in enumerate(structure.copies)]
     return build_schedule(infos)
 
 

@@ -23,6 +23,7 @@ simulator lowers and schedules statically anyway.
 from __future__ import annotations
 
 from .. import bodies
+from ..elaboration import ElaborationError
 from ..model import MAX_LIST_DEPTH, Model
 from ..scheduling import unelaborated_schedule
 from .specializer import JITModel, SimJITCL, SimJITRTL, SpecializationError
@@ -91,41 +92,34 @@ def kept_blocks(top):
     """``{block: reason}`` for every block of un-elaborated design
     ``top`` that the CPython rung would run as the user's closure:
     what ``SimulationTool(top.elaborate())`` names in
-    ``sched_info()["lowered"]["kept"]``, read before elaboration.  A
-    comb block is kept when it has no body, when its body has no
-    Python form, or when it sits in a combinational cycle of the one
-    static scheduler
-    (:func:`repro.core.scheduling.unelaborated_schedule`); an RTL tick
-    when it has no body or no Python form; a CL or FL tick always.  A
-    hand-made :class:`JITModel`'s blocks have no body."""
+    ``sched_info()["lowered"]["kept"]``, read before elaboration.  The
+    reasons are :func:`repro.core.bodies.kept_reason`'s, the
+    simulator's own, over the same ``body_or_why`` answers and the
+    cyclic set of the one static scheduler, here built on the
+    un-elaborated design
+    (:func:`repro.core.scheduling.unelaborated_schedule`); a blocking
+    FL tick reads as a ``tick_fl`` block, since which FL ticks run on
+    a thread only the simulator knows.  A hand-made
+    :class:`JITModel`'s blocks have no body."""
     models = list(dict.fromkeys(_subtree(top)))
-    answers = {blk: ("a SimJIT engine" if isinstance(model, JITModel)
-                     else bodies.body_or_why(blk))
-               for model in models for blk in model.get_comb_blocks()}
-    cyclic = set(unelaborated_schedule(models, [
-        (blk, None, None) if isinstance(answer, str) else
-        (blk, bodies.signals(answer[1], answer[0].reads),
-         bodies.signals(answer[1], answer[0].writes))
-        for blk, answer in answers.items()]).demoted)
-    kept = {}
-    for blk, answer in answers.items():
-        if blk in cyclic:
-            kept[blk] = "event partition: in a combinational cycle"
-        elif why := _no_python(answer):
-            kept[blk] = why
-    for model in models:
-        for blk in model.get_tick_blocks():
-            if blk.level != "rtl":
-                kept[blk] = f"tick_{blk.level} block"
-            elif why := _no_python(bodies.body_or_why(blk)):
-                kept[blk] = why
-    return kept
-
-
-def _no_python(answer):
-    """Why a block whose ``body_or_why`` is ``answer`` has no lowered
-    Python function, or None."""
-    return answer if isinstance(answer, str) else answer[0].refused
+    combs = [blk for model in models for blk in model.get_comb_blocks()]
+    ticks = [blk for model in models for blk in model.get_tick_blocks()]
+    answers = {blk: ("a SimJIT engine" if isinstance(blk.model, JITModel)
+                     else bodies.body_or_why(blk)) for blk in combs}
+    try:
+        cyclic = set(unelaborated_schedule(models, [
+            (blk, None, None) if isinstance(answer, str) else
+            (blk, bodies.signals(answer[1], answer[0].reads),
+             bodies.signals(answer[1], answer[0].writes))
+            for blk, answer in answers.items()]).demoted)
+    except ElaborationError:
+        top.elaborate()     # the same error, with the names it gives
+        raise
+    answers.update((blk, bodies.body_or_why(blk)) for blk in ticks
+                   if blk.level == "rtl")
+    kept = {blk: bodies.kept_reason(blk, answers.get(blk), blk in cyclic)
+            for blk in combs + ticks}
+    return {blk: why for blk, why in kept.items() if why is not None}
 
 
 def _first_refusal(ticks, combs, allowed_levels):
@@ -135,18 +129,17 @@ def _first_refusal(ticks, combs, allowed_levels):
     descendants are lowered.  Then every block is asked for its body
     (:mod:`repro.core.bodies`) — the one its specializer binds to, so
     a block body is lowered once, whoever asks again — and refuses the
-    subtree where it has none, or one with no C (undecided types, or a
-    local C cannot hold)."""
+    subtree where it has none, or one C cannot run
+    (``Body.c_refused``)."""
     for blk in ticks:
         if blk.level not in allowed_levels:
             return blk, (f"level '{blk.level}'; "
                          f"allowed: {sorted(allowed_levels)}")
     for blk in ticks + combs:
         answer = bodies.body_or_why(blk)
-        if isinstance(answer, str) or answer[0].c is None:
-            return blk, _no_python(answer)
-        if answer[0].c.refused:
-            return blk, answer[0].c.refused
+        why = answer if isinstance(answer, str) else answer[0].c_refused
+        if why:
+            return blk, why
     return None
 
 

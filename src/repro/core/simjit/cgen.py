@@ -37,7 +37,8 @@ blob ``cur | nxt | [prev] | [st]``:
 
 Local variables are ``int64_t`` (signed, so idioms like ``sa = a -
 0x100000000`` compare correctly); a body with a local that may hold 64
-bits or more has no C (the typer names it, ``BlockIR.wide_local``).  The
+bits or more, or that may store that much into CL state, has no C (the
+typer names it, ``BlockIR.wide_local`` / ``wide_state``).  The
 settle before an edge (``eval_comb``, and ``cycle``'s first) runs only
 the comb blocks the input ports changed since the last settle reach
 (``in_blk``, ``in_cone``); the Python boundary moves every input port
@@ -375,9 +376,11 @@ def c_template(ir, hole_of):
     for stmt in ir.body:
         lines.append(printer.stmt(stmt, 2))
     lines.append("}")
-    refused = ir.wide_local and (
+    refused = (ir.wide_local and (
         f"local {ir.wide_local!r} may hold 64 bits or more "
-        f"(C locals are int64_t)")
+        f"(C locals are int64_t)")) or (ir.wide_state and (
+        f"CL state {ir.wide_state!r} may be given 64 bits or more "
+        f"(C holds CL state as int64_t)"))
     return ("\n".join(lines), tuple(printer.kinds), tuple(printer.sources),
             refused)
 

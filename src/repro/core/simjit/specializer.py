@@ -680,14 +680,15 @@ class _Specializer:
     def _block(self, blk):
         """A block is an instance of its body
         (:mod:`repro.core.bodies`): one bind fills the body's C template
-        and names what the block reads and writes.  A body whose types
-        are undecided has none: computed wide, it would differ."""
+        and names what the block reads and writes.  A body C cannot run
+        (``Body.c_refused``: undecided types, or a local or CL state
+        an ``int64_t`` cannot hold) raises ``TranslationError``."""
         try:
             body, holes = bodies.body_of(blk)
         except bodies.Refused as exc:
             raise SpecializationError(
                 f"{self.name} cannot specialize {blk.name}: {exc}") from None
-        why = body.refused if body.c is None else body.c.refused
+        why = body.c_refused
         if why:
             raise TranslationError(f"{self.name} cannot specialize "
                                    f"{blk.name}: {why}")

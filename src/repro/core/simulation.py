@@ -105,7 +105,7 @@ from functools import wraps
 from time import perf_counter
 
 from .adapters import BlockingTickRunner, wrap_fl_ticks
-from .bodies import body_or_why, signals
+from .bodies import body_or_why, kept_reason, signals
 from .probe import Probe
 from .pygen import instantiate
 from .scheduling import (build_schedule, comb_block_nets, nets_of,
@@ -428,30 +428,23 @@ class SimulationTool:
         """Put lowered blocks (:mod:`.pygen`) where the user's closures
         were in the static order and the tick plan.  Every block that
         keeps its closure is named in ``sched_info()["lowered"]
-        ["kept"]`` with the reason: the event partition (a comb block
-        in a combinational cycle, or without a body: why it has none),
-        a blocking FL tick, a CL or FL tick (by level, unlowered), and
-        whatever the backend refuses.  ``bodies`` holds the blocks'
-        ``body_or_why`` answers.  (Connectors are not blocks, and stay the
-        copies they were.)"""
+        ["kept"]`` with :func:`~.bodies.kept_reason`'s reason (the event
+        partition, a CL or FL tick, why the block has no body or its
+        body no Python form), except that a blocking FL tick says it
+        runs on its own thread, which only the simulator knows.
+        ``bodies`` holds the blocks' ``body_or_why`` answers.
+        (Connectors are not blocks, and stay the copies they were.)"""
         lowered_bodies, kept = set(), {}
 
         def lowered(blk, func):
             if func is not blk.func:
                 kept[blk.name] = "blocking FL tick (runs on its own thread)"
                 return func
-            # CL state has no Python form (a comb block has no level).
-            if getattr(blk, "level", "rtl") in ("cl", "fl"):
-                kept[blk.name] = f"tick_{blk.level} block"
+            why = kept_reason(blk, bodies.get(blk), False)
+            if why is not None:
+                kept[blk.name] = why
                 return func
-            answer = bodies[blk]
-            if isinstance(answer, str):
-                kept[blk.name] = answer
-                return func
-            body, holes = answer
-            if body.refused is not None:
-                kept[blk.name] = body.refused
-                return func
+            body, holes = bodies[blk]
             lowered_bodies.add(body)
             low = instantiate(body.python, func, holes, self)
             self._block_of[low] = func
@@ -461,12 +454,11 @@ class SimulationTool:
         self._static_order = [
             lowered(combs[func], func) if func in combs else func
             for func in self._static_order]
+        demoted = set(self.schedule.demoted)
         for func in self.schedule.event_funcs:
             if func in combs:
-                answer = bodies[combs[func]]
-                kept[combs[func].name] = (
-                    answer if isinstance(answer, str)
-                    else "event partition: in a combinational cycle")
+                kept[combs[func].name] = kept_reason(
+                    combs[func], bodies[combs[func]], func in demoted)
         self._tick_plan = [
             (slot, lowered(blk, func))
             for blk, (slot, func) in zip(self._tick_blocks, self._tick_plan)]

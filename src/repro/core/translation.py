@@ -6,7 +6,10 @@ is translated module-by-module into Verilog source that an EDA flow can
 consume.  Each block body's IR (:mod:`repro.core.bodies`) is printed
 once, as an always block whose holes every instance fills; structure
 (ports, wires, submodule instances, net connectivity, slice
-connections, constant ties) is emitted from the elaborated instance.
+connections, constant ties) is emitted from the elaborated instance,
+each module's nets, copies and ties as elaboration's one reader of
+``_connections`` (:func:`~.elaboration.read_connections`) gives them
+for that model alone.
 
 Characteristics and limits (documented in DESIGN.md):
 
@@ -53,7 +56,7 @@ from .ast_ir import (
     UnOp,
     Wrap,
 )
-from .elaboration import elaborate, infer_driver
+from .elaboration import elaborate, read_connections
 from .signals import InPort, OutPort, Signal, _SignalSlice
 
 
@@ -359,7 +362,12 @@ class _ModuleEmitter:
 
     def _emit_structure(self, body, written):
         model = self.model
-        groups, slice_conns, const_ties = _local_nets(model)
+        # This model's own connections: its nets (parent signals
+        # first), slice copies and constant ties.
+        structure = read_connections([model])
+        groups = structure.groups()
+        for group in groups:
+            group.sort(key=lambda s: (s.parent is not model, s.name or ""))
 
         # Behavioral writes drive outputs directly.
         for port in model.get_outports():
@@ -424,14 +432,14 @@ class _ModuleEmitter:
                         f"  (\n    {joined}\n  );")
 
         # Slice connections.
-        for src, dst in slice_conns:
+        for src, dst in structure.copies:
             body.append(
                 f"  assign {self._slice_lhs(dst, net_name)} = "
                 f"{self._slice_lhs(src, net_name)};")
             self._mark_driven(dst, model)
 
         # Constant ties.
-        for end, const in const_ties:
+        for end, const in structure.ties:
             body.append(
                 f"  assign {self._slice_lhs(end, net_name)} = "
                 f"{_vconst(const, end.nbits)};")
@@ -463,55 +471,6 @@ def _range(nbits):
 
 def _vconst(value, nbits):
     return f"{nbits}'d{value & ((1 << nbits) - 1)}"
-
-
-def _local_nets(model):
-    """Local union-find over this model's own connections.
-
-    Returns (groups, slice_conns, const_ties) where groups are lists of
-    signals sharing a local net.
-    """
-    parent = {}
-
-    def find(sig):
-        parent.setdefault(id(sig), sig)
-        root = sig
-        while parent[id(root)] is not root:
-            root = parent[id(root)]
-        parent[id(sig)] = root
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra is not rb:
-            parent[id(rb)] = ra
-
-    slice_conns = []
-    const_ties = []
-    members = {}
-    for left, right in model._connections:
-        if isinstance(left, int) or isinstance(right, int):
-            sig, const = (right, left) if isinstance(left, int) \
-                else (left, right)
-            const_ties.append((sig, const))
-            continue
-        if isinstance(left, Signal) and isinstance(right, Signal):
-            union(left, right)
-            members[id(left)] = left
-            members[id(right)] = right
-        else:
-            src, dst = infer_driver(model, left, right)
-            slice_conns.append((src, dst))
-
-    groups = {}
-    for sig in members.values():
-        root = find(sig)
-        groups.setdefault(id(root), []).append(sig)
-    ordered = []
-    for group in groups.values():
-        group.sort(key=lambda s: (s.parent is not model, s.name or ""))
-        ordered.append(group)
-    return ordered, slice_conns, const_ties
 
 
 def _group_driver(model, group, written, child_driven):

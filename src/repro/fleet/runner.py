@@ -54,7 +54,7 @@ Task-level *exceptions* were already structured results (the
   ``PYTHONHASHSEED`` and module state, so anything hash-order
   sensitive (e.g. SimJIT code generation walking sets) is identical
   across workers.  ``spawn`` also works (results are seed-derived).
-- **Shared .so cache.**  Workers inherit/receive one
+- **Shared .so cache.**  Workers inherit the parent's
   ``SIMJIT_CACHE_DIR``; the per-key ``flock`` in the specializer
   serializes same-design build races.
 - **Observability side-channel.**  With ``trace=True`` each worker
@@ -317,8 +317,7 @@ class _ObsSink:
 # -- worker side --------------------------------------------------------------
 
 
-def _worker_main(task_r, res_w, campaign_seed, artifact_dir, cache_dir,
-                 obs, trace):
+def _worker_main(task_r, res_w, campaign_seed, artifact_dir, obs, trace):
     """Worker process entry: recv ``(task, attempt)`` assignments from
     the supervisor, acknowledge each with a ``start`` heartbeat, run
     under the execute contract, ship the result.  SIGINT is ignored —
@@ -328,8 +327,6 @@ def _worker_main(task_r, res_w, campaign_seed, artifact_dir, cache_dir,
         signal_mod.signal(signal_mod.SIGINT, signal_mod.SIG_IGN)
     except (ValueError, OSError):
         pass
-    if cache_dir:
-        os.environ["SIMJIT_CACHE_DIR"] = cache_dir
     ctx = FleetContext(campaign_seed, artifact_dir)
 
     def _ship(msg):
@@ -400,13 +397,11 @@ class _Supervisor:
     POLL = 0.5                  # max sleep between bookkeeping passes
 
     def __init__(self, campaign, todo, nworkers, retry, task_deadline,
-                 artifact_dir, cache_dir, mp_ctx, collector, trace,
-                 journal):
+                 artifact_dir, mp_ctx, collector, trace, journal):
         self.campaign = campaign
         self.retry = retry
         self.task_deadline = task_deadline
         self.artifact_dir = artifact_dir
-        self.cache_dir = cache_dir
         self.mp = mp_ctx
         self.collector = collector
         self.trace = trace
@@ -445,8 +440,7 @@ class _Supervisor:
         proc = self.mp.Process(
             target=_worker_main,
             args=(task_r, res_w, self.campaign.seed, self.artifact_dir,
-                  self.cache_dir, self.collector is not None,
-                  self.trace),
+                  self.collector is not None, self.trace),
             daemon=True)
         proc.start()
         # Close the child-end copies *immediately*: a later fork must
@@ -712,7 +706,7 @@ class _Supervisor:
 
 
 def run_campaign(campaign, nworkers=None, artifact_dir=None,
-                 simjit_cache_dir=None, trace=False, progress=None,
+                 trace=False, progress=None,
                  retry=None, task_deadline=None, journal=None,
                  resume=None, metrics_port=None,
                  metrics_host="127.0.0.1"):
@@ -723,9 +717,9 @@ def run_campaign(campaign, nworkers=None, artifact_dir=None,
     sequential baseline the equivalence tests compare against; note
     inline runs have no crash isolation or process deadlines).
     ``artifact_dir`` receives failure artifacts (shrunk repros, observe
-    bundles, quarantine logs).  ``simjit_cache_dir`` overrides the
-    shared ``.so`` cache location for workers (defaults to the
-    inherited environment).
+    bundles, quarantine logs).  Workers inherit this process's
+    environment, ``SIMJIT_CACHE_DIR`` (the shared ``.so`` cache)
+    included.
 
     Fault tolerance: ``retry`` (a :class:`RetryPolicy`, default
     ``RetryPolicy()``) bounds per-task attempts after worker crashes,
@@ -793,13 +787,12 @@ def run_campaign(campaign, nworkers=None, artifact_dir=None,
     try:
         if nworkers <= 1 or not todo:
             fresh, attempts, sup_stats, interrupted = _run_inline(
-                campaign, todo, artifact_dir, simjit_cache_dir,
-                collector, trace, retry, journal_obj)
+                campaign, todo, artifact_dir, collector, trace, retry,
+                journal_obj)
         else:
             fresh, attempts, sup_stats, interrupted = _run_supervised(
                 campaign, todo, nworkers, retry, task_deadline,
-                artifact_dir, simjit_cache_dir, collector, trace,
-                journal_obj)
+                artifact_dir, collector, trace, journal_obj)
     except BaseException:
         if metrics_server is not None:
             metrics_server.stop()
@@ -836,13 +829,11 @@ def run_campaign(campaign, nworkers=None, artifact_dir=None,
 
 
 def _run_supervised(campaign, todo, nworkers, retry, task_deadline,
-                    artifact_dir, simjit_cache_dir, collector, trace,
-                    journal_obj):
+                    artifact_dir, collector, trace, journal_obj):
     """The ``nworkers > 1`` path: supervised worker processes."""
     from ..telemetry import tracing
 
     mp_ctx = multiprocessing.get_context(_start_method())
-    cache_dir = simjit_cache_dir or os.environ.get("SIMJIT_CACHE_DIR")
     prev_tracer = tracing.active() if trace else None
     parent_tracer = None
     if trace:
@@ -852,8 +843,8 @@ def _run_supervised(campaign, todo, nworkers, retry, task_deadline,
         parent_tracer = tracing.arm()
     try:
         sup = _Supervisor(campaign, todo, nworkers, retry,
-                          task_deadline, artifact_dir, cache_dir,
-                          mp_ctx, collector, trace, journal_obj).run()
+                          task_deadline, artifact_dir, mp_ctx,
+                          collector, trace, journal_obj).run()
     finally:
         if trace:
             tracing.disarm()
@@ -868,19 +859,13 @@ def _run_supervised(campaign, todo, nworkers, retry, task_deadline,
     return sup.results, sup.attempts, stats, sup.interrupted
 
 
-def _run_inline(campaign, todo, artifact_dir, simjit_cache_dir,
-                collector, trace, retry, journal_obj):
+def _run_inline(campaign, todo, artifact_dir, collector, trace, retry,
+                journal_obj):
     """The ``nworkers <= 1`` path: same execute/observe/retry/journal
     pipeline, no pool, messages fed straight into the collector."""
     from ..telemetry import tracing
 
     ctx = FleetContext(campaign.seed, artifact_dir)
-    # Snapshot the cache-dir env var so an interrupt (or plain
-    # completion) cannot leak a mutated SIMJIT_CACHE_DIR into the
-    # calling process.
-    prev_cache = os.environ.get("SIMJIT_CACHE_DIR")
-    if simjit_cache_dir:
-        os.environ["SIMJIT_CACHE_DIR"] = simjit_cache_dir
     sink = None
     prev_tracer = tracing.active() if trace else None
     if collector is not None:
@@ -923,10 +908,5 @@ def _run_inline(campaign, todo, artifact_dir, simjit_cache_dir,
             tracing.disarm()
             if prev_tracer is not None:
                 tracing.arm(prev_tracer)
-        if simjit_cache_dir:
-            if prev_cache is None:
-                os.environ.pop("SIMJIT_CACHE_DIR", None)
-            else:
-                os.environ["SIMJIT_CACHE_DIR"] = prev_cache
     stats = {"retries": retries, "respawns": 0, "quarantined": []}
     return results, attempts, stats, interrupted

@@ -3,18 +3,28 @@ future-work feature, implemented as an extension)."""
 
 import itertools
 import os
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import InPort, Model, OutPort, SimulationTool
-from repro.core.simjit import JITModel, SpecializationError, auto_specialize
+from repro.core.elaboration import ElaborationError, read_connections
+from repro.core.simjit import (JITModel, SpecializationError, auto,
+                               auto_specialize)
 from repro.core.simjit.auto import LOWERED, kept_blocks
 from repro.accel import Tile, mvmult_data, mvmult_xcel
 from repro.accel.kernels import Y_BASE
-from repro.net import MeshNetworkStructural, RouterCL, RouterRTL
+from repro.mem import CacheCL, CacheFL, CacheRTL, MemMsg
+from repro.net import (MeshNetworkStructural, ResilientLink, RouterCL,
+                       RouterRTL)
 from repro.net.traffic import NetworkTrafficHarness
-from repro.proc import assemble
+from repro.proc import ProcCL, ProcFL, ProcRTL, assemble
 from repro.resilience import ResilienceWarning
+from tests.test_generated_blocks import (BITS_WIDTHS, WIDTHS, _BitsBody,
+                                         _Body, designs)
+from tests.test_scheduling import load_generated
 
 
 def _engines(model):
@@ -534,38 +544,119 @@ def test_under_an_fl_parent_only_what_the_interpreter_keeps_compiles():
     assert int(tops[1].out) == (((19 * 37 + 1) & 0xFF ^ 0x5A) + 10) & 0xFF
 
 
-def _kept_names(top):
-    """``kept_blocks(top)`` by the names elaboration then gives."""
+def _structure(structure, skip):
+    """A :class:`Structure` as ids: its nets of two or more signals
+    not in ``skip``, its slice copies and its ties."""
+    nets = [[id(sig) for sig in group if id(sig) not in skip]
+            for group in structure.groups()]
+    return ([net for net in nets if len(net) > 1],
+            [(id(src), id(dst)) for src, dst in structure.copies],
+            [(id(end), const) for end, const in structure.ties])
+
+
+def _read_one_way(top):
+    """One structural reading of un-elaborated ``top``: the nets, slice
+    copies and ties read before elaboration are elaboration's (clock
+    and reset aside, which elaboration adds), per model they are what
+    translation reads from that model, and ``kept_blocks`` is what the
+    simulator keeps (a blocking FL tick is a ``tick_fl`` block to
+    ``kept_blocks``: which FL ticks block only the simulator knows).
+    Returns the kept blocks by name."""
+    models = list(dict.fromkeys(auto._subtree(top)))
+    owner = {id(sig): m for m in models for sig in m.get_signals()}
+
+    def parent_of(sig):
+        return owner.get(id(sig))
+
+    before = read_connections(models, parent_of)
+    local = [_structure(read_connections([m], parent_of), ())
+             for m in models]
     kept = kept_blocks(top)
     top.elaborate()
-    return {blk.name: reason for blk, reason in kept.items()}
+    # A translator's refusal names the block by its model's full name,
+    # which before elaboration is the model's class in lower case.
+    kept = {blk.name: reason.replace(
+        f"{type(blk.model).__name__.lower()}.{blk.func.__name__} (line ",
+        f"{blk.name} (line ") for blk, reason in kept.items()}
+    assert top._all_models == models
+    clocks = {id(sig) for m in models for sig in (m.clk, m.reset)}
+    nets = {}
+    for sig in top._all_signals:
+        if id(sig) not in clocks:
+            nets.setdefault(id(sig._net), []).append(id(sig))
+    nets_before, *copies_ties = _structure(before, clocks)
+    assert sorted(map(sorted, nets_before)) == sorted(
+        sorted(net) for net in nets.values() if len(net) > 1)
+    assert copies_ties == [
+        [(id(src), id(dst)) for src, dst in top._connectors],
+        [(id(end), const) for end, const in top._const_ties]]
+    for model, want in zip(models, local):
+        # What translation reads for the model's module.
+        got = _structure(read_connections([model]), clocks)
+        assert got == want, model.full_name()
+    with warnings.catch_warnings():     # a design with nothing static
+        warnings.simplefilter("ignore", ResilienceWarning)
+        sim_kept = SimulationTool(top, sched="static").sched_info()[
+            "lowered"]["kept"]
+    assert kept == {name: "tick_fl block" if why.startswith(
+        "blocking FL tick") else why for name, why in sim_kept.items()}
+    return kept
 
 
 def test_kept_blocks_are_the_interpreters_kept_blocks():
     """``kept_blocks`` reads the simulator's answer off the design
-    before elaboration; on the synthetic parent and on every tile, its
-    blocks of the translatable components and their reasons are the
-    ones the interpreted twin keeps (an FL tick's reason differs: the
-    simulator knows which run on a thread)."""
-    top = FLParent()
-    kept = _kept_names(top)
-    assert kept == {"top.ping.logic": "event partition: in a "
-                    "combinational cycle",
-                    "top.pong.logic": "event partition: in a "
-                    "combinational cycle",
-                    "top.odd.logic": "the block's name '_n' is one the "
-                    "lowered function uses",
-                    "top.count": "tick_fl block"}
-    assert SimulationTool(top).sched_info()["lowered"]["kept"] == kept
+    before elaboration, and the design's structure is read one way
+    before and after it (:func:`_read_one_way`): on the synthetic
+    parent, whose reasons are pinned, and on mesh4 RTL and CL, every
+    tile, the caches, the processors and the resilient link."""
+    assert _read_one_way(FLParent()) == {
+        "top.ping.logic": "event partition: in a combinational cycle",
+        "top.pong.logic": "event partition: in a combinational cycle",
+        "top.odd.logic": "the block's name '_n' is one the lowered "
+                         "function uses",
+        "top.count": "tick_fl block"}
+    for router in (RouterRTL, RouterCL):
+        _read_one_way(MeshNetworkStructural(router, 4, 256, 32, 2))
     for levels in itertools.product(("fl", "cl", "rtl"), repeat=3):
-        tile = Tile(levels)
-        kept = _kept_names(tile)
-        sim_kept = SimulationTool(tile).sched_info()["lowered"]["kept"]
-        rtl = tuple(f"top.{name}." for name, level in zip(
-            ("proc", "icache", "dcache", "accel"), levels[:2] + levels[1:])
-            if level == "rtl") + ("top.arbiter.",)
-        assert {k: v for k, v in kept.items() if k.startswith(rtl)} == {
-            k: v for k, v in sim_kept.items() if k.startswith(rtl)}, levels
+        kept = _read_one_way(Tile(levels))
         if levels[2] == "rtl":
             assert set(kept) >= {"top.accel.ctrl.ctrl_comb",
                                  "top.arbiter.arb_comb"}
+    for cache in (CacheFL, CacheCL, CacheRTL):
+        _read_one_way(cache(MemMsg(), MemMsg()))
+    for proc in (ProcFL, ProcCL, ProcRTL):
+        _read_one_way(proc())
+    for level in ("fl", "cl", "rtl"):
+        _read_one_way(ResilientLink(payload_nbits=16, level=level))
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(design=st.sampled_from([_Body, _BitsBody]).flatmap(
+    lambda body: designs(body, BITS_WIDTHS if body is _BitsBody
+                         else WIDTHS)))
+def test_generated_designs_are_read_one_way(design):
+    """:func:`_read_one_way` over the generated-blocks corpus: two
+    generated instances under one structural parent."""
+    _read_one_way(load_generated(design.source)["Pair"](
+        design.ka, design.kb))
+
+
+class _Narrow(Model):
+    """A 4-bit port connected to a ``Register(8)`` beside an FL memory:
+    refused at the top, so its structure is read before elaboration."""
+
+    def __init__(s):
+        from repro.components import Register
+        from repro.mem import TestMemory
+        s.x = InPort(4)
+        s.reg, s.mem = Register(8), TestMemory()
+        s.connect(s.x, s.reg.in_)
+
+
+def test_a_malformed_design_is_refused_by_name_before_elaboration():
+    """The one reader checks widths before elaboration too (so
+    ``auto_specialize`` raises), and the error names the ports as
+    elaboration does."""
+    with pytest.raises(ElaborationError, match="connected widths differ: "
+                       "InPort x is 4b but InPort in_ is 8b"):
+        auto_specialize(_Narrow()).elaborate()

@@ -580,44 +580,6 @@ def test_cycle_budget_turns_livelock_into_deterministic_timeout():
         "elapsed": res.elapsed, "worker": res.worker}
 
 
-# -- env hygiene (satellite 3) ------------------------------------------------
-
-
-def test_run_inline_restores_simjit_cache_env(tmp_path):
-    cache = str(tmp_path / "cache")
-    prev = os.environ.pop("SIMJIT_CACHE_DIR", None)
-    try:
-        run_campaign(_tiny_campaign(n=2), nworkers=1,
-                     simjit_cache_dir=cache)
-        assert "SIMJIT_CACHE_DIR" not in os.environ
-
-        os.environ["SIMJIT_CACHE_DIR"] = "/original/value"
-        run_campaign(_tiny_campaign(n=2), nworkers=1,
-                     simjit_cache_dir=cache)
-        assert os.environ["SIMJIT_CACHE_DIR"] == "/original/value"
-    finally:
-        os.environ.pop("SIMJIT_CACHE_DIR", None)
-        if prev is not None:
-            os.environ["SIMJIT_CACHE_DIR"] = prev
-
-
-def test_run_inline_restores_env_even_when_interrupted(tmp_path):
-    camp = Campaign("interruptible-env", SEED,
-                    [InterruptingTask("boom")])
-    prev = os.environ.pop("SIMJIT_CACHE_DIR", None)
-    os.environ[InterruptingTask.ARM] = "1"
-    try:
-        res = run_campaign(camp, nworkers=1,
-                           simjit_cache_dir=str(tmp_path / "c"))
-        assert res.interrupted
-        assert "SIMJIT_CACHE_DIR" not in os.environ
-    finally:
-        os.environ.pop(InterruptingTask.ARM, None)
-        os.environ.pop("SIMJIT_CACHE_DIR", None)
-        if prev is not None:
-            os.environ["SIMJIT_CACHE_DIR"] = prev
-
-
 # -- aggregation of mixed statuses (satellite 4) ------------------------------
 
 

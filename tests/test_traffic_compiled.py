@@ -19,9 +19,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationTool
+from repro.core import Model
 from repro.core.ast_ir import TranslationError
+from repro.core.portbundle import InValRdyBundle, OutValRdyBundle
 from repro.core.simjit import SimJITCL, SimJITRTL, specializer
 from repro.net import MeshNetworkStructural, RouterCL, RouterRTL, traffic
+from repro.net.msgs import NetMsg
 from repro.net.traffic import NetworkTrafficHarness
 from repro.resilience.warnings import ResilienceWarning
 from repro.tools import VCDWriter
@@ -283,28 +286,57 @@ def test_refusal_random_subclass():
     assert harness.rng.draws > 4 * 40 + stats.injected
 
 
+class _Pipes(Model):
+    """A network of one-entry pipes: terminal ``i``'s packets leave at
+    ``out[i]`` a cycle after they enter, whatever their destination.
+    A message is only ever in nets (the register copies it port to
+    port), so SimJIT runs it at any width."""
+
+    def __init__(s, nterminals, data_nbits):
+        s.msg_type = NetMsg(nterminals, 256, data_nbits)
+        s.in_ = InValRdyBundle[nterminals](s.msg_type)
+        s.out = OutValRdyBundle[nterminals](s.msg_type)
+        for i in range(nterminals):
+            s.connect(s.in_[i].rdy, s.out[i].rdy)
+
+        @s.tick_rtl
+        def pipes():
+            for i in range(nterminals):
+                s.out[i].msg.next = s.in_[i].msg
+                s.out[i].val.next = s.in_[i].val & s.in_[i].rdy
+
+
+def _pipes_harness(data_nbits):
+    top = SimJITRTL(_Pipes(4, data_nbits).elaborate()).specialize()
+    return NetworkTrafficHarness(top.elaborate(), seed=1)
+
+
 def test_refusal_message_wider_than_a_word():
     """A message wider than the bench's word keeps the Python loop, and
-    the widest that fits runs compiled.  ``RouterRTL`` holds a message
-    in a local, which C cannot at 64 bits or more: SimJIT refuses it
-    (and used to route a 70-bit mesh wrong), so ``RouterCL`` is the
-    design here."""
+    the widest that fits runs compiled.  The library's routers hold a
+    message in a C ``int64_t`` (``RouterRTL`` in a local, ``RouterCL``
+    in its CL state), which SimJIT refuses at 64 bits or more, so the
+    design here is a test-local network whose messages stay in nets."""
     for data_nbits in (52, 58):
         with pytest.raises(TranslationError,
                            match="local 'msg' may hold 64 bits"):
             _harness(data_nbits=data_nbits)
-    harness = _harness(RouterCL, data_nbits=58)
+        with pytest.raises(TranslationError,
+                           match="CL state 'buf_data' may be given 64 bits"):
+            _harness(RouterCL, data_nbits=data_nbits)
+    harness = _pipes_harness(58)
     assert harness.msg_type.nbits == 70
     stats = harness.run_uniform_random(0.4, 40, 5, 100)
     assert stats.driver == "python"
     assert "70-bit" in stats.refused
     # ... and the widest message that fits runs compiled.
-    widest = _harness(RouterCL, data_nbits=52)
+    widest = _pipes_harness(52)
     assert widest.msg_type.nbits == 64
     got = widest.run_uniform_random(0.4, 40, 5, 100)
     assert got.driver == "compiled"
-    python = _on_python_loop(_harness(RouterCL, data_nbits=52))
+    python = _on_python_loop(_pipes_harness(52))
     want = python.run_uniform_random(0.4, 40, 5, 100)
+    assert want.driver == "python" and want.ejected > 0
     _assert_same(_visible(widest, got), _visible(python, want), "64-bit")
 
 
