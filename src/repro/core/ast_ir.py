@@ -47,7 +47,15 @@ from .signals import Signal, _SignalSlice
 
 class TranslationError(Exception):
     """Raised when a behavioral block falls outside the translatable
-    subset."""
+    subset.  ``reason`` is why, without the block's name; a refusal of
+    the translator's own says where, ``(line N): why``, and its message
+    puts first the block's name as the translator knew it (its model's
+    class before elaboration, its path after).  A report names the block
+    itself (:func:`repro.core.bodies.named`)."""
+
+    def __init__(self, reason, block=None):
+        super().__init__(f"{block} {reason}" if block else reason)
+        self.reason = reason
 
 
 # -- expression nodes -----------------------------------------------------------
@@ -344,9 +352,8 @@ class BlockTranslator:
 
     def fail(self, node, why):
         line = getattr(node, "lineno", "?")
-        raise TranslationError(
-            f"{self.model.full_name()}.{self.ir.name} (line {line}): {why}"
-        )
+        raise TranslationError(f"(line {line}): {why}",
+                               f"{self.model.full_name()}.{self.ir.name}")
 
     # -- entry point --------------------------------------------------------------
 

@@ -304,10 +304,14 @@ def body_of(blk):
 def body_or_why(blk):
     """:func:`body_of` of ``blk``, or why it has none (the text of the
     refusal): the one answer the simulator and ``auto_specialize`` read
-    a block's reads, writes and Python form from."""
+    a block's reads, writes and Python form from.  The text never names
+    the block (of a translator's refusal it is the ``reason``): a
+    report does (:func:`named`)."""
     try:
         return body_of(blk)
-    except (TranslationError, Refused) as exc:
+    except TranslationError as exc:
+        return exc.reason
+    except Refused as exc:
         return str(exc)
 
 
@@ -325,7 +329,22 @@ def kept_reason(blk, answer, cyclic):
     level = getattr(blk, "level", "rtl")    # a comb block has none
     if level != "rtl":
         return f"tick_{level} block"
-    return answer if isinstance(answer, str) else answer[0].refused
+    why = answer if isinstance(answer, str) else answer[0].refused
+    return named(blk, why) if why and why.startswith(LOCATED) else why
+
+
+#: How a translator's own refusal starts: where in the block, then why.
+LOCATED = "(line "
+
+
+def named(blk, why):
+    """``why``, a refusal of ``blk``, after the block's name: a
+    translator's refusal, which says where, reads ``top.fwd.chan_seq
+    (line 9): …``, any other reason ``top.x.blk: …``.  A refusal never
+    names its block itself, because before elaboration a block's name is
+    its model's class (``unreliablechannel.chan_seq``); a report names
+    it when it is made, after elaboration, by its path."""
+    return f"{blk.name}{'' if why.startswith(LOCATED) else ':'} {why}"
 
 
 def lowered(blk, irs):

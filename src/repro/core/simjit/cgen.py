@@ -8,30 +8,39 @@ what depends on a block body and nothing else: the prelude
 that drives it — settle, edge, cycle, ``new_instance``, the Python
 boundary — is ``runtime.c`` (:func:`.specializer._runtime`), compiled
 once per cache for every design.  Everything that names an instance —
-how many nets there are and how wide, the port and flop slots, which
-block runs which function over which slots and constants in which
-order, the input cones, the CL state offsets, the initial values, and
-the design library's ``run_block`` — is the design's *layout*
-(:class:`Layout`, the C ``layout_t``), which the engine builds in
-Python and hands to ``new_instance``.  A layout belongs to its
+how many nets there are, how wide and at which word, the port slots,
+which block runs which function over which words and constants in
+which order, the input cones, the CL state offsets, the initial
+values, and the design library's ``run_block`` — is the design's
+*layout* (:class:`Layout`, the C ``layout_t``), which the engine
+builds in Python and hands to ``new_instance``.  A layout belongs to its
 instance, never to a library, so two designs whose bodies print the
 same text are one ``.so``.
 
-Every signal net is an ``unsigned __int128`` slot (wide enough for the
-65-bit memory messages).  The instance handle points at the checkpoint
-blob ``cur | nxt | [prev] | [st]``:
+Every signal net is one ``uint64_t`` word, or two — low word, then
+high word — when it is wider than 64 bits (the 65-bit memory
+messages).  A slot names a net everywhere in Python; the layout's
+``net_word`` (:func:`net_words`) is where its words are, and a body's
+``S`` entries hold those word offsets.  A read of a net is a ``u128``
+value (``(u128)lo``, or ``(u128)hi << 64 | lo``), so expression
+arithmetic is what it was when every net was a ``u128``; a write
+stores one word or two.  The instance handle points at the checkpoint blob ``cur | nxt |
+[prev] | [st]``:
 
-- ``cur`` holds the settled value of every net.  Combinational blocks
-  read and write it; ``settle()`` runs them once in the order
-  :func:`repro.core.scheduling.build_schedule` gave the specializer;
-- ``nxt`` is meaningful only for the *flop nets* — the nets some tick
-  block writes via ``.next`` (``flop_slot``).  ``edge`` seeds those
-  slots from ``cur``, runs the tick blocks (which read ``cur`` and
-  write ``nxt``), copies the same slots back and settles;
+- ``cur`` holds the settled value of every net, the *flop nets'* words
+  first — the nets some tick block writes (``flop_words`` of them).
+  ``I->cur`` points past them, so a flop's offset is negative and
+  every other net's offset does not move with the number of flops.
+  Combinational blocks read and write it; ``settle()`` runs them once
+  in the order :func:`repro.core.scheduling.build_schedule` gave the
+  specializer;
+- ``nxt`` is the flop words only.  ``edge`` copies them from ``cur``,
+  runs the tick blocks (which read ``cur`` and write ``nxt``), copies
+  them back and settles: two ``memcpy`` around the ticks;
 - ``prev`` exists only in a *fixpoint* layout, made when the block
   graph has a cyclic or self-reading residue (or scheduling was
-  switched off): ``settle()`` then repeats the pass until a whole-net
-  snapshot stops changing;
+  switched off): ``settle()`` then repeats the pass until a snapshot
+  of ``cur`` stops changing;
 - ``st`` is plain CL state, ``int64_t``; a variable is the elements
   from its ``state_off`` entry on.
 
@@ -45,13 +54,13 @@ the comb blocks the input ports changed since the last settle reach
 in one ``push_inputs`` and only the changed output ports in one
 ``pull_changed``.
 
-Dynamic signal-list indexing (``s.rf[rd]``) is compiled to a slot
+Dynamic signal-list indexing (``s.rf[rd]``) is compiled to a word
 lookup table per reference.
 
 **Template, body, layout.**  Each block body is compiled once.
 :func:`c_template` prints a block as a *template*: its C text with a
 *hole* wherever the text would name something only this instance has —
-a net slot, a CL state offset, the slot table behind a dynamic index,
+a net's word, a CL state offset, the word table behind a dynamic index,
 an integer ``Const`` the bind reads (elaboration-time constants such as
 a router's ``my_x`` fold to one).  Everything else is text: widths and
 masks, slice and loop bounds, local names and array sizes, operators,
@@ -69,7 +78,7 @@ function.  :meth:`CBackend.emit_blocks` prints each body once:
 - a hole with one value across the body's blocks is the literal it
   would be in a function of its own (the shared ``reset`` slot, ``% 5``);
 - a hole that varies reads the block's entries of the layout —
-  ``S[i]`` for a slot or state offset, ``(S + off)[idx]`` for a dynamic
+  ``S[i]`` for a word or state offset, ``(S + off)[idx]`` for a dynamic
   table, ``K[j]`` for a constant — and holes whose values agree in
   every member share an entry.  The function is ``f(inst_t *I, const
   int *S, const int64_t *K)``;
@@ -115,19 +124,42 @@ from ..ast_ir import (
 _U64 = (1 << 64) - 1
 
 
+def net_words(net_width, flops):
+    """``(net_word, flop_words)``: each net's word offset — one word per
+    net, two past 64 bits — and how many words the nets ``flops``
+    (slots) take.  Their words lead ``cur``, and an offset counts from
+    the first word after them: a flop's is negative, from -1 down in
+    slot order, every other net's counts up from 0 in slot order."""
+    flops, net_word = set(flops), [0] * len(net_width)
+    down = up = 0
+    for slot, width in enumerate(net_width):
+        size = 1 + (width > 64)
+        if slot in flops:
+            down -= size
+            net_word[slot] = down
+        else:
+            net_word[slot] = up
+            up += size
+    return net_word, -down
+
+
 class Layout(NamedTuple):
     """One instance's data for the kernel (``layout_t``): everything
-    that names an instance rather than a body.  ``blocks`` is one
-    ``(function, S entries, K entries)`` per block, the comb blocks in
-    schedule order, then the tick blocks; ``in_blk`` the comb positions
-    some input port reaches and ``in_cone`` per input port the
-    ``in_blk`` entries it reaches; ``init_cur`` / ``init_st`` the
-    values a new instance starts from."""
+    that names an instance rather than a body.  ``net_word`` is each
+    net's word offset in ``cur``, whose first ``flop_words`` words are
+    the flop nets' (:func:`net_words`); ``in_slot`` / ``out_slot``
+    name the ports' nets by slot.  ``blocks`` is one ``(function, S
+    entries, K entries)`` per block, the comb blocks in schedule order,
+    then the tick blocks; ``in_blk`` the comb positions some input port
+    reaches and ``in_cone`` per input port the ``in_blk`` entries it
+    reaches; ``init_cur`` (per net) / ``init_st`` the values a new
+    instance starts from."""
 
     net_width: list
+    net_word: list
+    flop_words: int
     in_slot: list
     out_slot: list
-    flop_slot: list
     blocks: list
     ncomb: int
     in_blk: list
@@ -138,10 +170,16 @@ class Layout(NamedTuple):
     fixpoint: bool
 
     @property
+    def nwords(self):
+        """Words of ``cur``."""
+        return sum(1 + (width > 64) for width in self.net_width)
+
+    @property
     def nbytes(self):
-        """Bytes of the checkpoint blob ``cur | nxt | [prev] | [st]``."""
-        return (16 * len(self.net_width) * (3 if self.fixpoint else 2)
-                + 8 * len(self.init_st))
+        """Bytes of the checkpoint blob ``cur | nxt | [prev] | [st]``:
+        ``cur`` and ``prev`` are every net's words, ``nxt`` the flops'."""
+        return 8 * (self.nwords * (2 if self.fixpoint else 1)
+                    + self.flop_words + len(self.init_st))
 
     def to_c(self, ffi, lib):
         """``(layout_t *, arrays)``: the ``layout_t`` that runs its
@@ -162,20 +200,24 @@ class Layout(NamedTuple):
         cone_off = [0]
         for cone in self.in_cone:
             cone_off.append(cone_off[-1] + len(cone))
-        init_cur = []
-        for value in self.init_cur:
-            init_cur += (value & _U64, value >> 64)
+        init_cur = [0] * self.nwords
+        for at, width, value in zip(self.net_word, self.net_width,
+                                    self.init_cur):
+            at += self.flop_words
+            init_cur[at] = value & _U64
+            if width > 64:
+                init_cur[at + 1] = value >> 64
         layout = ffi.new("layout_t *", {
-            "nnets": len(self.net_width), "nin": len(self.in_slot),
-            "nout": len(self.out_slot), "nflop": len(self.flop_slot),
+            "nwords": len(init_cur), "flop_words": self.flop_words,
+            "nin": len(self.in_slot), "nout": len(self.out_slot),
             "ncomb": self.ncomb, "ntick": len(self.blocks) - self.ncomb,
             "ninblk": len(self.in_blk),
             "nstatevar": len(self.state_off) - 1,
             "nst": len(self.init_st), "fixpoint": int(self.fixpoint),
             "net_width": array("unsigned short", self.net_width),
+            "net_word": array("int", self.net_word),
             "in_slot": array("int", self.in_slot),
             "out_slot": array("int", self.out_slot),
-            "flop_slot": array("int", self.flop_slot),
             "block": array("int", block), "s": array("int", s),
             "k": array("int64_t", k),
             "in_blk": array("int", self.in_blk),
@@ -190,9 +232,11 @@ class Layout(NamedTuple):
         return layout, arrays
 
 
-#: Hole kinds.  A SLOT is an index printed bare (a net slot, or a CL
-#: state variable's offset in ``st[]``), a TABLE the slots behind one
-#: dynamic signal-list index, a CONST an integer constant.
+#: Hole kinds.  A SLOT is an index printed bare (a net's word in
+#: ``cur``, or a CL state variable's offset in ``st[]``), a TABLE the
+#: words behind one dynamic signal-list index, a CONST an integer
+#: constant.  The specializer fills a net's holes with its slot and
+#: turns it into the word when the layout is made.
 SLOT, TABLE, CONST = "slot", "table", "const"
 
 _MARK = "\x00"
@@ -229,32 +273,41 @@ class _Template:
             return f"{table}[(int)({self.expr(ref.index)})]"
         return self._hole(SLOT, ref)
 
-    def sig_read(self, ref, array="cur"):
-        slot = self.slot_expr(ref)
-        base = f"I->{array}[{slot}]"
-        width = ref.width
+    @staticmethod
+    def net_value(words, at, ref):
+        """The whole net at word ``at`` of ``words`` as a ``u128``."""
+        if ref.signals[0].nbits > 64:
+            return (f"(((u128){words}[{at} + 1] << 64) | "
+                    f"{words}[{at}])")
+        return f"((u128){words}[{at}])"
+
+    def sig_read(self, ref):
+        value = self.net_value("I->cur", self.slot_expr(ref), ref)
         if ref.lo == 0 and ref.hi is None:
             # Full-width read; nets are stored masked already.
-            return f"({base})"
-        return (f"(({base} >> {ref.lo}) & mask_of({width}))")
+            return value
+        return f"(({value} >> {ref.lo}) & mask_of({ref.width}))"
 
     def sig_write(self, ref, value_c, is_next, indent):
-        array = "nxt" if is_next else "cur"
-        slot = self.slot_expr(ref)
+        words = "I->nxt" if is_next else "I->cur"
+        at = self.slot_expr(ref)
         width = ref.width
-        full = ref.lo == 0 and ref.hi is None
         pad = " " * indent
-        lines = [f"{pad}{{"]
-        lines.append(f"{pad}  u128 _v = ((u128)({value_c})) & "
-                     f"mask_of({width});")
-        if full:
+        lines = [f"{pad}{{",
+                 f"{pad}  u128 _v = ((u128)({value_c})) & "
+                 f"mask_of({width});"]
+        if ref.lo == 0 and ref.hi is None:
             lines.append(f"{pad}  u128 _nv = _v;")
         else:
             lines.append(
-                f"{pad}  u128 _nv = (I->{array}[{slot}] & "
-                f"~(mask_of({width}) << {ref.lo})) | (_v << {ref.lo});"
-            )
-        lines.append(f"{pad}  I->{array}[{slot}] = _nv;")
+                f"{pad}  u128 _nv = ({self.net_value(words, at, ref)} & "
+                f"~(mask_of({width}) << {ref.lo})) | (_v << {ref.lo});")
+        if ref.signals[0].nbits > 64:
+            lines += [f"{pad}  uint64_t *_w = &{words}[{at}];",
+                      f"{pad}  _w[0] = (uint64_t)_nv;",
+                      f"{pad}  _w[1] = (uint64_t)(_nv >> 64);"]
+        else:
+            lines.append(f"{pad}  {words}[{at}] = (uint64_t)_nv;")
         lines.append(f"{pad}}}")
         return "\n".join(lines)
 

@@ -228,11 +228,13 @@ class KernelInstrumentation:
                        "watchpoint capacity exceeded")
             return False
         self.engine._push_inputs()
+        # Six words a node; -1 (no operand) and a comparison value's
+        # words as two's complement.
         packed = []
         for kind, slot, a, b, aux in nodes:
-            packed += [kind, slot, a, b,
-                       aux & 0xFFFFFFFFFFFFFFFF, (aux >> 64) & 0xFFFFFFFFFFFFFFFF]
-        arr = self.ffi.new("int64_t[]", packed)
+            packed += [kind, slot, a, b, aux, aux >> 64]
+        arr = self.ffi.new("uint64_t[]",
+                           [word & 0xFFFFFFFFFFFFFFFF for word in packed])
         idx = self.lib.obs_add_watch(self.obs, len(nodes), arr)
         if idx < 0:
             self.warn_fallback(f"watchpoint {wp.name!r}",

@@ -16,8 +16,22 @@
  * It is compiled once per SimJIT cache into a content-addressed .so and
  * loaded once per process (repro.core.simjit.specializer._runtime).  A
  * design's C starts with this file's prelude, so both libraries spell
- * inst_t alike.  The handle new_instance returns points at the
- * checkpoint blob cur | nxt | [prev] | [st]: its first bytes are nets.
+ * inst_t alike.
+ *
+ * A net is one uint64_t word, or two (low word, then high word) when
+ * it is wider than 64 bits.  The flop nets' words lead cur, so nxt is
+ * only those words and an edge is two memcpys around the ticks.  The
+ * handle new_instance returns points at the checkpoint blob
+ * cur | nxt | [prev] | [st]: cur every net's words, nxt the flops',
+ * prev (a fixpoint layout only) cur's shadow, st the CL state.
+ *
+ * A net's word offset (the layout's net_word, a body's S entries)
+ * counts from the first word after the flops', where inst_t.cur and
+ * inst_t.nxt point: a flop's offset is negative, from -1 down in slot
+ * order, and the other nets' count up from 0 in slot order.  So a
+ * net's offset moves only with the nets before it, as its slot does,
+ * and two designs whose bodies read the same shared net (reset) print
+ * the same literal however many flops each has.
  */
 
 /* ---- prelude ---- */
@@ -51,9 +65,10 @@ static inline int64_t py_floordiv(int64_t a, int64_t b) {
 
 /* ---- interface ---- */
 
-/* What a block body reaches of its instance. */
+/* What a block body reaches of its instance: net words, flop words,
+   CL state.  cur and nxt point past the flop words (see above). */
 typedef struct {
-    u128 *cur, *nxt;
+    uint64_t *cur, *nxt;
     int64_t *st;
 } inst_t;
 
@@ -61,16 +76,17 @@ typedef struct {
 
 /* One instance's data for the kernel; cgen.Layout builds it. */
 typedef struct {
-    int nnets, nin, nout, nflop, ncomb, ntick, ninblk, nstatevar, nst;
-    int fixpoint;
+    int nwords, flop_words, nin, nout, ncomb, ntick, ninblk;
+    int nstatevar, nst, fixpoint;
     const unsigned short *net_width;
-    const int *in_slot, *out_slot, *flop_slot;
+    const int *net_word;            /* per net, its first word's offset */
+    const int *in_slot, *out_slot;
     const int *block;               /* per block: function, S at, K at */
     const int *s;                   /* the S pool */
     const int64_t *k;               /* the K pool */
     const int *in_blk, *in_cone_off, *in_cone;
     const int *state_off;           /* nstatevar + 1 */
-    const uint64_t *init_cur;       /* lo, hi per net */
+    const uint64_t *init_cur;       /* cur's nwords, flops first */
     const int64_t *init_st;
     /* the design library's run_block */
     void (*run_block)(inst_t *I, int f, const int *s, const int64_t *k);
@@ -110,7 +126,7 @@ int obs_add_hist(void *op, int slot, int when_slot);
 void obs_del_hist(void *op, int idx);
 long long obs_hist_drain(void *op, int idx, int64_t *vals,
                          long long *cnts);
-int obs_add_watch(void *op, int nnodes, const int64_t *packed);
+int obs_add_watch(void *op, int nnodes, const uint64_t *packed);
 void obs_del_watch(void *op, int idx);
 long long obs_hit_cycle(void *op);
 uint64_t obs_hit_mask(void *op);
@@ -164,9 +180,9 @@ int tb_uniform(void *p, tb_t *T);
  * itself (repro.core.simjit.specializer.SimJITEngine).
  */
 
-/* Python reads the blob's nets as (lo, hi) words. */
+/* Python reads the blob as little-endian words. */
 _Static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
-               "a net is its low word, then its high word");
+               "the blob is read as little-endian words");
 
 /* An instance: its layout, the body view, the Python boundary's
    shadows and the input settle's state, then the checkpoint blob
@@ -174,13 +190,28 @@ _Static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
 typedef struct {
     const layout_t *L;
     inst_t I;
-    u128 *prev, *out_last, *in_last;
+    uint64_t *prev;
+    u128 *out_last, *in_last;
     unsigned char *run;
     int out_synced, settled;
-    u128 blob[];
+    uint64_t blob[];
 } box_t;
 
 #define BOX(p) ((box_t *)((char *)(p) - offsetof(box_t, blob)))
+
+/* Net slot s of an instance whose inst_t.cur is w: one word, or two
+   past 64 bits. */
+static inline u128 net_get(const layout_t *L, const uint64_t *w, int s) {
+    w += L->net_word[s];
+    return L->net_width[s] > 64 ? ((u128)w[1] << 64) | w[0] : w[0];
+}
+
+static inline void net_put(const layout_t *L, uint64_t *w, int s, u128 v) {
+    v &= mask_of(L->net_width[s]);
+    w += L->net_word[s];
+    w[0] = (uint64_t)v;
+    if (L->net_width[s] > 64) w[1] = (uint64_t)(v >> 64);
+}
 
 static void run_blocks(box_t *B, int from, int to) {
     const layout_t *L = B->L;
@@ -199,35 +230,35 @@ static void run_blocks(box_t *B, int from, int to) {
    a block may legitimately write a net twice per pass
    (clear-then-set), so per-write change flags would never settle. */
 static int settle(box_t *B) {
-    size_t n = (size_t)B->L->nnets * sizeof(u128);
+    size_t n = (size_t)B->L->nwords * sizeof(uint64_t);
     int iters = 0;
     if (!B->L->fixpoint) {
         run_comb_blocks(B);
         return 1;
     }
     do {
-        memcpy(B->prev, B->I.cur, n);
+        memcpy(B->prev, B->blob, n);
         run_comb_blocks(B);
         iters++;
         if (iters > 64) return -1;   /* combinational loop */
-    } while (memcmp(B->prev, B->I.cur, n) != 0);
+    } while (memcmp(B->prev, B->blob, n) != 0);
     return iters;
 }
 
 void *new_instance(const layout_t *L) {
-    int parts = L->fixpoint ? 3 : 2;
-    size_t nets = (size_t)L->nnets * sizeof(u128);
-    box_t *B = (box_t *)calloc(
-        1, sizeof(box_t) + parts * nets + (size_t)L->nst * sizeof(int64_t));
+    size_t words = (size_t)L->nwords + L->flop_words
+        + (L->fixpoint ? L->nwords : 0);
+    box_t *B = (box_t *)calloc(1, sizeof(box_t)
+        + (words + (size_t)L->nst) * sizeof(uint64_t));
     B->L = L;
-    B->I.cur = B->blob;
-    B->I.nxt = B->blob + L->nnets;
-    B->prev = B->blob + 2 * L->nnets;
-    B->I.st = (int64_t *)(B->blob + parts * L->nnets);
+    B->I.cur = B->blob + L->flop_words;
+    B->I.nxt = B->blob + L->nwords + L->flop_words;
+    B->prev = B->I.nxt;
+    B->I.st = (int64_t *)(B->blob + words);
     B->out_last = (u128 *)calloc(L->nout + L->nin + 2, sizeof(u128));
     B->in_last = B->out_last + L->nout + 1;
     B->run = (unsigned char *)calloc(L->ninblk + 1, 1);
-    memcpy(B->I.cur, L->init_cur, nets);
+    memcpy(B->blob, L->init_cur, (size_t)L->nwords * sizeof(uint64_t));
     memcpy(B->I.st, L->init_st, (size_t)L->nst * sizeof(int64_t));
     return B->blob;
 }
@@ -249,8 +280,7 @@ void invalidate(void *p) {
 
 void set_net(void *p, int idx, uint64_t lo, uint64_t hi) {
     box_t *B = BOX(p);
-    B->I.cur[idx] = (((u128)hi << 64) | lo)
-        & mask_of(B->L->net_width[idx]);
+    net_put(B->L, B->I.cur, idx, ((u128)hi << 64) | lo);
     B->settled = 0;
 }
 
@@ -259,11 +289,9 @@ void set_net(void *p, int idx, uint64_t lo, uint64_t hi) {
 void push_inputs(void *p, const uint64_t *lo, const uint64_t *hi) {
     box_t *B = BOX(p);
     const layout_t *L = B->L;
-    for (int i = 0; i < L->nin; i++) {
-        int s = L->in_slot[i];
-        u128 v = hi ? ((u128)hi[i] << 64) | lo[i] : (u128)lo[i];
-        B->I.cur[s] = v & mask_of(L->net_width[s]);
-    }
+    for (int i = 0; i < L->nin; i++)
+        net_put(L, B->I.cur, L->in_slot[i],
+                hi ? ((u128)hi[i] << 64) | lo[i] : (u128)lo[i]);
 }
 
 /* (port index, lo, hi) of every output port whose value differs from
@@ -273,7 +301,7 @@ int pull_changed(void *p, uint64_t *out) {
     const layout_t *L = B->L;
     int n = 0;
     for (int i = 0; i < L->nout; i++) {
-        u128 v = B->I.cur[L->out_slot[i]];
+        u128 v = net_get(L, B->I.cur, L->out_slot[i]);
         if (B->out_synced && v == B->out_last[i]) continue;
         B->out_last[i] = v;
         out[3 * n] = (uint64_t)i;
@@ -296,15 +324,15 @@ int pull_changed(void *p, uint64_t *out) {
 int eval_comb(void *p) {
     box_t *B = BOX(p);
     const layout_t *L = B->L;
-    u128 *cur = B->I.cur;
+    const uint64_t *cur = B->I.cur;
     int changed = 0, r = 1;
     if (!B->settled) {
         r = settle(B);
         for (int i = 0; i < L->nin; i++)
-            B->in_last[i] = cur[L->in_slot[i]];
+            B->in_last[i] = net_get(L, cur, L->in_slot[i]);
     } else {
         for (int i = 0; i < L->nin; i++) {
-            u128 v = cur[L->in_slot[i]];
+            u128 v = net_get(L, cur, L->in_slot[i]);
             if (v == B->in_last[i]) continue;
             B->in_last[i] = v;
             for (int k = L->in_cone_off[i]; k < L->in_cone_off[i + 1]; k++)
@@ -325,18 +353,15 @@ int eval_comb(void *p) {
     return r;
 }
 
-/* One clock edge and the settle after it.  Only flop nets have a
-   meaningful nxt: seed them from cur (a tick that skips its .next
-   write holds the value), run the ticks, copy them back. */
+/* One clock edge and the settle after it.  nxt is the flop nets'
+   words, which lead cur: seed it from cur (a tick that skips its .next
+   write holds the value), run the ticks, copy it back. */
 int edge(void *p) {
     box_t *B = BOX(p);
-    const layout_t *L = B->L;
-    u128 *cur = B->I.cur, *nxt = B->I.nxt;
-    for (int i = 0; i < L->nflop; i++)
-        nxt[L->flop_slot[i]] = cur[L->flop_slot[i]];
+    int f = B->L->flop_words;
+    memcpy(B->I.nxt - f, B->blob, f * sizeof(uint64_t));
     run_tick_blocks(B);
-    for (int i = 0; i < L->nflop; i++)
-        cur[L->flop_slot[i]] = nxt[L->flop_slot[i]];
+    memcpy(B->blob, B->I.nxt - f, f * sizeof(uint64_t));
     return settle(B);
 }
 
@@ -403,7 +428,8 @@ typedef struct {
 
 typedef struct {
     void *inst;
-    u128 *cur;          /* the instance's nets */
+    const layout_t *L;
+    const uint64_t *cur;        /* the instance's net words */
     long long cycle;    /* mirrors sim.ncycles */
     /* flight-recorder taps: change events (cycle, tap, lo, hi) */
     int nrec;
@@ -437,7 +463,8 @@ void *obs_new(void *inst, long long rec_cap, long long tx_cap) {
     obs_t *O = (obs_t *)calloc(1, sizeof(obs_t));
     if (!O) return 0;
     O->inst = inst;
-    O->cur = (u128 *)inst;
+    O->L = BOX(inst)->L;
+    O->cur = BOX(inst)->I.cur;
     O->rec_cap = rec_cap;
     O->tx_cap = tx_cap;
     O->rec_buf = (uint64_t *)malloc((size_t)rec_cap * 4 * 8);
@@ -464,7 +491,7 @@ int obs_add_rec_tap(void *op, int slot) {
     obs_t *O = (obs_t *)op;
     if (O->nrec >= OBS_MAX_REC) return -1;
     O->rec_slot[O->nrec] = slot;
-    O->rec_last[O->nrec] = O->cur[slot];
+    O->rec_last[O->nrec] = net_get(O->L, O->cur, slot);
     return O->nrec++;
 }
 
@@ -530,7 +557,7 @@ long long obs_hist_drain(void *op, int idx, int64_t *vals,
     return n;
 }
 
-int obs_add_watch(void *op, int nnodes, const int64_t *packed) {
+int obs_add_watch(void *op, int nnodes, const uint64_t *packed) {
     /* ``packed`` holds 6 words per node: kind, slot, a, b, aux_lo,
        aux_hi; a/b are indices relative to the first added node. */
     obs_t *O = (obs_t *)op;
@@ -539,13 +566,13 @@ int obs_add_watch(void *op, int nnodes, const int64_t *packed) {
         return -1;
     for (int i = 0; i < nnodes; i++) {
         obs_node_t *nd = &O->nodes[base + i];
-        const int64_t *w = packed + 6 * i;
+        const uint64_t *w = packed + 6 * i;
         nd->kind = (int)w[0];
         nd->slot = (int)w[1];
-        nd->a = w[2] < 0 ? -1 : base + (int)w[2];
-        nd->b = w[3] < 0 ? -1 : base + (int)w[3];
-        nd->aux = ((u128)(uint64_t)w[5] << 64) | (uint64_t)w[4];
-        nd->prev = (nd->kind <= 2) ? O->cur[nd->slot] : 0;
+        nd->a = (int64_t)w[2] < 0 ? -1 : base + (int)w[2];
+        nd->b = (int64_t)w[3] < 0 ? -1 : base + (int)w[3];
+        nd->aux = ((u128)w[5] << 64) | w[4];
+        nd->prev = (nd->kind <= 2) ? net_get(O->L, O->cur, nd->slot) : 0;
     }
     O->nnodes = base + nnodes;
     O->wp_root[O->nwp] = base + nnodes - 1;
@@ -577,7 +604,8 @@ long long obs_tx_drain(void *op, uint64_t *out) {
 
 long long obs_run(void *op, long long n) {
     obs_t *O = (obs_t *)op;
-    u128 *cur = O->cur;
+    const layout_t *L = O->L;
+    const uint64_t *cur = O->cur;
     O->hit_cycle = -1;
     O->hit_mask = 0;
     for (long long k = 0; k < n; k++) {
@@ -597,9 +625,9 @@ long long obs_run(void *op, long long n) {
             u128 msg;
             if (O->tx_val[t] < 0) continue;
             vr = (unsigned char)(
-                ((cur[O->tx_val[t]] != 0) ? 1 : 0)
-                | ((cur[O->tx_rdy[t]] != 0) ? 2 : 0));
-            msg = cur[O->tx_msg[t]];
+                ((net_get(L, cur, O->tx_val[t]) != 0) ? 1 : 0)
+                | ((net_get(L, cur, O->tx_rdy[t]) != 0) ? 2 : 0));
+            msg = net_get(L, cur, O->tx_msg[t]);
             if (!O->tx_seen[t] || vr != O->tx_lvr[t]
                     || msg != O->tx_lmsg[t]) {
                 uint64_t *e = O->tx_buf + 5 * O->tx_len++;
@@ -619,7 +647,7 @@ long long obs_run(void *op, long long n) {
         for (int t = 0; t < O->nrec; t++) {
             u128 v;
             if (O->rec_slot[t] < 0) continue;
-            v = cur[O->rec_slot[t]];
+            v = net_get(L, cur, O->rec_slot[t]);
             if (v != O->rec_last[t]) {
                 uint64_t *e = O->rec_buf + 4 * O->rec_len++;
                 O->rec_last[t] = v;
@@ -636,8 +664,8 @@ long long obs_run(void *op, long long n) {
             uint64_t idx;
             if (O->hist_slot[h] < 0) continue;
             if (O->hist_when[h] >= 0
-                    && cur[O->hist_when[h]] == 0) continue;
-            v = (int64_t)cur[O->hist_slot[h]];
+                    && net_get(L, cur, O->hist_when[h]) == 0) continue;
+            v = (int64_t)net_get(L, cur, O->hist_slot[h]);
             vals = O->hist_vals + (long long)h * OBS_HIST_CAP;
             cnts = O->hist_cnts + (long long)h * OBS_HIST_CAP;
             idx = ((uint64_t)v * 0x9E3779B97F4A7C15ULL) >> 54;
@@ -661,22 +689,22 @@ long long obs_run(void *op, long long n) {
                 u128 v;
                 switch (nd->kind) {
                     case 0:
-                        v = cur[nd->slot];
+                        v = net_get(L, cur, nd->slot);
                         r = (nd->prev == 0) && (v != 0);
                         nd->prev = v;
                         break;
                     case 1:
-                        v = cur[nd->slot];
+                        v = net_get(L, cur, nd->slot);
                         r = (nd->prev != 0) && (v == 0);
                         nd->prev = v;
                         break;
                     case 2:
-                        v = cur[nd->slot];
+                        v = net_get(L, cur, nd->slot);
                         r = (v != nd->prev);
                         nd->prev = v;
                         break;
                     case 3:
-                        r = (cur[nd->slot] == nd->aux);
+                        r = (net_get(L, cur, nd->slot) == nd->aux);
                         break;
                     case 4:
                         r = O->nval[nd->a] & O->nval[nd->b];
@@ -715,11 +743,12 @@ long long obs_run(void *op, long long n) {
  * cannot hold, consuming nothing of either, and picks up at that draw
  * or that output port when called again (stage, i and a terminal's
  * pending of 2 are the resume point), so neither buffer grows with the
- * run.
+ * run.  Its nets are at most 64 bits wide, one word each: cur[W[slot]].
  */
 
 int tb_uniform(void *p, tb_t *T) {
-    u128 *cur = (u128 *)p;
+    uint64_t *cur = BOX(p)->I.cur;
+    const int *W = BOX(p)->L->net_word;
     for (;;) {
         if (T->stage == 0) {
             if (T->n < T->ncycles) {
@@ -747,7 +776,7 @@ int tb_uniform(void *p, tb_t *T) {
                         /* Warm-up packets carry no timestamp. */
                         ts = T->n >= T->warmup
                             ? (uint64_t)T->now & T->pay_mask : 0;
-                        cur[T->in_msg[i]] = T->msg_mask & (
+                        cur[W[T->in_msg[i]]] = T->msg_mask & (
                             ((uint64_t)dest << T->dest_shift)
                             | ((uint64_t)i << T->src_shift)
                             | ((T->seq++ & T->seq_mask) << T->seq_shift)
@@ -755,19 +784,19 @@ int tb_uniform(void *p, tb_t *T) {
                         T->injected++;
                         T->pending[i] = 1;
                     }
-                    cur[T->in_val[i]] = T->pending[i];
+                    cur[W[T->in_val[i]]] = T->pending[i];
                 }
             } else if (T->n < T->total && T->ejected < T->injected) {
                 /* Drain: keep offering what is staged. */
                 for (int i = 0; i < T->nterm; i++)
-                    cur[T->in_val[i]] = T->pending[i];
+                    cur[W[T->in_val[i]]] = T->pending[i];
             } else {
                 return TB_DONE;
             }
             /* The handshake fires at the coming edge with the rdy
                visible now. */
             for (int i = 0; i < T->nterm; i++)
-                if (T->pending[i] && cur[T->in_rdy[i]] != 0)
+                if (T->pending[i] && cur[W[T->in_rdy[i]]] != 0)
                     T->pending[i] = 0;
             if (cycle(p, 1) < 0) return -1;
             T->now++;
@@ -776,9 +805,8 @@ int tb_uniform(void *p, tb_t *T) {
         }
         for (; T->i < T->nout; T->i++) {
             uint64_t ts;
-            if (cur[T->out_val[T->i]] == 0) continue;
-            ts = (uint64_t)(cur[T->out_msg[T->i]] >> T->pay_shift)
-                & T->pay_mask;
+            if (cur[W[T->out_val[T->i]]] == 0) continue;
+            ts = (cur[W[T->out_msg[T->i]]] >> T->pay_shift) & T->pay_mask;
             if (ts != 0) {
                 if (T->nlat == T->lat_cap) return TB_FULL;
                 T->lat[T->nlat++] = T->now - (int64_t)ts;

@@ -53,7 +53,7 @@ from ..portbundle import PortBundle
 from ..probe import Probe
 from ..scheduling import build_schedule, comb_block_nets
 from ..signals import InPort, OutPort, Signal
-from .cgen import CBackend, Layout, c_template
+from .cgen import CBackend, Layout, c_template, net_words
 
 _CACHE_ENV = "SIMJIT_CACHE_DIR"
 _CACHE_OPTOUT_ENV = "REPRO_SIMJIT_CACHE"
@@ -282,9 +282,9 @@ class SimJITEngine:
         self.design_lib = design_lib
         # The process-wide ``ffi`` that loaded both (``_interface``).
         self._ffi = ffi
-        # ``id(net) -> slot`` in ``cur[]``.  The table, not the
-        # specializer that built it: nothing the engine keeps may keep
-        # the ``_Specializer`` (and its ``c_source``) alive.
+        # ``id(net) -> slot``.  The table, not the specializer that
+        # built it: nothing the engine keeps may keep the
+        # ``_Specializer`` (and its ``c_source``) alive.
         self._slots = slots
         #: this instance's data for the kernel (:class:`.cgen.Layout`)
         self.layout = layout
@@ -297,9 +297,10 @@ class SimJITEngine:
         self.overheads = overheads
         #: which kernel shape was generated and why (``sched_info()``)
         self.kernel_info = kernel_info
-        # The checkpoint blob the handle points at, as the (lo, hi)
-        # words of its nets.
-        self._words = ffi.cast("uint64_t *", self.inst)
+        # The nets' words: a net is its ``layout.net_word`` word, and
+        # the next when it is wide, counted from the first word after the
+        # flops' (which lead the checkpoint blob the handle points at).
+        self._words = ffi.cast("uint64_t *", self.inst) + layout.flop_words
         # CL-state addressing metadata: attached by the specializer
         # (``engine.state_index``/``engine.model_index``) so external
         # tools (fault injection, checkpointing) can reach compiled
@@ -323,7 +324,8 @@ class SimJITEngine:
         self._pushed = None
 
     def slot_of(self, sig):
-        """Net slot of ``sig`` in the compiled ``cur[]``."""
+        """Net slot of ``sig`` in this engine (``layout.net_word`` says
+        where its words are)."""
         return self._slots[id(sig._net.find())]
 
     def _bind(self):
@@ -428,7 +430,10 @@ class SimJITEngine:
         self._pushed = None
 
     def raw_get(self, slot):
-        return self._words[2 * slot] | (self._words[2 * slot + 1] << 64)
+        words, at = self._words, self.layout.net_word[slot]
+        if self.layout.net_width[slot] > 64:
+            return words[at] | words[at + 1] << 64
+        return words[at]
 
     def raw_set_state(self, idx, elem, value):
         """Write one CL state variable (``state_index`` addressing)."""
@@ -526,13 +531,15 @@ def _clear_parent(attr):
 
 class _Block(NamedTuple):
     """One block as the specializer files it with ``CBackend``: its C
-    body ``c``, this instance's value of each C hole (a CL state
-    variable's ``st_m<model>_<attr>`` key until ``_emit`` knows its
-    offset) and the signals it ``reads`` and ``writes``."""
+    body ``c``, this instance's ``holes`` (C hole ``h`` is filled from
+    ``holes[c.sources[h]]``: an int; a signal, or a tuple of them, and a
+    CL state variable's ``st_m<model>_<attr>`` key until ``_emit`` knows
+    their nets' words and its offset) and the signals it ``reads`` and
+    ``writes``."""
 
     name: str
     c: bodies.CBody
-    values: list
+    holes: list
     reads: list
     writes: list
 
@@ -673,7 +680,7 @@ class _Specializer:
             c = bodies.CBody(*c_template(
                 ir, {id(ref): i for i, ref in enumerate(refs)}))
             combs.append(_Block(
-                ir.name, c, [self._slot_of(refs[i].signal) for i in c.sources],
+                ir.name, c, [ref.signal for ref in refs],
                 [refs[0].signal], [refs[1].signal]))
         return combs, ticks
 
@@ -693,14 +700,11 @@ class _Specializer:
             raise TranslationError(f"{self.name} cannot specialize "
                                    f"{blk.name}: {why}")
         self._bodies.add(body)
-        slot = self._slot_of
-        row = [tuple(map(slot, hole)) if type(hole) is tuple
-               else int(hole) if isinstance(hole, int)
+        row = [int(hole) if isinstance(hole, int)
                else self._state_key(blk.model, hole) if type(hole) is str
-               else slot(hole)
+               else hole
                for hole in holes]
-        return _Block(blk.func.__name__, body.c,
-                      [row[s] for s in body.c.sources],
+        return _Block(blk.func.__name__, body.c, row,
                       bodies.signals(holes, body.reads),
                       bodies.signals(holes, body.writes))
 
@@ -770,22 +774,34 @@ class _Specializer:
             state_off.append(state_off[-1] + max(1, size))
         self._state_index = {key: i for i, (key, _) in enumerate(state_list)}
 
+        # The nets the clock edge flops lead ``cur``: their words are
+        # ``nxt``.
+        flops = {
+            self._slot_of(sig) for blk in ticks for sig in blk.writes}
+        net_word, flop_words = net_words(self._net_widths, flops)
+
         # One function per block body; each block is its function and
-        # its entries, in schedule order.
+        # its entries, in schedule order.  A net's hole holds its signal
+        # until here, a CL state variable's its key: both become offsets.
         offset_of = dict(zip(self._state_index, state_off))
+        slots = self._slots
+
+        def word(sig):
+            return net_word[slots[id(sig._net.find())]]
+
         backend = CBackend()
         for prefix, blocks in (("comb", comb_order), ("tick", ticks)):
             for i, blk in enumerate(blocks):
-                values = blk.values
-                if state_list:
-                    values = [offset_of[v] if isinstance(v, str) else v
-                              for v in values]
-                backend.add(blk.c, values, f"{prefix}_{i}_{blk.name}")
+                row = [h if type(h) is int
+                       else tuple(map(word, h)) if type(h) is tuple
+                       else offset_of[h] if type(h) is str
+                       else word(h)
+                       for h in blk.holes]
+                backend.add(blk.c, [row[h] for h in blk.c.sources],
+                            f"{prefix}_{i}_{blk.name}")
         block_c, entries = backend.emit_blocks()
 
-        # The nets the Python boundary moves and the clock edge flops.
-        flop_slots = sorted({
-            self._slot_of(sig) for blk in ticks for sig in blk.writes})
+        # The nets the Python boundary moves.
         in_ports = model.get_inports()
         in_slots = [self._slot_of(sig) for sig in in_ports]
         out_slots = [self._slot_of(sig) for sig in model.get_outports()]
@@ -809,7 +825,7 @@ class _Specializer:
         self.kernel_info = {
             "comb": "fixpoint" if residue else "single-pass",
             "residue_blocks": residue,
-            "flop_nets": len(flop_slots),
+            "flop_nets": len(flops),
             "in_ports": len(in_slots),
             "out_ports": len(out_slots),
             "blocks": len(entries),
@@ -825,8 +841,9 @@ class _Specializer:
             for j, v in enumerate(value if size else [value]):
                 init_st[off + j] = int(v)
         self.layout = Layout(
-            net_width=self._net_widths, in_slot=in_slots,
-            out_slot=out_slots, flop_slot=flop_slots, blocks=entries,
+            net_width=self._net_widths, net_word=net_word,
+            flop_words=flop_words, in_slot=in_slots,
+            out_slot=out_slots, blocks=entries,
             ncomb=ncomb, in_blk=union, in_cone=cones, state_off=state_off,
             init_cur=self._initial_nets(model), init_st=init_st,
             fixpoint=bool(residue))

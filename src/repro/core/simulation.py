@@ -105,7 +105,7 @@ from functools import wraps
 from time import perf_counter
 
 from .adapters import BlockingTickRunner, wrap_fl_ticks
-from .bodies import body_or_why, kept_reason, signals
+from .bodies import body_or_why, kept_reason, named, signals
 from .probe import Probe
 from .pygen import instantiate
 from .scheduling import (build_schedule, comb_block_nets, nets_of,
@@ -999,7 +999,7 @@ class SimulationTool:
                                 "input_blocks", "input_cone_max")}}
                 for m in engines]
             simjit["interpreted"] = {
-                m.full_name(): f"{blk.name}: {reason}" if blk else reason
+                m.full_name(): named(blk, reason) if blk else reason
                 for m in models if hasattr(m, "_simjit_refusal")
                 for blk, reason in [m._simjit_refusal]}
         return info

@@ -630,6 +630,28 @@ def test_kept_blocks_are_the_interpreters_kept_blocks():
         _read_one_way(ResilientLink(payload_nbits=16, level=level))
 
 
+def test_refusals_name_the_block_by_its_path():
+    """A translator's refusal met before elaboration (``auto_specialize``
+    asks every block for its body first) says only where and why, ``(line
+    N): why``; the reports name the block by its path.  So the refused
+    subtrees of the RTL resilient link and the simulator's kept blocks
+    give each block the same reason, ``top.fwd.chan_seq (line 9): …``,
+    and no reason names a model's class (which is what a model's full
+    name reads before elaboration)."""
+    top = auto_specialize(ResilientLink(payload_nbits=16, level="rtl"))
+    info = SimulationTool(top.elaborate()).sched_info()
+    interpreted, kept = info["simjit"]["interpreted"], info["lowered"]["kept"]
+    named = {why.split(" (line ")[0]: why for why in interpreted.values()}
+    assert set(named) == {"top.sender.sender_seq", "top.fwd.chan_seq",
+                          "top.rev.chan_seq", "top.receiver.receiver_seq"}
+    assert set(named) < set(kept)
+    for name, why in named.items():
+        assert kept[name] == why, name
+    for why in [*interpreted.values(), *kept.values()]:
+        for cls in ("senderrtl.", "receiverrtl.", "unreliablechannel."):
+            assert cls not in why, why
+
+
 @settings(derandomize=True, deadline=None, max_examples=8)
 @given(design=st.sampled_from([_Body, _BitsBody]).flatmap(
     lambda body: designs(body, BITS_WIDTHS if body is _BitsBody

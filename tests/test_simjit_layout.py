@@ -11,7 +11,7 @@ does not grow with the instance count, that two designs whose bodies
 print the same text are one ``.so`` with two layouts, that a design
 compiled at another ``opt`` runs on the one kernel, and the checkpoint
 blob the layout describes: ``cur | nxt | [prev] | [st]``, ``cur`` at
-the handle.
+the handle, a net one word or two, ``nxt`` the flop nets' words.
 """
 
 import os
@@ -178,17 +178,25 @@ def test_checkpoint_blob_is_cur_nxt_prev_st(name):
                 port.value = rnd.getrandbits(port.nbits)
         sim.cycle()
     blob = engine.snapshot_raw()
-    assert len(blob) == 16 * nnets * parts + 8 * nstate
+    layout = engine.layout
+    # A net is one word, two past 64 bits; nxt is the flop nets' words,
+    # which lead cur.
+    nwords = sum(1 + (width > 64) for width in layout.net_width)
+    assert len(layout.net_width) == nnets
+    assert len(blob) == 8 * (nwords * (parts - 1) + layout.flop_words
+                             + nstate)
 
     def cur(slot):
-        return int.from_bytes(blob[16 * slot:16 * slot + 16], "little")
+        at = 8 * (layout.flop_words + layout.net_word[slot])
+        size = 16 if layout.net_width[slot] > 64 else 8
+        return int.from_bytes(blob[at:at + size], "little")
 
     assert [cur(slot) for slot in range(nnets)] == [
         engine.raw_get(slot) for slot in range(nnets)]
     for port in top.get_outports():
         assert cur(engine.slot_of(port)) == int(port), port.name
     # CL state follows the nets: element j of state entry i.
-    st = 16 * nnets * parts
+    st = 8 * (nwords * (parts - 1) + layout.flop_words)
     for idx in range(len(engine.layout.state_off) - 1):
         for elem in range(engine.layout.state_off[idx + 1]
                           - engine.layout.state_off[idx]):
