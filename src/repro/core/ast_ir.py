@@ -134,6 +134,10 @@ class BinOp:
     #: ``//`` / ``%`` of non-negative operands, one 64 bits or wider,
     #: which C divides as ``u128`` (:meth:`_Typer.divide` decides).
     unsigned: bool = False
+    #: ``//`` / ``%`` whose operands the range pass places in ``[0,
+    #: 2**63)``, where C's ``/`` / ``%`` on ``int64_t`` are Python's
+    #: (:class:`_Spans` decides).
+    nonneg: bool = False
 
 
 @dataclass
@@ -153,6 +157,11 @@ class Cmp:
 class BoolOp:
     op: str                        # && ||
     values: list
+    #: No operand after the first can fault, by the range pass: every
+    #: dynamic index under it stays inside its array or table, every
+    #: divisor is non-zero — so C may evaluate them all, branch-free
+    #: (:class:`_Spans` decides).
+    eager: bool = False
 
 
 @dataclass
@@ -258,6 +267,11 @@ class BlockIR:
     #: the first CL state attribute it saw given such a value (C's CL
     #: state is ``int64_t`` too), or None
     wide_state: str = None
+    #: ``id`` of each constant hole a range fact (``BinOp.nonneg``,
+    #: ``BoolOp.eager``) read as in ``[0, 2**63)``: a sibling shares
+    #: the facts where it holds such a value, so :mod:`.bodies` guards
+    #: that
+    fact_holes: frozenset = frozenset()
 
 
 def walk_stmts(stmts):
@@ -1085,7 +1099,7 @@ def _join_envs(*envs):
     return out
 
 
-def infer_types(ir, hole_of):
+def infer_types(ir, hole_of, fixed=frozenset()):
     """Make ``ir`` ``Bits``-exact, in place, and return it.
 
     The types first, by the rules of ``Bits`` (``core/bits.py``): a
@@ -1102,7 +1116,9 @@ def infer_types(ir, hole_of):
     Once they settle, a :class:`Wrap` goes wherever ``Bits`` wraps
     (:meth:`_Typer.wrap`), except into a signal write no wider: no
     printer decides a width.  ``hole_of`` names (by ``id``) the
-    ``Const`` leaves a sibling may fill with another value."""
+    ``Const`` leaves a sibling may fill with another value, ``fixed``
+    those of them a guard holds to this value (the range pass,
+    :class:`_Spans`, reads both)."""
     typer = _Typer(ir, hole_of)
     typer.stmts(ir.body)
     ir.wide_local, ir.wide_state = typer.wide_local, typer.wide_state
@@ -1110,10 +1126,60 @@ def infer_types(ir, hole_of):
         typer.exact(node)
         if isinstance(node, AssignSig):
             node.expr = _absorb(node.expr, node.ref.width)
+    ir.fact_holes = _Spans(ir, hole_of, fixed).run(ir.body)
     return ir
 
 
-class _Typer:
+class _Flow:
+    """A walk of a body in program order that keeps ``self.env``, a
+    fact per scalar local: the facts of two paths meet (``join``) at an
+    ``if`` merge and at a loop head, where ``break`` / ``continue``
+    bring theirs, to a fixpoint over the back edge (``widen`` makes one
+    where the facts could grow without end).  A subclass says what a
+    statement (``simple``), a condition (``cond``) and a loop variable
+    (``loop_var``, and what the loop leaves in it: ``after_loop``) do
+    to the facts."""
+
+    def stmts(self, body):
+        for stmt in body:
+            self.stmt(stmt)
+
+    def stmt(self, node):
+        if isinstance(node, If):
+            self.cond(node.cond)
+            before = dict(self.env)
+            self.stmts(node.body)
+            then, self.env = self.env, before
+            self.stmts(node.orelse)
+            self.env = self.join(then, self.env)
+        elif isinstance(node, For):
+            entry = self.env
+            while True:
+                self.env = {**entry, node.var: self.loop_var(node)}
+                self.exits.append([])
+                self.stmts(node.body)
+                merged = self.join(entry, self.env, *self.exits.pop())
+                if merged == entry:
+                    break
+                entry = self.widen(entry, merged)
+            self.env = self.after_loop(node, entry)
+        elif isinstance(node, (Break, Continue)):
+            self.exits[-1].append(dict(self.env))
+        else:
+            self.simple(node)
+
+    @staticmethod
+    def widen(entry, merged):
+        return merged
+
+    @staticmethod
+    def after_loop(node, env):
+        return env
+
+
+class _Typer(_Flow):
+    join = staticmethod(_join_envs)
+
     def __init__(self, ir, hole_of):
         self.casts = ir.casts
         self.hole_of = hole_of
@@ -1123,11 +1189,11 @@ class _Typer:
         self.done = {}             # id(node) -> (node, its rewrite)
         self.wide_local = self.wide_state = None
 
-    def stmts(self, body):
-        for stmt in body:
-            self.stmt(stmt)
+    @staticmethod
+    def loop_var(node):
+        return INT
 
-    def stmt(self, node):
+    def simple(self, node):
         if isinstance(node, AssignLocal) and node.index is None:
             self.env[node.name] = self.expr(node.expr)
         elif isinstance(node, (AssignLocal, AssignSig, AssignState)):
@@ -1137,27 +1203,6 @@ class _Typer:
                 raise TypeUndecided(
                     f"local array {node.name!r} is given a "
                     f"{ty.kind} value (array elements are ints)")
-        elif isinstance(node, If):
-            self.cond(node.cond)
-            before = dict(self.env)
-            self.stmts(node.body)
-            then, self.env = self.env, before
-            self.stmts(node.orelse)
-            self.env = _join_envs(then, self.env)
-        elif isinstance(node, For):
-            # The head's types are a fixpoint over the back edge.
-            entry = self.env
-            while True:
-                self.env = {**entry, node.var: INT}
-                self.exits.append([])
-                self.stmts(node.body)
-                merged = _join_envs(entry, self.env, *self.exits.pop())
-                if merged == entry:
-                    break
-                entry = merged
-            self.env = entry
-        elif isinstance(node, (Break, Continue)):
-            self.exits[-1].append(dict(self.env))
         if isinstance(node, (AssignLocal, DeclLocalArray)) \
                 and self.wide_local is None and self.wide(
                     node.init if isinstance(node, DeclLocalArray)
@@ -1333,6 +1378,252 @@ class _Typer:
         return Wrap(node, width)
 
 
+# -- value ranges ---------------------------------------------------------------
+
+
+class Span(NamedTuple):
+    """What the range pass knows of an int value: it lies in ``[lo,
+    hi)``, a bound None where none is known.  ``holes`` are the ``id``
+    of the constant holes the bounds were read from."""
+
+    lo: int = None
+    hi: int = None
+    holes: frozenset = frozenset()
+
+
+ANY = Span()
+_BIT = Span(0, 2)
+#: The widest shift amount the pass follows (a bound past it is none).
+_SHIFT_CAP = 128
+
+
+def _within(span, size):
+    """Whether ``span`` lies in ``[0, size)``."""
+    return (span.lo is not None and span.lo >= 0 and span.hi is not None
+            and span.hi <= size)
+
+
+def _hull(a, b):
+    return Span(None if None in (a.lo, b.lo) else min(a.lo, b.lo),
+                None if None in (a.hi, b.hi) else max(a.hi, b.hi),
+                a.holes | b.holes)
+
+
+def _arith(op, a, b):
+    """The span of Python's ``a op b`` from the operands'.  A
+    right operand that makes Python raise (a zero divisor, a negative
+    shift) leaves no value to bound."""
+    (alo, ahi, _), (blo, bhi, _) = a, b
+    apos = alo is not None and alo >= 0
+    bpos = blo is not None and blo >= 0
+    lo = hi = None
+    if op == "+":
+        lo = None if None in (alo, blo) else alo + blo
+        hi = None if None in (ahi, bhi) else ahi + bhi - 1
+    elif op == "-":
+        lo = None if None in (alo, bhi) else alo - bhi + 1
+        hi = None if None in (ahi, blo) else ahi - blo
+    elif op == "*":
+        if None not in (alo, ahi, blo, bhi):
+            corners = [x * y for x in (alo, ahi - 1) for y in (blo, bhi - 1)]
+            lo, hi = min(corners), max(corners) + 1
+        elif apos and bpos:
+            lo = alo * blo
+    elif op == "&":
+        # Non-negative, and no more than, an operand that is.
+        if apos or bpos:
+            lo = 0
+            hi = min((h for pos, h in ((apos, ahi), (bpos, bhi))
+                      if pos and h is not None), default=None)
+    elif op in ("|", "^"):
+        if apos and bpos:
+            lo = 0
+            if None not in (ahi, bhi):
+                hi = 1 << max(ahi - 1, bhi - 1).bit_length()
+    elif op == ">>":
+        if apos:
+            lo = alo >> bhi - 1 if bhi is not None and \
+                1 <= bhi <= _SHIFT_CAP else 0
+            hi = None if ahi is None else \
+                (ahi - 1 >> min(max(blo or 0, 0), _SHIFT_CAP)) + 1
+    elif op == "<<":
+        if apos and bpos and blo <= _SHIFT_CAP:
+            lo = alo << blo
+            if None not in (ahi, bhi) and bhi - 1 <= _SHIFT_CAP:
+                hi = (ahi - 1 << bhi - 1) + 1
+    elif op == "%":
+        if bpos:
+            lo = 0
+            hi = min((h for h in (None if bhi is None else bhi - 1,
+                                  ahi if apos else None) if h is not None),
+                     default=None)
+    elif op == "//":
+        if apos and bpos:
+            lo = 0 if bhi is None or bhi < 2 else alo // (bhi - 1)
+            hi = None if ahi is None else (ahi - 1) // max(blo, 1) + 1
+    return Span(lo, hi, a.holes | b.holes)
+
+
+class _Spans(_Flow):
+    """The range pass: a conservative span (:class:`Span`) per int
+    expression of a ``Bits``-exact IR, whose every operator is Python's
+    on ints.  Its leaves are signal reads and wraps (``[0, 2**w)``),
+    constants, ``range()`` loop variables and locals (flow-sensitive:
+    joined at merges, widened to no bound at a loop head where one
+    grows); a CL state variable, an array element or an unset local is
+    unbounded.  A constant hole a guard fixes is its value; any other
+    is only as known as its class, ``[0, 2**63)`` (or unbounded), so
+    siblings that differ in it still share the body.  It records two
+    facts the C printer reads: a ``//`` / ``%`` whose operands lie in
+    ``[0, 2**63)`` is ``nonneg``, an ``and`` / ``or`` none of whose
+    later operands can fault is ``eager``.  A fact read from a hole's
+    class names the hole in ``BlockIR.fact_holes``."""
+
+    def __init__(self, ir, hole_of, fixed):
+        self.locals, self.hole_of, self.fixed = ir.locals, hole_of, fixed
+        self.env = {}              # scalar local -> Span
+        self.exits = []
+        self.spans = {}            # id(expression) -> Span, last walk's
+        self.facts = {}            # id(node) -> (node, holes | None)
+
+    def run(self, body):
+        """Walk ``body``; set the facts; the holes they read."""
+        self.stmts(body)
+        holes = frozenset()
+        for node, read in self.facts.values():
+            setattr(node, "eager" if isinstance(node, BoolOp)
+                    else "nonneg", read is not None)
+            holes |= read or frozenset()
+        return holes
+
+    @staticmethod
+    def join(*envs):
+        out = {}
+        for env in envs:
+            for name, span in env.items():
+                out[name] = _hull(out[name], span) if name in out else span
+        return out
+
+    @staticmethod
+    def widen(entry, merged):
+        """A bound that grew at a loop head is none: the head's
+        fixpoint is reached in a few walks."""
+        out = dict(merged)
+        for name, span in merged.items():
+            old = entry.get(name)
+            if old is not None and span != old:
+                out[name] = Span(None if span.lo != old.lo else span.lo,
+                                 None if span.hi != old.hi else span.hi,
+                                 span.holes)
+        return out
+
+    @staticmethod
+    def loop_var(node):
+        if any(isinstance(stmt, AssignLocal) and stmt.name == node.var
+               for stmt in walk_stmts(node.body)):
+            return ANY             # C's next trip counts from what it holds
+        if node.step > 0:
+            return Span(node.start, max(node.stop, node.start))
+        return Span(node.stop + 1, max(node.start, node.stop) + 1)
+
+    @staticmethod
+    def after_loop(node, env):
+        # C leaves the bound in it, where Python leaves the last value.
+        return {**env, node.var: ANY}
+
+    def cond(self, node):
+        self.span(node)
+
+    def simple(self, node):
+        if isinstance(node, AssignLocal) and node.index is None:
+            self.env[node.name] = self.span(node.expr)
+        else:
+            for holder, key in _operands(node):
+                self.span(holder[key])
+
+    def span(self, node):
+        span = self.spans[id(node)] = self._span(node)
+        return span
+
+    def _span(self, node):
+        for kid in _children(node):
+            self.span(kid)
+        got = self.spans.get
+        if isinstance(node, Const):
+            if id(node) not in self.hole_of or id(node) in self.fixed:
+                return Span(node.value, node.value + 1)
+            # A sibling fills it: what a guard may hold is its class.
+            return Span(0, 1 << 63, frozenset([id(node)])) \
+                if 0 <= node.value < 1 << 63 else ANY
+        if isinstance(node, SigRead):
+            return Span(0, 1 << node.ref.width)
+        if isinstance(node, LocalRead) and node.index is None:
+            return self.env.get(node.name, ANY)
+        if isinstance(node, Wrap):
+            inner = got(id(node.expr))
+            return inner if _within(inner, 1 << node.width) else \
+                Span(0, 1 << node.width)
+        if isinstance(node, BinOp):
+            left, right = got(id(node.left)), got(id(node.right))
+            if node.op in ("//", "%"):
+                self.facts[id(node)] = node, (
+                    left.holes | right.holes if not node.unsigned and all(
+                        _within(side, 1 << 63) for side in (left, right))
+                    else None)
+            return _arith(node.op, left, right)
+        if isinstance(node, UnOp):
+            lo, hi, holes = got(id(node.operand))
+            if node.op == "!":
+                return _BIT
+            if node.op == "-":
+                return Span(None if hi is None else 1 - hi,
+                            None if lo is None else 1 - lo, holes)
+            return Span(None if hi is None else -hi,
+                        None if lo is None else -lo, holes)
+        if isinstance(node, (Cmp, BoolOp)):
+            if isinstance(node, BoolOp):
+                self.facts[id(node)] = node, self.cannot_fault(
+                    node.values[1:])
+            return _BIT              # C's and Python's 0/1 (the lowering's)
+        if isinstance(node, IfExp):
+            return _hull(got(id(node.then)), got(id(node.orelse)))
+        if isinstance(node, Concat):
+            return Span(0, 1 << sum(width for _, width in node.parts))
+        return ANY                   # CL state, an array element
+
+    def cannot_fault(self, nodes):
+        """The holes whose values say evaluating every expression of
+        ``nodes`` cannot fault, or None where one may: a dynamic index
+        the spans do not place inside its local array, signal table or
+        CL state list, or a divisor they do not keep from zero."""
+        holes = frozenset()
+        stack = list(nodes)
+        while stack:
+            node = stack.pop()
+            stack.extend(_children(node))
+            ref = getattr(node, "ref", None)
+            if isinstance(node, LocalRead) and node.index is not None:
+                index, size = node.index, self.locals[node.name][1]
+            elif isinstance(node, SigRead) and ref.index is not None:
+                index, size = ref.index, len(ref.signals)
+            elif isinstance(node, StateRead) and ref.index is not None:
+                index, size = ref.index, len(getattr(ref.model, ref.name))
+            elif isinstance(node, BinOp) and node.op in ("//", "%"):
+                lo, hi, read = self.spans[id(node.right)]
+                if not (lo is not None and lo > 0
+                        or hi is not None and hi <= 0):
+                    return None
+                holes |= read
+                continue
+            else:
+                continue
+            span = self.spans[id(index)]
+            if not _within(span, size):
+                return None
+            holes |= span.holes
+        return holes
+
+
 def _operands(node):
     """Where ``node`` holds each expression it reads directly:
     ``holder[key]``."""
@@ -1346,6 +1637,14 @@ def _operands(node):
                                                           ())))]
     return slots + [slot for part, _ in getattr(node, "parts", ())
                     for slot in _operands(part)]
+
+
+def _children(node):
+    """The expressions ``node`` reads directly (a ``Concat``'s parts
+    included, which ``_operands`` looks through)."""
+    if isinstance(node, Concat):
+        return [part for part, _ in node.parts]
+    return [holder[key] for holder, key in _operands(node)]
 
 
 def _absorb(node, width):

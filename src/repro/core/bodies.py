@@ -75,15 +75,17 @@ def _names(node, skip):
 
 
 def _print_bind(translator):
-    """``(source lines of bind, hole_of, expected)``: ``bind(m, f)``
-    walks model ``m`` and block function ``f`` exactly as the
+    """``(source lines of bind, hole_of, expected, fixed)``: ``bind(m,
+    f)`` walks model ``m`` and block function ``f`` exactly as the
     translator's trace says the lowering did and returns ``(guards,
     holes)``; ``hole_of`` maps ``id`` of each hole's IR leaf to its
     index and ``expected[i]`` is what hole ``i`` must come out as for
-    the instance that was lowered.  A hole is a signal, a tuple of
-    signals, an int, or the name of a CL state attribute of ``m``
-    (guarded to be an int, or a list of that many ints).  The bind's
-    own names take a ``_`` tail until none is a name the block uses."""
+    the instance that was lowered; ``fixed`` are the ``id`` of the int
+    holes a guard fixes (the same source: ``% s.NPORTS`` under ``range(
+    s.NPORTS)``).  A hole is a signal, a tuple of signals, an int, or
+    the name of a CL state attribute of ``m`` (guarded to be an int, or
+    a list of that many ints).  The bind's own names take a ``_`` tail
+    until none is a name the block uses."""
     func = translator.func
     freevars = func.__code__.co_freevars
     names = set()
@@ -160,11 +162,13 @@ def _print_bind(translator):
         head.append(f"    {name} = {source}")
         if name in translator.root_names:
             roots.append(f"{name} is {m}")
+    fixed = {id(leaf) for leaf, node, _ in translator.holes
+             if isinstance(leaf, Const) and ast.unparse(node) in guards}
     guards = list(dict.fromkeys(roots + guards))
     lines = head + prologue + [
         f"    return (({', '.join(guards)}{',' * bool(guards)}), "
         f"({', '.join(holes)}{',' * bool(holes)}))"]
-    return lines, hole_of, expected
+    return lines, hole_of, expected, fixed
 
 
 def _folds_index(node, dyn_at):
@@ -249,10 +253,19 @@ def _new_body(blk, translator, ir, bind):
     :class:`Refused` where there are no guards to keep a body under
     (the bind raises): the next sibling is tried on its own."""
     func = blk.func
-    bind_lines, hole_of, expected = bind
+    bind_lines, hole_of, expected, fixed = bind
     refused = typed = None
     try:
-        typed = infer_types(ir, hole_of)
+        typed = infer_types(ir, hole_of, fixed)
+        if ir.fact_holes:
+            # A range fact C prints by read these constants as in
+            # [0, 2**63): a sibling shares the body where they are.
+            translator.guards.extend(
+                ast.Compare(ast.Constant(0), [ast.LtE(), ast.Lt()],
+                            [node, ast.Constant(1 << 63)])
+                for leaf, node, _ in translator.holes
+                if id(leaf) in ir.fact_holes)
+            bind_lines = _print_bind(translator)[0]
         func_lines = print_function(ir, func, hole_of, len(expected))
     except (TypeUndecided, Refused) as exc:
         refused = str(exc)
@@ -315,7 +328,7 @@ def body_or_why(blk):
         return str(exc)
 
 
-def kept_reason(blk, answer, cyclic):
+def kept_reason(blk, answer, cyclic, name=None):
     """Why the CPython rung runs ``blk`` as the user's closure, or
     None when it runs the body's lowered function.  ``answer`` is
     ``blk``'s :func:`body_or_why` (not asked of a CL or FL tick) and
@@ -323,28 +336,30 @@ def kept_reason(blk, answer, cyclic):
     in a combinational cycle).  The one spelling of these reasons:
     ``SimulationTool`` reports them in ``sched_info()["lowered"]
     ["kept"]`` and ``auto.kept_blocks`` reads them before
-    elaboration."""
+    elaboration, giving the ``name`` elaboration will give ``blk``."""
     if cyclic:
         return "event partition: in a combinational cycle"
     level = getattr(blk, "level", "rtl")    # a comb block has none
     if level != "rtl":
         return f"tick_{level} block"
     why = answer if isinstance(answer, str) else answer[0].refused
-    return named(blk, why) if why and why.startswith(LOCATED) else why
+    return named(blk, why, name) if why and why.startswith(LOCATED) else why
 
 
 #: How a translator's own refusal starts: where in the block, then why.
 LOCATED = "(line "
 
 
-def named(blk, why):
-    """``why``, a refusal of ``blk``, after the block's name: a
-    translator's refusal, which says where, reads ``top.fwd.chan_seq
-    (line 9): …``, any other reason ``top.x.blk: …``.  A refusal never
-    names its block itself, because before elaboration a block's name is
-    its model's class (``unreliablechannel.chan_seq``); a report names
-    it when it is made, after elaboration, by its path."""
-    return f"{blk.name}{'' if why.startswith(LOCATED) else ':'} {why}"
+def named(blk, why, name=None):
+    """``why``, a refusal of ``blk``, after the block's name (``name``,
+    else ``blk.name``): a translator's refusal, which says where, reads
+    ``top.fwd.chan_seq (line 9): …``, any other reason ``top.x.blk:
+    …``.  A refusal never names its block itself, because before
+    elaboration a block's name is its model's class
+    (``unreliablechannel.chan_seq``); a report names it by its path:
+    the one elaboration gave, or will give (``auto.kept_blocks``)."""
+    return (f"{name or blk.name}{'' if why.startswith(LOCATED) else ':'} "
+            f"{why}")
 
 
 def lowered(blk, irs):
@@ -392,5 +407,6 @@ def _body(blk, irs):
         # Afresh: the typer may have rewritten part of an undecided
         # body's first lowering before it refused.
         _, ir, bind = _lower(blk)
-        irs[body] = (infer_types(ir, bind[1]) if body.c else ir), bind[1]
+        irs[body] = (infer_types(ir, *bind[1::2]) if body.c
+                     else ir), bind[1]
     return body, holes

@@ -26,7 +26,8 @@ from .. import bodies
 from ..elaboration import ElaborationError
 from ..model import MAX_LIST_DEPTH, Model
 from ..scheduling import unelaborated_schedule
-from .specializer import JITModel, SimJITCL, SimJITRTL, SpecializationError
+from .specializer import (JITModel, SimJITCL, SimJITRTL, SpecializationError,
+                          c_refusal)
 
 #: Why a translatable subtree under an interpreted parent is not
 #: compiled: its engine would only replace lowered, statically
@@ -83,7 +84,7 @@ def _specialize(node, allowed_levels, kept):
         return node
     if kept is None:
         kept = kept_blocks(node)
-    for container, key, child in _submodel_attrs(node):
+    for container, key, child, _ in _submodel_attrs(node):
         container[key] = _specialize(child, allowed_levels, kept)
     return node
 
@@ -117,8 +118,11 @@ def kept_blocks(top):
         raise
     answers.update((blk, bodies.body_or_why(blk)) for blk in ticks
                    if blk.level == "rtl")
-    kept = {blk: bodies.kept_reason(blk, answers.get(blk), blk in cyclic)
-            for blk in combs + ticks}
+    paths = _paths(top)
+    kept = {blk: bodies.kept_reason(
+        blk, answers.get(blk), blk in cyclic,
+        f"{paths[id(blk.model)]}.{blk.func.__name__}")
+        for blk in combs + ticks}
     return {blk: why for blk, why in kept.items() if why is not None}
 
 
@@ -129,40 +133,60 @@ def _first_refusal(ticks, combs, allowed_levels):
     descendants are lowered.  Then every block is asked for its body
     (:mod:`repro.core.bodies`) — the one its specializer binds to, so
     a block body is lowered once, whoever asks again — and refuses the
-    subtree where it has none, or one C cannot run
-    (``Body.c_refused``)."""
+    subtree where it has none, or C cannot run the block
+    (:func:`~.specializer.c_refusal`)."""
     for blk in ticks:
         if blk.level not in allowed_levels:
             return blk, (f"level '{blk.level}'; "
                          f"allowed: {sorted(allowed_levels)}")
     for blk in ticks + combs:
         answer = bodies.body_or_why(blk)
-        why = answer if isinstance(answer, str) else answer[0].c_refused
+        why = answer if isinstance(answer, str) else c_refusal(blk, *answer)
         if why:
             return blk, why
     return None
 
 
+def _paths(top):
+    """``{id(model): full name}`` over un-elaborated ``top``'s subtree:
+    the names elaboration will give, a model's attributes named before
+    its children's, the first name of a model met twice kept."""
+    paths = {id(top): top.name or "top"}
+
+    def name(model):
+        children = []
+        for _, _, child, attr in _submodel_attrs(model):
+            if id(child) not in paths:
+                paths[id(child)] = f"{paths[id(model)]}.{attr}"
+                children.append(child)
+        for child in children:
+            name(child)
+
+    name(top)
+    return paths
+
+
 def _subtree(node):
     yield node
-    for _, _, child in _submodel_attrs(node):
+    for _, _, child, _ in _submodel_attrs(node):
         yield from _subtree(child)
 
 
 def _submodel_attrs(model):
-    """Yield (container, key, child) for every Model-valued attribute,
-    descending into lists as deep as elaboration does.  Not
+    """Yield (container, key, child, name) for every Model-valued
+    attribute, descending into lists as deep as elaboration does, and
+    named as elaboration names it (``name``, ``name[i]``...).  Not
     ``get_submodels()``: this runs before elaboration has filled it,
     and splicing a wrapper in needs the container that holds the
     child."""
     for name, attr in list(model.__dict__.items()):
-        if not name.startswith("_"):
-            yield from _models_in(model.__dict__, name, attr, 0)
+        if not name.startswith("_") and name not in ("name", "parent"):
+            yield from _models_in(model.__dict__, name, attr, 0, name)
 
 
-def _models_in(container, key, attr, depth):
+def _models_in(container, key, attr, depth, name):
     if isinstance(attr, Model):
-        yield container, key, attr
+        yield container, key, attr, name
     elif isinstance(attr, list) and depth < MAX_LIST_DEPTH:
         for i, item in enumerate(attr):
-            yield from _models_in(attr, i, item, depth + 1)
+            yield from _models_in(attr, i, item, depth + 1, f"{name}[{i}]")

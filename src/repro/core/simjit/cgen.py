@@ -57,6 +57,16 @@ in one ``push_inputs`` and only the changed output ports in one
 Dynamic signal-list indexing (``s.rf[rd]``) is compiled to a word
 lookup table per reference.
 
+**Native division, eager booleans.**  Python's ``//`` and ``%`` floor
+where C's truncate, so a division prints as ``py_floordiv`` /
+``py_mod`` — unless the typer's range pass (:class:`~..ast_ir._Spans`)
+marked it ``nonneg``, both operands in ``[0, 2**63)``, where C's ``/``
+/ ``%`` on ``int64_t`` are Python's.  An ``and`` / ``or`` prints as
+``&&`` / ``||`` over its operands' 0/1 values — unless the pass marked
+it ``eager``: no operand after the first can fault (a dynamic index it
+cannot place inside its array or table, a divisor that may be zero),
+and then it is ``&`` / ``|``, every operand evaluated, no branch.
+
 **Template, body, layout.**  Each block body is compiled once.
 :func:`c_template` prints a block as a *template*: its C text with a
 *hole* wherever the text would name something only this instance has —
@@ -332,6 +342,8 @@ class _Template:
                 return f"({left} {node.op} {right})"
             if node.unsigned:
                 return f"((u128)({left}) {node.op[0]} (u128)({right}))"
+            if node.nonneg:
+                return f"((int64_t)({left}) {node.op[0]} (int64_t)({right}))"
             return (f"{'py_floordiv' if node.op == '//' else 'py_mod'}"
                     f"((int64_t)({left}), (int64_t)({right}))")
         if isinstance(node, Wrap):
@@ -342,7 +354,8 @@ class _Template:
             return (f"(({self.expr(node.left)}) {node.op} "
                     f"({self.expr(node.right)}))")
         if isinstance(node, BoolOp):
-            joined = f" {node.op} ".join(
+            op = node.op[0] if node.eager else node.op
+            joined = f" {op} ".join(
                 f"(({self.expr(v)}) != 0)" for v in node.values
             )
             return f"({joined})"

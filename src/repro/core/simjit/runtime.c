@@ -50,7 +50,8 @@ static inline u128 mask_of(int width) {
 
 /* Python floor-division semantics for signed operands (C truncates
    toward zero; Python floors).  Subset values passed through these are
-   bounded well below 2^63. */
+   bounded well below 2^63.  Operands the range pass proves
+   non-negative divide with C's own / and % instead. */
 static inline int64_t py_mod(int64_t a, int64_t b) {
     int64_t r = a % b;
     if (r != 0 && ((r < 0) != (b < 0))) r += b;

@@ -687,15 +687,14 @@ class _Specializer:
     def _block(self, blk):
         """A block is an instance of its body
         (:mod:`repro.core.bodies`): one bind fills the body's C template
-        and names what the block reads and writes.  A body C cannot run
-        (``Body.c_refused``: undecided types, or a local or CL state
-        an ``int64_t`` cannot hold) raises ``TranslationError``."""
+        and names what the block reads and writes.  A block C cannot run
+        (:func:`c_refusal`) raises ``TranslationError``."""
         try:
             body, holes = bodies.body_of(blk)
         except bodies.Refused as exc:
             raise SpecializationError(
                 f"{self.name} cannot specialize {blk.name}: {exc}") from None
-        why = body.c_refused
+        why = c_refusal(blk, body, holes)
         if why:
             raise TranslationError(f"{self.name} cannot specialize "
                                    f"{blk.name}: {why}")
@@ -871,6 +870,25 @@ class _Specializer:
 
     def _load(self, lib_path):
         return _interface().dlopen(lib_path)
+
+
+def c_refusal(blk, body, holes):
+    """Why C cannot run block ``blk``, bound to ``body`` with
+    ``holes``, or None: its body's reason (``Body.c_refused``:
+    undecided types, or a local or CL state an ``int64_t`` cannot
+    hold), or a CL state attribute of its model that starts at a value
+    ``int64_t`` cannot hold."""
+    if body.c_refused:
+        return body.c_refused
+    for name in holes:
+        if type(name) is str:       # a CL state attribute
+            value = getattr(blk.model, name)
+            for v in value if isinstance(value, list) else [value]:
+                if not -1 << 63 <= v < 1 << 63:
+                    return (f"CL state {name!r} starts at {v}, which "
+                            f"int64_t cannot hold (C holds CL state as "
+                            f"int64_t)")
+    return None
 
 
 class SimJITRTL(_Specializer):

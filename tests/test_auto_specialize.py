@@ -573,11 +573,7 @@ def _read_one_way(top):
              for m in models]
     kept = kept_blocks(top)
     top.elaborate()
-    # A translator's refusal names the block by its model's full name,
-    # which before elaboration is the model's class in lower case.
-    kept = {blk.name: reason.replace(
-        f"{type(blk.model).__name__.lower()}.{blk.func.__name__} (line ",
-        f"{blk.name} (line ") for blk, reason in kept.items()}
+    kept = {blk.name: reason for blk, reason in kept.items()}
     assert top._all_models == models
     clocks = {id(sig) for m in models for sig in (m.clk, m.reset)}
     nets = {}

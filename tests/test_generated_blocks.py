@@ -24,10 +24,16 @@ value, which leaves every disagreement a bug:
   bits) or an explicit mask;
 - an *exact* expression is non-negative and at most 33 bits wide (a
   signal or slice read, a constant, a masked ring expression, ``>>``,
-  ``//``, ``%``, a comparison): only these are compared, tested,
-  shifted, divided, used as an index or stored in a local;
+  ``//``, ``%``, a difference of a ring and an exact expression ``%``
+  a positive constant or its masked ``//`` — which C must floor, not
+  truncate — a comparison):
+  only these are compared, tested, shifted, divided, used as an index
+  or stored in a local;
 - ``and`` / ``or`` appear in conditions only (Python yields an operand
-  where C yields 0/1), a loop variable is not read after its loop
+  where C yields 0/1), among them ones whose later operand indexes
+  ``xs`` / ``s.tbl`` or divides by a value only the earlier one keeps
+  in range (which C must not evaluate first), a loop variable is not
+  read after its loop
   (Python leaves the last value, C the bound), every local is
   initialised before the body, and reads go through ``.uint()``
   (``Bits`` arithmetic, which wraps at the operand's width, is the
@@ -56,10 +62,11 @@ import random
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationTool
+from repro.core import ast_ir
 from repro.core.ast_ir import TranslationError
 from repro.core.probe import Probe
 from repro.core.simjit import JITModel, SimJITRTL, auto_specialize
@@ -139,12 +146,22 @@ class _Body:
         if depth == 0:
             return self.atom(0)
         kind = self.pick("atom", "mask", "shift", "div", "mod", "cmp",
-                         "ternary", "int")
+                         "ternary", "int", "ringdiv", "ringmod")
         if kind == "atom":
             return self.atom(depth)
         if kind == "mask":
             bits = self.pick(*WIDTHS, self.upto(1, 33))
             return f"({self.ring(depth - 1)} & {_mask(bits)})", bits
+        if kind in ("ringdiv", "ringmod"):
+            # Of a value that may be negative: C must floor, not
+            # truncate (py_floordiv / py_mod).
+            text = f"({self.ring(depth - 1)} - {self.exact(depth - 1)[0]})"
+            if kind == "ringmod":
+                by = self.upto(1, 17)
+                return f"({text} % {by})", by.bit_length()
+            bits = self.pick(*WIDTHS)
+            return (f"(({text} // {self.upto(1, 17)}) & {_mask(bits)})",
+                    bits)
         if kind == "cmp":
             return f"({self.compare(depth - 1)})", 1
         text, bits = self.exact(depth - 1)
@@ -188,7 +205,7 @@ class _Body:
 
     def cond(self, depth):
         kind = self.pick("value", "signal", "cmp",
-                         *(["and", "or", "not"] * bool(depth)))
+                         *(["and", "or", "not", "guarded"] * bool(depth)))
         if kind == "value":
             return self.exact(depth)[0]
         if kind == "signal":
@@ -197,7 +214,27 @@ class _Body:
             return self.compare(depth)
         if kind == "not":
             return f"(not {self.cond(depth - 1)})"
+        if kind == "guarded":
+            return self.guarded(depth - 1)
         return f"({self.cond(depth - 1)} {kind} {self.cond(depth - 1)})"
+
+    def guarded(self, depth):
+        """An ``and`` / ``or`` whose later operand indexes ``xs`` or
+        ``s.tbl``, or divides, by a value only the earlier operand
+        keeps in range: C must not evaluate it unless Python does."""
+        sig = f"{self.pick(*self.sigs)}.uint()"     # never folded
+        value = self.pick(sig, f"({self.exact(depth)[0]} ^ {sig})")
+        use = self.pick("xs", "tbl", "%", "//")
+        if use in ("xs", "tbl"):
+            later = (f"xs[{value}]" if use == "xs"
+                     else f"s.tbl[{value}].uint()")
+            keeps, leaves = f"{value} < 4", f"{value} >= 4"
+        else:
+            later = f"({self.exact(depth)[0]} {use} {value})"
+            keeps, leaves = f"{value} != 0", f"{value} == 0"
+        later = f"{later} {self.pick(*_CMPS)} {self.exact(depth)[0]}"
+        return self.pick(f"({keeps} and {later})",
+                         f"({leaves} or {later})")
 
     # -- statements ----------------------------------------------------
 
@@ -626,6 +663,32 @@ def _agree(design, models, sims, probes):
 @_SETTINGS
 @given(designs())
 def test_generated_design_agrees_on_every_substrate(design):
+    _agrees_on_every_substrate(design)
+
+
+def test_a_range_pass_that_calls_every_operand_non_negative_is_caught(
+        monkeypatch):
+    """The seeded mutant: every span starts at 0 or above, so a ``//``
+    or ``%`` of a ring value that is negative prints as C's truncating
+    ``/`` / ``%``.  The pinned examples find it (no shrinking: each
+    example compiles C)."""
+    span = ast_ir._Spans._span
+
+    def never_negative(self, node):
+        lo, hi, holes = span(self, node)
+        return ast_ir.Span(max(lo or 0, 0), hi, holes)
+
+    # Each example's blocks are new code, so lowered afresh: the body
+    # cache stays (swapping it would strand the entries of code that
+    # dies meanwhile).
+    monkeypatch.setattr(ast_ir._Spans, "_span", never_negative)
+    mutant = settings(_SETTINGS, phases=[Phase.generate])(
+        given(designs())(_agrees_on_every_substrate))
+    with pytest.raises(AssertionError, match="disagrees"):
+        mutant()
+
+
+def _agrees_on_every_substrate(design):
     # A body outside the subset raises TranslationError from
     # specialize(): a bug in the strategy, and a failure here.
     build = load_generated(design.source)["Gen"]

@@ -1,0 +1,251 @@
+"""Value ranges in the IR and the C they let SimJIT print.
+
+The typer's range pass (``repro.core.ast_ir._Spans``) bounds every int
+expression of a ``Bits``-exact body; ``cgen`` prints a ``//`` / ``%``
+whose operands it places in ``[0, 2**63)`` as C's ``/`` / ``%``, and
+an ``and`` / ``or`` none of whose later operands can fault as ``&`` /
+``|``.  These are the pinned cases: the spans' arithmetic, the mesh
+router's arbitration, guards that must keep C's short circuit, a
+constant hole the facts read (a guard of the body), loops that widen,
+and the named refusal of CL state ``int64_t`` cannot hold.  The
+generated cases are in ``test_generated_blocks.py``.
+"""
+
+import re
+
+import pytest
+
+from repro import InPort, Model, OutPort, SimulationTool
+from repro.core import bodies
+from repro.core.ast_ir import ANY, Span, TranslationError, _arith
+from repro.core.simjit import JITModel, SimJITCL, SimJITRTL, auto_specialize
+from repro.net import MeshNetworkStructural, RouterRTL
+
+
+@pytest.mark.parametrize("op, left, right, want", [
+    ("+", Span(0, 8), Span(0, 5), Span(0, 12)),
+    ("-", Span(0, 8), Span(1, 2), Span(-1, 7)),
+    ("*", Span(-2, 3), Span(0, 4), Span(-6, 7)),
+    ("%", Span(0, 12), Span(5, 6), Span(0, 5)),
+    ("%", Span(-7, 3), Span(5, 6), Span(0, 5)),
+    ("%", Span(0, 8), Span(-5, -4), ANY),
+    ("//", Span(0, 16), Span(2, 3), Span(0, 8)),
+    ("//", Span(-1, 16), Span(2, 3), ANY),
+    ("&", ANY, Span(3, 4), Span(0, 4)),
+    ("&", Span(-4, 0), Span(-1, 0), ANY),
+    ("|", Span(0, 5), Span(0, 9), Span(0, 16)),
+    (">>", Span(0, 1 << 44), Span(42, 43), Span(0, 4)),
+    ("<<", Span(1, 2), Span(0, 1 << 64), Span(1, None)),
+])
+def test_spans_bound_python_arithmetic(op, left, right, want):
+    assert _arith(op, left, right) == want
+
+
+def _mesh4_c():
+    spec = SimJITRTL(MeshNetworkStructural(RouterRTL, 4, 256, 32, 2)
+                     .elaborate())
+    spec.specialize()
+    return spec.c_source
+
+
+def _function(c_source, name):
+    """The text of the first C function whose name ends in ``name``."""
+    return re.search(rf"static void \w*_{name}\(.*?\n}}\n", c_source,
+                     re.S)[0]
+
+
+def test_the_router_arbitrates_in_native_c():
+    """The mesh router's hot bodies: every ``%`` / ``//`` is C's, and
+    the round-robin condition is one branch-free ``&`` chain.  The hold
+    loop's ``claimed[i]`` indexes five entries by a 3-bit read, which
+    the spans cannot place inside: that ``and`` keeps ``&&``."""
+    c_source = _mesh4_c()
+    for name in ("switch_logic", "priority_logic"):
+        text = _function(c_source, name)
+        assert "py_mod(" not in text and "py_floordiv(" not in text, text
+    switch = _function(c_source, "switch_logic").splitlines()
+    round_robin = [line for line in switch
+                   if "l_choice) < " in line and "l_claimed" in line]
+    hold = [line for line in switch if "l_claimed[(int)(l_i)]) ==" in line
+            and "l_choice" not in line]
+    assert len(round_robin) == len(hold) == 1, switch
+    assert "&&" not in round_robin[0] and round_robin[0].count(" & ") == 3
+    assert hold[0].count("&&") == 2
+
+
+class _Guards(Model):
+    """Later operands that fault unless the earlier ones say not to:
+    a zero divisor, an index past ``xs``; and one that cannot."""
+
+    def __init__(s):
+        s.n, s.d, s.i = InPort(8), InPort(8), InPort(8)
+        s.out = OutPort(3)
+
+        @s.combinational
+        def logic():
+            xs = [0] * 4
+            xs[s.n.uint() & 3] = 1
+            q = 0
+            if s.d.uint() != 0 and s.n.uint() % s.d.uint() == 0:
+                q = 1
+            if s.i.uint() >= 4 or xs[s.i.uint()] == 1:
+                q = q + 2
+            if s.d.uint() and xs[s.i.uint() & 3]:
+                q = q + 4
+            s.out.value = q
+
+
+def _sweep(models, sims, inputs):
+    for sim in sims:
+        sim.reset()
+    for values in inputs:
+        for model in models:
+            for name, value in values.items():
+                getattr(model, name).value = value
+        for sim in sims:
+            sim.cycle()
+        assert int(models[1].out) == int(models[0].out), values
+
+
+def test_a_guarded_operand_keeps_the_short_circuit():
+    """``d != 0 and n % d == 0`` run with ``d == 0``, ``i >= 4 or
+    xs[i]`` with ``i`` past the array: C evaluates the later operand
+    only where Python does, and agrees with the event column."""
+    models = [_Guards().elaborate()]
+    spec = SimJITRTL(_Guards().elaborate())
+    models.append(spec.specialize().elaborate())
+    text = _function(spec.c_source, "logic")
+    ifs = [line for line in text.splitlines() if line.lstrip()
+           .startswith("if ")]
+    assert ["&&" in line or "||" in line for line in ifs] == [
+        True, True, False]
+    # ``n % d`` is C's (both non-negative): the && keeps d == 0 out.
+    assert " & " in ifs[2] and "py_mod(" not in text
+    sims = [SimulationTool(models[0], sched="event"),
+            SimulationTool(models[1])]
+    _sweep(models, sims, [dict(n=n, d=d, i=i) for n in (0, 6, 7)
+                          for d in (0, 3) for i in (0, 2, 3, 200)])
+
+
+class _ModK(Model):
+    def __init__(s, m):
+        s.a = InPort(8)
+        s.out = OutPort(8)
+        s.m = m
+
+        @s.combinational
+        def logic():
+            s.out.value = s.a.uint() % s.m
+
+
+class _TwoModK(Model):
+    def __init__(s, ma, mb):
+        s.a = InPort(8)
+        s.out, s.out_b = OutPort(8), OutPort(8)
+        s.x, s.y = _ModK(ma), _ModK(mb)
+        for sub in (s.x, s.y):
+            s.connect(s.a, sub.a)
+        s.connect(s.x.out, s.out)
+        s.connect(s.y.out, s.out_b)
+
+
+def test_a_constant_the_facts_read_is_a_guard():
+    """``a % s.m``: ``m`` is a constant hole, and the fact that the
+    ``%`` is C's reads its class, ``0 <= m < 2**63``.  A sibling with
+    ``m`` outside it is a second body (``-5`` keeps ``py_mod``); one
+    inside it shares, ``m`` a per-instance constant."""
+    split = _TwoModK(5, -5).elaborate()
+    blocks = [sub.get_comb_blocks()[0] for sub in (split.x, split.y)]
+    assert bodies.body_of(blocks[0])[0] is not bodies.body_of(blocks[1])[0]
+    spec = SimJITRTL(_TwoModK(5, -5).elaborate())
+    jit = spec.specialize().elaborate()
+    assert "py_mod(" in spec.c_source
+    assert re.search(r"\(int64_t\)\(\(5LL\)\)\)", spec.c_source)
+    ref = _TwoModK(5, -5).elaborate()
+    sims = [SimulationTool(ref, sched="event"), SimulationTool(jit)]
+    for sim in sims:
+        sim.reset()
+    for a in (0, 3, 9, 255):
+        for model in (ref, jit):
+            model.a.value = a
+        for sim in sims:
+            sim.cycle()
+        assert (int(jit.out), int(jit.out_b)) == (int(ref.out),
+                                                  int(ref.out_b))
+    same = _TwoModK(5, 7).elaborate()
+    assert bodies.body_of(same.x.get_comb_blocks()[0])[0] is \
+        bodies.body_of(same.y.get_comb_blocks()[0])[0]
+    spec = SimJITRTL(_TwoModK(5, 7).elaborate())
+    spec.specialize()
+    assert spec.kernel_info["functions"] == 1
+    assert "py_mod(" not in _function(spec.c_source, "logic")
+
+
+class _Loops(Model):
+    def __init__(s):
+        s.a = InPort(8)
+        s.up, s.down, s.idx = OutPort(8), OutPort(8), OutPort(8)
+
+        @s.combinational
+        def logic():
+            up = s.a.uint()
+            down = s.a.uint()
+            idx = 0
+            for i in range(6):
+                up = up + i
+                down = down - 1
+                idx = idx + i % 4
+            s.up.value = up % 7
+            s.down.value = down % 7
+            s.idx.value = idx
+
+
+def test_a_loop_widens_what_it_grows():
+    """The loop head's fixpoint: ``up`` only grows (non-negative, no
+    bound: ``py_mod``, since C's ``int64_t`` could wrap it), ``down``
+    may go negative (``py_mod``), and ``i % 4`` of a loop variable in
+    ``[0, 6)`` is C's."""
+    spec = SimJITRTL(_Loops().elaborate())
+    jit = spec.specialize().elaborate()
+    text = _function(spec.c_source, "logic")
+    assert text.count("py_mod(") == 2
+    assert "((int64_t)(l_i) % (int64_t)((4LL)))" in text
+    ref = _Loops().elaborate()
+    sims = [SimulationTool(ref, sched="event"), SimulationTool(jit)]
+    for sim in sims:
+        sim.reset()
+    for a in (0, 1, 2, 200, 255):
+        for model in (ref, jit):
+            model.a.value = a
+        for sim in sims:
+            sim.cycle()
+        assert [int(jit.up), int(jit.down), int(jit.idx)] == [
+            int(ref.up), int(ref.down), int(ref.idx)]
+
+
+class _WideAcc(Model):
+    """CL state that starts past ``int64_t``; only its low byte is
+    read."""
+
+    def __init__(s):
+        s.out = OutPort(8)
+        s.acc = (1 << 63) | 5
+
+        @s.tick_cl
+        def tick():
+            s.out.next = s.acc & 0xFF
+
+
+def test_cl_state_too_wide_for_int64_is_a_named_refusal():
+    """SimJIT-CL names the state variable; ``auto_specialize`` leaves
+    the model interpreted, says why, and the output reads 5."""
+    with pytest.raises(TranslationError, match="CL state 'acc' starts at"):
+        SimJITCL(_WideAcc().elaborate()).specialize()
+    top = auto_specialize(_WideAcc())
+    assert not isinstance(top, JITModel)
+    sim = SimulationTool(top.elaborate())
+    sim.reset()
+    sim.cycle()
+    assert int(top.out) == 5
+    why = sim.sched_info()["simjit"]["interpreted"]["top"]
+    assert why.startswith("top.tick: CL state 'acc' starts at"), why
