@@ -1137,8 +1137,10 @@ class _Flow:
     bring theirs, to a fixpoint over the back edge (``widen`` makes one
     where the facts could grow without end).  A subclass says what a
     statement (``simple``), a condition (``cond``) and a loop variable
-    (``loop_var``, and what the loop leaves in it: ``after_loop``) do
-    to the facts."""
+    at the top of each trip (``loop_var``) do to the facts.  After the
+    loop a local holds what the head's fixpoint says, the loop
+    variable included: its last value, as in Python and in the C
+    ``cgen`` prints."""
 
     def stmts(self, body):
         for stmt in body:
@@ -1162,7 +1164,7 @@ class _Flow:
                 if merged == entry:
                     break
                 entry = self.widen(entry, merged)
-            self.env = self.after_loop(node, entry)
+            self.env = entry
         elif isinstance(node, (Break, Continue)):
             self.exits[-1].append(dict(self.env))
         else:
@@ -1171,10 +1173,6 @@ class _Flow:
     @staticmethod
     def widen(entry, merged):
         return merged
-
-    @staticmethod
-    def after_loop(node, env):
-        return env
 
 
 class _Typer(_Flow):
@@ -1519,17 +1517,9 @@ class _Spans(_Flow):
 
     @staticmethod
     def loop_var(node):
-        if any(isinstance(stmt, AssignLocal) and stmt.name == node.var
-               for stmt in walk_stmts(node.body)):
-            return ANY             # C's next trip counts from what it holds
         if node.step > 0:
             return Span(node.start, max(node.stop, node.start))
         return Span(node.stop + 1, max(node.start, node.stop) + 1)
-
-    @staticmethod
-    def after_loop(node, env):
-        # C leaves the bound in it, where Python leaves the last value.
-        return {**env, node.var: ANY}
 
     def cond(self, node):
         self.span(node)

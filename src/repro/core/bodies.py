@@ -243,8 +243,10 @@ class Body:
 _bodies = {}
 
 
-def _drop(key):
-    for body in _bodies.pop(key, ()):
+def _drop(table, key):
+    # ``table`` is the dict the bodies were entered in, which a test
+    # may have swapped out of ``_bodies`` by the time the code dies.
+    for body in table.pop(key, ()):
         linecache.cache.pop(body.filename, None)
 
 
@@ -387,7 +389,7 @@ def _body(blk, irs):
     bodies = _bodies.get(id(code))
     if bodies is None:
         bodies = _bodies[id(code)] = []
-        weakref.finalize(code, _drop, id(code))
+        weakref.finalize(code, _drop, _bodies, id(code))
     for body in bodies:
         try:
             guards, holes = body.bind(blk.model, func)

@@ -409,11 +409,14 @@ class _Template:
             lines.append(f"{pad}}}")
             return "\n".join(lines)
         if isinstance(node, For):
-            var = _lname(node.var)
+            # A hidden counter, so that the body may assign the loop
+            # variable and the loop leaves it its last value, as
+            # Python does.
             lines = [
-                f"{pad}for ({var} = {node.start}; "
-                f"{var} {'<' if node.step > 0 else '>'} {node.stop}; "
-                f"{var} += {node.step}) {{"
+                f"{pad}for (int64_t _k = {node.start}; "
+                f"_k {'<' if node.step > 0 else '>'} {node.stop}; "
+                f"_k += {node.step}) {{",
+                f"{pad}  {_lname(node.var)} = _k;",
             ]
             lines.extend(self.stmt(s, indent + 2) for s in node.body)
             lines.append(f"{pad}}}")

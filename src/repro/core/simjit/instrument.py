@@ -29,18 +29,20 @@ The contract is bit-identity with the interpreted hook path:
 - histogram tables merge lazily into ``Histogram.bins`` through
   ``_jit_sync``.
 
-Anything the lowering cannot express (``when``/``stable_for``/
-``implies_within`` predicates, slices, counter or compiled-state taps,
-signals outside this engine — :class:`~repro.core.probe.Unlowerable`)
-degrades per-attachment to the hook path with an
-``instrument-fallback`` :class:`~repro.resilience.warnings
-.ResilienceWarning` naming the reason.  Registering a Python cycle
-hook while compiled attachments are armed converts ("dearms") all of
-them back to the interpreted path, preserving accumulated state.
+Anything the C cannot hold (for a watchpoint's node forest: a
+``when``, a value outside 128 bits, a tap that is not a net slot —
+:class:`~repro.core.probe.Unlowerable` — or capacity) degrades per
+attachment to Python sampling with an ``instrument-fallback``
+:class:`~repro.resilience.warnings.ResilienceWarning` naming the
+reason.  Registering a Python cycle hook while compiled attachments
+are armed converts ("dearms") all of them back to the interpreted
+path, preserving accumulated state (a watchpoint's node state is read
+back out of C).
 """
 
 from __future__ import annotations
 
+from ...observe.watchpoints import WHEN
 from ...resilience.warnings import warn_resilience
 from ..probe import NET, Probe, Unlowerable
 from ..simulation import SimulationError
@@ -219,32 +221,59 @@ class KernelInstrumentation:
 
     # -- watchpoints ------------------------------------------------------
 
-    def try_add_watchpoint(self, wp, nodes):
-        """Register ``wp``'s condition, already lowered to ``nodes``
-        (``[(kind, slot, a, b, aux)]``, root last)."""
+    def try_add_watchpoint(self, wp):
+        """Register ``wp``'s node forest (``wp._nodes``, see
+        :func:`~repro.observe.watchpoints.lower_condition`) with each
+        tap mapped to its net slot; False (and Python sampling) where
+        the C cannot hold it."""
+        what = f"watchpoint {wp.name!r}"
+        packed = []          # six words a node, two's complement
+        try:
+            for kind, tap, a, b, aux in wp._nodes:
+                if kind == WHEN:
+                    raise Unlowerable(
+                        f"when({getattr(aux, '__name__', '<fn>')}) is "
+                        f"a Python-only predicate")
+                if not 0 <= aux < 1 << 128:
+                    raise Unlowerable(
+                        f"value {aux} is outside the 128-bit net range")
+                slot = -1 if tap < 0 else self.net_slot(wp._reads[tap])
+                packed += [kind, slot, a, b, aux, aux >> 64]
+        except Unlowerable as exc:
+            self.warn_fallback(what, exc)
+            return False
         if (len(self._watchpoints) >= self.lib.OBS_MAX_WP
-                or len(nodes) > self.lib.OBS_MAX_NODES):
-            self.warn_fallback(f"watchpoint {wp.name!r}",
-                       "watchpoint capacity exceeded")
+                or len(wp._nodes) > self.lib.OBS_MAX_NODES):
+            self.warn_fallback(what, "watchpoint capacity exceeded")
             return False
         self.engine._push_inputs()
-        # Six words a node; -1 (no operand) and a comparison value's
-        # words as two's complement.
-        packed = []
-        for kind, slot, a, b, aux in nodes:
-            packed += [kind, slot, a, b, aux, aux >> 64]
         arr = self.ffi.new("uint64_t[]",
                            [word & 0xFFFFFFFFFFFFFFFF for word in packed])
-        idx = self.lib.obs_add_watch(self.obs, len(nodes), arr)
+        idx = self.lib.obs_add_watch(self.obs, len(wp._nodes), arr)
         if idx < 0:
-            self.warn_fallback(f"watchpoint {wp.name!r}",
-                       "C watchpoint node table full")
+            self.warn_fallback(what, "C watchpoint node table full")
             return False
         wp._cwp = idx
         wp._instr = self
         self._watchpoints.append(wp)
         self._live += 1
         return True
+
+    def _hand_back(self, wp):
+        """Read each node's verdict, ``prev``, ``streak`` and deadlines
+        out of C into ``wp``'s Python forest."""
+        lib, obs = self.lib, self.obs
+        n = int(lib.obs_watch_state(obs, wp._cwp, self.ffi.NULL, 0))
+        buf = self.ffi.new("uint64_t[]", n)
+        lib.obs_watch_state(obs, wp._cwp, buf, n)
+        words = self.ffi.unpack(buf, n)
+        states, at = [], 0
+        for _ in wp._nodes:
+            verdict, lo, hi, streak, ndue = words[at:at + 5]
+            at += 5 + ndue
+            states.append((bool(verdict), lo | hi << 64, streak,
+                           words[at - ndue:at]))
+        wp._resume(states)
 
     def remove_watchpoint(self, wp):
         self.lib.obs_del_watch(self.obs, wp._cwp)
@@ -327,6 +356,8 @@ class KernelInstrumentation:
         while left > 0:
             lib.obs_set_cycle(obs, sim.ncycles)
             ran = int(lib.obs_run(obs, left))
+            if ran == -2:
+                raise MemoryError("obs_run could not grow a deadline ring")
             if ran < 0:
                 raise SpecializationError("combinational loop in C model")
             sim.ncycles += ran
@@ -438,11 +469,8 @@ class KernelInstrumentation:
             if had:
                 converted.append("tracer")
         for wp in list(self._watchpoints):
+            self._hand_back(wp)
             self.remove_watchpoint(wp)
-            # The C edge trackers left prev == current value, exactly
-            # what a fresh bind reads, so rebinding preserves edge
-            # semantics across the conversion.
-            wp._bind()
             converted.append(f"watchpoint {wp.name!r}")
         for idx, hist in list(self._hists):
             self._sync_hist(idx, hist)

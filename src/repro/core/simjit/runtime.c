@@ -8,7 +8,7 @@
  *   (repro.core.simjit.cgen.Layout) and reaches the design's code only
  *   through layout_t.run_block, a design library's one export;
  * - the compiled instrumentation (obs_*): flight-recorder taps, val/rdy
- *   taps, signal-backed histograms and watchpoint condition trees,
+ *   taps, signal-backed histograms and watchpoint node forests,
  *   sampled inside the cycle loop (repro.core.simjit.instrument);
  * - the compiled test bench (tb_uniform): the uniform-random traffic
  *   harness of repro.net.traffic as one C loop.
@@ -129,6 +129,8 @@ long long obs_hist_drain(void *op, int idx, int64_t *vals,
                          long long *cnts);
 int obs_add_watch(void *op, int nnodes, const uint64_t *packed);
 void obs_del_watch(void *op, int idx);
+long long obs_watch_state(void *op, int idx, uint64_t *out,
+                          long long cap);
 long long obs_hit_cycle(void *op);
 uint64_t obs_hit_mask(void *op);
 long long obs_rec_drain(void *op, uint64_t *out);
@@ -409,9 +411,16 @@ void set_state_at(void *p, int idx, int elem, int64_t value) {
  * - recorder taps, histogram probes and watchpoint nodes sample after
  *   the *post-edge* settle with the post-increment stamp (the observer
  *   sampling point);
- * - watchpoint & evaluates both operands unconditionally (edge trackers
- *   must see every cycle), and a hit stops the batch so Python-side
- *   actions fire at the exact cycle.
+ * - watchpoint nodes are the forest lower_condition makes
+ *   (repro.observe.watchpoints), which Watchpoint.sample evaluates in
+ *   Python too: & and | evaluate both operands (a stateful node must
+ *   see every cycle), and a hit stops the batch at the exact cycle.
+ *   stable_for (kind 7) counts the cycles its net kept one value;
+ *   implies_within (kind 8) keeps its outstanding deadlines, strictly
+ *   increasing and all in (cycle, cycle + n], in a ring that doubles
+ *   when full (obs_run returns -2 when it cannot), so its memory
+ *   follows the obligations outstanding, not n.  obs_watch_state
+ *   reads the nodes' state back when a cycle hook dearms them.
  *
  * Taps emit change-compressed events into preallocated buffers; a batch
  * ends early (returns < n) when a buffer could overflow on the next
@@ -419,12 +428,17 @@ void set_state_at(void *p, int idx, int elem, int64_t value) {
  */
 
 typedef struct {
-    int kind;           /* 0 rose 1 fell 2 changed 3 value_is
-                           4 and 5 or 6 not */
-    int slot;           /* net slot (kinds 0-3) */
-    int a, b;           /* operand node indices (kinds 4-6) */
-    u128 aux;           /* comparison value (kind 3) */
-    u128 prev;          /* previous value (kinds 0-2) */
+    int kind;           /* 0 rose 1 fell 2 changed 3 value_is 4 and
+                           5 or 6 not 7 stable_for 8 implies_within;
+                           -1 once its watchpoint is deleted */
+    int slot;           /* net slot (kinds 0-3, 7) */
+    int a, b;           /* operand node indices (kinds 4-6, 8) */
+    u128 aux;           /* comparison value (3), n (7, 8) */
+    u128 prev;          /* previous value (kinds 0-2, 7) */
+    long long streak;   /* cycles the value was kept (7) */
+    long long *due;     /* deadline ring (8): len from head % cap, */
+    unsigned head;      /* cap a power of two */
+    int cap, len;
 } obs_node_t;
 
 typedef struct {
@@ -455,7 +469,7 @@ typedef struct {
     int nnodes, nwp;
     obs_node_t nodes[OBS_MAX_NODES];
     unsigned char nval[OBS_MAX_NODES];
-    int wp_root[OBS_MAX_WP];
+    int wp_base[OBS_MAX_WP], wp_root[OBS_MAX_WP];
     long long hit_cycle;
     uint64_t hit_mask;
 } obs_t;
@@ -481,6 +495,7 @@ void obs_free(void *op) {
     free(O->tx_buf);
     free(O->hist_vals);
     free(O->hist_cnts);
+    for (int i = 0; i < O->nnodes; i++) free(O->nodes[i].due);
     free(O);
 }
 
@@ -573,15 +588,62 @@ int obs_add_watch(void *op, int nnodes, const uint64_t *packed) {
         nd->a = (int64_t)w[2] < 0 ? -1 : base + (int)w[2];
         nd->b = (int64_t)w[3] < 0 ? -1 : base + (int)w[3];
         nd->aux = ((u128)w[5] << 64) | w[4];
-        nd->prev = (nd->kind <= 2) ? net_get(O->L, O->cur, nd->slot) : 0;
+        nd->prev = (nd->kind <= 2 || nd->kind == 7)
+            ? net_get(O->L, O->cur, nd->slot) : 0;
     }
     O->nnodes = base + nnodes;
+    O->wp_base[O->nwp] = base;
     O->wp_root[O->nwp] = base + nnodes - 1;
     return O->nwp++;
 }
 
 void obs_del_watch(void *op, int idx) {
-    ((obs_t *)op)->wp_root[idx] = -1;
+    /* Its nodes stop; a ring is freed with the rest in obs_free. */
+    obs_t *O = (obs_t *)op;
+    for (int i = O->wp_base[idx]; i <= O->wp_root[idx]; i++)
+        O->nodes[i].kind = -1;
+    O->wp_root[idx] = -1;
+}
+
+long long obs_watch_state(void *op, int idx, uint64_t *out,
+                          long long cap) {
+    /* Per node of watchpoint idx: verdict, prev (two words), streak,
+       the number of deadlines, the deadlines oldest first.  Returns
+       the words that is; writes them only when cap holds them. */
+    obs_t *O = (obs_t *)op;
+    long long n = 0;
+    for (int i = O->wp_base[idx]; i <= O->wp_root[idx]; i++)
+        n += 5 + O->nodes[i].len;
+    if (n > cap) return n;
+    for (int i = O->wp_base[idx]; i <= O->wp_root[idx]; i++) {
+        obs_node_t *nd = &O->nodes[i];
+        *out++ = O->nval[i];
+        *out++ = (uint64_t)nd->prev;
+        *out++ = (uint64_t)(nd->prev >> 64);
+        *out++ = (uint64_t)nd->streak;
+        *out++ = (uint64_t)nd->len;
+        for (int k = 0; k < nd->len; k++)
+            *out++ = (uint64_t)nd->due[(nd->head + k) % nd->cap];
+    }
+    return n;
+}
+
+/* Append deadline d to a kind-8 node's ring, doubling it when full;
+   -1 when out of memory. */
+static int due_push(obs_node_t *nd, long long d) {
+    if (nd->len == nd->cap) {
+        int cap = nd->cap ? 2 * nd->cap : 4;
+        long long *ring = (long long *)malloc((size_t)cap * 8);
+        if (!ring) return -1;
+        for (int k = 0; k < nd->len; k++)
+            ring[k] = nd->due[(nd->head + k) % nd->cap];
+        free(nd->due);
+        nd->due = ring;
+        nd->cap = cap;
+        nd->head = 0;
+    }
+    nd->due[(nd->head + nd->len++) % nd->cap] = d;
+    return 0;
 }
 
 long long obs_hit_cycle(void *op) { return ((obs_t *)op)->hit_cycle; }
@@ -713,8 +775,25 @@ long long obs_run(void *op, long long n) {
                     case 5:
                         r = O->nval[nd->a] | O->nval[nd->b];
                         break;
-                    default:
+                    case 6:
                         r = !O->nval[nd->a];
+                        break;
+                    case 7:
+                        v = net_get(L, cur, nd->slot);
+                        nd->streak = v == nd->prev ? nd->streak + 1 : 0;
+                        nd->prev = v;
+                        r = ((u128)nd->streak == nd->aux);
+                        break;
+                    case 8:         /* n past 2^62: never reached */
+                        if (O->nval[nd->b] && nd->len)
+                            nd->head++, nd->len--;
+                        if (O->nval[nd->a] && due_push(nd, O->cycle
+                                + (nd->aux >> 62 ? 1LL << 62
+                                   : (long long)nd->aux)) < 0)
+                            return -2;
+                        r = nd->len
+                            && O->cycle >= nd->due[nd->head % nd->cap];
+                        if (r) nd->head++, nd->len--;
                         break;
                 }
                 O->nval[i] = r;

@@ -36,19 +36,21 @@ Edge semantics compare against the value at the end of the previous
 cycle, so they are identical in event, static, mega-cycle-kernel, and
 SimJIT execution.
 
-Sampled from Python, a watchpoint reads its taps in one pass and
-evaluates its condition only on a cycle where one of them changed; on
-any other the verdict follows from the last one without reading
-anything again (see :meth:`Watchpoint.sample`).  So a :func:`when`
-predicate must be a pure function of the values of the signals it
-names.
+A condition runs in one form, the node forest :func:`lower_condition`
+makes of it, evaluated by :meth:`Watchpoint.sample` or, on a
+single-engine SimJIT sim, by ``obs_run`` in the SimJIT runtime.  It
+stays in Python, with an ``instrument-fallback`` warning, for a
+:func:`when`, a value outside 128 bits, a spec that is not a net slot
+(a slice, compiled CL state) and the runtime's capacity.  Python calls
+a :func:`when` predicate only on a cycle where a tap changed, so it
+must be a pure function of the values of the signals it names.
 """
 
 from __future__ import annotations
 
-import operator
+from collections import deque
 
-from ..core.probe import Probe, Unlowerable, read_all
+from ..core.probe import Probe, read_all
 
 __all__ = [
     "Condition",
@@ -84,13 +86,6 @@ class Condition:
     """An unbound temporal condition; build with the combinators below
     and compose with ``&``, ``|``, ``~``."""
 
-    def bind(self, index_of, values):
-        """Return this condition's evaluator (see :class:`_Eval`) over
-        a watchpoint's one-pass read of its taps: ``index_of(spec)`` is
-        the position of a signal spec's value in that read (see
-        :func:`_condition_taps`), ``values`` the read as of now."""
-        raise NotImplementedError
-
     def describe(self):
         raise NotImplementedError
 
@@ -107,20 +102,6 @@ class Condition:
         return f"<Condition {self.describe()}>"
 
 
-class _Eval:
-    """A bound condition.  ``update(cycle, values)`` evaluates it on a
-    cycle where some tap of its watchpoint changed, ``hold(cycle)`` on
-    one where none did; both return the verdict."""
-
-    __slots__ = ()
-
-    def update(self, cycle, values):
-        raise NotImplementedError
-
-    def hold(self, cycle):
-        raise NotImplementedError
-
-
 class _BoolOp(Condition):
     def __init__(self, op, left, right):
         if not isinstance(left, Condition) or not isinstance(
@@ -130,31 +111,9 @@ class _BoolOp(Condition):
         self.left = left
         self.right = right
 
-    def bind(self, index_of, values):
-        lhs = self.left.bind(index_of, values)
-        rhs = self.right.bind(index_of, values)
-        return _BoolEval(operator.and_ if self.op == "and" else operator.or_,
-                         lhs, rhs)
-
     def describe(self):
         sym = "&" if self.op == "and" else "|"
         return f"({self.left.describe()} {sym} {self.right.describe()})"
-
-
-class _BoolEval(_Eval):
-    # Both operands evaluate unconditionally: stateful conditions (edge
-    # trackers, stability counters) must see every cycle.
-    __slots__ = ("op", "lhs", "rhs")
-
-    def __init__(self, op, lhs, rhs):
-        self.op, self.lhs, self.rhs = op, lhs, rhs
-
-    def update(self, cycle, values):
-        return self.op(self.lhs.update(cycle, values),
-                       self.rhs.update(cycle, values))
-
-    def hold(self, cycle):
-        return self.op(self.lhs.hold(cycle), self.rhs.hold(cycle))
 
 
 class _Not(Condition):
@@ -163,24 +122,8 @@ class _Not(Condition):
             raise TypeError("~ applies only to conditions")
         self.inner = inner
 
-    def bind(self, index_of, values):
-        return _NotEval(self.inner.bind(index_of, values))
-
     def describe(self):
         return f"~{self.inner.describe()}"
-
-
-class _NotEval(_Eval):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def update(self, cycle, values):
-        return not self.inner.update(cycle, values)
-
-    def hold(self, cycle):
-        return not self.inner.hold(cycle)
 
 
 def _spec_name(spec):
@@ -200,34 +143,8 @@ class _Edge(_SignalCondition):
         super().__init__(spec)
         self.direction = direction      # "rose" | "fell" | "changed"
 
-    def bind(self, index_of, values):
-        i = index_of(self.spec)
-        return _EdgeEval(i, self.direction, values[i])
-
     def describe(self):
         return f"{self.direction}({_spec_name(self.spec)})"
-
-
-class _EdgeEval(_Eval):
-    """Against the value at the previous sample; with no tap changed
-    there is no edge."""
-
-    __slots__ = ("i", "direction", "prev")
-
-    def __init__(self, i, direction, prev):
-        self.i, self.direction, self.prev = i, direction, prev
-
-    def update(self, cycle, values):
-        prev = self.prev
-        value = self.prev = values[self.i]
-        if self.direction == "rose":
-            return prev == 0 and value != 0
-        if self.direction == "fell":
-            return prev != 0 and value == 0
-        return value != prev
-
-    def hold(self, cycle):
-        return False
 
 
 class _ValueIs(_SignalCondition):
@@ -235,44 +152,16 @@ class _ValueIs(_SignalCondition):
         super().__init__(spec)
         self.values = values
 
-    def bind(self, index_of, values):
-        i = index_of(self.spec)
-        return _PredicateEval(lambda values: values[i] in self.values)
-
     def describe(self):
         vals = sorted(self.values)
         shown = vals[0] if len(vals) == 1 else vals
         return f"value_is({_spec_name(self.spec)}, {shown})"
 
 
-class _PredicateEval(_Eval):
-    """A function of this cycle's values: with no tap changed, its last
-    verdict."""
-
-    __slots__ = ("test", "verdict")
-
-    def __init__(self, test):
-        self.test = test
-        self.verdict = False        # the first sample always updates
-
-    def update(self, cycle, values):
-        self.verdict = verdict = self.test(values)
-        return verdict
-
-    def hold(self, cycle):
-        return self.verdict
-
-
 class _When(Condition):
     def __init__(self, fn, specs):
         self.fn = fn
         self.specs = specs
-
-    def bind(self, index_of, values):
-        at = [index_of(spec) for spec in self.specs]
-        fn = self.fn
-        return _PredicateEval(
-            lambda values: bool(fn(*[values[i] for i in at])))
 
     def describe(self):
         name = getattr(self.fn, "__name__", "<fn>")
@@ -288,33 +177,8 @@ class _StableFor(_SignalCondition):
             raise ValueError(f"stable_for needs n >= 1; got {n}")
         self.n = n
 
-    def bind(self, index_of, values):
-        i = index_of(self.spec)
-        return _StableEval(i, self.n, values[i])
-
     def describe(self):
         return f"stable_for({_spec_name(self.spec)}, {self.n})"
-
-
-class _StableEval(_Eval):
-    __slots__ = ("i", "n", "prev", "streak")
-
-    def __init__(self, i, n, prev):
-        self.i, self.n, self.prev, self.streak = i, n, prev, 0
-
-    def update(self, cycle, values):
-        value = values[self.i]
-        if value == self.prev:
-            self.streak += 1
-        else:
-            self.prev = value
-            self.streak = 0
-        # Fire exactly once per stable stretch, when it reaches n.
-        return self.streak == self.n
-
-    def hold(self, cycle):
-        self.streak += 1
-        return self.streak == self.n
 
 
 class _ImpliesWithin(Condition):
@@ -331,91 +195,59 @@ class _ImpliesWithin(Condition):
         self.consequent = consequent
         self.n = n
 
-    def bind(self, index_of, values):
-        return _ImpliesEval(self.antecedent.bind(index_of, values),
-                            self.consequent.bind(index_of, values), self.n)
-
     def describe(self):
         return (f"implies_within({self.antecedent.describe()}, "
                 f"{self.consequent.describe()}, {self.n})")
 
 
-class _ImpliesEval(_Eval):
-    __slots__ = ("ant", "con", "n", "pending")
-
-    def __init__(self, ant, con, n):
-        self.ant, self.con, self.n = ant, con, n
-        self.pending = []           # deadline cycles, oldest first
-
-    def _verdict(self, cycle, con, ant):
-        # Order matters: a consequent on the deadline cycle itself
-        # still satisfies the obligation (##[0:n] semantics).
-        pending = self.pending
-        if con and pending:
-            pending.pop(0)
-        if ant:
-            pending.append(cycle + self.n)
-        if pending and cycle >= pending[0]:
-            pending.pop(0)
-            return True              # violation: deadline passed
-        return False
-
-    def update(self, cycle, values):
-        con = self.con.update(cycle, values)
-        return self._verdict(cycle, con, self.ant.update(cycle, values))
-
-    def hold(self, cycle):
-        con = self.con.hold(cycle)
-        return self._verdict(cycle, con, self.ant.hold(cycle))
-
-
 # ---------------------------------------------------------------------------
-# C lowering (SimJIT compiled watchpoints)
+# The node forest: the one form a condition runs in
 
 
-def lower_condition(condition, slot_of):
-    """Lower a condition tree to the flat postorder node forest the
-    SimJIT ``obs_t`` runtime evaluates: ``[(kind, slot, a, b, aux)]``
-    with operand indices ``a``/``b`` relative to the first node and the
-    root last.  Node kinds mirror the C evaluator: 0 rose, 1 fell,
-    2 changed, 3 value_is, 4 and, 5 or, 6 not.
+#: Node kinds, as ``runtime.c``'s ``obs_run`` numbers them too.
+(ROSE, FELL, CHANGED, VALUE_IS, AND, OR, NOT, STABLE_FOR, IMPLIES_WITHIN,
+ WHEN) = range(10)
+_EDGES = {"rose": ROSE, "fell": FELL, "changed": CHANGED}
 
-    Raises :class:`~repro.core.probe.Unlowerable` for
-    predicates the C side cannot express (``when``, ``stable_for``,
-    ``implies_within``, comparison values outside the 128-bit net
-    range, and any spec that does not lower to a net slot).
-    """
+
+def lower_condition(condition, tap_of):
+    """The one translation of a condition: the postorder node forest
+    ``[(kind, tap, a, b, aux)]``, root last, that
+    :meth:`Watchpoint.sample` and ``obs_run`` evaluate.  ``tap =
+    tap_of(spec)`` indexes the watchpoint's one ``read_all`` tuple (a
+    tuple of those for :data:`WHEN`); ``a`` / ``b`` are operand nodes
+    (for :data:`IMPLIES_WITHIN` the antecedent and consequent roots);
+    ``aux`` is the compared value (one :data:`VALUE_IS` node per value),
+    ``n`` or the :data:`WHEN` predicate."""
     nodes = []
 
-    def emit(kind, slot=-1, a=-1, b=-1, aux=0):
-        nodes.append((kind, slot, a, b, aux))
+    def emit(kind, tap=-1, a=-1, b=-1, aux=0):
+        nodes.append((kind, tap, a, b, aux))
         return len(nodes) - 1
 
     def visit(cond):
         if isinstance(cond, _Edge):
-            kind = {"rose": 0, "fell": 1, "changed": 2}[cond.direction]
-            return emit(kind, slot=slot_of(cond.spec))
+            return emit(_EDGES[cond.direction], tap_of(cond.spec))
         if isinstance(cond, _ValueIs):
-            slot = slot_of(cond.spec)
+            tap = tap_of(cond.spec)
             values = sorted(cond.values)
-            for value in values:
-                if not 0 <= value < (1 << 128):
-                    raise Unlowerable(
-                        f"comparison value {value} is outside the "
-                        f"128-bit net range")
-            idx = emit(3, slot=slot, aux=values[0])
+            idx = emit(VALUE_IS, tap, aux=values[0])
             for value in values[1:]:
-                idx = emit(5, a=idx, b=emit(3, slot=slot, aux=value))
+                idx = emit(OR, a=idx, b=emit(VALUE_IS, tap, aux=value))
             return idx
-        if isinstance(cond, _BoolOp):
-            a = visit(cond.left)
-            b = visit(cond.right)
-            return emit(4 if cond.op == "and" else 5, a=a, b=b)
+        if isinstance(cond, _StableFor):
+            return emit(STABLE_FOR, tap_of(cond.spec), aux=cond.n)
+        if isinstance(cond, _When):
+            return emit(WHEN, tuple(map(tap_of, cond.specs)), aux=cond.fn)
+        if isinstance(cond, _ImpliesWithin):
+            a = visit(cond.antecedent)
+            return emit(IMPLIES_WITHIN, a=a, b=visit(cond.consequent),
+                        aux=cond.n)
         if isinstance(cond, _Not):
-            return emit(6, a=visit(cond.inner))
-        raise Unlowerable(
-            f"{cond.describe()} is a Python-only predicate "
-            f"({type(cond).__name__.lstrip('_')})")
+            return emit(NOT, a=visit(cond.inner))
+        a = visit(cond.left)
+        return emit(AND if cond.op == "and" else OR, a=a,
+                    b=visit(cond.right))
 
     visit(condition)
     return nodes
@@ -511,33 +343,35 @@ class Watchpoint:
         self.fires = []              # [(cycle, values_dict)]
         self.n_fires = 0
         self.sim = None
-        self._bound = None           # the evaluator (Python sampling)
         self._taps = []
-        self._probes = {}            # id(spec) -> Probe, set by attach
+        self._reads = []             # the probes, in read order
         self._read = None            # every tap in one pass (read_all)
+        self._nodes = []             # lower_condition's forest
         self._last = None            # what it read at the last sample
         self._cwp = None             # compiled watch index (SimJIT)
         self._instr = None
 
     def attach(self, sim):
         self.sim = sim
-        self._taps, probes = _condition_taps(sim, self.condition)
-        self._probes = probes        # kept for a later dearm's rebind
+        self._taps, self._reads, tap_of = _condition_taps(
+            sim, self.condition)
+        self._read = read_all(self._reads)
+        self._nodes = nodes = lower_condition(self.condition, tap_of)
+        self._walk = list(enumerate(nodes))
+        # What a quiet cycle after a quiet one can move: the counters,
+        # the windows and the combinators over them; with neither,
+        # nothing.
+        self._moving = [(i, node) for i, node in self._walk
+                        if node[0] in (AND, OR, NOT, STABLE_FOR,
+                                       IMPLIES_WITHIN)]
+        if not any(node[0] >= STABLE_FOR for _, node in self._moving):
+            self._moving = []
+        self._start()
         instr = sim._jit_instrumentation()
-        compiled = False
+        # Compiled, the forest evaluates in C and _fire is called on
+        # hit cycles.
         if instr is not None:
-            try:
-                nodes = lower_condition(
-                    self.condition,
-                    lambda spec: instr.net_slot(probes[id(spec)]))
-            except Unlowerable as exc:
-                instr.warn_fallback(f"watchpoint {self.name!r}", exc)
-            else:
-                compiled = instr.try_add_watchpoint(self, nodes)
-        # Compiled: the condition evaluates in C and _fire is called
-        # on hit cycles.
-        if not compiled:
-            self._bind()
+            instr.try_add_watchpoint(self)
         sim._watchpoints.append(self)
         sim._refresh_observers()
         return self
@@ -563,32 +397,89 @@ class Watchpoint:
     def _snapshot(self):
         return {tap.name: tap.read() for tap in self._taps}
 
-    def _bind(self):
-        """Evaluate the condition from Python, against the values as of
-        now: edges compare with them, and the first sample evaluates
-        everything."""
-        probes = self._probes
-        taps = list({id(p): p for p in probes.values()}.values())
-        at = {id(p): i for i, p in enumerate(taps)}
-        self._read = read_all(taps)
-        self._bound = self.condition.bind(
-            lambda spec: at[id(probes[id(spec)])], self._read())
+    def _start(self):
+        """Per-node state as of now: edges and counters compare with
+        the values read now."""
+        values = self._read()
+        self._resume([(False, values[tap] if kind in (
+            ROSE, FELL, CHANGED, STABLE_FOR) else None, 0, ())
+                      for kind, tap, _, _, _ in self._nodes])
+
+    def _resume(self, states):
+        """Take each node's ``(verdict, prev, streak, deadlines)``, as
+        of now or as the compiled forest left them; the next sample
+        evaluates everything."""
+        self._val, self._prev, self._streak, due = map(list, zip(*states))
+        self._due = [deque(d) for d in due]
         self._last = None
+        self._next = self._walk
 
     # hot path — called once per cycle while armed
     def sample(self, cycle):
-        """Read every tap in one pass; only a cycle on which one of
-        them changed evaluates the condition.  On any other its edges
-        are false, ``value_is`` and ``when`` repeat their last verdict
-        and ``stable_for`` and ``implies_within`` count the cycle —
-        the verdicts of evaluating everything, for less."""
+        """Read every tap in one pass and evaluate the forest, root
+        last.  On a cycle where no tap changed, edges are false,
+        ``value_is`` and ``when`` keep their verdict and ``stable_for``
+        and ``implies_within`` count the cycle: the verdicts of
+        evaluating everything.  After the first quiet cycle (which
+        clears the edges) one walks only the nodes it can move."""
         values = self._read()
+        val = self._val
         if values != self._last:
             self._last = values
-            hit = self._bound.update(cycle, values)
+            fresh = True
+            walk = self._next = self._walk
         else:
-            hit = self._bound.hold(cycle)
-        if hit:
+            walk = self._next
+            if not walk:
+                if val[-1]:
+                    self._fire(cycle)
+                return
+            fresh = False
+            self._next = self._moving
+        for i, (kind, tap, a, b, aux) in walk:
+            if kind == STABLE_FOR:
+                # Fires once per stable stretch, when it reaches n.
+                streak = self._streak
+                if fresh and values[tap] != self._prev[i]:
+                    self._prev[i] = values[tap]
+                    streak[i] = 0
+                else:
+                    streak[i] += 1
+                val[i] = streak[i] == aux
+            elif kind == IMPLIES_WITHIN:
+                # A consequent on the deadline cycle itself still
+                # meets the obligation (##[0:n]); a deadline passed
+                # is the violation.
+                due = self._due[i]
+                if val[b] and due:
+                    due.popleft()
+                if val[a]:
+                    due.append(cycle + aux)
+                val[i] = bool(due) and cycle >= due[0]
+                if val[i]:
+                    due.popleft()
+            elif kind <= CHANGED:
+                if fresh:
+                    prev = self._prev
+                    was = prev[i]
+                    now = prev[i] = values[tap]
+                    val[i] = (now != was if kind == CHANGED
+                              else not was and now != 0 if kind == ROSE
+                              else was != 0 and not now)
+                else:
+                    val[i] = False
+            elif kind == VALUE_IS:
+                if fresh:
+                    val[i] = values[tap] == aux
+            elif kind == AND:
+                val[i] = val[a] and val[b]
+            elif kind == OR:
+                val[i] = val[a] or val[b]
+            elif kind == NOT:
+                val[i] = not val[a]
+            elif fresh:                             # WHEN
+                val[i] = bool(aux(*[values[t] for t in tap]))
+        if val[-1]:
             self._fire(cycle)
 
     def _fire(self, cycle):
@@ -644,10 +535,10 @@ class Watchpoint:
 
 def _condition_taps(sim, condition):
     """Resolve every signal spec inside a condition tree, once:
-    returns ``(taps, probes)`` — the probes a firing snapshots
-    (de-duplicated by name, declaration order), and ``{id(spec):
-    Probe}``, the lookup that C lowering and :meth:`Watchpoint._bind`
-    use."""
+    returns ``(taps, reads, tap_of)`` — the probes a firing snapshots
+    (de-duplicated by name, declaration order), the probes the
+    watchpoint reads each cycle (one per spec), and ``tap_of(spec)``,
+    a spec's position in that read."""
     taps = []
     seen = set()
     # By identity: the tree keeps its specs alive, and a Signal's
@@ -675,4 +566,5 @@ def _condition_taps(sim, condition):
                 visit(sub)
 
     visit(condition)
-    return taps, probes
+    at = {key: i for i, key in enumerate(probes)}
+    return taps, list(probes.values()), lambda spec: at[id(spec)]

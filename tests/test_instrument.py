@@ -30,9 +30,11 @@ from repro.net import MeshNetworkStructural, RouterRTL
 from repro.observe import (
     WatchpointHit,
     changed,
+    implies_within,
     rose,
     stable_for,
     value_is,
+    when,
 )
 from repro.resilience.warnings import ResilienceWarning
 
@@ -101,6 +103,16 @@ def _arm_mesh(model, sim):
         sim.watch(changed("routers[0].grant_val[0]")
                   | ~changed("routers[3].grant_val[0]"),
                   name="or-not"),
+        # A stretch that reaches 320 cycles across the late-hook
+        # test's dearm at cycle 300, and a window that has 20
+        # deadlines outstanding there.
+        sim.watch(stable_for("routers[0].hold_val[0]", 320)
+                  | (stable_for("routers[0].hold_val[0]", 6)
+                     & ~stable_for("routers[3].grant_val[0]", 40)),
+                  name="stable"),
+        sim.watch(implies_within(value_is("routers[0].hold_val[0]", 0),
+                                 changed("routers[0].grant_val[0]"), 20),
+                  name="idle-grant-moves"),
     ]
     tracer = sim.telemetry.trace()
     tracer.tap_model(model)
@@ -269,11 +281,12 @@ def test_late_cycle_hook_dearms_and_preserves_state():
 def test_unlowerable_watchpoint_warns_and_uses_hooks():
     model, sim = _jit_mesh()
     with pytest.warns(ResilienceWarning) as record:
-        wp = sim.watch(stable_for("routers[0].grant_val[0]", 4),
+        wp = sim.watch(when(lambda v: v == 1, "routers[0].grant_val[0]"),
                        name="py-only")
     kinds = {getattr(w.message, "kind", "") for w in record}
     assert "instrument-fallback" in kinds
-    assert wp._cwp is None and wp._bound is not None
+    assert wp._cwp is None and wp in sim._watchpoints
+    assert wp.sample in sim._observers      # the Python forest
     _drive_mesh(model, sim, chunks=(50,))
     # The rest of the sim still runs compiled batches.
     assert sim.ncycles == 50

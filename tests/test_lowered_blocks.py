@@ -498,6 +498,26 @@ def test_a_body_keeps_no_instance_and_goes_with_its_code_object():
     assert not any(name in linecache.cache for name in files)
 
 
+
+def test_a_body_goes_from_the_dict_it_was_entered_in(monkeypatch):
+    """A test may swap ``bodies._bodies`` (the lowering counters do);
+    a code object that dies meanwhile takes its bodies out of the dict
+    they were entered in, not out of the one in place then."""
+    entered = {}
+    monkeypatch.setattr(bodies, "_bodies", entered)
+    namespace = load_generated(_SIBLINGS)
+    SimulationTool(namespace["Leaf"](3).elaborate())
+    keys = list(entered)
+    files = [body.filename for key in keys for body in entered[key]]
+    assert keys and files
+    swapped = {}
+    monkeypatch.setattr(bodies, "_bodies", swapped)
+    del namespace
+    gc.collect()
+    monkeypatch.setattr(bodies, "_bodies", entered)
+    assert not any(key in entered or key in swapped for key in keys)
+    assert not any(name in linecache.cache for name in files)
+
 # -- what stays a closure, and says so -------------------------------------------
 
 

@@ -19,6 +19,7 @@ Covers the three pillars and their substrate-portability contract:
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -497,15 +498,20 @@ def _condition(tree, model):
     return lhs & rhs if kind == "and" else lhs | rhs
 
 
-def _condition_trees():
+def _condition_trees(python_leaves=True):
+    """Trees over every leaf, or (``python_leaves`` false) over the ones
+    a SimJIT engine compiles: no ``when`` and no slice."""
     from hypothesis import strategies as st
-    name = st.sampled_from(_SPECS)
-    leaf = st.one_of(
+    name = st.sampled_from(_SPECS if python_leaves else _SPECS[:3])
+    leaves = [
         st.tuples(st.sampled_from(["rose", "fell", "changed"]), name),
         st.tuples(st.just("value_is"), name,
                   st.lists(st.integers(0, 3), min_size=1, max_size=2)),
-        st.tuples(st.just("when"), st.lists(name, min_size=1, max_size=3)),
-        st.tuples(st.just("stable_for"), name, st.integers(1, 4)))
+        st.tuples(st.just("stable_for"), name, st.integers(1, 4))]
+    if python_leaves:
+        leaves.append(st.tuples(st.just("when"),
+                                st.lists(name, min_size=1, max_size=3)))
+    leaf = st.one_of(leaves)
     return st.recursive(leaf, lambda kids: st.one_of(
         st.tuples(st.sampled_from(["and", "or"]), kids, kids),
         st.tuples(st.just("not"), kids),
@@ -529,39 +535,78 @@ def _settings():
         derandomize=True, deadline=None, max_examples=60)
 
 
+def _python_only(tree):
+    """Whether a drawn tree holds a ``when`` or reads the slice: the
+    forests the SimJIT runtime cannot hold."""
+    kind, *args = tree
+    if kind == "when":
+        return True
+    if kind in ("and", "or", "not", "implies"):
+        return any(_python_only(kid) for kid in args
+                   if isinstance(kid, tuple))
+    return args[0] == "a[1]"
+
+
+def _jit_taps():
+    from repro.core.simjit import SimJITRTL
+    return SimJITRTL(_Taps().elaborate()).specialize().elaborate()
+
+
 def test_quiet_cycles_give_the_verdicts_of_evaluating_everything():
-    """A watchpoint evaluates its condition only on a cycle where one of
-    its taps changed.  On a condition tree and a value trace drawn at
-    random, it fires on exactly the cycles where evaluating every node
-    on every cycle fires — one, two and three taps, whole nets and a
-    slice."""
+    """A watchpoint evaluates its whole forest only on a cycle where
+    one of its taps changed.  On a condition tree and a value trace
+    drawn at random, it fires on exactly the cycles where evaluating
+    every node on every cycle fires — one, two and three taps, whole
+    nets and a slice — on every column: the Python forest; a
+    single-engine SimJIT sim, where a tree with no ``when`` and no
+    slice runs in ``obs_run`` and any other warns ``instrument-fallback``
+    and runs in Python; and that SimJIT sim dearmed by a cycle hook at
+    a drawn cycle, which hands the C node state back to Python."""
     # The observe CI job installs no hypothesis; tier-1 runs this.
-    given = pytest.importorskip("hypothesis").given
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
 
     @_settings()
-    @given(tree=_condition_trees(), trace=_value_traces())
-    def check(tree, trace):
-        model = _Taps().elaborate()
-        sim = SimulationTool(model)
-        sim.reset()
-        cond = _condition(tree, model)
-        wp = sim.watch(cond)
-        probes = {}
+    @hypothesis.given(tree=st.booleans().flatmap(_condition_trees),
+                      trace=_value_traces(), dearm_at=st.integers(0, 12))
+    def check(tree, trace, dearm_at):
+        want = None
+        for column in ("python", "compiled", "dearmed"):
+            model = _Taps().elaborate() if column == "python" \
+                else _jit_taps()
+            sim = SimulationTool(model)
+            sim.reset()
+            cond = _condition(tree, model)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                wp = sim.watch(cond)
+            fallback = any(getattr(w.message, "kind", "") ==
+                           "instrument-fallback" for w in caught)
+            if column == "python":
+                assert wp._cwp is None and wp._nodes and not caught
+                probes = {}
 
-        def read(spec):
-            if id(spec) not in probes:
-                probes[id(spec)] = Probe.resolve(sim, spec)
-            return probes[id(spec)].read()
-
-        reference, want = _reference(cond, read), []
-        for a, b, c, hold in trace:
-            model.a.value, model.b.value, model.c.value = a, b, c
-            for _ in range(hold):
-                sim.cycle()
-                if reference(sim.ncycles):
-                    want.append(sim.ncycles)
-        assert wp._bound is not None
-        assert wp.fire_cycles() == want, cond.describe()
+                def read(spec):
+                    if id(spec) not in probes:
+                        probes[id(spec)] = Probe.resolve(sim, spec)
+                    return probes[id(spec)].read()
+                reference, want = _reference(cond, read), []
+            else:
+                assert fallback == (wp._cwp is None) == _python_only(tree)
+            n = 0
+            for a, b, c, hold in trace:
+                model.a.value, model.b.value, model.c.value = a, b, c
+                for _ in range(hold):
+                    if column == "dearmed" and n == dearm_at:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore")
+                            sim.add_cycle_hook(lambda cycle: None)
+                        assert wp._cwp is None
+                    n += 1
+                    sim.cycle()
+                    if column == "python" and reference(sim.ncycles):
+                        want.append(sim.ncycles)
+            assert wp.fire_cycles() == want, (column, cond.describe())
 
     check()
 
@@ -634,6 +679,11 @@ def test_mesh_windows_bit_identical_across_substrates():
                                             depth=48))
         wps.append(dut.sim.watch(
             rose("routers[0].grant_val[0]"), name="grant0"))
+        wps.append(dut.sim.watch(
+            stable_for("routers[0].hold_val[0]", 24)
+            | implies_within(rose("routers[0].grant_val[0]"),
+                             fell("routers[0].grant_val[0]"), 3),
+            name="stuck-or-held"))
         duts.append(dut)
 
     from repro.verif.strategies import net_message_strategy
@@ -648,11 +698,15 @@ def test_mesh_windows_bit_identical_across_substrates():
     harness = CoSimHarness(duts, compare="cycle_exact")
     harness.run(stimulus, max_cycles=20_000)
 
+    # The mesh DUT is one SimJIT engine: its watchpoints, the counter
+    # and the window included, evaluate in obs_run.
+    assert all(wp._cwp is not None for wp in wps[4:])
     dicts = [rec.window().to_dict() for rec in recs]
     assert dicts[0] == dicts[1] == dicts[2]
-    fires = [wp.fire_cycles() for wp in wps]
+    fires = [(grant.fire_cycles(), held.fire_cycles())
+             for grant, held in zip(wps[::2], wps[1::2])]
     assert fires[0] == fires[1] == fires[2]
-    assert fires[0], "grant watchpoint should fire under traffic"
+    assert all(fires[0]), "both watchpoints should fire under traffic"
 
 
 def test_static_kernel_and_interpreted_static_agree():

@@ -256,7 +256,7 @@ CASES = {
     # a list length is a body: the two of length 4 share, 6 is literal
     "cl-state-lengths": (
         lambda: [_CountCL(8, 4), _CountCL(8, 6), _CountCL(8, 4)],
-        SimJITCL, 2, ["I->st[S[", "(6LL)", "l_i < 6;"], ["st_m"],
+        SimJITCL, 2, ["I->st[S[", "(6LL)", "_k < 6;"], ["st_m"],
         [(0, 4, 0), (1, 0, 0), (0, 4, 0)]),
 }
 

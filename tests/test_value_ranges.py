@@ -223,6 +223,52 @@ def test_a_loop_widens_what_it_grows():
             int(ref.up), int(ref.down), int(ref.idx)]
 
 
+class _LoopVars(Model):
+    """A body that assigns its loop variable, and reads of loop
+    variables after their loops."""
+
+    def __init__(s):
+        s.a = InPort(8)
+        s.trips, s.after, s.last = OutPort(8), OutPort(8), OutPort(8)
+
+        @s.combinational
+        def logic():
+            n = 0
+            for i in range(4):
+                n = n + 1
+                i = 7
+            s.trips.value = n
+            m = s.a.uint() & 3
+            for j in range(4):
+                m = m + 1
+            s.after.value = m + j
+            for k in range(0, 10, 3):
+                m = m + k
+            s.last.value = k % 4
+
+
+def test_loop_variables_follow_python_in_c():
+    """C loops over a hidden counter: a body that assigns its loop
+    variable still runs every trip, and after the loop the variable
+    holds its last value, not the bound; the range pass then bounds it
+    (``k % 4`` of ``k`` in ``[0, 10)`` is C's ``%``)."""
+    ref = _LoopVars().elaborate()
+    spec = SimJITRTL(_LoopVars().elaborate())
+    jit = spec.specialize().elaborate()
+    sims = [SimulationTool(ref, sched="event"), SimulationTool(jit)]
+    for sim in sims:
+        sim.reset()
+    for a in (0, 1, 3, 255):
+        for model in (ref, jit):
+            model.a.value = a
+        for sim in sims:
+            sim.cycle()
+        want = [4, (a & 3) + 4 + 3, 9 % 4]
+        assert [int(ref.trips), int(ref.after), int(ref.last)] == want
+        assert [int(jit.trips), int(jit.after), int(jit.last)] == want
+    assert "py_mod(" not in _function(spec.c_source, "logic")
+
+
 class _WideAcc(Model):
     """CL state that starts past ``int64_t``; only its low byte is
     read."""
