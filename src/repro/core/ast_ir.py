@@ -195,6 +195,9 @@ class AssignSig:
     ref: SigRef
     expr: object
     is_next: bool                  # True: registered (.next) write
+    #: an int in ``[0, 2**width)`` is written, which needs no mask
+    #: (:class:`_Spans` decides; not part of the IR's shape)
+    fits: bool = field(default=False, compare=False)
 
 
 @dataclass
@@ -261,16 +264,20 @@ class BlockIR:
     #: only :func:`infer_types` reads it, and uses it up.  Reads record
     #: the same fact in ``SigRead.vtype``.
     casts: dict = field(default_factory=dict)
-    #: the first local :func:`infer_types` saw given a value that may
-    #: need 64 bits or more (C's locals are ``int64_t``), or None
+    #: the first local :class:`_Spans` sees given a value C may not
+    #: compute right as an ``int64_t`` (C's locals), or None
     wide_local: str = None
-    #: the first CL state attribute it saw given such a value (C's CL
-    #: state is ``int64_t`` too), or None
+    #: the first CL state attribute it sees given one (C's CL state is
+    #: ``int64_t`` too), or None
     wide_state: str = None
+    #: what else C may compute wrong, a signal write, a condition or an
+    #: index made of a value C's ``u128`` / ``int64_t`` does not hold
+    #: (its description), or None
+    wide_value: str = None
     #: ``id`` of each constant hole a range fact (``BinOp.nonneg``,
-    #: ``BoolOp.eager``) read as in ``[0, 2**63)``: a sibling shares
-    #: the facts where it holds such a value, so :mod:`.bodies` guards
-    #: that
+    #: ``BoolOp.eager``, ``AssignSig.fits``, a value C computes right)
+    #: read as in ``[0, 2**63)``: a sibling shares the
+    #: facts where it holds such a value, so :mod:`.bodies` guards that
     fact_holes: frozenset = frozenset()
 
 
@@ -1115,18 +1122,18 @@ def infer_types(ir, hole_of, fixed=frozenset()):
     anything on a ``BitStruct``...), raises :class:`TypeUndecided`.
     Once they settle, a :class:`Wrap` goes wherever ``Bits`` wraps
     (:meth:`_Typer.wrap`), except into a signal write no wider: no
-    printer decides a width.  ``hole_of`` names (by ``id``) the
-    ``Const`` leaves a sibling may fill with another value, ``fixed``
-    those of them a guard holds to this value (the range pass,
-    :class:`_Spans`, reads both)."""
+    printer decides a width.  Last, the range pass (:class:`_Spans`)
+    records every fact of a value's size a printer reads.  ``hole_of``
+    names (by ``id``) the ``Const`` leaves a sibling may fill with
+    another value, ``fixed`` those of them a guard holds to this value
+    (the range pass reads both)."""
     typer = _Typer(ir, hole_of)
     typer.stmts(ir.body)
-    ir.wide_local, ir.wide_state = typer.wide_local, typer.wide_state
     for node in walk_stmts(ir.body):
         typer.exact(node)
         if isinstance(node, AssignSig):
             node.expr = _absorb(node.expr, node.ref.width)
-    ir.fact_holes = _Spans(ir, hole_of, fixed).run(ir.body)
+    _Spans(ir, hole_of, fixed).run(ir)
     return ir
 
 
@@ -1185,7 +1192,6 @@ class _Typer(_Flow):
         self.env = {}              # scalar local -> Ty
         self.exits = []            # per enclosing loop: envs at break/continue
         self.done = {}             # id(node) -> (node, its rewrite)
-        self.wide_local = self.wide_state = None
 
     @staticmethod
     def loop_var(node):
@@ -1201,14 +1207,6 @@ class _Typer(_Flow):
                 raise TypeUndecided(
                     f"local array {node.name!r} is given a "
                     f"{ty.kind} value (array elements are ints)")
-        if isinstance(node, (AssignLocal, DeclLocalArray)) \
-                and self.wide_local is None and self.wide(
-                    node.init if isinstance(node, DeclLocalArray)
-                    else node.expr):
-            self.wide_local = node.name
-        elif isinstance(node, AssignState) and self.wide_state is None \
-                and self.wide(node.expr):
-            self.wide_state = node.ref.name
 
     def cond(self, node):
         if self.expr(node).kind == "struct":
@@ -1276,33 +1274,6 @@ class _Typer(_Flow):
                 self.expr(part)
             return Ty("bits", sum(width for _, width in node.parts))
         raise TypeUndecided(f"{type(node).__name__} has no Python type")
-
-    def wide(self, node):
-        """Whether ``node``'s value may need 64 bits or more: ``Bits``
-        that wide, or an int made of a read or constant that wide that
-        no comparison, truth test, or ``&`` / ``%`` by a narrow
-        non-negative value bounds."""
-        if id(node) in self.types:
-            ty = self.types[id(node)]
-            if max(ty.width, self.seen(node).width) >= 64:
-                return True
-            if ty.kind in ("bits", "sig"):
-                return False
-        if isinstance(node, IfExp):
-            return self.wide(node.then) or self.wide(node.orelse)
-        if isinstance(node, BinOp) and node.op in ("&", "%") and any(
-                self.literal(kid, 63) or isinstance(kid, SigRead)
-                and kid.ref.width < 64
-                for kid in (node.right, node.left)[:1 + (node.op == "&")]):
-            return False
-        if isinstance(node, SigRead):
-            return node.ref.width >= 64
-        if isinstance(node, Const):
-            return not -1 << 63 <= node.value < 1 << 63
-        if isinstance(node, (Cmp, LocalRead, StateRead)) or (
-                isinstance(node, UnOp) and node.op == "!"):
-            return False
-        return any(self.wide(holder[key]) for holder, key in _operands(node))
 
     # -- the rewrite, once the types settle -----------------------------------
 
@@ -1382,36 +1353,40 @@ class _Typer(_Flow):
 class Span(NamedTuple):
     """What the range pass knows of an int value: it lies in ``[lo,
     hi)``, a bound None where none is known.  ``holes`` are the ``id``
-    of the constant holes the bounds were read from."""
+    of the constant holes the bounds were read from.  ``truth``: Python
+    may hold it as a ``bool`` (a comparison or ``not``, and ``& | ^``,
+    ``and`` / ``or`` or a conditional of such), which a signal write
+    masks to the int a closure's write stores."""
 
     lo: int = None
     hi: int = None
     holes: frozenset = frozenset()
+    truth: bool = False
 
 
 ANY = Span()
-_BIT = Span(0, 2)
+_TRUTH = Span(0, 2, truth=True)
 #: The widest shift amount the pass follows (a bound past it is none).
 _SHIFT_CAP = 128
 
 
-def _within(span, size):
-    """Whether ``span`` lies in ``[0, size)``."""
-    return (span.lo is not None and span.lo >= 0 and span.hi is not None
+def _within(span, size, low=0):
+    """Whether ``span`` lies in ``[low, size)``."""
+    return (span.lo is not None and span.lo >= low and span.hi is not None
             and span.hi <= size)
 
 
 def _hull(a, b):
     return Span(None if None in (a.lo, b.lo) else min(a.lo, b.lo),
                 None if None in (a.hi, b.hi) else max(a.hi, b.hi),
-                a.holes | b.holes)
+                a.holes | b.holes, a.truth or b.truth)
 
 
 def _arith(op, a, b):
     """The span of Python's ``a op b`` from the operands'.  A
     right operand that makes Python raise (a zero divisor, a negative
     shift) leaves no value to bound."""
-    (alo, ahi, _), (blo, bhi, _) = a, b
+    (alo, ahi, *_), (blo, bhi, *_) = a, b
     apos = alo is not None and alo >= 0
     bpos = blo is not None and blo >= 0
     lo = hi = None
@@ -1459,7 +1434,8 @@ def _arith(op, a, b):
         if apos and bpos:
             lo = 0 if bhi is None or bhi < 2 else alo // (bhi - 1)
             hi = None if ahi is None else (ahi - 1) // max(blo, 1) + 1
-    return Span(lo, hi, a.holes | b.holes)
+    return Span(lo, hi, a.holes | b.holes,
+                op in ("&", "|", "^") and a.truth and b.truth)
 
 
 class _Spans(_Flow):
@@ -1471,28 +1447,35 @@ class _Spans(_Flow):
     grows); a CL state variable, an array element or an unset local is
     unbounded.  A constant hole a guard fixes is its value; any other
     is only as known as its class, ``[0, 2**63)`` (or unbounded), so
-    siblings that differ in it still share the body.  It records two
-    facts the C printer reads: a ``//`` / ``%`` whose operands lie in
-    ``[0, 2**63)`` is ``nonneg``, an ``and`` / ``or`` none of whose
-    later operands can fault is ``eager``.  A fact read from a hole's
-    class names the hole in ``BlockIR.fact_holes``."""
+    siblings that differ in it still share the body.  It records the
+    facts the printers read (``AssignSig.fits``, ``BinOp.nonneg``,
+    ``BoolOp.eager``, and what C may compute wrong, ``BlockIR.
+    wide_local`` / ``wide_state`` / ``wide_value``: see :meth:`exact`).
+    A fact read from a hole's class names the hole in
+    ``BlockIR.fact_holes``."""
 
     def __init__(self, ir, hole_of, fixed):
         self.locals, self.hole_of, self.fixed = ir.locals, hole_of, fixed
         self.env = {}              # scalar local -> Span
         self.exits = []
         self.spans = {}            # id(expression) -> Span, last walk's
-        self.facts = {}            # id(node) -> (node, holes | None)
+        self.ctypes = {}           # id(expression) -> its C type
+        # id(node), or (id, "c") for what C computes -> (the node, or the
+        # name the IR's fact gives; the fact; holes | None)
+        self.facts = {}
 
-    def run(self, body):
-        """Walk ``body``; set the facts; the holes they read."""
-        self.stmts(body)
+    def run(self, ir):
+        """Walk ``ir``'s body; set the facts, ``ir.wide_local`` /
+        ``wide_state`` / ``wide_value`` and ``ir.fact_holes``."""
+        self.stmts(ir.body)
         holes = frozenset()
-        for node, read in self.facts.values():
-            setattr(node, "eager" if isinstance(node, BoolOp)
-                    else "nonneg", read is not None)
+        for target, fact, read in self.facts.values():  # first walked first
             holes |= read or frozenset()
-        return holes
+            if not fact.startswith("wide"):
+                setattr(target, fact, read is not None)
+            elif read is None and getattr(ir, fact) is None:
+                setattr(ir, fact, target)    # a name, or what it is
+        ir.fact_holes = holes
 
     @staticmethod
     def join(*envs):
@@ -1510,9 +1493,9 @@ class _Spans(_Flow):
         for name, span in merged.items():
             old = entry.get(name)
             if old is not None and span != old:
-                out[name] = Span(None if span.lo != old.lo else span.lo,
-                                 None if span.hi != old.hi else span.hi,
-                                 span.holes)
+                out[name] = span._replace(
+                    lo=None if span.lo != old.lo else span.lo,
+                    hi=None if span.hi != old.hi else span.hi)
         return out
 
     @staticmethod
@@ -1523,13 +1506,35 @@ class _Spans(_Flow):
 
     def cond(self, node):
         self.span(node)
+        self.facts[id(node), "c"] = "a condition", "wide_value", \
+            self.exact(node)
 
     def simple(self, node):
         if isinstance(node, AssignLocal) and node.index is None:
             self.env[node.name] = self.span(node.expr)
+        elif isinstance(node, DeclLocalArray):
+            self.span(node.init)
         else:
             for holder, key in _operands(node):
                 self.span(holder[key])
+        if isinstance(node, AssignSig):
+            span = self.spans[id(node.expr)]
+            self.facts[id(node)] = node, "fits", (
+                span.holes if _within(span, 1 << node.ref.width)
+                and not span.truth else None)
+            self.facts[id(node), "c"] = (
+                f"a {node.ref.width}-bit signal write", "wide_value",
+                self.held(node.expr, 64 if node.ref.width <= 64 else 128))
+        elif isinstance(node, AssignState):
+            self.facts[id(node)] = (node.ref.name, "wide_state",
+                                    self.fits64(node.expr))
+        else:                      # a local or local array element
+            self.facts[id(node)] = node.name, "wide_local", self.fits64(
+                node.init if isinstance(node, DeclLocalArray) else node.expr)
+        for holder, key in _operands(getattr(node, "ref", node)):
+            if key == "index":
+                self.facts[id(holder[key]), "c"] = (
+                    "an index", "wide_value", self.exact(holder[key]))
 
     def span(self, node):
         span = self.spans[id(node)] = self._span(node)
@@ -1551,20 +1556,20 @@ class _Spans(_Flow):
             return self.env.get(node.name, ANY)
         if isinstance(node, Wrap):
             inner = got(id(node.expr))
-            return inner if _within(inner, 1 << node.width) else \
-                Span(0, 1 << node.width)
+            return inner._replace(truth=False) if _within(
+                inner, 1 << node.width) else Span(0, 1 << node.width)
         if isinstance(node, BinOp):
             left, right = got(id(node.left)), got(id(node.right))
             if node.op in ("//", "%"):
-                self.facts[id(node)] = node, (
+                self.facts[id(node)] = node, "nonneg", (
                     left.holes | right.holes if not node.unsigned and all(
                         _within(side, 1 << 63) for side in (left, right))
                     else None)
             return _arith(node.op, left, right)
         if isinstance(node, UnOp):
-            lo, hi, holes = got(id(node.operand))
+            lo, hi, holes, _ = got(id(node.operand))
             if node.op == "!":
-                return _BIT
+                return _TRUTH
             if node.op == "-":
                 return Span(None if hi is None else 1 - hi,
                             None if lo is None else 1 - lo, holes)
@@ -1572,14 +1577,135 @@ class _Spans(_Flow):
                         None if lo is None else -lo, holes)
         if isinstance(node, (Cmp, BoolOp)):
             if isinstance(node, BoolOp):
-                self.facts[id(node)] = node, self.cannot_fault(
+                self.facts[id(node)] = node, "eager", self.cannot_fault(
                     node.values[1:])
-            return _BIT              # C's and Python's 0/1 (the lowering's)
+                # 0/1 in C and in Python (the lowering's), as Python
+                # gives an operand: a bool where one may be
+                return Span(0, 2, truth=any(
+                    got(id(value)).truth for value in node.values))
+            return _TRUTH
         if isinstance(node, IfExp):
             return _hull(got(id(node.then)), got(id(node.orelse)))
         if isinstance(node, Concat):
             return Span(0, 1 << sum(width for _, width in node.parts))
         return ANY                   # CL state, an array element
+
+    def fits64(self, node):
+        """The holes whose classes say C stores ``node``'s value right
+        in an ``int64_t`` (a local, an array element, CL state), or None
+        where it may not: :meth:`exact` as that type."""
+        return self.exact(node, "int64_t")
+
+    def exact(self, node, ctype=None):
+        """The holes whose classes say C computes ``node``'s value as
+        Python does, as ``ctype`` (``"u128"`` or ``"int64_t"``; where
+        None, the type C computes it in, :meth:`c_type`), or None where
+        it may not: where its span has a bound outside that type that no
+        hole's class supplied, or where C may compute it wrong modulo
+        that type's size (:meth:`held`).  A read of a local, an array
+        element or CL state is taken to be exact (C holds each so)."""
+        ctype = ctype or self.c_type(node)
+        low, high = (0, 1 << 128) if ctype == "u128" else (-1 << 63, 1 << 63)
+        lo, hi, holes, _ = span = self.spans[id(node)]
+        if not _within(span, high, low):
+            if not holes and not isinstance(node, (LocalRead, StateRead)) \
+                    and (lo is not None and not low <= lo < high
+                         or hi is not None and not low < hi <= high):
+                return None
+            holes = frozenset()      # unknown, trusted or a hole's class
+        held = self.held(node, 128 if ctype == "u128" else 64)
+        return None if held is None else holes | held
+
+    def held(self, node, keep):
+        """The holes whose classes say C computes ``node``'s value right
+        modulo ``2**keep`` (64 or 128: what a store or a mask keeps), or
+        None where it may not.  C wraps modulo its type's size, so a
+        ring operator (``+ - * & | ^ ~``, unary ``-``, a ``<<``'s left,
+        a mask) keeps what its operands keep; anything else needs them
+        :meth:`exact` (:meth:`kept`), and so does an ``int64_t`` value
+        C widens to ``u128``.  A shift amount must be less than the
+        width of C's type, and a constant one C can print."""
+        if isinstance(node, Const):
+            return frozenset() if -1 << 63 <= node.value < 1 << 128 \
+                else None
+        if keep > 64 and self.c_type(node) == "int64_t":
+            return self.exact(node)
+        if isinstance(node, BinOp) and node.op in ("<<", ">>"):
+            # C shifts by less than its type's width, or not at all
+            _, hi, read, _ = self.spans[id(node.right)]
+            if not read and hi is not None and hi > (
+                    128 if self.c_type(node.left) == "u128" else 64):
+                return None
+        holes = frozenset()
+        for kid, kept in self.kept(node, keep):
+            read = self.held(kid, kept) if isinstance(kept, int) \
+                else self.exact(kid, kept)
+            if read is None:
+                return None
+            holes |= read
+        return holes
+
+    def kept(self, node, keep):
+        """``(operand, what C must compute of it)`` for each operand of
+        ``node`` when ``node`` is needed modulo ``2**keep``: its value
+        modulo ``2**n`` (an int ``n``), or its exact value as a C type (a
+        name, or None for its own)."""
+        if isinstance(node, Wrap):
+            return [(node.expr, 64 if node.width <= 64 else 128)]
+        if isinstance(node, Concat):
+            return [(part, 64 if width <= 64 else 128)
+                    for part, width in node.parts]
+        if isinstance(node, BinOp) and node.op in ("+", "-", "*", "&", "|",
+                                                   "^"):
+            return [(node.left, keep), (node.right, keep)]
+        if isinstance(node, BinOp) and node.op == "<<":
+            return [(node.left, keep), (node.right, None)]
+        if isinstance(node, BinOp) and node.op == "//" and \
+                not node.unsigned and self.spans[id(node.right)][:2] == (1, 2):
+            # ``x // 1`` (``.int()``'s): C's cast of x to int64_t
+            return [(node.left, 64), (node.right, None)]
+        if isinstance(node, BinOp) and node.op in ("//", "%"):  # C casts
+            ctype = "u128" if node.unsigned else "int64_t"
+            return [(node.left, ctype), (node.right, ctype)]
+        if isinstance(node, UnOp) and node.op != "!":
+            return [(node.operand, keep)]
+        if isinstance(node, IfExp):
+            return [(node.cond, None), (node.then, keep),
+                    (node.orelse, keep)]
+        if isinstance(node, Cmp):      # C compares both as one type
+            ctype = "u128" if "u128" in (
+                self.c_type(node.left), self.c_type(node.right)) \
+                else "int64_t"
+            return [(node.left, ctype), (node.right, ctype)]
+        # ``>>``, ``not``, ``and`` / ``or``, an index: the value itself
+        return [(kid, None) for kid in _children(node)]
+
+    def c_type(self, node):
+        """The type C computes ``node`` in, ``"u128"`` or ``"int64_t"``,
+        as ``cgen`` prints it: a net read, a mask, a concatenation, an
+        unsigned division and a constant past ``int64_t`` are ``u128``,
+        and so is an operator with such an operand (a shift's left
+        one)."""
+        if id(node) in self.ctypes:
+            return self.ctypes[id(node)]
+        if isinstance(node, (SigRead, Wrap, Concat)):
+            wide = True
+        elif isinstance(node, Const):
+            wide = node.value >= 1 << 63
+        elif isinstance(node, BinOp) and node.op in ("//", "%"):
+            wide = node.unsigned
+        elif isinstance(node, BinOp):
+            wide = self.c_type(node.left) == "u128" or node.op not in (
+                "<<", ">>") and self.c_type(node.right) == "u128"
+        elif isinstance(node, UnOp):
+            wide = node.op != "!" and self.c_type(node.operand) == "u128"
+        elif isinstance(node, IfExp):
+            wide = "u128" in (self.c_type(node.then),
+                              self.c_type(node.orelse))
+        else:
+            wide = False           # a local, CL state, a truth value
+        ctype = self.ctypes[id(node)] = "u128" if wide else "int64_t"
+        return ctype
 
     def cannot_fault(self, nodes):
         """The holes whose values say evaluating every expression of
@@ -1599,7 +1725,7 @@ class _Spans(_Flow):
             elif isinstance(node, StateRead) and ref.index is not None:
                 index, size = ref.index, len(getattr(ref.model, ref.name))
             elif isinstance(node, BinOp) and node.op in ("//", "%"):
-                lo, hi, read = self.spans[id(node.right)]
+                lo, hi, read, _ = self.spans[id(node.right)]
                 if not (lo is not None and lo > 0
                         or hi is not None and hi <= 0):
                     return None

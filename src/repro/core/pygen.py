@@ -20,9 +20,9 @@ two ``Bits`` allocations, every ``.value =`` a setter around
   writing the same net agree: last-writer-safe, a net pending from an
   earlier write keeps its entry, and the clock edge compares ``_next``
   to ``_value`` anyway;
-- arithmetic is masked where the IR says ``Bits`` wraps it: a
-  ``Wrap`` node, put there once per body (:mod:`.bodies`), is ``(x &
-  mask)``;
+- arithmetic is masked where the IR says ``Bits`` wraps it (a ``Wrap``
+  node, put there once per body: :mod:`.bodies`), and a signal write
+  unless the range pass says its value ``fits``: ``(x & mask)``;
 - a ``for`` of at most ``_MAX_TRIPS`` trips whose body has no ``break``
   / ``continue`` of its own and never assigns the variable prints
   unrolled (a body per trip, the variable a literal, then ``var =
@@ -122,13 +122,10 @@ def _unrollable(loop):
 
 class _Printer:
     """IR -> the statements of the lowered function.  ``hole_of`` maps
-    ``id(Const | SigRef)`` to the parameter that carries it.
-
-    ``expr`` returns ``(text, bound)``: ``text`` evaluates to the
-    unsigned value (the signed one for an int), and a ``bound`` that is
-    not None says it is an ``int`` object in ``[0, 2**bound)`` — such a
-    value is stored without a mask.  ``consts`` holds the variables of
-    the unrolled loops being printed, each at its value in this copy."""
+    ``id(Const | SigRef)`` to the parameter that carries it.  ``expr``
+    returns text that evaluates to the unsigned value (the signed one
+    for an int).  ``consts`` holds the variables of the unrolled loops
+    being printed, each at its value in this copy."""
 
     def __init__(self, hole_of):
         self.hole_of = hole_of
@@ -142,7 +139,7 @@ class _Printer:
         hole = f"_h{self.hole_of[id(ref)]}"
         if ref.index is None:
             return hole
-        return f"{hole}[{self.expr(ref.index)[0]}]"
+        return f"{hole}[{self.expr(ref.index)}]"
 
     @staticmethod
     def _full(ref):
@@ -165,50 +162,37 @@ class _Printer:
         elif isinstance(node, LocalRead) and node.index is None:
             value = self.consts.get(node.name)
         if value is not None:
-            if value < 0:
-                return f"({value})", None
-            return str(value), value.bit_length()
+            return f"({value})" if value < 0 else str(value)
         if isinstance(node, Const):
-            return f"_h{self.hole_of[id(node)]}", None
+            return f"_h{self.hole_of[id(node)]}"
         if isinstance(node, SigRead):
-            return self.read(node.ref), node.ref.width
+            return self.read(node.ref)
         if isinstance(node, LocalRead):
             if node.index is not None:
-                return f"{node.name}[{self.expr(node.index)[0]}]", None
-            return node.name, None
-        if isinstance(node, BinOp):
-            (left, lbound), (right, rbound) = map(self.expr,
-                                                  (node.left, node.right))
-            bounds = [b for b in (lbound, rbound) if b is not None]
-            return f"({left} {node.op} {right})", (
-                lbound if node.op == ">>" else
-                min(bounds, default=None) if node.op == "&" else None)
+                return f"{node.name}[{self.expr(node.index)}]"
+            return node.name
+        if isinstance(node, (BinOp, Cmp)):
+            left, right = self.expr(node.left), self.expr(node.right)
+            return f"({left} {node.op} {right})"
         if isinstance(node, Wrap):
-            return (f"({self.expr(node.expr)[0]} & {_mask(node.width)})",
-                    node.width)
+            return f"({self.expr(node.expr)} & {_mask(node.width)})"
         if isinstance(node, UnOp):
-            text = self.expr(node.operand)[0]
-            return f"({'not ' if node.op == '!' else node.op}{text})", None
-        if isinstance(node, Cmp):
-            return (f"({self.expr(node.left)[0]} {node.op} "
-                    f"{self.expr(node.right)[0]})"), None
+            text = self.expr(node.operand)
+            return f"({'not ' if node.op == '!' else node.op}{text})"
         if isinstance(node, BoolOp):
-            parts = [self.expr(v) for v in node.values]
             word = " and " if node.op == "&&" else " or "
-            return (f"({word.join(text for text, _ in parts)})",
-                    _widest(bound for _, bound in parts))
+            return f"({word.join(map(self.expr, node.values))})"
         if isinstance(node, IfExp):
-            then, orelse = self.expr(node.then), self.expr(node.orelse)
-            return (f"({then[0]} if {self.expr(node.cond)[0]} "
-                    f"else {orelse[0]})", _widest((then[1], orelse[1])))
+            return (f"({self.expr(node.then)} if {self.expr(node.cond)} "
+                    f"else {self.expr(node.orelse)})")
         if isinstance(node, Concat):
-            shift = total = sum(width for _, width in node.parts)
+            shift = sum(width for _, width in node.parts)
             parts = []
             for part, width in node.parts:
                 shift -= width
-                text = self.expr(part)[0]
+                text = self.expr(part)
                 parts.append(f"({text} << {shift})" if shift else text)
-            return f"({' | '.join(parts)})", total
+            return f"({' | '.join(parts)})"
         raise Refused(f"no Python form for {type(node).__name__}")
 
     # -- statements -----------------------------------------------------------
@@ -230,12 +214,12 @@ class _Printer:
             self.assign_sig(node, pad)
         elif isinstance(node, AssignLocal):
             target = node.name if node.index is None \
-                else f"{node.name}[{self.expr(node.index)[0]}]"
-            self.emit(pad, f"{target} = {self.expr(node.expr)[0]}")
+                else f"{node.name}[{self.expr(node.index)}]"
+            self.emit(pad, f"{target} = {self.expr(node.expr)}")
         elif isinstance(node, DeclLocalArray):
             self.emit(pad, f"{node.name} = [{node.init.value}] * {node.size}")
         elif isinstance(node, If):
-            self.emit(pad, f"if {self.expr(node.cond)[0]}:")
+            self.emit(pad, f"if {self.expr(node.cond)}:")
             self.block(node.body, pad + 4)
             if node.orelse:
                 self.emit(pad, "else:")
@@ -280,11 +264,12 @@ class _Printer:
     def assign_sig(self, node, pad):
         """``_Net.write`` / ``write_next`` (and the read-modify-write
         of ``_SignalSlice``'s setters), inline, in the module docstring's
-        shapes.  The value is evaluated before the target, as Python does."""
+        shapes, masked unless the range pass says the value ``fits``.
+        The value is evaluated before the target, as Python does."""
         ref = node.ref
         width = ref.width
-        value, bound = self.expr(node.expr)
-        if bound is None or bound > width:
+        value = self.expr(node.expr)
+        if not node.fits:
             value = f"{value} & {_mask(width)}"
         net = self.net(ref)
         if ref.index is not None:
@@ -312,11 +297,6 @@ class _Printer:
         self.emit(pad + 4, f"if {net}.blocks: _notify({net})")
 
 
-def _widest(bounds):
-    bounds = list(bounds)
-    return None if None in bounds else max(bounds)
-
-
 # -- the function, and one instance of it --------------------------------------
 
 
@@ -325,7 +305,7 @@ def print_function(ir, func, hole_of, nholes):
     of ``_h0`` .. (``hole_of``: ``id`` of an IR leaf -> its hole),
     ``_notify``, ``_pending``, ``_sf`` and ``_tf``; raises
     :class:`Refused` where the block keeps its closure.  ``ir`` is
-    ``Bits``-exact already: its ``Wrap`` nodes say where to mask."""
+    ``Bits``-exact already: its ``Wrap`` nodes and ``fits`` say where."""
     for name in (func.__name__, *ir.locals):
         if _RESERVED.match(name):
             raise Refused(f"the block's name {name!r} is one the "

@@ -46,8 +46,10 @@ stores one word or two.  The instance handle points at the checkpoint blob ``cur
 
 Local variables are ``int64_t`` (signed, so idioms like ``sa = a -
 0x100000000`` compare correctly); a body with a local that may hold 64
-bits or more, or that may store that much into CL state, has no C (the
-typer names it, ``BlockIR.wide_local`` / ``wide_state``).  The
+bits or more, or that may store that much into CL state, or that is
+made of a value this ``u128`` / ``int64_t`` arithmetic cannot compute,
+has no C (the range pass names it, ``BlockIR.wide_local`` /
+``wide_state`` / ``wide_value``).  The
 settle before an edge (``eval_comb``, and ``cycle``'s first) runs only
 the comb blocks the input ports changed since the last settle reach
 (``in_blk``, ``in_cone``); the Python boundary moves every input port
@@ -449,7 +451,9 @@ def c_template(ir, hole_of):
         f"local {ir.wide_local!r} may hold 64 bits or more "
         f"(C locals are int64_t)")) or (ir.wide_state and (
         f"CL state {ir.wide_state!r} may be given 64 bits or more "
-        f"(C holds CL state as int64_t)"))
+        f"(C holds CL state as int64_t)")) or (ir.wide_value and (
+        f"{ir.wide_value} may compute a value C's u128 / int64_t "
+        f"arithmetic gets wrong"))
     return ("\n".join(lines), tuple(printer.kinds), tuple(printer.sources),
             refused)
 

@@ -49,9 +49,14 @@ The *Bits* mode (``_BitsBody``) prints what that rule leaves out —
 locals, which wraps at the operand's width, over signals up to 70 bits
 wide — over the three CPython columns, SimJIT and the all-sensitive
 one: the closures define the value, and the lowered kernel and the C
-must reproduce it from the one ``Bits``-exact IR.  C's locals are
-``int64_t``, so a value stored in a local is at most ``LOCAL_BITS``
-wide (masked there when it could be wider).
+must reproduce it from the one ``Bits``-exact IR.  An int stored in a
+local is masked to ``LOCAL_BITS`` where it could be wider, except one
+pick in four: C's locals are ``int64_t``, so the range pass must then
+refuse the body (``may hold 64 bits or more``, SimJIT's cell) or show
+that the value fits; a design with no such store (``_Design.wide``)
+must compile.  One pick in four a signal write stores ``x0`` as it is,
+or, after such a store, its bits past ``int64_t``: where a truncated
+local would show.
 
 Not here yet (ROADMAP item 12): CL state, generated siblings that
 differ in a width (pinned cases are in ``test_lowered_blocks.py``),
@@ -102,6 +107,7 @@ class _Body:
         self.sigs = sigs
         self.tbl = tbl
         self.scope = {}             # local or loop variable -> bits
+        self.wide = False           # a local given more than LOCAL_BITS
         self.nloops = 0
         self.lines = []
 
@@ -487,24 +493,37 @@ class _BitsBody(_Body):
         return f"({self.intx(depth)[0]} & 3)"
 
     def ring(self, depth):
-        """What a signal write consumes: any type."""
+        """What a signal write consumes: any type, now and then a local
+        as it is, one pick in four.  Once a local was given a wide value,
+        that pick is listed first (hypothesis draws it more often) and
+        is ``x0``'s bits past ``int64_t``, where C's truncation of it
+        shows in a target of any width."""
+        if self.pick(self.wide, False, False, True):
+            return "((x0 >> 32) >> 32)" if self.wide else "x0"
         return self.typed(depth)
 
     # -- statements ------------------------------------------------------------
 
     def local_int(self, depth):
-        """An int a local may hold: C's locals are ``int64_t``, so one
-        wider than ``LOCAL_BITS`` is masked first."""
-        text, bits = self.intx(depth)
+        """An int a local may hold."""
+        return self.stored(*self.intx(depth))
+
+    def stored(self, text, bits):
+        """``text``, ``bits`` wide, as a local is given it: masked to
+        ``LOCAL_BITS`` where it could be wider, except one pick in
+        four."""
         if bits <= LOCAL_BITS:
-            return text, bits
-        return f"({text} & {_mask(LOCAL_BITS)})", LOCAL_BITS
+            return text
+        if self.pick(True, False, False, False):
+            self.wide = True
+            return text
+        return f"({text} & {_mask(LOCAL_BITS)})"
 
     def prologue(self, pad):
         self.emit(pad, "xs = [0] * 4")
         sig = self.pick(*self.sigs)
-        self.emit(pad, f"x0 = {sig}.uint()" if self.sigs[sig] <= LOCAL_BITS
-                  else f"x0 = {sig}.uint() & {_mask(LOCAL_BITS)}")
+        self.emit(pad,
+                  f"x0 = {self.stored(f'{sig}.uint()', self.sigs[sig])}")
         self.emit(pad, "m0 = x0")
         self.scope["x0"] = LOCAL_BITS
         for name in ("b0", "b1")[:self.upto(1, 2)]:
@@ -529,16 +548,16 @@ class _BitsBody(_Body):
                 self.intx(1)[0], self.bitsy(1, upto=w)[0])
             self.emit(pad, f"{name} {op} {by}")
         elif kind == "int":
-            self.emit(pad, f"x0 = {self.local_int(2)[0]}")
+            self.emit(pad, f"x0 = {self.local_int(2)}")
         elif kind == "store":
-            self.emit(pad, f"xs[{self.index(1)}] = {self.local_int(2)[0]}")
+            self.emit(pad, f"xs[{self.index(1)}] = {self.local_int(2)}")
         elif kind == "mixed":
             # Bits on one path, an int on the other: fine wherever only
             # the value of m0 is used (intx, typed), and a block that
             # does arithmetic on it keeps its closure.
             self.emit(pad, f"m0 = ({self.bitsy(1, LOCAL_BITS)[0]} "
                            f"if {self.cond(1)} "
-                           f"else {self.local_int(1)[0]})")
+                           f"else {self.local_int(1)})")
         else:
             self.stmt_control(pad, depth, in_loop, kind)
 
@@ -551,6 +570,7 @@ class _Design:
     ka: int
     kb: int
     seed: int           # of the stimulus
+    wide: bool = False  # a Bits-mode local given more than LOCAL_BITS
 
     def __repr__(self):
         return (f"_Design(ka={self.ka}, kb={self.kb}, seed={self.seed}, "
@@ -574,6 +594,7 @@ def designs(draw, body_type=_Body, widths=WIDTHS):
               f"        s.out = OutPort({out})"]
 
     blocks = []
+    wide = False
     seen = {**inputs, **regs}
     for name, w in {**wires, "out": out}.items():
         body = body_type(draw, reads(seen), tbl)
@@ -588,6 +609,7 @@ def designs(draw, body_type=_Body, widths=WIDTHS):
             target = f"s.{name}" if cut == 0 else f"s.{name}[{lo}:{hi}]"
             body.emit(12, f"{target}.value = {body.ring(2)}")
         blocks.append(body.lines)
+        wide = wide or body.wide
         seen[name] = w
     del seen["out"]
     for name, w in {**regs, "tbl": tbl}.items():
@@ -611,6 +633,7 @@ def designs(draw, body_type=_Body, widths=WIDTHS):
         target = f"s.tbl[{body.index(1)}]" if name == "tbl" else f"s.{name}"
         body.emit(pad, f"{target}.next = {body.ring(2)}")
         blocks.append(body.lines)
+        wide = wide or body.wide
 
     lines = ["from repro import InPort, Model, OutPort, Wire",
              "from repro.core.bits import concat, sext, zext", "", "",
@@ -633,7 +656,7 @@ def designs(draw, body_type=_Body, widths=WIDTHS):
     ka = draw(st.integers(0, 0xFFFF))
     kb = ka ^ draw(st.integers(1, 0xFFFF))
     return _Design("\n".join(lines) + "\n", inputs, probes, ka, kb,
-                   draw(st.integers(0, 1 << 16)))
+                   draw(st.integers(0, 1 << 16)), wide)
 
 
 def _agree(design, models, sims, probes):
@@ -675,8 +698,8 @@ def test_a_range_pass_that_calls_every_operand_non_negative_is_caught(
     span = ast_ir._Spans._span
 
     def never_negative(self, node):
-        lo, hi, holes = span(self, node)
-        return ast_ir.Span(max(lo or 0, 0), hi, holes)
+        got = span(self, node)
+        return got._replace(lo=max(got.lo or 0, 0))
 
     # Each example's blocks are new code, so lowered afresh: the body
     # cache stays (swapping it would strand the entries of code that
@@ -755,6 +778,8 @@ def _cpython_columns(build):
 #: another, which arithmetic and a local array cannot take.  Anything
 #: else the printer refuses is a failure.
 _UNDECIDABLE = ("Bits on one path and an int", "array elements are ints")
+#: ... and the one C adds: an unmasked local that may not fit ``int64_t``.
+_WIDE = "may hold 64 bits or more"
 
 
 @_SETTINGS
@@ -763,8 +788,53 @@ def test_bits_typed_design_agrees_on_every_substrate(design):
     """The ``Bits`` rule as a property: event, the lowered blocks,
     counted and bare, and SimJIT agree where arithmetic wraps at the
     operands' width — every printer reads the one ``Bits``-exact IR.
-    A design with a block whose types are undecided has no C: SimJIT
-    refuses it with the typer's reason."""
+    A design with a block whose types are undecided, or with a local C
+    cannot hold, has no C: SimJIT refuses it with that reason, and only
+    a design the generator gave an unmasked wide local may be refused
+    as wide."""
+    _bits_agree(design)
+
+
+def _bits_mutant_is_caught(match="disagrees", widths=BITS_WIDTHS):
+    """The pinned ``Bits``-mode examples find the seeded mutant (no
+    shrinking: each example compiles C)."""
+    mutant = settings(_SETTINGS, phases=[Phase.generate])(
+        given(designs(_BitsBody, widths))(_bits_agree))
+    with pytest.raises(AssertionError, match=match):
+        mutant()
+
+
+def test_a_range_pass_that_never_marks_a_value_wide_is_caught(monkeypatch):
+    """The seeded mutant: every store fits ``int64_t``, so C truncates
+    an unmasked local that holds more.  Only a local past 63 bits shows
+    it, so the examples are drawn over 70-bit signals."""
+    monkeypatch.setattr(ast_ir._Spans, "fits64",
+                        lambda self, node: frozenset())
+    _bits_mutant_is_caught(widths=(70,))
+
+
+def test_a_range_pass_that_calls_every_store_wide_is_caught(monkeypatch):
+    """The seeded mutant: no store fits ``int64_t``, so SimJIT refuses
+    designs whose every local is masked to ``LOCAL_BITS``."""
+    monkeypatch.setattr(ast_ir._Spans, "fits64", lambda self, node: None)
+    _bits_mutant_is_caught("SimJIT refuses")
+
+
+def test_a_range_pass_that_calls_every_write_fits_is_caught(monkeypatch):
+    """The seeded mutant: no signal write is masked, so the lowered
+    blocks store values wider than their nets."""
+    simple = ast_ir._Spans.simple
+
+    def every_write_fits(self, node):
+        simple(self, node)
+        if isinstance(node, ast_ir.AssignSig):
+            self.facts[id(node)] = node, "fits", frozenset()
+
+    monkeypatch.setattr(ast_ir._Spans, "simple", every_write_fits)
+    _bits_mutant_is_caught()
+
+
+def _bits_agree(design):
     build = load_generated(design.source)["Gen"]
     models, sims = _cpython_columns(lambda: build(design.ka))
     info = sims[2].sched_info()
@@ -776,12 +846,17 @@ def test_bits_typed_design_agrees_on_every_substrate(design):
     assert all(any(why in reason for why in _UNDECIDABLE)
                for reason in lowered["kept"].values()), lowered["kept"]
     assert lowered["blocks"] > 0
-    if lowered["kept"]:
-        with pytest.raises(TranslationError, match="|".join(_UNDECIDABLE)):
-            SimJITRTL(build(design.ka).elaborate()).specialize()
+    refusals = _UNDECIDABLE if lowered["kept"] else ()
+    if design.wide:
+        refusals += (_WIDE,)
+    try:
+        jit = SimJITRTL(build(design.ka).elaborate()).specialize()
+    except TranslationError as exc:
+        assert any(why in str(exc) for why in refusals), \
+            f"SimJIT refuses: {exc}"
     else:
-        models.append(
-            SimJITRTL(build(design.ka).elaborate()).specialize().elaborate())
+        assert not lowered["kept"], lowered["kept"]
+        models.append(jit.elaborate())
         sims.append(SimulationTool(models[-1]))
         assert "/simjit " in repr(sims[-1])
     _agree(design, models, sims, design.probes)

@@ -400,19 +400,103 @@ class _NarrowLocals(Model):
             s.o.value = low + hit + top
 
 
-class _HoldsWideLocal(Model):
+class _Grows(Model):
+    """40-bit reads, and a value past ``int64_t`` made of them: the
+    leaf-width rule let C truncate it (``o`` read 0).  At 70 bits, a
+    value that fits but is made of one outside C's ``u128`` (past it,
+    or negative where C compares).  An ``int64_t`` shifted by an amount
+    that may reach 64 is undefined in C (x86 shifted 129 by ``2**39``
+    as by 0)."""
+
+    def __init__(s, kind):
+        nbits = 70 if kind.startswith("u128") else 40
+        s.a, s.b, s.o = InPort(nbits), InPort(nbits), OutPort(nbits)
+        if kind == "u128-shift":
+            @s.combinational
+            def comb():
+                x = (s.a.uint() << 70) >> 80
+                s.o.value = x
+        elif kind == "u128-product":
+            @s.combinational
+            def comb():
+                x = (s.a.uint() * s.b.uint()) >> 80
+                s.o.value = x
+        elif kind == "u128-write":
+            @s.combinational
+            def comb():
+                s.o.value = (s.a.uint() * s.b.uint()) >> 70
+        elif kind == "u128-negative":
+            @s.combinational
+            def comb():
+                s.o.value = 1 if s.a.uint() - s.b.uint() - 1 < 0 else 0
+        elif kind == "u128-cond":
+            @s.combinational
+            def comb():
+                if (s.a.uint() << 70) >> 138:
+                    s.o.value = 1
+                else:
+                    s.o.value = 0
+        elif kind == "shift-amount":
+            @s.combinational
+            def comb():
+                x = (s.a.uint() >> 32) | 1
+                s.o.value = x >> s.b.uint()
+        elif kind == "product":
+            @s.combinational
+            def comb():
+                p = s.a.uint() * s.b.uint()
+                s.o.value = p >> 40
+        elif kind == "shift":
+            @s.combinational
+            def comb():
+                t = s.a.uint() << 30
+                s.o.value = t >> 35
+        else:
+            s.acc = 0
+
+            @s.tick_cl
+            def tick():
+                s.acc = s.a.uint() << 30
+                s.o.next = s.acc >> 35
+
+
+class _NarrowedWideRead(Model):
+    """``x`` is a 70-bit read shifted into 60 bits: it fits C's local.
+    ``p``'s product passes C's ``u128``, but the write keeps only what
+    C's wrapping arithmetic keeps right, its low 70 bits."""
+
     def __init__(s):
-        s.x = _WideLocal()
-        s.a, s.o = InPort(80), OutPort(80)
-        s.connect(s.a, s.x.a)
-        s.connect(s.x.o, s.o)
+        s.a, s.o, s.p = InPort(70), OutPort(70), OutPort(70)
+
+        @s.combinational
+        def comb():
+            x = s.a.uint() >> 10
+            s.o.value = x
+            s.p.value = s.a.uint() * s.a.uint()
+
+
+class _Holds(Model):
+    def __init__(s, x):
+        s.x = x
+        for name in ("a", "b", "o"):
+            if hasattr(x, name):
+                port = getattr(x, name)
+                setattr(s, name, type(port)(port.nbits))
+                s.connect(getattr(s, name), port)
 
 
 def test_wide_locals_are_refused_in_c():
     """A local given a value that may need 64 bits or more: C truncated
     it (``(1 << 70) | 5`` read ``0x5``).  C refuses the body loudly,
     ``auto_specialize`` says why, and the CPython rung still lowers it;
-    locals that only compare or slice such a value still compile."""
+    locals that only compare or slice such a value still compile.  The
+    range pass judges the value, not its leaves: a product or a shift
+    of 40-bit reads, into a local or CL state, is refused, and a 70-bit
+    read shifted into 60 bits compiles.  So is a value that fits but is
+    made of one outside C's ``u128`` (a shift or product of 70-bit
+    reads shifted back, a negative difference compared), into a local,
+    a signal or a condition, and a shift of an ``int64_t`` by an amount
+    that may reach 64, which C leaves undefined."""
     why = "local 'x' may hold 64 bits or more"
     value = (1 << 70) | 5
     for probe, want in ((_WideLocal, value), (_WideIntLocal, value + 1)):
@@ -425,7 +509,7 @@ def test_wide_locals_are_refused_in_c():
             sim.cycle()
             assert int(model.o) == want, sched
         assert sim.sched_info()["lowered"]["kept"] == {}
-    top = auto_specialize(_HoldsWideLocal())
+    top = auto_specialize(_Holds(_WideLocal()))
     sim = SimulationTool(top.elaborate())
     assert why in sim.sched_info()["simjit"]["interpreted"]["top.x"]
     top.a.value = value
@@ -440,6 +524,50 @@ def test_wide_locals_are_refused_in_c():
             model.a.value = value
             sim.cycle()
             assert int(model.o) == want, sim
+    past = "may compute a value C's u128 / int64_t arithmetic gets wrong"
+    for kind, specializer, why, want in (
+            ("product", SimJITRTL, "local 'p' may hold 64 bits or more",
+             1 << 38),
+            ("shift", SimJITRTL, "local 't' may hold 64 bits or more",
+             1 << 34),
+            ("state", SimJITCL, "CL state 'acc' may be given 64 bits or more",
+             1 << 34),
+            ("u128-shift", SimJITRTL, "local 'x' may hold 64 bits or more",
+             1 << 59),
+            ("u128-product", SimJITRTL, "local 'x' may hold 64 bits or more",
+             1 << 58),
+            ("u128-write", SimJITRTL, f"70-bit signal write {past}",
+             1 << 68),
+            ("u128-negative", SimJITRTL, f"70-bit signal write {past}",
+             1),
+            ("u128-cond", SimJITRTL, f"a condition {past}", 1),
+            ("shift-amount", SimJITRTL, f"40-bit signal write {past}", 0)):
+        with pytest.raises(TranslationError, match=why):
+            specializer(_Grows(kind).elaborate()).specialize()
+        top = auto_specialize(_Holds(_Grows(kind)))
+        sim = SimulationTool(top.elaborate())
+        assert why in sim.sched_info()["simjit"]["interpreted"]["top.x"]
+        # No static schedule for a CL tick alone: it runs on event.
+        scheds = ("event",) if kind == "state" else ("event", "static")
+        tops = [top] + [_Grows(kind).elaborate() for _ in scheds]
+        sims = [sim] + [SimulationTool(model, sched=sched)
+                        for model, sched in zip(tops[1:], scheds)]
+        for model, sim in zip(tops, sims):
+            model.a.value = model.b.value = 1 << model.a.nbits - 1
+            sim.cycle()
+            assert int(model.o) == want, (kind, sim)
+    models = [SimJITRTL(_NarrowedWideRead().elaborate()).specialize()
+              .elaborate(), _NarrowedWideRead().elaborate()]
+    sims = [SimulationTool(models[0]),
+            SimulationTool(models[1], sched="event")]
+    assert "/simjit " in repr(sims[0])
+    for value in (0x7F << 63 | 0x12345, 1 << 69, (1 << 70) - 1, 1 << 63):
+        for model, sim in zip(models, sims):
+            model.a.value = value
+            sim.cycle()
+        assert int(models[0].o) == int(models[1].o) == value >> 10
+        assert int(models[0].p) == int(models[1].p) == \
+            value * value % (1 << 70)
 
 
 def test_wide_cl_state_is_refused_in_c():

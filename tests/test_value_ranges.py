@@ -11,6 +11,7 @@ and the named refusal of CL state ``int64_t`` cannot hold.  The
 generated cases are in ``test_generated_blocks.py``.
 """
 
+import linecache
 import re
 
 import pytest
@@ -295,3 +296,40 @@ def test_cl_state_too_wide_for_int64_is_a_named_refusal():
     assert int(top.out) == 5
     why = sim.sched_info()["simjit"]["interpreted"]["top"]
     assert why.startswith("top.tick: CL state 'acc' starts at"), why
+
+
+class _Stores(Model):
+    def __init__(s):
+        s.a, s.b = InPort(8), InPort(8)
+        s.fit, s.grow, s.hit = OutPort(9), OutPort(8), OutPort(1)
+
+        @s.combinational
+        def blk():
+            s.fit.value = s.a.uint() + s.b.uint()
+            s.grow.value = s.a.uint() + s.b.uint()
+            x = s.a.uint() == s.b.uint()
+            s.hit.value = x & (s.a.uint() < 100)
+
+
+def test_the_lowered_python_masks_a_write_unless_it_fits():
+    """The range pass alone decides a signal write's mask on the CPython
+    rung: a 9-bit sum into 9 bits is stored as it is, into 8 bits it is
+    masked, and so is a comparison, through a local and ``&``, so the
+    net holds the int a closure stores (``1``, not ``True``)."""
+    models = [_Stores().elaborate() for _ in range(2)]
+    sims = [SimulationTool(models[0], sched="event"),
+            SimulationTool(models[1], sched="static")]
+    func, = sims[1]._static_order
+    stores = [line.strip() for line in linecache.getlines(
+        func.__code__.co_filename) if line.strip().startswith("_v = ")]
+    assert [line.endswith(mask) for line, mask in zip(
+        stores, ("_h1._value)", "& 0xff", "& 0x1"))] == [True] * 3, stores
+    for a, b in ((200, 100), (7, 7)):
+        for model in models:
+            model.a.value, model.b.value = a, b
+        for sim in sims:
+            sim.cycle()
+        for model in models:
+            assert [model.fit.uint(), model.grow.uint(), model.hit.uint()] \
+                == [a + b, (a + b) & 0xFF, int(a == b < 100)]
+            assert type(model.hit.uint()) is int
