@@ -1,9 +1,9 @@
 //----------------------------------------------------------------------
 // Generated by repro.TranslationTool
-// Top module: CacheRTL_2f9d22e8
+// Top module: CacheRTL_71c5c86c
 //----------------------------------------------------------------------
 
-module CacheRTL_2f9d22e8
+module CacheRTL_71c5c86c
 (
   input  wire clk,
   input  wire reset,
@@ -102,16 +102,19 @@ module CacheRTL_2f9d22e8
   integer hit_line;
   integer victim;
   integer got;
+  integer seq_logic__k0;
   // seq_logic
   always @(posedge clk) begin
     if (reset != 0) begin
       state <= 0;
       access_count <= 0;
       miss_count <= 0;
-      for (i = 0; i < 64; i = i + 1) begin
+      for (seq_logic__k0 = 0; seq_logic__k0 < 64; seq_logic__k0 = seq_logic__k0 + 1) begin
+        i = seq_logic__k0;
         valid_arr[i] <= 0;
       end
-      for (i = 0; i < 64; i = i + 1) begin
+      for (seq_logic__k0 = 0; seq_logic__k0 < 64; seq_logic__k0 = seq_logic__k0 + 1) begin
+        i = seq_logic__k0;
         lru_arr[i] <= 0;
       end
     end else begin
@@ -123,7 +126,8 @@ module CacheRTL_2f9d22e8
           tag = (addr >> (4 + 6));
           word = ((addr >> 2) & (4 - 1));
           hit_way = (-1);
-          for (w = 0; w < 1; w = w + 1) begin
+          for (seq_logic__k0 = 0; seq_logic__k0 < 1; seq_logic__k0 = seq_logic__k0 + 1) begin
+            w = seq_logic__k0;
             line = ((idx * 1) + w);
             if (((valid_arr[line] != 0) && ((tags_arr[line] == tag) != 0)) != 0) begin
               hit_way = w;
@@ -152,7 +156,8 @@ module CacheRTL_2f9d22e8
             end else begin
               miss_count <= (miss_count + 1);
               victim = (((1 == 2)) ? lru_arr[idx] : 0);
-              for (w = 0; w < 1; w = w + 1) begin
+              for (seq_logic__k0 = 0; seq_logic__k0 < 1; seq_logic__k0 = seq_logic__k0 + 1) begin
+                w = seq_logic__k0;
                 if ((valid_arr[((idx * 1) + w)] == 0) != 0) begin
                   victim = w;
                 end

@@ -1,9 +1,9 @@
 //----------------------------------------------------------------------
 // Generated by repro.TranslationTool
-// Top module: DotProductRTL_c55786ca
+// Top module: DotProductRTL_e22974f8
 //----------------------------------------------------------------------
 
-module IntPipelinedMultiplier_76a996ae
+module IntPipelinedMultiplier_851ebdae
 (
   input  wire clk,
   input  wire reset,
@@ -19,16 +19,18 @@ module IntPipelinedMultiplier_76a996ae
   end
 
   integer i;
+  integer seq_logic__k0;
   // seq_logic
   always @(posedge clk) begin
     stage_arr[0] <= (op_a * op_b);
-    for (i = 1; i < 4; i = i + 1) begin
+    for (seq_logic__k0 = 1; seq_logic__k0 < 4; seq_logic__k0 = seq_logic__k0 + 1) begin
+      i = seq_logic__k0;
       stage_arr[i] <= stage_arr[(i - 1)];
     end
   end
 endmodule
 
-module DotProductDpath_ceea4c60
+module DotProductDpath_d8249f41
 (
   input  wire clk,
   input  wire reset,
@@ -60,7 +62,7 @@ module DotProductDpath_ceea4c60
   reg  [31:0] accum_out;
   reg  [31:0] acc_count;
 
-  IntPipelinedMultiplier_76a996ae mul
+  IntPipelinedMultiplier_851ebdae mul
   (
     .clk(clk),
     .reset(reset),
@@ -231,7 +233,7 @@ module DotProductCtrl_0e97678c
   end
 endmodule
 
-module DotProductRTL_c55786ca
+module DotProductRTL_e22974f8
 (
   input  wire clk,
   input  wire reset,
@@ -253,7 +255,7 @@ module DotProductRTL_c55786ca
   wire [4:0] net_1;
   wire [3:0] net_2;
 
-  DotProductDpath_ceea4c60 dpath
+  DotProductDpath_d8249f41 dpath
   (
     .clk(clk),
     .reset(reset),

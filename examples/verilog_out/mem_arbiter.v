@@ -1,9 +1,9 @@
 //----------------------------------------------------------------------
 // Generated by repro.TranslationTool
-// Top module: MemArbiter_b0d8f9f8
+// Top module: MemArbiter_fd221363
 //----------------------------------------------------------------------
 
-module MemArbiter_b0d8f9f8
+module MemArbiter_fd221363
 (
   input  wire clk,
   input  wire reset,
@@ -58,12 +58,14 @@ module MemArbiter_b0d8f9f8
   integer busy;
   integer grant;
   integer can_issue;
+  integer arb_comb__k0;
   // arb_comb
   always @(*) begin
     if (reset != 0) begin
       mem_ifc__req__val = 0;
       mem_ifc__resp__rdy = 0;
-      for (i = 0; i < 2; i = i + 1) begin
+      for (arb_comb__k0 = 0; arb_comb__k0 < 2; arb_comb__k0 = arb_comb__k0 + 1) begin
+        i = arb_comb__k0;
         shadow_0[i] = 0;
         shadow_1[i] = 0;
       end
@@ -79,7 +81,8 @@ module MemArbiter_b0d8f9f8
         end
       end
       can_issue = (count < 3);
-      for (i = 0; i < 2; i = i + 1) begin
+      for (arb_comb__k0 = 0; arb_comb__k0 < 2; arb_comb__k0 = arb_comb__k0 + 1) begin
+        i = arb_comb__k0;
         if ((i == grant) != 0) begin
           shadow_0[i] = ((mem_ifc__req__rdy != 0) && (can_issue != 0));
           shadow_1[i] = mem_ifc__resp__val;

@@ -1,6 +1,6 @@
 //----------------------------------------------------------------------
 // Generated by repro.TranslationTool
-// Top module: MeshNetworkStructural_6273de15
+// Top module: MeshNetworkStructural_c188bc3b
 //----------------------------------------------------------------------
 
 module NormalQueue_4d0c60cc
@@ -63,7 +63,7 @@ module NormalQueue_4d0c60cc
   end
 endmodule
 
-module RouterRTL_6d001137
+module RouterRTL_4ca0efc7
 (
   input  wire clk,
   input  wire reset,
@@ -239,6 +239,8 @@ module RouterRTL_6d001137
   integer choice;
   integer base;
   integer k;
+  integer switch_logic__k0;
+  integer switch_logic__k1;
   // switch_logic
   always @(*) begin
     msgs[0] = 0;
@@ -256,7 +258,8 @@ module RouterRTL_6d001137
     routes[2] = 0;
     routes[3] = 0;
     routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
+    for (switch_logic__k0 = 0; switch_logic__k0 < 5; switch_logic__k0 = switch_logic__k0 + 1) begin
+      i = switch_logic__k0;
       msg = shadow_0[i];
       msgs[i] = msg;
       vals[i] = shadow_1[i];
@@ -291,7 +294,8 @@ module RouterRTL_6d001137
     choices[2] = (-1);
     choices[3] = (-1);
     choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
+    for (switch_logic__k0 = 0; switch_logic__k0 < 5; switch_logic__k0 = switch_logic__k0 + 1) begin
+      o = switch_logic__k0;
       if (hold_val_arr[o] != 0) begin
         i = hold_grant_arr[o];
         if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
@@ -300,11 +304,13 @@ module RouterRTL_6d001137
         end
       end
     end
-    for (o = 0; o < 5; o = o + 1) begin
+    for (switch_logic__k0 = 0; switch_logic__k0 < 5; switch_logic__k0 = switch_logic__k0 + 1) begin
+      o = switch_logic__k0;
       choice = choices[o];
       if ((choice < 0) != 0) begin
         base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
+        for (switch_logic__k1 = 0; switch_logic__k1 < 5; switch_logic__k1 = switch_logic__k1 + 1) begin
+          k = switch_logic__k1;
           i = ((base + k) % 5);
           if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
             choice = i;
@@ -326,10 +332,12 @@ module RouterRTL_6d001137
         shadow_3[o] = 0;
       end
     end
-    for (i = 0; i < 5; i = i + 1) begin
+    for (switch_logic__k0 = 0; switch_logic__k0 < 5; switch_logic__k0 = switch_logic__k0 + 1) begin
+      i = switch_logic__k0;
       shadow_4[i] = 0;
     end
-    for (o = 0; o < 5; o = o + 1) begin
+    for (switch_logic__k0 = 0; switch_logic__k0 < 5; switch_logic__k0 = switch_logic__k0 + 1) begin
+      o = switch_logic__k0;
       if (grant_val_arr[o] != 0) begin
         shadow_4[grant_arr[o]] = shadow_5[o];
       end
@@ -345,15 +353,18 @@ module RouterRTL_6d001137
     shadow_6[4] = out_4__rdy;
   end
   integer o;
+  integer telemetry_logic__k0;
   // telemetry_logic
   always @(posedge clk) begin
     if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
+      for (telemetry_logic__k0 = 0; telemetry_logic__k0 < 5; telemetry_logic__k0 = telemetry_logic__k0 + 1) begin
+        o = telemetry_logic__k0;
         flit_count_arr[o] <= 0;
         stall_count_arr[o] <= 0;
       end
     end else begin
-      for (o = 0; o < 5; o = o + 1) begin
+      for (telemetry_logic__k0 = 0; telemetry_logic__k0 < 5; telemetry_logic__k0 = telemetry_logic__k0 + 1) begin
+        o = telemetry_logic__k0;
         if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
           flit_count_arr[o] <= (flit_count_arr[o] + 1);
         end
@@ -373,16 +384,19 @@ module RouterRTL_6d001137
     shadow_7[4] = out_4__rdy;
   end
   integer o;
+  integer priority_logic__k0;
   // priority_logic
   always @(posedge clk) begin
     if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
+      for (priority_logic__k0 = 0; priority_logic__k0 < 5; priority_logic__k0 = priority_logic__k0 + 1) begin
+        o = priority_logic__k0;
         priority_arr[o] <= 0;
         hold_val_arr[o] <= 0;
         hold_grant_arr[o] <= 0;
       end
     end else begin
-      for (o = 0; o < 5; o = o + 1) begin
+      for (priority_logic__k0 = 0; priority_logic__k0 < 5; priority_logic__k0 = priority_logic__k0 + 1) begin
+        o = priority_logic__k0;
         if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
           priority_arr[o] <= ((grant_arr[o] + 1) % 5);
         end
@@ -397,7 +411,7 @@ module RouterRTL_6d001137
   end
 endmodule
 
-module MeshNetworkStructural_6273de15
+module MeshNetworkStructural_c188bc3b
 (
   input  wire clk,
   input  wire reset,
@@ -643,7 +657,7 @@ module MeshNetworkStructural_6273de15
   wire net_143;
   wire net_144;
 
-  RouterRTL_6d001137 #(.switch_logic_k5(0), .switch_logic_k8(0)) routers_0
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(0), .switch_logic_k8(0)) routers_0
   (
     .clk(clk),
     .reset(reset),
@@ -679,7 +693,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy()
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(1), .switch_logic_k8(0)) routers_1
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(1), .switch_logic_k8(0)) routers_1
   (
     .clk(clk),
     .reset(reset),
@@ -715,7 +729,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy(net_6)
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(2), .switch_logic_k8(0)) routers_2
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(2), .switch_logic_k8(0)) routers_2
   (
     .clk(clk),
     .reset(reset),
@@ -751,7 +765,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy(net_18)
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(3), .switch_logic_k8(0)) routers_3
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(3), .switch_logic_k8(0)) routers_3
   (
     .clk(clk),
     .reset(reset),
@@ -787,7 +801,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy(net_30)
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(0), .switch_logic_k8(1)) routers_4
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(0), .switch_logic_k8(1)) routers_4
   (
     .clk(clk),
     .reset(reset),
@@ -823,7 +837,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy()
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(1), .switch_logic_k8(1)) routers_5
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(1), .switch_logic_k8(1)) routers_5
   (
     .clk(clk),
     .reset(reset),
@@ -859,7 +873,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy(net_48)
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(2), .switch_logic_k8(1)) routers_6
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(2), .switch_logic_k8(1)) routers_6
   (
     .clk(clk),
     .reset(reset),
@@ -895,7 +909,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy(net_60)
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(3), .switch_logic_k8(1)) routers_7
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(3), .switch_logic_k8(1)) routers_7
   (
     .clk(clk),
     .reset(reset),
@@ -931,7 +945,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy(net_72)
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(0), .switch_logic_k8(2)) routers_8
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(0), .switch_logic_k8(2)) routers_8
   (
     .clk(clk),
     .reset(reset),
@@ -967,7 +981,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy()
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(1), .switch_logic_k8(2)) routers_9
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(1), .switch_logic_k8(2)) routers_9
   (
     .clk(clk),
     .reset(reset),
@@ -1003,7 +1017,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy(net_90)
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(2), .switch_logic_k8(2)) routers_10
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(2), .switch_logic_k8(2)) routers_10
   (
     .clk(clk),
     .reset(reset),
@@ -1039,7 +1053,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy(net_102)
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(3), .switch_logic_k8(2)) routers_11
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(3), .switch_logic_k8(2)) routers_11
   (
     .clk(clk),
     .reset(reset),
@@ -1075,7 +1089,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy(net_114)
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(0), .switch_logic_k8(3)) routers_12
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(0), .switch_logic_k8(3)) routers_12
   (
     .clk(clk),
     .reset(reset),
@@ -1111,7 +1125,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy()
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(1), .switch_logic_k8(3)) routers_13
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(1), .switch_logic_k8(3)) routers_13
   (
     .clk(clk),
     .reset(reset),
@@ -1147,7 +1161,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy(net_132)
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(2), .switch_logic_k8(3)) routers_14
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(2), .switch_logic_k8(3)) routers_14
   (
     .clk(clk),
     .reset(reset),
@@ -1183,7 +1197,7 @@ module MeshNetworkStructural_6273de15
     .out_4__rdy(net_138)
   );
 
-  RouterRTL_6d001137 #(.switch_logic_k5(3), .switch_logic_k8(3)) routers_15
+  RouterRTL_4ca0efc7 #(.switch_logic_k5(3), .switch_logic_k8(3)) routers_15
   (
     .clk(clk),
     .reset(reset),

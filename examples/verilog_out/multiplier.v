@@ -1,9 +1,9 @@
 //----------------------------------------------------------------------
 // Generated by repro.TranslationTool
-// Top module: IntPipelinedMultiplier_76a996ae
+// Top module: IntPipelinedMultiplier_851ebdae
 //----------------------------------------------------------------------
 
-module IntPipelinedMultiplier_76a996ae
+module IntPipelinedMultiplier_851ebdae
 (
   input  wire clk,
   input  wire reset,
@@ -19,10 +19,12 @@ module IntPipelinedMultiplier_76a996ae
   end
 
   integer i;
+  integer seq_logic__k0;
   // seq_logic
   always @(posedge clk) begin
     stage_arr[0] <= (op_a * op_b);
-    for (i = 1; i < 4; i = i + 1) begin
+    for (seq_logic__k0 = 1; seq_logic__k0 < 4; seq_logic__k0 = seq_logic__k0 + 1) begin
+      i = seq_logic__k0;
       stage_arr[i] <= stage_arr[(i - 1)];
     end
   end

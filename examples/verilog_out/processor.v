@@ -1,9 +1,9 @@
 //----------------------------------------------------------------------
 // Generated by repro.TranslationTool
-// Top module: ProcRTL_54fa8e42
+// Top module: ProcRTL_fc971021
 //----------------------------------------------------------------------
 
-module ProcRTL_54fa8e42
+module ProcRTL_fc971021
 (
   input  wire clk,
   input  wire reset,
@@ -82,13 +82,15 @@ module ProcRTL_54fa8e42
   integer rt;
   integer srt;
   integer wb_val;
+  integer seq_logic__k0;
   // seq_logic
   always @(posedge clk) begin
     if (reset != 0) begin
       state <= 0;
       pc <= 0;
       instret <= 0;
-      for (i = 0; i < 32; i = i + 1) begin
+      for (seq_logic__k0 = 0; seq_logic__k0 < 32; seq_logic__k0 = seq_logic__k0 + 1) begin
+        i = seq_logic__k0;
         rf_arr[i] <= 0;
       end
     end else begin

@@ -1,6 +1,6 @@
 //----------------------------------------------------------------------
 // Generated by repro.TranslationTool
-// Top module: RouterRTL_d92436f8
+// Top module: RouterRTL_19245209
 //----------------------------------------------------------------------
 
 module NormalQueue_4d0c60cc
@@ -63,7 +63,7 @@ module NormalQueue_4d0c60cc
   end
 endmodule
 
-module RouterRTL_d92436f8
+module RouterRTL_19245209
 (
   input  wire clk,
   input  wire reset,
@@ -237,6 +237,8 @@ module RouterRTL_d92436f8
   integer choice;
   integer base;
   integer k;
+  integer switch_logic__k0;
+  integer switch_logic__k1;
   // switch_logic
   always @(*) begin
     msgs[0] = 0;
@@ -254,7 +256,8 @@ module RouterRTL_d92436f8
     routes[2] = 0;
     routes[3] = 0;
     routes[4] = 0;
-    for (i = 0; i < 5; i = i + 1) begin
+    for (switch_logic__k0 = 0; switch_logic__k0 < 5; switch_logic__k0 = switch_logic__k0 + 1) begin
+      i = switch_logic__k0;
       msg = shadow_0[i];
       msgs[i] = msg;
       vals[i] = shadow_1[i];
@@ -289,7 +292,8 @@ module RouterRTL_d92436f8
     choices[2] = (-1);
     choices[3] = (-1);
     choices[4] = (-1);
-    for (o = 0; o < 5; o = o + 1) begin
+    for (switch_logic__k0 = 0; switch_logic__k0 < 5; switch_logic__k0 = switch_logic__k0 + 1) begin
+      o = switch_logic__k0;
       if (hold_val_arr[o] != 0) begin
         i = hold_grant_arr[o];
         if ((((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
@@ -298,11 +302,13 @@ module RouterRTL_d92436f8
         end
       end
     end
-    for (o = 0; o < 5; o = o + 1) begin
+    for (switch_logic__k0 = 0; switch_logic__k0 < 5; switch_logic__k0 = switch_logic__k0 + 1) begin
+      o = switch_logic__k0;
       choice = choices[o];
       if ((choice < 0) != 0) begin
         base = priority_arr[o];
-        for (k = 0; k < 5; k = k + 1) begin
+        for (switch_logic__k1 = 0; switch_logic__k1 < 5; switch_logic__k1 = switch_logic__k1 + 1) begin
+          k = switch_logic__k1;
           i = ((base + k) % 5);
           if ((((choice < 0) != 0) && ((claimed[i] == 0) != 0) && (vals[i] != 0) && ((routes[i] == o) != 0)) != 0) begin
             choice = i;
@@ -324,10 +330,12 @@ module RouterRTL_d92436f8
         shadow_3[o] = 0;
       end
     end
-    for (i = 0; i < 5; i = i + 1) begin
+    for (switch_logic__k0 = 0; switch_logic__k0 < 5; switch_logic__k0 = switch_logic__k0 + 1) begin
+      i = switch_logic__k0;
       shadow_4[i] = 0;
     end
-    for (o = 0; o < 5; o = o + 1) begin
+    for (switch_logic__k0 = 0; switch_logic__k0 < 5; switch_logic__k0 = switch_logic__k0 + 1) begin
+      o = switch_logic__k0;
       if (grant_val_arr[o] != 0) begin
         shadow_4[grant_arr[o]] = shadow_5[o];
       end
@@ -343,15 +351,18 @@ module RouterRTL_d92436f8
     shadow_6[4] = out_4__rdy;
   end
   integer o;
+  integer telemetry_logic__k0;
   // telemetry_logic
   always @(posedge clk) begin
     if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
+      for (telemetry_logic__k0 = 0; telemetry_logic__k0 < 5; telemetry_logic__k0 = telemetry_logic__k0 + 1) begin
+        o = telemetry_logic__k0;
         flit_count_arr[o] <= 0;
         stall_count_arr[o] <= 0;
       end
     end else begin
-      for (o = 0; o < 5; o = o + 1) begin
+      for (telemetry_logic__k0 = 0; telemetry_logic__k0 < 5; telemetry_logic__k0 = telemetry_logic__k0 + 1) begin
+        o = telemetry_logic__k0;
         if (((grant_val_arr[o] != 0) && (shadow_6[o] != 0)) != 0) begin
           flit_count_arr[o] <= (flit_count_arr[o] + 1);
         end
@@ -371,16 +382,19 @@ module RouterRTL_d92436f8
     shadow_7[4] = out_4__rdy;
   end
   integer o;
+  integer priority_logic__k0;
   // priority_logic
   always @(posedge clk) begin
     if (reset != 0) begin
-      for (o = 0; o < 5; o = o + 1) begin
+      for (priority_logic__k0 = 0; priority_logic__k0 < 5; priority_logic__k0 = priority_logic__k0 + 1) begin
+        o = priority_logic__k0;
         priority_arr[o] <= 0;
         hold_val_arr[o] <= 0;
         hold_grant_arr[o] <= 0;
       end
     end else begin
-      for (o = 0; o < 5; o = o + 1) begin
+      for (priority_logic__k0 = 0; priority_logic__k0 < 5; priority_logic__k0 = priority_logic__k0 + 1) begin
+        o = priority_logic__k0;
         if (((grant_val_arr[o] != 0) && (shadow_7[o] != 0)) != 0) begin
           priority_arr[o] <= ((grant_arr[o] + 1) % 5);
         end

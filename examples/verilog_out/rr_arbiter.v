@@ -1,9 +1,9 @@
 //----------------------------------------------------------------------
 // Generated by repro.TranslationTool
-// Top module: RoundRobinArbiter_afe1a1d5
+// Top module: RoundRobinArbiter_520a2913
 //----------------------------------------------------------------------
 
-module RoundRobinArbiter_afe1a1d5
+module RoundRobinArbiter_520a2913
 (
   input  wire clk,
   input  wire reset,
@@ -17,12 +17,14 @@ module RoundRobinArbiter_afe1a1d5
   integer start;
   integer i;
   integer idx;
+  integer arb_logic__k0;
   // arb_logic
   always @(*) begin
     reqs = reqs;
     grants = 0;
     start = priority;
-    for (i = 0; i < 4; i = i + 1) begin
+    for (arb_logic__k0 = 0; arb_logic__k0 < 4; arb_logic__k0 = arb_logic__k0 + 1) begin
+      i = arb_logic__k0;
       idx = ((start + i) % 4);
       if ((((grants == 0) != 0) && (((reqs >> idx) & 1) != 0)) != 0) begin
         grants = (1 << idx);
@@ -34,6 +36,7 @@ module RoundRobinArbiter_afe1a1d5
   integer grants;
   integer winner;
   integer i;
+  integer seq_logic__k0;
   // seq_logic
   always @(posedge clk) begin
     if (reset != 0) begin
@@ -42,7 +45,8 @@ module RoundRobinArbiter_afe1a1d5
       grants = grants;
       if (grants != 0) begin
         winner = 0;
-        for (i = 0; i < 4; i = i + 1) begin
+        for (seq_logic__k0 = 0; seq_logic__k0 < 4; seq_logic__k0 = seq_logic__k0 + 1) begin
+          i = seq_logic__k0;
           if (((grants >> i) & 1) != 0) begin
             winner = i;
           end

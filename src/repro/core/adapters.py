@@ -14,9 +14,16 @@ val/rdy signals; they use adapters that hide the handshake protocol:
   become memory read transactions over a ``ParentReqRespBundle``.  The
   paper implements this with greenlets; greenlets are unavailable here,
   so we substitute lock-step worker threads (one runs at a time, strict
-  handoff), which preserves the observable behaviour: an FL block can
-  pass the proxy straight into ``numpy.dot`` and each element access
-  transparently expands into a multi-cycle memory transaction.
+  handoff through two locks), which preserves the observable
+  behaviour: an FL block can pass the proxy straight into
+  ``numpy.dot`` and each element access transparently expands into a
+  multi-cycle memory transaction.
+
+Every adapter drives its bundle as a lowered block does: it binds the
+bundle's signals to their root nets at its first ``xtick``, reads
+``_value`` and writes through ``_Net.write_next``, and packs or
+unpacks messages with the field slices of the bundle's ``ifc_types``,
+so no message ``BitStruct`` is built per cycle.
 """
 
 from __future__ import annotations
@@ -63,6 +70,11 @@ class Queue:
         return len(self._items)
 
 
+def _root(bundle, name):
+    """The root net of ``bundle``'s signal ``name``."""
+    return getattr(bundle, name)._net.find()
+
+
 class _QueueAdapter:
     """Port logic shared by the two queue adapters.  The bundle's
     incoming channel (``_channels[0]``: ``req`` for a child, ``resp``
@@ -89,15 +101,11 @@ class _QueueAdapter:
         signal so that it reads back as its message type."""
         bundle = self.bundle
         inc, out = self._channels
-
-        def net(name):
-            return getattr(bundle, name)._net.find()
-
         self._ports = (
-            net(f"{inc}_val"), net(f"{inc}_rdy"), getattr(bundle, f"{inc}_msg"),
-            getattr(self, f"{inc}_q"),
-            net(f"{out}_val"), net(f"{out}_rdy"), net(f"{out}_msg"),
-            getattr(self, f"{out}_q"))
+            _root(bundle, f"{inc}_val"), _root(bundle, f"{inc}_rdy"),
+            getattr(bundle, f"{inc}_msg"), getattr(self, f"{inc}_q"),
+            _root(bundle, f"{out}_val"), _root(bundle, f"{out}_rdy"),
+            _root(bundle, f"{out}_msg"), getattr(self, f"{out}_q"))
         return self._ports
 
     def xtick(self):
@@ -114,12 +122,19 @@ class _QueueAdapter:
         # Incoming message latched on the last edge?
         if in_val._value and in_rdy._value:
             in_q.enq(in_msg.value)
-        # Drive next-cycle outputs.
-        in_rdy.write_next(1 if len(in_q._items) < in_q.maxsize else 0)
+        # Drive next-cycle outputs.  A write is skipped exactly when
+        # it is a no-op: the value is the net's and no earlier write
+        # this cycle left another ``_next`` (which it must override).
+        rdy = 1 if len(in_q._items) < in_q.maxsize else 0
+        if rdy != in_rdy._value or rdy != in_rdy._next:
+            in_rdy.write_next(rdy)
         if out_q._items:
-            out_val.write_next(1)
-            out_msg.write_next(int(out_q._items[0]) & out_msg.mask)
-        else:
+            if not (out_val._value and out_val._next):
+                out_val.write_next(1)
+            msg = int(out_q._items[0]) & out_msg.mask
+            if msg != out_msg._value or msg != out_msg._next:
+                out_msg.write_next(msg)
+        elif out_val._value or out_val._next:
             out_val.write_next(0)
 
     def reset(self):
@@ -179,29 +194,41 @@ class _WorkerExit(BaseException):
 
 class _Handoff:
     """Strict lock-step handoff between the simulator thread and one
-    worker thread: exactly one side runs at a time."""
+    worker thread: exactly one side runs at a time.
+
+    Two locks serve as binary semaphores, each held while its side is
+    parked: the side that runs releases the other's and acquires its
+    own.  Once stopping, every yield of the worker raises
+    ``_WorkerExit`` at once (a block that swallows it meets it again at
+    its next yield), and only the first hands the sim lock back: the
+    sim thread waits on it where the worker stopped itself (a
+    ``close()`` inside the FL block).  So no lock is released twice."""
 
     def __init__(self):
-        self.to_worker = threading.Event()
-        self.to_sim = threading.Event()
+        self.worker = threading.Lock()
+        self.worker.acquire()
+        self.sim = threading.Lock()
+        self.sim.acquire()
         self.stopping = False
+        self.exited = False
 
     def run_worker(self):
         """Called from the sim thread: let the worker run until it
         yields back."""
-        self.to_worker.set()
-        self.to_sim.wait()
-        self.to_sim.clear()
+        self.worker.release()
+        self.sim.acquire()
 
     def yield_to_sim(self):
         """Called from the worker thread: pause until resumed."""
-        self.to_sim.set()
-        self.to_worker.wait()
-        if self.stopping:
-            # ``to_worker`` stays set: a block that swallows the
-            # exception meets it again at its next yield.
-            raise _WorkerExit
-        self.to_worker.clear()
+        if not self.stopping:
+            self.sim.release()
+            self.worker.acquire()
+            if not self.stopping:
+                return
+        if not self.exited:
+            self.exited = True
+            self.sim.release()
+        raise _WorkerExit
 
 
 def _worker_loop(handoff, runner_ref):
@@ -221,7 +248,7 @@ def _worker_loop(handoff, runner_ref):
 def _stop_worker(handoff, thread):
     """Wake the parked worker to exit, and wait until it has."""
     handoff.stopping = True
-    handoff.to_worker.set()
+    handoff.worker.release()
     # A collection that finalizes a runner can start on any thread.
     if thread is not threading.current_thread():
         thread.join()
@@ -258,10 +285,11 @@ class BlockingTickRunner:
 
     def __init__(self, func, adapters):
         self.func = func
-        self.adapters = list(adapters)
+        adapters = list(adapters)
         self.blocking = [
-            a for a in self.adapters if isinstance(a, ListMemPortAdapter)
-        ]
+            a for a in adapters if isinstance(a, ListMemPortAdapter)]
+        self.queues = [
+            a for a in adapters if not isinstance(a, ListMemPortAdapter)]
         self.handoff = None        # made with the worker
         self.state = "idle"        # idle | blocked | running
         self._thread = None
@@ -279,8 +307,7 @@ class BlockingTickRunner:
             self, _stop_worker, handoff, self._thread)
         self._thread.start()
         # Let the worker reach its first yield point.
-        handoff.to_sim.wait()
-        handoff.to_sim.clear()
+        handoff.sim.acquire()
 
     def stop(self):
         """End the worker thread, abandoning an invocation blocked
@@ -291,16 +318,15 @@ class BlockingTickRunner:
             self._thread = None
 
     def __call__(self):
-        for adapter in self.adapters:
-            if isinstance(adapter, ListMemPortAdapter):
-                adapter.xtick()
-            else:
-                # Queue adapters must be serviced even while the FL
-                # block is paused mid-invocation; the user's own
-                # xtick() call is then skipped once.
-                adapter._skip = False
-                adapter.xtick()
-                adapter._skip = True
+        for adapter in self.blocking:
+            adapter.xtick()
+        for adapter in self.queues:
+            # Queue adapters must be serviced even while the FL block
+            # is paused mid-invocation; the user's own xtick() call is
+            # then skipped once.
+            adapter._skip = False
+            adapter.xtick()
+            adapter._skip = True
         if self._thread is None:
             self._start_worker()
         if self.state == "blocked":
@@ -342,6 +368,7 @@ class ListMemPortAdapter:
         self._sent = False
         self._result = None
         self._have_result = False
+        self._ports = None            # bound at the first xtick
 
     # -- configuration (paper Figure 7) ----------------------------------
 
@@ -395,6 +422,27 @@ class ListMemPortAdapter:
     def ready(self):
         return self._have_result
 
+    def _bind(self):
+        """``(req_val, req_rdy, req_msg, resp_val, resp_rdy, resp_msg,
+        type_lo, addr_lo, addr_mask, data_lo, data_mask, resp_lo,
+        resp_mask)``: the bundle's root nets, then the shifts and masks
+        of the request's ``type_`` / ``addr`` / ``data`` and the
+        response's ``data``, from the bundle's ``ifc_types``."""
+        bundle = self.bundle
+        req, resp = bundle.ifc_types.req, bundle.ifc_types.resp
+
+        def field(struct, name):
+            lo, hi = struct.field_slice(name)
+            return lo, (1 << (hi - lo)) - 1
+
+        self._ports = (
+            *(_root(bundle, name) for name in (
+                "req_val", "req_rdy", "req_msg",
+                "resp_val", "resp_rdy", "resp_msg")),
+            req.field_slice("type_")[0],
+            *field(req, "addr"), *field(req, "data"), *field(resp, "data"))
+        return self._ports
+
     def xtick(self):
         """Drive the memory port; called by the runner each cycle.
 
@@ -405,25 +453,26 @@ class ListMemPortAdapter:
         """
         if self._pending is None:
             return
-        bundle = self.bundle
+        (req_val, req_rdy, req_msg, resp_val, resp_rdy, resp_msg,
+         type_lo, addr_lo, addr_mask, data_lo, data_mask, resp_lo,
+         resp_mask) = self._ports or self._bind()
         if self._sent:
-            if int(bundle.resp_val) and int(bundle.resp_rdy):
-                self._result = int(bundle.resp_msg.value.data)
+            if resp_val._value and resp_rdy._value:
+                self._result = (resp_msg._value >> resp_lo) & resp_mask
                 self._have_result = True
-                bundle.resp_rdy.next = 0
-        elif int(bundle.req_val) and int(bundle.req_rdy):
+                resp_rdy.write_next(0)
+        elif req_val._value and req_rdy._value:
             # Request accepted on the last edge.
             self._sent = True
-            bundle.req_val.next = 0
-            bundle.resp_rdy.next = 1
+            req_val.write_next(0)
+            resp_rdy.write_next(1)
         else:
             kind, addr, data = self._pending
-            req = bundle.ifc_types.req()
-            req.type_ = 0 if kind == "rd" else 1
-            req.addr = addr
-            req.data = data
-            bundle.req_msg.next = req
-            bundle.req_val.next = 1
+            req_msg.write_next(
+                (kind != "rd") << type_lo
+                | (addr & addr_mask) << addr_lo
+                | (data & data_mask) << data_lo)
+            req_val.write_next(1)
 
 
 def wrap_fl_ticks(model):

@@ -276,9 +276,10 @@ class BlockIR:
     wide_value: str = None
     #: ``id`` of each constant hole a range fact (``BinOp.nonneg``,
     #: ``BoolOp.eager``, ``AssignSig.fits``, a value C computes right)
-    #: read as in ``[0, 2**63)``: a sibling shares the
-    #: facts where it holds such a value, so :mod:`.bodies` guards that
-    fact_holes: frozenset = frozenset()
+    #: read as in ``[0, 2**n)`` -> ``n`` (63, or ``_NARROW_BITS``), or
+    #: at its value -> None: a sibling shares the facts where it holds
+    #: such a value, so :mod:`.bodies` guards that
+    fact_holes: dict = field(default_factory=dict)
 
 
 def walk_stmts(stmts):
@@ -1142,7 +1143,8 @@ class _Flow:
     fact per scalar local: the facts of two paths meet (``join``) at an
     ``if`` merge and at a loop head, where ``break`` / ``continue``
     bring theirs, to a fixpoint over the back edge (``widen`` makes one
-    where the facts could grow without end).  A subclass says what a
+    where the facts could grow without end), or until the walks have
+    accounted for every trip (``settled``).  A subclass says what a
     statement (``simple``), a condition (``cond``) and a loop variable
     at the top of each trip (``loop_var``) do to the facts.  After the
     loop a local holds what the head's fixpoint says, the loop
@@ -1163,22 +1165,30 @@ class _Flow:
             self.env = self.join(then, self.env)
         elif isinstance(node, For):
             entry = self.env
+            walks = 0
             while True:
                 self.env = {**entry, node.var: self.loop_var(node)}
                 self.exits.append([])
                 self.stmts(node.body)
                 merged = self.join(entry, self.env, *self.exits.pop())
-                if merged == entry:
+                walks += 1
+                if merged == entry or self.settled(node, walks):
+                    # Walk k starts from the heads of trips 0..k-1, so
+                    # after one walk per trip the last walk's facts
+                    # hold for every trip and ``merged`` for the exit.
+                    entry = merged
                     break
-                entry = self.widen(entry, merged)
+                entry = self.widen(entry, merged, node, walks)
             self.env = entry
         elif isinstance(node, (Break, Continue)):
             self.exits[-1].append(dict(self.env))
         else:
             self.simple(node)
 
-    @staticmethod
-    def widen(entry, merged):
+    def settled(self, node, walks):
+        return False
+
+    def widen(self, entry, merged, node, walks):
         return merged
 
 
@@ -1368,6 +1378,12 @@ ANY = Span()
 _TRUTH = Span(0, 2, truth=True)
 #: The widest shift amount the pass follows (a bound past it is none).
 _SHIFT_CAP = 128
+#: The trips of a loop the pass walks one by one before it widens.
+_TRIP_WALKS = 256
+#: Where C needs a bound a constant hole's class ``[0, 2**63)`` does
+#: not give, a hole whose value fits this many bits is any value that
+#: does, and failing that, its value.
+_NARROW_BITS = 32
 
 
 def _within(span, size, low=0):
@@ -1443,22 +1459,31 @@ class _Spans(_Flow):
     expression of a ``Bits``-exact IR, whose every operator is Python's
     on ints.  Its leaves are signal reads and wraps (``[0, 2**w)``),
     constants, ``range()`` loop variables and locals (flow-sensitive:
-    joined at merges, widened to no bound at a loop head where one
-    grows); a CL state variable, an array element or an unset local is
-    unbounded.  A constant hole a guard fixes is its value; any other
-    is only as known as its class, ``[0, 2**63)`` (or unbounded), so
-    siblings that differ in it still share the body.  It records the
-    facts the printers read (``AssignSig.fits``, ``BinOp.nonneg``,
-    ``BoolOp.eager``, and what C may compute wrong, ``BlockIR.
-    wide_local`` / ``wide_state`` / ``wide_value``: see :meth:`exact`).
+    joined at merges; at a loop head, walked once per trip up to
+    ``_TRIP_WALKS`` trips, past that widened to no bound where one
+    grows, and such a local is wide for C); a CL state variable, an
+    array element or an unset local is unbounded.  A constant hole a
+    guard fixes is its value; any other is only as known as its class,
+    ``[0, 2**63)`` (or unbounded), so siblings that differ in it still
+    share the body, unless C needs it known closer (:meth:`exact`).
+    It records the facts the printers read (``AssignSig.fits``,
+    ``BinOp.nonneg``, ``BoolOp.eager``, and what C may compute wrong,
+    ``BlockIR.wide_local`` / ``wide_state`` / ``wide_value``: see
+    :meth:`exact`).
     A fact read from a hole's class names the hole in
     ``BlockIR.fact_holes``."""
 
-    def __init__(self, ir, hole_of, fixed):
-        self.locals, self.hole_of, self.fixed = ir.locals, hole_of, fixed
+    def __init__(self, ir, hole_of, fixed, holes="class"):
+        self.ir, self.hole_of, self.fixed = ir, hole_of, fixed
+        self.locals = ir.locals
         self.env = {}              # scalar local -> Span
         self.exits = []
         self.spans = {}            # id(expression) -> Span, last walk's
+        # What a constant hole is: its class, or (walks of their own,
+        # which :meth:`exact` asks for) its narrow class or its value,
+        # named ``(id, _NARROW_BITS)`` / ``(id, None)`` in a span.
+        self.holes = holes
+        self.rejudged = {}         # holes -> that walk's spans
         self.ctypes = {}           # id(expression) -> its C type
         # id(node), or (id, "c") for what C computes -> (the node, or the
         # name the IR's fact gives; the fact; holes | None)
@@ -1475,7 +1500,20 @@ class _Spans(_Flow):
                 setattr(target, fact, read is not None)
             elif read is None and getattr(ir, fact) is None:
                 setattr(ir, fact, target)    # a name, or what it is
-        ir.fact_holes = holes
+        for hole in holes:
+            hole, bits = hole if type(hole) is tuple else (hole, 63)
+            old = ir.fact_holes.get(hole, 63)
+            ir.fact_holes[hole] = None if None in (bits, old) \
+                else min(bits, old)
+
+    def rejudge(self, holes):
+        """The spans of the body with its constant holes ``holes``
+        (``"narrow"`` or ``"value"``), walked the first time asked."""
+        if holes not in self.rejudged:
+            walk = _Spans(self.ir, self.hole_of, self.fixed, holes)
+            walk.stmts(self.ir.body)
+            self.rejudged[holes] = walk.spans
+        return self.rejudged[holes]
 
     @staticmethod
     def join(*envs):
@@ -1486,16 +1524,25 @@ class _Spans(_Flow):
         return out
 
     @staticmethod
-    def widen(entry, merged):
-        """A bound that grew at a loop head is none: the head's
-        fixpoint is reached in a few walks."""
+    def settled(node, walks):
+        return walks >= len(range(node.start, node.stop, node.step))
+
+    def widen(self, entry, merged, node, walks):
+        """For ``_TRIP_WALKS`` walks a walk is one trip more and the
+        bounds grow as the values do.  Past that a bound that grew is
+        none, which the head's fixpoint reaches in a few walks; a local
+        whose bound grew so is wide for C (its store is not judged by a
+        span that says nothing of how far the trips left take it)."""
+        if walks < _TRIP_WALKS:
+            return merged
         out = dict(merged)
         for name, span in merged.items():
             old = entry.get(name)
-            if old is not None and span != old:
+            if old is not None and span[:2] != old[:2]:
                 out[name] = span._replace(
                     lo=None if span.lo != old.lo else span.lo,
                     hi=None if span.hi != old.hi else span.hi)
+                self.facts[id(node), name] = name, "wide_local", None
         return out
 
     @staticmethod
@@ -1506,8 +1553,9 @@ class _Spans(_Flow):
 
     def cond(self, node):
         self.span(node)
-        self.facts[id(node), "c"] = "a condition", "wide_value", \
-            self.exact(node)
+        if self.holes == "class":
+            self.facts[id(node), "c"] = "a condition", "wide_value", \
+                self.exact(node)
 
     def simple(self, node):
         if isinstance(node, AssignLocal) and node.index is None:
@@ -1517,6 +1565,8 @@ class _Spans(_Flow):
         else:
             for holder, key in _operands(node):
                 self.span(holder[key])
+        if self.holes != "class":
+            return                 # a walk that judges again: spans only
         if isinstance(node, AssignSig):
             span = self.spans[id(node.expr)]
             self.facts[id(node)] = node, "fits", (
@@ -1548,6 +1598,13 @@ class _Spans(_Flow):
             if id(node) not in self.hole_of or id(node) in self.fixed:
                 return Span(node.value, node.value + 1)
             # A sibling fills it: what a guard may hold is its class.
+            if self.holes == "value":
+                return Span(node.value, node.value + 1,
+                            frozenset([(id(node), None)]))
+            if self.holes == "narrow" and \
+                    0 <= node.value < 1 << _NARROW_BITS:
+                return Span(0, 1 << _NARROW_BITS,
+                            frozenset([(id(node), _NARROW_BITS)]))
             return Span(0, 1 << 63, frozenset([id(node)])) \
                 if 0 <= node.value < 1 << 63 else ANY
         if isinstance(node, SigRead):
@@ -1603,16 +1660,25 @@ class _Spans(_Flow):
         it may not: where its span has a bound outside that type that no
         hole's class supplied, or where C may compute it wrong modulo
         that type's size (:meth:`held`).  A read of a local, an array
-        element or CL state is taken to be exact (C holds each so)."""
+        element or CL state is taken to be exact (C holds each so).  A
+        bound a hole's class supplied is judged again with each hole
+        whose value fits ``_NARROW_BITS`` bits in that narrower class,
+        then with each at its value, and its guard holds it there (a
+        sibling shares the body only where the judgement holds too)."""
         ctype = ctype or self.c_type(node)
         low, high = (0, 1 << 128) if ctype == "u128" else (-1 << 63, 1 << 63)
         lo, hi, holes, _ = span = self.spans[id(node)]
-        if not _within(span, high, low):
-            if not holes and not isinstance(node, (LocalRead, StateRead)) \
-                    and (lo is not None and not low <= lo < high
-                         or hi is not None and not low < hi <= high):
-                return None
-            holes = frozenset()      # unknown, trusted or a hole's class
+        for again in ("narrow", "value"):
+            if _within(span, high, low) or not holes \
+                    or self.holes != "class":
+                break
+            lo, hi, holes, _ = span = self.rejudge(again)[id(node)]
+        if not _within(span, high, low) \
+                and not isinstance(node, (LocalRead, StateRead)) \
+                and (lo is not None and not low <= lo < high
+                     or hi is not None and not low < hi <= high):
+            return None
+        # inside the type, or unknown, trusted, or a hole's class
         held = self.held(node, 128 if ctype == "u128" else 64)
         return None if held is None else holes | held
 

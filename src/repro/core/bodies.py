@@ -261,12 +261,20 @@ def _new_body(blk, translator, ir, bind):
         typed = infer_types(ir, hole_of, fixed)
         if ir.fact_holes:
             # A range fact C prints by read these constants as in
-            # [0, 2**63): a sibling shares the body where they are.
+            # [0, 2**n), or at their values (n None): a sibling shares
+            # the body where they are.  One guard a hole, the tightest.
+            tight = {}
+            for leaf, node, _ in translator.holes:
+                if id(leaf) in ir.fact_holes:
+                    n = ir.fact_holes[id(leaf)]
+                    _, was = tight.get(hole_of[id(leaf)], (node, 63))
+                    tight[hole_of[id(leaf)]] = node, (
+                        None if None in (n, was) else min(n, was))
             translator.guards.extend(
-                ast.Compare(ast.Constant(0), [ast.LtE(), ast.Lt()],
-                            [node, ast.Constant(1 << 63)])
-                for leaf, node, _ in translator.holes
-                if id(leaf) in ir.fact_holes)
+                node if n is None else ast.Compare(
+                    ast.Constant(0), [ast.LtE(), ast.Lt()],
+                    [node, ast.Constant(1 << n)])
+                for node, n in tight.values())
             bind_lines = _print_bind(translator)[0]
         func_lines = print_function(ir, func, hole_of, len(expected))
     except (TypeUndecided, Refused) as exc:

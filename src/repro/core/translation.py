@@ -502,10 +502,16 @@ class _VerilogBackend:
     body: ``\\0<c><h>\\0`` marks where the block uses hole ``h``, which
     each instance fills (:meth:`_ModuleEmitter._fill`) — ``c`` is ``s``
     for a signal, ``r`` / ``w`` for the array a dynamic index reads /
-    writes, ``k`` for an int.  An int the body fixes is its literal."""
+    writes, ``k`` for an int.  An int the body fixes is its literal.
+    A ``for`` runs over a hidden ``integer`` counter, one per nesting
+    depth, and assigns the loop variable at the top of each trip, as
+    ``cgen`` does: a body may assign the variable, and after the loop
+    it holds its last value, as in Python."""
 
     def __init__(self, hole_of):
         self.hole_of = hole_of
+        self.counters = []          # the hidden loop counters, by depth
+        self.depth = 0
 
     def _hole(self, code, leaf):
         return f"\0{code}{self.hole_of[id(leaf)]}\0"
@@ -592,14 +598,19 @@ class _VerilogBackend:
             lines.append(f"{pad}end")
             return "\n".join(lines)
         if isinstance(node, For):
-            var = node.var
+            if self.depth == len(self.counters):
+                self.counters.append(f"{self.name}__k{self.depth}")
+            k = self.counters[self.depth]
             lines = [
-                f"{pad}for ({var} = {node.start}; "
-                f"{var} {'<' if node.step > 0 else '>'} {node.stop}; "
-                f"{var} = {var} + {node.step}) begin"
+                f"{pad}for ({k} = {node.start}; "
+                f"{k} {'<' if node.step > 0 else '>'} {node.stop}; "
+                f"{k} = {k} + {node.step}) begin",
+                f"{pad}  {node.var} = {k};",
             ]
+            self.depth += 1
             lines.extend(self.stmt(s, assign_op, indent + 2)
                          for s in node.body)
+            self.depth -= 1
             lines.append(f"{pad}end")
             return "\n".join(lines)
         if isinstance(node, (Break, Continue)):
@@ -614,15 +625,17 @@ class _VerilogBackend:
     def block(self, ir, kind):
         sens = "posedge clk" if kind == "tick" else "*"
         assign_op = "<=" if kind == "tick" else "="
+        self.name = ir.name
+        body = [self.stmt(stmt, assign_op, 4) for stmt in ir.body]
         lines = []
         for name, ltype in ir.locals.items():
             if ltype == "int":
                 lines.append(f"  integer {name};")
             else:
                 lines.append(f"  integer {name} [0:{ltype[1] - 1}];")
+        lines.extend(f"  integer {k};" for k in self.counters)
         lines.append(f"  // {ir.name}")
         lines.append(f"  always @({sens}) begin")
-        for stmt in ir.body:
-            lines.append(self.stmt(stmt, assign_op, 4))
+        lines.extend(body)
         lines.append("  end")
         return "\n".join(lines)

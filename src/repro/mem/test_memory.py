@@ -7,6 +7,13 @@ substrate under the accelerator (paper Figures 7-9) and the processor
 case studies, and also serves FL-composition roles: because it exposes
 the same interface as the caches, test benches swap freely between
 "magic" and realistic memory systems.
+
+Its tick drives the ports as a lowered block does: it binds each
+port's six signals to their root nets at its first tick, reads
+``_value``, writes through ``_Net.write_next``, and decodes a request
+and encodes a response by shift and mask with the field slices of
+``MemReqMsg`` / ``MemRespMsg``, so no message ``BitStruct`` is built
+per request.
 """
 
 from __future__ import annotations
@@ -14,7 +21,16 @@ from __future__ import annotations
 from collections import deque
 
 from ..core import ChildReqRespBundle, Model
-from .msgs import MEM_REQ_WRITE, MemMsg, MemRespMsg
+from .msgs import MEM_REQ_WRITE, MemMsg, MemReqMsg, MemRespMsg
+
+_PORT_NETS = ("req_val", "req_rdy", "req_msg",
+              "resp_val", "resp_rdy", "resp_msg")
+
+
+def _field(struct, name):
+    """``(lo, mask)`` of field ``name`` of ``struct``."""
+    lo, hi = struct.field_slice(name)
+    return lo, (1 << (hi - lo)) - 1
 
 
 class TestMemory(Model):
@@ -38,75 +54,95 @@ class TestMemory(Model):
         s.latency = max(1, latency)
         s.size = size
         s.mem = bytearray(size)
-        # Per-port FIFO of (ready_cycle, resp_bits) awaiting delivery.
+        # Per-port FIFO of (ready_cycle, resp_int) awaiting delivery.
         s.pending = [deque() for _ in range(nports)]
         s.cycle_count = 0
+        s._nets = None        # bound at the first tick
 
         @s.tick_fl
         def logic():
             s.cycle_count += 1
-            if s.reset:
-                for i in range(s.nports):
-                    s.pending[i].clear()
-                    s.ports[i].req_rdy.next = 0
-                    s.ports[i].resp_val.next = 0
+            reset, ports = s._nets or s._bind()
+            # ``s.pending`` is read each tick, not bound: a checkpoint
+            # restore refills the list with new queues.
+            if reset._value:
+                for pending, (_, req_rdy, _, resp_val, _, _) in zip(
+                        s.pending, ports):
+                    pending.clear()
+                    req_rdy.write_next(0)
+                    resp_val.write_next(0)
                 return
-            ports = s.ports
-            pendings = s.pending
-            for i in range(s.nports):
-                port = ports[i]
+            for pending, nets in zip(s.pending, ports):
+                req_val, req_rdy, _, resp_val, _, _ = nets
                 # A settled idle port (nothing in flight, no request
                 # offered, outputs at their idle values) ticks to an
                 # exact no-op — skip the call.
-                if (pendings[i] or port.req_val.uint()
-                        or port.resp_val.uint()
-                        or not port.req_rdy.uint()):
-                    s._port_tick(i)
+                if (pending or req_val._value or resp_val._value
+                        or not req_rdy._value):
+                    s._port_tick(pending, nets)
 
-    def _port_tick(s, i):
-        port = s.ports[i]
-        pending = s.pending[i]
+    def _bind(s):
+        """``(reset, [nets])``: the reset net, and per port the root
+        nets of ``_PORT_NETS``."""
+        s._nets = (s.reset._net.find(), [
+            tuple(getattr(port, name)._net.find() for name in _PORT_NETS)
+            for port in s.ports])
+        return s._nets
+
+    def _port_tick(s, pending, nets):
+        req_val, req_rdy, req_msg, resp_val, resp_rdy, resp_msg = nets
+        cycle = s.cycle_count
 
         if not pending:
             # Fast path: no response in flight (``resp_val`` can only
             # be high while ``pending`` holds its message, so there is
             # nothing to retire).  Idle ports write no signals at all.
-            if port.req_val.uint() and port.req_rdy.uint():
-                resp = s._process(port.req_msg.value)
-                pending.append((s.cycle_count + s.latency - 1, resp))
+            if req_val._value and req_rdy._value:
+                pending.append((cycle + s.latency - 1,
+                                s._process(req_msg._value)))
             else:
-                if not port.req_rdy.uint():
-                    port.req_rdy.next = 1
-                if port.resp_val.uint():
-                    port.resp_val.next = 0
+                if not req_rdy._value:
+                    req_rdy.write_next(1)
+                if resp_val._value:
+                    resp_val.write_next(0)
                 return
         else:
             # Response delivered on the last edge?
-            if port.resp_val.uint() and port.resp_rdy.uint():
+            if resp_val._value and resp_rdy._value:
                 pending.popleft()
             # Accept a new request?
-            if port.req_val.uint() and port.req_rdy.uint():
-                resp = s._process(port.req_msg.value)
-                pending.append((s.cycle_count + s.latency - 1, resp))
+            if req_val._value and req_rdy._value:
+                pending.append((cycle + s.latency - 1,
+                                s._process(req_msg._value)))
 
         # Drive next-cycle outputs, writing only on change.
         rdy = 1 if len(pending) < 4 else 0
-        if port.req_rdy.uint() != rdy:
-            port.req_rdy.next = rdy
-        if pending and pending[0][0] <= s.cycle_count:
-            port.resp_val.next = 1
-            port.resp_msg.next = pending[0][1]
-        elif port.resp_val.uint():
-            port.resp_val.next = 0
+        if req_rdy._value != rdy:
+            req_rdy.write_next(rdy)
+        if pending and pending[0][0] <= cycle:
+            resp_val.write_next(1)
+            resp_msg.write_next(pending[0][1])
+        elif resp_val._value:
+            resp_val.write_next(0)
+
+    _TYPE = _field(MemReqMsg, "type_")
+    _ADDR = _field(MemReqMsg, "addr")
+    _DATA = _field(MemReqMsg, "data")
+    _RESP_WRITE = MEM_REQ_WRITE << MemRespMsg.field_slice("type_")[0]
+    _RESP_DATA = MemRespMsg.field_slice("data")[0]
 
     def _process(s, req):
-        addr = int(req.addr) & (s.size - 1) & ~0x3
-        if int(req.type_) == MEM_REQ_WRITE:
-            data = int(req.data)
-            s.mem[addr:addr + 4] = data.to_bytes(4, "little")
-            return MemRespMsg.mk(MEM_REQ_WRITE, 0)
+        """Serve the request ``req`` (a ``MemReqMsg`` as an int) and
+        return its response as a ``MemRespMsg`` int."""
+        lo, mask = s._ADDR
+        addr = (req >> lo) & mask & (s.size - 1) & ~0x3
+        lo, mask = s._TYPE
+        if (req >> lo) & mask == MEM_REQ_WRITE:
+            lo, mask = s._DATA
+            s.mem[addr:addr + 4] = ((req >> lo) & mask).to_bytes(4, "little")
+            return s._RESP_WRITE
         data = int.from_bytes(s.mem[addr:addr + 4], "little")
-        return MemRespMsg.mk(0, data)
+        return data << s._RESP_DATA
 
     # -- direct (backdoor) access for test setup ---------------------------
 

@@ -293,3 +293,143 @@ def test_close_ends_a_worker_blocked_mid_invocation():
     del tile, sim, runner
     gc.collect()
     assert gone() is None
+
+
+# -- the guarded queue-adapter write ---------------------------------------------
+
+
+class _TwoWriters(Model):
+    """A child queue adapter and another ``.next`` writer of its
+    bundle's outputs in one tick, in either order.  From cycle 1 a
+    response waits in ``resp_q`` (nobody takes it); at cycle 3 the
+    other writer drives every output away from what the adapter
+    holds there."""
+
+    def __init__(s, adapter_last):
+        s.ifc = ChildReqRespBundle(XcelMsg())
+        s.q = ChildReqRespQueueAdapter(s.ifc)
+        s.n = 0
+
+        @s.tick_fl
+        def logic():
+            s.n += 1
+            if not adapter_last:
+                s.q.xtick()
+            if s.n == 1:
+                s.q.push_resp(0x5A)
+            if s.n == 3:
+                s.ifc.req_rdy.next = 0
+                s.ifc.resp_val.next = 0
+                s.ifc.resp_msg.next = 0
+            if adapter_last:
+                s.q.xtick()
+
+
+@pytest.mark.parametrize("adapter_last", [True, False])
+def test_queue_adapter_write_is_skipped_only_when_a_no_op(adapter_last):
+    """The adapter skips a ``write_next`` only where it changes nothing:
+    its value is the net's and no earlier write this cycle left another
+    ``_next``.  So whichever writes last in a cycle wins, as with every
+    ``.next``: a skip on the value alone would let the other writer's
+    zeros flop although the adapter wrote after it."""
+    model = _TwoWriters(adapter_last).elaborate()
+    sim = SimulationTool(model)
+    ifc = model.ifc
+    seen = []
+    for _ in range(4):
+        sim.cycle()
+        seen.append((int(ifc.req_rdy), int(ifc.resp_val),
+                     int(ifc.resp_msg)))
+    held = (1, 1, 0x5A)
+    assert seen[1] == held
+    assert seen[2] == (held if adapter_last else (0, 0, 0))
+    assert seen[3] == held
+
+
+# -- the lock-step hand-off --------------------------------------------------------
+
+
+class _Swallower(Model):
+    """A blocking FL block that catches everything around its first two
+    memory reads, ``_WorkerExit`` included."""
+
+    def __init__(s):
+        s.mem_ifc = ParentReqRespBundle(MemMsg())
+        s.proxy = ListMemPortAdapter(s.mem_ifc)
+        s.mem = TestMemory(nports=1, latency=3, size=1 << 12)
+        s.connect(s.mem_ifc.req, s.mem.ports[0].req)
+        s.connect(s.mem_ifc.resp, s.mem.ports[0].resp)
+        s.caught = []
+
+        @s.tick_fl
+        def logic():
+            for i in range(2):
+                try:
+                    s.proxy[i]
+                except BaseException as exc:    # noqa: BLE001
+                    s.caught.append(type(exc).__name__)
+            s.proxy[2]
+
+
+def test_a_block_that_swallows_worker_exit_twice_still_ends():
+    """After ``close()`` every yield of the worker raises
+    ``_WorkerExit`` at once, so a block that swallows it twice meets it
+    a third time and the thread ends; no lock is released twice (that
+    would raise in the worker and be handed to the runner)."""
+    import gc
+    import threading
+
+    from repro.core.adapters import BlockingTickRunner
+
+    gc.collect()
+    threads = threading.active_count()
+    model = _Swallower().elaborate()
+    sim = SimulationTool(model)
+    sim.reset()
+    runner, = (t for t in sim._ticks if isinstance(t, BlockingTickRunner))
+    while runner.state != "blocked":
+        sim.cycle()
+    assert threading.active_count() == threads + 1
+    close = threading.Thread(target=sim.close, daemon=True)
+    close.start()
+    close.join(timeout=30)
+    assert not close.is_alive(), "the worker never ended"
+    assert threading.active_count() == threads
+    assert model.caught == ["_WorkerExit", "_WorkerExit"]
+    assert runner.state == "idle" and runner._worker_exc is None
+
+
+class _SelfCloser(Model):
+    """A blocking FL block that closes its own simulator (``s.sim`` is
+    set after construction)."""
+
+    def __init__(s):
+        s.mem_ifc = ParentReqRespBundle(MemMsg())
+        s.proxy = ListMemPortAdapter(s.mem_ifc)
+        s.sim = None
+        s.runs = 0
+
+        @s.tick_fl
+        def logic():
+            s.runs += 1
+            s.sim.close()
+
+
+def test_a_worker_that_closes_its_simulator_hands_back():
+    """``close()`` from inside the FL block stops the worker that runs
+    it, while the sim thread waits on that worker: the worker's next
+    yield raises ``_WorkerExit`` and hands the sim thread back (which
+    would otherwise wait for ever), and the thread ends."""
+    import threading
+
+    model = _SelfCloser().elaborate()
+    sim = model.sim = SimulationTool(model)
+    before = set(threading.enumerate())
+    cycle = threading.Thread(target=sim.cycle, daemon=True)
+    cycle.start()
+    cycle.join(timeout=30)
+    assert not cycle.is_alive(), "the sim thread was never handed back"
+    assert model.runs == 1
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=10)
+        assert not thread.is_alive()

@@ -161,11 +161,19 @@ def test_retry_policy_retries_only_transient_results():
 def test_chaos_kill_converges_to_undisturbed_report_bytes():
     """SIGKILL a worker mid-task on the first attempt: the supervisor
     detects the death, respawns, retries, and the final report bytes
-    match a run with no chaos at all."""
+    match a run with no chaos at all.
+
+    Three first attempts die.  The supervisor keeps the pool at
+    ``min(nworkers, unfinished tasks)``, and until it has seen the third
+    death that task is unfinished (it is retried only after), so each of
+    the first two deaths leaves the dying task and the third unfinished
+    and respawns a worker: two respawns by construction, whatever order
+    the tasks finish in.  (With two kills, the second could come when
+    only its own task remained, and then rightly respawned nothing.)"""
     baseline = run_campaign(_tiny_campaign(), nworkers=2).report_json()
 
-    plan = _chaos([ChaosEvent(task=None, index=1, mode="kill"),
-                   ChaosEvent(task=None, index=4, mode="kill")])
+    plan = _chaos([ChaosEvent(task=None, index=i, mode="kill")
+                   for i in (1, 2, 4)])
     plan.resolve(_tiny_campaign()).install()
     try:
         res = run_campaign(

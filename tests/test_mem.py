@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Model, SimulationTool
+from repro import InPort, Model, SimulationTool
 from repro.mem import (
     MEM_REQ_WRITE,
     CacheCL,
@@ -106,6 +106,80 @@ def test_memory_multiport_independent():
     t1.write(0x20, 222)
     assert t1.read(0x10) == 111   # ports share storage
     assert t0.read(0x20) == 222
+
+
+class _MemBench(Model):
+    """A ``TestMemory`` whose ports' ``resp_rdy`` a comb block drives
+    from ``take``: a block ``sched="static"`` schedules (a lone FL tick
+    runs on the event fixpoint)."""
+
+    def __init__(s, nports, latency):
+        s.mem = TestMemory(nports=nports, latency=latency, size=1 << 12)
+        s.take = [InPort(1) for _ in range(nports)]
+
+        @s.combinational
+        def fwd():
+            for i in range(nports):
+                s.mem.ports[i].resp_rdy.value = s.take[i]
+
+
+_OPS = st.lists(st.tuples(st.booleans(), st.integers(0, 47),
+                          st.integers(0, 0xFFFFFFFF)), max_size=12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.lists(_OPS, min_size=1, max_size=2),
+       st.integers(0, 1 << 32))
+def test_prop_memory_streams_match_a_dict(latency, streams, seed):
+    """Property: read/write streams, one per port, offered and taken
+    with random gaps (``req_val`` / ``resp_rdy`` backpressure), come
+    back as the responses a dict gives when it serves every accepted
+    request in acceptance order (cycle, then port), and leave the same
+    memory image, under ``sched="event"`` and ``"static"``.  Addresses
+    need not be aligned (the memory aligns them down)."""
+    import random
+
+    for sched in ("event", "static"):
+        bench = _MemBench(len(streams), latency).elaborate()
+        mem = bench.mem
+        sim = SimulationTool(bench, sched=sched)
+        sim.reset()
+        rnd = random.Random(seed)
+        todo = [list(ops) for ops in streams]
+        got = [[] for _ in streams]
+        want = [[] for _ in streams]
+        ref = {}
+        for _ in range(40 * (1 + sum(map(len, streams)))):
+            accepted = []
+            for i, port in enumerate(mem.ports):
+                if int(port.req_val) and int(port.req_rdy):
+                    accepted.append((i, todo[i].pop(0)))
+                if int(port.resp_val) and int(bench.take[i]):
+                    resp = port.resp_msg.value
+                    got[i].append((int(resp.type_), int(resp.data)))
+            for i, (write, addr, data) in accepted:
+                addr &= ~3
+                if write:
+                    ref[addr] = data
+                    want[i].append((MEM_REQ_WRITE, 0))
+                else:
+                    want[i].append((0, ref.get(addr, 0)))
+            sim.cycle()
+            if not any(todo) and list(map(len, got)) == list(map(len,
+                                                                 want)):
+                break
+            for i, port in enumerate(mem.ports):
+                offer = bool(todo[i]) and rnd.random() < 0.7
+                if offer:
+                    write, addr, data = todo[i][0]
+                    port.req_msg.value = (MemReqMsg.mk_wr(addr, data)
+                                          if write else MemReqMsg.mk_rd(addr))
+                port.req_val.value = offer
+                bench.take[i].value = rnd.random() < 0.6
+        assert got == want, sched
+        assert not any(todo) and not any(mem.pending), sched
+        for addr in range(0, 48, 4):
+            assert mem.read_word(addr) == ref.get(addr, 0), (sched, addr)
 
 
 # -- caches -----------------------------------------------------------------

@@ -406,12 +406,32 @@ class _Grows(Model):
     value that fits but is made of one outside C's ``u128`` (past it,
     or negative where C compares).  An ``int64_t`` shifted by an amount
     that may reach 64 is undefined in C (x86 shifted 129 by ``2**39``
-    as by 0)."""
+    as by 0).  ``loop``: a local that grows past ``int64_t`` over a
+    loop's trips (C read 0 for ``0x400``); ``hole``: a product whose
+    size comes from a constant hole's value (C read ``0xffffffffff``
+    for ``0x3fffffff``; a sibling with ``k = 1`` lowered first must not
+    lend it a body C runs)."""
 
-    def __init__(s, kind):
+    def __init__(s, kind, k=1 << 30):
         nbits = 70 if kind.startswith("u128") else 40
         s.a, s.b, s.o = InPort(nbits), InPort(nbits), OutPort(nbits)
-        if kind == "u128-shift":
+        if kind == "loop":
+            s.a, s.o = InPort(8), OutPort(16)
+
+            @s.combinational
+            def comb():
+                acc = s.a.uint()
+                for i in range(70):
+                    acc = acc * 2
+                s.o.value = acc >> 60
+        elif kind == "hole":
+            s.k = k
+
+            @s.combinational
+            def comb():
+                p = s.a.uint() * s.k
+                s.o.value = p >> 40
+        elif kind == "u128-shift":
             @s.combinational
             def comb():
                 x = (s.a.uint() << 70) >> 80
@@ -556,6 +576,33 @@ def test_wide_locals_are_refused_in_c():
             model.a.value = model.b.value = 1 << model.a.nbits - 1
             sim.cycle()
             assert int(model.o) == want, (kind, sim)
+    for kind, why, value, want in (
+            ("loop", "local 'acc' may hold 64 bits or more", 1, 0x400),
+            ("hole", "local 'p' may hold 64 bits or more", (1 << 40) - 1,
+             0x3fffffff)):
+        with pytest.raises(TranslationError, match=why):
+            SimJITRTL(_Grows(kind).elaborate()).specialize()
+        top = auto_specialize(_Holds(_Grows(kind)))
+        sim = SimulationTool(top.elaborate())
+        assert why in sim.sched_info()["simjit"]["interpreted"]["top.x"]
+        tops = [top] + [_Grows(kind).elaborate() for _ in range(2)]
+        sims = [sim] + [SimulationTool(model, sched=sched)
+                        for model, sched in zip(tops[1:], ("event", "static"))]
+        for model, sim in zip(tops, sims):
+            model.a.value = value
+            sim.cycle()
+            assert int(model.o) == want, (kind, sim)
+
+    class _Siblings(Model):
+        def __init__(s):
+            s.x, s.y = _Grows("hole", k=1), _Grows("hole")
+            s.a, s.o = InPort(40), OutPort(40)
+            for sub in (s.x, s.y):
+                s.connect(s.a, sub.a)
+            s.connect(s.y.o, s.o)
+
+    with pytest.raises(TranslationError, match="local 'p' may hold 64"):
+        SimJITRTL(_Siblings().elaborate()).specialize()
     models = [SimJITRTL(_NarrowedWideRead().elaborate()).specialize()
               .elaborate(), _NarrowedWideRead().elaborate()]
     sims = [SimulationTool(models[0]),

@@ -202,14 +202,15 @@ class _Loops(Model):
 
 
 def test_a_loop_widens_what_it_grows():
-    """The loop head's fixpoint: ``up`` only grows (non-negative, no
-    bound: ``py_mod``, since C's ``int64_t`` could wrap it), ``down``
-    may go negative (``py_mod``), and ``i % 4`` of a loop variable in
-    ``[0, 6)`` is C's."""
+    """The loop head's fixpoint, one walk per trip of the six: ``up``
+    only grows, to less than ``255 + 15`` (C's ``%``), ``down`` may go
+    negative (``py_mod``), and ``i % 4`` of a loop variable in ``[0,
+    6)`` is C's."""
     spec = SimJITRTL(_Loops().elaborate())
     jit = spec.specialize().elaborate()
     text = _function(spec.c_source, "logic")
-    assert text.count("py_mod(") == 2
+    assert text.count("py_mod(") == 1
+    assert "((int64_t)(l_up) % (int64_t)((7LL)))" in text
     assert "((int64_t)(l_i) % (int64_t)((4LL)))" in text
     ref = _Loops().elaborate()
     sims = [SimulationTool(ref, sched="event"), SimulationTool(jit)]
@@ -268,6 +269,45 @@ def test_loop_variables_follow_python_in_c():
         assert [int(ref.trips), int(ref.after), int(ref.last)] == want
         assert [int(jit.trips), int(jit.after), int(jit.last)] == want
     assert "py_mod(" not in _function(spec.c_source, "logic")
+
+
+class _NestedLoops(Model):
+    def __init__(s):
+        s.o = OutPort(8)
+
+        @s.combinational
+        def logic():
+            n = 0
+            for i in range(2):
+                for j in range(3):
+                    n = n + i + j
+            s.o.value = n
+
+
+def test_loop_variables_follow_python_in_verilog():
+    """The emitted Verilog loops as C does: over a hidden ``integer``
+    counter per nesting depth, the loop variable assigned at the top of
+    each trip, so a body that assigns it (``i = 7``) still runs four
+    trips, and a read after the loop (``m + j``, ``k % 4``) sees the
+    last value, not the bound."""
+    from repro.core.translation import TranslationTool
+    text = TranslationTool(_LoopVars().elaborate()).verilog
+    heads = re.findall(r"for \((\w+) = (\d+); (\w+) < (\d+); "
+                       r"(\w+) = (\w+) \+ (\d+)\) begin\n\s*(\w+) = (\w+);",
+                       text)
+    assert [(h[1], h[3], h[6], h[7]) for h in heads] == [
+        ("0", "4", "1", "i"), ("0", "4", "1", "j"), ("0", "10", "3", "k")]
+    # one counter tested, stepped and assigned to the variable
+    assert all(len({h[0], h[2], h[4], h[5], h[8]}) == 1 for h in heads)
+    counter = heads[0][0]
+    assert counter not in ("i", "j", "k")
+    assert re.search(rf"^  integer {counter};$", text, re.M)
+    assert re.search(r"^\s*i = 7;$", text, re.M)
+    assert "(m + j)" in text and "(k % 4)" in text
+    text = TranslationTool(_NestedLoops().elaborate()).verilog
+    outer, inner = re.findall(r"for \((\w+) = 0;", text)
+    assert outer != inner
+    assert f"i = {outer};" in text and f"j = {inner};" in text
 
 
 class _WideAcc(Model):
