@@ -10,7 +10,12 @@ Python attribute chains become signal references, elaboration-time
 constants fold away, and anything outside the subset raises
 :class:`TranslationError` naming the offending construct.
 :mod:`.bodies` is the one module that runs it: one lowering per block
-body, whatever backend or tool asks.
+body, whatever backend or tool asks.  The translator walks a block's
+AST once and judges no value's size: :func:`infer_types` makes the IR
+``Bits``-exact, and its range pass (:class:`_Spans`) is the one judge
+of how big a value may be — every fact a printer reads (an ``and`` /
+``or`` that is 0/1 among them) and why C cannot run the body
+(``BlockIR.refused``).
 
 Subset summary:
 
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -157,11 +163,25 @@ class Cmp:
 class BoolOp:
     op: str                        # && ||
     values: list
-    #: No operand after the first can fault, by the range pass: every
-    #: dynamic index under it stays inside its array or table, every
-    #: divisor is non-zero — so C may evaluate them all, branch-free
-    #: (:class:`_Spans` decides).
+    #: Its value is 0/1, by the range pass: it is tested for truth, or
+    #: every operand lies in ``[0, 2)`` (:class:`_Spans` decides).  Else
+    #: it is the operand Python yields, which C and Verilog print as
+    #: :meth:`select`.
+    zero_one: bool = False
+    #: 0/1, and no operand after the first can fault, by the range pass:
+    #: every dynamic index under it stays inside its array or table,
+    #: every divisor is non-zero — so C may evaluate them all,
+    #: branch-free (:class:`_Spans` decides).
     eager: bool = False
+
+    def select(self):
+        """The operand Python yields, as conditionals: ``b if a else a``
+        for ``and``, ``a if a else b`` for ``or``."""
+        ir = self.values[-1]
+        for value in reversed(self.values[:-1]):
+            ir = IfExp(value, ir, value) if self.op == "&&" \
+                else IfExp(value, value, ir)
+        return ir
 
 
 @dataclass
@@ -264,18 +284,14 @@ class BlockIR:
     #: only :func:`infer_types` reads it, and uses it up.  Reads record
     #: the same fact in ``SigRead.vtype``.
     casts: dict = field(default_factory=dict)
-    #: the first local :class:`_Spans` sees given a value C may not
-    #: compute right as an ``int64_t`` (C's locals), or None
-    wide_local: str = None
-    #: the first CL state attribute it sees given one (C's CL state is
-    #: ``int64_t`` too), or None
-    wide_state: str = None
-    #: what else C may compute wrong, a signal write, a condition or an
-    #: index made of a value C's ``u128`` / ``int64_t`` does not hold
-    #: (its description), or None
-    wide_value: str = None
+    #: why C cannot run the body, or None: :class:`_Spans` found a value
+    #: C's ``u128`` / ``int64_t`` arithmetic may compute wrong — given to
+    #: a local (C's are ``int64_t``), else to CL state (``int64_t``
+    #: too), else made into a signal write, a condition or an index
+    refused: str = None
     #: ``id`` of each constant hole a range fact (``BinOp.nonneg``,
-    #: ``BoolOp.eager``, ``AssignSig.fits``, a value C computes right)
+    #: ``BoolOp.zero_one`` / ``eager``, ``AssignSig.fits``, a value C
+    #: computes right)
     #: read as in ``[0, 2**n)`` -> ``n`` (63, or ``_NARROW_BITS``), or
     #: at its value -> None: a sibling shares the facts where it holds
     #: such a value, so :mod:`.bodies` guards that
@@ -298,6 +314,7 @@ _BINOPS = {
     ast.Mod: "%", ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^",
     ast.LShift: "<<", ast.RShift: ">>",
 }
+_UNOPS = {ast.Invert: "~", ast.USub: "-", ast.Not: "!"}
 _CMPOPS = {
     ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
     ast.Gt: ">", ast.GtE: ">=",
@@ -330,15 +347,8 @@ class BlockTranslator:
             raise TranslationError(
                 f"{func.__qualname__} does not name its model")
         self._env = self._build_env()
-        # Locals only ever assigned 0/1 values; None until an ``and`` /
-        # ``or`` used as a value makes translate() work them out.
-        self._bit_locals = None
-        self._reset()
-
-    def _reset(self):
         self.ir = BlockIR(name=self.func.__name__, kind=self.kind,
                           model=self.model)
-        self._value_boolops = []
         # The read trace: everything this lowering took from the live
         # model or the block's environment, as the AST expression it
         # came through.  A *hole* reached the IR only as a leaf — a
@@ -360,16 +370,13 @@ class BlockTranslator:
     def _build_env(self):
         """Names visible to the block: closure vars and globals that
         hold plain constants."""
-        env = {}
-        for var, val in self.func.__globals__.items():
-            env[var] = val
-        code = self.func.__code__
-        if self.func.__closure__:
-            for var, cell in zip(code.co_freevars, self.func.__closure__):
-                try:
-                    env[var] = cell.cell_contents
-                except ValueError:
-                    pass
+        env = dict(self.func.__globals__)
+        for var, cell in zip(self.func.__code__.co_freevars,
+                             self.func.__closure__ or ()):
+            try:
+                env[var] = cell.cell_contents
+            except ValueError:
+                pass
         return env
 
     def fail(self, node, why):
@@ -381,63 +388,12 @@ class BlockTranslator:
 
     def translate(self):
         self.ir.body = self.stmt_list(self.func_def.body)
-        if self._value_boolops:
-            # ``a and b`` as a value is an operand, not a truth value.
-            # It was lowered as the 0/1 BoolOp; that holds when every
-            # operand is 0/1-valued — which, through locals, only the
-            # whole body can say.  Otherwise lower once more, printing
-            # the others as operand selects.
-            bits = self._zero_one_locals()
-            if not all(self._is_bit(v, bits) for node in self._value_boolops
-                       for v in node.values):
-                decided = self.guards       # what the choice read, too
-                self._bit_locals = bits
-                self._reset()
-                self.guards = decided
-                self.ir.body = self.stmt_list(self.func_def.body)
         return self.ir
-
-    def _is_bit(self, node, bit_locals):
-        """:func:`_is_bit`, guarding every constant hole it read: C
-        prints ``bit and s.k`` by ``s.k``'s value."""
-        consts = []
-        bit = _is_bit(node, bit_locals, consts)
-        for leaf, source, _ in self.holes:
-            if any(leaf is const for const in consts):
-                self.guards.append(source)
-        return bit
-
-    def _zero_one_locals(self):
-        """Scalar locals only ever assigned 0/1-valued expressions
-        (greatest fixpoint: a local may be assigned from another)."""
-        assigned = {}
-        for stmt in walk_stmts(self.ir.body):
-            if isinstance(stmt, AssignLocal):
-                assigned.setdefault(stmt.name, []).append(
-                    stmt.expr if stmt.index is None else None)
-            elif isinstance(stmt, For):
-                assigned.setdefault(stmt.var, []).append(None)
-        bits = set(assigned)
-        while True:
-            keep = {name for name in bits
-                    if all(e is not None and self._is_bit(e, bits)
-                           for e in assigned[name])}
-            if keep == bits:
-                return bits
-            bits = keep
 
     # -- statements ------------------------------------------------------------------
 
     def stmt_list(self, nodes):
-        out = []
-        for node in nodes:
-            stmt = self.stmt(node)
-            if stmt is not None:
-                if isinstance(stmt, list):
-                    out.extend(stmt)
-                else:
-                    out.append(stmt)
-        return out
+        return [stmt for stmt in map(self.stmt, nodes) if stmt is not None]
 
     def stmt(self, node):
         if isinstance(node, ast.Assign):
@@ -449,9 +405,9 @@ class BlockTranslator:
             value = BinOp(_BINOPS.get(type(node.op)) or self.fail(
                 node, f"augmented op {type(node.op).__name__}"),
                 read, self.expr(node.value))
-            return self.assign(node.target, None, node, value_ir=value)
+            return self.assign(node.target, None, node, value)
         if isinstance(node, ast.If):
-            return If(self.cond(node.test), self.stmt_list(node.body),
+            return If(self.expr(node.test), self.stmt_list(node.body),
                       self.stmt_list(node.orelse))
         if isinstance(node, ast.For):
             return self.for_stmt(node)
@@ -468,10 +424,8 @@ class BlockTranslator:
         if isinstance(node, ast.Continue):
             return Continue()
         if isinstance(node, ast.Return):
-            if node.value is None:
-                # 'return' for early exit maps to nothing translatable.
-                self.fail(node, "early return unsupported")
-            self.fail(node, "return with value unsupported")
+            self.fail(node, "early return unsupported" if node.value is None
+                      else "return with value unsupported")
         self.fail(node, f"statement {type(node).__name__} unsupported")
 
     def for_stmt(self, node):
@@ -480,12 +434,8 @@ class BlockTranslator:
                 and node.iter.func.id == "range"):
             self.fail(node, "for loops must iterate over range()")
         args = [self.static_int(a, node) for a in node.iter.args]
-        if len(args) == 1:
-            start, stop, step = 0, args[0], 1
-        elif len(args) == 2:
-            start, stop, step = args[0], args[1], 1
-        else:
-            start, stop, step = args
+        start, stop, step = (0, *args, 1) if len(args) == 1 else \
+            (*args, 1) if len(args) == 2 else args
         if step == 0:
             self.fail(node, "range() step must not be zero")
         if not isinstance(node.target, ast.Name):
@@ -494,12 +444,10 @@ class BlockTranslator:
         self.ir.locals.setdefault(var, "int")
         return For(var, start, stop, step, self.stmt_list(node.body))
 
-    def assign(self, target, value_node, node, value_ir=None):
-        value = value_ir if value_ir is not None else None
-
-        # Local array declaration: xs = [0] * N  /  [c for _ in range(N)]
-        if (value is None and isinstance(target, ast.Name)
-                and self._is_array_init(value_node)):
+    def assign(self, target, value_node, node, value=None):
+        # Local array declaration: xs = [0] * N
+        if value is None and isinstance(target, ast.Name) \
+                and _is_array_init(value_node):
             size, fill = self._array_init(value_node, node)
             self.ir.locals[target.id] = ("array", size)
             return DeclLocalArray(target.id, size, Const(fill))
@@ -527,35 +475,20 @@ class BlockTranslator:
                 self.fail(node, ".next write inside combinational block")
             if self.kind != "comb" and not is_next \
                     and isinstance(ref, SigRef):
-                self.fail(
-                    node,
-                    ".value write inside tick block (use .next)"
-                )
+                self.fail(node, ".value write inside tick block (use .next)")
             if isinstance(ref, SigRef):
                 self.ir.sig_writes.append(ref)
                 return AssignSig(ref, value, is_next)
             return AssignState(ref, value)
         self.fail(node, "unsupported assignment target")
 
-    def _is_array_init(self, node):
-        if node is None:
-            return False
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-            return isinstance(node.left, ast.List) \
-                or isinstance(node.right, ast.List)
-        return False
-
     def _array_init(self, node, ctx):
-        if isinstance(node.left, ast.List):
-            lst, count = node.left, node.right
-        else:
-            lst, count = node.right, node.left
-        if len(lst.elts) != 1:
-            self.fail(ctx, "array init must be [const] * N")
-        elt = lst.elts[0]
-        neg = False
-        if isinstance(elt, ast.UnaryOp) and isinstance(elt.op, ast.USub):
-            elt, neg = elt.operand, True
+        lst, count = (node.left, node.right) if isinstance(
+            node.left, ast.List) else (node.right, node.left)
+        elt = lst.elts[0] if len(lst.elts) == 1 else None
+        neg = isinstance(elt, ast.UnaryOp) and isinstance(elt.op, ast.USub)
+        if neg:
+            elt = elt.operand
         if not isinstance(elt, ast.Constant):
             self.fail(ctx, "array init must be [const] * N")
         value = int(elt.value)
@@ -565,28 +498,21 @@ class BlockTranslator:
 
     def expr(self, node):
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool):
+            if isinstance(node.value, int):        # bools included
                 return Const(int(node.value))
-            if isinstance(node.value, int):
-                return Const(node.value)
             self.fail(node, f"constant {node.value!r} unsupported")
         if isinstance(node, ast.Name):
             return self.name_expr(node)
         if isinstance(node, (ast.Attribute, ast.Subscript)):
             return self.path_expr(node)
         if isinstance(node, ast.BinOp):
-            op = _BINOPS.get(type(node.op))
-            if op is None:
-                self.fail(node, f"operator {type(node.op).__name__}")
+            op = _BINOPS.get(type(node.op)) or self.fail(
+                node, f"operator {type(node.op).__name__}")
             return BinOp(op, self.expr(node.left), self.expr(node.right))
         if isinstance(node, ast.UnaryOp):
-            if isinstance(node.op, ast.Invert):
-                return UnOp("~", self.expr(node.operand))
-            if isinstance(node.op, ast.USub):
-                return UnOp("-", self.expr(node.operand))
-            if isinstance(node.op, ast.Not):
-                return UnOp("!", self.cond(node.operand))
-            self.fail(node, f"unary {type(node.op).__name__}")
+            op = _UNOPS.get(type(node.op)) or self.fail(
+                node, f"unary {type(node.op).__name__}")
+            return UnOp(op, self.expr(node.operand))
         if isinstance(node, ast.Compare):
             if len(node.ops) != 1:
                 self.fail(node, "chained comparisons unsupported")
@@ -596,39 +522,14 @@ class BlockTranslator:
             return Cmp(op, self.expr(node.left),
                        self.expr(node.comparators[0]))
         if isinstance(node, ast.BoolOp):
-            return self._bool_value(node)
+            return BoolOp("&&" if isinstance(node.op, ast.And) else "||",
+                          [self.expr(v) for v in node.values])
         if isinstance(node, ast.IfExp):
-            return IfExp(self.cond(node.test), self.expr(node.body),
+            return IfExp(self.expr(node.test), self.expr(node.body),
                          self.expr(node.orelse))
         if isinstance(node, ast.Call):
             return self.call_expr(node)
         self.fail(node, f"expression {type(node).__name__} unsupported")
-
-    def cond(self, node):
-        """An expression used as a condition: only its truth matters,
-        so ``and`` / ``or`` are the logical operators here."""
-        if isinstance(node, ast.BoolOp):
-            op = "&&" if isinstance(node.op, ast.And) else "||"
-            return BoolOp(op, [self.cond(v) for v in node.values])
-        return self.expr(node)
-
-    def _bool_value(self, node):
-        """``a and b`` / ``a or b`` used as a value yields an operand.
-        That is the logical operator when every operand is 0/1-valued
-        (see translate()), else an operand select: ``b if a else a``
-        / ``a if a else b``."""
-        is_and = isinstance(node.op, ast.And)
-        values = [self.expr(v) for v in node.values]
-        if self._bit_locals is None or all(
-                self._is_bit(v, self._bit_locals) for v in values):
-            ir = BoolOp("&&" if is_and else "||", values)
-            self._value_boolops.append(ir)
-            return ir
-        ir = values[-1]
-        for value in reversed(values[:-1]):
-            ir = IfExp(value, ir, value) if is_and \
-                else IfExp(value, value, ir)
-        return ir
 
     def name_expr(self, node):
         name = node.id
@@ -641,8 +542,6 @@ class BlockTranslator:
             if isinstance(value, int):
                 return self._const_hole(value, node)
             self.fail(node, f"name {name!r} is not an int constant")
-        # Unknown name: assume local assigned later? That's a bug in
-        # the block; fail loudly.
         self.fail(node, f"unknown name {name!r}")
 
     def call_expr(self, node):
@@ -752,9 +651,7 @@ class BlockTranslator:
         if isinstance(resolved, StateRef):
             self.ir.state_names.append(resolved)
             return StateRead(resolved)
-        if isinstance(resolved, Const):
-            return resolved
-        if isinstance(resolved, (LocalRead,)):
+        if isinstance(resolved, (Const, LocalRead)):
             return resolved
         self.fail(node, "path does not resolve to a signal, state, or "
                         "constant")
@@ -807,46 +704,30 @@ class BlockTranslator:
                 return self.model
             if node.id in self.ir.locals:
                 return NotImplemented
-            if node.id in self._env:
-                return self._env[node.id]
-            return NotImplemented
+            return self._env.get(node.id, NotImplemented)
         if isinstance(node, ast.Attribute):
             base = self.try_static(node.value)
             if base is NotImplemented:
                 return NotImplemented
-            try:
-                value = getattr(base, node.attr)
-            except AttributeError:
-                return NotImplemented
-            return value
+            return getattr(base, node.attr, NotImplemented)
         if isinstance(node, ast.Subscript):
-            base = self.try_static(node.value)
-            idx = self.try_static(node.slice)
-            if base is NotImplemented or idx is NotImplemented:
-                return NotImplemented
+            base, idx = self.try_static(node.value), self.try_static(node.slice)
             if isinstance(idx, (int, bool)) and isinstance(base, list) \
                     and idx < len(base):    # else _index_obj says why not
                 return base[idx]
             return NotImplemented
         if isinstance(node, ast.BinOp):
-            left = self.try_static(node.left)
-            right = self.try_static(node.right)
+            left, right = self.try_static(node.left), self.try_static(node.right)
             op = _BINOPS.get(type(node.op))
-            if NotImplemented in (left, right) or op is None:
-                return NotImplemented
-            if not isinstance(left, (int, bool)) \
+            if op is None or not isinstance(left, (int, bool)) \
                     or not isinstance(right, (int, bool)):
                 return NotImplemented
             return _FOLD[op](int(left), int(right))
         if isinstance(node, ast.UnaryOp):
             value = self.try_static(node.operand)
-            if value is NotImplemented or not isinstance(value, (int, bool)):
-                return NotImplemented
-            if isinstance(node.op, ast.USub):
-                return -value
-            if isinstance(node.op, ast.Invert):
-                return ~value
-            return NotImplemented
+            if isinstance(value, (int, bool)) and isinstance(
+                    node.op, (ast.USub, ast.Invert)):
+                return -value if isinstance(node.op, ast.USub) else ~value
         return NotImplemented
 
     def _resolve_chain(self, node):
@@ -1035,6 +916,11 @@ def _sigref_from(obj):
     return SigRef([obj])
 
 
+def _is_array_init(node):
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+        and ast.List in (type(node.left), type(node.right))
+
+
 def _copy_as_load(node):
     """Shallow-copy an assignment target as a Load-context expression."""
     new = copy.deepcopy(node)
@@ -1042,28 +928,6 @@ def _copy_as_load(node):
         if hasattr(sub, "ctx"):
             sub.ctx = ast.Load()
     return new
-
-
-def _is_bit(node, bit_locals, consts):
-    """Whether ``node`` is statically 0/1-valued, given the locals
-    that are; appends every ``Const`` it read to ``consts``."""
-    if isinstance(node, Const):
-        consts.append(node)
-        return node.value in (0, 1)
-    if isinstance(node, Cmp):
-        return True
-    if isinstance(node, UnOp):
-        return node.op == "!"
-    if isinstance(node, BoolOp):
-        return all(_is_bit(v, bit_locals, consts) for v in node.values)
-    if isinstance(node, SigRead):
-        return node.ref.width == 1
-    if isinstance(node, LocalRead):
-        return node.index is None and node.name in bit_locals
-    if isinstance(node, IfExp):
-        return (_is_bit(node.then, bit_locals, consts)
-                and _is_bit(node.orelse, bit_locals, consts))
-    return False
 
 
 # -- Python-level types ------------------------------------------------------------
@@ -1124,7 +988,11 @@ def infer_types(ir, hole_of, fixed=frozenset()):
     Once they settle, a :class:`Wrap` goes wherever ``Bits`` wraps
     (:meth:`_Typer.wrap`), except into a signal write no wider: no
     printer decides a width.  Last, the range pass (:class:`_Spans`)
-    records every fact of a value's size a printer reads.  ``hole_of``
+    records every fact of a value's size a printer reads — a signal
+    write that needs no mask, a native division, an ``and`` / ``or``
+    that is 0/1 (else C and Verilog print the operand it yields) and
+    may be eager — and ``BlockIR.refused``, the one text that says why
+    C cannot run the body.  ``hole_of``
     names (by ``id``) the ``Const`` leaves a sibling may fill with
     another value, ``fixed`` those of them a guard holds to this value
     (the range pass reads both)."""
@@ -1289,7 +1157,7 @@ class _Typer(_Flow):
 
     def exact(self, node):
         """``node`` made ``Bits``-exact: rewritten in place, or a new node
-        around it, once (an ``and`` / ``or`` value shares its operands)."""
+        around it, once (``sext`` and ``.int()`` share their operand)."""
         if id(node) not in self.done:
             sides = isinstance(node, BinOp) and [
                 (kid, self.seen(kid)) for kid in (node.left, node.right)]
@@ -1384,6 +1252,14 @@ _TRIP_WALKS = 256
 #: not give, a hole whose value fits this many bits is any value that
 #: does, and failing that, its value.
 _NARROW_BITS = 32
+#: Why C cannot run a body (``BlockIR.refused``), by precedence: a
+#: local, CL state, any other value C may compute wrong.
+_LOCAL, _STATE, _VALUE = range(3)
+_REFUSALS = (
+    "local {!r} may hold 64 bits or more (C locals are int64_t)",
+    "CL state {!r} may be given 64 bits or more (C holds CL state as "
+    "int64_t)",
+    "{} may compute a value C's u128 / int64_t arithmetic gets wrong")
 
 
 def _within(span, size, low=0):
@@ -1465,13 +1341,13 @@ class _Spans(_Flow):
     array element or an unset local is unbounded.  A constant hole a
     guard fixes is its value; any other is only as known as its class,
     ``[0, 2**63)`` (or unbounded), so siblings that differ in it still
-    share the body, unless C needs it known closer (:meth:`exact`).
-    It records the facts the printers read (``AssignSig.fits``,
-    ``BinOp.nonneg``, ``BoolOp.eager``, and what C may compute wrong,
-    ``BlockIR.wide_local`` / ``wide_state`` / ``wide_value``: see
-    :meth:`exact`).
-    A fact read from a hole's class names the hole in
-    ``BlockIR.fact_holes``."""
+    share the body, unless a fact needs it known closer
+    (:meth:`judged`).  It is the one judge of a value's size, and
+    records every fact the printers read: ``AssignSig.fits``,
+    ``BinOp.nonneg``, ``BoolOp.zero_one`` (an ``and`` / ``or`` is 0/1)
+    and ``eager``, and what C may compute wrong, ``BlockIR.refused``
+    (see :meth:`exact`).  A fact read from a hole's class names the
+    hole in ``BlockIR.fact_holes``."""
 
     def __init__(self, ir, hole_of, fixed, holes="class"):
         self.ir, self.hole_of, self.fixed = ir, hole_of, fixed
@@ -1480,26 +1356,31 @@ class _Spans(_Flow):
         self.exits = []
         self.spans = {}            # id(expression) -> Span, last walk's
         # What a constant hole is: its class, or (walks of their own,
-        # which :meth:`exact` asks for) its narrow class or its value,
+        # which :meth:`judged` asks for) its narrow class or its value,
         # named ``(id, _NARROW_BITS)`` / ``(id, None)`` in a span.
         self.holes = holes
         self.rejudged = {}         # holes -> that walk's spans
-        self.ctypes = {}           # id(expression) -> its C type
-        # id(node), or (id, "c") for what C computes -> (the node, or the
-        # name the IR's fact gives; the fact; holes | None)
+        self.ctypes = {}           # id(expression) -> its C type, last walk's
+        self.truths = set()        # id of each expression tested for truth
+        # id(node), or (id, tag) -> (the node, or what C cannot run: a
+        # ``(_LOCAL | _STATE | _VALUE, name)``; the IR's fact, or None
+        # for that; holes | None)
         self.facts = {}
 
     def run(self, ir):
-        """Walk ``ir``'s body; set the facts, ``ir.wide_local`` /
-        ``wide_state`` / ``wide_value`` and ``ir.fact_holes``."""
+        """Walk ``ir``'s body; set the facts, ``ir.refused`` and
+        ``ir.fact_holes``."""
         self.stmts(ir.body)
-        holes = frozenset()
+        holes, refusals = frozenset(), []
         for target, fact, read in self.facts.values():  # first walked first
             holes |= read or frozenset()
-            if not fact.startswith("wide"):
+            if fact:
                 setattr(target, fact, read is not None)
-            elif read is None and getattr(ir, fact) is None:
-                setattr(ir, fact, target)    # a name, or what it is
+            elif read is None:
+                refusals.append(target)
+        if refusals:
+            kind, what = min(refusals, key=lambda refusal: refusal[0])
+            ir.refused = _REFUSALS[kind].format(what)
         for hole in holes:
             hole, bits = hole if type(hole) is tuple else (hole, 63)
             old = ir.fact_holes.get(hole, 63)
@@ -1514,6 +1395,19 @@ class _Spans(_Flow):
             walk.stmts(self.ir.body)
             self.rejudged[holes] = walk.spans
         return self.rejudged[holes]
+
+    def judged(self, node, high, low=0):
+        """``node``'s span, judged again where it is not inside ``[low,
+        high)`` and a hole's class supplied a bound: with each hole whose
+        value fits ``_NARROW_BITS`` bits in that narrower class, then at
+        its value; a fact read from it has the holes guarded there."""
+        span = self.spans[id(node)]
+        for again in ("narrow", "value"):
+            if _within(span, high, low) or not span.holes \
+                    or self.holes != "class":
+                break
+            span = self.rejudge(again)[id(node)]
+        return span
 
     @staticmethod
     def join(*envs):
@@ -1542,7 +1436,7 @@ class _Spans(_Flow):
                 out[name] = span._replace(
                     lo=None if span.lo != old.lo else span.lo,
                     hi=None if span.hi != old.hi else span.hi)
-                self.facts[id(node), name] = name, "wide_local", None
+                self.facts[id(node), name] = (_LOCAL, name), None, None
         return out
 
     @staticmethod
@@ -1552,9 +1446,10 @@ class _Spans(_Flow):
         return Span(node.stop + 1, max(node.start, node.stop) + 1)
 
     def cond(self, node):
+        self.truths.add(id(node))
         self.span(node)
         if self.holes == "class":
-            self.facts[id(node), "c"] = "a condition", "wide_value", \
+            self.facts[id(node), "c"] = (_VALUE, "a condition"), None, \
                 self.exact(node)
 
     def simple(self, node):
@@ -1573,24 +1468,34 @@ class _Spans(_Flow):
                 span.holes if _within(span, 1 << node.ref.width)
                 and not span.truth else None)
             self.facts[id(node), "c"] = (
-                f"a {node.ref.width}-bit signal write", "wide_value",
+                (_VALUE, f"a {node.ref.width}-bit signal write"), None,
                 self.held(node.expr, 64 if node.ref.width <= 64 else 128))
         elif isinstance(node, AssignState):
-            self.facts[id(node)] = (node.ref.name, "wide_state",
+            self.facts[id(node)] = ((_STATE, node.ref.name), None,
                                     self.fits64(node.expr))
         else:                      # a local or local array element
-            self.facts[id(node)] = node.name, "wide_local", self.fits64(
+            self.facts[id(node)] = (_LOCAL, node.name), None, self.fits64(
                 node.init if isinstance(node, DeclLocalArray) else node.expr)
         for holder, key in _operands(getattr(node, "ref", node)):
             if key == "index":
                 self.facts[id(holder[key]), "c"] = (
-                    "an index", "wide_value", self.exact(holder[key]))
+                    (_VALUE, "an index"), None, self.exact(holder[key]))
 
     def span(self, node):
         span = self.spans[id(node)] = self._span(node)
+        if self.holes == "class":  # a walk that judges again asks none
+            self.ctypes[id(node)] = self.c_type(node)
         return span
 
     def _span(self, node):
+        # What a truth test takes: a condition, ``not``'s operand and
+        # the operands of an ``and`` / ``or`` tested
+        if isinstance(node, IfExp):
+            self.truths.add(id(node.cond))
+        elif isinstance(node, UnOp) and node.op == "!":
+            self.truths.add(id(node.operand))
+        elif isinstance(node, BoolOp) and id(node) in self.truths:
+            self.truths.update(map(id, node.values))
         for kid in _children(node):
             self.span(kid)
         got = self.spans.get
@@ -1632,20 +1537,39 @@ class _Spans(_Flow):
                             None if lo is None else 1 - lo, holes)
             return Span(None if hi is None else -hi,
                         None if lo is None else -lo, holes)
-        if isinstance(node, (Cmp, BoolOp)):
-            if isinstance(node, BoolOp):
-                self.facts[id(node)] = node, "eager", self.cannot_fault(
-                    node.values[1:])
-                # 0/1 in C and in Python (the lowering's), as Python
-                # gives an operand: a bool where one may be
-                return Span(0, 2, truth=any(
-                    got(id(value)).truth for value in node.values))
+        if isinstance(node, BoolOp):
+            read = self.zero_one(node)
+            self.facts[id(node), "01"] = node, "zero_one", read
+            if self.holes == "class":  # this walk's, which C's type reads
+                node.zero_one = read is not None
+            self.facts[id(node)] = node, "eager", None if read is None \
+                else self.cannot_fault(node.values[1:])
+            spans = [got(id(value)) for value in node.values]
+            if read is None:           # Python's operand
+                return functools.reduce(_hull, spans)
+            return Span(0, 2, truth=any(span.truth for span in spans))
+        if isinstance(node, Cmp):
             return _TRUTH
         if isinstance(node, IfExp):
             return _hull(got(id(node.then)), got(id(node.orelse)))
         if isinstance(node, Concat):
             return Span(0, 1 << sum(width for _, width in node.parts))
         return ANY                   # CL state, an array element
+
+    def zero_one(self, node):
+        """The holes whose classes say ``and`` / ``or`` ``node`` is 0/1 —
+        it is tested for truth, or every operand lies in ``[0, 2)``
+        (:meth:`judged`) — or None where Python may yield an operand
+        of another value."""
+        if id(node) in self.truths:
+            return frozenset()
+        holes = frozenset()
+        for value in node.values:
+            span = self.judged(value, 2)
+            if not _within(span, 2):
+                return None
+            holes |= span.holes
+        return holes
 
     def fits64(self, node):
         """The holes whose classes say C stores ``node``'s value right
@@ -1657,22 +1581,14 @@ class _Spans(_Flow):
         """The holes whose classes say C computes ``node``'s value as
         Python does, as ``ctype`` (``"u128"`` or ``"int64_t"``; where
         None, the type C computes it in, :meth:`c_type`), or None where
-        it may not: where its span has a bound outside that type that no
-        hole's class supplied, or where C may compute it wrong modulo
-        that type's size (:meth:`held`).  A read of a local, an array
-        element or CL state is taken to be exact (C holds each so).  A
-        bound a hole's class supplied is judged again with each hole
-        whose value fits ``_NARROW_BITS`` bits in that narrower class,
-        then with each at its value, and its guard holds it there (a
-        sibling shares the body only where the judgement holds too)."""
-        ctype = ctype or self.c_type(node)
+        it may not: where its span (:meth:`judged`) has a bound outside
+        that type that no hole's class supplied, or where C may compute
+        it wrong modulo that type's size (:meth:`held`).  A read of a
+        local, an array element or CL state is taken to be exact (C
+        holds each so)."""
+        ctype = ctype or self.ctypes[id(node)]
         low, high = (0, 1 << 128) if ctype == "u128" else (-1 << 63, 1 << 63)
-        lo, hi, holes, _ = span = self.spans[id(node)]
-        for again in ("narrow", "value"):
-            if _within(span, high, low) or not holes \
-                    or self.holes != "class":
-                break
-            lo, hi, holes, _ = span = self.rejudge(again)[id(node)]
+        lo, hi, holes, _ = span = self.judged(node, high, low)
         if not _within(span, high, low) \
                 and not isinstance(node, (LocalRead, StateRead)) \
                 and (lo is not None and not low <= lo < high
@@ -1694,13 +1610,13 @@ class _Spans(_Flow):
         if isinstance(node, Const):
             return frozenset() if -1 << 63 <= node.value < 1 << 128 \
                 else None
-        if keep > 64 and self.c_type(node) == "int64_t":
+        if keep > 64 and self.ctypes[id(node)] == "int64_t":
             return self.exact(node)
         if isinstance(node, BinOp) and node.op in ("<<", ">>"):
             # C shifts by less than its type's width, or not at all
             _, hi, read, _ = self.spans[id(node.right)]
             if not read and hi is not None and hi > (
-                    128 if self.c_type(node.left) == "u128" else 64):
+                    128 if self.ctypes[id(node.left)] == "u128" else 64):
                 return None
         holes = frozenset()
         for kid, kept in self.kept(node, keep):
@@ -1738,22 +1654,27 @@ class _Spans(_Flow):
         if isinstance(node, IfExp):
             return [(node.cond, None), (node.then, keep),
                     (node.orelse, keep)]
+        if isinstance(node, BoolOp) and not node.zero_one:
+            # the select: each operand but the last is tested, then given
+            return [*((value, None) for value in node.values[:-1]),
+                    (node.values[-1], keep)]
         if isinstance(node, Cmp):      # C compares both as one type
             ctype = "u128" if "u128" in (
-                self.c_type(node.left), self.c_type(node.right)) \
+                self.ctypes[id(node.left)], self.ctypes[id(node.right)]) \
                 else "int64_t"
             return [(node.left, ctype), (node.right, ctype)]
-        # ``>>``, ``not``, ``and`` / ``or``, an index: the value itself
+        # ``>>``, ``not``, a 0/1 ``and`` / ``or``, an index: the value itself
         return [(kid, None) for kid in _children(node)]
 
     def c_type(self, node):
         """The type C computes ``node`` in, ``"u128"`` or ``"int64_t"``,
-        as ``cgen`` prints it: a net read, a mask, a concatenation, an
-        unsigned division and a constant past ``int64_t`` are ``u128``,
-        and so is an operator with such an operand (a shift's left
-        one)."""
-        if id(node) in self.ctypes:
-            return self.ctypes[id(node)]
+        as ``cgen`` prints it, from its operands' (:meth:`span` visits
+        them first): a net read, a mask, a concatenation, an unsigned
+        division and a constant past ``int64_t`` are ``u128``, and so is
+        an operator with such an operand (a shift's left one), a
+        conditional with such an arm and an ``and`` / ``or`` C prints as
+        the operand select."""
+        got = self.ctypes.get
         if isinstance(node, (SigRead, Wrap, Concat)):
             wide = True
         elif isinstance(node, Const):
@@ -1761,17 +1682,18 @@ class _Spans(_Flow):
         elif isinstance(node, BinOp) and node.op in ("//", "%"):
             wide = node.unsigned
         elif isinstance(node, BinOp):
-            wide = self.c_type(node.left) == "u128" or node.op not in (
-                "<<", ">>") and self.c_type(node.right) == "u128"
+            wide = got(id(node.left)) == "u128" or node.op not in (
+                "<<", ">>") and got(id(node.right)) == "u128"
         elif isinstance(node, UnOp):
-            wide = node.op != "!" and self.c_type(node.operand) == "u128"
+            wide = node.op != "!" and got(id(node.operand)) == "u128"
         elif isinstance(node, IfExp):
-            wide = "u128" in (self.c_type(node.then),
-                              self.c_type(node.orelse))
+            wide = "u128" in (got(id(node.then)), got(id(node.orelse)))
+        elif isinstance(node, BoolOp):
+            wide = not node.zero_one and "u128" in [
+                got(id(value)) for value in node.values]
         else:
             wide = False           # a local, CL state, a truth value
-        ctype = self.ctypes[id(node)] = "u128" if wide else "int64_t"
-        return ctype
+        return "u128" if wide else "int64_t"
 
     def cannot_fault(self, nodes):
         """The holes whose values say evaluating every expression of
@@ -1806,18 +1728,25 @@ class _Spans(_Flow):
         return holes
 
 
+#: node class -> the fields of its nodes that may hold an expression
+_SLOTS = {}
+
+
 def _operands(node):
     """Where ``node`` holds each expression it reads directly:
     ``holder[key]``."""
-    ref = getattr(node, "ref", None)
+    fields = vars(node)
+    keys = _SLOTS.get(type(node))
+    if keys is None:               # a list there is a body of statements
+        keys = _SLOTS[type(node)] = [
+            key for key in ("index", "left", "right", "operand", "cond",
+                            "then", "orelse", "expr")
+            if key in fields and type(fields[key]) is not list]
+    ref = fields.get("ref")
     slots = [(vars(ref), "index")] if getattr(ref, "index", None) else []
-    slots += [(vars(node), key) for key in ("index", "left", "right",
-                                            "operand", "cond", "then",
-                                            "orelse", "expr")
-              if type(getattr(node, key, None)) not in (list, type(None))]
-    slots += [(node.values, i) for i in range(len(getattr(node, "values",
-                                                          ())))]
-    return slots + [slot for part, _ in getattr(node, "parts", ())
+    slots += [(fields, key) for key in keys if fields[key] is not None]
+    slots += [(node.values, i) for i in range(len(fields.get("values", ())))]
+    return slots + [slot for part, _ in fields.get("parts", ())
                     for slot in _operands(part)]
 
 

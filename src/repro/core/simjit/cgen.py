@@ -48,13 +48,12 @@ Local variables are ``int64_t`` (signed, so idioms like ``sa = a -
 0x100000000`` compare correctly); a body with a local that may hold 64
 bits or more, or that may store that much into CL state, or that is
 made of a value this ``u128`` / ``int64_t`` arithmetic cannot compute,
-has no C (the range pass names it, ``BlockIR.wide_local`` /
-``wide_state`` / ``wide_value``).  The
-settle before an edge (``eval_comb``, and ``cycle``'s first) runs only
-the comb blocks the input ports changed since the last settle reach
-(``in_blk``, ``in_cone``); the Python boundary moves every input port
-in one ``push_inputs`` and only the changed output ports in one
-``pull_changed``.
+has no C: the range pass says why, in ``BlockIR.refused``, which
+:func:`c_template` hands on.  The settle before an edge (``eval_comb``,
+and ``cycle``'s first) runs only the comb blocks the input ports
+changed since the last settle reach (``in_blk``, ``in_cone``); the
+Python boundary moves every input port in one ``push_inputs`` and only
+the changed output ports in one ``pull_changed``.
 
 Dynamic signal-list indexing (``s.rf[rd]``) is compiled to a word
 lookup table per reference.
@@ -63,11 +62,14 @@ lookup table per reference.
 where C's truncate, so a division prints as ``py_floordiv`` /
 ``py_mod`` — unless the typer's range pass (:class:`~..ast_ir._Spans`)
 marked it ``nonneg``, both operands in ``[0, 2**63)``, where C's ``/``
-/ ``%`` on ``int64_t`` are Python's.  An ``and`` / ``or`` prints as
-``&&`` / ``||`` over its operands' 0/1 values — unless the pass marked
-it ``eager``: no operand after the first can fault (a dynamic index it
-cannot place inside its array or table, a divisor that may be zero),
-and then it is ``&`` / ``|``, every operand evaluated, no branch.
+/ ``%`` on ``int64_t`` are Python's.  An ``and`` / ``or`` the pass
+marked ``zero_one`` (tested for truth, or over operands in ``[0, 2)``)
+prints as ``&&`` / ``||`` over its operands' 0/1 values — or, where it
+is also ``eager``, no operand after the first can fault (a dynamic
+index it cannot place inside its array or table, a divisor that may be
+zero), as ``&`` / ``|``, every operand evaluated, no branch.  Any other
+yields an operand, as Python's does: the select ``(a) ? b : a`` for
+``and``, ``(a) ? a : b`` for ``or`` (:meth:`~..ast_ir.BoolOp.select`).
 
 **Template, body, layout.**  Each block body is compiled once.
 :func:`c_template` prints a block as a *template*: its C text with a
@@ -356,6 +358,8 @@ class _Template:
             return (f"(({self.expr(node.left)}) {node.op} "
                     f"({self.expr(node.right)}))")
         if isinstance(node, BoolOp):
+            if not node.zero_one:
+                return self.expr(node.select())
             op = node.op[0] if node.eager else node.op
             joined = f" {op} ".join(
                 f"(({self.expr(v)}) != 0)" for v in node.values
@@ -447,15 +451,8 @@ def c_template(ir, hole_of):
     for stmt in ir.body:
         lines.append(printer.stmt(stmt, 2))
     lines.append("}")
-    refused = (ir.wide_local and (
-        f"local {ir.wide_local!r} may hold 64 bits or more "
-        f"(C locals are int64_t)")) or (ir.wide_state and (
-        f"CL state {ir.wide_state!r} may be given 64 bits or more "
-        f"(C holds CL state as int64_t)")) or (ir.wide_value and (
-        f"{ir.wide_value} may compute a value C's u128 / int64_t "
-        f"arithmetic gets wrong"))
     return ("\n".join(lines), tuple(printer.kinds), tuple(printer.sources),
-            refused)
+            ir.refused)
 
 
 class CBackend:

@@ -12,7 +12,8 @@ parses module structure with a small tokenizer and verifies
 - every identifier used inside a module body is declared (port, wire,
   reg, integer, genvar, parameter, or array);
 - begin/end, module/endmodule, case/endcase nest correctly;
-- no identifier is declared twice in one module.
+- no identifier is declared twice in one module (a port declared
+  again as a variable counts).
 
 It is intentionally approximate (no expression grammar), but it has
 caught real emitter bugs (undeclared shadow arrays, bad port maps), and
@@ -22,24 +23,17 @@ every translation test runs it.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 _KEYWORDS = {
     "module", "endmodule", "input", "output", "inout", "wire", "reg",
     "integer", "genvar", "assign", "always", "begin", "end", "if",
     "else", "for", "case", "endcase", "default", "posedge", "negedge",
-    "or", "and", "not", "parameter", "localparam", "initial",
+    "or", "and", "not", "parameter", "localparam", "initial", "signed",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_DECL = re.compile(
-    r"^\s*(?:input|output|inout)?\s*"
-    r"(?:wire|reg|integer|genvar|parameter|localparam)\s*"
-    r"(?:\[[^\]]+\]\s*)?"
-    r"([A-Za-z_][A-Za-z0-9_$]*)"
-)
-
-
 @dataclass
 class VerilogLintError:
     module: str
@@ -64,22 +58,12 @@ def _split_modules(text):
     return modules
 
 
-def _declared_names(body):
-    names = set()
-    # Port and net declarations (also inside the port list).
-    for line in body.splitlines():
-        match = _DECL.match(line)
-        if match:
-            names.add(match.group(1))
-        # Port-list entries: "input  wire [7:0] foo," possibly with
-        # trailing comma handled by _DECL already; also catch
-        # "input  wire foo".
-    # Multi-declaration safety: find all "(wire|reg|integer) [range]? name"
-    for match in re.finditer(
-            r"\b(?:wire|reg|integer|genvar|parameter|localparam)\b\s*"
-            r"(?:\[[^\]]+\]\s*)?([A-Za-z_][A-Za-z0-9_$]*)", body):
-        names.add(match.group(1))
-    return names
+def _declarations(body):
+    """Every name ``body`` declares, once per declaration: ports (in the
+    port list), nets, variables, arrays, genvars and parameters."""
+    return re.findall(
+        r"\b(?:wire|reg|integer|genvar|parameter|localparam)\b\s*"
+        r"(?:signed\s*)?(?:\[[^\]]+\]\s*)?([A-Za-z_][A-Za-z0-9_$]*)", body)
 
 
 #: An expression with parentheses one level deep, as the translator
@@ -150,7 +134,12 @@ def lint_verilog(text):
         if cases != endcases:
             errors.append(VerilogLintError(name, "unbalanced case"))
 
-        declared = _declared_names(body) | module_ports[name]
+        declarations = Counter(_declarations(body))
+        for ident, count in declarations.items():
+            if count > 1:
+                errors.append(VerilogLintError(
+                    name, f"{ident!r} is declared {count} times"))
+        declared = set(declarations) | module_ports[name]
         declared |= {"clk", "reset"}
 
         instances = _instance_refs(body)

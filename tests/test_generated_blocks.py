@@ -834,6 +834,15 @@ def test_a_range_pass_that_calls_every_write_fits_is_caught(monkeypatch):
     _bits_mutant_is_caught()
 
 
+def test_a_range_pass_that_calls_every_and_or_zero_one_is_caught(
+        monkeypatch):
+    """The seeded mutant: every ``and`` / ``or`` is 0/1, so C prints
+    ``&&`` / ``||`` where Python yields an operand of another value."""
+    monkeypatch.setattr(ast_ir._Spans, "zero_one",
+                        lambda self, node: frozenset())
+    _bits_mutant_is_caught()
+
+
 def _bits_agree(design):
     build = load_generated(design.source)["Gen"]
     models, sims = _cpython_columns(lambda: build(design.ka))

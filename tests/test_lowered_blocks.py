@@ -202,9 +202,9 @@ def test_and_or_as_a_value_yield_an_operand_on_every_substrate():
 
 def test_and_or_over_zero_one_values_stay_the_logical_operators():
     """What keeps the generated C of every design in ``src/`` as it
-    was: 1-bit reads, comparisons, ``not`` and locals only ever given
-    such values lower to ``BoolOp``; one wide local in the chain and
-    the rest are selects."""
+    was: over 1-bit reads, comparisons, ``not`` and locals only ever
+    given such values an ``and`` / ``or`` is ``zero_one`` (the 0/1
+    operator); one wide local in the chain and it is not (a select)."""
     D = _design([
         "idle = s.a == 3", "go = idle and s.c[0].value.uint()",
         "wide = s.b.uint()", "x = go or wide",
@@ -212,7 +212,10 @@ def test_and_or_over_zero_one_values_stay_the_logical_operators():
     blk, = D().elaborate().get_comb_blocks()
     _, _, ir, _ = bodies.lowered(blk, {})
     kinds = [type(stmt.expr).__name__ for stmt in ir.body]
-    assert kinds == ["Cmp", "BoolOp", "SigRead", "IfExp", "BoolOp", "LocalRead"]
+    assert kinds == ["Cmp", "BoolOp", "SigRead", "BoolOp", "BoolOp",
+                     "LocalRead"]
+    assert [stmt.expr.zero_one for stmt in ir.body
+            if isinstance(stmt.expr, ast_ir.BoolOp)] == [True, False, True]
     models, sims = _columns(D, jit=True)
     _drive(models, sims, a=3, b=6, c=1)
     assert [(int(m.o), int(m.p)) for m in models] == [(1, 1)] * 4
@@ -746,7 +749,7 @@ def test_a_loop_with_a_negative_step_counts_down_on_every_backend():
         sim.cycle()
     assert [int(m.o) for m in models] == [3] * 5
     assert re.search(r"for \((\w+) = 3; \1 > -1; \1 = \1 \+ -1\) begin\n"
-                     r"\s+i = \1;", translate(D().elaborate()))
+                     r"\s+blk__i = \1;", translate(D().elaborate()))
     up, down = (estimate(_count_down(*r)().elaborate()).modules[0]
                 for r in ((0, 4, 1), (3, -1, -1)))
     assert down.comb_ge == up.comb_ge > 0

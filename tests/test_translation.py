@@ -5,6 +5,7 @@ generated source structurally: module structure, port declarations,
 deduplication, always-block balance, and subset enforcement.
 """
 
+import os
 import re
 
 import pytest
@@ -151,6 +152,58 @@ endmodule
     assert lint_verilog(leaf + top % "K") == []
     messages = [str(e) for e in lint_verilog(leaf + top % "J")]
     assert messages == ["[top] instance 'u0': 'leaf' has no parameter 'J'"]
+
+
+_VERILOG_OUT = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "examples", "verilog_out")
+
+#: Every library design these tests translate.
+_LIBRARY = {
+    "Register": lambda: Register(8), "Register1": lambda: Register(1),
+    "Mux": lambda: Mux(8, 4), "NormalQueue": lambda: NormalQueue(4, 16),
+    "BypassQueue": lambda: BypassQueue(8),
+    "RoundRobinArbiter": lambda: RoundRobinArbiter(4),
+    "IntPipelinedMultiplier": lambda: IntPipelinedMultiplier(16, 2),
+    "ProcRTL": ProcRTL, "CacheRTL": lambda: CacheRTL(MemMsg(), MemMsg(), 8),
+    "DotProductRTL": lambda: DotProductRTL(MemMsg(), XcelMsg()),
+    "MemArbiter": lambda: MemArbiter(MemMsg()),
+    "RouterRTL": lambda: RouterRTL(0, 4, 64, 16, 2),
+    "mesh16": lambda: MeshNetworkStructural(RouterRTL, 16, 64, 16, 2),
+}
+
+
+def _emitted(name):
+    """The Verilog of a library design, or of an ``examples/verilog_out``
+    file (``<name>.v``)."""
+    if name in _LIBRARY:
+        return _translate(_LIBRARY[name]())
+    with open(os.path.join(_VERILOG_OUT, name)) as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("name", [*_LIBRARY, *sorted(
+    f for f in os.listdir(_VERILOG_OUT) if f.endswith(".v"))])
+def test_emitted_verilog_declares_each_name_once(name):
+    """A block's locals are named for the block: as module-level
+    ``integer``s under their own names they redeclared ports and
+    registers (``rr_arbiter.v`` printed ``grants = grants;``, and its
+    output was never driven) and each other."""
+    from repro.tools import lint_verilog
+    assert [str(e) for e in lint_verilog(_emitted(name))] == []
+
+
+def test_verilog_locals_are_as_wide_as_c_locals():
+    """Every local is 64 bits and signed, like C's ``int64_t``: as a
+    32-bit ``integer``, ``router.v``'s 48-bit ``msg`` lost its
+    destination bits.  Only the hidden loop counters are ``integer``."""
+    texts = {f: _emitted(f) for f in os.listdir(_VERILOG_OUT)}
+    assert re.search(r"^  reg signed \[63:0\] switch_logic__msg;$",
+                     texts["router.v"], re.M)
+    for text in texts.values():
+        assert all(decl.startswith("[63:0] ") for decl in re.findall(
+            r"^  reg signed (.*);$", text, re.M))
+        assert all(re.fullmatch(r"\w+__\d+k", name) for name in
+                   re.findall(r"^  integer (.*);$", text, re.M))
 
 
 def test_mesh_translation_dedupes_queues():
@@ -301,4 +354,25 @@ def test_blocks_of_one_function_keep_their_own_ints():
     assert re.findall(r"#\(\.logic1_k1\((\d)\)\) ([xy])$", text, re.M) == [
         ("5", "x"), ("6", "y")]
     from repro.tools import lint_verilog
+    assert lint_verilog(text) == []
+
+
+class _CounterNamed(Model):
+    """A local named like a loop counter."""
+
+    def __init__(s):
+        s.a, s.o = InPort(4), OutPort(4)
+
+        @s.combinational
+        def blk():
+            k0 = 0
+            for i in range(2):
+                k0 = k0 + s.a.uint()
+            s.o.value = k0
+
+
+def test_a_hidden_loop_counter_is_named_like_no_local():
+    from repro.tools import lint_verilog
+    text = translate(_CounterNamed().elaborate())
+    assert "integer blk__0k;" in text and "reg signed [63:0] blk__k0;" in text
     assert lint_verilog(text) == []

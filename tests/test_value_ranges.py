@@ -7,8 +7,9 @@ an ``and`` / ``or`` none of whose later operands can fault as ``&`` /
 ``|``.  These are the pinned cases: the spans' arithmetic, the mesh
 router's arbitration, guards that must keep C's short circuit, a
 constant hole the facts read (a guard of the body), loops that widen,
-and the named refusal of CL state ``int64_t`` cannot hold.  The
-generated cases are in ``test_generated_blocks.py``.
+the named refusal of CL state ``int64_t`` cannot hold, and every C
+refusal of the library.  The generated cases are in
+``test_generated_blocks.py``.
 """
 
 import linecache
@@ -289,25 +290,26 @@ def test_loop_variables_follow_python_in_verilog():
     counter per nesting depth, the loop variable assigned at the top of
     each trip, so a body that assigns it (``i = 7``) still runs four
     trips, and a read after the loop (``m + j``, ``k % 4``) sees the
-    last value, not the bound."""
+    last value, not the bound.  Locals are named for their block."""
     from repro.core.translation import TranslationTool
     text = TranslationTool(_LoopVars().elaborate()).verilog
     heads = re.findall(r"for \((\w+) = (\d+); (\w+) < (\d+); "
                        r"(\w+) = (\w+) \+ (\d+)\) begin\n\s*(\w+) = (\w+);",
                        text)
     assert [(h[1], h[3], h[6], h[7]) for h in heads] == [
-        ("0", "4", "1", "i"), ("0", "4", "1", "j"), ("0", "10", "3", "k")]
+        ("0", "4", "1", "logic__i"), ("0", "4", "1", "logic__j"),
+        ("0", "10", "3", "logic__k")]
     # one counter tested, stepped and assigned to the variable
     assert all(len({h[0], h[2], h[4], h[5], h[8]}) == 1 for h in heads)
     counter = heads[0][0]
-    assert counter not in ("i", "j", "k")
+    assert counter not in ("logic__i", "logic__j", "logic__k")
     assert re.search(rf"^  integer {counter};$", text, re.M)
-    assert re.search(r"^\s*i = 7;$", text, re.M)
-    assert "(m + j)" in text and "(k % 4)" in text
+    assert re.search(r"^\s*logic__i = 7;$", text, re.M)
+    assert "(logic__m + logic__j)" in text and "(logic__k % 4)" in text
     text = TranslationTool(_NestedLoops().elaborate()).verilog
     outer, inner = re.findall(r"for \((\w+) = 0;", text)
     assert outer != inner
-    assert f"i = {outer};" in text and f"j = {inner};" in text
+    assert f"logic__i = {outer};" in text and f"logic__j = {inner};" in text
 
 
 class _WideAcc(Model):
@@ -373,3 +375,63 @@ def test_the_lowered_python_masks_a_write_unless_it_fits():
             assert [model.fit.uint(), model.grow.uint(), model.hit.uint()] \
                 == [a + b, (a + b) & 0xFF, int(a == b < 100)]
             assert type(model.hit.uint()) is int
+
+
+def _library():
+    """``{name: model}``: the 16-router RTL and CL meshes at 32, 64, 65
+    and 70-bit data, the 27 tiles, the caches, the processors and the
+    resilient links."""
+    import itertools
+
+    from repro.accel import Tile
+    from repro.mem import CacheCL, CacheFL, CacheRTL, MemMsg
+    from repro.net import ResilientLink, RouterCL
+    from repro.proc import ProcCL, ProcFL, ProcRTL
+    designs = {}
+    for router in (RouterRTL, RouterCL):
+        for bits in (32, 64, 65, 70):
+            designs[f"{router.__name__}-{bits}"] = MeshNetworkStructural(
+                router, 16, 256, bits, 2)
+    for levels in itertools.product(("fl", "cl", "rtl"), repeat=3):
+        designs["tile-" + "-".join(levels)] = Tile(levels)
+    for model in (CacheFL, CacheCL, CacheRTL):
+        designs[model.__name__] = model(MemMsg(), MemMsg())
+    for model in (ProcFL, ProcCL, ProcRTL):
+        designs[model.__name__] = model()
+    for level in ("fl", "cl", "rtl"):
+        designs[f"link-{level}"] = ResilientLink(payload_nbits=16,
+                                                 level=level)
+    return designs
+
+
+def _c_refusals(model):
+    """``{"<class>.<block>": why}`` for each body of ``model``'s RTL
+    and CL blocks that has no C."""
+    refused, stack = {}, [model.elaborate()]
+    while stack:
+        model = stack.pop()
+        stack.extend(model.get_submodels())
+        for blk in [*model.get_comb_blocks(), *model.get_tick_blocks()]:
+            if getattr(blk, "level", "rtl") not in ("rtl", "cl"):
+                continue
+            got = bodies.body_or_why(blk)
+            if not isinstance(got, str) and got[0].c_refused:
+                name = f"{type(model).__name__}.{blk.func.__name__}"
+                refused[name] = got[0].c_refused
+    return refused
+
+
+def test_the_library_c_refusals():
+    """The library's bodies that have no C, each with its one refusal
+    text: a 64-bit or wider message in a router, as a local (RTL) or
+    as CL state.  Every other body has C."""
+    msg = "local 'msg' may hold 64 bits or more (C locals are int64_t)"
+    buf = ("CL state 'buf_data' may be given 64 bits or more (C holds CL "
+           "state as int64_t)")
+    designs = _library()
+    want = {name: {} for name in designs}
+    for bits in (64, 65, 70):
+        want[f"RouterRTL-{bits}"] = {"RouterRTL.switch_logic": msg}
+        want[f"RouterCL-{bits}"] = {"RouterCL.router_logic": buf}
+    assert {name: _c_refusals(model)
+            for name, model in designs.items()} == want
