@@ -19,9 +19,11 @@ elaboration-time code and test benches simple.
 
 A net is written in exactly two ways, ``_Net.write`` and
 ``_Net.write_next``; every Python writer (``.value`` / ``.next`` of a
-signal or a slice, the queue adapters, a SimJIT engine's pulled
-outputs) calls one of them, and ``pygen`` prints the same two rules
-inline for lowered blocks:
+slice, the queue adapters, the co-simulation harness, a SimJIT
+engine's pulled outputs) calls one of them, and the same two rules are
+printed inline where a write is hot: by ``pygen`` for lowered blocks
+and in ``Signal``'s ``.value`` / ``.next`` setters, which every
+event-driven block's write goes through:
 
 - ``write`` stores a changed value at once and marks the net's readers
   (``SimulationTool._notify``);
@@ -246,11 +248,18 @@ class Signal(_ValueOps, metaclass=_ArrayableMeta):
 
     @value.setter
     def value(self, value):
+        # ``_Net.write``, printed inline as ``pygen`` prints it: one
+        # frame less per write in an event-driven block.
         net = self._net
         if net.parent is not net:
             net = net.find()
             self._net = net
-        net.write(int(value) & net.mask)
+        value = int(value) & net.mask
+        if value != net._value:
+            net._value = value
+            sim = net.sim
+            if sim is not None:
+                sim._notify(net)
 
     @property
     def next(self):
@@ -260,11 +269,17 @@ class Signal(_ValueOps, metaclass=_ArrayableMeta):
 
     @next.setter
     def next(self, value):
+        # ``_Net.write_next``, printed inline like the setter above.
         net = self._net
         if net.parent is not net:
             net = net.find()
             self._net = net
-        net.write_next(int(value) & net.mask)
+        value = int(value) & net.mask
+        net._next = value
+        if value != net._value:
+            sim = net.sim
+            if sim is not None:
+                sim._pending_flops[net] = True
 
     def uint(self):
         net = self._net

@@ -172,9 +172,8 @@ class SimulationTool:
             self.profiler = None
         from ..telemetry.export import Telemetry
         self.telemetry = Telemetry(self)
-        # Ring buffer of the last ``trace_depth`` line traces, used by
-        # the differential-verification subsystem to report the cycles
-        # leading up to a divergence without paying for full tracing.
+        # Ring buffer of the last ``trace_depth`` line traces (see
+        # log_traces, which arms it later).
         self.trace_log = deque(maxlen=trace_depth) if trace_depth else None
         self._vcd = vcd
         if vcd is not None:
@@ -824,6 +823,15 @@ class SimulationTool:
         restore_checkpoint(self, checkpoint)
 
     # -- observability ------------------------------------------------------------
+
+    def log_traces(self, depth):
+        """Keep the line traces of the last ``depth`` cycles in
+        ``trace_log`` from now on, as ``trace_depth`` does from
+        construction; ``0`` disarms the ring.  The co-simulation
+        harness arms it to replay a divergence, so that no cycle pays
+        for a line trace that only a mismatch reads."""
+        self.trace_log = deque(maxlen=depth) if depth else None
+        self._refresh_observers()
 
     def add_cycle_hook(self, hook, prepend=False):
         """Register ``hook(cycle)`` to run once per cycle after the

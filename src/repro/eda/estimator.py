@@ -162,7 +162,7 @@ def _estimate_module(model, irs):
                 flopped[id(sig)] = sig.nbits
         ge, depth = _block_cost(ir.body, {
             leaf: holes[h] for leaf, h in hole_of.items()
-            if isinstance(holes[h], int)})
+            if isinstance(holes[h], int)}, bool(body.c))
         est.comb_ge += ge
         est.delay_levels = max(est.delay_levels, depth)
 
@@ -227,9 +227,14 @@ def _op_levels(op, width):
     raise ValueError(op)
 
 
-def _expr_cost(node, consts):
+def _expr_cost(node, consts, typed=True):
     """Return (ge, depth_levels, width) of an expression; ``consts``
-    maps ``id`` of a ``Const`` hole to this instance's value."""
+    maps ``id`` of a ``Const`` hole to this instance's value, and
+    ``typed`` says the range pass ran on its body (``BoolOp.zero_one``
+    is decided)."""
+    def cost(expr):
+        return _expr_cost(expr, consts, typed)
+
     if isinstance(node, Const):
         value = consts.get(id(node), node.value)
         return 0.0, 0.0, max(1, value.bit_length())
@@ -237,7 +242,7 @@ def _expr_cost(node, consts):
         ref = node.ref
         width = ref.width
         if ref.is_dynamic():
-            ge_i, d_i, _ = _expr_cost(ref.index, consts)
+            ge_i, d_i, _ = cost(ref.index)
             n = len(ref.signals)
             return (ge_i + 2.5 * width * n,
                     d_i + math.log2(max(2, n)), width)
@@ -245,12 +250,12 @@ def _expr_cost(node, consts):
     if isinstance(node, (LocalRead, StateRead)):
         extra = (0.0, 0.0)
         if getattr(node, "index", None) is not None:
-            ge_i, d_i, _ = _expr_cost(node.index, consts)
+            ge_i, d_i, _ = cost(node.index)
             extra = (ge_i + 32.0, d_i + 2)
         return extra[0], extra[1], 32
     if isinstance(node, BinOp):
-        ge_l, d_l, w_l = _expr_cost(node.left, consts)
-        ge_r, d_r, w_r = _expr_cost(node.right, consts)
+        ge_l, d_l, w_l = cost(node.left)
+        ge_r, d_r, w_r = cost(node.right)
         width = max(w_l, w_r)
         # Constant shifts are wiring.
         if node.op in ("<<", ">>") and isinstance(node.right, Const):
@@ -258,13 +263,13 @@ def _expr_cost(node, consts):
         return (ge_l + ge_r + _op_ge(node.op, width),
                 max(d_l, d_r) + _op_levels(node.op, width), width)
     if isinstance(node, Wrap):
-        return _expr_cost(node.expr, consts)      # truncation is wiring
+        return cost(node.expr)          # truncation is wiring
     if isinstance(node, UnOp):
-        ge, depth, width = _expr_cost(node.operand, consts)
+        ge, depth, width = cost(node.operand)
         return ge + width * 0.5, depth + 1, width
     if isinstance(node, Cmp):
-        ge_l, d_l, w_l = _expr_cost(node.left, consts)
-        ge_r, d_r, w_r = _expr_cost(node.right, consts)
+        ge_l, d_l, w_l = cost(node.left)
+        ge_r, d_r, w_r = cost(node.right)
         width = max(w_l, w_r)
         if node.op in ("==", "!="):
             ge, lv = 1.5 * width, math.log2(max(2, width)) + 1
@@ -272,7 +277,12 @@ def _expr_cost(node, consts):
             ge, lv = 7.0 * width, math.log2(max(2, width)) + 2
         return ge_l + ge_r + ge, max(d_l, d_r) + lv, 1
     if isinstance(node, BoolOp):
-        parts = [_expr_cost(v, consts) for v in node.values]
+        if typed and not node.zero_one:
+            # Python's operand, not a 0/1: the muxes Verilog prints.
+            return cost(node.select())
+        # 1-bit logic; also every and / or of a body whose types are
+        # undecided, which the range pass never judged.
+        parts = [cost(v) for v in node.values]
         return (sum(p[0] for p in parts) + len(parts),
                 max(p[1] for p in parts) + 1, 1)
     if isinstance(node, IfExp):
@@ -281,28 +291,29 @@ def _expr_cost(node, consts):
                 and getattr(node.cond, "left", None) is shift.right:
             # The rewrite's guard of a dynamic <<: a Verilog shift past
             # the width is 0 already, so the guard is no hardware.
-            return _expr_cost(node.then, consts)
-        ge_c, d_c, _ = _expr_cost(node.cond, consts)
-        ge_t, d_t, w_t = _expr_cost(node.then, consts)
-        ge_e, d_e, w_e = _expr_cost(node.orelse, consts)
+            return cost(node.then)
+        ge_c, d_c, _ = cost(node.cond)
+        ge_t, d_t, w_t = cost(node.then)
+        ge_e, d_e, w_e = cost(node.orelse)
         width = max(w_t, w_e)
         return (ge_c + ge_t + ge_e + 2.5 * width,
                 max(d_c, d_t, d_e) + 1, width)
     if isinstance(node, Concat):
         # Concatenation is wiring: its parts side by side.
-        parts = [_expr_cost(expr, consts) for expr, _ in node.parts]
+        parts = [cost(expr) for expr, _ in node.parts]
         return (sum(p[0] for p in parts), max(p[1] for p in parts),
                 sum(width for _, width in node.parts))
     return 0.0, 0.0, 1
 
 
-def _block_cost(stmts, consts, mux_depth=0):
-    """Return (ge, max_depth) of a statement list."""
+def _block_cost(stmts, consts, typed, mux_depth=0):
+    """Return (ge, max_depth) of a statement list (see
+    :func:`_expr_cost`)."""
     total_ge = 0.0
     max_depth = 0.0
     for stmt in stmts:
         if isinstance(stmt, AssignSig):
-            ge, depth, _ = _expr_cost(stmt.expr, consts)
+            ge, depth, _ = _expr_cost(stmt.expr, consts, typed)
             width = stmt.ref.width
             # Writes under conditionals imply enable/select muxing.
             ge += 2.5 * width * max(1, mux_depth)
@@ -311,19 +322,20 @@ def _block_cost(stmts, consts, mux_depth=0):
             total_ge += ge
             max_depth = max(max_depth, depth + mux_depth)
         elif isinstance(stmt, AssignLocal):
-            ge, depth, _ = _expr_cost(stmt.expr, consts)
+            ge, depth, _ = _expr_cost(stmt.expr, consts, typed)
             total_ge += ge
             max_depth = max(max_depth, depth + mux_depth)
         elif isinstance(stmt, If):
-            ge_c, d_c, _ = _expr_cost(stmt.cond, consts)
+            ge_c, d_c, _ = _expr_cost(stmt.cond, consts, typed)
             total_ge += ge_c + 1
-            ge_b, d_b = _block_cost(stmt.body, consts, mux_depth + 1)
-            ge_e, d_e = _block_cost(stmt.orelse, consts, mux_depth + 1)
+            inner = mux_depth + 1
+            ge_b, d_b = _block_cost(stmt.body, consts, typed, inner)
+            ge_e, d_e = _block_cost(stmt.orelse, consts, typed, inner)
             total_ge += ge_b + ge_e
             max_depth = max(max_depth, d_c + mux_depth, d_b, d_e)
         elif isinstance(stmt, For):
             trips = len(range(stmt.start, stmt.stop, stmt.step))
-            ge_b, d_b = _block_cost(stmt.body, consts, mux_depth)
+            ge_b, d_b = _block_cost(stmt.body, consts, typed, mux_depth)
             total_ge += ge_b * trips
             max_depth = max(max_depth, d_b)
         elif isinstance(stmt, DeclLocalArray):

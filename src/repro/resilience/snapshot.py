@@ -149,11 +149,19 @@ class Checkpoint:
         return hashlib.sha256(repr(material).encode()).hexdigest()
 
 
+_IMMUTABLE = frozenset((type(None), bool, int, float, str, bytes))
+_STRUCTURAL = (Signal, _SignalSlice, PortBundle, Model)
+
+
 def _capture_attr(value):
     """Checkpoint entry for one python model attribute, or None when
-    the attribute is structural (skipped)."""
-    if isinstance(value, (Signal, _SignalSlice, PortBundle, Model)):
-        return None
+    the attribute is structural (skipped; the caller skips signals,
+    bundles and submodels before asking)."""
+    kind = type(value)
+    if kind in _IMMUTABLE:
+        return ("plain", value)     # what deepcopy would hand back
+    if kind is list and value and isinstance(value[0], _STRUCTURAL):
+        return None                 # a port or submodel list
     if isinstance(value, random.Random):
         return ("rng", value.getstate())
     if isinstance(value, Queue):
@@ -234,7 +242,8 @@ def save_checkpoint(sim):
     for idx, sub in enumerate(model._all_models):
         attrs = {}
         for name, value in sub.__dict__.items():
-            if name.startswith("_"):
+            # Most attributes of a design are its signals and children.
+            if name.startswith("_") or isinstance(value, _STRUCTURAL):
                 continue
             entry = _capture_attr(value)
             if entry is not None:

@@ -8,7 +8,7 @@ substrates (event-driven, static-scheduled, mega-cycle kernel, SimJIT).
 elaborates every implementation, drives them in lockstep from one
 shared constrained-random stimulus stream, and diffs their outputs
 transaction by transaction *online*, so the divergence is caught on the
-cycle it happens with line traces still in the ring buffer.
+cycle it happens.
 
 Comparison modes:
 
@@ -28,6 +28,22 @@ drive, channels to capture (the harness owns their ``rdy``), passive
 taps (observation without interference, e.g. a processor's store
 stream), an optional ``done`` predicate for self-running designs, and
 an optional ``final_state`` function compared across DUTs at the end.
+
+The harness costs what it checks and little more.  It binds each
+channel's root nets once per run and drives and samples them as raw
+ints (``_Net.write``, ``_value``); the backpressure and presence
+schedules are evaluated once per cycle for all DUTs; each transfer is
+diffed once.  No DUT renders a line trace per cycle: a run saves one
+checkpoint per DUT before its reset, and on an online mismatch the
+harness restores the checkpointed DUTs, arms their ``trace_depth``
+rings (``SimulationTool.log_traces``) and drives them again to the
+cycle the mismatch was caught on, which must reproduce it (the message
+says when it did not).  A DUT whose checkpoint is refused (blocking FL
+adapters) or whose simulator has a post-edge sampler (recorder,
+watchpoint, VCD, line trace: a replay would show it cycles twice) has
+its ring armed for the whole run instead and is not driven again;
+cycle hooks do run again, so a hook's RNG must be ``track_rng``'d for
+the replay to reproduce.
 """
 
 from __future__ import annotations
@@ -35,6 +51,7 @@ from __future__ import annotations
 from time import perf_counter_ns
 
 from ..core import SimulationTool
+from ..resilience.snapshot import CheckpointError
 from ..telemetry import tracing
 from .coverage import Coverage
 from .monitors import ValRdyMonitor
@@ -59,12 +76,14 @@ class CoSimMismatch(AssertionError):
     ``bundles`` maps DUT names to ``repro-observe-v1`` forensics
     bundle paths (see :mod:`repro.observe`) when flight recorders were
     armed on the diverging simulators — the signal-level history
-    leading into the divergence."""
+    leading into the divergence.  ``cycle`` is the harness cycle an
+    online diff caught it on (None for the end-of-run checks)."""
 
     def __init__(self, message, *, ref=None, dut=None, channel=None,
                  index=None, expected=None, actual=None, traces=None,
-                 bundles=None):
+                 bundles=None, cycle=None):
         super().__init__(message)
+        self.cycle = cycle
         self.ref = ref
         self.dut = dut
         self.channel = channel
@@ -117,8 +136,10 @@ class DutAdapter:
         if sim_factory is not None:
             self.sim = sim_factory(self.model)
         else:
-            self.sim = SimulationTool(
-                self.model, sched=sched, trace_depth=trace_depth)
+            self.sim = SimulationTool(self.model, sched=sched)
+        # Cycles of line trace a mismatch reports (by replay, see the
+        # module docstring); a sim_factory's own ring is kept instead.
+        self.trace_depth = trace_depth
         self.channels = (
             [Channel(n, b, "drive") for n, b in (drives or {}).items()]
             + [Channel(n, b, "capture") for n, b in (captures or {}).items()]
@@ -144,32 +165,60 @@ class DutAdapter:
             else self._final_state(self.model)
 
 
-class _DutState:
-    """Per-DUT run bookkeeping."""
+def _root(signal):
+    return signal._net.find()
 
-    def __init__(self, adapter, stimulus):
+
+class _Drive:
+    """One drive channel in a run: its payloads (as given, and masked
+    to the message width), the next to offer, whether an offer is
+    stalled, and the channel's root nets."""
+
+    __slots__ = ("channel", "payloads", "masked", "idx", "pending",
+                 "val", "msg", "rdy")
+
+    def __init__(self, channel, payloads, val, msg, rdy):
+        self.channel = channel
+        self.payloads = payloads
+        self.masked = [int(p) & msg.mask for p in payloads]
+        self.idx = 0
+        self.pending = False
+        self.val, self.msg, self.rdy = val, msg, rdy
+
+
+class _DutState:
+    """Per-DUT run bookkeeping: its channels' root nets, bound once per
+    run, its monitors and its diff cursors."""
+
+    def __init__(self, adapter, stimulus, drain):
         self.adapter = adapter
         self.sim = adapter.sim
-        self.drives = []        # (Channel, payload list, index, pending)
+        self.drives = []        # _Drive per drive channel
+        self.sinks = []         # rdy nets of the captured channels
+        self.observed = []      # (channel, monitor, val, msg, rdy nets)
         self.monitors = {}      # channel name -> ValRdyMonitor
-        self.drain0 = DRAIN_CYCLES
-        self.drain_left = DRAIN_CYCLES
+        self.compared = {}      # channel name -> transfers diffed
+        self.checkpoint = None  # state before the reset, for a replay
+        self.drain0 = self.drain_left = drain
         self.finished = False
         # reset() does not zero sim.ncycles, and a harness may be run
         # again on the same simulators: this run's cycles are a delta.
         self.start_cycle = adapter.sim.ncycles
         for ch in adapter.channels:
+            bundle = ch.bundle
+            nets = (_root(bundle.val), _root(bundle.msg), _root(bundle.rdy))
             if ch.role == "drive":
-                payloads = list(stimulus.get(ch.name, ()))
-                self.drives.append([ch, payloads, 0, False])
-            else:
-                self.monitors[ch.name] = ValRdyMonitor(
-                    f"{adapter.name}.{ch.name}",
-                    check=(ch.role == "capture"))
-
-    def stimulus_exhausted(self):
-        return all(idx >= len(payloads)
-                   for _, payloads, idx, _ in self.drives)
+                self.drives.append(_Drive(
+                    ch, list(stimulus.get(ch.name, ())), *nets))
+                continue
+            mon = self.monitors[ch.name] = ValRdyMonitor(
+                f"{adapter.name}.{ch.name}", check=(ch.role == "capture"))
+            self.compared[ch.name] = 0
+            self.observed.append((ch, mon, *nets))
+            if ch.role == "capture":
+                self.sinks.append(nets[2])
+        # Drive channels with payloads still to transfer.
+        self.unsent = sum(1 for drive in self.drives if drive.payloads)
 
     def transfers(self, channel):
         return self.monitors[channel].transfers
@@ -230,27 +279,35 @@ class CoSimHarness:
         schedules (see :func:`strategies.backpressure_pattern`) applied
         identically to every DUT.  Returns a :class:`CoSimResult`;
         raises :class:`CoSimMismatch` / :class:`CoSimProtocolError` /
-        :class:`CoSimTimeout`.  On a mismatch with flight recorders
-        armed (and a ``bundle_dir``/autodump destination configured),
+        :class:`CoSimTimeout`.  An online mismatch carries the last
+        ``trace_depth`` cycles of line trace of its two DUTs
+        (``exc.traces``, by replay: see the module docstring).  On a
+        mismatch with flight recorders armed (and a
+        ``bundle_dir``/autodump destination configured),
         ``exc.bundles`` maps DUT names to exported forensics bundles.
         """
         with tracing.span("cosim.run", duts=len(self.duts)):
+            armed = []          # sims whose trace ring this run armed
             try:
                 return self._run(stimulus, max_cycles, backpressure,
-                                 presence, drain)
+                                 presence, drain, armed)
             except CoSimMismatch as exc:
                 if not exc.bundles:
                     exc.bundles = self._divergence_bundles(exc)
                 raise
+            finally:
+                for sim in armed:
+                    sim.log_traces(0)
 
-    def _run(self, stimulus, max_cycles, backpressure, presence, drain):
-        backpressure = backpressure or backpressure_pattern("always")
-        presence = presence or (lambda cycle: True)
-        states = [_DutState(d, stimulus) for d in self.duts]
+    def _run(self, stimulus, max_cycles, backpressure, presence, drain,
+             armed):
+        schedule = (backpressure or backpressure_pattern("always"),
+                    presence or (lambda cycle: True))
+        states = [_DutState(d, stimulus, drain) for d in self.duts]
         result = CoSimResult()
 
         for st in states:
-            st.drain0 = st.drain_left = drain
+            self._keep_traces(st, armed)
             st.sim.reset()
 
         # One span per phase — drive (the per-cycle stimulus loop with
@@ -265,23 +322,11 @@ class CoSimHarness:
         with tracing.span("cosim.drive") as drive_span:
             tracer = tracing.active()
             t0 = perf_counter_ns() if tracer is not None else 0
-            cycle = 0
-            while not all(st.finished for st in states):
-                if cycle >= max_cycles:
-                    pending = {
-                        st.adapter.name: [
-                            f"{ch.name}:{idx}/{len(p)}"
-                            for ch, p, idx, _ in st.drives]
-                        for st in states if not st.finished}
-                    raise CoSimTimeout(
-                        f"co-simulation did not finish in {max_cycles} "
-                        f"cycles (pending stimulus: {pending})")
-                for st in states:
-                    if not st.finished:
-                        self._step(st, cycle, backpressure, presence,
-                                   result)
-                self._compare_online(states)
-                cycle += 1
+            try:
+                cycle = self._drive(states, result, schedule, max_cycles)
+            except CoSimMismatch as exc:
+                self._replay(exc, states, stimulus, schedule, drain, armed)
+                raise
             drive_span.set(ncycles=cycle)
             if tracer is not None:
                 t1 = perf_counter_ns()
@@ -312,62 +357,109 @@ class CoSimHarness:
                     st.adapter.final_state()
         return result
 
-    def _step(self, st, cycle, backpressure, presence, result):
-        sim = st.sim
-        adapter = st.adapter
+    def _drive(self, states, result, schedule, max_cycles, online=True):
+        """Step the unfinished ``states`` in lockstep from cycle 0,
+        diffing online, until all finished; returns the cycles run.
+        Past ``max_cycles`` that is a :class:`CoSimTimeout`, unless the
+        run is a replay (not ``online``: no diff, and it just stops)."""
+        backpressure, presence = schedule
+        step = self._step
+        live = [st for st in states if not st.finished]
+        cycle = 0
+        while live:
+            if cycle >= max_cycles:
+                if not online:
+                    break
+                pending = {
+                    st.adapter.name: [
+                        f"{d.channel.name}:{d.idx}/{len(d.payloads)}"
+                        for d in st.drives]
+                    for st in live}
+                raise CoSimTimeout(
+                    f"co-simulation did not finish in {max_cycles} "
+                    f"cycles (pending stimulus: {pending})")
+            # Both schedules are pure functions of the cycle: one
+            # evaluation serves every DUT.
+            ready = backpressure(cycle)
+            offer = presence(cycle)
+            for st in live:
+                step(st, cycle, ready, offer, result)
+            if online:
+                try:
+                    self._compare_online(states)
+                except CoSimMismatch as exc:
+                    exc.cycle = cycle
+                    raise
+            live = [st for st in live if not st.finished]
+            cycle += 1
+        return cycle
 
-        # Drive inputs.  A stalled offer is held (val stays up, payload
-        # stable) regardless of the presence schedule — the harness
-        # must itself obey the protocol it polices.
+    def _step(self, st, cycle, ready, offer, result):
+        sim = st.sim
+        coverage = result.coverage
+
+        # Drive inputs on their root nets.  A stalled offer is held (val
+        # stays up, payload stable) regardless of the presence schedule
+        # — the harness must itself obey the protocol it polices.
         for drive in st.drives:
-            ch, payloads, idx, pending = drive
-            if idx < len(payloads) and (pending or presence(cycle)):
-                ch.bundle.val.value = 1
-                ch.bundle.msg.value = payloads[idx]
-            else:
-                ch.bundle.val.value = 0
+            idx = drive.idx
+            val = drive.val
+            if idx < len(drive.payloads) and (drive.pending or offer):
+                if not val._value:
+                    val.write(1)
+                msg = drive.msg
+                payload = drive.masked[idx]
+                if msg._value != payload:
+                    msg.write(payload)
+            elif val._value:
+                val.write(0)
         # Sink readiness for captured channels.
-        ready = backpressure(cycle)
-        for ch in adapter.channels:
-            if ch.role == "capture":
-                ch.bundle.rdy.value = 1 if ready else 0
-                if not ready:
-                    result.coverage.hit("handshake", "sink_stall")
+        sinks = st.sinks
+        if sinks:
+            rdy = 1 if ready else 0
+            for net in sinks:
+                if net._value != rdy:
+                    net.write(rdy)
+            if not ready:
+                coverage.hit("handshake", "sink_stall", len(sinks))
 
         # Settle so the pre-edge val/rdy values are the ones tick
         # blocks will see, then sample handshakes.
         sim.eval_combinational()
         for drive in st.drives:
-            ch, payloads, idx, pending = drive
-            val = int(ch.bundle.val)
-            rdy = int(ch.bundle.rdy)
-            if val and rdy:
-                if adapter.classify is not None:
-                    adapter.classify(result.coverage, ch.name,
-                                     payloads[idx])
-                result.coverage.hit("handshake", "drive_xfer")
-                drive[2] = idx + 1
-                drive[3] = False
-            elif val:
-                result.coverage.hit("handshake", "source_stall")
-                drive[3] = True
+            if not drive.val._value:
+                continue
+            if drive.rdy._value:
+                idx = drive.idx
+                classify = st.adapter.classify
+                if classify is not None:
+                    classify(coverage, drive.channel.name,
+                             drive.payloads[idx])
+                coverage.hit("handshake", "drive_xfer")
+                drive.idx = idx + 1
+                drive.pending = False
+                if idx + 1 == len(drive.payloads):
+                    st.unsent -= 1
+            else:
+                coverage.hit("handshake", "source_stall")
+                drive.pending = True
         activity = False
-        for ch in adapter.channels:
-            if ch.role == "drive":
+        for ch, mon, val_net, msg_net, rdy_net in st.observed:
+            val = val_net._value
+            if not val and not mon._stalled:
+                continue            # nothing the monitor would record
+            rdy = rdy_net._value
+            msg = msg_net._value
+            if (val and rdy and ch.accept is not None
+                    and not ch.accept(msg)):
                 continue
-            val = int(ch.bundle.val)
-            rdy = int(ch.bundle.rdy)
-            msg = int(ch.bundle.msg)
-            if ch.accept is not None and val and rdy \
-                    and not ch.accept(msg):
-                continue
-            st.monitors[ch.name].observe(cycle, val, rdy, msg)
+            mon.observe(cycle, val, rdy, msg)
             if val:
                 activity = True
 
         sim.cycle()
 
-        if st.stimulus_exhausted() and adapter.done():
+        if not st.unsent and st.adapter.done():
             # Count down the drain only through quiet cycles: any
             # in-flight offer on an output resets the countdown, so
             # slow multi-hop drains (networks) are not cut short.
@@ -375,26 +467,91 @@ class CoSimHarness:
             if st.drain_left <= 0:
                 st.finished = True
 
+    # -- line traces by replay -------------------------------------------
+
+    def _keep_traces(self, st, armed):
+        """Before ``st``'s reset: save the checkpoint a mismatch replays
+        from, or — where a replay cannot serve — arm the ring for the
+        whole run (see the module docstring)."""
+        sim, depth = st.sim, st.adapter.trace_depth
+        if not depth or sim.trace_log is not None:
+            return                  # no traces wanted, or its own ring
+        instr = sim._jit_instr
+        if not (sim._post_edge or (instr is not None and instr.active)):
+            try:
+                st.checkpoint = sim.save_checkpoint()
+                return
+            except CheckpointError:
+                pass
+        sim.log_traces(depth)
+        armed.append(sim)
+
+    def _replay(self, exc, states, stimulus, schedule, drain, armed):
+        """Restore the checkpointed DUTs, arm their rings and drive them
+        again to the cycle ``exc`` was caught on, where the diff must
+        raise the same mismatch; then put the line traces of ``exc``'s
+        two DUTs on it.  DUTs without a checkpoint keep the state (and
+        the transfers) the run left them in.  Never raises."""
+        note = None
+        replayed = [st for st in states if st.checkpoint is not None]
+        if replayed:
+            fresh = {}
+            try:
+                for st in replayed:
+                    sim = st.sim
+                    sim.restore_checkpoint(st.checkpoint)
+                    sim.log_traces(st.adapter.trace_depth)
+                    armed.append(sim)
+                    fresh[st] = _DutState(st.adapter, stimulus, drain)
+                    sim.reset()
+                self._drive(list(fresh.values()), CoSimResult(), schedule,
+                            exc.cycle + 1, online=False)
+                self._compare_online([fresh.get(st, st) for st in states])
+                note = "it found no divergence"
+            except CoSimMismatch as again:
+                seen = (again.ref, again.dut, again.channel, again.index,
+                        again.expected, again.actual)
+                if seen != (exc.ref, exc.dut, exc.channel, exc.index,
+                            exc.expected, exc.actual):
+                    note = (f"it found {again.dut} diverging on "
+                            f"{again.channel!r}, transaction "
+                            f"#{again.index}")
+            except Exception as err:
+                note = f"it raised {type(err).__name__}: {err}"
+        by_name = {st.adapter.name: st for st in states}
+        exc.traces = {name: list(by_name[name].sim.trace_log or ())
+                      for name in (exc.ref, exc.dut)}
+        text = ""
+        if note is not None:
+            text += (f"\n  the replay did not reproduce this divergence "
+                     f"({note}): the line traces below are the replay's")
+        for name, log in exc.traces.items():
+            if log:
+                lines = "\n".join(f"    {c:5}: {t}" for c, t in log)
+                text += f"\n  last cycles of {name}:\n{lines}"
+        exc.args = (exc.args[0] + text,)
+
     # -- comparison ------------------------------------------------------
 
     def _compare_online(self, states):
-        """Prefix-compare every DUT's transfer streams against the
-        reference; raises at the first divergent transaction."""
+        """Diff every transfer the reference and a DUT have both
+        recorded since the last call, each once (a cursor per channel);
+        raises at the first divergent transaction."""
         if self.group_key is not None:
             # Only partial (per-group) order is guaranteed; grouped
             # streams are compared at the end of the run instead.
             return
         ref = states[0]
         for st in states[1:]:
+            compared = st.compared
             for name, mon in st.monitors.items():
-                ref_list = ref.transfers(name)
+                ref_list = ref.monitors[name].transfers
                 dut_list = mon.transfers
                 n = min(len(ref_list), len(dut_list))
-                # Only the newly-appended tail can differ; scanning the
-                # last few entries keeps the online check O(1) amortized.
-                for i in range(max(0, n - 4), n):
+                for i in range(compared[name], n):
                     self._compare_item(
                         ref, st, name, i, ref_list[i], dut_list[i])
+                compared[name] = n
 
     def _compare_item(self, ref, st, channel, index, want, got):
         if self.compare == "cycle_exact":
@@ -402,26 +559,13 @@ class CoSimHarness:
         else:
             equal = want[1] == got[1]
         if not equal:
-            raise self._mismatch(ref, st, channel, index, want, got)
-
-    def _mismatch(self, ref, st, channel, index, want, got):
-        traces = {
-            ref.adapter.name: list(ref.sim.trace_log or ()),
-            st.adapter.name: list(st.sim.trace_log or ()),
-        }
-        trace_txt = ""
-        for name, log in traces.items():
-            if log:
-                lines = "\n".join(f"    {c:5}: {t}" for c, t in log)
-                trace_txt += f"\n  last cycles of {name}:\n{lines}"
-        return CoSimMismatch(
-            f"{st.adapter.name} diverges from {ref.adapter.name} on "
-            f"channel {channel!r}, transaction #{index}: expected "
-            f"(cycle {want[0]}, msg {want[1]:#x}), got "
-            f"(cycle {got[0]}, msg {got[1]:#x}) [{self.compare}]"
-            + trace_txt,
-            ref=ref.adapter.name, dut=st.adapter.name, channel=channel,
-            index=index, expected=want, actual=got, traces=traces)
+            raise CoSimMismatch(
+                f"{st.adapter.name} diverges from {ref.adapter.name} on "
+                f"channel {channel!r}, transaction #{index}: expected "
+                f"(cycle {want[0]}, msg {want[1]:#x}), got "
+                f"(cycle {got[0]}, msg {got[1]:#x}) [{self.compare}]",
+                ref=ref.adapter.name, dut=st.adapter.name,
+                channel=channel, index=index, expected=want, actual=got)
 
     def _compare_final(self, states):
         """Stream lengths, grouped substreams, and final states."""

@@ -102,13 +102,21 @@ class Coverage:
         return "\n".join(lines) if lines else "(no coverage recorded)"
 
 
+def _field(struct, name, packed):
+    """Field ``name`` of a packed ``struct`` value, by its bit range:
+    no ``BitStruct`` per transfer."""
+    lo, hi = struct.field_slice(name)
+    return (packed >> lo) & ((1 << (hi - lo)) - 1)
+
+
 def classify_mem_request(cov, packed, group="mem_req"):
     """Bin a packed ``MemReqMsg``: read/write mix and data corners."""
     from ..mem.msgs import MEM_REQ_WRITE, MemReqMsg
 
-    msg = MemReqMsg(packed)
-    cov.hit(group, "write" if int(msg.type_) == MEM_REQ_WRITE else "read")
-    data = int(msg.data)
+    packed = int(packed)
+    kind = _field(MemReqMsg, "type_", packed)
+    cov.hit(group, "write" if kind == MEM_REQ_WRITE else "read")
+    data = _field(MemReqMsg, "data", packed)
     if data == 0:
         cov.hit(group, "data_zero")
     elif data == (1 << 32) - 1:
@@ -121,8 +129,9 @@ def classify_net_message(cov, msg_type, packed, group="net_msg"):
     """Bin a packed ``NetMsg``: traffic direction per source terminal
     (straight / turn / self-send — the router-turn coverage of a 2-D
     mesh)."""
-    msg = msg_type(packed)
-    src, dest = int(msg.src), int(msg.dest)
+    packed = int(packed)
+    src = _field(msg_type, "src", packed)
+    dest = _field(msg_type, "dest", packed)
     if src == dest:
         cov.hit(group, "self_send")
     else:

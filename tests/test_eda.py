@@ -193,3 +193,32 @@ def test_accelerator_is_small_fraction_of_tile():
     accel = estimate(DotProductRTL(MemMsg(), XcelMsg()).elaborate()).area_ge
     share = accel / (proc + 2 * cache + accel)
     assert 0.01 < share < 0.15
+
+
+class _ValueAnd(Model):
+    """``o = a and b`` over 8-bit operands: Python yields an operand,
+    so the hardware is ``a ? b : a``, not an AND gate."""
+
+    def __init__(s):
+        s.a, s.b, s.o = InPort(8), InPort(8), OutPort(8)
+
+        @s.combinational
+        def comb():
+            s.o.value = s.a.uint() and s.b.uint()
+
+
+def test_a_value_and_is_costed_as_its_operand_mux():
+    """The range pass says the ``and`` is not 0/1; the estimator costs
+    its ``select()``: one 8-bit 2:1 mux (2.5 GE a bit, one level) and
+    the write's own 8-bit mux charge."""
+    from repro.core.ast_ir import BoolOp
+    from repro.core.bodies import lowered
+
+    model = _ValueAnd().elaborate()
+    blk, = model.get_comb_blocks()
+    _, _, ir, _ = lowered(blk, {})
+    boolop = ir.body[0].expr
+    assert isinstance(boolop, BoolOp) and not boolop.zero_one
+    module, = estimate(model).modules
+    assert (module.comb_ge, module.delay_levels) == (
+        2.5 * 8 + 2.5 * 8, 1)

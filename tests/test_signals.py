@@ -1,6 +1,8 @@
 """Unit tests for signals, slices, and struct-typed ports."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Bits,
@@ -376,3 +378,89 @@ def test_struct_field_named_signal_simulates(sched):
 def test_struct_field_named_signal_lints():
     from repro.tools.linter import lint
     assert lint(_SignalField().elaborate()) == []
+
+
+# -- the setters print the net-write rule -----------------------------------
+
+class _Writes(Model):
+    """An 8-bit wire, a struct wire and a 1-bit port, read by an
+    event-driven block (so ``_notify`` has readers to mark)."""
+
+    def __init__(s):
+        s.a = Wire(8)
+        s.p = Wire(PairMsg)
+        s.b = InPort(1)
+        s.q = OutPort(16)
+
+        @s.combinational
+        def comb():
+            s.q.value = (s.a.uint() << 8) ^ s.p.uint() ^ s.b.uint()
+
+
+def _spied_sim():
+    model = _Writes().elaborate()
+    sim = SimulationTool(model, sched="event")
+    sim.reset()
+    calls = []
+    notify = sim._notify
+
+    def spy(net):
+        calls.append(net.id)
+        notify(net)
+
+    sim._notify = spy
+    return model, sim, calls
+
+
+def _as_value(signal, kind, raw):
+    if kind == "bits":
+        return Bits(signal.nbits, raw & ((1 << signal.nbits) - 1))
+    if kind == "struct":
+        return PairMsg(raw)
+    return raw                      # an int the setter must mask
+
+
+_WRITE = st.tuples(
+    st.sampled_from(["a", "p", "b"]),
+    st.sampled_from(["value", "next", "slice_next", "cycle"]),
+    st.sampled_from(["bits", "struct", "int"]),
+    st.integers(min_value=-(1 << 20), max_value=1 << 20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_WRITE, max_size=40))
+@example([("a", "next", "int", 0x5A), ("a", "cycle", "int", 0),
+          ("a", "next", "bits", 0x5A), ("a", "slice_next", "int", 0x3),
+          ("p", "next", "struct", 0x1234), ("p", "slice_next", "int", -1),
+          ("a", "cycle", "int", 0)])
+def test_signal_setters_are_the_net_write_rule(writes):
+    """``Signal.value`` / ``.next`` state ``_Net.write`` /
+    ``write_next`` inline: the same writes through either leave the
+    same ``_value`` and ``_next`` on every net, the same pending flops
+    and the same ``_notify`` calls; a slice's ``.next`` after a full
+    ``.next`` of the same cycle composes with it either way."""
+    via_signal, sim_s, calls_s = _spied_sim()
+    via_net, sim_n, calls_n = _spied_sim()
+    for name, op, kind, raw in writes:
+        sig_s = getattr(via_signal, name)
+        sig_n = getattr(via_net, name)
+        net = sig_n._net.find()
+        value = _as_value(sig_s, kind, raw)
+        if op == "value":
+            sig_s.value = value
+            net.write(int(value) & net.mask)
+        elif op == "next":
+            sig_s.next = value
+            net.write_next(int(value) & net.mask)
+        elif op == "slice_next":
+            hi = max(1, sig_s.nbits // 2)
+            sig_s[0:hi].next = raw
+            sig_n[0:hi].next = raw
+        else:
+            sim_s.cycle()
+            sim_n.cycle()
+        assert [(n._value, n._next) for n in via_signal._all_nets] == \
+            [(n._value, n._next) for n in via_net._all_nets]
+        assert sorted(n.id for n in sim_s._pending_flops) == \
+            sorted(n.id for n in sim_n._pending_flops)
+        assert calls_s == calls_n
