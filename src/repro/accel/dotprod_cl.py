@@ -10,8 +10,6 @@ without modeling the real datapath.
 
 from __future__ import annotations
 
-import numpy
-
 from ..core import (
     ChildReqRespBundle,
     ChildReqRespQueueAdapter,
@@ -77,6 +75,7 @@ class DotProductCL(Model):
                     s.data.append(int(s.mem.get_resp().data))
 
                 if len(s.data) == s.size * 2 and not s.cpu.resp_q.full():
+                    import numpy    # at first use, not with repro.accel
                     result = numpy.dot(
                         numpy.array(s.data[0::2], dtype=object),
                         numpy.array(s.data[1::2], dtype=object),

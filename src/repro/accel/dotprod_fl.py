@@ -10,8 +10,6 @@ with FL, CL, or RTL memories and processors.
 
 from __future__ import annotations
 
-import numpy
-
 from ..core import (
     ChildReqRespBundle,
     ChildReqRespQueueAdapter,
@@ -50,6 +48,7 @@ class DotProductFL(Model):
                 elif req.ctrl_msg == 3:
                     s.src1.set_base(int(req.data))
                 elif req.ctrl_msg == 0:
+                    import numpy    # at first use, not with repro.accel
                     result = numpy.dot(
                         numpy.array(list(s.src0), dtype=object),
                         numpy.array(list(s.src1), dtype=object),

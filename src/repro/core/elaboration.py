@@ -4,7 +4,9 @@ Elaboration (paper Figure 3) walks the hierarchy built by the user's
 constructors and produces an in-memory design representation that the
 tools (simulator, translator, SimJIT) consume:
 
-1. every signal and submodel gets a hierarchical name and parent link;
+1. every signal and submodel gets a hierarchical name and parent link,
+   and each model records which attributes held them (``_structural``,
+   what a checkpoint skips);
 2. ``clk``/``reset`` propagate implicitly from parent to child;
 3. full-signal connections are merged into *nets* (union-find), so all
    signals on a net share one storage slot;
@@ -120,16 +122,25 @@ def _elaborate(top):
 
 def _name_model(model):
     """Assign names/parents to this model's signals, bundles, and
-    submodels, recursing into children."""
+    submodels, recursing into children.  Records in
+    ``model._structural`` the attributes that hold any of them
+    (directly or in a list) and the ``_``-prefixed bookkeeping: a
+    checkpoint skips those names untested."""
+    structural = []
     for attr_name, attr in list(model.__dict__.items()):
-        if attr_name.startswith("_") or attr_name in ("name", "parent"):
-            continue
-        _name_attr(model, attr_name, attr)
+        if attr_name.startswith("_"):
+            structural.append(attr_name)
+        elif (attr_name not in ("name", "parent")
+                and _name_attr(model, attr_name, attr)):
+            structural.append(attr_name)
+    model._structural = frozenset(structural)
     for child in model._submodels:
         _name_model(child)
 
 
 def _name_attr(model, name, attr, depth=0):
+    """Name what ``attr`` holds; True when it holds a signal, bundle or
+    model."""
     # Not ``Model.get_signals``: naming needs the attribute name and
     # list index of every signal, bundle and submodel on the way down.
     if isinstance(attr, Signal):
@@ -147,8 +158,13 @@ def _name_attr(model, name, attr, depth=0):
             attr.parent = model
             model._submodels.append(attr)
     elif isinstance(attr, list) and depth < MAX_LIST_DEPTH:
+        found = False
         for i, item in enumerate(attr):
-            _name_attr(model, f"{name}[{i}]", item, depth + 1)
+            found |= _name_attr(model, f"{name}[{i}]", item, depth + 1)
+        return found
+    else:
+        return False
+    return True
 
 
 def _collect_models(model, out):

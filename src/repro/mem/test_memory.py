@@ -14,10 +14,16 @@ port's six signals to their root nets at its first tick, reads
 and encodes a response by shift and mask with the field slices of
 ``MemReqMsg`` / ``MemRespMsg``, so no message ``BitStruct`` is built
 per request.
+
+Its words live in 4 KiB pages (:class:`Pages`), created by the first
+write of a non-zero word, so a memory holds only what a run writes:
+a tile's 1 MiB address space costs the few pages its program and data
+touch.  A read of an untouched word is 0 and allocates nothing.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from ..core import ChildReqRespBundle, Model
@@ -33,6 +39,47 @@ def _field(struct, name):
     return lo, (1 << (hi - lo)) - 1
 
 
+_PAGE_SHIFT = 12                       # 4 KiB pages
+_PAGE_WORDS = 1 << (_PAGE_SHIFT - 2)
+_ZERO_PAGE = array("I", [0]) * _PAGE_WORDS
+_ZERO_BYTES = _ZERO_PAGE.tobytes()
+
+
+class Pages(dict):
+    """A word memory by page: page index (``addr >> 12``) to a
+    1 024-word ``array('I')``.  A missing page reads as zeros.  A
+    checkpoint keeps only the pages holding a non-zero word
+    (:meth:`touched`), so an all-zero page and an absent one are the
+    same state."""
+
+    __slots__ = ()
+
+    def read(self, addr):
+        """The word at the word-aligned byte address ``addr``."""
+        page = self.get(addr >> _PAGE_SHIFT)
+        return 0 if page is None else page[(addr >> 2) & (_PAGE_WORDS - 1)]
+
+    def write(self, addr, word):
+        """Store the 32-bit ``word`` at the word-aligned ``addr``."""
+        page = self.get(addr >> _PAGE_SHIFT)
+        if page is None:
+            if not word:
+                return          # untouched memory already reads 0
+            page = self[addr >> _PAGE_SHIFT] = _ZERO_PAGE[:]
+        page[(addr >> 2) & (_PAGE_WORDS - 1)] = word
+
+    def touched(self):
+        """``{index: bytes}`` of every page holding a non-zero word."""
+        return {index: raw for index, page in self.items()
+                if (raw := page.tobytes()) != _ZERO_BYTES}
+
+    def load_image(self, image):
+        """Become the memory :meth:`touched` returned, in place."""
+        self.clear()
+        for index, raw in image.items():
+            self[index] = array("I", raw)
+
+
 class TestMemory(Model):
     """Magic word-addressable memory.
 
@@ -42,18 +89,24 @@ class TestMemory(Model):
     latency : cycles between request acceptance and response validity
         (minimum 1: a request accepted at edge N produces a response no
         earlier than edge N+1, like a synchronous SRAM).
-    size : bytes of backing storage.
+    size : bytes of address space, a power of two: addresses wrap
+        with ``& (size - 1)``.  Storage is allocated per 4 KiB page on
+        the first non-zero write, so ``size`` costs nothing by itself.
     """
 
     __test__ = False      # not a pytest class, despite the name
 
     def __init__(s, nports=1, latency=1, size=1 << 20):
+        if size < 4 or size & (size - 1):
+            raise ValueError(
+                f"TestMemory size must be a power of two of at least 4 "
+                f"bytes (addresses wrap with & (size - 1)), got {size}")
         mem_msg = MemMsg()
         s.ports = [ChildReqRespBundle(mem_msg) for _ in range(nports)]
         s.nports = nports
         s.latency = max(1, latency)
         s.size = size
-        s.mem = bytearray(size)
+        s.pages = Pages()
         # Per-port FIFO of (ready_cycle, resp_int) awaiting delivery.
         s.pending = [deque() for _ in range(nports)]
         s.cycle_count = 0
@@ -139,22 +192,19 @@ class TestMemory(Model):
         lo, mask = s._TYPE
         if (req >> lo) & mask == MEM_REQ_WRITE:
             lo, mask = s._DATA
-            s.mem[addr:addr + 4] = ((req >> lo) & mask).to_bytes(4, "little")
+            s.pages.write(addr, (req >> lo) & mask)
             return s._RESP_WRITE
-        data = int.from_bytes(s.mem[addr:addr + 4], "little")
-        return data << s._RESP_DATA
+        return s.pages.read(addr) << s._RESP_DATA
 
     # -- direct (backdoor) access for test setup ---------------------------
 
     def write_word(s, addr, value):
         """Backdoor word write for test initialization."""
-        addr &= (s.size - 1) & ~0x3
-        s.mem[addr:addr + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
+        s.pages.write(addr & (s.size - 1) & ~0x3, value & 0xFFFFFFFF)
 
     def read_word(s, addr):
         """Backdoor word read for test checking."""
-        addr &= (s.size - 1) & ~0x3
-        return int.from_bytes(s.mem[addr:addr + 4], "little")
+        return s.pages.read(addr & (s.size - 1) & ~0x3)
 
     def load(s, base, words):
         """Backdoor bulk load of a word list starting at ``base``."""

@@ -4,8 +4,9 @@ A checkpoint captures *everything* a cycle-accurate replay needs:
 
 - every net's ``.value`` and pending ``.next`` (plus which nets have a
   flop pending, normally none between cycles);
-- Python-side model state: plain attributes, adapter queues, and any
-  ``random.Random`` attribute, walked over ``model._all_models``;
+- Python-side model state: plain attributes, adapter queues, any
+  ``random.Random`` attribute, and the touched pages of a
+  ``TestMemory``'s page store, walked over ``model._all_models``;
 - python-kind telemetry counters and histogram bins (signal/state
   backed counters ride along with the net/state capture);
 - RNG streams registered via ``sim.track_rng(rng)``;
@@ -45,6 +46,7 @@ from ..core.bitstruct import BitStruct
 from ..core.model import Model
 from ..core.portbundle import PortBundle
 from ..core.signals import Signal, _SignalSlice
+from ..mem.test_memory import Pages
 
 __all__ = [
     "Checkpoint",
@@ -155,15 +157,16 @@ _STRUCTURAL = (Signal, _SignalSlice, PortBundle, Model)
 
 def _capture_attr(value):
     """Checkpoint entry for one python model attribute, or None when
-    the attribute is structural (skipped; the caller skips signals,
-    bundles and submodels before asking)."""
+    the attribute is structural (skipped; the caller skips what
+    elaboration named, and signals, bundles and submodels, before
+    asking)."""
     kind = type(value)
     if kind in _IMMUTABLE:
         return ("plain", value)     # what deepcopy would hand back
-    if kind is list and value and isinstance(value[0], _STRUCTURAL):
-        return None                 # a port or submodel list
     if isinstance(value, random.Random):
         return ("rng", value.getstate())
+    if isinstance(value, Pages):
+        return ("pages", value.touched())
     if isinstance(value, Queue):
         return ("queue", copy.deepcopy(list(value._items)))
     if isinstance(value, (ChildReqRespQueueAdapter,
@@ -183,6 +186,8 @@ def _restore_attr(model, attr, entry):
     kind, saved = entry
     if kind == "rng":
         getattr(model, attr).setstate(saved)
+    elif kind == "pages":
+        getattr(model, attr).load_image(saved)
     elif kind == "queue":
         q = getattr(model, attr)
         q._items.clear()
@@ -241,9 +246,13 @@ def save_checkpoint(sim):
     engine_blobs = {}
     for idx, sub in enumerate(model._all_models):
         attrs = {}
+        # Most attributes of a design are its signals and children;
+        # elaboration named them (``_structural``), so only what came
+        # later or holds state is tested.
+        skip = sub._structural
         for name, value in sub.__dict__.items():
-            # Most attributes of a design are its signals and children.
-            if name.startswith("_") or isinstance(value, _STRUCTURAL):
+            if (name in skip or name.startswith("_")
+                    or isinstance(value, _STRUCTURAL)):
                 continue
             entry = _capture_attr(value)
             if entry is not None:

@@ -1,5 +1,8 @@
 """Tests for TestMemory and the FL/CL/RTL caches."""
 
+import copy
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,13 +111,16 @@ def test_memory_multiport_independent():
     assert t0.read(0x20) == 222
 
 
+_MEM_SIZE = 1 << 14           # four 4 KiB pages
+
+
 class _MemBench(Model):
     """A ``TestMemory`` whose ports' ``resp_rdy`` a comb block drives
     from ``take``: a block ``sched="static"`` schedules (a lone FL tick
     runs on the event fixpoint)."""
 
     def __init__(s, nports, latency):
-        s.mem = TestMemory(nports=nports, latency=latency, size=1 << 12)
+        s.mem = TestMemory(nports=nports, latency=latency, size=_MEM_SIZE)
         s.take = [InPort(1) for _ in range(nports)]
 
         @s.combinational
@@ -123,63 +129,152 @@ class _MemBench(Model):
                 s.mem.ports[i].resp_rdy.value = s.take[i]
 
 
-_OPS = st.lists(st.tuples(st.booleans(), st.integers(0, 47),
-                          st.integers(0, 0xFFFFFFFF)), max_size=12)
+# Addresses within 8 bytes of a page edge, up to twice the size (so
+# some wrap), unaligned ones included (the memory aligns them down).
+_ADDRS = st.builds(lambda page, off: ((page << 12) + off) % (2 * _MEM_SIZE),
+                   st.integers(0, 8), st.integers(-8, 7))
+_WORDS = st.one_of(st.just(0), st.integers(0, 0xFFFFFFFF))
+_OPS = st.lists(st.tuples(st.booleans(), _ADDRS, _WORDS), max_size=12)
+
+
+class _Traffic:
+    """The property's test bench: per port a stream of requests offered
+    and taken with random gaps, and between cycles a stream of backdoor
+    ``write_word`` / ``read_word`` calls, all checked against a dict
+    ``ref`` of the words written.  Its state is plain data, so a copy
+    of it and a checkpoint of the simulator resume the run together."""
+
+    def __init__(self, streams, backdoor, seed):
+        self.rnd = random.Random(seed)
+        self.todo = [list(ops) for ops in streams]
+        self.backdoor = list(backdoor)
+        self.got = [[] for _ in streams]
+        self.want = [[] for _ in streams]
+        self.ref = {}
+        self.touched = set()     # pages a non-zero word was written to
+
+    def _write(self, addr, data):
+        addr &= (_MEM_SIZE - 1) & ~3
+        self.ref[addr] = data
+        if data:
+            self.touched.add(addr >> 12)
+
+    def cycle(self, bench, sim):
+        """One cycle of traffic; True once every stream is answered."""
+        mem = bench.mem
+        accepted = []
+        for i, port in enumerate(mem.ports):
+            if int(port.req_val) and int(port.req_rdy):
+                accepted.append((i, self.todo[i].pop(0)))
+            if int(port.resp_val) and int(bench.take[i]):
+                resp = port.resp_msg.value
+                self.got[i].append((int(resp.type_), int(resp.data)))
+        for i, (write, addr, data) in accepted:
+            if write:
+                self._write(addr, data)
+                self.want[i].append((MEM_REQ_WRITE, 0))
+            else:
+                addr &= (_MEM_SIZE - 1) & ~3
+                self.want[i].append((0, self.ref.get(addr, 0)))
+        sim.cycle()
+        if self.backdoor and self.rnd.random() < 0.3:
+            write, addr, data = self.backdoor.pop(0)
+            if write:
+                mem.write_word(addr, data)
+                self._write(addr, data)
+            else:
+                aligned = addr & (_MEM_SIZE - 1) & ~3
+                assert mem.read_word(addr) == self.ref.get(aligned, 0)
+        if (not any(self.todo) and not self.backdoor
+                and list(map(len, self.got)) == list(map(len, self.want))):
+            return True
+        for i, port in enumerate(mem.ports):
+            offer = bool(self.todo[i]) and self.rnd.random() < 0.7
+            if offer:
+                write, addr, data = self.todo[i][0]
+                port.req_msg.value = (MemReqMsg.mk_wr(addr, data)
+                                      if write else MemReqMsg.mk_rd(addr))
+            port.req_val.value = offer
+            bench.take[i].value = self.rnd.random() < 0.6
+        return False
+
+    def finish(self, bench, sim):
+        for _ in range(40 * (2 + sum(map(len, self.todo))
+                             + len(self.backdoor))):
+            if self.cycle(bench, sim):
+                return
+        raise AssertionError("streams not answered")
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 3), st.lists(_OPS, min_size=1, max_size=2),
-       st.integers(0, 1 << 32))
-def test_prop_memory_streams_match_a_dict(latency, streams, seed):
+@given(st.integers(1, 3), st.lists(_OPS, min_size=1, max_size=2), _OPS,
+       st.integers(0, 1 << 32), st.integers(0, 40))
+def test_prop_memory_streams_match_a_dict(latency, streams, backdoor, seed,
+                                          split):
     """Property: read/write streams, one per port, offered and taken
-    with random gaps (``req_val`` / ``resp_rdy`` backpressure), come
-    back as the responses a dict gives when it serves every accepted
-    request in acceptance order (cycle, then port), and leave the same
-    memory image, under ``sched="event"`` and ``"static"``.  Addresses
-    need not be aligned (the memory aligns them down)."""
-    import random
-
+    with random gaps (``req_val`` / ``resp_rdy`` backpressure), and
+    backdoor word writes and reads between cycles, at addresses on page
+    edges that wrap at ``size``, come back as the responses a dict
+    gives when it serves every accepted request in acceptance order
+    (cycle, then port), and leave the same memory image, under
+    ``sched="event"`` and ``"static"``.  The memory holds exactly the
+    pages a non-zero word was written to: reads of untouched words are
+    0 and create none.  A checkpoint taken after ``split`` cycles,
+    restored at the end, replays to the same responses, image and
+    fingerprint."""
     for sched in ("event", "static"):
         bench = _MemBench(len(streams), latency).elaborate()
         mem = bench.mem
         sim = SimulationTool(bench, sched=sched)
         sim.reset()
-        rnd = random.Random(seed)
-        todo = [list(ops) for ops in streams]
-        got = [[] for _ in streams]
-        want = [[] for _ in streams]
-        ref = {}
-        for _ in range(40 * (1 + sum(map(len, streams)))):
-            accepted = []
-            for i, port in enumerate(mem.ports):
-                if int(port.req_val) and int(port.req_rdy):
-                    accepted.append((i, todo[i].pop(0)))
-                if int(port.resp_val) and int(bench.take[i]):
-                    resp = port.resp_msg.value
-                    got[i].append((int(resp.type_), int(resp.data)))
-            for i, (write, addr, data) in accepted:
-                addr &= ~3
-                if write:
-                    ref[addr] = data
-                    want[i].append((MEM_REQ_WRITE, 0))
-                else:
-                    want[i].append((0, ref.get(addr, 0)))
-            sim.cycle()
-            if not any(todo) and list(map(len, got)) == list(map(len,
-                                                                 want)):
+        traffic = _Traffic(streams, backdoor, seed)
+        for _ in range(split):
+            if traffic.cycle(bench, sim):
                 break
-            for i, port in enumerate(mem.ports):
-                offer = bool(todo[i]) and rnd.random() < 0.7
-                if offer:
-                    write, addr, data = todo[i][0]
-                    port.req_msg.value = (MemReqMsg.mk_wr(addr, data)
-                                          if write else MemReqMsg.mk_rd(addr))
-                port.req_val.value = offer
-                bench.take[i].value = rnd.random() < 0.6
-        assert got == want, sched
-        assert not any(todo) and not any(mem.pending), sched
-        for addr in range(0, 48, 4):
-            assert mem.read_word(addr) == ref.get(addr, 0), (sched, addr)
+        cp, resume = sim.save_checkpoint(), copy.deepcopy(traffic)
+        traffic.finish(bench, sim)
+        assert traffic.got == traffic.want, sched
+        assert not any(mem.pending), sched
+        for addr in range(0, _MEM_SIZE, 4):
+            assert mem.read_word(addr) == traffic.ref.get(addr, 0), (
+                sched, addr)
+        assert set(mem.pages) == traffic.touched, sched
+        end = sim.save_checkpoint().fingerprint()
+
+        sim.restore_checkpoint(cp)
+        resume.finish(bench, sim)
+        assert (resume.got, resume.ref) == (traffic.got, traffic.ref), sched
+        assert sim.save_checkpoint().fingerprint() == end, sched
+
+
+def test_memory_size_must_be_a_power_of_two():
+    """Addresses wrap with ``& (size - 1)``: any other size would alias
+    addresses silently."""
+    for size in (3000, 0, 3, (1 << 16) + 4):
+        with pytest.raises(ValueError, match=str(size)):
+            TestMemory(size=size)
+    assert TestMemory(size=1 << 12).size == 1 << 12
+
+
+def test_memory_pages_hold_only_nonzero_writes():
+    """A page is created by the first non-zero word written to it; an
+    all-zero page and an absent one checkpoint alike."""
+    mem, sim = _memory_fixture()
+    assert mem.read_word(0x1234) == 0 and not mem.pages
+    mem.write_word(0x1000, 0)
+    assert not mem.pages
+    blank = sim.save_checkpoint()
+    mem.write_word(0x1FFC, 7)
+    mem.write_word((1 << 16) + 0x2000, 9)        # wraps to page 2
+    assert sorted(mem.pages) == [1, 2] and mem.read_word(0x2000) == 9
+    cp = sim.save_checkpoint()
+    assert sorted(cp.py_state[0]["pages"][1]) == [1, 2]
+    mem.write_word(0x1FFC, 0)
+    mem.write_word(0x2000, 0)
+    assert sorted(mem.pages) == [1, 2]
+    assert sim.save_checkpoint().fingerprint() == blank.fingerprint()
+    sim.restore_checkpoint(cp)
+    assert mem.read_word(0x1FFC) == 7 and mem.read_word(0x2000) == 9
 
 
 # -- caches -----------------------------------------------------------------

@@ -272,3 +272,56 @@ def test_fl_accel_tile_refuses_a_checkpoint():
     sim.run(100)
     with pytest.raises(CheckpointError, match="blocking FL"):
         sim.save_checkpoint()
+
+
+# -- memory: pages a run touches; numpy at the first dot product ----------------
+
+PAGE_CONFIGS = [("cl", "cl", "cl"), ("rtl", "rtl", "rtl"), ("fl", "rtl", "cl")]
+
+
+@pytest.mark.parametrize("levels", PAGE_CONFIGS,
+                         ids=["-".join(c) for c in PAGE_CONFIGS])
+def test_tile_holds_only_the_pages_it_wrote(levels):
+    """After mvmult(16, 16) a tile's 1 MiB ``TestMemory`` holds the four
+    pages written: 0 (program), 2 (A) and 8 (x) from the loader, 10
+    from the ``Y`` stores; its checkpoint carries those four."""
+    data, expected = mvmult_data(16, 16)
+    tile, _ = run_tile(levels, assemble(mvmult_xcel(16, 16)), data)
+    _check_result(tile, expected)
+    assert sorted(tile.mem.pages) == [0, 2, 8, 10]
+    cp = SimulationTool(tile).save_checkpoint()
+    idx = tile._all_models.index(tile.mem)
+    kind, image = cp.py_state[idx]["pages"]
+    assert kind == "pages" and sorted(image) == [0, 2, 8, 10]
+    assert sum(map(len, image.values())) == 4 * 4096
+
+
+_NUMPY_ON_FIRST_USE = """
+import sys
+import repro, repro.accel, repro.net, repro.verif, repro.fleet
+assert "numpy" not in sys.modules, "numpy loaded at import"
+from repro.accel import mvmult_data, mvmult_xcel, run_tile
+from repro.accel.kernels import Y_BASE
+from repro.proc import assemble
+data, expected = mvmult_data(4, 8)
+for levels in (("cl", "cl", "fl"), ("cl", "cl", "cl")):
+    tile, _ = run_tile(levels, assemble(mvmult_xcel(4, 8)), data)
+    y = [tile.mem.read_word(Y_BASE + 4 * i) for i in range(4)]
+    assert y == expected, (levels, y)
+assert "numpy" in sys.modules
+"""
+
+
+def test_numpy_loads_at_the_first_dot_product():
+    """``import repro`` and its packages load no numpy (about 12 MiB of
+    every process); the FL and CL dot-product accelerators import it
+    at their first ``numpy.dot`` and compute ``Y`` right."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_ON_FIRST_USE],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
