@@ -3,12 +3,14 @@
 
 Translates every Verilog-translatable model in the repository and
 writes the sources under ``examples/verilog_out/`` — the handoff point
-to an EDA toolflow (paper Figure 3's right-hand edge).
+to an EDA toolflow (paper Figure 3's right-hand edge).  The files are
+checked in, so a change to what the translator prints shows in them.
 
-Run:  python examples/translate_to_verilog.py
+Run:  python examples/translate_to_verilog.py [OUT_DIR]
 """
 
 import os
+import sys
 
 from repro.accel import DotProductRTL, MemArbiter, XcelMsg
 from repro.components import (
@@ -46,12 +48,12 @@ DESIGNS = [
 ]
 
 
-def main():
-    os.makedirs(OUT_DIR, exist_ok=True)
+def main(out_dir=OUT_DIR):
+    os.makedirs(out_dir, exist_ok=True)
     total_lines = 0
     for name, factory in DESIGNS:
         tool = TranslationTool(factory().elaborate())
-        path = os.path.join(OUT_DIR, f"{name}.v")
+        path = os.path.join(out_dir, f"{name}.v")
         tool.to_file(path)
         nlines = len(tool.verilog.splitlines())
         nmodules = tool.verilog.count("endmodule")
@@ -64,4 +66,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:])

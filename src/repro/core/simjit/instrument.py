@@ -42,7 +42,6 @@ back out of C).
 
 from __future__ import annotations
 
-from ...observe.watchpoints import WHEN
 from ...resilience.warnings import warn_resilience
 from ..probe import NET, Probe, Unlowerable
 from ..simulation import SimulationError
@@ -230,7 +229,7 @@ class KernelInstrumentation:
         packed = []          # six words a node, two's complement
         try:
             for kind, tap, a, b, aux in wp._nodes:
-                if kind == WHEN:
+                if callable(aux):         # a when node's predicate
                     raise Unlowerable(
                         f"when({getattr(aux, '__name__', '<fn>')}) is "
                         f"a Python-only predicate")

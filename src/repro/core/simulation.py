@@ -130,8 +130,8 @@ class SimulationTool:
     or SimJIT, see the module docstring and ``repr(sim)``."""
 
     def __init__(self, model, line_trace=False, vcd=None,
-                 collect_stats=False, sched="auto", trace_depth=0,
-                 profile=False, line_trace_sink=None):
+                 collect_stats=False, sched="auto", profile=False,
+                 line_trace_sink=None):
         if sched not in ("auto", "static", "event"):
             raise ValueError(
                 f"sched must be 'auto', 'static', or 'event'; got {sched!r}"
@@ -172,9 +172,8 @@ class SimulationTool:
             self.profiler = None
         from ..telemetry.export import Telemetry
         self.telemetry = Telemetry(self)
-        # Ring buffer of the last ``trace_depth`` line traces (see
-        # log_traces, which arms it later).
-        self.trace_log = deque(maxlen=trace_depth) if trace_depth else None
+        # Ring buffer of the last line traces, armed by log_traces.
+        self.trace_log = None
         self._vcd = vcd
         if vcd is not None:
             vcd.attach(model)
@@ -826,10 +825,9 @@ class SimulationTool:
 
     def log_traces(self, depth):
         """Keep the line traces of the last ``depth`` cycles in
-        ``trace_log`` from now on, as ``trace_depth`` does from
-        construction; ``0`` disarms the ring.  The co-simulation
-        harness arms it to replay a divergence, so that no cycle pays
-        for a line trace that only a mismatch reads."""
+        ``trace_log`` from now on; ``0`` disarms the ring.  The
+        co-simulation harness arms it to replay a divergence, so that
+        no cycle pays for a line trace that only a mismatch reads."""
         self.trace_log = deque(maxlen=depth) if depth else None
         self._refresh_observers()
 

@@ -80,6 +80,15 @@ class Pages(dict):
             self[index] = array("I", raw)
 
 
+def check_size(size, owner):
+    """Refuse a memory ``size`` that is not a power of two: addresses
+    wrap with ``& (size - 1)``, which is a wrap only for one."""
+    if size < 4 or size & (size - 1):
+        raise ValueError(
+            f"{owner} size must be a power of two of at least 4 bytes "
+            f"(addresses wrap with & (size - 1)), got {size}")
+
+
 class TestMemory(Model):
     """Magic word-addressable memory.
 
@@ -97,10 +106,7 @@ class TestMemory(Model):
     __test__ = False      # not a pytest class, despite the name
 
     def __init__(s, nports=1, latency=1, size=1 << 20):
-        if size < 4 or size & (size - 1):
-            raise ValueError(
-                f"TestMemory size must be a power of two of at least 4 "
-                f"bytes (addresses wrap with & (size - 1)), got {size}")
+        check_size(size, "TestMemory")
         mem_msg = MemMsg()
         s.ports = [ChildReqRespBundle(mem_msg) for _ in range(nports)]
         s.nports = nports

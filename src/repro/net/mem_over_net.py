@@ -23,6 +23,7 @@ from ..core import (
     OutValRdyBundle,
 )
 from ..mem.msgs import MEM_REQ_WRITE, MemMsg, MemReqMsg, MemRespMsg
+from ..mem.test_memory import Pages, check_size
 from .mesh import MeshNetworkStructural
 from .msgs import NetMsg
 from .router_cl import RouterCL
@@ -95,19 +96,21 @@ class RemoteMemClient(Model):
 class RemoteMemServer(Model):
     """Memory node: services packed memory requests from the network.
 
-    Functionally a magic memory (like :class:`~repro.mem.TestMemory`)
+    Functionally a magic memory (like :class:`~repro.mem.TestMemory`,
+    whose :class:`~repro.mem.test_memory.Pages` hold its words)
     reachable only through its network terminal; responses go back to
     each packet's ``src``.
     """
 
     def __init__(s, my_id, nrouters, nmsgs=256, size=1 << 20):
+        check_size(size, "RemoteMemServer")
         net_msg = NetMsg(nrouters, nmsgs, MEM_PAYLOAD_NBITS)
         s.msg_type = net_msg
         s.net_out = OutValRdyBundle(net_msg)
         s.net_in = InValRdyBundle(net_msg)
         s.my_id = my_id
         s.size = size
-        s.storage = bytearray(size)
+        s.pages = Pages()
         s.resp_q = deque()
 
         @s.tick_fl
@@ -142,21 +145,16 @@ class RemoteMemServer(Model):
     def _process(s, req):
         addr = int(req.addr) & (s.size - 1) & ~0x3
         if int(req.type_) == MEM_REQ_WRITE:
-            data = int(req.data)
-            s.storage[addr:addr + 4] = data.to_bytes(4, "little")
+            s.pages.write(addr, int(req.data))
             return MemRespMsg.mk(MEM_REQ_WRITE, 0)
-        value = int.from_bytes(s.storage[addr:addr + 4], "little")
-        return MemRespMsg.mk(0, value)
+        return MemRespMsg.mk(0, s.pages.read(addr))
 
     # backdoor access for tests
     def write_word(s, addr, value):
-        addr &= (s.size - 1) & ~0x3
-        s.storage[addr:addr + 4] = (value & 0xFFFFFFFF).to_bytes(
-            4, "little")
+        s.pages.write(addr & (s.size - 1) & ~0x3, value & 0xFFFFFFFF)
 
     def read_word(s, addr):
-        addr &= (s.size - 1) & ~0x3
-        return int.from_bytes(s.storage[addr:addr + 4], "little")
+        return s.pages.read(addr & (s.size - 1) & ~0x3)
 
     def load(s, base, words):
         for i, word in enumerate(words):

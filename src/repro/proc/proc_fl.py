@@ -22,6 +22,7 @@ from ..core import (
     ParentReqRespQueueAdapter,
 )
 from ..mem.msgs import MemMsg, MemReqMsg
+from ..mem.test_memory import Pages, check_size
 from .isa import XCEL_GO, alu, branch_taken, decode
 
 
@@ -34,7 +35,9 @@ class IsaSim:
     """
 
     def __init__(self, mem_size=1 << 20, xcel_handler=None):
-        self.mem = bytearray(mem_size)
+        check_size(mem_size, "IsaSim")
+        self.mem_size = mem_size
+        self.pages = Pages()
         self.regs = [0] * 32
         self.pc = 0
         self.halted = False
@@ -50,12 +53,11 @@ class IsaSim:
         self.pc = base
 
     def read_mem(self, addr):
-        addr &= (len(self.mem) - 1) & ~0x3
-        return int.from_bytes(self.mem[addr:addr + 4], "little")
+        return self.pages.read(addr & (self.mem_size - 1) & ~0x3)
 
     def write_mem(self, addr, value):
-        addr &= (len(self.mem) - 1) & ~0x3
-        self.mem[addr:addr + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
+        self.pages.write(addr & (self.mem_size - 1) & ~0x3,
+                         value & 0xFFFFFFFF)
 
     # -- accelerator (functional) ---------------------------------------------
 

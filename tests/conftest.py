@@ -2,18 +2,13 @@
 and the ``lowerings`` fixture."""
 
 import pytest
+from hypothesis import settings
 
-try:
-    from hypothesis import settings
-except ImportError:     # CI jobs that run hypothesis-free files only
-    pass
-else:
-    # CI's verif-fuzz job: tests/test_generated_blocks.py,
-    # tests/test_simjit_settle.py and tests/test_traffic_compiled.py
-    # once more, on fresh draws and more of them than the corpus
-    # tier-1 replays.
-    settings.register_profile("fuzz", derandomize=False, deadline=None,
-                              max_examples=150)
+# CI's verif-fuzz job: tests/test_generated_blocks.py,
+# tests/test_simjit_settle.py and tests/test_traffic_compiled.py once
+# more, on fresh draws and more of them than the corpus tier-1 replays.
+settings.register_profile("fuzz", derandomize=False, deadline=None,
+                          max_examples=150)
 
 
 @pytest.fixture

@@ -45,11 +45,12 @@ def _cache_run(harness):
 
 
 def _eager(harness):
-    """The same harness with every DUT's ring armed at construction
-    (``trace_depth=8``), as the harness kept it before the replay."""
+    """The same harness with every DUT's ring armed before its first
+    cycle (``log_traces(8)``), as the harness kept it before the
+    replay."""
     for dut in harness.duts:
-        dut.sim = SimulationTool(dut.model, trace_depth=8,
-                                 sched=dut.sim._sched_requested)
+        dut.sim = SimulationTool(dut.model, sched=dut.sim._sched_requested)
+        dut.sim.log_traces(8)
     return harness
 
 

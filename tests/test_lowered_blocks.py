@@ -11,6 +11,7 @@ loops print unrolled, the write shapes, and what a traceback shows."""
 import gc
 import linecache
 import re
+import sys
 import traceback
 import weakref
 
@@ -248,15 +249,41 @@ def test_mesh64_is_832_blocks_on_five_bodies(monkeypatch):
     assert _lowered(sim) == {"blocks": 832, "bodies": 5, "kept": {}}
     assert len(calls) == 5, calls
     assert "/python " in repr(sim)
+    # Constant-trip loops print unrolled: switch_logic keeps no for of
+    # its own.
+    switch = next(f for f in sim._static_order
+                  if f.__name__ == "switch_logic")
+    assert _loops(switch) == []
+    # One body cache serves both rungs: SimJIT's build of another
+    # mesh64 binds the five bodies, one C function a body.
+    spec = SimJITRTL(MeshNetworkStructural(
+        RouterRTL, 64, 256, 32, 2).elaborate())
+    spec.specialize()
+    info = spec.kernel_info
+    assert info["blocks"] == 832, info
+    assert info["functions"] == info["bodies"] == 5, info
+    assert len(calls) == 5, calls
     # A second simulator binds; it lowers nothing.
     twin = MeshNetworkStructural(RouterRTL, 64, 256, 32, 2).elaborate()
     ref = SimulationTool(twin, sched="event")
     assert len(calls) == 5
     assert _lowered(ref) == {"blocks": 0, "bodies": 0, "kept": {}}
+    # A lowered comb write marks its readers in place: on a fully
+    # static design it never calls _notify.
+    notified = []
+    notify = SimulationTool._notify
+
+    def counted_notify(self, net):
+        if sys._getframe(1).f_code.co_filename.startswith("<lowered "):
+            notified.append(net)
+        return notify(self, net)
+
+    monkeypatch.setattr(SimulationTool, "_notify", counted_notify)
     runs = [NetworkTrafficHarness(n, sim=s, seed=7).run_uniform_random(
                 0.3, 50, drain=0) for n, s in ((net, sim), (twin, ref))]
     assert runs[0] == runs[1] and runs[0].injected > 0
     assert net.line_trace() == twin.line_trace()
+    assert notified == [] and len(calls) == 5
 
 
 _SIBLINGS = """

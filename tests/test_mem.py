@@ -256,6 +256,21 @@ def test_memory_size_must_be_a_power_of_two():
     assert TestMemory(size=1 << 12).size == 1 << 12
 
 
+def test_the_other_word_stores_check_their_size_too():
+    """``RemoteMemServer`` and ``IsaSim`` keep their words in the same
+    ``Pages`` and wrap addresses the same way."""
+    from repro.net.mem_over_net import RemoteMemServer
+    from repro.proc import IsaSim
+    for size in (3000, 0, 3):
+        with pytest.raises(ValueError, match=f"RemoteMemServer .*{size}"):
+            RemoteMemServer(0, 4, size=size)
+        with pytest.raises(ValueError, match=f"IsaSim .*{size}"):
+            IsaSim(mem_size=size)
+    sim = IsaSim(mem_size=1 << 12)
+    sim.write_mem((1 << 12) + 0x10, 0x1_2345_6789)      # wraps, masks
+    assert sim.read_mem(0x10) == 0x2345_6789 and sorted(sim.pages) == [0]
+
+
 def test_memory_pages_hold_only_nonzero_writes():
     """A page is created by the first non-zero word written to it; an
     all-zero page and an absent one checkpoint alike."""

@@ -81,6 +81,29 @@ def test_backdoor_load():
     assert driver.read(0x208) == 3
 
 
+def test_checkpoint_holds_the_touched_pages_of_the_server():
+    """The server's words are ``Pages``: a checkpoint of a default
+    system holds the pages written, not its whole 1 MiB, and restores
+    to the same state."""
+    system, sim = _system()
+    driver = _MemDriver(sim, system.mem_ifcs[0])
+    driver.write(0x40, 7)
+    system.server.write_word(0x3_0000, 9)
+    system.server.write_word(0x5_0000, 0)        # creates no page
+    cp = sim.save_checkpoint()
+    idx = system._all_models.index(system.server)
+    kind, image = cp.py_state[idx]["pages"]
+    assert kind == "pages" and sorted(image) == [0, 0x30]
+    assert "storage" not in cp.py_state[idx]
+    fingerprint = cp.fingerprint()
+    driver.write(0x40, 8)
+    system.server.write_word(0x7_0000, 1)
+    assert sim.save_checkpoint().fingerprint() != fingerprint
+    sim.restore_checkpoint(cp)
+    assert sim.save_checkpoint().fingerprint() == fingerprint
+    assert driver.read(0x40) == 7 and sorted(system.server.pages) == [0, 0x30]
+
+
 def test_concurrent_clients_all_served():
     """All clients issue requests in flight at once — ordering within
     each src/dest pair must hold and nothing may be lost."""

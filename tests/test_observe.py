@@ -22,6 +22,8 @@ import os
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     InPort,
@@ -501,7 +503,6 @@ def _condition(tree, model):
 def _condition_trees(python_leaves=True):
     """Trees over every leaf, or (``python_leaves`` false) over the ones
     a SimJIT engine compiles: no ``when`` and no slice."""
-    from hypothesis import strategies as st
     name = st.sampled_from(_SPECS if python_leaves else _SPECS[:3])
     leaves = [
         st.tuples(st.sampled_from(["rose", "fell", "changed"]), name),
@@ -522,14 +523,12 @@ def _condition_trees(python_leaves=True):
 def _value_traces():
     """Rows of (a, b, c), each held for 1-5 cycles: most cycles change
     no tap."""
-    from hypothesis import strategies as st
     row = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1),
                     st.integers(1, 5))
     return st.lists(row, min_size=1, max_size=30)
 
 
 def _settings():
-    from hypothesis import settings
     fuzz = settings.get_profile("fuzz")
     return fuzz if settings.default is fuzz else settings(
         derandomize=True, deadline=None, max_examples=60)
@@ -562,12 +561,8 @@ def test_quiet_cycles_give_the_verdicts_of_evaluating_everything():
     slice runs in ``obs_run`` and any other warns ``instrument-fallback``
     and runs in Python; and that SimJIT sim dearmed by a cycle hook at
     a drawn cycle, which hands the C node state back to Python."""
-    # The observe CI job installs no hypothesis; tier-1 runs this.
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
     @_settings()
-    @hypothesis.given(tree=st.booleans().flatmap(_condition_trees),
+    @given(tree=st.booleans().flatmap(_condition_trees),
                       trace=_value_traces(), dearm_at=st.integers(0, 12))
     def check(tree, trace, dearm_at):
         want = None

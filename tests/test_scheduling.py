@@ -564,14 +564,15 @@ class _TracedCounter(Model):
 
 
 def test_trace_log_ring_buffer_and_equivalence():
-    """``trace_depth`` (used by the cosim harness for divergence
+    """``log_traces`` (used by the cosim harness for divergence
     forensics) keeps the last N line traces without perturbing
     simulation results, in both scheduling modes."""
     for sched in ("static", "event"):
         plain = _TracedCounter().elaborate()
         traced = _TracedCounter().elaborate()
         sim_plain = SimulationTool(plain, sched=sched)
-        sim_traced = SimulationTool(traced, sched=sched, trace_depth=4)
+        sim_traced = SimulationTool(traced, sched=sched)
+        sim_traced.log_traces(4)
         assert sim_plain.trace_log is None
         for sim in (sim_plain, sim_traced):
             sim.reset()

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.core import Model, SimulationTool
+from repro.core import Model, SimulationTool, ast_ir
 from repro.core.ast_ir import TranslationError
 from repro.core.signals import InPort, OutPort
 from repro.core.simjit import (JITModel, SimJITCL, SimJITRTL,
@@ -780,6 +780,16 @@ def test_second_build_in_a_process_parses_no_declarations(monkeypatch):
 
     monkeypatch.setattr(cffi.FFI, "__init__", counting_init)
     monkeypatch.setattr(cffi.FFI, "cdef", counting_cdef)
+    # Nor does it lower a block body: it binds the ones the first
+    # build lowered.
+    translate = ast_ir.BlockTranslator.translate
+
+    def counting_translate(self):
+        made.append("lower")
+        return translate(self)
+
+    monkeypatch.setattr(ast_ir.BlockTranslator, "translate",
+                        counting_translate)
     dut = make_mesh_dut("jit", "rtl", nrouters=4, jit=True)
     assert made == []
     # The mesh is one engine; the two builds share the process-wide

@@ -213,6 +213,9 @@ def test_mesh16_is_five_functions():
     # queues of two blocks each.
     assert info["blocks"] == 16 * 13 == 208
     assert info["functions"] == 5
+    # The text grows with the per-instance layout, not with copies of
+    # RouterRTL (it was 208 functions and 344 225 bytes).
+    assert len(spec.c_source) < 120000, len(spec.c_source)
     bodies = _bodies(spec.c_source)
     assert len(bodies) == 5
     assert len(set(bodies.values())) == 5

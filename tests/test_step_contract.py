@@ -76,9 +76,9 @@ def _observe(substrate, attachment, chunks, tmp_path):
     extra = {}
     if attachment == "vcd":
         extra["vcd"] = VCDWriter(str(tmp_path / "dump.vcd"))
-    elif attachment == "trace_depth":
-        extra["trace_depth"] = 8
     model, sim = _build(substrate, **extra)
+    if attachment == "trace_depth":
+        sim.log_traces(8)
     seen = {}
     stamps = []
     with warnings.catch_warnings():
