@@ -5,8 +5,9 @@ import pytest
 from hypothesis import settings
 
 # CI's verif-fuzz job: tests/test_generated_blocks.py,
-# tests/test_simjit_settle.py and tests/test_traffic_compiled.py once
-# more, on fresh draws and more of them than the corpus tier-1 replays.
+# tests/test_simjit_settle.py, tests/test_value_ranges.py and
+# tests/test_traffic_compiled.py once more, on fresh draws and more of
+# them than the corpus tier-1 replays.
 settings.register_profile("fuzz", derandomize=False, deadline=None,
                           max_examples=150)
 

@@ -695,16 +695,17 @@ def test_a_range_pass_that_calls_every_operand_non_negative_is_caught(
     or ``%`` of a ring value that is negative prints as C's truncating
     ``/`` / ``%``.  The pinned examples find it (no shrinking: each
     example compiles C)."""
-    span = ast_ir._Spans._span
+    span = ast_ir._SpanWalk.span
 
     def never_negative(self, node):
         got = span(self, node)
-        return got._replace(lo=max(got.lo or 0, 0))
+        got = self.spans[id(node)] = got._replace(lo=max(got.lo or 0, 0))
+        return got
 
     # Each example's blocks are new code, so lowered afresh: the body
     # cache stays (swapping it would strand the entries of code that
     # dies meanwhile).
-    monkeypatch.setattr(ast_ir._Spans, "_span", never_negative)
+    monkeypatch.setattr(ast_ir._SpanWalk, "span", never_negative)
     mutant = settings(_SETTINGS, phases=[Phase.generate])(
         given(designs())(_agrees_on_every_substrate))
     with pytest.raises(AssertionError, match="disagrees"):
@@ -804,19 +805,34 @@ def _bits_mutant_is_caught(match="disagrees", widths=BITS_WIDTHS):
         mutant()
 
 
+def _every_store(monkeypatch, holes):
+    """Seed the mutant whose every store to a local, a local array
+    element or CL state fits ``int64_t`` (``holes`` a frozenset) or
+    none does (None)."""
+    simple = ast_ir._Spans.simple
+
+    def mutant(self, node):
+        simple(self, node)
+        if isinstance(node, ast_ir.AssignState):
+            self.fact(node, (ast_ir._STATE, node.ref.name), holes)
+        elif not isinstance(node, ast_ir.AssignSig):
+            self.fact(node, (ast_ir._LOCAL, node.name), holes)
+
+    monkeypatch.setattr(ast_ir._Spans, "simple", mutant)
+
+
 def test_a_range_pass_that_never_marks_a_value_wide_is_caught(monkeypatch):
     """The seeded mutant: every store fits ``int64_t``, so C truncates
     an unmasked local that holds more.  Only a local past 63 bits shows
     it, so the examples are drawn over 70-bit signals."""
-    monkeypatch.setattr(ast_ir._Spans, "fits64",
-                        lambda self, node: frozenset())
+    _every_store(monkeypatch, frozenset())
     _bits_mutant_is_caught(widths=(70,))
 
 
 def test_a_range_pass_that_calls_every_store_wide_is_caught(monkeypatch):
     """The seeded mutant: no store fits ``int64_t``, so SimJIT refuses
     designs whose every local is masked to ``LOCAL_BITS``."""
-    monkeypatch.setattr(ast_ir._Spans, "fits64", lambda self, node: None)
+    _every_store(monkeypatch, None)
     _bits_mutant_is_caught("SimJIT refuses")
 
 
@@ -828,7 +844,7 @@ def test_a_range_pass_that_calls_every_write_fits_is_caught(monkeypatch):
     def every_write_fits(self, node):
         simple(self, node)
         if isinstance(node, ast_ir.AssignSig):
-            self.facts[id(node)] = node, "fits", frozenset()
+            self.fact(node, "fits", frozenset())
 
     monkeypatch.setattr(ast_ir._Spans, "simple", every_write_fits)
     _bits_mutant_is_caught()
@@ -838,7 +854,7 @@ def test_a_range_pass_that_calls_every_and_or_zero_one_is_caught(
         monkeypatch):
     """The seeded mutant: every ``and`` / ``or`` is 0/1, so C prints
     ``&&`` / ``||`` where Python yields an operand of another value."""
-    monkeypatch.setattr(ast_ir._Spans, "zero_one",
+    monkeypatch.setattr(ast_ir._SpanWalk, "zero_one",
                         lambda self, node: frozenset())
     _bits_mutant_is_caught()
 

@@ -38,14 +38,6 @@ from repro.observe import (
 )
 from repro.resilience.warnings import ResilienceWarning
 
-HAVE_CC = True
-try:
-    import cffi  # noqa: F401
-except ImportError:          # pragma: no cover - image bakes cffi in
-    HAVE_CC = False
-
-needs_cc = pytest.mark.skipif(not HAVE_CC, reason="cffi unavailable")
-
 MESH_SIGNALS = ["routers[0].grant_val[0]", "routers[0].hold_val[0]",
                 "routers[3].grant_val[0]", "routers[3].hold_val[0]"]
 
@@ -135,7 +127,6 @@ def _collect(sim, rec, wps, tracer):
 # -- full-stack equivalence ---------------------------------------------------
 
 
-@needs_cc
 def test_mesh_compiled_matches_hook_path():
     """Every attachment kind at once: compiled sampling on a 4-router
     SimJIT mesh is bit-identical to the forced hook path on the same
@@ -164,7 +155,6 @@ def test_mesh_compiled_matches_hook_path():
     assert compiled["summary"]["taps"], "tracer should have taps"
 
 
-@needs_cc
 def test_mesh_compiled_matches_interpreted_substrate():
     """Recorder windows and counters agree between the compiled
     SimJIT mesh and the interpreted static-schedule mesh under the
@@ -181,7 +171,6 @@ def test_mesh_compiled_matches_interpreted_substrate():
     assert sim_j.telemetry.counters() == sim_i.telemetry.counters()
 
 
-@needs_cc
 def test_per_cycle_step_path_matches_hooks():
     """cycle()-driven sims share the compiled sampling path (one-cycle
     batches) and stay bit-identical under per-cycle varying inputs."""
@@ -204,7 +193,6 @@ def test_per_cycle_step_path_matches_hooks():
 # -- watchpoint halts ---------------------------------------------------------
 
 
-@needs_cc
 def test_halting_watchpoint_stops_batch_at_exact_cycle():
     outcomes = []
     for force in (False, True):
@@ -228,7 +216,6 @@ def test_halting_watchpoint_stops_batch_at_exact_cycle():
     assert outcomes[0][1] < 10_000
 
 
-@needs_cc
 def test_once_watchpoint_detaches_after_compiled_hit():
     model, sim = _jit_mesh()
     wp = sim.watch(changed("routers[3].grant_val[0]"), name="once",
@@ -242,7 +229,6 @@ def test_once_watchpoint_detaches_after_compiled_hit():
 # -- mid-run dearm ------------------------------------------------------------
 
 
-@needs_cc
 def test_late_cycle_hook_dearms_and_preserves_state():
     """Registering a Python cycle hook after compiled attachments are
     armed converts them to the hook path with state intact; results
@@ -277,7 +263,6 @@ def test_late_cycle_hook_dearms_and_preserves_state():
 # -- fallback warnings --------------------------------------------------------
 
 
-@needs_cc
 def test_unlowerable_watchpoint_warns_and_uses_hooks():
     model, sim = _jit_mesh()
     with pytest.warns(ResilienceWarning) as record:
@@ -292,7 +277,6 @@ def test_unlowerable_watchpoint_warns_and_uses_hooks():
     assert sim.ncycles == 50
 
 
-@needs_cc
 def test_slice_tap_recorder_falls_back_with_warning():
     model, sim = _jit_mesh()
     with pytest.warns(ResilienceWarning) as record:
@@ -327,7 +311,6 @@ class _HistDut(Model):
                 s.count.next = s.count + 1
 
 
-@needs_cc
 def test_signal_histogram_compiled_matches_hooks():
     bins = []
     for force in (False, True):
@@ -356,7 +339,6 @@ def test_signal_histogram_compiled_matches_hooks():
 # -- content-addressed .so cache ----------------------------------------------
 
 
-@needs_cc
 def test_so_cache_hit_and_optout(tmp_path, monkeypatch):
     monkeypatch.setenv("SIMJIT_CACHE_DIR", str(tmp_path))
     net = MeshNetworkStructural(RouterRTL, 4, 256, 32, 2).elaborate()
@@ -380,7 +362,6 @@ def test_so_cache_hit_and_optout(tmp_path, monkeypatch):
     assert spec3.overheads["cache_hit"] is False
 
 
-@needs_cc
 def test_so_cache_key_tracks_generated_source(tmp_path, monkeypatch):
     monkeypatch.setenv("SIMJIT_CACHE_DIR", str(tmp_path))
     SimJITRTL(MeshNetworkStructural(

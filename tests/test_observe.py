@@ -52,14 +52,6 @@ from repro.verif import CoSimHarness, CoSimMismatch, RNG
 from repro.verif.duts import make_cache_dut, make_mesh_dut
 from repro.verif.strategies import mem_request_strategy
 
-HAVE_CC = True
-try:
-    import cffi  # noqa: F401
-except ImportError:          # pragma: no cover - image bakes cffi in
-    HAVE_CC = False
-
-needs_cc = pytest.mark.skipif(not HAVE_CC, reason="cffi unavailable")
-
 
 # -- fixtures -----------------------------------------------------------------
 
@@ -633,7 +625,6 @@ def _armed_cache_duts(substrates, depth=64):
     return duts, recs, wps
 
 
-@needs_cc
 def test_cache_windows_bit_identical_across_substrates(tmp_path):
     """Recorders hold bit-identical windows and watchpoints fire at
     identical cycles under event, static(+kernel), and an embedded
@@ -666,7 +657,6 @@ def test_cache_windows_bit_identical_across_substrates(tmp_path):
     assert wps[0].fired
 
 
-@needs_cc
 def test_mesh_windows_bit_identical_across_substrates():
     mesh_signals = ["routers[0].grant_val[0]", "routers[0].hold_val[0]",
                     "routers[2].priority[0]"]
@@ -740,7 +730,7 @@ def _divergent_cache_pair(dut_kwargs, out_dir):
 @pytest.mark.parametrize("dut_kwargs", [
     {"sched": "event"},
     {"sched": "static"},
-    pytest.param({"jit": True}, marks=needs_cc),
+    {"jit": True},
 ])
 def test_cosim_divergence_produces_bundle(tmp_path, dut_kwargs):
     out = tmp_path / "div"
@@ -761,7 +751,6 @@ def test_cosim_divergence_produces_bundle(tmp_path, dut_kwargs):
     assert os.path.exists(vcd)
 
 
-@needs_cc
 def test_divergence_bundles_bit_identical_across_substrates(tmp_path):
     """The exported divergence window of the same (deterministic) DUT
     is byte-identical whether it ran event, static, or SimJIT."""

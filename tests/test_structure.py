@@ -301,6 +301,13 @@ RULES = [
            r"_is_bit|_zero_one_locals|_bit_locals|_value_boolops"
            r"|wide_local|wide_state|wide_value", ["src"],
            "if self._is_bit(node):", '§4 "Lowered blocks" (the range pass)'),
+    # One walk records: a walk that judges again computes spans only,
+    # and a store is judged by ``exact`` itself.
+    forbid("one-range-analysis/one-recording-walk", "One range analysis",
+           r"self\.holes [!=]=|def fits64\(", [f"{_CORE}/ast_ir.py"],
+           "    def fits64(self, node):\n"
+           "        if self.holes != \"class\":",
+           '§4 "Lowered blocks" (the range pass)'),
 
     # -- One dependency list -----------------------------------------------
     # Every CI job installs the same packages, so a test file that one
@@ -310,6 +317,11 @@ RULES = [
            r"numpy$)", [".github/workflows/ci.yml"],
            "        run: python -m pip install pytest cffi numpy",
            "§1.5 Tests"),
+    # ... so no test falls back when an import fails.
+    forbid("one-dependency-list/no-import-fallback", "One dependency list",
+           r"except ImportError", ["tests"],
+           "try:\n    import cffi\nexcept ImportError:\n    cffi = None",
+           "§1.5 Tests", exclude=("tests/test_structure.py",)),
 ]
 
 
