@@ -12,12 +12,14 @@ CPython (PyPy is unavailable offline).  The interpreted column runs
 every tile event-driven over the user's block closures
 (``sched="event"``), the paper's CPython substrate, as Figure 14's
 baseline does.  The JIT runs are ``Tile(levels, jit=True)`` on the
-default schedule: SimJIT-RTL compiles the RTL components the CPython
-rung would run as closures (the accelerator and the arbiter, whose comb
-blocks form the tile's one combinational cycle), and the other RTL
-components run lowered and statically scheduled.  The paper applied
-SimJIT-RTL to every RTL component, and likewise specialized only a
-subset of CL components in this experiment.
+default schedule: SimJIT-RTL would compile the RTL components the
+CPython rung runs as closures, and in a tile there are none (the
+accelerator's control and the arbiter are a cycle of blocks, not of
+signals, which the scheduler splits by output), so every RTL component
+runs lowered and statically scheduled and the column is the lowered
+default.  The paper applied SimJIT-RTL to every RTL component, and
+likewise specialized only a subset of CL components in this
+experiment.
 
 Expected shape: performance trends *down* as LOD rises; a visible gap
 separates the bare ISA simulator from the port-based <FL,FL,FL> tile

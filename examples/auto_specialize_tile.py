@@ -3,13 +3,14 @@
 
 The paper leaves "automatically traverse the model hierarchy to find
 and specialize appropriate CL and RTL models" as future work; this
-example shows the implemented extension: one call compiles the
-SimJIT-compatible subtrees of the RTL compute tile that the CPython
-rung would run as closures (the accelerator and the arbiter, the
-tile's one combinational cycle), leaves the lowered processor and
-caches and the FL magic memory interpreted, and the mixed
-compiled/interpreted design runs the accelerated matrix-vector kernel
-cycle-exactly.
+example shows the implemented extension: one call walks the RTL
+compute tile and compiles only the SimJIT-compatible subtrees the
+CPython rung would run as closures.  In this tile there are none: every
+RTL block runs lowered and statically scheduled (the accelerator's
+control and the arbiter form a cycle of blocks, not of signals, which
+the scheduler splits by output), so each component stays interpreted
+and says why, and the design runs the accelerated matrix-vector kernel
+cycle-exactly, as its twin does.
 
 Run:  python examples/auto_specialize_tile.py
 """
@@ -49,7 +50,8 @@ def main():
 
     # Always the return value: a design that is translatable from the
     # top down comes back as its one wrapper (this one holds the FL
-    # memory, so it comes back as itself with two wrappers inside).
+    # memory, so it comes back as itself, with a wrapper inside for
+    # each subtree worth compiling: none here).
     tile = auto_specialize(Tile(("rtl", "rtl", "rtl")))
     jit_sim, jit_time, jit_result = run(tile, words, data)
 

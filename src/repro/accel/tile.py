@@ -80,12 +80,13 @@ class Tile(Model):
         if jit:
             # Paper Figure 13 applies SimJIT-RTL to all RTL components.
             # Here an RTL component compiles only where the CPython rung
-            # would run one of its blocks as a closure: the accelerator
-            # and the arbiter, whose comb blocks are the tile's one
-            # combinational cycle; the RTL processor and caches run
-            # lowered and statically scheduled, CL and FL ones in
-            # Python.  The FL memory keeps the tile itself interpreted:
-            # nothing to rebind.
+            # would run one of its blocks as a closure, and in a tile
+            # none does: every RTL block runs lowered and statically
+            # scheduled (the accelerator's control and the arbiter are a
+            # cycle of blocks, not of signals, which the scheduler
+            # splits by output), CL and FL ones in Python.  So this
+            # compiles nothing; the FL memory keeps the tile itself
+            # interpreted.
             auto_specialize(s, ("rtl",))
 
     def lod(s):

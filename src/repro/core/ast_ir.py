@@ -1223,6 +1223,95 @@ class _Typer(_Flow):
         return Wrap(node, width)
 
 
+# -- the output dependence ------------------------------------------------------
+
+
+def output_deps(ir, hole_of):
+    """``{write hole: frozenset of read holes}``: for each signal hole
+    ``ir`` writes, the signal holes whose values the written value may
+    need (:class:`_Deps`).  A read hole the block also writes stays in
+    the set; the scheduler's self-write rule decides what it means."""
+    walk = _Deps(hole_of)
+    walk.stmts(ir.body)
+    return walk.out
+
+
+class _Deps(_Flow):
+    """One walk that follows, per scalar local, local array and signal
+    the body wrote, the reads its value may need: data flow, the
+    conditions it sits under (``pc``: an enclosing ``if``'s condition,
+    and any condition a ``break`` / ``continue`` of an enclosing loop
+    sits under, which decides the trips) and, for a signal read back,
+    what the body wrote to it.  Facts only grow (a union), so each loop
+    head reaches its fixpoint in a few walks."""
+
+    meet = staticmethod(frozenset.union)
+
+    def __init__(self, hole_of):
+        self.hole_of = hole_of
+        self.env = {}              # local name | id(Signal) -> read holes
+        self.exits = []
+        self.pc = frozenset()      # the reads the current path needs
+        self.escapes = []          # per loop: the pc of its breaks
+        self.out = {}              # write hole -> read holes
+
+    @staticmethod
+    def loop_var(node):
+        return frozenset()
+
+    def cond(self, node):
+        pass                       # ``stmt`` puts it in ``pc``
+
+    def stmt(self, node):
+        pc = self.pc
+        if isinstance(node, If):
+            self.pc = pc | self.deps(node.cond)
+            super().stmt(node)
+        elif isinstance(node, For):
+            entry, escape = self.env, frozenset()
+            while True:
+                self.env, self.pc = entry, pc | escape
+                self.escapes.append(escape)
+                super().stmt(node)
+                grown = self.escapes.pop()
+                if grown == escape:
+                    break
+                escape = grown
+        elif isinstance(node, (Break, Continue)):
+            self.escapes[-1] |= pc
+            super().stmt(node)
+        else:
+            super().stmt(node)
+        self.pc = pc
+
+    def simple(self, node):
+        value = self.pc
+        for holder, key in _operands(node):
+            value = value | self.deps(holder[key])
+        if isinstance(node, AssignSig):
+            hole = self.hole_of[id(node.ref)]
+            self.out[hole] = self.out.get(hole, frozenset()) | value
+            whole = node.ref.index is None and node.ref.hi is None
+            for sig in node.ref.signals:
+                self.env[id(sig)] = value if whole \
+                    else self.env.get(id(sig), frozenset()) | value
+        elif isinstance(node, (AssignLocal, DeclLocalArray)):
+            if isinstance(node, AssignLocal) and node.index is not None:
+                value = value | self.env.get(node.name, frozenset())
+            self.env[node.name] = value
+
+    def deps(self, node):
+        got = frozenset()
+        if isinstance(node, SigRead):
+            got = got.union([self.hole_of[id(node.ref)]], *(
+                self.env.get(id(sig), ()) for sig in node.ref.signals))
+        elif isinstance(node, LocalRead):
+            got = self.env.get(node.name, got)
+        for kid in _children(node):
+            got = got | self.deps(kid)
+        return got
+
+
 # -- the range pass -------------------------------------------------------------
 
 

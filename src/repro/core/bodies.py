@@ -17,9 +17,12 @@ it carries ``python``, the function :mod:`.pygen` prints (or
 leaves no ``c`` either; decided for every sibling the guards admit),
 ``c``, the template :func:`~.simjit.cgen.c_template` prints with which
 hole fills each C hole, ``reads`` / ``writes``, the holes the block
-reads and writes, and ``folded``, whether a read indexes a list by an expression the
+reads and writes, ``folded``, whether a read indexes a list by an expression the
 lowering folded to a constant (the block's closure evaluates it anew
-on every run).
+on every run), and, of a combinational body, ``deps``: per hole it
+writes, the read holes the written value may need
+(:func:`~.ast_ir.output_deps`), and ``spelled``: each written hole as
+the source spells it below the model (``mem_ifc.req_val``).
 A constant the source and the guards fix is not a hole: it is printed
 as its literal, in both.  ``c`` is SimJIT's unit of code: the blocks
 bound to one body share a C function (unless a constant that varies
@@ -40,7 +43,7 @@ import re
 import weakref
 
 from .ast_ir import (BlockTranslator, Const, StateRef, TranslationError,
-                     TypeUndecided, block_kind, infer_types)
+                     TypeUndecided, block_kind, infer_types, output_deps)
 from .pygen import Refused, print_function
 from .simjit.cgen import c_template
 
@@ -200,6 +203,14 @@ def signals(holes, picks):
         holes[h] if type(holes[h]) is tuple else (holes[h],))]
 
 
+def outputs(body, holes):
+    """``[(hole, signals written, signals read)]``: per hole combinational
+    ``body`` writes, the signals of one instance's ``holes`` the value
+    written there needs (``body.deps``)."""
+    return [(hole, signals(holes, (hole,)), signals(holes, sorted(reads)))
+            for hole, reads in body.deps.items()]
+
+
 # -- the C artifact -----------------------------------------------------------
 
 
@@ -225,7 +236,8 @@ class Body:
     ``sig_writes`` and the backends' artifacts (module docstring)."""
 
     __slots__ = ("bind", "guards", "gtypes", "filename", "python",
-                 "refused", "c", "reads", "writes", "folded")
+                 "refused", "c", "reads", "writes", "folded", "deps",
+                 "spelled")
 
     def matches(self, guards):
         return (guards == self.guards
@@ -292,6 +304,14 @@ def _new_body(blk, translator, ir, bind):
     body.c = typed and CBody(*c_template(ir, hole_of))
     body.reads = tuple(hole_of[id(ref)] for ref in ir.sig_reads)
     body.writes = tuple(hole_of[id(ref)] for ref in ir.sig_writes)
+    body.deps = body.spelled = None
+    if ir.kind == "comb":
+        body.deps = output_deps(ir, hole_of)
+        body.spelled = {}
+        for leaf, node, _ in translator.holes:
+            if hole_of[id(leaf)] in body.deps:
+                body.spelled.setdefault(hole_of[id(leaf)],
+                                        ast.unparse(node).partition(".")[2])
     folded = {hole_of[id(leaf)] for leaf, node, dyn_at in translator.holes
               if _folds_index(node, dyn_at)}
     body.folded = not folded.isdisjoint(body.reads)
@@ -342,13 +362,20 @@ def kept_reason(blk, answer, cyclic, name=None):
     """Why the CPython rung runs ``blk`` as the user's closure, or
     None when it runs the body's lowered function.  ``answer`` is
     ``blk``'s :func:`body_or_why` (not asked of a CL or FL tick) and
-    ``cyclic`` whether the static scheduler demotes it (a comb block
-    in a combinational cycle).  The one spelling of these reasons:
+    ``cyclic``, where the static scheduler demotes it (a comb block
+    in a combinational cycle), the holes it writes on the cycle, else
+    None.  The one spelling of these reasons:
     ``SimulationTool`` reports them in ``sched_info()["lowered"]
     ["kept"]`` and ``auto.kept_blocks`` reads them before
-    elaboration, giving the ``name`` elaboration will give ``blk``."""
-    if cyclic:
-        return "event partition: in a combinational cycle"
+    elaboration, giving the ``name`` elaboration will give ``blk``; a
+    cycle is named by the signals ``blk`` writes on it, by their paths
+    below that name's model."""
+    if cyclic is not None:
+        path = (name or blk.name).rpartition(".")[0]
+        nets = dict.fromkeys(f"{path}.{answer[0].spelled[hole]}"
+                             for hole in cyclic)
+        return ("event partition: in a combinational cycle through "
+                + ", ".join(nets))
     level = getattr(blk, "level", "rtl")    # a comb block has none
     if level != "rtl":
         return f"tick_{level} block"

@@ -49,6 +49,7 @@ block: CL state has no form here.
 
 from __future__ import annotations
 
+import os
 import re
 from types import FunctionType
 
@@ -313,14 +314,26 @@ def print_function(ir, func, hole_of, nholes):
     printer = _Printer(hole_of)
     printer.block(ir.body, 4)
     code = func.__code__
-    doc = (f"lowered from {code.co_filename}:{code.co_firstlineno} "
-           f"({func.__qualname__})")
+    doc = (f"lowered from {_from_package(code.co_filename)}:"
+           f"{code.co_firstlineno} ({func.__qualname__})")
     params = [f"_h{i}=None" for i in range(nholes)]
     params += ["_notify=None", "_pending=None", "_sf=None", "_tf=None"]
     return ["", "",
             f"def {func.__name__}({', '.join(params)}):",
             f"    {doc!r}",
             *printer.lines]
+
+
+#: The package's directory, which a lowered docstring writes ``repro``.
+_PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _from_package(filename):
+    """``filename`` from the package root (``repro/accel/arbiter.py``),
+    the same in every checkout, where the package holds it."""
+    if filename.startswith(_PACKAGE + os.sep):
+        return "repro" + filename[len(_PACKAGE):]
+    return filename
 
 
 def instantiate(template, func, holes, sim):

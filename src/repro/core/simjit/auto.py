@@ -45,10 +45,11 @@ def auto_specialize(model, allowed_levels=("rtl", "cl")):
     translatable from the top down comes back as its one
     :class:`JITModel` wrapper.  Anything else comes back as ``model``
     itself, with wrappers spliced in below where a subtree holds a
-    block :func:`kept_blocks` names (a comb block in a combinational
-    cycle, a block without a body or whose body has no Python form, a
-    CL tick); the other translatable subtrees stay interpreted, their
-    reason :data:`LOWERED`.  So always use the return value
+    block :func:`kept_blocks` names (a comb block with an output on a
+    combinational cycle of signals, a block without a body or whose
+    body has no Python form, a CL tick); the other translatable
+    subtrees stay interpreted, their reason :data:`LOWERED`.  So
+    always use the return value
     (``SimulationTool`` refuses a model whose ports a wrapper has
     adopted)::
 
@@ -96,7 +97,8 @@ def kept_blocks(top):
     ``sched_info()["lowered"]["kept"]``, read before elaboration.  The
     reasons are :func:`repro.core.bodies.kept_reason`'s, the
     simulator's own, over the same ``body_or_why`` answers and the
-    cyclic set of the one static scheduler, here built on the
+    blocks the one static scheduler demotes, with the outputs that
+    close their cycles, here built on the
     un-elaborated design
     (:func:`repro.core.scheduling.unelaborated_schedule`); a blocking
     FL tick reads as a ``tick_fl`` block, since which FL ticks run on
@@ -108,11 +110,12 @@ def kept_blocks(top):
     answers = {blk: ("a SimJIT engine" if isinstance(blk.model, JITModel)
                      else bodies.body_or_why(blk)) for blk in combs}
     try:
-        cyclic = set(unelaborated_schedule(models, [
-            (blk, None, None) if isinstance(answer, str) else
+        cyclic = unelaborated_schedule(models, [
+            (blk, None, None, None) if isinstance(answer, str) else
             (blk, bodies.signals(answer[1], answer[0].reads),
-             bodies.signals(answer[1], answer[0].writes))
-            for blk, answer in answers.items()]).demoted)
+             bodies.signals(answer[1], answer[0].writes),
+             bodies.outputs(*answer))
+            for blk, answer in answers.items()]).demoted
     except ElaborationError:
         top.elaborate()     # the same error, with the names it gives
         raise
@@ -120,7 +123,7 @@ def kept_blocks(top):
                    if blk.level == "rtl")
     paths = _paths(top)
     kept = {blk: bodies.kept_reason(
-        blk, answers.get(blk), blk in cyclic,
+        blk, answers.get(blk), cyclic.get(blk),
         f"{paths[id(blk.model)]}.{blk.func.__name__}")
         for blk in combs + ticks}
     return {blk: why for blk, why in kept.items() if why is not None}

@@ -51,7 +51,7 @@ from ..elaboration import elaborate
 from ..model import MAX_LIST_DEPTH, Model
 from ..portbundle import PortBundle
 from ..probe import Probe
-from ..scheduling import build_schedule, comb_block_nets
+from ..scheduling import build_schedule, comb_block_nets, comb_output_nets
 from ..signals import InPort, OutPort, Signal
 from .cgen import CBackend, Layout, c_template, net_words
 
@@ -534,14 +534,16 @@ class _Block(NamedTuple):
     body ``c``, this instance's ``holes`` (C hole ``h`` is filled from
     ``holes[c.sources[h]]``: an int; a signal, or a tuple of them, and a
     CL state variable's ``st_m<model>_<attr>`` key until ``_emit`` knows
-    their nets' words and its offset) and the signals it ``reads`` and
-    ``writes``."""
+    their nets' words and its offset), the signals it ``reads`` and
+    ``writes`` and, of a comb block with a body, its ``outputs``
+    (:func:`~repro.core.bodies.outputs`)."""
 
     name: str
     c: bodies.CBody
     holes: list
     reads: list
     writes: list
+    outputs: list = None
 
 
 class _Specializer:
@@ -705,7 +707,8 @@ class _Specializer:
                for hole in holes]
         return _Block(blk.func.__name__, body.c, row,
                       bodies.signals(holes, body.reads),
-                      bodies.signals(holes, body.writes))
+                      bodies.signals(holes, body.writes),
+                      body.deps and bodies.outputs(body, holes))
 
     def _state_key(self, model, attr):
         """CL state variable ``model.attr``'s key (``_emit`` offsets it)."""
@@ -720,19 +723,21 @@ class _Specializer:
 
         Returns ``(order, residue, nets)``: ``residue`` counts the blocks
         one pass in that order cannot settle — those ``build_schedule``
-        demotes (in a combinational cycle, or reading through one
-        signal a net they write through another), or every block when
-        scheduling is switched off.  Any residue makes ``settle()`` a
-        fixpoint over the whole order.  ``nets`` is, per block of
-        ``order``, the ``(reads, writes)`` nets it depends on and
-        drives."""
+        demotes (an output on a combinational cycle, signal by signal),
+        or every block when scheduling is switched off.  A block in a
+        cycle of blocks only, not of signals, recurs in ``order`` at
+        each position its outputs need.  Any residue makes
+        ``settle()`` a fixpoint over the whole order.  ``nets`` is, per
+        entry of ``order``, the ``(reads, writes)`` nets of its
+        block."""
         infos = [(i, *comb_block_nets(blk.reads, blk.writes), True)
                  for i, blk in enumerate(combs)]
         if not self.schedule:
             # Ablation mode: declaration order, rely on the fixpoint
             # loop alone (more passes per eval).
             return list(combs), len(combs), [info[1:3] for info in infos]
-        sched = build_schedule(infos)
+        sched = build_schedule(infos, lambda i: combs[i].outputs and (
+            comb_output_nets(combs[i].outputs)))
         order = sched.order + sched.event_funcs
         return ([combs[i] for i in order], len(sched.event_funcs),
                 [infos[i][1:3] for i in order])

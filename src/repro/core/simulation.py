@@ -64,12 +64,15 @@ Scheduling modes (``sched=`` constructor argument):
   net, and the queue drains until no block fires.
 - ``"static"`` — comb blocks with a body whose dataflow graph is
   acyclic run in a fixed topological order, one pass per settle (see
-  :mod:`.scheduling`).  Blocks in true combinational cycles, and
-  blocks without a body, fall back to the event fixpoint, so the
-  settle loop is a hybrid; a gated tick is skipped while none of its
-  read nets changed.  When *every* block is static the settle never
-  runs the event fixpoint (``sched_info()["kernel"]``): an idle cycle
-  is a few flag scans and no block call at all.
+  :mod:`.scheduling`); a cycle of blocks that is no cycle of signals
+  is split by output, its blocks run at each slot their outputs need
+  (one lowered function, run once per slot).  Blocks with an output
+  on a true combinational cycle, and blocks without a body, fall back
+  to the event fixpoint, so the settle loop is a hybrid; a gated tick
+  is skipped while none of its read nets changed.  When *every* block
+  is static the settle never runs the event fixpoint
+  (``sched_info()["kernel"]``): an idle cycle is a few flag scans and
+  no block call at all.
 - ``"auto"`` (default) — ``"static"`` when the scheduling pass finds
   at least one comb block with a body outside a cycle (or a
   connector) or one tick to gate, else ``"event"``.
@@ -105,11 +108,11 @@ from functools import wraps
 from time import perf_counter
 
 from .adapters import BlockingTickRunner, wrap_fl_ticks
-from .bodies import body_or_why, kept_reason, named, signals
+from .bodies import body_or_why, kept_reason, named, outputs, signals
 from .probe import Probe
 from .pygen import instantiate
-from .scheduling import (build_schedule, comb_block_nets, nets_of,
-                         unbounded_reads)
+from .scheduling import (build_schedule, comb_block_nets, comb_output_nets,
+                         nets_of, unbounded_reads)
 from .signals import _SignalSlice
 from ..resilience.warnings import ResilienceWarning
 from ..telemetry import tracing
@@ -250,12 +253,20 @@ class SimulationTool:
         self._tflags = bytearray()
         self._lowered = {"blocks": 0, "bodies": 0, "kept": {}}
 
+        combs = {blk.func: blk for blk in self._comb_blocks}
+
+        def output_nets(func):
+            # A block in a cyclic SCC, looked at by output.
+            answer = bodies.get(combs.get(func))
+            return isinstance(answer, tuple) and comb_output_nets(
+                outputs(*answer))
+
         sched_fault = None
         if sched != "event":
             try:
                 with tracing.span("sim.schedule",
                                   design=self._design_name):
-                    schedule = build_schedule(infos)
+                    schedule = build_schedule(infos, output_nets)
             except Exception as exc:      # degrade, don't abort the run
                 sched_fault = f"{type(exc).__name__}: {exc}"
                 schedule = None
@@ -281,7 +292,13 @@ class SimulationTool:
 
         # collect_stats / profile: each block is wrapped once, wherever
         # it sits; the event queue holds the wrappers.
-        wrap = self._instrument
+        wrapped = {}
+
+        def wrap(func, comb=True):
+            if func not in wrapped:
+                wrapped[func] = self._instrument(func, comb)
+            return wrapped[func]
+
         self._static_order = [wrap(func) for func in self._static_order]
         self._tick_plan = [(slot, wrap(tick, comb=False))
                            for slot, tick in self._tick_plan]
@@ -432,19 +449,22 @@ class SimulationTool:
         runs on its own thread, which only the simulator knows.
         ``bodies`` holds the blocks' ``body_or_why`` answers.
         (Connectors are not blocks, and stay the copies they were.)"""
-        lowered_bodies, kept = set(), {}
+        lowered_bodies, kept, done = set(), {}, {}
 
         def lowered(blk, func):
+            if func in done:            # a block split by output
+                return done[func]
+            done[func] = func
             if func is not blk.func:
                 kept[blk.name] = "blocking FL tick (runs on its own thread)"
                 return func
-            why = kept_reason(blk, bodies.get(blk), False)
+            why = kept_reason(blk, bodies.get(blk), None)
             if why is not None:
                 kept[blk.name] = why
                 return func
             body, holes = bodies[blk]
             lowered_bodies.add(body)
-            low = instantiate(body.python, func, holes, self)
+            low = done[func] = instantiate(body.python, func, holes, self)
             self._block_of[low] = func
             return low
 
@@ -452,11 +472,11 @@ class SimulationTool:
         self._static_order = [
             lowered(combs[func], func) if func in combs else func
             for func in self._static_order]
-        demoted = set(self.schedule.demoted)
+        demoted = self.schedule.demoted
         for func in self.schedule.event_funcs:
             if func in combs:
                 kept[combs[func].name] = kept_reason(
-                    combs[func], bodies[combs[func]], func in demoted)
+                    combs[func], bodies[combs[func]], demoted.get(func))
         self._tick_plan = [
             (slot, lowered(blk, func))
             for blk, (slot, func) in zip(self._tick_blocks, self._tick_plan)]
@@ -988,6 +1008,7 @@ class SimulationTool:
                 "static_blocks": 0,
                 "event_blocks": len(self._all_comb_funcs),
                 "demoted_cyclic": 0,
+                "split_blocks": 0,
                 "levels": 0,
             })
         models = self.model._all_models

@@ -359,3 +359,56 @@ def test_lint_lowers_each_block_once(monkeypatch):
     lint(model)
     assert sorted(f.__name__ for f in lowered) == [
         "cl", "comb", "fl", "rtl"]
+
+
+# -- the output dependence ------------------------------------------------------
+
+
+class _Outputs(Model):
+    """One comb block whose outputs need different reads: through a
+    condition, a write read back (whole and by slice), a loop a
+    ``break`` under a condition cuts short and a local array."""
+
+    def __init__(s):
+        s.a, s.b, s.c, s.d, s.e = (InPort(4) for _ in range(5))
+        s.tbl = [InPort(4) for _ in range(4)]
+        s.x, s.y, s.z, s.w, s.v = (OutPort(8) for _ in range(5))
+
+        @s.combinational
+        def logic():
+            if s.c:
+                s.x.value = s.a
+            else:
+                s.x.value = s.b
+            s.y.value = s.x + 1
+            t = 0
+            for k in range(4):
+                if s.tbl[k] == s.d:
+                    break
+                t = t + 1
+            s.z.value = t
+            s.w[0:4].value = s.a
+            s.w[4:8].value = s.w[0:4]
+            xs = [0] * 2
+            xs[s.e[0:1].uint()] = s.b
+            s.v.value = xs[0]
+
+
+def test_each_output_needs_its_own_reads():
+    """``Body.deps`` bound to nets (``scheduling.comb_output_nets``):
+    a condition's reads, what a write read back needs (its own net is
+    the self-write rule's), a loop's ``break`` condition for what the
+    loop computes, and every store of a local array."""
+    from repro.core.scheduling import comb_output_nets
+    model = _Outputs().elaborate()
+    blk, = model.get_comb_blocks()
+    body, holes = bodies.body_of(blk)
+    name = {id(sig._net.find()): sig.name for sig in model.get_signals()}
+    needs = {name[id(net)]: sorted(name[id(r)] for r in reads)
+             for _, (net,), reads in comb_output_nets(
+                 bodies.outputs(body, holes))}
+    assert needs == {
+        "x": ["a", "b", "c"], "y": ["a", "b", "c"],
+        "z": ["d", *(f"tbl[{i}]" for i in range(4))],
+        "w": ["a"], "v": ["b", "e"]}
+    assert body.spelled[body.writes[0]] == "x"

@@ -49,26 +49,25 @@ class Latch(Model):
 
 def test_auto_specializes_rtl_tile_components():
     tile = auto_specialize(Tile(("rtl", "rtl", "rtl")))
-    # The accelerator's control and the arbiter are the tile's one
-    # combinational cycle, so they compile; the processor and the
-    # caches are lowered and statically scheduled, and stay; the FL
-    # magic memory stays interpreted, and with it the tile that holds
-    # it.
-    assert _engines(tile) == ["accel", "arbiter"]
+    # Every RTL component is lowered and statically scheduled, the
+    # accelerator's control and the arbiter too (their comb blocks are a
+    # cycle of blocks, not of signals, which the scheduler splits by
+    # output): nothing compiles, and each says why; the FL magic memory
+    # stays interpreted, and with it the tile that holds it.
+    assert _engines(tile) == []
     sim = SimulationTool(tile.elaborate())
     info = sim.sched_info()["simjit"]
-    assert [(e["model"], e["class"]) for e in info["engines"]] == [
-        ("top.accel", "DotProductRTL"), ("top.arbiter", "MemArbiter")]
-    assert all(e["blocks"] >= e["functions"] >= 1 and e["comb"]
-               for e in info["engines"])
+    assert info["engines"] == []
     assert info["interpreted"] == {
         "top": info["interpreted"]["top.mem"],
         "top.proc": LOWERED, "top.icache": LOWERED, "top.dcache": LOWERED,
+        "top.accel": LOWERED, "top.arbiter": LOWERED,
         "top.mem": info["interpreted"]["top.mem"]}
     assert info["interpreted"]["top.mem"].startswith(
         "top.mem.logic: level 'fl'")
     # No top engine, so none of its flat kernel keys.
     assert "functions" not in info
+    assert sim.sched_info()["kernel"]
     # ``repro-telemetry-v1`` carries the scheduling partition only, so
     # its bytes do not know which models are engines (or which blocks
     # run lowered).
@@ -165,34 +164,25 @@ def test_auto_specialize_handles_cl_models(monkeypatch, tmp_path):
         ("MeshNetworkStructural", "SimJITCL"), ("Latch", "SimJITRTL")]
 
 
-# The engines ``Tile(levels, jit=True)`` holds: the accelerator's
-# control and the arbiter's comb blocks are each tile's one
-# combinational cycle, and only where the accelerator is RTL; every
-# other component is lowered and statically scheduled.
-_TILE_ENGINES = {
-    levels: ["accel", "arbiter"] if levels[2] == "rtl" else []
-    for levels in itertools.product(("fl", "cl", "rtl"), repeat=3)}
-
-
 def test_tile_jit_compiles_the_rtl_components(monkeypatch, tmp_path):
     """``jit=True`` is the traversal restricted to RTL, compiling only
     the components the CPython rung would not run lowered and
-    statically scheduled: 18 engines over the 27 tiles, two designs,
-    and the others say why not."""
+    statically scheduled: in no tile is there one, so the 27 tiles
+    compile nothing, every RTL component says why not, and every tile
+    runs the kernel."""
     monkeypatch.setenv("SIMJIT_CACHE_DIR", str(tmp_path))
-    for levels, engines in _TILE_ENGINES.items():
+    for levels in itertools.product(("fl", "cl", "rtl"), repeat=3):
         tile = Tile(levels, jit=True)
-        assert _engines(tile) == engines, levels
-        interpreted = SimulationTool(tile.elaborate()).sched_info()[
-            "simjit"]["interpreted"]
+        assert _engines(tile) == [], levels
+        info = SimulationTool(tile.elaborate()).sched_info()
+        assert info["kernel"], levels
+        interpreted = info["simjit"]["interpreted"]
         for name, level in zip(("proc", "icache", "dcache", "accel"),
                                levels[:2] + levels[1:]):
-            if level == "rtl" and name not in engines:
+            if level == "rtl":
                 assert interpreted[f"top.{name}"] == LOWERED, levels
-    assert sum(map(len, _TILE_ENGINES.values())) == 18
-    assert len(_so_files(tmp_path)) == 2
-    # Nothing to compile is not an error.
-    assert _engines(Tile(("cl", "fl", "cl"), jit=True)) == []
+        assert interpreted["top.arbiter"] == LOWERED, levels
+    assert _so_files(tmp_path) == []
 
 
 def test_dut_builders_wrap_exactly_the_component():
@@ -295,14 +285,23 @@ def test_walk_that_fails_from_the_top_is_lowered_once(lowerings):
     """The FL memory refuses the tile by level, before the walk from
     the top lowers anything; asking which blocks the CPython rung keeps
     then lowers every RTL body of the tile once (the two caches' once
-    between them), and the engines of the accelerator and the arbiter
-    bind those bodies without lowering them again."""
+    between them), and the simulator binds the same bodies.  Under the
+    FL parent over a cycle of signals, the engines of that cycle and of
+    the block pygen refuses bind the bodies that question lowered,
+    without lowering them again."""
     tile = Tile(("rtl", "rtl", "rtl"), jit=True)
-    assert _engines(tile) == ["accel", "arbiter"]
-    engines = SimulationTool(tile.elaborate()).sched_info()["simjit"][
-        "engines"]
+    assert _engines(tile) == []
+    SimulationTool(tile.elaborate())
     assert set(lowerings.values()) == {1}
     assert any(name.startswith("CacheRTL.") for name in lowerings)
+    assert any(name.startswith("DotProductCtrl.") for name in lowerings)
+    lowerings.clear()
+    top = auto_specialize(FLParent())
+    engines = SimulationTool(top.elaborate()).sched_info()["simjit"][
+        "engines"]
+    assert [e["model"] for e in engines] == [
+        "top.ping", "top.pong", "top.odd"]
+    assert set(lowerings.values()) == {1}
     assert len(lowerings) > sum(e["bodies"] for e in engines)
 
 
@@ -456,8 +455,11 @@ def test_a_block_whose_bind_does_not_reproduce_stays_interpreted(
 
 
 class Ping(Model):
-    """Forwards ``in_ + 1`` to its peer and outputs what comes back:
-    one comb block, half of a cross-module combinational cycle."""
+    """Forwards ``in_`` with ``back``'s low bits to its peer and outputs
+    what comes back: one comb block, half of a cross-module
+    combinational cycle of signals (``fwd`` needs ``back``, which needs
+    ``fwd``) that settles (``back``'s low bits are 0, so ``fwd`` =
+    ``in_``)."""
 
     def __init__(s):
         s.in_ = InPort(8)
@@ -467,7 +469,7 @@ class Ping(Model):
 
         @s.combinational
         def logic():
-            s.fwd.value = s.in_ + 1
+            s.fwd.value = s.in_ | (s.back & 0x0F)
             s.out.value = s.back + 3
 
 
@@ -478,7 +480,7 @@ class Pong(Model):
 
         @s.combinational
         def logic():
-            s.out.value = s.in_ ^ 0x5A
+            s.out.value = s.in_ & 0xF0
 
 
 class Odd(Model):
@@ -529,6 +531,8 @@ def test_under_an_fl_parent_only_what_the_interpreter_keeps_compiles():
     info = sims[1].sched_info()["simjit"]
     assert [e["model"] for e in info["engines"]] == [
         "top.ping", "top.pong", "top.odd"]
+    assert all(e["blocks"] >= e["functions"] >= 1 and e["comb"]
+               for e in info["engines"])
     assert info["interpreted"] == {
         "top": "top.count: level 'fl'; allowed: ['cl', 'rtl']",
         "top.reg": LOWERED}
@@ -541,7 +545,7 @@ def test_under_an_fl_parent_only_what_the_interpreter_keeps_compiles():
             sim.cycle()
         assert int(tops[1].out) == int(tops[0].out)
         assert tops[1].seen == tops[0].seen
-    assert int(tops[1].out) == (((19 * 37 + 1) & 0xFF ^ 0x5A) + 10) & 0xFF
+    assert int(tops[1].out) == ((19 * 37 & 0xF0) + 10) & 0xFF
 
 
 def _structure(structure, skip):
@@ -606,8 +610,10 @@ def test_kept_blocks_are_the_interpreters_kept_blocks():
     parent, whose reasons are pinned, and on mesh4 RTL and CL, every
     tile, the caches, the processors and the resilient link."""
     assert _read_one_way(FLParent()) == {
-        "top.ping.logic": "event partition: in a combinational cycle",
-        "top.pong.logic": "event partition: in a combinational cycle",
+        "top.ping.logic":
+            "event partition: in a combinational cycle through top.ping.fwd",
+        "top.pong.logic":
+            "event partition: in a combinational cycle through top.pong.out",
         "top.odd.logic": "the block's name '_n' is one the lowered "
                          "function uses",
         "top.count": "tick_fl block"}
@@ -615,9 +621,8 @@ def test_kept_blocks_are_the_interpreters_kept_blocks():
         _read_one_way(MeshNetworkStructural(router, 4, 256, 32, 2))
     for levels in itertools.product(("fl", "cl", "rtl"), repeat=3):
         kept = _read_one_way(Tile(levels))
-        if levels[2] == "rtl":
-            assert set(kept) >= {"top.accel.ctrl.ctrl_comb",
-                                 "top.arbiter.arb_comb"}
+        assert not any(name.endswith(("ctrl_comb", "arb_comb"))
+                       for name in kept), levels
     for cache in (CacheFL, CacheCL, CacheRTL):
         _read_one_way(cache(MemMsg(), MemMsg()))
     for proc in (ProcFL, ProcCL, ProcRTL):

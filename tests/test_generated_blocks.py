@@ -1,4 +1,4 @@
-"""Generated blocks (ROADMAP item 1).
+"""Generated blocks.
 
 A hypothesis strategy prints ``@combinational`` / ``@tick_rtl`` bodies
 from the translatable subset ``repro.core.ast_ir``'s docstring
@@ -71,7 +71,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationTool
-from repro.core import ast_ir
+from repro.core import ast_ir, bodies
 from repro.core.ast_ir import TranslationError
 from repro.core.probe import Probe
 from repro.core.simjit import JITModel, SimJITRTL, auto_specialize
@@ -757,6 +757,42 @@ def test_siblings_that_differ_in_a_constant_share_their_functions(design):
     _agree(design, [twin, jit, ref], sims,
            ["out_a", "out_b", *(f"{leaf}.{path}" for leaf in "ab"
                                 for path in design.probes)])
+
+
+@_SETTINGS
+@given(design=st.sampled_from([_Body, _BitsBody]).flatmap(
+    lambda body: designs(body, BITS_WIDTHS if body is _BitsBody
+                         else WIDTHS)))
+def test_an_output_needs_only_its_dependence(design):
+    """A comb body's ``deps`` (``ast_ir.output_deps``) as a property:
+    two runs of a block's closure that differ only in reads outside an
+    output's dependence write the same bits there."""
+    top = load_generated(design.source)["Gen"](design.ka).elaborate()
+    rng = random.Random(design.seed)
+
+    def draw(sig):
+        return rng.choice((0, (1 << sig.nbits) - 1, rng.getrandbits(
+            sig.nbits), rng.getrandbits(sig.nbits)))
+
+    for blk in top.get_comb_blocks():
+        body, holes, ir, hole_of = bodies.lowered(blk, {})
+        reads = {id(sig): sig for sig in bodies.signals(holes, body.reads)}
+        bits = {hole_of[id(ref)]: (ref.lo, ref.width)
+                for ref in ir.sig_writes}
+        for hole, needs in body.deps.items():
+            (out,), (lo, width) = bodies.signals(holes, (hole,)), bits[hole]
+            inside = {id(sig) for sig in bodies.signals(holes, needs)}
+            for _ in range(4):
+                values = {key: draw(sig) for key, sig in reads.items()}
+                written = []
+                for _ in range(2):
+                    for key, sig in reads.items():
+                        sig.value = values[key]
+                    blk.func()
+                    written.append((int(out) >> lo) & ((1 << width) - 1))
+                    values.update((key, draw(sig)) for key, sig
+                                  in reads.items() if key not in inside)
+                assert written[0] == written[1], (blk.name, hole)
 
 
 def _cpython_columns(build):

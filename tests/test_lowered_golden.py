@@ -6,9 +6,9 @@ bodies its instances get, in the order the walk meets them.  A body's
 record is:
 
 - ``body``: the sha256 prefix of its printed source, its bind and
-  lowered Python together (``Body.filename``'s digest), with the
-  package's directory, which the lowered function's docstring names,
-  written ``repro``: the same in every checkout;
+  lowered Python together (``Body.filename``'s digest), whose
+  docstring names the block's file from the package root
+  (``repro/...``): the same in every checkout;
 - ``c``: the sha256 of its C template (``CBody.text``), or None;
 - ``refused`` / ``c_refused``: ``Body.refused`` and ``Body.c_refused``;
 - ``guards``: the sha256 prefix of ``repr(Body.guards)``, the values a
@@ -28,7 +28,6 @@ purpose regenerates the table and says so::
 
 import hashlib
 import json
-import linecache
 import os
 import sys
 
@@ -37,14 +36,12 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))))
 
-import repro  # noqa: E402
 import tests.conftest  # noqa: E402,F401  (the profiles the tests read)
 from repro.core import bodies  # noqa: E402
 from tests.test_value_ranges import _library  # noqa: E402
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                       "lowered_sha256.json")
-PACKAGE = os.path.dirname(os.path.abspath(repro.__file__))
 
 
 def _sha(text):
@@ -55,11 +52,7 @@ def _record(answer):
     if isinstance(answer, str):
         return {"why": answer}
     body = answer[0]
-    # A body without a function printed its bind alone, which names no
-    # file: its filename's digest is the same in every checkout.
-    source = body.python and "".join(linecache.cache[body.filename][2])
-    return {"body": _sha(source.replace(PACKAGE, "repro"))[:12] if source
-            else body.filename.rsplit(" ", 1)[1].rstrip(">"),
+    return {"body": body.filename.rsplit(" ", 1)[1].rstrip(">"),
             "c": body.c and body.c.text and _sha(body.c.text),
             "refused": body.refused, "c_refused": body.c_refused,
             "guards": _sha(repr(body.guards))[:16]}

@@ -266,7 +266,7 @@ def _drive_counter(sim, m, n=20):
 def test_static_schedule_failure_degrades_to_event(monkeypatch):
     from repro.core import simulation as simulation_mod
 
-    def boom(infos):
+    def boom(*args):
         raise RuntimeError("synthetic scheduler defect")
 
     monkeypatch.setattr(simulation_mod, "build_schedule", boom)

@@ -194,25 +194,117 @@ def test_comb_loop_raises_in_every_mode(sched):
         sim.eval_combinational()
 
 
+def test_comb_loop_is_named_by_its_signals():
+    """Each block of a cycle of signals is kept with the signals it
+    writes on the cycle, read off the design before elaboration as the
+    simulator reads them after."""
+    from repro.core.simjit.auto import kept_blocks
+    assert {blk.func.__name__: why
+            for blk, why in kept_blocks(_CombLoop()).items()} == {
+        "one": "event partition: in a combinational cycle through top.a",
+        "two": "event partition: in a combinational cycle through top.b"}
+
+
 # -- hybrid fallback: cyclic SCC demoted, acyclic part stays static -----------------
 
 
 def test_tile_rtl_partial_fallback():
+    """The tile's one cycle is of blocks, not of signals: the
+    accelerator's control writes ``req_val`` from its state alone, and
+    only its ``sent_en`` / ``got_en`` read the arbiter's ``req_rdy``
+    back.  By output no cycle survives, so nothing is demoted: the
+    control and the arbiter each sit at the slots their outputs need,
+    and the settle is the kernel."""
     tile = Tile(("rtl", "rtl", "rtl")).elaborate()
     sim = SimulationTool(tile, sched="static")
     desc = sim.schedule.describe()
-    # The processor/xcel val-rdy handshake is a genuine comb cycle:
-    # those blocks must be demoted to the event fixpoint, everything
-    # else must stay on the static schedule.
-    assert desc["demoted_cyclic"] >= 1
-    assert desc["static_blocks"] >= 1
+    assert desc["demoted_cyclic"] == desc["event_blocks"] == 0
+    assert desc["split_blocks"] == 2
+    split = {tile.accel.ctrl.get_comb_blocks()[0].func,
+             tile.arbiter.get_comb_blocks()[0].func}
+    order = sim.schedule.order
+    assert {f for f in order if order.count(f) > 1} == split
+    assert desc["static_blocks"] == len(set(order)) == len(
+        sim._all_comb_funcs)
+    assert sim.sched_info()["kernel"]
+    # A split block is lowered once, whatever its slots.
+    assert not {"top.accel.ctrl.ctrl_comb", "top.arbiter.arb_comb"} & set(
+        sim.sched_info()["lowered"]["kept"])
+    assert len(set(sim._static_order)) == len(set(order))
+    event = SimulationTool(Tile(("rtl", "rtl", "rtl")).elaborate(),
+                           sched="event")
+    models = [tile, event.model]
+    for each in (sim, event):
+        each.reset()
+    _lockstep(models, [sim, event], 50)
+
+
+class _SettlingCycle(Model):
+    """A cycle of signals that settles (``a[7:4] = (a[3:0] + 1)[3:0]``)
+    ahead of an acyclic block that reads it."""
+
+    def __init__(s):
+        s.in_ = InPort(4)
+        s.out = OutPort(8)
+        s.a = Wire(8)
+        s.b = Wire(5)
+
+        @s.combinational
+        def low_and_high():
+            s.a.value = (s.in_.uint() & 0xF) | ((s.b.uint() & 0xF) << 4)
+
+        @s.combinational
+        def plus_one():
+            s.b.value = (s.a.uint() & 0xF) + 1
+
+        @s.combinational
+        def drive_out():
+            s.out.value = s.a.uint()
+
+    def line_trace(s):
+        return f"{int(s.in_):x}>{int(s.out):02x}"
+
+
+def test_true_cycle_partial_fallback():
+    """A cycle that survives by output is demoted to the event
+    fixpoint and named by its signals; the block after it stays on the
+    static schedule, and the hybrid settle computes what the event
+    fixpoint does."""
+    models = [_SettlingCycle().elaborate() for _ in range(2)]
+    sim = SimulationTool(models[0], sched="static")
+    desc = sim.schedule.describe()
+    assert (desc["demoted_cyclic"], desc["split_blocks"]) == (2, 0)
+    assert desc["static_blocks"] == 1
     assert sim.sched_mode == "static"
     # A hybrid schedule's settle runs the event fixpoint.
     assert not sim.sched_info()["kernel"]
-    # And the hybrid still simulates correctly.
-    sim.reset()
-    for _ in range(50):
-        sim.cycle()
+    assert sim.sched_info()["lowered"]["kept"] == {
+        "top.low_and_high":
+            "event partition: in a combinational cycle through top.a",
+        "top.plus_one":
+            "event partition: in a combinational cycle through top.b"}
+    event = SimulationTool(models[1], sched="event")
+    for each in (sim, event):
+        each.reset()
+    _lockstep(models, [sim, event], 20,
+              stimulus=lambda m, cyc: setattr(m.in_, "value", cyc & 0xF))
+    assert int(models[0].out) == 0x43
+
+
+def test_only_the_accelerator_tiles_split_a_block():
+    """Every library design schedules every comb block with a body:
+    no cycle of signals anywhere.  The accelerator's control and the
+    arbiter sit at more than one slot in the nine tiles with an RTL
+    accelerator, and no block of any other design (the meshes
+    included) does, so their order, levels and reader slots are what
+    one slot per block gives."""
+    from tests.test_value_ranges import _library
+    for name, build in _library().items():
+        desc = SimulationTool(build().elaborate()).sched_info()
+        assert desc["demoted_cyclic"] == 0, name
+        split = 2 if name.startswith("tile-") and name.endswith("rtl") \
+            else 0
+        assert desc["split_blocks"] == split, name
 
 
 # -- auto mode selection ------------------------------------------------------------

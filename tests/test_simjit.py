@@ -868,14 +868,16 @@ def test_library_is_unloaded_with_its_last_engine():
 
 
 def test_simulating_tiles_loads_the_runtime_once(monkeypatch, gcc_runs):
-    """The kernel is the runtime's: the nineteen ``Tile(levels,
-    jit=True)`` built and run to ``done`` load it once, compile it once
-    on an empty cache, and no design's C defines it."""
+    """The kernel is the runtime's: the nineteen tiles, with the
+    accelerator and the arbiter of each RTL-accelerator tile spliced in
+    as engines (``jit=True`` compiles nothing in a tile), built and run
+    to ``done`` load it once, compile it once on an empty cache, and no
+    design's C defines it."""
     from repro.accel import Tile, mvmult_data, mvmult_xcel
     from repro.accel.kernels import Y_BASE
     from repro.core.simjit import specializer
     from repro.proc import assemble
-    from tests.test_simjit_golden import TILE_LEVELS
+    from tests.test_simjit_golden import TILE_LEVELS, tile_with_engines
 
     sources = []
     compile_ = specializer._Specializer._compile
@@ -889,7 +891,7 @@ def test_simulating_tiles_loads_the_runtime_once(monkeypatch, gcc_runs):
     words = assemble(mvmult_xcel(2, 4))
     data, expected = mvmult_data(2, 4, seed=1)
     for levels in TILE_LEVELS:
-        tile = Tile(levels, jit=True).elaborate()
+        tile = tile_with_engines(levels).elaborate()
         tile.mem.load(0, words)
         for addr, value in data.items():
             tile.mem.write_word(addr, value)

@@ -4,9 +4,12 @@
 the designs below compile, keyed ``"<design> <engine> <class>"``:
 three RTL meshes under ``SimJITRTL``, the mesh4 pair the hash-seed test
 builds under ``SimJITCL`` and a ``RouterCL`` mesh16 (``tick_cl`` blocks
-bound to their bodies, CL state as holes), every engine of the nineteen
-``Tile(levels, jit=True)`` configurations (ten of which compile
-nothing, and have no entry), the jit points of the three
+bound to their bodies, CL state as holes), the accelerator and the
+arbiter of the nine tiles with an RTL accelerator, each specialized on
+its own (``Tile(levels, jit=True)`` compiles nothing: every block of a
+tile is lowered and statically scheduled, so the other ten of the
+nineteen rows compile nothing too, and have no entry), the jit points
+of the three
 DUT builders and the seven ``test_simjit_share`` rows.  None of them
 holds the SimJIT runtime (``runtime.c``: the kernel, the
 instrumentation, the test bench).  The C text is the ``.so``
@@ -56,7 +59,6 @@ def _mesh(router, n):
 
 def _designs():
     """``{name: build}``; ``build()`` specializes whatever it compiles."""
-    from repro.accel import Tile
     from repro.net import RouterCL, RouterRTL
     from repro.proc import assemble
     from repro.verif import make_cache_dut, make_mesh_dut, make_proc_dut
@@ -73,7 +75,7 @@ def _designs():
         lambda: SimJITCL(_mesh(RouterCL, 16)).specialize())
     for levels in TILE_LEVELS:
         designs["tile-" + "-".join(levels)] = (
-            lambda levels=levels: Tile(levels, jit=True))
+            lambda levels=levels: tile_with_engines(levels))
     designs["dut-cache"] = lambda: make_cache_dut("j", "rtl", jit=True)
     designs["dut-proc"] = lambda: make_proc_dut(
         "j", "rtl", assemble("halt"), jit=True)
@@ -83,6 +85,21 @@ def _designs():
             lambda leaves=leaves, specializer=specializer:
             specializer(_Bank(leaves()).elaborate()).specialize())
     return designs
+
+
+def tile_with_engines(levels):
+    """An un-elaborated ``Tile(levels)`` whose accelerator and arbiter,
+    where the accelerator is RTL, are each a SimJIT engine spliced in by
+    hand, as ``auto_specialize`` splices a subtree's: the engines in an
+    event-driven parent that ``jit=True`` built while the scheduler
+    demoted their comb blocks as a cycle."""
+    from repro.accel import Tile
+    tile = Tile(levels)
+    if levels[2] == "rtl":
+        for name in ("accel", "arbiter"):
+            vars(tile)[name] = SimJITRTL(
+                getattr(tile, name).elaborate()).specialize()
+    return tile
 
 
 def _sources(name, build):
@@ -118,7 +135,7 @@ def test_generated_c_matches_the_golden_table(name):
     want = {key: sha for key, sha in _golden().items()
             if key.rsplit(" ", 2)[0] == name}
     sources = _sources(name, _designs()[name])
-    # Ten tiles compile nothing (test_auto_specialize): no entry.
+    # Ten tiles have no RTL accelerator: no entry.
     assert want or not sources, f"{name} is not in {GOLDEN}"
     assert {key: hashlib.sha256(src.encode()).hexdigest()
             for key, src in sources.items()} == want
@@ -128,7 +145,7 @@ def test_generated_c_matches_the_golden_table(name):
 
 
 def test_the_table_covers_every_tile_engine():
-    """The nineteen tiles hold 18 engines (test_auto_specialize)."""
+    """Two components of each of the nine RTL-accelerator tiles."""
     assert sum(key.startswith("tile-") for key in _golden()) == 18
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 
 from repro import SimulationTool
-from repro.accel import Tile, mvmult_data, mvmult_xcel
+from repro.accel import mvmult_data, mvmult_xcel
 from repro.accel.kernels import Y_BASE
 from repro.components import Register
 from repro.core.probe import Probe
@@ -29,9 +29,10 @@ from repro.proc import assemble
 from repro.telemetry import tracing
 from tests.test_generated_blocks import _SETTINGS, NCYCLES, designs
 from tests.test_scheduling import load_generated
+from tests.test_simjit_golden import tile_with_engines
 from tests.test_simjit_step import (_CombCycle, _drive_terminals,
                                    _jit_top, _mesh, _outputs,
-                                   _ReversedChain)
+                                   _ReadsOwnNet, _ReversedChain)
 
 
 def _engines(model):
@@ -71,11 +72,13 @@ def test_mesh16_input_settle_is_one_switch_per_output_port():
     (_CombCycle, {}, (3, 3)),
     (_ReversedChain, {}, (3, 3)),
     (_ReversedChain, {"schedule": False}, (3, 3)),
+    (_ReadsOwnNet, {}, (2, 2)),
     (Register, {}, (0, 0)),
-], ids=["fixpoint", "chain", "unscheduled", "no-comb"])
+], ids=["fixpoint", "chain", "unscheduled", "split", "no-comb"])
 def test_what_each_input_reaches(factory, kwargs, reach):
-    """A chain is reached whole, a fixpoint settles all or nothing,
-    and a port that only a tick reads reaches no comb block."""
+    """A chain is reached whole, a fixpoint settles all or nothing, a
+    block split by output is reached at each of its positions, and a
+    port that only a tick reads reaches no comb block."""
     def build():
         model = factory(8) if factory is Register else factory()
         return SimJITRTL(model.elaborate(), **kwargs).specialize()
@@ -139,8 +142,10 @@ def test_tile_engines_are_settled_after_every_cycle():
     words = assemble(mvmult_xcel(rows, cols))
     data, expected = mvmult_data(rows, cols)
     levels = ("rtl", "rtl", "rtl")
-    tile = Tile(levels, jit=True).elaborate()
-    twins = _engines(Tile(levels, jit=True).elaborate())
+    # jit=True compiles nothing in a tile: the engines are spliced in
+    # by hand.
+    tile = tile_with_engines(levels).elaborate()
+    twins = _engines(tile_with_engines(levels).elaborate())
     engines = _engines(tile)
     assert len(engines) == len(twins) == 2     # accel, arbiter
     tile.mem.load(0, words)

@@ -275,7 +275,8 @@ RULES = [
             f"why = {literal}", '§4 "Lowered blocks" (kept reasons)',
             bound=(0, 1))
       for i, literal in enumerate(
-          ['"event partition: in a combinational cycle"', 'f"tick_{',
+          ['"event partition: in a combinational cycle through "',
+           'f"tick_{',
            '"blocking FL tick', '"a SimJIT engine"'])],
     forbid("one-structural-reading/one-c-refusal",
            "One structural reading",
@@ -672,3 +673,41 @@ def test_pre_edge_settle_runs_what_changed_on_mesh4():
         settled_from_scratch()
         sim.cycle()
         settled_from_scratch()
+
+
+# -- ROADMAP citations ---------------------------------------------------------
+
+#: Where a "ROADMAP item N" must name an open item: the program, the
+#: tests and the top-level docs.  CHANGES.md is history (it cites items
+#: as they were numbered then) and ROADMAP.md numbers them.
+CITING = ["src", "tests", "README.md", "DESIGN.md", "EXPERIMENTS.md",
+          "TUTORIAL.md"]
+_CITATION = re.compile(r"ROADMAP\s+items?\s+((?:\d+[a-z()]*(?:,\s*|\s+and"
+                       r"\s+|\s+or\s+)?)+)")
+
+
+def _open_items():
+    """The numbers of ROADMAP.md's open items."""
+    with open(os.path.join(ROOT, "ROADMAP.md")) as handle:
+        text = handle.read()
+    text = text[text.index("## Open items"):text.index(
+        "### Not carried forward")]
+    return {int(n) for n in re.findall(r"^(\d+)\. \*\*", text, re.M)}
+
+
+def _cited(text):
+    """The item numbers ``text`` cites as "ROADMAP item N" (items
+    ``N and M``, ``N(a)``; across a line break too)."""
+    return [int(n) for match in _CITATION.finditer(text)
+            for n in re.findall(r"\d+", match.group(1))]
+
+
+def test_roadmap_citations_name_open_items():
+    """Every "ROADMAP item N" in the program, the tests and the
+    top-level docs names an open item; landed work is cited by PR."""
+    open_items = _open_items()
+    assert _cited("see ROADMAP" "\n  items 7 and 99(b)") == [7, 99]
+    assert open_items and 99 not in open_items
+    stale = [(path, n) for spec in CITING for path in _walk(ROOT, spec)
+             for n in _cited(_read(ROOT, path)) if n not in open_items]
+    assert stale == []
